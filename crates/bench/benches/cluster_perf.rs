@@ -1,9 +1,6 @@
-//! Criterion benchmarks for the multi-node cluster simulator: chunked
-//! optimistic vs per-instant barrier vs serial execution on the same
-//! seeded traces (all three produce bit-identical timelines — the
-//! benches time pure engine overhead), the persistent-pool epoch
-//! fan-out vs the legacy per-epoch spawn (the ROADMAP
-//! threads=4-trailing-threads=1 regression was per-epoch spawn/join
+//! Criterion benchmarks for the multi-node cluster simulator: serial
+//! vs persistent-pool epoch fan-out on the same seeded trace (both
+//! produce the bit-identical timeline — the benches time pure fan-out
 //! overhead), the placement-training environment's episode replay,
 //! and the single-node event loop underneath everything.
 
@@ -13,7 +10,7 @@ use hrp_cluster::multinode::{staggered_trace, MultiNodeSim};
 use hrp_cluster::place::{PlacementAgent, PlacementConfig};
 use hrp_cluster::sim::ClusterSim;
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
-use hrp_cluster::{FcfsBackfill, SelectorKind};
+use hrp_cluster::SelectorKind;
 use hrp_core::par::WorkerPool;
 use hrp_gpusim::GpuArch;
 use hrp_workloads::Suite;
@@ -32,9 +29,9 @@ fn bench_single_node_loop(c: &mut Criterion) {
     });
 }
 
-/// Serial vs pooled vs per-epoch-spawn fan-out: same timeline, three
-/// wall-clocks. The bursty trace maximises the epoch count, which is
-/// exactly where per-epoch spawn/join hurts.
+/// Serial vs pooled fan-out: same timeline, two wall-clocks. The
+/// bursty trace maximises the epoch count, which is exactly where a
+/// synchronized round per arrival instant hurts.
 fn bench_fanout_modes(c: &mut Criterion) {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let jobs = generate(&suite, &TraceConfig::new(TraceKind::Bursty, JOBS, 42));
@@ -52,62 +49,6 @@ fn bench_fanout_modes(c: &mut Criterion) {
         // process.
         let sim = MultiNodeSim::new(4, 2).with_pool(Arc::new(WorkerPool::new(4)));
         b.iter(|| black_box(run(&sim)))
-    });
-    c.bench_function("cluster_4nodes_spawn4_drain48", |b| {
-        // The legacy path: a fresh scoped spawn per arrival instant.
-        let sim = MultiNodeSim::new(4, 2).with_threads(4).with_epoch_spawn();
-        b.iter(|| black_box(run(&sim)))
-    });
-}
-
-/// Chunked optimistic vs barrier vs serial on the same seeded traces,
-/// all pooled modes sharing ONE worker pool (so the comparison times
-/// the engines, not pool construction). The 100k-job bursty case is
-/// the scale the chunked engine is for: thousands of arrival
-/// instants, so a per-instant barrier pays thousands of fan-out
-/// rounds where chunking pays one per chunk.
-fn bench_chunked_vs_barrier(c: &mut Criterion) {
-    let suite = Suite::paper_suite(&GpuArch::a100());
-    let pool = Arc::new(WorkerPool::new(4));
-    let run = |sim: &MultiNodeSim, jobs: &[hrp_cluster::ClusterJob]| {
-        let mut sel = SelectorKind::LeastLoaded.build();
-        sim.run(&suite, jobs.to_vec(), sel.as_mut(), |_| FcfsBackfill::new())
-    };
-    // Moderate scale: every mode is cheap enough for steady sampling.
-    let jobs = generate(
-        &suite,
-        &TraceConfig::new(TraceKind::Bursty, 2_000, 42).max_gpus(2),
-    );
-    c.bench_function("cluster_8nodes_serial_fcfs2k", |b| {
-        let sim = MultiNodeSim::new(8, 2).with_threads(1);
-        b.iter(|| black_box(run(&sim, &jobs)))
-    });
-    c.bench_function("cluster_8nodes_barrier4_fcfs2k", |b| {
-        let sim = MultiNodeSim::new(8, 2).with_pool(Arc::clone(&pool));
-        b.iter(|| black_box(run(&sim, &jobs)))
-    });
-    c.bench_function("cluster_8nodes_chunked4_fcfs2k", |b| {
-        let sim = MultiNodeSim::new(8, 2)
-            .with_pool(Arc::clone(&pool))
-            .with_chunk_width(64.0);
-        b.iter(|| black_box(run(&sim, &jobs)))
-    });
-    // The ≥100k-job case: thousands of distinct arrival instants,
-    // which is where the per-instant barrier's fan-out count explodes
-    // and the chunked engine's one-round-per-chunk pays off.
-    let big = generate(
-        &suite,
-        &TraceConfig::new(TraceKind::Bursty, 100_000, 42).max_gpus(2),
-    );
-    c.bench_function("cluster_8nodes_barrier4_fcfs100k", |b| {
-        let sim = MultiNodeSim::new(8, 2).with_pool(Arc::clone(&pool));
-        b.iter(|| black_box(run(&sim, &big)))
-    });
-    c.bench_function("cluster_8nodes_chunked4_fcfs100k", |b| {
-        let sim = MultiNodeSim::new(8, 2)
-            .with_pool(Arc::clone(&pool))
-            .with_chunk_width(64.0);
-        b.iter(|| black_box(run(&sim, &big)))
     });
 }
 
@@ -127,7 +68,6 @@ criterion_group!(
     benches,
     bench_single_node_loop,
     bench_fanout_modes,
-    bench_chunked_vs_barrier,
     bench_placement_episode
 );
 criterion_main!(benches);

@@ -4,15 +4,15 @@
 //! action per node, dueling head).
 //!
 //! The ladder mirrors `repro bench-infer`'s rows — the allocating
-//! `predict` reference, the preplanned scalar kernel, the
-//! auto-detected SIMD kernel, and the opt-in int8 variant — plus the
-//! full `PolicySelector::select` path (mask + encode + greedy), so
-//! the per-decision cost can be split into encoding and inference.
+//! `predict` reference, the preplanned scalar kernel, and the
+//! auto-detected SIMD kernel — plus the full `PolicySelector::select`
+//! path (mask + encode + greedy), so the per-decision cost can be
+//! split into encoding and inference.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hrp_core::cluster_env::{NodeLoad, PolicySelector};
 use hrp_core::NodeSelector;
-use hrp_nn::{masked_argmax, FastPolicy, Head, Int8Policy, Kernel, QNet};
+use hrp_nn::{masked_argmax, FastPolicy, Head, Kernel, QNet};
 
 const NODES: usize = 8;
 const STATE_DIM: usize = 2 * NODES + 2;
@@ -56,10 +56,6 @@ fn bench_greedy_decision(c: &mut Criterion) {
     let mut auto = FastPolicy::new(&net);
     c.bench_function(&format!("infer_fast_{}", auto.kernel().name()), |b| {
         b.iter(|| black_box(auto.greedy(black_box(&x), mask)))
-    });
-    let mut int8 = Int8Policy::new(&net);
-    c.bench_function("infer_int8_opt_in", |b| {
-        b.iter(|| black_box(int8.greedy(black_box(&x), mask)))
     });
 }
 

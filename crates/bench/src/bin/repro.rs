@@ -5,7 +5,7 @@
 //!       [--env flat|hierarchical] [--nodes N]
 //!       [--selector round-robin|least-loaded|policy|fcfs|easy|conservative]
 //!       [--trace uniform|bursty|skewed|heavy-tail|colocate|staggered]
-//!       [--chunk-width W] [--walltime-err F] [--reps N] [--quantize]
+//!       [--walltime-err F] [--reps N]
 //!       [--source trace|poisson|bursty] [--rate F] [--duration F]
 //!       [--users N] [--user-skew F] [--quota N] [--slo F]
 //!       [--checkpoint PATH] [--restore PATH]
@@ -27,8 +27,6 @@
 //!   oracle    oracle-greedy reference throughput
 //!   cluster   multi-node placement comparison (§VI) vs the
 //!             single-node baseline
-//!   bench-cluster  timing statistics: chunked optimistic vs barrier
-//!             vs serial on large seeded traces; writes BENCH_6.json
 //!   serve     online scheduler service (hrp-serve): streams arrivals
 //!             through incremental decision cycles; the default bench
 //!             mode writes BENCH_8.json, while --source/--checkpoint/
@@ -36,11 +34,9 @@
 //!   bench-infer  deployed-inference latency: the hrp-nn fast path
 //!             (scalar and SIMD kernels) vs the allocating predict
 //!             reference, equivalence-checked; writes BENCH_10.json
-//!             (--quantize adds the opt-in int8 row, gated on greedy
-//!             agreement)
 //!   ablate-reward | ablate-agent | ablate-interference
-//!   all       everything above except bench-cluster, serve, and
-//!             bench-infer (fig8/11/12 share one training run)
+//!   all       everything above except serve and bench-infer
+//!             (fig8/11/12 share one training run)
 //! ```
 //!
 //! `--quick` shrinks the network and episode count for smoke runs; the
@@ -70,20 +66,14 @@
 //! multi-node path reproduces
 //! the single-node simulator bit-for-bit, and the merged timeline —
 //! and the trained policy — are identical for any `--threads` value.
-//! `--chunk-width W` switches the `cluster` command's run (and sets
-//! the `bench-cluster` chunk size, default 64 simulated seconds) to
-//! the chunked optimistic engine — same timeline, fewer
-//! synchronization rounds. `--reps N` overrides the `bench-cluster`
-//! repetition count (default: 3 with `--quick`, 5 otherwise); the
-//! harness writes its statistics to `BENCH_6.json` in the working
-//! directory.
+//! `--reps N` overrides the repetition count of the `serve` and
+//! `bench-infer` harnesses (default: 3 with `--quick`, 5 otherwise).
 //!
 //! The `serve` command runs the online scheduler service
 //! (`hrp-serve`). With the default `--source trace` and no checkpoint
 //! flags it benches the service — every trace kind × {incremental,
 //! full} cycle mode, digest-checked against the batch oracle — and
-//! writes `BENCH_8.json` (`--reps` overrides the repetition count as
-//! for `bench-cluster`). Any of `--source poisson|bursty` (an
+//! writes `BENCH_8.json`. Any of `--source poisson|bursty` (an
 //! open-loop load generator offering `--rate` jobs per simulated
 //! second until `--duration` seconds), `--checkpoint PATH` (write a
 //! live `HRPS` snapshot mid-run, then keep going), or
@@ -119,21 +109,19 @@
 //! reference, the scalar kernel, and the auto-detected SIMD kernel —
 //! asserting all variants pick identical actions and that the fast
 //! path beats the reference before writing `BENCH_10.json`.
-//! `--quantize` adds the opt-in int8 row, gated on greedy agreement
-//! with the exact path; quantization is never on by default.
 //!
 //! Malformed invocations (unknown flags or commands, missing or
-//! unparsable values, `--shards 0`, `--nodes 0`, `--chunk-width 0`
-//! (or negative/non-finite), `--walltime-err` outside `[0, 1)` (or
-//! NaN), `--reps 0`, `--rate`/`--duration` zero, negative, or
-//! non-finite, `--users 0`, `--user-skew` zero, negative, or NaN,
+//! unparsable values, `--shards 0`, `--nodes 0`, `--walltime-err`
+//! outside `[0, 1)` (or NaN), `--reps 0`, `--rate`/`--duration` zero,
+//! negative, or non-finite, `--users 0`, `--user-skew` zero, negative,
+//! or NaN,
 //! `--quota 0`, `--slo` zero, negative, or NaN,
 //! `--user-skew`/`--quota`/`--slo` without `--users`,
 //! `--env`/`--selector`/`--trace`/`--source` typos,
 //! `--checkpoint` colliding with `--restore`, `serve --selector
-//! policy`, fairness flags combined with `--restore`, `--quantize`
-//! outside `bench-infer`) exit with status 2 and a usage message
-//! rather than panicking or silently defaulting.
+//! policy`, fairness flags combined with `--restore`) exit with
+//! status 2 and a usage message rather than panicking or silently
+//! defaulting.
 
 use hrp_bench::eval::{
     ablate_agent, ablate_interference, ablate_reward, evaluation_queues, run_full, FullEvaluation,
@@ -172,16 +160,10 @@ struct Options {
     selector: SelectorKind,
     /// Trace kind for the `cluster` command.
     trace: TraceKind,
-    /// Chunked-engine width for `cluster`/`bench-cluster` (`None` =
-    /// barrier mode for `cluster`, 64 s for `bench-cluster`).
-    chunk_width: Option<f64>,
     /// Walltime-estimate error fraction for the backfill selectors.
     walltime_err: f64,
-    /// `bench-cluster`/`serve`/`bench-infer` repetitions (`0` = the
-    /// mode default).
+    /// `serve`/`bench-infer` repetitions (`0` = the mode default).
     reps: usize,
-    /// `bench-infer`: also time the opt-in int8 variant.
-    quantize: bool,
     /// Arrival source of the `serve` command.
     source: ServeSource,
     /// `serve` load-generator offered rate (jobs per simulated second).
@@ -243,13 +225,13 @@ const USAGE: &str = "usage: repro [--quick] [--seed N] [--threads N] [--overlap]
 [--env flat|hierarchical] [--nodes N] \
 [--selector round-robin|least-loaded|policy|fcfs|easy|conservative] \
 [--trace uniform|bursty|skewed|heavy-tail|colocate|staggered] \
-[--chunk-width W] [--walltime-err F] [--reps N] [--quantize] \
+[--walltime-err F] [--reps N] \
 [--source trace|poisson|bursty] [--rate F] [--duration F] \
 [--users N] [--user-skew F] [--quota N] [--slo F] \
 [--checkpoint PATH] [--restore PATH] \
 [--out DIR|--no-out] <command>
 commands: table4 table5 table7 fig3 fig4 fig5 fig8 fig9 fig10 fig11 fig12
-          overhead oracle cluster bench-cluster serve bench-infer
+          overhead oracle cluster serve bench-infer
           ablate-reward ablate-agent ablate-interference all";
 
 /// Reject a malformed invocation: message + usage, exit status 2 (never
@@ -287,10 +269,8 @@ fn main() {
         nodes: 1,
         selector: SelectorKind::RoundRobin,
         trace: TraceKind::Staggered,
-        chunk_width: None,
         walltime_err: 0.0,
         reps: 0,
-        quantize: false,
         source: ServeSource::Trace,
         rate: 8.0,
         duration: 60.0,
@@ -347,16 +327,6 @@ fn main() {
                     ))
                 });
             }
-            "--chunk-width" => {
-                let raw = flag_value(&mut it, "--chunk-width");
-                let w: f64 = parse_flag("--chunk-width", raw);
-                if !(w.is_finite() && w > 0.0) {
-                    fail(&format!(
-                        "--chunk-width must be positive and finite (got '{raw}')"
-                    ));
-                }
-                opts.chunk_width = Some(w);
-            }
             "--walltime-err" => {
                 let raw = flag_value(&mut it, "--walltime-err");
                 let f: f64 = parse_flag("--walltime-err", raw);
@@ -376,7 +346,6 @@ fn main() {
                 }
                 opts.reps = n;
             }
-            "--quantize" => opts.quantize = true,
             "--source" => {
                 let raw = flag_value(&mut it, "--source");
                 opts.source = match raw {
@@ -481,9 +450,6 @@ fn main() {
     if opts.users == 0 && (opts.user_skew.is_some() || opts.quota.is_some() || opts.slo.is_some()) {
         fail("--user-skew/--quota/--slo require --users (tenant-tagged arrivals)");
     }
-    if opts.quantize && cmd != "bench-infer" {
-        fail("--quantize only applies to bench-infer (quantization is opt-in, never a default)");
-    }
 
     let suite = Suite::paper_suite(&GpuArch::a100());
     match cmd {
@@ -530,7 +496,6 @@ fn main() {
         "ablate-interference" => ablate_interference_cmd(&suite, &opts),
         "oracle" => oracle_cmd(&suite, &opts),
         "cluster" => cluster_cmd(&suite, &opts),
-        "bench-cluster" => bench_cluster_cmd(&suite, &opts),
         "bench-infer" => bench_infer_cmd(&opts),
         "serve" => serve_cmd(&suite, &opts),
         "all" => {
@@ -865,7 +830,6 @@ fn cluster_cmd(suite: &Suite, opts: &Options) {
             seed: opts.seed,
             quick: opts.quick,
             threads: opts.threads,
-            chunk_width: opts.chunk_width,
             walltime_err: opts.walltime_err,
         },
     );
@@ -960,55 +924,6 @@ fn cluster_cmd(suite: &Suite, opts: &Options) {
     }
 }
 
-fn bench_cluster_cmd(suite: &Suite, opts: &Options) {
-    use hrp_bench::bench_cluster::{render_json, run_bench, BenchConfig, BENCH_NODES};
-    let cfg = BenchConfig {
-        quick: opts.quick,
-        seed: opts.seed,
-        reps: opts.reps,
-        threads: opts.threads,
-        chunk_width: opts.chunk_width.unwrap_or(64.0),
-    };
-    println!(
-        "# bench-cluster: {} nodes, {} jobs/trace, {} reps, chunk width {}",
-        BENCH_NODES,
-        cfg.jobs(),
-        cfg.effective_reps(),
-        cfg.chunk_width
-    );
-    let report = run_bench(suite, &cfg);
-    let mut t = Table::new(&[
-        "trace",
-        "mode",
-        "mean_ms",
-        "std_err_ms",
-        "ci95_lo_ms",
-        "ci95_hi_ms",
-        "sync_rounds",
-        "rollbacks",
-        "digest",
-    ]);
-    for tr in &report.traces {
-        for m in &tr.modes {
-            t.row(vec![
-                tr.kind.name().to_owned(),
-                m.mode.to_owned(),
-                f3(m.time_ms.mean),
-                f3(m.time_ms.std_err),
-                f3(m.time_ms.ci95_lo),
-                f3(m.time_ms.ci95_hi),
-                m.sync.sync_rounds.to_string(),
-                m.sync.rollbacks.to_string(),
-                format!("{:016x}", m.digest),
-            ]);
-        }
-    }
-    t.emit("bench_cluster", opts.out.as_deref());
-    let json = render_json(&report);
-    std::fs::write("BENCH_6.json", &json).expect("write BENCH_6.json");
-    println!("# wrote BENCH_6.json");
-}
-
 fn bench_infer_cmd(opts: &Options) {
     use hrp_bench::infer::{
         render_infer_json, run_infer_bench, InferBenchConfig, INFER_BENCH_GPUS_PER_NODE,
@@ -1018,23 +933,18 @@ fn bench_infer_cmd(opts: &Options) {
         quick: opts.quick,
         seed: opts.seed,
         reps: opts.reps,
-        quantize: opts.quantize,
     };
     println!(
         "# bench-infer: {} nodes x {} GPUs, hidden {:?}, {} states, \
-         {} decisions/rep, {} reps{}",
+         {} decisions/rep, {} reps",
         INFER_BENCH_NODES,
         INFER_BENCH_GPUS_PER_NODE,
         cfg.hidden(),
         cfg.states(),
         cfg.decisions(),
-        cfg.effective_reps(),
-        if cfg.quantize { ", +int8" } else { "" }
+        cfg.effective_reps()
     );
     let report = run_infer_bench(&cfg);
-    if let Some(a) = report.int8_agreement {
-        println!("# int8 greedy agreement {a:.4}");
-    }
     let mut t = Table::new(&[
         "variant",
         "kernel",

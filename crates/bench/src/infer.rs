@@ -6,17 +6,16 @@
 //! geometry `PolicySelector` deploys: `2·N + 2` state floats, one
 //! action per node) and times one greedy decision through each
 //! variant — the allocating [`QNet::predict`] reference, the
-//! [`FastPolicy`] scalar kernel, the auto-detected kernel (AVX2 where
-//! the CPU has it), and optionally the opt-in [`Int8Policy`] — over a
-//! pool of synthetic placement states encoded exactly as deployment
-//! encodes live loads ([`encode_placement_state`]).
+//! [`FastPolicy`] scalar kernel, and the auto-detected kernel (AVX2
+//! where the CPU has it) — over a pool of synthetic placement states
+//! encoded exactly as deployment encodes live loads
+//! ([`encode_placement_state`]).
 //!
 //! Before any number is reported the harness asserts the contract the
-//! numbers depend on: every exact variant must pick the *same* action
-//! as the reference on every pool state (a throughput figure for a
-//! different policy would be meaningless), the fast path must beat
-//! the reference mean, and the int8 variant — never on by default —
-//! must clear [`INT8_AGREEMENT_GATE`] greedy agreement.
+//! numbers depend on: every variant must pick the *same* action as
+//! the reference on every pool state (a throughput figure for a
+//! different policy would be meaningless), and the fast path must
+//! beat the reference mean.
 //!
 //! The mean comes from block timing (`reps` timed sweeps over the
 //! pool, summarised with [`RunStats`]); the p50/p99 percentiles come
@@ -29,7 +28,7 @@
 
 use crate::stats::RunStats;
 use hrp_core::cluster_env::{encode_placement_state, placement_fit_mask, NodeLoad};
-use hrp_nn::{masked_argmax, FastPolicy, Head, Int8Policy, Kernel, QNet};
+use hrp_nn::{masked_argmax, FastPolicy, Head, Kernel, QNet};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -39,9 +38,6 @@ pub const INFER_BENCH_NODES: usize = 8;
 /// GPUs on the *largest* nodes; the pool mixes 1- and 2-GPU nodes so
 /// wide jobs exercise the fit mask.
 pub const INFER_BENCH_GPUS_PER_NODE: usize = 2;
-/// Minimum greedy agreement an [`Int8Policy`] must reach against the
-/// exact fast path before its numbers are reported.
-pub const INT8_AGREEMENT_GATE: f64 = 0.95;
 
 /// Sizing knobs of one `repro bench-infer` invocation.
 #[derive(Debug, Clone, Copy)]
@@ -52,8 +48,6 @@ pub struct InferBenchConfig {
     pub seed: u64,
     /// Repetitions per variant (`0` = the mode default).
     pub reps: usize,
-    /// Also bench the opt-in int8 variant (never on by default).
-    pub quantize: bool,
 }
 
 impl InferBenchConfig {
@@ -116,10 +110,9 @@ impl InferBenchConfig {
 /// One inference variant's summary.
 #[derive(Debug, Clone)]
 pub struct InferVariantResult {
-    /// Row label: `predict`, `fast_scalar`, `fast`, or `int8`.
+    /// Row label: `predict`, `fast_scalar`, or `fast`.
     pub variant: &'static str,
-    /// Kernel behind the row (`reference`, `scalar`, `avx2`,
-    /// `int8-scalar`).
+    /// Kernel behind the row (`reference`, `scalar`, `avx2`).
     pub kernel: &'static str,
     /// Nanoseconds per greedy decision, per rep (block timing).
     pub ns_per_decision: RunStats,
@@ -128,7 +121,7 @@ pub struct InferVariantResult {
     /// 99th percentile of the individually-timed decisions.
     pub p99_ns: f64,
     /// FNV digest of the chosen action sequence over one pool sweep
-    /// (equal across all exact variants; asserted).
+    /// (equal across all variants; asserted).
     pub actions_digest: u64,
 }
 
@@ -143,10 +136,7 @@ pub struct InferBenchReport {
     pub n_actions: usize,
     /// Hidden layers of the benched net.
     pub hidden: Vec<usize>,
-    /// Greedy agreement of the int8 variant vs the exact fast path
-    /// (`None` without `--quantize`).
-    pub int8_agreement: Option<f64>,
-    /// `predict`, `fast_scalar`, `fast` — plus `int8` when requested.
+    /// `predict`, `fast_scalar`, `fast`.
     pub variants: Vec<InferVariantResult>,
 }
 
@@ -261,16 +251,14 @@ fn time_variant(
     }
 }
 
-/// Run the full harness: the reference and both fast-path kernels
-/// (plus int8 with `quantize`), equivalence-checked before timing is
-/// trusted.
+/// Run the full harness: the reference and both fast-path kernels,
+/// equivalence-checked before timing is trusted.
 ///
 /// # Panics
-/// Panics if any exact variant disagrees with the reference on any
-/// pool state, if the auto-kernel fast path fails to beat the
-/// `predict` reference mean, or if the int8 variant falls below
-/// [`INT8_AGREEMENT_GATE`] — each would make the numbers meaningless,
-/// not merely slow.
+/// Panics if any variant disagrees with the reference on any pool
+/// state, or if the auto-kernel fast path fails to beat the `predict`
+/// reference mean — each would make the numbers meaningless, not
+/// merely slow.
 #[must_use]
 pub fn run_infer_bench(cfg: &InferBenchConfig) -> InferBenchReport {
     let state_dim = 2 * INFER_BENCH_NODES + 2;
@@ -299,7 +287,7 @@ pub fn run_infer_bench(cfg: &InferBenchConfig) -> InferBenchReport {
         );
     }
 
-    let mut variants = vec![
+    let variants = vec![
         time_variant(
             "predict",
             "reference",
@@ -352,37 +340,11 @@ pub fn run_infer_bench(cfg: &InferBenchConfig) -> InferBenchReport {
         variants[0].ns_per_decision.mean
     );
 
-    let int8_agreement = cfg.quantize.then(|| {
-        let mut int8 = Int8Policy::new(&net);
-        let agreement =
-            hrp_nn::infer::greedy_agreement(&mut fast_scalar, &mut int8, &states, &masks);
-        assert!(
-            agreement >= INT8_AGREEMENT_GATE,
-            "int8 greedy agreement {agreement:.4} below the \
-             {INT8_AGREEMENT_GATE} gate; the quantized policy is not a \
-             faithful stand-in for this net"
-        );
-        variants.push(time_variant(
-            "int8",
-            "int8-scalar",
-            cfg,
-            &states,
-            &masks,
-            state_dim,
-            {
-                let p = &mut int8;
-                move |s, m| p.greedy(s, m)
-            },
-        ));
-        agreement
-    });
-
     InferBenchReport {
         cfg: *cfg,
         state_dim,
         n_actions,
         hidden,
-        int8_agreement,
         variants,
     }
 }
@@ -411,15 +373,6 @@ pub fn render_infer_json(report: &InferBenchReport) -> String {
     let _ = writeln!(out, "  \"states\": {},", cfg.states());
     let _ = writeln!(out, "  \"decisions_per_rep\": {},", cfg.decisions());
     let _ = writeln!(out, "  \"reps\": {},", cfg.effective_reps());
-    let _ = writeln!(out, "  \"quantize\": {},", cfg.quantize);
-    match report.int8_agreement {
-        Some(a) => {
-            let _ = writeln!(out, "  \"int8_agreement\": {},", jnum(a));
-        }
-        None => {
-            let _ = writeln!(out, "  \"int8_agreement\": null,");
-        }
-    }
     let _ = writeln!(out, "  \"rows\": [");
     let mut first = true;
     for v in &report.variants {
@@ -459,18 +412,17 @@ mod tests {
     /// A down-sized config so the harness tests stay fast; everything
     /// else (pool synthesis, equivalence asserts, JSON shape) is the
     /// real path.
-    fn tiny_cfg(quantize: bool) -> InferBenchConfig {
+    fn tiny_cfg() -> InferBenchConfig {
         InferBenchConfig {
             quick: true,
             seed: 42,
             reps: 1,
-            quantize,
         }
     }
 
     #[test]
     fn pool_is_deterministic_and_mixes_mask_shapes() {
-        let cfg = tiny_cfg(false);
+        let cfg = tiny_cfg();
         let (s1, m1) = state_pool(&cfg);
         let (s2, m2) = state_pool(&cfg);
         assert_eq!(s1, s2);
@@ -484,9 +436,8 @@ mod tests {
 
     #[test]
     fn harness_rows_agree_and_fast_wins() {
-        let report = run_infer_bench(&tiny_cfg(false));
+        let report = run_infer_bench(&tiny_cfg());
         assert_eq!(report.variants.len(), 3);
-        assert_eq!(report.int8_agreement, None);
         let d = report.variants[0].actions_digest;
         assert!(report.variants.iter().all(|v| v.actions_digest == d));
         assert!(report.variants[2].ns_per_decision.mean < report.variants[0].ns_per_decision.mean);
@@ -494,17 +445,8 @@ mod tests {
     }
 
     #[test]
-    fn quantize_adds_a_gated_int8_row() {
-        let report = run_infer_bench(&tiny_cfg(true));
-        assert_eq!(report.variants.len(), 4);
-        assert_eq!(report.variants[3].variant, "int8");
-        let agreement = report.int8_agreement.expect("agreement measured");
-        assert!(agreement >= INT8_AGREEMENT_GATE, "{agreement}");
-    }
-
-    #[test]
     fn json_document_has_the_promised_fields() {
-        let json = render_infer_json(&run_infer_bench(&tiny_cfg(false)));
+        let json = render_infer_json(&run_infer_bench(&tiny_cfg()));
         for field in [
             "\"schema\": \"infer/v1\"",
             "\"ns_per_decision\"",
@@ -514,7 +456,6 @@ mod tests {
             "\"p50_ns\"",
             "\"p99_ns\"",
             "\"actions_digest\"",
-            "\"int8_agreement\": null",
             "\"variant\": \"predict\"",
             "\"variant\": \"fast_scalar\"",
             "\"variant\": \"fast\"",
@@ -534,7 +475,7 @@ mod tests {
 
     #[test]
     fn config_sizing() {
-        let mut cfg = tiny_cfg(false);
+        let mut cfg = tiny_cfg();
         cfg.reps = 0;
         assert_eq!(cfg.decisions(), 20_000);
         assert_eq!(cfg.effective_reps(), 3);

@@ -10,9 +10,6 @@
 //! * [`cluster`] — the §VI multi-node placement comparison
 //!   (`repro cluster --nodes N --selector X` vs the single-node
 //!   baseline);
-//! * [`bench_cluster`] — the `repro bench-cluster` statistics harness
-//!   (chunked optimistic vs barrier vs serial on large seeded traces,
-//!   persisted as `BENCH_6.json`);
 //! * [`serve`] — the `repro serve` online-service harness (sustained
 //!   decisions/sec and decision-latency percentiles of the `hrp-serve`
 //!   scheduler service, digest-checked against the batch oracle and
@@ -22,8 +19,8 @@
 //!   front door vs plain FCFS, persisted as `BENCH_9.json`);
 //! * [`infer`] — the `repro bench-infer` deployed-inference harness
 //!   (nanoseconds per greedy placement decision: `predict` reference
-//!   vs the `FastPolicy` kernels vs opt-in int8, equivalence-checked
-//!   and persisted as `BENCH_10.json`);
+//!   vs the `FastPolicy` kernels, equivalence-checked and persisted
+//!   as `BENCH_10.json`);
 //! * [`stats`] — small-sample summaries (mean, standard error,
 //!   Student-t 95 % CI) backing the harness;
 //! * [`report`] — TSV table assembly and file output.
@@ -36,7 +33,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bench_cluster;
 pub mod cluster;
 pub mod eval;
 pub mod fair;

@@ -1,6 +1,6 @@
 //! Small-sample summary statistics for the bench harness.
 //!
-//! `repro bench-cluster` times a handful of repetitions per
+//! The `repro` bench commands time a handful of repetitions per
 //! configuration, so the confidence interval has to come from the
 //! Student t distribution, not the normal approximation: with 3–5
 //! samples the 97.5 % t quantile (4.30 at 2 degrees of freedom) is

@@ -28,19 +28,12 @@ use std::collections::VecDeque;
 
 /// One pre-planned window: the cluster job ids it covers and the
 /// policy's decided co-run duration.
-#[derive(Clone)]
 struct PlannedWindow {
     job_ids: Vec<usize>,
     duration: f64,
 }
 
 /// Dispatcher wrapping a node-local co-scheduling policy.
-///
-/// `Clone` (for clonable policies) duplicates the full dispatcher
-/// state including the plan cache, so a cloned node replays the exact
-/// same schedule — the snapshot/rollback primitive of the chunked
-/// optimistic multi-node driver.
-#[derive(Clone)]
 pub struct CoSchedulingDispatcher<P: Policy> {
     policy: P,
     w: usize,

@@ -11,7 +11,7 @@ use crate::sim::{Dispatcher, Placement};
 use hrp_workloads::Suite;
 
 /// FCFS + conservative backfilling dispatcher.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct FcfsBackfill {
     /// Known (finish_time, gpus) of placements we started; used to
     /// estimate when the queue head could start.

@@ -17,32 +17,12 @@
 //!    this is safe fan-out). With `threads > 1` the fan-out runs on a
 //!    persistent [`hrp_core::par::WorkerPool`] spanning the whole run,
 //!    so bursty traces pay thread creation once instead of once per
-//!    arrival instant (the legacy per-epoch scoped spawn survives as
-//!    [`DriveFanout::SpawnPerEpoch`] for benchmarking);
+//!    arrival instant;
 //! 2. **Barrier + select** — with all nodes parked at `t`, their load
 //!    snapshots are taken and the selector assigns the instant's jobs
 //!    one by one, each assignment updating the snapshot it hands the
 //!    next (a burst spreads out instead of dog-piling one node);
 //! 3. after the last arrival, a final fan-out drains every node.
-//!
-//! # Chunked optimistic mode
-//!
-//! The barrier costs one synchronized fan-out round per arrival
-//! instant, so parallel speedup is bounded by burst width. With
-//! [`MultiNodeSim::with_chunk_width`] the driver instead partitions
-//! the timeline into fixed-width time chunks and runs each node
-//! *speculatively* through all of a chunk's arrival instants in one
-//! fan-out, recording per-instant [`NodeLoad`] snapshots along the
-//! way. Reconciliation then replays the selector serially against the
-//! recorded snapshots; the moment a placement lands on a node, that
-//! node's speculation is invalidated (it simulated the chunk without
-//! the job) — it rolls back to the snapshot taken at the chunk seam
-//! and replays with its placements injected at the next seam. Events
-//! before the current seam are committed and never revisited, so the
-//! seam is the commit horizon that guarantees progress. Per-run
-//! [`SyncStats`] counters report rounds/speculations/rollbacks — on
-//! bursty traces the chunked mode does strictly fewer synchronized
-//! rounds than one-per-instant.
 //!
 //! # Determinism contract
 //!
@@ -51,13 +31,7 @@
 //! number, so merging the streams under the stable `(time, node, seq)`
 //! key yields **one bit-identical cluster timeline for any thread
 //! count** — the same contract the training pipeline and the window
-//! drain obey. Chunked mode extends the contract: because
-//! `advance_until(a); advance_until(b)` reaches the identical state as
-//! `advance_until(b)` when no arrivals are pushed in between, a clean
-//! speculation *is* the barrier walk and a rolled-back node replays
-//! it, so the merged timeline and digest are bit-identical to barrier
-//! mode for **every** `(threads, chunk_width)` — barrier mode survives
-//! as the oracle. A one-node cluster executes the exact event cycle of
+//! drain obey. A one-node cluster executes the exact event cycle of
 //! [`ClusterSim::run`](crate::sim::ClusterSim::run) and is
 //! event-for-event identical to it (property-tested in
 //! `tests/multinode_contract.rs`, pinned in `tests/golden_cluster.rs`).
@@ -79,23 +53,12 @@
 //! assert_eq!(report.completed_jobs(), 12);
 //! assert_eq!(report.per_node.len(), 2);
 //! assert!(report.aggregate.makespan > 0.0);
-//!
-//! // Chunked optimistic mode merges to the bit-identical timeline
-//! // while doing fewer synchronized rounds than barrier mode.
-//! let mut selector = SelectorKind::LeastLoaded.build();
-//! let chunked = MultiNodeSim::new(2, 2)
-//!     .with_chunk_width(20.0)
-//!     .run(&suite, staggered_trace(&suite, 12), selector.as_mut(), |_| {
-//!         CoSchedulingDispatcher::new(MpsOnly, 4, 4)
-//!     });
-//! assert_eq!(chunked.timeline.digest(), report.timeline.digest());
-//! assert!(chunked.sync.sync_rounds < report.sync.sync_rounds);
 //! ```
 
 use crate::job::ClusterJob;
 use crate::sim::{ClusterReport, Dispatcher, EventKind, NodeEvent, NodeRun, NodeStats};
 use hrp_core::cluster_env::{NodeLoad, NodeSelector};
-use hrp_core::par::{parallel_map, resolve_threads, WorkerPool};
+use hrp_core::par::{resolve_threads, WorkerPool};
 use hrp_workloads::Suite;
 use std::sync::{Arc, Mutex};
 
@@ -202,33 +165,20 @@ impl NodeSummary {
     }
 }
 
-/// How much synchronization work a multi-node run performed —
-/// the currency the chunked optimistic mode is designed to save.
+/// How much synchronization work a multi-node run performed.
 ///
 /// The counters are *logical*: they count synchronized fan-out rounds
 /// and the node-advance work items issued through them, independent of
-/// which [`DriveFanout`] executed them, so reports stay comparable
-/// (and `PartialEq`) across serial/pooled/spawned execution of the
-/// same schedule. Barrier mode pays one round per arrival instant plus
-/// the final drain; chunked mode pays one round per time chunk plus
-/// the final drain, and additionally reports its speculation outcome.
+/// whether a [`WorkerPool`] executed them, so reports stay comparable
+/// (and `PartialEq`) across serial and pooled execution of the same
+/// schedule. The batch driver pays one round per arrival instant plus
+/// the final drain; an incremental driver pays one round per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SyncStats {
-    /// Synchronized fan-out rounds (the barrier count this mode's
-    /// whole point is to shrink).
+    /// Synchronized fan-out rounds.
     pub sync_rounds: u64,
     /// Node-advance work items issued across those rounds.
     pub node_advances: u64,
-    /// Time chunks processed (0 in barrier mode).
-    pub chunks: u64,
-    /// Speculative node-chunk walks launched (0 in barrier mode).
-    pub speculations: u64,
-    /// Speculations invalidated by a same-chunk placement and rolled
-    /// back to the seam.
-    pub rollbacks: u64,
-    /// Speculations that committed clean (no placement landed on the
-    /// node during its chunk).
-    pub clean_commits: u64,
 }
 
 /// Results of a multi-node run: per-node digests, cluster-level
@@ -243,8 +193,9 @@ pub struct MultiNodeReport {
     pub aggregate: ClusterReport,
     /// The merged `(time, node, seq)`-ordered event stream.
     pub timeline: ClusterTimeline,
-    /// Synchronization-work counters (mode-dependent; everything else
-    /// in the report is mode-invariant, bit for bit).
+    /// Synchronization-work counters (they differ between the batch
+    /// driver and an incremental one; everything else in the report is
+    /// driver-invariant, bit for bit).
     pub sync: SyncStats,
 }
 
@@ -274,45 +225,6 @@ impl MultiNodeReport {
     }
 }
 
-/// How [`ClusterDrive`] fans node simulation out per epoch.
-///
-/// Every mode produces the bit-identical timeline; only wall-clock
-/// changes. [`DriveFanout::Pooled`] amortises thread creation across
-/// the run's epochs (bursty traces have one epoch per arrival
-/// instant); [`DriveFanout::SpawnPerEpoch`] is the legacy
-/// scoped-spawn path, kept selectable so `cluster_perf` can measure
-/// exactly what the pool buys.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum DriveFanout<'p> {
-    /// Advance nodes on the calling thread (the default, and what the
-    /// placement-training environment uses inside rollout workers).
-    #[default]
-    Serial,
-    /// Advance nodes on a persistent [`WorkerPool`].
-    Pooled(&'p WorkerPool),
-    /// Spawn a fresh `parallel_map` scope of up to this many threads
-    /// per epoch (legacy behaviour; for benchmarking the difference).
-    SpawnPerEpoch(usize),
-}
-
-impl DriveFanout<'_> {
-    /// One synchronized fan-out round of `f` over `0..n` under this
-    /// mode (no outputs collected).
-    fn run_round(&self, n: usize, f: impl Fn(usize) + Sync) {
-        match self {
-            DriveFanout::Serial => {
-                for i in 0..n {
-                    f(i);
-                }
-            }
-            DriveFanout::Pooled(pool) => pool.for_each(n, f),
-            DriveFanout::SpawnPerEpoch(threads) => {
-                parallel_map(n, *threads, f);
-            }
-        }
-    }
-}
-
 /// A resumable multi-node simulation, stepped placement by placement —
 /// the shared core under [`MultiNodeSim::run`] (which drives it from a
 /// [`NodeSelector`]) and the RL placement environment in
@@ -322,7 +234,7 @@ impl DriveFanout<'_> {
 /// The cycle per arrival instant `t`:
 ///
 /// 1. [`ClusterDrive::advance_to`]`(t)` — every node simulates up to
-///    `t` (fanned out per [`DriveFanout`]), then the per-node
+///    `t` (on the drive's [`WorkerPool`], if any), then the per-node
 ///    [`NodeLoad`] snapshots are refreshed;
 /// 2. one [`ClusterDrive::place`] per job of the instant — each
 ///    placement updates the snapshot the next decision sees, so a
@@ -333,7 +245,9 @@ impl DriveFanout<'_> {
 pub struct ClusterDrive<'a, D: Dispatcher + Send> {
     suite: &'a Suite,
     gpus_per_node: usize,
-    fanout: DriveFanout<'a>,
+    /// `None` advances nodes on the calling thread (what the
+    /// placement-training environment and the online service use).
+    pool: Option<&'a WorkerPool>,
     slots: Vec<Mutex<NodeRun<D>>>,
     loads: Vec<NodeLoad>,
     placed: usize,
@@ -362,7 +276,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         Self {
             suite,
             gpus_per_node,
-            fanout: DriveFanout::Serial,
+            pool: None,
             slots,
             loads,
             placed: 0,
@@ -378,13 +292,6 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         for slot in &self.slots {
             slot.lock().expect("node lock").reserve_events(per_node);
         }
-    }
-
-    /// Select the epoch fan-out mode (timeline-invariant).
-    #[must_use]
-    pub fn with_fanout(mut self, fanout: DriveFanout<'a>) -> Self {
-        self.fanout = fanout;
-        self
     }
 
     /// Number of nodes.
@@ -413,12 +320,16 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         self.sync.node_advances += self.slots.len() as u64;
         let slots = &self.slots;
         let suite = self.suite;
-        self.fanout.run_round(slots.len(), |i| {
+        let advance = |i: usize| {
             slots[i]
                 .lock()
                 .expect("node lock")
                 .advance_until(suite, horizon);
-        });
+        };
+        match self.pool {
+            Some(pool) => pool.for_each(slots.len(), advance),
+            None => (0..slots.len()).for_each(advance),
+        }
     }
 
     /// Advance every node to the arrival instant `t` and refresh the
@@ -585,7 +496,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         Self {
             suite,
             gpus_per_node,
-            fanout: DriveFanout::Serial,
+            pool: None,
             slots,
             loads,
             placed,
@@ -594,10 +505,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     }
 }
 
-/// Merge per-node streams and assemble the report — shared verbatim by
-/// the barrier drive and the chunked engine so the aggregate f64
-/// arithmetic (and with it the golden bit patterns) cannot drift
-/// between the two paths.
+/// Merge per-node streams and assemble the report.
 fn assemble_report(
     stats: Vec<NodeStats>,
     mut events: Vec<NodeEvent>,
@@ -687,8 +595,6 @@ pub struct MultiNodeSim {
     gpus_per_node: usize,
     threads: usize,
     pool: Option<Arc<WorkerPool>>,
-    epoch_spawn: bool,
-    chunk_width: Option<f64>,
     queue_order: crate::backfill::QueueOrder,
     fair_order: Option<crate::fair::FairConfig>,
 }
@@ -704,8 +610,6 @@ impl MultiNodeSim {
             gpus_per_node,
             threads: 1,
             pool: None,
-            epoch_spawn: false,
-            chunk_width: None,
             queue_order: crate::backfill::QueueOrder::Arrival,
             fair_order: None,
         }
@@ -713,10 +617,9 @@ impl MultiNodeSim {
 
     /// Simulate nodes with up to `threads` worker threads per epoch
     /// (`0` = available parallelism). The merged timeline is identical
-    /// for any value; only wall-clock changes. Threads now come from a
+    /// for any value; only wall-clock changes. Threads come from a
     /// persistent [`WorkerPool`] spanning the whole run, so bursty
-    /// traces no longer pay a spawn/join per arrival instant — see
-    /// [`MultiNodeSim::with_epoch_spawn`] for the legacy behaviour.
+    /// traces do not pay a spawn/join per arrival instant.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -732,41 +635,11 @@ impl MultiNodeSim {
         self
     }
 
-    /// Use the legacy per-epoch scoped spawn instead of a persistent
-    /// pool (timeline-identical; kept so `cluster_perf` can measure
-    /// the spawn overhead the pool removes).
-    #[must_use]
-    pub fn with_epoch_spawn(mut self) -> Self {
-        self.epoch_spawn = true;
-        self
-    }
-
-    /// Run in chunked optimistic mode: the timeline is partitioned
-    /// into chunks of `width` seconds of trace time, each node
-    /// speculates through a whole chunk per synchronized round, and
-    /// mis-speculations roll back to the chunk seam (see the
-    /// [module docs](self)). The merged timeline and digest are
-    /// bit-identical to barrier mode for any `(threads, width)`; only
-    /// the [`SyncStats`] counters and wall-clock change.
-    ///
-    /// # Panics
-    /// Panics unless `width` is positive and finite.
-    #[must_use]
-    pub fn with_chunk_width(mut self, width: f64) -> Self {
-        assert!(
-            width.is_finite() && width > 0.0,
-            "chunk width must be positive and finite, got {width}"
-        );
-        self.chunk_width = Some(width);
-        self
-    }
-
     /// The queue-reordering hook: reorder simultaneous arrivals with
-    /// `order` before either engine sees them, so a backfilling
-    /// planner (or the RL layer) owns dispatch order within a burst.
-    /// The reorder happens once on the sorted trace — upstream of the
-    /// barrier/chunked split — so the two engines stay bit-identical
-    /// oracles of each other for every order.
+    /// `order` before the engine sees them, so a backfilling planner
+    /// (or the RL layer) owns dispatch order within a burst. The
+    /// reorder happens once on the sorted trace, upstream of the
+    /// fan-out, so timelines stay bit-identical for any thread count.
     #[must_use]
     pub fn with_queue_order(mut self, order: crate::backfill::QueueOrder) -> Self {
         self.queue_order = order;
@@ -777,9 +650,9 @@ impl MultiNodeSim {
     /// each same-instant burst is reordered by tenant karma
     /// ([`crate::fair::apply_fair_order`]) after
     /// [`MultiNodeSim::with_queue_order`] runs. Like that hook, the
-    /// reorder happens once on the sorted trace — upstream of the
-    /// barrier/chunked split — so timelines stay bit-identical for any
-    /// threads / chunk width. A no-op on untagged (`user: 0`) traces.
+    /// reorder happens once on the sorted trace, upstream of the
+    /// fan-out, so timelines stay bit-identical for any thread count.
+    /// A no-op on untagged (`user: 0`) traces.
     #[must_use]
     pub fn with_fair_order(mut self, cfg: crate::fair::FairConfig) -> Self {
         self.fair_order = Some(cfg);
@@ -802,7 +675,7 @@ impl MultiNodeSim {
         make_dispatcher: F,
     ) -> MultiNodeReport
     where
-        D: Dispatcher + Send + Clone,
+        D: Dispatcher + Send,
         F: FnMut(usize) -> D,
     {
         for j in &jobs {
@@ -824,26 +697,20 @@ impl MultiNodeSim {
         }
 
         let local_pool;
-        let fanout = if let Some(pool) = &self.pool {
-            DriveFanout::Pooled(pool)
+        let pool = if let Some(pool) = &self.pool {
+            Some(pool.as_ref())
         } else {
             let threads = resolve_threads(self.threads).min(self.nodes);
             if threads <= 1 {
-                DriveFanout::Serial
-            } else if self.epoch_spawn {
-                DriveFanout::SpawnPerEpoch(threads)
+                None
             } else {
                 local_pool = WorkerPool::new(threads);
-                DriveFanout::Pooled(&local_pool)
+                Some(&local_pool)
             }
         };
 
-        if let Some(width) = self.chunk_width {
-            return self.run_chunked(suite, &jobs, selector, make_dispatcher, width, fanout);
-        }
-
-        let mut drive = ClusterDrive::new(suite, self.nodes, self.gpus_per_node, make_dispatcher)
-            .with_fanout(fanout);
+        let mut drive = ClusterDrive::new(suite, self.nodes, self.gpus_per_node, make_dispatcher);
+        drive.pool = pool;
         drive.reserve_events(2 * jobs.len());
 
         for (start, end) in burst_bounds(&jobs) {
@@ -862,198 +729,6 @@ impl MultiNodeSim {
             }
         }
         drive.finish()
-    }
-
-    /// The chunked optimistic engine behind
-    /// [`MultiNodeSim::with_chunk_width`] (see the [module
-    /// docs](self) for the chunk/seam/rollback protocol and the
-    /// bit-identity argument).
-    fn run_chunked<D, F>(
-        &self,
-        suite: &Suite,
-        jobs: &[ClusterJob],
-        selector: &mut dyn NodeSelector,
-        mut make_dispatcher: F,
-        width: f64,
-        fanout: DriveFanout<'_>,
-    ) -> MultiNodeReport
-    where
-        D: Dispatcher + Send + Clone,
-        F: FnMut(usize) -> D,
-    {
-        let nodes = self.nodes;
-        let bounds = burst_bounds(jobs);
-        let slots: Vec<Mutex<ChunkNode<D>>> = (0..nodes)
-            .map(|i| {
-                let mut run = NodeRun::new(i, self.gpus_per_node, make_dispatcher(i));
-                run.reserve_events(2 * jobs.len() / nodes);
-                Mutex::new(ChunkNode {
-                    run,
-                    checkpoint: None,
-                    committed: Vec::new(),
-                    spec_loads: Vec::new(),
-                    pending: Vec::new(),
-                    dirty: false,
-                })
-            })
-            .collect();
-        let mut sync = SyncStats::default();
-        let mut loads: Vec<NodeLoad> = slots
-            .iter()
-            .map(|s| s.lock().expect("node lock").run.load(suite, 0.0))
-            .collect();
-
-        let mut bi = 0;
-        while bi < bounds.len() {
-            // The chunk covers every arrival instant within `width`
-            // seconds of its first — a pure function of the trace, so
-            // chunk boundaries are identical for any thread count.
-            let t_start = jobs[bounds[bi].0].arrival;
-            let mut ci = bi;
-            while ci < bounds.len() && jobs[bounds[ci].0].arrival - t_start < width {
-                ci += 1;
-            }
-            let chunk = &bounds[bi..ci];
-            let instants: Vec<f64> = chunk.iter().map(|&(s, _)| jobs[s].arrival).collect();
-
-            // Speculate (one synchronized round): each node first
-            // replays the placements the previous chunk's
-            // reconciliation deferred, commits its now-final events at
-            // the seam, checkpoints, then walks this chunk's instants
-            // optimistically — the identical `advance_until`/`load`
-            // call sequence barrier mode would issue if no placement
-            // lands on it.
-            sync.sync_rounds += 1;
-            sync.node_advances += nodes as u64;
-            sync.chunks += 1;
-            sync.speculations += nodes as u64;
-            fanout.run_round(nodes, |i| {
-                let mut slot = slots[i].lock().expect("node lock");
-                let slot = &mut *slot;
-                flush_pending(suite, &mut slot.run, &mut slot.pending);
-                slot.run.drain_events_into(&mut slot.committed);
-                slot.checkpoint = Some(slot.run.clone());
-                slot.dirty = false;
-                slot.spec_loads.clear();
-                slot.spec_loads.reserve(instants.len());
-                for &t in &instants {
-                    slot.run.advance_until(suite, t);
-                    slot.spec_loads.push(slot.run.load(suite, t));
-                }
-            });
-
-            // Reconcile serially, instant by instant in arrival order:
-            // clean nodes answer from their speculative snapshots,
-            // rolled-back nodes from a live replay — bit-equal either
-            // way, so the selector sees exactly the barrier inputs.
-            for (k, &(start, end)) in chunk.iter().enumerate() {
-                let t = instants[k];
-                for (i, load) in loads.iter_mut().enumerate() {
-                    let mut slot = slots[i].lock().expect("node lock");
-                    if slot.dirty {
-                        let slot = &mut *slot;
-                        flush_pending(suite, &mut slot.run, &mut slot.pending);
-                        slot.run.advance_until(suite, t);
-                        *load = slot.run.load(suite, t);
-                    } else {
-                        *load = slot.spec_loads[k].clone();
-                    }
-                }
-                for job in &jobs[start..end] {
-                    let work = job.solo_time(suite);
-                    let node = selector.select(job.gpus, work, &loads);
-                    assert!(node < nodes, "selector picked node {node} of {nodes}");
-                    // Incremental snapshot update, exactly as
-                    // `ClusterDrive::place` does within a burst.
-                    loads[node].outstanding += work;
-                    loads[node].queued_jobs += 1;
-                    let mut slot = slots[node].lock().expect("node lock");
-                    if !slot.dirty {
-                        // Mis-speculation: the node simulated this
-                        // chunk without the job. Roll back to the seam
-                        // checkpoint; its speculative walk (and the
-                        // events it recorded) are discarded.
-                        slot.run = slot
-                            .checkpoint
-                            .take()
-                            .expect("speculating node has a seam checkpoint");
-                        slot.dirty = true;
-                        sync.rollbacks += 1;
-                    }
-                    slot.pending.push(job.clone());
-                }
-            }
-            bi = ci;
-        }
-        sync.clean_commits = sync.speculations - sync.rollbacks;
-
-        // Final drain (one synchronized round): flush trailing
-        // placements and advance every node to the end of time — the
-        // exact counterpart of barrier mode's finishing fan-out.
-        sync.sync_rounds += 1;
-        sync.node_advances += nodes as u64;
-        fanout.run_round(nodes, |i| {
-            let mut slot = slots[i].lock().expect("node lock");
-            let slot = &mut *slot;
-            flush_pending(suite, &mut slot.run, &mut slot.pending);
-            slot.run.advance_until(suite, f64::INFINITY);
-        });
-
-        let mut stats: Vec<NodeStats> = Vec::with_capacity(nodes);
-        let mut streams: Vec<Vec<NodeEvent>> = Vec::with_capacity(nodes);
-        for slot in slots {
-            let slot = slot.into_inner().expect("node lock");
-            let (s, tail, _) = slot.run.finish();
-            let mut events = slot.committed;
-            events.extend(tail);
-            stats.push(s);
-            streams.push(events);
-        }
-        let mut events = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-        for stream in streams {
-            events.extend(stream);
-        }
-        assemble_report(stats, events, self.gpus_per_node, jobs.len(), sync)
-    }
-}
-
-/// Per-node state of the chunked optimistic engine.
-struct ChunkNode<D: Dispatcher> {
-    /// The authoritative run (speculative past the seam until the
-    /// chunk commits).
-    run: NodeRun<D>,
-    /// Seam snapshot the chunk's speculation started from; taken on
-    /// rollback, replaced at the next seam.
-    checkpoint: Option<NodeRun<D>>,
-    /// Events committed up to the current seam (never revisited — the
-    /// commit horizon).
-    committed: Vec<NodeEvent>,
-    /// Speculative load snapshots, one per arrival instant of the
-    /// current chunk.
-    spec_loads: Vec<NodeLoad>,
-    /// Placements accepted during reconciliation, awaiting replay.
-    pending: Vec<ClusterJob>,
-    /// Whether this chunk's speculation was invalidated.
-    dirty: bool,
-}
-
-/// Replay placements accepted since the node last advanced: inject
-/// them in arrival order, advancing to each distinct instant *before*
-/// pushing that instant's jobs (and never between jobs of one
-/// instant), which is exactly the barrier driver's
-/// advance-then-place epoch order — the basis of bit-identical replay.
-fn flush_pending<D: Dispatcher>(
-    suite: &Suite,
-    run: &mut NodeRun<D>,
-    pending: &mut Vec<ClusterJob>,
-) {
-    let mut last: Option<f64> = None;
-    for job in pending.drain(..) {
-        if last.is_none_or(|t| job.arrival.total_cmp(&t).is_ne()) {
-            run.advance_until(suite, job.arrival);
-            last = Some(job.arrival);
-        }
-        run.push_arrival(job);
     }
 }
 
@@ -1178,102 +853,10 @@ mod tests {
         let _ = MultiNodeSim::new(2, 2).run(&s, jobs, &mut rr, |_| dispatcher());
     }
 
-    /// Everything a chunked run must reproduce from its barrier oracle
-    /// (the whole report except the mode-dependent sync counters).
-    fn assert_mode_invariant(chunked: &MultiNodeReport, barrier: &MultiNodeReport, what: &str) {
-        assert_eq!(
-            chunked.timeline.events, barrier.timeline.events,
-            "timeline drifted ({what})"
-        );
-        assert_eq!(
-            chunked.timeline.digest(),
-            barrier.timeline.digest(),
-            "digest drifted ({what})"
-        );
-        assert_eq!(chunked.per_node, barrier.per_node, "per-node ({what})");
-        assert_eq!(chunked.aggregate, barrier.aggregate, "aggregate ({what})");
-    }
-
-    #[test]
-    fn chunked_mode_reproduces_the_barrier_timeline_bit_for_bit() {
-        let s = suite();
-        let jobs = staggered_trace(&s, 24);
-        for selector in [SelectorKind::RoundRobin, SelectorKind::LeastLoaded] {
-            let mut sel = selector.build();
-            let barrier =
-                MultiNodeSim::new(4, 2).run(&s, jobs.clone(), sel.as_mut(), |_| dispatcher());
-            for width in [0.5, 5.0, 12.5, 1e6] {
-                for threads in [1usize, 4] {
-                    let mut sel = selector.build();
-                    let chunked = MultiNodeSim::new(4, 2)
-                        .with_threads(threads)
-                        .with_chunk_width(width)
-                        .run(&s, jobs.clone(), sel.as_mut(), |_| dispatcher());
-                    let what = format!("{} width={width} threads={threads}", selector.name());
-                    assert_mode_invariant(&chunked, &barrier, &what);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forced_mis_speculation_rolls_back_and_replays_identically() {
-        // One chunk covering the whole trace: every placement lands
-        // mid-chunk, so every node that receives a job *must* take the
-        // rollback path — and still merge to the barrier timeline.
-        let s = suite();
-        let jobs = staggered_trace(&s, 24);
-        let mut sel = SelectorKind::LeastLoaded.build();
-        let barrier = MultiNodeSim::new(4, 2).run(&s, jobs.clone(), sel.as_mut(), |_| dispatcher());
-        let mut sel = SelectorKind::LeastLoaded.build();
-        let chunked =
-            MultiNodeSim::new(4, 2)
-                .with_chunk_width(1e9)
-                .run(&s, jobs, sel.as_mut(), |_| dispatcher());
-        assert_mode_invariant(&chunked, &barrier, "one-chunk rollback");
-        assert_eq!(chunked.sync.chunks, 1);
-        let routed = chunked.per_node.iter().filter(|n| n.jobs > 0).count() as u64;
-        assert_eq!(
-            chunked.sync.rollbacks, routed,
-            "every node that received a job mis-speculated exactly once"
-        );
-        assert_eq!(
-            chunked.sync.clean_commits + chunked.sync.rollbacks,
-            chunked.sync.speculations
-        );
-    }
-
-    #[test]
-    fn chunked_mode_does_strictly_fewer_sync_rounds() {
-        // staggered_trace(24) has 6 arrival instants: barrier pays one
-        // round per instant plus the drain; a 12.5 s chunk covers
-        // several instants per round.
-        let s = suite();
-        let jobs = staggered_trace(&s, 24);
-        let mut sel = SelectorKind::LeastLoaded.build();
-        let barrier = MultiNodeSim::new(4, 2).run(&s, jobs.clone(), sel.as_mut(), |_| dispatcher());
-        assert_eq!(barrier.sync.sync_rounds, 7, "6 instants + final drain");
-        assert_eq!(barrier.sync.chunks, 0);
-        assert_eq!(barrier.sync.speculations, 0);
-        let mut sel = SelectorKind::LeastLoaded.build();
-        let chunked =
-            MultiNodeSim::new(4, 2)
-                .with_chunk_width(12.5)
-                .run(&s, jobs, sel.as_mut(), |_| dispatcher());
-        assert!(
-            chunked.sync.sync_rounds < barrier.sync.sync_rounds,
-            "chunked {} rounds vs barrier {}",
-            chunked.sync.sync_rounds,
-            barrier.sync.sync_rounds
-        );
-        assert!(chunked.sync.node_advances < barrier.sync.node_advances);
-        assert_eq!(chunked.sync.chunks, 2, "instants 0/5/10 and 15/20/25");
-    }
-
     #[test]
     fn counters_are_fanout_invariant() {
         // SyncStats counts logical rounds, not pool activity: the same
-        // schedule under any fan-out mode reports the same counters
+        // schedule run serially or on a pool reports the same counters
         // (the whole-report equality the contract suite relies on).
         let s = suite();
         let jobs = staggered_trace(&s, 16);
@@ -1283,9 +866,9 @@ mod tests {
         };
         let serial = run(MultiNodeSim::new(4, 2));
         let pooled = run(MultiNodeSim::new(4, 2).with_threads(4));
-        let spawned = run(MultiNodeSim::new(4, 2).with_threads(4).with_epoch_spawn());
         assert_eq!(serial, pooled);
-        assert_eq!(serial, spawned);
+        assert_eq!(serial.sync.sync_rounds, 5, "4 instants + final drain");
+        assert_eq!(serial.sync.node_advances, 20);
     }
 
     #[test]
@@ -1306,17 +889,5 @@ mod tests {
             events: vec![ev(1 + (u64::from(u32::MAX) + 1))],
         };
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk width must be positive")]
-    fn zero_chunk_width_is_rejected() {
-        let _ = MultiNodeSim::new(2, 2).with_chunk_width(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk width must be positive")]
-    fn infinite_chunk_width_is_rejected() {
-        let _ = MultiNodeSim::new(2, 2).with_chunk_width(f64::INFINITY);
     }
 }

@@ -293,7 +293,6 @@ pub type NodeDispatcher = CoSchedulingDispatcher<MpsOnly>;
 /// classical scheduler it places jobs *through*
 /// ([`PlacementConfig::backfill`] / [`PlacementConfig::walltime_err`]
 /// / [`PlacementConfig::queue_order`]).
-#[derive(Clone)]
 pub enum PlacementDispatcher {
     /// Window co-scheduling with the MPS-only node policy.
     CoSched(NodeDispatcher),

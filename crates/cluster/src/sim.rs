@@ -156,12 +156,7 @@ pub struct NodeStats {
 /// the next [`NodeRun::advance_until`] call: co-timed arrivals must be
 /// on the queue before the dispatcher sees the freed GPUs, exactly as
 /// if all events lived in one merged queue.
-///
-/// A `NodeRun` is `Clone` (when its dispatcher is): the chunked
-/// optimistic driver in [`crate::multinode`] snapshots a node at a
-/// chunk seam and restores the snapshot when a speculation is
-/// invalidated by a cross-chunk placement.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NodeRun<D: Dispatcher> {
     node: usize,
     n_gpus: usize,
@@ -264,13 +259,6 @@ impl<D: Dispatcher> NodeRun<D> {
     /// pre-size the stream once instead of doubling through it.
     pub fn reserve_events(&mut self, additional: usize) {
         self.events.reserve(additional);
-    }
-
-    /// Move the events recorded so far into `out`, leaving the run
-    /// live (and its buffer's capacity intact). The chunked driver
-    /// commits a chunk's events at the seam without finishing the node.
-    pub fn drain_events_into(&mut self, out: &mut Vec<NodeEvent>) {
-        out.append(&mut self.events);
     }
 
     fn record(&mut self, time: f64, kind: EventKind) {

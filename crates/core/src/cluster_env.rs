@@ -66,15 +66,9 @@ impl NodeLoad {
 /// rather than dog-piling the momentarily-least-loaded node. The
 /// contract is deterministic: the same arrival sequence and loads must
 /// yield the same node, which is what keeps the merged cluster
-/// timeline independent of simulation thread count.
-///
-/// The chunked optimistic simulator (`hrp-cluster::multinode`) leans
-/// on the same property: it *speculates* node load snapshots a chunk
-/// ahead and, because a selector is a pure function of `(gpus, work,
-/// loads)` plus its own state, replaying the selector against the
-/// reconciled loads reproduces the barrier-mode decision sequence
-/// exactly. Selectors must not read wall clocks, thread ids, or other
-/// ambient state — only the arguments and `self`.
+/// timeline independent of simulation thread count. Selectors must
+/// not read wall clocks, thread ids, or other ambient state — only the
+/// arguments and `self`.
 pub trait NodeSelector {
     /// Human-readable name (CLI/report label).
     fn name(&self) -> &'static str;

@@ -265,12 +265,6 @@ impl GreedyPolicy for FastPolicy {
     }
 }
 
-impl GreedyPolicy for hrp_nn::Int8Policy {
-    fn greedy(&mut self, state: &[f32], mask: u64) -> usize {
-        hrp_nn::Int8Policy::greedy(self, state, mask)
-    }
-}
-
 impl Learner for DqnAgent {
     type Snapshot = DqnSnapshot;
 

@@ -33,13 +33,6 @@
 //! `is_x86_feature_detected!`), so the same binary is correct — and
 //! identical in output — on any host.
 //!
-//! [`Int8Policy`] is the **opt-in** weights-quantized variant
-//! (per-row symmetric int8 weights, dynamic per-layer input
-//! quantization, i32 accumulation). It is *approximate* and never used
-//! by default anywhere; deployments that want it must construct it
-//! explicitly and gate it on [`greedy_agreement`] against the exact
-//! fast path over pinned evaluation states.
-//!
 //! ```
 //! use hrp_nn::infer::FastPolicy;
 //! use hrp_nn::{Head, QNet};
@@ -434,229 +427,6 @@ impl FastPolicy {
     }
 }
 
-/// One int8-quantized fused layer: per-row symmetric weight scales,
-/// f32 bias, i32 accumulation.
-#[derive(Debug, Clone)]
-struct QuantLayer {
-    rows: usize,
-    cols: usize,
-    /// Row-major int8 weights (`rows × cols`).
-    wq: Vec<i8>,
-    /// Per-row dequantization scale (`max|w_r| / 127`).
-    wscale: Vec<f32>,
-    b: Vec<f32>,
-    relu: bool,
-}
-
-impl QuantLayer {
-    fn plan(lin: &Linear, relu: bool) -> Self {
-        let (rows, cols) = (lin.rows, lin.cols);
-        let mut wq = vec![0i8; rows * cols];
-        let mut wscale = vec![0.0f32; rows];
-        for r in 0..rows {
-            let row = &lin.w[r * cols..(r + 1) * cols];
-            let amax = row.iter().fold(0.0f32, |m, w| m.max(w.abs()));
-            if amax > 0.0 {
-                let scale = amax / 127.0;
-                wscale[r] = scale;
-                for (dst, w) in wq[r * cols..(r + 1) * cols].iter_mut().zip(row.iter()) {
-                    *dst = (w / scale).round().clamp(-127.0, 127.0) as i8;
-                }
-            }
-        }
-        Self {
-            rows,
-            cols,
-            wq,
-            wscale,
-            b: lin.b.clone(),
-            relu,
-        }
-    }
-
-    /// `y[..rows] = act(dequant(Wq · quant(x)) + b)` with the input
-    /// quantized dynamically (symmetric, per call) into `xq`.
-    fn run(&self, x: &[f32], xq: &mut [i8], y: &mut [f32]) {
-        let x = &x[..self.cols];
-        let xq = &mut xq[..self.cols];
-        let amax = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let xscale = if amax > 0.0 { amax / 127.0 } else { 0.0 };
-        if xscale > 0.0 {
-            for (q, v) in xq.iter_mut().zip(x.iter()) {
-                *q = (v / xscale).round().clamp(-127.0, 127.0) as i8;
-            }
-        } else {
-            xq.fill(0);
-        }
-        for (r, out) in y.iter_mut().enumerate().take(self.rows) {
-            let row = &self.wq[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0i32;
-            for (w, v) in row.iter().zip(xq.iter()) {
-                acc += i32::from(*w) * i32::from(*v);
-            }
-            let mut o = self.b[r] + self.wscale[r] * xscale * acc as f32;
-            if self.relu && o < 0.0 {
-                o = 0.0;
-            }
-            *out = o;
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum QuantHead {
-    Plain(QuantLayer),
-    Dueling { v: QuantLayer, a: QuantLayer },
-}
-
-/// The **opt-in** int8-quantized inference path: per-row symmetric
-/// int8 weights, dynamic per-layer input quantization, i32
-/// accumulation, f32 bias/combine.
-///
-/// This path is *approximate* — it trades Q-value exactness for
-/// smaller weights and integer arithmetic — and is therefore never
-/// constructed by default anywhere in the workspace. Deployments must
-/// opt in explicitly (e.g. `repro --quantize bench-infer`) and gate it
-/// on [`greedy_agreement`] against the exact [`FastPolicy`] over
-/// pinned evaluation states.
-#[derive(Debug, Clone)]
-pub struct Int8Policy {
-    state_dim: usize,
-    n_actions: usize,
-    trunk: Vec<QuantLayer>,
-    head: QuantHead,
-    xq: Vec<i8>,
-    buf_a: Vec<f32>,
-    buf_b: Vec<f32>,
-    hv: Vec<f32>,
-    q: Vec<f32>,
-}
-
-impl Int8Policy {
-    /// Quantize `net`'s weights f32 → int8 and plan the walk.
-    #[must_use]
-    pub fn new(net: &QNet) -> Self {
-        let trunk: Vec<QuantLayer> = net
-            .trunk_layers()
-            .iter()
-            .map(|(lin, _)| QuantLayer::plan(lin, true))
-            .collect();
-        assert!(!trunk.is_empty(), "QNet guarantees a non-empty trunk");
-        let state_dim = trunk[0].cols;
-        let n_actions = net.n_actions();
-        let head = match net.head_layers() {
-            HeadLayers::Plain(l) => QuantHead::Plain(QuantLayer::plan(l, false)),
-            HeadLayers::Dueling { v, a, .. } => QuantHead::Dueling {
-                v: QuantLayer::plan(v, false),
-                a: QuantLayer::plan(a, false),
-            },
-        };
-        let width = trunk
-            .iter()
-            .map(|l| l.rows)
-            .max()
-            .unwrap_or(0)
-            .max(state_dim)
-            .max(n_actions);
-        Self {
-            state_dim,
-            n_actions,
-            trunk,
-            head,
-            xq: vec![0; width],
-            buf_a: vec![0.0; width],
-            buf_b: vec![0.0; width],
-            hv: vec![0.0; 1],
-            q: vec![0.0; n_actions],
-        }
-    }
-
-    /// State vector length.
-    #[must_use]
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
-    }
-
-    /// Number of actions (Q outputs).
-    #[must_use]
-    pub fn n_actions(&self) -> usize {
-        self.n_actions
-    }
-
-    /// Approximate Q-values for one state (zero heap allocations).
-    ///
-    /// # Panics
-    /// Panics if `state` has the wrong length.
-    pub fn infer(&mut self, state: &[f32]) -> &[f32] {
-        assert_eq!(state.len(), self.state_dim, "state length mismatch");
-        let (cur, next) = (&mut self.buf_a, &mut self.buf_b);
-        cur[..state.len()].copy_from_slice(state);
-        for layer in &self.trunk {
-            layer.run(cur, &mut self.xq, next);
-            std::mem::swap(cur, next);
-        }
-        match &self.head {
-            QuantHead::Plain(l) => {
-                l.run(cur, &mut self.xq, &mut self.q);
-            }
-            QuantHead::Dueling { v, a } => {
-                v.run(cur, &mut self.xq, &mut self.hv);
-                a.run(cur, &mut self.xq, next);
-                let n = self.n_actions;
-                let aout = &next[..n];
-                let mean = aout.iter().sum::<f32>() / n as f32;
-                let v0 = self.hv[0];
-                for (qi, ai) in self.q.iter_mut().zip(aout.iter()) {
-                    *qi = v0 + ai - mean;
-                }
-            }
-        }
-        &self.q
-    }
-
-    /// Greedy action among the `mask`'s valid bits (ties → lowest
-    /// index).
-    ///
-    /// # Panics
-    /// Panics if the mask has no valid action.
-    pub fn greedy(&mut self, state: &[f32], mask: u64) -> usize {
-        assert!(mask != 0, "no valid action");
-        let q = self.infer(state);
-        masked_argmax(q, |a| mask & (1 << a) != 0).expect("mask checked non-empty")
-    }
-}
-
-/// Fraction of evaluation states on which the quantized path picks the
-/// same greedy action as the exact fast path — the accuracy gate an
-/// [`Int8Policy`] deployment must clear before replacing a
-/// [`FastPolicy`]. `states` holds `masks.len()` concatenated state
-/// vectors; an empty evaluation set counts as full agreement.
-///
-/// # Panics
-/// Panics if `states` does not split evenly over `masks`, or a mask is
-/// empty.
-#[must_use]
-pub fn greedy_agreement(
-    exact: &mut FastPolicy,
-    quantized: &mut Int8Policy,
-    states: &[f32],
-    masks: &[u64],
-) -> f64 {
-    if masks.is_empty() {
-        return 1.0;
-    }
-    let dim = exact.state_dim();
-    assert_eq!(states.len(), masks.len() * dim, "state/mask shape mismatch");
-    let mut agree = 0usize;
-    for (i, &mask) in masks.iter().enumerate() {
-        let s = &states[i * dim..(i + 1) * dim];
-        if exact.greedy(s, mask) == quantized.greedy(s, mask) {
-            agree += 1;
-        }
-    }
-    agree as f64 / masks.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -770,36 +540,5 @@ mod tests {
         for (f, r) in q.iter().zip(reference.iter()) {
             assert_eq!(f.to_bits(), r.to_bits());
         }
-    }
-
-    #[test]
-    fn int8_agreement_is_high_on_random_nets() {
-        let net = QNet::new(18, &[64, 32], 8, Head::Dueling, 4);
-        let mut exact = FastPolicy::new(&net);
-        let mut quant = Int8Policy::new(&net);
-        let n = 256;
-        let states = random_states(18, n, 13);
-        let masks = vec![0xFFu64; n];
-        let agreement = greedy_agreement(&mut exact, &mut quant, &states, &masks);
-        assert!(agreement >= 0.9, "int8 greedy agreement {agreement}");
-    }
-
-    #[test]
-    fn int8_shapes_and_masking() {
-        let net = QNet::new(4, &[8, 6], 3, Head::Plain, 6);
-        let mut quant = Int8Policy::new(&net);
-        assert_eq!(quant.state_dim(), 4);
-        assert_eq!(quant.n_actions(), 3);
-        assert_eq!(quant.infer(&[0.1, 0.2, 0.3, 0.4]).len(), 3);
-        // Only action 2 allowed.
-        assert_eq!(quant.greedy(&[0.1, 0.2, 0.3, 0.4], 0b100), 2);
-    }
-
-    #[test]
-    fn empty_agreement_set_is_full_agreement() {
-        let net = QNet::new(2, &[4], 2, Head::Plain, 1);
-        let mut exact = FastPolicy::new(&net);
-        let mut quant = Int8Policy::new(&net);
-        assert_eq!(greedy_agreement(&mut exact, &mut quant, &[], &[]), 1.0);
     }
 }

@@ -30,7 +30,6 @@
 //! * [`infer`] — the deployed-inference fast path: [`infer::FastPolicy`]
 //!   pre-plans the layer walk with preallocated scratch and runtime-
 //!   detected AVX2 microkernels, bit-identical to `predict_batch`;
-//!   [`infer::Int8Policy`] is the opt-in quantized variant;
 //! * [`serialize`] — weight snapshots to/from bytes.
 //!
 //! Everything is deterministic for a fixed seed (`rand::SmallRng`), the
@@ -53,7 +52,7 @@ pub mod sharded;
 pub mod tensor;
 
 pub use dqn::{ActionScratch, DqnAgent, DqnConfig};
-pub use infer::{FastPolicy, Int8Policy, Kernel};
+pub use infer::{FastPolicy, Kernel};
 pub use net::{Head, PredictScratch, QNet};
 pub use opt::Adam;
 pub use replay::{MiniBatch, ReplayBuffer, Transition};

@@ -116,10 +116,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         kv("placed", self.drive.placed().to_string());
         kv("sync_rounds", sync.sync_rounds.to_string());
         kv("node_advances", sync.node_advances.to_string());
-        kv("chunks", sync.chunks.to_string());
-        kv("speculations", sync.speculations.to_string());
-        kv("rollbacks", sync.rollbacks.to_string());
-        kv("clean_commits", sync.clean_commits.to_string());
         kv("last_cycle_bits", self.last_cycle.to_bits().to_string());
         kv(
             "has_lookahead",
@@ -268,10 +264,6 @@ pub fn restore(
     let sync = SyncStats {
         sync_rounds: get_u64(&spec, "sync_rounds")?,
         node_advances: get_u64(&spec, "node_advances")?,
-        chunks: get_u64(&spec, "chunks")?,
-        speculations: get_u64(&spec, "speculations")?,
-        rollbacks: get_u64(&spec, "rollbacks")?,
-        clean_commits: get_u64(&spec, "clean_commits")?,
     };
     let placed = get_usize(&spec, "placed")?;
     let last_cycle = f64::from_bits(get_u64(&spec, "last_cycle_bits")?);
@@ -968,32 +960,46 @@ mod tests {
         );
     }
 
-    /// Rewrite one `key=value` line in the spec, fixing up the length
-    /// prefix — how a forged blob smuggles an out-of-range value past
-    /// an otherwise valid container.
-    fn tamper(blob: &Bytes, key: &str, value: &str) -> Bytes {
+    /// Rebuild `blob` as a `version` container whose spec is each
+    /// original line mapped through `edit` (`None` drops the line),
+    /// fixing up the length prefix; the body is carried over verbatim.
+    fn rewrite_spec(
+        blob: &Bytes,
+        version: u32,
+        mut edit: impl FnMut(&str) -> Option<String>,
+    ) -> Bytes {
         let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
         let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
-        let prefix = format!("{key}=");
-        let mut hit = false;
         let new_spec: String = spec
             .lines()
-            .map(|line| {
-                if line.starts_with(&prefix) {
-                    hit = true;
-                    format!("{key}={value}\n")
-                } else {
-                    format!("{line}\n")
-                }
-            })
+            .filter_map(&mut edit)
+            .map(|line| format!("{line}\n"))
             .collect();
-        assert!(hit, "spec has no '{key}' line to tamper with");
         let mut out = BytesMut::with_capacity(blob.len());
-        out.put_slice(&blob[..8]);
+        out.put_slice(MAGIC);
+        out.put_u32_le(version);
         out.put_u32_le(new_spec.len() as u32);
         out.put_slice(new_spec.as_bytes());
         out.put_slice(&blob[12 + spec_len..]);
         out.freeze()
+    }
+
+    /// Rewrite one `key=value` line in the spec — how a forged blob
+    /// smuggles an out-of-range value past an otherwise valid
+    /// container.
+    fn tamper(blob: &Bytes, key: &str, value: &str) -> Bytes {
+        let prefix = format!("{key}=");
+        let mut hit = false;
+        let out = rewrite_spec(blob, VERSION, |line| {
+            Some(if line.starts_with(&prefix) {
+                hit = true;
+                format!("{key}={value}")
+            } else {
+                line.to_owned()
+            })
+        });
+        assert!(hit, "spec has no '{key}' line to tamper with");
+        out
     }
 
     #[test]
@@ -1219,8 +1225,6 @@ mod tests {
         let blob = svc.checkpoint().expect("checkpointable");
         let uninterrupted = drain(svc);
 
-        let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
-        let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
         let v1_keys = [
             "deferred=",
             "rejected=",
@@ -1228,24 +1232,59 @@ mod tests {
             "src_users=",
             "src_user_skew=",
         ];
-        let v1_spec: String = spec
-            .lines()
-            .filter(|line| !v1_keys.iter().any(|k| line.starts_with(k)))
-            .map(|line| format!("{line}\n"))
-            .collect();
-        let mut v1 = BytesMut::with_capacity(blob.len());
-        v1.put_slice(MAGIC);
-        v1.put_u32_le(1);
-        v1.put_u32_le(v1_spec.len() as u32);
-        v1.put_slice(v1_spec.as_bytes());
-        v1.put_slice(&blob[12 + spec_len..]);
+        let v1 = rewrite_spec(&blob, 1, |line| {
+            (!v1_keys.iter().any(|k| line.starts_with(k))).then(|| line.to_owned())
+        });
 
-        let resumed = drain(restore(&s, v1.freeze()).expect("legacy blob restores"));
+        let resumed = drain(restore(&s, v1).expect("legacy blob restores"));
         assert_eq!(
             resumed.report.timeline.digest(),
             uninterrupted.report.timeline.digest(),
             "legacy restore diverged"
         );
         assert!(resumed.admission.is_none(), "v1 has no admission tier");
+    }
+
+    /// The parent commit's writer still emitted the deleted chunked
+    /// engine's four counters. Such a v2 blob restores to the same
+    /// run as one without them, and the two counters that survive
+    /// are still required.
+    #[test]
+    fn retired_sync_keys_are_ignored_and_live_ones_required() {
+        let s = suite();
+        let mut svc = SchedulerService::new(
+            &s,
+            ServeConfig::new(4, 2),
+            SelectorKind::LeastLoaded,
+            TraceSource::new(&s, trace_cfg(TraceKind::Bursty, 60, 7)),
+        );
+        while svc.consumed() < 30 {
+            svc.step();
+        }
+        let blob = svc.checkpoint().expect("checkpointable");
+        let rounds = svc.drive.sync_stats().sync_rounds;
+        let parent_blob = tamper(
+            &blob,
+            "sync_rounds",
+            &format!("{rounds}\nchunks=0\nspeculations=0\nrollbacks=0\nclean_commits=0"),
+        );
+        assert!(parent_blob.len() > blob.len());
+
+        let plain = drain(restore(&s, blob.clone()).expect("round trip"));
+        let carried = drain(restore(&s, parent_blob).expect("retired keys are ignored"));
+        assert_eq!(
+            carried.report.timeline.digest(),
+            plain.report.timeline.digest()
+        );
+        assert_eq!(carried.report, plain.report);
+        assert_eq!(carried.stats, plain.stats);
+
+        let missing = rewrite_spec(&blob, VERSION, |line| {
+            (!line.starts_with("sync_rounds=")).then(|| line.to_owned())
+        });
+        assert!(matches!(
+            restore(&s, missing),
+            Err(CheckpointError::Spec(m)) if m.contains("sync_rounds")
+        ));
     }
 }

@@ -440,7 +440,7 @@ pub struct AdmissionOutcome {
     /// Rolling FNV-1a digest over every admission decision
     /// `(job id, admission instant bits, user)` in order — the
     /// checkpointed fingerprint the fairness contract pins across
-    /// threads, chunk widths, cycle modes, and kill/restore.
+    /// threads, cycle modes, and kill/restore.
     pub digest: u64,
     /// The *effective* admitted trace: every admitted job with its
     /// arrival rewritten to the admission instant, in placement

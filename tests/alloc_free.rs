@@ -4,8 +4,8 @@
 //! one warm-up pass (which is allowed to size scratch buffers), the
 //! audited region asserts **zero** heap allocations across:
 //!
-//! * `FastPolicy::infer`/`greedy` (both kernels) and
-//!   `Int8Policy::greedy` — the inference fast path itself;
+//! * `FastPolicy::infer`/`greedy` (both kernels) — the inference
+//!   fast path itself;
 //! * `PolicySelector::select` — mask + state encoding + greedy, the
 //!   full per-decision path the cluster simulator and serve loop
 //!   drive;
@@ -23,7 +23,7 @@ use std::cell::Cell;
 use hrp::core::cluster_env::{NodeLoad, PolicySelector};
 use hrp::core::NodeSelector;
 use hrp::nn::net::{Head, QNet};
-use hrp::nn::{DqnAgent, DqnConfig, FastPolicy, Int8Policy, Kernel};
+use hrp::nn::{DqnAgent, DqnConfig, FastPolicy, Kernel};
 
 thread_local! {
     // `const` init so reading these inside the allocator can never
@@ -123,16 +123,6 @@ fn steady_state_decision_paths_do_not_allocate() {
         });
         assert_eq!(n, 0, "FastPolicy ({}) allocated {n}x", kernel.name());
     }
-
-    // Int8Policy: same contract.
-    let mut int8 = Int8Policy::new(&net);
-    let _ = int8.greedy(&state, mask);
-    let n = count_allocs(|| {
-        for _ in 0..REPS {
-            std::hint::black_box(int8.greedy(&state, mask));
-        }
-    });
-    assert_eq!(n, 0, "Int8Policy allocated {n}x");
 
     // The full deployed path: PolicySelector::select encodes live
     // loads into its reused scratch and asks the fast path greedily.

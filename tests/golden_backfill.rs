@@ -7,10 +7,9 @@
 //! `slots.rs`/`backfill.rs` that moves a single start decision is
 //! caught here.
 //!
-//! Every pin must reproduce under both DES engines (per-instant
-//! barrier and chunked optimistic) at 1 thread and at
-//! `HRP_TEST_THREADS` workers — the planner is part of the determinism
-//! contract, not an exception to it.
+//! Every pin must reproduce at 1 thread and at `HRP_TEST_THREADS`
+//! workers — the planner is part of the determinism contract, not an
+//! exception to it.
 //!
 //! To re-capture after an *intentional* schedule change:
 //! `cargo test --test golden_backfill -- --ignored --nocapture`.
@@ -112,53 +111,36 @@ fn selector_for(policy: BackfillPolicy) -> SelectorKind {
     }
 }
 
-fn run(
-    kind: TraceKind,
-    policy: BackfillPolicy,
-    threads: usize,
-    chunk_width: Option<f64>,
-) -> MultiNodeReport {
+fn run(kind: TraceKind, policy: BackfillPolicy, threads: usize) -> MultiNodeReport {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let mut sel = selector_for(policy).build();
-    let mut sim = MultiNodeSim::new(NODES, GPUS).with_threads(threads);
-    if let Some(w) = chunk_width {
-        sim = sim.with_chunk_width(w);
-    }
-    sim.run(&suite, eval_trace(&suite, kind), sel.as_mut(), |_| {
-        BackfillPlanner::new(policy, GPUS).with_walltime_err(WALLTIME_ERR)
-    })
+    MultiNodeSim::new(NODES, GPUS).with_threads(threads).run(
+        &suite,
+        eval_trace(&suite, kind),
+        sel.as_mut(),
+        |_| BackfillPlanner::new(policy, GPUS).with_walltime_err(WALLTIME_ERR),
+    )
 }
 
 #[test]
 fn backfill_schedules_match_the_pinned_goldens_under_every_engine() {
     for g in golden_runs() {
         for threads in [1, test_threads()] {
-            for chunk_width in [None, Some(25.0)] {
-                let report = run(g.kind, g.policy, threads, chunk_width);
-                let engine = match chunk_width {
-                    None => "barrier".to_string(),
-                    Some(w) => format!("chunked({w})"),
-                };
-                let ctx = format!(
-                    "{} / {:?} / {} threads / {engine}",
-                    g.kind.name(),
-                    g.policy,
-                    threads
-                );
-                assert_eq!(report.timeline.digest(), g.digest, "digest drifted: {ctx}");
-                assert_eq!(
-                    report.timeline.events.len(),
-                    g.events,
-                    "event count drifted: {ctx}"
-                );
-                assert_eq!(
-                    report.aggregate.makespan.to_bits(),
-                    g.makespan,
-                    "makespan drifted: {ctx} (got {})",
-                    report.aggregate.makespan
-                );
-                assert_eq!(report.completed_jobs(), N_JOBS, "jobs lost: {ctx}");
-            }
+            let report = run(g.kind, g.policy, threads);
+            let ctx = format!("{} / {:?} / {} threads", g.kind.name(), g.policy, threads);
+            assert_eq!(report.timeline.digest(), g.digest, "digest drifted: {ctx}");
+            assert_eq!(
+                report.timeline.events.len(),
+                g.events,
+                "event count drifted: {ctx}"
+            );
+            assert_eq!(
+                report.aggregate.makespan.to_bits(),
+                g.makespan,
+                "makespan drifted: {ctx} (got {})",
+                report.aggregate.makespan
+            );
+            assert_eq!(report.completed_jobs(), N_JOBS, "jobs lost: {ctx}");
         }
     }
 }
@@ -169,9 +151,9 @@ fn backfill_schedules_match_the_pinned_goldens_under_every_engine() {
 #[test]
 fn backfilling_beats_plain_fcfs_on_every_pinned_trace() {
     for kind in [TraceKind::Bursty, TraceKind::Skewed, TraceKind::Colocate] {
-        let fcfs = run(kind, BackfillPolicy::Fcfs, 1, None).aggregate.makespan;
+        let fcfs = run(kind, BackfillPolicy::Fcfs, 1).aggregate.makespan;
         for policy in [BackfillPolicy::Easy, BackfillPolicy::Conservative] {
-            let got = run(kind, policy, 1, None).aggregate.makespan;
+            let got = run(kind, policy, 1).aggregate.makespan;
             assert!(
                 got < fcfs,
                 "{:?} must beat FCFS on {}: {} vs {}",
@@ -191,7 +173,7 @@ fn backfilling_beats_plain_fcfs_on_every_pinned_trace() {
 fn capture_golden_pins() {
     for kind in [TraceKind::Bursty, TraceKind::Skewed, TraceKind::Colocate] {
         for policy in [BackfillPolicy::Easy, BackfillPolicy::Conservative] {
-            let report = run(kind, policy, 1, None);
+            let report = run(kind, policy, 1);
             println!(
                 "{:?} {:?}: digest 0x{:016x}, events {}, makespan 0x{:016x} ({})",
                 kind,

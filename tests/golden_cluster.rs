@@ -106,11 +106,8 @@ fn four_node_schedules_match_the_golden_pin_for_any_thread_count() {
 }
 
 /// Golden pin for one *large* skewed trace (5000 jobs, 8 FCFS nodes,
-/// least-loaded placement): the scale regime the chunked optimistic
-/// engine targets. Captured from the barrier engine at the point the
-/// chunked engine landed; barrier mode must keep reproducing it, and
-/// the chunked engine must reproduce it bit-for-bit at every tested
-/// chunk width while doing strictly fewer synchronization rounds.
+/// least-loaded placement), reproduced serially and on the
+/// `HRP_TEST_THREADS` pool.
 #[test]
 fn large_skewed_trace_matches_the_golden_pin_in_both_engines() {
     const DIGEST: u64 = 0x841a_9d30_d786_e4b9;
@@ -122,35 +119,19 @@ fn large_skewed_trace_matches_the_golden_pin_in_both_engines() {
         &suite,
         &TraceConfig::new(TraceKind::Skewed, 5000, 42).max_gpus(2),
     );
-    let run = |width: Option<f64>| {
+    for threads in [1, test_threads()] {
         let mut sel = SelectorKind::LeastLoaded.build();
-        let mut sim = MultiNodeSim::new(8, 2).with_threads(test_threads());
-        if let Some(w) = width {
-            sim = sim.with_chunk_width(w);
-        }
-        sim.run(&suite, jobs.clone(), sel.as_mut(), |_| FcfsBackfill::new())
-    };
-    let barrier = run(None);
-    assert_eq!(barrier.timeline.digest(), DIGEST, "barrier digest drifted");
-    assert_eq!(barrier.timeline.len(), EVENTS);
-    assert_eq!(barrier.aggregate.makespan.to_bits(), MAKESPAN);
-    assert_eq!(barrier.aggregate.avg_wait.to_bits(), AVG_WAIT);
-    assert_eq!(barrier.aggregate.placements, 5000);
-    for width in [7.0, 64.0, 1e5] {
-        let chunked = run(Some(width));
-        assert_eq!(
-            chunked.timeline.digest(),
-            DIGEST,
-            "chunked digest drifted at width {width}"
+        let report = MultiNodeSim::new(8, 2).with_threads(threads).run(
+            &suite,
+            jobs.clone(),
+            sel.as_mut(),
+            |_| FcfsBackfill::new(),
         );
-        assert_eq!(chunked.aggregate, barrier.aggregate, "width {width}");
-        assert_eq!(chunked.per_node, barrier.per_node, "width {width}");
-        assert!(
-            chunked.sync.sync_rounds < barrier.sync.sync_rounds,
-            "width {width}: {} vs {} rounds",
-            chunked.sync.sync_rounds,
-            barrier.sync.sync_rounds
-        );
+        assert_eq!(report.timeline.digest(), DIGEST, "{threads} threads");
+        assert_eq!(report.timeline.len(), EVENTS);
+        assert_eq!(report.aggregate.makespan.to_bits(), MAKESPAN);
+        assert_eq!(report.aggregate.avg_wait.to_bits(), AVG_WAIT);
+        assert_eq!(report.aggregate.placements, 5000);
     }
 }
 

@@ -10,18 +10,14 @@
 //! * the deployed `PolicySelector` path agrees with the reference on
 //!   `placement_fit_mask` edge cases: a single-node cluster, a
 //!   saturated cluster (no free GPU anywhere), and wide jobs that
-//!   mask out narrow nodes;
-//! * the opt-in `Int8Policy` clears its pinned greedy-agreement
-//!   golden on the deployed placement geometry — quantization is
-//!   gated, never assumed.
+//!   mask out narrow nodes.
 
 use hrp::core::cluster_env::{
     encode_placement_state, placement_fit_mask, NodeLoad, PolicySelector,
 };
 use hrp::core::NodeSelector;
-use hrp::nn::infer::greedy_agreement;
 use hrp::nn::net::{Head, QNet};
-use hrp::nn::{masked_argmax, FastPolicy, Int8Policy, Kernel};
+use hrp::nn::{masked_argmax, FastPolicy, Kernel};
 use proptest::prelude::*;
 
 /// Deterministic state stream (same generator the batch-equivalence
@@ -149,44 +145,6 @@ proptest! {
             prop_assert_eq!(picked, 0);
         }
     }
-}
-
-/// The int8 accuracy gate on the deployed placement geometry, pinned:
-/// the same net, states, and masks must always yield the same
-/// agreement (everything downstream of the seed is deterministic),
-/// and it must clear the deployment gate.
-#[test]
-fn int8_greedy_agreement_golden() {
-    const NODES: usize = 8;
-    let dim = 2 * NODES + 2;
-    let net = QNet::new(dim, &[64, 32], NODES, Head::Dueling, 4);
-    let mut exact = FastPolicy::with_kernel(&net, Kernel::Scalar);
-    let mut quant = Int8Policy::new(&net);
-    let mut gen = lcg_stream(13);
-    let n = 256;
-    let states: Vec<f32> = (0..n * dim).map(|_| gen()).collect();
-    let masks: Vec<u64> = (0..n)
-        .map(|_| {
-            let raw = (gen().abs() * 255.0) as u64 & ((1 << NODES) - 1);
-            if raw == 0 {
-                1
-            } else {
-                raw
-            }
-        })
-        .collect();
-    let agreement = greedy_agreement(&mut exact, &mut quant, &states, &masks);
-    assert!(
-        agreement >= 0.95,
-        "int8 agreement {agreement} below the deployment gate"
-    );
-    // Pinned golden: a change here means the quantization scheme (or
-    // the exact path it is judged against) changed behaviour.
-    let expected = 1.0;
-    assert!(
-        (agreement - expected).abs() < 1e-12,
-        "pinned int8 agreement moved: {agreement} (expected {expected})"
-    );
 }
 
 /// The AVX2 kernel is exercised wherever CI hardware has it; this

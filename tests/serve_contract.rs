@@ -3,7 +3,7 @@
 //!
 //! * draining any finite generated trace through the service — under
 //!   either cycle mode — produces a merged timeline bit-identical to a
-//!   batch `MultiNodeSim` barrier run of the same jobs, for every
+//!   batch `MultiNodeSim` run of the same jobs, for every
 //!   selector family and any batch thread count;
 //! * a service checkpointed at an arbitrary cycle and restored from
 //!   the `HRPS` blob finishes with exactly the report the
@@ -11,11 +11,11 @@
 //!   and the logical cycle counters;
 //! * the same kill/resume exactness holds for the open-loop load
 //!   generator, whose RNG cursor the restore replays;
-//! * the admission tier (ARCHITECTURE.md contract point 10): the
+//! * the admission tier (ARCHITECTURE.md contract point 9): the
 //!   per-tenant quota is never exceeded, no admitted job is lost,
 //!   ordering-only admission is digest-identical to the batch
-//!   fair-order oracle for any thread count and chunk width in either
-//!   cycle mode, and kill/restore reproduces the admission decision
+//!   fair-order oracle for any thread count in either cycle mode,
+//!   and kill/restore reproduces the admission decision
 //!   digest bit-exactly.
 //!
 //! Set `HRP_TEST_THREADS` to pick the parallel worker count the batch
@@ -194,11 +194,11 @@ proptest! {
         prop_assert_eq!(restored.stats, uninterrupted.stats);
     }
 
-    // Contract point 10, ordering half: with admission on but
+    // Contract point 9, ordering half: with admission on but
     // nothing to defer or reject (unlimited quota, infinite SLO),
     // the service's karma-ordered timeline is digest-identical to
     // the batch fair-order oracle — in either cycle mode, for any
-    // batch thread count, barrier or chunked.
+    // batch thread count.
     #[test]
     fn ordering_only_admission_is_mode_thread_and_chunk_invariant(
         kind_idx in 0usize..6,
@@ -208,7 +208,6 @@ proptest! {
         users in 1u32..=5,
         nodes in 1usize..=3,
         half_life in 30.0f64..600.0,
-        chunk_width in 10.0f64..200.0,
     ) {
         let s = suite();
         let cfg = TraceConfig::new(KINDS[kind_idx], n_jobs, seed)
@@ -233,27 +232,22 @@ proptest! {
             adm_digests.push(served.admission.expect("admission on").digest);
         }
         for threads in [1, test_threads()] {
-            for chunk in [None, Some(chunk_width)] {
-                let mut sim = MultiNodeSim::new(nodes, 2)
-                    .with_threads(threads)
-                    .with_fair_order(acfg.fair_config());
-                if let Some(w) = chunk {
-                    sim = sim.with_chunk_width(w);
-                }
-                let mut sel = SelectorKind::LeastLoaded.build();
-                let batch = sim.run(&s, generate(&s, &cfg), sel.as_mut(), |_| {
-                    dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0)
-                });
-                digests.push(batch.timeline.digest());
-            }
+            let sim = MultiNodeSim::new(nodes, 2)
+                .with_threads(threads)
+                .with_fair_order(acfg.fair_config());
+            let mut sel = SelectorKind::LeastLoaded.build();
+            let batch = sim.run(&s, generate(&s, &cfg), sel.as_mut(), |_| {
+                dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0)
+            });
+            digests.push(batch.timeline.digest());
         }
         prop_assert!(digests.windows(2).all(|w| w[0] == w[1]),
-            "divergent timelines across modes/threads/chunks: {:x?}", digests);
+            "divergent timelines across modes/threads: {:x?}", digests);
         prop_assert_eq!(adm_digests[0], adm_digests[1],
             "admission digest differs between cycle modes");
     }
 
-    // Contract point 10, quota half: replaying the effective
+    // Contract point 9, quota half: replaying the effective
     // admitted trace through a fresh `FairShare` with the service's
     // own release rule (estimated completion = admission + solo
     // time) never finds a tenant above quota at an admission
@@ -303,7 +297,7 @@ proptest! {
         }
     }
 
-    // Contract point 10, checkpoint half: killing an
+    // Contract point 9, checkpoint half: killing an
     // admission-enabled service at an arbitrary consumed cut and
     // restoring from the `HRPS` blob reproduces the timeline, the
     // deferred/rejected counters, and the rolling admission decision
