@@ -2,10 +2,11 @@
 //! passes of the paper-size network and one full DQN learning step —
 //! the costs that dominate the paper's "couple of hours" offline phase.
 //!
-//! Each stage is measured in both forms: the batched kernels that
-//! stream every weight matrix once per minibatch (`*_batch32`) and the
-//! per-sample loop that streams them once per sample (`*_per_sample_x32`).
-//! The ratio between the paired numbers is the batching speedup.
+//! The forward and backward passes are measured in both forms: the
+//! batched kernels that stream every weight matrix once per minibatch
+//! (`*_batch32`) and the per-sample loop that streams them once per
+//! sample (`*_per_sample_x32`); the ratio between the paired numbers is
+//! the batching speedup. The learning step exists only batched.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hrp_nn::net::{Head, QNet};
@@ -128,10 +129,6 @@ fn bench_learn_step(c: &mut Criterion) {
     let mut agent = filled_agent(1);
     c.bench_function("dqn_learn_step_batch32", |b| {
         b.iter(|| black_box(agent.learn()))
-    });
-    let mut agent = filled_agent(1);
-    c.bench_function("dqn_learn_step_per_sample_x32", |b| {
-        b.iter(|| black_box(agent.learn_per_sample()))
     });
 }
 

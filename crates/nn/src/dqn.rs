@@ -3,13 +3,11 @@
 //! of the paper's §IV-D / Table VI.
 //!
 //! A learning step runs the **whole minibatch as batched ops**: one
-//! contiguous sample ([`MiniBatch`]), one batched forward over the
-//! online and target networks for the double-DQN targets, one batched
-//! forward/backward for the TD error, one Adam update. The legacy
-//! per-sample path is kept as [`DqnAgent::learn_per_sample`] — it draws
-//! the same minibatch for the same RNG state and produces the same
-//! weights to within float accumulation error, which the equivalence
-//! tests pin down; the benchmarks measure the gap between the two.
+//! contiguous sample ([`MiniBatch`]), one cache-free batched forward
+//! over the online and target networks for the double-DQN targets, one
+//! batched forward/backward for the TD error, one fused Adam sweep. In
+//! steady state it allocates nothing, and `tests/batch_parallel.rs`
+//! pins its losses and weights bit for bit.
 
 use crate::net::{Head, PredictScratch, QNet};
 use crate::opt::Adam;
@@ -152,10 +150,9 @@ pub struct DqnAgent {
     buffer: ShardedReplay,
     rng: SmallRng,
     learn_steps: u64,
-    /// Reusable action-selection scratch (allocation-free hot loop).
+    /// Reusable action-selection scratch (allocation-free hot loop);
+    /// its inference buffers also serve the bootstrap passes of `learn`.
     act_scratch: ActionScratch,
-    grad_buf: Vec<f32>,
-    delta_buf: Vec<f32>,
     /// Reusable batched-learning scratch.
     minibatch: MiniBatch,
     q_next_online: Vec<f32>,
@@ -197,8 +194,6 @@ impl DqnAgent {
             rng,
             learn_steps: 0,
             act_scratch: ActionScratch::default(),
-            grad_buf: Vec::new(),
-            delta_buf: Vec::new(),
             minibatch: MiniBatch::new(),
             q_next_online: Vec::new(),
             q_next_target: Vec::new(),
@@ -282,14 +277,16 @@ impl DqnAgent {
             .sample_into(b, &mut self.rng, &mut self.minibatch);
 
         // Bootstrap Q-values for the successor states, one batched pass
-        // per network. `forward_batch` (not `predict_batch`) reuses each
-        // layer's scratch; the online net's caches are re-established by
-        // the state forward below, before the backward needs them.
+        // per network. Nothing is differentiated through them, so they
+        // take the inference forward: same Q-values as `forward_batch`,
+        // none of its backward-cache upkeep.
+        let scratch = &mut self.act_scratch.predict;
+        let next_states = &self.minibatch.next_states;
         if self.cfg.double {
             // Double DQN: the online net picks a* for every row at once,
             // the target net evaluates it.
             self.online
-                .forward_batch(&self.minibatch.next_states, b, &mut self.q_next_online);
+                .predict_batch_into(next_states, b, scratch, &mut self.q_next_online);
             masked_argmax_batch(
                 &self.q_next_online,
                 b,
@@ -299,7 +296,7 @@ impl DqnAgent {
             );
         }
         self.target
-            .forward_batch(&self.minibatch.next_states, b, &mut self.q_next_target);
+            .predict_batch_into(next_states, b, scratch, &mut self.q_next_target);
 
         self.targets.resize(b, 0.0);
         for i in 0..b {
@@ -319,8 +316,9 @@ impl DqnAgent {
             self.targets[i] = y;
         }
 
-        // One batched forward/backward over the whole minibatch.
-        self.online.zero_grad();
+        // One batched forward/backward over the whole minibatch. The
+        // online gradients are zero here: they start so, and every
+        // optimiser sweep leaves them cleared.
         self.online
             .forward_batch(&self.minibatch.states, b, &mut self.q_pred);
         self.dq.clear();
@@ -335,74 +333,13 @@ impl DqnAgent {
             self.dq[i * n + a] = dloss * inv_n;
         }
         self.online.backward_batch(&self.dq, b);
-
-        self.finish_step();
-        Some(total_loss * inv_n)
-    }
-
-    /// The legacy per-sample learning step: the same minibatch (for the
-    /// same RNG state), targets, loss, and update as [`DqnAgent::learn`],
-    /// computed one sample at a time. Kept as the reference for the
-    /// batch/serial equivalence tests and the `nn_perf` benchmark
-    /// baseline.
-    pub fn learn_per_sample(&mut self) -> Option<f32> {
-        if self.buffer.len() < self.cfg.batch_size {
-            return None;
-        }
-        // Compute targets first (immutable borrows), then backprop.
-        let batch: Vec<Transition> = self
-            .buffer
-            .sample(self.cfg.batch_size, &mut self.rng)
-            .into_iter()
-            .cloned()
-            .collect();
-        let mut targets = Vec::with_capacity(batch.len());
-        for t in &batch {
-            let y = if t.done {
-                t.reward
-            } else {
-                let bootstrap = if self.cfg.double {
-                    let q_online = self.online.predict(&t.next_state);
-                    let a_star =
-                        masked_argmax(&q_online, |a| t.next_mask & (1 << a) != 0).unwrap_or(0);
-                    self.target.predict(&t.next_state)[a_star]
-                } else {
-                    let q_t = self.target.predict(&t.next_state);
-                    masked_argmax(&q_t, |a| t.next_mask & (1 << a) != 0).map_or(0.0, |a| q_t[a])
-                };
-                t.reward + self.cfg.gamma * bootstrap
-            };
-            targets.push(y);
-        }
-
-        self.online.zero_grad();
-        let mut total_loss = 0.0f32;
-        let inv_n = 1.0 / batch.len() as f32;
-        for (t, &y) in batch.iter().zip(targets.iter()) {
-            let q = self.online.forward(&t.state);
-            let err = q[t.action] - y;
-            let (loss, dloss) = huber(err, self.cfg.huber_delta);
-            total_loss += loss;
-            let mut dq = vec![0.0f32; self.cfg.n_actions];
-            dq[t.action] = dloss * inv_n;
-            self.online.backward(&dq);
-        }
-
-        self.finish_step();
-        Some(total_loss * inv_n)
-    }
-
-    /// Shared tail of a learning step: Adam update, step counter, and
-    /// periodic target sync.
-    fn finish_step(&mut self) {
-        self.online.write_grads(&mut self.grad_buf);
-        self.adam.step(&self.grad_buf, &mut self.delta_buf);
-        self.online.apply_delta(&self.delta_buf);
+        self.online.adam_step(&mut self.adam);
 
         self.learn_steps += 1;
         if self.learn_steps.is_multiple_of(self.cfg.target_sync_every) {
             self.target.copy_weights_from(&self.online);
         }
+        Some(total_loss * inv_n)
     }
 
     /// Learning steps taken.
@@ -581,48 +518,6 @@ mod tests {
         assert_eq!(a.q_values(&[1.0, 0.0]), b.q_values(&[1.0, 0.0]));
     }
 
-    fn filled_agents() -> (DqnAgent, DqnAgent) {
-        // Two identical agents with identical buffers and RNG states.
-        let mk = || {
-            let mut agent = DqnAgent::new(chain_cfg());
-            for i in 0..48 {
-                agent.remember(Transition {
-                    state: vec![(i % 5) as f32 * 0.2, 1.0 - (i % 3) as f32 * 0.3],
-                    action: i % 2,
-                    reward: (i % 7) as f32 * 0.5 - 1.0,
-                    next_state: vec![(i % 4) as f32 * 0.25, 0.1],
-                    done: i % 5 == 0,
-                    next_mask: 0b11,
-                });
-            }
-            agent
-        };
-        (mk(), mk())
-    }
-
-    #[test]
-    fn batched_learn_equals_per_sample_learn() {
-        let (mut batched, mut serial) = filled_agents();
-        for step in 0..10 {
-            let lb = batched.learn().unwrap();
-            let ls = serial.learn_per_sample().unwrap();
-            assert!(
-                (lb - ls).abs() < 1e-5,
-                "step {step}: loss batched {lb} vs per-sample {ls}"
-            );
-        }
-        let mut pb = Vec::new();
-        batched.online_net().write_params(&mut pb);
-        let mut ps = Vec::new();
-        serial.online_net().write_params(&mut ps);
-        for (i, (a, e)) in pb.iter().zip(ps.iter()).enumerate() {
-            assert!(
-                (a - e).abs() < 1e-5,
-                "param {i}: batched {a} vs per-sample {e}"
-            );
-        }
-    }
-
     #[test]
     fn sharded_agent_also_learns_the_chain() {
         let mut cfg = chain_cfg();
@@ -630,46 +525,6 @@ mod tests {
         let agent = run_chain(DqnAgent::new(cfg), 300);
         assert_eq!(agent.greedy_action(&[1.0, 0.0], 0b11), 1);
         assert_eq!(agent.greedy_action(&[0.0, 1.0], 0b11), 0);
-    }
-
-    #[test]
-    fn sharded_batched_learn_equals_sharded_per_sample_learn() {
-        // The stratified sampling schedule feeds the batched and the
-        // per-sample learning paths identically for shards > 1 too.
-        let mk = || {
-            let mut cfg = chain_cfg();
-            cfg.shards = 4;
-            let mut agent = DqnAgent::new(cfg);
-            for i in 0..48 {
-                agent.remember_to(
-                    i % 4,
-                    Transition {
-                        state: vec![(i % 5) as f32 * 0.2, 1.0 - (i % 3) as f32 * 0.3],
-                        action: i % 2,
-                        reward: (i % 7) as f32 * 0.5 - 1.0,
-                        next_state: vec![(i % 4) as f32 * 0.25, 0.1],
-                        done: i % 5 == 0,
-                        next_mask: 0b11,
-                    },
-                );
-            }
-            agent
-        };
-        let (mut batched, mut serial) = (mk(), mk());
-        for _ in 0..8 {
-            batched.learn().unwrap();
-            serial.learn_per_sample().unwrap();
-        }
-        let mut pb = Vec::new();
-        batched.online_net().write_params(&mut pb);
-        let mut ps = Vec::new();
-        serial.online_net().write_params(&mut ps);
-        for (i, (a, e)) in pb.iter().zip(ps.iter()).enumerate() {
-            assert!(
-                (a - e).abs() < 1e-5,
-                "param {i}: batched {a} vs per-sample {e}"
-            );
-        }
     }
 
     #[test]

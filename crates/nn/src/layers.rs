@@ -3,9 +3,11 @@
 //! or batch-minor (`n × batch`, the `_tn` entry points) layout. Each
 //! layer caches whatever its backward pass needs in reusable scratch,
 //! so the calling convention is strictly forward then backward and a
-//! steady-state learning step allocates nothing. The per-sample
-//! `forward`/`backward` entry points are batch-size-1 fast paths that
-//! agree with the batched kernels within float accumulation error.
+//! steady-state learning step allocates nothing. The `_inference_`
+//! forwards skip that upkeep and leave the layer untouched. The
+//! per-sample `forward`/`backward` entry points are batch-size-1 fast
+//! paths that agree with the batched kernels within float accumulation
+//! error.
 
 use crate::tensor::{
     matmul_bias_tn, matmul_dw_accumulate, matmul_dx_tn, matvec, matvec_transpose, relu_backward,

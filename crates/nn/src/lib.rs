@@ -7,14 +7,16 @@
 //! so this crate implements the needed pieces directly:
 //!
 //! * [`tensor`] — dense row-major kernels in per-sample and **batched**
-//!   (`B × n`) form; the batched GEMM-style kernels stream each weight
-//!   matrix once per minibatch instead of once per sample;
+//!   (`B × n`) form; the batched kernels are register-tiled over
+//!   independent lanes in safe Rust, so they stream each weight matrix
+//!   once per minibatch and give the same bits on every target;
 //! * [`layers`] — fully-connected layer and ReLU with exact batched
 //!   backprop and per-layer reusable scratch;
 //! * [`net`] — the Q-network: MLP trunk + plain or dueling head, with
 //!   `forward_batch` / `predict_batch` / `backward_batch` as the primary
 //!   interface (single-sample calls are batch-size-1 wrappers);
-//! * [`opt`] — Adam (Kingma & Ba) over the flattened parameter vector;
+//! * [`opt`] — Adam (Kingma & Ba) over the flattened parameter vector,
+//!   one fused sweep per step;
 //! * [`replay`] — a ring replay buffer with action masking support and
 //!   contiguous-minibatch sampling ([`replay::MiniBatch`]);
 //! * [`sharded`] — experience replay sharded into independent rings
@@ -33,9 +35,10 @@
 //! * [`serialize`] — weight snapshots to/from bytes.
 //!
 //! Everything is deterministic for a fixed seed (`rand::SmallRng`), the
-//! backprop code is validated against numerical gradients in tests, and
-//! the batched paths are pinned to the per-sample ones by equivalence
-//! tests (identical minibatch → weights equal within 1e-5).
+//! backprop code is validated against numerical gradients in tests, the
+//! batched kernels are pinned bit for bit to a scalar reference
+//! (`tests/kernel_contract.rs`) and the learning step to a golden of
+//! losses and weights (`tests/batch_parallel.rs`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -9,11 +9,14 @@
 //! Every pass is **batched**: buffers are `B × n` row-major and flow
 //! through [`QNet::forward_batch`] / [`QNet::backward_batch`] with
 //! per-layer reusable scratch, so one minibatch streams each weight
-//! matrix once instead of once per sample. The single-sample
-//! `forward`/`predict`/`backward` entry points are batch-size-1
-//! wrappers over the same kernels and numerically identical.
+//! matrix once instead of once per sample, and a steady-state
+//! forward/backward allocates nothing. [`QNet::predict_batch_into`] is
+//! the same forward without the backward caches, for passes nothing
+//! differentiates. The single-sample `forward`/`predict`/`backward`
+//! entry points are batch-size-1 wrappers over the same code.
 
 use crate::layers::{Linear, Relu};
+use crate::opt::Adam;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -36,6 +39,14 @@ pub(crate) struct DuelingScratch {
     dx_a: Vec<f32>,
 }
 
+impl DuelingScratch {
+    /// The hidden-layer gradient: the V and A streams' input gradients, summed.
+    fn sum_dx_into(&self, dst: &mut Vec<f32>) {
+        dst.clear();
+        dst.extend(self.dx_v.iter().zip(&self.dx_a).map(|(xv, xa)| xv + xa));
+    }
+}
+
 #[allow(clippy::large_enum_variant)] // exactly one head lives per net
 #[derive(Clone)]
 pub(crate) enum HeadLayers {
@@ -47,9 +58,45 @@ pub(crate) enum HeadLayers {
     },
 }
 
-/// Reusable buffers for the single-sample inference wrappers
-/// ([`QNet::predict_into`]): after the first call on a given network
-/// shape, steady-state inference performs **zero heap allocations**.
+impl HeadLayers {
+    fn linears(&self) -> impl Iterator<Item = &Linear> {
+        let (first, second) = match self {
+            Self::Plain(l) => (l, None),
+            Self::Dueling { v, a, .. } => (v, Some(a)),
+        };
+        std::iter::once(first).chain(second)
+    }
+
+    fn linears_mut(&mut self) -> impl Iterator<Item = &mut Linear> {
+        let (first, second) = match self {
+            Self::Plain(l) => (l, None),
+            Self::Dueling { v, a, .. } => (v, Some(a)),
+        };
+        std::iter::once(first).chain(second)
+    }
+}
+
+/// `Q(b, a) = V(b) + A(b, a) − mean_a' A(b, a')` from batch-minor head
+/// outputs (`vout` is `1 × batch`, `aout` is `n × batch`) into a
+/// `batch × n` row-major `out`.
+fn assemble_dueling(vout: &[f32], aout: &[f32], batch: usize, n: usize, out: &mut Vec<f32>) {
+    out.resize(batch * n, 0.0);
+    for b in 0..batch {
+        let mut sum = 0.0f32;
+        for ai in 0..n {
+            sum += aout[ai * batch + b];
+        }
+        let mean = sum / n as f32;
+        for ai in 0..n {
+            out[b * n + ai] = vout[b] + aout[ai * batch + b] - mean;
+        }
+    }
+}
+
+/// Reusable buffers for the inference-only forwards
+/// ([`QNet::predict_into`], [`QNet::predict_batch_into`]): after the
+/// first call at a given network shape and batch size, steady-state
+/// inference performs **zero heap allocations**.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     cur: Vec<f32>,
@@ -68,8 +115,6 @@ pub struct QNet {
     n_actions: usize,
     /// Ping-pong scratch buffers reused across calls.
     bufs: (Vec<f32>, Vec<f32>),
-    /// Cached last hidden activation (`B × h`) for the head backward.
-    last_hidden: Vec<f32>,
     /// Batch size of the cached forward pass.
     cached_batch: usize,
 }
@@ -105,7 +150,6 @@ impl QNet {
             head,
             n_actions,
             bufs: (Vec::new(), Vec::new()),
-            last_hidden: Vec::new(),
             cached_batch: 0,
         }
     }
@@ -136,8 +180,6 @@ impl QNet {
                 relu.forward(next);
                 std::mem::swap(cur, next);
             }
-            self.last_hidden.clear();
-            self.last_hidden.extend_from_slice(cur);
             match &mut self.head {
                 HeadLayers::Plain(l) => l.forward_batch(cur, 1, out),
                 HeadLayers::Dueling { v, a, scratch } => {
@@ -158,8 +200,6 @@ impl QNet {
             relu.forward(next);
             std::mem::swap(cur, next);
         }
-        self.last_hidden.clear();
-        self.last_hidden.extend_from_slice(cur);
         match &mut self.head {
             HeadLayers::Plain(l) => {
                 l.forward_batch_tn(cur, batch, next);
@@ -168,92 +208,78 @@ impl QNet {
             HeadLayers::Dueling { v, a, scratch } => {
                 v.forward_batch_tn(cur, batch, &mut scratch.vout);
                 a.forward_batch_tn(cur, batch, &mut scratch.aout);
-                // vout is 1 × batch; aout is n_actions × batch.
-                out.resize(batch * n, 0.0);
-                for b in 0..batch {
-                    let mut sum = 0.0f32;
-                    for ai in 0..n {
-                        sum += scratch.aout[ai * batch + b];
-                    }
-                    let mean = sum / n as f32;
-                    let vb = scratch.vout[b];
-                    for ai in 0..n {
-                        out[b * n + ai] = vb + scratch.aout[ai * batch + b] - mean;
-                    }
-                }
+                assemble_dueling(&scratch.vout, &scratch.aout, batch, n, out);
             }
         }
     }
 
     /// Single-sample inference into caller-owned scratch and output —
-    /// the allocation-free form of [`QNet::predict`]. Runs exactly the
-    /// same kernel calls in the same order as `predict_batch` at
-    /// batch 1, so the Q-values are **bit-identical** to both; only the
-    /// buffer ownership differs. After the first call on a given
-    /// network shape, steady-state calls perform zero heap allocations.
+    /// the allocation-free form of [`QNet::predict`]:
+    /// [`QNet::predict_batch_into`] at batch 1.
     pub fn predict_into(&self, x: &[f32], scratch: &mut PredictScratch, out: &mut Vec<f32>) {
+        self.predict_batch_into(x, 1, scratch, out);
+    }
+
+    /// Batched inference-only forward into caller-owned scratch: no
+    /// cache of the network is touched (usable on `&self` from rollout
+    /// workers sharing a snapshot) and none of the backward pass's
+    /// upkeep — input copies, ReLU masks — is done.
+    ///
+    /// The Q-values are bit-identical to [`QNet::forward_batch`]'s: the
+    /// kernels and their order are the same, and the inference ReLU
+    /// differs from the caching one only on a `-0.0` or NaN
+    /// pre-activation (kept here, replaced by `+0.0` there).
+    pub fn predict_batch_into(
+        &self,
+        x: &[f32],
+        batch: usize,
+        scratch: &mut PredictScratch,
+        out: &mut Vec<f32>,
+    ) {
         let n = self.n_actions;
         let (cur, next) = (&mut scratch.cur, &mut scratch.next);
-        cur.clear();
-        cur.extend_from_slice(x);
+        if batch == 1 {
+            cur.clear();
+            cur.extend_from_slice(x);
+            for (lin, _) in &self.trunk {
+                lin.forward_inference_batch(cur, 1, next);
+                Relu::forward_inference(next);
+                std::mem::swap(cur, next);
+            }
+            match &self.head {
+                HeadLayers::Plain(l) => l.forward_inference_batch(cur, 1, out),
+                HeadLayers::Dueling { v, a, .. } => {
+                    v.forward_inference_batch(cur, 1, &mut scratch.vout);
+                    a.forward_inference_batch(cur, 1, &mut scratch.aout);
+                    let mean = scratch.aout.iter().sum::<f32>() / n as f32;
+                    out.clear();
+                    out.extend(scratch.aout.iter().map(|ai| scratch.vout[0] + ai - mean));
+                }
+            }
+            return;
+        }
+        crate::tensor::transpose_into(x, cur, batch, x.len() / batch);
         for (lin, _) in &self.trunk {
-            lin.forward_inference_batch(cur, 1, next);
+            lin.forward_inference_batch_tn(cur, batch, next);
             Relu::forward_inference(next);
             std::mem::swap(cur, next);
         }
         match &self.head {
-            HeadLayers::Plain(l) => l.forward_inference_batch(cur, 1, out),
+            HeadLayers::Plain(l) => {
+                l.forward_inference_batch_tn(cur, batch, next);
+                crate::tensor::transpose_into(next, out, n, batch);
+            }
             HeadLayers::Dueling { v, a, .. } => {
-                v.forward_inference_batch(cur, 1, &mut scratch.vout);
-                a.forward_inference_batch(cur, 1, &mut scratch.aout);
-                let mean = scratch.aout.iter().sum::<f32>() / n as f32;
-                out.clear();
-                out.extend(scratch.aout.iter().map(|ai| scratch.vout[0] + ai - mean));
+                v.forward_inference_batch_tn(cur, batch, &mut scratch.vout);
+                a.forward_inference_batch_tn(cur, batch, &mut scratch.aout);
+                assemble_dueling(&scratch.vout, &scratch.aout, batch, n, out);
             }
         }
     }
 
-    /// Batched inference-only forward (no caches touched; usable on
-    /// `&self` from rollout workers sharing a snapshot).
+    /// [`QNet::predict_batch_into`] with throw-away scratch.
     pub fn predict_batch(&self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
-        let n = self.n_actions;
-        if batch == 1 {
-            let mut scratch = PredictScratch::default();
-            self.predict_into(x, &mut scratch, out);
-            return;
-        }
-        let state_dim = x.len() / batch;
-        let mut cur = Vec::new();
-        crate::tensor::transpose_into(x, &mut cur, batch, state_dim);
-        let mut next = Vec::new();
-        for (lin, _) in &self.trunk {
-            lin.forward_inference_batch_tn(&cur, batch, &mut next);
-            Relu::forward_inference(&mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        match &self.head {
-            HeadLayers::Plain(l) => {
-                l.forward_inference_batch_tn(&cur, batch, &mut next);
-                crate::tensor::transpose_into(&next, out, n, batch);
-            }
-            HeadLayers::Dueling { v, a, .. } => {
-                let mut vout = Vec::new();
-                v.forward_inference_batch_tn(&cur, batch, &mut vout);
-                let mut aout = Vec::new();
-                a.forward_inference_batch_tn(&cur, batch, &mut aout);
-                out.resize(batch * n, 0.0);
-                for b in 0..batch {
-                    let mut sum = 0.0f32;
-                    for ai in 0..n {
-                        sum += aout[ai * batch + b];
-                    }
-                    let mean = sum / n as f32;
-                    for ai in 0..n {
-                        out[b * n + ai] = vout[b] + aout[ai * batch + b] - mean;
-                    }
-                }
-            }
-        }
+        self.predict_batch_into(x, batch, &mut PredictScratch::default(), out);
     }
 
     /// Batched backward pass from a `batch × n_actions` Q-gradient;
@@ -265,33 +291,21 @@ impl QNet {
         assert_eq!(batch, self.cached_batch, "backward batch mismatch");
         assert_eq!(dq.len(), batch * self.n_actions);
         let n = self.n_actions;
-        let hidden_len = self.last_hidden.len();
+        // The head's input gradient lands in `cur`, where the trunk
+        // backward picks it up; `next` is free scratch until then.
+        let (cur, next) = (&mut self.bufs.0, &mut self.bufs.1);
         if batch == 1 {
-            let mut dhidden = vec![0.0f32; hidden_len];
             match &mut self.head {
-                HeadLayers::Plain(l) => {
-                    let mut dx = Vec::new();
-                    l.backward_batch(dq, 1, &mut dx);
-                    dhidden.copy_from_slice(&dx);
-                }
+                HeadLayers::Plain(l) => l.backward_batch(dq, 1, cur),
                 HeadLayers::Dueling { v, a, scratch } => {
                     let sum: f32 = dq.iter().sum();
                     scratch.da.clear();
                     scratch.da.extend(dq.iter().map(|d| d - sum / n as f32));
                     v.backward_batch(&[sum], 1, &mut scratch.dx_v);
                     a.backward_batch(&scratch.da, 1, &mut scratch.dx_a);
-                    for ((g, xv), xa) in dhidden
-                        .iter_mut()
-                        .zip(scratch.dx_v.iter())
-                        .zip(scratch.dx_a.iter())
-                    {
-                        *g = xv + xa;
-                    }
+                    scratch.sum_dx_into(cur);
                 }
             }
-            let (cur, next) = (&mut self.bufs.0, &mut self.bufs.1);
-            cur.clear();
-            cur.extend_from_slice(&dhidden);
             for (i, (lin, relu)) in self.trunk.iter_mut().enumerate().rev() {
                 relu.backward(cur);
                 if i == 0 {
@@ -305,14 +319,11 @@ impl QNet {
         }
         // Batch-minor path: head gradients are assembled directly in
         // `rows × batch` layout, the trunk backward stays in it.
-        let mut dhidden = vec![0.0f32; hidden_len];
         match &mut self.head {
             HeadLayers::Plain(l) => {
                 // Q_a = head output directly: dqt = dqᵀ.
-                crate::tensor::transpose_into(dq, &mut self.bufs.1, batch, n);
-                let mut dx = Vec::new();
-                l.backward_batch_tn(&self.bufs.1, batch, &mut dx);
-                dhidden.copy_from_slice(&dx);
+                crate::tensor::transpose_into(dq, next, batch, n);
+                l.backward_batch_tn(next, batch, cur);
             }
             HeadLayers::Dueling { v, a, scratch } => {
                 // Q_a = V + A_a − mean(A):
@@ -331,18 +342,9 @@ impl QNet {
                 }
                 v.backward_batch_tn(&scratch.vout, batch, &mut scratch.dx_v);
                 a.backward_batch_tn(&scratch.da, batch, &mut scratch.dx_a);
-                for ((g, xv), xa) in dhidden
-                    .iter_mut()
-                    .zip(scratch.dx_v.iter())
-                    .zip(scratch.dx_a.iter())
-                {
-                    *g = xv + xa;
-                }
+                scratch.sum_dx_into(cur);
             }
         }
-        let (cur, next) = (&mut self.bufs.0, &mut self.bufs.1);
-        cur.clear();
-        cur.extend_from_slice(&dhidden);
         for (i, (lin, relu)) in self.trunk.iter_mut().enumerate().rev() {
             relu.backward(cur);
             if i == 0 {
@@ -402,46 +404,27 @@ impl QNet {
 
     /// Zero all accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for (lin, _) in &mut self.trunk {
-            lin.zero_grad();
-        }
-        match &mut self.head {
-            HeadLayers::Plain(l) => l.zero_grad(),
-            HeadLayers::Dueling { v, a, .. } => {
-                v.zero_grad();
-                a.zero_grad();
-            }
+        for l in self.layers_mut() {
+            l.zero_grad();
         }
     }
 
-    fn layers(&self) -> Vec<&Linear> {
-        let mut out: Vec<&Linear> = self.trunk.iter().map(|(l, _)| l).collect();
-        match &self.head {
-            HeadLayers::Plain(l) => out.push(l),
-            HeadLayers::Dueling { v, a, .. } => {
-                out.push(v);
-                out.push(a);
-            }
-        }
-        out
+    /// Every linear layer, in canonical order: trunk, then the head.
+    fn layers(&self) -> impl Iterator<Item = &Linear> {
+        self.trunk.iter().map(|(l, _)| l).chain(self.head.linears())
     }
 
-    fn layers_mut(&mut self) -> Vec<&mut Linear> {
-        let mut out: Vec<&mut Linear> = self.trunk.iter_mut().map(|(l, _)| l).collect();
-        match &mut self.head {
-            HeadLayers::Plain(l) => out.push(l),
-            HeadLayers::Dueling { v, a, .. } => {
-                out.push(v);
-                out.push(a);
-            }
-        }
-        out
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut Linear> {
+        self.trunk
+            .iter_mut()
+            .map(|(l, _)| l)
+            .chain(self.head.linears_mut())
     }
 
     /// Total number of trainable parameters.
     #[must_use]
     pub fn num_params(&self) -> usize {
-        self.layers().iter().map(|l| l.num_params()).sum()
+        self.layers().map(Linear::num_params).sum()
     }
 
     /// Flatten all parameters into `out` (canonical layer order).
@@ -497,12 +480,27 @@ impl QNet {
         }
     }
 
+    /// One optimiser step over the accumulated gradients: a single
+    /// sweep that updates every parameter in place and leaves the
+    /// gradients cleared (see [`Adam::step`]).
+    pub fn adam_step(&mut self, adam: &mut Adam) {
+        adam.step(
+            self.layers_mut()
+                .flat_map(|l| [(&mut l.w[..], &mut l.gw[..]), (&mut l.b[..], &mut l.gb[..])]),
+        );
+    }
+
     /// Copy weights from another, identically-shaped network (the target
     /// sync of double DQN).
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
     pub fn copy_weights_from(&mut self, other: &QNet) {
-        let mut buf = Vec::new();
-        other.write_params(&mut buf);
-        self.read_params(&buf);
+        assert_eq!(self.num_params(), other.num_params(), "shape mismatch");
+        for (dst, src) in self.layers_mut().zip(other.layers()) {
+            dst.w.copy_from_slice(&src.w);
+            dst.b.copy_from_slice(&src.b);
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! double-DQN target maximises only over valid actions.
 //!
 //! Sampling comes in two forms: [`ReplayBuffer::sample`] returns
-//! transition references (the legacy per-sample path), while
+//! transition references, while
 //! [`ReplayBuffer::sample_into`] fills a pre-allocated [`MiniBatch`] —
 //! contiguous `B × state_dim` state/next-state matrices ready for the
 //! batched network kernels, with no per-step allocation. Both draw

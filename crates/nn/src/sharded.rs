@@ -121,48 +121,43 @@ impl ShardedReplay {
         self.shards[shard].push(t);
     }
 
-    /// Pick `(shard, slot)` pairs for `n` samples: the schedule cursor
+    /// Pick the `(shard, slot)` of the next sample: the schedule cursor
     /// walks the non-empty shards round-robin (deterministic), the RNG
     /// draws the slot within the chosen shard (uniform with
     /// replacement).
-    fn pick(&mut self, n: usize, rng: &mut SmallRng) -> Vec<(usize, usize)> {
+    fn pick(&mut self, rng: &mut SmallRng) -> (usize, usize) {
         assert!(!self.is_empty(), "cannot sample an empty buffer");
         let s = self.shards.len();
-        let mut picks = Vec::with_capacity(n);
-        for _ in 0..n {
-            // At least one shard is non-empty, so this terminates.
-            while self.shards[self.cursor % s].is_empty() {
-                self.cursor = (self.cursor + 1) % s;
-            }
-            let shard = self.cursor % s;
+        // At least one shard is non-empty, so this terminates.
+        while self.shards[self.cursor % s].is_empty() {
             self.cursor = (self.cursor + 1) % s;
-            picks.push((shard, self.shards[shard].sample_slot(rng)));
         }
-        picks
+        let shard = self.cursor % s;
+        self.cursor = (self.cursor + 1) % s;
+        (shard, self.shards[shard].sample_slot(rng))
     }
 
     /// Sample `n` transitions into `batch`'s contiguous matrices
-    /// (stratified across shards; see the module docs).
+    /// (stratified across shards; see the module docs). Allocates only
+    /// to grow `batch`.
     ///
     /// # Panics
     /// Panics if the replay is empty or stored states disagree in width.
     pub fn sample_into(&mut self, n: usize, rng: &mut SmallRng, batch: &mut MiniBatch) {
-        let picks = self.pick(n, rng);
-        let dim = self.shards[picks[0].0]
-            .get(picks[0].1)
-            .expect("picked slot exists")
-            .state
-            .len();
         batch.len = n;
-        batch.state_dim = dim;
-        batch.states.resize(n * dim, 0.0);
-        batch.next_states.resize(n * dim, 0.0);
         batch.actions.resize(n, 0);
         batch.rewards.resize(n, 0.0);
         batch.dones.resize(n, false);
         batch.next_masks.resize(n, 0);
-        for (i, (shard, slot)) in picks.into_iter().enumerate() {
+        for i in 0..n {
+            let (shard, slot) = self.pick(rng);
             let t = self.shards[shard].get(slot).expect("picked slot exists");
+            if i == 0 {
+                batch.state_dim = t.state.len();
+                batch.states.resize(n * batch.state_dim, 0.0);
+                batch.next_states.resize(n * batch.state_dim, 0.0);
+            }
+            let dim = batch.state_dim;
             assert_eq!(t.state.len(), dim, "inconsistent state width");
             batch.states[i * dim..(i + 1) * dim].copy_from_slice(&t.state);
             batch.next_states[i * dim..(i + 1) * dim].copy_from_slice(&t.next_state);
@@ -174,14 +169,13 @@ impl ShardedReplay {
     }
 
     /// Sample `n` transition references through the same schedule and
-    /// RNG consumption as [`ShardedReplay::sample_into`] (the per-sample
-    /// learning path; both draw the identical minibatch for an identical
-    /// RNG state).
+    /// RNG consumption as [`ShardedReplay::sample_into`]: both draw the
+    /// identical minibatch for an identical RNG state.
     ///
     /// # Panics
     /// Panics if the replay is empty.
     pub fn sample(&mut self, n: usize, rng: &mut SmallRng) -> Vec<&Transition> {
-        let picks = self.pick(n, rng);
+        let picks: Vec<_> = (0..n).map(|_| self.pick(rng)).collect();
         picks
             .into_iter()
             .map(|(shard, slot)| self.shards[shard].get(slot).expect("picked slot exists"))
@@ -235,8 +229,7 @@ mod tests {
             sharded.push_to(2, t(100.0 + i as f32));
         }
         let mut rng = SmallRng::seed_from_u64(3);
-        let picks = sharded.pick(8, &mut rng);
-        let shards: Vec<usize> = picks.iter().map(|&(s, _)| s).collect();
+        let shards: Vec<usize> = (0..8).map(|_| sharded.pick(&mut rng).0).collect();
         // Round-robin over the two non-empty shards: perfectly balanced.
         assert_eq!(shards.iter().filter(|&&s| s == 0).count(), 4);
         assert_eq!(shards.iter().filter(|&&s| s == 2).count(), 4);

@@ -5,17 +5,29 @@
 //! ([`matvec`], [`matvec_transpose`], [`outer_accumulate`]) compute one
 //! serial dot product per output — a reduction strict FP cannot
 //! SIMD-vectorize. The batched kernels ([`matmul_bias_tn`],
-//! [`matmul_dx_tn`], [`matmul_dw_accumulate`]) instead run their inner
-//! loops over **independent batch lanes** in batch-minor layout (see
-//! [`transpose_into`]) with the reduction blocked four-wide, so they
-//! vectorize fully and stream each weight matrix once per minibatch
-//! instead of once per sample — the source of the batched learning
-//! step's speedup.
+//! [`matmul_dx_tn`], [`matmul_dw_accumulate`]) are three views of one
+//! register-tiled routine (`accumulate_tiled`): a tile of a few output
+//! rows × a block of **independent lanes** (batch lanes in batch-minor
+//! layout, see [`transpose_into`]; weight columns for the weight
+//! gradient) keeps its sums in registers over the whole reduction and
+//! shares every operand load among its rows.
 //!
-//! Per output element the batched kernels accumulate in the same term
-//! order as the per-sample kernels (modulo the four-wide grouping), so
-//! batched and per-sample paths agree within float accumulation error
-//! (~1e-6 relative); the equivalence tests pin this down.
+//! # Operation order
+//!
+//! The batched kernels are safe Rust without `std::arch`, and a lane
+//! never reads another lane's sum. Each output element therefore goes
+//! through one fixed sequence of IEEE operations, whatever tile it
+//! falls in and whatever vector width the compiler picks: from its
+//! starting value (the bias, `+0.0`, or the gradient accumulated so
+//! far), the products are added in ascending reduction index, four at
+//! a time as `acc += ((a0·x0 + a1·x1) + a2·x2) + a3·x3`, then the
+//! leftover `len % 4` one at a time as `acc += a·x`; never a fused
+//! multiply-add. Trained weights are thus bit-identical on every host
+//! and target-feature set (`tests/kernel_contract.rs` holds the
+//! kernels to a scalar spelling of this sequence). The per-sample
+//! kernels share the term order but not the four-wide grouping, so
+//! they agree with the batched ones within float accumulation error
+//! (~1e-6 relative), not bit for bit.
 
 /// `y = W·x + b` where `W` is `rows × cols` row-major.
 ///
@@ -76,25 +88,275 @@ pub fn outer_accumulate(gw: &mut [f32], dy: &[f32], x: &[f32], rows: usize, cols
     }
 }
 
+/// Source rows `r0..r0 + N` of [`transpose_into`]: `N` contiguous
+/// entries of every `dst` row.
+#[inline(always)]
+fn transpose_strip<const N: usize>(
+    src: &[f32],
+    dst: &mut [f32],
+    rows: usize,
+    cols: usize,
+    r0: usize,
+) {
+    let strip: [&[f32]; N] = std::array::from_fn(|i| &src[(r0 + i) * cols..][..cols]);
+    for c in 0..cols {
+        let d = &mut dst[c * rows + r0..][..N];
+        for (d, s) in d.iter_mut().zip(strip) {
+            *d = s[c];
+        }
+    }
+}
+
 /// Transpose a `rows × cols` row-major matrix into `dst` (resized to
 /// `cols × rows`).
 ///
-/// The batched layer kernels run their innermost loops over **batch
-/// lanes**: each lane is an independent sum, so the loop vectorizes
-/// without reassociating any per-element accumulation (a strict-FP f32
-/// dot product cannot be SIMD-reduced, but `B` independent dot products
-/// advancing in lockstep can). That requires batch-minor layout, hence
-/// these cheap `O(rows·cols)` transposes around the `O(rows·cols·B)`
-/// kernels.
+/// The batched kernels want their independent sums contiguous — batch
+/// lanes for the forward and input-gradient passes, weight columns for
+/// the weight gradient — hence these cheap `O(rows·cols)` transposes
+/// around the `O(rows·cols·B)` kernels. The copy goes in strips of 16
+/// source rows, one full cache line of every `dst` row at a time;
+/// writing `dst` a single element per row instead costs ten times as
+/// much when `rows` is a power of two, because those writes all land in
+/// the same few cache sets.
 #[inline]
 pub fn transpose_into(src: &[f32], dst: &mut Vec<f32>, rows: usize, cols: usize) {
+    const STRIP: usize = 16;
     debug_assert_eq!(src.len(), rows * cols);
     dst.clear();
     dst.resize(rows * cols, 0.0);
-    for r in 0..rows {
-        for c in 0..cols {
-            dst[c * rows + r] = src[r * cols + c];
+    let mut r0 = 0;
+    while r0 + STRIP <= rows {
+        transpose_strip::<STRIP>(src, dst, rows, cols, r0);
+        r0 += STRIP;
+    }
+    while r0 < rows {
+        transpose_strip::<1>(src, dst, rows, cols, r0);
+        r0 += 1;
+    }
+}
+
+/// Output rows per register tile of the batched kernels.
+const TILE_ROWS: usize = 4;
+/// Lanes per tile of the forward and input-gradient kernels: 4 × 16
+/// accumulators are eight 256-bit registers, which leaves room for the
+/// shared `x` loads in AVX2's sixteen.
+const TILE_LANES: usize = 16;
+/// Lanes per tile of the weight-gradient kernel. Its reduction is only
+/// `batch` long and every row tests its coefficients for zero, so a
+/// wider tile amortises more; its sixteen 256-bit accumulators want the
+/// 32 registers of AVX-512VL and spill (correctly) without them.
+const DW_TILE_LANES: usize = 32;
+/// Lanes per tile when the whole width is narrower than the kernel's tile.
+const EDGE_LANES: usize = 4;
+
+/// The `N` entries of `row` that start at `at`, as an array.
+#[inline(always)]
+fn window<const N: usize>(row: &[f32], at: usize) -> &[f32; N] {
+    row[at..at + N]
+        .try_into()
+        .expect("slice has the window's width")
+}
+
+/// The four equal consecutive parts of `s`.
+#[inline(always)]
+fn quarters(s: &[f32]) -> [&[f32]; 4] {
+    let n = s.len() / 4;
+    std::array::from_fn(|j| &s[j * n..(j + 1) * n])
+}
+
+/// `true` when every coefficient is `±0.0`.
+#[inline(always)]
+fn all_zero(a: &[f32]) -> bool {
+    a.iter().fold(0, |bits, v| bits | v.to_bits()) << 1 == 0
+}
+
+/// Where the coefficients `a(i, k)` of [`accumulate_tiled`] live.
+trait Coefs: Copy {
+    /// Length of the reduction.
+    fn depth(self) -> usize;
+
+    /// Accessors for output rows `i0..i0 + R`: `quad(i, q)` is
+    /// `a(i0 + i, 4q..4q + 4)` and `at(i, k)` is `a(i0 + i, k)`.
+    fn rows<const R: usize>(
+        self,
+        i0: usize,
+    ) -> (
+        impl Fn(usize, usize) -> [f32; 4],
+        impl Fn(usize, usize) -> f32,
+    );
+}
+
+/// `a(i, k) = a[i · depth + k]`: a matrix read along its rows.
+#[derive(Clone, Copy)]
+struct RowMajor<'a> {
+    a: &'a [f32],
+    depth: usize,
+}
+
+impl Coefs for RowMajor<'_> {
+    #[inline(always)]
+    fn depth(self) -> usize {
+        self.depth
+    }
+
+    #[inline(always)]
+    fn rows<const R: usize>(
+        self,
+        i0: usize,
+    ) -> (
+        impl Fn(usize, usize) -> [f32; 4],
+        impl Fn(usize, usize) -> f32,
+    ) {
+        let rows: [&[f32]; R] =
+            std::array::from_fn(|i| &self.a[(i0 + i) * self.depth..][..self.depth]);
+        (move |i, q| *window(rows[i], 4 * q), move |i, k| rows[i][k])
+    }
+}
+
+/// `a(i, k) = a[k · rows + i]`: a matrix read down its columns.
+#[derive(Clone, Copy)]
+struct ColMajor<'a> {
+    a: &'a [f32],
+    rows: usize,
+}
+
+impl Coefs for ColMajor<'_> {
+    #[inline(always)]
+    fn depth(self) -> usize {
+        self.a.len() / self.rows
+    }
+
+    #[inline(always)]
+    fn rows<const R: usize>(
+        self,
+        i0: usize,
+    ) -> (
+        impl Fn(usize, usize) -> [f32; 4],
+        impl Fn(usize, usize) -> f32,
+    ) {
+        let (a, rows) = (self.a, self.rows);
+        (
+            move |i, q| quarters(&a[4 * q * rows..][..4 * rows]).map(|ak| window::<R>(ak, i0)[i]),
+            move |i, k| window::<R>(&a[k * rows..][..rows], i0)[i],
+        )
+    }
+}
+
+/// One `R × L` register tile of [`accumulate_tiled`]: output rows
+/// `i0..i0 + R`, lanes `l0..l0 + L`, of which the first `skip` are not
+/// stored. The accumulators stay in registers from the first term to
+/// the last and every `x` load is shared by the tile's `R` rows.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn accumulate_tile<C: Coefs, const R: usize, const L: usize, const SKIP_ZERO: bool>(
+    out: &mut [f32],
+    coefs: C,
+    x: &[f32],
+    width: usize,
+    i0: usize,
+    l0: usize,
+    skip: usize,
+) {
+    let (quad, at) = coefs.rows::<R>(i0);
+    let mut acc: [[f32; L]; R] =
+        std::array::from_fn(|i| *window::<L>(&out[(i0 + i) * width..], l0));
+    let quads = coefs.depth() / 4;
+    let (x_quads, x_tail) = x.split_at(quads * 4 * width);
+    for (q, x4) in x_quads.chunks_exact(4 * width).enumerate() {
+        let [x0, x1, x2, x3] = quarters(x4).map(|xk| window::<L>(xk, l0));
+        for i in 0..R {
+            let a = quad(i, q);
+            if SKIP_ZERO && all_zero(&a) {
+                continue;
+            }
+            let [a0, a1, a2, a3] = a;
+            for l in 0..L {
+                acc[i][l] += a0 * x0[l] + a1 * x1[l] + a2 * x2[l] + a3 * x3[l];
+            }
         }
+    }
+    for (k, xk) in (4 * quads..).zip(x_tail.chunks_exact(width)) {
+        let xk = window::<L>(xk, l0);
+        for i in 0..R {
+            let a = at(i, k);
+            if SKIP_ZERO && all_zero(&[a]) {
+                continue;
+            }
+            for l in 0..L {
+                acc[i][l] += a * xk[l];
+            }
+        }
+    }
+    for i in 0..R {
+        let row = &mut out[(i0 + i) * width + l0..][..L];
+        if skip == 0 {
+            row.copy_from_slice(&acc[i]);
+        } else {
+            // Through a copy: slicing `acc` at a runtime index would
+            // force the accumulators out of registers.
+            let lanes = acc[i];
+            row[skip..].copy_from_slice(&lanes[skip..]);
+        }
+    }
+}
+
+/// [`accumulate_tiled`] at `L` lanes per tile, for `width >= L`.
+#[inline(always)]
+fn accumulate_blocks<C: Coefs, const L: usize, const SKIP_ZERO: bool>(
+    out: &mut [f32],
+    out_rows: usize,
+    coefs: C,
+    x: &[f32],
+    width: usize,
+) {
+    let mut done = 0;
+    while done < width {
+        // The last block of a ragged width slides back over lanes that
+        // are already final: the tile recomputes them from their stored
+        // sums, which is wasted but harmless, and stores only the rest.
+        let l0 = done.min(width - L);
+        let skip = done - l0;
+        let mut i0 = 0;
+        while i0 + TILE_ROWS <= out_rows {
+            accumulate_tile::<C, TILE_ROWS, L, SKIP_ZERO>(out, coefs, x, width, i0, l0, skip);
+            i0 += TILE_ROWS;
+        }
+        while i0 < out_rows {
+            accumulate_tile::<C, 1, L, SKIP_ZERO>(out, coefs, x, width, i0, l0, skip);
+            i0 += 1;
+        }
+        done = l0 + L;
+    }
+}
+
+/// The register-tiled core of the three batched kernels:
+///
+/// `out[i][l] += Σ_k a(i, k) · x[k][l]`
+///
+/// for `out` of `out_rows × width` and `x` of `depth × width`, both
+/// row-major, so the lanes `l` of one output row are independent sums,
+/// each taken in the module's operation order. With `SKIP_ZERO`, a
+/// group of four (or a leftover term) whose coefficients are all `±0.0`
+/// is skipped, not added.
+///
+/// The body is [`TILE_ROWS`]` × LANES` tiles. Leftover rows run through
+/// the same tile one row at a time, a ragged last lane block through the
+/// same tile slid back to end at `width`, and a `width` below `LANES`
+/// through the same tile at [`EDGE_LANES`] lanes or one.
+fn accumulate_tiled<C: Coefs, const LANES: usize, const SKIP_ZERO: bool>(
+    out: &mut [f32],
+    out_rows: usize,
+    coefs: C,
+    x: &[f32],
+    width: usize,
+) {
+    assert_eq!(out.len(), out_rows * width);
+    if width >= LANES {
+        accumulate_blocks::<C, LANES, SKIP_ZERO>(out, out_rows, coefs, x, width);
+    } else if width >= EDGE_LANES {
+        accumulate_blocks::<C, EDGE_LANES, SKIP_ZERO>(out, out_rows, coefs, x, width);
+    } else {
+        accumulate_blocks::<C, 1, SKIP_ZERO>(out, out_rows, coefs, x, width);
     }
 }
 
@@ -102,11 +364,8 @@ pub fn transpose_into(src: &[f32], dst: &mut Vec<f32>, rows: usize, cols: usize)
 /// (transposed input), `yt` becomes `rows × batch`, `W` is
 /// `rows × cols` row-major.
 ///
-/// Per output element the terms accumulate in `k = 0, 1, …` order with
-/// the bias first, grouped four-wide — so per-sample and batched calls
-/// share the same term order but associate sums differently, agreeing
-/// within float accumulation error (~1e-6 relative) rather than
-/// bit-for-bit.
+/// Per output element: the bias first, then the `cols` products in the
+/// module's [operation order](self#operation-order).
 #[inline]
 pub fn matmul_bias_tn(
     w: &[f32],
@@ -122,40 +381,18 @@ pub fn matmul_bias_tn(
     debug_assert_eq!(xt.len(), batch * cols);
     yt.clear();
     yt.resize(batch * rows, 0.0);
-    for r in 0..rows {
-        let row = &w[r * cols..(r + 1) * cols];
-        let yr = &mut yt[r * batch..(r + 1) * batch];
-        yr.fill(b[r]);
-        // Block the reduction four-wide: one sweep of the output lanes
-        // per four inputs quarters the L1 load/store traffic. Lanes stay
-        // independent, so the loop still vectorizes across the batch.
-        let mut k = 0;
-        while k + 4 <= cols {
-            let (w0, w1, w2, w3) = (row[k], row[k + 1], row[k + 2], row[k + 3]);
-            let (x01, x23) = xt[k * batch..(k + 4) * batch].split_at(2 * batch);
-            let (x0, x1) = x01.split_at(batch);
-            let (x2, x3) = x23.split_at(batch);
-            for ((((y, &a0), &a1), &a2), &a3) in yr.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
-                *y += w0 * a0 + w1 * a1 + w2 * a2 + w3 * a3;
-            }
-            k += 4;
-        }
-        while k < cols {
-            let wk = row[k];
-            let xk = &xt[k * batch..(k + 1) * batch];
-            for (y, &xv) in yr.iter_mut().zip(xk.iter()) {
-                *y += wk * xv;
-            }
-            k += 1;
-        }
+    for (r, &br) in b.iter().enumerate() {
+        yt[r * batch..(r + 1) * batch].fill(br);
     }
+    let w = RowMajor { a: w, depth: cols };
+    accumulate_tiled::<_, TILE_LANES, false>(yt, rows, w, xt, batch);
 }
 
 /// Batched input gradient in batch-minor layout: `dyt` is
 /// `rows × batch`, `dxt` becomes `cols × batch`.
 ///
-/// Accumulates over `r = 0, 1, …` for every lane — the same term order
-/// as [`matvec_transpose`] — while streaming `W` once per minibatch.
+/// Per output element: `+0.0` first, then the `rows` products in the
+/// module's [operation order](self#operation-order).
 #[inline]
 pub fn matmul_dx_tn(
     w: &[f32],
@@ -169,50 +406,19 @@ pub fn matmul_dx_tn(
     debug_assert_eq!(dyt.len(), batch * rows);
     dxt.clear();
     dxt.resize(batch * cols, 0.0);
-    // Block the reduction (rows) four-wide: one sweep of the input-grad
-    // lanes per four output rows.
-    let mut r = 0;
-    while r + 4 <= rows {
-        let (row0, row1, row2, row3) = (
-            &w[r * cols..(r + 1) * cols],
-            &w[(r + 1) * cols..(r + 2) * cols],
-            &w[(r + 2) * cols..(r + 3) * cols],
-            &w[(r + 3) * cols..(r + 4) * cols],
-        );
-        let (d0, d1, d2, d3) = (
-            &dyt[r * batch..(r + 1) * batch],
-            &dyt[(r + 1) * batch..(r + 2) * batch],
-            &dyt[(r + 2) * batch..(r + 3) * batch],
-            &dyt[(r + 3) * batch..(r + 4) * batch],
-        );
-        for k in 0..cols {
-            let dst = &mut dxt[k * batch..(k + 1) * batch];
-            let (w0, w1, w2, w3) = (row0[k], row1[k], row2[k], row3[k]);
-            for ((((g, &a0), &a1), &a2), &a3) in dst.iter_mut().zip(d0).zip(d1).zip(d2).zip(d3) {
-                *g += w0 * a0 + w1 * a1 + w2 * a2 + w3 * a3;
-            }
-        }
-        r += 4;
-    }
-    while r < rows {
-        let row = &w[r * cols..(r + 1) * cols];
-        let dr = &dyt[r * batch..(r + 1) * batch];
-        for (k, &wk) in row.iter().enumerate() {
-            let dst = &mut dxt[k * batch..(k + 1) * batch];
-            for (g, &dv) in dst.iter_mut().zip(dr.iter()) {
-                *g += wk * dv;
-            }
-        }
-        r += 1;
-    }
+    let w = ColMajor { a: w, rows: cols };
+    accumulate_tiled::<_, TILE_LANES, false>(dxt, cols, w, dyt, batch);
 }
 
 /// Batched weight-gradient update `GW += dYᵀ·X`, `Gb += Σ_b dY_b`:
 /// `dy` is `batch × rows`, `x` is `batch × cols`.
 ///
-/// The batch reduction is blocked four-wide (one sweep of each weight
-/// row per four samples), quartering the `GW` read/write traffic; the
-/// sweep itself vectorizes over the columns.
+/// Per `GW` element: the `batch` products in the module's
+/// [operation order](self#operation-order), except that a group of
+/// four (or a leftover product) whose `dy` are all `±0.0` is skipped —
+/// a ReLU-gated unit contributes nothing, not even `+0.0`.
+/// Per `Gb` element: `gb += ((d0 + d1) + d2) + d3` per group of four
+/// samples, then the leftover samples one at a time.
 #[inline]
 pub fn matmul_dw_accumulate(
     gw: &mut [f32],
@@ -227,41 +433,19 @@ pub fn matmul_dw_accumulate(
     debug_assert_eq!(gb.len(), rows);
     debug_assert_eq!(dy.len(), batch * rows);
     debug_assert_eq!(x.len(), batch * cols);
-    for r in 0..rows {
-        let row = &mut gw[r * cols..(r + 1) * cols];
-        let mut bias_acc = gb[r];
-        let mut bi = 0;
-        while bi + 4 <= batch {
-            let (d0, d1, d2, d3) = (
-                dy[bi * rows + r],
-                dy[(bi + 1) * rows + r],
-                dy[(bi + 2) * rows + r],
-                dy[(bi + 3) * rows + r],
-            );
-            bias_acc += d0 + d1 + d2 + d3;
-            if d0 != 0.0 || d1 != 0.0 || d2 != 0.0 || d3 != 0.0 {
-                let (x01, x23) = x[bi * cols..(bi + 4) * cols].split_at(2 * cols);
-                let (x0, x1) = x01.split_at(cols);
-                let (x2, x3) = x23.split_at(cols);
-                for ((((g, &a0), &a1), &a2), &a3) in row.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3)
-                {
-                    *g += d0 * a0 + d1 * a1 + d2 * a2 + d3 * a3;
-                }
-            }
-            bi += 4;
+    accumulate_tiled::<_, DW_TILE_LANES, true>(gw, rows, ColMajor { a: dy, rows }, x, cols);
+    let quads = dy.chunks_exact(4 * rows);
+    let tail = quads.remainder();
+    for d4 in quads {
+        let [d0, d1, d2, d3] = quarters(d4);
+        for ((((g, d0), d1), d2), d3) in gb.iter_mut().zip(d0).zip(d1).zip(d2).zip(d3) {
+            *g += d0 + d1 + d2 + d3;
         }
-        while bi < batch {
-            let d = dy[bi * rows + r];
-            bias_acc += d;
-            if d != 0.0 {
-                let xb = &x[bi * cols..(bi + 1) * cols];
-                for (g, xi) in row.iter_mut().zip(xb.iter()) {
-                    *g += d * xi;
-                }
-            }
-            bi += 1;
+    }
+    for d in tail.chunks_exact(rows) {
+        for (g, d) in gb.iter_mut().zip(d) {
+            *g += d;
         }
-        gb[r] = bias_acc;
     }
 }
 
@@ -442,6 +626,26 @@ mod tests {
         let mut back = Vec::new();
         transpose_into(&t, &mut back, 5, 3);
         assert_eq!(back, src);
+    }
+
+    #[test]
+    fn transpose_equals_the_naive_one_on_ragged_shapes() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        // Below, at and past one strip; the power-of-two case that used
+        // to be ten times slower.
+        for (rows, cols) in [(1, 9), (9, 1), (7, 13), (16, 3), (35, 18), (512, 32)] {
+            let src = randn(rows * cols, &mut rng);
+            let mut naive = vec![0.0f32; rows * cols];
+            for r in 0..rows {
+                for c in 0..cols {
+                    naive[c * rows + r] = src[r * cols + c];
+                }
+            }
+            // A dirty, differently-sized destination must not leak through.
+            let mut t = vec![7.0f32; 5];
+            transpose_into(&src, &mut t, rows, cols);
+            assert_eq!(t, naive, "{rows}×{cols}");
+        }
     }
 
     #[test]

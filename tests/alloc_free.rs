@@ -1,4 +1,5 @@
-//! Steady-state allocation audit of the deployed decision hot path.
+//! Steady-state allocation audit of the deployed decision hot path and
+//! of the learning step.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after
 //! one warm-up pass (which is allowed to size scratch buffers), the
@@ -10,7 +11,10 @@
 //!   full per-decision path the cluster simulator and serve loop
 //!   drive;
 //! * `DqnAgent::select_action` at ε = 0 and ε = 1 — the training-side
-//!   hot loop after its `ActionScratch` warm-up.
+//!   hot loop after its `ActionScratch` warm-up;
+//! * `DqnAgent::learn` at the paper's geometry — sampling, both
+//!   bootstrap forwards, forward/backward, the Adam sweep and the
+//!   target sync.
 //!
 //! The counter is **thread-local**: only allocations performed by the
 //! audited code path itself are counted, so background harness
@@ -23,6 +27,7 @@ use std::cell::Cell;
 use hrp::core::cluster_env::{NodeLoad, PolicySelector};
 use hrp::core::NodeSelector;
 use hrp::nn::net::{Head, QNet};
+use hrp::nn::replay::Transition;
 use hrp::nn::{DqnAgent, DqnConfig, FastPolicy, Kernel};
 
 thread_local! {
@@ -150,5 +155,50 @@ fn steady_state_decision_paths_do_not_allocate() {
             }
         });
         assert_eq!(n, 0, "DqnAgent::select_action(ε={epsilon}) allocated {n}x");
+    }
+}
+
+#[test]
+fn steady_state_learning_step_does_not_allocate() {
+    // The paper's hierarchical geometry: 215 → 512/256/128 → 1 + 17,
+    // batch 32. The target sync is brought inside the audited region.
+    for (head, shards) in [(Head::Dueling, 1), (Head::Plain, 4)] {
+        let mut cfg = DqnConfig::paper(215, 17);
+        cfg.head = head;
+        cfg.shards = shards;
+        cfg.target_sync_every = 10;
+        cfg.buffer_capacity = 256;
+        let mut agent = DqnAgent::new(cfg);
+        for i in 0..96usize {
+            let state = |salt: usize| -> Vec<f32> {
+                (0..215)
+                    .map(|j| ((i * 31 + j * 7 + salt) % 23) as f32 * 0.04 - 0.4)
+                    .collect()
+            };
+            agent.remember(Transition {
+                state: state(0),
+                action: i % 17,
+                reward: (i % 5) as f32 * 0.25 - 0.5,
+                next_state: state(11),
+                done: i % 7 == 0,
+                next_mask: (1 << 17) - 1 - (i % 3) as u64,
+            });
+        }
+        // The first steps size every scratch buffer (the ping-pong
+        // pairs trade places, so each side must have seen the widest
+        // layer once).
+        for _ in 0..3 {
+            agent.learn().expect("buffer holds a batch");
+        }
+        let n = count_allocs(|| {
+            for _ in 0..50 {
+                std::hint::black_box(agent.learn());
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "DqnAgent::learn ({head:?}, {shards} shards) allocated {n}x"
+        );
+        assert_eq!(agent.learn_steps(), 53);
     }
 }
