@@ -5,7 +5,7 @@
 //!       [--env flat|hierarchical] [--nodes N]
 //!       [--selector round-robin|least-loaded|policy|fcfs|easy|conservative]
 //!       [--trace uniform|bursty|skewed|heavy-tail|colocate|staggered]
-//!       [--walltime-err F] [--reps N]
+//!       [--walltime-err F]
 //!       [--source trace|poisson|bursty] [--rate F] [--duration F]
 //!       [--users N] [--user-skew F] [--quota N] [--slo F]
 //!       [--checkpoint PATH] [--restore PATH]
@@ -27,15 +27,12 @@
 //!   oracle    oracle-greedy reference throughput
 //!   cluster   multi-node placement comparison (§VI) vs the
 //!             single-node baseline
-//!   serve     online scheduler service (hrp-serve): streams arrivals
-//!             through incremental decision cycles; the default bench
-//!             mode writes BENCH_8.json, while --source/--checkpoint/
-//!             --restore run one live service with kill/resume
-//!   bench-infer  deployed-inference latency: the hrp-nn fast path
-//!             (scalar and SIMD kernels) vs the allocating predict
-//!             reference, equivalence-checked; writes BENCH_10.json
+//!   serve     online scheduler service (hrp-serve): one live run that
+//!             streams a replayed trace or a load generator through
+//!             incremental decision cycles, with kill/resume through
+//!             --checkpoint / --restore
 //!   ablate-reward | ablate-agent | ablate-interference
-//!   all       everything above except serve and bench-infer
+//!   all       everything above except serve
 //!             (fig8/11/12 share one training run)
 //! ```
 //!
@@ -66,53 +63,35 @@
 //! multi-node path reproduces
 //! the single-node simulator bit-for-bit, and the merged timeline —
 //! and the trained policy — are identical for any `--threads` value.
-//! `--reps N` overrides the repetition count of the `serve` and
-//! `bench-infer` harnesses (default: 3 with `--quick`, 5 otherwise).
 //!
 //! The `serve` command runs the online scheduler service
-//! (`hrp-serve`). With the default `--source trace` and no checkpoint
-//! flags it benches the service — every trace kind × {incremental,
-//! full} cycle mode, digest-checked against the batch oracle — and
-//! writes `BENCH_8.json`. Any of `--source poisson|bursty` (an
-//! open-loop load generator offering `--rate` jobs per simulated
-//! second until `--duration` seconds), `--checkpoint PATH` (write a
-//! live `HRPS` snapshot mid-run, then keep going), or
-//! `--restore PATH` (rebuild a killed service from its snapshot and
-//! drain it) switches to a single service run reporting one
-//! `serve_run` table and a `# digest` line — a restored run's digest
-//! is bit-identical to the uninterrupted one's.
+//! (`hrp-serve`) once, on `--nodes` nodes of two GPUs under
+//! `--selector` (any heuristic; `policy` services come from
+//! `--restore`), and reports one `serve_run` table and a `# digest`
+//! line. Arrivals come from `--source`: `trace` (the default) replays
+//! a generated `--trace` of 20 000 jobs (2 000 with `--quick`), while
+//! `poisson`/`bursty` run an open-loop load generator offering
+//! `--rate` jobs per simulated second until `--duration` seconds.
+//! `--checkpoint PATH` writes a live `HRPS` snapshot mid-run and keeps
+//! going; `--restore PATH` rebuilds a killed service from its snapshot
+//! and drains it — the restored run's digest is bit-identical to the
+//! uninterrupted one's.
 //!
 //! `--users N` tags arrivals with `N` Zipf-skewed tenants
 //! (`--user-skew` overrides the exponent) and puts the admission
-//! tier in front of the selector. With the default `--source trace`
-//! and no checkpoint flags, `serve --users` runs the *fairness*
-//! bench instead of the throughput bench: admission-controlled
-//! fair-share versus the plain FCFS front door on the skewed and
-//! bursty traces, per-tenant slowdown spread and Jain's index
-//! reported per row and persisted as `BENCH_9.json` (the harness
-//! pins its own quota/half-life, so `--quota`/`--slo`/`--user-skew`
-//! are rejected there; at the pinned seed/tenant defaults it also
-//! asserts the acceptance gate — Jain strictly improves at ≤ 2 %
-//! makespan cost). On a single service run (a load generator,
-//! `--checkpoint`) the knobs apply directly: `--quota N` caps each
-//! tenant's in-flight jobs and `--slo F` rejects arrivals whose
-//! projected slowdown exceeds `F`; the report gains the
-//! deferred/rejected counters and a `# admission digest` line.
+//! tier in front of the selector: `--quota N` caps each tenant's
+//! in-flight jobs and `--slo F` rejects arrivals whose projected
+//! slowdown exceeds `F`; the report gains the deferred/rejected
+//! counters and a `# admission digest` line.
 //! `repro cluster --users N` tags the evaluation trace the same way
 //! and appends a `cluster_fairness` table (per-tenant Jain/spread
 //! per selector row). `--restore` rebuilds the tagged source and
 //! admission tier from the snapshot, so the fairness flags are
 //! rejected there.
 //!
-//! The `bench-infer` command times one greedy placement decision
-//! through the `hrp-nn` deployed-inference fast path — the `predict`
-//! reference, the scalar kernel, and the auto-detected SIMD kernel —
-//! asserting all variants pick identical actions and that the fast
-//! path beats the reference before writing `BENCH_10.json`.
-//!
 //! Malformed invocations (unknown flags or commands, missing or
 //! unparsable values, `--shards 0`, `--nodes 0`, `--walltime-err`
-//! outside `[0, 1)` (or NaN), `--reps 0`, `--rate`/`--duration` zero,
+//! outside `[0, 1)` (or NaN), `--rate`/`--duration` zero,
 //! negative, or non-finite, `--users 0`, `--user-skew` zero, negative,
 //! or NaN,
 //! `--quota 0`, `--slo` zero, negative, or NaN,
@@ -162,8 +141,6 @@ struct Options {
     trace: TraceKind,
     /// Walltime-estimate error fraction for the backfill selectors.
     walltime_err: f64,
-    /// `serve`/`bench-infer` repetitions (`0` = the mode default).
-    reps: usize,
     /// Arrival source of the `serve` command.
     source: ServeSource,
     /// `serve` load-generator offered rate (jobs per simulated second).
@@ -187,8 +164,7 @@ struct Options {
 /// Where the `serve` command's arrivals come from.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ServeSource {
-    /// Replay a finite generated trace (the default; bench mode when
-    /// no checkpoint flags are given).
+    /// Replay a finite generated trace (the default).
     Trace,
     /// Open-loop load generator with this arrival shape.
     Load(LoadShape),
@@ -225,13 +201,13 @@ const USAGE: &str = "usage: repro [--quick] [--seed N] [--threads N] [--overlap]
 [--env flat|hierarchical] [--nodes N] \
 [--selector round-robin|least-loaded|policy|fcfs|easy|conservative] \
 [--trace uniform|bursty|skewed|heavy-tail|colocate|staggered] \
-[--walltime-err F] [--reps N] \
+[--walltime-err F] \
 [--source trace|poisson|bursty] [--rate F] [--duration F] \
 [--users N] [--user-skew F] [--quota N] [--slo F] \
 [--checkpoint PATH] [--restore PATH] \
 [--out DIR|--no-out] <command>
 commands: table4 table5 table7 fig3 fig4 fig5 fig8 fig9 fig10 fig11 fig12
-          overhead oracle cluster serve bench-infer
+          overhead oracle cluster serve
           ablate-reward ablate-agent ablate-interference all";
 
 /// Reject a malformed invocation: message + usage, exit status 2 (never
@@ -270,7 +246,6 @@ fn main() {
         selector: SelectorKind::RoundRobin,
         trace: TraceKind::Staggered,
         walltime_err: 0.0,
-        reps: 0,
         source: ServeSource::Trace,
         rate: 8.0,
         duration: 60.0,
@@ -337,14 +312,6 @@ fn main() {
                     fail(&format!("--walltime-err must be in [0, 1) (got '{raw}')"));
                 }
                 opts.walltime_err = f;
-            }
-            "--reps" => {
-                let raw = flag_value(&mut it, "--reps");
-                let n: usize = parse_flag("--reps", raw);
-                if n == 0 {
-                    fail("--reps must be at least 1 (got '0')");
-                }
-                opts.reps = n;
             }
             "--source" => {
                 let raw = flag_value(&mut it, "--source");
@@ -496,7 +463,6 @@ fn main() {
         "ablate-interference" => ablate_interference_cmd(&suite, &opts),
         "oracle" => oracle_cmd(&suite, &opts),
         "cluster" => cluster_cmd(&suite, &opts),
-        "bench-infer" => bench_infer_cmd(&opts),
         "serve" => serve_cmd(&suite, &opts),
         "all" => {
             table4(&suite, &opts);
@@ -924,59 +890,14 @@ fn cluster_cmd(suite: &Suite, opts: &Options) {
     }
 }
 
-fn bench_infer_cmd(opts: &Options) {
-    use hrp_bench::infer::{
-        render_infer_json, run_infer_bench, InferBenchConfig, INFER_BENCH_GPUS_PER_NODE,
-        INFER_BENCH_NODES,
-    };
-    let cfg = InferBenchConfig {
-        quick: opts.quick,
-        seed: opts.seed,
-        reps: opts.reps,
-    };
-    println!(
-        "# bench-infer: {} nodes x {} GPUs, hidden {:?}, {} states, \
-         {} decisions/rep, {} reps",
-        INFER_BENCH_NODES,
-        INFER_BENCH_GPUS_PER_NODE,
-        cfg.hidden(),
-        cfg.states(),
-        cfg.decisions(),
-        cfg.effective_reps()
-    );
-    let report = run_infer_bench(&cfg);
-    let mut t = Table::new(&[
-        "variant",
-        "kernel",
-        "ns_per_decision",
-        "std_err",
-        "ci95_lo",
-        "ci95_hi",
-        "p50_ns",
-        "p99_ns",
-        "digest",
-    ]);
-    for v in &report.variants {
-        t.row(vec![
-            v.variant.to_owned(),
-            v.kernel.to_owned(),
-            f3(v.ns_per_decision.mean),
-            f3(v.ns_per_decision.std_err),
-            f3(v.ns_per_decision.ci95_lo),
-            f3(v.ns_per_decision.ci95_hi),
-            f3(v.p50_ns),
-            f3(v.p99_ns),
-            format!("{:016x}", v.actions_digest),
-        ]);
-    }
-    t.emit("bench_infer", opts.out.as_deref());
-    let json = render_infer_json(&report);
-    std::fs::write("BENCH_10.json", &json).expect("write BENCH_10.json");
-    println!("# wrote BENCH_10.json");
-}
+/// Mean inter-arrival gap of the replayed trace, in simulated seconds:
+/// thin enough that nodes drain to quiescence between bursts, the
+/// regime the incremental dirty set exists for.
+const SERVE_MEAN_GAP: f64 = 12.0;
 
 fn serve_cmd(suite: &Suite, opts: &Options) {
-    use hrp_bench::serve::{serve_bench_trace_cfg, ServeBenchConfig, SERVE_BENCH_GPUS_PER_NODE};
+    use hrp_bench::cluster::GPUS_PER_NODE;
+    use hrp_cluster::trace::TraceConfig;
     use hrp_serve::{
         restore_file, AdmissionConfig, LoadGen, SchedulerService, ServeConfig, TraceSource,
     };
@@ -1023,32 +944,7 @@ fn serve_cmd(suite: &Suite, opts: &Options) {
         return;
     }
 
-    let bench_cfg = ServeBenchConfig {
-        quick: opts.quick,
-        seed: opts.seed,
-        reps: opts.reps,
-    };
-    if opts.source == ServeSource::Trace && opts.checkpoint.is_none() {
-        if opts.users > 0 {
-            // The fairness harness pins its own admission knobs so the
-            // asserted acceptance gate measures one fixed policy.
-            if opts.quota.is_some() || opts.slo.is_some() || opts.user_skew.is_some() {
-                fail(
-                    "the serve fairness bench pins its admission knobs; \
-                     --quota/--slo/--user-skew apply to single service runs \
-                     (--source poisson|bursty, or --checkpoint)",
-                );
-            }
-            fair_bench(suite, opts);
-        } else {
-            serve_bench(suite, opts, &bench_cfg);
-        }
-        return;
-    }
-
-    // Single service run (load generator and/or live checkpointing).
-    let mut cfg =
-        ServeConfig::new(opts.nodes, SERVE_BENCH_GPUS_PER_NODE).walltime_err(opts.walltime_err);
+    let mut cfg = ServeConfig::new(opts.nodes, GPUS_PER_NODE).walltime_err(opts.walltime_err);
     let user_skew = opts
         .user_skew
         .unwrap_or(hrp_cluster::trace::DEFAULT_USER_SKEW);
@@ -1072,17 +968,22 @@ fn serve_cmd(suite: &Suite, opts: &Options) {
     }
     match opts.source {
         ServeSource::Trace => {
-            let mut trace_cfg = serve_bench_trace_cfg(opts.trace, &bench_cfg);
+            let n_jobs = if opts.quick { 2_000 } else { 20_000 };
+            let mut trace_cfg = TraceConfig::new(opts.trace, n_jobs, opts.seed)
+                .max_gpus(GPUS_PER_NODE)
+                .mean_gap(SERVE_MEAN_GAP);
             if opts.users > 0 {
                 trace_cfg = trace_cfg.users(opts.users).user_skew(user_skew);
             }
             println!(
-                "# serve: {} node(s) x {} GPUs, selector {}, trace {} ({} jobs)",
+                "# serve: {} node(s) x {} GPUs, selector {}, trace {} ({} jobs), \
+                 walltime-err {}",
                 opts.nodes,
-                SERVE_BENCH_GPUS_PER_NODE,
+                GPUS_PER_NODE,
                 opts.selector.name(),
                 opts.trace.name(),
-                trace_cfg.jobs
+                trace_cfg.jobs,
+                opts.walltime_err
             );
             // Checkpoint halfway through the trace.
             let checkpoint_after = trace_cfg.jobs / 2;
@@ -1097,13 +998,14 @@ fn serve_cmd(suite: &Suite, opts: &Options) {
         ServeSource::Load(shape) => {
             println!(
                 "# serve: {} node(s) x {} GPUs, selector {}, {} load at \
-                 {} jobs/s for {} s",
+                 {} jobs/s for {} s, walltime-err {}",
                 opts.nodes,
-                SERVE_BENCH_GPUS_PER_NODE,
+                GPUS_PER_NODE,
                 opts.selector.name(),
                 shape.name(),
                 opts.rate,
-                opts.duration
+                opts.duration,
+                opts.walltime_err
             );
             let mut source = LoadGen::new(suite, shape, opts.rate, opts.duration, opts.seed);
             if opts.users > 0 {
@@ -1118,113 +1020,6 @@ fn serve_cmd(suite: &Suite, opts: &Options) {
             );
         }
     }
-}
-
-/// Bench mode of `repro serve`: both cycle modes on every trace kind,
-/// digest-checked against the batch oracle, persisted as
-/// `BENCH_8.json`.
-fn serve_bench(suite: &Suite, opts: &Options, cfg: &hrp_bench::serve::ServeBenchConfig) {
-    use hrp_bench::serve::{
-        render_serve_json, run_serve_bench, SERVE_BENCH_GPUS_PER_NODE, SERVE_BENCH_MEAN_GAP,
-        SERVE_BENCH_NODES,
-    };
-    println!(
-        "# serve: {} nodes x {} GPUs, {} jobs/trace, {} reps, mean gap {} s",
-        SERVE_BENCH_NODES,
-        SERVE_BENCH_GPUS_PER_NODE,
-        cfg.jobs(),
-        cfg.effective_reps(),
-        SERVE_BENCH_MEAN_GAP
-    );
-    let report = run_serve_bench(suite, cfg);
-    let mut t = Table::new(&[
-        "trace",
-        "mode",
-        "decisions_per_sec",
-        "std_err",
-        "p50_us",
-        "p99_us",
-        "replanned",
-        "skipped",
-        "digest",
-    ]);
-    for tr in &report.traces {
-        for m in &tr.modes {
-            t.row(vec![
-                tr.kind.name().to_owned(),
-                m.mode.name().to_owned(),
-                f3(m.decisions_per_sec.mean),
-                f3(m.decisions_per_sec.std_err),
-                f3(m.latency.p50_us),
-                f3(m.latency.p99_us),
-                m.stats.nodes_replanned.to_string(),
-                m.stats.nodes_skipped.to_string(),
-                format!("{:016x}", m.digest),
-            ]);
-        }
-    }
-    t.emit("serve_bench", opts.out.as_deref());
-    let json = render_serve_json(&report);
-    std::fs::write("BENCH_8.json", &json).expect("write BENCH_8.json");
-    println!("# wrote BENCH_8.json");
-}
-
-/// Fairness-bench mode of `repro serve --users`: admission-controlled
-/// fair share vs the plain FCFS front door on the skewed and bursty
-/// traces, per-tenant Jain/spread per row, persisted as
-/// `BENCH_9.json`. At the pinned configuration the harness asserts
-/// the acceptance gate (Jain strictly improves at ≤ 2 % makespan
-/// cost) before anything is written.
-fn fair_bench(suite: &Suite, opts: &Options) {
-    use hrp_bench::fair::{
-        render_fair_json, run_fair_bench, FairBenchConfig, FAIR_BENCH_GPUS_PER_NODE,
-        FAIR_BENCH_HALF_LIFE, FAIR_BENCH_NODES, FAIR_BENCH_QUOTA, FAIR_BENCH_USERS,
-    };
-    let cfg = FairBenchConfig {
-        quick: opts.quick,
-        seed: opts.seed,
-        users: opts.users,
-    };
-    println!(
-        "# serve-fair: {} nodes x {} GPUs, {} jobs/trace, {} tenants, \
-         quota {}, half-life {} s",
-        FAIR_BENCH_NODES,
-        FAIR_BENCH_GPUS_PER_NODE,
-        cfg.jobs(),
-        cfg.users,
-        FAIR_BENCH_QUOTA,
-        FAIR_BENCH_HALF_LIFE
-    );
-    if !cfg.is_pinned() {
-        println!(
-            "# note: acceptance gate asserted only at the pinned \
-             configuration (seed 42, {FAIR_BENCH_USERS} tenants)"
-        );
-    }
-    let report = run_fair_bench(suite, &cfg);
-    let mut t = Table::new(&[
-        "trace", "policy", "makespan", "avg_wait", "jain", "spread", "deferred", "rejected",
-        "digest",
-    ]);
-    for tr in &report.traces {
-        for p in &tr.policies {
-            t.row(vec![
-                tr.kind.name().to_owned(),
-                p.policy.to_owned(),
-                f3(p.makespan),
-                f3(p.avg_wait),
-                f3(p.fairness.jain),
-                f3(p.fairness.spread),
-                p.deferred.to_string(),
-                p.rejected.to_string(),
-                format!("{:016x}", p.digest),
-            ]);
-        }
-    }
-    t.emit("serve_fair", opts.out.as_deref());
-    let json = render_fair_json(&report);
-    std::fs::write("BENCH_9.json", &json).expect("write BENCH_9.json");
-    println!("# wrote BENCH_9.json");
 }
 
 /// Drive one live service run: optionally checkpoint once the source

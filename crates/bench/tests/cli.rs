@@ -1,0 +1,88 @@
+//! The `repro` command line from outside: malformed invocations exit
+//! with status 2 and a usage message for the stated reason (never a
+//! panic, never a silent default), removed surface stays removed, and
+//! `repro serve` honours every flag it accepts.
+
+use std::process::{Command, Output};
+
+fn repro(args: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("spawn repro")
+}
+
+/// Invocation → the fragment of the rejection message that names why.
+const REJECTED: &[(&str, &str)] = &[
+    // serve sources and checkpoints
+    ("--rate 0 serve", "--rate must be positive"),
+    ("--rate nan serve", "--rate must be positive"),
+    ("--duration 0 serve", "--duration must be positive"),
+    ("--source chanel serve", "unknown --source value 'chanel'"),
+    (
+        "--checkpoint ck.hrps --restore ck.hrps serve",
+        "name the same path",
+    ),
+    ("--selector policy serve", "serve does not train"),
+    // admission knobs
+    ("--users 0 serve", "--users must be at least 1"),
+    (
+        "--users 2 --user-skew nan serve",
+        "--user-skew must be positive",
+    ),
+    ("--users 2 --quota 0 serve", "--quota must be at least 1"),
+    ("--users 2 --slo -1 serve", "--slo must be positive"),
+    ("--quota 4 serve", "require --users"),
+    ("--slo 3 cluster", "require --users"),
+    (
+        "--users 3 --restore ck.hrps serve",
+        "--restore rebuilds the tagged source",
+    ),
+    // backfill flags
+    ("--walltime-err 1.5 cluster", "--walltime-err must be in"),
+    ("--walltime-err -0.25 cluster", "--walltime-err must be in"),
+    ("--walltime-err nan cluster", "--walltime-err must be in"),
+    ("--selector eazy cluster", "unknown --selector value 'eazy'"),
+    // removed surface stays removed
+    ("--chunk-width 64 cluster", "unknown flag '--chunk-width'"),
+    ("--quantize serve", "unknown flag '--quantize'"),
+    ("bench-cluster", "unknown command 'bench-cluster'"),
+    ("bench-infer", "unknown command 'bench-infer'"),
+    ("--reps 3 serve", "unknown flag '--reps'"),
+];
+
+#[test]
+fn malformed_invocations_exit_2_with_usage() {
+    for (args, why) in REJECTED {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "'{args}': {stderr}");
+        assert!(stderr.contains(why), "'{args}' wrong reason: {stderr}");
+        assert!(stderr.contains("usage: repro"), "'{args}': {stderr}");
+    }
+}
+
+/// Bare `serve` (no `--source`, no `--checkpoint`) is the same single
+/// live run as any other: the header names every flag it was given and
+/// the run ends in the digest lines.
+#[test]
+fn serve_honours_every_flag_it_accepts() {
+    let out = repro(
+        "--nodes 4 --selector easy --trace bursty --walltime-err 0.25 \
+         --users 3 --user-skew 1.1 --quota 4 --slo 50 --quick --no-out serve",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    for line in [
+        "# serve: admission on — 3 tenants (skew 1.1), quota 4, slo 50",
+        "# serve: 4 node(s) x 2 GPUs, selector easy, trace bursty (2000 jobs), walltime-err 0.25",
+    ] {
+        assert!(stdout.lines().any(|l| l == line), "no '{line}':\n{stdout}");
+    }
+    for prefix in ["# admission digest ", "# digest "] {
+        assert!(
+            stdout.lines().any(|l| l.starts_with(prefix)),
+            "no '{prefix}' line:\n{stdout}"
+        );
+    }
+}

@@ -462,24 +462,6 @@ impl QNet {
         }
     }
 
-    /// Apply a parameter update: `params += delta` (canonical order).
-    pub fn apply_delta(&mut self, delta: &[f32]) {
-        assert_eq!(delta.len(), self.num_params());
-        let mut off = 0;
-        for l in self.layers_mut() {
-            let wlen = l.w.len();
-            for (w, d) in l.w.iter_mut().zip(&delta[off..off + wlen]) {
-                *w += d;
-            }
-            off += wlen;
-            let blen = l.b.len();
-            for (b, d) in l.b.iter_mut().zip(&delta[off..off + blen]) {
-                *b += d;
-            }
-            off += blen;
-        }
-    }
-
     /// One optimiser step over the accumulated gradients: a single
     /// sweep that updates every parameter in place and leaves the
     /// gradients cleared (see [`Adam::step`]).
@@ -664,20 +646,6 @@ mod tests {
         let qb = b.predict(&x);
         for (u, v) in qa.iter().zip(qb.iter()) {
             assert!((u - v).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn apply_delta_shifts_params() {
-        let mut net = tiny(Head::Plain);
-        let mut before = Vec::new();
-        net.write_params(&mut before);
-        let delta = vec![0.01f32; net.num_params()];
-        net.apply_delta(&delta);
-        let mut after = Vec::new();
-        net.write_params(&mut after);
-        for (b, a) in before.iter().zip(after.iter()) {
-            assert!((a - b - 0.01).abs() < 1e-6);
         }
     }
 
