@@ -929,7 +929,7 @@ fn serve_cmd(suite: &Suite, opts: &Options) {
     // Restore mode: rebuild the killed service and drain it.
     if let Some(path) = &opts.restore {
         let mut service = restore_file(suite, path)
-            .unwrap_or_else(|e| fail(&format!("--restore {}: {e:?}", path.display())));
+            .unwrap_or_else(|e| fail(&format!("--restore {}: {e}", path.display())));
         println!(
             "# serve: restored {} — {} node(s) x {} GPUs, selector {}, \
              {} jobs already consumed",
@@ -1045,7 +1045,7 @@ fn drive_serve_run<S: hrp_serve::ArrivalSource>(
         }
         service
             .checkpoint_to(path)
-            .unwrap_or_else(|e| fail(&format!("--checkpoint {}: {e:?}", path.display())));
+            .unwrap_or_else(|e| fail(&format!("--checkpoint {}: {e}", path.display())));
         println!(
             "# serve: checkpointed at {} consumed jobs -> {}",
             service.consumed(),

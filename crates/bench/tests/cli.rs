@@ -24,6 +24,15 @@ const REJECTED: &[(&str, &str)] = &[
         "name the same path",
     ),
     ("--selector policy serve", "serve does not train"),
+    // hostile --restore input ({tmp} is this test's scratch directory)
+    (
+        "--restore {tmp}/foreign.txt serve",
+        "not an HRPS checkpoint",
+    ),
+    (
+        "--restore {tmp}/clipped.hrps serve",
+        "invalid HRPS checkpoint: truncated",
+    ),
     // admission knobs
     ("--users 0 serve", "--users must be at least 1"),
     (
@@ -53,13 +62,29 @@ const REJECTED: &[(&str, &str)] = &[
 
 #[test]
 fn malformed_invocations_exit_2_with_usage() {
+    // The files the `--restore` rows name: something that is no
+    // checkpoint at all, and a real one short of its last byte.
+    let tmp = std::env::temp_dir().join(format!("hrp-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("scratch directory");
+    let tmp_str = tmp.to_str().expect("UTF-8 temp path");
+    std::fs::write(tmp.join("foreign.txt"), "job,arrival\n0,0.0\n").expect("write");
+    let full = repro(&format!(
+        "--quick --no-out --checkpoint {tmp_str}/full.hrps serve"
+    ));
+    assert!(full.status.success(), "checkpointing run failed");
+    let blob = std::fs::read(tmp.join("full.hrps")).expect("checkpoint written");
+    std::fs::write(tmp.join("clipped.hrps"), &blob[..blob.len() - 1]).expect("write");
+
     for (args, why) in REJECTED {
-        let out = repro(args);
+        let args = args.replace("{tmp}", tmp_str);
+        let out = repro(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "'{args}': {stderr}");
         assert!(stderr.contains(why), "'{args}' wrong reason: {stderr}");
         assert!(stderr.contains("usage: repro"), "'{args}': {stderr}");
+        assert!(!stderr.contains("panicked"), "'{args}': {stderr}");
     }
+    std::fs::remove_dir_all(&tmp).ok();
 }
 
 /// Bare `serve` (no `--source`, no `--checkpoint`) is the same single

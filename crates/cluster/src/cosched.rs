@@ -3,35 +3,12 @@
 //! [`hrp_core::policies::Policy`]; multi-GPU jobs gang-schedule
 //! exclusively (the paper defers their co-location to future work
 //! because of the load-imbalance problem it describes in §VI).
-//!
-//! # Parallel window drain
-//!
-//! Draining a crowded backlog asks the policy for one window decision
-//! per placement — for the exhaustive baselines and the RL rollout that
-//! decision is the dominant cost, and the windows are independent of
-//! each other. [`CoSchedulingDispatcher::with_threads`] therefore plans
-//! *all* currently-formable windows in one bounded
-//! [`hrp_core::par::parallel_map`] fan-out and serves them from a plan
-//! cache. The cache is validated against the live waiting queue before
-//! every pop (prefix and window-shape must match exactly) and dropped
-//! otherwise, so the simulated schedule is **identical to the serial
-//! drain for any thread count** — the same contract as the training
-//! pipeline's rollout workers.
 
 use crate::job::ClusterJob;
 use crate::sim::{Dispatcher, Placement};
-use hrp_core::par::{parallel_map, resolve_threads};
 use hrp_core::policies::{Policy, ScheduleContext};
 use hrp_gpusim::engine::EngineConfig;
 use hrp_workloads::{Job, JobQueue, Suite};
-use std::collections::VecDeque;
-
-/// One pre-planned window: the cluster job ids it covers and the
-/// policy's decided co-run duration.
-struct PlannedWindow {
-    job_ids: Vec<usize>,
-    duration: f64,
-}
 
 /// Dispatcher wrapping a node-local co-scheduling policy.
 pub struct CoSchedulingDispatcher<P: Policy> {
@@ -43,11 +20,6 @@ pub struct CoSchedulingDispatcher<P: Policy> {
     /// Flush windows even when under-full once the backlog is this old
     /// (prevents starvation at trace end).
     flush_partial: bool,
-    /// Worker threads for the parallel window drain (`1` = plan each
-    /// window serially on demand, `0` = available parallelism).
-    threads: usize,
-    /// Windows planned ahead by the parallel drain, in service order.
-    planned: VecDeque<PlannedWindow>,
 }
 
 impl<P: Policy> CoSchedulingDispatcher<P> {
@@ -61,18 +33,7 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
             engine: EngineConfig::default(),
             windows: 0,
             flush_partial: true,
-            threads: 1,
-            planned: VecDeque::new(),
         }
-    }
-
-    /// Plan backlogged windows with up to `threads` worker threads
-    /// (`0` = available parallelism). The drained schedule is identical
-    /// for any value; only wall-clock changes.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Whether under-full windows launch (default `true`). With
@@ -94,16 +55,12 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
     /// Restore the window counter on a freshly built dispatcher when
     /// resuming from a live checkpoint. The counter feeds the
     /// `win{n}` queue labels, so it must survive a kill/restore for
-    /// the resumed schedule to be bit-identical. The plan-ahead cache
-    /// is cleared: it is validated memoization (see
-    /// `cached_window_is_current`), so dropping it never changes a
-    /// decision — only when the planning work happens.
+    /// the resumed schedule to be bit-identical.
     pub fn restore_windows_scheduled(&mut self, windows: usize) {
         self.windows = windows;
-        self.planned.clear();
     }
 
-    /// The window the serial path would form right now: the first
+    /// The window that forms right now: the first
     /// `min(|singles|, w)` waiting single-GPU jobs.
     fn window_shape(&self, singles: &[&ClusterJob]) -> usize {
         singles.len().min(self.w)
@@ -133,50 +90,7 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
     }
 }
 
-impl<P: Policy + Sync> CoSchedulingDispatcher<P> {
-    /// A cached plan entry is served only if it is exactly the window
-    /// the serial dispatcher would form from the current waiting queue:
-    /// same leading jobs *and* same window length (a grown backlog turns
-    /// a cached partial window stale).
-    fn cached_window_is_current(&self, singles: &[&ClusterJob]) -> bool {
-        let Some(head) = self.planned.front() else {
-            return false;
-        };
-        head.job_ids.len() == self.window_shape(singles)
-            && head
-                .job_ids
-                .iter()
-                .zip(singles.iter())
-                .all(|(id, j)| *id == j.id)
-    }
-
-    /// Plan every window formable from the current backlog in one
-    /// parallel fan-out.
-    fn plan_windows(&mut self, suite: &Suite, singles: &[&ClusterJob]) {
-        let full = singles.len() / self.w;
-        let partial = usize::from(self.flush_partial && !singles.len().is_multiple_of(self.w));
-        let n_windows = full + partial;
-        let durations = parallel_map(n_windows, self.threads, |k| {
-            let lo = k * self.w;
-            let hi = (lo + self.w).min(singles.len());
-            self.decide(suite, format!("win{}", self.windows + k), &singles[lo..hi])
-        });
-        self.planned = durations
-            .into_iter()
-            .enumerate()
-            .map(|(k, duration)| {
-                let lo = k * self.w;
-                let hi = (lo + self.w).min(singles.len());
-                PlannedWindow {
-                    job_ids: singles[lo..hi].iter().map(|j| j.id).collect(),
-                    duration,
-                }
-            })
-            .collect();
-    }
-}
-
-impl<P: Policy + Sync> Dispatcher for CoSchedulingDispatcher<P> {
+impl<P: Policy> Dispatcher for CoSchedulingDispatcher<P> {
     fn name(&self) -> &'static str {
         "co-scheduling"
     }
@@ -207,21 +121,6 @@ impl<P: Policy + Sync> Dispatcher for CoSchedulingDispatcher<P> {
         let take = self.window_shape(&singles);
         if take < self.w && !self.flush_partial {
             return None;
-        }
-
-        if resolve_threads(self.threads) > 1 {
-            // Parallel drain: (re)plan the whole backlog when the cache
-            // does not describe the current queue, then serve the head.
-            if !self.cached_window_is_current(&singles) {
-                self.plan_windows(suite, &singles);
-            }
-            let head = self.planned.pop_front().expect("planned at least one");
-            self.windows += 1;
-            return Some(Placement {
-                job_ids: head.job_ids,
-                gpus: 1,
-                duration: head.duration,
-            });
         }
 
         let batch = &singles[..take];
@@ -306,43 +205,6 @@ mod tests {
         assert_eq!(report.placements, 1, "two jobs in one partial window");
     }
 
-    /// A trace with staggered arrivals, so the plan cache is invalidated
-    /// mid-run and must replan — the adversarial case for drain
-    /// equivalence.
-    fn staggered_trace(s: &Suite) -> Vec<ClusterJob> {
-        let names = [
-            "lavaMD",
-            "stream",
-            "kmeans",
-            "pathfinder",
-            "bt_solver_A",
-            "lud_A",
-            "sp_solver_B",
-            "qs_Coral_P1",
-            "cfd",
-            "needle",
-        ];
-        names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| ClusterJob::new(i, n, (i / 4) as f64 * 3.0, 1, s))
-            .collect()
-    }
-
-    #[test]
-    fn parallel_drain_is_identical_to_serial_drain() {
-        let s = suite();
-        let sim = ClusterSim::new(2);
-        let mut serial = CoSchedulingDispatcher::new(MpsOnly, 4, 4);
-        let base = sim.run(&s, staggered_trace(&s), &mut serial);
-        for threads in [2usize, 4, 0] {
-            let mut par = CoSchedulingDispatcher::new(MpsOnly, 4, 4).with_threads(threads);
-            let got = sim.run(&s, staggered_trace(&s), &mut par);
-            assert_eq!(got, base, "threads = {threads}");
-            assert_eq!(par.windows_scheduled(), serial.windows_scheduled());
-        }
-    }
-
     #[test]
     #[should_panic(expected = "deadlock")]
     fn window_that_never_forms_is_a_deadlock() {
@@ -385,16 +247,5 @@ mod tests {
         assert_eq!(report.placements, 0);
         assert_eq!(co.windows_scheduled(), 0);
         assert_eq!(report.makespan, 0.0);
-    }
-
-    #[test]
-    fn parallel_drain_handles_crowded_queue() {
-        let s = suite();
-        let sim = ClusterSim::new(2);
-        let mut serial = CoSchedulingDispatcher::new(MpsOnly, 4, 4);
-        let base = sim.run(&s, crowded_trace(&s), &mut serial);
-        let mut par = CoSchedulingDispatcher::new(MpsOnly, 4, 4).with_threads(4);
-        let got = sim.run(&s, crowded_trace(&s), &mut par);
-        assert_eq!(got, base);
     }
 }

@@ -46,10 +46,7 @@
 //! * [`cosched`] — the co-scheduling dispatcher: single-GPU jobs are
 //!   batched into windows and handed to any node-local
 //!   [`hrp_core::policies::Policy`]; multi-GPU jobs gang-schedule
-//!   exclusively (the paper flags co-locating them as future work).
-//!   Crowded backlogs drain their windows through a parallel planner
-//!   ([`CoSchedulingDispatcher::with_threads`]) that is schedule-
-//!   identical to the serial drain for any thread count;
+//!   exclusively (the paper flags co-locating them as future work);
 //! * [`select`] — the queue-pressure policy selector of §VI, plus the
 //!   global placement tier: [`select::RoundRobin`],
 //!   [`select::LeastLoaded`], and the RL hook

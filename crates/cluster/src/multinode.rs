@@ -30,8 +30,8 @@
 //! snapshots, and every node's event stream carries a per-node sequence
 //! number, so merging the streams under the stable `(time, node, seq)`
 //! key yields **one bit-identical cluster timeline for any thread
-//! count** — the same contract the training pipeline and the window
-//! drain obey. A one-node cluster executes the exact event cycle of
+//! count** — the same contract the training pipeline obeys. A
+//! one-node cluster executes the exact event cycle of
 //! [`ClusterSim::run`](crate::sim::ClusterSim::run) and is
 //! event-for-event identical to it (property-tested in
 //! `tests/multinode_contract.rs`, pinned in `tests/golden_cluster.rs`).
@@ -225,6 +225,16 @@ impl MultiNodeReport {
     }
 }
 
+/// Most nodes a cluster may have: selector and placement masks are
+/// `u64`, one bit per node. Checkpoint decoders hold forged geometry to
+/// the same bound before any constructor asserts it.
+pub const MAX_NODES: usize = 64;
+
+/// Most GPUs a checkpoint may claim per node (the pool sizes slot
+/// trees and per-GPU bookkeeping, so a blob does not get to pick it
+/// freely).
+pub const MAX_GPUS_PER_NODE: usize = 1024;
+
 /// A resumable multi-node simulation, stepped placement by placement —
 /// the shared core under [`MultiNodeSim::run`] (which drives it from a
 /// [`NodeSelector`]) and the RL placement environment in
@@ -264,7 +274,10 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         gpus_per_node: usize,
         mut make_dispatcher: F,
     ) -> Self {
-        assert!((1..=64).contains(&nodes), "1..=64 nodes, got {nodes}");
+        assert!(
+            (1..=MAX_NODES).contains(&nodes),
+            "1..={MAX_NODES} nodes, got {nodes}"
+        );
         assert!(gpus_per_node >= 1);
         let slots: Vec<Mutex<NodeRun<D>>> = (0..nodes)
             .map(|i| Mutex::new(NodeRun::new(i, gpus_per_node, make_dispatcher(i))))
@@ -481,8 +494,8 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         sync: SyncStats,
     ) -> Self {
         assert!(
-            (1..=64).contains(&parts.len()),
-            "1..=64 nodes, got {}",
+            (1..=MAX_NODES).contains(&parts.len()),
+            "1..={MAX_NODES} nodes, got {}",
             parts.len()
         );
         assert_eq!(parts.len(), loads.len(), "one load snapshot per node");
@@ -603,7 +616,10 @@ impl MultiNodeSim {
     /// New cluster. `nodes` is capped at 64 (selector masks are `u64`).
     #[must_use]
     pub fn new(nodes: usize, gpus_per_node: usize) -> Self {
-        assert!((1..=64).contains(&nodes), "1..=64 nodes, got {nodes}");
+        assert!(
+            (1..=MAX_NODES).contains(&nodes),
+            "1..={MAX_NODES} nodes, got {nodes}"
+        );
         assert!(gpus_per_node >= 1);
         Self {
             nodes,

@@ -54,17 +54,17 @@
 //! over unchanged. The result is a [`PlacementAgent`]:
 //! [`PlacementAgent::selector`] turns it into a drop-in
 //! [`NodeSelector`](crate::NodeSelector), and [`PlacementAgent::save_bytes`] /
-//! [`PlacementExperiment::load_bytes`] checkpoint spec + weights in the
-//! same container style as `hrp-core`'s `Experiment` (`HRPP` magic),
-//! reloading to bit-identical placements.
+//! [`PlacementExperiment::load_bytes`] checkpoint spec + weights as an
+//! `HRPP` blob on the shared codec ([`hrp_nn::serialize`]), reloading
+//! to bit-identical placements.
 
 use crate::backfill::{BackfillPlanner, BackfillPolicy, QueueOrder};
 use crate::cosched::CoSchedulingDispatcher;
 use crate::job::ClusterJob;
-use crate::multinode::{ClusterDrive, MultiNodeReport};
+use crate::multinode::{ClusterDrive, MultiNodeReport, MAX_GPUS_PER_NODE, MAX_NODES};
 use crate::sim::Dispatcher;
 use crate::trace::{self, TraceConfig, TraceKind};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use hrp_core::cluster_env::{encode_placement_state, placement_fit_mask, NodeLoad, PolicySelector};
 use hrp_core::env::StepResult;
 use hrp_core::experiment::CheckpointError;
@@ -72,15 +72,14 @@ use hrp_core::policies::MpsOnly;
 use hrp_core::rl::{greedy_rollout, DqnSnapshot, Env, EnvFactory, Learner};
 use hrp_core::train::{train_env, PipelineConfig, TrainReport};
 use hrp_nn::net::Head;
-use hrp_nn::serialize::{decode_params, save_weights};
+use hrp_nn::serialize::{load_agent, save_weights, Reader, Spec, SpecWriter, Writer};
 use hrp_nn::{DqnAgent, DqnConfig};
 use hrp_workloads::Suite;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// Magic prefix for placement checkpoints (the cluster-tier sibling of
 /// `hrp-core`'s `HRPE`).
-const MAGIC: &[u8; 4] = b"HRPP";
+const MAGIC: &str = "HRPP";
 /// Checkpoint format version.
 const VERSION: u32 = 1;
 
@@ -713,26 +712,13 @@ impl PlacementAgent {
     }
 
     /// Serialise the full checkpoint: spec + online-network weights
-    /// (`HRPP` container, mirroring `hrp-core`'s `HRPE`).
+    /// (`HRPP`, mirroring `hrp-core`'s `HRPE`).
     #[must_use]
     pub fn save_bytes(&self) -> Bytes {
-        let spec = encode_spec(&self.cfg);
-        let weights = save_weights(self.agent.online_net());
-        let mut buf = BytesMut::with_capacity(12 + spec.len() + weights.len());
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(spec.len() as u32);
-        buf.put_slice(spec.as_bytes());
-        buf.put_slice(&weights);
-        buf.freeze()
-    }
-
-    /// Write the checkpoint to a file.
-    ///
-    /// # Errors
-    /// Surfaces I/O failures.
-    pub fn save_file(&self, path: &Path) -> Result<(), CheckpointError> {
-        std::fs::write(path, self.save_bytes()).map_err(|e| CheckpointError::Io(e.to_string()))
+        let mut w = Writer::new(MAGIC, VERSION);
+        w.spec(&encode_spec(&self.cfg));
+        w.raw(&save_weights(self.agent.online_net()));
+        w.finish()
     }
 }
 
@@ -841,45 +827,18 @@ impl PlacementExperiment {
     }
 
     /// Rebuild a trained placement agent from a checkpoint blob:
-    /// decode the spec, rebuild the deterministic geometry, load the
-    /// weights.
+    /// decode the spec, check the weights against the geometry it
+    /// implies, then build the agent and load them.
     ///
     /// # Errors
     /// Returns a [`CheckpointError`] when the blob is not an `HRPP`
-    /// checkpoint, has an unsupported version, a malformed spec, or
-    /// weights of the wrong shape.
-    pub fn load_bytes(mut blob: Bytes) -> Result<PlacementAgent, CheckpointError> {
-        if blob.len() < 12 || &blob[..4] != MAGIC {
-            return Err(CheckpointError::NotACheckpoint);
-        }
-        blob.advance(4);
-        let version = blob.get_u32_le();
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        let spec_len = blob.get_u32_le() as usize;
-        if blob.len() < spec_len {
-            return Err(CheckpointError::NotACheckpoint);
-        }
-        let spec_bytes = blob.split_to(spec_len);
-        let spec = std::str::from_utf8(&spec_bytes)
-            .map_err(|_| CheckpointError::Spec("spec is not UTF-8".into()))?;
-        let cfg = decode_spec(spec)?;
-        let mut agent = DqnAgent::new(cfg.dqn_config());
-        let params = decode_params(blob, agent.online_net().num_params())
-            .map_err(CheckpointError::Weights)?;
-        agent.load_weights(&params);
+    /// checkpoint, has an unsupported version, a malformed or
+    /// out-of-range spec, or weights of the wrong shape.
+    pub fn load_bytes(blob: Bytes) -> Result<PlacementAgent, CheckpointError> {
+        let mut r = Reader::open(&blob, MAGIC, VERSION)?;
+        let cfg = decode_spec(r.spec()?)?;
+        let agent = load_agent(MAGIC, cfg.dqn_config(), r.rest())?;
         Ok(PlacementAgent { agent, cfg })
-    }
-
-    /// [`PlacementExperiment::load_bytes`] from a file.
-    ///
-    /// # Errors
-    /// I/O failures surface as [`CheckpointError::Io`]; decode failures
-    /// as in [`PlacementExperiment::load_bytes`].
-    pub fn load_file(path: &Path) -> Result<PlacementAgent, CheckpointError> {
-        let raw = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        Self::load_bytes(Bytes::from(raw))
     }
 }
 
@@ -907,154 +866,96 @@ impl TrainedPlacement {
 }
 
 /// Encode a config as `key=value` lines (floats shortest-round-trip).
-fn encode_spec(cfg: &PlacementConfig) -> String {
-    let hidden: Vec<String> = cfg.hidden.iter().map(ToString::to_string).collect();
-    let mut s = String::new();
-    let mut kv = |k: &str, v: String| {
-        s.push_str(k);
-        s.push('=');
-        s.push_str(&v);
-        s.push('\n');
-    };
-    kv("nodes", cfg.nodes.to_string());
-    kv("gpus_per_node", cfg.gpus_per_node.to_string());
-    kv("node_w", cfg.node_w.to_string());
-    kv("node_cmax", cfg.node_cmax.to_string());
-    kv("trace.kind", cfg.trace.kind.name().to_string());
-    kv("trace.jobs", cfg.trace.jobs.to_string());
-    kv("trace.seed", cfg.trace.seed.to_string());
-    kv("trace.max_gpus", cfg.trace.max_gpus.to_string());
-    kv("trace.mean_gap", format!("{:?}", cfg.trace.mean_gap));
-    kv("trace.gang_share", format!("{:?}", cfg.trace.gang_share));
-    kv("trace.users", cfg.trace.users.to_string());
-    kv("trace.user_skew", format!("{:?}", cfg.trace.user_skew));
-    kv("n_traces", cfg.n_traces.to_string());
-    kv("episodes", cfg.episodes.to_string());
-    kv("hidden", hidden.join(","));
-    kv("gamma", format!("{:?}", cfg.gamma));
-    kv("lr", format!("{:?}", cfg.lr));
-    kv("batch_size", cfg.batch_size.to_string());
-    kv("target_sync_every", cfg.target_sync_every.to_string());
-    kv("buffer_capacity", cfg.buffer_capacity.to_string());
-    kv("double", cfg.double.to_string());
-    kv("dueling", cfg.dueling.to_string());
-    kv("eps_end", format!("{:?}", cfg.eps_end));
-    kv("rf_weight", format!("{:?}", cfg.rf_weight));
-    kv("seed", cfg.seed.to_string());
-    kv("n_workers", cfg.n_workers.to_string());
-    kv("rollout_round", cfg.rollout_round.to_string());
-    kv("overlap", cfg.overlap.to_string());
-    kv("shards", cfg.shards.to_string());
-    kv(
-        "backfill",
-        cfg.backfill
-            .map_or_else(|| "none".to_string(), |p| p.name().to_string()),
-    );
-    kv("walltime_err", format!("{:?}", cfg.walltime_err));
-    kv("queue_order", cfg.queue_order.name().to_string());
-    kv("fair_order", cfg.fair_order.to_string());
-    kv("fair_quota", cfg.fair_quota.to_string());
-    kv("fair_half_life", format!("{:?}", cfg.fair_half_life));
+fn encode_spec(cfg: &PlacementConfig) -> SpecWriter {
+    let mut s = SpecWriter::new();
+    s.kv("nodes", cfg.nodes);
+    s.kv("gpus_per_node", cfg.gpus_per_node);
+    s.kv("node_w", cfg.node_w);
+    s.kv("node_cmax", cfg.node_cmax);
+    s.kv("trace.kind", cfg.trace.kind.name());
+    s.kv("trace.jobs", cfg.trace.jobs);
+    s.kv("trace.seed", cfg.trace.seed);
+    s.kv("trace.max_gpus", cfg.trace.max_gpus);
+    s.float("trace.mean_gap", cfg.trace.mean_gap);
+    s.float("trace.gang_share", cfg.trace.gang_share);
+    s.kv("trace.users", cfg.trace.users);
+    s.float("trace.user_skew", cfg.trace.user_skew);
+    s.kv("n_traces", cfg.n_traces);
+    s.kv("episodes", cfg.episodes);
+    s.list("hidden", &cfg.hidden);
+    s.float("gamma", cfg.gamma);
+    s.float("lr", cfg.lr);
+    s.kv("batch_size", cfg.batch_size);
+    s.kv("target_sync_every", cfg.target_sync_every);
+    s.kv("buffer_capacity", cfg.buffer_capacity);
+    s.kv("double", cfg.double);
+    s.kv("dueling", cfg.dueling);
+    s.float("eps_end", cfg.eps_end);
+    s.float("rf_weight", cfg.rf_weight);
+    s.kv("seed", cfg.seed);
+    s.kv("n_workers", cfg.n_workers);
+    s.kv("rollout_round", cfg.rollout_round);
+    s.kv("overlap", cfg.overlap);
+    s.kv("shards", cfg.shards);
+    s.kv("backfill", cfg.backfill.map_or("none", |p| p.name()));
+    s.float("walltime_err", cfg.walltime_err);
+    s.kv("queue_order", cfg.queue_order.name());
+    s.kv("fair_order", cfg.fair_order);
+    s.kv("fair_quota", cfg.fair_quota);
+    s.float("fair_half_life", cfg.fair_half_life);
     s
 }
 
-/// Decode a `key=value` spec, requiring every field exactly once —
-/// except the tenant/fairness keys added after the format shipped,
-/// which default to their off values so legacy `HRPP` blobs still load.
-fn decode_spec(spec: &str) -> Result<PlacementConfig, CheckpointError> {
-    fn get<'a>(
-        map: &std::collections::BTreeMap<&'a str, &'a str>,
-        key: &str,
-    ) -> Result<&'a str, CheckpointError> {
-        map.get(key)
-            .copied()
-            .ok_or_else(|| CheckpointError::Spec(format!("missing key '{key}'")))
-    }
-    fn parse<T: std::str::FromStr>(key: &str, raw: &str) -> Result<T, CheckpointError> {
-        raw.parse()
-            .map_err(|_| CheckpointError::Spec(format!("bad value for '{key}': '{raw}'")))
-    }
-    fn parse_or<T: std::str::FromStr>(
-        map: &std::collections::BTreeMap<&str, &str>,
-        key: &str,
-        default: T,
-    ) -> Result<T, CheckpointError> {
-        map.get(key).map_or(Ok(default), |raw| parse(key, raw))
-    }
-
-    let mut map = std::collections::BTreeMap::new();
-    for line in spec.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line
-            .split_once('=')
-            .ok_or_else(|| CheckpointError::Spec(format!("not a key=value line: '{line}'")))?;
-        if map.insert(k, v).is_some() {
-            return Err(CheckpointError::Spec(format!("duplicate key '{k}'")));
-        }
-    }
-
-    let hidden_raw = get(&map, "hidden")?;
-    let hidden = if hidden_raw.is_empty() {
-        Vec::new()
-    } else {
-        hidden_raw
-            .split(',')
-            .map(|p| parse::<usize>("hidden", p))
-            .collect::<Result<Vec<usize>, _>>()?
-    };
-    let kind = TraceKind::parse(get(&map, "trace.kind")?)
-        .map_err(|bad| CheckpointError::Spec(format!("unknown trace kind '{bad}'")))?;
-    let backfill = match get(&map, "backfill")? {
-        "none" => None,
-        raw => Some(
-            BackfillPolicy::parse(raw)
-                .map_err(|bad| CheckpointError::Spec(format!("unknown backfill policy '{bad}'")))?,
-        ),
-    };
-    let queue_order = QueueOrder::parse(get(&map, "queue_order")?)
-        .map_err(|bad| CheckpointError::Spec(format!("unknown queue order '{bad}'")))?;
-
-    Ok(PlacementConfig {
-        nodes: parse("nodes", get(&map, "nodes")?)?,
-        gpus_per_node: parse("gpus_per_node", get(&map, "gpus_per_node")?)?,
-        node_w: parse("node_w", get(&map, "node_w")?)?,
-        node_cmax: parse("node_cmax", get(&map, "node_cmax")?)?,
+/// Decode the spec: every [`PlacementConfig`] field exactly once, in
+/// any order. The cluster geometry is held to the bounds the simulator
+/// and the `HRPS` snapshot enforce; the network-shaping values
+/// (`hidden`, `buffer_capacity`, `shards`) are range-checked by
+/// [`load_agent`] against the weights.
+fn decode_spec(mut spec: Spec<'_>) -> Result<PlacementConfig, CheckpointError> {
+    let cfg = PlacementConfig {
+        nodes: spec.get_in("nodes", 1..=MAX_NODES)?,
+        gpus_per_node: spec.get_in("gpus_per_node", 1..=MAX_GPUS_PER_NODE)?,
+        node_w: spec.get("node_w")?,
+        node_cmax: spec.get("node_cmax")?,
         trace: TraceConfig {
-            kind,
-            jobs: parse("trace.jobs", get(&map, "trace.jobs")?)?,
-            seed: parse("trace.seed", get(&map, "trace.seed")?)?,
-            max_gpus: parse("trace.max_gpus", get(&map, "trace.max_gpus")?)?,
-            mean_gap: parse("trace.mean_gap", get(&map, "trace.mean_gap")?)?,
-            gang_share: parse("trace.gang_share", get(&map, "trace.gang_share")?)?,
-            users: parse_or(&map, "trace.users", 0)?,
-            user_skew: parse_or(&map, "trace.user_skew", trace::DEFAULT_USER_SKEW)?,
+            kind: spec.get_with("trace.kind", TraceKind::parse)?,
+            jobs: spec.get("trace.jobs")?,
+            seed: spec.get("trace.seed")?,
+            max_gpus: spec.get("trace.max_gpus")?,
+            mean_gap: spec.get("trace.mean_gap")?,
+            gang_share: spec.get("trace.gang_share")?,
+            users: spec.get("trace.users")?,
+            user_skew: spec.get("trace.user_skew")?,
         },
-        n_traces: parse("n_traces", get(&map, "n_traces")?)?,
-        episodes: parse("episodes", get(&map, "episodes")?)?,
-        hidden,
-        gamma: parse("gamma", get(&map, "gamma")?)?,
-        lr: parse("lr", get(&map, "lr")?)?,
-        batch_size: parse("batch_size", get(&map, "batch_size")?)?,
-        target_sync_every: parse("target_sync_every", get(&map, "target_sync_every")?)?,
-        buffer_capacity: parse("buffer_capacity", get(&map, "buffer_capacity")?)?,
-        double: parse("double", get(&map, "double")?)?,
-        dueling: parse("dueling", get(&map, "dueling")?)?,
-        eps_end: parse("eps_end", get(&map, "eps_end")?)?,
-        rf_weight: parse("rf_weight", get(&map, "rf_weight")?)?,
-        seed: parse("seed", get(&map, "seed")?)?,
-        n_workers: parse("n_workers", get(&map, "n_workers")?)?,
-        rollout_round: parse("rollout_round", get(&map, "rollout_round")?)?,
-        overlap: parse("overlap", get(&map, "overlap")?)?,
-        shards: parse("shards", get(&map, "shards")?)?,
-        backfill,
-        walltime_err: parse("walltime_err", get(&map, "walltime_err")?)?,
-        queue_order,
-        fair_order: parse_or(&map, "fair_order", false)?,
-        fair_quota: parse_or(&map, "fair_quota", usize::MAX)?,
-        fair_half_life: parse_or(&map, "fair_half_life", 300.0)?,
-    })
+        n_traces: spec.get("n_traces")?,
+        episodes: spec.get("episodes")?,
+        hidden: spec.get_list("hidden")?,
+        gamma: spec.get("gamma")?,
+        lr: spec.get("lr")?,
+        batch_size: spec.get("batch_size")?,
+        target_sync_every: spec.get("target_sync_every")?,
+        buffer_capacity: spec.get("buffer_capacity")?,
+        double: spec.get("double")?,
+        dueling: spec.get("dueling")?,
+        eps_end: spec.get("eps_end")?,
+        rf_weight: spec.get("rf_weight")?,
+        seed: spec.get("seed")?,
+        n_workers: spec.get("n_workers")?,
+        rollout_round: spec.get("rollout_round")?,
+        overlap: spec.get("overlap")?,
+        shards: spec.get("shards")?,
+        backfill: spec.get_with("backfill", |raw| match raw {
+            "none" => Ok(None),
+            policy => BackfillPolicy::parse(policy).map(Some),
+        })?,
+        walltime_err: spec.get_in("walltime_err", 0.0..1.0)?,
+        queue_order: spec.get_with("queue_order", QueueOrder::parse)?,
+        fair_order: spec.get("fair_order")?,
+        fair_quota: spec.get("fair_quota")?,
+        fair_half_life: spec.get("fair_half_life")?,
+    };
+    spec.finish()?;
+    Ok(cfg)
 }
 
 #[cfg(test)]
@@ -1323,13 +1224,19 @@ mod tests {
         assert_eq!(outcome.report.unwrap(), direct);
     }
 
+    fn decode_text(text: &str) -> Result<PlacementConfig, CheckpointError> {
+        decode_spec(Spec::parse(MAGIC, text)?)
+    }
+
     #[test]
     fn spec_round_trips_every_field() {
         let mut cfg = PlacementConfig::default_cfg();
         cfg.trace = TraceConfig::new(TraceKind::HeavyTail, 48, 7)
             .max_gpus(4)
             .mean_gap(2.25)
-            .gang_share(0.5);
+            .gang_share(0.5)
+            .users(5)
+            .user_skew(1.3);
         cfg.overlap = true;
         cfg.shards = 4;
         cfg.lr = 3.3e-4;
@@ -1338,11 +1245,35 @@ mod tests {
         cfg.backfill = Some(BackfillPolicy::Conservative);
         cfg.walltime_err = 0.375;
         cfg.queue_order = QueueOrder::WidestFirst;
-        let decoded = decode_spec(&encode_spec(&cfg)).unwrap();
-        assert_eq!(decoded, cfg);
+        cfg.fair_order = true;
+        cfg.fair_quota = 3;
+        cfg.fair_half_life = 45.5;
+        let text = encode_spec(&cfg);
+        assert_eq!(decode_text(text.as_str()).unwrap(), cfg);
         // The default (no backfill, arrival order) round-trips too.
         let plain = PlacementConfig::default_cfg();
-        assert_eq!(decode_spec(&encode_spec(&plain)).unwrap(), plain);
+        assert_eq!(decode_text(encode_spec(&plain).as_str()).unwrap(), plain);
+        // Geometry beyond what the simulator accepts is a typed error,
+        // and the tenant keys are required like every other key.
+        for (from, to) in [
+            ("nodes=4", "nodes=0"),
+            ("nodes=4", "nodes=65"),
+            ("gpus_per_node=2", "gpus_per_node=0"),
+            ("gpus_per_node=2", "gpus_per_node=99999"),
+            ("walltime_err=0.375", "walltime_err=NaN"),
+            ("backfill=conservative", "backfill=eazy"),
+            ("fair_order=true\n", ""),
+            ("trace.users=5\n", ""),
+        ] {
+            assert!(text.as_str().contains(from), "spec has no '{from}'");
+            assert!(
+                matches!(
+                    decode_text(&text.as_str().replace(from, to)),
+                    Err(CheckpointError::Invalid { format: "HRPP", .. })
+                ),
+                "'{from}' -> '{to}' must be a typed error"
+            );
+        }
     }
 
     #[test]
@@ -1368,17 +1299,20 @@ mod tests {
 
     #[test]
     fn load_rejects_garbage_and_bad_versions() {
-        assert!(matches!(
-            PlacementExperiment::load_bytes(Bytes::from_static(b"nope")),
-            Err(CheckpointError::NotACheckpoint)
-        ));
+        assert_eq!(
+            PlacementExperiment::load_bytes(Bytes::from_static(b"nope")).err(),
+            Some(CheckpointError::NotACheckpoint { expected: "HRPP" })
+        );
         let agent = PlacementAgent::untrained(PlacementConfig::quick());
-        let mut raw = BytesMut::from(&agent.save_bytes()[..]);
+        let mut raw = agent.save_bytes().to_vec();
         raw[4] = 99;
-        assert!(matches!(
-            PlacementExperiment::load_bytes(raw.freeze()),
-            Err(CheckpointError::BadVersion(_))
-        ));
+        assert_eq!(
+            PlacementExperiment::load_bytes(raw.into()).err(),
+            Some(CheckpointError::BadVersion {
+                format: "HRPP",
+                found: 99
+            })
+        );
     }
 
     #[test]

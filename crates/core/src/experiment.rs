@@ -27,18 +27,12 @@
 //!
 //! # Checkpoint format
 //!
-//! A small container around the existing [`hrp_nn::serialize`] weight
-//! blob:
-//!
-//! ```text
-//! "HRPE" | version u32 LE | spec_len u32 LE | spec (UTF-8) | HRPQ weight blob
-//! ```
-//!
-//! The spec is `key=value` lines (one per [`TrainConfig`] field, floats
-//! printed shortest-round-trip, so decoding is exact). The config types
-//! also derive the `serde` marker traits, so the spec can move to a
-//! serde format wholesale once the workspace swaps the offline stand-in
-//! for the real crate.
+//! An `HRPE` blob on the shared checkpoint codec
+//! ([`hrp_nn::serialize`], re-exported as [`crate::codec`]): the
+//! container header, a `key=value` spec with one line per
+//! [`TrainConfig`] field (floats printed shortest-round-trip, so
+//! decoding is exact), then the `HRPQ` weight blob of the online
+//! network. ARCHITECTURE.md tabulates all four formats.
 //!
 //! ## Save → load quickstart
 //!
@@ -69,20 +63,25 @@
 //! ```
 
 use crate::actions::ActionCatalog;
+pub use crate::codec::CheckpointError;
+use crate::codec::{load_agent, save_weights, Reader, Spec, SpecWriter, Writer};
 use crate::rl::EnvKind;
 use crate::train::{dqn_config, env_geometry, train, TrainConfig, TrainReport, TrainedAgent};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use hrp_gpusim::engine::EngineConfig;
-use hrp_nn::serialize::{decode_params, save_weights, SnapshotError};
-use hrp_nn::DqnAgent;
 use hrp_profile::{FeatureScaler, ProfileRepository, Profiler};
 use hrp_workloads::Suite;
 use std::path::Path;
 
 /// Magic prefix for experiment checkpoints.
-const MAGIC: &[u8; 4] = b"HRPE";
+const MAGIC: &str = "HRPE";
 /// Checkpoint format version.
 const VERSION: u32 = 1;
+
+/// Largest window a checkpoint may claim (the paper's `W` is 12): it
+/// sizes the state vector, so it must be bounded before the geometry
+/// is computed from it.
+const MAX_WINDOW: usize = 4096;
 
 /// A fluent, serialisable training spec (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
@@ -196,40 +195,25 @@ impl Experiment {
     }
 
     /// Rebuild a trained agent from a checkpoint blob: decode the spec,
-    /// regenerate the deterministic deployment state (profiles, scaler,
-    /// catalog), and load the weights.
+    /// check the weights against the geometry it implies, regenerate
+    /// the deterministic deployment state (profiles, scaler, catalog),
+    /// and load the weights.
     ///
     /// # Errors
-    /// Returns a [`CheckpointError`] when the blob is not a checkpoint,
-    /// has an unsupported version, a malformed spec, or weights whose
-    /// shape does not match the spec's network geometry.
-    pub fn load_bytes(mut blob: Bytes, suite: &Suite) -> Result<TrainedAgent, CheckpointError> {
-        if blob.len() < 12 || &blob[..4] != MAGIC {
-            return Err(CheckpointError::NotACheckpoint);
-        }
-        blob.advance(4);
-        let version = blob.get_u32_le();
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        let spec_len = blob.get_u32_le() as usize;
-        if blob.len() < spec_len {
-            return Err(CheckpointError::NotACheckpoint);
-        }
-        let spec_bytes = blob.split_to(spec_len);
-        let spec = std::str::from_utf8(&spec_bytes)
-            .map_err(|_| CheckpointError::Spec("spec is not UTF-8".into()))?;
-        let cfg = decode_spec(spec)?;
+    /// Returns a [`CheckpointError`] when the blob is not an `HRPE`
+    /// checkpoint, has an unsupported version, a malformed or
+    /// out-of-range spec, or weights whose shape does not match the
+    /// spec's network geometry.
+    pub fn load_bytes(blob: Bytes, suite: &Suite) -> Result<TrainedAgent, CheckpointError> {
+        let mut r = Reader::open(&blob, MAGIC, VERSION)?;
+        let cfg = decode_spec(r.spec()?)?;
+        let catalog = ActionCatalog::paper_29();
+        let (state_dim, n_actions) = env_geometry(&cfg, &catalog);
+        let agent = load_agent(MAGIC, dqn_config(&cfg, state_dim, n_actions), r.rest())?;
 
         let profiler = Profiler::new(suite.arch().clone(), cfg.profile_noise, cfg.seed);
         let repo = ProfileRepository::for_suite(suite, &profiler);
         let scaler = FeatureScaler::fit(&repo);
-        let catalog = ActionCatalog::paper_29();
-        let (state_dim, n_actions) = env_geometry(&cfg, &catalog);
-        let mut agent = DqnAgent::new(dqn_config(&cfg, state_dim, n_actions));
-        let params = decode_params(blob, agent.online_net().num_params())
-            .map_err(CheckpointError::Weights)?;
-        agent.load_weights(&params);
         Ok(TrainedAgent::from_parts(agent, scaler, catalog, repo, cfg))
     }
 
@@ -272,15 +256,10 @@ impl TrainedAgent {
     /// Serialise the full checkpoint: spec + online-network weights.
     #[must_use]
     pub fn save_bytes(&self) -> Bytes {
-        let spec = encode_spec(self.config());
-        let weights = save_weights(self.dqn().online_net());
-        let mut buf = BytesMut::with_capacity(12 + spec.len() + weights.len());
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(spec.len() as u32);
-        buf.put_slice(spec.as_bytes());
-        buf.put_slice(&weights);
-        buf.freeze()
+        let mut w = Writer::new(MAGIC, VERSION);
+        w.spec(&encode_spec(self.config()));
+        w.raw(&save_weights(self.dqn().online_net()));
+        w.finish()
     }
 
     /// Write the checkpoint to a file.
@@ -292,163 +271,85 @@ impl TrainedAgent {
     }
 }
 
-/// Checkpoint decode/IO errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// Blob too short or missing the `HRPE` magic.
-    NotACheckpoint,
-    /// Unsupported checkpoint version.
-    BadVersion(u32),
-    /// Malformed spec section.
-    Spec(String),
-    /// Weight blob failed to decode.
-    Weights(SnapshotError),
-    /// Filesystem failure.
-    Io(String),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NotACheckpoint => write!(f, "not an HRPE checkpoint"),
-            Self::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            Self::Spec(e) => write!(f, "malformed spec: {e}"),
-            Self::Weights(e) => write!(f, "weight blob: {e}"),
-            Self::Io(e) => write!(f, "io: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
 /// Encode a config as `key=value` lines (floats shortest-round-trip).
-fn encode_spec(cfg: &TrainConfig) -> String {
-    let hidden: Vec<String> = cfg.hidden.iter().map(ToString::to_string).collect();
-    let mut s = String::new();
-    let mut kv = |k: &str, v: String| {
-        s.push_str(k);
-        s.push('=');
-        s.push_str(&v);
-        s.push('\n');
-    };
-    kv("w", cfg.w.to_string());
-    kv("cmax", cfg.cmax.to_string());
-    kv("episodes", cfg.episodes.to_string());
-    kv("n_queues", cfg.n_queues.to_string());
-    kv("seed", cfg.seed.to_string());
-    kv("hidden", hidden.join(","));
-    kv("gamma", format!("{:?}", cfg.gamma));
-    kv("lr", format!("{:?}", cfg.lr));
-    kv("batch_size", cfg.batch_size.to_string());
-    kv("target_sync_every", cfg.target_sync_every.to_string());
-    kv("buffer_capacity", cfg.buffer_capacity.to_string());
-    kv("double", cfg.double.to_string());
-    kv("dueling", cfg.dueling.to_string());
-    kv("profile_noise", format!("{:?}", cfg.profile_noise));
-    kv("ri_weight", format!("{:?}", cfg.ri_weight));
-    kv("rf_weight", format!("{:?}", cfg.rf_weight));
-    kv(
+fn encode_spec(cfg: &TrainConfig) -> SpecWriter {
+    let mut s = SpecWriter::new();
+    s.kv("w", cfg.w);
+    s.kv("cmax", cfg.cmax);
+    s.kv("episodes", cfg.episodes);
+    s.kv("n_queues", cfg.n_queues);
+    s.kv("seed", cfg.seed);
+    s.list("hidden", &cfg.hidden);
+    s.float("gamma", cfg.gamma);
+    s.float("lr", cfg.lr);
+    s.kv("batch_size", cfg.batch_size);
+    s.kv("target_sync_every", cfg.target_sync_every);
+    s.kv("buffer_capacity", cfg.buffer_capacity);
+    s.kv("double", cfg.double);
+    s.kv("dueling", cfg.dueling);
+    s.float("profile_noise", cfg.profile_noise);
+    s.float("ri_weight", cfg.ri_weight);
+    s.float("rf_weight", cfg.rf_weight);
+    s.float(
         "engine.mig_reconfig_overhead",
-        format!("{:?}", cfg.engine.mig_reconfig_overhead),
+        cfg.engine.mig_reconfig_overhead,
     );
-    kv(
-        "engine.mps_setup_overhead",
-        format!("{:?}", cfg.engine.mps_setup_overhead),
-    );
-    kv(
-        "engine.max_sim_time",
-        format!("{:?}", cfg.engine.max_sim_time),
-    );
-    kv("eps_end", format!("{:?}", cfg.eps_end));
-    kv("n_workers", cfg.n_workers.to_string());
-    kv("rollout_round", cfg.rollout_round.to_string());
-    kv("overlap", cfg.overlap.to_string());
-    kv("shards", cfg.shards.to_string());
-    kv("env", cfg.env.name().to_string());
+    s.float("engine.mps_setup_overhead", cfg.engine.mps_setup_overhead);
+    s.float("engine.max_sim_time", cfg.engine.max_sim_time);
+    s.float("eps_end", cfg.eps_end);
+    s.kv("n_workers", cfg.n_workers);
+    s.kv("rollout_round", cfg.rollout_round);
+    s.kv("overlap", cfg.overlap);
+    s.kv("shards", cfg.shards);
+    s.kv("env", cfg.env.name());
     s
 }
 
-/// Decode a `key=value` spec, requiring every field exactly once.
-fn decode_spec(spec: &str) -> Result<TrainConfig, CheckpointError> {
-    fn get<'a>(
-        map: &std::collections::BTreeMap<&'a str, &'a str>,
-        key: &str,
-    ) -> Result<&'a str, CheckpointError> {
-        map.get(key)
-            .copied()
-            .ok_or_else(|| CheckpointError::Spec(format!("missing key '{key}'")))
-    }
-    fn parse<T: std::str::FromStr>(key: &str, raw: &str) -> Result<T, CheckpointError> {
-        raw.parse()
-            .map_err(|_| CheckpointError::Spec(format!("bad value for '{key}': '{raw}'")))
-    }
-
-    let mut map = std::collections::BTreeMap::new();
-    for line in spec.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line
-            .split_once('=')
-            .ok_or_else(|| CheckpointError::Spec(format!("not a key=value line: '{line}'")))?;
-        if map.insert(k, v).is_some() {
-            return Err(CheckpointError::Spec(format!("duplicate key '{k}'")));
-        }
-    }
-
-    let hidden_raw = get(&map, "hidden")?;
-    let hidden = if hidden_raw.is_empty() {
-        Vec::new()
-    } else {
-        hidden_raw
-            .split(',')
-            .map(|p| parse::<usize>("hidden", p))
-            .collect::<Result<Vec<usize>, _>>()?
-    };
-    let env = EnvKind::parse(get(&map, "env")?)
-        .map_err(|bad| CheckpointError::Spec(format!("unknown env kind '{bad}'")))?;
-
-    Ok(TrainConfig {
-        w: parse("w", get(&map, "w")?)?,
-        cmax: parse("cmax", get(&map, "cmax")?)?,
-        episodes: parse("episodes", get(&map, "episodes")?)?,
-        n_queues: parse("n_queues", get(&map, "n_queues")?)?,
-        seed: parse("seed", get(&map, "seed")?)?,
-        hidden,
-        gamma: parse("gamma", get(&map, "gamma")?)?,
-        lr: parse("lr", get(&map, "lr")?)?,
-        batch_size: parse("batch_size", get(&map, "batch_size")?)?,
-        target_sync_every: parse("target_sync_every", get(&map, "target_sync_every")?)?,
-        buffer_capacity: parse("buffer_capacity", get(&map, "buffer_capacity")?)?,
-        double: parse("double", get(&map, "double")?)?,
-        dueling: parse("dueling", get(&map, "dueling")?)?,
-        profile_noise: parse("profile_noise", get(&map, "profile_noise")?)?,
-        ri_weight: parse("ri_weight", get(&map, "ri_weight")?)?,
-        rf_weight: parse("rf_weight", get(&map, "rf_weight")?)?,
+/// Decode the spec: every [`TrainConfig`] field exactly once, in any
+/// order. The network-shaping values (`hidden`, `buffer_capacity`,
+/// `shards`) are range-checked by [`load_agent`] against the weights.
+fn decode_spec(mut spec: Spec<'_>) -> Result<TrainConfig, CheckpointError> {
+    let cfg = TrainConfig {
+        w: spec.get_in("w", 1..=MAX_WINDOW)?,
+        cmax: spec.get("cmax")?,
+        episodes: spec.get("episodes")?,
+        n_queues: spec.get("n_queues")?,
+        seed: spec.get("seed")?,
+        hidden: spec.get_list("hidden")?,
+        gamma: spec.get("gamma")?,
+        lr: spec.get("lr")?,
+        batch_size: spec.get("batch_size")?,
+        target_sync_every: spec.get("target_sync_every")?,
+        buffer_capacity: spec.get("buffer_capacity")?,
+        double: spec.get("double")?,
+        dueling: spec.get("dueling")?,
+        profile_noise: spec.get("profile_noise")?,
+        ri_weight: spec.get("ri_weight")?,
+        rf_weight: spec.get("rf_weight")?,
         engine: EngineConfig {
-            mig_reconfig_overhead: parse(
-                "engine.mig_reconfig_overhead",
-                get(&map, "engine.mig_reconfig_overhead")?,
-            )?,
-            mps_setup_overhead: parse(
-                "engine.mps_setup_overhead",
-                get(&map, "engine.mps_setup_overhead")?,
-            )?,
-            max_sim_time: parse("engine.max_sim_time", get(&map, "engine.max_sim_time")?)?,
+            mig_reconfig_overhead: spec.get("engine.mig_reconfig_overhead")?,
+            mps_setup_overhead: spec.get("engine.mps_setup_overhead")?,
+            max_sim_time: spec.get("engine.max_sim_time")?,
         },
-        eps_end: parse("eps_end", get(&map, "eps_end")?)?,
-        n_workers: parse("n_workers", get(&map, "n_workers")?)?,
-        rollout_round: parse("rollout_round", get(&map, "rollout_round")?)?,
-        overlap: parse("overlap", get(&map, "overlap")?)?,
-        shards: parse("shards", get(&map, "shards")?)?,
-        env,
-    })
+        eps_end: spec.get("eps_end")?,
+        n_workers: spec.get("n_workers")?,
+        rollout_round: spec.get("rollout_round")?,
+        overlap: spec.get("overlap")?,
+        shards: spec.get("shards")?,
+        env: spec.get_with("env", EnvKind::parse)?,
+    };
+    spec.finish()?;
+    Ok(cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hrp_gpusim::GpuArch;
+
+    fn decode_text(text: &str) -> Result<TrainConfig, CheckpointError> {
+        decode_spec(Spec::parse(MAGIC, text)?)
+    }
 
     #[test]
     fn spec_round_trips_every_field() {
@@ -460,28 +361,32 @@ mod tests {
         cfg.profile_noise = 0.123_456_789;
         cfg.engine.mig_reconfig_overhead = 2.5;
         cfg.hidden = vec![96, 48, 24];
-        let decoded = decode_spec(&encode_spec(&cfg)).unwrap();
+        let decoded = decode_text(encode_spec(&cfg).as_str()).unwrap();
         assert_eq!(decoded, cfg);
     }
 
     #[test]
     fn spec_rejects_missing_and_malformed_keys() {
         let good = encode_spec(&TrainConfig::quick());
-        let missing = good.replace("gamma=", "gama=");
-        assert!(matches!(
-            decode_spec(&missing),
-            Err(CheckpointError::Spec(_))
-        ));
-        let malformed = good.replace("episodes=250", "episodes=lots");
-        assert!(matches!(
-            decode_spec(&malformed),
-            Err(CheckpointError::Spec(_))
-        ));
-        let typo_env = good.replace("env=flat", "env=flatt");
-        assert!(matches!(
-            decode_spec(&typo_env),
-            Err(CheckpointError::Spec(_))
-        ));
+        let good = good.as_str();
+        assert!(decode_text(good).is_ok());
+        for (from, to) in [
+            ("gamma=", "gama="),
+            ("episodes=250", "episodes=lots"),
+            ("env=flat", "env=flatt"),
+            ("w=6", "w=0"),
+            ("w=6", "w=18446744073709551615"),
+            ("seed=", "retired=1\nseed="),
+        ] {
+            assert!(good.contains(from), "spec has no '{from}'");
+            assert!(
+                matches!(
+                    decode_text(&good.replace(from, to)),
+                    Err(CheckpointError::Invalid { format: "HRPE", .. })
+                ),
+                "'{from}' -> '{to}' must be a typed error"
+            );
+        }
     }
 
     #[test]
@@ -511,16 +416,19 @@ mod tests {
     #[test]
     fn load_rejects_garbage_and_versions() {
         let suite = Suite::paper_suite(&GpuArch::a100());
-        assert!(matches!(
-            Experiment::load_bytes(Bytes::from_static(b"nope"), &suite),
-            Err(CheckpointError::NotACheckpoint)
-        ));
+        assert_eq!(
+            Experiment::load_bytes(Bytes::from_static(b"nope"), &suite).err(),
+            Some(CheckpointError::NotACheckpoint { expected: "HRPE" })
+        );
         let run = Experiment::quick().episodes(4).run_on(&suite);
-        let mut raw = BytesMut::from(&run.save_bytes()[..]);
+        let mut raw = run.save_bytes().to_vec();
         raw[4] = 99;
-        assert!(matches!(
-            Experiment::load_bytes(raw.freeze(), &suite),
-            Err(CheckpointError::BadVersion(_))
-        ));
+        assert_eq!(
+            Experiment::load_bytes(raw.into(), &suite).err(),
+            Some(CheckpointError::BadVersion {
+                format: "HRPE",
+                found: 99
+            })
+        );
     }
 }

@@ -41,8 +41,7 @@
 //!   multi-node simulator);
 //! * [`par`] — the bounded parallelism primitives
 //!   ([`par::parallel_map`] and the persistent [`par::WorkerPool`])
-//!   the rollout, evaluation, cluster window-drain, and multi-node
-//!   epoch fan-outs share;
+//!   the rollout, evaluation, and multi-node epoch fan-outs share;
 //! * [`policies`] — the five compared methods of §V-A4: `TimeSharing`,
 //!   `MigOnly (C=2)`, `MpsOnly`, `MigMpsDefault`, and `MigMpsRl`;
 //! * [`exhaustive`] — the set-partition dynamic program used to give the
@@ -71,6 +70,12 @@ pub mod problem;
 pub mod reward;
 pub mod rl;
 pub mod train;
+
+/// The checkpoint codec every blob format is built on (`hrp-nn`'s
+/// [`serialize`](hrp_nn::serialize) module), re-exported so the crates
+/// above this one describe their formats without a dependency on
+/// `hrp-nn` of their own.
+pub use hrp_nn::serialize as codec;
 
 pub use actions::ActionCatalog;
 pub use cluster_env::{NodeLoad, NodeSelector, PolicySelector};

@@ -32,7 +32,9 @@
 //! * [`infer`] — the deployed-inference fast path: [`infer::FastPolicy`]
 //!   pre-plans the layer walk with preallocated scratch and runtime-
 //!   detected AVX2 microkernels, bit-identical to `predict_batch`;
-//! * [`serialize`] — weight snapshots to/from bytes.
+//! * [`serialize`] — the checkpoint codec: the one bounds-checked
+//!   container, spec and reader behind all four blob formats, and the
+//!   `HRPQ` weight blob itself.
 //!
 //! Everything is deterministic for a fixed seed (`rand::SmallRng`), the
 //! backprop code is validated against numerical gradients in tests, the

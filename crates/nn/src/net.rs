@@ -427,6 +427,34 @@ impl QNet {
         self.layers().map(Linear::num_params).sum()
     }
 
+    /// The [`QNet::num_params`] of the network [`QNet::new`] would build
+    /// for this geometry, in checked arithmetic and without building
+    /// it; `None` for a geometry `new` rejects (no hidden layer, a
+    /// zero width) or whose count overflows. Checkpoint loading sizes
+    /// the weight section against this before constructing anything.
+    #[must_use]
+    pub fn param_count(
+        state_dim: usize,
+        hidden: &[usize],
+        n_actions: usize,
+        head: Head,
+    ) -> Option<usize> {
+        let linear = |rows: usize, cols: usize| rows.checked_mul(cols)?.checked_add(rows);
+        if hidden.is_empty() || hidden.contains(&0) {
+            return None;
+        }
+        let mut total = 0usize;
+        let mut prev = state_dim;
+        for &h in hidden {
+            total = total.checked_add(linear(h, prev)?)?;
+            prev = h;
+        }
+        if head == Head::Dueling {
+            total = total.checked_add(linear(1, prev)?)?;
+        }
+        total.checked_add(linear(n_actions, prev)?)
+    }
+
     /// Flatten all parameters into `out` (canonical layer order).
     pub fn write_params(&self, out: &mut Vec<f32>) {
         out.clear();
@@ -657,5 +685,16 @@ mod tests {
         // 204·512+512 + 512·256+256 + 256·128+128 + 128·1+1 + 128·29+29
         let expect = 204 * 512 + 512 + 512 * 256 + 256 + 256 * 128 + 128 + 128 + 1 + 128 * 29 + 29;
         assert_eq!(net.num_params(), expect);
+        // The checked count agrees with what `new` builds, per head.
+        let dims = (204, &[512, 256, 128][..], 29);
+        assert_eq!(
+            QNet::param_count(dims.0, dims.1, dims.2, Head::Dueling),
+            Some(expect)
+        );
+        let plain = QNet::new(dims.0, dims.1, dims.2, Head::Plain, 0);
+        assert_eq!(
+            QNet::param_count(dims.0, dims.1, dims.2, Head::Plain),
+            Some(plain.num_params())
+        );
     }
 }

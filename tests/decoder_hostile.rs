@@ -1,0 +1,465 @@
+//! One hostile-bytes harness for all four checkpoint formats, plus the
+//! goldens that keep their writers byte-identical.
+//!
+//! `HRPQ` weights nest inside the `HRPE` / `HRPP` agents, and an `HRPP`
+//! nests inside the `HRPS` live snapshot; all four are read by the one
+//! codec in `hrp-nn::serialize`. For one blob per format at fixed
+//! seeds — `HRPS` taken mid-run under least-loaded, round-robin, EASY +
+//! admission with a non-empty deferred queue, and a policy agent (so
+//! the nested `HRPS` → `HRPP` → `HRPQ` path is swept too) — this file
+//! checks that
+//!
+//! * the untouched blob decodes and re-encodes to the identical bytes,
+//!   and those bytes are the ones the parent commit's writers produced
+//!   (length + FNV-1a digest captured there, before any writer moved);
+//! * every truncation is a typed error;
+//! * every byte set to `0x00`, `0xff`, `^0x01`, `^0x80`, and every
+//!   four-byte window (so every `u32` length prefix) set to `u32::MAX`,
+//!   decodes to `Ok` or a typed error — never a panic, never an abort;
+//! * the largest single allocation any of those decodes requests stays
+//!   under a stated constant plus a small multiple of the blob length,
+//!   i.e. is never sized by a length or geometry field the bytes
+//!   present cannot back.
+//!
+//! A size-recording `#[global_allocator]` (thread-local, the pattern of
+//! `tests/alloc_free.rs`) takes the last measurement; it also *refuses*
+//! absurd requests while armed, so a decoder that does trust a forged
+//! size aborts this test binary instead of exhausting the machine.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use hrp::cluster::place::{PlacementAgent, PlacementConfig, PlacementExperiment};
+use hrp::cluster::{SelectorKind, TraceConfig, TraceKind};
+use hrp::core::experiment::Experiment;
+use hrp::gpusim::GpuArch;
+use hrp::nn::net::{Head, QNet};
+use hrp::nn::serialize::{load_weights, save_weights};
+use hrp::serve::{restore, AdmissionConfig, SchedulerService, ServeConfig, TraceSource};
+use hrp::workloads::Suite;
+
+// ---- the recording allocator --------------------------------------
+
+thread_local! {
+    // `const` init so reading these inside the allocator can never
+    // itself allocate (no lazy registration path).
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Requests above this are refused (null) while armed: far beyond
+/// anything a decode may ask for, far below what would hurt the host.
+const REFUSE_ABOVE: usize = 1 << 30;
+
+/// Records this thread's largest single request while armed; delegates
+/// to the system allocator.
+struct RecordingAlloc;
+
+/// Note a request; `false` means refuse it.
+fn admit(size: usize) -> bool {
+    // `try_with` so allocations during thread teardown (after TLS
+    // destruction) pass through unrecorded instead of aborting.
+    let armed = ARMED.try_with(Cell::get).unwrap_or(false);
+    if armed {
+        let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+    }
+    !armed || size <= REFUSE_ABOVE
+}
+
+unsafe impl GlobalAlloc for RecordingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if !admit(layout.size()) {
+            return std::ptr::null_mut();
+        }
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if !admit(layout.size()) {
+            return std::ptr::null_mut();
+        }
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if !admit(new_size) {
+            return std::ptr::null_mut();
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: RecordingAlloc = RecordingAlloc;
+
+/// Run `f` armed; return its result and the largest single allocation
+/// it requested.
+fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|p| p.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, PEAK.with(Cell::get))
+}
+
+// ---- one blob per format, at fixed seeds --------------------------
+
+fn suite() -> Suite {
+    Suite::paper_suite(&GpuArch::a100())
+}
+
+/// FNV-1a over the blob: the same digest family the timeline uses.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn hrpq_blob() -> Vec<u8> {
+    save_weights(&QNet::new(6, &[8], 3, Head::Dueling, 5)).to_vec()
+}
+
+fn hrpe_blob(suite: &Suite) -> Vec<u8> {
+    Experiment::quick()
+        .window(3)
+        .hidden(vec![4])
+        .episodes(4)
+        .seed(7)
+        .run_on(suite)
+        .save_bytes()
+        .to_vec()
+}
+
+fn placement_agent() -> PlacementAgent {
+    let mut cfg = PlacementConfig::quick();
+    cfg.nodes = 2;
+    cfg.hidden = vec![4];
+    PlacementAgent::untrained(cfg)
+}
+
+fn hrpp_blob() -> Vec<u8> {
+    placement_agent().save_bytes().to_vec()
+}
+
+/// Which selector tier a mid-run `HRPS` blob is taken from.
+#[derive(Clone, Copy, Debug)]
+enum Tier {
+    LeastLoaded,
+    RoundRobin,
+    /// EASY backfilling behind an admission tier whose quota of 1
+    /// leaves jobs parked in the deferred queue at the cut.
+    EasyAdmission,
+    Policy,
+}
+
+const TIERS: [Tier; 4] = [
+    Tier::LeastLoaded,
+    Tier::RoundRobin,
+    Tier::EasyAdmission,
+    Tier::Policy,
+];
+
+/// A 2 × 2 service stepped to the middle of a 20-job bursty trace and
+/// checkpointed there, so the body carries running placements, waiting
+/// queues, undrained events and (per tier) a cursor, reservations,
+/// fair-share state with a non-empty deferred queue, or an agent.
+fn hrps_blob(suite: &Suite, tier: Tier) -> Vec<u8> {
+    let mut trace = TraceConfig::new(TraceKind::Bursty, 20, 3).gang_share(0.25);
+    let mut cfg = ServeConfig::new(2, 2);
+    if matches!(tier, Tier::EasyAdmission) {
+        trace = trace.users(3);
+        cfg = cfg
+            .walltime_err(0.25)
+            .admission(AdmissionConfig::new().quota(1).half_life(60.0).slo(50.0));
+    }
+    let source = TraceSource::new(suite, trace);
+    let mut svc = match tier {
+        Tier::LeastLoaded => SchedulerService::new(suite, cfg, SelectorKind::LeastLoaded, source),
+        Tier::RoundRobin => SchedulerService::new(suite, cfg, SelectorKind::RoundRobin, source),
+        Tier::EasyAdmission => SchedulerService::new(suite, cfg, SelectorKind::Easy, source),
+        Tier::Policy => SchedulerService::with_agent(suite, cfg, placement_agent(), source),
+    };
+    while svc.consumed() < 10 {
+        let _ = svc.step();
+    }
+    if matches!(tier, Tier::EasyAdmission) {
+        assert!(svc.deferred_jobs() > 0, "the cut must catch parked jobs");
+    }
+    svc.checkpoint()
+        .expect("a trace source checkpoints")
+        .to_vec()
+}
+
+/// Decode a blob and, when it decodes, re-encode what came back. The
+/// error is kept as text: the harness only needs "typed, not a panic".
+type Decode = fn(&Suite, Vec<u8>) -> Result<Vec<u8>, String>;
+
+fn decode_hrpq(_: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
+    let mut net = QNet::new(6, &[8], 3, Head::Dueling, 99);
+    load_weights(&mut net, &blob).map_err(|e| e.to_string())?;
+    Ok(save_weights(&net).to_vec())
+}
+
+fn decode_hrpe(suite: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
+    let agent = Experiment::load_bytes(blob.into(), suite).map_err(|e| e.to_string())?;
+    Ok(agent.save_bytes().to_vec())
+}
+
+fn decode_hrpp(_: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
+    let agent = PlacementExperiment::load_bytes(blob.into()).map_err(|e| e.to_string())?;
+    Ok(agent.save_bytes().to_vec())
+}
+
+fn decode_hrps(suite: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
+    let service = restore(suite, blob.into()).map_err(|e| e.to_string())?;
+    Ok(service.checkpoint().map_err(|e| e.to_string())?.to_vec())
+}
+
+/// Every swept blob: name, bytes, decoder.
+fn corpus(suite: &Suite) -> Vec<(String, Vec<u8>, Decode)> {
+    let mut all: Vec<(String, Vec<u8>, Decode)> = vec![
+        ("HRPQ".into(), hrpq_blob(), decode_hrpq),
+        ("HRPE".into(), hrpe_blob(suite), decode_hrpe),
+        ("HRPP".into(), hrpp_blob(), decode_hrpp),
+    ];
+    for tier in TIERS {
+        all.push((
+            format!("HRPS {tier:?}"),
+            hrps_blob(suite, tier),
+            decode_hrps,
+        ));
+    }
+    all
+}
+
+// ---- byte identity ------------------------------------------------
+
+/// `(name, length, FNV-1a)` of every corpus blob, captured on the
+/// parent commit (PR 16) before any writer was touched. These must not
+/// move: they are what keeps `serve.checkpoint.bytes` and every CI
+/// kill/restore digest fixed.
+const GOLDEN: [(&str, usize, u64); 7] = [
+    ("HRPQ", 380, 0x168e_3209_c0ac_404a),
+    ("HRPE", 1826, 0xfb19_4aad_5085_9eb3),
+    ("HRPP", 721, 0x878c_3d8d_fc6d_34e9),
+    ("HRPS LeastLoaded", 1454, 0x0dbe_a3c2_5a61_1151),
+    ("HRPS RoundRobin", 1466, 0x6da6_a030_38ad_39b7),
+    ("HRPS EasyAdmission", 1512, 0x6b8c_aeb1_b08c_af88),
+    ("HRPS Policy", 2057, 0xbfba_3011_1e9b_0e91),
+];
+
+#[test]
+fn every_writer_is_byte_identical_to_the_parent_commit() {
+    let s = suite();
+    let got: Vec<(String, usize, u64)> = corpus(&s)
+        .into_iter()
+        .map(|(name, blob, _)| (name, blob.len(), fnv1a(&blob)))
+        .collect();
+    for ((name, len, digest), (want_name, want_len, want_digest)) in got.iter().zip(GOLDEN) {
+        assert_eq!(name, want_name);
+        assert_eq!(
+            (*len, *digest),
+            (want_len, want_digest),
+            "{name}: got {len} bytes, digest 0x{digest:016x}"
+        );
+    }
+}
+
+#[test]
+fn untouched_blobs_decode_and_re_encode_to_the_identical_bytes() {
+    let s = suite();
+    for (name, blob, decode) in corpus(&s) {
+        assert_eq!(decode(&s, blob.clone()), Ok(blob), "{name}");
+    }
+}
+
+// ---- the hostile sweep ----------------------------------------------
+
+/// The stated constant of the allocation bound. The largest fixed-size
+/// request of a *successful* decode is a replay ring's pre-allocation
+/// (4 096 transitions, ≈ 300 KiB), made after the weights checked out.
+const ALLOC_FLOOR: usize = 512 * 1024;
+/// ... plus this multiple of the blob length (decoded records are a few
+/// times wider in memory than on the wire).
+const ALLOC_PER_BYTE: usize = 8;
+
+/// What one sweep saw.
+#[derive(Default)]
+struct Sweep {
+    decodes: usize,
+    /// Mutations that still decoded (flips inside floats and weights).
+    accepted: usize,
+    peak: usize,
+    /// `(what, offset)` of every decode that panicked.
+    panics: Vec<(&'static str, usize)>,
+    /// Truncations that decoded instead of failing.
+    short_reads: Vec<usize>,
+}
+
+impl Sweep {
+    fn run(&mut self, what: &'static str, at: usize, suite: &Suite, decode: Decode, blob: Vec<u8>) {
+        let (outcome, peak) =
+            peak_alloc(|| catch_unwind(AssertUnwindSafe(|| decode(suite, blob).is_ok())));
+        self.decodes += 1;
+        self.peak = self.peak.max(peak);
+        match outcome {
+            Ok(true) if what == "truncate" => self.short_reads.push(at),
+            Ok(true) => self.accepted += 1,
+            Ok(false) => {}
+            Err(_) => self.panics.push((what, at)),
+        }
+    }
+}
+
+#[test]
+fn hostile_bytes_never_panic_abort_or_size_an_allocation() {
+    let s = suite();
+    let mut report = Vec::new();
+    for (name, blob, decode) in corpus(&s) {
+        let mut sweep = Sweep::default();
+        for cut in 0..blob.len() {
+            sweep.run("truncate", cut, &s, decode, blob[..cut].to_vec());
+        }
+        for at in 0..blob.len() {
+            let mutations: [(&'static str, u8); 4] = [
+                ("=0x00", 0x00),
+                ("=0xff", 0xff),
+                ("^0x01", blob[at] ^ 0x01),
+                ("^0x80", blob[at] ^ 0x80),
+            ];
+            for (what, byte) in mutations {
+                if byte != blob[at] {
+                    let mut forged = blob.clone();
+                    forged[at] = byte;
+                    sweep.run(what, at, &s, decode, forged);
+                }
+            }
+            if at + 4 <= blob.len() {
+                let mut forged = blob.clone();
+                forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                sweep.run("u32::MAX", at, &s, decode, forged);
+            }
+        }
+        report.push((name, blob.len(), sweep));
+    }
+
+    for (name, len, sweep) in &report {
+        println!(
+            "{name}: {len} bytes, {} decodes, {} still accepted, peak single allocation {} bytes",
+            sweep.decodes, sweep.accepted, sweep.peak
+        );
+    }
+    for (name, len, sweep) in &report {
+        assert!(
+            sweep.panics.is_empty(),
+            "{name}: {} of {} hostile decodes panicked, first at {:?}",
+            sweep.panics.len(),
+            sweep.decodes,
+            &sweep.panics[..sweep.panics.len().min(8)]
+        );
+        assert!(
+            sweep.short_reads.is_empty(),
+            "{name}: truncations at {:?} decoded",
+            sweep.short_reads
+        );
+        let bound = ALLOC_FLOOR + ALLOC_PER_BYTE * len;
+        assert!(
+            sweep.peak <= bound,
+            "{name}: a decode asked for {} bytes at once, bound is {bound}",
+            sweep.peak
+        );
+    }
+}
+
+// ---- the defects this harness was written against -------------------
+
+/// Rewrite one `key=value` line of the spec section that follows the
+/// eight header bytes of an `HRPE` / `HRPP` / `HRPS` blob, fixing up
+/// the section's length prefix.
+fn tamper_spec(blob: &[u8], key: &str, value: &str) -> Vec<u8> {
+    let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
+    let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
+    let old = spec
+        .lines()
+        .find(|line| line.split_once('=').is_some_and(|(k, _)| k == key))
+        .unwrap_or_else(|| panic!("spec has no '{key}' line"));
+    let forged = spec.replacen(old, &format!("{key}={value}"), 1);
+    let mut out = blob[..8].to_vec();
+    out.extend_from_slice(&(forged.len() as u32).to_le_bytes());
+    out.extend_from_slice(forged.as_bytes());
+    out.extend_from_slice(&blob[12 + spec_len..]);
+    out
+}
+
+/// Swap the `HRPP` blob embedded in a policy-tier `HRPS` snapshot (the
+/// body's last, length-prefixed section) for `agent`.
+fn embed_agent(snapshot: &[u8], agent: &[u8]) -> Vec<u8> {
+    let at = snapshot
+        .windows(4)
+        .position(|w| w == b"HRPP")
+        .expect("a policy snapshot embeds its agent");
+    let mut out = snapshot[..at - 4].to_vec();
+    out.extend_from_slice(&(agent.len() as u32).to_le_bytes());
+    out.extend_from_slice(agent);
+    out
+}
+
+/// A forged agent spec must be a typed error naming `needle` — alone
+/// and when the `HRPP` arrives embedded in an `HRPS`.
+fn assert_forged_agent_is_rejected(key: &str, value: &str, needle: &str) {
+    let s = suite();
+    let forged = tamper_spec(&hrpp_blob(), key, value);
+    let snapshot = embed_agent(&hrps_blob(&s, Tier::Policy), &forged);
+    for (what, decode, blob) in [
+        ("HRPP", decode_hrpp as Decode, forged),
+        ("HRPP inside HRPS", decode_hrps as Decode, snapshot),
+    ] {
+        let (outcome, peak) = peak_alloc(|| decode(&s, blob));
+        let err = outcome.expect_err(what);
+        assert!(err.contains(needle), "{what}: '{err}' lacks '{needle}'");
+        assert!(err.contains("HRPP"), "{what}: '{err}' names the format");
+        assert!(
+            peak <= ALLOC_FLOOR,
+            "{what}: asked for {peak} bytes at once"
+        );
+    }
+}
+
+/// Parent commit: `assert!(capacity > 0)` in `ShardedReplay::new`,
+/// reached from `PlacementExperiment::load_bytes`.
+#[test]
+fn forged_zero_buffer_capacity_is_a_typed_error() {
+    assert_forged_agent_is_rejected("buffer_capacity", "0", "buffer_capacity");
+}
+
+/// Parent commit: a 160 GB allocation inside `QNet::new`, before the
+/// weight section was ever looked at.
+#[test]
+fn forged_hidden_widths_are_a_typed_error_before_any_network_is_built() {
+    assert_forged_agent_is_rejected("hidden", "4000000000,4000000000", "params");
+    assert_forged_agent_is_rejected("hidden", "", "hidden");
+    assert_forged_agent_is_rejected("shards", "1000000000", "shards");
+}
+
+/// The same checks guard `HRPE`, which shares the agent loader.
+#[test]
+fn forged_experiment_specs_are_typed_errors() {
+    let s = suite();
+    let blob = hrpe_blob(&s);
+    for (key, value) in [
+        ("buffer_capacity", "0"),
+        ("hidden", "4000000000,4000000000"),
+        ("w", "18446744073709551615"),
+        ("env", "sideways"),
+    ] {
+        let (outcome, peak) = peak_alloc(|| decode_hrpe(&s, tamper_spec(&blob, key, value)));
+        let err = outcome.expect_err(key);
+        assert!(err.contains("HRPE") || err.contains("HRPQ"), "{key}: {err}");
+        assert!(peak <= ALLOC_FLOOR, "{key}: asked for {peak} bytes at once");
+    }
+}
