@@ -5,9 +5,8 @@
 //! and the single-node event loop underneath everything.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hrp_bench::cluster::node_dispatcher;
 use hrp_cluster::multinode::{staggered_trace, MultiNodeSim};
-use hrp_cluster::place::{PlacementAgent, PlacementConfig};
+use hrp_cluster::place::{dispatcher_for, PlacementAgent, PlacementConfig, PlacementDispatcher};
 use hrp_cluster::sim::ClusterSim;
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp_cluster::SelectorKind;
@@ -17,6 +16,11 @@ use hrp_workloads::Suite;
 use std::sync::Arc;
 
 const JOBS: usize = 48;
+
+/// The co-scheduling node dispatcher at the evaluation geometry.
+fn node_dispatcher() -> PlacementDispatcher {
+    dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0)
+}
 
 fn bench_single_node_loop(c: &mut Criterion) {
     let suite = Suite::paper_suite(&GpuArch::a100());

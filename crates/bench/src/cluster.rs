@@ -4,11 +4,13 @@
 //! suite) is run through an `N`-node [`MultiNodeSim`] under one or
 //! more placement selectors, and through the original single-node
 //! [`ClusterSim`] as the baseline every placement policy is compared
-//! against. Each node runs the co-scheduling dispatcher with the
-//! evaluation defaults (`W = 4` windows, `Cmax = 4`, the MPS-only node
-//! policy — no node-level training required). With `nodes = 1` the
-//! multi-node path reproduces the baseline bit-for-bit (see
-//! `tests/multinode_contract.rs`).
+//! against. Each node runs the dispatcher its row's selector kind
+//! schedules through ([`dispatcher_for`]: the co-scheduling dispatcher
+//! with the evaluation defaults — `W = 4` windows, `Cmax = 4`, the
+//! MPS-only node policy, no node-level training required — or, for the
+//! backfill tiers, a slot-tree planner of that policy). With
+//! `nodes = 1` the multi-node path reproduces the baseline bit-for-bit
+//! (see `tests/multinode_contract.rs`).
 //!
 //! The trained-policy row ([`SelectorKind::Policy`]) trains a
 //! placement agent through `hrp_cluster::place::train_placement` on
@@ -19,37 +21,15 @@
 //! [`hrp_core::cluster_env::PolicySelector`].
 
 use hrp_cluster::multinode::{MultiNodeReport, MultiNodeSim};
-use hrp_cluster::place::{train_placement, PlacementAgent, PlacementConfig};
+use hrp_cluster::place::{dispatcher_for, train_placement, PlacementAgent, PlacementConfig};
 use hrp_cluster::sim::ClusterSim;
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind, EVAL_SEED_OFFSET};
-use hrp_cluster::{
-    BackfillPlanner, BackfillPolicy, ClusterJob, ClusterReport, CoSchedulingDispatcher,
-    SelectorKind,
-};
-use hrp_core::policies::MpsOnly;
+use hrp_cluster::{ClusterJob, ClusterReport, NodeSelector, SelectorKind};
 use hrp_core::train::TrainReport;
 use hrp_workloads::Suite;
 
-/// Window size of each node's co-scheduling dispatcher.
-pub const CLUSTER_W: usize = 4;
-/// Concurrency cap of each node's co-scheduling dispatcher.
-pub const CLUSTER_CMAX: usize = 4;
 /// GPUs per simulated node.
 pub const GPUS_PER_NODE: usize = 2;
-
-/// A fresh node-local dispatcher with the evaluation defaults.
-#[must_use]
-pub fn node_dispatcher() -> CoSchedulingDispatcher<MpsOnly> {
-    CoSchedulingDispatcher::new(MpsOnly, CLUSTER_W, CLUSTER_CMAX)
-}
-
-/// A fresh node-local backfilling planner at the evaluation geometry
-/// (the dispatcher behind `repro cluster --selector
-/// fcfs|easy|conservative`).
-#[must_use]
-pub fn backfill_dispatcher(policy: BackfillPolicy, walltime_err: f64) -> BackfillPlanner {
-    BackfillPlanner::new(policy, GPUS_PER_NODE).with_walltime_err(walltime_err)
-}
 
 /// Share of single-GPU jobs the evaluation traces widen into gangs
 /// (see [`TraceConfig::gang_share`]). Gangs block queue heads, which
@@ -102,8 +82,6 @@ pub fn policy_train_config(
     };
     cfg.nodes = nodes;
     cfg.gpus_per_node = GPUS_PER_NODE;
-    cfg.node_w = CLUSTER_W;
-    cfg.node_cmax = CLUSTER_CMAX;
     cfg.trace.kind = kind;
     cfg.trace.seed = seed;
     // Train on the distribution the evaluation trace is drawn from.
@@ -139,26 +117,32 @@ impl ClusterComparison {
 /// compared against (deterministic; compute it once per trace).
 #[must_use]
 pub fn single_node_baseline(suite: &Suite, jobs: &[ClusterJob]) -> ClusterReport {
-    let mut base = node_dispatcher();
+    // Always the co-scheduling dispatcher, whatever the rows run.
+    let mut base = dispatcher_for(SelectorKind::LeastLoaded, GPUS_PER_NODE, 0.0);
     ClusterSim::new(GPUS_PER_NODE).run(suite, jobs.to_vec(), &mut base)
 }
 
-/// One comparison row: `jobs` on `nodes` nodes under `selector`, next
-/// to a precomputed single-node `baseline`. `threads` caps the
-/// per-epoch node fan-out (`0` = available parallelism, served by a
-/// persistent worker pool). Results are bit-identical for any value
-/// (the determinism contract).
+/// One comparison row: `jobs` on `opts.nodes` nodes placed by
+/// `selector` — a selector of `kind`, which also picks the node-local
+/// dispatcher ([`dispatcher_for`], backfill tiers over
+/// `opts.walltime_err`-noisy estimates) — next to a precomputed
+/// single-node `baseline`. `opts.threads` caps the per-epoch node
+/// fan-out (`0` = available parallelism, served by a persistent worker
+/// pool). Results are bit-identical for any value (the determinism
+/// contract).
 #[must_use]
 pub fn compare_row(
     suite: &Suite,
     jobs: &[ClusterJob],
-    nodes: usize,
-    selector: &mut dyn hrp_cluster::NodeSelector,
-    threads: usize,
+    kind: SelectorKind,
+    selector: &mut dyn NodeSelector,
+    opts: ComparisonOptions,
     baseline: ClusterReport,
 ) -> ClusterComparison {
-    let sim = MultiNodeSim::new(nodes, GPUS_PER_NODE).with_threads(threads);
-    let report = sim.run(suite, jobs.to_vec(), selector, |_| node_dispatcher());
+    let sim = MultiNodeSim::new(opts.nodes, GPUS_PER_NODE).with_threads(opts.threads);
+    let report = sim.run(suite, jobs.to_vec(), selector, |_| {
+        dispatcher_for(kind, GPUS_PER_NODE, opts.walltime_err)
+    });
     ClusterComparison {
         selector: selector.name().to_owned(),
         report,
@@ -166,42 +150,17 @@ pub fn compare_row(
     }
 }
 
-/// A backfill comparison row: `jobs` under least-loaded placement
-/// with every node running a [`BackfillPlanner`] of the given policy
-/// over `opts.walltime_err`-noisy estimates. The thread cap comes
-/// from `opts` exactly as in [`compare_row`].
-#[must_use]
-pub fn compare_backfill_row(
-    suite: &Suite,
-    jobs: &[ClusterJob],
-    policy: BackfillPolicy,
-    opts: ComparisonOptions,
-    baseline: ClusterReport,
-) -> ClusterComparison {
-    let sim = MultiNodeSim::new(opts.nodes, GPUS_PER_NODE).with_threads(opts.threads);
-    let mut selector = hrp_cluster::BackfillTier::new(policy);
-    let report = sim.run(suite, jobs.to_vec(), &mut selector, |_| {
-        backfill_dispatcher(policy, opts.walltime_err)
-    });
-    ClusterComparison {
-        selector: policy.name().to_owned(),
-        report,
-        baseline,
-    }
-}
-
-/// [`compare_row`] with the baseline computed on the spot (one-row
-/// callers).
+/// [`compare_row`] for a heuristic `kind`, with the selector built and
+/// the baseline computed on the spot (one-row callers).
 #[must_use]
 pub fn cluster_compare(
     suite: &Suite,
     jobs: &[ClusterJob],
-    nodes: usize,
-    selector: &mut dyn hrp_cluster::NodeSelector,
-    threads: usize,
+    kind: SelectorKind,
+    opts: ComparisonOptions,
 ) -> ClusterComparison {
     let baseline = single_node_baseline(suite, jobs);
-    compare_row(suite, jobs, nodes, selector, threads, baseline)
+    compare_row(suite, jobs, kind, kind.build().as_mut(), opts, baseline)
 }
 
 /// The full placement comparison behind `repro cluster`: the evaluated
@@ -250,8 +209,8 @@ pub fn placement_comparison(
     let baseline = single_node_baseline(suite, jobs);
     let rows = kinds
         .iter()
-        .map(|kind| {
-            if kind.needs_training() {
+        .map(|&kind| {
+            let mut selector: Box<dyn NodeSelector> = if kind.needs_training() {
                 let (agent, _) = training.get_or_insert_with(|| {
                     let mut cfg =
                         policy_train_config(trace_kind, opts.nodes, opts.seed, opts.quick);
@@ -260,28 +219,11 @@ pub fn placement_comparison(
                     cfg.n_workers = opts.threads;
                     train_placement(suite, cfg)
                 });
-                let mut sel = agent.selector();
-                compare_row(
-                    suite,
-                    jobs,
-                    opts.nodes,
-                    &mut sel,
-                    opts.threads,
-                    baseline.clone(),
-                )
-            } else if let Some(policy) = kind.backfill_policy() {
-                compare_backfill_row(suite, jobs, policy, opts, baseline.clone())
+                Box::new(agent.selector())
             } else {
-                let mut sel = kind.build();
-                compare_row(
-                    suite,
-                    jobs,
-                    opts.nodes,
-                    sel.as_mut(),
-                    opts.threads,
-                    baseline.clone(),
-                )
-            }
+                kind.build()
+            };
+            compare_row(suite, jobs, kind, selector.as_mut(), opts, baseline.clone())
         })
         .collect();
     PlacementComparison { rows, training }
@@ -296,8 +238,11 @@ mod tests {
     fn one_node_comparison_is_the_baseline_itself() {
         let suite = Suite::paper_suite(&GpuArch::a100());
         let jobs = evaluation_trace(&suite, TraceKind::Staggered, 16, 42);
-        let mut sel = SelectorKind::RoundRobin.build();
-        let cmp = cluster_compare(&suite, &jobs, 1, sel.as_mut(), 1);
+        let opts = ComparisonOptions {
+            nodes: 1,
+            ..quick_opts(0.0)
+        };
+        let cmp = cluster_compare(&suite, &jobs, SelectorKind::RoundRobin, opts);
         assert_eq!(cmp.report.aggregate, cmp.baseline);
         assert!((cmp.speedup() - 1.0).abs() < 1e-12);
         assert_eq!(cmp.selector, "round-robin");
@@ -308,8 +253,11 @@ mod tests {
         let suite = Suite::paper_suite(&GpuArch::a100());
         for kind in [SelectorKind::RoundRobin, SelectorKind::LeastLoaded] {
             let jobs = evaluation_trace(&suite, TraceKind::Staggered, 24, 42);
-            let mut sel = kind.build();
-            let cmp = cluster_compare(&suite, &jobs, 4, sel.as_mut(), 0);
+            let opts = ComparisonOptions {
+                threads: 0,
+                ..quick_opts(0.0)
+            };
+            let cmp = cluster_compare(&suite, &jobs, kind, opts);
             assert!(
                 cmp.speedup() > 1.0,
                 "{}: 4 nodes should beat 1 ({} vs {})",
@@ -342,21 +290,19 @@ mod tests {
             let jobs = evaluation_trace(&suite, kind, 96, 42);
             let baseline = single_node_baseline(&suite, &jobs);
             for err in [0.0, 0.25] {
-                let opts = quick_opts(err);
-                let fcfs = compare_backfill_row(
-                    &suite,
-                    &jobs,
-                    BackfillPolicy::Fcfs,
-                    opts,
-                    baseline.clone(),
-                );
-                for policy in [BackfillPolicy::Easy, BackfillPolicy::Conservative] {
-                    let row = compare_backfill_row(&suite, &jobs, policy, opts, baseline.clone());
+                let run = |tier: SelectorKind| {
+                    let mut sel = tier.build();
+                    let opts = quick_opts(err);
+                    compare_row(&suite, &jobs, tier, sel.as_mut(), opts, baseline.clone())
+                };
+                let fcfs = run(SelectorKind::Fcfs);
+                for tier in [SelectorKind::Easy, SelectorKind::Conservative] {
+                    let row = run(tier);
                     assert_eq!(row.report.completed_jobs(), 96);
                     assert!(
                         row.report.aggregate.makespan < fcfs.report.aggregate.makespan,
                         "{} (err {err}) must beat fcfs on {}: {} vs {}",
-                        policy.name(),
+                        tier.name(),
                         kind.name(),
                         row.report.aggregate.makespan,
                         fcfs.report.aggregate.makespan
@@ -378,11 +324,8 @@ mod tests {
             jobs.iter().any(|j| j.gpus > 1),
             "colocate trace must contain gangs"
         );
-        let baseline = single_node_baseline(&suite, &jobs);
-        let opts = quick_opts(0.0);
-        let fcfs =
-            compare_backfill_row(&suite, &jobs, BackfillPolicy::Fcfs, opts, baseline.clone());
-        let easy = compare_backfill_row(&suite, &jobs, BackfillPolicy::Easy, opts, baseline);
+        let fcfs = cluster_compare(&suite, &jobs, SelectorKind::Fcfs, quick_opts(0.0));
+        let easy = cluster_compare(&suite, &jobs, SelectorKind::Easy, quick_opts(0.0));
         assert_eq!(easy.report.completed_jobs(), 96);
         assert!(
             easy.report.aggregate.makespan < fcfs.report.aggregate.makespan,

@@ -54,8 +54,8 @@ use crate::slots::TreeSlotSet;
 use hrp_workloads::Suite;
 use serde::{Deserialize, Serialize};
 
-/// Slack when deciding whether an earliest fit is "now": matches the
-/// backfill tolerance the legacy [`crate::fcfs::FcfsBackfill`] uses.
+/// Slack when deciding whether an earliest fit is "now", and whether
+/// an estimated release has already passed.
 const FIT_EPS: f64 = 1e-9;
 
 /// Which backfilling discipline a [`BackfillPlanner`] runs.
@@ -520,6 +520,83 @@ mod tests {
         let exact = BackfillPlanner::new(BackfillPolicy::Easy, 2);
         let j = job(&s, 3, "kmeans", 0.0, 1);
         assert_eq!(exact.walltime_estimate(&s, &j), j.solo_time(&s));
+    }
+
+    // The paper's §VI light-load comparator, "FCFS with backfilling":
+    // EASY at exact estimates.
+
+    #[test]
+    fn fcfs_runs_everything() {
+        let s = suite();
+        let jobs = vec![
+            job(&s, 0, "lavaMD", 0.0, 1),
+            job(&s, 1, "stream", 0.0, 1),
+            job(&s, 2, "kmeans", 0.0, 1),
+        ];
+        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 2);
+        let report = ClusterSim::new(2).run(&s, jobs, &mut d);
+        assert_eq!(report.placements, 3);
+        assert!(report.makespan >= 38.0, "{}", report.makespan);
+    }
+
+    #[test]
+    fn backfill_fills_hole_before_wide_job() {
+        let s = suite();
+        // Head after j0: a 2-GPU job that must wait for both GPUs; a
+        // short 1-GPU job should backfill into the idle second GPU.
+        let jobs = vec![
+            job(&s, 0, "lavaMD", 0.0, 1),      // 38 s on GPU 0
+            job(&s, 1, "bt_solver_A", 0.1, 2), // needs both
+            job(&s, 2, "stream", 0.2, 1),      // 10 s, can backfill
+        ];
+        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 2);
+        let report = ClusterSim::new(2).run(&s, jobs, &mut d);
+        // With backfilling, stream runs inside lavaMD's window:
+        // makespan = 38 + 22.5 = 60.5. Without it: 38 + 22.5 + 10 later.
+        assert!(
+            report.makespan < 38.0 + 22.5 + 1.0,
+            "makespan {} suggests no backfill",
+            report.makespan
+        );
+        assert_eq!(report.placements, 3);
+    }
+
+    #[test]
+    fn empty_queue_yields_no_placement() {
+        let s = suite();
+        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 4);
+        assert_eq!(d.next_placement(&s, &[], 4, 0.0), None);
+        let report = ClusterSim::new(4).run(&s, Vec::new(), &mut d);
+        assert_eq!(report.placements, 0);
+        assert_eq!(report.makespan, 0.0);
+    }
+
+    #[test]
+    fn simultaneous_arrivals_start_in_submission_order() {
+        let s = suite();
+        // Three 1-GPU jobs at the same instant on one GPU: strict FCFS
+        // order, waits of 0, 10, and 10 + 16 seconds.
+        let jobs = vec![
+            job(&s, 0, "stream", 3.0, 1),     // 10 s
+            job(&s, 1, "kmeans", 3.0, 1),     // 16 s
+            job(&s, 2, "pathfinder", 3.0, 1), // 14 s
+        ];
+        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 1);
+        let report = ClusterSim::new(1).run(&s, jobs, &mut d);
+        assert_eq!(report.placements, 3);
+        assert!((report.makespan - 43.0).abs() < 1e-9, "{}", report.makespan);
+        assert!((report.avg_wait - 12.0).abs() < 1e-9, "{}", report.avg_wait);
+    }
+
+    #[test]
+    fn wide_job_eventually_runs() {
+        let s = suite();
+        let jobs = vec![job(&s, 0, "stream", 0.0, 1), job(&s, 1, "lavaMD", 0.0, 4)];
+        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 4);
+        let report = ClusterSim::new(4).run(&s, jobs, &mut d);
+        assert_eq!(report.placements, 2);
+        // lavaMD (4-GPU, 9.5 s) waits for stream (10 s) → ≈ 19.5 s.
+        assert!((report.makespan - 19.5).abs() < 1e-6, "{}", report.makespan);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
                 .enumerate()
                 .map(|(id, j)| Job {
                     id,
-                    name: j.name.clone(),
+                    name: suite.by_index(j.bench).app.name.clone(),
                     bench: j.bench,
                 })
                 .collect(),
@@ -137,7 +137,7 @@ impl<P: Policy> Dispatcher for CoSchedulingDispatcher<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fcfs::FcfsBackfill;
+    use crate::backfill::{BackfillPlanner, BackfillPolicy};
     use crate::sim::ClusterSim;
     use hrp_core::policies::MpsOnly;
     use hrp_gpusim::GpuArch;
@@ -169,7 +169,8 @@ mod tests {
     fn cosched_beats_fcfs_on_crowded_queue() {
         let s = suite();
         let sim = ClusterSim::new(2);
-        let fcfs = sim.run(&s, crowded_trace(&s), &mut FcfsBackfill::new());
+        let mut backfill = BackfillPlanner::new(BackfillPolicy::Easy, 2);
+        let fcfs = sim.run(&s, crowded_trace(&s), &mut backfill);
         let mut co = CoSchedulingDispatcher::new(MpsOnly, 4, 4);
         let cos = sim.run(&s, crowded_trace(&s), &mut co);
         assert!(

@@ -9,9 +9,8 @@ use hrp_workloads::Suite;
 pub struct ClusterJob {
     /// Unique id.
     pub id: usize,
-    /// Benchmark name (profile key).
-    pub name: String,
-    /// Index into the suite.
+    /// Index into the suite — the job's identity as a workload; its
+    /// name is `suite.by_index(bench).app.name`.
     pub bench: usize,
     /// Arrival time (seconds).
     pub arrival: f64,
@@ -33,7 +32,6 @@ impl ClusterJob {
         assert!(gpus >= 1, "a job needs at least one GPU");
         Self {
             id,
-            name: name.to_owned(),
             bench: suite
                 .index_of(name)
                 .unwrap_or_else(|| panic!("unknown benchmark '{name}'")),

@@ -3,9 +3,9 @@
 //! The paper's Discussion sketches how node-local hierarchical
 //! partitioning extends to a cluster: add a top level of node/GPU
 //! allocation, include each job's requested GPU count in its feature
-//! vector, and switch between co-scheduling (for over-crowded queues) and
-//! classic FCFS + backfilling (for light load). This crate implements
-//! that sketch:
+//! vector, and run co-scheduling (for over-crowded queues) or classic
+//! FCFS + backfilling (for light load) on the nodes. This crate
+//! implements that sketch:
 //!
 //! * [`job`] — cluster jobs with arrival times and GPU counts;
 //! * [`sim`] — the event-driven per-node simulator: the reusable
@@ -20,35 +20,38 @@
 //!   event-for-event identical to [`ClusterSim`] when `N = 1`. The
 //!   stepped [`multinode::ClusterDrive`] core is shared with the RL
 //!   placement environment;
-//! * [`trace`] — deterministic cluster-trace generators (uniform,
-//!   bursty, Zipf-skewed popularity, heavy-tail duration, multi-GPU
-//!   co-location): the scenario-diversity axis of the placement
-//!   evaluation;
+//! * [`trace`] — the one streaming cluster-trace generator
+//!   ([`trace::TraceStream`]; [`trace::generate`] collects it) over six
+//!   kinds (uniform, bursty, Zipf-skewed popularity, heavy-tail
+//!   duration, multi-GPU co-location, the staggered demo trace): the
+//!   scenario-diversity axis of the placement evaluation;
 //! * [`place`] — RL-trained node placement: the simulation-backed
 //!   [`place::ClusterEnv`] (per-decision queue-delay deltas, terminal
 //!   makespan bonus), [`place::train_placement`] through the generic
 //!   `hrp-core` pipeline, and `HRPP` checkpoints
-//!   ([`place::PlacementExperiment`]);
+//!   ([`place::PlacementExperiment`]) — and the one constructor of
+//!   node-local dispatchers ([`place::PlacementDispatcher::new`], with
+//!   the evaluation `W`/`Cmax` pair) that training, batch evaluation
+//!   and `hrp-serve` all build their nodes through;
 //! * [`fair`] — per-user fair share: karma-decayed service accounting,
 //!   in-flight quotas, burst-confined fair ordering
 //!   ([`fair::apply_fair_order`]), and the Jain's-index fairness
 //!   metrics — the bookkeeping behind `hrp-serve`'s admission tier;
-//! * [`fcfs`] — First-Come-First-Serve with conservative backfilling
-//!   (the comparator the paper names);
 //! * [`slots`] — the slot tree: free-GPU capacity as a coalesced step
 //!   function over the timeline ([`slots::TreeSlotSet`]), the profile
 //!   every backfilling decision plans against;
-//! * [`backfill`] — the slot-tree backfilling planner
-//!   ([`backfill::BackfillPlanner`]): FCFS / EASY / conservative
-//!   policies over per-job walltime *estimates* (which may over- or
-//!   under-run the truth), advance reservations that pin future
-//!   windows, and the [`backfill::QueueOrder`] queue-reordering hook;
+//! * [`backfill`] — the one backfilling dispatcher, the slot-tree
+//!   planner ([`backfill::BackfillPlanner`]) — at exact estimates the
+//!   "FCFS with backfilling" comparator the paper names: FCFS / EASY /
+//!   conservative policies over per-job walltime *estimates* (which
+//!   may over- or under-run the truth), advance reservations that pin
+//!   future windows, and the [`backfill::QueueOrder`] queue-reordering
+//!   hook;
 //! * [`cosched`] — the co-scheduling dispatcher: single-GPU jobs are
 //!   batched into windows and handed to any node-local
 //!   [`hrp_core::policies::Policy`]; multi-GPU jobs gang-schedule
 //!   exclusively (the paper flags co-locating them as future work);
-//! * [`select`] — the queue-pressure policy selector of §VI, plus the
-//!   global placement tier: [`select::RoundRobin`],
+//! * [`select`] — the global placement tier: [`select::RoundRobin`],
 //!   [`select::LeastLoaded`], and the RL hook
 //!   ([`hrp_core::cluster_env::PolicySelector`]) behind the
 //!   [`select::NodeSelector`] trait.
@@ -59,7 +62,6 @@
 pub mod backfill;
 pub mod cosched;
 pub mod fair;
-pub mod fcfs;
 pub mod job;
 pub mod multinode;
 pub mod place;
@@ -71,13 +73,12 @@ pub mod trace;
 pub use backfill::{BackfillPlanner, BackfillPolicy, QueueOrder};
 pub use cosched::CoSchedulingDispatcher;
 pub use fair::{FairConfig, FairShare, FairnessReport};
-pub use fcfs::FcfsBackfill;
 pub use job::ClusterJob;
 pub use multinode::{ClusterDrive, ClusterTimeline, MultiNodeReport, MultiNodeSim, NodeSummary};
 pub use place::{
     train_placement, ClusterEnv, PlacementAgent, PlacementConfig, PlacementExperiment,
 };
-pub use select::{select_policy, BackfillTier, NodeSelector, PressurePolicy, SelectorKind};
+pub use select::{BackfillTier, NodeSelector, SelectorKind};
 pub use sim::{ClusterReport, ClusterSim, NodeEvent};
 pub use slots::TreeSlotSet;
 pub use trace::{TraceConfig, TraceKind};

@@ -755,11 +755,7 @@ impl MultiNodeSim {
 #[must_use]
 pub fn staggered_trace(suite: &Suite, n: usize) -> Vec<ClusterJob> {
     (0..n)
-        .map(|i| {
-            let name = suite.by_index((i * 7) % suite.len()).app.name.clone();
-            let gpus = if i % 9 == 8 { 2 } else { 1 };
-            ClusterJob::new(i, &name, (i / 4) as f64 * 5.0, gpus, suite)
-        })
+        .map(|i| crate::trace::staggered_job(suite, i))
         .collect()
 }
 

@@ -62,6 +62,7 @@ use crate::backfill::{BackfillPlanner, BackfillPolicy, QueueOrder};
 use crate::cosched::CoSchedulingDispatcher;
 use crate::job::ClusterJob;
 use crate::multinode::{ClusterDrive, MultiNodeReport, MAX_GPUS_PER_NODE, MAX_NODES};
+use crate::select::SelectorKind;
 use crate::sim::Dispatcher;
 use crate::trace::{self, TraceConfig, TraceKind};
 use bytes::Bytes;
@@ -299,6 +300,61 @@ pub enum PlacementDispatcher {
     Backfill(BackfillPlanner),
 }
 
+/// Window size of a node's co-scheduling dispatcher at the evaluation
+/// geometry: the [`PlacementConfig`] default and what
+/// [`dispatcher_for`] hands every selector kind, so `repro cluster`
+/// rows, service runs and default-config agents are digest-comparable.
+pub const NODE_W: usize = 4;
+/// Concurrency cap of a node's co-scheduling dispatcher at the
+/// evaluation geometry (see [`NODE_W`]).
+pub const NODE_CMAX: usize = 4;
+
+impl PlacementDispatcher {
+    /// The one place a node-local dispatcher is constructed: a
+    /// backfilling planner of `backfill` over `walltime_err`-noisy
+    /// estimates on a `gpus_per_node`-GPU node, or — with no backfill
+    /// policy — the co-scheduling dispatcher over windows of `w` at
+    /// concurrency cap `cmax` with the MPS-only node policy.
+    #[must_use]
+    pub fn new(
+        backfill: Option<BackfillPolicy>,
+        gpus_per_node: usize,
+        walltime_err: f64,
+        w: usize,
+        cmax: usize,
+    ) -> Self {
+        match backfill {
+            Some(policy) => Self::Backfill(
+                BackfillPlanner::new(policy, gpus_per_node).with_walltime_err(walltime_err),
+            ),
+            None => Self::CoSched(CoSchedulingDispatcher::new(MpsOnly, w, cmax)),
+        }
+    }
+}
+
+/// The node-local dispatcher a selector kind schedules through, at the
+/// evaluation geometry: backfill tiers get a [`BackfillPlanner`] of
+/// their policy, everything else the co-scheduling window dispatcher
+/// at [`NODE_W`] / [`NODE_CMAX`] — the mapping `repro cluster`, the
+/// heuristic `hrp-serve` tiers and their batch oracles share, which is
+/// what keeps service and batch digests comparable per selector. (A
+/// trained agent names its own nodes:
+/// [`PlacementConfig::node_dispatcher`].)
+#[must_use]
+pub fn dispatcher_for(
+    kind: SelectorKind,
+    gpus_per_node: usize,
+    walltime_err: f64,
+) -> PlacementDispatcher {
+    PlacementDispatcher::new(
+        kind.backfill_policy(),
+        gpus_per_node,
+        walltime_err,
+        NODE_W,
+        NODE_CMAX,
+    )
+}
+
 impl Dispatcher for PlacementDispatcher {
     fn name(&self) -> &'static str {
         match self {
@@ -491,8 +547,8 @@ impl PlacementConfig {
         Self {
             nodes: 4,
             gpus_per_node: 2,
-            node_w: 4,
-            node_cmax: 4,
+            node_w: NODE_W,
+            node_cmax: NODE_CMAX,
             trace: TraceConfig::new(TraceKind::Skewed, 32, 42),
             n_traces: 12,
             episodes: 600,
@@ -574,17 +630,13 @@ impl PlacementConfig {
     /// co-scheduling dispatcher otherwise.
     #[must_use]
     pub fn node_dispatcher(&self) -> PlacementDispatcher {
-        match self.backfill {
-            None => PlacementDispatcher::CoSched(CoSchedulingDispatcher::new(
-                MpsOnly,
-                self.node_w,
-                self.node_cmax,
-            )),
-            Some(policy) => PlacementDispatcher::Backfill(
-                BackfillPlanner::new(policy, self.gpus_per_node)
-                    .with_walltime_err(self.walltime_err),
-            ),
-        }
+        PlacementDispatcher::new(
+            self.backfill,
+            self.gpus_per_node,
+            self.walltime_err,
+            self.node_w,
+            self.node_cmax,
+        )
     }
 }
 

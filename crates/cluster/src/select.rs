@@ -1,47 +1,15 @@
-//! Scheduling-regime and node-placement selection (paper §VI):
-//!
-//! > "When the system becomes less crowded, a commonly used scheduling
-//! > policy such as FCFS with backfilling without co-scheduling can be a
-//! > more efficient option. Therefore, in practice, we may choose the
-//! > policy between them depending on the system state."
-//!
-//! Two layers of choice live here:
-//!
-//! * [`select_policy`] — the queue-pressure switch between FCFS and
-//!   window co-scheduling *within* a node;
-//! * the [`NodeSelector`] implementations — the global placement tier
-//!   *above* the nodes, consulted by
-//!   [`crate::multinode::MultiNodeSim`] for every arrival:
-//!   [`RoundRobin`], [`LeastLoaded`], and (via the trait re-exported
-//!   from `hrp-core`) anything else, including
-//!   [`hrp_core::cluster_env::PolicySelector`] wrapping a trained RL
-//!   snapshot — the §VI "global tier" hook.
-
-use serde::{Deserialize, Serialize};
+//! Node-placement selection — the global tier *above* the nodes that
+//! the paper's §VI sketches, consulted by
+//! [`crate::multinode::MultiNodeSim`] for every arrival: the
+//! [`NodeSelector`] implementations [`RoundRobin`], [`LeastLoaded`],
+//! and (via the trait re-exported from `hrp-core`) anything else,
+//! including [`hrp_core::cluster_env::PolicySelector`] wrapping a
+//! trained RL snapshot. [`SelectorKind`] is the CLI-facing closed set;
+//! its backfill tiers name the node-*local* regime of §VI's light-load
+//! comparator ("FCFS with backfilling without co-scheduling",
+//! [`crate::backfill`]) rather than a different global tier.
 
 pub use hrp_core::cluster_env::{NodeLoad, NodeSelector, PolicySelector};
-
-/// Which scheduling regime to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PressurePolicy {
-    /// Light load: FCFS + backfilling, no co-scheduling.
-    Fcfs,
-    /// Over-crowded: window co-scheduling.
-    CoScheduling,
-}
-
-/// Pick a regime from the current backlog: co-schedule when the number
-/// of waiting single-GPU jobs per free GPU reaches `threshold` (the
-/// paper's "over-crowded systems with long queuing times" trigger).
-#[must_use]
-pub fn select_policy(waiting_singles: usize, total_gpus: usize, threshold: f64) -> PressurePolicy {
-    let pressure = waiting_singles as f64 / total_gpus.max(1) as f64;
-    if pressure >= threshold {
-        PressurePolicy::CoScheduling
-    } else {
-        PressurePolicy::Fcfs
-    }
-}
 
 /// Cyclic placement: job `k` goes to node `k mod N`, ignoring load.
 #[derive(Debug, Clone, Default)]
@@ -229,25 +197,6 @@ impl SelectorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn light_load_uses_fcfs() {
-        assert_eq!(select_policy(1, 4, 2.0), PressurePolicy::Fcfs);
-        assert_eq!(select_policy(0, 1, 2.0), PressurePolicy::Fcfs);
-    }
-
-    #[test]
-    fn crowded_queue_co_schedules() {
-        assert_eq!(select_policy(8, 4, 2.0), PressurePolicy::CoScheduling);
-        assert_eq!(select_policy(100, 4, 2.0), PressurePolicy::CoScheduling);
-    }
-
-    #[test]
-    fn threshold_is_per_gpu() {
-        // 6 waiting on 2 GPUs = pressure 3.
-        assert_eq!(select_policy(6, 2, 3.0), PressurePolicy::CoScheduling);
-        assert_eq!(select_policy(5, 2, 3.0), PressurePolicy::Fcfs);
-    }
 
     fn loads(outstanding: &[f64]) -> Vec<NodeLoad> {
         outstanding

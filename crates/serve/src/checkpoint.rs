@@ -31,15 +31,16 @@
 //!
 //! Restore trusts nothing: every spec key must be present exactly once
 //! and in range (a forged source position past the trace, a zero
-//! quota, a non-finite rate), and every node record must satisfy the
+//! quota, a non-finite rate), every job record must name a benchmark
+//! of the suite and fit a node, and every node record must satisfy the
 //! preconditions of [`NodeRun::from_state`](hrp_cluster::sim::NodeRun::from_state)
 //! and [`ClusterDrive::from_states`] *before* they are called — a
 //! hostile blob surfaces as a [`CheckpointError`], never as a builder
-//! assert.
+//! assert or a panic at the next dispatch.
 
 use crate::service::{
-    dispatcher_for, AdmissionConfig, AdmissionState, CycleMode, SchedulerService, SelectorState,
-    ServeConfig, ServeStats,
+    AdmissionConfig, AdmissionState, CycleMode, SchedulerService, SelectorState, ServeConfig,
+    ServeStats,
 };
 use crate::source::{ArrivalSource, LoadGen, LoadShape, TraceSource};
 use bytes::Bytes;
@@ -49,7 +50,7 @@ use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NODES};
 use hrp_cluster::place::{PlacementDispatcher, PlacementExperiment};
 use hrp_cluster::select::{NodeLoad, RoundRobin, SelectorKind};
-use hrp_cluster::sim::{EventKind, NodeEvent, NodeRunState};
+use hrp_cluster::sim::{Dispatcher, EventKind, NodeEvent, NodeRunState};
 use hrp_cluster::trace::{TraceConfig, TraceKind};
 pub use hrp_core::codec::CheckpointError;
 use hrp_core::codec::{ensure, Reader, Spec, SpecWriter, Writer};
@@ -120,11 +121,11 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         let mut w = Writer::new(MAGIC, VERSION);
         w.spec(&spec);
         if let Some(job) = &self.lookahead {
-            put_job(&mut w, job);
+            put_job(&mut w, self.suite, job);
         }
         for node in 0..self.cfg.nodes {
             self.drive.with_node(node, |run| {
-                put_node_state(&mut w, &run.export_state());
+                put_node_state(&mut w, self.suite, &run.export_state());
                 put_load(&mut w, &self.drive.loads()[node]);
                 put_dispatcher(&mut w, run.dispatcher());
             });
@@ -133,7 +134,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             w.blob(&blob);
         }
         if let Some(adm) = &self.admission {
-            put_admission(&mut w, adm);
+            put_admission(&mut w, self.suite, adm);
         }
         Ok(w.finish())
     }
@@ -213,35 +214,42 @@ pub fn restore(
     let source = get_source(suite, &mut spec)?;
     spec.finish()?;
 
-    let lookahead = has_lookahead.then(|| get_job(&mut body)).transpose()?;
-    let mut parts = Vec::with_capacity(nodes);
+    let jobs = JobBounds {
+        suite,
+        gpus_per_node,
+    };
+    let lookahead = has_lookahead
+        .then(|| get_job(&mut body, jobs))
+        .transpose()?;
+    let mut records = Vec::with_capacity(nodes);
     let mut loads = Vec::with_capacity(nodes);
     for node in 0..nodes {
-        let state = get_node_state(&mut body, node, gpus_per_node)?;
+        let state = get_node_state(&mut body, node, jobs)?;
         loads.push(get_load(&mut body, node, gpus_per_node)?);
-        let dispatcher = get_dispatcher(&mut body, kind, gpus_per_node, walltime_err)?;
-        parts.push((state, dispatcher));
+        records.push((state, get_dispatcher_record(&mut body)?));
     }
     let selector = match (kind, rr_cursor) {
-        (SelectorKind::Policy, _) => {
-            let agent = PlacementExperiment::load_bytes(body.blob()?.to_vec().into())?;
-            ensure(MAGIC, agent.config().nodes == nodes, || {
-                format!(
-                    "agent places over {} nodes, service has {nodes}",
-                    agent.config().nodes
-                )
-            })?;
-            SelectorState::from_agent(agent)
-        }
+        (SelectorKind::Policy, _) => SelectorState::from_agent(PlacementExperiment::load_bytes(
+            body.blob()?.to_vec().into(),
+        )?),
         (_, Some(cursor)) => SelectorState::RoundRobin(RoundRobin::with_cursor(cursor)),
         (other, None) => SelectorState::from_kind(other),
     };
+    if let Some(mismatch) = selector.geometry_mismatch(&cfg) {
+        return Err(CheckpointError::invalid(MAGIC, mismatch));
+    }
     let admission = match &cfg.admission {
-        Some(acfg) => Some(get_admission(&mut body, acfg.fair_config())?),
+        Some(acfg) => Some(get_admission(&mut body, acfg.fair_config(), jobs)?),
         None => None,
     };
     body.finish()?;
 
+    // The agent's blob follows the node records it shapes the
+    // dispatchers of, so those are built last.
+    let parts = records
+        .into_iter()
+        .map(|(state, record)| Ok((state, record.wind(selector.node_dispatcher(&cfg))?)))
+        .collect::<Result<Vec<_>, CheckpointError>>()?;
     let drive = ClusterDrive::from_states(suite, gpus_per_node, parts, loads, placed, sync);
     Ok(SchedulerService {
         suite,
@@ -325,24 +333,56 @@ fn get_source<'a>(
 /// Smallest encoding of a job record (empty name).
 const JOB_MIN: usize = 8 + 8 + 8 + 4 + 4 + 4;
 
-fn put_job(w: &mut Writer, job: &ClusterJob) {
+/// A job is its bench index; the record also carries the suite's name
+/// for that index, which pins the blob to the suite it was taken over.
+fn put_job(w: &mut Writer, suite: &Suite, job: &ClusterJob) {
     w.usize(job.id);
     w.usize(job.bench);
     w.f64(job.arrival);
     w.size(job.gpus);
     w.u32(job.user);
-    w.str(&job.name);
+    w.str(&suite.by_index(job.bench).app.name);
 }
 
-fn get_job(r: &mut Reader<'_>) -> Result<ClusterJob, CheckpointError> {
-    Ok(ClusterJob {
+/// What a decoded job record is held to.
+#[derive(Clone, Copy)]
+struct JobBounds<'a> {
+    suite: &'a Suite,
+    gpus_per_node: usize,
+}
+
+/// One job record, checked before anything can dispatch it: a bench
+/// index past the suite (or naming another suite's benchmark) would
+/// panic in the first `solo_time`, a job wider than its node in the
+/// dispatcher.
+fn get_job(r: &mut Reader<'_>, bounds: JobBounds<'_>) -> Result<ClusterJob, CheckpointError> {
+    let job = ClusterJob {
         id: r.usize()?,
         bench: r.usize()?,
         arrival: r.f64()?,
         gpus: r.size()?,
         user: r.u32()?,
-        name: r.str()?.to_owned(),
-    })
+    };
+    let name = r.str()?;
+    let known = bounds.suite.len();
+    ensure(MAGIC, job.bench < known, || {
+        format!(
+            "job {}: bench index {} past the {known}-benchmark suite",
+            job.id, job.bench
+        )
+    })?;
+    let expected = &bounds.suite.by_index(job.bench).app.name;
+    ensure(MAGIC, name == expected, || {
+        format!(
+            "job {}: bench {} is '{expected}' in this suite, the record says '{name}'",
+            job.id, job.bench
+        )
+    })?;
+    let width = bounds.gpus_per_node;
+    ensure(MAGIC, (1..=width).contains(&job.gpus), || {
+        format!("job {}: {} GPUs on {width}-GPU nodes", job.id, job.gpus)
+    })?;
+    Ok(job)
 }
 
 fn put_ids(w: &mut Writer, ids: &[usize]) {
@@ -353,7 +393,7 @@ fn get_ids(r: &mut Reader<'_>) -> Result<Vec<usize>, CheckpointError> {
     r.seq(8, Reader::usize)
 }
 
-fn put_node_state(w: &mut Writer, state: &NodeRunState) {
+fn put_node_state(w: &mut Writer, suite: &Suite, state: &NodeRunState) {
     w.f64(state.clock);
     w.size(state.free);
     w.f64(state.busy_gpu_seconds);
@@ -363,8 +403,8 @@ fn put_node_state(w: &mut Writer, state: &NodeRunState) {
     w.usize(state.completed);
     w.u64(state.seq);
     w.u8(u8::from(state.dirty));
-    w.seq(state.arrivals.iter(), put_job);
-    w.seq(state.waiting.iter(), put_job);
+    w.seq(state.arrivals.iter(), |w, job| put_job(w, suite, job));
+    w.seq(state.waiting.iter(), |w, job| put_job(w, suite, job));
     w.seq(state.running.iter(), |w, (finish, gpus, ids)| {
         w.f64(*finish);
         w.size(*gpus);
@@ -379,8 +419,9 @@ fn put_node_state(w: &mut Writer, state: &NodeRunState) {
 fn get_node_state(
     r: &mut Reader<'_>,
     node: usize,
-    gpus_per_node: usize,
+    jobs: JobBounds<'_>,
 ) -> Result<NodeRunState, CheckpointError> {
+    let gpus_per_node = jobs.gpus_per_node;
     let state = NodeRunState {
         node,
         n_gpus: gpus_per_node,
@@ -393,8 +434,8 @@ fn get_node_state(
         completed: r.usize()?,
         seq: r.u64()?,
         dirty: r.u8()? != 0,
-        arrivals: r.seq(JOB_MIN, get_job)?,
-        waiting: r.seq(JOB_MIN, get_job)?,
+        arrivals: r.seq(JOB_MIN, |r| get_job(r, jobs))?,
+        waiting: r.seq(JOB_MIN, |r| get_job(r, jobs))?,
         running: r.seq(8 + 4 + 4, |r| Ok((r.f64()?, r.size()?, get_ids(r)?)))?,
         events: r.seq(8 + 8 + 1 + 8, |r| get_event(r, node))?,
     };
@@ -525,39 +566,63 @@ fn put_dispatcher(w: &mut Writer, dispatcher: &PlacementDispatcher) {
     }
 }
 
-/// A fresh dispatcher of the kind the selector schedules through,
-/// wound forward to the recorded bookkeeping.
-fn get_dispatcher(
-    r: &mut Reader<'_>,
-    kind: SelectorKind,
-    gpus_per_node: usize,
-    walltime_err: f64,
-) -> Result<PlacementDispatcher, CheckpointError> {
-    let mut dispatcher = dispatcher_for(kind, gpus_per_node, walltime_err);
-    match (r.u8()?, &mut dispatcher) {
-        (0, PlacementDispatcher::CoSched(d)) => d.restore_windows_scheduled(r.usize()?),
-        (1, PlacementDispatcher::Backfill(planner)) => planner.restore_state(BackfillState {
+/// One node's recorded dispatcher bookkeeping, read before the
+/// dispatcher it belongs to can be built (a policy service's nodes are
+/// shaped by the agent, whose blob comes later in the body).
+enum DispatcherRecord {
+    CoSched { windows: usize },
+    Backfill(BackfillState),
+}
+
+fn get_dispatcher_record(r: &mut Reader<'_>) -> Result<DispatcherRecord, CheckpointError> {
+    match r.u8()? {
+        0 => Ok(DispatcherRecord::CoSched {
+            windows: r.usize()?,
+        }),
+        1 => Ok(DispatcherRecord::Backfill(BackfillState {
             releases: r.seq(8 + 4, |r| Ok((r.f64()?, r.size()?)))?,
             reservations: r.seq(8 + 8 + 4, |r| Ok((r.f64()?, r.f64()?, r.size()?)))?,
             wake: match r.u8()? {
                 0 => None,
                 _ => Some(r.f64()?),
             },
-        }),
-        (tag, _) => {
-            return Err(CheckpointError::invalid(
-                MAGIC,
-                format!(
-                    "dispatcher tag {tag} does not match selector '{}'",
-                    kind.name()
-                ),
-            ))
-        }
+        })),
+        tag => Err(CheckpointError::invalid(
+            MAGIC,
+            format!("unknown dispatcher tag {tag}"),
+        )),
     }
-    Ok(dispatcher)
 }
 
-fn put_admission(w: &mut Writer, adm: &AdmissionState) {
+impl DispatcherRecord {
+    /// Wind a fresh dispatcher of the selector's tier forward to the
+    /// recorded bookkeeping.
+    fn wind(
+        self,
+        mut dispatcher: PlacementDispatcher,
+    ) -> Result<PlacementDispatcher, CheckpointError> {
+        match (self, &mut dispatcher) {
+            (Self::CoSched { windows }, PlacementDispatcher::CoSched(d)) => {
+                d.restore_windows_scheduled(windows);
+            }
+            (Self::Backfill(state), PlacementDispatcher::Backfill(planner)) => {
+                planner.restore_state(state);
+            }
+            (_, built) => {
+                return Err(CheckpointError::invalid(
+                    MAGIC,
+                    format!(
+                        "the dispatcher record does not match the selector's '{}' nodes",
+                        built.name()
+                    ),
+                ))
+            }
+        }
+        Ok(dispatcher)
+    }
+}
+
+fn put_admission(w: &mut Writer, suite: &Suite, adm: &AdmissionState) {
     let state = adm.share.export_state();
     w.f64(state.now);
     w.u64(state.seq);
@@ -576,12 +641,16 @@ fn put_admission(w: &mut Writer, adm: &AdmissionState) {
         w.u32(*user);
     });
     w.u64(adm.digest);
-    w.seq(adm.deferred.iter(), put_job);
+    w.seq(adm.deferred.iter(), |w, job| put_job(w, suite, job));
 }
 
 /// The admission-tier section: fair-share snapshot, rolling decision
 /// digest, and the quota-deferred queue.
-fn get_admission(r: &mut Reader<'_>, cfg: FairConfig) -> Result<AdmissionState, CheckpointError> {
+fn get_admission(
+    r: &mut Reader<'_>,
+    cfg: FairConfig,
+    jobs: JobBounds<'_>,
+) -> Result<AdmissionState, CheckpointError> {
     let state = FairShareState {
         now: r.f64()?,
         seq: r.u64()?,
@@ -591,7 +660,7 @@ fn get_admission(r: &mut Reader<'_>, cfg: FairConfig) -> Result<AdmissionState, 
     };
     let mut adm = AdmissionState::with_share(FairShare::from_state(cfg, &state));
     adm.digest = r.u64()?;
-    adm.deferred = r.seq(JOB_MIN, get_job)?.into();
+    adm.deferred = r.seq(JOB_MIN, |r| get_job(r, jobs))?.into();
     Ok(adm)
 }
 
@@ -600,7 +669,9 @@ mod tests {
     use super::*;
     use crate::service::ServeReport;
     use crate::source::ChannelSource;
-    use hrp_cluster::place::{PlacementAgent, PlacementConfig};
+    use hrp_cluster::multinode::MultiNodeSim;
+    use hrp_cluster::place::{dispatcher_for, PlacementAgent, PlacementConfig};
+    use hrp_cluster::trace::generate;
     use hrp_gpusim::GpuArch;
 
     fn suite() -> Suite {
@@ -725,6 +796,50 @@ mod tests {
             TraceSource::new(&s, trace_cfg(TraceKind::Bursty, 40, 5)),
         );
         assert_kill_restore_is_exact(svc, 20);
+    }
+
+    /// Regression for the train/serve dispatcher skew: a policy service
+    /// schedules through the node dispatchers its agent's own config
+    /// names — the ones the agent was trained through — at
+    /// construction and again at restore. The parent commit served every
+    /// agent through `dispatcher_for(Policy, ..)`, i.e. windows of 4.
+    #[test]
+    fn policy_service_runs_the_agents_own_node_dispatchers() {
+        let s = suite();
+        let mut cfg = PlacementConfig::quick();
+        cfg.node_w = 2;
+        let agent = || PlacementAgent::untrained(cfg.clone());
+        let trace = TraceConfig::new(TraceKind::Bursty, 200, 7);
+        let sim = MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node);
+        let deployed = sim
+            .run(&s, generate(&s, &trace), &mut agent().selector(), |_| {
+                cfg.node_dispatcher()
+            })
+            .timeline
+            .digest();
+        // The window size is visible in the schedule, so the check below
+        // cannot pass by accident.
+        let through_windows_of_four = sim
+            .run(&s, generate(&s, &trace), &mut agent().selector(), |_| {
+                dispatcher_for(SelectorKind::Policy, cfg.gpus_per_node, 0.0)
+            })
+            .timeline
+            .digest();
+        assert_ne!(deployed, through_windows_of_four);
+
+        let mut svc = SchedulerService::with_agent(
+            &s,
+            ServeConfig::new(cfg.nodes, cfg.gpus_per_node),
+            agent(),
+            TraceSource::new(&s, trace),
+        );
+        while svc.consumed() < 100 {
+            let _ = svc.step();
+        }
+        let blob = svc.checkpoint().expect("deterministic source");
+        assert_eq!(drain(svc).report.timeline.digest(), deployed);
+        let resumed = restore(&s, blob).expect("round trip");
+        assert_eq!(drain(resumed).report.timeline.digest(), deployed);
     }
 
     #[test]

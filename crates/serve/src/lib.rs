@@ -47,6 +47,6 @@ pub mod source;
 pub use checkpoint::{restore, restore_file, CheckpointError};
 pub use service::{
     dispatcher_for, AdmissionConfig, AdmissionOutcome, CycleMode, LatencySummary, SchedulerService,
-    ServeConfig, ServeReport, ServeStats, ServiceStep, SERVE_CMAX, SERVE_W,
+    ServeConfig, ServeReport, ServeStats, ServiceStep,
 };
 pub use source::{ArrivalSource, ChannelSource, LoadGen, LoadShape, SourcePoll, TraceSource};

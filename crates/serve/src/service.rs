@@ -30,28 +30,19 @@
 //! exactly there.
 
 use crate::source::{ArrivalSource, SourcePoll};
-use hrp_cluster::backfill::BackfillPlanner;
-use hrp_cluster::cosched::CoSchedulingDispatcher;
+use hrp_cluster::backfill::BackfillPolicy;
 use hrp_cluster::fair::{self, FairConfig, FairShare};
 use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, MultiNodeReport};
+pub use hrp_cluster::place::dispatcher_for;
 use hrp_cluster::place::{PlacementAgent, PlacementDispatcher};
 use hrp_cluster::select::{
     BackfillTier, LeastLoaded, NodeSelector, PolicySelector, RoundRobin, SelectorKind,
 };
-use hrp_core::policies::MpsOnly;
 use hrp_core::rl::DqnSnapshot;
 use hrp_workloads::Suite;
 use std::collections::VecDeque;
 use std::time::Instant;
-
-/// Window size of each node's co-scheduling dispatcher — kept equal
-/// to the batch evaluation geometry (`hrp-bench`'s `CLUSTER_W`) so
-/// service runs are digest-comparable to `repro cluster` rows.
-pub const SERVE_W: usize = 4;
-/// Concurrency cap of each node's co-scheduling dispatcher (mirrors
-/// `hrp-bench`'s `CLUSTER_CMAX`).
-pub const SERVE_CMAX: usize = 4;
 
 /// How much of the cluster a scheduling cycle touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,7 +204,9 @@ pub struct ServeConfig {
     /// GPUs per node.
     pub gpus_per_node: usize,
     /// Walltime-estimate error handed to backfilling planners
-    /// (ignored by the co-scheduling dispatcher kinds).
+    /// (ignored by the co-scheduling dispatcher kinds, and by a policy
+    /// service: its nodes are the agent's own
+    /// [`node_dispatcher`](hrp_cluster::place::PlacementConfig::node_dispatcher)).
     pub walltime_err: f64,
     /// Cycle mode.
     pub mode: CycleMode,
@@ -239,6 +232,8 @@ impl ServeConfig {
 
     /// Builder: walltime-estimate error fraction (see
     /// [`BackfillPlanner::with_walltime_err`]).
+    ///
+    /// [`BackfillPlanner::with_walltime_err`]: hrp_cluster::backfill::BackfillPlanner::with_walltime_err
     #[must_use]
     pub fn walltime_err(mut self, err: f64) -> Self {
         self.walltime_err = err;
@@ -261,27 +256,6 @@ impl ServeConfig {
     }
 }
 
-/// The node-local dispatcher a selector kind schedules through, at
-/// the service geometry: backfill tiers get a [`BackfillPlanner`] of
-/// their policy, everything else the co-scheduling window dispatcher —
-/// the same mapping `repro cluster` uses, which is what keeps service
-/// and batch digests comparable per selector.
-#[must_use]
-pub fn dispatcher_for(
-    kind: SelectorKind,
-    gpus_per_node: usize,
-    walltime_err: f64,
-) -> PlacementDispatcher {
-    match kind.backfill_policy() {
-        Some(policy) => PlacementDispatcher::Backfill(
-            BackfillPlanner::new(policy, gpus_per_node).with_walltime_err(walltime_err),
-        ),
-        None => {
-            PlacementDispatcher::CoSched(CoSchedulingDispatcher::new(MpsOnly, SERVE_W, SERVE_CMAX))
-        }
-    }
-}
-
 /// The concrete selector state the service owns — the checkpointable
 /// closed set of [`SelectorKind`]s plus the trained-policy tier.
 pub(crate) enum SelectorState {
@@ -289,9 +263,9 @@ pub(crate) enum SelectorState {
     RoundRobin(RoundRobin),
     /// Greedy least-outstanding-work placement (stateless).
     LeastLoaded(LeastLoaded),
-    /// Least-loaded placement labeled by its backfill policy
-    /// (stateless).
-    Backfill(BackfillTier),
+    /// Least-loaded placement labeled by the backfill policy its nodes
+    /// run ([`BackfillTier`]; stateless).
+    Backfill(BackfillPolicy),
     /// A frozen RL policy: the agent (checkpointed as an embedded
     /// `HRPP` blob) plus the greedy selector wrapping its snapshot.
     Policy(Box<PlacementAgent>, Box<PolicySelector<DqnSnapshot>>),
@@ -307,7 +281,7 @@ impl SelectorState {
                  build the service via SchedulerService::with_agent"
             ),
             SelectorKind::Fcfs | SelectorKind::Easy | SelectorKind::Conservative => {
-                Self::Backfill(BackfillTier::new(kind.backfill_policy().expect("tier")))
+                Self::Backfill(kind.backfill_policy().expect("tier"))
             }
         }
     }
@@ -321,20 +295,47 @@ impl SelectorState {
         match self {
             Self::RoundRobin(_) => SelectorKind::RoundRobin,
             Self::LeastLoaded(_) => SelectorKind::LeastLoaded,
-            Self::Backfill(tier) => match tier.name() {
-                "fcfs" => SelectorKind::Fcfs,
-                "easy" => SelectorKind::Easy,
-                _ => SelectorKind::Conservative,
+            Self::Backfill(policy) => match policy {
+                BackfillPolicy::Fcfs => SelectorKind::Fcfs,
+                BackfillPolicy::Easy => SelectorKind::Easy,
+                BackfillPolicy::Conservative => SelectorKind::Conservative,
             },
             Self::Policy(..) => SelectorKind::Policy,
         }
+    }
+
+    /// A fresh dispatcher for the nodes this tier places onto. A policy
+    /// tier's agent names its own — the nodes it was trained through,
+    /// so served and trained placements meet the same windows; every
+    /// heuristic kind takes [`dispatcher_for`]'s evaluation geometry.
+    pub(crate) fn node_dispatcher(&self, cfg: &ServeConfig) -> PlacementDispatcher {
+        match self {
+            Self::Policy(agent, _) => agent.config().node_dispatcher(),
+            heuristic => dispatcher_for(heuristic.kind(), cfg.gpus_per_node, cfg.walltime_err),
+        }
+    }
+
+    /// Why this tier cannot place for a service of `cfg`'s geometry, if
+    /// it cannot: a policy agent is shaped by the cluster it was
+    /// trained for (one action per node, planners sized to its nodes).
+    pub(crate) fn geometry_mismatch(&self, cfg: &ServeConfig) -> Option<String> {
+        let Self::Policy(agent, _) = self else {
+            return None;
+        };
+        let trained = agent.config();
+        (trained.nodes != cfg.nodes || trained.gpus_per_node != cfg.gpus_per_node).then(|| {
+            format!(
+                "agent places over {} nodes x {} GPUs, service has {} x {}",
+                trained.nodes, trained.gpus_per_node, cfg.nodes, cfg.gpus_per_node
+            )
+        })
     }
 
     fn select(&mut self, gpus: usize, work: f64, loads: &[hrp_cluster::select::NodeLoad]) -> usize {
         match self {
             Self::RoundRobin(s) => s.select(gpus, work, loads),
             Self::LeastLoaded(s) => s.select(gpus, work, loads),
-            Self::Backfill(s) => s.select(gpus, work, loads),
+            Self::Backfill(policy) => BackfillTier::new(*policy).select(gpus, work, loads),
             Self::Policy(_, s) => s.select(gpus, work, loads),
         }
     }
@@ -579,7 +580,13 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     }
 
     /// A fresh service placing through a trained (or untrained)
-    /// placement agent — the frozen-policy global tier.
+    /// placement agent — the frozen-policy global tier, over the node
+    /// dispatchers the agent's own
+    /// [`PlacementConfig`](hrp_cluster::place::PlacementConfig) names.
+    ///
+    /// # Panics
+    /// Panics if the agent was shaped for another geometry than
+    /// `cfg.nodes` × `cfg.gpus_per_node`.
     #[must_use]
     pub fn with_agent(
         suite: &'a Suite,
@@ -596,6 +603,8 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// ([`BackfillPlanner::with_reservation`]). Reservations live in
     /// the planner's exported [`BackfillState`](hrp_cluster::backfill::BackfillState),
     /// so such a service still checkpoints and restores exactly.
+    ///
+    /// [`BackfillPlanner::with_reservation`]: hrp_cluster::backfill::BackfillPlanner::with_reservation
     ///
     /// # Panics
     /// Same conditions as [`SchedulerService::new`].
@@ -629,9 +638,11 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         selector: SelectorState,
         source: S,
     ) -> Self {
-        let kind = selector.kind();
+        if let Some(mismatch) = selector.geometry_mismatch(&cfg) {
+            panic!("{mismatch}");
+        }
         let drive = ClusterDrive::new(suite, cfg.nodes, cfg.gpus_per_node, |_| {
-            dispatcher_for(kind, cfg.gpus_per_node, cfg.walltime_err)
+            selector.node_dispatcher(&cfg)
         });
         let admission = cfg.admission.as_ref().map(AdmissionState::new);
         Self {
@@ -951,7 +962,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
 mod tests {
     use super::*;
     use crate::source::{ChannelSource, TraceSource};
-    use hrp_cluster::backfill::BackfillPolicy;
+    use hrp_cluster::backfill::BackfillPlanner;
     use hrp_cluster::multinode::MultiNodeSim;
     use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
     use hrp_gpusim::GpuArch;
@@ -1186,6 +1197,19 @@ mod tests {
         );
         assert_eq!(served.stats.deferred, 0);
         assert_eq!(served.stats.rejected, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "agent places over 4 nodes x 2 GPUs, service has 4 x 4")]
+    fn an_agent_shaped_for_other_nodes_is_refused_at_construction() {
+        use hrp_cluster::place::PlacementConfig;
+        let s = suite();
+        let _ = SchedulerService::with_agent(
+            &s,
+            ServeConfig::new(4, 4),
+            PlacementAgent::untrained(PlacementConfig::quick()),
+            TraceSource::new(&s, TraceConfig::new(TraceKind::Bursty, 8, 1)),
+        );
     }
 
     #[test]

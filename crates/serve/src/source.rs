@@ -405,7 +405,6 @@ impl<'a> LoadGen<'a> {
         };
         let mut job = ClusterJob {
             id: self.next_id,
-            name: self.suite.by_index(bench).app.name.clone(),
             bench,
             arrival: self.t,
             gpus,

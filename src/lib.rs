@@ -27,12 +27,14 @@
 //!   overlapped rounds and sharded replay), the five compared policies,
 //!   and the metrics.
 //! * [`cluster`] — the §VI cluster-scale extension: multi-node
-//!   simulation with deterministic event-stream merging, a
-//!   deterministic trace generator suite (uniform / bursty /
-//!   Zipf-skewed / heavy-tail / multi-GPU colocate), pluggable node
+//!   simulation with deterministic event-stream merging, one
+//!   streaming trace generator (uniform / bursty / Zipf-skewed /
+//!   heavy-tail / multi-GPU colocate / staggered), pluggable node
 //!   placement (round-robin / least-loaded / a trained RL policy
-//!   whose rewards come from the simulation itself),
-//!   FCFS+backfilling comparator, queue-pressure policy selection.
+//!   whose rewards come from the simulation itself), and the two
+//!   node-local regimes — window co-scheduling and the slot-tree
+//!   backfilling planner (the paper's FCFS+backfilling comparator) —
+//!   behind one dispatcher constructor.
 //! * [`serve`] — the online scheduler service over the cluster
 //!   engines: streaming arrivals ([`serve::ArrivalSource`]),
 //!   incremental dirty-set decision cycles that stay digest-identical

@@ -36,7 +36,9 @@ use hrp::core::experiment::Experiment;
 use hrp::gpusim::GpuArch;
 use hrp::nn::net::{Head, QNet};
 use hrp::nn::serialize::{load_weights, save_weights};
-use hrp::serve::{restore, AdmissionConfig, SchedulerService, ServeConfig, TraceSource};
+use hrp::serve::{
+    restore, AdmissionConfig, SchedulerService, ServeConfig, ServiceStep, TraceSource,
+};
 use hrp::workloads::Suite;
 
 // ---- the recording allocator --------------------------------------
@@ -461,5 +463,110 @@ fn forged_experiment_specs_are_typed_errors() {
         let err = outcome.expect_err(key);
         assert!(err.contains("HRPE") || err.contains("HRPQ"), "{key}: {err}");
         assert!(peak <= ALLOC_FLOOR, "{key}: asked for {peak} bytes at once");
+    }
+}
+
+/// Parent commit: the snapshot restored, and the service then ran the
+/// agent over planners and windows sized for the *service's* geometry,
+/// not the one the agent was trained through.
+#[test]
+fn an_embedded_agent_shaped_for_other_nodes_is_a_typed_error() {
+    let s = suite();
+    let agent = tamper_spec(&hrpp_blob(), "gpus_per_node", "4");
+    let snapshot = embed_agent(&hrps_blob(&s, Tier::Policy), &agent);
+    let err = decode_hrps(&s, snapshot).expect_err("2 x 4 agent in a 2 x 2 service");
+    assert!(err.contains("HRPS"), "'{err}' names the format");
+    assert!(
+        err.contains("2 nodes x 4 GPUs"),
+        "'{err}' names the mismatch"
+    );
+}
+
+/// Offset of the name's length prefix in every job record of an `HRPS`
+/// body. A record is `id u64 | bench u64 | arrival f64 | gpus u32 |
+/// user u32 | name`, and job records are the only place a benchmark
+/// name is written, so each length-prefixed suite name marks one.
+fn job_records(suite: &Suite, blob: &[u8]) -> Vec<usize> {
+    let mut at: Vec<usize> = (0..suite.len())
+        .flat_map(|bench| {
+            let name = suite.by_index(bench).app.name.as_bytes();
+            let mut needle = (name.len() as u32).to_le_bytes().to_vec();
+            needle.extend_from_slice(name);
+            (32..blob.len().saturating_sub(needle.len()))
+                .filter(|&i| blob[i..].starts_with(&needle))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    at.sort_unstable();
+    at
+}
+
+/// A 1 × 2 EASY service fed a dense burst train and settled at its last
+/// cycle: every placed job has reached the node, two run, and the rest
+/// sit in the waiting queue — the one job section the mid-run corpus
+/// blobs (cut straight after a placement) leave empty.
+fn backlogged_blob(suite: &Suite) -> Vec<u8> {
+    let trace = TraceConfig::new(TraceKind::Bursty, 20, 3).mean_gap(0.5);
+    let source = TraceSource::new(suite, trace);
+    let mut svc = SchedulerService::new(suite, ServeConfig::new(1, 2), SelectorKind::Easy, source);
+    let mut now = 0.0;
+    while svc.consumed() < 10 {
+        if let ServiceStep::Cycle { time, .. } = svc.step() {
+            now = time;
+        }
+    }
+    svc.settle(now);
+    svc.checkpoint()
+        .expect("a trace source checkpoints")
+        .to_vec()
+}
+
+/// Parent commit: every one of these decoded, and the restored service
+/// panicked at its next dispatch — `Suite::by_index` past the end, a
+/// co-run looked up under the wrong benchmark, a job no node can host.
+/// Forged in every job record of every snapshot: the lookahead, each
+/// node's pending arrivals (the mid-run corpus), its waiting queue (the
+/// backlogged service), and the admission tier's deferred queue (the
+/// last records of the `EasyAdmission` blob).
+#[test]
+fn forged_job_records_are_typed_errors() {
+    let s = suite();
+    let mut snapshots: Vec<(String, Vec<u8>)> = TIERS
+        .iter()
+        .map(|&tier| (format!("{tier:?}"), hrps_blob(&s, tier)))
+        .collect();
+    snapshots.push(("backlogged".into(), backlogged_blob(&s)));
+    for (name, blob) in snapshots {
+        let records = job_records(&s, &blob);
+        assert!(records.len() >= 3, "{name}: found {records:?}");
+        for name_at in records {
+            let bench_at = name_at - 24;
+            let gpus_at = name_at - 8;
+            let bench = u64::from_le_bytes(blob[bench_at..bench_at + 8].try_into().unwrap());
+            // (what, offset, little-endian value, field width)
+            let forgeries: [(&str, usize, u64, usize); 5] = [
+                ("bench past the suite", bench_at, s.len() as u64, 8),
+                ("bench = u64::MAX", bench_at, u64::MAX, 8),
+                (
+                    "another benchmark's index",
+                    bench_at,
+                    (bench + 1) % s.len() as u64,
+                    8,
+                ),
+                ("zero GPUs", gpus_at, 0, 4),
+                ("wider than a node", gpus_at, 3, 4),
+            ];
+            for (what, at, value, width) in forgeries {
+                let mut forged = blob.clone();
+                forged[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
+                let err = outcome.expect_err(what);
+                assert!(err.contains("HRPS"), "{name}, {what}: '{err}'");
+                assert!(
+                    peak <= ALLOC_FLOOR + ALLOC_PER_BYTE * blob.len(),
+                    "{name}, {what}: asked for {peak} bytes at once"
+                );
+            }
+        }
     }
 }

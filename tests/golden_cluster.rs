@@ -16,7 +16,7 @@ use common::test_threads;
 
 use hrp::cluster::multinode::{staggered_trace, MultiNodeReport, MultiNodeSim};
 use hrp::cluster::trace::{generate, TraceConfig, TraceKind};
-use hrp::cluster::{CoSchedulingDispatcher, FcfsBackfill, SelectorKind};
+use hrp::cluster::{BackfillPlanner, BackfillPolicy, CoSchedulingDispatcher, SelectorKind};
 use hrp::prelude::*;
 
 struct Golden {
@@ -105,9 +105,9 @@ fn four_node_schedules_match_the_golden_pin_for_any_thread_count() {
     }
 }
 
-/// Golden pin for one *large* skewed trace (5000 jobs, 8 FCFS nodes,
-/// least-loaded placement), reproduced serially and on the
-/// `HRP_TEST_THREADS` pool.
+/// Golden pin for one *large* skewed trace (5000 jobs, 8 nodes of
+/// FCFS + backfilling at exact estimates, least-loaded placement),
+/// reproduced serially and on the `HRP_TEST_THREADS` pool.
 #[test]
 fn large_skewed_trace_matches_the_golden_pin_in_both_engines() {
     const DIGEST: u64 = 0x841a_9d30_d786_e4b9;
@@ -125,7 +125,7 @@ fn large_skewed_trace_matches_the_golden_pin_in_both_engines() {
             &suite,
             jobs.clone(),
             sel.as_mut(),
-            |_| FcfsBackfill::new(),
+            |_| BackfillPlanner::new(BackfillPolicy::Easy, 2),
         );
         assert_eq!(report.timeline.digest(), DIGEST, "{threads} threads");
         assert_eq!(report.timeline.len(), EVENTS);

@@ -24,7 +24,9 @@ use hrp::cluster::multinode::MultiNodeSim;
 use hrp::cluster::select::{LeastLoaded, RoundRobin};
 use hrp::cluster::sim::{ClusterSim, EventKind};
 use hrp::cluster::trace::{generate, TraceConfig, TraceKind};
-use hrp::cluster::{ClusterJob, CoSchedulingDispatcher, FcfsBackfill, SelectorKind};
+use hrp::cluster::{
+    BackfillPlanner, BackfillPolicy, ClusterJob, CoSchedulingDispatcher, SelectorKind,
+};
 use hrp::prelude::*;
 use proptest::prelude::*;
 
@@ -173,9 +175,10 @@ proptest! {
     }
 }
 
-/// The at-scale pin: on a 100k-job bursty trace across 8 FCFS nodes,
-/// the pooled fan-out at `HRP_TEST_THREADS` merges to the exact serial
-/// report and loses no job.
+/// The at-scale pin: on a 100k-job bursty trace across 8 FCFS nodes
+/// (backfilling at exact estimates), the pooled fan-out at
+/// `HRP_TEST_THREADS` merges to the exact serial report and loses no
+/// job.
 #[test]
 fn pooled_engine_matches_serial_at_100k_jobs() {
     let s = suite();
@@ -187,7 +190,9 @@ fn pooled_engine_matches_serial_at_100k_jobs() {
         let mut sel = SelectorKind::LeastLoaded.build();
         MultiNodeSim::new(8, 2)
             .with_threads(threads)
-            .run(&s, jobs.clone(), sel.as_mut(), |_| FcfsBackfill::new())
+            .run(&s, jobs.clone(), sel.as_mut(), |_| {
+                BackfillPlanner::new(BackfillPolicy::Easy, 2)
+            })
     };
     let serial = run(1);
     let pooled = run(test_threads());

@@ -6,46 +6,24 @@
 //! first show up as one of the patterns below in some other
 //! `crates/*/src` file — so each format's magic may be spelt on exactly
 //! one non-test source line (the constant its module hands the codec),
-//! and the raw little-endian accessors of the `bytes` stand-in (which
+//! and the raw little-endian accessors of the `bytes` crate (which
 //! panic on underrun) and the spec's line split may appear nowhere but
-//! the codec module.
+//! the codec module. The vendored `bytes` stand-in no longer has those
+//! accessors at all — its cursor and builder half (`Buf`, `BufMut`,
+//! `BytesMut`, `split_to`) lost its last caller to the codec and was
+//! deleted — and the scan keeps it that way.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+mod scan;
+use scan::{crate_src_dirs, non_test_hits, rust_sources};
 
 /// The one module allowed to do byte plumbing.
 const CODEC: &str = "crates/nn/src/serialize.rs";
 
-fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in fs::read_dir(dir).expect("readable directory") {
-        let path = entry.expect("readable entry").path();
-        if path.is_dir() {
-            sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
 /// `(path relative to the repo root, text)` of every `crates/*/src` file.
 fn crate_sources() -> Vec<(String, String)> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut paths = Vec::new();
-    for krate in fs::read_dir(root.join("crates")).expect("crates directory") {
-        sources(
-            &krate.expect("readable entry").path().join("src"),
-            &mut paths,
-        );
-    }
-    assert!(paths.len() > 50, "found the sources");
-    paths
-        .into_iter()
-        .map(|p| {
-            let text = fs::read_to_string(&p).expect("readable source");
-            let rel = p.strip_prefix(root).expect("under the root");
-            (rel.to_string_lossy().replace('\\', "/"), text)
-        })
-        .collect()
+    let files = rust_sources(&crate_src_dirs());
+    assert!(files.len() > 50, "found the sources");
+    files
 }
 
 #[test]
@@ -55,15 +33,7 @@ fn each_magic_is_spelt_on_exactly_one_non_test_source_line() {
         let literal = format!("\"{magic}\"");
         let hits: Vec<String> = files
             .iter()
-            .flat_map(|(path, text)| {
-                // Unit tests sit at the bottom of their file.
-                let code = text.split("#[cfg(test)]").next().unwrap_or_default();
-                code.lines()
-                    .enumerate()
-                    .filter(|(_, line)| line.contains(&literal))
-                    .map(|(i, _)| format!("{path}:{}", i + 1))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|(path, text)| non_test_hits(path, text, &literal))
             .collect();
         assert_eq!(hits.len(), 1, "{literal} is spelt at {hits:?}");
     }
@@ -85,6 +55,20 @@ fn byte_and_spec_plumbing_lives_in_the_codec_module_alone() {
             assert!(
                 path == CODEC || !text.contains(pattern),
                 "{path} uses {pattern}: go through hrp_nn::serialize instead"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_bytes_stand_in_stays_an_immutable_buffer() {
+    let mut dirs = crate_src_dirs();
+    dirs.push("vendor/bytes/src".to_owned());
+    for (path, text) in rust_sources(&dirs) {
+        for gone in ["BytesMut", "BufMut", "trait Buf", "bytes::Buf", "split_to("] {
+            assert!(
+                !text.contains(gone),
+                "{path} brings back {gone}: read and write through hrp_nn::serialize"
             );
         }
     }

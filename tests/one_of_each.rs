@@ -1,0 +1,68 @@
+//! One of each in the cluster tier, and this scan keeps it one.
+//!
+//! A trace kind's RNG draws are written once (`TraceStream`;
+//! `generate` collects it), there is one backfilling dispatcher
+//! (`BackfillPlanner`), and one function body constructs node-local
+//! dispatchers (`PlacementDispatcher::new`, over the one `NODE_W` /
+//! `NODE_CMAX` pair) — training, batch evaluation, `repro` and
+//! `hrp-serve` all go through it. A second copy of any of them would
+//! first show up as one of the patterns below.
+
+mod scan;
+use scan::{crate_src_dirs, non_test_hits, rust_sources};
+
+#[test]
+fn node_dispatchers_are_constructed_in_one_function_body() {
+    let files = rust_sources(&crate_src_dirs());
+    for constructor in ["CoSchedulingDispatcher::new(", "BackfillPlanner::new("] {
+        let hits: Vec<String> = files
+            .iter()
+            .flat_map(|(path, text)| non_test_hits(path, text, constructor))
+            .collect();
+        assert_eq!(
+            hits.len(),
+            1,
+            "{constructor} is called at {hits:?}: build node dispatchers through \
+             hrp_cluster::place::{{PlacementDispatcher::new, dispatcher_for}}"
+        );
+        assert!(hits[0].starts_with("crates/cluster/src/place.rs:"));
+    }
+}
+
+#[test]
+fn each_trace_kind_draws_in_one_place() {
+    let trace = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/cluster/src/trace.rs"
+    ))
+    .expect("trace.rs moved?");
+    // One marker per family of draws that used to exist twice: the
+    // heavy-tail table set-up and the bursty burst size.
+    for marker in ["const PARETO_ALPHA", "gen_range(2usize..6)"] {
+        assert_eq!(
+            trace.matches(marker).count(),
+            1,
+            "{marker}: a kind's draws are written once, in TraceStream"
+        );
+    }
+}
+
+#[test]
+fn the_deleted_second_copies_stay_deleted() {
+    // Split in two so that this file does not mention them either.
+    let gone = [
+        ("Fcfs", "Backfill"),
+        ("select", "_policy"),
+        ("Pressure", "Policy"),
+        ("SERVE", "_W"),
+        ("CLUSTER", "_W"),
+    ];
+    let mut dirs = crate_src_dirs();
+    dirs.extend(["tests", "examples", "src"].map(str::to_owned));
+    for (path, text) in rust_sources(&dirs) {
+        for (head, tail) in gone {
+            let name = format!("{head}{tail}");
+            assert!(!text.contains(&name), "{path} mentions {name}");
+        }
+    }
+}
