@@ -2,14 +2,17 @@
 //! vs persistent-pool epoch fan-out on the same seeded trace (both
 //! produce the bit-identical timeline — the benches time pure fan-out
 //! overhead), the placement-training environment's episode replay,
-//! and the single-node event loop underneath everything.
+//! the single-node event loop underneath everything, and one
+//! backfilling decision in each of the three shapes an overloaded
+//! node asks for.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use hrp_cluster::backfill::{BackfillPlanner, BackfillPolicy};
 use hrp_cluster::multinode::{staggered_trace, MultiNodeSim};
 use hrp_cluster::place::{dispatcher_for, PlacementAgent, PlacementConfig, PlacementDispatcher};
-use hrp_cluster::sim::ClusterSim;
+use hrp_cluster::sim::{ClusterSim, Dispatcher};
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
-use hrp_cluster::SelectorKind;
+use hrp_cluster::{ClusterJob, SelectorKind};
 use hrp_core::par::WorkerPool;
 use hrp_gpusim::GpuArch;
 use hrp_workloads::Suite;
@@ -68,10 +71,57 @@ fn bench_placement_episode(c: &mut Criterion) {
     });
 }
 
+/// One `BackfillPlanner::next_placement` on a 2-GPU EASY node at the
+/// overload workload's estimate error: a saturated node behind a
+/// 16-job queue (six calls in ten under `serve_backfill_overload`), an
+/// idle node whose head starts, and a free GPU the wide head cannot
+/// use with a deep queue to look through for a backfill.
+fn bench_backfill_decision(c: &mut Criterion) {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let job = |id: usize, gpus: usize| ClusterJob {
+        id,
+        bench: id % suite.len(),
+        arrival: 0.0,
+        gpus,
+        user: 0,
+    };
+    let narrow: Vec<ClusterJob> = (0..16).map(|id| job(id, 1)).collect();
+    let wide_head: Vec<ClusterJob> = (0..16).map(|id| job(id, 2 - usize::from(id > 0))).collect();
+    let planner = || BackfillPlanner::new(BackfillPolicy::Easy, 2).with_walltime_err(0.3);
+
+    c.bench_function("backfill_decision_saturated_queue16", |b| {
+        let mut p = planner();
+        for _ in 0..2 {
+            p.next_placement(&suite, &narrow, 1, 0.0).expect("fills");
+        }
+        b.iter(|| black_box(p.next_placement(&suite, black_box(&wide_head), 0, 1.0)))
+    });
+    c.bench_function("backfill_decision_head_fits", |b| {
+        let mut p = planner();
+        let mut now = 0.0;
+        b.iter(|| {
+            // Far enough apart that the previous booking has lapsed.
+            now += 1e3;
+            black_box(p.next_placement(&suite, black_box(&narrow), 2, now))
+        })
+    });
+    c.bench_function("backfill_decision_blocked_head_queue16", |b| {
+        let mut p = planner();
+        p.next_placement(&suite, &narrow[..1], 2, 0.0)
+            .expect("starts");
+        // The booked GPU is a millisecond from its estimated release:
+        // every estimate of the queue overruns the head's reservation.
+        let now = p.walltime_estimate(&suite, &narrow[0]) - 1e-3;
+        assert!(p.next_placement(&suite, &wide_head, 1, now).is_none());
+        b.iter(|| black_box(p.next_placement(&suite, black_box(&wide_head), 1, now)))
+    });
+}
+
 criterion_group!(
     benches,
     bench_single_node_loop,
     bench_fanout_modes,
-    bench_placement_episode
+    bench_placement_episode,
+    bench_backfill_decision
 );
 criterion_main!(benches);

@@ -241,12 +241,14 @@ impl BackfillPlanner {
     /// and wakes the simulator when it expires.
     ///
     /// # Panics
-    /// Panics on a non-positive/non-finite window or more GPUs than
-    /// the node has.
+    /// Panics on a non-positive/non-finite window (or one so short
+    /// against its start that `start + duration` rounds to `start`) or
+    /// more GPUs than the node has.
     #[must_use]
     pub fn with_reservation(mut self, start: f64, duration: f64, gpus: usize) -> Self {
+        let end = start + duration;
         assert!(
-            start.is_finite() && start >= 0.0 && duration.is_finite() && duration > 0.0,
+            start.is_finite() && start >= 0.0 && end.is_finite() && end > start,
             "reservation window must be finite and non-empty"
         );
         assert!(
@@ -254,7 +256,7 @@ impl BackfillPlanner {
             "reservation of {gpus} GPUs on a {}-GPU node",
             self.n_gpus
         );
-        self.reservations.push((start, start + duration, gpus));
+        self.reservations.push((start, end, gpus));
         self
     }
 
@@ -398,11 +400,18 @@ impl Dispatcher for BackfillPlanner {
         let mut profile = self.profile(now);
         let (depth, backfill) = self.policy.depth_and_backfill();
         for (k, job) in waiting.iter().enumerate() {
-            if k >= depth && !backfill {
-                // Strict order: once a protected job is held back,
-                // nothing behind it may start — not even a job that
-                // would fit right now.
-                break;
+            if k >= depth {
+                if !backfill {
+                    // Strict order: once a protected job is held back,
+                    // nothing behind it may start — not even a job that
+                    // would fit right now.
+                    break;
+                }
+                if job.gpus > free_gpus {
+                    // Cannot start and reserves nothing: where it would
+                    // fit is of no consequence.
+                    continue;
+                }
             }
             let est = self.walltime_estimate(suite, job);
             let start = profile.earliest_fit(now, job.gpus, est);

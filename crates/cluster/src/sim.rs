@@ -178,6 +178,9 @@ pub struct NodeRun<D: Dispatcher> {
     /// dispatch, i.e. whether the dispatcher must be consulted again.
     dirty: bool,
     events: Vec<NodeEvent>,
+    /// Scratch of [`NodeRun::dispatch`]: the arrival time of each job
+    /// of the placement being started.
+    placed_arrivals: Vec<f64>,
 }
 
 impl<D: Dispatcher> NodeRun<D> {
@@ -202,6 +205,7 @@ impl<D: Dispatcher> NodeRun<D> {
             seq: 0,
             dirty: true,
             events: Vec::new(),
+            placed_arrivals: Vec::new(),
         }
     }
 
@@ -300,7 +304,9 @@ impl<D: Dispatcher> NodeRun<D> {
             // per-id `Vec::remove` cost O(|window| · queue) memmoves,
             // which dominates crowded drains at 100k+ jobs.
             let ids = &p.job_ids;
-            let mut arrivals: Vec<f64> = vec![f64::NAN; ids.len()];
+            let arrivals = &mut self.placed_arrivals;
+            arrivals.clear();
+            arrivals.resize(ids.len(), f64::NAN);
             let mut found = 0usize;
             for j in &self.waiting {
                 if let Some(k) = ids.iter().position(|id| *id == j.id) {
@@ -314,7 +320,7 @@ impl<D: Dispatcher> NodeRun<D> {
                 }
             }
             assert!(found == ids.len(), "placement references waiting job");
-            for a in &arrivals {
+            for a in arrivals.iter() {
                 self.wait_sum += self.clock - a;
             }
             self.waiting.retain(|j| !ids.contains(&j.id));
@@ -533,6 +539,7 @@ impl<D: Dispatcher> NodeRun<D> {
             seq: state.seq,
             dirty: state.dirty,
             events: state.events,
+            placed_arrivals: Vec::new(),
         }
     }
 }

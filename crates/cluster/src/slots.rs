@@ -1,15 +1,19 @@
-//! A slot tree: free-GPU capacity as a step function over the
+//! A slot set: free-GPU capacity as a step function over the
 //! timeline.
 //!
 //! [`TreeSlotSet`] keeps the number of free GPUs at every future
-//! instant as a sorted map from segment start time to the capacity
-//! that holds until the next boundary (the classic *slot set* of
-//! batch-scheduler backfilling literature). Claiming a window splits
-//! at most two segments (`O(log n)`) and decrements the segments in
-//! between; releasing restores them; adjacent segments with equal
-//! capacity coalesce back into one, so the tree stays proportional to
-//! the number of *distinct* capacity steps, not the number of
-//! operations.
+//! instant as a sorted vector of `(segment start, capacity that holds
+//! until the next start)` breakpoints (the classic *slot set* of
+//! batch-scheduler backfilling literature; the name is kept from the
+//! ordered-map representation it replaced). Claiming a window finds
+//! its two ends by binary search, inserts at most two breakpoints and
+//! decrements the segments in between; releasing restores them;
+//! adjacent segments with equal capacity coalesce back into one, so the
+//! vector stays proportional to the number of *distinct* capacity
+//! steps, not the number of operations. A node-local profile holds a
+//! handful of segments, so the `O(n)` shift of an insert moves a few
+//! words, and no operation allocates unless the vector outgrows the
+//! room it was built with.
 //!
 //! The final segment always extends to `+∞` at full capacity — every
 //! claim must have a finite end — so [`TreeSlotSet::earliest_fit`]
@@ -28,27 +32,7 @@
 //! assert_eq!(slots.earliest_fit(0.0, 2, 4.0), 0.0);
 //! ```
 
-use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Unbounded};
-
-/// Total-order wrapper over `f64` segment boundaries (via
-/// [`f64::total_cmp`]) so times can key a `BTreeMap`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TimeKey(f64);
-
-impl Eq for TimeKey {}
-
-impl Ord for TimeKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl PartialOrd for TimeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+use std::fmt;
 
 /// Free-GPU capacity over the timeline as a coalesced step function.
 ///
@@ -57,10 +41,11 @@ impl PartialOrd for TimeKey {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeSlotSet {
     total: usize,
-    /// Segment start → free capacity until the next boundary. The
-    /// first key is `-∞`; the last segment extends to `+∞` and (by
-    /// the finite-claim rule) always carries `total`.
-    segs: BTreeMap<TimeKey, usize>,
+    /// `(segment start, free capacity until the next start)`, sorted
+    /// by start under [`f64::total_cmp`]. The first start is `-∞`; the
+    /// last segment extends to `+∞` and (by the finite-claim rule)
+    /// always carries `total`.
+    segs: Vec<(f64, usize)>,
 }
 
 impl TreeSlotSet {
@@ -71,8 +56,10 @@ impl TreeSlotSet {
     #[must_use]
     pub fn new(total: usize) -> Self {
         assert!(total >= 1, "a slot set needs at least one GPU");
-        let mut segs = BTreeMap::new();
-        segs.insert(TimeKey(f64::NEG_INFINITY), total);
+        // Room for the handful of segments a node-local profile
+        // holds, so that filling one does not regrow it.
+        let mut segs = Vec::with_capacity(8);
+        segs.push((f64::NEG_INFINITY, total));
         Self { total, segs }
     }
 
@@ -92,54 +79,53 @@ impl TreeSlotSet {
     /// Free capacity at instant `t`.
     #[must_use]
     pub fn capacity_at(&self, t: f64) -> usize {
-        *self
-            .segs
-            .range(..=TimeKey(t))
-            .next_back()
+        self.segs[self.index_at(t)].1
+    }
+
+    /// Index of the segment covering `t`.
+    fn index_at(&self, t: f64) -> usize {
+        self.segs
+            .partition_point(|(start, _)| start.total_cmp(&t).is_le())
+            .checked_sub(1)
             .expect("first segment starts at -inf")
-            .1
     }
 
-    /// The segment covering `t`: its capacity and the time the next
-    /// boundary starts (`+∞` for the tail segment).
-    fn segment_at(&self, t: f64) -> (usize, f64) {
-        let cap = self.capacity_at(t);
-        let end = self
-            .segs
-            .range((Excluded(TimeKey(t)), Unbounded))
-            .next()
-            .map_or(f64::INFINITY, |(k, _)| k.0);
-        (cap, end)
+    /// Ensure a breakpoint exists exactly at `t` (splitting the
+    /// segment covering it), so a range update can start or stop
+    /// there; returns its index.
+    fn split(&mut self, t: f64) -> usize {
+        let at = self.index_at(t);
+        if self.segs[at].0.total_cmp(&t).is_eq() {
+            return at;
+        }
+        self.segs.insert(at + 1, (t, self.segs[at].1));
+        at + 1
     }
 
-    /// Ensure a boundary exists exactly at `t` (splitting the segment
-    /// covering it), so a range update can start or stop there.
-    fn split(&mut self, t: f64) {
-        let cap = self.capacity_at(t);
-        self.segs.entry(TimeKey(t)).or_insert(cap);
-    }
-
-    /// Remove boundaries in `[start, end]` whose capacity equals the
-    /// preceding segment's, restoring the coalescing invariant after
-    /// a range update.
-    fn coalesce(&mut self, start: f64, end: f64) {
-        let keys: Vec<TimeKey> = self
-            .segs
-            .range(TimeKey(start)..=TimeKey(end))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in keys {
-            let cap = self.segs[&k];
-            let prev = self
-                .segs
-                .range(..k)
-                .next_back()
-                .map(|(_, v)| *v)
-                .expect("first segment starts at -inf");
-            if prev == cap {
-                self.segs.remove(&k);
+    /// Apply `change` to the capacity of every segment of
+    /// `[start, end)` (it also gets the segment's start, for its
+    /// panic message), then drop every breakpoint of `[start, end]`
+    /// whose capacity equals the preceding segment's, restoring the
+    /// coalescing invariant.
+    fn update(&mut self, start: f64, end: f64, change: impl Fn(&mut usize, f64)) {
+        assert!(
+            start.is_finite() && end.is_finite() && start < end,
+            "slot window [{start}, {end}) must be finite and non-empty"
+        );
+        // `start` is finite, so `lo >= 1`: a predecessor always exists.
+        let lo = self.split(start);
+        let hi = self.split(end);
+        for (t, cap) in &mut self.segs[lo..hi] {
+            change(cap, *t);
+        }
+        let mut kept = lo;
+        for k in lo..=hi {
+            if self.segs[k].1 != self.segs[kept - 1].1 {
+                self.segs[kept] = self.segs[k];
+                kept += 1;
             }
         }
+        self.segs.drain(kept..=hi);
     }
 
     /// Subtract `gpus` from every instant of `[start, end)`.
@@ -148,46 +134,24 @@ impl TreeSlotSet {
     /// Panics if the window is empty or unbounded, or if any covered
     /// segment has fewer than `gpus` free (the caller double-booked).
     pub fn claim(&mut self, start: f64, end: f64, gpus: usize) {
-        self.update(start, end, gpus, false);
+        self.update(start, end, |cap, t| {
+            assert!(
+                *cap >= gpus,
+                "double-booked: {gpus} GPUs claimed at t = {t} with only {cap} free"
+            );
+            *cap -= gpus;
+        });
     }
 
     /// Subtract *up to* `gpus` from every instant of `[start, end)`,
     /// clamping per segment at zero instead of panicking. Used to
     /// overlay advance reservations onto a release profile that may
     /// already book the same GPUs.
+    ///
+    /// # Panics
+    /// Panics if the window is empty or unbounded.
     pub fn claim_up_to(&mut self, start: f64, end: f64, gpus: usize) {
-        self.update(start, end, gpus, true);
-    }
-
-    fn update(&mut self, start: f64, end: f64, gpus: usize, clamp: bool) {
-        assert!(
-            start.is_finite() && end.is_finite() && start < end,
-            "claim window [{start}, {end}) must be finite and non-empty"
-        );
-        if gpus == 0 {
-            return;
-        }
-        self.split(start);
-        self.split(end);
-        let keys: Vec<TimeKey> = self
-            .segs
-            .range(TimeKey(start)..TimeKey(end))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in keys {
-            let cap = self.segs.get_mut(&k).expect("key just collected");
-            if clamp {
-                *cap -= gpus.min(*cap);
-            } else {
-                assert!(
-                    *cap >= gpus,
-                    "double-booked: {gpus} GPUs claimed at t = {} with only {cap} free",
-                    k.0
-                );
-                *cap -= gpus;
-            }
-        }
-        self.coalesce(start, end);
+        self.update(start, end, |cap, _| *cap -= gpus.min(*cap));
     }
 
     /// Add `gpus` back to every instant of `[start, end)`.
@@ -197,39 +161,22 @@ impl TreeSlotSet {
     /// would push any segment above the cluster total (releasing
     /// capacity that was never claimed).
     pub fn release(&mut self, start: f64, end: f64, gpus: usize) {
-        assert!(
-            start.is_finite() && end.is_finite() && start < end,
-            "release window [{start}, {end}) must be finite and non-empty"
-        );
-        if gpus == 0 {
-            return;
-        }
-        self.split(start);
-        self.split(end);
-        let keys: Vec<TimeKey> = self
-            .segs
-            .range(TimeKey(start)..TimeKey(end))
-            .map(|(k, _)| *k)
-            .collect();
         let total = self.total;
-        for k in keys {
-            let cap = self.segs.get_mut(&k).expect("key just collected");
+        self.update(start, end, |cap, t| {
             assert!(
                 *cap + gpus <= total,
-                "over-release: {gpus} GPUs freed at t = {} with {cap}/{total} already free",
-                k.0
+                "over-release: {gpus} GPUs freed at t = {t} with {cap}/{total} already free"
             );
             *cap += gpus;
-        }
-        self.coalesce(start, end);
+        });
     }
 
     /// Earliest `t ≥ after` at which `gpus` GPUs stay free for the
     /// whole window `[t, t + duration)`.
     ///
-    /// Run-length scan over the segments: a candidate start slides
-    /// past every blocking segment it meets, and the `+∞`-capacity
-    /// tail guarantees termination.
+    /// One forward walk over the segments from the one covering
+    /// `after`: a candidate start slides past every blocking segment
+    /// it meets, and the full-capacity tail guarantees termination.
     ///
     /// # Panics
     /// Panics if `gpus` exceeds the cluster total (no window could
@@ -245,26 +192,43 @@ impl TreeSlotSet {
             duration.is_finite() && duration > 0.0 && after.is_finite(),
             "earliest_fit needs a finite start and positive duration"
         );
-        if gpus == 0 {
-            return after;
-        }
         let mut cand = after;
+        let mut at = self.index_at(after);
         loop {
-            let mut t = cand;
-            loop {
-                let (cap, end) = self.segment_at(t);
-                if cap < gpus {
-                    // Blocked: restart just past this segment. `end` is
-                    // finite because the tail holds the full total.
-                    cand = end;
-                    break;
-                }
-                if end >= cand + duration {
-                    return cand;
-                }
-                t = end;
+            // The tail holds the full total, so a blocked segment
+            // always has a finite end to restart from.
+            let end = self.segs.get(at + 1).map_or(f64::INFINITY, |next| next.0);
+            if self.segs[at].1 < gpus {
+                cand = end;
+            } else if end >= cand + duration {
+                return cand;
             }
+            at += 1;
         }
+    }
+}
+
+/// One `[start, end) free/total` row per segment — a plan to read, in
+/// the manner of oar's slot-set tables:
+///
+/// ```
+/// use hrp_cluster::slots::TreeSlotSet;
+///
+/// let mut slots = TreeSlotSet::new(4);
+/// slots.claim(0.0, 10.0, 3);
+/// slots.claim(10.0, 12.5, 1);
+/// assert_eq!(
+///     slots.to_string(),
+///     "[-inf, 0) 4/4\n[0, 10) 1/4\n[10, 12.5) 3/4\n[12.5, inf) 4/4\n"
+/// );
+/// ```
+impl fmt::Display for TreeSlotSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ends = self.segs.iter().skip(1).map(|next| next.0);
+        for ((start, free), end) in self.segs.iter().zip(ends.chain([f64::INFINITY])) {
+            writeln!(f, "[{start}, {end}) {free}/{}", self.total)?;
+        }
+        Ok(())
     }
 }
 

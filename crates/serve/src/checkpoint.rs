@@ -226,7 +226,10 @@ pub fn restore(
     for node in 0..nodes {
         let state = get_node_state(&mut body, node, jobs)?;
         loads.push(get_load(&mut body, node, gpus_per_node)?);
-        records.push((state, get_dispatcher_record(&mut body)?));
+        records.push((
+            state,
+            get_dispatcher_record(&mut body, node, gpus_per_node)?,
+        ));
     }
     let selector = match (kind, rr_cursor) {
         (SelectorKind::Policy, _) => SelectorState::from_agent(PlacementExperiment::load_bytes(
@@ -574,19 +577,52 @@ enum DispatcherRecord {
     Backfill(BackfillState),
 }
 
-fn get_dispatcher_record(r: &mut Reader<'_>) -> Result<DispatcherRecord, CheckpointError> {
+/// One dispatcher record. A planner's bookkeeping is held to what the
+/// planner itself can produce before any `NodeRun` is built: every time
+/// goes into a slot-set claim at the next decision with a free GPU,
+/// which panics on a window that is not finite.
+fn get_dispatcher_record(
+    r: &mut Reader<'_>,
+    node: usize,
+    gpus_per_node: usize,
+) -> Result<DispatcherRecord, CheckpointError> {
+    let instant = |t: f64| t.is_finite() && t >= 0.0;
+    let width = |gpus: usize| (1..=gpus_per_node).contains(&gpus);
     match r.u8()? {
         0 => Ok(DispatcherRecord::CoSched {
             windows: r.usize()?,
         }),
-        1 => Ok(DispatcherRecord::Backfill(BackfillState {
-            releases: r.seq(8 + 4, |r| Ok((r.f64()?, r.size()?)))?,
-            reservations: r.seq(8 + 8 + 4, |r| Ok((r.f64()?, r.f64()?, r.size()?)))?,
-            wake: match r.u8()? {
-                0 => None,
-                _ => Some(r.f64()?),
-            },
-        })),
+        1 => {
+            let state = BackfillState {
+                releases: r.seq(8 + 4, |r| Ok((r.f64()?, r.size()?)))?,
+                reservations: r.seq(8 + 8 + 4, |r| Ok((r.f64()?, r.f64()?, r.size()?)))?,
+                wake: match r.u8()? {
+                    0 => None,
+                    _ => Some(r.f64()?),
+                },
+            };
+            for &(finish, gpus) in &state.releases {
+                ensure(MAGIC, instant(finish) && width(gpus), || {
+                    format!(
+                        "node {node}: release booking of {gpus} GPUs until {finish} \
+                         on a {gpus_per_node}-GPU node"
+                    )
+                })?;
+            }
+            for &(start, end, gpus) in &state.reservations {
+                let sound = instant(start) && end.is_finite() && end > start && width(gpus);
+                ensure(MAGIC, sound, || {
+                    format!(
+                        "node {node}: reservation of {gpus} GPUs over [{start}, {end}) \
+                         on a {gpus_per_node}-GPU node"
+                    )
+                })?;
+            }
+            ensure(MAGIC, state.wake.is_none_or(f64::is_finite), || {
+                format!("node {node}: wake-up hint at {:?}", state.wake)
+            })?;
+            Ok(DispatcherRecord::Backfill(state))
+        }
         tag => Err(CheckpointError::invalid(
             MAGIC,
             format!("unknown dispatcher tag {tag}"),

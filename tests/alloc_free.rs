@@ -14,7 +14,15 @@
 //!   hot loop after its `ActionScratch` warm-up;
 //! * `DqnAgent::learn` at the paper's geometry — sampling, both
 //!   bootstrap forwards, forward/backward, the Adam sweep and the
-//!   target sync.
+//!   target sync;
+//! * `TreeSlotSet` — the slot set every backfilling decision plans
+//!   through: claims, clamped claims, releases and fits on a set that
+//!   has reached its working size.
+//!
+//! `BackfillPlanner::next_placement`, the node-local decision of the
+//! DES, is audited against a budget instead: it still builds a fresh
+//! profile per decision, so it may allocate that profile, plus the
+//! `Placement::job_ids` `Vec` when it places — and nothing else.
 //!
 //! The counter is **thread-local**: only allocations performed by the
 //! audited code path itself are counted, so background harness
@@ -24,11 +32,17 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
+use hrp::cluster::sim::Dispatcher;
+use hrp::cluster::slots::TreeSlotSet;
+use hrp::cluster::ClusterJob;
 use hrp::core::cluster_env::{NodeLoad, PolicySelector};
 use hrp::core::NodeSelector;
+use hrp::gpusim::GpuArch;
 use hrp::nn::net::{Head, QNet};
 use hrp::nn::replay::Transition;
 use hrp::nn::{DqnAgent, DqnConfig, FastPolicy, Kernel};
+use hrp::workloads::Suite;
 
 thread_local! {
     // `const` init so reading these inside the allocator can never
@@ -201,4 +215,101 @@ fn steady_state_learning_step_does_not_allocate() {
         );
         assert_eq!(agent.learn_steps(), 53);
     }
+}
+
+#[test]
+fn backfill_decisions_allocate_their_profile_and_their_placement_only() {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let job = |id: usize, gpus: usize| ClusterJob {
+        id,
+        bench: id % suite.len(),
+        arrival: 0.0,
+        gpus,
+        user: 0,
+    };
+    // A 16-job queue behind a wide head, and one of narrow jobs only.
+    let wide_head: Vec<ClusterJob> = (0..16).map(|id| job(id, 2 - usize::from(id > 0))).collect();
+    let narrow: Vec<ClusterJob> = (0..16).map(|id| job(id, 1)).collect();
+
+    // FCFS and EASY reserve for the head only, so their profiles stay
+    // within the room a slot set is built with.
+    for policy in [BackfillPolicy::Fcfs, BackfillPolicy::Easy] {
+        let mut planner = BackfillPlanner::new(policy, 2).with_walltime_err(0.3);
+        // Fill the node: two release bookings.
+        for _ in 0..2 {
+            planner
+                .next_placement(&suite, &narrow, 1, 0.0)
+                .expect("a narrow job starts on a free GPU");
+        }
+        assert_eq!(planner.next_placement(&suite, &wide_head, 0, 1.0), None);
+
+        // `None`: a saturated node, whatever is queued ...
+        let n = count_allocs(|| {
+            for i in 0..REPS {
+                let now = 1.0 + i as f64 * 1e-3;
+                std::hint::black_box(planner.next_placement(&suite, &wide_head, 0, now));
+                std::hint::black_box(planner.next_placement(&suite, &narrow, 0, now));
+            }
+        });
+        assert_eq!(
+            n,
+            2 * REPS as u64,
+            "{policy:?}: a saturated decision allocates its profile, once"
+        );
+
+        // ... and a free GPU the 2-GPU head cannot use: the head gets
+        // its reservation, and every job behind it would overrun that
+        // (the booked GPU frees long before any estimate ends).
+        let mut blocked = BackfillPlanner::new(policy, 2);
+        blocked
+            .next_placement(&suite, &narrow[..1], 2, 0.0)
+            .expect("the node's first job starts");
+        let now = narrow[0].solo_time(&suite) - 1e-3;
+        assert_eq!(blocked.next_placement(&suite, &wide_head, 1, now), None);
+        let n = count_allocs(|| {
+            for _ in 0..REPS {
+                std::hint::black_box(blocked.next_placement(&suite, &wide_head, 1, now));
+            }
+        });
+        assert_eq!(
+            n, REPS as u64,
+            "{policy:?}: a blocked-head decision allocates its profile, once"
+        );
+
+        // `Some`: an idle node starts the head; the old booking has
+        // lapsed by the next call, so the book never grows.
+        let n = count_allocs(|| {
+            for i in 0..REPS {
+                let now = 1e3 * (1 + i) as f64;
+                let placed = planner.next_placement(&suite, &narrow, 2, now);
+                assert!(std::hint::black_box(placed).is_some());
+            }
+        });
+        assert_eq!(
+            n,
+            2 * REPS as u64,
+            "{policy:?}: a placing decision allocates its profile and its job_ids"
+        );
+    }
+}
+
+#[test]
+fn steady_state_slot_set_rounds_do_not_allocate() {
+    // A window of bookings sliding along one long-lived set.
+    let mut slots = TreeSlotSet::new(4);
+    let mut round = |i: usize| {
+        let t = i as f64;
+        slots.claim(t, t + 10.0, 2);
+        slots.claim(t + 5.0, t + 20.0, 1);
+        slots.claim_up_to(t + 8.0, t + 30.0, 1);
+        assert_eq!(slots.earliest_fit(t, 2, 4.0), t);
+        assert_eq!(slots.earliest_fit(t, 3, 4.0), t + 20.0);
+        slots.release(t + 8.0, t + 30.0, 1);
+        slots.release(t + 5.0, t + 20.0, 1);
+        slots.release(t, t + 10.0, 2);
+        assert_eq!(slots.n_segments(), 1);
+    };
+    round(0);
+    let n = count_allocs(|| (1..=REPS).for_each(&mut round));
+    assert_eq!(n, 0, "TreeSlotSet rounds allocated {n}x");
 }

@@ -30,7 +30,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hrp::cluster::place::{PlacementAgent, PlacementConfig, PlacementExperiment};
+use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
+use hrp::cluster::place::{
+    PlacementAgent, PlacementConfig, PlacementDispatcher, PlacementExperiment,
+};
 use hrp::cluster::{SelectorKind, TraceConfig, TraceKind};
 use hrp::core::experiment::Experiment;
 use hrp::gpusim::GpuArch;
@@ -506,9 +509,21 @@ fn job_records(suite: &Suite, blob: &[u8]) -> Vec<usize> {
 /// sit in the waiting queue — the one job section the mid-run corpus
 /// blobs (cut straight after a placement) leave empty.
 fn backlogged_blob(suite: &Suite) -> Vec<u8> {
+    backlogged_blob_over(suite, BackfillPlanner::new(BackfillPolicy::Easy, 2))
+}
+
+/// [`backlogged_blob`] over an explicitly built planner.
+fn backlogged_blob_over(suite: &Suite, planner: BackfillPlanner) -> Vec<u8> {
     let trace = TraceConfig::new(TraceKind::Bursty, 20, 3).mean_gap(0.5);
     let source = TraceSource::new(suite, trace);
-    let mut svc = SchedulerService::new(suite, ServeConfig::new(1, 2), SelectorKind::Easy, source);
+    let mut planner = Some(planner);
+    let mut svc = SchedulerService::with_dispatchers(
+        suite,
+        ServeConfig::new(1, 2),
+        SelectorKind::Easy,
+        source,
+        |_| PlacementDispatcher::Backfill(planner.take().expect("one node")),
+    );
     let mut now = 0.0;
     while svc.consumed() < 10 {
         if let ServiceStep::Cycle { time, .. } = svc.step() {
@@ -568,5 +583,81 @@ fn forged_job_records_are_typed_errors() {
                 );
             }
         }
+    }
+}
+
+/// Parent commit: every one of these decoded, and the restored planner
+/// panicked in its slot set (a claim window "must be finite") at the
+/// first decision with a free GPU. The backlogged service, its planner
+/// holding a far-future advance reservation, ends its blob with the
+/// dispatcher record: `1 | n (finish f64, gpus u32)* | 1 (start f64,
+/// end f64, gpus u32) | 1 wake f64` — release bookings for what runs,
+/// the reservation, and the wake-up hint at its expiry.
+#[test]
+fn forged_backfill_states_are_typed_errors() {
+    let s = suite();
+    let planner = BackfillPlanner::new(BackfillPolicy::Easy, 2).with_reservation(5000.0, 25.0, 1);
+    let blob = backlogged_blob_over(&s, planner);
+    assert_eq!(decode_hrps(&s, blob.clone()), Ok(blob.clone()));
+
+    let f64_at = |at: usize| f64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+    let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
+    let wake_at = blob.len() - 8;
+    let res_at = wake_at - 1 - 20;
+    assert_eq!((blob[wake_at - 1], f64_at(wake_at)), (1, 5025.0));
+    assert_eq!(
+        (
+            u32_at(res_at - 4),
+            f64_at(res_at),
+            f64_at(res_at + 8),
+            u32_at(res_at + 16)
+        ),
+        (1, 5000.0, 5025.0, 1)
+    );
+    // One or two placements hold the two GPUs.
+    let rel_at = (1..=2)
+        .map(|n| res_at - 4 - 12 * n)
+        .find(|&at| blob[at - 5] == 1 && res_at - 4 - at == 12 * u32_at(at - 4))
+        .expect("the release bookings precede the reservation");
+    assert!(f64_at(rel_at) > 0.0 && (1..=2).contains(&u32_at(rel_at + 8)));
+
+    let (inf, nan) = (f64::INFINITY.to_le_bytes(), f64::NAN.to_le_bytes());
+    let past = (-1.0f64).to_le_bytes();
+    let forgeries: [(&str, usize, &[u8]); 16] = [
+        ("release at +inf", rel_at, &inf),
+        ("release at NaN", rel_at, &nan),
+        ("release before time zero", rel_at, &past),
+        ("release of zero GPUs", rel_at + 8, &[0; 4]),
+        ("release wider than the node", rel_at + 8, &[3, 0, 0, 0]),
+        ("reservation from +inf", res_at, &inf),
+        ("reservation from NaN", res_at, &nan),
+        ("reservation from before time zero", res_at, &past),
+        ("reservation until +inf", res_at + 8, &inf),
+        ("reservation until NaN", res_at + 8, &nan),
+        (
+            "reservation ending as it starts",
+            res_at + 8,
+            &blob[res_at..res_at + 8],
+        ),
+        ("reservation of zero GPUs", res_at + 16, &[0; 4]),
+        (
+            "reservation wider than the node",
+            res_at + 16,
+            &[3, 0, 0, 0],
+        ),
+        ("wake-up at +inf", wake_at, &inf),
+        ("wake-up at -inf", wake_at, &f64::NEG_INFINITY.to_le_bytes()),
+        ("wake-up at NaN", wake_at, &nan),
+    ];
+    for (what, at, bytes) in forgeries {
+        let mut forged = blob.clone();
+        forged[at..at + bytes.len()].copy_from_slice(bytes);
+        let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
+        let err = outcome.map(|ok| ok.len()).expect_err(what);
+        assert!(err.contains("HRPS"), "{what}: '{err}'");
+        assert!(
+            peak <= ALLOC_FLOOR + ALLOC_PER_BYTE * blob.len(),
+            "{what}: asked for {peak} bytes at once"
+        );
     }
 }

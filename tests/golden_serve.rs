@@ -16,11 +16,24 @@
 //! ```text
 //! cargo test --test golden_serve -- --ignored print_golden_serve_pins --nocapture
 //! ```
+//!
+//! The second golden is the service the other way round — a scaled-down
+//! `serve_backfill_overload` (see `benchmark/README.md`): a bursty
+//! [`LoadGen`] offering about 1.4 × what 4 × 2 GPUs can run, six
+//! tenants, EASY backfilling at `walltime_err 0.3`, quota 8, SLO 20 —
+//! so the reject / defer / revisit paths and a backfill planner with
+//! deep queues behind saturated nodes are pinned too. Captured on
+//! PR 19's parent commit, before the planner's slot set changed
+//! representation; regenerate with `--ignored
+//! print_golden_overload_pins`.
 
 use hrp::cluster::trace::{TraceConfig, TraceKind};
-use hrp::cluster::SelectorKind;
+use hrp::cluster::{BackfillTier, MultiNodeSim, SelectorKind};
 use hrp::prelude::*;
-use hrp::serve::{restore, SchedulerService, ServeConfig, ServeReport, ServiceStep, TraceSource};
+use hrp::serve::{
+    dispatcher_for, restore, AdmissionConfig, ArrivalSource, CycleMode, LoadGen, LoadShape,
+    SchedulerService, ServeConfig, ServeReport, ServiceStep, TraceSource,
+};
 
 const NODES: usize = 4;
 const GPUS_PER_NODE: usize = 2;
@@ -216,4 +229,147 @@ fn print_golden_serve_pins() {
             r.stats.nodes_skipped,
         );
     }
+}
+
+// ---- the overload golden ------------------------------------------
+
+const OVERLOAD_RATE: f64 = 0.25;
+const OVERLOAD_DURATION: f64 = 12_000.0;
+const OVERLOAD_SEED: u64 = 42;
+const OVERLOAD_ERR: f64 = 0.3;
+/// The overloaded service is killed at the first cycle past this many
+/// consumed arrivals that leaves jobs parked behind a quota.
+const OVERLOAD_KILL_AFTER: usize = 1_500;
+
+/// Captured on PR 19's parent commit (see module docs).
+struct OverloadGolden {
+    digest: u64,
+    admission_digest: u64,
+    offered: usize,
+    rejected: u64,
+    deferred: u64,
+    makespan: u64,
+    /// No node of an overloaded cluster is ever quiescent, so both
+    /// cycle modes re-plan every node every cycle.
+    replanned: u64,
+}
+
+const OVERLOAD: OverloadGolden = OverloadGolden {
+    digest: 0xcbca_cd1b_ff04_f014,
+    admission_digest: 0xefac_ad39_7c5f_6fae,
+    offered: 2962,
+    rejected: 848,
+    deferred: 93,
+    makespan: 0x40c7_c976_ab07_9cc6, // 12178.927094413328
+    replanned: 3388,
+};
+
+fn overload_service(suite: &Suite, mode: CycleMode) -> SchedulerService<'_, LoadGen<'_>> {
+    let source = LoadGen::new(
+        suite,
+        LoadShape::Bursty,
+        OVERLOAD_RATE,
+        OVERLOAD_DURATION,
+        OVERLOAD_SEED,
+    )
+    .with_users(6, 1.2);
+    let cfg = ServeConfig::new(NODES, GPUS_PER_NODE)
+        .walltime_err(OVERLOAD_ERR)
+        .mode(mode)
+        .admission(AdmissionConfig::new().quota(8).slo(20.0));
+    SchedulerService::new(suite, cfg, SelectorKind::Easy, source)
+}
+
+/// Drain to close; returns the report and the arrivals consumed.
+fn drain<S: ArrivalSource>(mut service: SchedulerService<'_, S>) -> (ServeReport, usize) {
+    service.run_to_close();
+    let offered = service.consumed();
+    (service.finish(), offered)
+}
+
+#[test]
+fn overloaded_backfill_service_matches_the_golden_pin_every_way_it_can_be_run() {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let g = OVERLOAD;
+    let (full, offered) = drain(overload_service(&suite, CycleMode::Incremental));
+    let admission = full.admission.as_ref().expect("admission tier is on");
+    assert_eq!(full.report.timeline.digest(), g.digest, "timeline digest");
+    assert_eq!(admission.digest, g.admission_digest, "admission digest");
+    assert_eq!(offered, g.offered, "arrivals offered");
+    assert_eq!(full.stats.rejected, g.rejected, "SLO rejections");
+    assert_eq!(full.stats.deferred, g.deferred, "quota deferrals");
+    assert!(
+        g.rejected > 0 && g.deferred > 0,
+        "the pin drives both paths"
+    );
+    assert_eq!(
+        full.report.aggregate.makespan.to_bits(),
+        g.makespan,
+        "makespan drifted: {}",
+        full.report.aggregate.makespan
+    );
+    assert_eq!(full.stats.nodes_replanned, g.replanned, "re-plan count");
+    assert_eq!(
+        full.stats.decisions + full.stats.rejected,
+        offered as u64,
+        "every arrival was placed or rejected"
+    );
+    assert_eq!(full.report.completed_jobs() as u64, full.stats.decisions);
+
+    // Killed mid-run with jobs parked and queues deep, then restored.
+    let mut service = overload_service(&suite, CycleMode::Incremental);
+    while service.consumed() < OVERLOAD_KILL_AFTER || service.deferred_jobs() == 0 {
+        assert!(matches!(service.step(), ServiceStep::Cycle { .. }));
+    }
+    let blob = service.checkpoint().expect("load generators checkpoint");
+    drop(service);
+    let (resumed, _) = drain(restore(&suite, blob).expect("restore from HRPS blob"));
+    assert_eq!(resumed.report.timeline.digest(), g.digest, "kill/restore");
+    assert_eq!(
+        resumed.admission.as_ref().map(|a| a.digest),
+        Some(g.admission_digest),
+        "kill/restore admission digest"
+    );
+    assert_eq!(resumed.stats, full.stats, "counters after restore");
+    assert_eq!(resumed.report.aggregate, full.report.aggregate);
+
+    // Every node advanced every cycle, dirty or not.
+    let (every_node, _) = drain(overload_service(&suite, CycleMode::Full));
+    assert_eq!(every_node.report.timeline.digest(), g.digest, "full mode");
+    assert_eq!(
+        every_node.admission.as_ref().map(|a| a.digest),
+        Some(g.admission_digest),
+        "full-mode admission digest"
+    );
+    assert_eq!(every_node.stats, full.stats, "full-mode counters");
+
+    // The admitted trace replayed through the batch engine.
+    let policy = SelectorKind::Easy.backfill_policy().expect("a tier");
+    let batch = MultiNodeSim::new(NODES, GPUS_PER_NODE).run(
+        &suite,
+        admission.effective.clone(),
+        &mut BackfillTier::new(policy),
+        |_| dispatcher_for(SelectorKind::Easy, GPUS_PER_NODE, OVERLOAD_ERR),
+    );
+    assert_eq!(batch.timeline.digest(), g.digest, "batch replay");
+}
+
+/// Regenerates [`OVERLOAD`] (run with `--ignored --nocapture` and paste).
+#[test]
+#[ignore = "pin printer, not a regression check"]
+fn print_golden_overload_pins() {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let (r, offered) = drain(overload_service(&suite, CycleMode::Incremental));
+    println!(
+        "const OVERLOAD: OverloadGolden = OverloadGolden {{\n    digest: {:#018x},\n    \
+         admission_digest: {:#018x},\n    offered: {offered},\n    rejected: {},\n    \
+         deferred: {},\n    makespan: {:#018x}, // {}\n    replanned: {},\n}};",
+        r.report.timeline.digest(),
+        r.admission.as_ref().expect("admission tier is on").digest,
+        r.stats.rejected,
+        r.stats.deferred,
+        r.report.aggregate.makespan.to_bits(),
+        r.report.aggregate.makespan,
+        r.stats.nodes_replanned,
+    );
 }

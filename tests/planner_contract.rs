@@ -1,0 +1,290 @@
+//! Differential contract of one backfilling decision
+//! (`hrp_cluster::backfill::BackfillPlanner::next_placement`).
+//!
+//! The decision is spelled out once below as a naive reference —
+//! re-ground the release book against the live pool, build a fresh
+//! free-capacity profile, scan the whole queue, compute the wake-up
+//! hint — over a pointwise profile that shares nothing with
+//! `TreeSlotSet` (the raw claim list, folded per query, as in
+//! `tests/slots_contract.rs`). Whatever work the production planner
+//! skips, reuses or reorders, it must return the reference's
+//! placement, hint and bookkeeping bit for bit: for every policy,
+//! estimate error and node width, with stale and phantom releases,
+//! advance reservations, saturated and idle pools, and across the
+//! repeated calls of a dispatch loop at one instant.
+
+use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy, BackfillState};
+use hrp::cluster::sim::{Dispatcher, Placement, TIME_EPS};
+use hrp::cluster::ClusterJob;
+use hrp::prelude::*;
+use proptest::prelude::*;
+
+/// The planner's slack on "fits now" and "release already passed".
+const FIT_EPS: f64 = 1e-9;
+
+/// Free capacity as the raw list of `(start, end, gpus, clamp)` claims;
+/// capacity at a point folds them in order.
+struct NaiveProfile {
+    total: usize,
+    claims: Vec<(f64, f64, usize, bool)>,
+}
+
+impl NaiveProfile {
+    fn capacity_at(&self, t: f64) -> usize {
+        let mut cap = self.total;
+        for &(start, end, gpus, clamp) in &self.claims {
+            if t >= start && t < end {
+                assert!(clamp || cap >= gpus, "reference double-booked at {t}");
+                cap -= gpus.min(cap);
+            }
+        }
+        cap
+    }
+
+    /// Every claim boundary strictly after `after`, ascending.
+    fn boundaries_after(&self, after: f64) -> Vec<f64> {
+        let mut ts: Vec<f64> = self
+            .claims
+            .iter()
+            .flat_map(|&(start, end, ..)| [start, end])
+            .filter(|&t| t > after)
+            .collect();
+        ts.sort_by(f64::total_cmp);
+        ts
+    }
+
+    /// First candidate start (`after`, then each later boundary) whose
+    /// whole window keeps `gpus` free.
+    fn earliest_fit(&self, after: f64, gpus: usize, duration: f64) -> f64 {
+        let later = self.boundaries_after(after);
+        for &cand in std::iter::once(&after).chain(&later) {
+            let inside = later.iter().filter(|&&t| t > cand && t < cand + duration);
+            if std::iter::once(&cand)
+                .chain(inside)
+                .all(|&t| self.capacity_at(t) >= gpus)
+            {
+                return cand;
+            }
+        }
+        unreachable!("the window past the last boundary always fits");
+    }
+}
+
+/// splitmix64 finalizer mapped to `[0, 1)` — the per-job estimate
+/// error draw.
+fn unit_hash(id: u64) -> f64 {
+    let mut z = id.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The decision, written for reading.
+struct NaivePlanner {
+    policy: BackfillPolicy,
+    n_gpus: usize,
+    walltime_err: f64,
+    releases: Vec<(f64, usize)>,
+    reservations: Vec<(f64, f64, usize)>,
+    wake: Option<f64>,
+}
+
+impl NaivePlanner {
+    fn estimate(&self, suite: &Suite, job: &ClusterJob) -> f64 {
+        let truth = job.solo_time(suite);
+        if self.walltime_err == 0.0 {
+            return truth;
+        }
+        truth * (1.0 + self.walltime_err * (2.0 * unit_hash(job.id as u64) - 1.0))
+    }
+
+    fn next_placement(
+        &mut self,
+        suite: &Suite,
+        waiting: &[ClusterJob],
+        free_gpus: usize,
+        now: f64,
+    ) -> Option<Placement> {
+        self.wake = None;
+
+        // Re-ground: forget releases the clock passed, then trim the
+        // earliest bookings until no more GPUs are booked than busy.
+        self.releases.retain(|(t, _)| *t > now + FIT_EPS);
+        self.releases
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let booked: usize = self.releases.iter().map(|(_, g)| *g).sum();
+        let mut excess = booked.saturating_sub(self.n_gpus - free_gpus);
+        while excess > 0 {
+            if self.releases[0].1 <= excess {
+                excess -= self.releases.remove(0).1;
+            } else {
+                self.releases[0].1 -= excess;
+                excess = 0;
+            }
+        }
+
+        // A fresh profile: releases, then reservations laid over them.
+        let mut profile = NaiveProfile {
+            total: self.n_gpus,
+            claims: Vec::new(),
+        };
+        for &(t, g) in &self.releases {
+            profile.claims.push((now, t, g, false));
+        }
+        for &(s, e, g) in &self.reservations {
+            let s = s.max(now);
+            if e > s + TIME_EPS {
+                profile.claims.push((s, e, g, true));
+            }
+        }
+
+        // The full scan, in queue order.
+        let (depth, backfill) = self.policy.depth_and_backfill();
+        for (k, job) in waiting.iter().enumerate() {
+            if k >= depth && !backfill {
+                break;
+            }
+            let est = self.estimate(suite, job);
+            let start = profile.earliest_fit(now, job.gpus, est);
+            if start <= now + FIT_EPS && job.gpus <= free_gpus {
+                self.releases.push((now + est, job.gpus));
+                return Some(Placement {
+                    job_ids: vec![job.id],
+                    gpus: job.gpus,
+                    duration: job.solo_time(suite),
+                });
+            }
+            if k < depth {
+                profile.claims.push((start, start + est, job.gpus, false));
+            }
+        }
+
+        // Idle with work queued: wake at the next reservation expiry.
+        if !waiting.is_empty() {
+            let expiry = self
+                .reservations
+                .iter()
+                .map(|(_, e, _)| *e)
+                .filter(|e| *e > now + TIME_EPS)
+                .fold(f64::INFINITY, f64::min);
+            if expiry.is_finite() {
+                self.wake = Some(expiry);
+            }
+        }
+        None
+    }
+
+    fn state(&self) -> BackfillState {
+        BackfillState {
+            releases: self.releases.clone(),
+            reservations: self.reservations.clone(),
+            wake: self.wake,
+        }
+    }
+}
+
+/// A state flattened to raw bits, so `-0.0` and NaN could not hide a
+/// difference: each list behind its length, then the hint.
+fn state_bits(s: &BackfillState) -> Vec<u64> {
+    let mut bits = vec![s.releases.len() as u64];
+    for &(t, g) in &s.releases {
+        bits.extend([t.to_bits(), g as u64]);
+    }
+    bits.push(s.reservations.len() as u64);
+    for &(start, end, g) in &s.reservations {
+        bits.extend([start.to_bits(), end.to_bits(), g as u64]);
+    }
+    bits.extend(s.wake.map(f64::to_bits));
+    bits
+}
+
+const POLICIES: [BackfillPolicy; 3] = [
+    BackfillPolicy::Fcfs,
+    BackfillPolicy::Easy,
+    BackfillPolicy::Conservative,
+];
+
+proptest! {
+    #[test]
+    fn production_planner_decides_exactly_like_the_naive_reference(
+        n_gpus in 1usize..=4,
+        now_q in 0u32..400,
+        // (quarter-seconds relative to `now` − 10 s, GPUs): entries at
+        // or before `now` are stale, and nothing ties the booked total
+        // to the busy GPUs, so phantom bookings occur freely.
+        releases in proptest::collection::vec((0u32..400, 1usize..=4), 0..=6),
+        // (start, duration) in quarter-seconds relative to `now` − 10 s.
+        reservations in proptest::collection::vec((0u32..300, 1u32..200, 1usize..=4), 0..=2),
+        queue in proptest::collection::vec((0usize..1000, 1usize..=4), 0..=24),
+        // One dispatch loop per instant: (quarter-seconds since the
+        // previous instant, free GPUs — taken modulo the pool size + 1,
+        // so saturated nodes are as common as any other fill).
+        instants in proptest::collection::vec((0u32..120, 0usize..=4), 1..=3),
+    ) {
+        let s = Suite::paper_suite(&GpuArch::a100());
+        let start = f64::from(now_q) * 0.25;
+        let at = |q: u32| (start - 10.0 + f64::from(q) * 0.25).max(0.0);
+        let state = BackfillState {
+            releases: releases.iter().map(|&(q, g)| (at(q), g.min(n_gpus))).collect(),
+            reservations: reservations
+                .iter()
+                .map(|&(q, d, g)| (at(q), at(q) + f64::from(d) * 0.25, g.min(n_gpus)))
+                .collect(),
+            wake: None,
+        };
+        let submitted: Vec<ClusterJob> = queue
+            .iter()
+            .enumerate()
+            .map(|(id, &(pick, gpus))| ClusterJob {
+                id,
+                bench: pick % s.len(),
+                arrival: 0.0,
+                gpus: gpus.min(n_gpus),
+                user: 0,
+            })
+            .collect();
+
+        for policy in POLICIES {
+            for err in [0.0, 0.3, 0.7] {
+                let mut naive = NaivePlanner {
+                    policy,
+                    n_gpus,
+                    walltime_err: err,
+                    releases: state.releases.clone(),
+                    reservations: state.reservations.clone(),
+                    wake: None,
+                };
+                let mut planner = BackfillPlanner::new(policy, n_gpus).with_walltime_err(err);
+                planner.restore_state(state.clone());
+                let mut waiting = submitted.clone();
+                let mut now = start;
+                for &(dt_q, free) in &instants {
+                    now += f64::from(dt_q) * 0.25;
+                    let mut free = free % (n_gpus + 1);
+                    // The simulator's loop: ask again until the planner idles.
+                    loop {
+                        let want = naive.next_placement(&s, &waiting, free, now);
+                        let got = planner.next_placement(&s, &waiting, free, now);
+                        let ctx = format!("{policy:?}, err {err}, t = {now}, {free} free");
+                        prop_assert_eq!(&got, &want, "placement ({})", ctx);
+                        prop_assert_eq!(
+                            planner.next_wakeup(now).map(f64::to_bits),
+                            naive.wake.map(f64::to_bits),
+                            "wake-up hint ({})", ctx
+                        );
+                        prop_assert_eq!(
+                            state_bits(&planner.export_state()),
+                            state_bits(&naive.state()),
+                            "bookkeeping ({})", ctx
+                        );
+                        let Some(placed) = got else { break };
+                        prop_assert!(placed.gpus <= free, "over-allocated ({})", ctx);
+                        free -= placed.gpus;
+                        waiting.retain(|j| !placed.job_ids.contains(&j.id));
+                    }
+                }
+            }
+        }
+    }
+}
