@@ -2,9 +2,9 @@
 //! vs persistent-pool epoch fan-out on the same seeded trace (both
 //! produce the bit-identical timeline — the benches time pure fan-out
 //! overhead), the placement-training environment's episode replay,
-//! the single-node event loop underneath everything, and one
-//! backfilling decision in each of the three shapes an overloaded
-//! node asks for.
+//! the single-node event loop underneath everything, one backfilling
+//! decision in each of the three shapes an overloaded node asks for,
+//! and one cycle of an overloaded service with a long parked queue.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hrp_cluster::backfill::{BackfillPlanner, BackfillPolicy};
@@ -15,7 +15,9 @@ use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp_cluster::{ClusterJob, SelectorKind};
 use hrp_core::par::WorkerPool;
 use hrp_gpusim::GpuArch;
+use hrp_serve::{AdmissionConfig, ChannelSource, SchedulerService, ServeConfig, ServiceStep};
 use hrp_workloads::Suite;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 const JOBS: usize = 48;
@@ -117,11 +119,73 @@ fn bench_backfill_decision(c: &mut Criterion) {
     });
 }
 
+/// Tenants of the overloaded service; at quota 1 they keep exactly its
+/// eight GPUs busy.
+const TENANTS: usize = 8;
+/// Jobs parked behind the quota while the cycles are timed.
+const PARKED: usize = 48;
+
+/// A 4 × 2 EASY service (the overload workload's estimate error) fed
+/// over a channel, stepped until every tenant has one job in flight —
+/// all eight GPUs busy — and [`PARKED`] more wait at the admission
+/// door. Every job is the same one-GPU benchmark, so the tenants'
+/// estimated releases come round in turn.
+fn overloaded_service(
+    suite: &Suite,
+) -> (
+    Sender<ClusterJob>,
+    SchedulerService<'_, ChannelSource>,
+    impl FnMut(f64) -> ClusterJob + '_,
+) {
+    let (tx, source) = ChannelSource::channel();
+    let cfg = ServeConfig::new(4, 2)
+        .walltime_err(0.3)
+        .admission(AdmissionConfig::new().quota(1));
+    let mut service = SchedulerService::new(suite, cfg, SelectorKind::Easy, source);
+    let mut next_id = 0;
+    let mut job = move |arrival: f64| {
+        let mut job = ClusterJob::new(next_id, "stream", arrival, 1, suite);
+        job.user = (next_id % TENANTS) as u32 + 1;
+        next_id += 1;
+        job
+    };
+    for k in 0..TENANTS + PARKED {
+        tx.send(job(k as f64 * 0.1)).expect("the service listens");
+        assert!(matches!(service.step(), ServiceStep::Cycle { .. }));
+    }
+    assert_eq!(service.deferred_jobs(), PARKED);
+    (tx, service, job)
+}
+
+/// One cycle of that service: with no estimated release due (the door
+/// stays shut, the saturated nodes have nothing to plan), and with
+/// exactly one (the door walks its queue, lets one job through, and the
+/// arrival that came with the cycle takes its place in the queue).
+fn bench_overload_cycle(c: &mut Criterion) {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    c.bench_function("overload_cycle_no_release_parked48", |b| {
+        let (_tx, mut service, _) = overloaded_service(&suite);
+        let now = (TENANTS + PARKED) as f64 * 0.1;
+        b.iter(|| service.settle(black_box(now)));
+        assert_eq!(service.deferred_jobs(), PARKED);
+    });
+    c.bench_function("overload_cycle_one_release_parked48", |b| {
+        let (tx, mut service, mut job) = overloaded_service(&suite);
+        b.iter(|| {
+            let release = service.next_wakeup().expect("a tenant is in flight");
+            tx.send(job(release)).expect("the service listens");
+            black_box(service.step())
+        });
+        assert_eq!(service.deferred_jobs(), PARKED);
+    });
+}
+
 criterion_group!(
     benches,
     bench_single_node_loop,
     bench_fanout_modes,
     bench_placement_episode,
-    bench_backfill_decision
+    bench_backfill_decision,
+    bench_overload_cycle
 );
 criterion_main!(benches);

@@ -3,7 +3,9 @@
 //!
 //! [`BackfillPlanner`] is a node-local [`Dispatcher`] that plans
 //! through a [`TreeSlotSet`] release profile instead of greedy
-//! head-of-queue dispatch. Three classic policies:
+//! head-of-queue dispatch: one profile it owns, refilled from its
+//! bookkeeping by every decision that has a free GPU to plan for — a
+//! saturated node is answered without one. Three classic policies:
 //!
 //! * **FCFS** — strict order: nothing starts before every job ahead
 //!   of it has started.
@@ -177,7 +179,7 @@ impl QueueOrder {
 }
 
 /// A backfilling [`Dispatcher`]: plans the node's queue through a
-/// fresh [`TreeSlotSet`] release profile on every decision.
+/// [`TreeSlotSet`] release profile refilled on every decision.
 ///
 /// The planner is a pure function of its inputs plus its own
 /// bookkeeping (determinism contract point 7 in ARCHITECTURE.md).
@@ -197,6 +199,11 @@ pub struct BackfillPlanner {
     /// Earliest future instant a reservation expiry could unblock the
     /// queue; handed to the simulator via [`Dispatcher::next_wakeup`].
     wake: Option<f64>,
+    /// The free-capacity profile a decision plans through: scratch,
+    /// refilled from the bookkeeping above by every decision that
+    /// scans, so that none allocates one. Carries nothing from one
+    /// decision to the next.
+    profile: TreeSlotSet,
 }
 
 impl BackfillPlanner {
@@ -214,6 +221,7 @@ impl BackfillPlanner {
             releases: Vec::new(),
             reservations: Vec::new(),
             wake: None,
+            profile: TreeSlotSet::new(n_gpus),
         }
     }
 
@@ -335,25 +343,41 @@ impl BackfillPlanner {
         }
     }
 
-    /// The free-capacity profile at `now`: full node minus the
+    /// Refill the profile for a decision at `now`: full node minus the
     /// (re-grounded) estimated releases minus active/future
     /// reservations. By construction `capacity_at(now)` equals the
     /// simulator's free-GPU count exactly, minus any reservation
     /// covering `now`.
-    fn profile(&self, now: f64) -> TreeSlotSet {
-        let mut profile = TreeSlotSet::new(self.n_gpus);
+    fn refill_profile(&mut self, now: f64) {
+        self.profile.reset();
         for (t, g) in &self.releases {
-            profile.claim(now, *t, *g);
+            self.profile.claim(now, *t, *g);
         }
         for (s, e, g) in &self.reservations {
             let s = s.max(now);
             if *e > s + TIME_EPS {
                 // `claim_up_to`: a reservation may cover GPUs the
                 // release bookings already count as busy.
-                profile.claim_up_to(s, *e, *g);
+                self.profile.claim_up_to(s, *e, *g);
             }
         }
-        profile
+    }
+
+    /// Idle with work queued: if an advance reservation's expiry is
+    /// what the queue is waiting on, ask the simulator to wake the
+    /// planner there — no job event may fall on that instant.
+    fn hint_wake(&mut self, waiting: &[ClusterJob], now: f64) {
+        if !waiting.is_empty() {
+            let expiry = self
+                .reservations
+                .iter()
+                .map(|(_, e, _)| *e)
+                .filter(|e| *e > now + TIME_EPS)
+                .fold(f64::INFINITY, f64::min);
+            if expiry.is_finite() {
+                self.wake = Some(expiry);
+            }
+        }
     }
 }
 
@@ -397,7 +421,14 @@ impl Dispatcher for BackfillPlanner {
     ) -> Option<Placement> {
         self.wake = None;
         self.reground_releases(free_gpus, now);
-        let mut profile = self.profile(now);
+        if free_gpus == 0 {
+            // A saturated node starts nothing under any policy, and
+            // nothing a scan works out outlives the call: no profile,
+            // no scan.
+            self.hint_wake(waiting, now);
+            return None;
+        }
+        self.refill_profile(now);
         let (depth, backfill) = self.policy.depth_and_backfill();
         for (k, job) in waiting.iter().enumerate() {
             if k >= depth {
@@ -414,7 +445,7 @@ impl Dispatcher for BackfillPlanner {
                 }
             }
             let est = self.walltime_estimate(suite, job);
-            let start = profile.earliest_fit(now, job.gpus, est);
+            let start = self.profile.earliest_fit(now, job.gpus, est);
             if start <= now + FIT_EPS && job.gpus <= free_gpus {
                 // Starts immediately: record the *estimated* release
                 // and hand the simulator the *true* duration.
@@ -428,23 +459,10 @@ impl Dispatcher for BackfillPlanner {
             if k < depth {
                 // Protected job: reserve its window so nothing
                 // considered after it can delay it.
-                profile.claim(start, start + est, job.gpus);
+                self.profile.claim(start, start + est, job.gpus);
             }
         }
-        // Idle with work queued: if an advance reservation's expiry is
-        // what we're waiting on, ask the simulator to wake us there —
-        // no job event may fall on that instant.
-        if !waiting.is_empty() {
-            let expiry = self
-                .reservations
-                .iter()
-                .map(|(_, e, _)| *e)
-                .filter(|e| *e > now + TIME_EPS)
-                .fold(f64::INFINITY, f64::min);
-            if expiry.is_finite() {
-                self.wake = Some(expiry);
-            }
-        }
+        self.hint_wake(waiting, now);
         None
     }
 

@@ -11,7 +11,11 @@
 //!   half-life, in the style of OAR's karma accounting) plus per-user
 //!   **in-flight counts** against a quota. All state lives in
 //!   `BTreeMap`s keyed by user id, so every operation is O(log n)
-//!   bookkeeping — never a re-plan.
+//!   bookkeeping — never a re-plan. A count rises in
+//!   [`FairShare::admit`] and falls in exactly one place,
+//!   [`FairShare::advance_to`] popping a due release, which reports
+//!   whether it popped any: the serving tier re-examines its parked
+//!   jobs only then.
 //! * [`FairShare::order_burst`] — stable fair-share ordering of one
 //!   arrival burst: jobs are sorted by their tenant's karma at the
 //!   burst instant (lightest tenant first), ties keep submission
@@ -152,17 +156,21 @@ impl FairShare {
     }
 
     /// Advance the clock to `t`, releasing every admission whose
-    /// estimated completion is due. Karma is *not* touched here —
-    /// decay is lazy per user (see the module docs).
+    /// estimated completion is due, and report whether any was: this is
+    /// the only place an in-flight count falls, so `false` means no
+    /// tenant that was [over quota](Self::over_quota) before the call
+    /// has stopped being so. Karma is *not* touched here — decay is
+    /// lazy per user (see the module docs).
     ///
     /// # Panics
     /// Panics if `t` moves backwards.
-    pub fn advance_to(&mut self, t: f64) {
+    pub fn advance_to(&mut self, t: f64) -> bool {
         assert!(
             t.total_cmp(&self.now).is_ge(),
             "fair-share clock moved backwards: {} -> {t}",
             self.now
         );
+        let mut released = false;
         while let Some((&(bits, seq), &user)) = self.releases.first_key_value() {
             if f64::from_bits(bits) > t {
                 break;
@@ -176,8 +184,10 @@ impl FairShare {
             if *count == 0 {
                 self.inflight.remove(&user);
             }
+            released = true;
         }
         self.now = t;
+        released
     }
 
     /// Jobs the user has in flight (admitted, not yet released).
@@ -420,6 +430,28 @@ mod tests {
         fair.advance_to(9.0);
         assert_eq!(fair.in_flight(7), 0);
         assert_eq!(fair.next_release(), None);
+    }
+
+    #[test]
+    fn advance_reports_whether_anything_was_released() {
+        let mut fair = FairShare::new(FairConfig::new().quota(2));
+        assert!(!fair.advance_to(1.0), "nothing admitted, nothing due");
+        fair.admit(7, 10.0, 5.0);
+        fair.admit(8, 10.0, 5.0);
+        fair.admit(7, 10.0, 9.0);
+        assert!(!fair.advance_to(4.0), "the earliest release is at 5");
+        assert!(fair.over_quota(7));
+        // A release exactly at `t` is due, and two co-timed ones pop in
+        // the same call.
+        assert!(fair.advance_to(5.0));
+        assert_eq!((fair.in_flight(7), fair.in_flight(8)), (1, 0));
+        assert!(!fair.advance_to(5.0), "already popped");
+        // The report is a function of the state a checkpoint carries.
+        let mut back = FairShare::from_state(fair.config().clone(), &fair.export_state());
+        assert!(!back.advance_to(8.0));
+        assert!(back.advance_to(100.0), "the last release, long overdue");
+        assert_eq!(back.next_release(), None);
+        assert!(!back.advance_to(200.0));
     }
 
     #[test]

@@ -58,9 +58,20 @@ impl TreeSlotSet {
         assert!(total >= 1, "a slot set needs at least one GPU");
         // Room for the handful of segments a node-local profile
         // holds, so that filling one does not regrow it.
-        let mut segs = Vec::with_capacity(8);
-        segs.push((f64::NEG_INFINITY, total));
-        Self { total, segs }
+        let mut fresh = Self {
+            total,
+            segs: Vec::with_capacity(8),
+        };
+        fresh.reset();
+        fresh
+    }
+
+    /// Forget every claim — all GPUs free at every instant again, as
+    /// from [`TreeSlotSet::new`] — and keep the room the set has grown
+    /// to, so that a set refilled over and over stops allocating.
+    pub fn reset(&mut self) {
+        self.segs.clear();
+        self.segs.push((f64::NEG_INFINITY, self.total));
     }
 
     /// The cluster-wide GPU count the capacity can never exceed.
@@ -255,6 +266,16 @@ mod tests {
         s.release(3.0, 8.0, 1);
         s.release(1.0, 5.0, 2);
         assert_eq!(s, fresh, "round trip must coalesce back to one segment");
+    }
+
+    #[test]
+    fn reset_is_a_fresh_set() {
+        let mut s = TreeSlotSet::new(4);
+        s.claim(1.0, 5.0, 2);
+        s.claim_up_to(3.0, 8.0, 4);
+        s.reset();
+        assert_eq!(s, TreeSlotSet::new(4));
+        assert_eq!(s.earliest_fit(0.0, 4, 1.0), 0.0);
     }
 
     #[test]

@@ -32,11 +32,12 @@
 //! Restore trusts nothing: every spec key must be present exactly once
 //! and in range (a forged source position past the trace, a zero
 //! quota, a non-finite rate), every job record must name a benchmark
-//! of the suite and fit a node, and every node record must satisfy the
+//! of the suite and fit a node, every node record must satisfy the
 //! preconditions of [`NodeRun::from_state`](hrp_cluster::sim::NodeRun::from_state)
-//! and [`ClusterDrive::from_states`] *before* they are called — a
+//! and [`ClusterDrive::from_states`] *before* they are called, and the
+//! admission ledger must balance, release for in-flight job — a
 //! hostile blob surfaces as a [`CheckpointError`], never as a builder
-//! assert or a panic at the next dispatch.
+//! assert or a panic at the next dispatch or the next release.
 
 use crate::service::{
     AdmissionConfig, AdmissionState, CycleMode, SchedulerService, SelectorState, ServeConfig,
@@ -55,6 +56,7 @@ use hrp_cluster::trace::{TraceConfig, TraceKind};
 pub use hrp_core::codec::CheckpointError;
 use hrp_core::codec::{ensure, Reader, Spec, SpecWriter, Writer};
 use hrp_workloads::Suite;
+use std::collections::BTreeMap;
 use std::ops::Bound::{self, Excluded, Unbounded};
 
 const MAGIC: &str = "HRPS";
@@ -265,6 +267,7 @@ pub fn restore(
         stats,
         latencies: Vec::new(),
         admission,
+        walk_owed: true,
     })
 }
 
@@ -569,6 +572,11 @@ fn put_dispatcher(w: &mut Writer, dispatcher: &PlacementDispatcher) {
     }
 }
 
+/// Whether `t` can be an instant of simulated time.
+fn instant(t: f64) -> bool {
+    t.is_finite() && t >= 0.0
+}
+
 /// One node's recorded dispatcher bookkeeping, read before the
 /// dispatcher it belongs to can be built (a policy service's nodes are
 /// shaped by the agent, whose blob comes later in the body).
@@ -586,7 +594,6 @@ fn get_dispatcher_record(
     node: usize,
     gpus_per_node: usize,
 ) -> Result<DispatcherRecord, CheckpointError> {
-    let instant = |t: f64| t.is_finite() && t >= 0.0;
     let width = |gpus: usize| (1..=gpus_per_node).contains(&gpus);
     match r.u8()? {
         0 => Ok(DispatcherRecord::CoSched {
@@ -680,6 +687,40 @@ fn put_admission(w: &mut Writer, suite: &Suite, adm: &AdmissionState) {
     w.seq(adm.deferred.iter(), |w, job| put_job(w, suite, job));
 }
 
+/// A fair-share snapshot held to what a [`FairShare`] can export, before
+/// one is built from it. Every pending release must have exactly one
+/// in-flight admission of its tenant behind it and the other way round:
+/// a release without one panics in `advance_to` when it falls due, an
+/// admission without one keeps its tenant at quota for ever and its
+/// parked jobs with it. Releases come in key order with sequence numbers
+/// the ledger has already handed out, so none can shadow another.
+fn check_ledger(state: &FairShareState) -> Result<(), CheckpointError> {
+    ensure(MAGIC, instant(state.now), || {
+        format!("fair-share clock at {}", state.now)
+    })?;
+    for &(user, value, stamp) in &state.karma {
+        ensure(MAGIC, value.is_finite() && stamp.is_finite(), || {
+            format!("tenant {user}: karma {value} charged at {stamp}")
+        })?;
+    }
+    let mut pending = BTreeMap::new();
+    let mut last = None;
+    for &(bits, seq, user) in &state.releases {
+        let due = f64::from_bits(bits);
+        let sound = instant(due) && seq < state.seq && last < Some((bits, seq));
+        ensure(MAGIC, sound, || {
+            format!("tenant {user}: release {seq} of {} due at {due}", state.seq)
+        })?;
+        last = Some((bits, seq));
+        *pending.entry(user).or_insert(0u64) += 1;
+    }
+    ensure(
+        MAGIC,
+        pending.into_iter().eq(state.inflight.iter().copied()),
+        || "in-flight counts do not match the pending releases tenant for tenant".to_owned(),
+    )
+}
+
 /// The admission-tier section: fair-share snapshot, rolling decision
 /// digest, and the quota-deferred queue.
 fn get_admission(
@@ -694,6 +735,7 @@ fn get_admission(
         inflight: r.seq(4 + 8, |r| Ok((r.u32()?, r.u64()?)))?,
         releases: r.seq(8 + 8 + 4, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))?,
     };
+    check_ledger(&state)?;
     let mut adm = AdmissionState::with_share(FairShare::from_state(cfg, &state));
     adm.digest = r.u64()?;
     adm.deferred = r.seq(JOB_MIN, |r| get_job(r, jobs))?.into();

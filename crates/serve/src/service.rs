@@ -18,9 +18,15 @@
 //! fair-share tier sits in front of the selector: each arrival is
 //! admitted, deferred (tenant over its in-flight quota), or rejected
 //! (projected slowdown past the SLO), and each burst is ordered by
-//! tenant karma ([`hrp_cluster::fair`]) before placement. Admission
-//! state checkpoints alongside everything else, so kill/restore
-//! reproduces the decisions bit-exactly.
+//! tenant karma ([`hrp_cluster::fair`]) before placement. Deferred jobs
+//! wait in FIFO order behind a door that opens on a release: a parked
+//! job's tenant is at its quota until
+//! [`FairShare::advance_to`] pops one of its estimated completions, so
+//! a cycle in which it pops none leaves the queue alone (checked with a
+//! `debug_assert!` on every such cycle, and established by one
+//! unconditional walk after the service is built or restored).
+//! Admission state checkpoints alongside everything else, so
+//! kill/restore reproduces the decisions bit-exactly.
 //!
 //! When the source has nothing to offer, the service sizes its idle
 //! sleep from the dispatchers' [`next_wakeup`](hrp_cluster::sim::Dispatcher::next_wakeup)
@@ -473,7 +479,8 @@ pub struct ServeReport {
 /// decisions bit-exactly.
 pub(crate) struct AdmissionState {
     pub(crate) share: FairShare,
-    /// Quota-parked jobs in deferral order (FIFO re-examination).
+    /// Quota-parked jobs in deferral order (FIFO re-examination, after
+    /// a release).
     pub(crate) deferred: VecDeque<ClusterJob>,
     /// Rolling FNV-1a digest over admission decisions.
     pub(crate) digest: u64,
@@ -565,6 +572,11 @@ pub struct SchedulerService<'a, S: ArrivalSource> {
     pub(crate) latencies: Vec<f64>,
     /// The admission tier, when [`ServeConfig::admission`] is on.
     pub(crate) admission: Option<AdmissionState>,
+    /// The parked queue has not been walked since this service was
+    /// built or restored, so nothing vouches yet for the door invariant
+    /// (see [`SchedulerService::revisit_deferred`]). Not checkpointed: a
+    /// restored service owes the walk again.
+    pub(crate) walk_owed: bool,
 }
 
 impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
@@ -629,6 +641,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             stats: ServeStats::default(),
             latencies: Vec::new(),
             admission,
+            walk_owed: true,
         }
     }
 
@@ -656,6 +669,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             stats: ServeStats::default(),
             latencies: Vec::new(),
             admission,
+            walk_owed: true,
         }
     }
 
@@ -794,9 +808,22 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// Advance the fair-share clock to `t` (releasing due admissions)
     /// and re-admit every deferred job whose tenant dropped back under
     /// quota, preserving deferral order for the rest.
+    ///
+    /// The door opens on a release. Every parked job's tenant is at its
+    /// quota: it was when the job was parked, admissions only raise
+    /// in-flight counts, and a count falls nowhere but in
+    /// [`FairShare::advance_to`]. So when that reports no release the
+    /// walk would put every job back where it was, and is skipped —
+    /// except the first one after the service was built or restored,
+    /// which is what establishes the invariant for a decoded queue.
     fn revisit_deferred(&mut self, t: f64) {
         let adm = self.admission.as_mut().expect("admission is on");
-        adm.share.advance_to(t);
+        let released = adm.share.advance_to(t);
+        let owed = std::mem::take(&mut self.walk_owed);
+        if !(released || owed) {
+            debug_assert!(adm.deferred.iter().all(|j| adm.share.over_quota(j.user)));
+            return;
+        }
         let parked = std::mem::take(&mut adm.deferred);
         for job in parked {
             self.consider(t, job, false);

@@ -20,9 +20,14 @@
 //!   has reached its working size.
 //!
 //! `BackfillPlanner::next_placement`, the node-local decision of the
-//! DES, is audited against a budget instead: it still builds a fresh
-//! profile per decision, so it may allocate that profile, plus the
-//! `Placement::job_ids` `Vec` when it places — and nothing else.
+//! DES, refills one profile it owns: a decision that starts nothing
+//! allocates nothing, one that places allocates the `Placement::job_ids`
+//! `Vec` it hands out — and nothing else.
+//!
+//! An overloaded `SchedulerService` is audited the same way: a cycle in
+//! which no estimated release falls due leaves the parked queue alone
+//! and finds every saturated node's planner with nothing to plan, so
+//! all it may allocate is the buffer it groups its arrival burst in.
 //!
 //! The counter is **thread-local**: only allocations performed by the
 //! audited code path itself are counted, so background harness
@@ -35,13 +40,14 @@ use std::cell::Cell;
 use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
 use hrp::cluster::sim::Dispatcher;
 use hrp::cluster::slots::TreeSlotSet;
-use hrp::cluster::ClusterJob;
+use hrp::cluster::{ClusterJob, SelectorKind};
 use hrp::core::cluster_env::{NodeLoad, PolicySelector};
 use hrp::core::NodeSelector;
 use hrp::gpusim::GpuArch;
 use hrp::nn::net::{Head, QNet};
 use hrp::nn::replay::Transition;
 use hrp::nn::{DqnAgent, DqnConfig, FastPolicy, Kernel};
+use hrp::serve::{AdmissionConfig, ChannelSource, SchedulerService, ServeConfig, ServiceStep};
 use hrp::workloads::Suite;
 
 thread_local! {
@@ -218,7 +224,7 @@ fn steady_state_learning_step_does_not_allocate() {
 }
 
 #[test]
-fn backfill_decisions_allocate_their_profile_and_their_placement_only() {
+fn backfill_decisions_allocate_their_placement_only() {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let job = |id: usize, gpus: usize| ClusterJob {
         id,
@@ -251,11 +257,7 @@ fn backfill_decisions_allocate_their_profile_and_their_placement_only() {
                 std::hint::black_box(planner.next_placement(&suite, &narrow, 0, now));
             }
         });
-        assert_eq!(
-            n,
-            2 * REPS as u64,
-            "{policy:?}: a saturated decision allocates its profile, once"
-        );
+        assert_eq!(n, 0, "{policy:?}: a saturated decision allocated {n}x");
 
         // ... and a free GPU the 2-GPU head cannot use: the head gets
         // its reservation, and every job behind it would overrun that
@@ -271,10 +273,7 @@ fn backfill_decisions_allocate_their_profile_and_their_placement_only() {
                 std::hint::black_box(blocked.next_placement(&suite, &wide_head, 1, now));
             }
         });
-        assert_eq!(
-            n, REPS as u64,
-            "{policy:?}: a blocked-head decision allocates its profile, once"
-        );
+        assert_eq!(n, 0, "{policy:?}: a blocked-head decision allocated {n}x");
 
         // `Some`: an idle node starts the head; the old booking has
         // lapsed by the next call, so the book never grows.
@@ -286,11 +285,69 @@ fn backfill_decisions_allocate_their_profile_and_their_placement_only() {
             }
         });
         assert_eq!(
-            n,
-            2 * REPS as u64,
-            "{policy:?}: a placing decision allocates its profile and its job_ids"
+            n, REPS as u64,
+            "{policy:?}: a placing decision allocates its job_ids, once"
         );
     }
+}
+
+#[test]
+fn overloaded_service_cycles_without_a_release_allocate_their_burst_only() {
+    const TENANTS: usize = 4;
+    const PARKED: usize = 40;
+    const CYCLES: usize = 6;
+    const BURST: usize = 3;
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let (tx, source) = ChannelSource::channel();
+    // 2 x 2 GPUs, four tenants at quota 2: four jobs run, four wait on
+    // the saturated nodes, and everything after them is parked.
+    let cfg = ServeConfig::new(2, 2)
+        .walltime_err(0.3)
+        .admission(AdmissionConfig::new().quota(2));
+    let mut service = SchedulerService::new(&suite, cfg, SelectorKind::Easy, source);
+    let mut next_id = 0;
+    let mut submit = |arrival: f64| {
+        let mut job = ClusterJob::new(next_id, "stream", arrival, 1, &suite);
+        job.user = (next_id % TENANTS) as u32 + 1;
+        next_id += 1;
+        tx.send(job).expect("the service listens");
+    };
+    // Warm-up: one job per cycle, within the first 50 ms — a `stream`
+    // job runs for 10 s, so no estimated release falls due in this
+    // test ...
+    for k in 0..2 * TENANTS + PARKED {
+        submit(k as f64 * 1e-3);
+        assert!(matches!(service.step(), ServiceStep::Cycle { .. }));
+    }
+    assert_eq!(service.deferred_jobs(), PARKED);
+    // ... and every arrival of the audited cycles, sent ahead of them:
+    // the channel allocates on this thread too.
+    for cycle in 0..CYCLES {
+        (0..BURST).for_each(|_| submit(1.0 + cycle as f64 * 1e-3));
+    }
+
+    // Idle cycles: every node advanced, the door consulted, nothing to do.
+    let idle = service.stats().wake_cycles;
+    let n = count_allocs(|| (0..REPS).for_each(|_| service.settle(0.5)));
+    assert_eq!(service.stats().wake_cycles, idle + REPS as u64);
+    assert_eq!(n, 0, "idle cycles with {PARKED} jobs parked allocated {n}x");
+
+    // Arrival cycles: each groups its burst (one allocation for the
+    // first job, one regrowth for the rest), orders it by karma and
+    // parks it, every tenant being at quota. The parked queue has room
+    // for these bursts since it last doubled.
+    let n = count_allocs(|| {
+        for _ in 0..CYCLES {
+            let step = service.step();
+            assert!(matches!(step, ServiceStep::Cycle { jobs: BURST, .. }));
+        }
+    });
+    assert_eq!(service.deferred_jobs(), PARKED + CYCLES * BURST);
+    assert_eq!(
+        n,
+        2 * CYCLES as u64,
+        "arrival cycles may allocate their burst buffer only"
+    );
 }
 
 #[test]

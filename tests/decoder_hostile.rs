@@ -661,3 +661,181 @@ fn forged_backfill_states_are_typed_errors() {
         );
     }
 }
+
+/// Restore and, when that succeeds, drive the service to the end — how
+/// far a section that decodes must be able to go. Returns the timeline
+/// and admission digests.
+fn drain_hrps(suite: &Suite, blob: Vec<u8>) -> Result<(u64, u64), String> {
+    let mut service = restore(suite, blob.into()).map_err(|e| e.to_string())?;
+    service.run_to_close();
+    let served = service.finish();
+    let admission = served.admission.expect("the admission tier is on");
+    Ok((served.report.timeline.digest(), admission.digest))
+}
+
+/// Where the admission section that ends the `EasyAdmission` blob keeps
+/// its fields: `now f64 | seq u64 | n (user u32, karma f64, stamp f64)*
+/// | n (user u32, in-flight u64)* | n (release bits u64, seq u64, user
+/// u32)* | digest u64 | n job*`. At quota 1 every in-flight count is 1,
+/// so the in-flight and release lists are equally long.
+struct AdmissionAt {
+    now: usize,
+    /// First karma entry.
+    karma: usize,
+    /// In-flight entry of the first parked job's tenant.
+    inflight: usize,
+    /// Release entry of the same tenant.
+    release: usize,
+    /// `user` field of the first parked job.
+    parked_user: usize,
+}
+
+fn admission_at(suite: &Suite, blob: &[u8]) -> AdmissionAt {
+    let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
+    let parked = restore(suite, blob.to_vec().into())
+        .expect("the untouched blob restores")
+        .deferred_jobs();
+    // The parked queue ends the blob: the one job record that `parked`
+    // records on lead to exactly the last byte.
+    let after = |record: usize| {
+        let name = blob.get(record + 32..record + 36)?;
+        Some(record + 36 + u32::from_le_bytes(name.try_into().unwrap()) as usize)
+    };
+    let first_parked = job_records(suite, blob)
+        .into_iter()
+        .map(|name_at| name_at - 32)
+        .find(|&record| {
+            u32_at(record - 4) == parked
+                && (0..parked).try_fold(record, |at, _| after(at)) == Some(blob.len())
+        })
+        .expect("the parked queue ends the blob");
+    let tenant = u32_at(first_parked + 28);
+    let releases_end = first_parked - 4 - 8;
+    let (in_flight, releases, inflight) = (1..=3usize)
+        .find_map(|n| {
+            let releases = releases_end - 20 * n;
+            let inflight = releases.checked_sub(4 + 12 * n)?;
+            (u32_at(releases - 4) == n && u32_at(inflight - 4) == n)
+                .then_some((n, releases, inflight))
+        })
+        .expect("1..=3 tenants are in flight at the cut");
+    let entry_of = |first: usize, stride: usize, user_at: usize| {
+        (0..in_flight)
+            .map(|k| first + stride * k)
+            .find(|at| u32_at(at + user_at) == tenant)
+            .expect("a parked job's tenant is in flight")
+    };
+    let tenants = (1..=3usize)
+        .find(|n| u32_at(inflight - 4 - 20 * n - 4) == *n)
+        .expect("1..=3 tenants carry karma");
+    let karma = inflight - 4 - 20 * tenants;
+    AdmissionAt {
+        now: karma - 4 - 16,
+        karma,
+        inflight: entry_of(inflight, 12, 0),
+        release: entry_of(releases, 20, 16),
+        parked_user: first_parked + 28,
+    }
+}
+
+/// Parent commit: `get_admission` handed whatever decoded to
+/// `FairShare::from_state`. A release whose tenant has no in-flight
+/// entry restored and then died in `advance_to` ("release for a user
+/// with no in-flight jobs") at the first cycle past it; an in-flight
+/// count with no release behind it pinned its tenant at quota for good
+/// and ended in `run_to_close`'s "deferred jobs imply a pending release
+/// wake-up"; a clock at NaN or `+inf` failed the first cycle's "moved
+/// backwards" assert; a release at `+inf` became the last wake-up. The
+/// rest restored and drained — from ledgers no service can reach, two of
+/// them with a tenant above its quota.
+#[test]
+fn forged_admission_ledgers_are_typed_errors() {
+    let s = suite();
+    let blob = hrps_blob(&s, Tier::EasyAdmission);
+    let at = admission_at(&s, &blob);
+    let f64_at = |at: usize| f64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+    assert!(f64_at(at.now) > 0.0 && f64_at(at.release) > f64_at(at.now));
+    assert_eq!(blob[at.inflight + 4..at.inflight + 12], 1u64.to_le_bytes());
+
+    let (inf, nan) = (f64::INFINITY.to_le_bytes(), f64::NAN.to_le_bytes());
+    let past = (-1.0f64).to_le_bytes();
+    let forgeries: [(&str, usize, &[u8]); 15] = [
+        (
+            "release for a tenant not in flight",
+            at.release + 16,
+            &[7, 0, 0, 0],
+        ),
+        (
+            "two in flight behind one release",
+            at.inflight + 4,
+            &2u64.to_le_bytes(),
+        ),
+        (
+            "none in flight behind one release",
+            at.inflight + 4,
+            &[0; 8],
+        ),
+        ("more in flight than a usize", at.inflight + 4, &[0xff; 8]),
+        (
+            "in flight for a tenant without a release",
+            at.inflight,
+            &[7, 0, 0, 0],
+        ),
+        ("clock at NaN", at.now, &nan),
+        ("clock at +inf", at.now, &inf),
+        ("clock before time zero", at.now, &past),
+        ("release at +inf", at.release, &inf),
+        ("release at NaN", at.release, &nan),
+        ("release before time zero", at.release, &past),
+        ("karma of NaN", at.karma + 4, &nan),
+        ("karma of +inf", at.karma + 4, &inf),
+        ("karma stamped at NaN", at.karma + 12, &nan),
+        (
+            "karma stamped at -inf",
+            at.karma + 12,
+            &f64::NEG_INFINITY.to_le_bytes(),
+        ),
+    ];
+    for (what, at, bytes) in forgeries {
+        let mut forged = blob.clone();
+        forged[at..at + bytes.len()].copy_from_slice(bytes);
+        let (outcome, peak) = peak_alloc(|| drain_hrps(&s, forged));
+        let err = outcome.expect_err(what);
+        assert!(err.contains("HRPS"), "{what}: '{err}'");
+        assert!(
+            peak <= ALLOC_FLOOR + ALLOC_PER_BYTE * blob.len(),
+            "{what}: asked for {peak} bytes at once"
+        );
+    }
+}
+
+/// Honest but unusual: a parked job whose tenant is *under* quota — what
+/// a checkpoint edited to lift a tenant's cap looks like. Nothing about
+/// it is inconsistent, so it restores, and the restored service's first
+/// cycle lets the job through although no release is due in it (here: an
+/// idle cycle at the very instant of the last one); the drain is the
+/// parent commit's, digest for digest.
+#[test]
+fn a_parked_job_under_quota_restores_and_goes_through_at_once() {
+    let s = suite();
+    let blob = hrps_blob(&s, Tier::EasyAdmission);
+    let at = admission_at(&s, &blob);
+    let last_cycle = f64::from_le_bytes(blob[at.now..at.now + 8].try_into().unwrap());
+    let mut lifted = blob.clone();
+    lifted[at.parked_user..at.parked_user + 4].copy_from_slice(&7u32.to_le_bytes());
+
+    let mut service = restore(&s, lifted.into()).expect("a consistent ledger");
+    let parked = service.deferred_jobs();
+    service.settle(last_cycle);
+    assert_eq!(service.deferred_jobs(), parked - 1, "tenant 7 is through");
+    service.run_to_close();
+    let served = service.finish();
+    assert_eq!(
+        (
+            served.report.timeline.digest(),
+            served.admission.expect("the admission tier is on").digest
+        ),
+        (0xbe39_0fb4_7d63_ef15, 0xaab0_710c_0944_cf01),
+        "the drain the parent commit produces"
+    );
+}

@@ -26,6 +26,18 @@
 //! PR 19's parent commit, before the planner's slot set changed
 //! representation; regenerate with `--ignored
 //! print_golden_overload_pins`.
+//!
+//! The third is the admission door with deferral dominating: the same
+//! cluster and tenants at **quota 1** and no SLO, so 975 of 1 040
+//! arrivals are parked at least once, 565 are still parked when the
+//! source closes, and `run_to_close` drains them through 566 wake
+//! cycles. A third of its arrival cycles run with jobs parked and no
+//! release due — the cycles on which the door leaves its queue alone.
+//! Pinned uninterrupted, killed and restored at three points (one of
+//! them just before such a cycle, one mid-drain), in full cycle mode
+//! and by batch replay. Captured on PR 20's parent commit, before the
+//! door stopped walking its queue every cycle; regenerate with
+//! `--ignored print_golden_parked_pins`.
 
 use hrp::cluster::trace::{TraceConfig, TraceKind};
 use hrp::cluster::{BackfillTier, MultiNodeSim, SelectorKind};
@@ -371,5 +383,213 @@ fn print_golden_overload_pins() {
         r.report.aggregate.makespan.to_bits(),
         r.report.aggregate.makespan,
         r.stats.nodes_replanned,
+    );
+}
+
+// ---- the deferral-heavy golden --------------------------------------
+
+const PARKED_RATE: f64 = 0.25;
+const PARKED_DURATION: f64 = 4_000.0;
+const PARKED_SEED: u64 = 42;
+
+/// Captured on PR 20's parent commit (see module docs).
+struct ParkedGolden {
+    digest: u64,
+    admission_digest: u64,
+    offered: usize,
+    deferred: u64,
+    cycles: u64,
+    wake_cycles: u64,
+    decisions: u64,
+    makespan: u64,
+}
+
+const PARKED: ParkedGolden = ParkedGolden {
+    digest: 0xb8ac_0064_9155_d4cb,
+    admission_digest: 0x3068_8a91_4090_1ed4,
+    offered: 1040,
+    deferred: 975,
+    cycles: 302,
+    wake_cycles: 566,
+    decisions: 1040,
+    makespan: 0x40d0_da43_d5bd_bace, // 17257.059920723368
+};
+
+fn parked_service(suite: &Suite, mode: CycleMode) -> SchedulerService<'_, LoadGen<'_>> {
+    let source = LoadGen::new(
+        suite,
+        LoadShape::Bursty,
+        PARKED_RATE,
+        PARKED_DURATION,
+        PARKED_SEED,
+    )
+    .with_users(6, 1.2);
+    let cfg = ServeConfig::new(NODES, GPUS_PER_NODE)
+        .walltime_err(OVERLOAD_ERR)
+        .mode(mode)
+        .admission(AdmissionConfig::new().quota(1));
+    SchedulerService::new(suite, cfg, SelectorKind::Easy, source)
+}
+
+/// Where the deferral-heavy service is killed.
+#[derive(Clone, Copy, Debug)]
+enum Kill {
+    /// At the first cycle past this many arrivals that leaves jobs
+    /// parked.
+    Parked(usize),
+    /// Past this many arrivals, with jobs parked, just before a cycle
+    /// that comes earlier than the next estimated release: the restored
+    /// service's first walk of its queue finds every tenant still at
+    /// quota and has to leave every job where it is.
+    QuietDoor(usize),
+    /// This many wake cycles after the source closed, mid-drain.
+    Draining(usize),
+}
+
+/// Run a fresh service to `kill`, checkpoint it there, and restore the
+/// blob.
+fn killed_and_restored(
+    suite: &Suite,
+    kill: Kill,
+) -> SchedulerService<'_, Box<dyn ArrivalSource + '_>> {
+    let mut service = parked_service(suite, CycleMode::Incremental);
+    let cycle = |service: &mut SchedulerService<'_, LoadGen<'_>>| match service.step() {
+        ServiceStep::Cycle { time, .. } => time,
+        other => panic!("{kill:?}: the source ran out first ({other:?})"),
+    };
+    let checkpoint = |service: &SchedulerService<'_, LoadGen<'_>>| {
+        assert!(service.deferred_jobs() > 0, "{kill:?}: nothing is parked");
+        service.checkpoint().expect("load generators checkpoint")
+    };
+    let blob = match kill {
+        Kill::Parked(after) => {
+            while service.consumed() < after || service.deferred_jobs() == 0 {
+                cycle(&mut service);
+            }
+            checkpoint(&service)
+        }
+        Kill::QuietDoor(after) => {
+            while service.consumed() < after || service.deferred_jobs() == 0 {
+                cycle(&mut service);
+            }
+            loop {
+                // EASY planners without reservations never ask for a
+                // wake-up, so with jobs parked this is the next release.
+                let release = service.next_wakeup().expect("parked jobs await a release");
+                let blob = checkpoint(&service);
+                if cycle(&mut service) < release {
+                    break blob;
+                }
+            }
+        }
+        Kill::Draining(wakes) => {
+            while !matches!(service.step(), ServiceStep::Closed) {}
+            for _ in 0..wakes {
+                service.wake_cycle().expect("parked jobs wake the service");
+            }
+            checkpoint(&service)
+        }
+    };
+    restore(suite, blob).expect("restore from HRPS blob")
+}
+
+#[test]
+fn deferral_heavy_service_matches_the_golden_pin_every_way_it_can_be_run() {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let g = PARKED;
+    let (full, offered) = drain(parked_service(&suite, CycleMode::Incremental));
+    let admission = full.admission.as_ref().expect("admission tier is on");
+    assert_eq!(full.report.timeline.digest(), g.digest, "timeline digest");
+    assert_eq!(admission.digest, g.admission_digest, "admission digest");
+    assert_eq!(offered, g.offered, "arrivals offered");
+    assert_eq!(full.stats.deferred, g.deferred, "quota deferrals");
+    assert_eq!(full.stats.cycles, g.cycles, "arrival cycles");
+    assert_eq!(full.stats.wake_cycles, g.wake_cycles, "wake cycles");
+    assert_eq!(full.stats.decisions, g.decisions, "decisions");
+    assert_eq!(
+        full.report.aggregate.makespan.to_bits(),
+        g.makespan,
+        "makespan drifted: {}",
+        full.report.aggregate.makespan
+    );
+    assert!(
+        2 * g.deferred > g.offered as u64 && g.wake_cycles > g.cycles,
+        "the pin is one where deferral dominates and the queue outlives the source"
+    );
+    assert_eq!(full.stats.rejected, 0, "no SLO, nothing rejected");
+    assert_eq!(full.stats.decisions, offered as u64, "every arrival placed");
+
+    for kill in [Kill::Parked(200), Kill::QuietDoor(500), Kill::Draining(100)] {
+        let mut resumed = killed_and_restored(&suite, kill);
+        if let Kill::QuietDoor(_) = kill {
+            let parked = resumed.deferred_jobs();
+            assert!(matches!(resumed.step(), ServiceStep::Cycle { .. }));
+            assert!(
+                resumed.deferred_jobs() >= parked,
+                "{kill:?}: no release was due, yet a parked job went through"
+            );
+        }
+        let (resumed, _) = drain(resumed);
+        assert_eq!(resumed.report.timeline.digest(), g.digest, "{kill:?}");
+        assert_eq!(
+            resumed.admission.as_ref().map(|a| a.digest),
+            Some(g.admission_digest),
+            "{kill:?}: admission digest"
+        );
+        assert_eq!(resumed.stats, full.stats, "{kill:?}: counters");
+        assert_eq!(resumed.report.aggregate, full.report.aggregate, "{kill:?}");
+    }
+
+    // Every node advanced every cycle, dirty or not: same decisions,
+    // same cycles, only the skip accounting differs.
+    let (every_node, _) = drain(parked_service(&suite, CycleMode::Full));
+    assert_eq!(every_node.report.timeline.digest(), g.digest, "full mode");
+    assert_eq!(
+        every_node.admission.as_ref().map(|a| a.digest),
+        Some(g.admission_digest),
+        "full-mode admission digest"
+    );
+    assert_eq!(every_node.stats.nodes_skipped, 0, "full mode skips nothing");
+    assert_eq!(
+        (
+            every_node.stats.cycles,
+            every_node.stats.wake_cycles,
+            every_node.stats.decisions,
+            every_node.stats.deferred,
+        ),
+        (g.cycles, g.wake_cycles, g.decisions, g.deferred),
+        "full-mode counters"
+    );
+
+    // The admitted trace replayed through the batch engine.
+    let policy = SelectorKind::Easy.backfill_policy().expect("a tier");
+    let batch = MultiNodeSim::new(NODES, GPUS_PER_NODE).run(
+        &suite,
+        admission.effective.clone(),
+        &mut BackfillTier::new(policy),
+        |_| dispatcher_for(SelectorKind::Easy, GPUS_PER_NODE, OVERLOAD_ERR),
+    );
+    assert_eq!(batch.timeline.digest(), g.digest, "batch replay");
+}
+
+/// Regenerates [`PARKED`] (run with `--ignored --nocapture` and paste).
+#[test]
+#[ignore = "pin printer, not a regression check"]
+fn print_golden_parked_pins() {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let (r, offered) = drain(parked_service(&suite, CycleMode::Incremental));
+    println!(
+        "const PARKED: ParkedGolden = ParkedGolden {{\n    digest: {:#018x},\n    \
+         admission_digest: {:#018x},\n    offered: {offered},\n    deferred: {},\n    \
+         cycles: {},\n    wake_cycles: {},\n    decisions: {},\n    \
+         makespan: {:#018x}, // {}\n}};",
+        r.report.timeline.digest(),
+        r.admission.as_ref().expect("admission tier is on").digest,
+        r.stats.deferred,
+        r.stats.cycles,
+        r.stats.wake_cycles,
+        r.stats.decisions,
+        r.report.aggregate.makespan.to_bits(),
+        r.report.aggregate.makespan,
     );
 }
