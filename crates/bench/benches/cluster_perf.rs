@@ -4,18 +4,21 @@
 //! overhead), the placement-training environment's episode replay,
 //! the single-node event loop underneath everything, one backfilling
 //! decision in each of the three shapes an overloaded node asks for,
-//! and one cycle of an overloaded service with a long parked queue.
+//! one cycle of an overloaded service with a long parked queue, and the
+//! event timeline on its own: recording, merging and checkpointing it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hrp_cluster::backfill::{BackfillPlanner, BackfillPolicy};
 use hrp_cluster::multinode::{staggered_trace, MultiNodeSim};
 use hrp_cluster::place::{dispatcher_for, PlacementAgent, PlacementConfig, PlacementDispatcher};
-use hrp_cluster::sim::{ClusterSim, Dispatcher};
+use hrp_cluster::sim::{ClusterSim, Dispatcher, EventLog, NodeRun, Placement};
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp_cluster::{ClusterJob, SelectorKind};
 use hrp_core::par::WorkerPool;
 use hrp_gpusim::GpuArch;
-use hrp_serve::{AdmissionConfig, ChannelSource, SchedulerService, ServeConfig, ServiceStep};
+use hrp_serve::{
+    AdmissionConfig, ChannelSource, SchedulerService, ServeConfig, ServiceStep, TraceSource,
+};
 use hrp_workloads::Suite;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -180,12 +183,83 @@ fn bench_overload_cycle(c: &mut Criterion) {
     });
 }
 
+/// The cheapest dispatcher there is — the first waiting job that fits,
+/// alone — so that a node's advance is mostly its event recording.
+struct FirstFit;
+
+impl Dispatcher for FirstFit {
+    fn name(&self) -> &'static str {
+        "first-fit"
+    }
+
+    fn next_placement(
+        &mut self,
+        suite: &Suite,
+        waiting: &[ClusterJob],
+        free_gpus: usize,
+        _now: f64,
+    ) -> Option<Placement> {
+        let job = waiting.iter().find(|j| j.gpus <= free_gpus)?;
+        Some(Placement {
+            job_ids: vec![job.id],
+            gpus: job.gpus,
+            duration: job.solo_time(suite),
+        })
+    }
+}
+
+/// `jobs` one-GPU jobs a second apart through one 2-GPU node: one
+/// arrival, one start and one finish each.
+fn recorded_log(suite: &Suite, node: usize, jobs: usize) -> EventLog {
+    let mut run = NodeRun::new(node, 2, FirstFit);
+    run.reserve_jobs(jobs);
+    for id in 0..jobs {
+        run.push_arrival(ClusterJob {
+            id,
+            bench: id % suite.len(),
+            arrival: id as f64,
+            gpus: 1,
+            user: 0,
+        });
+    }
+    run.advance_until(suite, f64::INFINITY);
+    run.finish().1
+}
+
+/// The event timeline on its own: a node recording 256 jobs (768
+/// events) into a reserved log, eight 10 000-event node logs merged
+/// into one timeline (their clone is part of the figure), and the
+/// `HRPS` encoding of a one-node service that has recorded ≈ 9 000
+/// events.
+fn bench_timeline(c: &mut Criterion) {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    c.bench_function("timeline_record_256_jobs", |b| {
+        b.iter(|| black_box(recorded_log(&suite, 0, 256)))
+    });
+    c.bench_function("timeline_merge_8x10k_events", |b| {
+        let logs: Vec<EventLog> = (0..8).map(|n| recorded_log(&suite, n, 3_334)).collect();
+        assert!(logs.iter().all(|log| log.len() == 10_002));
+        b.iter(|| black_box(EventLog::merge(black_box(logs.clone()))))
+    });
+    c.bench_function("timeline_checkpoint_1node_3k_jobs", |b| {
+        let trace = TraceConfig::new(TraceKind::Bursty, 3_100, 42).max_gpus(2);
+        let source = TraceSource::new(&suite, trace);
+        let cfg = ServeConfig::new(1, 2);
+        let mut service = SchedulerService::new(&suite, cfg, SelectorKind::LeastLoaded, source);
+        while service.consumed() < 3_000 {
+            assert!(matches!(service.step(), ServiceStep::Cycle { .. }));
+        }
+        b.iter(|| black_box(service.checkpoint().expect("a trace source checkpoints")))
+    });
+}
+
 criterion_group!(
     benches,
     bench_single_node_loop,
     bench_fanout_modes,
     bench_placement_episode,
     bench_backfill_decision,
-    bench_overload_cycle
+    bench_overload_cycle,
+    bench_timeline
 );
 criterion_main!(benches);

@@ -44,7 +44,7 @@
 //! keeps the service and the batch oracle in exact agreement.
 
 use crate::job::ClusterJob;
-use crate::sim::{EventKind, NodeEvent};
+use crate::sim::{EventKind, EventLog};
 use hrp_workloads::Suite;
 use std::collections::BTreeMap;
 
@@ -133,6 +133,9 @@ pub struct FairShare {
     /// (release-time bits, admission seq) → user. Times are
     /// non-negative, so bit order is numeric order.
     releases: BTreeMap<(u64, u64), u32>,
+    /// Scratch of [`FairShare::order_burst`]: each job beside its
+    /// tenant's karma. Empty between calls.
+    keyed: Vec<(f64, ClusterJob)>,
 }
 
 impl FairShare {
@@ -146,6 +149,7 @@ impl FairShare {
             karma: BTreeMap::new(),
             inflight: BTreeMap::new(),
             releases: BTreeMap::new(),
+            keyed: Vec::new(),
         }
     }
 
@@ -244,12 +248,23 @@ impl FairShare {
 
     /// Stable fair-share ordering of one arrival burst: sort by the
     /// tenant's karma at `t` (lightest first), ties keep submission
-    /// order. Pure snapshot — no charging; charge on admission.
-    pub fn order_burst(&self, t: f64, burst: &mut [ClusterJob]) {
-        burst.sort_by(|a, b| {
-            self.karma_at(a.user, t)
-                .total_cmp(&self.karma_at(b.user, t))
-        });
+    /// order. Pure snapshot — no charging; charge on admission. Each
+    /// job's karma is computed once, into a buffer kept across calls.
+    pub fn order_burst(&mut self, t: f64, burst: &mut [ClusterJob]) {
+        if burst.len() < 2 {
+            return;
+        }
+        let mut keyed = std::mem::take(&mut self.keyed);
+        keyed.extend(
+            burst
+                .iter()
+                .map(|job| (self.karma_at(job.user, t), job.clone())),
+        );
+        keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for (slot, (_, job)) in burst.iter_mut().zip(keyed.drain(..)) {
+            *slot = job;
+        }
+        self.keyed = keyed;
     }
 
     /// Export the full state for checkpointing.
@@ -286,6 +301,7 @@ impl FairShare {
                 .iter()
                 .map(|&(bits, seq, u)| ((bits, seq), u))
                 .collect(),
+            keyed: Vec::new(),
         }
     }
 }
@@ -364,10 +380,10 @@ pub struct FairnessReport {
 /// the tenant). Jobs with no `Finish` event (e.g. rejected by
 /// admission control) are excluded.
 #[must_use]
-pub fn user_fairness(suite: &Suite, jobs: &[ClusterJob], events: &[NodeEvent]) -> FairnessReport {
+pub fn user_fairness(suite: &Suite, jobs: &[ClusterJob], events: &EventLog) -> FairnessReport {
     let mut finish: BTreeMap<usize, f64> = BTreeMap::new();
-    for ev in events {
-        if let EventKind::Finish { job_ids, .. } = &ev.kind {
+    for ev in events.iter() {
+        if let EventKind::Finish { job_ids, .. } = ev.kind {
             for &id in job_ids {
                 finish.insert(id, ev.time);
             }

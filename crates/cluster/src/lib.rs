@@ -10,8 +10,9 @@
 //! * [`job`] — cluster jobs with arrival times and GPU counts;
 //! * [`sim`] — the event-driven per-node simulator: the reusable
 //!   [`sim::NodeRun`] event loop (GPUs as resources, job completions as
-//!   events, every state change recorded as a [`sim::NodeEvent`]) and
-//!   the single-node [`ClusterSim`] wrapper;
+//!   events, every state change recorded in a compact
+//!   [`sim::EventLog`] and read back as [`sim::NodeEvent`] views) and the
+//!   single-node [`ClusterSim`] wrapper;
 //! * [`multinode`] — `N` nodes simulated concurrently, fed from a
 //!   global arrival queue by a pluggable node selector, their event
 //!   streams merged into one deterministic `(time, node, seq)`-ordered
@@ -79,6 +80,6 @@ pub use place::{
     train_placement, ClusterEnv, PlacementAgent, PlacementConfig, PlacementExperiment,
 };
 pub use select::{BackfillTier, NodeSelector, SelectorKind};
-pub use sim::{ClusterReport, ClusterSim, NodeEvent};
+pub use sim::{ClusterReport, ClusterSim, EventLog, NodeEvent};
 pub use slots::TreeSlotSet;
 pub use trace::{TraceConfig, TraceKind};

@@ -22,7 +22,10 @@
 //!    snapshots are taken and the selector assigns the instant's jobs
 //!    one by one, each assignment updating the snapshot it hands the
 //!    next (a burst spreads out instead of dog-piling one node);
-//! 3. after the last arrival, a final fan-out drains every node.
+//! 3. after the last arrival, a final fan-out drains every node, and
+//!    the nodes' [`EventLog`]s are merged into the timeline
+//!    ([`EventLog::merge`]: the records concatenated and sorted, the
+//!    job-id arenas concatenated and the ranges rebased).
 //!
 //! # Determinism contract
 //!
@@ -56,17 +59,19 @@
 //! ```
 
 use crate::job::ClusterJob;
-use crate::sim::{ClusterReport, Dispatcher, EventKind, NodeEvent, NodeRun, NodeStats};
+use crate::sim::{ClusterReport, Dispatcher, EventKind, EventLog, NodeRun, NodeStats};
 use hrp_core::cluster_env::{NodeLoad, NodeSelector};
 use hrp_core::par::{resolve_threads, WorkerPool};
 use hrp_workloads::Suite;
 use std::sync::{Arc, Mutex};
 
-/// The merged, `(time, node, seq)`-ordered cluster event stream.
+/// The merged, `(time, node, seq)`-ordered cluster event stream. Two
+/// timelines are equal when they show the same events
+/// ([`EventLog`]'s logical equality).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterTimeline {
     /// Merged events in deterministic order.
-    pub events: Vec<NodeEvent>,
+    pub events: EventLog,
 }
 
 impl ClusterTimeline {
@@ -100,14 +105,14 @@ impl ClusterTimeline {
             mix(h, &v.to_le_bytes());
         }
         let mut h = OFFSET;
-        for e in &self.events {
+        for e in self.events.iter() {
             mix_u64(&mut h, e.time.to_bits());
             mix_u64(&mut h, e.node as u64);
             mix_u64(&mut h, e.seq);
-            match &e.kind {
+            match e.kind {
                 EventKind::Arrival { job } => {
                     mix(&mut h, &[0]);
-                    mix_u64(&mut h, *job as u64);
+                    mix_u64(&mut h, job as u64);
                 }
                 EventKind::Start {
                     job_ids,
@@ -119,7 +124,7 @@ impl ClusterTimeline {
                     for id in job_ids {
                         mix_u64(&mut h, *id as u64);
                     }
-                    mix_u64(&mut h, *gpus as u64);
+                    mix_u64(&mut h, gpus as u64);
                     mix_u64(&mut h, duration.to_bits());
                 }
                 EventKind::Finish { job_ids, gpus } => {
@@ -128,7 +133,7 @@ impl ClusterTimeline {
                     for id in job_ids {
                         mix_u64(&mut h, *id as u64);
                     }
-                    mix_u64(&mut h, *gpus as u64);
+                    mix_u64(&mut h, gpus as u64);
                 }
             }
         }
@@ -207,7 +212,7 @@ impl MultiNodeReport {
         self.timeline
             .events
             .iter()
-            .map(|e| match &e.kind {
+            .map(|e| match e.kind {
                 EventKind::Finish { job_ids, .. } => job_ids.len(),
                 _ => 0,
             })
@@ -297,13 +302,13 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         }
     }
 
-    /// Pre-size every node's event buffer for roughly
-    /// `expected_total_events` merged events (spread evenly; skewed
-    /// routing just grows the hot node's buffer as usual).
-    pub fn reserve_events(&mut self, expected_total_events: usize) {
-        let per_node = expected_total_events / self.slots.len().max(1);
+    /// Pre-size every node's event log for a trace of `expected_jobs`
+    /// jobs (spread evenly; skewed routing just grows the hot node's
+    /// log as usual).
+    pub fn reserve_jobs(&mut self, expected_jobs: usize) {
+        let per_node = expected_jobs / self.slots.len().max(1);
         for slot in &self.slots {
-            slot.lock().expect("node lock").reserve_events(per_node);
+            slot.lock().expect("node lock").reserve_jobs(per_node);
         }
     }
 
@@ -392,16 +397,13 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         let total_jobs = self.placed;
         let nodes = self.slots.len();
         let mut stats: Vec<NodeStats> = Vec::with_capacity(nodes);
-        let mut streams: Vec<Vec<NodeEvent>> = Vec::with_capacity(nodes);
+        let mut streams: Vec<EventLog> = Vec::with_capacity(nodes);
         for slot in std::mem::take(&mut self.slots) {
             let (s, e, _) = slot.into_inner().expect("node lock").finish();
             stats.push(s);
             streams.push(e);
         }
-        let mut events = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-        for stream in streams {
-            events.extend(stream);
-        }
+        let events = EventLog::merge(streams);
         assemble_report(stats, events, self.gpus_per_node, total_jobs, self.sync)
     }
 
@@ -518,20 +520,14 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     }
 }
 
-/// Merge per-node streams and assemble the report.
+/// Assemble the report around the merged event stream.
 fn assemble_report(
     stats: Vec<NodeStats>,
-    mut events: Vec<NodeEvent>,
+    events: EventLog,
     gpus_per_node: usize,
     total_jobs: usize,
     sync: SyncStats,
 ) -> MultiNodeReport {
-    events.sort_by(|a, b| {
-        a.time
-            .total_cmp(&b.time)
-            .then(a.node.cmp(&b.node))
-            .then(a.seq.cmp(&b.seq))
-    });
     debug_assert_eq!(
         stats.iter().map(|s| s.completed).sum::<usize>(),
         total_jobs,
@@ -727,7 +723,7 @@ impl MultiNodeSim {
 
         let mut drive = ClusterDrive::new(suite, self.nodes, self.gpus_per_node, make_dispatcher);
         drive.pool = pool;
-        drive.reserve_events(2 * jobs.len());
+        drive.reserve_jobs(jobs.len());
 
         for (start, end) in burst_bounds(&jobs) {
             // Epoch: advance every node to this arrival instant, then
@@ -888,18 +884,20 @@ mod tests {
         // The 1M-job audit pin: per-node seqs are u64 end to end, and
         // the digest must see bits past the u32 boundary (a silent
         // truncation would alias these two timelines).
-        let ev = |seq: u64| NodeEvent {
-            time: 1.0,
-            node: 0,
-            seq,
-            kind: EventKind::Arrival { job: 0 },
+        let timeline = |seq: u64| {
+            let mut events = EventLog::default();
+            let kind = EventKind::Arrival { job: 0 };
+            let event = crate::sim::NodeEvent {
+                time: 1.0,
+                node: 0,
+                seq,
+                kind,
+            };
+            events.push(event).expect("fits a record");
+            ClusterTimeline { events }
         };
-        let a = ClusterTimeline {
-            events: vec![ev(1)],
-        };
-        let b = ClusterTimeline {
-            events: vec![ev(1 + (u64::from(u32::MAX) + 1))],
-        };
+        let a = timeline(1);
+        let b = timeline(1 + (u64::from(u32::MAX) + 1));
         assert_ne!(a.digest(), b.digest());
     }
 }

@@ -172,7 +172,7 @@ impl<'a, D: Dispatcher + Send> ClusterEnv<'a, D> {
             assignment: Vec::with_capacity(trace.len()),
             report: None,
         };
-        env.drive.reserve_events(2 * trace.len());
+        env.drive.reserve_jobs(trace.len());
         env.drive.advance_to(env.trace[0].arrival);
         env
     }
@@ -265,7 +265,7 @@ impl<D: Dispatcher + Send> Env for ClusterEnv<'_, D> {
 
     fn reset(&mut self) {
         self.drive = ClusterDrive::new(self.suite, self.nodes, self.gpus_per_node, self.make);
-        self.drive.reserve_events(2 * self.trace.len());
+        self.drive.reserve_jobs(self.trace.len());
         self.drive.advance_to(self.trace[0].arrival);
         self.pos = 0;
         self.assignment.clear();

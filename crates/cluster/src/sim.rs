@@ -9,9 +9,9 @@
 //!
 //! [`NodeRun`] is the reusable core: one node's clock, GPU pool,
 //! waiting queue, and dispatcher, advanced event by event up to a
-//! horizon. Every state change is recorded as a [`NodeEvent`] with a
-//! per-node sequence number, so a run leaves behind a totally ordered
-//! event stream. [`ClusterSim`] (the original single-node-pool
+//! horizon. Every state change is recorded in the node's [`EventLog`]
+//! with a per-node sequence number, so a run leaves behind a totally
+//! ordered event stream. [`ClusterSim`] (the original single-node-pool
 //! simulator) is now a thin wrapper: preload every arrival, advance to
 //! the end of time. The multi-node simulator
 //! ([`crate::multinode::MultiNodeSim`]) instead drives many `NodeRun`s
@@ -19,6 +19,21 @@
 //! execute the *same* absorb → dispatch → advance → release cycle, which
 //! is what makes a one-node cluster event-for-event identical to
 //! [`ClusterSim::run`].
+//!
+//! # The event log
+//!
+//! An [`EventLog`] is the one representation of an event stream, per
+//! node and merged: a vector of fixed-size records (40 bytes: time,
+//! sequence number, one payload word, an arena range, GPU count, node,
+//! tag) plus one arena of job ids. A `Start` appends its placement's
+//! ids to the arena once; the `Finish` that closes it names the same
+//! range, and so does the node's entry for the running placement — so
+//! recording an event into a reserved log allocates nothing. Readers
+//! get borrowed [`NodeEvent`] views ([`EventLog::iter`],
+//! [`EventLog::get`]); equality is *logical* (the events the views
+//! show), because two logs holding the same events may lay their
+//! arenas out differently — a decoded log, filled through
+//! [`EventLog::push`], gives every `Finish` a range of its own.
 
 use crate::job::ClusterJob;
 use hrp_core::cluster_env::NodeLoad;
@@ -82,9 +97,10 @@ pub trait Dispatcher {
     }
 }
 
-/// What happened at one point of a node's simulated timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+/// What happened at one point of a node's simulated timeline — a view
+/// borrowed from the [`EventLog`] that holds the event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EventKind<'a> {
     /// A job joined the node's waiting queue.
     Arrival {
         /// Cluster job id.
@@ -93,7 +109,7 @@ pub enum EventKind {
     /// A placement started occupying GPUs.
     Start {
         /// Jobs covered by the placement.
-        job_ids: Vec<usize>,
+        job_ids: &'a [usize],
         /// GPUs occupied.
         gpus: usize,
         /// Planned wall time.
@@ -102,20 +118,21 @@ pub enum EventKind {
     /// A placement released its GPUs.
     Finish {
         /// Jobs that completed.
-        job_ids: Vec<usize>,
+        job_ids: &'a [usize],
         /// GPUs released.
         gpus: usize,
     },
 }
 
-/// One entry of a node's (or the merged cluster's) event stream.
+/// One entry of a node's (or the merged cluster's) event stream, as
+/// [`EventLog::iter`] and [`EventLog::get`] show it.
 ///
 /// `(time, node, seq)` is a total order: `seq` increases monotonically
 /// within a node, so merging per-node streams under this key yields one
 /// deterministic cluster timeline regardless of how node simulations
 /// were interleaved across threads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeEvent {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeEvent<'a> {
     /// Simulation time of the event.
     pub time: f64,
     /// Node the event happened on.
@@ -123,7 +140,244 @@ pub struct NodeEvent {
     /// Per-node sequence number (ties on `time` resolve by `seq`).
     pub seq: u64,
     /// What happened.
-    pub kind: EventKind,
+    pub kind: EventKind<'a>,
+}
+
+/// Which [`EventKind`] a record holds.
+#[derive(Debug, Clone, Copy)]
+enum Tag {
+    Arrival,
+    Start,
+    Finish,
+}
+
+/// Where a placement's job ids sit in an [`EventLog`]'s arena.
+#[derive(Debug, Clone, Copy)]
+struct IdRange {
+    at: u32,
+    n: u16,
+}
+
+impl IdRange {
+    /// The range of an event that carries no id list.
+    const NONE: Self = Self { at: 0, n: 0 };
+}
+
+/// One stored event. The widths are the log's capacity limits: 65 535
+/// nodes, GPUs per placement and jobs per placement, 2³² job ids per
+/// log; every writer narrows with a check.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    time: f64,
+    seq: u64,
+    /// `Start`: the planned duration's bits. `Arrival`: the job id.
+    word: u64,
+    /// `Start` / `Finish`: the placement's job ids.
+    ids: IdRange,
+    gpus: u16,
+    node: u16,
+    tag: Tag,
+}
+
+/// A compact, append-only event stream: fixed-size records plus one
+/// arena of job ids (see the [module docs](self#the-event-log)).
+///
+/// ```
+/// use hrp_cluster::sim::{EventKind, EventLog, NodeEvent};
+///
+/// let mut log = EventLog::default();
+/// let event = |seq, time, kind| NodeEvent { time, node: 0, seq, kind };
+/// log.push(event(0, 1.0, EventKind::Arrival { job: 7 })).unwrap();
+/// let start = EventKind::Start { job_ids: &[7], gpus: 1, duration: 2.0 };
+/// log.push(event(1, 1.0, start)).unwrap();
+/// assert_eq!(log.len(), 2);
+/// assert_eq!(log.get(1).kind, start);
+/// assert_eq!(log.open_starts(), Ok(vec![1]), "nothing has finished yet");
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct EventLog {
+    records: Vec<Record>,
+    ids: Vec<usize>,
+}
+
+impl EventLog {
+    /// Number of events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the log holds no event.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Make room for `events` more events carrying `job_ids` more job
+    /// ids between their `Start`s (a `Finish` recorded by a [`NodeRun`]
+    /// adds none).
+    pub fn reserve(&mut self, events: usize, job_ids: usize) {
+        self.records.reserve(events);
+        self.ids.reserve(job_ids);
+    }
+
+    /// The `index`-th event.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    #[must_use]
+    pub fn get(&self, index: usize) -> NodeEvent<'_> {
+        self.view(&self.records[index])
+    }
+
+    /// The events in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = NodeEvent<'_>> + Clone {
+        self.records.iter().map(|record| self.view(record))
+    }
+
+    fn ids_at(&self, range: IdRange) -> &[usize] {
+        let at = range.at as usize;
+        &self.ids[at..at + usize::from(range.n)]
+    }
+
+    fn view(&self, record: &Record) -> NodeEvent<'_> {
+        let gpus = usize::from(record.gpus);
+        NodeEvent {
+            time: record.time,
+            node: usize::from(record.node),
+            seq: record.seq,
+            kind: match record.tag {
+                Tag::Arrival => EventKind::Arrival {
+                    // Stored from a `usize`.
+                    job: record.word as usize,
+                },
+                Tag::Start => EventKind::Start {
+                    job_ids: self.ids_at(record.ids),
+                    gpus,
+                    duration: f64::from_bits(record.word),
+                },
+                Tag::Finish => EventKind::Finish {
+                    job_ids: self.ids_at(record.ids),
+                    gpus,
+                },
+            },
+        }
+    }
+
+    /// Append `job_ids` to the arena; `Err` names what is full.
+    fn intern(&mut self, job_ids: &[usize]) -> Result<IdRange, &'static str> {
+        let range = IdRange {
+            at: u32::try_from(self.ids.len()).map_err(|_| "arena")?,
+            n: u16::try_from(job_ids.len()).map_err(|_| "job_ids")?,
+        };
+        self.ids.extend_from_slice(job_ids);
+        Ok(range)
+    }
+
+    /// Append a copy of `event`, ids included — how a log is filled
+    /// from outside a [`NodeRun`] (a decoder, a test's model).
+    ///
+    /// # Errors
+    /// Names the field that does not fit the record (`node`, `gpus`,
+    /// `job_ids`, or the `arena` past 2³² ids); the log is unchanged.
+    pub fn push(&mut self, event: NodeEvent<'_>) -> Result<(), &'static str> {
+        let node = u16::try_from(event.node).map_err(|_| "node")?;
+        let (tag, word, job_ids, gpus) = match event.kind {
+            EventKind::Arrival { job } => (Tag::Arrival, job as u64, &[][..], 0),
+            EventKind::Start {
+                job_ids,
+                gpus,
+                duration,
+            } => (Tag::Start, duration.to_bits(), job_ids, gpus),
+            EventKind::Finish { job_ids, gpus } => (Tag::Finish, 0, job_ids, gpus),
+        };
+        let gpus = u16::try_from(gpus).map_err(|_| "gpus")?;
+        let ids = self.intern(job_ids)?;
+        self.records.push(Record {
+            time: event.time,
+            seq: event.seq,
+            word,
+            ids,
+            gpus,
+            node,
+            tag,
+        });
+        Ok(())
+    }
+
+    /// Merge per-node logs into one `(time, node, seq)`-ordered log:
+    /// concatenate records and arenas, rebase the ranges, sort the
+    /// records.
+    ///
+    /// # Panics
+    /// Panics if the logs together hold more than 2³² job ids.
+    #[must_use]
+    pub fn merge(logs: Vec<EventLog>) -> EventLog {
+        let events: usize = logs.iter().map(EventLog::len).sum();
+        let job_ids: usize = logs.iter().map(|log| log.ids.len()).sum();
+        u32::try_from(job_ids).expect("an event log holds at most 2^32 job ids");
+        let mut logs = logs.into_iter();
+        let mut merged = logs.next().unwrap_or_default();
+        merged.reserve(events - merged.len(), job_ids - merged.ids.len());
+        for log in logs {
+            // Within the total checked above.
+            let base = merged.ids.len() as u32;
+            merged.ids.extend_from_slice(&log.ids);
+            merged.records.extend(log.records.iter().map(|r| Record {
+                ids: IdRange {
+                    at: r.ids.at + base,
+                    n: r.ids.n,
+                },
+                ..*r
+            }));
+        }
+        merged.records.sort_by(|a, b| {
+            a.time
+                .total_cmp(&b.time)
+                .then(a.node.cmp(&b.node))
+                .then(a.seq.cmp(&b.seq))
+        });
+        merged
+    }
+
+    /// Indices of the `Start` events no later `Finish` has closed, in
+    /// log order — the placements still running when the log ends. A
+    /// `Finish` closes the earliest open `Start` of its node with the
+    /// same job ids and GPUs that was due (`time + duration`, to the
+    /// bit) at the `Finish`'s instant, which is how a [`NodeRun`]
+    /// writes the pair.
+    ///
+    /// # Errors
+    /// The index of the first `Finish` that closes no open `Start`.
+    pub fn open_starts(&self) -> Result<Vec<usize>, usize> {
+        let mut open: Vec<usize> = Vec::new();
+        for (index, finish) in self.records.iter().enumerate() {
+            match finish.tag {
+                Tag::Arrival => {}
+                Tag::Start => open.push(index),
+                Tag::Finish => {
+                    let closed = open.iter().position(|&s| {
+                        let start = &self.records[s];
+                        let due = start.time + f64::from_bits(start.word);
+                        start.node == finish.node
+                            && start.gpus == finish.gpus
+                            && due.to_bits() == finish.time.to_bits()
+                            && self.ids_at(start.ids) == self.ids_at(finish.ids)
+                    });
+                    open.remove(closed.ok_or(index)?);
+                }
+            }
+        }
+        Ok(open)
+    }
+}
+
+/// Logical equality: the same events in the same order, however the
+/// two arenas are laid out.
+impl PartialEq for EventLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
 }
 
 /// Raw per-node counters a finished [`NodeRun`] hands back.
@@ -145,6 +399,15 @@ pub struct NodeStats {
     pub wait_sum: f64,
 }
 
+/// A running placement: when it finishes, and the range its `Start`
+/// gave its job ids in the node's event log.
+#[derive(Debug, Clone, Copy)]
+struct Running {
+    finish: f64,
+    gpus: u16,
+    ids: IdRange,
+}
+
 /// One node's resumable event loop: a clock, `n_gpus` GPUs, a waiting
 /// queue, a dispatcher, and the event stream produced so far.
 ///
@@ -158,26 +421,11 @@ pub struct NodeStats {
 /// if all events lived in one merged queue.
 #[derive(Debug)]
 pub struct NodeRun<D: Dispatcher> {
-    node: usize,
-    n_gpus: usize,
     dispatcher: D,
-    clock: f64,
-    free: usize,
-    /// Future arrivals, non-decreasing in time.
-    arrivals: VecDeque<ClusterJob>,
-    waiting: Vec<ClusterJob>,
-    /// `(finish_time, gpus, job_ids)` of running placements.
-    running: Vec<(f64, usize, Vec<usize>)>,
-    busy_gpu_seconds: f64,
-    wait_sum: f64,
-    placements: usize,
-    jobs: usize,
-    completed: usize,
-    seq: u64,
-    /// Whether the waiting queue / GPU pool changed since the last
-    /// dispatch, i.e. whether the dispatcher must be consulted again.
-    dirty: bool,
-    events: Vec<NodeEvent>,
+    state: NodeRunState,
+    /// Running placements in start order: the open `Start`s of
+    /// `state.events`.
+    running: Vec<Running>,
     /// Scratch of [`NodeRun::dispatch`]: the arrival time of each job
     /// of the placement being started.
     placed_arrivals: Vec<f64>,
@@ -185,18 +433,19 @@ pub struct NodeRun<D: Dispatcher> {
 
 impl<D: Dispatcher> NodeRun<D> {
     /// A fresh node with `n_gpus` idle GPUs at time 0.
+    ///
+    /// # Panics
+    /// Panics if `n_gpus` is zero, or if `node` or `n_gpus` exceeds
+    /// the 65 535 an event record holds.
     #[must_use]
     pub fn new(node: usize, n_gpus: usize, dispatcher: D) -> Self {
-        assert!(n_gpus >= 1);
-        Self {
+        let state = NodeRunState {
             node,
             n_gpus,
-            dispatcher,
             clock: 0.0,
             free: n_gpus,
             arrivals: VecDeque::new(),
             waiting: Vec::new(),
-            running: Vec::new(),
             busy_gpu_seconds: 0.0,
             wait_sum: 0.0,
             placements: 0,
@@ -204,15 +453,15 @@ impl<D: Dispatcher> NodeRun<D> {
             completed: 0,
             seq: 0,
             dirty: true,
-            events: Vec::new(),
-            placed_arrivals: Vec::new(),
-        }
+            events: EventLog::default(),
+        };
+        Self::from_state(state, dispatcher)
     }
 
     /// The node's current clock.
     #[must_use]
     pub fn clock(&self) -> f64 {
-        self.clock
+        self.state.clock
     }
 
     /// Queue a future arrival. Arrivals must be pushed in non-decreasing
@@ -221,20 +470,21 @@ impl<D: Dispatcher> NodeRun<D> {
     /// # Panics
     /// Panics on out-of-order or past arrivals.
     pub fn push_arrival(&mut self, job: ClusterJob) {
+        let s = &mut self.state;
         assert!(
-            job.arrival + TIME_EPS >= self.clock,
+            job.arrival + TIME_EPS >= s.clock,
             "arrival at {} is in the node's past (clock {})",
             job.arrival,
-            self.clock
+            s.clock
         );
         assert!(
-            self.arrivals
+            s.arrivals
                 .back()
                 .is_none_or(|b| b.arrival <= job.arrival + TIME_EPS),
             "arrivals must be pushed in time order"
         );
-        self.jobs += 1;
-        self.arrivals.push_back(job);
+        s.jobs += 1;
+        s.arrivals.push_back(job);
     }
 
     /// The node's load as a [`NodeSelector`](hrp_core::cluster_env::NodeSelector)
@@ -243,60 +493,55 @@ impl<D: Dispatcher> NodeRun<D> {
     /// solo-time of everything queued).
     #[must_use]
     pub fn load(&self, suite: &Suite, now: f64) -> NodeLoad {
+        let s = &self.state;
         let mut outstanding = 0.0;
-        for (t, g, _) in &self.running {
-            outstanding += (t - now).max(0.0) * *g as f64;
+        for r in &self.running {
+            outstanding += (r.finish - now).max(0.0) * f64::from(r.gpus);
         }
-        for j in self.waiting.iter().chain(self.arrivals.iter()) {
+        for j in s.waiting.iter().chain(s.arrivals.iter()) {
             outstanding += j.solo_time(suite);
         }
         NodeLoad {
-            node: self.node,
-            total_gpus: self.n_gpus,
-            free_gpus: self.free,
-            queued_jobs: self.waiting.len() + self.arrivals.len(),
+            node: s.node,
+            total_gpus: s.n_gpus,
+            free_gpus: s.free,
+            queued_jobs: s.waiting.len() + s.arrivals.len(),
             outstanding,
         }
     }
 
-    /// Reserve room for `additional` more events. Million-job drivers
-    /// pre-size the stream once instead of doubling through it.
-    pub fn reserve_events(&mut self, additional: usize) {
-        self.events.reserve(additional);
-    }
-
-    fn record(&mut self, time: f64, kind: EventKind) {
-        self.events.push(NodeEvent {
-            time,
-            node: self.node,
-            seq: self.seq,
-            kind,
-        });
-        self.seq += 1;
+    /// Reserve room in the event log for `jobs` more jobs: an arrival,
+    /// a start and a finish each when every placement covers one job,
+    /// and one arena slot per job. Million-job drivers pre-size the
+    /// stream once instead of doubling through it.
+    pub fn reserve_jobs(&mut self, jobs: usize) {
+        self.state.events.reserve(3 * jobs, jobs);
     }
 
     /// Move due arrivals onto the waiting queue.
     fn absorb_arrivals(&mut self) {
-        while let Some(j) = self.arrivals.front() {
-            if j.arrival <= self.clock + TIME_EPS {
-                let job = self.arrivals.pop_front().expect("peeked");
-                self.record(job.arrival, EventKind::Arrival { job: job.id });
-                self.waiting.push(job);
-                self.dirty = true;
-            } else {
-                break;
-            }
+        let s = &mut self.state;
+        while s
+            .arrivals
+            .front()
+            .is_some_and(|j| j.arrival <= s.clock + TIME_EPS)
+        {
+            let job = s.arrivals.pop_front().expect("peeked");
+            s.record(job.arrival, Tag::Arrival, job.id as u64, IdRange::NONE, 0);
+            s.waiting.push(job);
+            s.dirty = true;
         }
     }
 
     /// Let the dispatcher start as much as it wants at the current
     /// clock.
     fn dispatch(&mut self, suite: &Suite) {
-        while let Some(p) =
-            self.dispatcher
-                .next_placement(suite, &self.waiting, self.free, self.clock)
+        let s = &mut self.state;
+        while let Some(p) = self
+            .dispatcher
+            .next_placement(suite, &s.waiting, s.free, s.clock)
         {
-            assert!(p.gpus <= self.free, "dispatcher over-allocated");
+            assert!(p.gpus <= s.free, "dispatcher over-allocated");
             assert!(!p.job_ids.is_empty());
             // Resolve every placed id in one sweep of the queue, accrue
             // waits in placement order (the f64 sum order the old
@@ -308,7 +553,7 @@ impl<D: Dispatcher> NodeRun<D> {
             arrivals.clear();
             arrivals.resize(ids.len(), f64::NAN);
             let mut found = 0usize;
-            for j in &self.waiting {
+            for j in &s.waiting {
                 if let Some(k) = ids.iter().position(|id| *id == j.id) {
                     if arrivals[k].is_nan() {
                         arrivals[k] = j.arrival;
@@ -321,51 +566,41 @@ impl<D: Dispatcher> NodeRun<D> {
             }
             assert!(found == ids.len(), "placement references waiting job");
             for a in arrivals.iter() {
-                self.wait_sum += self.clock - a;
+                s.wait_sum += s.clock - a;
             }
-            self.waiting.retain(|j| !ids.contains(&j.id));
-            self.free -= p.gpus;
-            self.busy_gpu_seconds += p.duration * p.gpus as f64;
-            self.running
-                .push((self.clock + p.duration, p.gpus, p.job_ids.clone()));
-            self.placements += 1;
-            self.record(
-                self.clock,
-                EventKind::Start {
-                    job_ids: p.job_ids,
-                    gpus: p.gpus,
-                    duration: p.duration,
-                },
-            );
+            s.waiting.retain(|j| !ids.contains(&j.id));
+            s.free -= p.gpus;
+            s.busy_gpu_seconds += p.duration * p.gpus as f64;
+            // `p.gpus <= free <= n_gpus`, which fits.
+            let gpus = p.gpus as u16;
+            let ids = s
+                .events
+                .intern(ids)
+                .expect("a placement's job ids fit an event record");
+            self.running.push(Running {
+                finish: s.clock + p.duration,
+                gpus,
+                ids,
+            });
+            s.placements += 1;
+            s.record(s.clock, Tag::Start, p.duration.to_bits(), ids, gpus);
         }
     }
 
-    /// Release placements that finished by the current clock.
+    /// Release placements that finished by the current clock, in start
+    /// order (sequence numbers depend on it).
     fn release_finished(&mut self) {
-        // Stable in-place compaction: finish events are recorded in
-        // the same entry order as before (seq assignment depends on
-        // it) but without the per-release buffer allocation — this is
-        // the hottest loop at million-job scale.
-        let mut kept = 0;
-        for i in 0..self.running.len() {
-            if self.running[i].0 <= self.clock + TIME_EPS {
-                let (t, g, ids) = std::mem::replace(&mut self.running[i], (0.0, 0, Vec::new()));
-                self.free += g;
-                self.completed += ids.len();
-                self.record(
-                    t,
-                    EventKind::Finish {
-                        job_ids: ids,
-                        gpus: g,
-                    },
-                );
-                self.dirty = true;
-            } else {
-                self.running.swap(kept, i);
-                kept += 1;
+        let s = &mut self.state;
+        self.running.retain(|r| {
+            let due = r.finish <= s.clock + TIME_EPS;
+            if due {
+                s.free += usize::from(r.gpus);
+                s.completed += usize::from(r.ids.n);
+                s.record(r.finish, Tag::Finish, 0, r.ids, r.gpus);
+                s.dirty = true;
             }
-        }
-        self.running.truncate(kept);
+            !due
+        });
     }
 
     /// Advance the node through every event up to `horizon`.
@@ -385,27 +620,28 @@ impl<D: Dispatcher> NodeRun<D> {
             self.absorb_arrivals();
             // At the horizon: defer the dispatch to the next call (the
             // caller is about to push this instant's arrivals).
-            if self.clock + TIME_EPS >= horizon {
+            if self.state.clock + TIME_EPS >= horizon {
                 break;
             }
-            if self.dirty {
+            if self.state.dirty {
                 self.dispatch(suite);
-                self.dirty = false;
+                self.state.dirty = false;
             }
+            let s = &mut self.state;
             let next_finish = self
                 .running
                 .iter()
-                .map(|(t, _, _)| *t)
+                .map(|r| r.finish)
                 .fold(f64::INFINITY, f64::min);
-            let next_arrival = self.arrivals.front().map_or(f64::INFINITY, |j| j.arrival);
+            let next_arrival = s.arrivals.front().map_or(f64::INFINITY, |j| j.arrival);
             // A strictly-future wakeup hint (e.g. a backfill
             // reservation expiring) counts as an event: without it a
             // reservation could wedge an otherwise idle node forever.
             let wake = self
                 .dispatcher
-                .next_wakeup(self.clock)
+                .next_wakeup(s.clock)
                 .map_or(f64::INFINITY, |w| {
-                    if w > self.clock + TIME_EPS {
+                    if w > s.clock + TIME_EPS {
                         w
                     } else {
                         f64::INFINITY
@@ -417,21 +653,21 @@ impl<D: Dispatcher> NodeRun<D> {
                     break;
                 }
                 assert!(
-                    self.waiting.is_empty(),
+                    s.waiting.is_empty(),
                     "deadlock: {} jobs waiting, dispatcher idle",
-                    self.waiting.len()
+                    s.waiting.len()
                 );
                 break;
             }
             if next > horizon + TIME_EPS {
                 break;
             }
-            self.clock = next;
+            s.clock = next;
             self.release_finished();
             if wake <= next + TIME_EPS {
                 // The wakeup instant arrived: consult the dispatcher
                 // again even though no queue/pool event fired.
-                self.dirty = true;
+                self.state.dirty = true;
             }
         }
     }
@@ -439,18 +675,19 @@ impl<D: Dispatcher> NodeRun<D> {
     /// Finish the run: per-node counters plus the recorded event
     /// stream (and the dispatcher, for callers that want its state).
     #[must_use]
-    pub fn finish(self) -> (NodeStats, Vec<NodeEvent>, D) {
+    pub fn finish(self) -> (NodeStats, EventLog, D) {
+        let s = self.state;
         (
             NodeStats {
-                node: self.node,
-                jobs: self.jobs,
-                completed: self.completed,
-                placements: self.placements,
-                makespan: self.clock,
-                busy_gpu_seconds: self.busy_gpu_seconds,
-                wait_sum: self.wait_sum,
+                node: s.node,
+                jobs: s.jobs,
+                completed: s.completed,
+                placements: s.placements,
+                makespan: s.clock,
+                busy_gpu_seconds: s.busy_gpu_seconds,
+                wait_sum: s.wait_sum,
             },
-            self.events,
+            s.events,
             self.dispatcher,
         )
     }
@@ -459,14 +696,14 @@ impl<D: Dispatcher> NodeRun<D> {
     /// nothing waiting, no future arrivals queued.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.running.is_empty() && self.waiting.is_empty() && self.arrivals.is_empty()
+        self.running.is_empty() && self.state.waiting.is_empty() && self.state.arrivals.is_empty()
     }
 
     /// Whether the dispatcher must be consulted at the next advance
     /// (the queue or GPU pool changed since the last dispatch).
     #[must_use]
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.state.dirty
     }
 
     /// The dispatcher's strictly-future wakeup hint at the node's
@@ -477,8 +714,8 @@ impl<D: Dispatcher> NodeRun<D> {
     #[must_use]
     pub fn wakeup_hint(&self) -> Option<f64> {
         self.dispatcher
-            .next_wakeup(self.clock)
-            .filter(|w| *w > self.clock + TIME_EPS)
+            .next_wakeup(self.state.clock)
+            .filter(|w| *w > self.state.clock + TIME_EPS)
     }
 
     /// Shared access to the dispatcher (checkpointing reads its state).
@@ -487,68 +724,73 @@ impl<D: Dispatcher> NodeRun<D> {
         &self.dispatcher
     }
 
-    /// Snapshot the node's full interior state for serialization. The
-    /// dispatcher is not included — capture it separately through
-    /// [`NodeRun::dispatcher`].
+    /// The node's interior state, borrowed — what a checkpoint writes.
+    /// The dispatcher is not included (capture it through
+    /// [`NodeRun::dispatcher`]), nor are the running placements, which
+    /// are the log's open `Start`s ([`NodeRun::running`]).
     #[must_use]
-    pub fn export_state(&self) -> NodeRunState {
-        NodeRunState {
-            node: self.node,
-            n_gpus: self.n_gpus,
-            clock: self.clock,
-            free: self.free,
-            arrivals: self.arrivals.iter().cloned().collect(),
-            waiting: self.waiting.clone(),
-            running: self.running.clone(),
-            busy_gpu_seconds: self.busy_gpu_seconds,
-            wait_sum: self.wait_sum,
-            placements: self.placements,
-            jobs: self.jobs,
-            completed: self.completed,
-            seq: self.seq,
-            dirty: self.dirty,
-            events: self.events.clone(),
-        }
+    pub fn state(&self) -> &NodeRunState {
+        &self.state
     }
 
-    /// Rebuild a node mid-run from an exported state and a dispatcher
+    /// `(finish_time, gpus, job_ids)` of the running placements, in
+    /// start order.
+    pub fn running(&self) -> impl ExactSizeIterator<Item = (f64, usize, &[usize])> {
+        let log = &self.state.events;
+        self.running
+            .iter()
+            .map(move |r| (r.finish, usize::from(r.gpus), log.ids_at(r.ids)))
+    }
+
+    /// Rebuild a node mid-run from its interior state and a dispatcher
     /// restored to the matching point. The pair resumes bit-identically
-    /// to the run the state was captured from.
+    /// to the run the state was taken from; the placements still
+    /// running are the state's [open `Start`s](EventLog::open_starts).
     ///
     /// # Panics
-    /// Panics on inconsistent geometry (`n_gpus` zero or `free`
-    /// exceeding the pool).
+    /// Panics on inconsistent geometry (`n_gpus` zero, `free` exceeding
+    /// the pool, `node` or `n_gpus` past the 65 535 an event record
+    /// holds) and on a log in which a `Finish` closes no `Start`.
     #[must_use]
     pub fn from_state(state: NodeRunState, dispatcher: D) -> Self {
         assert!(state.n_gpus >= 1);
         assert!(state.free <= state.n_gpus, "more free GPUs than exist");
+        assert!(
+            state.node.max(state.n_gpus) <= usize::from(u16::MAX),
+            "node {} with {} GPUs does not fit an event record",
+            state.node,
+            state.n_gpus
+        );
+        let running = state
+            .events
+            .open_starts()
+            .expect("every Finish of a node's log closes a Start")
+            .into_iter()
+            .map(|index| {
+                let start = &state.events.records[index];
+                Running {
+                    finish: start.time + f64::from_bits(start.word),
+                    gpus: start.gpus,
+                    ids: start.ids,
+                }
+            })
+            .collect();
         Self {
-            node: state.node,
-            n_gpus: state.n_gpus,
             dispatcher,
-            clock: state.clock,
-            free: state.free,
-            arrivals: state.arrivals.into(),
-            waiting: state.waiting,
-            running: state.running,
-            busy_gpu_seconds: state.busy_gpu_seconds,
-            wait_sum: state.wait_sum,
-            placements: state.placements,
-            jobs: state.jobs,
-            completed: state.completed,
-            seq: state.seq,
-            dirty: state.dirty,
-            events: state.events,
+            state,
+            running,
             placed_arrivals: Vec::new(),
         }
     }
 }
 
-/// A [`NodeRun`]'s complete interior state, exported for live
-/// checkpointing (the `HRPS` snapshot in `hrp-serve`) and restored via
-/// [`NodeRun::from_state`]. Every field that influences the event
-/// stream is here — including the already-recorded events, so a merged
-/// timeline digest survives a kill/restore cycle bit-exactly.
+/// A [`NodeRun`]'s complete interior state: what live checkpointing
+/// (the `HRPS` snapshot in `hrp-serve`) writes from
+/// [`NodeRun::state`] and hands back to [`NodeRun::from_state`]. Every
+/// field that influences the event stream is here — including the
+/// already-recorded events, so a merged timeline digest survives a
+/// kill/restore cycle bit-exactly, and through them the running
+/// placements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeRunState {
     /// Node id.
@@ -560,11 +802,9 @@ pub struct NodeRunState {
     /// Currently idle GPUs.
     pub free: usize,
     /// Future arrivals, non-decreasing in time.
-    pub arrivals: Vec<ClusterJob>,
+    pub arrivals: VecDeque<ClusterJob>,
     /// Absorbed jobs awaiting dispatch.
     pub waiting: Vec<ClusterJob>,
-    /// `(finish_time, gpus, job_ids)` of running placements.
-    pub running: Vec<(f64, usize, Vec<usize>)>,
     /// `Σ duration × gpus` over placements so far.
     pub busy_gpu_seconds: f64,
     /// `Σ (start − arrival)` over placed jobs so far.
@@ -579,8 +819,25 @@ pub struct NodeRunState {
     pub seq: u64,
     /// Whether the dispatcher must be consulted at the next advance.
     pub dirty: bool,
-    /// Events recorded so far (not yet drained).
-    pub events: Vec<NodeEvent>,
+    /// Events recorded so far.
+    pub events: EventLog,
+}
+
+impl NodeRunState {
+    /// Record one event of this node under the next sequence number.
+    fn record(&mut self, time: f64, tag: Tag, word: u64, ids: IdRange, gpus: u16) {
+        self.events.records.push(Record {
+            time,
+            seq: self.seq,
+            word,
+            ids,
+            gpus,
+            // Checked when the `NodeRun` was built.
+            node: self.node as u16,
+            tag,
+        });
+        self.seq += 1;
+    }
 }
 
 /// Delegating shim so `&mut dyn Dispatcher` drives a [`NodeRun`].
@@ -644,13 +901,11 @@ impl ClusterSim {
         suite: &Suite,
         mut jobs: Vec<ClusterJob>,
         dispatcher: &mut dyn Dispatcher,
-    ) -> (ClusterReport, Vec<NodeEvent>) {
+    ) -> (ClusterReport, EventLog) {
         jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         let total_jobs = jobs.len();
         let mut node = NodeRun::new(0, self.n_gpus, DynDispatcher(dispatcher));
-        // One arrival per job plus at most one start and one finish
-        // event per job (windows batch several jobs per placement).
-        node.reserve_events(2 * total_jobs);
+        node.reserve_jobs(total_jobs);
         for job in jobs {
             node.push_arrival(job);
         }
@@ -792,8 +1047,9 @@ mod tests {
         assert_eq!(started, vec![0, 1, 2, 3]);
         // All four arrivals were recorded at the shared instant, before
         // any start.
-        assert!(events[..4]
+        assert!(events
             .iter()
+            .take(4)
             .all(|e| matches!(e.kind, EventKind::Arrival { .. }) && e.time == 5.0));
     }
 
@@ -812,7 +1068,10 @@ mod tests {
         assert_eq!(plain, traced);
         // 3 arrivals + 3 starts + 3 finishes, seq strictly increasing.
         assert_eq!(events.len(), 9);
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert!(events
+            .iter()
+            .zip(events.iter().skip(1))
+            .all(|(a, b)| a.seq < b.seq));
         assert!(events.iter().all(|e| e.node == 0));
     }
 
@@ -858,6 +1117,31 @@ mod tests {
             })
             .collect();
         assert_eq!(starts, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn an_event_record_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 40);
+    }
+
+    /// One-job placements are the worst case — three events and one
+    /// arena slot per job. The parent commit reserved two events per
+    /// job, so every batch run regrew its largest buffers once.
+    #[test]
+    fn a_log_reserved_for_its_jobs_never_regrows() {
+        let s = suite();
+        let mut node = NodeRun::new(0, 1, OneByOne);
+        node.reserve_jobs(8);
+        let room = |log: &EventLog| (log.records.capacity(), log.ids.capacity());
+        let reserved = room(&node.state.events);
+        for id in 0..8 {
+            node.push_arrival(ClusterJob::new(id, "stream", 0.0, 1, &s));
+        }
+        node.advance_until(&s, f64::INFINITY);
+        let log = &node.state.events;
+        // A finish names its start's ids: eight ids for sixteen lists.
+        assert_eq!((log.records.len(), log.ids.len()), (24, 8));
+        assert_eq!(room(log), reserved);
     }
 
     #[test]

@@ -362,15 +362,11 @@ impl<'a> Reader<'a> {
         Spec::parse(self.format, self.str()?)
     }
 
-    /// A count-prefixed sequence. `min_item_bytes` is the size of the
-    /// smallest encoding `item` can consume: a count the remaining
-    /// bytes cannot back is rejected *before* anything is reserved, so
-    /// the allocation is bounded by the blob, never by the count field.
-    pub fn seq<T>(
-        &mut self,
-        min_item_bytes: usize,
-        mut item: impl FnMut(&mut Self) -> Result<T, CheckpointError>,
-    ) -> Result<Vec<T>, CheckpointError> {
+    /// The count that prefixes a sequence. `min_item_bytes` is the size
+    /// of the smallest encoding one item can have: a count the remaining
+    /// bytes cannot back is rejected here, so whatever the caller
+    /// reserves for it is bounded by the blob, never by the count field.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, CheckpointError> {
         let n = self.size()?;
         if n > self.rest.len() / min_item_bytes.max(1) {
             return Err(CheckpointError::invalid(
@@ -381,6 +377,17 @@ impl<'a> Reader<'a> {
                 ),
             ));
         }
+        Ok(n)
+    }
+
+    /// A count-prefixed sequence ([`Reader::count`], then `item` that
+    /// many times) collected into a `Vec`.
+    pub fn seq<T>(
+        &mut self,
+        min_item_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.count(min_item_bytes)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let before = self.rest.len();

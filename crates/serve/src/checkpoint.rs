@@ -14,9 +14,10 @@
 //! position, the admission knobs, the logical counters, and the
 //! last-cycle instant as raw bits. The body carries what must survive
 //! *verbatim*: the service's one-job lookahead, every node's in-flight
-//! [`NodeRunState`] (running placements, waiting queue, undrained
+//! [`NodeRunState`] and running placements (waiting queue, recorded
 //! events, clocks — f64s as bit patterns, since re-deriving sums would
-//! not reproduce them), the load snapshots, per-node dispatcher
+//! not reproduce them; written from the borrowed node, never from a
+//! clone of it), the load snapshots, per-node dispatcher
 //! bookkeeping ([`BackfillState`] or the co-scheduling window
 //! counter), for the policy selector the agent's embedded `HRPP` blob,
 //! and for the admission tier the fair-share snapshot, the rolling
@@ -33,8 +34,11 @@
 //! and in range (a forged source position past the trace, a zero
 //! quota, a non-finite rate), every job record must name a benchmark
 //! of the suite and fit a node, every node record must satisfy the
-//! preconditions of [`NodeRun::from_state`](hrp_cluster::sim::NodeRun::from_state)
-//! and [`ClusterDrive::from_states`] *before* they are called, and the
+//! preconditions of [`NodeRun::from_state`]
+//! and [`ClusterDrive::from_states`] *before* they are called — down to
+//! its event log being one a node records and its running placements
+//! being that log's open `Start`s, which is what a node resumes from —
+//! and the
 //! admission ledger must balance, release for in-flight job — a
 //! hostile blob surfaces as a [`CheckpointError`], never as a builder
 //! assert or a panic at the next dispatch or the next release.
@@ -51,7 +55,9 @@ use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NODES};
 use hrp_cluster::place::{PlacementDispatcher, PlacementExperiment};
 use hrp_cluster::select::{NodeLoad, RoundRobin, SelectorKind};
-use hrp_cluster::sim::{Dispatcher, EventKind, NodeEvent, NodeRunState};
+use hrp_cluster::sim::{
+    Dispatcher, EventKind, EventLog, NodeEvent, NodeRun, NodeRunState, TIME_EPS,
+};
 use hrp_cluster::trace::{TraceConfig, TraceKind};
 pub use hrp_core::codec::CheckpointError;
 use hrp_core::codec::{ensure, Reader, Spec, SpecWriter, Writer};
@@ -127,7 +133,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         }
         for node in 0..self.cfg.nodes {
             self.drive.with_node(node, |run| {
-                put_node_state(&mut w, self.suite, &run.export_state());
+                put_node_state(&mut w, self.suite, run);
                 put_load(&mut w, &self.drive.loads()[node]);
                 put_dispatcher(&mut w, run.dispatcher());
             });
@@ -266,6 +272,7 @@ pub fn restore(
         last_cycle,
         stats,
         latencies: Vec::new(),
+        burst: Vec::new(),
         admission,
         walk_owed: true,
     })
@@ -399,7 +406,8 @@ fn get_ids(r: &mut Reader<'_>) -> Result<Vec<usize>, CheckpointError> {
     r.seq(8, Reader::usize)
 }
 
-fn put_node_state(w: &mut Writer, suite: &Suite, state: &NodeRunState) {
+fn put_node_state<D: Dispatcher>(w: &mut Writer, suite: &Suite, run: &NodeRun<D>) {
+    let state = run.state();
     w.f64(state.clock);
     w.size(state.free);
     w.f64(state.busy_gpu_seconds);
@@ -411,24 +419,28 @@ fn put_node_state(w: &mut Writer, suite: &Suite, state: &NodeRunState) {
     w.u8(u8::from(state.dirty));
     w.seq(state.arrivals.iter(), |w, job| put_job(w, suite, job));
     w.seq(state.waiting.iter(), |w, job| put_job(w, suite, job));
-    w.seq(state.running.iter(), |w, (finish, gpus, ids)| {
-        w.f64(*finish);
-        w.size(*gpus);
+    w.seq(run.running(), |w, (finish, gpus, ids)| {
+        w.f64(finish);
+        w.size(gpus);
         put_ids(w, ids);
     });
     w.seq(state.events.iter(), put_event);
 }
 
-/// One node record, held to the preconditions of `NodeRun::from_state`
-/// before it runs: the free GPUs and the GPUs of the running
-/// placements must add up to exactly the node's pool.
+/// One node record, held to what a `NodeRun` can export before
+/// `NodeRun::from_state` runs: the free GPUs and the GPUs of the
+/// running placements add up to exactly the node's pool, the event log
+/// is one a node records ([`get_events`]), and the running placements
+/// are that log's open `Start`s, in order — `from_state` resumes from
+/// those, so a record that disagreed with its own log would drain to a
+/// timeline no service can reach.
 fn get_node_state(
     r: &mut Reader<'_>,
     node: usize,
     jobs: JobBounds<'_>,
 ) -> Result<NodeRunState, CheckpointError> {
     let gpus_per_node = jobs.gpus_per_node;
-    let state = NodeRunState {
+    let mut state = NodeRunState {
         node,
         n_gpus: gpus_per_node,
         clock: r.f64()?,
@@ -440,13 +452,14 @@ fn get_node_state(
         completed: r.usize()?,
         seq: r.u64()?,
         dirty: r.u8()? != 0,
-        arrivals: r.seq(JOB_MIN, |r| get_job(r, jobs))?,
+        arrivals: r.seq(JOB_MIN, |r| get_job(r, jobs))?.into(),
         waiting: r.seq(JOB_MIN, |r| get_job(r, jobs))?,
-        running: r.seq(8 + 4 + 4, |r| Ok((r.f64()?, r.size()?, get_ids(r)?)))?,
-        events: r.seq(8 + 8 + 1 + 8, |r| get_event(r, node))?,
+        events: EventLog::default(),
     };
-    let held = state
-        .running
+    let running = r.seq(8 + 4 + 4, |r| Ok((r.f64()?, r.size()?, get_ids(r)?)))?;
+    get_events(r, &mut state)?;
+
+    let held = running
         .iter()
         .try_fold(state.free, |sum, (_, gpus, _)| sum.checked_add(*gpus));
     ensure(MAGIC, held == Some(gpus_per_node), || {
@@ -456,16 +469,37 @@ fn get_node_state(
             state.free
         )
     })?;
+    let open = state.events.open_starts().map_err(|index| {
+        let what = format!("node {node}: event {index} finishes a placement no event started");
+        CheckpointError::invalid(MAGIC, what)
+    })?;
+    let open = open.iter().map(|&index| state.events.get(index));
+    let resumable = open.len() == running.len()
+        && open.zip(&running).all(|(start, (finish, gpus, ids))| {
+            matches!(
+                start.kind,
+                EventKind::Start { job_ids, gpus: held, duration }
+                    if job_ids == ids.as_slice()
+                        && held == *gpus
+                        && finish.is_finite()
+                        && (start.time + duration).to_bits() == finish.to_bits()
+            )
+        });
+    ensure(MAGIC, resumable, || {
+        format!("node {node}: the running placements are not the open starts of its event log")
+    })?;
     Ok(state)
 }
+/// Smallest encoding of an event (an arrival).
+const EVENT_MIN: usize = 8 + 8 + 1 + 8;
 
-fn put_event(w: &mut Writer, event: &NodeEvent) {
+fn put_event(w: &mut Writer, event: NodeEvent<'_>) {
     w.f64(event.time);
     w.u64(event.seq);
-    match &event.kind {
+    match event.kind {
         EventKind::Arrival { job } => {
             w.u8(0);
-            w.usize(*job);
+            w.usize(job);
         }
         EventKind::Start {
             job_ids,
@@ -473,45 +507,89 @@ fn put_event(w: &mut Writer, event: &NodeEvent) {
             duration,
         } => {
             w.u8(1);
-            w.size(*gpus);
-            w.f64(*duration);
+            w.size(gpus);
+            w.f64(duration);
             put_ids(w, job_ids);
         }
         EventKind::Finish { job_ids, gpus } => {
             w.u8(2);
-            w.size(*gpus);
+            w.size(gpus);
             put_ids(w, job_ids);
         }
     }
 }
 
-fn get_event(r: &mut Reader<'_>, node: usize) -> Result<NodeEvent, CheckpointError> {
-    let time = r.f64()?;
-    let seq = r.u64()?;
-    let kind = match r.u8()? {
-        0 => EventKind::Arrival { job: r.usize()? },
-        1 => EventKind::Start {
-            gpus: r.size()?,
-            duration: r.f64()?,
-            job_ids: get_ids(r)?,
-        },
-        2 => EventKind::Finish {
-            gpus: r.size()?,
-            job_ids: get_ids(r)?,
-        },
-        tag => {
-            return Err(CheckpointError::invalid(
-                MAGIC,
-                format!("unknown event tag {tag}"),
-            ))
-        }
-    };
-    Ok(NodeEvent {
-        time,
-        node,
-        seq,
-        kind,
-    })
+/// A node's event log, held to what its `NodeRun` records: sequence
+/// numbers counting from zero up to the node's next one, every instant
+/// finite and no later than the node's clock, every placement on
+/// `1..=pool` GPUs with at least one job, every value inside the
+/// record's field widths.
+fn get_events(r: &mut Reader<'_>, state: &mut NodeRunState) -> Result<(), CheckpointError> {
+    let node = state.node;
+    let n = r.count(EVENT_MIN)?;
+    ensure(MAGIC, state.seq == n as u64, || {
+        format!(
+            "node {node}: {n} events recorded, the next is number {}",
+            state.seq
+        )
+    })?;
+    state.events.reserve(n, 0);
+    for index in 0..n {
+        let time = r.f64()?;
+        let seq = r.u64()?;
+        let ids;
+        let kind = match r.u8()? {
+            0 => EventKind::Arrival { job: r.usize()? },
+            1 => {
+                let (gpus, duration) = (r.size()?, r.f64()?);
+                ids = get_ids(r)?;
+                EventKind::Start {
+                    job_ids: &ids,
+                    gpus,
+                    duration,
+                }
+            }
+            2 => {
+                let gpus = r.size()?;
+                ids = get_ids(r)?;
+                EventKind::Finish {
+                    job_ids: &ids,
+                    gpus,
+                }
+            }
+            tag => {
+                return Err(CheckpointError::invalid(
+                    MAGIC,
+                    format!("unknown event tag {tag}"),
+                ))
+            }
+        };
+        let placed = match kind {
+            EventKind::Arrival { .. } => true,
+            EventKind::Start { job_ids, gpus, .. } | EventKind::Finish { job_ids, gpus } => {
+                !job_ids.is_empty() && (1..=state.n_gpus).contains(&gpus)
+            }
+        };
+        let event = NodeEvent {
+            time,
+            node,
+            seq,
+            kind,
+        };
+        let recorded =
+            seq == index as u64 && time.is_finite() && time <= state.clock + TIME_EPS && placed;
+        ensure(MAGIC, recorded, || {
+            format!(
+                "node {node}: {event:?} as event {index} of a {}-GPU node at {}",
+                state.n_gpus, state.clock
+            )
+        })?;
+        state.events.push(event).map_err(|field| {
+            let what = format!("node {node}: event {index}: {field} past an event record's width");
+            CheckpointError::invalid(MAGIC, what)
+        })?;
+    }
+    Ok(())
 }
 
 fn put_load(w: &mut Writer, load: &NodeLoad) {

@@ -24,7 +24,11 @@
 //! [`FairShare::advance_to`] pops one of its estimated completions, so
 //! a cycle in which it pops none leaves the queue alone (checked with a
 //! `debug_assert!` on every such cycle, and established by one
-//! unconditional walk after the service is built or restored).
+//! unconditional walk after the service is built or restored). When
+//! the walk runs it is decided in place — one `retain_mut` over the
+//! parked queue — and a cycle groups and orders its burst in buffers
+//! the service and the ledger keep, so a cycle that parks everything it
+//! is handed allocates nothing.
 //! Admission state checkpoints alongside everything else, so
 //! kill/restore reproduces the decisions bit-exactly.
 //!
@@ -570,6 +574,9 @@ pub struct SchedulerService<'a, S: ArrivalSource> {
     pub(crate) last_cycle: f64,
     pub(crate) stats: ServeStats,
     pub(crate) latencies: Vec<f64>,
+    /// The buffer [`SchedulerService::step`] groups each burst in, empty
+    /// between cycles.
+    pub(crate) burst: Vec<ClusterJob>,
     /// The admission tier, when [`ServeConfig::admission`] is on.
     pub(crate) admission: Option<AdmissionState>,
     /// The parked queue has not been walked since this service was
@@ -640,6 +647,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             last_cycle: 0.0,
             stats: ServeStats::default(),
             latencies: Vec::new(),
+            burst: Vec::new(),
             admission,
             walk_owed: true,
         }
@@ -668,6 +676,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             last_cycle: 0.0,
             stats: ServeStats::default(),
             latencies: Vec::new(),
+            burst: Vec::new(),
             admission,
             walk_owed: true,
         }
@@ -754,7 +763,8 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         // Group the burst: every immediately-available job at the
         // bitwise-same instant (the grouping the batch epoch driver
         // uses), holding the first later arrival as lookahead.
-        let mut burst = vec![head];
+        let mut burst = std::mem::take(&mut self.burst);
+        burst.push(head);
         while let SourcePoll::Job(job) = self.source.poll() {
             if job.arrival.total_cmp(&t).is_eq() {
                 burst.push(job);
@@ -764,14 +774,15 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             }
         }
         let jobs = burst.len();
-        self.cycle(t, burst);
+        self.cycle(t, &mut burst);
+        self.burst = burst;
         ServiceStep::Cycle { time: t, jobs }
     }
 
     /// One scheduling cycle at instant `t`: advance the non-quiescent
     /// nodes, run the admission tier (if on), then route every
-    /// admitted job of the burst.
-    fn cycle(&mut self, t: f64, mut burst: Vec<ClusterJob>) {
+    /// admitted job of the burst, which is left empty.
+    fn cycle(&mut self, t: f64, burst: &mut Vec<ClusterJob>) {
         self.stats.cycles += 1;
         self.advance_cluster(t);
         if self.admission.is_some() {
@@ -782,13 +793,13 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             // order. Both steps are pure functions of the admission
             // state, so every engine/mode replays them identically.
             self.revisit_deferred(t);
-            let adm = self.admission.as_ref().expect("admission is on");
-            adm.share.order_burst(t, &mut burst);
-            for job in burst {
-                self.consider(t, job, true);
+            let adm = self.admission.as_mut().expect("admission is on");
+            adm.share.order_burst(t, burst);
+            for job in burst.drain(..) {
+                self.consider(t, job);
             }
         } else {
-            for job in burst {
+            for job in burst.drain(..) {
                 self.place_job(job);
             }
         }
@@ -816,6 +827,13 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// walk would put every job back where it was, and is skipped —
     /// except the first one after the service was built or restored,
     /// which is what establishes the invariant for a decoded queue.
+    ///
+    /// The walk is decided in place: the ledger's half of each decision
+    /// (quota check, admission, arrival rewrite) runs inside one
+    /// `retain_mut` over the parked queue, logging the jobs it lets
+    /// through on the effective trace; the digest and the selector then
+    /// see those jobs in the same order. Neither half reads what the
+    /// other writes, so the outcome is the one of deciding job by job.
     fn revisit_deferred(&mut self, t: f64) {
         let adm = self.admission.as_mut().expect("admission is on");
         let released = adm.share.advance_to(t);
@@ -824,33 +842,50 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             debug_assert!(adm.deferred.iter().all(|j| adm.share.over_quota(j.user)));
             return;
         }
-        let parked = std::mem::take(&mut adm.deferred);
-        for job in parked {
-            self.consider(t, job, false);
+        let suite = self.suite;
+        let first = adm.effective.len();
+        let AdmissionState {
+            share,
+            deferred,
+            effective,
+            ..
+        } = adm;
+        deferred.retain_mut(|job| {
+            if share.over_quota(job.user) {
+                return true;
+            }
+            let release_at = t + job.solo_time(suite);
+            share.admit(job.user, fair::job_cost(suite, job), release_at);
+            job.arrival = t;
+            effective.push(job.clone());
+            false
+        });
+        for index in first..effective.len() {
+            let adm = self.admission.as_mut().expect("admission is on");
+            let job = adm.effective[index].clone();
+            adm.record(&job, t);
+            self.place_job(job);
         }
     }
 
-    /// One admission decision at instant `t`: reject (fresh arrivals
-    /// whose projected slowdown breaks the SLO), defer (tenant at
-    /// quota), or admit — charging karma, scheduling the estimated
-    /// release, and placing the job with its arrival rewritten to the
-    /// admission instant (the effective arrival the batch oracle
-    /// replays).
-    fn consider(&mut self, t: f64, mut job: ClusterJob, fresh: bool) {
-        let acfg = self.cfg.admission.clone().expect("admission is on");
+    /// One admission decision on a fresh arrival at instant `t`: reject
+    /// (projected slowdown breaks the SLO), defer (tenant at quota), or
+    /// admit — charging karma, scheduling the estimated release, and
+    /// placing the job with its arrival rewritten to the admission
+    /// instant (the effective arrival the batch oracle replays).
+    fn consider(&mut self, t: f64, mut job: ClusterJob) {
+        let slo = self.cfg.admission.as_ref().expect("admission is on").slo;
         let work = job.solo_time(self.suite);
-        if fresh && acfg.slo.is_finite() {
+        if slo.is_finite() {
             let wait = self.projected_wait(&job);
-            if (wait + work) / work > acfg.slo {
+            if (wait + work) / work > slo {
                 self.stats.rejected += 1;
                 return;
             }
         }
         let adm = self.admission.as_mut().expect("admission is on");
         if adm.share.over_quota(job.user) {
-            if fresh {
-                self.stats.deferred += 1;
-            }
+            self.stats.deferred += 1;
             adm.deferred.push_back(job);
             return;
         }

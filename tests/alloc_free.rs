@@ -22,12 +22,15 @@
 //! `BackfillPlanner::next_placement`, the node-local decision of the
 //! DES, refills one profile it owns: a decision that starts nothing
 //! allocates nothing, one that places allocates the `Placement::job_ids`
-//! `Vec` it hands out — and nothing else.
+//! `Vec` it hands out — and nothing else. A `NodeRun` advancing through
+//! such decisions records every arrival, start and finish in its event
+//! log; over a reserved log that adds no allocation at all.
 //!
 //! An overloaded `SchedulerService` is audited the same way: a cycle in
-//! which no estimated release falls due leaves the parked queue alone
-//! and finds every saturated node's planner with nothing to plan, so
-//! all it may allocate is the buffer it groups its arrival burst in.
+//! which no estimated release falls due leaves the parked queue alone,
+//! finds every saturated node's planner with nothing to plan, and
+//! groups and orders its arrival burst in buffers the service keeps —
+//! so it allocates nothing.
 //!
 //! The counter is **thread-local**: only allocations performed by the
 //! audited code path itself are counted, so background harness
@@ -38,7 +41,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
-use hrp::cluster::sim::Dispatcher;
+use hrp::cluster::sim::{Dispatcher, NodeRun};
 use hrp::cluster::slots::TreeSlotSet;
 use hrp::cluster::{ClusterJob, SelectorKind};
 use hrp::core::cluster_env::{NodeLoad, PolicySelector};
@@ -292,7 +295,40 @@ fn backfill_decisions_allocate_their_placement_only() {
 }
 
 #[test]
-fn overloaded_service_cycles_without_a_release_allocate_their_burst_only() {
+fn a_node_advance_over_a_reserved_log_allocates_its_placements_only() {
+    const JOBS: usize = 64;
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let planner = BackfillPlanner::new(BackfillPolicy::Easy, 2).with_walltime_err(0.3);
+    let mut node = NodeRun::new(0, 2, planner);
+    node.reserve_jobs(JOBS);
+    for id in 0..JOBS {
+        node.push_arrival(ClusterJob {
+            id,
+            bench: id % suite.len(),
+            arrival: 0.0,
+            gpus: 1,
+            user: 0,
+        });
+    }
+    // Warm-up: the whole queue is absorbed (sizing the waiting list) and
+    // the first two jobs start (sizing the running set, the dispatch
+    // scratch and the planner's books).
+    node.advance_until(&suite, 1e-3);
+    let started = node.state().placements;
+    assert_eq!((started, node.state().events.len()), (2, JOBS + 2));
+
+    let n = count_allocs(|| node.advance_until(&suite, f64::INFINITY));
+    let (stats, events, _) = node.finish();
+    assert_eq!((stats.completed, events.len()), (JOBS, 3 * JOBS));
+    assert_eq!(
+        n,
+        (stats.placements - started) as u64,
+        "one `job_ids` per placement; recording its start and finish is free"
+    );
+}
+
+#[test]
+fn overloaded_service_cycles_without_a_release_do_not_allocate() {
     const TENANTS: usize = 4;
     const PARKED: usize = 40;
     const CYCLES: usize = 6;
@@ -321,8 +357,9 @@ fn overloaded_service_cycles_without_a_release_allocate_their_burst_only() {
     }
     assert_eq!(service.deferred_jobs(), PARKED);
     // ... and every arrival of the audited cycles, sent ahead of them:
-    // the channel allocates on this thread too.
-    for cycle in 0..CYCLES {
+    // the channel allocates on this thread too. The first burst is one
+    // more warm-up: the single-job cycles above never ordered a burst.
+    for cycle in 0..=CYCLES {
         (0..BURST).for_each(|_| submit(1.0 + cycle as f64 * 1e-3));
     }
 
@@ -332,22 +369,22 @@ fn overloaded_service_cycles_without_a_release_allocate_their_burst_only() {
     assert_eq!(service.stats().wake_cycles, idle + REPS as u64);
     assert_eq!(n, 0, "idle cycles with {PARKED} jobs parked allocated {n}x");
 
-    // Arrival cycles: each groups its burst (one allocation for the
-    // first job, one regrowth for the rest), orders it by karma and
-    // parks it, every tenant being at quota. The parked queue has room
-    // for these bursts since it last doubled.
+    // Arrival cycles: each groups its burst, orders it by karma and
+    // parks it, every tenant being at quota — in the service's burst
+    // buffer and the ledger's ordering scratch. The parked queue has
+    // room for these bursts since it last doubled.
+    assert!(matches!(
+        service.step(),
+        ServiceStep::Cycle { jobs: BURST, .. }
+    ));
     let n = count_allocs(|| {
         for _ in 0..CYCLES {
             let step = service.step();
             assert!(matches!(step, ServiceStep::Cycle { jobs: BURST, .. }));
         }
     });
-    assert_eq!(service.deferred_jobs(), PARKED + CYCLES * BURST);
-    assert_eq!(
-        n,
-        2 * CYCLES as u64,
-        "arrival cycles may allocate their burst buffer only"
-    );
+    assert_eq!(service.deferred_jobs(), PARKED + (1 + CYCLES) * BURST);
+    assert_eq!(n, 0, "arrival cycles that park their burst allocated {n}x");
 }
 
 #[test]

@@ -74,7 +74,10 @@ fn selector_for(policy: BackfillPolicy) -> SelectorKind {
 /// Walk one node's events in merge order and check the occupancy
 /// invariant: claimed GPUs never exceed the node's total, never go
 /// negative, and drain back to zero. Returns the peak.
-fn check_occupancy(events: &[&NodeEvent], total: usize) -> Result<usize, String> {
+fn check_occupancy<'a>(
+    events: impl Iterator<Item = NodeEvent<'a>>,
+    total: usize,
+) -> Result<usize, String> {
     let mut occ = 0usize;
     let mut peak = 0usize;
     for e in events {
@@ -121,9 +124,9 @@ proptest! {
         // No start before arrival — walltime-estimate error perturbs
         // *planning*, never the arrival process.
         let arrival: Vec<f64> = shape.iter().map(|(_, slot, _)| f64::from(*slot) * 3.0).collect();
-        for e in &report.timeline.events {
+        for e in report.timeline.events.iter() {
             if let EventKind::Start { job_ids, .. } = &e.kind {
-                for id in job_ids {
+                for id in job_ids.iter() {
                     prop_assert!(
                         e.time >= arrival[*id] - 1e-9,
                         "job {} started at {} before its arrival {}",
@@ -135,15 +138,14 @@ proptest! {
         // No double-booked GPU on any node, and conservation: every
         // job arrives, starts, and finishes exactly once.
         for node in 0..nodes {
-            let evs: Vec<&NodeEvent> =
-                report.timeline.events.iter().filter(|e| e.node == node).collect();
-            if let Err(msg) = check_occupancy(&evs, GPUS) {
+            let evs = report.timeline.events.iter().filter(|e| e.node == node);
+            if let Err(msg) = check_occupancy(evs, GPUS) {
                 prop_assert!(false, "node {}: {} ({:?}, err {})", node, msg, policy, err);
             }
         }
         let n = shape.len();
         let mut seen = [vec![0usize; n], vec![0usize; n], vec![0usize; n]];
-        for e in &report.timeline.events {
+        for e in report.timeline.events.iter() {
             match &e.kind {
                 EventKind::Arrival { job } => seen[0][*job] += 1,
                 EventKind::Start { job_ids, .. } => job_ids.iter().for_each(|id| seen[1][*id] += 1),
@@ -206,9 +208,9 @@ proptest! {
             let mut d = BackfillPlanner::new(policy, GPUS);
             let (_, events) = ClusterSim::new(GPUS).run_traced(&s, trace(&s, &shape), &mut d);
             let mut starts = vec![f64::NAN; shape.len()];
-            for e in &events {
+            for e in events.iter() {
                 if let EventKind::Start { job_ids, .. } = &e.kind {
-                    for id in job_ids {
+                    for id in job_ids.iter() {
                         starts[*id] = e.time;
                     }
                 }
@@ -246,7 +248,7 @@ proptest! {
         // window with more than the leftover capacity.
         let mut occ = 0usize;
         let mut prev = f64::NEG_INFINITY;
-        for e in &events {
+        for e in events.iter() {
             let overlap = res_end.min(e.time) - res_start.max(prev);
             if overlap > 1e-6 {
                 prop_assert!(

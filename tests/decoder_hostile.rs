@@ -514,7 +514,13 @@ fn backlogged_blob(suite: &Suite) -> Vec<u8> {
 
 /// [`backlogged_blob`] over an explicitly built planner.
 fn backlogged_blob_over(suite: &Suite, planner: BackfillPlanner) -> Vec<u8> {
-    let trace = TraceConfig::new(TraceKind::Bursty, 20, 3).mean_gap(0.5);
+    one_node_blob(suite, planner, 0.5)
+}
+
+/// A 1 × 2 EASY service fed ten jobs of a burst train `mean_gap` apart
+/// and settled at its last cycle.
+fn one_node_blob(suite: &Suite, planner: BackfillPlanner, mean_gap: f64) -> Vec<u8> {
+    let trace = TraceConfig::new(TraceKind::Bursty, 20, 3).mean_gap(mean_gap);
     let source = TraceSource::new(suite, trace);
     let mut planner = Some(planner);
     let mut svc = SchedulerService::with_dispatchers(
@@ -838,4 +844,147 @@ fn a_parked_job_under_quota_restores_and_goes_through_at_once() {
         (0xbe39_0fb4_7d63_ef15, 0xaab0_710c_0944_cf01),
         "the drain the parent commit produces"
     );
+}
+
+/// Where node 0's record keeps its running placements and its event log
+/// in an `HRPS` body: `[lookahead job] | clock f64 | free u32 | busy f64
+/// | wait f64 | placements u64 | jobs u64 | completed u64 | seq u64 |
+/// dirty u8 | n job* | n job* | n (finish f64, gpus u32, n id u64*)* |
+/// n event*`, an event being `time f64 | seq u64 | tag u8` and then
+/// `job u64` (0, arrival), `gpus u32 | duration f64 | n id u64*` (1,
+/// start) or `gpus u32 | n id u64*` (2, finish).
+struct NodeLogAt {
+    /// The node's next sequence number.
+    seq: usize,
+    /// First running placement (`finish`); its first job id is 16 on.
+    running: usize,
+    /// `(offset of the event's time, tag)` of every event.
+    events: Vec<(usize, u8)>,
+}
+
+fn node_log_at(blob: &[u8]) -> NodeLogAt {
+    let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
+    let spec_len = u32_at(8);
+    let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
+    let job = |at: usize| at + 32 + 4 + u32_at(at + 32);
+    let jobs = |at: usize| (0..u32_at(at)).fold(at + 4, |at, _| job(at));
+    let ids = |at: usize| at + 4 + 8 * u32_at(at);
+    let mut at = 12 + spec_len;
+    if spec.lines().any(|line| line == "has_lookahead=1") {
+        at = job(at);
+    }
+    let seq = at + 8 + 4 + 8 + 8 + 8 + 8 + 8;
+    at = jobs(jobs(seq + 8 + 1));
+    let running = at + 4;
+    at = (0..u32_at(at)).fold(running, |at, _| ids(at + 12));
+    let mut events = Vec::new();
+    let count = u32_at(at);
+    at += 4;
+    for _ in 0..count {
+        let tag = blob[at + 16];
+        events.push((at, tag));
+        at = match tag {
+            0 => at + 17 + 8,
+            1 => ids(at + 17 + 4 + 8),
+            _ => ids(at + 17 + 4),
+        };
+    }
+    NodeLogAt {
+        seq,
+        running,
+        events,
+    }
+}
+
+/// Parent commit: every one of these restored (1 460 bytes re-encoded),
+/// resumed from the forged record and drained to the end — GPUs held
+/// that the node does not have, a timeline with a hole in its sequence
+/// numbers or an event at `NaN`, a node whose log and running set tell
+/// two stories: twelve digests of timelines no service can reach. The
+/// decoder now holds a node's log and running set to what a `NodeRun`
+/// can export. Fed at a slower pace than the backlogged one, the 1 x 2
+/// service has two placements running (one job each) behind finished
+/// ones, so its log has every kind of event, open and closed.
+#[test]
+fn forged_event_logs_are_typed_errors() {
+    let s = suite();
+    let blob = one_node_blob(&s, BackfillPlanner::new(BackfillPolicy::Easy, 2), 6.0);
+    let at = node_log_at(&blob);
+    let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+    let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+    let of_tag = |tag: u8| at.events.iter().filter(move |e| e.1 == tag).map(|e| e.0);
+    assert_eq!(u64_at(at.seq), at.events.len() as u64);
+    assert_eq!((u32_at(at.running - 4), u32_at(at.running + 12)), (2, 1));
+    // A start some finish closes, that finish, and a start still open.
+    let finish = of_tag(2).next().expect("something has finished");
+    let finished = u64_at(finish + 17 + 4 + 4);
+    let closed = of_tag(1)
+        .find(|&start| u64_at(start + 17 + 16) == finished)
+        .expect("what finished had started");
+    let open = of_tag(1)
+        .find(|&start| u64_at(start + 17 + 16) == u64_at(at.running + 16))
+        .expect("what runs had started");
+    let arrival = of_tag(0).next().expect("something arrived");
+    let third = at.events[2].0;
+
+    let nan = f64::NAN.to_le_bytes();
+    let later = 1e9f64.to_le_bytes();
+    let forgeries: [(&str, usize, &[u8]); 12] = [
+        ("a start on zero GPUs", closed + 17, &[0; 4]),
+        ("a start wider than the node", closed + 17, &[3, 0, 0, 0]),
+        (
+            "a start wider than what runs of it",
+            open + 17,
+            &[2, 0, 0, 0],
+        ),
+        ("a finish wider than the node", finish + 17, &[3, 0, 0, 0]),
+        ("a gap in the sequence numbers", third + 8, &[7, 0, 0, 0]),
+        ("more events than the node numbered", at.seq, &[0xff; 4]),
+        ("an event at NaN", arrival, &nan),
+        ("an event after the node's clock", arrival, &later),
+        (
+            "a finish of a job that never started",
+            finish + 25,
+            &[0xee; 4],
+        ),
+        ("a finish at another instant than its start's", finish, &[1]),
+        (
+            "a running job its start does not name",
+            at.running + 16,
+            &[0xee; 4],
+        ),
+        (
+            "a running placement due at another instant",
+            at.running,
+            &later,
+        ),
+    ];
+    for (what, at, bytes) in forgeries {
+        let mut forged = blob.clone();
+        forged[at..at + bytes.len()].copy_from_slice(bytes);
+        let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
+        let err = outcome.map(|ok| ok.len()).expect_err(what);
+        assert!(
+            err.contains("HRPS") && err.contains("node 0"),
+            "{what}: '{err}'"
+        );
+        assert!(
+            peak <= ALLOC_FLOOR + ALLOC_PER_BYTE * blob.len(),
+            "{what}: asked for {peak} bytes at once"
+        );
+    }
+
+    // Job ids are not narrowed on the way in: one past 2^32, forged
+    // consistently into a finished job's arrival, start and finish,
+    // comes back out bit for bit.
+    let wide = (finished | 1 << 40).to_le_bytes();
+    let mut forged = blob.clone();
+    for id_at in [closed + 17 + 16, finish + 17 + 8]
+        .into_iter()
+        .chain(of_tag(0).map(|a| a + 17).filter(|&a| u64_at(a) == finished))
+    {
+        forged[id_at..id_at + 8].copy_from_slice(&wide);
+    }
+    assert_ne!(forged, blob);
+    assert_eq!(decode_hrps(&s, forged.clone()), Ok(forged));
 }

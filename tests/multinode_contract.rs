@@ -147,9 +147,9 @@ proptest! {
         let mut arrived = vec![0usize; n];
         let mut started = vec![0usize; n];
         let mut finished = vec![0usize; n];
-        for e in &report.timeline.events {
-            match &e.kind {
-                EventKind::Arrival { job } => arrived[*job] += 1,
+        for e in report.timeline.events.iter() {
+            match e.kind {
+                EventKind::Arrival { job } => arrived[job] += 1,
                 EventKind::Start { job_ids, .. } => {
                     for id in job_ids {
                         started[*id] += 1;

@@ -5,8 +5,10 @@
 //! (`BackfillPlanner`), and one function body constructs node-local
 //! dispatchers (`PlacementDispatcher::new`, over the one `NODE_W` /
 //! `NODE_CMAX` pair) — training, batch evaluation, `repro` and
-//! `hrp-serve` all go through it. A second copy of any of them would
-//! first show up as one of the patterns below.
+//! `hrp-serve` all go through it — and one representation of an event
+//! stream (`sim::EventLog`, read through borrowed `NodeEvent` views). A
+//! second copy of any of them would first show up as one of the
+//! patterns below.
 
 mod scan;
 use scan::{crate_src_dirs, non_test_hits, rust_sources};
@@ -65,4 +67,31 @@ fn the_deleted_second_copies_stay_deleted() {
             assert!(!text.contains(&name), "{path} mentions {name}");
         }
     }
+}
+
+#[test]
+fn an_event_stream_has_one_representation() {
+    // A vector of events, or an event that owns its id list, is the
+    // representation the log replaced (split so this file holds neither).
+    let stream = format!("Vec<{}", "NodeEvent");
+    let mut dirs = crate_src_dirs();
+    dirs.extend(["tests", "examples", "src"].map(str::to_owned));
+    let files = rust_sources(&dirs);
+    for (path, text) in &files {
+        assert!(
+            !text.contains(&stream),
+            "{path} holds a {stream}>: hold an EventLog"
+        );
+    }
+    let sim = files
+        .iter()
+        .find_map(|(path, text)| (path == "crates/cluster/src/sim.rs").then_some(text))
+        .expect("sim.rs moved?");
+    let kinds = sim
+        .split_once("pub enum EventKind")
+        .and_then(|(_, rest)| rest.split_once("\n}\n"))
+        .expect("EventKind is declared in sim.rs")
+        .0;
+    assert!(kinds.contains("job_ids: &'a [usize]"), "ids are borrowed");
+    assert!(!kinds.contains("Vec<"), "an event view owns nothing");
 }
