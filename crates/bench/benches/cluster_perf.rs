@@ -14,14 +14,12 @@ use hrp_cluster::place::{dispatcher_for, PlacementAgent, PlacementConfig, Placem
 use hrp_cluster::sim::{ClusterSim, Dispatcher, EventLog, NodeRun, Placement};
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp_cluster::{ClusterJob, SelectorKind};
-use hrp_core::par::WorkerPool;
 use hrp_gpusim::GpuArch;
 use hrp_serve::{
     AdmissionConfig, ChannelSource, SchedulerService, ServeConfig, ServiceStep, TraceSource,
 };
 use hrp_workloads::Suite;
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
 
 const JOBS: usize = 48;
 
@@ -56,10 +54,7 @@ fn bench_fanout_modes(c: &mut Criterion) {
         b.iter(|| black_box(run(&sim)))
     });
     c.bench_function("cluster_4nodes_pool4_drain48", |b| {
-        // The pool is created once and shared across iterations — the
-        // steady-state cost of `with_threads(4)` inside a long-lived
-        // process.
-        let sim = MultiNodeSim::new(4, 2).with_pool(Arc::new(WorkerPool::new(4)));
+        let sim = MultiNodeSim::new(4, 2).with_threads(4);
         b.iter(|| black_box(run(&sim)))
     });
 }

@@ -35,9 +35,6 @@ fn bench_forward(c: &mut Criterion) {
     c.bench_function("qnet_forward_paper_arch", |b| {
         b.iter(|| black_box(net.forward(black_box(&x))))
     });
-    c.bench_function("qnet_predict_paper_arch", |b| {
-        b.iter(|| black_box(net.predict(black_box(&x))))
-    });
 }
 
 fn bench_forward_batched_vs_per_sample(c: &mut Criterion) {
@@ -59,12 +56,6 @@ fn bench_forward_batched_vs_per_sample(c: &mut Criterion) {
                     .len();
             }
             black_box(acc)
-        })
-    });
-    c.bench_function("qnet_predict_batch32", |b| {
-        b.iter(|| {
-            net.predict_batch(black_box(&xb), BATCH, &mut out);
-            black_box(out.len())
         })
     });
 }

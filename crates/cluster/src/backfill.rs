@@ -28,11 +28,6 @@
 //! [`Dispatcher::next_wakeup`] hint tells the simulator to consult it
 //! again when a reservation expires even if no job event falls there.
 //!
-//! [`QueueOrder`] is the companion queue-reordering hook: it lets the
-//! planner (or the RL layer above it) pick the order simultaneous
-//! arrivals are considered in, without perturbing event-time
-//! determinism.
-//!
 //! ```
 //! use hrp_cluster::backfill::{BackfillPlanner, BackfillPolicy};
 //! use hrp_cluster::multinode::MultiNodeSim;
@@ -98,82 +93,13 @@ impl BackfillPolicy {
 
     /// `(reservation depth, backfilling allowed)`: FCFS protects the
     /// head and forbids backfill, EASY protects the head and allows
-    /// it, conservative protects the whole queue. The depth is the
-    /// knob [`crate::place::PlacementConfig`] lets the RL layer pick.
+    /// it, conservative protects the whole queue.
     #[must_use]
     pub fn depth_and_backfill(&self) -> (usize, bool) {
         match self {
             Self::Fcfs => (1, false),
             Self::Easy => (1, true),
             Self::Conservative => (usize::MAX, true),
-        }
-    }
-}
-
-/// How simultaneous arrivals are ordered before dispatchers see them.
-///
-/// Reordering is *within* an arrival burst only (jobs whose arrival
-/// times are bitwise equal, the same grouping the epoch driver uses),
-/// so arrival causality is untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QueueOrder {
-    /// Submission order (the default; bit-identical to the pre-hook
-    /// behaviour).
-    #[default]
-    Arrival,
-    /// Shortest estimated solo time first within a burst.
-    ShortestFirst,
-    /// Widest (most GPUs) first within a burst.
-    WidestFirst,
-}
-
-impl QueueOrder {
-    /// Parse a CLI/spec spelling. Accepts `arrival`,
-    /// `shortest-first`, `widest-first`.
-    ///
-    /// # Errors
-    /// Returns the unrecognised input.
-    pub fn parse(input: &str) -> Result<Self, String> {
-        match input {
-            "arrival" => Ok(Self::Arrival),
-            "shortest-first" => Ok(Self::ShortestFirst),
-            "widest-first" => Ok(Self::WidestFirst),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Canonical spelling (round-trips through [`QueueOrder::parse`]).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Arrival => "arrival",
-            Self::ShortestFirst => "shortest-first",
-            Self::WidestFirst => "widest-first",
-        }
-    }
-
-    /// Reorder `jobs` (already sorted by arrival) within each
-    /// same-instant burst. Ties keep submission order: the sort is
-    /// stable, so `Arrival` is exactly the identity.
-    pub fn apply(self, suite: &Suite, jobs: &mut [ClusterJob]) {
-        if self == Self::Arrival || jobs.is_empty() {
-            return;
-        }
-        let mut start = 0;
-        for i in 1..=jobs.len() {
-            let burst_over =
-                i == jobs.len() || jobs[i].arrival.total_cmp(&jobs[start].arrival).is_ne();
-            if burst_over {
-                match self {
-                    Self::Arrival => {}
-                    Self::ShortestFirst => jobs[start..i]
-                        .sort_by(|a, b| a.solo_time(suite).total_cmp(&b.solo_time(suite))),
-                    Self::WidestFirst => {
-                        jobs[start..i].sort_by_key(|j| std::cmp::Reverse(j.gpus));
-                    }
-                }
-                start = i;
-            }
         }
     }
 }
@@ -497,37 +423,6 @@ mod tests {
             assert_eq!(BackfillPolicy::parse(p.name()), Ok(p));
         }
         assert!(BackfillPolicy::parse("eazy").is_err());
-    }
-
-    #[test]
-    fn queue_orders_parse_and_round_trip() {
-        for q in [
-            QueueOrder::Arrival,
-            QueueOrder::ShortestFirst,
-            QueueOrder::WidestFirst,
-        ] {
-            assert_eq!(QueueOrder::parse(q.name()), Ok(q));
-        }
-        assert!(QueueOrder::parse("fifo").is_err());
-    }
-
-    #[test]
-    fn queue_order_reorders_within_bursts_only() {
-        let s = suite();
-        let mut jobs = vec![
-            job(&s, 0, "kmeans", 0.0, 1), // 16 s
-            job(&s, 1, "stream", 0.0, 1), // 10 s
-            job(&s, 2, "lavaMD", 5.0, 2), // later burst
-            job(&s, 3, "stream", 5.0, 1),
-        ];
-        QueueOrder::ShortestFirst.apply(&s, &mut jobs);
-        let ids: Vec<usize> = jobs.iter().map(|j| j.id).collect();
-        // Burst at t = 0 flips (stream < kmeans); the t = 5 burst
-        // sorts independently (stream 10 s < lavaMD@2 19 s).
-        assert_eq!(ids, vec![1, 0, 3, 2]);
-        QueueOrder::WidestFirst.apply(&s, &mut jobs);
-        let ids: Vec<usize> = jobs.iter().map(|j| j.id).collect();
-        assert_eq!(ids, vec![1, 0, 2, 3], "widest first within the late burst");
     }
 
     #[test]

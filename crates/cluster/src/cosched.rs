@@ -17,9 +17,6 @@ pub struct CoSchedulingDispatcher<P: Policy> {
     cmax: usize,
     engine: EngineConfig,
     windows: usize,
-    /// Flush windows even when under-full once the backlog is this old
-    /// (prevents starvation at trace end).
-    flush_partial: bool,
 }
 
 impl<P: Policy> CoSchedulingDispatcher<P> {
@@ -32,18 +29,7 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
             cmax,
             engine: EngineConfig::default(),
             windows: 0,
-            flush_partial: true,
         }
-    }
-
-    /// Whether under-full windows launch (default `true`). With
-    /// `false`, a backlog smaller than `w` waits for more arrivals —
-    /// the trace must guarantee they come, or the trailing partial
-    /// window never forms and the simulator's deadlock check fires.
-    #[must_use]
-    pub fn with_flush_partial(mut self, flush: bool) -> Self {
-        self.flush_partial = flush;
-        self
     }
 
     /// Number of windows scheduled so far.
@@ -53,23 +39,19 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
     }
 
     /// Restore the window counter on a freshly built dispatcher when
-    /// resuming from a live checkpoint. The counter feeds the
-    /// `win{n}` queue labels, so it must survive a kill/restore for
-    /// the resumed schedule to be bit-identical.
+    /// resuming from a live checkpoint. The counter is a checkpointed
+    /// statistic: no decision reads it, but a resumed service reports
+    /// the same [`windows_scheduled`](Self::windows_scheduled) as an
+    /// uninterrupted one.
     pub fn restore_windows_scheduled(&mut self, windows: usize) {
         self.windows = windows;
     }
 
-    /// The window that forms right now: the first
-    /// `min(|singles|, w)` waiting single-GPU jobs.
-    fn window_shape(&self, singles: &[&ClusterJob]) -> usize {
-        singles.len().min(self.w)
-    }
-
-    /// Ask the policy for one window decision.
-    fn decide(&self, suite: &Suite, label: String, batch: &[&ClusterJob]) -> f64 {
+    /// Ask the policy for one window decision. No [`Policy`] reads the
+    /// queue label, so windows go unlabelled.
+    fn decide(&self, suite: &Suite, batch: &[&ClusterJob]) -> f64 {
         let queue = JobQueue {
-            label,
+            label: String::new(),
             jobs: batch
                 .iter()
                 .enumerate()
@@ -118,13 +100,10 @@ impl<P: Policy> Dispatcher for CoSchedulingDispatcher<P> {
         if singles.is_empty() {
             return None;
         }
-        let take = self.window_shape(&singles);
-        if take < self.w && !self.flush_partial {
-            return None;
-        }
-
-        let batch = &singles[..take];
-        let duration = self.decide(suite, format!("win{}", self.windows), batch);
+        // An under-full window launches: the backlog never waits for
+        // arrivals that may not come.
+        let batch = &singles[..singles.len().min(self.w)];
+        let duration = self.decide(suite, batch);
         self.windows += 1;
         Some(Placement {
             job_ids: batch.iter().map(|j| j.id).collect(),
@@ -204,40 +183,6 @@ mod tests {
         let mut co = CoSchedulingDispatcher::new(MpsOnly, 12, 4);
         let report = ClusterSim::new(1).run(&s, jobs, &mut co);
         assert_eq!(report.placements, 1, "two jobs in one partial window");
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
-    fn window_that_never_forms_is_a_deadlock() {
-        let s = suite();
-        // Two singles can never fill a window of four, and no more
-        // arrivals are coming: with partial flushing off, the drain
-        // must flag the stranded backlog.
-        let jobs = vec![
-            ClusterJob::new(0, "stream", 0.0, 1, &s),
-            ClusterJob::new(1, "kmeans", 0.0, 1, &s),
-        ];
-        let mut co = CoSchedulingDispatcher::new(MpsOnly, 4, 4).with_flush_partial(false);
-        let _ = ClusterSim::new(1).run(&s, jobs, &mut co);
-    }
-
-    #[test]
-    fn late_arrivals_complete_the_window_when_partial_flush_is_off() {
-        let s = suite();
-        // The same two singles, plus two more arriving later: the
-        // window forms only once all four are waiting.
-        let jobs = vec![
-            ClusterJob::new(0, "stream", 0.0, 1, &s),
-            ClusterJob::new(1, "kmeans", 0.0, 1, &s),
-            ClusterJob::new(2, "pathfinder", 7.0, 1, &s),
-            ClusterJob::new(3, "lud_A", 7.0, 1, &s),
-        ];
-        let mut co = CoSchedulingDispatcher::new(MpsOnly, 4, 4).with_flush_partial(false);
-        let report = ClusterSim::new(1).run(&s, jobs, &mut co);
-        assert_eq!(report.placements, 1, "one full window");
-        assert_eq!(co.windows_scheduled(), 1);
-        // Nothing could start before the window completed at t = 7.
-        assert!(report.avg_wait >= 3.5 - 1e-9, "{}", report.avg_wait);
     }
 
     #[test]

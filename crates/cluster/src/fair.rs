@@ -20,8 +20,7 @@
 //!   arrival burst: jobs are sorted by their tenant's karma at the
 //!   burst instant (lightest tenant first), ties keep submission
 //!   order. Reordering is confined to a burst — jobs with bitwise
-//!   equal arrival times — exactly like
-//!   [`crate::backfill::QueueOrder`], so the determinism contract
+//!   equal arrival times — so the determinism contract
 //!   (bit-identical timelines for any thread count / cycle mode)
 //!   survives: see ARCHITECTURE.md contract point 9.
 //! * [`apply_fair_order`] — the batch-side hook: walk an
@@ -314,9 +313,8 @@ pub fn job_cost(suite: &Suite, job: &ClusterJob) -> f64 {
 }
 
 /// Batch-side fair-share ordering: walk an arrival-sorted job list
-/// burst by burst (bitwise-equal arrivals, like
-/// [`crate::backfill::QueueOrder`]), order each burst by karma at the
-/// burst instant, then charge each tenant in the final order. Arrival
+/// burst by burst (bitwise-equal arrivals), order each burst by karma
+/// at the burst instant, then charge each tenant in the final order. Arrival
 /// times are untouched — only within-burst order changes — so the
 /// result is engine-independent. With every job untagged (`user: 0`)
 /// the ordering is the identity.

@@ -45,9 +45,8 @@
 //!   planner ([`backfill::BackfillPlanner`]) — at exact estimates the
 //!   "FCFS with backfilling" comparator the paper names: FCFS / EASY /
 //!   conservative policies over per-job walltime *estimates* (which
-//!   may over- or under-run the truth), advance reservations that pin
-//!   future windows, and the [`backfill::QueueOrder`] queue-reordering
-//!   hook;
+//!   may over- or under-run the truth) and advance reservations that
+//!   pin future windows;
 //! * [`cosched`] — the co-scheduling dispatcher: single-GPU jobs are
 //!   batched into windows and handed to any node-local
 //!   [`hrp_core::policies::Policy`]; multi-GPU jobs gang-schedule
@@ -71,7 +70,7 @@ pub mod sim;
 pub mod slots;
 pub mod trace;
 
-pub use backfill::{BackfillPlanner, BackfillPolicy, QueueOrder};
+pub use backfill::{BackfillPlanner, BackfillPolicy};
 pub use cosched::CoSchedulingDispatcher;
 pub use fair::{FairConfig, FairShare, FairnessReport};
 pub use job::ClusterJob;

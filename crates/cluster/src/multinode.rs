@@ -63,7 +63,7 @@ use crate::sim::{ClusterReport, Dispatcher, EventKind, EventLog, NodeRun, NodeSt
 use hrp_core::cluster_env::{NodeLoad, NodeSelector};
 use hrp_core::par::{resolve_threads, WorkerPool};
 use hrp_workloads::Suite;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The merged, `(time, node, seq)`-ordered cluster event stream. Two
 /// timelines are equal when they show the same events
@@ -603,8 +603,6 @@ pub struct MultiNodeSim {
     nodes: usize,
     gpus_per_node: usize,
     threads: usize,
-    pool: Option<Arc<WorkerPool>>,
-    queue_order: crate::backfill::QueueOrder,
     fair_order: Option<crate::fair::FairConfig>,
 }
 
@@ -621,8 +619,6 @@ impl MultiNodeSim {
             nodes,
             gpus_per_node,
             threads: 1,
-            pool: None,
-            queue_order: crate::backfill::QueueOrder::Arrival,
             fair_order: None,
         }
     }
@@ -638,31 +634,9 @@ impl MultiNodeSim {
         self
     }
 
-    /// Share a caller-owned [`WorkerPool`] across runs (benchmark
-    /// loops, repeated evaluations). Overrides
-    /// [`MultiNodeSim::with_threads`].
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// The queue-reordering hook: reorder simultaneous arrivals with
-    /// `order` before the engine sees them, so a backfilling planner
-    /// (or the RL layer) owns dispatch order within a burst. The
-    /// reorder happens once on the sorted trace, upstream of the
-    /// fan-out, so timelines stay bit-identical for any thread count.
-    #[must_use]
-    pub fn with_queue_order(mut self, order: crate::backfill::QueueOrder) -> Self {
-        self.queue_order = order;
-        self
-    }
-
-    /// Layer per-user fair-share ordering on top of the queue order:
-    /// each same-instant burst is reordered by tenant karma
-    /// ([`crate::fair::apply_fair_order`]) after
-    /// [`MultiNodeSim::with_queue_order`] runs. Like that hook, the
-    /// reorder happens once on the sorted trace, upstream of the
+    /// Per-user fair-share ordering: each same-instant burst is
+    /// reordered by tenant karma ([`crate::fair::apply_fair_order`]).
+    /// The reorder happens once on the sorted trace, upstream of the
     /// fan-out, so timelines stay bit-identical for any thread count.
     /// A no-op on untagged (`user: 0`) traces.
     #[must_use]
@@ -700,29 +674,18 @@ impl MultiNodeSim {
             );
         }
         // Stable by arrival: simultaneous submissions keep their order,
-        // exactly like the single-node simulator. The queue-order hook
+        // exactly like the single-node simulator. Fair-share ordering
         // then reorders *within* each same-instant burst only.
         jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-        self.queue_order.apply(suite, &mut jobs);
         if let Some(fair) = &self.fair_order {
             crate::fair::apply_fair_order(suite, fair, &mut jobs);
         }
 
-        let local_pool;
-        let pool = if let Some(pool) = &self.pool {
-            Some(pool.as_ref())
-        } else {
-            let threads = resolve_threads(self.threads).min(self.nodes);
-            if threads <= 1 {
-                None
-            } else {
-                local_pool = WorkerPool::new(threads);
-                Some(&local_pool)
-            }
-        };
+        let threads = resolve_threads(self.threads).min(self.nodes);
+        let pool = (threads > 1).then(|| WorkerPool::new(threads));
 
         let mut drive = ClusterDrive::new(suite, self.nodes, self.gpus_per_node, make_dispatcher);
-        drive.pool = pool;
+        drive.pool = pool.as_ref();
         drive.reserve_jobs(jobs.len());
 
         for (start, end) in burst_bounds(&jobs) {

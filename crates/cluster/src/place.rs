@@ -58,7 +58,7 @@
 //! `HRPP` blob on the shared codec ([`hrp_nn::serialize`]), reloading
 //! to bit-identical placements.
 
-use crate::backfill::{BackfillPlanner, BackfillPolicy, QueueOrder};
+use crate::backfill::{BackfillPlanner, BackfillPolicy};
 use crate::cosched::CoSchedulingDispatcher;
 use crate::job::ClusterJob;
 use crate::multinode::{ClusterDrive, MultiNodeReport, MAX_GPUS_PER_NODE, MAX_NODES};
@@ -82,7 +82,18 @@ use serde::{Deserialize, Serialize};
 /// `hrp-core`'s `HRPE`).
 const MAGIC: &str = "HRPP";
 /// Checkpoint format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+
+/// Largest node window a checkpoint may claim: a node hands every
+/// window of `node_w` queued jobs to the exhaustive partition search
+/// (`hrp_core::exhaustive::best_partition`, which refuses 0 and whose
+/// cost is exponential in the window), and 16 is the widest window
+/// `repro fig9` sweeps.
+const MAX_NODE_W: usize = 16;
+/// Largest node concurrency cap a checkpoint may claim: the paper's
+/// `Cmax` and the top of `repro fig10`'s sweep (0 leaves the partition
+/// search nothing to cover a window with).
+const MAX_NODE_CMAX: usize = 4;
 
 /// What a drained placement episode yields: the assignment vector plus
 /// the realized simulation report (the makespan the terminal reward was
@@ -280,19 +291,14 @@ impl<D: Dispatcher + Send> Env for ClusterEnv<'_, D> {
     }
 }
 
-/// The legacy node-local dispatcher: window co-scheduling with the
-/// MPS-only node policy (cheap — no node-level training required).
-/// [`PlacementConfig::node_dispatcher`] now returns the
-/// [`PlacementDispatcher`] wrapper so the RL layer can also act
-/// *through* a backfilling planner.
+/// The co-scheduling node-local dispatcher: window co-scheduling with
+/// the MPS-only node policy (cheap — no node-level training required).
 pub type NodeDispatcher = CoSchedulingDispatcher<MpsOnly>;
 
-/// The node-local dispatcher a [`PlacementConfig`] selects: the
-/// co-scheduling window dispatcher, or a slot-tree backfilling
-/// planner — the knob that lets the RL agent parameterize the
-/// classical scheduler it places jobs *through*
-/// ([`PlacementConfig::backfill`] / [`PlacementConfig::walltime_err`]
-/// / [`PlacementConfig::queue_order`]).
+/// A node-local dispatcher: the co-scheduling window dispatcher (what
+/// a placement agent's nodes always run,
+/// [`PlacementConfig::node_dispatcher`]) or the slot-tree backfilling
+/// planner of a backfill selector tier ([`dispatcher_for`]).
 pub enum PlacementDispatcher {
     /// Window co-scheduling with the MPS-only node policy.
     CoSched(NodeDispatcher),
@@ -516,27 +522,6 @@ pub struct PlacementConfig {
     pub overlap: bool,
     /// Replay shards.
     pub shards: usize,
-    /// Node-local backfilling policy, or `None` for the legacy
-    /// co-scheduling dispatcher. This is the planner-parameterization
-    /// action of the ISSUE's RL split: the policy fixes the
-    /// reservation depth ([`BackfillPolicy::depth_and_backfill`]).
-    pub backfill: Option<BackfillPolicy>,
-    /// Walltime-estimate error fraction for backfilling nodes
-    /// (`[0, 1)`; ignored without [`PlacementConfig::backfill`]).
-    pub walltime_err: f64,
-    /// How simultaneous arrivals are ordered before episodes and
-    /// deployments see them (the queue-order pick).
-    pub queue_order: QueueOrder,
-    /// Layer per-user fair-share ordering ([`crate::fair`]) on top of
-    /// [`PlacementConfig::queue_order`] for training traces and
-    /// deployments. Only meaningful with [`TraceConfig::users`] ≥ 2;
-    /// a no-op on untagged traces.
-    pub fair_order: bool,
-    /// Per-user in-flight quota for the fairness knobs handed to the
-    /// serving tier ([`usize::MAX`] = unlimited).
-    pub fair_quota: usize,
-    /// Karma half-life (seconds) of the fair-share accounting.
-    pub fair_half_life: f64,
 }
 
 impl PlacementConfig {
@@ -567,12 +552,6 @@ impl PlacementConfig {
             rollout_round: 8,
             overlap: false,
             shards: 1,
-            backfill: None,
-            walltime_err: 0.0,
-            queue_order: QueueOrder::Arrival,
-            fair_order: false,
-            fair_quota: usize::MAX,
-            fair_half_life: 300.0,
         }
     }
 
@@ -613,30 +592,12 @@ impl PlacementConfig {
         }
     }
 
-    /// The fairness knobs as a [`crate::fair::FairConfig`] (quota +
-    /// karma half-life), shared with the serving admission tier.
-    #[must_use]
-    pub fn fair_config(&self) -> crate::fair::FairConfig {
-        let cfg = crate::fair::FairConfig::new().half_life(self.fair_half_life);
-        if self.fair_quota == usize::MAX {
-            cfg
-        } else {
-            cfg.quota(self.fair_quota)
-        }
-    }
-
-    /// A fresh node-local dispatcher for this config: a backfilling
-    /// planner when [`PlacementConfig::backfill`] is set, the window
-    /// co-scheduling dispatcher otherwise.
+    /// A fresh node-local dispatcher for this config: the window
+    /// co-scheduling dispatcher at [`PlacementConfig::node_w`] /
+    /// [`PlacementConfig::node_cmax`].
     #[must_use]
     pub fn node_dispatcher(&self) -> PlacementDispatcher {
-        PlacementDispatcher::new(
-            self.backfill,
-            self.gpus_per_node,
-            self.walltime_err,
-            self.node_w,
-            self.node_cmax,
-        )
+        PlacementDispatcher::new(None, self.gpus_per_node, 0.0, self.node_w, self.node_cmax)
     }
 }
 
@@ -659,12 +620,7 @@ pub fn training_traces(suite: &Suite, cfg: &PlacementConfig) -> Vec<Vec<ClusterJ
                 .clone()
                 .seed(trace_seed(cfg.trace.seed, i))
                 .max_gpus(cfg.gpus_per_node);
-            let mut jobs = trace::generate(suite, &tc);
-            cfg.queue_order.apply(suite, &mut jobs);
-            if cfg.fair_order {
-                crate::fair::apply_fair_order(suite, &cfg.fair_config(), &mut jobs);
-            }
-            jobs
+            trace::generate(suite, &tc)
         })
         .collect()
 }
@@ -747,16 +703,12 @@ impl PlacementAgent {
     /// configured nodes.
     #[must_use]
     pub fn greedy_placements(&self, suite: &Suite, trace: &[ClusterJob]) -> PlacementOutcome {
-        // The config's queue-order pick applies to episodes exactly as
-        // MultiNodeSim::with_queue_order applies it to deployments.
-        let mut trace = trace.to_vec();
-        self.cfg.queue_order.apply(suite, &mut trace);
         let make = |_: usize| self.cfg.node_dispatcher();
         let env = ClusterEnv::new(
             suite,
             self.cfg.nodes,
             self.cfg.gpus_per_node,
-            &trace,
+            trace,
             &make,
             self.cfg.rf_weight,
         );
@@ -774,110 +726,23 @@ impl PlacementAgent {
     }
 }
 
-/// The fluent placement-experiment spec: configure, [`run`][Self::run_on],
-/// checkpoint — the cluster-tier mirror of `hrp-core`'s `Experiment`.
+/// Where a placement checkpoint is reloaded: train with
+/// [`train_placement`], checkpoint with [`PlacementAgent::save_bytes`],
+/// rebuild with [`PlacementExperiment::load_bytes`] (the cluster-tier
+/// mirror of `hrp-core`'s `Experiment::load_bytes`; never constructed).
 ///
 /// ```no_run
-/// use hrp_cluster::place::PlacementExperiment;
-/// use hrp_cluster::trace::TraceKind;
+/// use hrp_cluster::place::{train_placement, PlacementConfig, PlacementExperiment};
 ///
 /// let suite = hrp_workloads::Suite::paper_suite(&hrp_gpusim::GpuArch::a100());
-/// let run = PlacementExperiment::quick()
-///     .trace_kind(TraceKind::Skewed)
-///     .episodes(240)
-///     .run_on(&suite);
-/// println!("late return: {:.3}", run.report.late_return);
+/// let (agent, report) = train_placement(&suite, PlacementConfig::quick());
+/// println!("late return: {:.3}", report.late_return);
+/// let reloaded = PlacementExperiment::load_bytes(agent.save_bytes()).unwrap();
+/// assert_eq!(reloaded.config(), agent.config());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementExperiment {
-    cfg: PlacementConfig,
-}
+pub enum PlacementExperiment {}
 
 impl PlacementExperiment {
-    /// The evaluation-scale configuration.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            cfg: PlacementConfig::default_cfg(),
-        }
-    }
-
-    /// The small test/smoke configuration.
-    #[must_use]
-    pub fn quick() -> Self {
-        Self {
-            cfg: PlacementConfig::quick(),
-        }
-    }
-
-    /// Wrap an explicit config.
-    #[must_use]
-    pub fn from_config(cfg: PlacementConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// Select the training-trace kind.
-    #[must_use]
-    pub fn trace_kind(mut self, kind: TraceKind) -> Self {
-        self.cfg.trace.kind = kind;
-        self
-    }
-
-    /// Simulated node count.
-    #[must_use]
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.cfg.nodes = nodes;
-        self
-    }
-
-    /// Training episodes.
-    #[must_use]
-    pub fn episodes(mut self, n: usize) -> Self {
-        self.cfg.episodes = n;
-        self
-    }
-
-    /// Master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Rollout worker threads (execution detail; 0 = auto).
-    #[must_use]
-    pub fn workers(mut self, n: usize) -> Self {
-        self.cfg.n_workers = n;
-        self
-    }
-
-    /// Double-buffered (overlapped) training rounds.
-    #[must_use]
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.cfg.overlap = on;
-        self
-    }
-
-    /// Replay shards (1 = classic single ring).
-    #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shards = n.max(1);
-        self
-    }
-
-    /// The underlying config.
-    #[must_use]
-    pub fn config(&self) -> &PlacementConfig {
-        &self.cfg
-    }
-
-    /// Train on an explicit suite.
-    #[must_use]
-    pub fn run_on(self, suite: &Suite) -> TrainedPlacement {
-        let (agent, report) = train_placement(suite, self.cfg);
-        TrainedPlacement { agent, report }
-    }
-
     /// Rebuild a trained placement agent from a checkpoint blob:
     /// decode the spec, check the weights against the geometry it
     /// implies, then build the agent and load them.
@@ -891,29 +756,6 @@ impl PlacementExperiment {
         let cfg = decode_spec(r.spec()?)?;
         let agent = load_agent(MAGIC, cfg.dqn_config(), r.rest())?;
         Ok(PlacementAgent { agent, cfg })
-    }
-}
-
-impl Default for PlacementExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A completed placement run: the deployable agent plus its learning
-/// statistics.
-pub struct TrainedPlacement {
-    /// The trained, deployable agent.
-    pub agent: PlacementAgent,
-    /// Learning statistics of the run.
-    pub report: TrainReport,
-}
-
-impl TrainedPlacement {
-    /// Checkpoint the run (delegates to [`PlacementAgent::save_bytes`]).
-    #[must_use]
-    pub fn save_bytes(&self) -> Bytes {
-        self.agent.save_bytes()
     }
 }
 
@@ -949,26 +791,21 @@ fn encode_spec(cfg: &PlacementConfig) -> SpecWriter {
     s.kv("rollout_round", cfg.rollout_round);
     s.kv("overlap", cfg.overlap);
     s.kv("shards", cfg.shards);
-    s.kv("backfill", cfg.backfill.map_or("none", |p| p.name()));
-    s.float("walltime_err", cfg.walltime_err);
-    s.kv("queue_order", cfg.queue_order.name());
-    s.kv("fair_order", cfg.fair_order);
-    s.kv("fair_quota", cfg.fair_quota);
-    s.float("fair_half_life", cfg.fair_half_life);
     s
 }
 
 /// Decode the spec: every [`PlacementConfig`] field exactly once, in
 /// any order. The cluster geometry is held to the bounds the simulator
-/// and the `HRPS` snapshot enforce; the network-shaping values
+/// and the `HRPS` snapshot enforce, the node windows to
+/// [`MAX_NODE_W`] / [`MAX_NODE_CMAX`]; the network-shaping values
 /// (`hidden`, `buffer_capacity`, `shards`) are range-checked by
 /// [`load_agent`] against the weights.
 fn decode_spec(mut spec: Spec<'_>) -> Result<PlacementConfig, CheckpointError> {
     let cfg = PlacementConfig {
         nodes: spec.get_in("nodes", 1..=MAX_NODES)?,
         gpus_per_node: spec.get_in("gpus_per_node", 1..=MAX_GPUS_PER_NODE)?,
-        node_w: spec.get("node_w")?,
-        node_cmax: spec.get("node_cmax")?,
+        node_w: spec.get_in("node_w", 1..=MAX_NODE_W)?,
+        node_cmax: spec.get_in("node_cmax", 1..=MAX_NODE_CMAX)?,
         trace: TraceConfig {
             kind: spec.get_with("trace.kind", TraceKind::parse)?,
             jobs: spec.get("trace.jobs")?,
@@ -996,15 +833,6 @@ fn decode_spec(mut spec: Spec<'_>) -> Result<PlacementConfig, CheckpointError> {
         rollout_round: spec.get("rollout_round")?,
         overlap: spec.get("overlap")?,
         shards: spec.get("shards")?,
-        backfill: spec.get_with("backfill", |raw| match raw {
-            "none" => Ok(None),
-            policy => BackfillPolicy::parse(policy).map(Some),
-        })?,
-        walltime_err: spec.get_in("walltime_err", 0.0..1.0)?,
-        queue_order: spec.get_with("queue_order", QueueOrder::parse)?,
-        fair_order: spec.get("fair_order")?,
-        fair_quota: spec.get("fair_quota")?,
-        fair_half_life: spec.get("fair_half_life")?,
     };
     spec.finish()?;
     Ok(cfg)
@@ -1224,14 +1052,17 @@ mod tests {
         // ε = 0 selections even though it was never consulted; this
         // pins that the RNG-free fast path makes every decision — and
         // therefore the merged cluster timeline — identical to the
-        // reference `QNet::predict` + lowest-index argmax.
+        // reference `QNet::predict_batch_into` at batch 1 + lowest-index
+        // argmax.
         use hrp_core::rl::GreedyPolicy;
         struct Reference {
             net: hrp_nn::QNet,
         }
         impl GreedyPolicy for Reference {
             fn greedy(&mut self, state: &[f32], mask: u64) -> usize {
-                let q = self.net.predict(state);
+                let mut q = Vec::new();
+                let scratch = &mut hrp_nn::PredictScratch::default();
+                self.net.predict_batch_into(state, 1, scratch, &mut q);
                 hrp_nn::masked_argmax(&q, |a| mask & (1 << a) != 0).expect("non-empty mask")
             }
         }
@@ -1255,27 +1086,6 @@ mod tests {
         assert_eq!(fast, reference);
     }
 
-    #[test]
-    fn backfill_parameterized_env_matches_deployment() {
-        // Same equivalence with the planner parameterized: EASY
-        // backfilling nodes, noisy walltime estimates, and a
-        // non-default queue order must all flow through both paths
-        // identically.
-        let s = suite();
-        let mut cfg = PlacementConfig::quick();
-        cfg.backfill = Some(BackfillPolicy::Easy);
-        cfg.walltime_err = 0.25;
-        cfg.queue_order = QueueOrder::ShortestFirst;
-        let agent = PlacementAgent::untrained(cfg.clone());
-        let t = skewed_trace(&s, 20, 9);
-        let outcome = agent.greedy_placements(&s, &t);
-        let mut sel = agent.selector();
-        let direct = MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node)
-            .with_queue_order(cfg.queue_order)
-            .run(&s, t.clone(), &mut sel, |_| cfg.node_dispatcher());
-        assert_eq!(outcome.report.unwrap(), direct);
-    }
-
     fn decode_text(text: &str) -> Result<PlacementConfig, CheckpointError> {
         decode_spec(Spec::parse(MAGIC, text)?)
     }
@@ -1294,27 +1104,25 @@ mod tests {
         cfg.lr = 3.3e-4;
         cfg.rf_weight = 0.125;
         cfg.hidden = vec![48, 24];
-        cfg.backfill = Some(BackfillPolicy::Conservative);
-        cfg.walltime_err = 0.375;
-        cfg.queue_order = QueueOrder::WidestFirst;
-        cfg.fair_order = true;
-        cfg.fair_quota = 3;
-        cfg.fair_half_life = 45.5;
+        cfg.node_w = 8;
+        cfg.node_cmax = 3;
         let text = encode_spec(&cfg);
+        assert_eq!(text.as_str().lines().count(), 29, "HRPP v2 writes 29 keys");
         assert_eq!(decode_text(text.as_str()).unwrap(), cfg);
-        // The default (no backfill, arrival order) round-trips too.
-        let plain = PlacementConfig::default_cfg();
-        assert_eq!(decode_text(encode_spec(&plain).as_str()).unwrap(), plain);
-        // Geometry beyond what the simulator accepts is a typed error,
-        // and the tenant keys are required like every other key.
+        // Geometry beyond what the simulator and the node windows'
+        // partition search accept is a typed error, a key of the
+        // retired v1 spec is unknown, and the tenant keys are required
+        // like every other key.
         for (from, to) in [
             ("nodes=4", "nodes=0"),
             ("nodes=4", "nodes=65"),
             ("gpus_per_node=2", "gpus_per_node=0"),
             ("gpus_per_node=2", "gpus_per_node=99999"),
-            ("walltime_err=0.375", "walltime_err=NaN"),
-            ("backfill=conservative", "backfill=eazy"),
-            ("fair_order=true\n", ""),
+            ("node_w=8", "node_w=0"),
+            ("node_w=8", "node_w=17"),
+            ("node_cmax=3", "node_cmax=0"),
+            ("node_cmax=3", "node_cmax=5"),
+            ("shards=4\n", "shards=4\nbackfill=none\n"),
             ("trace.users=5\n", ""),
         ] {
             assert!(text.as_str().contains(from), "spec has no '{from}'");
@@ -1356,15 +1164,18 @@ mod tests {
             Some(CheckpointError::NotACheckpoint { expected: "HRPP" })
         );
         let agent = PlacementAgent::untrained(PlacementConfig::quick());
-        let mut raw = agent.save_bytes().to_vec();
-        raw[4] = 99;
-        assert_eq!(
-            PlacementExperiment::load_bytes(raw.into()).err(),
-            Some(CheckpointError::BadVersion {
-                format: "HRPP",
-                found: 99
-            })
-        );
+        // Version 1 carried the six retired planner / fair-share keys.
+        for found in [1, 99] {
+            let mut raw = agent.save_bytes().to_vec();
+            raw[4] = found;
+            assert_eq!(
+                PlacementExperiment::load_bytes(raw.into()).err(),
+                Some(CheckpointError::BadVersion {
+                    format: "HRPP",
+                    found: u32::from(found)
+                })
+            );
+        }
     }
 
     #[test]

@@ -82,6 +82,11 @@ const VERSION: u32 = 1;
 /// sizes the state vector, so it must be bounded before the geometry
 /// is computed from it.
 const MAX_WINDOW: usize = 4096;
+/// Largest concurrency cap a checkpoint may claim: the paper's `Cmax`,
+/// the widest action of the catalog and the top of `repro fig10`'s
+/// sweep. At 0 no action is ever valid and the first greedy decision
+/// has nothing to choose from.
+const MAX_CMAX: usize = 4;
 
 /// A fluent, serialisable training spec (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
@@ -172,12 +177,6 @@ impl Experiment {
     #[must_use]
     pub fn config(&self) -> &TrainConfig {
         &self.cfg
-    }
-
-    /// Unwrap the config.
-    #[must_use]
-    pub fn into_config(self) -> TrainConfig {
-        self.cfg
     }
 
     /// Train on the paper's A100 suite.
@@ -311,7 +310,7 @@ fn encode_spec(cfg: &TrainConfig) -> SpecWriter {
 fn decode_spec(mut spec: Spec<'_>) -> Result<TrainConfig, CheckpointError> {
     let cfg = TrainConfig {
         w: spec.get_in("w", 1..=MAX_WINDOW)?,
-        cmax: spec.get("cmax")?,
+        cmax: spec.get_in("cmax", 1..=MAX_CMAX)?,
         episodes: spec.get("episodes")?,
         n_queues: spec.get("n_queues")?,
         seed: spec.get("seed")?,

@@ -251,7 +251,7 @@ impl SnapshotPolicy for DqnSnapshot {
 
 impl GreedyPolicy for DqnSnapshot {
     fn greedy(&mut self, state: &[f32], mask: u64) -> usize {
-        // The fast path is bit-identical to `QNet::predict_batch`, and
+        // The fast path is bit-identical to `QNet::predict_batch_into`, and
         // `FastPolicy::greedy` breaks ties to the lowest index exactly
         // like `DqnAgent::greedy_action` — so deployment and greedy
         // eval rollouts can never diverge.

@@ -82,30 +82,6 @@ fn huber(err: f32, delta: f32) -> (f32, f32) {
     }
 }
 
-/// ε-greedy action from a Q-network: explore uniformly over the
-/// `mask`'s valid bits with probability `epsilon`, otherwise exploit
-/// with exact-tie breaking drawn from `rng` (not iteration order, which
-/// would bias exploration toward low-numbered actions).
-///
-/// This is the single source of behaviour-policy truth: the agent's own
-/// [`DqnAgent::select_action`] and the rollout workers acting against a
-/// frozen snapshot both call it, so training rollouts and the deployed
-/// agent can never silently diverge.
-///
-/// # Panics
-/// Panics if the mask has no valid action.
-pub fn epsilon_greedy_action(
-    net: &QNet,
-    state: &[f32],
-    mask: u64,
-    n_actions: usize,
-    epsilon: f64,
-    rng: &mut SmallRng,
-) -> usize {
-    let mut scratch = ActionScratch::default();
-    epsilon_greedy_action_with(net, state, mask, n_actions, epsilon, rng, &mut scratch)
-}
-
 /// Reusable buffers for [`epsilon_greedy_action_with`]: the Q-value
 /// vector plus the network's inference scratch. After warm-up, action
 /// selection performs zero heap allocations.
@@ -115,10 +91,17 @@ pub struct ActionScratch {
     q: Vec<f32>,
 }
 
-/// [`epsilon_greedy_action`] with caller-owned scratch — identical RNG
-/// draws and bit-identical Q-values (it runs the same kernels through
-/// [`QNet::predict_into`]), so the two forms can never diverge; this
-/// one just keeps the hot loop off the allocator.
+/// ε-greedy action from a Q-network: explore uniformly over the
+/// `mask`'s valid bits with probability `epsilon`, otherwise exploit
+/// with exact-tie breaking drawn from `rng` (not iteration order, which
+/// would bias exploration toward low-numbered actions). The Q-values
+/// land in caller-owned `scratch`, which keeps the hot loop off the
+/// allocator.
+///
+/// This is the single source of behaviour-policy truth: the agent's own
+/// [`DqnAgent::select_action`] and the rollout workers acting against a
+/// frozen snapshot both call it, so training rollouts and the deployed
+/// agent can never silently diverge.
 ///
 /// # Panics
 /// Panics if the mask has no valid action.
@@ -213,11 +196,14 @@ impl DqnAgent {
     /// Q-values of the online network for a state (inference).
     #[must_use]
     pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
-        self.online.predict(state)
+        let mut q = Vec::new();
+        self.online
+            .predict_into(state, &mut PredictScratch::default(), &mut q);
+        q
     }
 
     /// ε-greedy action among the `mask`'s valid bits (see
-    /// [`epsilon_greedy_action`]), drawing from the agent RNG stream.
+    /// [`epsilon_greedy_action_with`]), drawing from the agent RNG stream.
     ///
     /// # Panics
     /// Panics if the mask has no valid action.
@@ -237,8 +223,7 @@ impl DqnAgent {
     /// ties break to the lowest index.
     #[must_use]
     pub fn greedy_action(&self, state: &[f32], mask: u64) -> usize {
-        let q = self.online.predict(state);
-        masked_argmax(&q, |a| mask & (1 << a) != 0).expect("no valid action")
+        masked_argmax(&self.q_values(state), |a| mask & (1 << a) != 0).expect("no valid action")
     }
 
     /// Store a transition, routing replay shards round-robin.
@@ -256,12 +241,6 @@ impl DqnAgent {
     pub fn remember_to(&mut self, shard: usize, t: Transition) {
         debug_assert_eq!(t.state.len(), self.cfg.state_dim);
         self.buffer.push_to(shard, t);
-    }
-
-    /// Transitions currently stored.
-    #[must_use]
-    pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
     }
 
     /// One batched learning step (a mini-batch of SGD on the TD error).

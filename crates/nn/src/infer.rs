@@ -13,7 +13,7 @@
 //!
 //! # Bit-identity contract
 //!
-//! Both kernels reproduce [`QNet::predict_batch`] at batch 1
+//! Both kernels reproduce [`QNet::predict_batch_into`] at batch 1
 //! **bit-for-bit**, not merely within tolerance:
 //!
 //! * the scalar walk runs the identical bias-first, `k`-ascending
@@ -35,13 +35,14 @@
 //!
 //! ```
 //! use hrp_nn::infer::FastPolicy;
-//! use hrp_nn::{Head, QNet};
+//! use hrp_nn::{Head, PredictScratch, QNet};
 //!
 //! let net = QNet::new(4, &[8, 6], 3, Head::Dueling, 7);
 //! let mut fast = FastPolicy::new(&net);
 //! let state = [0.1f32, -0.2, 0.3, 0.4];
 //! // Bit-identical Q-values, same greedy action, no allocation.
-//! let reference = net.predict(&state);
+//! let mut reference = Vec::new();
+//! net.predict_batch_into(&state, 1, &mut PredictScratch::default(), &mut reference);
 //! assert_eq!(reference, fast.infer(&state));
 //! let best = hrp_nn::masked_argmax(&reference, |a| 0b111 & (1 << a) != 0);
 //! assert_eq!(Some(fast.greedy(&state, 0b111)), best);
@@ -380,7 +381,7 @@ impl FastPolicy {
     }
 
     /// Q-values for one state — bit-identical to
-    /// [`QNet::predict_batch`] at batch 1, with zero heap allocations.
+    /// [`QNet::predict_batch_into`] at batch 1, with zero heap allocations.
     ///
     /// # Panics
     /// Panics if `state` has the wrong length.
@@ -430,9 +431,16 @@ impl FastPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::Head;
+    use crate::net::{Head, PredictScratch};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The reference: the training-side inference forward at batch 1.
+    fn predict(net: &QNet, state: &[f32]) -> Vec<f32> {
+        let mut q = Vec::new();
+        net.predict_batch_into(state, 1, &mut PredictScratch::default(), &mut q);
+        q
+    }
 
     fn random_states(dim: usize, n: usize, seed: u64) -> Vec<f32> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -459,7 +467,7 @@ mod tests {
                 let net = QNet::new(dim, &hidden, n_actions, head, 11);
                 let mut fast = FastPolicy::with_kernel(&net, Kernel::Scalar);
                 for (i, s) in random_states(dim, 16, 3).chunks(dim).enumerate() {
-                    let reference = net.predict(s);
+                    let reference = predict(&net, s);
                     let q = fast.infer(s);
                     for (a, (f, r)) in q.iter().zip(reference.iter()).enumerate() {
                         assert_eq!(
@@ -499,7 +507,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(77);
         for s in random_states(6, 32, 31).chunks(6) {
             let mask = rng.gen_range(1u64..(1 << 9));
-            let q = net.predict(s);
+            let q = predict(&net, s);
             let expect = masked_argmax(&q, |a| mask & (1 << a) != 0).unwrap();
             assert_eq!(fast.greedy(s, mask), expect);
         }
@@ -536,7 +544,7 @@ mod tests {
         net.read_params(&zeros);
         let mut fast = FastPolicy::new(&net);
         let q = fast.infer(&[0.5, -0.5, 1.0, -1.0]);
-        let reference = net.predict(&[0.5, -0.5, 1.0, -1.0]);
+        let reference = predict(&net, &[0.5, -0.5, 1.0, -1.0]);
         for (f, r) in q.iter().zip(reference.iter()) {
             assert_eq!(f.to_bits(), r.to_bits());
         }

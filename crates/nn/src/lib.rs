@@ -13,7 +13,7 @@
 //! * [`layers`] — fully-connected layer and ReLU with exact batched
 //!   backprop and per-layer reusable scratch;
 //! * [`net`] — the Q-network: MLP trunk + plain or dueling head, with
-//!   `forward_batch` / `predict_batch` / `backward_batch` as the primary
+//!   `forward_batch` / `predict_batch_into` / `backward_batch` as the primary
 //!   interface (single-sample calls are batch-size-1 wrappers);
 //! * [`opt`] — Adam (Kingma & Ba) over the flattened parameter vector,
 //!   one fused sweep per step;
@@ -31,7 +31,7 @@
 //!   sync; one `learn()` call runs the whole minibatch batched;
 //! * [`infer`] — the deployed-inference fast path: [`infer::FastPolicy`]
 //!   pre-plans the layer walk with preallocated scratch and runtime-
-//!   detected AVX2 microkernels, bit-identical to `predict_batch`;
+//!   detected AVX2 microkernels, bit-identical to `predict_batch_into`;
 //! * [`serialize`] — the checkpoint codec: the one bounds-checked
 //!   container, spec and reader behind all four blob formats, and the
 //!   `HRPQ` weight blob itself.

@@ -213,8 +213,7 @@ impl QNet {
         }
     }
 
-    /// Single-sample inference into caller-owned scratch and output —
-    /// the allocation-free form of [`QNet::predict`]:
+    /// Single-sample inference into caller-owned scratch and output:
     /// [`QNet::predict_batch_into`] at batch 1.
     pub fn predict_into(&self, x: &[f32], scratch: &mut PredictScratch, out: &mut Vec<f32>) {
         self.predict_batch_into(x, 1, scratch, out);
@@ -275,11 +274,6 @@ impl QNet {
                 assemble_dueling(&scratch.vout, &scratch.aout, batch, n, out);
             }
         }
-    }
-
-    /// [`QNet::predict_batch_into`] with throw-away scratch.
-    pub fn predict_batch(&self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
-        self.predict_batch_into(x, batch, &mut PredictScratch::default(), out);
     }
 
     /// Batched backward pass from a `batch × n_actions` Q-gradient;
@@ -359,31 +353,10 @@ impl QNet {
     }
 
     /// Single-sample forward pass with caching (batch-size-1 wrapper).
-    ///
-    /// Allocates the returned vector; training-loop callers that care
-    /// should use [`QNet::forward_into`].
+    /// Allocates the returned vector.
     pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
         let mut out = Vec::new();
         self.forward_batch(x, 1, &mut out);
-        out
-    }
-
-    /// Single-sample forward pass with caching, writing into a reusable
-    /// out-param instead of allocating a fresh vector per call.
-    pub fn forward_into(&mut self, x: &[f32], out: &mut Vec<f32>) {
-        self.forward_batch(x, 1, out);
-    }
-
-    /// Single-sample inference (no caches touched; usable on `&self`).
-    ///
-    /// Allocates the returned vector **and** its internal buffers per
-    /// call; hot-path callers should use [`QNet::predict_into`] (same
-    /// values bit-for-bit) or the planned fast path
-    /// ([`crate::infer::FastPolicy`]).
-    #[must_use]
-    pub fn predict(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.predict_batch(x, 1, &mut out);
         out
     }
 
@@ -400,13 +373,6 @@ impl QNet {
     /// Single-sample backward pass (batch-size-1 wrapper).
     pub fn backward(&mut self, dq: &[f32]) {
         self.backward_batch(dq, 1);
-    }
-
-    /// Zero all accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        for l in self.layers_mut() {
-            l.zero_grad();
-        }
     }
 
     /// Every linear layer, in canonical order: trunk, then the head.
@@ -481,15 +447,6 @@ impl QNet {
         }
     }
 
-    /// Flatten all gradients into `out` (canonical layer order).
-    pub fn write_grads(&self, out: &mut Vec<f32>) {
-        out.clear();
-        for l in self.layers() {
-            out.extend_from_slice(&l.gw);
-            out.extend_from_slice(&l.gb);
-        }
-    }
-
     /// One optimiser step over the accumulated gradients: a single
     /// sweep that updates every parameter in place and leaves the
     /// gradients cleared (see [`Adam::step`]).
@@ -523,6 +480,20 @@ mod tests {
         QNet::new(4, &[8, 6], 3, head, 42)
     }
 
+    fn predict(net: &QNet, x: &[f32]) -> Vec<f32> {
+        let mut q = Vec::new();
+        net.predict_into(x, &mut PredictScratch::default(), &mut q);
+        q
+    }
+
+    /// All accumulated gradients, flattened in canonical layer order
+    /// (a fresh network's are zero).
+    fn grads(net: &QNet) -> Vec<f32> {
+        net.layers()
+            .flat_map(|l| l.gw.iter().chain(&l.gb).copied())
+            .collect()
+    }
+
     #[test]
     fn forward_shapes() {
         for head in [Head::Plain, Head::Dueling] {
@@ -539,7 +510,7 @@ mod tests {
             let mut net = tiny(head);
             let x = [0.5, 0.1, -0.3, 0.9];
             let a = net.forward(&x);
-            let b = net.predict(&x);
+            let b = predict(&net, &x);
             for (u, v) in a.iter().zip(b.iter()) {
                 assert!((u - v).abs() < 1e-6);
             }
@@ -558,9 +529,9 @@ mod tests {
             let mut q_batch = Vec::new();
             net.forward_batch(&x, batch, &mut q_batch);
             let mut p_batch = Vec::new();
-            net.predict_batch(&x, batch, &mut p_batch);
+            net.predict_batch_into(&x, batch, &mut PredictScratch::default(), &mut p_batch);
             for b in 0..batch {
-                let q_one = net.predict(&x[b * 4..(b + 1) * 4]);
+                let q_one = predict(&net, &x[b * 4..(b + 1) * 4]);
                 for a in 0..3 {
                     assert!(
                         (q_batch[b * 3 + a] - q_one[a]).abs() < 1e-6,
@@ -568,7 +539,7 @@ mod tests {
                     );
                     assert!(
                         (p_batch[b * 3 + a] - q_one[a]).abs() < 1e-6,
-                        "{head:?} predict_batch sample {b} action {a}"
+                        "{head:?} predict_batch_into sample {b} action {a}"
                     );
                 }
             }
@@ -590,19 +561,15 @@ mod tests {
                 .collect();
 
             let mut q = Vec::new();
-            batched.zero_grad();
             batched.forward_batch(&x, batch, &mut q);
             batched.backward_batch(&dq, batch);
-            let mut g_batched = Vec::new();
-            batched.write_grads(&mut g_batched);
+            let g_batched = grads(&batched);
 
-            serial.zero_grad();
             for b in 0..batch {
                 serial.forward(&x[b * 4..(b + 1) * 4]);
                 serial.backward(&dq[b * 3..(b + 1) * 3]);
             }
-            let mut g_serial = Vec::new();
-            serial.write_grads(&mut g_serial);
+            let g_serial = grads(&serial);
 
             for (i, (a, e)) in g_batched.iter().zip(g_serial.iter()).enumerate() {
                 assert!(
@@ -633,10 +600,8 @@ mod tests {
             let x = [0.3, -0.1, 0.8, 0.2];
             // L = 0.5 · Σ Q_a², dL/dQ = Q.
             let q = net.forward(&x);
-            net.zero_grad();
             net.backward(&q);
-            let mut analytic = Vec::new();
-            net.write_grads(&mut analytic);
+            let analytic = grads(&net);
 
             let mut params = Vec::new();
             net.write_params(&mut params);
@@ -647,11 +612,11 @@ mod tests {
                 let mut pp = params.clone();
                 pp[idx] += eps;
                 net.read_params(&pp);
-                let lp: f32 = net.predict(&x).iter().map(|v| 0.5 * v * v).sum();
+                let lp: f32 = predict(&net, &x).iter().map(|v| 0.5 * v * v).sum();
                 let mut pm = params.clone();
                 pm[idx] -= eps;
                 net.read_params(&pm);
-                let lm: f32 = net.predict(&x).iter().map(|v| 0.5 * v * v).sum();
+                let lm: f32 = predict(&net, &x).iter().map(|v| 0.5 * v * v).sum();
                 let num = (lp - lm) / (2.0 * eps);
                 assert!(
                     (num - analytic[idx]).abs() < 5e-2 * num.abs().max(1.0),
@@ -670,8 +635,8 @@ mod tests {
         let x = [0.2, 0.4, -0.6, 0.8];
         assert_ne!(a.forward(&x), b.forward(&x), "different seeds differ");
         b.copy_weights_from(&a);
-        let qa = a.predict(&x);
-        let qb = b.predict(&x);
+        let qa = predict(&a, &x);
+        let qb = predict(&b, &x);
         for (u, v) in qa.iter().zip(qb.iter()) {
             assert!((u - v).abs() < 1e-7);
         }

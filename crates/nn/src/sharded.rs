@@ -85,12 +85,6 @@ impl ShardedReplay {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total transitions stored across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -104,7 +98,7 @@ impl ShardedReplay {
     }
 
     /// Append a transition to an explicit shard (the training pipeline
-    /// routes by episode index: `episode % n_shards`).
+    /// routes by episode index: `episode % shards`).
     ///
     /// # Panics
     /// Panics if `shard` is out of range.

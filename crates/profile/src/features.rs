@@ -61,12 +61,6 @@ impl FeatureScaler {
         }
         out
     }
-
-    /// Number of features produced.
-    #[must_use]
-    pub fn num_features(&self) -> usize {
-        NUM_FEATURES
-    }
 }
 
 #[cfg(test)]

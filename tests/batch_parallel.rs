@@ -12,7 +12,7 @@
 //!    a fixed seed.
 
 use hrp::core::metrics::evaluate_decision;
-use hrp::nn::net::{Head, QNet};
+use hrp::nn::net::{Head, PredictScratch, QNet};
 use hrp::nn::replay::Transition;
 use hrp::nn::{DqnAgent, DqnConfig};
 use hrp::prelude::*;
@@ -38,8 +38,9 @@ fn forward_batch_equals_per_sample_forward_property() {
             let x: Vec<f32> = (0..batch * 10).map(|_| gen()).collect();
             let mut q_batch = Vec::new();
             net.forward_batch(&x, batch, &mut q_batch);
+            let (mut scratch, mut q_one) = (PredictScratch::default(), Vec::new());
             for b in 0..batch {
-                let q_one = net.predict(&x[b * 10..(b + 1) * 10]);
+                net.predict_batch_into(&x[b * 10..(b + 1) * 10], 1, &mut scratch, &mut q_one);
                 for a in 0..5 {
                     assert!(
                         (q_batch[b * 5 + a] - q_one[a]).abs() < 1e-5,

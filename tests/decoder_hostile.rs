@@ -247,15 +247,17 @@ fn corpus(suite: &Suite) -> Vec<(String, Vec<u8>, Decode)> {
 /// `(name, length, FNV-1a)` of every corpus blob, captured on the
 /// parent commit (PR 16) before any writer was touched. These must not
 /// move: they are what keeps `serve.checkpoint.bytes` and every CI
-/// kill/restore digest fixed.
+/// kill/restore digest fixed. `HRPP` and the policy-tier `HRPS` that
+/// embeds it were re-captured once, when `HRPP` v2 dropped six spec
+/// keys (PR 22: 721 → 600 and 2 057 → 1 936 bytes, 121 fewer each).
 const GOLDEN: [(&str, usize, u64); 7] = [
     ("HRPQ", 380, 0x168e_3209_c0ac_404a),
     ("HRPE", 1826, 0xfb19_4aad_5085_9eb3),
-    ("HRPP", 721, 0x878c_3d8d_fc6d_34e9),
+    ("HRPP", 600, 0x7be9_3b15_e7a2_3012),
     ("HRPS LeastLoaded", 1454, 0x0dbe_a3c2_5a61_1151),
     ("HRPS RoundRobin", 1466, 0x6da6_a030_38ad_39b7),
     ("HRPS EasyAdmission", 1512, 0x6b8c_aeb1_b08c_af88),
-    ("HRPS Policy", 2057, 0xbfba_3011_1e9b_0e91),
+    ("HRPS Policy", 1936, 0x64b2_0eb4_6d2d_0a63),
 ];
 
 #[test]
@@ -451,20 +453,36 @@ fn forged_hidden_widths_are_a_typed_error_before_any_network_is_built() {
     assert_forged_agent_is_rejected("shards", "1000000000", "shards");
 }
 
-/// The same checks guard `HRPE`, which shares the agent loader.
+/// Parent commit (PR 21): all three loaded. A node then handed its first
+/// window to `hrp_core::exhaustive::best_partition`, which panics on a
+/// window of 0 ("window size 0 out of range"), cannot cover one at a
+/// concurrency cap of 0 ("DP failed to cover mask"), and searches every
+/// queued job at once — exponentially — under a window of 2⁶⁴ − 1.
+#[test]
+fn forged_node_windows_are_typed_errors() {
+    assert_forged_agent_is_rejected("node_w", "0", "node_w");
+    assert_forged_agent_is_rejected("node_w", "18446744073709551615", "node_w");
+    assert_forged_agent_is_rejected("node_cmax", "0", "node_cmax");
+}
+
+/// The same checks guard `HRPE`, which shares the agent loader. Parent
+/// commit (PR 21): `cmax=0` loaded, and the first greedy decision
+/// panicked with no valid action to choose from.
 #[test]
 fn forged_experiment_specs_are_typed_errors() {
     let s = suite();
     let blob = hrpe_blob(&s);
-    for (key, value) in [
-        ("buffer_capacity", "0"),
-        ("hidden", "4000000000,4000000000"),
-        ("w", "18446744073709551615"),
-        ("env", "sideways"),
+    for (key, value, needle) in [
+        ("buffer_capacity", "0", "buffer_capacity"),
+        ("hidden", "4000000000,4000000000", "params"),
+        ("w", "18446744073709551615", "'w'"),
+        ("cmax", "0", "'cmax'"),
+        ("env", "sideways", "'env'"),
     ] {
         let (outcome, peak) = peak_alloc(|| decode_hrpe(&s, tamper_spec(&blob, key, value)));
         let err = outcome.expect_err(key);
         assert!(err.contains("HRPE") || err.contains("HRPQ"), "{key}: {err}");
+        assert!(err.contains(needle), "{key}: '{err}' lacks {needle}");
         assert!(peak <= ALLOC_FLOOR, "{key}: asked for {peak} bytes at once");
     }
 }

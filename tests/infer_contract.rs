@@ -3,7 +3,7 @@
 //!
 //! * `FastPolicy::infer` — scalar kernel AND the auto-detected SIMD
 //!   kernel — is **bit-identical** to the reference
-//!   `QNet::predict` over arbitrary network shapes (plain and dueling
+//!   `QNet::predict_batch_into` at batch 1 over arbitrary network shapes (plain and dueling
 //!   heads, every row-padding case) and arbitrary states;
 //! * `FastPolicy::greedy` picks exactly the reference
 //!   `masked_argmax` action under arbitrary non-empty masks;
@@ -17,8 +17,15 @@ use hrp::core::cluster_env::{
 };
 use hrp::core::NodeSelector;
 use hrp::nn::net::{Head, QNet};
-use hrp::nn::{masked_argmax, FastPolicy, Kernel};
+use hrp::nn::{masked_argmax, FastPolicy, Kernel, PredictScratch};
 use proptest::prelude::*;
+
+/// The reference: the training-side inference forward at batch 1.
+fn predict(net: &QNet, state: &[f32]) -> Vec<f32> {
+    let mut q = Vec::new();
+    net.predict_batch_into(state, 1, &mut PredictScratch::default(), &mut q);
+    q
+}
 
 /// Deterministic state stream (same generator the batch-equivalence
 /// suite uses), so a proptest case is a pure function of its inputs.
@@ -70,7 +77,7 @@ proptest! {
         let mut gen = lcg_stream(state_seed);
         for _ in 0..4 {
             let state: Vec<f32> = (0..dim).map(|_| gen()).collect();
-            let reference = net.predict(&state);
+            let reference = predict(&net, &state);
             prop_assert_eq!(reference.len(), n_actions);
             let bits = |q: &[f32]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let expect = bits(&reference);
@@ -136,7 +143,7 @@ proptest! {
         prop_assert!(mask & (1 << picked) != 0, "picked a node outside the fit mask");
         let mut state = Vec::new();
         encode_placement_state(&loads, gpus, work, &mut state);
-        let q = net.predict(&state);
+        let q = predict(&net, &state);
         let reference = masked_argmax(&q, |a| mask & (1 << a) != 0);
         prop_assert_eq!(Some(picked), reference);
         // The capacity mask ignores saturation: a single-node cluster

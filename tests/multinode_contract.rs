@@ -115,8 +115,7 @@ proptest! {
         shape in shape_strategy(),
         nodes in 1usize..=4,
     ) {
-        // Serial, pooled (the with_threads default), and shared pool
-        // must all merge to one timeline.
+        // Serial and pooled (`with_threads`) must merge to one timeline.
         let s = suite();
         let threads = test_threads();
         let run = |sim: MultiNodeSim| {
@@ -125,10 +124,7 @@ proptest! {
         };
         let serial = run(MultiNodeSim::new(nodes, 2));
         let pooled = run(MultiNodeSim::new(nodes, 2).with_threads(threads));
-        let shared = run(MultiNodeSim::new(nodes, 2)
-            .with_pool(std::sync::Arc::new(hrp::core::par::WorkerPool::new(threads))));
         prop_assert_eq!(&pooled, &serial, "pooled fan-out drifted");
-        prop_assert_eq!(&shared, &serial, "shared-pool fan-out drifted");
     }
 
     #[test]
