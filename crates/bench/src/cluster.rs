@@ -150,19 +150,6 @@ pub fn compare_row(
     }
 }
 
-/// [`compare_row`] for a heuristic `kind`, with the selector built and
-/// the baseline computed on the spot (one-row callers).
-#[must_use]
-pub fn cluster_compare(
-    suite: &Suite,
-    jobs: &[ClusterJob],
-    kind: SelectorKind,
-    opts: ComparisonOptions,
-) -> ClusterComparison {
-    let baseline = single_node_baseline(suite, jobs);
-    compare_row(suite, jobs, kind, kind.build().as_mut(), opts, baseline)
-}
-
 /// The full placement comparison behind `repro cluster`: the evaluated
 /// trace run under every requested selector, plus (for
 /// [`SelectorKind::Policy`]) the training run that produced the
@@ -234,6 +221,18 @@ mod tests {
     use super::*;
     use hrp_gpusim::GpuArch;
 
+    /// [`compare_row`] for a heuristic `kind`, with the selector built
+    /// and the baseline computed on the spot.
+    fn one_row(
+        suite: &Suite,
+        jobs: &[ClusterJob],
+        kind: SelectorKind,
+        opts: ComparisonOptions,
+    ) -> ClusterComparison {
+        let baseline = single_node_baseline(suite, jobs);
+        compare_row(suite, jobs, kind, kind.build().as_mut(), opts, baseline)
+    }
+
     #[test]
     fn one_node_comparison_is_the_baseline_itself() {
         let suite = Suite::paper_suite(&GpuArch::a100());
@@ -242,7 +241,7 @@ mod tests {
             nodes: 1,
             ..quick_opts(0.0)
         };
-        let cmp = cluster_compare(&suite, &jobs, SelectorKind::RoundRobin, opts);
+        let cmp = one_row(&suite, &jobs, SelectorKind::RoundRobin, opts);
         assert_eq!(cmp.report.aggregate, cmp.baseline);
         assert!((cmp.speedup() - 1.0).abs() < 1e-12);
         assert_eq!(cmp.selector, "round-robin");
@@ -257,7 +256,7 @@ mod tests {
                 threads: 0,
                 ..quick_opts(0.0)
             };
-            let cmp = cluster_compare(&suite, &jobs, kind, opts);
+            let cmp = one_row(&suite, &jobs, kind, opts);
             assert!(
                 cmp.speedup() > 1.0,
                 "{}: 4 nodes should beat 1 ({} vs {})",
@@ -324,8 +323,8 @@ mod tests {
             jobs.iter().any(|j| j.gpus > 1),
             "colocate trace must contain gangs"
         );
-        let fcfs = cluster_compare(&suite, &jobs, SelectorKind::Fcfs, quick_opts(0.0));
-        let easy = cluster_compare(&suite, &jobs, SelectorKind::Easy, quick_opts(0.0));
+        let fcfs = one_row(&suite, &jobs, SelectorKind::Fcfs, quick_opts(0.0));
+        let easy = one_row(&suite, &jobs, SelectorKind::Easy, quick_opts(0.0));
         assert_eq!(easy.report.completed_jobs(), 96);
         assert!(
             easy.report.aggregate.makespan < fcfs.report.aggregate.makespan,

@@ -3,13 +3,13 @@
 //!
 //! Every evaluation fans out over its independent units of work —
 //! queues within a policy run, interference factors within the
-//! ablation — through [`hrp_core::par::parallel_map`], capped by an
+//! ablation — on a [`hrp_core::par::WorkerPool`], capped by an
 //! explicit `threads` argument (`0` = available parallelism) that the
 //! `repro` binary surfaces as `--threads`. Results are collected in
 //! item order, so evaluation output is identical for any thread count.
 
 use hrp_core::metrics::{arithmetic_mean, evaluate_decision, QueueMetrics};
-use hrp_core::par::parallel_map;
+use hrp_core::par::WorkerPool;
 use hrp_core::policies::{
     MigMpsDefault, MigMpsRl, MigOnly, MpsOnly, Policy, ScheduleContext, TimeSharing,
 };
@@ -95,7 +95,7 @@ pub fn eval_policy(
     policy: &(dyn Policy + Sync),
     threads: usize,
 ) -> PolicyEval {
-    let metrics: Vec<QueueMetrics> = parallel_map(queues.len(), threads, |i| {
+    let metrics: Vec<QueueMetrics> = WorkerPool::new(threads).map(queues.len(), |i| {
         let queue = &queues[i];
         let ctx = ScheduleContext::new(suite, queue, cmax);
         let decision = policy.schedule(&ctx);

@@ -32,6 +32,13 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
         }
     }
 
+    /// The window size and concurrency cap this dispatcher was built
+    /// with, `(w, cmax)`.
+    #[must_use]
+    pub fn window(&self) -> (usize, usize) {
+        (self.w, self.cmax)
+    }
+
     /// Number of windows scheduled so far.
     #[must_use]
     pub fn windows_scheduled(&self) -> usize {

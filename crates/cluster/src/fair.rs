@@ -7,8 +7,8 @@
 //! for the admission tier in front of the scheduler:
 //!
 //! * [`FairShare`] — per-user **karma** (accumulated GPU-seconds of
-//!   admitted work, exponentially decayed with a configurable
-//!   half-life, in the style of OAR's karma accounting) plus per-user
+//!   admitted work, exponentially decayed with a fixed half-life
+//!   ([`KARMA_HALF_LIFE`]), in the style of OAR's karma accounting) plus per-user
 //!   **in-flight counts** against a quota. All state lives in
 //!   `BTreeMap`s keyed by user id, so every operation is O(log n)
 //!   bookkeeping — never a re-plan. A count rises in
@@ -21,7 +21,7 @@
 //!   burst instant (lightest tenant first), ties keep submission
 //!   order. Reordering is confined to a burst — jobs with bitwise
 //!   equal arrival times — so the determinism contract
-//!   (bit-identical timelines for any thread count / cycle mode)
+//!   (bit-identical timelines for any thread count, batch or served)
 //!   survives: see ARCHITECTURE.md contract point 9.
 //! * [`apply_fair_order`] — the batch-side hook: walk an
 //!   arrival-sorted job list burst by burst, order each burst by
@@ -35,7 +35,7 @@
 //!   makespan.
 //!
 //! Karma decay is computed **lazily per user from its last charge
-//! stamp** (`value · 0.5^((t − stamp)/half_life)`), never by in-place
+//! stamp** (`value · 0.5^((t − stamp)/KARMA_HALF_LIFE)`), never by in-place
 //! rescaling on advance. Two drivers that charge at the same instants
 //! therefore hold bit-identical karma no matter how many intermediate
 //! wake-ups each one took — floating-point decay applied in one step
@@ -47,59 +47,10 @@ use crate::sim::{EventKind, EventLog};
 use hrp_workloads::Suite;
 use std::collections::BTreeMap;
 
-/// Fairness knobs shared by the batch ordering hook and the serving
-/// admission tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FairConfig {
-    /// Per-user in-flight cap (jobs admitted but not yet estimated to
-    /// have finished). [`usize::MAX`] — the default — never defers.
-    pub quota: usize,
-    /// Karma half-life in seconds: how fast a tenant's accumulated
-    /// service cost is forgiven.
-    pub half_life: f64,
-}
-
-impl Default for FairConfig {
-    fn default() -> Self {
-        Self {
-            quota: usize::MAX,
-            half_life: 300.0,
-        }
-    }
-}
-
-impl FairConfig {
-    /// The default knobs: unlimited quota, 300 s karma half-life.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builder: cap each user's in-flight jobs.
-    ///
-    /// # Panics
-    /// Panics if `quota` is 0 (a zero quota can never admit anything).
-    #[must_use]
-    pub fn quota(mut self, quota: usize) -> Self {
-        assert!(quota >= 1, "quota must be at least 1");
-        self.quota = quota;
-        self
-    }
-
-    /// Builder: override the karma half-life.
-    ///
-    /// # Panics
-    /// Panics unless `half_life` is positive and finite.
-    #[must_use]
-    pub fn half_life(mut self, half_life: f64) -> Self {
-        assert!(
-            half_life.is_finite() && half_life > 0.0,
-            "half_life must be positive and finite, got {half_life}"
-        );
-        self.half_life = half_life;
-        self
-    }
-}
+/// Karma half-life in seconds: how fast a tenant's accumulated service
+/// cost is forgiven. A constant, not a knob — every run that was ever
+/// measured forgave at this rate, and `HRPS` does not record it.
+pub const KARMA_HALF_LIFE: f64 = 300.0;
 
 /// Serializable snapshot of a [`FairShare`] — what `HRPS` checkpoints
 /// carry so kill/restore reproduces admission decisions bit-exactly.
@@ -122,7 +73,9 @@ pub struct FairShareState {
 /// operation, deterministic iteration, checkpoint-friendly export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FairShare {
-    cfg: FairConfig,
+    /// Per-user in-flight cap (jobs admitted but not yet estimated to
+    /// have finished); [`usize::MAX`] never defers.
+    quota: usize,
     now: f64,
     seq: u64,
     /// user → (karma value at `stamp`, stamp time of the last charge).
@@ -138,24 +91,13 @@ pub struct FairShare {
 }
 
 impl FairShare {
-    /// Fresh state at time 0 with the given knobs.
+    /// Fresh state at time 0 enforcing a per-user in-flight `quota`.
+    ///
+    /// # Panics
+    /// Panics if `quota` is 0 (a zero quota can never admit anything).
     #[must_use]
-    pub fn new(cfg: FairConfig) -> Self {
-        Self {
-            cfg,
-            now: 0.0,
-            seq: 0,
-            karma: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            releases: BTreeMap::new(),
-            keyed: Vec::new(),
-        }
-    }
-
-    /// The knobs this state enforces.
-    #[must_use]
-    pub fn config(&self) -> &FairConfig {
-        &self.cfg
+    pub fn new(quota: usize) -> Self {
+        Self::from_state(quota, &FairShareState::default())
     }
 
     /// Advance the clock to `t`, releasing every admission whose
@@ -202,7 +144,7 @@ impl FairShare {
     /// Whether admitting another job for `user` would exceed the quota.
     #[must_use]
     pub fn over_quota(&self, user: u32) -> bool {
-        self.in_flight(user) >= self.cfg.quota
+        self.in_flight(user) >= self.quota
     }
 
     /// The user's karma decayed to time `t`: a pure function of the
@@ -212,7 +154,7 @@ impl FairShare {
     pub fn karma_at(&self, user: u32, t: f64) -> f64 {
         match self.karma.get(&user) {
             None => 0.0,
-            Some(&(value, stamp)) => value * 0.5_f64.powf((t - stamp) / self.cfg.half_life),
+            Some(&(value, stamp)) => value * 0.5_f64.powf((t - stamp) / KARMA_HALF_LIFE),
         }
     }
 
@@ -282,11 +224,15 @@ impl FairShare {
         }
     }
 
-    /// Rebuild from an exported state.
+    /// Rebuild from an exported state, enforcing `quota`.
+    ///
+    /// # Panics
+    /// Panics if `quota` is 0.
     #[must_use]
-    pub fn from_state(cfg: FairConfig, state: &FairShareState) -> Self {
+    pub fn from_state(quota: usize, state: &FairShareState) -> Self {
+        assert!(quota >= 1, "quota must be at least 1");
         Self {
-            cfg,
+            quota,
             now: state.now,
             seq: state.seq,
             karma: state.karma.iter().map(|&(u, v, s)| (u, (v, s))).collect(),
@@ -318,8 +264,8 @@ pub fn job_cost(suite: &Suite, job: &ClusterJob) -> f64 {
 /// times are untouched — only within-burst order changes — so the
 /// result is engine-independent. With every job untagged (`user: 0`)
 /// the ordering is the identity.
-pub fn apply_fair_order(suite: &Suite, cfg: &FairConfig, jobs: &mut [ClusterJob]) {
-    let mut fair = FairShare::new(cfg.clone());
+pub fn apply_fair_order(suite: &Suite, jobs: &mut [ClusterJob]) {
+    let mut fair = FairShare::new(usize::MAX);
     let mut start = 0;
     while start < jobs.len() {
         let t = jobs[start].arrival;
@@ -432,7 +378,7 @@ mod tests {
 
     #[test]
     fn quota_counts_admissions_and_releases() {
-        let mut fair = FairShare::new(FairConfig::new().quota(2));
+        let mut fair = FairShare::new(2);
         fair.admit(7, 10.0, 5.0);
         fair.admit(7, 10.0, 9.0);
         assert_eq!(fair.in_flight(7), 2);
@@ -448,7 +394,7 @@ mod tests {
 
     #[test]
     fn advance_reports_whether_anything_was_released() {
-        let mut fair = FairShare::new(FairConfig::new().quota(2));
+        let mut fair = FairShare::new(2);
         assert!(!fair.advance_to(1.0), "nothing admitted, nothing due");
         fair.admit(7, 10.0, 5.0);
         fair.admit(8, 10.0, 5.0);
@@ -461,7 +407,7 @@ mod tests {
         assert_eq!((fair.in_flight(7), fair.in_flight(8)), (1, 0));
         assert!(!fair.advance_to(5.0), "already popped");
         // The report is a function of the state a checkpoint carries.
-        let mut back = FairShare::from_state(fair.config().clone(), &fair.export_state());
+        let mut back = FairShare::from_state(2, &fair.export_state());
         assert!(!back.advance_to(8.0));
         assert!(back.advance_to(100.0), "the last release, long overdue");
         assert_eq!(back.next_release(), None);
@@ -470,7 +416,7 @@ mod tests {
 
     #[test]
     fn karma_decay_is_path_independent() {
-        let mut one_step = FairShare::new(FairConfig::new().half_life(50.0));
+        let mut one_step = FairShare::new(usize::MAX);
         let mut two_step = one_step.clone();
         one_step.charge(3, 100.0, 0.0);
         two_step.charge(3, 100.0, 0.0);
@@ -484,12 +430,14 @@ mod tests {
             two_step.karma_at(3, 80.0).to_bits()
         );
         assert!(one_step.karma_at(3, 50.0) > one_step.karma_at(3, 150.0));
+        // One half-life halves it: 100 charged at 0 is 50 at the constant.
+        assert_eq!(one_step.karma_at(3, KARMA_HALF_LIFE), 50.0);
     }
 
     #[test]
     fn order_burst_puts_light_tenants_first_and_is_stable() {
         let s = suite();
-        let mut fair = FairShare::new(FairConfig::new());
+        let mut fair = FairShare::new(usize::MAX);
         fair.charge(0, 500.0, 0.0);
         let mut burst: Vec<ClusterJob> = (0..4)
             .map(|i| {
@@ -512,7 +460,7 @@ mod tests {
         let cfg = TraceConfig::new(TraceKind::Bursty, 40, 11);
         let mut jobs = generate(&s, &cfg);
         let before = jobs.clone();
-        apply_fair_order(&s, &FairConfig::new(), &mut jobs);
+        apply_fair_order(&s, &mut jobs);
         assert_eq!(jobs, before);
     }
 
@@ -522,7 +470,7 @@ mod tests {
         let cfg = TraceConfig::new(TraceKind::Bursty, 60, 5).users(4);
         let mut jobs = generate(&s, &cfg);
         let before = jobs.clone();
-        apply_fair_order(&s, &FairConfig::new(), &mut jobs);
+        apply_fair_order(&s, &mut jobs);
         let arrivals =
             |js: &[ClusterJob]| js.iter().map(|j| j.arrival.to_bits()).collect::<Vec<_>>();
         assert_eq!(
@@ -537,12 +485,12 @@ mod tests {
 
     #[test]
     fn state_round_trips() {
-        let mut fair = FairShare::new(FairConfig::new().quota(3).half_life(120.0));
+        let mut fair = FairShare::new(3);
         fair.admit(1, 40.0, 12.0);
         fair.advance_to(6.0);
         fair.admit(2, 7.5, 30.0);
         let state = fair.export_state();
-        let back = FairShare::from_state(fair.config().clone(), &state);
+        let back = FairShare::from_state(3, &state);
         assert_eq!(back, fair);
     }
 

@@ -72,7 +72,7 @@ pub mod trace;
 
 pub use backfill::{BackfillPlanner, BackfillPolicy};
 pub use cosched::CoSchedulingDispatcher;
-pub use fair::{FairConfig, FairShare, FairnessReport};
+pub use fair::{FairShare, FairnessReport};
 pub use job::ClusterJob;
 pub use multinode::{ClusterDrive, ClusterTimeline, MultiNodeReport, MultiNodeSim, NodeSummary};
 pub use place::{

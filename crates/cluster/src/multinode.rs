@@ -603,7 +603,7 @@ pub struct MultiNodeSim {
     nodes: usize,
     gpus_per_node: usize,
     threads: usize,
-    fair_order: Option<crate::fair::FairConfig>,
+    fair_order: bool,
 }
 
 impl MultiNodeSim {
@@ -619,7 +619,7 @@ impl MultiNodeSim {
             nodes,
             gpus_per_node,
             threads: 1,
-            fair_order: None,
+            fair_order: false,
         }
     }
 
@@ -640,8 +640,8 @@ impl MultiNodeSim {
     /// fan-out, so timelines stay bit-identical for any thread count.
     /// A no-op on untagged (`user: 0`) traces.
     #[must_use]
-    pub fn with_fair_order(mut self, cfg: crate::fair::FairConfig) -> Self {
-        self.fair_order = Some(cfg);
+    pub fn with_fair_order(mut self) -> Self {
+        self.fair_order = true;
         self
     }
 
@@ -677,8 +677,8 @@ impl MultiNodeSim {
         // exactly like the single-node simulator. Fair-share ordering
         // then reorders *within* each same-instant burst only.
         jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-        if let Some(fair) = &self.fair_order {
-            crate::fair::apply_fair_order(suite, fair, &mut jobs);
+        if self.fair_order {
+            crate::fair::apply_fair_order(suite, &mut jobs);
         }
 
         let threads = resolve_threads(self.threads).min(self.nodes);

@@ -729,7 +729,7 @@ impl PlacementAgent {
 /// Where a placement checkpoint is reloaded: train with
 /// [`train_placement`], checkpoint with [`PlacementAgent::save_bytes`],
 /// rebuild with [`PlacementExperiment::load_bytes`] (the cluster-tier
-/// mirror of `hrp-core`'s `Experiment::load_bytes`; never constructed).
+/// mirror of `hrp-core`'s `TrainedAgent::load_bytes`; never constructed).
 ///
 /// ```no_run
 /// use hrp_cluster::place::{train_placement, PlacementConfig, PlacementExperiment};

@@ -1,29 +1,32 @@
-//! The [`Experiment`] builder: one fluent, serialisable spec for a
-//! whole training run, with checkpoint save/load.
+//! `HRPE` checkpoints: a trained agent saved as spec + weights and
+//! reloaded to identical decisions.
 //!
-//! [`TrainConfig`] is the exhaustive knob set; `Experiment` wraps it in
-//! a builder so a run reads as one expression —
+//! A run is [`train`](crate::train::train)`(&suite, TrainConfig { .. })`;
+//! this module adds the **checkpoint** hand-off the paper's deployment
+//! story needs (train offline once, redeploy the frozen agent online):
+//! [`TrainedAgent::save_bytes`] captures the spec *and* the trained
+//! weights in one blob, and [`TrainedAgent::load_bytes`] rebuilds an
+//! agent that makes **identical greedy decisions** — everything else the
+//! agent needs (profiles, scaler, catalog) is a deterministic function
+//! of the spec and the suite, so only spec + weights go to disk.
 //!
 //! ```no_run
-//! use hrp_core::experiment::Experiment;
 //! use hrp_core::rl::EnvKind;
+//! use hrp_core::train::{train, TrainConfig, TrainedAgent};
+//! use hrp_gpusim::GpuArch;
+//! use hrp_workloads::Suite;
 //!
-//! let run = Experiment::paper()
-//!     .env(EnvKind::Hierarchical)
-//!     .overlap(true)
-//!     .shards(4)
-//!     .run();
-//! println!("late return: {:.3}", run.report.late_return);
+//! let suite = Suite::paper_suite(&GpuArch::a100());
+//! let cfg = TrainConfig {
+//!     env: EnvKind::Hierarchical,
+//!     ..TrainConfig::paper()
+//! };
+//! let (trained, report) = train(&suite, cfg);
+//! println!("late return: {:.3}", report.late_return);
+//! trained.save_file("agent.hrpe".as_ref()).unwrap();
+//! let redeployed = TrainedAgent::load_file("agent.hrpe".as_ref(), &suite).unwrap();
+//! # let _ = redeployed;
 //! ```
-//!
-//! — and adds the **checkpoint** hand-off the paper's deployment story
-//! needs (train offline once, redeploy the frozen agent online):
-//! [`TrainedExperiment::save_bytes`] captures the spec *and* the
-//! trained weights in one blob, and [`Experiment::load_bytes`] rebuilds
-//! a [`TrainedAgent`] that makes **identical greedy decisions** —
-//! everything else the agent needs (profiles, scaler, catalog) is a
-//! deterministic function of the spec and the suite, so only spec +
-//! weights go to disk.
 //!
 //! # Checkpoint format
 //!
@@ -37,17 +40,22 @@
 //! ## Save → load quickstart
 //!
 //! ```
-//! use hrp_core::experiment::Experiment;
+//! use hrp_core::train::{train, TrainConfig, TrainedAgent};
 //! use hrp_gpusim::GpuArch;
 //! use hrp_workloads::Suite;
 //!
 //! let suite = Suite::paper_suite(&GpuArch::a100());
-//! // Tiny run for the doctest; use Experiment::paper() for real runs.
-//! let run = Experiment::quick().episodes(8).seed(7).run_on(&suite);
+//! // Tiny run for the doctest; use TrainConfig::paper() for real runs.
+//! let cfg = TrainConfig {
+//!     episodes: 8,
+//!     seed: 7,
+//!     ..TrainConfig::quick()
+//! };
+//! let (trained, _report) = train(&suite, cfg);
 //!
 //! // Persist spec + weights, redeploy elsewhere.
-//! let blob = run.trained.save_bytes();
-//! let reloaded = Experiment::load_bytes(blob, &suite).unwrap();
+//! let blob = trained.save_bytes();
+//! let reloaded = TrainedAgent::load_bytes(blob, &suite).unwrap();
 //!
 //! // The reloaded agent is behaviourally identical.
 //! let queues = hrp_workloads::queue::table_v_queues(&suite);
@@ -57,7 +65,7 @@
 //! };
 //! let engine = hrp_gpusim::EngineConfig::default();
 //! assert_eq!(
-//!     run.trained.greedy_decision(&suite, &queue, &engine),
+//!     trained.greedy_decision(&suite, &queue, &engine),
 //!     reloaded.greedy_decision(&suite, &queue, &engine),
 //! );
 //! ```
@@ -66,7 +74,7 @@ use crate::actions::ActionCatalog;
 pub use crate::codec::CheckpointError;
 use crate::codec::{load_agent, save_weights, Reader, Spec, SpecWriter, Writer};
 use crate::rl::EnvKind;
-use crate::train::{dqn_config, env_geometry, train, TrainConfig, TrainReport, TrainedAgent};
+use crate::train::{dqn_config, env_geometry, TrainConfig, TrainedAgent};
 use bytes::Bytes;
 use hrp_gpusim::engine::EngineConfig;
 use hrp_profile::{FeatureScaler, ProfileRepository, Profiler};
@@ -88,169 +96,6 @@ const MAX_WINDOW: usize = 4096;
 /// has nothing to choose from.
 const MAX_CMAX: usize = 4;
 
-/// A fluent, serialisable training spec (see the [module docs](self)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Experiment {
-    cfg: TrainConfig,
-}
-
-impl Experiment {
-    /// The paper's Table VI configuration.
-    #[must_use]
-    pub fn paper() -> Self {
-        Self {
-            cfg: TrainConfig::paper(),
-        }
-    }
-
-    /// The small test/smoke configuration.
-    #[must_use]
-    pub fn quick() -> Self {
-        Self {
-            cfg: TrainConfig::quick(),
-        }
-    }
-
-    /// Wrap an explicit config.
-    #[must_use]
-    pub fn from_config(cfg: TrainConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// Select the environment formulation (flat / hierarchical).
-    #[must_use]
-    pub fn env(mut self, kind: EnvKind) -> Self {
-        self.cfg.env = kind;
-        self
-    }
-
-    /// Double-buffered (overlapped) training rounds.
-    #[must_use]
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.cfg.overlap = on;
-        self
-    }
-
-    /// Replay shards (1 = classic single ring).
-    #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shards = n.max(1);
-        self
-    }
-
-    /// Rollout worker threads (execution detail; 0 = auto).
-    #[must_use]
-    pub fn workers(mut self, n: usize) -> Self {
-        self.cfg.n_workers = n;
-        self
-    }
-
-    /// Training episodes.
-    #[must_use]
-    pub fn episodes(mut self, n: usize) -> Self {
-        self.cfg.episodes = n;
-        self
-    }
-
-    /// Master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Window size `W`.
-    #[must_use]
-    pub fn window(mut self, w: usize) -> Self {
-        self.cfg.w = w;
-        self
-    }
-
-    /// Hidden-layer widths.
-    #[must_use]
-    pub fn hidden(mut self, widths: Vec<usize>) -> Self {
-        self.cfg.hidden = widths;
-        self
-    }
-
-    /// The underlying config.
-    #[must_use]
-    pub fn config(&self) -> &TrainConfig {
-        &self.cfg
-    }
-
-    /// Train on the paper's A100 suite.
-    #[must_use]
-    pub fn run(self) -> TrainedExperiment {
-        let suite = Suite::paper_suite(&hrp_gpusim::GpuArch::a100());
-        self.run_on(&suite)
-    }
-
-    /// Train on an explicit suite.
-    #[must_use]
-    pub fn run_on(self, suite: &Suite) -> TrainedExperiment {
-        let (trained, report) = train(suite, self.cfg);
-        TrainedExperiment { trained, report }
-    }
-
-    /// Rebuild a trained agent from a checkpoint blob: decode the spec,
-    /// check the weights against the geometry it implies, regenerate
-    /// the deterministic deployment state (profiles, scaler, catalog),
-    /// and load the weights.
-    ///
-    /// # Errors
-    /// Returns a [`CheckpointError`] when the blob is not an `HRPE`
-    /// checkpoint, has an unsupported version, a malformed or
-    /// out-of-range spec, or weights whose shape does not match the
-    /// spec's network geometry.
-    pub fn load_bytes(blob: Bytes, suite: &Suite) -> Result<TrainedAgent, CheckpointError> {
-        let mut r = Reader::open(&blob, MAGIC, VERSION)?;
-        let cfg = decode_spec(r.spec()?)?;
-        let catalog = ActionCatalog::paper_29();
-        let (state_dim, n_actions) = env_geometry(&cfg, &catalog);
-        let agent = load_agent(MAGIC, dqn_config(&cfg, state_dim, n_actions), r.rest())?;
-
-        let profiler = Profiler::new(suite.arch().clone(), cfg.profile_noise, cfg.seed);
-        let repo = ProfileRepository::for_suite(suite, &profiler);
-        let scaler = FeatureScaler::fit(&repo);
-        Ok(TrainedAgent::from_parts(agent, scaler, catalog, repo, cfg))
-    }
-
-    /// [`Experiment::load_bytes`] from a file.
-    ///
-    /// # Errors
-    /// I/O failures surface as [`CheckpointError::Io`]; decode failures
-    /// as in [`Experiment::load_bytes`].
-    pub fn load_file(path: &Path, suite: &Suite) -> Result<TrainedAgent, CheckpointError> {
-        let raw = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        Self::load_bytes(Bytes::from(raw), suite)
-    }
-}
-
-/// A completed run: the deployable agent plus its learning statistics.
-pub struct TrainedExperiment {
-    /// The trained, deployable agent.
-    pub trained: TrainedAgent,
-    /// Learning statistics of the run.
-    pub report: TrainReport,
-}
-
-impl TrainedExperiment {
-    /// Checkpoint the run (delegates to [`TrainedAgent::save_bytes`]).
-    #[must_use]
-    pub fn save_bytes(&self) -> Bytes {
-        self.trained.save_bytes()
-    }
-
-    /// Checkpoint the run to a file.
-    ///
-    /// # Errors
-    /// Surfaces I/O failures.
-    pub fn save_file(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.trained.save_file(path)
-    }
-}
-
 impl TrainedAgent {
     /// Serialise the full checkpoint: spec + online-network weights.
     #[must_use]
@@ -267,6 +112,39 @@ impl TrainedAgent {
     /// Surfaces I/O failures.
     pub fn save_file(&self, path: &Path) -> Result<(), CheckpointError> {
         std::fs::write(path, self.save_bytes()).map_err(|e| CheckpointError::Io(e.to_string()))
+    }
+
+    /// Rebuild a trained agent from a checkpoint blob: decode the spec,
+    /// check the weights against the geometry it implies, regenerate
+    /// the deterministic deployment state (profiles, scaler, catalog),
+    /// and load the weights.
+    ///
+    /// # Errors
+    /// Returns a [`CheckpointError`] when the blob is not an `HRPE`
+    /// checkpoint, has an unsupported version, a malformed or
+    /// out-of-range spec, or weights whose shape does not match the
+    /// spec's network geometry.
+    pub fn load_bytes(blob: Bytes, suite: &Suite) -> Result<Self, CheckpointError> {
+        let mut r = Reader::open(&blob, MAGIC, VERSION)?;
+        let cfg = decode_spec(r.spec()?)?;
+        let catalog = ActionCatalog::paper_29();
+        let (state_dim, n_actions) = env_geometry(&cfg, &catalog);
+        let agent = load_agent(MAGIC, dqn_config(&cfg, state_dim, n_actions), r.rest())?;
+
+        let profiler = Profiler::new(suite.arch().clone(), cfg.profile_noise, cfg.seed);
+        let repo = ProfileRepository::for_suite(suite, &profiler);
+        let scaler = FeatureScaler::fit(&repo);
+        Ok(Self::from_parts(agent, scaler, catalog, repo, cfg))
+    }
+
+    /// [`TrainedAgent::load_bytes`] from a file.
+    ///
+    /// # Errors
+    /// I/O failures surface as [`CheckpointError::Io`]; decode failures
+    /// as in [`TrainedAgent::load_bytes`].
+    pub fn load_file(path: &Path, suite: &Suite) -> Result<Self, CheckpointError> {
+        let raw = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
+        Self::load_bytes(Bytes::from(raw), suite)
     }
 }
 
@@ -389,41 +267,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_composes_fluently() {
-        let exp = Experiment::paper()
-            .env(EnvKind::Hierarchical)
-            .overlap(true)
-            .shards(4)
-            .workers(2)
-            .episodes(42)
-            .seed(9)
-            .window(8)
-            .hidden(vec![32, 16]);
-        let cfg = exp.config();
-        assert_eq!(cfg.env, EnvKind::Hierarchical);
-        assert!(cfg.overlap);
-        assert_eq!(cfg.shards, 4);
-        assert_eq!(cfg.n_workers, 2);
-        assert_eq!(cfg.episodes, 42);
-        assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.w, 8);
-        assert_eq!(cfg.hidden, vec![32, 16]);
-        // shards(0) clamps rather than producing a broken pipeline.
-        assert_eq!(Experiment::paper().shards(0).config().shards, 1);
-    }
-
-    #[test]
     fn load_rejects_garbage_and_versions() {
         let suite = Suite::paper_suite(&GpuArch::a100());
         assert_eq!(
-            Experiment::load_bytes(Bytes::from_static(b"nope"), &suite).err(),
+            TrainedAgent::load_bytes(Bytes::from_static(b"nope"), &suite).err(),
             Some(CheckpointError::NotACheckpoint { expected: "HRPE" })
         );
-        let run = Experiment::quick().episodes(4).run_on(&suite);
-        let mut raw = run.save_bytes().to_vec();
+        let cfg = TrainConfig {
+            episodes: 4,
+            ..TrainConfig::quick()
+        };
+        let mut raw = crate::train::train(&suite, cfg).0.save_bytes().to_vec();
         raw[4] = 99;
         assert_eq!(
-            Experiment::load_bytes(raw.into(), &suite).err(),
+            TrainedAgent::load_bytes(raw.into(), &suite).err(),
             Some(CheckpointError::BadVersion {
                 format: "HRPE",
                 found: 99

@@ -237,12 +237,6 @@ impl<'a> HierarchicalEnv<'a> {
     pub fn flat(&self) -> &CoScheduleEnv<'a> {
         &self.inner
     }
-
-    /// Whether the env awaits the MPS-level half of a decision.
-    #[must_use]
-    pub fn awaiting_mps_level(&self) -> bool {
-        self.chosen_group.is_some()
-    }
 }
 
 impl Env for HierarchicalEnv<'_> {
@@ -487,7 +481,7 @@ mod tests {
                 .find(|a| mask & (1 << a) != 0)
                 .unwrap();
             let r = Env::step(&mut env, action);
-            if env.awaiting_mps_level() {
+            if env.chosen_group.is_some() {
                 assert_eq!(r.reward, 0.0, "MIG-level step pays no reward");
             }
             steps += 1;
@@ -529,9 +523,9 @@ mod tests {
         let mut env = factory.make(&queue);
         let first = Env::valid_mask(&env);
         Env::step(&mut env, 0);
-        assert!(env.awaiting_mps_level());
+        assert!(env.chosen_group.is_some());
         Env::reset(&mut env);
-        assert!(!env.awaiting_mps_level());
+        assert!(env.chosen_group.is_none());
         assert_eq!(Env::valid_mask(&env), first, "reset restores the masks");
     }
 }

@@ -29,9 +29,8 @@
 //!   optional double-buffered (overlapped) rounds and sharded
 //!   replay — bit-identical for any worker count (see
 //!   `ARCHITECTURE.md`, "Determinism contract");
-//! * [`mod@experiment`] — the fluent [`experiment::Experiment`] spec
-//!   unifying the config surface, with spec+weights checkpoints that
-//!   reload to identical greedy decisions;
+//! * [`mod@experiment`] — `HRPE` spec+weights checkpoints of a trained
+//!   agent, which reload to identical greedy decisions;
 //! * [`mod@cluster_env`] — the cluster tier above all of this (§VI):
 //!   the [`cluster_env::NodeSelector`] placement contract the
 //!   multi-node simulator consults, the shared placement state
@@ -39,9 +38,9 @@
 //!   bridge; the placement environment itself lives in
 //!   `hrp-cluster::place`, where it replays episodes through the real
 //!   multi-node simulator);
-//! * [`par`] — the bounded parallelism primitives
-//!   ([`par::parallel_map`] and the persistent [`par::WorkerPool`])
-//!   the rollout, evaluation, and multi-node epoch fan-outs share;
+//! * [`par`] — the bounded parallelism primitive (the persistent
+//!   [`par::WorkerPool`]) the rollout, evaluation, and multi-node epoch
+//!   fan-outs share;
 //! * [`policies`] — the five compared methods of §V-A4: `TimeSharing`,
 //!   `MigOnly (C=2)`, `MpsOnly`, `MigMpsDefault`, and `MigMpsRl`;
 //! * [`exhaustive`] — the set-partition dynamic program used to give the
@@ -80,7 +79,7 @@ pub use hrp_nn::serialize as codec;
 pub use actions::ActionCatalog;
 pub use cluster_env::{NodeLoad, NodeSelector, PolicySelector};
 pub use env::{CoScheduleEnv, CoScheduleEnvFactory, EnvConfig};
-pub use experiment::{CheckpointError, Experiment, TrainedExperiment};
+pub use experiment::CheckpointError;
 pub use hierarchy::{HierarchicalCatalog, HierarchicalEnv, HierarchicalEnvFactory};
 pub use metrics::QueueMetrics;
 pub use policies::{

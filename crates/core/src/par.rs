@@ -1,24 +1,21 @@
-//! Bounded parallelism over indexed work items: one-shot scoped
-//! fan-out ([`parallel_map`]) and a persistent [`WorkerPool`].
+//! Bounded parallelism over indexed work items: a persistent
+//! [`WorkerPool`].
 //!
 //! The workspace's parallel sections (rollout workers, evaluation
 //! queues, the multi-node epoch fan-out) all share the same shape: a
 //! fixed list of independent items, a worker function producing one
-//! output per item, and a cap on simultaneous threads. [`parallel_map`]
-//! implements that shape with `std::thread::scope` and an atomic work
-//! queue — no thread pool, no external dependency, and a serial fast
-//! path when one thread (or one item) makes spawning pointless.
-//!
-//! [`WorkerPool`] keeps the exact same contract but amortises thread
-//! creation: callers that fan out *repeatedly* over small item counts
-//! (the multi-node simulator runs one fan-out per arrival instant) pay
-//! spawn/join once per pool instead of once per call. `pool.map(n, f)`
-//! and `parallel_map(n, threads, f)` return identical results for the
-//! same `f` — scheduling is an execution detail in both.
+//! output per item, and a cap on simultaneous threads. [`WorkerPool`]
+//! implements that shape with threads spawned once and an atomic work
+//! queue — no external dependency, and a serial fast path when one
+//! thread (or one item) makes waking workers pointless. Callers that
+//! fan out *repeatedly* over small item counts (the multi-node simulator
+//! runs one fan-out per arrival instant) pay spawn/join once per pool
+//! instead of once per call.
 //!
 //! Results are returned **in item order** regardless of which worker
 //! claimed which item, so callers stay deterministic for a fixed input
-//! regardless of the thread count.
+//! regardless of the thread count: `pool.map(n, f)` is
+//! `(0..n).map(f).collect()` — scheduling is an execution detail.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,64 +29,6 @@ pub fn resolve_threads(requested: usize) -> usize {
         return requested;
     }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Apply `f` to every index in `0..n`, using at most `threads` worker
-/// threads (`0` = available parallelism), and collect the outputs in
-/// index order.
-///
-/// `f` runs concurrently on distinct indices; each output lands in its
-/// index's slot, so the result is independent of scheduling order:
-///
-/// ```
-/// use hrp_core::par::parallel_map;
-///
-/// let serial = parallel_map(8, 1, |i| i * i);
-/// let fanned = parallel_map(8, 4, |i| i * i);
-/// assert_eq!(serial, fanned);
-/// assert_eq!(fanned, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = resolve_threads(threads).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut per_worker: Vec<Vec<(usize, T)>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut got = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        got.push((i, f(i)));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for h in handles {
-            per_worker.push(h.join().expect("worker panicked"));
-        }
-    });
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, v) in per_worker.into_iter().flatten() {
-        debug_assert!(out[i].is_none(), "index {i} claimed twice");
-        out[i] = Some(v);
-    }
-    out.into_iter()
-        .map(|v| v.expect("every index claimed exactly once"))
-        .collect()
 }
 
 /// A lifetime-erased pointer to the current epoch's work closure.
@@ -163,21 +102,20 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// A persistent worker pool with [`parallel_map`] semantics.
+/// A persistent worker pool.
 ///
 /// Threads are spawned once at construction and parked between calls;
 /// [`WorkerPool::map`] wakes them for one epoch of index-claiming work
-/// and returns the outputs in item order. Repeated small fan-outs (the
-/// multi-node simulator's per-arrival-instant epochs, benchmark loops)
-/// skip the per-call spawn/join cost of [`parallel_map`]:
+/// and returns the outputs in item order, whichever worker claimed
+/// which item:
 ///
 /// ```
-/// use hrp_core::par::{parallel_map, WorkerPool};
+/// use hrp_core::par::WorkerPool;
 ///
 /// let pool = WorkerPool::new(4);
 /// for _ in 0..3 {
 ///     let pooled = pool.map(8, |i| i * i);
-///     assert_eq!(pooled, parallel_map(8, 4, |i| i * i));
+///     assert_eq!(pooled, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 /// }
 /// ```
 ///
@@ -199,7 +137,7 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Spawn a pool of `threads` workers (`0` = available parallelism).
     /// A resolved count of 1 spawns no threads at all: `map` then runs
-    /// serially on the caller, exactly like `parallel_map(n, 1, f)`.
+    /// serially on the caller.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = resolve_threads(threads);
@@ -237,9 +175,8 @@ impl WorkerPool {
     }
 
     /// Apply `f` to every index in `0..n` on the pool's workers and
-    /// collect the outputs in index order — the persistent-pool
-    /// equivalent of [`parallel_map`], with the identical determinism
-    /// contract.
+    /// collect the outputs in index order: the result is
+    /// `(0..n).map(f).collect()` for any thread count.
     ///
     /// # Panics
     /// Propagates a panic from `f`.
@@ -395,7 +332,7 @@ mod tests {
     #[test]
     fn maps_in_index_order() {
         for threads in [1, 2, 4, 0] {
-            let got = parallel_map(17, threads, |i| i * i);
+            let got = WorkerPool::new(threads).map(17, |i| i * i);
             let want: Vec<usize> = (0..17).map(|i| i * i).collect();
             assert_eq!(got, want, "threads = {threads}");
         }
@@ -403,13 +340,15 @@ mod tests {
 
     #[test]
     fn handles_empty_and_single() {
-        assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(1, 4, |i| i + 10), vec![10]);
+        let pool = WorkerPool::new(4);
+        assert_eq!(pool.map(0, |i| i), Vec::<usize>::new());
+        assert_eq!(pool.map(1, |i| i + 10), vec![10]);
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        assert_eq!(parallel_map(3, 64, |i| i), vec![0, 1, 2]);
+        // Every worker takes part in the epoch; most claim nothing.
+        assert_eq!(WorkerPool::new(16).map(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -427,15 +366,14 @@ mod tests {
             }
             acc
         };
-        let serial = parallel_map(32, 1, expensive);
-        let parallel = parallel_map(32, 4, expensive);
+        let serial = WorkerPool::new(1).map(32, expensive);
+        let parallel = WorkerPool::new(4).map(32, expensive);
         assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn pool_map_is_equivalent_to_scoped_parallel_map() {
-        // The persistent pool and the scoped one-shot fan-out share one
-        // contract: same `f`, same outputs, in item order.
+    fn pool_map_is_equivalent_to_the_serial_map() {
+        // Same `f`, same outputs, in item order, for any thread count.
         let f = |i: usize| -> u64 {
             let mut acc = i as u64 ^ 0xdead_beef;
             for k in 0..500 {
@@ -448,7 +386,7 @@ mod tests {
             for n in [0usize, 1, 3, 17, 64] {
                 assert_eq!(
                     pool.map(n, f),
-                    parallel_map(n, threads, f),
+                    (0..n).map(f).collect::<Vec<_>>(),
                     "threads = {threads}, n = {n}"
                 );
             }

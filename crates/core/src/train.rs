@@ -93,8 +93,7 @@ use std::sync::{mpsc, Arc};
 /// assert_eq!(cfg.hidden, vec![512, 256, 128]);
 /// ```
 ///
-/// For the fluent one-expression form (plus checkpointing), see
-/// [`crate::experiment::Experiment`].
+/// Checkpointing a trained run: [`crate::experiment`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Window size `W`.

@@ -53,25 +53,6 @@ impl GpuArch {
         }
     }
 
-    /// A hypothetical double-size future GPU (used by the scalability
-    /// discussion in §III-A: "the scalability limit inside a GPU will be
-    /// even more serious when resources become richer").
-    #[must_use]
-    pub fn a100_2x() -> Self {
-        Self {
-            name: "Hypothetical 2x A100".to_owned(),
-            gpcs: 16,
-            sms: 216,
-            mem_slices: 16,
-            hbm_gib: 80.0,
-            peak_bw_gbs: 3110.0,
-            peak_fp64_tflops: 19.4,
-            clock_mhz: 1410.0,
-            mig_usable_gpcs: 15,
-            tdp_w: 400.0,
-        }
-    }
-
     /// Fraction of total compute represented by one GPC slice.
     #[must_use]
     pub fn gpc_fraction(&self) -> f64 {
@@ -82,19 +63,6 @@ impl GpuArch {
     #[must_use]
     pub fn mem_slice_fraction(&self) -> f64 {
         1.0 / f64::from(self.mem_slices)
-    }
-
-    /// Compute fraction available when MIG is enabled (7/8 on the A100).
-    #[must_use]
-    pub fn mig_compute_cap(&self) -> f64 {
-        f64::from(self.mig_usable_gpcs) / f64::from(self.gpcs)
-    }
-
-    /// SMs per GPC (A100: 13.5 average; we keep it fractional — only
-    /// fractions enter the performance model).
-    #[must_use]
-    pub fn sms_per_gpc(&self) -> f64 {
-        f64::from(self.sms) / f64::from(self.gpcs)
     }
 }
 
@@ -123,21 +91,11 @@ mod tests {
         let a = GpuArch::a100();
         assert!((a.gpc_fraction() - 0.125).abs() < 1e-12);
         assert!((a.mem_slice_fraction() - 0.125).abs() < 1e-12);
-        assert!((a.mig_compute_cap() - 0.875).abs() < 1e-12);
-        assert!((a.sms_per_gpc() - 13.5).abs() < 1e-12);
     }
 
     #[test]
     fn default_is_a100() {
         assert_eq!(GpuArch::default(), GpuArch::a100());
-    }
-
-    #[test]
-    fn scaled_arch_doubles() {
-        let a = GpuArch::a100();
-        let b = GpuArch::a100_2x();
-        assert_eq!(b.gpcs, 2 * a.gpcs);
-        assert!((b.peak_bw_gbs - 2.0 * a.peak_bw_gbs).abs() < f64::EPSILON);
     }
 
     #[test]

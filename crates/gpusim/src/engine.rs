@@ -55,16 +55,6 @@ pub struct CoRunResult {
     pub completion_order: Vec<usize>,
 }
 
-impl CoRunResult {
-    /// Sum of the jobs' solo times divided by the makespan — the relative
-    /// throughput against time sharing used throughout the paper.
-    #[must_use]
-    pub fn relative_throughput(&self, solo_times: &[f64]) -> f64 {
-        let solo: f64 = solo_times.iter().sum();
-        solo / self.makespan
-    }
-}
-
 /// Validate a slot assignment.
 fn check_assignment(
     apps: &[&AppModel],
@@ -320,7 +310,8 @@ mod tests {
         let mi = app("mi", 0.95, 0.25, 0.95, 0.25, 10.0);
         let part = compile(PartitionScheme::mps_only(vec![0.8, 0.2]));
         let r = simulate_corun(&[&ci, &mi], &[0, 1], &part, &EngineConfig::default());
-        let tp = r.relative_throughput(&[10.0, 10.0]);
+        // Sum of the solo times over the co-run makespan.
+        let tp = (10.0 + 10.0) / r.makespan;
         assert!(tp > 1.2, "complementary mix should beat time sharing: {tp}");
     }
 

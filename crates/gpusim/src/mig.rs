@@ -104,12 +104,6 @@ impl GiProfile {
         }
     }
 
-    /// Fraction of total GPU compute (A100: slices / 8).
-    #[must_use]
-    pub fn compute_fraction(self, arch: &GpuArch) -> f64 {
-        f64::from(self.compute_slices()) / f64::from(arch.gpcs)
-    }
-
     /// Fraction of total GPU memory bandwidth.
     #[must_use]
     pub fn mem_fraction(self, arch: &GpuArch) -> f64 {
@@ -246,15 +240,6 @@ impl MigConfig {
         v.sort_by_key(|p| std::cmp::Reverse(p.compute_slices()));
         v
     }
-
-    /// Total compute slices in use.
-    #[must_use]
-    pub fn used_compute_slices(&self) -> u32 {
-        self.placements
-            .iter()
-            .map(|p| p.profile.compute_slices())
-            .sum()
-    }
 }
 
 /// Enumerate every valid MIG configuration (as a profile multiset).
@@ -351,8 +336,6 @@ mod tests {
     #[test]
     fn fractions_against_a100() {
         let arch = GpuArch::a100();
-        assert!((GiProfile::G3.compute_fraction(&arch) - 0.375).abs() < 1e-12);
-        assert!((GiProfile::G4.compute_fraction(&arch) - 0.5).abs() < 1e-12);
         assert!((GiProfile::G3.mem_fraction(&arch) - 0.5).abs() < 1e-12);
         assert!((GiProfile::G4.mem_fraction(&arch) - 0.5).abs() < 1e-12);
     }
@@ -360,7 +343,6 @@ mod tests {
     #[test]
     fn canonical_3g_plus_4g_places() {
         let cfg = MigConfig::from_profiles(&[GiProfile::G3, GiProfile::G4]).unwrap();
-        assert_eq!(cfg.used_compute_slices(), 7);
         assert_eq!(cfg.profiles(), vec![GiProfile::G4, GiProfile::G3]);
     }
 

@@ -343,15 +343,6 @@ impl CompiledPartition {
     pub fn total_compute(&self) -> f64 {
         self.slots.iter().map(|s| s.compute_frac).sum()
     }
-
-    /// Slots sharing a memory domain with `slot` (excluding itself).
-    #[must_use]
-    pub fn domain_peers(&self, slot: usize) -> Vec<usize> {
-        let d = self.slots[slot].domain;
-        (0..self.slots.len())
-            .filter(|&i| i != slot && self.slots[i].domain == d)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -403,7 +394,6 @@ mod tests {
         assert!((p.domains[0].bandwidth_frac - 0.5).abs() < 1e-12);
         assert!((p.domains[1].bandwidth_frac - 0.5).abs() < 1e-12);
         assert_ne!(p.slots[0].domain, p.slots[1].domain);
-        assert!(p.domain_peers(0).is_empty());
     }
 
     #[test]
@@ -418,9 +408,11 @@ mod tests {
         // 4g lanes: 0.5 * 0.3 and 0.5 * 0.7.
         assert!((p.slots[2].compute_frac - 0.15).abs() < 1e-12);
         assert!((p.slots[3].compute_frac - 0.35).abs() < 1e-12);
-        // Peers only within each GI.
-        assert_eq!(p.domain_peers(0), vec![1]);
-        assert_eq!(p.domain_peers(2), vec![3]);
+        // Lanes share a memory domain only within each GI.
+        let domains: Vec<usize> = p.slots.iter().map(|s| s.domain).collect();
+        assert_eq!(domains[0], domains[1]);
+        assert_eq!(domains[2], domains[3]);
+        assert_ne!(domains[0], domains[2]);
     }
 
     #[test]
@@ -429,7 +421,7 @@ mod tests {
         let p = s.compile(&a100()).unwrap();
         assert_eq!(p.domains.len(), 1);
         assert_eq!(p.slots.len(), 3);
-        assert_eq!(p.domain_peers(0), vec![1, 2]);
+        assert!(p.slots.iter().all(|s| s.domain == p.slots[0].domain));
     }
 
     #[test]

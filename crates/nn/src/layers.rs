@@ -1,13 +1,12 @@
 //! Layers with exact backpropagation: fully-connected (`Linear`) and
-//! `ReLU`, operating on minibatches in either row-major (`batch × n`)
-//! or batch-minor (`n × batch`, the `_tn` entry points) layout. Each
-//! layer caches whatever its backward pass needs in reusable scratch,
-//! so the calling convention is strictly forward then backward and a
-//! steady-state learning step allocates nothing. The `_inference_`
-//! forwards skip that upkeep and leave the layer untouched. The
-//! per-sample `forward`/`backward` entry points are batch-size-1 fast
-//! paths that agree with the batched kernels within float accumulation
-//! error.
+//! `ReLU`. A `Linear` has one layout per batch size: one sample runs
+//! the plain row-major kernels (`forward` / `backward`), a minibatch
+//! runs batch-minor (`n × batch`, the `_tn` entry points) — the two
+//! agree within float accumulation error. Each layer caches whatever
+//! its backward pass needs in reusable scratch, so the calling
+//! convention is strictly forward then backward and a steady-state
+//! learning step allocates nothing. The `_inference` forwards skip that
+//! upkeep and leave the layer untouched.
 
 use crate::tensor::{
     matmul_bias_tn, matmul_dw_accumulate, matmul_dx_tn, matvec, matvec_transpose, relu_backward,
@@ -37,10 +36,6 @@ pub struct Linear {
     cached_batch: usize,
     /// Layout-conversion scratch, reused across steps so a learning
     /// step allocates nothing.
-    xt: Vec<f32>,
-    yt: Vec<f32>,
-    dyt: Vec<f32>,
-    dxt: Vec<f32>,
     dy_bm: Vec<f32>,
 }
 
@@ -61,10 +56,6 @@ impl Linear {
             gb: vec![0.0; rows],
             x_cache: Vec::new(),
             cached_batch: 0,
-            xt: Vec::new(),
-            yt: Vec::new(),
-            dyt: Vec::new(),
-            dxt: Vec::new(),
             dy_bm: Vec::new(),
         }
     }
@@ -121,123 +112,49 @@ impl Linear {
         );
     }
 
-    /// Batched forward pass; caches the input matrix for backprop.
-    ///
-    /// `x` is `batch × cols`; `y` is resized to `batch × rows`. The
-    /// kernel runs in batch-minor layout (see [`matmul_bias_tn`]) with
-    /// the transposes landing in this layer's reusable scratch.
-    pub fn forward_batch(&mut self, x: &[f32], batch: usize, y: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), batch * self.cols);
+    /// Forward pass for one sample; caches the input for backprop.
+    /// `y` is resized to `rows`.
+    pub fn forward(&mut self, x: &[f32], y: &mut Vec<f32>) {
+        debug_assert_eq!(x.len(), self.cols);
         self.x_cache.clear();
         self.x_cache.extend_from_slice(x);
-        self.cached_batch = batch;
-        if batch == 1 {
-            // Transposes are identity at batch 1; the plain row-major
-            // kernel has the same term order (modulo the batched
-            // kernel's four-wide grouping) and far less loop overhead.
-            y.resize(self.rows, 0.0);
-            matvec(&self.w, &self.b, x, y, self.rows, self.cols);
-            return;
-        }
-        transpose_into(x, &mut self.xt, batch, self.cols);
-        matmul_bias_tn(
-            &self.w,
-            &self.b,
-            &self.xt,
-            &mut self.yt,
-            batch,
-            self.rows,
-            self.cols,
-        );
-        transpose_into(&self.yt, y, self.rows, batch);
-    }
-
-    /// Batched forward pass without caching (inference only; allocates
-    /// its transposed scratch locally so it stays `&self`).
-    pub fn forward_inference_batch(&self, x: &[f32], batch: usize, y: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), batch * self.cols);
-        if batch == 1 {
-            y.resize(self.rows, 0.0);
-            matvec(&self.w, &self.b, x, y, self.rows, self.cols);
-            return;
-        }
-        let mut xt = Vec::new();
-        transpose_into(x, &mut xt, batch, self.cols);
-        let mut yt = Vec::new();
-        matmul_bias_tn(&self.w, &self.b, &xt, &mut yt, batch, self.rows, self.cols);
-        transpose_into(&yt, y, self.rows, batch);
-    }
-
-    /// Batched backward pass: accumulates `gw`/`gb` over the whole
-    /// minibatch, writes the input gradient (`batch × cols`).
-    ///
-    /// # Panics
-    /// Panics (in debug) if `batch` differs from the cached forward's.
-    pub fn backward_batch(&mut self, dy: &[f32], batch: usize, dx: &mut Vec<f32>) {
-        debug_assert_eq!(batch, self.cached_batch, "backward batch mismatch");
-        debug_assert_eq!(dy.len(), batch * self.rows);
-        matmul_dw_accumulate(
-            &mut self.gw,
-            &mut self.gb,
-            dy,
-            &self.x_cache,
-            batch,
-            self.rows,
-            self.cols,
-        );
-        if batch == 1 {
-            dx.resize(self.cols, 0.0);
-            matvec_transpose(&self.w, dy, dx, self.rows, self.cols);
-            return;
-        }
-        transpose_into(dy, &mut self.dyt, batch, self.rows);
-        matmul_dx_tn(
-            &self.w,
-            &self.dyt,
-            &mut self.dxt,
-            batch,
-            self.rows,
-            self.cols,
-        );
-        transpose_into(&self.dxt, dx, self.cols, batch);
-    }
-
-    /// Batched backward pass that only accumulates `gw`/`gb`, skipping
-    /// the input-gradient GEMM — for the network's first layer, whose
-    /// input gradient (w.r.t. the state) nothing consumes.
-    pub fn backward_batch_no_dx(&mut self, dy: &[f32], batch: usize) {
-        debug_assert_eq!(batch, self.cached_batch, "backward batch mismatch");
-        debug_assert_eq!(dy.len(), batch * self.rows);
-        matmul_dw_accumulate(
-            &mut self.gw,
-            &mut self.gb,
-            dy,
-            &self.x_cache,
-            batch,
-            self.rows,
-            self.cols,
-        );
-    }
-
-    /// Forward pass for one sample; caches the input for backprop.
-    pub fn forward(&mut self, x: &[f32], y: &mut Vec<f32>) {
-        self.forward_batch(x, 1, y);
+        self.cached_batch = 1;
+        self.forward_inference(x, y);
     }
 
     /// Forward pass without caching (inference only, one sample).
     pub fn forward_inference(&self, x: &[f32], y: &mut Vec<f32>) {
-        self.forward_inference_batch(x, 1, y);
+        debug_assert_eq!(x.len(), self.cols);
+        y.resize(self.rows, 0.0);
+        matvec(&self.w, &self.b, x, y, self.rows, self.cols);
     }
 
-    /// Backward pass for one sample.
+    /// Backward pass for one sample: accumulates `gw`/`gb`, writes the
+    /// input gradient (length `cols`).
+    ///
+    /// # Panics
+    /// Panics (in debug) unless the cached forward was one sample.
     pub fn backward(&mut self, dy: &[f32], dx: &mut Vec<f32>) {
-        self.backward_batch(dy, 1, dx);
+        self.backward_no_dx(dy);
+        dx.resize(self.cols, 0.0);
+        matvec_transpose(&self.w, dy, dx, self.rows, self.cols);
     }
 
-    /// Clear accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.gw.fill(0.0);
-        self.gb.fill(0.0);
+    /// One-sample backward that only accumulates `gw`/`gb` — for the
+    /// network's first layer, whose input gradient (w.r.t. the state)
+    /// nothing consumes.
+    pub fn backward_no_dx(&mut self, dy: &[f32]) {
+        debug_assert_eq!(self.cached_batch, 1, "backward batch mismatch");
+        debug_assert_eq!(dy.len(), self.rows);
+        matmul_dw_accumulate(
+            &mut self.gw,
+            &mut self.gb,
+            dy,
+            &self.x_cache,
+            1,
+            self.rows,
+            self.cols,
+        );
     }
 
     /// Number of trainable parameters.
@@ -314,7 +231,6 @@ mod tests {
         l.forward(&x, &mut y);
         let dy = y.clone();
         let mut dx = Vec::new();
-        l.zero_grad();
         l.backward(&dy, &mut dx);
 
         let eps = 1e-3f32;
@@ -361,7 +277,6 @@ mod tests {
         let mut l = Linear::new(2, 2, &mut rng());
         let mut y = Vec::new();
         let mut dx = Vec::new();
-        l.zero_grad();
         l.forward(&[1.0, 1.0], &mut y);
         l.backward(&[1.0, 1.0], &mut dx);
         let first = l.gb.clone();
@@ -387,13 +302,18 @@ mod tests {
             .map(|_| data_rng.gen_range(-1.0f32..1.0))
             .collect();
 
-        let mut y_b = Vec::new();
-        let mut dx_b = Vec::new();
-        batched.zero_grad();
-        batched.forward_batch(&x, batch, &mut y_b);
-        batched.backward_batch(&dy, batch, &mut dx_b);
+        // The batched side runs batch-minor, the layout `QNet` hands a
+        // minibatch over in: transpose in, transpose out.
+        let (mut xt, mut dyt) = (Vec::new(), Vec::new());
+        transpose_into(&x, &mut xt, batch, cols);
+        transpose_into(&dy, &mut dyt, batch, rows);
+        let (mut yt, mut dxt) = (Vec::new(), Vec::new());
+        batched.forward_batch_tn(&xt, batch, &mut yt);
+        batched.backward_batch_tn(&dyt, batch, &mut dxt);
+        let (mut y_b, mut dx_b) = (Vec::new(), Vec::new());
+        transpose_into(&yt, &mut y_b, rows, batch);
+        transpose_into(&dxt, &mut dx_b, cols, batch);
 
-        serial.zero_grad();
         let mut y_s = Vec::new();
         let mut dx_s = Vec::new();
         for bi in 0..batch {

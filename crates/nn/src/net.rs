@@ -176,15 +176,15 @@ impl QNet {
             cur.clear();
             cur.extend_from_slice(x);
             for (lin, relu) in &mut self.trunk {
-                lin.forward_batch(cur, 1, next);
+                lin.forward(cur, next);
                 relu.forward(next);
                 std::mem::swap(cur, next);
             }
             match &mut self.head {
-                HeadLayers::Plain(l) => l.forward_batch(cur, 1, out),
+                HeadLayers::Plain(l) => l.forward(cur, out),
                 HeadLayers::Dueling { v, a, scratch } => {
-                    v.forward_batch(cur, 1, &mut scratch.vout);
-                    a.forward_batch(cur, 1, &mut scratch.aout);
+                    v.forward(cur, &mut scratch.vout);
+                    a.forward(cur, &mut scratch.aout);
                     let mean = scratch.aout.iter().sum::<f32>() / n as f32;
                     out.clear();
                     out.extend(scratch.aout.iter().map(|ai| scratch.vout[0] + ai - mean));
@@ -241,15 +241,15 @@ impl QNet {
             cur.clear();
             cur.extend_from_slice(x);
             for (lin, _) in &self.trunk {
-                lin.forward_inference_batch(cur, 1, next);
+                lin.forward_inference(cur, next);
                 Relu::forward_inference(next);
                 std::mem::swap(cur, next);
             }
             match &self.head {
-                HeadLayers::Plain(l) => l.forward_inference_batch(cur, 1, out),
+                HeadLayers::Plain(l) => l.forward_inference(cur, out),
                 HeadLayers::Dueling { v, a, .. } => {
-                    v.forward_inference_batch(cur, 1, &mut scratch.vout);
-                    a.forward_inference_batch(cur, 1, &mut scratch.aout);
+                    v.forward_inference(cur, &mut scratch.vout);
+                    a.forward_inference(cur, &mut scratch.aout);
                     let mean = scratch.aout.iter().sum::<f32>() / n as f32;
                     out.clear();
                     out.extend(scratch.aout.iter().map(|ai| scratch.vout[0] + ai - mean));
@@ -290,22 +290,22 @@ impl QNet {
         let (cur, next) = (&mut self.bufs.0, &mut self.bufs.1);
         if batch == 1 {
             match &mut self.head {
-                HeadLayers::Plain(l) => l.backward_batch(dq, 1, cur),
+                HeadLayers::Plain(l) => l.backward(dq, cur),
                 HeadLayers::Dueling { v, a, scratch } => {
                     let sum: f32 = dq.iter().sum();
                     scratch.da.clear();
                     scratch.da.extend(dq.iter().map(|d| d - sum / n as f32));
-                    v.backward_batch(&[sum], 1, &mut scratch.dx_v);
-                    a.backward_batch(&scratch.da, 1, &mut scratch.dx_a);
+                    v.backward(&[sum], &mut scratch.dx_v);
+                    a.backward(&scratch.da, &mut scratch.dx_a);
                     scratch.sum_dx_into(cur);
                 }
             }
             for (i, (lin, relu)) in self.trunk.iter_mut().enumerate().rev() {
                 relu.backward(cur);
                 if i == 0 {
-                    lin.backward_batch_no_dx(cur, 1);
+                    lin.backward_no_dx(cur);
                 } else {
-                    lin.backward_batch(cur, 1, next);
+                    lin.backward(cur, next);
                     std::mem::swap(cur, next);
                 }
             }

@@ -2,7 +2,7 @@
 //!
 //! The Q-network is small (≲ 300k parameters), so simple cache-friendly
 //! loops beat any heavyweight dependency. The per-sample kernels
-//! ([`matvec`], [`matvec_transpose`], [`outer_accumulate`]) compute one
+//! ([`matvec`], [`matvec_transpose`]) compute one
 //! serial dot product per output — a reduction strict FP cannot
 //! SIMD-vectorize. The batched kernels ([`matmul_bias_tn`],
 //! [`matmul_dx_tn`], [`matmul_dw_accumulate`]) are three views of one
@@ -67,23 +67,6 @@ pub fn matvec_transpose(w: &[f32], dy: &[f32], x_grad: &mut [f32], rows: usize, 
         let row = &w[r * cols..(r + 1) * cols];
         for (g, wi) in x_grad.iter_mut().zip(row.iter()) {
             *g += wi * d;
-        }
-    }
-}
-
-/// Rank-1 update `GW += dy ⊗ x` (the weight gradient of a dense layer).
-#[inline]
-pub fn outer_accumulate(gw: &mut [f32], dy: &[f32], x: &[f32], rows: usize, cols: usize) {
-    debug_assert_eq!(gw.len(), rows * cols);
-    debug_assert_eq!(dy.len(), rows);
-    debug_assert_eq!(x.len(), cols);
-    for (r, &d) in dy.iter().enumerate() {
-        if d == 0.0 {
-            continue;
-        }
-        let row = &mut gw[r * cols..(r + 1) * cols];
-        for (g, xi) in row.iter_mut().zip(x.iter()) {
-            *g += d * xi;
         }
     }
 }
@@ -602,6 +585,18 @@ mod tests {
         // col0: 1·1 + 3·0.5 + 5·(-1) = -2.5; col1: 2 + 2 - 6 = -2
         assert!((dx[0] + 2.5).abs() < 1e-6);
         assert!((dx[1] + 2.0).abs() < 1e-6);
+    }
+
+    /// Rank-1 update `GW += dy ⊗ x`: the per-sample weight gradient
+    /// [`matmul_dw_accumulate`] is checked against.
+    fn outer_accumulate(gw: &mut [f32], dy: &[f32], x: &[f32], rows: usize, cols: usize) {
+        assert_eq!((gw.len(), dy.len(), x.len()), (rows * cols, rows, cols));
+        for (r, &d) in dy.iter().enumerate() {
+            let row = &mut gw[r * cols..(r + 1) * cols];
+            for (g, xi) in row.iter_mut().zip(x.iter()) {
+                *g += d * xi;
+            }
+        }
     }
 
     #[test]

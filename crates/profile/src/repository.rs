@@ -12,14 +12,6 @@ use hrp_workloads::Suite;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
-/// Build the repository key from job-submission information. The paper:
-/// "we simply consider using the application binary path plus name as a
-/// key".
-#[must_use]
-pub fn job_key(binary_path: &str, name: &str) -> String {
-    format!("{binary_path}/{name}")
-}
-
 /// Concurrent, key-addressed profile store.
 #[derive(Debug, Default)]
 pub struct ProfileRepository {
@@ -122,11 +114,6 @@ mod tests {
         let p = repo.profile_and_store(&app, &profiler());
         assert!(repo.contains("newjob"));
         assert_eq!(repo.get("newjob"), Some(p));
-    }
-
-    #[test]
-    fn job_key_concatenates_path_and_name() {
-        assert_eq!(job_key("/opt/rodinia/bin", "lud"), "/opt/rodinia/bin/lud");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! codec's.
 //!
 //! The spec carries everything reconstructible from plain text: the
-//! service geometry, cycle mode, selector kind (plus the round-robin
+//! service geometry, selector kind (plus the round-robin
 //! cursor), the source family with its parameters and stream
 //! position, the admission knobs, the logical counters, and the
 //! last-cycle instant as raw bits. The body carries what must survive
@@ -44,13 +44,12 @@
 //! assert or a panic at the next dispatch or the next release.
 
 use crate::service::{
-    AdmissionConfig, AdmissionState, CycleMode, SchedulerService, SelectorState, ServeConfig,
-    ServeStats,
+    AdmissionConfig, AdmissionState, SchedulerService, SelectorState, ServeConfig, ServeStats,
 };
 use crate::source::{ArrivalSource, LoadGen, LoadShape, TraceSource};
 use bytes::Bytes;
 use hrp_cluster::backfill::BackfillState;
-use hrp_cluster::fair::{FairConfig, FairShare, FairShareState};
+use hrp_cluster::fair::{FairShare, FairShareState};
 use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NODES};
 use hrp_cluster::place::{PlacementDispatcher, PlacementExperiment};
@@ -66,7 +65,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound::{self, Excluded, Unbounded};
 
 const MAGIC: &str = "HRPS";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Range of a spec float that must be positive (infinity allowed).
 const POSITIVE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Unbounded);
@@ -96,7 +95,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         spec.kv("nodes", self.cfg.nodes);
         spec.kv("gpus_per_node", self.cfg.gpus_per_node);
         spec.float("walltime_err", self.cfg.walltime_err);
-        spec.kv("mode", self.cfg.mode.name());
         spec.kv("selector", self.selector.kind().name());
         if let SelectorState::RoundRobin(rr) = &self.selector {
             spec.kv("rr_cursor", rr.cursor());
@@ -122,7 +120,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         spec.kv("admission", u8::from(self.cfg.admission.is_some()));
         if let Some(acfg) = &self.cfg.admission {
             spec.kv("adm_quota", acfg.quota);
-            spec.float("adm_half_life", acfg.half_life);
             spec.float("adm_slo", acfg.slo);
         }
 
@@ -179,15 +176,11 @@ pub fn restore(
     let nodes = spec.get_in("nodes", 1..=MAX_NODES)?;
     let gpus_per_node = spec.get_in("gpus_per_node", 1..=MAX_GPUS_PER_NODE)?;
     let walltime_err = spec.get_in("walltime_err", 0.0..1.0)?;
-    let mode = spec.get_with("mode", CycleMode::parse)?;
     let kind = spec.get_with("selector", SelectorKind::parse)?;
-    let mut cfg = ServeConfig::new(nodes, gpus_per_node)
-        .walltime_err(walltime_err)
-        .mode(mode);
+    let mut cfg = ServeConfig::new(nodes, gpus_per_node).walltime_err(walltime_err);
     if spec.get::<u8>("admission")? != 0 {
         cfg = cfg.admission(AdmissionConfig {
             quota: spec.get_in("adm_quota", 1..)?,
-            half_life: spec.get_in("adm_half_life", POSITIVE_FINITE)?,
             slo: spec.get_in("adm_slo", POSITIVE)?,
         });
     }
@@ -250,7 +243,7 @@ pub fn restore(
         return Err(CheckpointError::invalid(MAGIC, mismatch));
     }
     let admission = match &cfg.admission {
-        Some(acfg) => Some(get_admission(&mut body, acfg.fair_config(), jobs)?),
+        Some(acfg) => Some(get_admission(&mut body, acfg.quota, jobs)?),
         None => None,
     };
     body.finish()?;
@@ -803,7 +796,7 @@ fn check_ledger(state: &FairShareState) -> Result<(), CheckpointError> {
 /// digest, and the quota-deferred queue.
 fn get_admission(
     r: &mut Reader<'_>,
-    cfg: FairConfig,
+    quota: usize,
     jobs: JobBounds<'_>,
 ) -> Result<AdmissionState, CheckpointError> {
     let state = FairShareState {
@@ -814,7 +807,7 @@ fn get_admission(
         releases: r.seq(8 + 8 + 4, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))?,
     };
     check_ledger(&state)?;
-    let mut adm = AdmissionState::with_share(FairShare::from_state(cfg, &state));
+    let mut adm = AdmissionState::with_share(FairShare::from_state(quota, &state));
     adm.digest = r.u64()?;
     adm.deferred = r.seq(JOB_MIN, |r| get_job(r, jobs))?.into();
     Ok(adm)
@@ -941,6 +934,34 @@ mod tests {
         assert_kill_restore_is_exact(svc, 30);
     }
 
+    /// `HRPS` records a planner's bookkeeping, not its policy or its
+    /// walltime error: `restore` rebuilds the tier's own. On the parent
+    /// commit this service checkpointed, restored to `Ok`, and drained
+    /// to another timeline (`0aac1d7d030437cb` uninterrupted,
+    /// `b514bba613542556` killed after 40 cycles) without an error
+    /// anywhere; the constructor now refuses what `restore` cannot
+    /// resume.
+    #[test]
+    #[should_panic(expected = "node 0: a fcfs planner on a tier of easy planners")]
+    fn dispatchers_restore_would_not_rebuild_are_refused_at_construction() {
+        use hrp_cluster::backfill::{BackfillPlanner, BackfillPolicy};
+        let s = suite();
+        let trace = TraceConfig::new(TraceKind::Bursty, 200, 7)
+            .max_gpus(2)
+            .gang_share(0.25);
+        let _ = SchedulerService::with_dispatchers(
+            &s,
+            ServeConfig::new(2, 2),
+            SelectorKind::Easy,
+            TraceSource::new(&s, trace),
+            |_| {
+                PlacementDispatcher::Backfill(
+                    BackfillPlanner::new(BackfillPolicy::Fcfs, 2).with_walltime_err(0.5),
+                )
+            },
+        );
+    }
+
     #[test]
     fn kill_restore_round_trip_policy_agent() {
         let s = suite();
@@ -1013,11 +1034,7 @@ mod tests {
     #[test]
     fn kill_restore_round_trip_admission_fair_share() {
         let s = suite();
-        let cfg = ServeConfig::new(2, 2).admission(
-            crate::service::AdmissionConfig::new()
-                .quota(2)
-                .half_life(60.0),
-        );
+        let cfg = ServeConfig::new(2, 2).admission(crate::service::AdmissionConfig::new().quota(2));
         let svc = SchedulerService::new(
             &s,
             cfg,
@@ -1048,8 +1065,9 @@ mod tests {
             foreign,
             Err(CheckpointError::NotACheckpoint { expected: "HRPS" })
         );
-        // Version 1 (no tenant fields) is as foreign as a future one.
-        for version in [0u32, 1, 99] {
+        // Versions 1 (no tenant fields) and 2 (two spec keys since
+        // retired) are as foreign as a future one.
+        for version in [0u32, 1, 2, 99] {
             let mut alien = Writer::new(MAGIC, version);
             alien.str("");
             assert_eq!(
@@ -1132,7 +1150,6 @@ mod tests {
             ("gpus_per_node", "0"),
             ("walltime_err", "NaN"),
             ("adm_quota", "0"),
-            ("adm_half_life", "inf"),
             ("adm_slo", "-1.0"),
             ("src_jobs", "0"),
             ("src_mean_gap", "NaN"),

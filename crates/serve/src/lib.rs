@@ -33,7 +33,7 @@
 //! when a tenant exceeds its in-flight quota, and rejected when the
 //! projected slowdown exceeds a per-class SLO. Admission decisions
 //! fold into a digest ([`AdmissionOutcome`]) that is invariant across
-//! cycle modes and thread counts and survives kill/restore.
+//! thread counts and survives kill/restore.
 //!
 //! See the [`SchedulerService`] doc-example for the end-to-end loop.
 
@@ -46,7 +46,7 @@ pub mod source;
 
 pub use checkpoint::{restore, restore_file, CheckpointError};
 pub use service::{
-    dispatcher_for, AdmissionConfig, AdmissionOutcome, CycleMode, LatencySummary, SchedulerService,
+    dispatcher_for, AdmissionConfig, AdmissionOutcome, LatencySummary, SchedulerService,
     ServeConfig, ServeReport, ServeStats, ServiceStep,
 };
 pub use source::{ArrivalSource, ChannelSource, LoadGen, LoadShape, SourcePoll, TraceSource};

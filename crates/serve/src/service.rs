@@ -6,9 +6,8 @@
 //! *incremental scheduling cycle* at that instant, and routes every
 //! job of the burst through the selector. A cycle re-plans only the
 //! nodes whose slot profile can still change — quiescent nodes (idle,
-//! no pending dispatch, no wakeup hint) are skipped entirely under
-//! [`CycleMode::Incremental`] — yet the produced
-//! [`ClusterTimeline`](hrp_cluster::multinode::ClusterTimeline) is
+//! no pending dispatch, no wakeup hint) are skipped entirely — yet the
+//! produced [`ClusterTimeline`](hrp_cluster::multinode::ClusterTimeline) is
 //! bit-identical to a batch [`MultiNodeSim`](hrp_cluster::multinode::MultiNodeSim)
 //! replay of the same finite trace: skipping a quiescent node is a
 //! provable no-op (its state cannot change and its load snapshot is
@@ -41,7 +40,7 @@
 
 use crate::source::{ArrivalSource, SourcePoll};
 use hrp_cluster::backfill::BackfillPolicy;
-use hrp_cluster::fair::{self, FairConfig, FairShare};
+use hrp_cluster::fair::{self, FairShare};
 use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, MultiNodeReport};
 pub use hrp_cluster::place::dispatcher_for;
@@ -54,43 +53,8 @@ use hrp_workloads::Suite;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// How much of the cluster a scheduling cycle touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CycleMode {
-    /// Re-plan only non-quiescent nodes (the dirty set) — the online
-    /// default.
-    Incremental,
-    /// Advance every node every cycle, exactly like the batch epoch
-    /// barrier — the reference the incremental counters are compared
-    /// against.
-    Full,
-}
-
-impl CycleMode {
-    /// Parse a CLI-style name (`incremental` / `full`).
-    ///
-    /// # Errors
-    /// Returns the unrecognised input.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "incremental" => Ok(Self::Incremental),
-            "full" => Ok(Self::Full),
-            other => Err(other.to_owned()),
-        }
-    }
-
-    /// The CLI-style name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Incremental => "incremental",
-            Self::Full => "full",
-        }
-    }
-}
-
-/// The admission tier's knobs: per-user in-flight quota, karma
-/// half-life, and the reject SLO. Attached to a service via
+/// The admission tier's knobs: per-user in-flight quota and the reject
+/// SLO. Attached to a service via
 /// [`ServeConfig::admission`]; the defaults (`quota` unlimited, `slo`
 /// infinite) admit everything but still order bursts by tenant karma.
 ///
@@ -107,7 +71,7 @@ impl CycleMode {
 ///     .mean_gap(4.0)
 ///     .users(3);
 ///
-/// let admission = AdmissionConfig::new().quota(2).half_life(120.0);
+/// let admission = AdmissionConfig::new().quota(2);
 /// let mut service = SchedulerService::new(
 ///     &suite,
 ///     ServeConfig::new(2, 2).admission(admission),
@@ -130,8 +94,6 @@ pub struct AdmissionConfig {
     /// *deferred* until an earlier admission's estimated completion
     /// passes. [`usize::MAX`] (the default) never defers.
     pub quota: usize,
-    /// Karma half-life in seconds (see [`hrp_cluster::fair`]).
-    pub half_life: f64,
     /// Reject threshold on *projected slowdown*: a fresh arrival whose
     /// `(projected wait + solo time) / solo time` exceeds this is
     /// rejected outright. [`f64::INFINITY`] (the default) never
@@ -145,7 +107,6 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         Self {
             quota: usize::MAX,
-            half_life: 300.0,
             slo: f64::INFINITY,
         }
     }
@@ -169,20 +130,6 @@ impl AdmissionConfig {
         self
     }
 
-    /// Builder: override the karma half-life.
-    ///
-    /// # Panics
-    /// Panics unless `half_life` is positive and finite.
-    #[must_use]
-    pub fn half_life(mut self, half_life: f64) -> Self {
-        assert!(
-            half_life.is_finite() && half_life > 0.0,
-            "half_life must be positive and finite, got {half_life}"
-        );
-        self.half_life = half_life;
-        self
-    }
-
     /// Builder: reject arrivals whose projected slowdown exceeds
     /// `slo` (use [`f64::INFINITY`] to never reject).
     ///
@@ -194,19 +141,9 @@ impl AdmissionConfig {
         self.slo = slo;
         self
     }
-
-    /// The [`FairConfig`] this admission policy shares with the batch
-    /// fair-ordering hook.
-    #[must_use]
-    pub fn fair_config(&self) -> FairConfig {
-        FairConfig {
-            quota: self.quota,
-            half_life: self.half_life,
-        }
-    }
 }
 
-/// Service geometry and cycle policy.
+/// Service geometry and front-door policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Cluster nodes (1..=64).
@@ -218,8 +155,6 @@ pub struct ServeConfig {
     /// service: its nodes are the agent's own
     /// [`node_dispatcher`](hrp_cluster::place::PlacementConfig::node_dispatcher)).
     pub walltime_err: f64,
-    /// Cycle mode.
-    pub mode: CycleMode,
     /// Admission control + per-user fair share in front of the
     /// selector, or `None` (the default) for the legacy
     /// admit-everything front door.
@@ -227,15 +162,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// An incremental-mode service of `nodes` × `gpus_per_node` with
-    /// exact walltime estimates.
+    /// A service of `nodes` × `gpus_per_node` with exact walltime
+    /// estimates and no admission tier.
     #[must_use]
     pub fn new(nodes: usize, gpus_per_node: usize) -> Self {
         Self {
             nodes,
             gpus_per_node,
             walltime_err: 0.0,
-            mode: CycleMode::Incremental,
             admission: None,
         }
     }
@@ -247,13 +181,6 @@ impl ServeConfig {
     #[must_use]
     pub fn walltime_err(mut self, err: f64) -> Self {
         self.walltime_err = err;
-        self
-    }
-
-    /// Builder: cycle mode.
-    #[must_use]
-    pub fn mode(mut self, mode: CycleMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -351,11 +278,42 @@ impl SelectorState {
     }
 }
 
+/// What separates `built` from `rebuilt`, the dispatcher
+/// [`restore`](crate::restore) would put in its place, if anything does.
+/// Bookkeeping (reservations, releases, window counts) is what `HRPS`
+/// carries over and is not compared.
+fn rebuild_mismatch(built: &PlacementDispatcher, rebuilt: &PlacementDispatcher) -> Option<String> {
+    use hrp_cluster::sim::Dispatcher as _;
+    use PlacementDispatcher::{Backfill, CoSched};
+    match (built, rebuilt) {
+        (Backfill(b), Backfill(r)) if b.policy() != r.policy() => Some(format!(
+            "a {} planner on a tier of {} planners",
+            b.policy().name(),
+            r.policy().name()
+        )),
+        (Backfill(b), Backfill(r)) if b.walltime_err() != r.walltime_err() => Some(format!(
+            "planner walltime_err {} under a service walltime_err of {}",
+            b.walltime_err(),
+            r.walltime_err()
+        )),
+        (CoSched(b), CoSched(r)) if b.window() != r.window() => Some(format!(
+            "co-scheduling window (w, cmax) = {:?}, the tier's is {:?}",
+            b.window(),
+            r.window()
+        )),
+        (Backfill(_), Backfill(_)) | (CoSched(_), CoSched(_)) => None,
+        (b, r) => Some(format!(
+            "a '{}' dispatcher on a tier of '{}' nodes",
+            b.name(),
+            r.name()
+        )),
+    }
+}
+
 /// Logical per-service counters, in the style of
 /// [`SyncStats`](hrp_cluster::multinode::SyncStats): pure functions
-/// of the input stream and the cycle mode, never of wall clock or
-/// thread count — so tests can pin them and the incremental-vs-full
-/// savings claim is reproducible.
+/// of the input stream, never of wall clock or thread count — so tests
+/// can pin them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Scheduling cycles triggered by arrival bursts.
@@ -367,7 +325,7 @@ pub struct ServeStats {
     pub decisions: u64,
     /// Node re-plans: a node advanced + load-refreshed during a cycle.
     pub nodes_replanned: u64,
-    /// Nodes skipped as quiescent by the incremental dirty set.
+    /// Nodes skipped as quiescent by the dirty set.
     pub nodes_skipped: u64,
     /// Arrivals parked by the admission tier because their tenant was
     /// at its in-flight quota (counted once per job, not per retry).
@@ -451,7 +409,7 @@ pub struct AdmissionOutcome {
     /// Rolling FNV-1a digest over every admission decision
     /// `(job id, admission instant bits, user)` in order — the
     /// checkpointed fingerprint the fairness contract pins across
-    /// threads, cycle modes, and kill/restore.
+    /// threads and kill/restore.
     pub digest: u64,
     /// The *effective* admitted trace: every admitted job with its
     /// arrival rewritten to the admission instant, in placement
@@ -494,7 +452,7 @@ pub(crate) struct AdmissionState {
 
 impl AdmissionState {
     pub(crate) fn new(cfg: &AdmissionConfig) -> Self {
-        Self::with_share(FairShare::new(cfg.fair_config()))
+        Self::with_share(FairShare::new(cfg.quota))
     }
 
     pub(crate) fn with_share(share: FairShare) -> Self {
@@ -623,34 +581,38 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// the planner's exported [`BackfillState`](hrp_cluster::backfill::BackfillState),
     /// so such a service still checkpoints and restores exactly.
     ///
+    /// That is all the hook may vary. An `HRPS` blob records a
+    /// dispatcher's bookkeeping, not its configuration: [`restore`](crate::restore)
+    /// rebuilds every node as [`dispatcher_for`]`(kind,
+    /// cfg.gpus_per_node, cfg.walltime_err)` and winds the record onto
+    /// it. Each dispatcher `make_dispatcher` returns must therefore be
+    /// that one in everything but its reservations — same variant, same
+    /// backfill policy, same walltime error, same co-scheduling window —
+    /// or the restored service would resume as a different scheduler.
+    ///
     /// [`BackfillPlanner::with_reservation`]: hrp_cluster::backfill::BackfillPlanner::with_reservation
     ///
     /// # Panics
-    /// Same conditions as [`SchedulerService::new`].
+    /// Same conditions as [`SchedulerService::new`], and if a node's
+    /// dispatcher is not the one `restore` would rebuild (the message
+    /// names the node and the difference).
     #[must_use]
     pub fn with_dispatchers(
         suite: &'a Suite,
         cfg: ServeConfig,
         kind: SelectorKind,
         source: S,
-        make_dispatcher: impl FnMut(usize) -> PlacementDispatcher,
+        mut make_dispatcher: impl FnMut(usize) -> PlacementDispatcher,
     ) -> Self {
-        let drive = ClusterDrive::new(suite, cfg.nodes, cfg.gpus_per_node, make_dispatcher);
-        let admission = cfg.admission.as_ref().map(AdmissionState::new);
-        Self {
-            suite,
-            cfg,
-            drive,
-            selector: SelectorState::from_kind(kind),
-            source,
-            lookahead: None,
-            last_cycle: 0.0,
-            stats: ServeStats::default(),
-            latencies: Vec::new(),
-            burst: Vec::new(),
-            admission,
-            walk_owed: true,
-        }
+        let rebuilt = dispatcher_for(kind, cfg.gpus_per_node, cfg.walltime_err);
+        let drive = ClusterDrive::new(suite, cfg.nodes, cfg.gpus_per_node, |node| {
+            let built = make_dispatcher(node);
+            if let Some(difference) = rebuild_mismatch(&built, &rebuilt) {
+                panic!("node {node}: {difference}; a restored service would not resume this one");
+            }
+            built
+        });
+        Self::assemble(suite, cfg, drive, SelectorState::from_kind(kind), source)
     }
 
     pub(crate) fn build(
@@ -665,6 +627,16 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         let drive = ClusterDrive::new(suite, cfg.nodes, cfg.gpus_per_node, |_| {
             selector.node_dispatcher(&cfg)
         });
+        Self::assemble(suite, cfg, drive, selector, source)
+    }
+
+    fn assemble(
+        suite: &'a Suite,
+        cfg: ServeConfig,
+        drive: ClusterDrive<'a, PlacementDispatcher>,
+        selector: SelectorState,
+        source: S,
+    ) -> Self {
         let admission = cfg.admission.as_ref().map(AdmissionState::new);
         Self {
             suite,
@@ -711,13 +683,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     #[must_use]
     pub fn deferred_jobs(&self) -> usize {
         self.admission.as_ref().map_or(0, |a| a.deferred.len())
-    }
-
-    /// The rolling admission-decision digest, when the admission tier
-    /// is on (see [`AdmissionOutcome::digest`]).
-    #[must_use]
-    pub fn admission_digest(&self) -> Option<u64> {
-        self.admission.as_ref().map(|a| a.digest)
     }
 
     /// The earliest instant any node's dispatcher wants a cycle with
@@ -791,7 +756,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             // by tenant karma at this instant: the lightest tenant's
             // jobs go through the door first, ties keep submission
             // order. Both steps are pure functions of the admission
-            // state, so every engine/mode replays them identically.
+            // state, so every engine replays them identically.
             self.revisit_deferred(t);
             let adm = self.admission.as_mut().expect("admission is on");
             adm.share.order_burst(t, burst);
@@ -915,12 +880,13 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Advance the dirty set (or, under [`CycleMode::Full`], every
-    /// node) to `t` and refresh the touched load snapshots.
+    /// Advance the dirty set to `t` and refresh the touched load
+    /// snapshots. A quiescent node is skipped: its state cannot change
+    /// and its load snapshot is time-invariant.
     fn advance_cluster(&mut self, t: f64) {
         self.drive.note_round();
         for node in 0..self.cfg.nodes {
-            if self.cfg.mode == CycleMode::Incremental && self.drive.node_is_quiescent(node) {
+            if self.drive.node_is_quiescent(node) {
                 self.stats.nodes_skipped += 1;
             } else {
                 self.drive.advance_node_to(node, t);
@@ -1077,57 +1043,6 @@ mod tests {
         assert_eq!(report.stats.decisions, 1);
     }
 
-    /// Incremental and full cycle modes are digest-identical (and both
-    /// match the batch oracle); incremental provably re-plans fewer
-    /// nodes on a thin trace.
-    #[test]
-    fn incremental_mode_matches_full_mode_with_fewer_replans() {
-        let s = suite();
-        // Thin bursty arrivals: bursts of 2–5 jobs touch a strict
-        // subset of the 4 nodes and the long gaps let the rest drain
-        // to quiescence, so the dirty set has nodes to skip.
-        let cfg = TraceConfig::new(TraceKind::Bursty, 40, 9)
-            .gang_share(0.25)
-            .mean_gap(40.0);
-        let run = |mode: CycleMode| {
-            let mut svc = SchedulerService::new(
-                &s,
-                ServeConfig::new(4, 2).mode(mode),
-                SelectorKind::LeastLoaded,
-                TraceSource::new(&s, cfg.clone()),
-            );
-            svc.run_to_close();
-            svc.finish()
-        };
-        let incremental = run(CycleMode::Incremental);
-        let full = run(CycleMode::Full);
-        assert_eq!(
-            incremental.report.timeline.digest(),
-            full.report.timeline.digest()
-        );
-        let mut selector = SelectorKind::LeastLoaded.build();
-        let batch = MultiNodeSim::new(4, 2).run(&s, generate(&s, &cfg), selector.as_mut(), |_| {
-            dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0)
-        });
-        assert_eq!(
-            incremental.report.timeline.digest(),
-            batch.timeline.digest()
-        );
-        assert!(
-            incremental.stats.nodes_replanned < full.stats.nodes_replanned,
-            "dirty set saved work: {} vs {}",
-            incremental.stats.nodes_replanned,
-            full.stats.nodes_replanned
-        );
-        // Every cycle accounts for every node, skipped or re-planned.
-        for r in [&incremental, &full] {
-            assert_eq!(
-                r.stats.nodes_replanned + r.stats.nodes_skipped,
-                (r.stats.cycles + r.stats.wake_cycles) * 4
-            );
-        }
-    }
-
     #[test]
     fn latency_summary_uses_nearest_rank_percentiles() {
         let micros: Vec<f64> = (1..=100).map(|i| i as f64 * 1e-6).collect();
@@ -1237,21 +1152,21 @@ mod tests {
         let cfg = TraceConfig::new(TraceKind::Bursty, 48, 7)
             .gang_share(0.25)
             .users(5);
-        let acfg = AdmissionConfig::new().half_life(120.0);
         let mut svc = SchedulerService::new(
             &s,
-            ServeConfig::new(4, 2).admission(acfg.clone()),
+            ServeConfig::new(4, 2).admission(AdmissionConfig::new()),
             SelectorKind::LeastLoaded,
             TraceSource::new(&s, cfg.clone()),
         );
         svc.run_to_close();
         let served = svc.finish();
         let mut selector = SelectorKind::LeastLoaded.build();
-        let batch = MultiNodeSim::new(4, 2)
-            .with_fair_order(acfg.fair_config())
-            .run(&s, generate(&s, &cfg), selector.as_mut(), |_| {
-                dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0)
-            });
+        let batch = MultiNodeSim::new(4, 2).with_fair_order().run(
+            &s,
+            generate(&s, &cfg),
+            selector.as_mut(),
+            |_| dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0),
+        );
         assert_eq!(
             served.report.timeline.digest(),
             batch.timeline.digest(),

@@ -346,28 +346,6 @@ impl<'a> LoadGen<'a> {
         self
     }
 
-    /// Resume a generator at `consumed` jobs already handed out by
-    /// replaying that many draws of an identically-specced rebuild.
-    ///
-    /// # Panics
-    /// Panics if the generator's horizon closes before `consumed`
-    /// jobs; the checkpoint-restore path uses [`LoadGen::resume_to`]
-    /// to turn that into a typed error instead.
-    #[must_use]
-    pub fn resume(
-        suite: &'a Suite,
-        shape: LoadShape,
-        rate: f64,
-        duration: f64,
-        seed: u64,
-        max_gpus: usize,
-        consumed: usize,
-    ) -> Self {
-        Self::with_max_gpus(suite, shape, rate, duration, seed, max_gpus)
-            .resume_to(consumed)
-            .unwrap_or_else(|| panic!("resume position {consumed} beyond the generator's horizon"))
-    }
-
     /// Replay `consumed` draws on this (freshly built) generator,
     /// restoring the RNG cursor bit-exactly. Returns `None` — instead
     /// of panicking — if the horizon closes first, which is how a
@@ -568,7 +546,8 @@ mod tests {
         for shape in [LoadShape::Poisson, LoadShape::Bursty] {
             let full = drain(LoadGen::new(&s, shape, 6.0, 40.0, 21));
             let cut = full.len() / 2;
-            let rest = drain(LoadGen::resume(&s, shape, 6.0, 40.0, 21, 2, cut));
+            let resumed = LoadGen::new(&s, shape, 6.0, 40.0, 21).resume_to(cut);
+            let rest = drain(resumed.expect("within the horizon"));
             assert_eq!(rest.as_slice(), &full[cut..], "{}", shape.name());
         }
     }

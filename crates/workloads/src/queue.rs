@@ -87,12 +87,6 @@ impl JobQueue {
         }
         counts
     }
-
-    /// Whether any job is an unseen (starred) program.
-    #[must_use]
-    pub fn has_unseen(&self, suite: &Suite) -> bool {
-        self.jobs.iter().any(|j| suite.by_index(j.bench).unseen)
-    }
 }
 
 /// Job-mix category of the paper's §V-A2.
@@ -473,6 +467,11 @@ mod tests {
         Suite::paper_suite(&GpuArch::a100())
     }
 
+    /// Whether any job is an unseen (starred) program.
+    fn any_starred(queue: &JobQueue, suite: &Suite) -> bool {
+        queue.jobs.iter().any(|j| suite.by_index(j.bench).unseen)
+    }
+
     #[test]
     fn table_v_has_twelve_queues_of_twelve() {
         let s = suite();
@@ -504,7 +503,7 @@ mod tests {
         // always faces generalization.
         let s = suite();
         for q in table_v_queues(&s) {
-            assert!(q.has_unseen(&s), "{} has no unseen job", q.label);
+            assert!(any_starred(&q, &s), "{} has no unseen job", q.label);
         }
     }
 
@@ -536,7 +535,7 @@ mod tests {
         assert_eq!(q1, q2, "same seed, same queue");
         let (ci, mi, us) = q1.class_counts(&s);
         assert_eq!((ci, mi, us), (3, 6, 3));
-        assert!(!q1.has_unseen(&s), "seen_only queue has no stars");
+        assert!(!any_starred(&q1, &s), "seen_only queue has no stars");
     }
 
     #[test]
@@ -548,7 +547,7 @@ mod tests {
         for q in &queues {
             let (ci, mi, us) = q.class_counts(&s);
             assert!(ci > 0 && mi > 0 && us > 0, "{}: {ci}/{mi}/{us}", q.label);
-            assert!(!q.has_unseen(&s));
+            assert!(!any_starred(q, &s));
             assert_eq!(q.len(), 12);
         }
         // Queues differ from each other.

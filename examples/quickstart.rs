@@ -5,10 +5,9 @@
 //! ```
 //!
 //! Walks through the paper's whole pipeline on a reduced scale:
-//! profiling → offline RL training (via the `Experiment` builder) →
+//! profiling → offline RL training (`train`) →
 //! checkpoint save/load → online scheduling → metrics.
 
-use hrp::core::experiment::Experiment;
 use hrp::prelude::*;
 
 fn main() {
@@ -25,19 +24,18 @@ fn main() {
 
     // 2. Offline phase: profile everything, train the dueling double DQN
     //    on random queues of the 18 seen programs. This mid-size setup
-    //    trains in under a minute; `Experiment::paper()` is the full
-    //    Table VI configuration, and `.env(EnvKind::Hierarchical)`
+    //    trains in under a minute; `TrainConfig::paper()` is the full
+    //    Table VI configuration, and `env: EnvKind::Hierarchical`
     //    would select the two-level MIG → MPS formulation.
-    let run = Experiment::from_config(TrainConfig {
+    let cfg = TrainConfig {
         w: 6,
         episodes: 600,
         n_queues: 12,
         hidden: vec![128, 64],
         lr: 1e-3,
         ..TrainConfig::paper()
-    })
-    .run_on(&suite);
-    let report = &run.report;
+    };
+    let (trained, report) = train(&suite, cfg);
     println!(
         "trained: {} episodes, {} env steps, return {:.2} -> {:.2}",
         report.episodes, report.total_steps, report.early_return, report.late_return
@@ -45,9 +43,9 @@ fn main() {
 
     // 3. Checkpoint hand-off: spec + weights round-trip through one
     //    blob, and the reloaded agent is behaviourally identical.
-    let blob = run.save_bytes();
+    let blob = trained.save_bytes();
     println!("checkpoint: {} bytes (spec + weights)", blob.len());
-    let trained = Experiment::load_bytes(blob, &suite).expect("checkpoint reloads");
+    let trained = TrainedAgent::load_bytes(blob, &suite).expect("checkpoint reloads");
 
     // 4. Online phase: schedule a window the agent has never seen —
     //    including starred (unseen) programs.

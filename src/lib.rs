@@ -73,7 +73,6 @@ pub use hrp_workloads as workloads;
 
 /// The most commonly used types across the workspace.
 pub mod prelude {
-    pub use hrp_core::experiment::{Experiment, TrainedExperiment};
     pub use hrp_core::metrics::evaluate_decision;
     pub use hrp_core::policies::{
         MigMpsDefault, MigMpsRl, MigOnly, MpsOnly, Policy, ScheduleContext, TimeSharing,

@@ -1,8 +1,7 @@
-//! Checkpoint round-trip: a trained `Experiment` saved and reloaded
+//! Checkpoint round-trip: a trained agent saved and reloaded
 //! must make identical greedy decisions on every evaluation queue, for
 //! both environment formulations, through bytes and through a file.
 
-use hrp::core::experiment::Experiment;
 use hrp::core::rl::EnvKind;
 use hrp::prelude::*;
 
@@ -22,22 +21,21 @@ fn evaluation_queues(suite: &Suite) -> Vec<JobQueue> {
 
 fn assert_identical_greedy_decisions(kind: EnvKind) {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let run = Experiment::quick()
-        .env(kind)
-        .episodes(60)
-        .seed(11)
-        .run_on(&suite);
-    assert!(
-        run.trained.dqn().learn_steps() > 0,
-        "agent must have learnt"
-    );
+    let cfg = TrainConfig {
+        env: kind,
+        episodes: 60,
+        seed: 11,
+        ..TrainConfig::quick()
+    };
+    let (trained, _) = train(&suite, cfg);
+    assert!(trained.dqn().learn_steps() > 0, "agent must have learnt");
 
-    let reloaded = Experiment::load_bytes(run.save_bytes(), &suite).unwrap();
-    assert_eq!(reloaded.config(), run.trained.config(), "spec round-trips");
+    let reloaded = TrainedAgent::load_bytes(trained.save_bytes(), &suite).unwrap();
+    assert_eq!(reloaded.config(), trained.config(), "spec round-trips");
 
     let engine = hrp::gpusim::EngineConfig::default();
     for queue in evaluation_queues(&suite) {
-        let original = run.trained.greedy_decision(&suite, &queue, &engine);
+        let original = trained.greedy_decision(&suite, &queue, &engine);
         let restored = reloaded.greedy_decision(&suite, &queue, &engine);
         assert_eq!(
             original, restored,
@@ -60,16 +58,21 @@ fn hierarchical_checkpoint_reloads_to_identical_greedy_decisions() {
 #[test]
 fn checkpoint_survives_the_filesystem() {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let run = Experiment::quick().episodes(20).seed(3).run_on(&suite);
+    let cfg = TrainConfig {
+        episodes: 20,
+        seed: 3,
+        ..TrainConfig::quick()
+    };
+    let (trained, _) = train(&suite, cfg);
     let path = std::env::temp_dir().join("hrp_checkpoint_test.hrpe");
-    run.save_file(&path).unwrap();
-    let reloaded = Experiment::load_file(&path, &suite).unwrap();
+    trained.save_file(&path).unwrap();
+    let reloaded = TrainedAgent::load_file(&path, &suite).unwrap();
     std::fs::remove_file(&path).ok();
 
     let engine = hrp::gpusim::EngineConfig::default();
     let queue = evaluation_queues(&suite).remove(0);
     assert_eq!(
-        run.trained.greedy_decision(&suite, &queue, &engine),
+        trained.greedy_decision(&suite, &queue, &engine),
         reloaded.greedy_decision(&suite, &queue, &engine),
     );
 }

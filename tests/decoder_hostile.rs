@@ -35,12 +35,13 @@ use hrp::cluster::place::{
     PlacementAgent, PlacementConfig, PlacementDispatcher, PlacementExperiment,
 };
 use hrp::cluster::{SelectorKind, TraceConfig, TraceKind};
-use hrp::core::experiment::Experiment;
+use hrp::core::train::{train, TrainConfig, TrainedAgent};
 use hrp::gpusim::GpuArch;
 use hrp::nn::net::{Head, QNet};
 use hrp::nn::serialize::{load_weights, save_weights};
 use hrp::serve::{
-    restore, AdmissionConfig, SchedulerService, ServeConfig, ServiceStep, TraceSource,
+    restore, AdmissionConfig, CheckpointError, SchedulerService, ServeConfig, ServiceStep,
+    TraceSource,
 };
 use hrp::workloads::Suite;
 
@@ -130,14 +131,14 @@ fn hrpq_blob() -> Vec<u8> {
 }
 
 fn hrpe_blob(suite: &Suite) -> Vec<u8> {
-    Experiment::quick()
-        .window(3)
-        .hidden(vec![4])
-        .episodes(4)
-        .seed(7)
-        .run_on(suite)
-        .save_bytes()
-        .to_vec()
+    let cfg = TrainConfig {
+        w: 3,
+        hidden: vec![4],
+        episodes: 4,
+        seed: 7,
+        ..TrainConfig::quick()
+    };
+    train(suite, cfg).0.save_bytes().to_vec()
 }
 
 fn placement_agent() -> PlacementAgent {
@@ -180,7 +181,7 @@ fn hrps_blob(suite: &Suite, tier: Tier) -> Vec<u8> {
         trace = trace.users(3);
         cfg = cfg
             .walltime_err(0.25)
-            .admission(AdmissionConfig::new().quota(1).half_life(60.0).slo(50.0));
+            .admission(AdmissionConfig::new().quota(1).slo(50.0));
     }
     let source = TraceSource::new(suite, trace);
     let mut svc = match tier {
@@ -211,7 +212,7 @@ fn decode_hrpq(_: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
 }
 
 fn decode_hrpe(suite: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
-    let agent = Experiment::load_bytes(blob.into(), suite).map_err(|e| e.to_string())?;
+    let agent = TrainedAgent::load_bytes(blob.into(), suite).map_err(|e| e.to_string())?;
     Ok(agent.save_bytes().to_vec())
 }
 
@@ -249,15 +250,20 @@ fn corpus(suite: &Suite) -> Vec<(String, Vec<u8>, Decode)> {
 /// move: they are what keeps `serve.checkpoint.bytes` and every CI
 /// kill/restore digest fixed. `HRPP` and the policy-tier `HRPS` that
 /// embeds it were re-captured once, when `HRPP` v2 dropped six spec
-/// keys (PR 22: 721 → 600 and 2 057 → 1 936 bytes, 121 fewer each).
+/// keys (PR 22: 721 → 600 and 2 057 → 1 936 bytes, 121 fewer each). The
+/// four `HRPS` pins were re-captured once more when `HRPS` v3 retired
+/// its cycle-mode and karma-half-life spec lines (PR 23: 17 bytes fewer
+/// each, 36 for the admission blob; each new blob is the parent's with
+/// those lines cut and the version word bumped, byte for byte — the
+/// admission one against the parent run at the now-constant 300 s).
 const GOLDEN: [(&str, usize, u64); 7] = [
     ("HRPQ", 380, 0x168e_3209_c0ac_404a),
     ("HRPE", 1826, 0xfb19_4aad_5085_9eb3),
     ("HRPP", 600, 0x7be9_3b15_e7a2_3012),
-    ("HRPS LeastLoaded", 1454, 0x0dbe_a3c2_5a61_1151),
-    ("HRPS RoundRobin", 1466, 0x6da6_a030_38ad_39b7),
-    ("HRPS EasyAdmission", 1512, 0x6b8c_aeb1_b08c_af88),
-    ("HRPS Policy", 1936, 0x64b2_0eb4_6d2d_0a63),
+    ("HRPS LeastLoaded", 1437, 0x372e_b17b_9d25_7f3b),
+    ("HRPS RoundRobin", 1449, 0x9bc7_a6e7_a30d_b2d5),
+    ("HRPS EasyAdmission", 1476, 0xb0b4_b82f_3f6e_c211),
+    ("HRPS Policy", 1919, 0x5697_603d_8442_0ee9),
 ];
 
 #[test]
@@ -483,6 +489,51 @@ fn forged_experiment_specs_are_typed_errors() {
         let err = outcome.expect_err(key);
         assert!(err.contains("HRPE") || err.contains("HRPQ"), "{key}: {err}");
         assert!(err.contains(needle), "{key}: '{err}' lacks {needle}");
+        assert!(peak <= ALLOC_FLOOR, "{key}: asked for {peak} bytes at once");
+    }
+}
+
+/// `HRPS` v3 retired two spec keys. A v2 blob is a version error, not a
+/// guess at what its extra lines meant, and a v3 spec that still carries
+/// one is refused like any other key the format does not have. (The
+/// names are split so that a search for them finds no live use.)
+#[test]
+fn retired_hrps_versions_and_keys_are_typed_errors() {
+    let s = suite();
+    let mut v2 = hrps_blob(&s, Tier::LeastLoaded);
+    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let (outcome, peak) = peak_alloc(|| restore(&s, v2.into()).map(drop));
+    assert_eq!(
+        outcome,
+        Err(CheckpointError::BadVersion {
+            format: "HRPS",
+            found: 2
+        })
+    );
+    assert!(peak <= ALLOC_FLOOR, "v2: asked for {peak} bytes at once");
+
+    // Each retired line is smuggled in behind a live one, whose value
+    // is kept.
+    let half_life = concat!("adm_half", "_life=300.0");
+    for (tier, after, kept, retired) in [
+        (Tier::LeastLoaded, "selector", "least-loaded", "mode=full"),
+        (
+            Tier::LeastLoaded,
+            "selector",
+            "least-loaded",
+            "mode=incremental",
+        ),
+        (Tier::EasyAdmission, "adm_quota", "1", half_life),
+    ] {
+        let forged = tamper_spec(&hrps_blob(&s, tier), after, &format!("{kept}\n{retired}"));
+        let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
+        let err = outcome.expect_err(retired);
+        let key = retired.split('=').next().expect("a key");
+        assert!(err.contains("HRPS"), "{retired}: '{err}' names the format");
+        assert!(
+            err.contains(&format!("unknown key '{key}'")),
+            "{retired}: '{err}'"
+        );
         assert!(peak <= ALLOC_FLOOR, "{key}: asked for {peak} bytes at once");
     }
 }

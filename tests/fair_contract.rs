@@ -9,7 +9,7 @@
 //! whole seconds so that releases land exactly on advance instants and
 //! on each other, the two boundary cases of the report.
 
-use hrp::cluster::fair::{FairConfig, FairShare};
+use hrp::cluster::fair::FairShare;
 use proptest::prelude::*;
 
 const TENANTS: std::ops::RangeInclusive<u32> = 1..=6;
@@ -43,7 +43,7 @@ proptest! {
         quota in 1usize..=4,
         steps in proptest::collection::vec((any::<bool>(), 1u32..=6, 0u32..=4, 1u32..=9), 1..=80),
     ) {
-        let mut fair = FairShare::new(FairConfig::new().quota(quota));
+        let mut fair = FairShare::new(quota);
         let mut model = Model::default();
         let mut now = 0.0f64;
         for (admit, user, gap, walltime) in steps {
@@ -71,7 +71,7 @@ proptest! {
             }
             prop_assert_eq!(fair.next_release(), model.next_release());
             // A kill/restore at any step changes none of the answers.
-            let restored = FairShare::from_state(fair.config().clone(), &fair.export_state());
+            let restored = FairShare::from_state(quota, &fair.export_state());
             prop_assert_eq!(&restored, &fair);
         }
     }

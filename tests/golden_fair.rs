@@ -9,7 +9,7 @@
 //! pinned by its rolling admission-decision digest and must reproduce
 //! both digests after a kill/restore at one fixed mid-trace point
 //! (48 consumed jobs). A refactor of the karma accounting, the burst
-//! ordering, the quota bookkeeping, or the v2 checkpoint format that
+//! ordering, the quota bookkeeping, or the checkpoint format that
 //! moves one decision is caught here.
 //!
 //! A second, pin-free case holds the admission tier's acceptance gate
@@ -20,9 +20,13 @@
 //!
 //! Golden values captured from the initial admission-tier
 //! implementation at `ServeConfig::new(4, 2)` with
-//! `AdmissionConfig::new().quota(8).half_life(120.0)` and
+//! `AdmissionConfig::new().quota(8)` and
 //! `TraceConfig::new(kind, 96, 42).max_gpus(2).mean_gap(3.0)
-//! .users(4)`. Regenerate with:
+//! .users(4)`. The bursty fair row was captured a second time, on the
+//! parent of the commit that made the karma half-life a constant, with
+//! the half-life set to that constant (300 s; the original pins used a
+//! test-only 120 s, at which the skewed row reads the same bits).
+//! Regenerate with:
 //!
 //! ```text
 //! cargo test --test golden_fair -- --ignored print_golden_fair_pins --nocapture
@@ -34,8 +38,8 @@ use hrp::cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp::cluster::SelectorKind;
 use hrp::prelude::*;
 use hrp::serve::{
-    dispatcher_for, restore, AdmissionConfig, CycleMode, SchedulerService, ServeConfig,
-    ServeReport, ServiceStep, TraceSource,
+    dispatcher_for, restore, AdmissionConfig, SchedulerService, ServeConfig, ServeReport,
+    ServiceStep, TraceSource,
 };
 
 const NODES: usize = 4;
@@ -45,7 +49,6 @@ const SEED: u64 = 42;
 const MEAN_GAP: f64 = 3.0;
 const USERS: u32 = 4;
 const QUOTA: usize = 8;
-const HALF_LIFE: f64 = 120.0;
 /// The fixed kill point of the fair run's checkpoint pin.
 const KILL_AT: usize = 48;
 
@@ -73,10 +76,10 @@ fn golden_runs() -> Vec<Golden> {
         },
         Golden {
             kind: TraceKind::Bursty,
-            admission_digest: Some(0x6136_7752_62c6_3e1e),
-            digest: 0x5c52_3e5e_3bbe_b911,
-            makespan: 0x407b_2601_212d_39ee, // 434.375275…
-            jain: 0x3fee_a8b9_758a_3f48,     // 0.958096…
+            admission_digest: Some(0x3651_1b6d_838e_7e0e),
+            digest: 0xe49d_6cb5_d7e4_908e,
+            makespan: 0x4079_8ce0_7596_1a23, // 408.804799…
+            jain: 0x3fee_b62c_e004_996a,     // 0.959738…
             deferred: 13,
         },
         Golden {
@@ -106,7 +109,7 @@ fn trace_cfg(kind: TraceKind) -> TraceConfig {
 }
 
 fn admission() -> AdmissionConfig {
-    AdmissionConfig::new().quota(QUOTA).half_life(HALF_LIFE)
+    AdmissionConfig::new().quota(QUOTA)
 }
 
 /// A service over `trace`: the admission tier for `Some`, the legacy
@@ -115,9 +118,8 @@ fn fresh_service<'a>(
     suite: &'a Suite,
     trace: &TraceConfig,
     admission: Option<AdmissionConfig>,
-    mode: CycleMode,
 ) -> SchedulerService<'a, TraceSource<'a>> {
-    let mut cfg = ServeConfig::new(NODES, GPUS_PER_NODE).mode(mode);
+    let mut cfg = ServeConfig::new(NODES, GPUS_PER_NODE);
     if let Some(admission) = admission {
         cfg = cfg.admission(admission);
     }
@@ -135,9 +137,8 @@ fn run_policy(
     suite: &Suite,
     trace: &TraceConfig,
     admission: Option<AdmissionConfig>,
-    mode: CycleMode,
 ) -> (ServeReport, f64) {
-    let mut service = fresh_service(suite, trace, admission, mode);
+    let mut service = fresh_service(suite, trace, admission);
     service.run_to_close();
     let served = service.finish();
     let submissions = generate(suite, trace);
@@ -145,14 +146,9 @@ fn run_policy(
     (served, jain)
 }
 
-/// The pinned runs' policy: incremental cycles at the golden geometry.
+/// The pinned runs' policy at the golden geometry.
 fn run_pinned(suite: &Suite, kind: TraceKind, fair: bool) -> (ServeReport, f64) {
-    run_policy(
-        suite,
-        &trace_cfg(kind),
-        fair.then(admission),
-        CycleMode::Incremental,
-    )
+    run_policy(suite, &trace_cfg(kind), fair.then(admission))
 }
 
 #[test]
@@ -203,7 +199,7 @@ fn fair_and_fcfs_front_doors_match_their_golden_pins() {
 }
 
 /// The fair run killed at [`KILL_AT`] consumed jobs and restored from
-/// its v2 `HRPS` blob reproduces both pinned digests bit-exactly.
+/// its `HRPS` blob reproduces both pinned digests bit-exactly.
 #[test]
 fn killed_and_restored_fair_runs_reproduce_the_pins() {
     let suite = Suite::paper_suite(&GpuArch::a100());
@@ -211,12 +207,7 @@ fn killed_and_restored_fair_runs_reproduce_the_pins() {
         let Some(admission_pin) = golden.admission_digest else {
             continue;
         };
-        let mut service = fresh_service(
-            &suite,
-            &trace_cfg(golden.kind),
-            Some(admission()),
-            CycleMode::Incremental,
-        );
+        let mut service = fresh_service(&suite, &trace_cfg(golden.kind), Some(admission()));
         while service.consumed() < KILL_AT {
             match service.step() {
                 ServiceStep::Cycle { .. } => {}
@@ -252,23 +243,20 @@ fn killed_and_restored_fair_runs_reproduce_the_pins() {
 /// The admission tier's acceptance gate, at the geometry it was tuned
 /// for (400 jobs, 6 tenants, mean gap 2.5 s, quota 16): Jain's index
 /// strictly improves over FCFS at ≤ 2 % makespan cost with nothing
-/// rejected, the fair schedule does not depend on the cycle mode, and
-/// replaying the admitted jobs at their effective arrivals through the
+/// rejected, and replaying the admitted jobs at their effective arrivals through the
 /// batch engine reproduces the service timeline bit-exactly.
 #[test]
 fn fair_front_door_beats_fcfs_within_the_makespan_budget() {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let gate = AdmissionConfig::new().quota(16).half_life(HALF_LIFE);
+    let gate = AdmissionConfig::new().quota(16);
     for kind in [TraceKind::Bursty, TraceKind::Skewed] {
         let label = kind.name();
         let trace = TraceConfig::new(kind, 400, SEED)
             .max_gpus(GPUS_PER_NODE)
             .mean_gap(2.5)
             .users(6);
-        let (fcfs, fcfs_jain) = run_policy(&suite, &trace, None, CycleMode::Incremental);
-        let (fair, fair_jain) =
-            run_policy(&suite, &trace, Some(gate.clone()), CycleMode::Incremental);
-        let (fair_full, _) = run_policy(&suite, &trace, Some(gate.clone()), CycleMode::Full);
+        let (fcfs, fcfs_jain) = run_policy(&suite, &trace, None);
+        let (fair, fair_jain) = run_policy(&suite, &trace, Some(gate.clone()));
 
         assert!(
             fair_jain > fcfs_jain,
@@ -291,11 +279,6 @@ fn fair_front_door_beats_fcfs_within_the_makespan_budget() {
         assert_eq!(fcfs.report.completed_jobs(), 400, "{label}");
 
         let digest = fair.report.timeline.digest();
-        assert_eq!(
-            digest,
-            fair_full.report.timeline.digest(),
-            "{label}: the fair schedule must be cycle-mode invariant"
-        );
         let mut selector = SelectorKind::LeastLoaded.build();
         let replay = MultiNodeSim::new(NODES, GPUS_PER_NODE).run(
             &suite,

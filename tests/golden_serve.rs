@@ -9,7 +9,7 @@
 //! that moves one event or re-plans one extra node is caught here.
 //!
 //! Golden values captured from the initial `hrp-serve` implementation
-//! at `ServeConfig::new(4, 2)`, `CycleMode::Incremental`,
+//! at `ServeConfig::new(4, 2)`,
 //! `TraceConfig::new(kind, 96, 42).max_gpus(2).mean_gap(12.0)
 //! .gang_share(0.25)`. Regenerate with:
 //!
@@ -34,8 +34,7 @@
 //! cycles. A third of its arrival cycles run with jobs parked and no
 //! release due — the cycles on which the door leaves its queue alone.
 //! Pinned uninterrupted, killed and restored at three points (one of
-//! them just before such a cycle, one mid-drain), in full cycle mode
-//! and by batch replay. Captured on PR 20's parent commit, before the
+//! them just before such a cycle, one mid-drain) and by batch replay. Captured on PR 20's parent commit, before the
 //! door stopped walking its queue every cycle; regenerate with
 //! `--ignored print_golden_parked_pins`.
 
@@ -43,8 +42,8 @@ use hrp::cluster::trace::{TraceConfig, TraceKind};
 use hrp::cluster::{BackfillTier, MultiNodeSim, SelectorKind};
 use hrp::prelude::*;
 use hrp::serve::{
-    dispatcher_for, restore, AdmissionConfig, ArrivalSource, CycleMode, LoadGen, LoadShape,
-    SchedulerService, ServeConfig, ServeReport, ServiceStep, TraceSource,
+    dispatcher_for, restore, AdmissionConfig, ArrivalSource, LoadGen, LoadShape, SchedulerService,
+    ServeConfig, ServeReport, ServiceStep, TraceSource,
 };
 
 const NODES: usize = 4;
@@ -261,8 +260,8 @@ struct OverloadGolden {
     rejected: u64,
     deferred: u64,
     makespan: u64,
-    /// No node of an overloaded cluster is ever quiescent, so both
-    /// cycle modes re-plan every node every cycle.
+    /// No node of an overloaded cluster is ever quiescent, so every
+    /// cycle re-plans every node.
     replanned: u64,
 }
 
@@ -276,7 +275,7 @@ const OVERLOAD: OverloadGolden = OverloadGolden {
     replanned: 3388,
 };
 
-fn overload_service(suite: &Suite, mode: CycleMode) -> SchedulerService<'_, LoadGen<'_>> {
+fn overload_service(suite: &Suite) -> SchedulerService<'_, LoadGen<'_>> {
     let source = LoadGen::new(
         suite,
         LoadShape::Bursty,
@@ -287,7 +286,6 @@ fn overload_service(suite: &Suite, mode: CycleMode) -> SchedulerService<'_, Load
     .with_users(6, 1.2);
     let cfg = ServeConfig::new(NODES, GPUS_PER_NODE)
         .walltime_err(OVERLOAD_ERR)
-        .mode(mode)
         .admission(AdmissionConfig::new().quota(8).slo(20.0));
     SchedulerService::new(suite, cfg, SelectorKind::Easy, source)
 }
@@ -303,7 +301,7 @@ fn drain<S: ArrivalSource>(mut service: SchedulerService<'_, S>) -> (ServeReport
 fn overloaded_backfill_service_matches_the_golden_pin_every_way_it_can_be_run() {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let g = OVERLOAD;
-    let (full, offered) = drain(overload_service(&suite, CycleMode::Incremental));
+    let (full, offered) = drain(overload_service(&suite));
     let admission = full.admission.as_ref().expect("admission tier is on");
     assert_eq!(full.report.timeline.digest(), g.digest, "timeline digest");
     assert_eq!(admission.digest, g.admission_digest, "admission digest");
@@ -329,7 +327,7 @@ fn overloaded_backfill_service_matches_the_golden_pin_every_way_it_can_be_run() 
     assert_eq!(full.report.completed_jobs() as u64, full.stats.decisions);
 
     // Killed mid-run with jobs parked and queues deep, then restored.
-    let mut service = overload_service(&suite, CycleMode::Incremental);
+    let mut service = overload_service(&suite);
     while service.consumed() < OVERLOAD_KILL_AFTER || service.deferred_jobs() == 0 {
         assert!(matches!(service.step(), ServiceStep::Cycle { .. }));
     }
@@ -344,16 +342,6 @@ fn overloaded_backfill_service_matches_the_golden_pin_every_way_it_can_be_run() 
     );
     assert_eq!(resumed.stats, full.stats, "counters after restore");
     assert_eq!(resumed.report.aggregate, full.report.aggregate);
-
-    // Every node advanced every cycle, dirty or not.
-    let (every_node, _) = drain(overload_service(&suite, CycleMode::Full));
-    assert_eq!(every_node.report.timeline.digest(), g.digest, "full mode");
-    assert_eq!(
-        every_node.admission.as_ref().map(|a| a.digest),
-        Some(g.admission_digest),
-        "full-mode admission digest"
-    );
-    assert_eq!(every_node.stats, full.stats, "full-mode counters");
 
     // The admitted trace replayed through the batch engine.
     let policy = SelectorKind::Easy.backfill_policy().expect("a tier");
@@ -371,7 +359,7 @@ fn overloaded_backfill_service_matches_the_golden_pin_every_way_it_can_be_run() 
 #[ignore = "pin printer, not a regression check"]
 fn print_golden_overload_pins() {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let (r, offered) = drain(overload_service(&suite, CycleMode::Incremental));
+    let (r, offered) = drain(overload_service(&suite));
     println!(
         "const OVERLOAD: OverloadGolden = OverloadGolden {{\n    digest: {:#018x},\n    \
          admission_digest: {:#018x},\n    offered: {offered},\n    rejected: {},\n    \
@@ -415,7 +403,7 @@ const PARKED: ParkedGolden = ParkedGolden {
     makespan: 0x40d0_da43_d5bd_bace, // 17257.059920723368
 };
 
-fn parked_service(suite: &Suite, mode: CycleMode) -> SchedulerService<'_, LoadGen<'_>> {
+fn parked_service(suite: &Suite) -> SchedulerService<'_, LoadGen<'_>> {
     let source = LoadGen::new(
         suite,
         LoadShape::Bursty,
@@ -426,7 +414,6 @@ fn parked_service(suite: &Suite, mode: CycleMode) -> SchedulerService<'_, LoadGe
     .with_users(6, 1.2);
     let cfg = ServeConfig::new(NODES, GPUS_PER_NODE)
         .walltime_err(OVERLOAD_ERR)
-        .mode(mode)
         .admission(AdmissionConfig::new().quota(1));
     SchedulerService::new(suite, cfg, SelectorKind::Easy, source)
 }
@@ -452,7 +439,7 @@ fn killed_and_restored(
     suite: &Suite,
     kill: Kill,
 ) -> SchedulerService<'_, Box<dyn ArrivalSource + '_>> {
-    let mut service = parked_service(suite, CycleMode::Incremental);
+    let mut service = parked_service(suite);
     let cycle = |service: &mut SchedulerService<'_, LoadGen<'_>>| match service.step() {
         ServiceStep::Cycle { time, .. } => time,
         other => panic!("{kill:?}: the source ran out first ({other:?})"),
@@ -497,7 +484,7 @@ fn killed_and_restored(
 fn deferral_heavy_service_matches_the_golden_pin_every_way_it_can_be_run() {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let g = PARKED;
-    let (full, offered) = drain(parked_service(&suite, CycleMode::Incremental));
+    let (full, offered) = drain(parked_service(&suite));
     let admission = full.admission.as_ref().expect("admission tier is on");
     assert_eq!(full.report.timeline.digest(), g.digest, "timeline digest");
     assert_eq!(admission.digest, g.admission_digest, "admission digest");
@@ -540,27 +527,6 @@ fn deferral_heavy_service_matches_the_golden_pin_every_way_it_can_be_run() {
         assert_eq!(resumed.report.aggregate, full.report.aggregate, "{kill:?}");
     }
 
-    // Every node advanced every cycle, dirty or not: same decisions,
-    // same cycles, only the skip accounting differs.
-    let (every_node, _) = drain(parked_service(&suite, CycleMode::Full));
-    assert_eq!(every_node.report.timeline.digest(), g.digest, "full mode");
-    assert_eq!(
-        every_node.admission.as_ref().map(|a| a.digest),
-        Some(g.admission_digest),
-        "full-mode admission digest"
-    );
-    assert_eq!(every_node.stats.nodes_skipped, 0, "full mode skips nothing");
-    assert_eq!(
-        (
-            every_node.stats.cycles,
-            every_node.stats.wake_cycles,
-            every_node.stats.decisions,
-            every_node.stats.deferred,
-        ),
-        (g.cycles, g.wake_cycles, g.decisions, g.deferred),
-        "full-mode counters"
-    );
-
     // The admitted trace replayed through the batch engine.
     let policy = SelectorKind::Easy.backfill_policy().expect("a tier");
     let batch = MultiNodeSim::new(NODES, GPUS_PER_NODE).run(
@@ -577,7 +543,7 @@ fn deferral_heavy_service_matches_the_golden_pin_every_way_it_can_be_run() {
 #[ignore = "pin printer, not a regression check"]
 fn print_golden_parked_pins() {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let (r, offered) = drain(parked_service(&suite, CycleMode::Incremental));
+    let (r, offered) = drain(parked_service(&suite));
     println!(
         "const PARKED: ParkedGolden = ParkedGolden {{\n    digest: {:#018x},\n    \
          admission_digest: {:#018x},\n    offered: {offered},\n    deferred: {},\n    \

@@ -8,12 +8,12 @@
 //! `hrp-serve` all go through it — and one representation of an event
 //! stream (`sim::EventLog`, read through borrowed `NodeEvent` views). A
 //! second copy of any of them would first show up as one of the
-//! patterns below. And every option has a caller: a `with_*` builder
-//! nothing but its own unit tests sets is either on the reasoned list
-//! below or gone.
+//! patterns below. And every public function has a caller: one that
+//! nothing but tests names is either on the reasoned list below or
+//! gone.
 
 mod scan;
-use scan::{crate_src_dirs, non_test_hits, rust_sources};
+use scan::{crate_src_dirs, non_test_hits, non_test_lines, rust_sources};
 use std::collections::BTreeSet;
 
 #[test]
@@ -76,6 +76,32 @@ fn the_deleted_second_copies_stay_deleted() {
         ("n_", "shards"),
         ("into", "_config"),
         ("num", "_features"),
+        // The fork census: second paths behind a switch nothing flipped,
+        // and public functions nothing but their own tests called.
+        ("Cycle", "Mode"),
+        ("Fair", "Config"),
+        ("fair_", "config"),
+        ("parallel", "_map"),
+        ("Trained", "Experiment"),
+        ("Experiment::", "quick"),
+        ("Experiment::", "paper"),
+        ("Experiment::", "from_config"),
+        (".half", "_life("),
+        ("adm_half", "_life"),
+        ("LoadGen::", "resume("),
+        ("forward_inference", "_batch("),
+        ("backward_batch", "_no_dx"),
+        ("a100", "_2x"),
+        ("mig_compute", "_cap"),
+        ("sms_per", "_gpc"),
+        ("used_compute", "_slices"),
+        ("compute", "_fraction"),
+        ("domain", "_peers"),
+        ("awaiting_mps", "_level"),
+        ("has", "_unseen"),
+        ("job", "_key"),
+        ("cluster", "_compare"),
+        ("zero", "_grad"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
@@ -87,13 +113,34 @@ fn the_deleted_second_copies_stay_deleted() {
     }
 }
 
+/// The identifiers of a line of code, in order.
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|word| !word.is_empty())
+}
+
+/// The names of the functions a line declares after each `keyword`
+/// (`"fn "`, `"pub fn "`).
+fn declared<'a>(line: &'a str, keyword: &'a str) -> impl Iterator<Item = &'a str> {
+    line.split(keyword)
+        .skip(1)
+        .filter_map(|rest| identifiers(rest).next())
+}
+
+/// A public function stays only if something other than tests names it:
+/// every `pub fn` under `crates/*/src` is named on a non-test,
+/// non-comment line other than a declaration of that name, somewhere
+/// under `crates/*/src`, `src/` or `examples/` — or is listed here with
+/// the reason it stays. The list is exact: an entry that gains a caller
+/// must leave it.
+///
+/// The scan goes by name, so it under-reports: a function that shares
+/// its name with a field, a local, another type's method or a word in a
+/// string literal counts as called (`SchedulerService::with_agent`, which
+/// only the frozen benchmark and tests construct through, is named in a
+/// panic message). What it does report is certain.
 #[test]
-fn every_builder_option_has_a_caller() {
-    // An option stays only if something other than its own unit tests
-    // sets it: every `pub fn with_*` under `crates/*/src` is called from
-    // non-test code under `crates/*/src` — or is listed here with the
-    // reason it stays. The list is exact: an entry that gains a caller
-    // must leave it.
+fn every_pub_fn_has_a_caller() {
     let uncalled_on_purpose = [
         // The batch oracle the admission tier is checked against
         // (`serve_contract`, `golden_fair`, hrp-serve's unit tests).
@@ -102,34 +149,63 @@ fn every_builder_option_has_a_caller() {
         // planners pre-loaded with advance reservations.
         "crates/cluster/src/backfill.rs::with_reservation",
         "crates/serve/src/service.rs::with_dispatchers",
-        // The policy tier's constructor: the frozen benchmark's
-        // `serve_policy_steady`, `decoder_hostile` and `mem_budget` build
-        // through it; `repro serve` has no policy selector to reach it.
-        "crates/serve/src/service.rs::with_agent",
+        // `slots_contract` and `planner_contract` read the profile back
+        // point by point; `slots_contract` and `alloc_free` hold its
+        // coalescing to a segment count.
+        "crates/cluster/src/slots.rs::capacity_at",
+        "crates/cluster/src/slots.rs::n_segments",
+        // `golden_placement` and the placement unit tests: the env-side
+        // greedy rollout the deployed selector must reproduce, and an
+        // agent that needs no training run (`decoder_hostile`,
+        // `mem_budget`, `trace_contract`, hrp-serve's unit tests).
+        "crates/cluster/src/place.rs::greedy_placements",
+        "crates/cluster/src/place.rs::untrained",
+        // `env_contract`: the two-level action a flat action decodes to.
+        "crates/core/src/hierarchy.rs::path_of_flat",
+        // The evaluation trace `repro cluster` rows are compared on,
+        // read back by `golden_backfill`.
+        "crates/bench/src/cluster.rs::evaluation_trace",
+        // The staggered trace of `golden_cluster` and the module doctest.
+        "crates/cluster/src/multinode.rs::staggered_trace",
+        // `properties.rs`: no compiled partition hands out more compute
+        // than the GPU has.
+        "crates/gpusim/src/partition.rs::total_compute",
+        // The single-ring entry `alloc_free` holds allocation-free; the
+        // frozen benchmark spells its sharded twin, and ROADMAP item 5
+        // routes that one through here.
+        "crates/nn/src/dqn.rs::remember",
+        // The noise-free profiler hrp-profile's and hrp-core's unit
+        // tests profile their fixtures with.
+        "crates/profile/src/profiler.rs::exact",
+        // The file pair beside `save_bytes` / `load_bytes`:
+        // `tests/checkpoint.rs` and the README round-trip through it.
+        "crates/core/src/experiment.rs::load_file",
+        "crates/core/src/experiment.rs::save_file",
     ];
-    let files = rust_sources(&crate_src_dirs());
-    let mut uncalled = BTreeSet::new();
+    let mut dirs = crate_src_dirs();
+    dirs.extend(["src", "examples"].map(str::to_owned));
+    let files = rust_sources(&dirs);
+    let mut public = BTreeSet::new();
+    let mut named = BTreeSet::new();
     for (path, text) in &files {
-        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
-        for rest in code.split("pub fn with_").skip(1) {
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            let (call, declaration) = (format!("with_{name}("), format!("fn with_{name}("));
-            // A declaration line matches the call pattern too.
-            let called = files.iter().any(|(p, t)| {
-                non_test_hits(p, t, &call).len() > non_test_hits(p, t, &declaration).len()
-            });
-            if !called {
-                uncalled.insert(format!("{path}::with_{name}"));
+        for (_, line) in non_test_lines(text) {
+            let here: Vec<&str> = declared(line, "fn ").collect();
+            named.extend(identifiers(line).filter(|word| !here.contains(word)));
+            if path.starts_with("crates/") {
+                public.extend(declared(line, "pub fn ").map(|name| (path.as_str(), name)));
             }
         }
     }
+    assert!(public.len() > 500, "found the public functions");
+    let uncalled: BTreeSet<String> = public
+        .iter()
+        .filter(|(_, name)| !named.contains(name))
+        .map(|(path, name)| format!("{path}::{name}"))
+        .collect();
     let expected: BTreeSet<String> = uncalled_on_purpose.map(str::to_owned).into();
     assert_eq!(
         uncalled, expected,
-        "builders without a non-test caller (left) differ from the reasoned list (right)"
+        "public functions no non-test code names (left) differ from the reasoned list (right)"
     );
 }
 

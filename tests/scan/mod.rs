@@ -46,14 +46,27 @@ pub fn crate_src_dirs() -> Vec<String> {
     dirs
 }
 
-/// `path:line` of every line of `text` that contains `pattern`, outside
-/// comments (doc examples included) and unit tests (they sit at the
-/// bottom of their file).
-pub fn non_test_hits(path: &str, text: &str, pattern: &str) -> Vec<String> {
-    let code = text.split("#[cfg(test)]").next().unwrap_or_default();
-    code.lines()
+/// The lines of `text` outside comments (doc examples included) and
+/// test modules (`#[cfg(test)] mod ..`: they sit at the bottom of their
+/// file, or are a fixture module of their own), numbered from 1.
+pub fn non_test_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let tests = ["#[cfg(test)]\nmod ", "#[cfg(test)]\npub(crate) mod "]
+        .iter()
+        .filter_map(|marker| text.find(marker))
+        .min()
+        .unwrap_or(text.len());
+    text[..tests]
+        .lines()
         .enumerate()
-        .filter(|(_, line)| line.contains(pattern) && !line.trim_start().starts_with("//"))
-        .map(|(i, _)| format!("{path}:{}", i + 1))
+        .filter(|(_, line)| !line.trim_start().starts_with("//"))
+        .map(|(i, line)| (i + 1, line))
+}
+
+/// `path:line` of every line of `text` that contains `pattern`, outside
+/// comments and test modules ([`non_test_lines`]).
+pub fn non_test_hits(path: &str, text: &str, pattern: &str) -> Vec<String> {
+    non_test_lines(text)
+        .filter(|(_, line)| line.contains(pattern))
+        .map(|(i, _)| format!("{path}:{i}"))
         .collect()
 }

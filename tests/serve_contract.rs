@@ -1,9 +1,8 @@
 //! Property tests (proptest) for the online scheduler service's
 //! determinism contract (`hrp-serve`):
 //!
-//! * draining any finite generated trace through the service — under
-//!   either cycle mode — produces a merged timeline bit-identical to a
-//!   batch `MultiNodeSim` run of the same jobs, for every
+//! * draining any finite generated trace through the service produces
+//!   a merged timeline bit-identical to a batch `MultiNodeSim` run of the same jobs, for every
 //!   selector family and any batch thread count;
 //! * a service checkpointed at an arbitrary cycle and restored from
 //!   the `HRPS` blob finishes with exactly the report the
@@ -14,8 +13,7 @@
 //! * the admission tier (ARCHITECTURE.md contract point 9): the
 //!   per-tenant quota is never exceeded, no admitted job is lost,
 //!   ordering-only admission is digest-identical to the batch
-//!   fair-order oracle for any thread count in either cycle mode,
-//!   and kill/restore reproduces the admission decision
+//!   fair-order oracle for any thread count, and kill/restore reproduces the admission decision
 //!   digest bit-exactly.
 //!
 //! Set `HRP_TEST_THREADS` to pick the parallel worker count the batch
@@ -30,8 +28,8 @@ use hrp::cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp::cluster::SelectorKind;
 use hrp::prelude::*;
 use hrp::serve::{
-    dispatcher_for, restore, AdmissionConfig, CycleMode, LoadGen, LoadShape, SchedulerService,
-    ServeConfig, ServiceStep, TraceSource,
+    dispatcher_for, restore, AdmissionConfig, LoadGen, LoadShape, SchedulerService, ServeConfig,
+    ServiceStep, TraceSource,
 };
 use proptest::prelude::*;
 
@@ -81,7 +79,6 @@ proptest! {
         gang in 0.0f64..0.5,
         nodes in 1usize..=4,
         werr in 0.0f64..0.5,
-        incremental in any::<bool>(),
     ) {
         let s = suite();
         let kind = SELECTORS[sel_idx];
@@ -89,10 +86,9 @@ proptest! {
             .max_gpus(2)
             .mean_gap(mean_gap)
             .gang_share(gang);
-        let mode = if incremental { CycleMode::Incremental } else { CycleMode::Full };
         let mut service = SchedulerService::new(
             &s,
-            ServeConfig::new(nodes, 2).walltime_err(werr).mode(mode),
+            ServeConfig::new(nodes, 2).walltime_err(werr),
             kind,
             TraceSource::new(&s, cfg.clone()),
         );
@@ -106,16 +102,17 @@ proptest! {
                     dispatcher_for(kind, 2, werr)
                 });
             prop_assert_eq!(&served.report.timeline.events, &batch.timeline.events,
-                "service drifted from the batch oracle ({} mode, {} threads)",
-                mode.name(), threads);
+                "service drifted from the batch oracle ({} threads)", threads);
             prop_assert_eq!(served.report.timeline.digest(), batch.timeline.digest());
             prop_assert_eq!(&served.report.per_node, &batch.per_node);
             prop_assert_eq!(&served.report.aggregate, &batch.aggregate);
         }
         prop_assert_eq!(served.stats.decisions as usize, n_jobs);
-        if mode == CycleMode::Full {
-            prop_assert_eq!(served.stats.nodes_skipped, 0);
-        }
+        // Every cycle accounts for every node, skipped or re-planned.
+        prop_assert_eq!(
+            served.stats.nodes_replanned + served.stats.nodes_skipped,
+            (served.stats.cycles + served.stats.wake_cycles) * nodes as u64
+        );
     }
 
     #[test]
@@ -197,8 +194,7 @@ proptest! {
     // Contract point 9, ordering half: with admission on but
     // nothing to defer or reject (unlimited quota, infinite SLO),
     // the service's karma-ordered timeline is digest-identical to
-    // the batch fair-order oracle — in either cycle mode, for any
-    // batch thread count.
+    // the batch fair-order oracle for any batch thread count.
     #[test]
     fn ordering_only_admission_is_mode_thread_and_chunk_invariant(
         kind_idx in 0usize..6,
@@ -207,34 +203,27 @@ proptest! {
         mean_gap in 1.0f64..20.0,
         users in 1u32..=5,
         nodes in 1usize..=3,
-        half_life in 30.0f64..600.0,
     ) {
         let s = suite();
         let cfg = TraceConfig::new(KINDS[kind_idx], n_jobs, seed)
             .max_gpus(2)
             .mean_gap(mean_gap)
             .users(users);
-        let acfg = AdmissionConfig::new().half_life(half_life);
-        let mut digests = Vec::new();
-        let mut adm_digests = Vec::new();
-        for mode in [CycleMode::Incremental, CycleMode::Full] {
-            let mut svc = SchedulerService::new(
-                &s,
-                ServeConfig::new(nodes, 2).mode(mode).admission(acfg.clone()),
-                SelectorKind::LeastLoaded,
-                TraceSource::new(&s, cfg.clone()),
-            );
-            svc.run_to_close();
-            let served = svc.finish();
-            prop_assert_eq!(served.stats.deferred, 0);
-            prop_assert_eq!(served.stats.rejected, 0);
-            digests.push(served.report.timeline.digest());
-            adm_digests.push(served.admission.expect("admission on").digest);
-        }
+        let mut svc = SchedulerService::new(
+            &s,
+            ServeConfig::new(nodes, 2).admission(AdmissionConfig::new()),
+            SelectorKind::LeastLoaded,
+            TraceSource::new(&s, cfg.clone()),
+        );
+        svc.run_to_close();
+        let served = svc.finish();
+        prop_assert_eq!(served.stats.deferred, 0);
+        prop_assert_eq!(served.stats.rejected, 0);
+        let mut digests = vec![served.report.timeline.digest()];
         for threads in [1, test_threads()] {
             let sim = MultiNodeSim::new(nodes, 2)
                 .with_threads(threads)
-                .with_fair_order(acfg.fair_config());
+                .with_fair_order();
             let mut sel = SelectorKind::LeastLoaded.build();
             let batch = sim.run(&s, generate(&s, &cfg), sel.as_mut(), |_| {
                 dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0)
@@ -242,9 +231,7 @@ proptest! {
             digests.push(batch.timeline.digest());
         }
         prop_assert!(digests.windows(2).all(|w| w[0] == w[1]),
-            "divergent timelines across modes/threads: {:x?}", digests);
-        prop_assert_eq!(adm_digests[0], adm_digests[1],
-            "admission digest differs between cycle modes");
+            "divergent timelines across service/threads: {:x?}", digests);
     }
 
     // Contract point 9, quota half: replaying the effective
@@ -287,7 +274,7 @@ proptest! {
         if !with_slo {
             prop_assert_eq!(served.stats.rejected, 0, "infinite SLO never rejects");
         }
-        let mut share = FairShare::new(acfg.fair_config());
+        let mut share = FairShare::new(quota);
         for job in &adm.effective {
             share.advance_to(job.arrival);
             prop_assert!(share.in_flight(job.user) < quota,
@@ -319,7 +306,7 @@ proptest! {
             .max_gpus(2)
             .mean_gap(mean_gap)
             .users(users);
-        let mut acfg = AdmissionConfig::new().quota(quota).half_life(90.0);
+        let mut acfg = AdmissionConfig::new().quota(quota);
         if with_slo {
             acfg = acfg.slo(slo);
         }
