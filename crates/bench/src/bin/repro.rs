@@ -98,7 +98,8 @@
 //! `--user-skew`/`--quota`/`--slo` without `--users`,
 //! `--env`/`--selector`/`--trace`/`--source` typos,
 //! `--checkpoint` colliding with `--restore`, `serve --selector
-//! policy`, fairness flags combined with `--restore`) exit with
+//! policy`, fairness flags combined with `--restore`, an `--out`
+//! directory that cannot be created) exit with
 //! status 2 and a usage message rather than panicking or silently
 //! defaulting.
 
@@ -418,83 +419,77 @@ fn main() {
         fail("--user-skew/--quota/--slo require --users (tenant-tagged arrivals)");
     }
 
-    let suite = Suite::paper_suite(&GpuArch::a100());
-    match cmd {
-        "table4" => table4(&suite, &opts),
-        "table5" => table5(&suite, &opts),
-        "table7" => table7(&opts),
-        "fig3" => fig3(&suite, &opts),
-        "fig4" => fig4(&suite, &opts),
-        "fig5" => fig5(&suite, &opts),
-        "fig8" => {
-            let full = run_full(&suite, opts.train_cfg());
-            emit_fig8(&full, &opts);
-        }
-        "fig9" => fig9(&suite, &opts),
-        "fig10" => fig10(&suite, &opts),
-        "fig11" => {
-            let full = run_full(&suite, opts.train_cfg());
-            emit_fig11(&full, &opts);
-        }
-        "fig12" => {
-            let full = run_full(&suite, opts.train_cfg());
-            emit_fig12(&full, &opts);
-        }
-        "overhead" => {
-            let full = run_full(&suite, opts.train_cfg());
-            emit_overhead(&full, &opts);
-        }
-        "ablate-reward" => {
-            emit_pairs(
-                "ablate_reward",
-                "reward shaping",
-                &ablate_reward(&suite, opts.sweep_cfg()),
-                &opts,
-            );
-        }
-        "ablate-agent" => {
-            emit_pairs(
-                "ablate_agent",
-                "agent architecture",
-                &ablate_agent(&suite, opts.sweep_cfg()),
-                &opts,
-            );
-        }
-        "ablate-interference" => ablate_interference_cmd(&suite, &opts),
-        "oracle" => oracle_cmd(&suite, &opts),
-        "cluster" => cluster_cmd(&suite, &opts),
-        "serve" => serve_cmd(&suite, &opts),
-        "all" => {
-            table4(&suite, &opts);
-            table5(&suite, &opts);
-            table7(&opts);
-            fig3(&suite, &opts);
-            fig4(&suite, &opts);
-            fig5(&suite, &opts);
-            let full = run_full(&suite, opts.train_cfg());
-            emit_fig8(&full, &opts);
-            emit_fig11(&full, &opts);
-            emit_fig12(&full, &opts);
-            emit_overhead(&full, &opts);
-            fig9(&suite, &opts);
-            fig10(&suite, &opts);
-            emit_pairs(
-                "ablate_reward",
-                "reward shaping",
-                &ablate_reward(&suite, opts.sweep_cfg()),
-                &opts,
-            );
-            emit_pairs(
-                "ablate_agent",
-                "agent architecture",
-                &ablate_agent(&suite, opts.sweep_cfg()),
-                &opts,
-            );
-            ablate_interference_cmd(&suite, &opts);
-            cluster_cmd(&suite, &opts);
-        }
+    let run: fn(&Suite, &Options) = match cmd {
+        "table4" => table4,
+        "table5" => table5,
+        "table7" => |_, opts| table7(opts),
+        "fig3" => fig3,
+        "fig4" => fig4,
+        "fig5" => fig5,
+        "fig8" => |suite, opts| emit_fig8(&run_full(suite, opts.train_cfg()), opts),
+        "fig9" => fig9,
+        "fig10" => fig10,
+        "fig11" => |suite, opts| emit_fig11(&run_full(suite, opts.train_cfg()), opts),
+        "fig12" => |suite, opts| emit_fig12(&run_full(suite, opts.train_cfg()), opts),
+        "overhead" => |suite, opts| emit_overhead(&run_full(suite, opts.train_cfg()), opts),
+        "ablate-reward" => ablate_reward_cmd,
+        "ablate-agent" => ablate_agent_cmd,
+        "ablate-interference" => ablate_interference_cmd,
+        "oracle" => oracle_cmd,
+        "cluster" => cluster_cmd,
+        "serve" => serve_cmd,
+        "all" => all_cmd,
         other => fail(&format!("unknown command '{other}'")),
+    };
+    // Before the command runs: a directory that cannot be created is a
+    // bad invocation, not a failure at the end of a training run.
+    if let Some(dir) = &opts.out {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+            fail(&format!(
+                "--out {}: cannot create the directory: {e}",
+                dir.display()
+            ))
+        });
     }
+    run(&Suite::paper_suite(&GpuArch::a100()), &opts);
+}
+
+/// Every command but `serve`; fig8/11/12 and overhead share one
+/// training run.
+fn all_cmd(suite: &Suite, opts: &Options) {
+    table4(suite, opts);
+    table5(suite, opts);
+    table7(opts);
+    fig3(suite, opts);
+    fig4(suite, opts);
+    fig5(suite, opts);
+    let full = run_full(suite, opts.train_cfg());
+    emit_fig8(&full, opts);
+    emit_fig11(&full, opts);
+    emit_fig12(&full, opts);
+    emit_overhead(&full, opts);
+    fig9(suite, opts);
+    fig10(suite, opts);
+    ablate_reward_cmd(suite, opts);
+    ablate_agent_cmd(suite, opts);
+    ablate_interference_cmd(suite, opts);
+    cluster_cmd(suite, opts);
+}
+
+fn ablate_reward_cmd(suite: &Suite, opts: &Options) {
+    let rows = ablate_reward(suite, opts.sweep_cfg());
+    emit_pairs("ablate_reward", "reward shaping", &rows, opts);
+}
+
+fn ablate_agent_cmd(suite: &Suite, opts: &Options) {
+    let rows = ablate_agent(suite, opts.sweep_cfg());
+    emit_pairs("ablate_agent", "agent architecture", &rows, opts);
+}
+
+/// Print `t` and, unless `--no-out`, write it into the `--out` directory.
+fn emit(t: &Table, name: &str, opts: &Options) {
+    t.emit(name, opts.out.as_deref())
+        .unwrap_or_else(|e| fail(&format!("--out: cannot write {name}.tsv: {e}")));
 }
 
 fn table4(suite: &Suite, opts: &Options) {
@@ -516,7 +511,7 @@ fn table4(suite: &Suite, opts: &Options) {
             classify(&b.app, suite.arch()).to_string(),
         ]);
     }
-    t.emit("table4_classification", opts.out.as_deref());
+    emit(&t, "table4_classification", opts);
 }
 
 fn table5(suite: &Suite, opts: &Options) {
@@ -533,7 +528,7 @@ fn table5(suite: &Suite, opts: &Options) {
             names.join(","),
         ]);
     }
-    t.emit("table5_queues", opts.out.as_deref());
+    emit(&t, "table5_queues", opts);
 }
 
 fn table7(opts: &Options) {
@@ -579,7 +574,7 @@ fn table7(opts: &Options) {
         combos.len().to_string(),
         rendered.join("; "),
     ]);
-    t.emit("table7_partitions", opts.out.as_deref());
+    emit(&t, "table7_partitions", opts);
 }
 
 fn fig3(suite: &Suite, opts: &Options) {
@@ -594,7 +589,7 @@ fn fig3(suite: &Suite, opts: &Options) {
             ]);
         }
     }
-    t.emit("fig3_mps_sweep", opts.out.as_deref());
+    emit(&t, "fig3_mps_sweep", opts);
 }
 
 fn fig4(suite: &Suite, opts: &Options) {
@@ -608,7 +603,7 @@ fn fig4(suite: &Suite, opts: &Options) {
             f3(c.private / c.shared),
         ]);
     }
-    t.emit("fig4_bandwidth", opts.out.as_deref());
+    emit(&t, "fig4_bandwidth", opts);
 }
 
 fn fig5(suite: &Suite, opts: &Options) {
@@ -617,7 +612,7 @@ fn fig5(suite: &Suite, opts: &Options) {
     for v in fig5_variants(suite) {
         t.row(vec![v.option.clone(), f3(v.throughput), v.detail.clone()]);
     }
-    t.emit("fig5_variants", opts.out.as_deref());
+    emit(&t, "fig5_variants", opts);
 }
 
 fn emit_fig8(full: &FullEvaluation, opts: &Options) {
@@ -632,7 +627,7 @@ fn emit_fig8(full: &FullEvaluation, opts: &Options) {
         row.push(f3(run.mean_throughput()));
         t.row(row);
     }
-    t.emit("fig8_throughput", opts.out.as_deref());
+    emit(&t, "fig8_throughput", opts);
 }
 
 fn emit_fig11(full: &FullEvaluation, opts: &Options) {
@@ -647,7 +642,7 @@ fn emit_fig11(full: &FullEvaluation, opts: &Options) {
         row.push(f3(run.mean_slowdown()));
         t.row(row);
     }
-    t.emit("fig11_slowdown", opts.out.as_deref());
+    emit(&t, "fig11_slowdown", opts);
 }
 
 fn emit_fig12(full: &FullEvaluation, opts: &Options) {
@@ -662,7 +657,7 @@ fn emit_fig12(full: &FullEvaluation, opts: &Options) {
         row.push(f3(run.mean_fairness()));
         t.row(row);
     }
-    t.emit("fig12_fairness", opts.out.as_deref());
+    emit(&t, "fig12_fairness", opts);
 }
 
 fn emit_overhead(full: &FullEvaluation, opts: &Options) {
@@ -691,7 +686,7 @@ fn emit_overhead(full: &FullEvaluation, opts: &Options) {
         "training search-space bound (W=12, Cmax=4)".into(),
         format!("{:.3e}", training_search_space(12, 4)),
     ]);
-    t.emit("overhead", opts.out.as_deref());
+    emit(&t, "overhead", opts);
 }
 
 fn fig9(suite: &Suite, opts: &Options) {
@@ -708,7 +703,7 @@ fn fig9(suite: &Suite, opts: &Options) {
             ]);
         }
     }
-    t.emit("fig9_window_scaling", opts.out.as_deref());
+    emit(&t, "fig9_window_scaling", opts);
 }
 
 fn fig10(suite: &Suite, opts: &Options) {
@@ -725,7 +720,7 @@ fn fig10(suite: &Suite, opts: &Options) {
             ]);
         }
     }
-    t.emit("fig10_cmax_scaling", opts.out.as_deref());
+    emit(&t, "fig10_cmax_scaling", opts);
 }
 
 fn emit_pairs(name: &str, what: &str, rows: &[(String, f64)], opts: &Options) {
@@ -733,7 +728,7 @@ fn emit_pairs(name: &str, what: &str, rows: &[(String, f64)], opts: &Options) {
     for (label, tp) in rows {
         t.row(vec![label.clone(), f3(*tp)]);
     }
-    t.emit(name, opts.out.as_deref());
+    emit(&t, name, opts);
 }
 
 fn oracle_cmd(suite: &Suite, opts: &Options) {
@@ -747,7 +742,7 @@ fn oracle_cmd(suite: &Suite, opts: &Options) {
         t.row(vec![m.label.clone(), f3(m.throughput)]);
     }
     t.row(vec!["AM".into(), f3(run.mean_throughput())]);
-    t.emit("oracle_reference", opts.out.as_deref());
+    emit(&t, "oracle_reference", opts);
 }
 
 fn cluster_cmd(suite: &Suite, opts: &Options) {
@@ -870,7 +865,7 @@ fn cluster_cmd(suite: &Suite, opts: &Options) {
         f3(1.0),
         "-".into(),
     ]);
-    t.emit("cluster_scaling", opts.out.as_deref());
+    emit(&t, "cluster_scaling", opts);
 
     // `--users N` tags the trace with Zipf-skewed tenants; report the
     // per-tenant slowdown balance every selector row achieved.
@@ -886,7 +881,7 @@ fn cluster_cmd(suite: &Suite, opts: &Options) {
                 f3(fairness.spread),
             ]);
         }
-        ft.emit("cluster_fairness", opts.out.as_deref());
+        emit(&ft, "cluster_fairness", opts);
     }
 }
 
@@ -1088,10 +1083,10 @@ fn emit_serve_run(opts: &Options, served: hrp_serve::ServeReport) {
     if let Some(adm) = &served.admission {
         t.row(vec!["deferred".into(), served.stats.deferred.to_string()]);
         t.row(vec!["rejected".into(), served.stats.rejected.to_string()]);
-        t.emit("serve_run", opts.out.as_deref());
+        emit(&t, "serve_run", opts);
         println!("# admission digest {:016x}", adm.digest);
     } else {
-        t.emit("serve_run", opts.out.as_deref());
+        emit(&t, "serve_run", opts);
     }
     println!("# digest {:016x}", served.report.timeline.digest());
 }
@@ -1106,5 +1101,5 @@ fn ablate_interference_cmd(suite: &Suite, opts: &Options) {
     for (factor, mps, mig) in ablate_interference(suite, 12, 4, opts.seed, opts.threads) {
         t.row(vec![f3(factor), f3(mps), f3(mig), f3(mig / mps)]);
     }
-    t.emit("ablate_interference", opts.out.as_deref());
+    emit(&t, "ablate_interference", opts);
 }

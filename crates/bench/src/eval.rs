@@ -9,7 +9,7 @@
 //! item order, so evaluation output is identical for any thread count.
 
 use hrp_core::metrics::{arithmetic_mean, evaluate_decision, QueueMetrics};
-use hrp_core::par::WorkerPool;
+use hrp_core::par::{resolve_threads, WorkerPool};
 use hrp_core::policies::{
     MigMpsDefault, MigMpsRl, MigOnly, MpsOnly, Policy, ScheduleContext, TimeSharing,
 };
@@ -95,7 +95,10 @@ pub fn eval_policy(
     policy: &(dyn Policy + Sync),
     threads: usize,
 ) -> PolicyEval {
-    let metrics: Vec<QueueMetrics> = WorkerPool::new(threads).map(queues.len(), |i| {
+    // No more workers than queues: a pool spawns every thread it is
+    // asked for, however few items it is handed.
+    let workers = resolve_threads(threads).min(queues.len()).max(1);
+    let metrics: Vec<QueueMetrics> = WorkerPool::new(workers).map(queues.len(), |i| {
         let queue = &queues[i];
         let ctx = ScheduleContext::new(suite, queue, cmax);
         let decision = policy.schedule(&ctx);

@@ -2,7 +2,6 @@
 //! dependency needed for tab-separated text).
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::Path;
 
 /// A simple table: header + rows, rendered as TSV.
@@ -57,18 +56,18 @@ impl Table {
     }
 
     /// Print to stdout and, when `dir` is given, also write
-    /// `<dir>/<name>.tsv`.
-    pub fn emit(&self, name: &str, dir: Option<&Path>) {
+    /// `<dir>/<name>.tsv` (the directory must exist).
+    ///
+    /// # Errors
+    /// The I/O error of writing the file.
+    pub fn emit(&self, name: &str, dir: Option<&Path>) -> std::io::Result<()> {
         let tsv = self.to_tsv();
         println!("# {name}");
         print!("{tsv}");
         println!();
-        if let Some(dir) = dir {
-            std::fs::create_dir_all(dir).expect("create output dir");
-            let path = dir.join(format!("{name}.tsv"));
-            let mut f = std::fs::File::create(&path)
-                .unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
-            f.write_all(tsv.as_bytes()).expect("write tsv");
+        match dir {
+            Some(dir) => std::fs::write(dir.join(format!("{name}.tsv")), tsv),
+            None => Ok(()),
         }
     }
 }
@@ -104,9 +103,10 @@ mod tests {
     #[test]
     fn emit_writes_file() {
         let dir = std::env::temp_dir().join("hrp_report_test");
+        std::fs::create_dir_all(&dir).unwrap();
         let mut t = Table::new(&["v"]);
         t.row(vec!["7".into()]);
-        t.emit("unit_test_table", Some(&dir));
+        t.emit("unit_test_table", Some(&dir)).unwrap();
         let written = std::fs::read_to_string(dir.join("unit_test_table.tsv")).unwrap();
         assert_eq!(written, "v\n7\n");
         let _ = std::fs::remove_dir_all(&dir);

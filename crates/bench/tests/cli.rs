@@ -1,12 +1,19 @@
 //! The `repro` command line from outside: malformed invocations exit
 //! with status 2 and a usage message for the stated reason (never a
-//! panic, never a silent default), removed surface stays removed, and
-//! `repro serve` honours every flag it accepts.
+//! panic, never a silent default), removed surface stays removed,
+//! `repro serve` honours every flag it accepts, and `--threads` never
+//! asks for more workers than there is work.
 
 use std::process::{Command, Output};
 
 fn repro(args: &str) -> Output {
+    repro_in(std::path::Path::new("."), args)
+}
+
+/// `repro` run from `dir`, so that a default `--out` lands there.
+fn repro_in(dir: &std::path::Path, args: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(dir)
         .args(args.split_whitespace())
         .output()
         .expect("spawn repro")
@@ -52,6 +59,12 @@ const REJECTED: &[(&str, &str)] = &[
     ("--walltime-err -0.25 cluster", "--walltime-err must be in"),
     ("--walltime-err nan cluster", "--walltime-err must be in"),
     ("--selector eazy cluster", "unknown --selector value 'eazy'"),
+    // an output directory under a regular file, refused before the
+    // command runs
+    (
+        "--out {tmp}/foreign.txt/out table4",
+        "--out {tmp}/foreign.txt/out: cannot create the directory",
+    ),
     // removed surface stays removed
     ("--chunk-width 64 cluster", "unknown flag '--chunk-width'"),
     ("--quantize serve", "unknown flag '--quantize'"),
@@ -63,7 +76,8 @@ const REJECTED: &[(&str, &str)] = &[
 #[test]
 fn malformed_invocations_exit_2_with_usage() {
     // The files the `--restore` rows name: something that is no
-    // checkpoint at all, and a real one short of its last byte.
+    // checkpoint at all, and a real one short of its last byte. Every
+    // row runs from this directory, so a default `--out` is made here.
     let tmp = std::env::temp_dir().join(format!("hrp-cli-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("scratch directory");
     let tmp_str = tmp.to_str().expect("UTF-8 temp path");
@@ -76,11 +90,14 @@ fn malformed_invocations_exit_2_with_usage() {
     std::fs::write(tmp.join("clipped.hrps"), &blob[..blob.len() - 1]).expect("write");
 
     for (args, why) in REJECTED {
-        let args = args.replace("{tmp}", tmp_str);
-        let out = repro(&args);
+        let (args, why) = (
+            args.replace("{tmp}", tmp_str),
+            why.replace("{tmp}", tmp_str),
+        );
+        let out = repro_in(&tmp, &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "'{args}': {stderr}");
-        assert!(stderr.contains(why), "'{args}' wrong reason: {stderr}");
+        assert!(stderr.contains(&why), "'{args}' wrong reason: {stderr}");
         assert!(stderr.contains("usage: repro"), "'{args}': {stderr}");
         assert!(!stderr.contains("panicked"), "'{args}': {stderr}");
     }
@@ -110,4 +127,21 @@ fn serve_honours_every_flag_it_accepts() {
             "no '{prefix}' line:\n{stdout}"
         );
     }
+}
+
+/// More workers than queues: the oracle's evaluation spawns no more
+/// threads than it has queues, and its table does not depend on the
+/// count. The parent commit spawned all 1 000 000 and aborted (134)
+/// when the stack guard pages ran out.
+#[test]
+fn oracle_caps_its_workers_at_the_queue_count() {
+    let table = |threads: &str| {
+        let out = repro(&format!("--no-out --threads {threads} oracle"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--threads {threads}: {stderr}");
+        String::from_utf8(out.stdout).expect("UTF-8 table")
+    };
+    let one = table("1");
+    assert!(one.starts_with("# oracle_reference\n"), "{one}");
+    assert_eq!(table("1000000"), one);
 }

@@ -1,5 +1,4 @@
-//! Backfilling dispatch over walltime *estimates* and advance
-//! reservations.
+//! Backfilling dispatch over walltime *estimates*.
 //!
 //! [`BackfillPlanner`] is a node-local [`Dispatcher`] that plans
 //! through a [`TreeSlotSet`] release profile instead of greedy
@@ -23,10 +22,9 @@
 //! GPU pool on every decision (see `next_placement`), so an
 //! early-finishing job can never wedge the queue.
 //!
-//! Advance reservations ([`BackfillPlanner::with_reservation`]) pin
-//! future windows: the planner schedules around them, and its
-//! [`Dispatcher::next_wakeup`] hint tells the simulator to consult it
-//! again when a reservation expires even if no job event falls there.
+//! There are no advance reservations: the only windows a decision
+//! protects are those of the queued jobs its policy reserves for, so
+//! every instant the planner can change its mind at is a job event.
 //!
 //! ```
 //! use hrp_cluster::backfill::{BackfillPlanner, BackfillPolicy};
@@ -46,7 +44,7 @@
 //! ```
 
 use crate::job::ClusterJob;
-use crate::sim::{Dispatcher, Placement, TIME_EPS};
+use crate::sim::{Dispatcher, Placement};
 use crate::slots::TreeSlotSet;
 use hrp_workloads::Suite;
 use serde::{Deserialize, Serialize};
@@ -119,12 +117,6 @@ pub struct BackfillPlanner {
     /// differ, so every decision re-grounds this list against the
     /// live pool.
     releases: Vec<(f64, usize)>,
-    /// `(start, end, gpus)` advance reservations pinned at build
-    /// time.
-    reservations: Vec<(f64, f64, usize)>,
-    /// Earliest future instant a reservation expiry could unblock the
-    /// queue; handed to the simulator via [`Dispatcher::next_wakeup`].
-    wake: Option<f64>,
     /// The free-capacity profile a decision plans through: scratch,
     /// refilled from the bookkeeping above by every decision that
     /// scans, so that none allocates one. Carries nothing from one
@@ -145,8 +137,6 @@ impl BackfillPlanner {
             n_gpus,
             walltime_err: 0.0,
             releases: Vec::new(),
-            reservations: Vec::new(),
-            wake: None,
             profile: TreeSlotSet::new(n_gpus),
         }
     }
@@ -167,30 +157,6 @@ impl BackfillPlanner {
             "walltime error fraction must lie in [0, 1), got {err}"
         );
         self.walltime_err = err;
-        self
-    }
-
-    /// Pin an advance reservation: `gpus` GPUs held for
-    /// `[start, start + duration)`. The planner schedules around it
-    /// and wakes the simulator when it expires.
-    ///
-    /// # Panics
-    /// Panics on a non-positive/non-finite window (or one so short
-    /// against its start that `start + duration` rounds to `start`) or
-    /// more GPUs than the node has.
-    #[must_use]
-    pub fn with_reservation(mut self, start: f64, duration: f64, gpus: usize) -> Self {
-        let end = start + duration;
-        assert!(
-            start.is_finite() && start >= 0.0 && end.is_finite() && end > start,
-            "reservation window must be finite and non-empty"
-        );
-        assert!(
-            gpus >= 1 && gpus <= self.n_gpus,
-            "reservation of {gpus} GPUs on a {}-GPU node",
-            self.n_gpus
-        );
-        self.reservations.push((start, end, gpus));
         self
     }
 
@@ -215,8 +181,6 @@ impl BackfillPlanner {
     pub fn export_state(&self) -> BackfillState {
         BackfillState {
             releases: self.releases.clone(),
-            reservations: self.reservations.clone(),
-            wake: self.wake,
         }
     }
 
@@ -226,8 +190,6 @@ impl BackfillPlanner {
     /// taken from.
     pub fn restore_state(&mut self, state: BackfillState) {
         self.releases = state.releases;
-        self.reservations = state.reservations;
-        self.wake = state.wake;
     }
 
     /// The walltime estimate the planner schedules `job` by (true
@@ -270,39 +232,12 @@ impl BackfillPlanner {
     }
 
     /// Refill the profile for a decision at `now`: full node minus the
-    /// (re-grounded) estimated releases minus active/future
-    /// reservations. By construction `capacity_at(now)` equals the
-    /// simulator's free-GPU count exactly, minus any reservation
-    /// covering `now`.
+    /// (re-grounded) estimated releases. By construction
+    /// `capacity_at(now)` equals the simulator's free-GPU count exactly.
     fn refill_profile(&mut self, now: f64) {
         self.profile.reset();
         for (t, g) in &self.releases {
             self.profile.claim(now, *t, *g);
-        }
-        for (s, e, g) in &self.reservations {
-            let s = s.max(now);
-            if *e > s + TIME_EPS {
-                // `claim_up_to`: a reservation may cover GPUs the
-                // release bookings already count as busy.
-                self.profile.claim_up_to(s, *e, *g);
-            }
-        }
-    }
-
-    /// Idle with work queued: if an advance reservation's expiry is
-    /// what the queue is waiting on, ask the simulator to wake the
-    /// planner there — no job event may fall on that instant.
-    fn hint_wake(&mut self, waiting: &[ClusterJob], now: f64) {
-        if !waiting.is_empty() {
-            let expiry = self
-                .reservations
-                .iter()
-                .map(|(_, e, _)| *e)
-                .filter(|e| *e > now + TIME_EPS)
-                .fold(f64::INFINITY, f64::min);
-            if expiry.is_finite() {
-                self.wake = Some(expiry);
-            }
         }
     }
 }
@@ -314,10 +249,6 @@ impl BackfillPlanner {
 pub struct BackfillState {
     /// `(estimated finish, gpus)` bookings of started placements.
     pub releases: Vec<(f64, usize)>,
-    /// `(start, end, gpus)` advance reservations.
-    pub reservations: Vec<(f64, f64, usize)>,
-    /// Pending wakeup hint.
-    pub wake: Option<f64>,
 }
 
 /// splitmix64 finalizer mapped to `[0, 1)`.
@@ -345,13 +276,11 @@ impl Dispatcher for BackfillPlanner {
         free_gpus: usize,
         now: f64,
     ) -> Option<Placement> {
-        self.wake = None;
         self.reground_releases(free_gpus, now);
         if free_gpus == 0 {
             // A saturated node starts nothing under any policy, and
             // nothing a scan works out outlives the call: no profile,
             // no scan.
-            self.hint_wake(waiting, now);
             return None;
         }
         self.refill_profile(now);
@@ -388,12 +317,7 @@ impl Dispatcher for BackfillPlanner {
                 self.profile.claim(start, start + est, job.gpus);
             }
         }
-        self.hint_wake(waiting, now);
         None
-    }
-
-    fn next_wakeup(&self, _now: f64) -> Option<f64> {
-        self.wake
     }
 }
 
@@ -562,26 +486,6 @@ mod tests {
         // stream waits for the gang: kmeans [0,16), lavaMD [16,35),
         // stream [35,45).
         assert!((report.makespan - 45.0).abs() < 1e-9, "{}", report.makespan);
-    }
-
-    #[test]
-    fn reservation_blocks_and_wakes_an_idle_node() {
-        let s = suite();
-        // Full-node reservation [5, 30): the 2-GPU job arriving at 10
-        // cannot start inside it, and nothing else ever happens on the
-        // node — only the next_wakeup hint can un-wedge the drain.
-        let jobs = vec![job(&s, 0, "lavaMD", 10.0, 2)];
-        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 2).with_reservation(5.0, 25.0, 2);
-        let (report, events) = ClusterSim::new(2).run_traced(&s, jobs, &mut d);
-        let start = events
-            .iter()
-            .find_map(|e| match &e.kind {
-                crate::sim::EventKind::Start { .. } => Some(e.time),
-                _ => None,
-            })
-            .expect("job started");
-        assert!((start - 30.0).abs() < 1e-9, "started at {start}");
-        assert!((report.makespan - 49.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub struct CoSchedulingDispatcher<P: Policy> {
     w: usize,
     cmax: usize,
     engine: EngineConfig,
-    windows: usize,
 }
 
 impl<P: Policy> CoSchedulingDispatcher<P> {
@@ -28,30 +27,7 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
             w,
             cmax,
             engine: EngineConfig::default(),
-            windows: 0,
         }
-    }
-
-    /// The window size and concurrency cap this dispatcher was built
-    /// with, `(w, cmax)`.
-    #[must_use]
-    pub fn window(&self) -> (usize, usize) {
-        (self.w, self.cmax)
-    }
-
-    /// Number of windows scheduled so far.
-    #[must_use]
-    pub fn windows_scheduled(&self) -> usize {
-        self.windows
-    }
-
-    /// Restore the window counter on a freshly built dispatcher when
-    /// resuming from a live checkpoint. The counter is a checkpointed
-    /// statistic: no decision reads it, but a resumed service reports
-    /// the same [`windows_scheduled`](Self::windows_scheduled) as an
-    /// uninterrupted one.
-    pub fn restore_windows_scheduled(&mut self, windows: usize) {
-        self.windows = windows;
     }
 
     /// Ask the policy for one window decision. No [`Policy`] reads the
@@ -111,7 +87,6 @@ impl<P: Policy> Dispatcher for CoSchedulingDispatcher<P> {
         // arrivals that may not come.
         let batch = &singles[..singles.len().min(self.w)];
         let duration = self.decide(suite, batch);
-        self.windows += 1;
         Some(Placement {
             job_ids: batch.iter().map(|j| j.id).collect(),
             gpus: 1,
@@ -165,7 +140,8 @@ mod tests {
             cos.makespan,
             fcfs.makespan
         );
-        assert_eq!(co.windows_scheduled(), 2);
+        // Eight single-GPU jobs in windows of four: two placements.
+        assert_eq!(cos.placements, 2);
     }
 
     #[test]
@@ -198,7 +174,6 @@ mod tests {
         let mut co = CoSchedulingDispatcher::new(MpsOnly, 4, 4);
         let report = ClusterSim::new(2).run(&s, Vec::new(), &mut co);
         assert_eq!(report.placements, 0);
-        assert_eq!(co.windows_scheduled(), 0);
         assert_eq!(report.makespan, 0.0);
     }
 }

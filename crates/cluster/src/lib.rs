@@ -45,8 +45,7 @@
 //!   planner ([`backfill::BackfillPlanner`]) — at exact estimates the
 //!   "FCFS with backfilling" comparator the paper names: FCFS / EASY /
 //!   conservative policies over per-job walltime *estimates* (which
-//!   may over- or under-run the truth) and advance reservations that
-//!   pin future windows;
+//!   may over- or under-run the truth);
 //! * [`cosched`] — the co-scheduling dispatcher: single-GPU jobs are
 //!   batched into windows and handed to any node-local
 //!   [`hrp_core::policies::Policy`]; multi-GPU jobs gang-schedule

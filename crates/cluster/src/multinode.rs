@@ -420,7 +420,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     }
 
     /// `true` when `node` is *quiescent*: nothing running, waiting, or
-    /// queued, no pending dispatch, and no dispatcher wakeup hint.
+    /// queued, and no pending dispatch.
     /// Advancing a quiescent node to any horizon is a no-op and its
     /// [`NodeLoad`] is time-invariant (outstanding exactly `0.0`), so
     /// an incremental driver may skip it without perturbing the
@@ -432,7 +432,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     #[must_use]
     pub fn node_is_quiescent(&self, node: usize) -> bool {
         let run = self.slots[node].lock().expect("node lock");
-        run.is_idle() && !run.is_dirty() && run.wakeup_hint().is_none()
+        run.is_idle() && !run.is_dirty()
     }
 
     /// Advance a *single* node to `t` and refresh its load snapshot —
@@ -456,17 +456,6 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     /// incremental driver (one round per cycle).
     pub fn note_round(&mut self) {
         self.sync.sync_rounds += 1;
-    }
-
-    /// The earliest strictly-future dispatcher wakeup hint across all
-    /// nodes — when an otherwise idle cluster next wants a cycle (e.g.
-    /// a backfill reservation expiring).
-    #[must_use]
-    pub fn next_wakeup(&self) -> Option<f64> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.lock().expect("node lock").wakeup_hint())
-            .min_by(f64::total_cmp)
     }
 
     /// Run a closure against one node's [`NodeRun`] (checkpointing

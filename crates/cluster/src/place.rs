@@ -381,13 +381,6 @@ impl Dispatcher for PlacementDispatcher {
             Self::Backfill(d) => d.next_placement(suite, waiting, free_gpus, now),
         }
     }
-
-    fn next_wakeup(&self, now: f64) -> Option<f64> {
-        match self {
-            Self::CoSched(d) => d.next_wakeup(now),
-            Self::Backfill(d) => d.next_wakeup(now),
-        }
-    }
 }
 
 /// Stamps out [`ClusterEnv`] episodes over job traces: the

@@ -86,12 +86,10 @@ pub trait Dispatcher {
         now: f64,
     ) -> Option<Placement>;
 
-    /// Earliest future instant the dispatcher wants to be consulted
-    /// again even though no job event falls there. A backfilling
-    /// planner holding an advance reservation returns its expiry —
-    /// otherwise an idle node with a blocked queue would never wake.
-    /// The default (`None`, for purely event-driven dispatchers)
-    /// leaves the simulator's behaviour untouched.
+    /// Nothing consults this: every dispatcher here is event-driven,
+    /// so a node is only ever re-planned at a job event. It stays
+    /// declared, `None` by default, because the frozen benchmark's
+    /// delegating wrapper implements it.
     fn next_wakeup(&self, _now: f64) -> Option<f64> {
         None
     }
@@ -451,7 +449,6 @@ impl<D: Dispatcher> NodeRun<D> {
             placements: 0,
             jobs: 0,
             completed: 0,
-            seq: 0,
             dirty: true,
             events: EventLog::default(),
         };
@@ -634,20 +631,7 @@ impl<D: Dispatcher> NodeRun<D> {
                 .map(|r| r.finish)
                 .fold(f64::INFINITY, f64::min);
             let next_arrival = s.arrivals.front().map_or(f64::INFINITY, |j| j.arrival);
-            // A strictly-future wakeup hint (e.g. a backfill
-            // reservation expiring) counts as an event: without it a
-            // reservation could wedge an otherwise idle node forever.
-            let wake = self
-                .dispatcher
-                .next_wakeup(s.clock)
-                .map_or(f64::INFINITY, |w| {
-                    if w > s.clock + TIME_EPS {
-                        w
-                    } else {
-                        f64::INFINITY
-                    }
-                });
-            let next = next_finish.min(next_arrival).min(wake);
+            let next = next_finish.min(next_arrival);
             if !next.is_finite() {
                 if horizon.is_finite() {
                     break;
@@ -664,11 +648,6 @@ impl<D: Dispatcher> NodeRun<D> {
             }
             s.clock = next;
             self.release_finished();
-            if wake <= next + TIME_EPS {
-                // The wakeup instant arrived: consult the dispatcher
-                // again even though no queue/pool event fired.
-                self.state.dirty = true;
-            }
         }
     }
 
@@ -706,18 +685,6 @@ impl<D: Dispatcher> NodeRun<D> {
         self.state.dirty
     }
 
-    /// The dispatcher's strictly-future wakeup hint at the node's
-    /// current clock, if any — the instant an otherwise event-free
-    /// node wants to be advanced again (e.g. a backfill reservation
-    /// expiring). This is the hint [`NodeRun::advance_until`] consumes
-    /// internally, exposed so an online driver can size its idle sleep.
-    #[must_use]
-    pub fn wakeup_hint(&self) -> Option<f64> {
-        self.dispatcher
-            .next_wakeup(self.state.clock)
-            .filter(|w| *w > self.state.clock + TIME_EPS)
-    }
-
     /// Shared access to the dispatcher (checkpointing reads its state).
     #[must_use]
     pub fn dispatcher(&self) -> &D {
@@ -727,19 +694,10 @@ impl<D: Dispatcher> NodeRun<D> {
     /// The node's interior state, borrowed — what a checkpoint writes.
     /// The dispatcher is not included (capture it through
     /// [`NodeRun::dispatcher`]), nor are the running placements, which
-    /// are the log's open `Start`s ([`NodeRun::running`]).
+    /// are the log's [open `Start`s](EventLog::open_starts).
     #[must_use]
     pub fn state(&self) -> &NodeRunState {
         &self.state
-    }
-
-    /// `(finish_time, gpus, job_ids)` of the running placements, in
-    /// start order.
-    pub fn running(&self) -> impl ExactSizeIterator<Item = (f64, usize, &[usize])> {
-        let log = &self.state.events;
-        self.running
-            .iter()
-            .map(move |r| (r.finish, usize::from(r.gpus), log.ids_at(r.ids)))
     }
 
     /// Rebuild a node mid-run from its interior state and a dispatcher
@@ -815,8 +773,6 @@ pub struct NodeRunState {
     pub jobs: usize,
     /// Jobs whose placements finished so far.
     pub completed: usize,
-    /// Next event sequence number.
-    pub seq: u64,
     /// Whether the dispatcher must be consulted at the next advance.
     pub dirty: bool,
     /// Events recorded so far.
@@ -824,11 +780,12 @@ pub struct NodeRunState {
 }
 
 impl NodeRunState {
-    /// Record one event of this node under the next sequence number.
+    /// Record one event of this node, numbered by its place in the
+    /// node's log.
     fn record(&mut self, time: f64, tag: Tag, word: u64, ids: IdRange, gpus: u16) {
         self.events.records.push(Record {
             time,
-            seq: self.seq,
+            seq: self.events.len() as u64,
             word,
             ids,
             gpus,
@@ -836,7 +793,6 @@ impl NodeRunState {
             node: self.node as u16,
             tag,
         });
-        self.seq += 1;
     }
 }
 
@@ -856,10 +812,6 @@ impl Dispatcher for DynDispatcher<'_> {
         now: f64,
     ) -> Option<Placement> {
         self.0.next_placement(suite, waiting, free_gpus, now)
-    }
-
-    fn next_wakeup(&self, now: f64) -> Option<f64> {
-        self.0.next_wakeup(now)
     }
 }
 

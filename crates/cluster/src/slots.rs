@@ -154,17 +154,6 @@ impl TreeSlotSet {
         });
     }
 
-    /// Subtract *up to* `gpus` from every instant of `[start, end)`,
-    /// clamping per segment at zero instead of panicking. Used to
-    /// overlay advance reservations onto a release profile that may
-    /// already book the same GPUs.
-    ///
-    /// # Panics
-    /// Panics if the window is empty or unbounded.
-    pub fn claim_up_to(&mut self, start: f64, end: f64, gpus: usize) {
-        self.update(start, end, |cap, _| *cap -= gpus.min(*cap));
-    }
-
     /// Add `gpus` back to every instant of `[start, end)`.
     ///
     /// # Panics
@@ -272,7 +261,7 @@ mod tests {
     fn reset_is_a_fresh_set() {
         let mut s = TreeSlotSet::new(4);
         s.claim(1.0, 5.0, 2);
-        s.claim_up_to(3.0, 8.0, 4);
+        s.claim(3.0, 8.0, 2);
         s.reset();
         assert_eq!(s, TreeSlotSet::new(4));
         assert_eq!(s.earliest_fit(0.0, 4, 1.0), 0.0);
@@ -299,15 +288,6 @@ mod tests {
         assert_eq!(s.earliest_fit(0.0, 1, 3.0), 20.0);
         // ... but a 2-second window backfills into the hole.
         assert_eq!(s.earliest_fit(0.0, 1, 2.0), 10.0);
-    }
-
-    #[test]
-    fn claim_up_to_clamps_at_zero() {
-        let mut s = TreeSlotSet::new(2);
-        s.claim(0.0, 10.0, 2);
-        s.claim_up_to(5.0, 15.0, 1); // [5, 10) already empty: clamps
-        assert_eq!(s.capacity_at(7.0), 0);
-        assert_eq!(s.capacity_at(12.0), 1);
     }
 
     #[test]

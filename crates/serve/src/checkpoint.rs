@@ -14,14 +14,17 @@
 //! position, the admission knobs, the logical counters, and the
 //! last-cycle instant as raw bits. The body carries what must survive
 //! *verbatim*: the service's one-job lookahead, every node's in-flight
-//! [`NodeRunState`] and running placements (waiting queue, recorded
-//! events, clocks — f64s as bit patterns, since re-deriving sums would
-//! not reproduce them; written from the borrowed node, never from a
-//! clone of it), the load snapshots, per-node dispatcher
-//! bookkeeping ([`BackfillState`] or the co-scheduling window
-//! counter), for the policy selector the agent's embedded `HRPP` blob,
-//! and for the admission tier the fair-share snapshot, the rolling
-//! admission digest and the quota-deferred queue.
+//! [`NodeRunState`] (waiting queue, recorded events, clocks — f64s as
+//! bit patterns, since re-deriving sums would not reproduce them;
+//! written from the borrowed node, never from a clone of it), the load
+//! snapshots, per-node dispatcher bookkeeping (a planner's
+//! [`BackfillState`]; a co-scheduling node has none), for the policy
+//! selector the agent's embedded `HRPP` blob, and for the admission
+//! tier the fair-share snapshot, the rolling admission digest and the
+//! quota-deferred queue. What a node's event log already says is not
+//! written twice: its running placements are the log's open `Start`s,
+//! its free GPUs the pool less theirs, its next sequence number the
+//! log's length.
 //!
 //! Deterministic sources checkpoint as spec + position: a rebuilt
 //! source replays `consumed` draws to restore its RNG cursor exactly.
@@ -34,11 +37,10 @@
 //! and in range (a forged source position past the trace, a zero
 //! quota, a non-finite rate), every job record must name a benchmark
 //! of the suite and fit a node, every node record must satisfy the
-//! preconditions of [`NodeRun::from_state`]
+//! preconditions of [`NodeRun::from_state`](hrp_cluster::sim::NodeRun::from_state)
 //! and [`ClusterDrive::from_states`] *before* they are called — down to
-//! its event log being one a node records and its running placements
-//! being that log's open `Start`s, which is what a node resumes from —
-//! and the
+//! its event log being one a node records, whose open `Start`s (what a
+//! node resumes from) fit its pool — and the
 //! admission ledger must balance, release for in-flight job — a
 //! hostile blob surfaces as a [`CheckpointError`], never as a builder
 //! assert or a panic at the next dispatch or the next release.
@@ -54,9 +56,7 @@ use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NODES};
 use hrp_cluster::place::{PlacementDispatcher, PlacementExperiment};
 use hrp_cluster::select::{NodeLoad, RoundRobin, SelectorKind};
-use hrp_cluster::sim::{
-    Dispatcher, EventKind, EventLog, NodeEvent, NodeRun, NodeRunState, TIME_EPS,
-};
+use hrp_cluster::sim::{Dispatcher, EventKind, EventLog, NodeEvent, NodeRunState, TIME_EPS};
 use hrp_cluster::trace::{TraceConfig, TraceKind};
 pub use hrp_core::codec::CheckpointError;
 use hrp_core::codec::{ensure, Reader, Spec, SpecWriter, Writer};
@@ -65,7 +65,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound::{self, Excluded, Unbounded};
 
 const MAGIC: &str = "HRPS";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Range of a spec float that must be positive (infinity allowed).
 const POSITIVE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Unbounded);
@@ -130,7 +130,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         }
         for node in 0..self.cfg.nodes {
             self.drive.with_node(node, |run| {
-                put_node_state(&mut w, self.suite, run);
+                put_node_state(&mut w, self.suite, run.state());
                 put_load(&mut w, &self.drive.loads()[node]);
                 put_dispatcher(&mut w, run.dispatcher());
             });
@@ -399,34 +399,24 @@ fn get_ids(r: &mut Reader<'_>) -> Result<Vec<usize>, CheckpointError> {
     r.seq(8, Reader::usize)
 }
 
-fn put_node_state<D: Dispatcher>(w: &mut Writer, suite: &Suite, run: &NodeRun<D>) {
-    let state = run.state();
+fn put_node_state(w: &mut Writer, suite: &Suite, state: &NodeRunState) {
     w.f64(state.clock);
-    w.size(state.free);
     w.f64(state.busy_gpu_seconds);
     w.f64(state.wait_sum);
     w.usize(state.placements);
     w.usize(state.jobs);
     w.usize(state.completed);
-    w.u64(state.seq);
     w.u8(u8::from(state.dirty));
     w.seq(state.arrivals.iter(), |w, job| put_job(w, suite, job));
     w.seq(state.waiting.iter(), |w, job| put_job(w, suite, job));
-    w.seq(run.running(), |w, (finish, gpus, ids)| {
-        w.f64(finish);
-        w.size(gpus);
-        put_ids(w, ids);
-    });
     w.seq(state.events.iter(), put_event);
 }
 
 /// One node record, held to what a `NodeRun` can export before
-/// `NodeRun::from_state` runs: the free GPUs and the GPUs of the
-/// running placements add up to exactly the node's pool, the event log
-/// is one a node records ([`get_events`]), and the running placements
-/// are that log's open `Start`s, in order — `from_state` resumes from
-/// those, so a record that disagreed with its own log would drain to a
-/// timeline no service can reach.
+/// `NodeRun::from_state` runs: the event log is one a node records
+/// ([`get_events`]), and the placements it leaves running — its open
+/// `Start`s, which `from_state` resumes — fit the node's pool and are
+/// each due at a finite instant. The free GPUs are the pool less theirs.
 fn get_node_state(
     r: &mut Reader<'_>,
     node: usize,
@@ -437,52 +427,42 @@ fn get_node_state(
         node,
         n_gpus: gpus_per_node,
         clock: r.f64()?,
-        free: r.size()?,
+        free: gpus_per_node,
         busy_gpu_seconds: r.f64()?,
         wait_sum: r.f64()?,
         placements: r.usize()?,
         jobs: r.usize()?,
         completed: r.usize()?,
-        seq: r.u64()?,
         dirty: r.u8()? != 0,
         arrivals: r.seq(JOB_MIN, |r| get_job(r, jobs))?.into(),
         waiting: r.seq(JOB_MIN, |r| get_job(r, jobs))?,
         events: EventLog::default(),
     };
-    let running = r.seq(8 + 4 + 4, |r| Ok((r.f64()?, r.size()?, get_ids(r)?)))?;
     get_events(r, &mut state)?;
 
-    let held = running
-        .iter()
-        .try_fold(state.free, |sum, (_, gpus, _)| sum.checked_add(*gpus));
-    ensure(MAGIC, held == Some(gpus_per_node), || {
-        format!(
-            "node {node}: {} free GPUs plus the running placements' do not make the \
-             {gpus_per_node}-GPU pool",
-            state.free
-        )
-    })?;
     let open = state.events.open_starts().map_err(|index| {
         let what = format!("node {node}: event {index} finishes a placement no event started");
         CheckpointError::invalid(MAGIC, what)
     })?;
-    let open = open.iter().map(|&index| state.events.get(index));
-    let resumable = open.len() == running.len()
-        && open.zip(&running).all(|(start, (finish, gpus, ids))| {
-            matches!(
-                start.kind,
-                EventKind::Start { job_ids, gpus: held, duration }
-                    if job_ids == ids.as_slice()
-                        && held == *gpus
-                        && finish.is_finite()
-                        && (start.time + duration).to_bits() == finish.to_bits()
+    for index in open {
+        let start = state.events.get(index);
+        let EventKind::Start { gpus, duration, .. } = start.kind else {
+            unreachable!("an open start is a start")
+        };
+        let due = start.time + duration;
+        let fits = gpus <= state.free && due.is_finite();
+        ensure(MAGIC, fits, || {
+            format!(
+                "node {node}: event {index} leaves {gpus} GPUs running until {due} \
+                 with {} of the {gpus_per_node}-GPU pool free",
+                state.free
             )
-        });
-    ensure(MAGIC, resumable, || {
-        format!("node {node}: the running placements are not the open starts of its event log")
-    })?;
+        })?;
+        state.free -= gpus;
+    }
     Ok(state)
 }
+
 /// Smallest encoding of an event (an arrival).
 const EVENT_MIN: usize = 8 + 8 + 1 + 8;
 
@@ -513,19 +493,13 @@ fn put_event(w: &mut Writer, event: NodeEvent<'_>) {
 }
 
 /// A node's event log, held to what its `NodeRun` records: sequence
-/// numbers counting from zero up to the node's next one, every instant
-/// finite and no later than the node's clock, every placement on
-/// `1..=pool` GPUs with at least one job, every value inside the
-/// record's field widths.
+/// numbers counting from zero, every instant finite and no later than
+/// the node's clock, every placement on `1..=pool` GPUs with at least
+/// one job, every start for a finite, positive duration, every value
+/// inside the record's field widths.
 fn get_events(r: &mut Reader<'_>, state: &mut NodeRunState) -> Result<(), CheckpointError> {
     let node = state.node;
     let n = r.count(EVENT_MIN)?;
-    ensure(MAGIC, state.seq == n as u64, || {
-        format!(
-            "node {node}: {n} events recorded, the next is number {}",
-            state.seq
-        )
-    })?;
     state.events.reserve(n, 0);
     for index in 0..n {
         let time = r.f64()?;
@@ -559,7 +533,17 @@ fn get_events(r: &mut Reader<'_>, state: &mut NodeRunState) -> Result<(), Checkp
         };
         let placed = match kind {
             EventKind::Arrival { .. } => true,
-            EventKind::Start { job_ids, gpus, .. } | EventKind::Finish { job_ids, gpus } => {
+            EventKind::Start {
+                job_ids,
+                gpus,
+                duration,
+            } => {
+                !job_ids.is_empty()
+                    && (1..=state.n_gpus).contains(&gpus)
+                    && duration.is_finite()
+                    && duration > 0.0
+            }
+            EventKind::Finish { job_ids, gpus } => {
                 !job_ids.is_empty() && (1..=state.n_gpus).contains(&gpus)
             }
         };
@@ -616,10 +600,7 @@ fn get_load(
 
 fn put_dispatcher(w: &mut Writer, dispatcher: &PlacementDispatcher) {
     match dispatcher {
-        PlacementDispatcher::CoSched(d) => {
-            w.u8(0);
-            w.usize(d.windows_scheduled());
-        }
+        PlacementDispatcher::CoSched(_) => w.u8(0),
         PlacementDispatcher::Backfill(planner) => {
             let state = planner.export_state();
             w.u8(1);
@@ -627,18 +608,6 @@ fn put_dispatcher(w: &mut Writer, dispatcher: &PlacementDispatcher) {
                 w.f64(*finish);
                 w.size(*gpus);
             });
-            w.seq(state.reservations.iter(), |w, (start, end, gpus)| {
-                w.f64(*start);
-                w.f64(*end);
-                w.size(*gpus);
-            });
-            match state.wake {
-                Some(wake) => {
-                    w.u8(1);
-                    w.f64(wake);
-                }
-                None => w.u8(0),
-            }
         }
     }
 }
@@ -652,7 +621,7 @@ fn instant(t: f64) -> bool {
 /// dispatcher it belongs to can be built (a policy service's nodes are
 /// shaped by the agent, whose blob comes later in the body).
 enum DispatcherRecord {
-    CoSched { windows: usize },
+    CoSched,
     Backfill(BackfillState),
 }
 
@@ -667,17 +636,10 @@ fn get_dispatcher_record(
 ) -> Result<DispatcherRecord, CheckpointError> {
     let width = |gpus: usize| (1..=gpus_per_node).contains(&gpus);
     match r.u8()? {
-        0 => Ok(DispatcherRecord::CoSched {
-            windows: r.usize()?,
-        }),
+        0 => Ok(DispatcherRecord::CoSched),
         1 => {
             let state = BackfillState {
                 releases: r.seq(8 + 4, |r| Ok((r.f64()?, r.size()?)))?,
-                reservations: r.seq(8 + 8 + 4, |r| Ok((r.f64()?, r.f64()?, r.size()?)))?,
-                wake: match r.u8()? {
-                    0 => None,
-                    _ => Some(r.f64()?),
-                },
             };
             for &(finish, gpus) in &state.releases {
                 ensure(MAGIC, instant(finish) && width(gpus), || {
@@ -687,18 +649,6 @@ fn get_dispatcher_record(
                     )
                 })?;
             }
-            for &(start, end, gpus) in &state.reservations {
-                let sound = instant(start) && end.is_finite() && end > start && width(gpus);
-                ensure(MAGIC, sound, || {
-                    format!(
-                        "node {node}: reservation of {gpus} GPUs over [{start}, {end}) \
-                         on a {gpus_per_node}-GPU node"
-                    )
-                })?;
-            }
-            ensure(MAGIC, state.wake.is_none_or(f64::is_finite), || {
-                format!("node {node}: wake-up hint at {:?}", state.wake)
-            })?;
             Ok(DispatcherRecord::Backfill(state))
         }
         tag => Err(CheckpointError::invalid(
@@ -716,9 +666,7 @@ impl DispatcherRecord {
         mut dispatcher: PlacementDispatcher,
     ) -> Result<PlacementDispatcher, CheckpointError> {
         match (self, &mut dispatcher) {
-            (Self::CoSched { windows }, PlacementDispatcher::CoSched(d)) => {
-                d.restore_windows_scheduled(windows);
-            }
+            (Self::CoSched, PlacementDispatcher::CoSched(_)) => {}
             (Self::Backfill(state), PlacementDispatcher::Backfill(planner)) => {
                 planner.restore_state(state);
             }
@@ -934,34 +882,6 @@ mod tests {
         assert_kill_restore_is_exact(svc, 30);
     }
 
-    /// `HRPS` records a planner's bookkeeping, not its policy or its
-    /// walltime error: `restore` rebuilds the tier's own. On the parent
-    /// commit this service checkpointed, restored to `Ok`, and drained
-    /// to another timeline (`0aac1d7d030437cb` uninterrupted,
-    /// `b514bba613542556` killed after 40 cycles) without an error
-    /// anywhere; the constructor now refuses what `restore` cannot
-    /// resume.
-    #[test]
-    #[should_panic(expected = "node 0: a fcfs planner on a tier of easy planners")]
-    fn dispatchers_restore_would_not_rebuild_are_refused_at_construction() {
-        use hrp_cluster::backfill::{BackfillPlanner, BackfillPolicy};
-        let s = suite();
-        let trace = TraceConfig::new(TraceKind::Bursty, 200, 7)
-            .max_gpus(2)
-            .gang_share(0.25);
-        let _ = SchedulerService::with_dispatchers(
-            &s,
-            ServeConfig::new(2, 2),
-            SelectorKind::Easy,
-            TraceSource::new(&s, trace),
-            |_| {
-                PlacementDispatcher::Backfill(
-                    BackfillPlanner::new(BackfillPolicy::Fcfs, 2).with_walltime_err(0.5),
-                )
-            },
-        );
-    }
-
     #[test]
     fn kill_restore_round_trip_policy_agent() {
         let s = suite();
@@ -1065,9 +985,10 @@ mod tests {
             foreign,
             Err(CheckpointError::NotACheckpoint { expected: "HRPS" })
         );
-        // Versions 1 (no tenant fields) and 2 (two spec keys since
-        // retired) are as foreign as a future one.
-        for version in [0u32, 1, 2, 99] {
+        // Versions 1 (no tenant fields), 2 (two spec keys since
+        // retired) and 3 (node fields the event log already holds) are
+        // as foreign as a future one.
+        for version in [0u32, 1, 2, 3, 99] {
             let mut alien = Writer::new(MAGIC, version);
             alien.str("");
             assert_eq!(
@@ -1168,27 +1089,46 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a node record whose free-GPU count exceeds
-    /// the pool (or disagrees with its running placements) is a typed
-    /// error at the decode boundary — the parent commit reached the
-    /// "more free GPUs than exist" assert in `NodeRun::from_state`.
+    /// Satellite regression: a node record that holds more GPUs than
+    /// the node has is a typed error at the decode boundary — the
+    /// decoder derives the free count from the placements the log
+    /// leaves running, and `NodeRun::from_state` asserts it fits the
+    /// pool ("more free GPUs than exist" when `HRPS` wrote it).
     #[test]
     fn forged_node_records_error_instead_of_panicking() {
         let s = suite();
-        let svc = SchedulerService::new(
+        let mut svc = SchedulerService::new(
             &s,
             ServeConfig::new(2, 2),
             SelectorKind::LeastLoaded,
             TraceSource::new(&s, trace_cfg(TraceKind::Bursty, 20, 3)),
         );
+        // Step until node 0 runs two placements of one GPU each.
+        let open_starts = |svc: &SchedulerService<'_, TraceSource<'_>>| {
+            svc.drive.with_node(0, |run| {
+                let log = &run.state().events;
+                let mut bytes = Vec::new();
+                for index in log.open_starts().expect("a node's own log") {
+                    let mut w = Writer::new(MAGIC, VERSION);
+                    put_event(&mut w, log.get(index));
+                    bytes.push(w.finish()[8..].to_vec());
+                }
+                bytes
+            })
+        };
+        while open_starts(&svc).len() < 2 {
+            assert!(svc.consumed() < 20, "node 0 never ran two placements");
+            let _ = svc.step();
+        }
         let blob = svc.checkpoint().expect("checkpointable");
-        // An unstepped service has no lookahead job, so node 0's record
-        // opens the body: clock f64, then `free` u32.
-        let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
-        let free_at = 12 + spec_len + 8;
-        for forged_free in [3u32, 200, u32::MAX] {
+        for start in open_starts(&svc) {
+            let at = blob
+                .windows(start.len())
+                .position(|w| w == start.as_slice())
+                .expect("the start is in the blob");
+            // `time f64 | seq u64 | tag u8 | gpus u32`: the whole pool.
             let mut raw = blob.to_vec();
-            raw[free_at..free_at + 4].copy_from_slice(&forged_free.to_le_bytes());
+            raw[at + 17..at + 21].copy_from_slice(&2u32.to_le_bytes());
             let what = invalid(restore(&s, raw.into()));
             assert!(what.contains("node 0"), "names the node: {what}");
         }

@@ -6,7 +6,7 @@
 //! *incremental scheduling cycle* at that instant, and routes every
 //! job of the burst through the selector. A cycle re-plans only the
 //! nodes whose slot profile can still change — quiescent nodes (idle,
-//! no pending dispatch, no wakeup hint) are skipped entirely — yet the
+//! no pending dispatch) are skipped entirely — yet the
 //! produced [`ClusterTimeline`](hrp_cluster::multinode::ClusterTimeline) is
 //! bit-identical to a batch [`MultiNodeSim`](hrp_cluster::multinode::MultiNodeSim)
 //! replay of the same finite trace: skipping a quiescent node is a
@@ -31,12 +31,11 @@
 //! Admission state checkpoints alongside everything else, so
 //! kill/restore reproduces the decisions bit-exactly.
 //!
-//! When the source has nothing to offer, the service sizes its idle
-//! sleep from the dispatchers' [`next_wakeup`](hrp_cluster::sim::Dispatcher::next_wakeup)
-//! hints: [`SchedulerService::next_wakeup`] is the earliest instant
-//! any node wants a cycle with no job event in between (a backfill
-//! reservation expiring), and [`SchedulerService::wake_cycle`] runs
-//! exactly there.
+//! The dispatchers are event-driven: a node needs a cycle only at a job
+//! event. The one instant a service must wake at with no arrival is an
+//! estimated release of the admission tier while jobs are parked —
+//! [`SchedulerService::next_wakeup`] — and
+//! [`SchedulerService::wake_cycle`] runs exactly there.
 
 use crate::source::{ArrivalSource, SourcePoll};
 use hrp_cluster::backfill::BackfillPolicy;
@@ -278,38 +277,6 @@ impl SelectorState {
     }
 }
 
-/// What separates `built` from `rebuilt`, the dispatcher
-/// [`restore`](crate::restore) would put in its place, if anything does.
-/// Bookkeeping (reservations, releases, window counts) is what `HRPS`
-/// carries over and is not compared.
-fn rebuild_mismatch(built: &PlacementDispatcher, rebuilt: &PlacementDispatcher) -> Option<String> {
-    use hrp_cluster::sim::Dispatcher as _;
-    use PlacementDispatcher::{Backfill, CoSched};
-    match (built, rebuilt) {
-        (Backfill(b), Backfill(r)) if b.policy() != r.policy() => Some(format!(
-            "a {} planner on a tier of {} planners",
-            b.policy().name(),
-            r.policy().name()
-        )),
-        (Backfill(b), Backfill(r)) if b.walltime_err() != r.walltime_err() => Some(format!(
-            "planner walltime_err {} under a service walltime_err of {}",
-            b.walltime_err(),
-            r.walltime_err()
-        )),
-        (CoSched(b), CoSched(r)) if b.window() != r.window() => Some(format!(
-            "co-scheduling window (w, cmax) = {:?}, the tier's is {:?}",
-            b.window(),
-            r.window()
-        )),
-        (Backfill(_), Backfill(_)) | (CoSched(_), CoSched(_)) => None,
-        (b, r) => Some(format!(
-            "a '{}' dispatcher on a tier of '{}' nodes",
-            b.name(),
-            r.name()
-        )),
-    }
-}
-
 /// Logical per-service counters, in the style of
 /// [`SyncStats`](hrp_cluster::multinode::SyncStats): pure functions
 /// of the input stream, never of wall clock or thread count — so tests
@@ -318,7 +285,7 @@ fn rebuild_mismatch(built: &PlacementDispatcher, rebuilt: &PlacementDispatcher) 
 pub struct ServeStats {
     /// Scheduling cycles triggered by arrival bursts.
     pub cycles: u64,
-    /// Idle cycles triggered by wakeup hints ([`SchedulerService::settle`] /
+    /// Idle cycles with no arrival to place ([`SchedulerService::settle`] /
     /// [`SchedulerService::wake_cycle`]).
     pub wake_cycles: u64,
     /// Placement decisions made (one per ingested job).
@@ -574,69 +541,13 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         Self::build(suite, cfg, SelectorState::from_agent(agent), source)
     }
 
-    /// Like [`SchedulerService::new`] with explicitly-built node
-    /// dispatchers — the hook for pre-loading backfill planners with
-    /// advance reservations
-    /// ([`BackfillPlanner::with_reservation`]). Reservations live in
-    /// the planner's exported [`BackfillState`](hrp_cluster::backfill::BackfillState),
-    /// so such a service still checkpoints and restores exactly.
-    ///
-    /// That is all the hook may vary. An `HRPS` blob records a
-    /// dispatcher's bookkeeping, not its configuration: [`restore`](crate::restore)
-    /// rebuilds every node as [`dispatcher_for`]`(kind,
-    /// cfg.gpus_per_node, cfg.walltime_err)` and winds the record onto
-    /// it. Each dispatcher `make_dispatcher` returns must therefore be
-    /// that one in everything but its reservations — same variant, same
-    /// backfill policy, same walltime error, same co-scheduling window —
-    /// or the restored service would resume as a different scheduler.
-    ///
-    /// [`BackfillPlanner::with_reservation`]: hrp_cluster::backfill::BackfillPlanner::with_reservation
-    ///
-    /// # Panics
-    /// Same conditions as [`SchedulerService::new`], and if a node's
-    /// dispatcher is not the one `restore` would rebuild (the message
-    /// names the node and the difference).
-    #[must_use]
-    pub fn with_dispatchers(
-        suite: &'a Suite,
-        cfg: ServeConfig,
-        kind: SelectorKind,
-        source: S,
-        mut make_dispatcher: impl FnMut(usize) -> PlacementDispatcher,
-    ) -> Self {
-        let rebuilt = dispatcher_for(kind, cfg.gpus_per_node, cfg.walltime_err);
-        let drive = ClusterDrive::new(suite, cfg.nodes, cfg.gpus_per_node, |node| {
-            let built = make_dispatcher(node);
-            if let Some(difference) = rebuild_mismatch(&built, &rebuilt) {
-                panic!("node {node}: {difference}; a restored service would not resume this one");
-            }
-            built
-        });
-        Self::assemble(suite, cfg, drive, SelectorState::from_kind(kind), source)
-    }
-
-    pub(crate) fn build(
-        suite: &'a Suite,
-        cfg: ServeConfig,
-        selector: SelectorState,
-        source: S,
-    ) -> Self {
+    fn build(suite: &'a Suite, cfg: ServeConfig, selector: SelectorState, source: S) -> Self {
         if let Some(mismatch) = selector.geometry_mismatch(&cfg) {
             panic!("{mismatch}");
         }
         let drive = ClusterDrive::new(suite, cfg.nodes, cfg.gpus_per_node, |_| {
             selector.node_dispatcher(&cfg)
         });
-        Self::assemble(suite, cfg, drive, selector, source)
-    }
-
-    fn assemble(
-        suite: &'a Suite,
-        cfg: ServeConfig,
-        drive: ClusterDrive<'a, PlacementDispatcher>,
-        selector: SelectorState,
-        source: S,
-    ) -> Self {
         let admission = cfg.admission.as_ref().map(AdmissionState::new);
         Self {
             suite,
@@ -685,24 +596,18 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         self.admission.as_ref().map_or(0, |a| a.deferred.len())
     }
 
-    /// The earliest instant any node's dispatcher wants a cycle with
-    /// no job event in between — the idle-sleep bound for a service
-    /// whose source is [`SourcePoll::Pending`]. With quota-deferred
-    /// jobs parked, the admission tier's earliest estimated release
-    /// also bounds the sleep, so a service whose source went quiet
-    /// still wakes to re-examine its deferred queue.
+    /// The admission tier's earliest estimated release while jobs are
+    /// parked — the idle-sleep bound for a service whose source is
+    /// [`SourcePoll::Pending`] (or closed), so that a service whose
+    /// source went quiet still wakes to re-examine its deferred queue.
+    /// `None` with nothing parked: no node needs a cycle before the
+    /// next arrival.
     #[must_use]
     pub fn next_wakeup(&self) -> Option<f64> {
-        let drive = self.drive.next_wakeup();
-        let fair = self
-            .admission
+        self.admission
             .as_ref()
             .filter(|a| !a.deferred.is_empty())
-            .and_then(|a| a.share.next_release());
-        match (drive, fair) {
-            (Some(d), Some(f)) => Some(d.min(f)),
-            (d, f) => d.or(f),
-        }
+            .and_then(|a| a.share.next_release())
     }
 
     /// Ingest one arrival burst and run one scheduling cycle.
@@ -897,7 +802,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
 
     /// An empty cycle at instant `t`: advance the dirty set with no
     /// arrivals to place. This is how idle time passes for a live
-    /// service — deferred dispatches run, reservation wakeups fire,
+    /// service — deferred dispatches run, due releases open the door,
     /// and [`SchedulerService::next_wakeup`] reflects the settled
     /// state. The caller promises no arrival earlier than `t` will be
     /// ingested afterwards (the same monotonicity the sources already
@@ -919,10 +824,8 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         self.last_cycle = t;
     }
 
-    /// Run one idle cycle exactly at the earliest dispatcher wakeup
-    /// hint, if any — the service's cycle-timer consumption of
-    /// [`Dispatcher::next_wakeup`](hrp_cluster::sim::Dispatcher::next_wakeup).
-    /// Returns the instant it woke at.
+    /// Run one idle cycle exactly at [`SchedulerService::next_wakeup`],
+    /// if there is one. Returns the instant it woke at.
     pub fn wake_cycle(&mut self) -> Option<f64> {
         let wake = self.next_wakeup()?;
         self.settle(wake);
@@ -930,8 +833,8 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     }
 
     /// Drive [`SchedulerService::step`] until the source closes,
-    /// serving wakeup hints while it pends. Intended for sources that
-    /// eventually close (finite traces, load generators, channels
+    /// serving admission wake-ups while it pends. Intended for sources
+    /// that eventually close (finite traces, load generators, channels
     /// whose producers hang up); a live deployment drives `step` /
     /// `settle` itself.
     pub fn run_to_close(&mut self) {
@@ -957,9 +860,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         }
     }
 
-    /// Drain every node to the end of time and report. The final
-    /// drain consumes remaining wakeup hints internally, so a blocked
-    /// queue behind a reservation still completes.
+    /// Drain every node to the end of time and report.
     ///
     /// # Panics
     /// Panics if a node's dispatcher strands jobs (the per-node
@@ -989,58 +890,13 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{ChannelSource, TraceSource};
-    use hrp_cluster::backfill::BackfillPlanner;
+    use crate::source::TraceSource;
     use hrp_cluster::multinode::MultiNodeSim;
     use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
     use hrp_gpusim::GpuArch;
 
     fn suite() -> Suite {
         Suite::paper_suite(&GpuArch::a100())
-    }
-
-    /// The satellite contract for wakeup hints: an idle service whose
-    /// only job is blocked behind an advance reservation sleeps until
-    /// *exactly* the hinted reservation expiry, wakes there, and the
-    /// job starts at that instant.
-    #[test]
-    fn idle_service_wakes_exactly_at_the_hinted_reservation_start() {
-        let s = suite();
-        let (tx, src) = ChannelSource::channel();
-        let mut svc = SchedulerService::with_dispatchers(
-            &s,
-            ServeConfig::new(1, 2),
-            SelectorKind::Easy,
-            src,
-            |_| {
-                PlacementDispatcher::Backfill(
-                    // GPUs are reserved over [5, 30), so a 2-GPU job
-                    // arriving at 10 cannot start before 30.
-                    BackfillPlanner::new(BackfillPolicy::Easy, 2).with_reservation(5.0, 25.0, 2),
-                )
-            },
-        );
-        tx.send(ClusterJob::new(0, "lavaMD", 10.0, 2, &s)).unwrap();
-        assert_eq!(
-            svc.step(),
-            ServiceStep::Cycle {
-                time: 10.0,
-                jobs: 1
-            }
-        );
-        // Absorb the arrival (dispatch at 10 is blocked by the
-        // reservation); the planner now hints its expiry.
-        svc.settle(11.0);
-        assert_eq!(svc.next_wakeup(), Some(30.0), "hint is the expiry");
-        assert_eq!(svc.wake_cycle(), Some(30.0), "service wakes exactly there");
-        drop(tx);
-        assert_eq!(svc.step(), ServiceStep::Closed);
-        let report = svc.finish();
-        // lavaMD on 2 GPUs runs 19 s: start 30, finish 49.
-        let makespan = report.report.aggregate.makespan;
-        assert!((makespan - 49.0).abs() < 1e-9, "makespan {makespan}");
-        assert_eq!(report.stats.wake_cycles, 2, "settle(11) + wake_cycle(30)");
-        assert_eq!(report.stats.decisions, 1);
     }
 
     #[test]

@@ -395,7 +395,7 @@ fn steady_state_slot_set_rounds_do_not_allocate() {
         let t = i as f64;
         slots.claim(t, t + 10.0, 2);
         slots.claim(t + 5.0, t + 20.0, 1);
-        slots.claim_up_to(t + 8.0, t + 30.0, 1);
+        slots.claim(t + 8.0, t + 30.0, 1);
         assert_eq!(slots.earliest_fit(t, 2, 4.0), t);
         assert_eq!(slots.earliest_fit(t, 3, 4.0), t + 20.0);
         slots.release(t + 8.0, t + 30.0, 1);

@@ -30,10 +30,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
-use hrp::cluster::place::{
-    PlacementAgent, PlacementConfig, PlacementDispatcher, PlacementExperiment,
-};
+use hrp::cluster::place::{PlacementAgent, PlacementConfig, PlacementExperiment};
 use hrp::cluster::{SelectorKind, TraceConfig, TraceKind};
 use hrp::core::train::{train, TrainConfig, TrainedAgent};
 use hrp::gpusim::GpuArch;
@@ -172,7 +169,7 @@ const TIERS: [Tier; 4] = [
 
 /// A 2 × 2 service stepped to the middle of a 20-job bursty trace and
 /// checkpointed there, so the body carries running placements, waiting
-/// queues, undrained events and (per tier) a cursor, reservations,
+/// queues, undrained events and (per tier) a cursor, release bookings,
 /// fair-share state with a non-empty deferred queue, or an agent.
 fn hrps_blob(suite: &Suite, tier: Tier) -> Vec<u8> {
     let mut trace = TraceConfig::new(TraceKind::Bursty, 20, 3).gang_share(0.25);
@@ -255,15 +252,20 @@ fn corpus(suite: &Suite) -> Vec<(String, Vec<u8>, Decode)> {
 /// its cycle-mode and karma-half-life spec lines (PR 23: 17 bytes fewer
 /// each, 36 for the admission blob; each new blob is the parent's with
 /// those lines cut and the version word bumped, byte for byte — the
-/// admission one against the parent run at the now-constant 300 s).
+/// admission one against the parent run at the now-constant 300 s). And
+/// once more when `HRPS` v4 stopped writing what a node's event log
+/// already says and what no advance reservation fills (PR 25: 1 437 →
+/// 1 333, 1 449 → 1 345, 1 476 → 1 410, 1 919 → 1 799; each new blob is
+/// the parent's with those fields cut and the version word set to 4,
+/// byte for byte).
 const GOLDEN: [(&str, usize, u64); 7] = [
     ("HRPQ", 380, 0x168e_3209_c0ac_404a),
     ("HRPE", 1826, 0xfb19_4aad_5085_9eb3),
     ("HRPP", 600, 0x7be9_3b15_e7a2_3012),
-    ("HRPS LeastLoaded", 1437, 0x372e_b17b_9d25_7f3b),
-    ("HRPS RoundRobin", 1449, 0x9bc7_a6e7_a30d_b2d5),
-    ("HRPS EasyAdmission", 1476, 0xb0b4_b82f_3f6e_c211),
-    ("HRPS Policy", 1919, 0x5697_603d_8442_0ee9),
+    ("HRPS LeastLoaded", 1333, 0x1b1f_6615_b84a_1f7e),
+    ("HRPS RoundRobin", 1345, 0xb780_7632_cbe2_1ec8),
+    ("HRPS EasyAdmission", 1410, 0xa134_5cf0_03b7_e51b),
+    ("HRPS Policy", 1799, 0x7fa8_43a9_457b_b5d6),
 ];
 
 #[test]
@@ -493,24 +495,30 @@ fn forged_experiment_specs_are_typed_errors() {
     }
 }
 
-/// `HRPS` v3 retired two spec keys. A v2 blob is a version error, not a
-/// guess at what its extra lines meant, and a v3 spec that still carries
-/// one is refused like any other key the format does not have. (The
-/// names are split so that a search for them finds no live use.)
+/// `HRPS` v3 retired two spec keys, and v4 the node fields its event
+/// log already holds. A v2 or v3 blob is a version error, not a guess at
+/// what its extra lines or fields meant, and a spec that still carries a
+/// retired key is refused like any other key the format does not have.
+/// (The names are split so that a search for them finds no live use.)
 #[test]
 fn retired_hrps_versions_and_keys_are_typed_errors() {
     let s = suite();
-    let mut v2 = hrps_blob(&s, Tier::LeastLoaded);
-    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-    let (outcome, peak) = peak_alloc(|| restore(&s, v2.into()).map(drop));
-    assert_eq!(
-        outcome,
-        Err(CheckpointError::BadVersion {
-            format: "HRPS",
-            found: 2
-        })
-    );
-    assert!(peak <= ALLOC_FLOOR, "v2: asked for {peak} bytes at once");
+    for version in [2u32, 3] {
+        let mut old = hrps_blob(&s, Tier::LeastLoaded);
+        old[4..8].copy_from_slice(&version.to_le_bytes());
+        let (outcome, peak) = peak_alloc(|| restore(&s, old.into()).map(drop));
+        assert_eq!(
+            outcome,
+            Err(CheckpointError::BadVersion {
+                format: "HRPS",
+                found: version
+            })
+        );
+        assert!(
+            peak <= ALLOC_FLOOR,
+            "v{version}: asked for {peak} bytes at once"
+        );
+    }
 
     // Each retired line is smuggled in behind a live one, whose value
     // is kept.
@@ -578,27 +586,15 @@ fn job_records(suite: &Suite, blob: &[u8]) -> Vec<usize> {
 /// sit in the waiting queue — the one job section the mid-run corpus
 /// blobs (cut straight after a placement) leave empty.
 fn backlogged_blob(suite: &Suite) -> Vec<u8> {
-    backlogged_blob_over(suite, BackfillPlanner::new(BackfillPolicy::Easy, 2))
-}
-
-/// [`backlogged_blob`] over an explicitly built planner.
-fn backlogged_blob_over(suite: &Suite, planner: BackfillPlanner) -> Vec<u8> {
-    one_node_blob(suite, planner, 0.5)
+    one_node_blob(suite, 0.5)
 }
 
 /// A 1 × 2 EASY service fed ten jobs of a burst train `mean_gap` apart
 /// and settled at its last cycle.
-fn one_node_blob(suite: &Suite, planner: BackfillPlanner, mean_gap: f64) -> Vec<u8> {
+fn one_node_blob(suite: &Suite, mean_gap: f64) -> Vec<u8> {
     let trace = TraceConfig::new(TraceKind::Bursty, 20, 3).mean_gap(mean_gap);
     let source = TraceSource::new(suite, trace);
-    let mut planner = Some(planner);
-    let mut svc = SchedulerService::with_dispatchers(
-        suite,
-        ServeConfig::new(1, 2),
-        SelectorKind::Easy,
-        source,
-        |_| PlacementDispatcher::Backfill(planner.take().expect("one node")),
-    );
+    let mut svc = SchedulerService::new(suite, ServeConfig::new(1, 2), SelectorKind::Easy, source);
     let mut now = 0.0;
     while svc.consumed() < 10 {
         if let ServiceStep::Cycle { time, .. } = svc.step() {
@@ -663,66 +659,32 @@ fn forged_job_records_are_typed_errors() {
 
 /// Parent commit: every one of these decoded, and the restored planner
 /// panicked in its slot set (a claim window "must be finite") at the
-/// first decision with a free GPU. The backlogged service, its planner
-/// holding a far-future advance reservation, ends its blob with the
-/// dispatcher record: `1 | n (finish f64, gpus u32)* | 1 (start f64,
-/// end f64, gpus u32) | 1 wake f64` — release bookings for what runs,
-/// the reservation, and the wake-up hint at its expiry.
+/// first decision with a free GPU. The backlogged service ends its blob
+/// with the dispatcher record: `1 | n (finish f64, gpus u32)*` — the
+/// release bookings of what runs.
 #[test]
 fn forged_backfill_states_are_typed_errors() {
     let s = suite();
-    let planner = BackfillPlanner::new(BackfillPolicy::Easy, 2).with_reservation(5000.0, 25.0, 1);
-    let blob = backlogged_blob_over(&s, planner);
+    let blob = backlogged_blob(&s);
     assert_eq!(decode_hrps(&s, blob.clone()), Ok(blob.clone()));
 
     let f64_at = |at: usize| f64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
     let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
-    let wake_at = blob.len() - 8;
-    let res_at = wake_at - 1 - 20;
-    assert_eq!((blob[wake_at - 1], f64_at(wake_at)), (1, 5025.0));
-    assert_eq!(
-        (
-            u32_at(res_at - 4),
-            f64_at(res_at),
-            f64_at(res_at + 8),
-            u32_at(res_at + 16)
-        ),
-        (1, 5000.0, 5025.0, 1)
-    );
     // One or two placements hold the two GPUs.
     let rel_at = (1..=2)
-        .map(|n| res_at - 4 - 12 * n)
-        .find(|&at| blob[at - 5] == 1 && res_at - 4 - at == 12 * u32_at(at - 4))
-        .expect("the release bookings precede the reservation");
+        .map(|n| blob.len() - 12 * n)
+        .find(|&at| blob[at - 5] == 1 && blob.len() - at == 12 * u32_at(at - 4))
+        .expect("the release bookings end the blob");
     assert!(f64_at(rel_at) > 0.0 && (1..=2).contains(&u32_at(rel_at + 8)));
 
     let (inf, nan) = (f64::INFINITY.to_le_bytes(), f64::NAN.to_le_bytes());
     let past = (-1.0f64).to_le_bytes();
-    let forgeries: [(&str, usize, &[u8]); 16] = [
+    let forgeries: [(&str, usize, &[u8]); 5] = [
         ("release at +inf", rel_at, &inf),
         ("release at NaN", rel_at, &nan),
         ("release before time zero", rel_at, &past),
         ("release of zero GPUs", rel_at + 8, &[0; 4]),
         ("release wider than the node", rel_at + 8, &[3, 0, 0, 0]),
-        ("reservation from +inf", res_at, &inf),
-        ("reservation from NaN", res_at, &nan),
-        ("reservation from before time zero", res_at, &past),
-        ("reservation until +inf", res_at + 8, &inf),
-        ("reservation until NaN", res_at + 8, &nan),
-        (
-            "reservation ending as it starts",
-            res_at + 8,
-            &blob[res_at..res_at + 8],
-        ),
-        ("reservation of zero GPUs", res_at + 16, &[0; 4]),
-        (
-            "reservation wider than the node",
-            res_at + 16,
-            &[3, 0, 0, 0],
-        ),
-        ("wake-up at +inf", wake_at, &inf),
-        ("wake-up at -inf", wake_at, &f64::NEG_INFINITY.to_le_bytes()),
-        ("wake-up at NaN", wake_at, &nan),
     ];
     for (what, at, bytes) in forgeries {
         let mut forged = blob.clone();
@@ -915,23 +877,14 @@ fn a_parked_job_under_quota_restores_and_goes_through_at_once() {
     );
 }
 
-/// Where node 0's record keeps its running placements and its event log
-/// in an `HRPS` body: `[lookahead job] | clock f64 | free u32 | busy f64
-/// | wait f64 | placements u64 | jobs u64 | completed u64 | seq u64 |
-/// dirty u8 | n job* | n job* | n (finish f64, gpus u32, n id u64*)* |
-/// n event*`, an event being `time f64 | seq u64 | tag u8` and then
-/// `job u64` (0, arrival), `gpus u32 | duration f64 | n id u64*` (1,
-/// start) or `gpus u32 | n id u64*` (2, finish).
-struct NodeLogAt {
-    /// The node's next sequence number.
-    seq: usize,
-    /// First running placement (`finish`); its first job id is 16 on.
-    running: usize,
-    /// `(offset of the event's time, tag)` of every event.
-    events: Vec<(usize, u8)>,
-}
-
-fn node_log_at(blob: &[u8]) -> NodeLogAt {
+/// Where node 0's record keeps its event log in an `HRPS` body:
+/// `[lookahead job] | clock f64 | busy f64 | wait f64 | placements u64 |
+/// jobs u64 | completed u64 | dirty u8 | n job* | n job* | n event*`, an
+/// event being `time f64 | seq u64 | tag u8` and then `job u64` (0,
+/// arrival), `gpus u32 | duration f64 | n id u64*` (1, start) or `gpus
+/// u32 | n id u64*` (2, finish). Returns `(offset of the event's time,
+/// tag)` of every event.
+fn node_log_at(blob: &[u8]) -> Vec<(usize, u8)> {
     let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
     let spec_len = u32_at(8);
     let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
@@ -942,10 +895,7 @@ fn node_log_at(blob: &[u8]) -> NodeLogAt {
     if spec.lines().any(|line| line == "has_lookahead=1") {
         at = job(at);
     }
-    let seq = at + 8 + 4 + 8 + 8 + 8 + 8 + 8;
-    at = jobs(jobs(seq + 8 + 1));
-    let running = at + 4;
-    at = (0..u32_at(at)).fold(running, |at, _| ids(at + 12));
+    at = jobs(jobs(at + 8 * 6 + 1));
     let mut events = Vec::new();
     let count = u32_at(at);
     at += 4;
@@ -958,47 +908,48 @@ fn node_log_at(blob: &[u8]) -> NodeLogAt {
             _ => ids(at + 17 + 4),
         };
     }
-    NodeLogAt {
-        seq,
-        running,
-        events,
-    }
+    events
 }
 
 /// Parent commit: every one of these restored (1 460 bytes re-encoded),
 /// resumed from the forged record and drained to the end — GPUs held
 /// that the node does not have, a timeline with a hole in its sequence
-/// numbers or an event at `NaN`, a node whose log and running set tell
-/// two stories: twelve digests of timelines no service can reach. The
-/// decoder now holds a node's log and running set to what a `NodeRun`
-/// can export. Fed at a slower pace than the backlogged one, the 1 x 2
-/// service has two placements running (one job each) behind finished
-/// ones, so its log has every kind of event, open and closed.
+/// numbers or an event at `NaN`, a placement due before it started:
+/// digests of timelines no service can reach. The decoder now holds a
+/// node's log to what a `NodeRun` can record, and derives what runs from
+/// it. Fed at a slower pace than the backlogged one, the 1 x 2 service
+/// has two placements running (one job each) behind finished ones, so
+/// its log has every kind of event, open and closed.
 #[test]
 fn forged_event_logs_are_typed_errors() {
     let s = suite();
-    let blob = one_node_blob(&s, BackfillPlanner::new(BackfillPolicy::Easy, 2), 6.0);
-    let at = node_log_at(&blob);
+    let blob = one_node_blob(&s, 6.0);
+    let events = node_log_at(&blob);
     let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
     let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
-    let of_tag = |tag: u8| at.events.iter().filter(move |e| e.1 == tag).map(|e| e.0);
-    assert_eq!(u64_at(at.seq), at.events.len() as u64);
-    assert_eq!((u32_at(at.running - 4), u32_at(at.running + 12)), (2, 1));
+    let f64_at = |at: usize| f64::from_bits(u64_at(at));
+    let of_tag = |tag: u8| events.iter().filter(move |e| e.1 == tag).map(|e| e.0);
     // A start some finish closes, that finish, and a start still open.
+    let finished: Vec<u64> = of_tag(2)
+        .map(|finish| u64_at(finish + 17 + 4 + 4))
+        .collect();
     let finish = of_tag(2).next().expect("something has finished");
-    let finished = u64_at(finish + 17 + 4 + 4);
     let closed = of_tag(1)
-        .find(|&start| u64_at(start + 17 + 16) == finished)
+        .find(|&start| u64_at(start + 17 + 16) == finished[0])
         .expect("what finished had started");
-    let open = of_tag(1)
-        .find(|&start| u64_at(start + 17 + 16) == u64_at(at.running + 16))
-        .expect("what runs had started");
+    let open: Vec<usize> = of_tag(1)
+        .filter(|&start| !finished.contains(&u64_at(start + 17 + 16)))
+        .collect();
+    assert_eq!(open.len(), 2, "two placements run");
+    assert!(open.iter().all(|&start| u32_at(start + 17 + 12) == 1));
+    let open = open[0];
     let arrival = of_tag(0).next().expect("something arrived");
-    let third = at.events[2].0;
+    let third = events[2].0;
 
     let nan = f64::NAN.to_le_bytes();
     let later = 1e9f64.to_le_bytes();
-    let forgeries: [(&str, usize, &[u8]); 12] = [
+    let before = (-1.0f64).to_le_bytes();
+    let forgeries: [(&str, usize, &[u8]); 13] = [
         ("a start on zero GPUs", closed + 17, &[0; 4]),
         ("a start wider than the node", closed + 17, &[3, 0, 0, 0]),
         (
@@ -1008,7 +959,6 @@ fn forged_event_logs_are_typed_errors() {
         ),
         ("a finish wider than the node", finish + 17, &[3, 0, 0, 0]),
         ("a gap in the sequence numbers", third + 8, &[7, 0, 0, 0]),
-        ("more events than the node numbered", at.seq, &[0xff; 4]),
         ("an event at NaN", arrival, &nan),
         ("an event after the node's clock", arrival, &later),
         (
@@ -1017,20 +967,27 @@ fn forged_event_logs_are_typed_errors() {
             &[0xee; 4],
         ),
         ("a finish at another instant than its start's", finish, &[1]),
+        ("a running start due before it starts", open + 21, &before),
+        ("a running start for NaN seconds", open + 21, &nan),
         (
-            "a running job its start does not name",
-            at.running + 16,
-            &[0xee; 4],
+            "a running start for ever",
+            open + 21,
+            &f64::INFINITY.to_le_bytes(),
         ),
-        (
-            "a running placement due at another instant",
-            at.running,
-            &later,
-        ),
+        ("a running start for no time", open + 21, &[0; 8]),
     ];
-    for (what, at, bytes) in forgeries {
+    // And a closed pair due before it starts: the finish moved back to
+    // where the forged duration puts it, so the pair still matches.
+    let mut backwards = blob.clone();
+    backwards[closed + 21..closed + 29].copy_from_slice(&before);
+    let due = f64_at(closed) + -1.0;
+    backwards[finish..finish + 8].copy_from_slice(&due.to_le_bytes());
+    let forged = forgeries.into_iter().map(|(what, at, bytes)| {
         let mut forged = blob.clone();
         forged[at..at + bytes.len()].copy_from_slice(bytes);
+        (what, forged)
+    });
+    for (what, forged) in forged.chain([("a finished start due before it starts", backwards)]) {
         let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
         let err = outcome.map(|ok| ok.len()).expect_err(what);
         assert!(
@@ -1038,7 +995,7 @@ fn forged_event_logs_are_typed_errors() {
             "{what}: '{err}'"
         );
         assert!(
-            peak <= ALLOC_FLOOR + ALLOC_PER_BYTE * blob.len(),
+            peak <= ALLOC_FLOOR,
             "{what}: asked for {peak} bytes at once"
         );
     }
@@ -1046,6 +1003,7 @@ fn forged_event_logs_are_typed_errors() {
     // Job ids are not narrowed on the way in: one past 2^32, forged
     // consistently into a finished job's arrival, start and finish,
     // comes back out bit for bit.
+    let finished = finished[0];
     let wide = (finished | 1 << 40).to_le_bytes();
     let mut forged = blob.clone();
     for id_at in [closed + 17 + 16, finish + 17 + 8]

@@ -460,8 +460,7 @@ fn killed_and_restored(
                 cycle(&mut service);
             }
             loop {
-                // EASY planners without reservations never ask for a
-                // wake-up, so with jobs parked this is the next release.
+                // With jobs parked the wake-up is the next release.
                 let release = service.next_wakeup().expect("parked jobs await a release");
                 let blob = checkpoint(&service);
                 if cycle(&mut service) < release {

@@ -3,18 +3,17 @@
 //!
 //! The decision is spelled out once below as a naive reference —
 //! re-ground the release book against the live pool, build a fresh
-//! free-capacity profile, scan the whole queue, compute the wake-up
-//! hint — over a pointwise profile that shares nothing with
-//! `TreeSlotSet` (the raw claim list, folded per query, as in
-//! `tests/slots_contract.rs`). Whatever work the production planner
-//! skips, reuses or reorders, it must return the reference's
-//! placement, hint and bookkeeping bit for bit: for every policy,
-//! estimate error and node width, with stale and phantom releases,
-//! advance reservations, saturated and idle pools, and across the
-//! repeated calls of a dispatch loop at one instant.
+//! free-capacity profile, scan the whole queue — over a pointwise
+//! profile that shares nothing with `TreeSlotSet` (the raw claim list,
+//! folded per query, as in `tests/slots_contract.rs`). Whatever work
+//! the production planner skips, reuses or reorders, it must return the
+//! reference's placement and release book bit for bit: for every
+//! policy, estimate error and node width, with stale and phantom
+//! releases, saturated and idle pools, and across the repeated calls of
+//! a dispatch loop at one instant.
 
 use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy, BackfillState};
-use hrp::cluster::sim::{Dispatcher, Placement, TIME_EPS};
+use hrp::cluster::sim::{Dispatcher, Placement};
 use hrp::cluster::ClusterJob;
 use hrp::prelude::*;
 use proptest::prelude::*;
@@ -22,20 +21,20 @@ use proptest::prelude::*;
 /// The planner's slack on "fits now" and "release already passed".
 const FIT_EPS: f64 = 1e-9;
 
-/// Free capacity as the raw list of `(start, end, gpus, clamp)` claims;
+/// Free capacity as the raw list of `(start, end, gpus)` claims;
 /// capacity at a point folds them in order.
 struct NaiveProfile {
     total: usize,
-    claims: Vec<(f64, f64, usize, bool)>,
+    claims: Vec<(f64, f64, usize)>,
 }
 
 impl NaiveProfile {
     fn capacity_at(&self, t: f64) -> usize {
         let mut cap = self.total;
-        for &(start, end, gpus, clamp) in &self.claims {
+        for &(start, end, gpus) in &self.claims {
             if t >= start && t < end {
-                assert!(clamp || cap >= gpus, "reference double-booked at {t}");
-                cap -= gpus.min(cap);
+                assert!(cap >= gpus, "reference double-booked at {t}");
+                cap -= gpus;
             }
         }
         cap
@@ -86,8 +85,6 @@ struct NaivePlanner {
     n_gpus: usize,
     walltime_err: f64,
     releases: Vec<(f64, usize)>,
-    reservations: Vec<(f64, f64, usize)>,
-    wake: Option<f64>,
 }
 
 impl NaivePlanner {
@@ -106,8 +103,6 @@ impl NaivePlanner {
         free_gpus: usize,
         now: f64,
     ) -> Option<Placement> {
-        self.wake = None;
-
         // Re-ground: forget releases the clock passed, then trim the
         // earliest bookings until no more GPUs are booked than busy.
         self.releases.retain(|(t, _)| *t > now + FIT_EPS);
@@ -124,20 +119,11 @@ impl NaivePlanner {
             }
         }
 
-        // A fresh profile: releases, then reservations laid over them.
+        // A fresh profile of the releases.
         let mut profile = NaiveProfile {
             total: self.n_gpus,
-            claims: Vec::new(),
+            claims: self.releases.iter().map(|&(t, g)| (now, t, g)).collect(),
         };
-        for &(t, g) in &self.releases {
-            profile.claims.push((now, t, g, false));
-        }
-        for &(s, e, g) in &self.reservations {
-            let s = s.max(now);
-            if e > s + TIME_EPS {
-                profile.claims.push((s, e, g, true));
-            }
-        }
 
         // The full scan, in queue order.
         let (depth, backfill) = self.policy.depth_and_backfill();
@@ -156,47 +142,20 @@ impl NaivePlanner {
                 });
             }
             if k < depth {
-                profile.claims.push((start, start + est, job.gpus, false));
-            }
-        }
-
-        // Idle with work queued: wake at the next reservation expiry.
-        if !waiting.is_empty() {
-            let expiry = self
-                .reservations
-                .iter()
-                .map(|(_, e, _)| *e)
-                .filter(|e| *e > now + TIME_EPS)
-                .fold(f64::INFINITY, f64::min);
-            if expiry.is_finite() {
-                self.wake = Some(expiry);
+                profile.claims.push((start, start + est, job.gpus));
             }
         }
         None
     }
-
-    fn state(&self) -> BackfillState {
-        BackfillState {
-            releases: self.releases.clone(),
-            reservations: self.reservations.clone(),
-            wake: self.wake,
-        }
-    }
 }
 
-/// A state flattened to raw bits, so `-0.0` and NaN could not hide a
-/// difference: each list behind its length, then the hint.
-fn state_bits(s: &BackfillState) -> Vec<u64> {
-    let mut bits = vec![s.releases.len() as u64];
-    for &(t, g) in &s.releases {
-        bits.extend([t.to_bits(), g as u64]);
-    }
-    bits.push(s.reservations.len() as u64);
-    for &(start, end, g) in &s.reservations {
-        bits.extend([start.to_bits(), end.to_bits(), g as u64]);
-    }
-    bits.extend(s.wake.map(f64::to_bits));
-    bits
+/// A release book flattened to raw bits, so `-0.0` and NaN could not
+/// hide a difference.
+fn book_bits(releases: &[(f64, usize)]) -> Vec<u64> {
+    releases
+        .iter()
+        .flat_map(|&(t, g)| [t.to_bits(), g as u64])
+        .collect()
 }
 
 const POLICIES: [BackfillPolicy; 3] = [
@@ -214,8 +173,6 @@ proptest! {
         // or before `now` are stale, and nothing ties the booked total
         // to the busy GPUs, so phantom bookings occur freely.
         releases in proptest::collection::vec((0u32..400, 1usize..=4), 0..=6),
-        // (start, duration) in quarter-seconds relative to `now` − 10 s.
-        reservations in proptest::collection::vec((0u32..300, 1u32..200, 1usize..=4), 0..=2),
         queue in proptest::collection::vec((0usize..1000, 1usize..=4), 0..=24),
         // One dispatch loop per instant: (quarter-seconds since the
         // previous instant, free GPUs — taken modulo the pool size + 1,
@@ -227,11 +184,6 @@ proptest! {
         let at = |q: u32| (start - 10.0 + f64::from(q) * 0.25).max(0.0);
         let state = BackfillState {
             releases: releases.iter().map(|&(q, g)| (at(q), g.min(n_gpus))).collect(),
-            reservations: reservations
-                .iter()
-                .map(|&(q, d, g)| (at(q), at(q) + f64::from(d) * 0.25, g.min(n_gpus)))
-                .collect(),
-            wake: None,
         };
         let submitted: Vec<ClusterJob> = queue
             .iter()
@@ -252,8 +204,6 @@ proptest! {
                     n_gpus,
                     walltime_err: err,
                     releases: state.releases.clone(),
-                    reservations: state.reservations.clone(),
-                    wake: None,
                 };
                 let mut planner = BackfillPlanner::new(policy, n_gpus).with_walltime_err(err);
                 planner.restore_state(state.clone());
@@ -269,14 +219,9 @@ proptest! {
                         let ctx = format!("{policy:?}, err {err}, t = {now}, {free} free");
                         prop_assert_eq!(&got, &want, "placement ({})", ctx);
                         prop_assert_eq!(
-                            planner.next_wakeup(now).map(f64::to_bits),
-                            naive.wake.map(f64::to_bits),
-                            "wake-up hint ({})", ctx
-                        );
-                        prop_assert_eq!(
-                            state_bits(&planner.export_state()),
-                            state_bits(&naive.state()),
-                            "bookkeeping ({})", ctx
+                            book_bits(&planner.export_state().releases),
+                            book_bits(&naive.releases),
+                            "release book ({})", ctx
                         );
                         let Some(placed) = got else { break };
                         prop_assert!(placed.gpus <= free, "over-allocated ({})", ctx);

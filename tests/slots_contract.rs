@@ -25,7 +25,6 @@ use proptest::prelude::*;
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Claim { start: f64, end: f64, gpus: usize },
-    ClaimUpTo { start: f64, end: f64, gpus: usize },
     Release { start: f64, end: f64, gpus: usize },
 }
 
@@ -38,9 +37,6 @@ fn oracle_capacity(total: usize, ops: &[Op], t: f64) -> usize {
             Op::Claim { start, end, gpus } if t >= start && t < end => {
                 assert!(cap >= gpus, "oracle underflow: op list was infeasible");
                 cap -= gpus;
-            }
-            Op::ClaimUpTo { start, end, gpus } if t >= start && t < end => {
-                cap -= gpus.min(cap);
             }
             Op::Release { start, end, gpus } if t >= start && t < end => {
                 assert!(
@@ -60,9 +56,7 @@ fn breakpoints(ops: &[Op]) -> Vec<f64> {
     let mut ts: Vec<f64> = ops
         .iter()
         .flat_map(|op| match *op {
-            Op::Claim { start, end, .. }
-            | Op::ClaimUpTo { start, end, .. }
-            | Op::Release { start, end, .. } => [start, end],
+            Op::Claim { start, end, .. } | Op::Release { start, end, .. } => [start, end],
         })
         .collect();
     ts.sort_by(f64::total_cmp);
@@ -116,12 +110,12 @@ fn oracle_n_segments(total: usize, ops: &[Op]) -> usize {
 
 /// Raw op shapes: quarter-second grid starts (duplicates exercise
 /// shared boundaries), short durations, widths up to the total, and an
-/// op selector (0 = claim, 1 = claim_up_to, 2 = release).
+/// op selector (0 = claim, 1 = release).
 fn ops_strategy() -> impl Strategy<Value = Vec<(u32, u32, usize, u32)>> {
-    proptest::collection::vec((0u32..120, 1u32..40, 0usize..=4, 0u32..3), 1..=12)
+    proptest::collection::vec((0u32..120, 1u32..40, 0usize..=4, 0u32..2), 1..=12)
 }
 
-/// Apply the generated shapes, skipping any plain claim or release the
+/// Apply the generated shapes, skipping any claim or release the
 /// oracle proves infeasible (the tree would rightly panic on those —
 /// covered by unit tests). Returns the ops that were actually applied.
 fn apply(slots: &mut TreeSlotSet, total: usize, shapes: &[(u32, u32, usize, u32)]) -> Vec<Op> {
@@ -138,10 +132,6 @@ fn apply(slots: &mut TreeSlotSet, total: usize, shapes: &[(u32, u32, usize, u32)
                     slots.claim(start, end, gpus);
                     ops.push(Op::Claim { start, end, gpus });
                 }
-            }
-            1 => {
-                slots.claim_up_to(start, end, gpus);
-                ops.push(Op::ClaimUpTo { start, end, gpus });
             }
             _ => {
                 // Feasible iff no instant of the window would exceed
