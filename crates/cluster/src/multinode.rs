@@ -24,8 +24,9 @@
 //!    next (a burst spreads out instead of dog-piling one node);
 //! 3. after the last arrival, a final fan-out drains every node, and
 //!    the nodes' [`EventLog`]s are merged into the timeline
-//!    ([`EventLog::merge`]: the records concatenated and sorted, the
-//!    job-id arenas concatenated and the ranges rebased).
+//!    ([`EventLog::merge`]: a k-way merge of the node logs that frees
+//!    each node's record chunks as it empties them, the job-id arenas
+//!    concatenated and the ranges rebased).
 //!
 //! # Determinism contract
 //!
@@ -832,10 +833,10 @@ mod tests {
     }
 
     #[test]
-    fn digest_mixes_full_u64_sequence_numbers() {
-        // The 1M-job audit pin: per-node seqs are u64 end to end, and
-        // the digest must see bits past the u32 boundary (a silent
-        // truncation would alias these two timelines).
+    fn digest_mixes_every_bit_of_a_sequence_number() {
+        // A record holds a node's seq in 32 bits (`EventLog::push`
+        // refuses a wider one), and the digest must see the top one: a
+        // truncation to 31 bits would alias these two timelines.
         let timeline = |seq: u64| {
             let mut events = EventLog::default();
             let kind = EventKind::Arrival { job: 0 };
@@ -849,7 +850,8 @@ mod tests {
             ClusterTimeline { events }
         };
         let a = timeline(1);
-        let b = timeline(1 + (u64::from(u32::MAX) + 1));
+        let b = timeline(1 + (1 << 31));
+        assert_eq!(b.events.get(0).seq, 1 + (1 << 31));
         assert_ne!(a.digest(), b.digest());
     }
 }

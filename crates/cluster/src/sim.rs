@@ -23,12 +23,14 @@
 //! # The event log
 //!
 //! An [`EventLog`] is the one representation of an event stream, per
-//! node and merged: a vector of fixed-size records (40 bytes: time,
-//! sequence number, one payload word, an arena range, GPU count, node,
-//! tag) plus one arena of job ids. A `Start` appends its placement's
-//! ids to the arena once; the `Finish` that closes it names the same
-//! range, and so does the node's entry for the running placement — so
-//! recording an event into a reserved log allocates nothing. Readers
+//! node and merged: fixed-size records (32 bytes: time, one payload
+//! word, sequence number, an arena range, GPU count, node, tag) in
+//! chunks of 1 024, plus one arena of job ids. A log grows by whole
+//! chunks, so it never copies its records or carries doubling slack. A
+//! `Start` appends its placement's ids to the arena once; the `Finish`
+//! that closes it names the same range, and so does the node's entry
+//! for the running placement — so recording an event into a reserved
+//! log allocates nothing. Readers
 //! get borrowed [`NodeEvent`] views ([`EventLog::iter`],
 //! [`EventLog::get`]); equality is *logical* (the events the views
 //! show), because two logs holding the same events may lay their
@@ -38,7 +40,9 @@
 use crate::job::ClusterJob;
 use hrp_core::cluster_env::NodeLoad;
 use hrp_workloads::Suite;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Absolute slack when comparing event times: arrivals and finishes
 /// within this window coalesce into one instant.
@@ -162,23 +166,58 @@ impl IdRange {
 }
 
 /// One stored event. The widths are the log's capacity limits: 65 535
-/// nodes, GPUs per placement and jobs per placement, 2³² job ids per
-/// log; every writer narrows with a check.
+/// nodes, GPUs per placement and jobs per placement, 2³² events per node
+/// and 2³² job ids per log; every writer narrows with a check. The arena
+/// range is two flat fields (an [`IdRange`] would pad the record to 40
+/// bytes).
 #[derive(Debug, Clone, Copy)]
 struct Record {
     time: f64,
-    seq: u64,
     /// `Start`: the planned duration's bits. `Arrival`: the job id.
     word: u64,
-    /// `Start` / `Finish`: the placement's job ids.
-    ids: IdRange,
+    seq: u32,
+    /// `Start` / `Finish`: the placement's job ids, `ids[at..at + n]`.
+    at: u32,
+    n: u16,
     gpus: u16,
     node: u16,
     tag: Tag,
 }
 
-/// A compact, append-only event stream: fixed-size records plus one
-/// arena of job ids (see the [module docs](self#the-event-log)).
+impl Record {
+    fn ids(&self) -> IdRange {
+        IdRange {
+            at: self.at,
+            n: self.n,
+        }
+    }
+
+    /// The timeline order `(time, node, seq)` as one integer, the time's
+    /// bits mapped so that unsigned order is [`f64::total_cmp`]'s: a
+    /// negative time reverses its order below every positive one.
+    fn key(&self) -> u128 {
+        let bits = self.time.to_bits();
+        let time = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        u128::from(time) << 64 | u128::from(self.node) << 32 | u128::from(self.seq)
+    }
+}
+
+/// Records per chunk of an [`EventLog`]: 32 KiB.
+const CHUNK: usize = 1 << 10;
+
+/// A fresh chunk: room for exactly [`CHUNK`] records, which it never
+/// outgrows.
+fn chunk() -> Vec<Record> {
+    Vec::with_capacity(CHUNK)
+}
+
+/// A compact, append-only event stream: fixed-size records in fixed-size
+/// chunks, plus one arena of job ids (see the
+/// [module docs](self#the-event-log)).
 ///
 /// ```
 /// use hrp_cluster::sim::{EventKind, EventLog, NodeEvent};
@@ -194,7 +233,11 @@ struct Record {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    records: Vec<Record>,
+    /// Records `index / CHUNK * CHUNK ..` live in `chunks[index / CHUNK]`:
+    /// full chunks, the one being filled, then any that
+    /// [`EventLog::reserve`] allocated ahead, empty.
+    chunks: Vec<Vec<Record>>,
+    len: usize,
     ids: Vec<usize>,
 }
 
@@ -202,20 +245,22 @@ impl EventLog {
     /// Number of events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the log holds no event.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Make room for `events` more events carrying `job_ids` more job
     /// ids between their `Start`s (a `Finish` recorded by a [`NodeRun`]
-    /// adds none).
+    /// adds none). Records get whole chunks.
     pub fn reserve(&mut self, events: usize, job_ids: usize) {
-        self.records.reserve(events);
+        let chunks = (self.len + events).div_ceil(CHUNK);
+        self.chunks
+            .resize_with(chunks.max(self.chunks.len()), chunk);
         self.ids.reserve(job_ids);
     }
 
@@ -225,12 +270,30 @@ impl EventLog {
     /// Panics if `index` is out of range.
     #[must_use]
     pub fn get(&self, index: usize) -> NodeEvent<'_> {
-        self.view(&self.records[index])
+        self.view(self.record(index))
     }
 
     /// The events in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = NodeEvent<'_>> + Clone {
-        self.records.iter().map(|record| self.view(record))
+        (0..self.len).map(|index| self.get(index))
+    }
+
+    fn record(&self, index: usize) -> &Record {
+        &self.chunks[index / CHUNK][index % CHUNK]
+    }
+
+    fn records(&self) -> impl Iterator<Item = &Record> {
+        self.chunks.iter().flatten()
+    }
+
+    /// Append one record, starting a chunk when the last one is full.
+    fn push_record(&mut self, record: Record) {
+        let at = self.len / CHUNK;
+        if at == self.chunks.len() {
+            self.chunks.push(chunk());
+        }
+        self.chunks[at].push(record);
+        self.len += 1;
     }
 
     fn ids_at(&self, range: IdRange) -> &[usize] {
@@ -243,19 +306,19 @@ impl EventLog {
         NodeEvent {
             time: record.time,
             node: usize::from(record.node),
-            seq: record.seq,
+            seq: u64::from(record.seq),
             kind: match record.tag {
                 Tag::Arrival => EventKind::Arrival {
                     // Stored from a `usize`.
                     job: record.word as usize,
                 },
                 Tag::Start => EventKind::Start {
-                    job_ids: self.ids_at(record.ids),
+                    job_ids: self.ids_at(record.ids()),
                     gpus,
                     duration: f64::from_bits(record.word),
                 },
                 Tag::Finish => EventKind::Finish {
-                    job_ids: self.ids_at(record.ids),
+                    job_ids: self.ids_at(record.ids()),
                     gpus,
                 },
             },
@@ -276,10 +339,12 @@ impl EventLog {
     /// from outside a [`NodeRun`] (a decoder, a test's model).
     ///
     /// # Errors
-    /// Names the field that does not fit the record (`node`, `gpus`,
-    /// `job_ids`, or the `arena` past 2³² ids); the log is unchanged.
+    /// Names the field that does not fit the record (`node`, `seq` past
+    /// 2³², `gpus`, `job_ids`, or the `arena` past 2³² ids); the log is
+    /// unchanged.
     pub fn push(&mut self, event: NodeEvent<'_>) -> Result<(), &'static str> {
         let node = u16::try_from(event.node).map_err(|_| "node")?;
+        let seq = u32::try_from(event.seq).map_err(|_| "seq")?;
         let (tag, word, job_ids, gpus) = match event.kind {
             EventKind::Arrival { job } => (Tag::Arrival, job as u64, &[][..], 0),
             EventKind::Start {
@@ -291,11 +356,12 @@ impl EventLog {
         };
         let gpus = u16::try_from(gpus).map_err(|_| "gpus")?;
         let ids = self.intern(job_ids)?;
-        self.records.push(Record {
+        self.push_record(Record {
             time: event.time,
-            seq: event.seq,
             word,
-            ids,
+            seq,
+            at: ids.at,
+            n: ids.n,
             gpus,
             node,
             tag,
@@ -303,9 +369,14 @@ impl EventLog {
         Ok(())
     }
 
-    /// Merge per-node logs into one `(time, node, seq)`-ordered log:
-    /// concatenate records and arenas, rebase the ranges, sort the
-    /// records.
+    /// Merge logs into one `(time, node, seq)`-ordered log: the
+    /// concatenation of `logs`, stably sorted.
+    ///
+    /// A k-way merge. A log out of order is sorted first — a node's log
+    /// is in order but where two of its instants lie within
+    /// [`TIME_EPS`]. The arenas are concatenated and the ranges rebased;
+    /// each input chunk is freed once its last record has moved, so the
+    /// merge holds little more than one copy of the records.
     ///
     /// # Panics
     /// Panics if the logs together hold more than 2³² job ids.
@@ -314,28 +385,58 @@ impl EventLog {
         let events: usize = logs.iter().map(EventLog::len).sum();
         let job_ids: usize = logs.iter().map(|log| log.ids.len()).sum();
         u32::try_from(job_ids).expect("an event log holds at most 2^32 job ids");
-        let mut logs = logs.into_iter();
-        let mut merged = logs.next().unwrap_or_default();
-        merged.reserve(events - merged.len(), job_ids - merged.ids.len());
-        for log in logs {
+        let mut merged = EventLog {
+            chunks: Vec::with_capacity(events.div_ceil(CHUNK)),
+            len: 0,
+            ids: Vec::with_capacity(job_ids),
+        };
+        // Each nonempty log's first unmerged record, the rest of its
+        // records, and where its arena starts in the merged one.
+        let mut inputs = Vec::with_capacity(logs.len());
+        let mut heads = BinaryHeap::with_capacity(logs.len());
+        for mut log in logs {
+            log.sort();
             // Within the total checked above.
             let base = merged.ids.len() as u32;
             merged.ids.extend_from_slice(&log.ids);
-            merged.records.extend(log.records.iter().map(|r| Record {
-                ids: IdRange {
-                    at: r.ids.at + base,
-                    n: r.ids.n,
-                },
-                ..*r
-            }));
+            log.chunks.truncate(log.len.div_ceil(CHUNK));
+            let mut records = log.chunks.into_iter().flatten();
+            if let Some(head) = records.next() {
+                heads.push(Reverse((head.key(), inputs.len())));
+                inputs.push((head, records, base));
+            }
         }
-        merged.records.sort_by(|a, b| {
-            a.time
-                .total_cmp(&b.time)
-                .then(a.node.cmp(&b.node))
-                .then(a.seq.cmp(&b.seq))
-        });
+        // Ties between logs go to the earlier one, as in a stable sort.
+        while let Some(mut top) = heads.peek_mut() {
+            let Reverse((_, input)) = *top;
+            let (head, records, base) = &mut inputs[input];
+            merged.push_record(Record {
+                at: head.at + *base,
+                ..*head
+            });
+            match records.next() {
+                Some(next) => {
+                    *head = next;
+                    *top = Reverse((next.key(), input));
+                }
+                None => {
+                    let _ = PeekMut::pop(top);
+                }
+            }
+        }
         merged
+    }
+
+    /// Stably sort the records into timeline order, unless they are.
+    fn sort(&mut self) {
+        if self.records().map(Record::key).is_sorted() {
+            return;
+        }
+        let mut sorted: Vec<Record> = self.records().copied().collect();
+        sorted.sort_by_key(Record::key);
+        for (slot, record) in self.chunks.iter_mut().flatten().zip(sorted) {
+            *slot = record;
+        }
     }
 
     /// Indices of the `Start` events no later `Finish` has closed, in
@@ -349,18 +450,18 @@ impl EventLog {
     /// The index of the first `Finish` that closes no open `Start`.
     pub fn open_starts(&self) -> Result<Vec<usize>, usize> {
         let mut open: Vec<usize> = Vec::new();
-        for (index, finish) in self.records.iter().enumerate() {
+        for (index, finish) in self.records().enumerate() {
             match finish.tag {
                 Tag::Arrival => {}
                 Tag::Start => open.push(index),
                 Tag::Finish => {
                     let closed = open.iter().position(|&s| {
-                        let start = &self.records[s];
+                        let start = self.record(s);
                         let due = start.time + f64::from_bits(start.word);
                         start.node == finish.node
                             && start.gpus == finish.gpus
                             && due.to_bits() == finish.time.to_bits()
-                            && self.ids_at(start.ids) == self.ids_at(finish.ids)
+                            && self.ids_at(start.ids()) == self.ids_at(finish.ids())
                     });
                     open.remove(closed.ok_or(index)?);
                 }
@@ -725,11 +826,11 @@ impl<D: Dispatcher> NodeRun<D> {
             .expect("every Finish of a node's log closes a Start")
             .into_iter()
             .map(|index| {
-                let start = &state.events.records[index];
+                let start = state.events.record(index);
                 Running {
                     finish: start.time + f64::from_bits(start.word),
                     gpus: start.gpus,
-                    ids: start.ids,
+                    ids: start.ids(),
                 }
             })
             .collect();
@@ -782,12 +883,18 @@ pub struct NodeRunState {
 impl NodeRunState {
     /// Record one event of this node, numbered by its place in the
     /// node's log.
+    ///
+    /// # Panics
+    /// Panics on the node's 2³²-th event, whose number a record cannot
+    /// hold.
     fn record(&mut self, time: f64, tag: Tag, word: u64, ids: IdRange, gpus: u16) {
-        self.events.records.push(Record {
+        let seq = u32::try_from(self.events.len()).expect("a node logs at most 2^32 events");
+        self.events.push_record(Record {
             time,
-            seq: self.events.len() as u64,
             word,
-            ids,
+            seq,
+            at: ids.at,
+            n: ids.n,
             gpus,
             // Checked when the `NodeRun` was built.
             node: self.node as u16,
@@ -1072,28 +1179,93 @@ mod tests {
     }
 
     #[test]
-    fn an_event_record_is_forty_bytes() {
-        assert_eq!(std::mem::size_of::<Record>(), 40);
+    fn an_event_record_is_thirty_two_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 32);
     }
 
+    #[test]
+    fn a_record_key_orders_times_as_total_cmp_does() {
+        let times = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let record = |time| Record {
+            time,
+            word: 0,
+            seq: 0,
+            at: 0,
+            n: 0,
+            gpus: 0,
+            node: 0,
+            tag: Tag::Arrival,
+        };
+        for a in times {
+            for b in times {
+                assert_eq!(
+                    record(a).key().cmp(&record(b).key()),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    thread_local! {
+        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Counts this thread's allocations (a `realloc` goes through
+    /// `alloc`); delegates to the system allocator.
+    struct CountingAlloc;
+
+    // SAFETY: every call goes unchanged to the system allocator, which
+    // keeps `GlobalAlloc`'s contract; counting touches no memory it hands
+    // out.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout);
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
     /// One-job placements are the worst case — three events and one
-    /// arena slot per job. The parent commit reserved two events per
-    /// job, so every batch run regrew its largest buffers once.
+    /// arena slot per job — and enough of them to fill several chunks.
     #[test]
     fn a_log_reserved_for_its_jobs_never_regrows() {
-        let s = suite();
+        const JOBS: usize = 1_500;
         let mut node = NodeRun::new(0, 1, OneByOne);
-        node.reserve_jobs(8);
-        let room = |log: &EventLog| (log.records.capacity(), log.ids.capacity());
-        let reserved = room(&node.state.events);
-        for id in 0..8 {
-            node.push_arrival(ClusterJob::new(id, "stream", 0.0, 1, &s));
+        node.reserve_jobs(JOBS);
+        let s = &mut node.state;
+        let before = ALLOCATIONS.with(std::cell::Cell::get);
+        for id in 0..JOBS {
+            let t = id as f64;
+            s.record(t, Tag::Arrival, id as u64, IdRange::NONE, 0);
+            let ids = s.events.intern(&[id]).expect("fits");
+            s.record(t, Tag::Start, 1f64.to_bits(), ids, 1);
+            s.record(t + 1.0, Tag::Finish, 0, ids, 1);
         }
-        node.advance_until(&s, f64::INFINITY);
-        let log = &node.state.events;
-        // A finish names its start's ids: eight ids for sixteen lists.
-        assert_eq!((log.records.len(), log.ids.len()), (24, 8));
-        assert_eq!(room(log), reserved);
+        assert_eq!(ALLOCATIONS.with(std::cell::Cell::get) - before, 0);
+        let log = &s.events;
+        // A finish names its start's ids: one id for two lists.
+        assert_eq!((log.len(), log.ids.len()), (3 * JOBS, JOBS));
+        assert!(log.chunks.len() > 4, "the log spans several chunks");
+        assert_eq!(log.open_starts(), Ok(Vec::new()));
     }
 
     #[test]

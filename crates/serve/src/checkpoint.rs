@@ -46,7 +46,8 @@
 //! assert or a panic at the next dispatch or the next release.
 
 use crate::service::{
-    AdmissionConfig, AdmissionState, SchedulerService, SelectorState, ServeConfig, ServeStats,
+    AdmissionConfig, AdmissionState, LatencyHistogram, SchedulerService, SelectorState,
+    ServeConfig, ServeStats,
 };
 use crate::source::{ArrivalSource, LoadGen, LoadShape, TraceSource};
 use bytes::Bytes;
@@ -264,7 +265,7 @@ pub fn restore(
         lookahead,
         last_cycle,
         stats,
-        latencies: Vec::new(),
+        latencies: LatencyHistogram::default(),
         burst: Vec::new(),
         admission,
         walk_owed: true,

@@ -50,7 +50,7 @@ use hrp_cluster::select::{
 use hrp_core::rl::DqnSnapshot;
 use hrp_workloads::Suite;
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The admission tier's knobs: per-user in-flight quota and the reject
 /// SLO. Attached to a service via
@@ -302,52 +302,89 @@ pub struct ServeStats {
     pub rejected: u64,
 }
 
-/// Decision-latency summary over one service run (microseconds,
-/// nearest-rank percentiles). Wall-clock measurement — excluded from
-/// checkpoints and never part of the determinism contract.
+/// Decision-latency summary over one service run (microseconds).
+/// Wall-clock measurement — excluded from checkpoints and never part of
+/// the determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Decisions timed.
     pub samples: usize,
-    /// Median decision latency in µs.
+    /// Median decision latency in µs: the upper bound of the histogram
+    /// bucket holding the nearest-rank sample, at most 1/16 above it.
     pub p50_us: f64,
-    /// 99th-percentile decision latency in µs.
+    /// 99th-percentile decision latency in µs, bucketed like `p50_us`.
     pub p99_us: f64,
-    /// Worst decision latency in µs.
+    /// Worst decision latency in µs, exact.
     pub max_us: f64,
 }
 
-impl LatencySummary {
-    /// Summarise raw per-decision seconds (empty input → all zeros).
-    #[must_use]
-    pub fn from_seconds(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self {
-                samples: 0,
-                p50_us: 0.0,
-                p99_us: 0.0,
-                max_us: 0.0,
-            };
-        }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let rank = |q: f64| -> f64 {
-            // Nearest-rank percentile: ceil(q·n) clamped into range.
-            // When the real product q·n is integral but the f64
-            // product lands 1 ulp above it, ceil would pick one rank
-            // too high — snap back if the ceiling overshot by ~1.
-            let scaled = q * sorted.len() as f64;
-            let mut i = scaled.ceil();
-            if i - scaled > 1.0 - 1e-9 {
-                i -= 1.0;
-            }
-            sorted[(i as usize).clamp(1, sorted.len()) - 1] * 1e6
-        };
+/// Sub-buckets per power of two of a [`LatencyHistogram`], as bits.
+const SUB_BITS: u32 = 4;
+
+/// Buckets that cover every nanosecond count a `u64` holds.
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
+
+/// Decision latencies in fixed memory: a count per logarithmic bucket
+/// of nanoseconds, 16 buckets per power of two (exact below 32 ns), so
+/// a service that decides for days holds no more than one that just
+/// started.
+#[derive(Debug)]
+pub(crate) struct LatencyHistogram {
+    counts: [u64; BUCKETS],
+    samples: u64,
+    max_ns: u64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
         Self {
-            samples: sorted.len(),
-            p50_us: rank(0.50),
-            p99_us: rank(0.99),
-            max_us: sorted[sorted.len() - 1] * 1e6,
+            counts: [0; BUCKETS],
+            samples: 0,
+            max_ns: 0,
+        }
+    }
+}
+
+impl LatencyHistogram {
+    fn bucket(ns: u64) -> usize {
+        let shift = (u64::BITS - ns.leading_zeros()).saturating_sub(SUB_BITS + 1);
+        ((shift as usize) << SUB_BITS) + (ns >> shift) as usize
+    }
+
+    /// The largest nanosecond count in `bucket`.
+    fn upper(bucket: usize) -> u64 {
+        let shift = (bucket >> SUB_BITS).saturating_sub(1);
+        let mantissa = (bucket - (shift << SUB_BITS)) as u64;
+        (mantissa << shift) + ((1 << shift) - 1)
+    }
+
+    pub(crate) fn record(&mut self, elapsed: Duration) {
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.counts[Self::bucket(ns)] += 1;
+        self.samples += 1;
+        self.max_ns = self.max_ns.max(ns);
+    }
+
+    /// Nearest-rank percentiles, each reported as the upper bound of the
+    /// bucket that holds it (no more than the maximum); all zeros when
+    /// nothing was recorded.
+    pub(crate) fn summary(&self) -> LatencySummary {
+        let n = self.samples;
+        let us = |ns: u64| ns as f64 / 1e3;
+        // The `rank`-th smallest sample (1-based), bucketed.
+        let at_rank = |rank: u64| {
+            let mut seen = 0;
+            let bucket = self.counts.iter().position(|&count| {
+                seen += count;
+                seen >= rank
+            });
+            us(Self::upper(bucket.expect("a rank of at most n")).min(self.max_ns))
+        };
+        LatencySummary {
+            samples: n as usize,
+            p50_us: at_rank(n.div_ceil(2)),
+            p99_us: at_rank((99 * n).div_ceil(100)),
+            max_us: us(self.max_ns),
         }
     }
 }
@@ -498,7 +535,9 @@ pub struct SchedulerService<'a, S: ArrivalSource> {
     /// Instant of the last cycle — arrivals must not move backwards.
     pub(crate) last_cycle: f64,
     pub(crate) stats: ServeStats,
-    pub(crate) latencies: Vec<f64>,
+    /// Decision latencies (not checkpointed: a restored service starts
+    /// an empty histogram).
+    pub(crate) latencies: LatencyHistogram,
     /// The buffer [`SchedulerService::step`] groups each burst in, empty
     /// between cycles.
     pub(crate) burst: Vec<ClusterJob>,
@@ -558,7 +597,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             lookahead: None,
             last_cycle: 0.0,
             stats: ServeStats::default(),
-            latencies: Vec::new(),
+            latencies: LatencyHistogram::default(),
             burst: Vec::new(),
             admission,
             walk_owed: true,
@@ -681,7 +720,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         let work = job.solo_time(self.suite);
         let started = Instant::now();
         let node = self.selector.select(job.gpus, work, self.drive.loads());
-        self.latencies.push(started.elapsed().as_secs_f64());
+        self.latencies.record(started.elapsed());
         self.stats.decisions += 1;
         self.drive.place(node, job);
     }
@@ -878,10 +917,14 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         ServeReport {
             report,
             stats: self.stats,
-            latency: LatencySummary::from_seconds(&self.latencies),
-            admission: self.admission.map(|a| AdmissionOutcome {
-                digest: a.digest,
-                effective: a.effective,
+            latency: self.latencies.summary(),
+            admission: self.admission.map(|mut a| {
+                // The report outlives the service: keep no growth slack.
+                a.effective.shrink_to_fit();
+                AdmissionOutcome {
+                    digest: a.digest,
+                    effective: a.effective,
+                }
             }),
         }
     }
@@ -899,42 +942,68 @@ mod tests {
         Suite::paper_suite(&GpuArch::a100())
     }
 
-    #[test]
-    fn latency_summary_uses_nearest_rank_percentiles() {
-        let micros: Vec<f64> = (1..=100).map(|i| i as f64 * 1e-6).collect();
-        let summary = LatencySummary::from_seconds(&micros);
-        assert_eq!(summary.samples, 100);
-        assert!((summary.p50_us - 50.0).abs() < 1e-9);
-        assert!((summary.p99_us - 99.0).abs() < 1e-9);
-        assert!((summary.max_us - 100.0).abs() < 1e-9);
-        let empty = LatencySummary::from_seconds(&[]);
-        assert_eq!(empty.samples, 0);
-        assert_eq!(empty.max_us, 0.0);
+    /// The summary of one sample per whole microsecond `1..=n`.
+    fn summary_of_micros(n: u64) -> LatencySummary {
+        let mut histogram = LatencyHistogram::default();
+        for us in 1..=n {
+            histogram.record(Duration::from_micros(us));
+        }
+        histogram.summary()
     }
 
-    /// Satellite regression: the nearest-rank index must match the
-    /// exact integer ceiling `⌈q·n⌉` even when `q * n as f64` lands one
-    /// ulp above an integral product (e.g. `0.99 × 300`), which would
-    /// otherwise ceil one rank too high.
+    /// A bucketed percentile is the upper bound of the bucket holding
+    /// the exact one: no lower, and less than a sixteenth above.
+    fn within_one_bucket_above(got: f64, exact: f64) -> bool {
+        exact <= got && got - exact < exact / 16.0
+    }
+
+    #[test]
+    fn latency_summary_uses_nearest_rank_percentiles() {
+        let summary = summary_of_micros(100);
+        assert_eq!(summary.samples, 100);
+        assert!(within_one_bucket_above(summary.p50_us, 50.0), "{summary:?}");
+        assert!(within_one_bucket_above(summary.p99_us, 99.0), "{summary:?}");
+        assert_eq!(summary.max_us, 100.0);
+        let empty = LatencyHistogram::default().summary();
+        assert_eq!(empty.samples, 0);
+        assert_eq!((empty.p50_us, empty.p99_us, empty.max_us), (0.0, 0.0, 0.0));
+    }
+
+    /// The nearest rank is the exact integer ceiling `⌈q·n⌉`, also where
+    /// `q * n as f64` lands one ulp above an integral product (e.g.
+    /// `0.99 × 300`) and a float ceiling would pick one rank too high.
     #[test]
     fn latency_percentile_rank_is_robust_at_sample_count_boundaries() {
-        for n in [1usize, 2, 99, 100, 101, 300] {
-            let secs: Vec<f64> = (1..=n).map(|i| i as f64 * 1e-6).collect();
-            let summary = LatencySummary::from_seconds(&secs);
-            // Exact nearest-rank in integer arithmetic: ⌈q·n⌉.
+        for n in [1u64, 2, 99, 100, 101, 300] {
+            let summary = summary_of_micros(n);
             let p50 = n.div_ceil(2) as f64;
             let p99 = (99 * n).div_ceil(100) as f64;
             assert!(
-                (summary.p50_us - p50).abs() < 1e-9,
+                within_one_bucket_above(summary.p50_us, p50),
                 "n={n}: p50 {} want {p50}",
                 summary.p50_us
             );
             assert!(
-                (summary.p99_us - p99).abs() < 1e-9,
+                within_one_bucket_above(summary.p99_us, p99),
                 "n={n}: p99 {} want {p99}",
                 summary.p99_us
             );
-            assert!((summary.max_us - n as f64).abs() < 1e-9);
+            assert_eq!(summary.max_us, n as f64);
+        }
+    }
+
+    #[test]
+    fn latency_buckets_tile_every_nanosecond_count() {
+        assert_eq!(LatencyHistogram::bucket(u64::MAX), BUCKETS - 1);
+        assert_eq!(LatencyHistogram::upper(BUCKETS - 1), u64::MAX);
+        for bucket in 1..BUCKETS {
+            let first = LatencyHistogram::upper(bucket - 1) + 1;
+            assert_eq!(LatencyHistogram::bucket(first), bucket);
+            assert_eq!(LatencyHistogram::bucket(first - 1), bucket - 1);
+            assert_eq!(
+                LatencyHistogram::bucket(LatencyHistogram::upper(bucket)),
+                bucket
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property tests for the one event-stream representation
-//! (`hrp_cluster::sim::EventLog`): fixed-size records over one job-id
-//! arena, read through borrowed views.
+//! (`hrp_cluster::sim::EventLog`): fixed-size records in fixed-size
+//! chunks over one job-id arena, read through borrowed views.
 //!
 //! The model is what the log replaced — a plain `Vec` of events that
 //! own their id lists. Everything the log answers (`len`, `iter`,
@@ -171,7 +171,95 @@ fn model_of(draws: &[Draw]) -> Vec<Vec<Owned>> {
     nodes
 }
 
+/// One node's stream as a `NodeRun` writes it, but long: at each instant
+/// the placements due by then finish (earliest due first, start order
+/// among ties), then one arrives and starts at once on one or two GPUs
+/// for one to three seconds, and the clock moves on by zero or one
+/// second — so equal instants abound, within the node and across nodes.
+/// Then `misplaced` arrivals are moved half a second before the event
+/// ahead of them, out of timeline order.
+fn long_stream(node: usize, len: usize, misplaced: usize, seed: u64) -> Vec<Owned> {
+    let mut state = seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut draw = |n: u64| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    };
+    let mut stream: Vec<Owned> = Vec::with_capacity(len + 2);
+    let push = |stream: &mut Vec<Owned>, time, kind| {
+        let seq = stream.len() as u64;
+        stream.push(Owned {
+            time,
+            node,
+            seq,
+            kind,
+        });
+    };
+    // Running placements `(due, ids, gpus)`, earliest due first.
+    let mut running: Vec<(f64, Vec<usize>, usize)> = Vec::new();
+    let mut t = 0.0;
+    while stream.len() < len {
+        while running.first().is_some_and(|r| r.0 <= t) {
+            let (due, ids, gpus) = running.remove(0);
+            push(&mut stream, due, Kind::Finish(ids, gpus));
+        }
+        let job = stream.len();
+        let ids: Vec<usize> = (job..=job + draw(2) as usize).collect();
+        let (gpus, duration) = (1 + draw(2) as usize, (1 + draw(3)) as f64);
+        push(&mut stream, t, Kind::Arrival(job));
+        push(&mut stream, t, Kind::Start(ids.clone(), gpus, duration));
+        let due = t + duration;
+        let at = running.partition_point(|r| r.0 <= due);
+        running.insert(at, (due, ids, gpus));
+        t += draw(2) as f64;
+    }
+    for _ in 0..misplaced {
+        let at = 1 + draw(len as u64 - 1) as usize;
+        if matches!(stream[at].kind, Kind::Arrival(_)) {
+            stream[at].time = stream[at - 1].time - 0.5;
+        }
+    }
+    stream
+}
+
 proptest! {
+    #[test]
+    fn logs_of_many_chunks_merge_like_a_stable_sort(
+        lens in (2_100usize..=3_300, 2_100usize..=3_300, 2_100usize..=3_300),
+        misplaced in 0usize..=6,
+        seed in 0u64..1 << 40,
+    ) {
+        let nodes: Vec<Vec<Owned>> = [lens.0, lens.1, lens.2]
+            .into_iter()
+            .enumerate()
+            .map(|(node, len)| long_stream(node, len, misplaced, seed))
+            .collect();
+        let logs: Vec<EventLog> = nodes.iter().map(log_of).collect();
+        for (stream, log) in nodes.iter().zip(&logs) {
+            prop_assert_eq!(log.len(), stream.len());
+            prop_assert!(log.iter().eq(stream.iter().map(Owned::view)));
+            for (index, event) in stream.iter().enumerate() {
+                prop_assert_eq!(log.get(index), event.view());
+            }
+            prop_assert_eq!(log.open_starts(), reference_open_starts(stream));
+        }
+
+        let mut merged: Vec<Owned> = nodes.iter().flatten().cloned().collect();
+        merged.sort_by(|a, b| {
+            a.time.total_cmp(&b.time).then(a.node.cmp(&b.node)).then(a.seq.cmp(&b.seq))
+        });
+        let log = EventLog::merge(logs);
+        prop_assert_eq!(log.len(), merged.len());
+        prop_assert!(log.iter().eq(merged.iter().map(Owned::view)));
+        for (index, event) in merged.iter().enumerate() {
+            prop_assert_eq!(log.get(index), event.view());
+        }
+        prop_assert_eq!(log.open_starts(), reference_open_starts(&merged));
+        prop_assert_eq!(ClusterTimeline { events: log }.digest(), reference_digest(&merged));
+    }
+
     #[test]
     fn a_log_answers_like_a_vec_of_owned_events(draws in draws()) {
         let nodes = model_of(&draws);
@@ -297,11 +385,22 @@ fn an_event_past_a_record_s_widths_is_refused_and_leaves_the_log_alone() {
         gpus: 1,
     };
     assert_eq!(log.push(event(0, finish)), Err("job_ids"));
+    let past_seq = NodeEvent {
+        seq: 1 << 32,
+        ..event(0, start(&[1], 1))
+    };
+    assert_eq!(log.push(past_seq), Err("seq"));
     assert_eq!(log, EventLog::default());
     // The widest that fit do, and a job id is never narrowed.
     let job = usize::MAX;
     assert_eq!(log.push(event(wide, EventKind::Arrival { job })), Ok(()));
     assert_eq!(log.push(event(wide, start(&many[1..], wide))), Ok(()));
+    let last_seq = NodeEvent {
+        seq: u64::from(u32::MAX),
+        ..event(0, start(&[1], 1))
+    };
+    assert_eq!(log.push(last_seq), Ok(()));
     assert_eq!(log.get(0).kind, EventKind::Arrival { job });
     assert_eq!(log.get(1), event(wide, start(&many[1..], wide)));
+    assert_eq!(log.get(2), last_seq);
 }
