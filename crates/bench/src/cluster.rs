@@ -10,7 +10,8 @@
 //! MPS-only node policy, no node-level training required — or, for the
 //! backfill tiers, a slot-tree planner of that policy). With
 //! `nodes = 1` the multi-node path reproduces the baseline bit-for-bit
-//! (see `tests/multinode_contract.rs`).
+//! (see the single-node runs of `tests/golden_cluster.rs` and
+//! `tests/multinode_contract.rs`).
 //!
 //! The trained-policy row ([`SelectorKind::Policy`]) trains a
 //! placement agent through `hrp_cluster::place::train_placement` on

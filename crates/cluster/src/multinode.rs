@@ -37,8 +37,9 @@
 //! count** — the same contract the training pipeline obeys. A
 //! one-node cluster executes the exact event cycle of
 //! [`ClusterSim::run`](crate::sim::ClusterSim::run) and is
-//! event-for-event identical to it (property-tested in
-//! `tests/multinode_contract.rs`, pinned in `tests/golden_cluster.rs`).
+//! event-for-event identical to it (both checked on every case of
+//! the oracle harness, `tests/common/harness.rs`; the `cluster/` rows
+//! of `tests/golden_cluster.rs` pin the schedules).
 //!
 //! ```
 //! use hrp_cluster::multinode::{staggered_trace, MultiNodeSim};
@@ -64,7 +65,7 @@ use crate::sim::{ClusterReport, Dispatcher, EventKind, EventLog, NodeRun, NodeSt
 use hrp_core::cluster_env::{NodeLoad, NodeSelector};
 use hrp_core::par::{resolve_threads, WorkerPool};
 use hrp_workloads::Suite;
-use std::sync::Mutex;
+use std::sync::{LockResult, Mutex};
 
 /// The merged, `(time, node, seq)`-ordered cluster event stream. Two
 /// timelines are equal when they show the same events
@@ -290,7 +291,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
             .collect();
         let loads = slots
             .iter()
-            .map(|s| s.lock().expect("node lock").load(suite, 0.0))
+            .map(|slot| unpoisoned(slot.lock()).load(suite, 0.0))
             .collect();
         Self {
             suite,
@@ -309,7 +310,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     pub fn reserve_jobs(&mut self, expected_jobs: usize) {
         let per_node = expected_jobs / self.slots.len().max(1);
         for slot in &self.slots {
-            slot.lock().expect("node lock").reserve_jobs(per_node);
+            unpoisoned(slot.lock()).reserve_jobs(per_node);
         }
     }
 
@@ -339,12 +340,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         self.sync.node_advances += self.slots.len() as u64;
         let slots = &self.slots;
         let suite = self.suite;
-        let advance = |i: usize| {
-            slots[i]
-                .lock()
-                .expect("node lock")
-                .advance_until(suite, horizon);
-        };
+        let advance = |i: usize| unpoisoned(slots[i].lock()).advance_until(suite, horizon);
         match self.pool {
             Some(pool) => pool.for_each(slots.len(), advance),
             None => (0..slots.len()).for_each(advance),
@@ -356,7 +352,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     pub fn advance_to(&mut self, t: f64) {
         self.advance_nodes(t);
         for (i, slot) in self.slots.iter().enumerate() {
-            self.loads[i] = slot.lock().expect("node lock").load(self.suite, t);
+            self.loads[i] = unpoisoned(slot.lock()).load(self.suite, t);
         }
     }
 
@@ -379,10 +375,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         self.loads[node].outstanding += job.solo_time(self.suite);
         self.loads[node].queued_jobs += 1;
         self.placed += 1;
-        self.slots[node]
-            .lock()
-            .expect("node lock")
-            .push_arrival(job);
+        unpoisoned(self.slots[node].lock()).push_arrival(job);
     }
 
     /// Drain every node to the end of time, merge the per-node event
@@ -400,7 +393,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         let mut stats: Vec<NodeStats> = Vec::with_capacity(nodes);
         let mut streams: Vec<EventLog> = Vec::with_capacity(nodes);
         for slot in std::mem::take(&mut self.slots) {
-            let (s, e, _) = slot.into_inner().expect("node lock").finish();
+            let (s, e, _) = unpoisoned(slot.into_inner()).finish();
             stats.push(s);
             streams.push(e);
         }
@@ -412,12 +405,6 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     #[must_use]
     pub fn placed(&self) -> usize {
         self.placed
-    }
-
-    /// The logical synchronization counters accumulated so far.
-    #[must_use]
-    pub fn sync_stats(&self) -> SyncStats {
-        self.sync
     }
 
     /// `true` when `node` is *quiescent*: nothing running, waiting, or
@@ -432,7 +419,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn node_is_quiescent(&self, node: usize) -> bool {
-        let run = self.slots[node].lock().expect("node lock");
+        let run = unpoisoned(self.slots[node].lock());
         run.is_idle() && !run.is_dirty()
     }
 
@@ -446,7 +433,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     /// Panics if `node` is out of range.
     pub fn advance_node_to(&mut self, node: usize, t: f64) {
         self.sync.node_advances += 1;
-        let mut run = self.slots[node].lock().expect("node lock");
+        let mut run = unpoisoned(self.slots[node].lock());
         run.advance_until(self.suite, t);
         self.loads[node] = run.load(self.suite, t);
     }
@@ -465,13 +452,22 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     /// # Panics
     /// Panics if `node` is out of range.
     pub fn with_node<R>(&self, node: usize, f: impl FnOnce(&NodeRun<D>) -> R) -> R {
-        f(&self.slots[node].lock().expect("node lock"))
+        let run = unpoisoned(self.slots[node].lock());
+        f(&run)
     }
 
     /// Rebuild a drive mid-run from exported node states (paired with
-    /// dispatchers restored to the matching point), the load snapshots
-    /// taken at capture time, and the routing/sync counters. Resumes
+    /// dispatchers restored to the matching point), the instant `now`
+    /// of the last advance, and the sync counters. Resumes
     /// bit-identically to the drive the states were captured from.
+    ///
+    /// The rest is worked out from the states. Every routed job arrived
+    /// on one node, so the routing count is the sum of the nodes' jobs.
+    /// The load snapshots are taken again at `now`: a node advanced
+    /// there gets the snapshot that advance took plus the solo times of
+    /// the jobs placed on it since, summed in the same order, and a node
+    /// skipped since its last advance is quiescent, so its snapshot does
+    /// not depend on the instant.
     ///
     /// # Panics
     /// Panics on inconsistent geometry (no nodes, more than 64, or a
@@ -481,8 +477,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         suite: &'a Suite,
         gpus_per_node: usize,
         parts: Vec<(crate::sim::NodeRunState, D)>,
-        loads: Vec<NodeLoad>,
-        placed: usize,
+        now: f64,
         sync: SyncStats,
     ) -> Self {
         assert!(
@@ -490,13 +485,17 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
             "1..={MAX_NODES} nodes, got {}",
             parts.len()
         );
-        assert_eq!(parts.len(), loads.len(), "one load snapshot per node");
+        let placed = parts.iter().map(|(state, _)| state.jobs).sum();
         let slots: Vec<Mutex<NodeRun<D>>> = parts
             .into_iter()
             .map(|(state, dispatcher)| {
                 assert_eq!(state.n_gpus, gpus_per_node, "node geometry mismatch");
                 Mutex::new(NodeRun::from_state(state, dispatcher))
             })
+            .collect();
+        let loads = slots
+            .iter()
+            .map(|slot| unpoisoned(slot.lock()).load(suite, now))
             .collect();
         Self {
             suite,
@@ -508,6 +507,16 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
             sync,
         }
     }
+}
+
+/// A node's run out of its lock. The lock is poisoned only when a panic
+/// unwound while a node was borrowed — a dispatcher or `NodeRun` assert
+/// mid-advance, which the [`WorkerPool`] re-raises on the caller — and
+/// that panic ends the drive: nothing here catches it, so no later call
+/// meets the poison unless its caller caught the unwind and kept a
+/// drive whose node stopped halfway through an advance.
+fn unpoisoned<T>(lock: LockResult<T>) -> T {
+    lock.expect("a node lock is poisoned only by a panic that ended the drive")
 }
 
 /// Assemble the report around the merged event stream.

@@ -224,6 +224,7 @@ fn chunk() -> Vec<Record> {
 ///
 /// let mut log = EventLog::default();
 /// let event = |seq, time, kind| NodeEvent { time, node: 0, seq, kind };
+/// // Every field fits a record, so neither push fails.
 /// log.push(event(0, 1.0, EventKind::Arrival { job: 7 })).unwrap();
 /// let start = EventKind::Start { job_ids: &[7], gpus: 1, duration: 2.0 };
 /// log.push(event(1, 1.0, start)).unwrap();
@@ -619,12 +620,8 @@ impl<D: Dispatcher> NodeRun<D> {
     /// Move due arrivals onto the waiting queue.
     fn absorb_arrivals(&mut self) {
         let s = &mut self.state;
-        while s
-            .arrivals
-            .front()
-            .is_some_and(|j| j.arrival <= s.clock + TIME_EPS)
-        {
-            let job = s.arrivals.pop_front().expect("peeked");
+        let due = s.clock + TIME_EPS;
+        while let Some(job) = s.arrivals.pop_front_if(|j| j.arrival <= due) {
             s.record(job.arrival, Tag::Arrival, job.id as u64, IdRange::NONE, 0);
             s.waiting.push(job);
             s.dirty = true;
@@ -669,7 +666,10 @@ impl<D: Dispatcher> NodeRun<D> {
             s.waiting.retain(|j| !ids.contains(&j.id));
             s.free -= p.gpus;
             s.busy_gpu_seconds += p.duration * p.gpus as f64;
-            // `p.gpus <= free <= n_gpus`, which fits.
+            // `p.gpus <= free <= n_gpus`, which fits. The arena holds
+            // no more ids than the log has arrivals, which `record`
+            // bounds, so only a placement of more than 65 535 jobs
+            // fails here.
             let gpus = p.gpus as u16;
             let ids = s
                 .events
@@ -712,7 +712,9 @@ impl<D: Dispatcher> NodeRun<D> {
     ///
     /// # Panics
     /// Panics if the dispatcher over-allocates, references unknown
-    /// jobs, or (on a full drain) strands waiting jobs forever.
+    /// jobs, starts more than 65 535 jobs in one placement, or (on a
+    /// full drain) strands waiting jobs forever, and on the node's
+    /// 2³²-th event.
     pub fn advance_until(&mut self, suite: &Suite, horizon: f64) {
         loop {
             self.absorb_arrivals();

@@ -16,15 +16,20 @@
 //! *verbatim*: the service's one-job lookahead, every node's in-flight
 //! [`NodeRunState`] (waiting queue, recorded events, clocks — f64s as
 //! bit patterns, since re-deriving sums would not reproduce them;
-//! written from the borrowed node, never from a clone of it), the load
-//! snapshots, per-node dispatcher bookkeeping (a planner's
+//! written from the borrowed node, never from a clone of it),
+//! per-node dispatcher bookkeeping (a planner's
 //! [`BackfillState`]; a co-scheduling node has none), for the policy
 //! selector the agent's embedded `HRPP` blob, and for the admission
 //! tier the fair-share snapshot, the rolling admission digest and the
-//! quota-deferred queue. What a node's event log already says is not
-//! written twice: its running placements are the log's open `Start`s,
-//! its free GPUs the pool less theirs, its next sequence number the
-//! log's length.
+//! quota-deferred queue.
+//!
+//! Nothing is written that the rest determines. A node's running
+//! placements are its log's open `Start`s, its free GPUs the pool less
+//! theirs, its next sequence number the log's length, and its load
+//! snapshot the one its state gives at the last cycle. The decision
+//! count is the sum of the nodes' jobs. The sync rounds are the cycles,
+//! arrival and wake; the node advances are the re-plans, and the skips
+//! are the node visits of those rounds less the re-plans.
 //!
 //! Deterministic sources checkpoint as spec + position: a rebuilt
 //! source replays `consumed` draws to restore its RNG cursor exactly.
@@ -56,7 +61,7 @@ use hrp_cluster::fair::{FairShare, FairShareState};
 use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NODES};
 use hrp_cluster::place::{PlacementDispatcher, PlacementExperiment};
-use hrp_cluster::select::{NodeLoad, RoundRobin, SelectorKind};
+use hrp_cluster::select::{RoundRobin, SelectorKind};
 use hrp_cluster::sim::{Dispatcher, EventKind, EventLog, NodeEvent, NodeRunState, TIME_EPS};
 use hrp_cluster::trace::{TraceConfig, TraceKind};
 pub use hrp_core::codec::CheckpointError;
@@ -66,7 +71,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound::{self, Excluded, Unbounded};
 
 const MAGIC: &str = "HRPS";
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// Range of a spec float that must be positive (infinity allowed).
 const POSITIVE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Unbounded);
@@ -92,7 +97,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         };
 
         let mut spec = SpecWriter::new();
-        let sync = self.drive.sync_stats();
         spec.kv("nodes", self.cfg.nodes);
         spec.kv("gpus_per_node", self.cfg.gpus_per_node);
         spec.float("walltime_err", self.cfg.walltime_err);
@@ -107,14 +111,9 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         }
         spec.kv("cycles", self.stats.cycles);
         spec.kv("wake_cycles", self.stats.wake_cycles);
-        spec.kv("decisions", self.stats.decisions);
         spec.kv("nodes_replanned", self.stats.nodes_replanned);
-        spec.kv("nodes_skipped", self.stats.nodes_skipped);
         spec.kv("deferred", self.stats.deferred);
         spec.kv("rejected", self.stats.rejected);
-        spec.kv("placed", self.drive.placed());
-        spec.kv("sync_rounds", sync.sync_rounds);
-        spec.kv("node_advances", sync.node_advances);
         spec.kv("last_cycle_bits", self.last_cycle.to_bits());
         spec.kv("has_lookahead", u8::from(self.lookahead.is_some()));
         spec.kv("has_agent", u8::from(agent_blob.is_some()));
@@ -132,7 +131,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         for node in 0..self.cfg.nodes {
             self.drive.with_node(node, |run| {
                 put_node_state(&mut w, self.suite, run.state());
-                put_load(&mut w, &self.drive.loads()[node]);
                 put_dispatcher(&mut w, run.dispatcher());
             });
         }
@@ -185,21 +183,30 @@ pub fn restore(
             slo: spec.get_in("adm_slo", POSITIVE)?,
         });
     }
-    let stats = ServeStats {
-        cycles: spec.get("cycles")?,
-        wake_cycles: spec.get("wake_cycles")?,
-        decisions: spec.get("decisions")?,
-        nodes_replanned: spec.get("nodes_replanned")?,
-        nodes_skipped: spec.get("nodes_skipped")?,
-        deferred: spec.get("deferred")?,
-        rejected: spec.get("rejected")?,
+    let cycles: u64 = spec.get("cycles")?;
+    let wake_cycles: u64 = spec.get("wake_cycles")?;
+    let nodes_replanned: u64 = spec.get("nodes_replanned")?;
+    // Every cycle, arrival or wake, is one sync round that re-plans or
+    // skips each node, and every re-plan is one node advance.
+    let rounds = cycles.checked_add(wake_cycles);
+    let skipped = rounds
+        .and_then(|rounds| rounds.checked_mul(nodes as u64))
+        .and_then(|visits| visits.checked_sub(nodes_replanned));
+    let (Some(sync_rounds), Some(nodes_skipped)) = (rounds, skipped) else {
+        let what = format!(
+            "{nodes_replanned} re-plans in {cycles} + {wake_cycles} cycles of {nodes} nodes"
+        );
+        return Err(CheckpointError::invalid(MAGIC, what));
     };
     let sync = SyncStats {
-        sync_rounds: spec.get("sync_rounds")?,
-        node_advances: spec.get("node_advances")?,
+        sync_rounds,
+        node_advances: nodes_replanned,
     };
-    let placed = spec.get("placed")?;
+    let (deferred, rejected) = (spec.get("deferred")?, spec.get("rejected")?);
     let last_cycle = f64::from_bits(spec.get("last_cycle_bits")?);
+    ensure(MAGIC, instant(last_cycle), || {
+        format!("last cycle at {last_cycle}")
+    })?;
     let has_lookahead = spec.get::<u8>("has_lookahead")? != 0;
     let has_agent = spec.get::<u8>("has_agent")? != 0;
     ensure(MAGIC, has_agent == (kind == SelectorKind::Policy), || {
@@ -224,12 +231,9 @@ pub fn restore(
         .then(|| get_job(&mut body, jobs))
         .transpose()?;
     let mut records = Vec::with_capacity(nodes);
-    let mut loads = Vec::with_capacity(nodes);
     for node in 0..nodes {
-        let state = get_node_state(&mut body, node, jobs)?;
-        loads.push(get_load(&mut body, node, gpus_per_node)?);
         records.push((
-            state,
+            get_node_state(&mut body, node, jobs)?,
             get_dispatcher_record(&mut body, node, gpus_per_node)?,
         ));
     }
@@ -244,7 +248,7 @@ pub fn restore(
         return Err(CheckpointError::invalid(MAGIC, mismatch));
     }
     let admission = match &cfg.admission {
-        Some(acfg) => Some(get_admission(&mut body, acfg.quota, jobs)?),
+        Some(acfg) => Some(get_admission(&mut body, acfg, jobs)?),
         None => None,
     };
     body.finish()?;
@@ -255,7 +259,17 @@ pub fn restore(
         .into_iter()
         .map(|(state, record)| Ok((state, record.wind(selector.node_dispatcher(&cfg))?)))
         .collect::<Result<Vec<_>, CheckpointError>>()?;
-    let drive = ClusterDrive::from_states(suite, gpus_per_node, parts, loads, placed, sync);
+    let drive = ClusterDrive::from_states(suite, gpus_per_node, parts, last_cycle, sync);
+    let stats = ServeStats {
+        cycles,
+        wake_cycles,
+        // Each decision routed one job onto a node.
+        decisions: drive.placed() as u64,
+        nodes_replanned,
+        nodes_skipped,
+        deferred,
+        rejected,
+    };
     Ok(SchedulerService {
         suite,
         cfg,
@@ -570,35 +584,6 @@ fn get_events(r: &mut Reader<'_>, state: &mut NodeRunState) -> Result<(), Checkp
     Ok(())
 }
 
-fn put_load(w: &mut Writer, load: &NodeLoad) {
-    w.size(load.total_gpus);
-    w.size(load.free_gpus);
-    w.usize(load.queued_jobs);
-    w.f64(load.outstanding);
-}
-
-fn get_load(
-    r: &mut Reader<'_>,
-    node: usize,
-    gpus_per_node: usize,
-) -> Result<NodeLoad, CheckpointError> {
-    let load = NodeLoad {
-        node,
-        total_gpus: r.size()?,
-        free_gpus: r.size()?,
-        queued_jobs: r.usize()?,
-        outstanding: r.f64()?,
-    };
-    let consistent = load.total_gpus == gpus_per_node && load.free_gpus <= gpus_per_node;
-    ensure(MAGIC, consistent, || {
-        format!(
-            "node {node}: load snapshot of {}/{} GPUs on a {gpus_per_node}-GPU node",
-            load.free_gpus, load.total_gpus
-        )
-    })?;
-    Ok(load)
-}
-
 fn put_dispatcher(w: &mut Writer, dispatcher: &PlacementDispatcher) {
     match dispatcher {
         PlacementDispatcher::CoSched(_) => w.u8(0),
@@ -745,7 +730,7 @@ fn check_ledger(state: &FairShareState) -> Result<(), CheckpointError> {
 /// digest, and the quota-deferred queue.
 fn get_admission(
     r: &mut Reader<'_>,
-    quota: usize,
+    acfg: &AdmissionConfig,
     jobs: JobBounds<'_>,
 ) -> Result<AdmissionState, CheckpointError> {
     let state = FairShareState {
@@ -756,7 +741,8 @@ fn get_admission(
         releases: r.seq(8 + 8 + 4, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))?,
     };
     check_ledger(&state)?;
-    let mut adm = AdmissionState::with_share(FairShare::from_state(quota, &state));
+    let mut adm = AdmissionState::new(acfg);
+    adm.share = FairShare::from_state(acfg.quota, &state);
     adm.digest = r.u64()?;
     adm.deferred = r.seq(JOB_MIN, |r| get_job(r, jobs))?.into();
     Ok(adm)
@@ -987,9 +973,10 @@ mod tests {
             Err(CheckpointError::NotACheckpoint { expected: "HRPS" })
         );
         // Versions 1 (no tenant fields), 2 (two spec keys since
-        // retired) and 3 (node fields the event log already holds) are
+        // retired), 3 (node fields the event log already holds) and 4
+        // (load snapshots and counters the node records determine) are
         // as foreign as a future one.
-        for version in [0u32, 1, 2, 3, 99] {
+        for version in [0u32, 1, 2, 3, 4, 99] {
             let mut alien = Writer::new(MAGIC, version);
             alien.str("");
             assert_eq!(
@@ -1080,7 +1067,13 @@ mod tests {
             // A key the selector does not carry is unknown, as is one
             // the format retired (the chunked engine's counters).
             ("selector", "least-loaded\nrr_cursor=0"),
-            ("sync_rounds", "0\nrollbacks=0"),
+            ("rejected", "0\nrollbacks=0"),
+            // More re-plans than the cycles had node visits, and cycle
+            // counts whose visits overflow.
+            ("nodes_replanned", "18446744073709551615"),
+            ("cycles", "18446744073709551615"),
+            // A last cycle that is no instant.
+            ("last_cycle_bits", "9221120237041090560"),
             // The policy tier and its agent blob come as a pair.
             ("has_agent", "1"),
             ("selector", "policy"),

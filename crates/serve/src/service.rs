@@ -81,6 +81,7 @@ use std::time::{Duration, Instant};
 /// let served = service.finish();
 ///
 /// // Infinite SLO: nothing rejected, every arrival eventually admitted.
+/// // A service built with an admission tier reports its outcome.
 /// let outcome = served.admission.expect("admission tier was on");
 /// assert_eq!(served.stats.rejected, 0);
 /// assert_eq!(outcome.effective.len(), 24);
@@ -208,6 +209,11 @@ pub(crate) enum SelectorState {
 }
 
 impl SelectorState {
+    /// The state of a heuristic kind.
+    ///
+    /// # Panics
+    /// Panics for [`SelectorKind::Policy`], which needs an agent
+    /// ([`SelectorState::from_agent`]).
     pub(crate) fn from_kind(kind: SelectorKind) -> Self {
         match kind {
             SelectorKind::RoundRobin => Self::RoundRobin(RoundRobin::new()),
@@ -216,6 +222,7 @@ impl SelectorState {
                 "SelectorKind::Policy needs a trained agent; \
                  build the service via SchedulerService::with_agent"
             ),
+            // The three backfill kinds are the ones with a policy.
             SelectorKind::Fcfs | SelectorKind::Easy | SelectorKind::Conservative => {
                 Self::Backfill(kind.backfill_policy().expect("tier"))
             }
@@ -371,7 +378,9 @@ impl LatencyHistogram {
     pub(crate) fn summary(&self) -> LatencySummary {
         let n = self.samples;
         let us = |ns: u64| ns as f64 / 1e3;
-        // The `rank`-th smallest sample (1-based), bucketed.
+        // The `rank`-th smallest sample (1-based), bucketed. Every rank
+        // asked for is at most `n`, the sum of the counts, so some
+        // bucket brings the running count to it.
         let at_rank = |rank: u64| {
             let mut seen = 0;
             let bucket = self.counts.iter().position(|&count| {
@@ -445,6 +454,8 @@ pub struct ServeReport {
 /// decisions bit-exactly.
 pub(crate) struct AdmissionState {
     pub(crate) share: FairShare,
+    /// The reject threshold ([`AdmissionConfig::slo`]).
+    slo: f64,
     /// Quota-parked jobs in deferral order (FIFO re-examination, after
     /// a release).
     pub(crate) deferred: VecDeque<ClusterJob>,
@@ -456,13 +467,10 @@ pub(crate) struct AdmissionState {
 
 impl AdmissionState {
     pub(crate) fn new(cfg: &AdmissionConfig) -> Self {
-        Self::with_share(FairShare::new(cfg.quota))
-    }
-
-    pub(crate) fn with_share(share: FairShare) -> Self {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         Self {
-            share,
+            share: FairShare::new(cfg.quota),
+            slo: cfg.slo,
             deferred: VecDeque::new(),
             digest: FNV_OFFSET,
             effective: Vec::new(),
@@ -580,6 +588,9 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         Self::build(suite, cfg, SelectorState::from_agent(agent), source)
     }
 
+    /// # Panics
+    /// Panics if a policy tier's agent was shaped for another geometry
+    /// than `cfg`'s (see [`SchedulerService::with_agent`]).
     fn build(suite: &'a Suite, cfg: ServeConfig, selector: SelectorState, source: S) -> Self {
         if let Some(mismatch) = selector.geometry_mismatch(&cfg) {
             panic!("{mismatch}");
@@ -655,14 +666,14 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// Panics if the source hands out arrivals that move backwards in
     /// time, or a job wider than a node.
     pub fn step(&mut self) -> ServiceStep {
-        if self.lookahead.is_none() {
-            match self.source.poll() {
-                SourcePoll::Job(job) => self.lookahead = Some(job),
+        let head = match self.lookahead.take() {
+            Some(job) => job,
+            None => match self.source.poll() {
+                SourcePoll::Job(job) => job,
                 SourcePoll::Pending => return ServiceStep::Pending,
                 SourcePoll::Closed => return ServiceStep::Closed,
-            }
-        }
-        let head = self.lookahead.take().expect("just filled");
+            },
+        };
         let t = head.arrival;
         assert!(
             t.total_cmp(&self.last_cycle).is_ge(),
@@ -694,19 +705,21 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     fn cycle(&mut self, t: f64, burst: &mut Vec<ClusterJob>) {
         self.stats.cycles += 1;
         self.advance_cluster(t);
-        if self.admission.is_some() {
+        // The tier is lent out for the cycle so that its decisions and
+        // the placements they make can borrow the service side by side.
+        if let Some(mut adm) = self.admission.take() {
             // Deferred jobs are re-examined first (FIFO — they have
             // been waiting longest), then the fresh burst is ordered
             // by tenant karma at this instant: the lightest tenant's
             // jobs go through the door first, ties keep submission
             // order. Both steps are pure functions of the admission
             // state, so every engine replays them identically.
-            self.revisit_deferred(t);
-            let adm = self.admission.as_mut().expect("admission is on");
+            self.revisit_deferred(&mut adm, t);
             adm.share.order_burst(t, burst);
             for job in burst.drain(..) {
-                self.consider(t, job);
+                self.consider(&mut adm, t, job);
             }
+            self.admission = Some(adm);
         } else {
             for job in burst.drain(..) {
                 self.place_job(job);
@@ -743,8 +756,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// through on the effective trace; the digest and the selector then
     /// see those jobs in the same order. Neither half reads what the
     /// other writes, so the outcome is the one of deciding job by job.
-    fn revisit_deferred(&mut self, t: f64) {
-        let adm = self.admission.as_mut().expect("admission is on");
+    fn revisit_deferred(&mut self, adm: &mut AdmissionState, t: f64) {
         let released = adm.share.advance_to(t);
         let owed = std::mem::take(&mut self.walk_owed);
         if !(released || owed) {
@@ -758,7 +770,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             deferred,
             effective,
             ..
-        } = adm;
+        } = &mut *adm;
         deferred.retain_mut(|job| {
             if share.over_quota(job.user) {
                 return true;
@@ -770,7 +782,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             false
         });
         for index in first..effective.len() {
-            let adm = self.admission.as_mut().expect("admission is on");
             let job = adm.effective[index].clone();
             adm.record(&job, t);
             self.place_job(job);
@@ -782,17 +793,15 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// admit — charging karma, scheduling the estimated release, and
     /// placing the job with its arrival rewritten to the admission
     /// instant (the effective arrival the batch oracle replays).
-    fn consider(&mut self, t: f64, mut job: ClusterJob) {
-        let slo = self.cfg.admission.as_ref().expect("admission is on").slo;
+    fn consider(&mut self, adm: &mut AdmissionState, t: f64, mut job: ClusterJob) {
         let work = job.solo_time(self.suite);
-        if slo.is_finite() {
+        if adm.slo.is_finite() {
             let wait = self.projected_wait(&job);
-            if (wait + work) / work > slo {
+            if (wait + work) / work > adm.slo {
                 self.stats.rejected += 1;
                 return;
             }
         }
-        let adm = self.admission.as_mut().expect("admission is on");
         if adm.share.over_quota(job.user) {
             self.stats.deferred += 1;
             adm.deferred.push_back(job);
@@ -857,8 +866,9 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         );
         self.stats.wake_cycles += 1;
         self.advance_cluster(t);
-        if self.admission.is_some() {
-            self.revisit_deferred(t);
+        if let Some(mut adm) = self.admission.take() {
+            self.revisit_deferred(&mut adm, t);
+            self.admission = Some(adm);
         }
         self.last_cycle = t;
     }
@@ -876,6 +886,13 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// that eventually close (finite traces, load generators, channels
     /// whose producers hang up); a live deployment drives `step` /
     /// `settle` itself.
+    ///
+    /// # Panics
+    /// Panics as [`SchedulerService::step`] does. The wake-up it counts
+    /// on while jobs are parked is always there: a parked job's tenant
+    /// is at quota, so it has an admission in flight whose estimated
+    /// release is pending (a restored ledger is checked to pair every
+    /// in-flight admission with a release).
     pub fn run_to_close(&mut self) {
         loop {
             match self.step() {

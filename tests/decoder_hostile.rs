@@ -13,8 +13,9 @@
 //!   and those bytes are the ones the parent commit's writers produced
 //!   (length + FNV-1a digest captured there, before any writer moved);
 //! * every truncation is a typed error;
-//! * every byte set to `0x00`, `0xff`, `^0x01`, `^0x80`, and every
+//! * every byte set to `0x00`, `0xff`, `^0x01`, `^0x80`, every
 //!   four-byte window (so every `u32` length prefix) set to `u32::MAX`,
+//!   and a fixed number of seeded draws of 2–4 bytes damaged at once,
 //!   decodes to `Ok` or a typed error — never a panic, never an abort;
 //! * the largest single allocation any of those decodes requests stays
 //!   under a stated constant plus a small multiple of the blob length,
@@ -26,6 +27,8 @@
 //! absurd requests while armed, so a decoder that does trust a forged
 //! size aborts this test binary instead of exhausting the machine.
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -257,15 +260,19 @@ fn corpus(suite: &Suite) -> Vec<(String, Vec<u8>, Decode)> {
 /// already says and what no advance reservation fills (PR 25: 1 437 →
 /// 1 333, 1 449 → 1 345, 1 476 → 1 410, 1 919 → 1 799; each new blob is
 /// the parent's with those fields cut and the version word set to 4,
-/// byte for byte).
+/// byte for byte). And once more when `HRPS` v5 stopped writing the
+/// load snapshots and the five counters its node records determine
+/// (1 333 → 1 216, 1 345 → 1 228, 1 410 → 1 295, 1 799 → 1 682; again
+/// the parent's blob with those fields cut and the version word set to
+/// 5, byte for byte).
 const GOLDEN: [(&str, usize, u64); 7] = [
     ("HRPQ", 380, 0x168e_3209_c0ac_404a),
     ("HRPE", 1826, 0xfb19_4aad_5085_9eb3),
     ("HRPP", 600, 0x7be9_3b15_e7a2_3012),
-    ("HRPS LeastLoaded", 1333, 0x1b1f_6615_b84a_1f7e),
-    ("HRPS RoundRobin", 1345, 0xb780_7632_cbe2_1ec8),
-    ("HRPS EasyAdmission", 1410, 0xa134_5cf0_03b7_e51b),
-    ("HRPS Policy", 1799, 0x7fa8_43a9_457b_b5d6),
+    ("HRPS LeastLoaded", 1216, 0xe8a8_c498_5e02_174e),
+    ("HRPS RoundRobin", 1228, 0xfa7b_d6b2_a95c_e3f8),
+    ("HRPS EasyAdmission", 1295, 0xb120_d487_b086_7da5),
+    ("HRPS Policy", 1682, 0x2667_a42c_aa3a_ba78),
 ];
 
 #[test]
@@ -302,6 +309,11 @@ const ALLOC_FLOOR: usize = 512 * 1024;
 /// ... plus this multiple of the blob length (decoded records are a few
 /// times wider in memory than on the wire).
 const ALLOC_PER_BYTE: usize = 8;
+
+/// Seeded draws of multi-byte damage per corpus blob. Single-site
+/// damage is swept exhaustively; this samples what no single byte can
+/// do, such as a length prefix and the bytes it covers changed together.
+const MULTI_SITE_DRAWS: usize = 1_500;
 
 /// What one sweep saw.
 #[derive(Default)]
@@ -359,6 +371,22 @@ fn hostile_bytes_never_panic_abort_or_size_an_allocation() {
                 forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
                 sweep.run("u32::MAX", at, &s, decode, forged);
             }
+        }
+        // 2–4 distinct sites per draw, each byte xor-ed with a nonzero
+        // mask; a panic is reported by the draw's number.
+        let mut rng = SmallRng::seed_from_u64(fnv1a(name.as_bytes()));
+        for draw in 0..MULTI_SITE_DRAWS {
+            let sites = rng.gen_range(2usize..5);
+            let mut forged = blob.clone();
+            let mut damaged: Vec<usize> = Vec::with_capacity(sites);
+            while damaged.len() < sites {
+                let at = rng.gen_range(0..blob.len());
+                if !damaged.contains(&at) {
+                    damaged.push(at);
+                    forged[at] ^= rng.gen_range(1u32..256) as u8;
+                }
+            }
+            sweep.run("multi-site", draw, &s, decode, forged);
         }
         report.push((name, blob.len(), sweep));
     }
@@ -495,15 +523,17 @@ fn forged_experiment_specs_are_typed_errors() {
     }
 }
 
-/// `HRPS` v3 retired two spec keys, and v4 the node fields its event
-/// log already holds. A v2 or v3 blob is a version error, not a guess at
-/// what its extra lines or fields meant, and a spec that still carries a
-/// retired key is refused like any other key the format does not have.
-/// (The names are split so that a search for them finds no live use.)
+/// `HRPS` v3 retired two spec keys, v4 the node fields its event log
+/// already holds, and v5 the load snapshots and the counters its node
+/// records determine. A v2, v3 or v4 blob is a version error, not a
+/// guess at what its extra lines or fields meant, and a spec that still
+/// carries a retired key is refused like any other key the format does
+/// not have. (The names of options retired outright are split so that a
+/// search for them finds no live use.)
 #[test]
 fn retired_hrps_versions_and_keys_are_typed_errors() {
     let s = suite();
-    for version in [2u32, 3] {
+    for version in [2u32, 3, 4] {
         let mut old = hrps_blob(&s, Tier::LeastLoaded);
         old[4..8].copy_from_slice(&version.to_le_bytes());
         let (outcome, peak) = peak_alloc(|| restore(&s, old.into()).map(drop));
@@ -532,6 +562,11 @@ fn retired_hrps_versions_and_keys_are_typed_errors() {
             "mode=incremental",
         ),
         (Tier::EasyAdmission, "adm_quota", "1", half_life),
+        (Tier::LeastLoaded, "cycles", "4", "decisions=10"),
+        (Tier::LeastLoaded, "nodes_replanned", "8", "nodes_skipped=0"),
+        (Tier::RoundRobin, "rejected", "0", "placed=10"),
+        (Tier::RoundRobin, "rejected", "0", "sync_rounds=4"),
+        (Tier::EasyAdmission, "rejected", "0", "node_advances=8"),
     ] {
         let forged = tamper_spec(&hrps_blob(&s, tier), after, &format!("{kept}\n{retired}"));
         let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));

@@ -154,7 +154,7 @@ fn declared<'a>(line: &'a str, keyword: &'a str) -> impl Iterator<Item = &'a str
 fn every_pub_fn_has_a_caller() {
     let uncalled_on_purpose = [
         // The batch oracle the admission tier is checked against
-        // (`serve_contract`, `golden_fair`, hrp-serve's unit tests).
+        // (`oracle`'s harness, hrp-serve's unit tests).
         "crates/cluster/src/multinode.rs::with_fair_order",
         // `slots_contract` and `planner_contract` read the profile back
         // point by point; `slots_contract` and `alloc_free` hold its
@@ -170,9 +170,10 @@ fn every_pub_fn_has_a_caller() {
         // `env_contract`: the two-level action a flat action decodes to.
         "crates/core/src/hierarchy.rs::path_of_flat",
         // The evaluation trace `repro cluster` rows are compared on,
-        // read back by `golden_backfill`.
+        // which `oracle`'s `backfill/` rows pin.
         "crates/bench/src/cluster.rs::evaluation_trace",
-        // The staggered trace of `golden_cluster` and the module doctest.
+        // The staggered trace of the module doctest and `cluster_perf`
+        // (`oracle`'s `cluster/` rows generate it as its trace kind).
         "crates/cluster/src/multinode.rs::staggered_trace",
         // `properties.rs`: no compiled partition hands out more compute
         // than the GPU has.

@@ -8,16 +8,16 @@
 //! * `PolicySelector` job conservation: an (untrained, deterministic)
 //!   RL placement policy routed through `MultiNodeSim` arrives,
 //!   starts, and finishes every generated job exactly once, with a
-//!   thread-count-invariant timeline — extending the
-//!   `tests/multinode_contract.rs` guarantees to the generated-trace ×
-//!   RL-selector quadrant.
+//!   thread-count-invariant timeline — extending the conservation
+//!   checker of `tests/oracle.rs`, whose cases cover the heuristic
+//!   selectors, to the generated-trace × RL-selector quadrant.
 
 mod common;
+use common::harness::{conservation, Run};
 use common::test_threads;
 
 use hrp::cluster::multinode::MultiNodeSim;
 use hrp::cluster::place::{PlacementAgent, PlacementConfig};
-use hrp::cluster::sim::EventKind;
 use hrp::cluster::trace::{generate, TraceConfig, TraceKind, TRACE_KINDS};
 use hrp::cluster::CoSchedulingDispatcher;
 use hrp::prelude::*;
@@ -104,33 +104,9 @@ proptest! {
                 .run(&s, trace.clone(), &mut sel, |_| dispatcher())
         };
         let report = run(1);
-        let mut arrived = vec![0usize; jobs];
-        let mut started = vec![0usize; jobs];
-        let mut finished = vec![0usize; jobs];
-        for e in report.timeline.events.iter() {
-            match e.kind {
-                EventKind::Arrival { job } => arrived[job] += 1,
-                EventKind::Start { job_ids, .. } => {
-                    for id in job_ids {
-                        started[*id] += 1;
-                    }
-                }
-                EventKind::Finish { job_ids, .. } => {
-                    for id in job_ids {
-                        finished[*id] += 1;
-                    }
-                }
-            }
-        }
-        prop_assert!(arrived.iter().all(|&c| c == 1), "every job arrives exactly once");
-        prop_assert!(started.iter().all(|&c| c == 1), "every job starts exactly once");
-        prop_assert!(finished.iter().all(|&c| c == 1), "every job finishes exactly once");
-        prop_assert_eq!(report.completed_jobs(), jobs);
-        let routed: usize = report.per_node.iter().map(|p| p.jobs).sum();
-        prop_assert_eq!(routed, jobs, "the policy routed every job somewhere");
-
-        // And the RL-policy timeline is invariant to the fan-out width.
+        // The RL-policy timeline is invariant to the fan-out width.
         let wide = run(test_threads());
         prop_assert_eq!(&wide, &report, "policy timeline drifted across thread counts");
+        conservation(&Run::batch("policy selector".into(), report), jobs, &format!("{kind:?}"));
     }
 }
