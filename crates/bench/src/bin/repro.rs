@@ -1,15 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--quick] [--seed N] [--threads N] [--overlap] [--shards N]
-//!       [--env flat|hierarchical] [--nodes N]
-//!       [--selector round-robin|least-loaded|policy|fcfs|easy|conservative]
-//!       [--trace uniform|bursty|skewed|heavy-tail|colocate|staggered]
-//!       [--walltime-err F]
-//!       [--source trace|poisson|bursty] [--rate F] [--duration F]
-//!       [--users N] [--user-skew F] [--quota N] [--slo F]
-//!       [--checkpoint PATH] [--restore PATH]
-//!       [--out DIR] <command>
+//! repro [FLAGS] <command>          (`repro --help` lists the flags)
 //!
 //! commands:
 //!   table4    benchmark classification (Table IV)
@@ -38,70 +30,49 @@
 //!
 //! `--quick` shrinks the network and episode count for smoke runs; the
 //! defaults reproduce the paper-scale configuration. `--threads N` caps
-//! the rollout/evaluation worker threads (default: available
-//! parallelism); results are identical for any thread count.
-//! `--overlap` double-buffers training rounds (one round of policy
-//! staleness, learner latency hidden behind rollouts) and `--shards N`
-//! shards the replay path; both change training semantics
-//! deterministically — see `ARCHITECTURE.md`. `--env hierarchical`
-//! trains the paper's two-level MIG → MPS formulation instead of the
-//! flat 29-action catalog; evaluation tables then carry a flat-trained
-//! reference row alongside the hierarchical agent and the heuristics.
-//! `--nodes N` sizes the `cluster` command's simulated cluster,
-//! `--trace` picks the evaluation trace kind (see
-//! `hrp_cluster::trace`), and `--selector` its placement policy —
-//! `--selector policy` first trains an RL placement agent on
-//! same-kind traces (reward = the realized simulation, see
-//! `hrp_cluster::place`) and reports it beside the round-robin and
-//! least-loaded rows, while `--selector easy` (or `conservative`)
-//! runs the slot-tree backfilling planner (see
-//! `hrp_cluster::backfill`) and reports it beside the strict-FCFS
-//! row and the other backfill policy. `--walltime-err F` (default 0,
-//! valid range `[0, 1)`) perturbs the walltime *estimates* the
-//! planner schedules against by up to ±F of the true duration — the
-//! simulated runtimes themselves never change. With `--nodes 1` the
-//! multi-node path reproduces
-//! the single-node simulator bit-for-bit, and the merged timeline —
-//! and the trained policy — are identical for any `--threads` value.
+//! the worker threads; results are identical for any count. `--overlap`
+//! (double-buffered rounds, one round of policy staleness) and
+//! `--shards N` (sharded replay) change training semantics
+//! deterministically (`ARCHITECTURE.md`); `--env hierarchical` trains the
+//! paper's two-level MIG → MPS formulation and adds a flat-trained
+//! reference row to the evaluation tables.
 //!
-//! The `serve` command runs the online scheduler service
-//! (`hrp-serve`) once, on `--nodes` nodes of two GPUs under
-//! `--selector` (any heuristic; `policy` services come from
-//! `--restore`), and reports one `serve_run` table and a `# digest`
-//! line. Arrivals come from `--source`: `trace` (the default) replays
-//! a generated `--trace` of 20 000 jobs (2 000 with `--quick`), while
-//! `poisson`/`bursty` run an open-loop load generator offering
-//! `--rate` jobs per simulated second until `--duration` seconds.
-//! `--checkpoint PATH` writes a live `HRPS` snapshot mid-run and keeps
-//! going; `--restore PATH` rebuilds a killed service from its snapshot
-//! and drains it — the restored run's digest is bit-identical to the
-//! uninterrupted one's.
+//! `cluster` simulates `--nodes N` nodes on a `--trace` kind under a
+//! `--selector`: `policy` first trains an RL placement agent on same-kind
+//! traces and reports it beside round-robin and least-loaded; `easy` and
+//! `conservative` run the slot-tree backfilling planner beside strict
+//! FCFS and the other backfill policy, against walltime estimates off by
+//! up to ±`--walltime-err` of the truth (the simulated runtimes never
+//! change). With `--nodes 1` it reproduces the single-node simulator
+//! bit-for-bit, and its timeline and trained policy are identical for
+//! any `--threads`.
 //!
-//! `--users N` tags arrivals with `N` Zipf-skewed tenants
-//! (`--user-skew` overrides the exponent) and puts the admission
-//! tier in front of the selector: `--quota N` caps each tenant's
-//! in-flight jobs and `--slo F` rejects arrivals whose projected
-//! slowdown exceeds `F`; the report gains the deferred/rejected
-//! counters and a `# admission digest` line.
-//! `repro cluster --users N` tags the evaluation trace the same way
-//! and appends a `cluster_fairness` table (per-tenant Jain/spread
-//! per selector row). `--restore` rebuilds the tagged source and
-//! admission tier from the snapshot, so the fairness flags are
-//! rejected there.
+//! `serve` runs the online scheduler service once, on `--nodes` nodes of
+//! two GPUs under a heuristic `--selector`, and reports one `serve_run`
+//! table and a `# digest` line. Arrivals replay a generated `--trace`
+//! (20 000 jobs, 2 000 with `--quick`) or, with `--source
+//! poisson|bursty`, come from a load generator at `--rate` jobs per
+//! simulated second until `--duration`. `--checkpoint PATH` writes a live
+//! `HRPS` snapshot mid-run; `--restore PATH` rebuilds the killed service
+//! from it and drains it to the same digest.
 //!
-//! Malformed invocations (unknown flags or commands, missing or
-//! unparsable values, `--shards 0`, `--nodes 0`, `--walltime-err`
-//! outside `[0, 1)` (or NaN), `--rate`/`--duration` zero,
-//! negative, or non-finite, `--users 0`, `--user-skew` zero, negative,
-//! or NaN,
-//! `--quota 0`, `--slo` zero, negative, or NaN,
-//! `--user-skew`/`--quota`/`--slo` without `--users`,
-//! `--env`/`--selector`/`--trace`/`--source` typos,
-//! `--checkpoint` colliding with `--restore`, `serve --selector
-//! policy`, fairness flags combined with `--restore`, an `--out`
-//! directory that cannot be created) exit with
-//! status 2 and a usage message rather than panicking or silently
-//! defaulting.
+//! `--users N` tags arrivals with `N` Zipf-skewed tenants (`--user-skew`
+//! sets the exponent). In `serve` it puts the admission tier in front of
+//! the selector (`--quota N` in-flight jobs per tenant; `--slo F` rejects
+//! a projected slowdown above `F`), and the report gains the
+//! deferred/rejected counters and a `# admission digest` line; in
+//! `cluster` it appends a per-tenant `cluster_fairness` table.
+//! `--restore` rebuilds the tenants and the tier from the snapshot, so it
+//! takes none of these flags.
+//!
+//! Each flag is read by a fixed set of commands (`FLAGS`, the one source
+//! of parsing and of the usage message), and every other command rejects
+//! it. A malformed invocation — an unknown or unread flag, an unknown
+//! command, a missing or out-of-range value, `--user-skew`/`--quota`/
+//! `--slo` without `--users`, `--checkpoint` with `--restore`, `serve
+//! --selector policy`, an `--out` directory that cannot be created —
+//! exits with status 2 and the usage message, never a panic or a silent
+//! default.
 
 use hrp_bench::eval::{
     ablate_agent, ablate_interference, ablate_reward, evaluation_queues, run_full, FullEvaluation,
@@ -198,43 +169,202 @@ impl Options {
     }
 }
 
-const USAGE: &str = "usage: repro [--quick] [--seed N] [--threads N] [--overlap] [--shards N] \
-[--env flat|hierarchical] [--nodes N] \
-[--selector round-robin|least-loaded|policy|fcfs|easy|conservative] \
-[--trace uniform|bursty|skewed|heavy-tail|colocate|staggered] \
-[--walltime-err F] \
-[--source trace|poisson|bursty] [--rate F] [--duration F] \
-[--users N] [--user-skew F] [--quota N] [--slo F] \
-[--checkpoint PATH] [--restore PATH] \
-[--out DIR|--no-out] <command>
-commands: table4 table5 table7 fig3 fig4 fig5 fig8 fig9 fig10 fig11 fig12
-          overhead oracle cluster serve
-          ablate-reward ablate-agent ablate-interference all";
+/// One flag: its spelling, the placeholder of its value, which commands
+/// read it, and how its value is checked and stored. `FLAGS` is the one
+/// source of parsing and of [`usage`].
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the usage message; empty for a switch.
+    value: &'static str,
+    /// Whether a command reads the flag; any other command rejects it.
+    reads: fn(&str) -> bool,
+    /// Check the raw value and store it (a bad one is a usage error).
+    set: fn(&mut Options, &Flag, &str),
+}
+
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    reads: fn(&str) -> bool,
+    set: fn(&mut Options, &Flag, &str),
+) -> Flag {
+    Flag {
+        name,
+        value,
+        reads,
+        set,
+    }
+}
+
+/// The commands that train the co-scheduling agent, and so read its knobs.
+fn trains(cmd: &str) -> bool {
+    let training = ["fig8", "fig9", "fig10", "fig11", "fig12", "overhead"];
+    training.contains(&cmd) || matches!(cmd, "ablate-reward" | "ablate-agent" | "all")
+}
+
+/// The commands that place jobs on simulated nodes.
+fn places(cmd: &str) -> bool {
+    matches!(cmd, "cluster" | "serve" | "all")
+}
+
+fn serves(cmd: &str) -> bool {
+    cmd == "serve"
+}
+
+/// The commands that evaluate fixed policies on the evaluation queues.
+fn evaluates(cmd: &str) -> bool {
+    matches!(cmd, "oracle" | "ablate-interference")
+}
+
+/// The commands that draw anything from `--seed`.
+fn seeded(cmd: &str) -> bool {
+    trains(cmd) || places(cmd) || evaluates(cmd) || cmd == "table5"
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--quick", "", |c| trains(c) || serves(c) || c == "cluster", |o, _, _| o.quick = true),
+    flag("--seed", "N", seeded, |o, f, raw| o.seed = number(f, raw)),
+    flag("--threads", "N", |c| trains(c) || evaluates(c) || c == "cluster",
+         |o, f, raw| o.threads = number(f, raw)),
+    flag("--overlap", "", trains, |o, _, _| o.overlap = true),
+    flag("--shards", "N", trains, |o, f, raw| o.shards = checked(f, raw, "at least 1", |n| *n > 0)),
+    flag("--env", "flat|hierarchical", trains,
+         |o, f, raw| o.env = EnvKind::parse(raw).unwrap_or_else(|_| unknown(f, raw))),
+    flag("--nodes", "N", places,
+         |o, f, raw| o.nodes = checked(f, raw, "in 1..=64", |n| (1..=64).contains(n))),
+    flag("--selector", "round-robin|least-loaded|policy|fcfs|easy|conservative", places,
+         |o, f, raw| o.selector = SelectorKind::parse(raw).unwrap_or_else(|_| unknown(f, raw))),
+    flag("--trace", "uniform|bursty|skewed|heavy-tail|colocate|staggered", places,
+         |o, f, raw| o.trace = TraceKind::parse(raw).unwrap_or_else(|_| unknown(f, raw))),
+    // NaN fails the containment check too.
+    flag("--walltime-err", "F", places,
+         |o, f, raw| o.walltime_err = checked(f, raw, "in [0, 1)", |x| (0.0..1.0).contains(x))),
+    flag("--source", "trace|poisson|bursty", serves, |o, f, raw| o.source = match raw {
+        "trace" => ServeSource::Trace,
+        "poisson" => ServeSource::Load(LoadShape::Poisson),
+        "bursty" => ServeSource::Load(LoadShape::Bursty),
+        _ => unknown(f, raw),
+    }),
+    flag("--rate", "F", serves, |o, f, raw| o.rate = positive_finite(f, raw)),
+    flag("--duration", "F", serves, |o, f, raw| o.duration = positive_finite(f, raw)),
+    flag("--users", "N", places, |o, f, raw| o.users = checked(f, raw, "at least 1", |n| *n > 0)),
+    flag("--user-skew", "F", places, |o, f, raw| o.user_skew = Some(positive_finite(f, raw))),
+    flag("--quota", "N", serves,
+         |o, f, raw| o.quota = Some(checked(f, raw, "at least 1", |n| *n > 0))),
+    // Infinity is allowed (never reject); NaN fails the comparison.
+    flag("--slo", "F", serves, |o, f, raw| o.slo = Some(checked(f, raw, "positive", |x| *x > 0.0))),
+    flag("--checkpoint", "PATH", serves, |o, _, raw| o.checkpoint = Some(raw.into())),
+    flag("--restore", "PATH", serves, |o, _, raw| o.restore = Some(raw.into())),
+    flag("--out", "DIR", |_| true, |o, _, raw| o.out = Some(raw.into())),
+    flag("--no-out", "", |_| true, |o, _, _| o.out = None),
+];
+
+/// What a command runs.
+type Run = fn(&Suite, &Options);
+
+/// Every command and what it runs.
+const COMMANDS: &[(&str, Run)] = &[
+    ("table4", table4),
+    ("table5", table5),
+    ("table7", |_, opts| table7(opts)),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig8", |suite, opts| {
+        emit_fig8(&run_full(suite, opts.train_cfg()), opts);
+    }),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", |suite, opts| {
+        emit_fig11(&run_full(suite, opts.train_cfg()), opts);
+    }),
+    ("fig12", |suite, opts| {
+        emit_fig12(&run_full(suite, opts.train_cfg()), opts);
+    }),
+    ("overhead", |suite, opts| {
+        emit_overhead(&run_full(suite, opts.train_cfg()), opts);
+    }),
+    ("oracle", oracle_cmd),
+    ("cluster", cluster_cmd),
+    ("serve", serve_cmd),
+    ("ablate-reward", ablate_reward_cmd),
+    ("ablate-agent", ablate_agent_cmd),
+    ("ablate-interference", ablate_interference_cmd),
+    ("all", all_cmd),
+];
+
+/// The usage message: every flag, then every command.
+fn usage() -> String {
+    let flags = FLAGS.iter().map(|flag| match flag.value {
+        "" => format!("[{}]", flag.name),
+        value => format!("[{} {value}]", flag.name),
+    });
+    let commands = COMMANDS.iter().map(|(name, _)| (*name).to_owned());
+    format!(
+        "{}\n{}",
+        wrap("usage: repro", flags.chain(["<command>".to_owned()])),
+        wrap("commands:", commands)
+    )
+}
+
+/// `head`, then `words` one space apart, folded at 78 columns and
+/// indented under the first word.
+fn wrap(head: &str, words: impl Iterator<Item = String>) -> String {
+    let mut out = head.to_owned();
+    let mut width = head.len();
+    for word in words {
+        if width + 1 + word.len() > 78 {
+            out.push('\n');
+            out.push_str(&" ".repeat(head.len()));
+            width = head.len();
+        }
+        out.push(' ');
+        out.push_str(&word);
+        width += 1 + word.len();
+    }
+    out
+}
 
 /// Reject a malformed invocation: message + usage, exit status 2 (never
 /// a panic, never a silent default).
 fn fail(msg: &str) -> ! {
     eprintln!("repro: {msg}");
-    eprintln!("{USAGE}");
+    eprintln!("{}", usage());
     std::process::exit(2);
 }
 
-/// The value of a flag that requires one, or a usage error.
-fn flag_value<'a, I: Iterator<Item = &'a String>>(args: &mut I, flag: &str) -> &'a str {
-    match args.next() {
-        Some(v) => v,
-        None => fail(&format!("{flag} requires a value")),
-    }
+/// A flag's value as a number, or a usage error naming the bad input.
+fn number<T: std::str::FromStr>(flag: &Flag, raw: &str) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| fail(&format!("{} expects a number, got '{raw}'", flag.name)))
 }
 
-/// Parse a flag value, or a usage error naming the bad input.
-fn parse_flag<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
-    raw.parse()
-        .unwrap_or_else(|_| fail(&format!("{flag} expects a number, got '{raw}'")))
+/// A flag's value as a number `ok` accepts, or a usage error saying
+/// what it must be.
+fn checked<T: std::str::FromStr>(flag: &Flag, raw: &str, must_be: &str, ok: fn(&T) -> bool) -> T {
+    let value = number(flag, raw);
+    if !ok(&value) {
+        fail(&format!("{} must be {must_be} (got '{raw}')", flag.name));
+    }
+    value
+}
+
+fn positive_finite(flag: &Flag, raw: &str) -> f64 {
+    checked(flag, raw, "positive and finite", |x: &f64| {
+        x.is_finite() && *x > 0.0
+    })
+}
+
+/// A value that names none of a flag's choices.
+fn unknown(flag: &Flag, raw: &str) -> ! {
+    fail(&format!(
+        "unknown {} value '{raw}' (expected {})",
+        flag.name, flag.value
+    ))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Options {
         quick: false,
         seed: 42,
@@ -257,190 +387,54 @@ fn main() {
         quota: None,
         slo: None,
     };
-    let mut cmd: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--seed" => opts.seed = parse_flag("--seed", flag_value(&mut it, "--seed")),
-            "--out" => opts.out = Some(PathBuf::from(flag_value(&mut it, "--out"))),
-            "--no-out" => opts.out = None,
-            "--threads" => {
-                opts.threads = parse_flag("--threads", flag_value(&mut it, "--threads"));
-            }
-            "--overlap" => opts.overlap = true,
-            "--shards" => {
-                let raw = flag_value(&mut it, "--shards");
-                let n: usize = parse_flag("--shards", raw);
-                if n == 0 {
-                    fail("--shards must be at least 1 (got '0')");
-                }
-                opts.shards = n;
-            }
-            "--env" => {
-                let raw = flag_value(&mut it, "--env");
-                opts.env = EnvKind::parse(raw).unwrap_or_else(|bad| {
-                    fail(&format!(
-                        "unknown --env value '{bad}' (expected 'flat' or 'hierarchical')"
-                    ))
-                });
-            }
-            "--nodes" => {
-                let raw = flag_value(&mut it, "--nodes");
-                let n: usize = parse_flag("--nodes", raw);
-                if !(1..=64).contains(&n) {
-                    fail(&format!("--nodes must be in 1..=64 (got '{raw}')"));
-                }
-                opts.nodes = n;
-            }
-            "--selector" => {
-                let raw = flag_value(&mut it, "--selector");
-                opts.selector = SelectorKind::parse(raw).unwrap_or_else(|bad| {
-                    fail(&format!(
-                        "unknown --selector value '{bad}' \
-                         (expected 'round-robin', 'least-loaded', 'policy', \
-                         'fcfs', 'easy', or 'conservative')"
-                    ))
-                });
-            }
-            "--walltime-err" => {
-                let raw = flag_value(&mut it, "--walltime-err");
-                let f: f64 = parse_flag("--walltime-err", raw);
-                // NaN fails the containment check too; reject it
-                // alongside the out-of-range values rather than
-                // silently defaulting.
-                if !(0.0..1.0).contains(&f) {
-                    fail(&format!("--walltime-err must be in [0, 1) (got '{raw}')"));
-                }
-                opts.walltime_err = f;
-            }
-            "--source" => {
-                let raw = flag_value(&mut it, "--source");
-                opts.source = match raw {
-                    "trace" => ServeSource::Trace,
-                    "poisson" => ServeSource::Load(LoadShape::Poisson),
-                    "bursty" => ServeSource::Load(LoadShape::Bursty),
-                    bad => fail(&format!(
-                        "unknown --source value '{bad}' \
-                         (expected 'trace', 'poisson', or 'bursty')"
-                    )),
-                };
-            }
-            "--rate" => {
-                let raw = flag_value(&mut it, "--rate");
-                let r: f64 = parse_flag("--rate", raw);
-                // NaN fails the comparison too; reject it alongside
-                // zero and the negatives.
-                if !(r.is_finite() && r > 0.0) {
-                    fail(&format!("--rate must be positive and finite (got '{raw}')"));
-                }
-                opts.rate = r;
-            }
-            "--duration" => {
-                let raw = flag_value(&mut it, "--duration");
-                let d: f64 = parse_flag("--duration", raw);
-                if !(d.is_finite() && d > 0.0) {
-                    fail(&format!(
-                        "--duration must be positive and finite (got '{raw}')"
-                    ));
-                }
-                opts.duration = d;
-            }
-            "--users" => {
-                let raw = flag_value(&mut it, "--users");
-                let n: u32 = parse_flag("--users", raw);
-                if n == 0 {
-                    fail("--users must be at least 1 (omit the flag for an untagged trace)");
-                }
-                opts.users = n;
-            }
-            "--user-skew" => {
-                let raw = flag_value(&mut it, "--user-skew");
-                let s: f64 = parse_flag("--user-skew", raw);
-                // NaN fails the comparison too; reject it alongside
-                // zero and the negatives.
-                if !(s.is_finite() && s > 0.0) {
-                    fail(&format!(
-                        "--user-skew must be positive and finite (got '{raw}')"
-                    ));
-                }
-                opts.user_skew = Some(s);
-            }
-            "--quota" => {
-                let raw = flag_value(&mut it, "--quota");
-                let n: usize = parse_flag("--quota", raw);
-                if n == 0 {
-                    fail("--quota must be at least 1 (nothing could ever be admitted)");
-                }
-                opts.quota = Some(n);
-            }
-            "--slo" => {
-                let raw = flag_value(&mut it, "--slo");
-                let s: f64 = parse_flag("--slo", raw);
-                // Infinity is allowed (never reject); NaN, zero, and
-                // the negatives are not.
-                if s.is_nan() || s <= 0.0 {
-                    fail(&format!("--slo must be positive (got '{raw}')"));
-                }
-                opts.slo = Some(s);
-            }
-            "--checkpoint" => {
-                opts.checkpoint = Some(PathBuf::from(flag_value(&mut it, "--checkpoint")));
-            }
-            "--restore" => {
-                opts.restore = Some(PathBuf::from(flag_value(&mut it, "--restore")));
-            }
-            "--trace" => {
-                let raw = flag_value(&mut it, "--trace");
-                opts.trace = TraceKind::parse(raw).unwrap_or_else(|bad| {
-                    fail(&format!(
-                        "unknown --trace value '{bad}' (expected 'uniform', 'bursty', \
-                         'skewed', 'heavy-tail', 'colocate', or 'staggered')"
-                    ))
-                });
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            flag if flag.starts_with("--") => fail(&format!("unknown flag '{flag}'")),
-            other => {
-                if let Some(first) = cmd {
-                    fail(&format!("unexpected argument '{other}' after '{first}'"));
-                }
-                cmd = Some(other);
-            }
+    let mut given: Vec<&Flag> = Vec::new();
+    let mut cmd: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            println!("{}", usage());
+            return;
         }
+        if !arg.starts_with("--") {
+            if let Some(first) = &cmd {
+                fail(&format!("unexpected argument '{arg}' after '{first}'"));
+            }
+            cmd = Some(arg);
+            continue;
+        }
+        let Some(flag) = FLAGS.iter().find(|flag| flag.name == arg) else {
+            fail(&format!("unknown flag '{arg}'"));
+        };
+        let raw = match flag.value {
+            "" => String::new(),
+            _ => args
+                .next()
+                .unwrap_or_else(|| fail(&format!("{arg} requires a value"))),
+        };
+        (flag.set)(&mut opts, flag, &raw);
+        given.push(flag);
     }
     let Some(cmd) = cmd else {
         fail("missing command");
     };
+    let Some(&(_, run)) = COMMANDS.iter().find(|(name, _)| *name == cmd) else {
+        fail(&format!("unknown command '{cmd}'"));
+    };
+    if let Some(flag) = given.iter().find(|flag| !(flag.reads)(&cmd)) {
+        let readers: Vec<&str> = COMMANDS
+            .iter()
+            .map(|(name, _)| *name)
+            .filter(|name| (flag.reads)(name))
+            .collect();
+        fail(&format!(
+            "'{cmd}' does not read {} (read by: {})",
+            flag.name,
+            readers.join(" ")
+        ));
+    }
     if opts.users == 0 && (opts.user_skew.is_some() || opts.quota.is_some() || opts.slo.is_some()) {
         fail("--user-skew/--quota/--slo require --users (tenant-tagged arrivals)");
     }
-
-    let run: fn(&Suite, &Options) = match cmd {
-        "table4" => table4,
-        "table5" => table5,
-        "table7" => |_, opts| table7(opts),
-        "fig3" => fig3,
-        "fig4" => fig4,
-        "fig5" => fig5,
-        "fig8" => |suite, opts| emit_fig8(&run_full(suite, opts.train_cfg()), opts),
-        "fig9" => fig9,
-        "fig10" => fig10,
-        "fig11" => |suite, opts| emit_fig11(&run_full(suite, opts.train_cfg()), opts),
-        "fig12" => |suite, opts| emit_fig12(&run_full(suite, opts.train_cfg()), opts),
-        "overhead" => |suite, opts| emit_overhead(&run_full(suite, opts.train_cfg()), opts),
-        "ablate-reward" => ablate_reward_cmd,
-        "ablate-agent" => ablate_agent_cmd,
-        "ablate-interference" => ablate_interference_cmd,
-        "oracle" => oracle_cmd,
-        "cluster" => cluster_cmd,
-        "serve" => serve_cmd,
-        "all" => all_cmd,
-        other => fail(&format!("unknown command '{other}'")),
-    };
     // Before the command runs: a directory that cannot be created is a
     // bad invocation, not a failure at the end of a training run.
     if let Some(dir) = &opts.out {

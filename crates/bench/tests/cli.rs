@@ -1,8 +1,9 @@
-//! The `repro` command line from outside: malformed invocations exit
-//! with status 2 and a usage message for the stated reason (never a
-//! panic, never a silent default), removed surface stays removed,
-//! `repro serve` honours every flag it accepts, and `--threads` never
-//! asks for more workers than there is work.
+//! The `repro` command line from outside: malformed invocations (a flag
+//! the command does not read among them) exit with status 2 and a usage
+//! message for the stated reason (never a panic, never a silent
+//! default), removed surface stays removed, `repro serve` honours every
+//! flag it accepts, and `--threads` never asks for more workers than
+//! there is work.
 
 use std::process::{Command, Output};
 
@@ -49,7 +50,7 @@ const REJECTED: &[(&str, &str)] = &[
     ("--users 2 --quota 0 serve", "--quota must be at least 1"),
     ("--users 2 --slo -1 serve", "--slo must be positive"),
     ("--quota 4 serve", "require --users"),
-    ("--slo 3 cluster", "require --users"),
+    ("--user-skew 2 cluster", "require --users"),
     (
         "--users 3 --restore ck.hrps serve",
         "--restore rebuilds the tagged source",
@@ -65,6 +66,17 @@ const REJECTED: &[(&str, &str)] = &[
         "--out {tmp}/foreign.txt/out table4",
         "--out {tmp}/foreign.txt/out: cannot create the directory",
     ),
+    // flags the command does not read
+    (
+        "--users 2 --quota 1 cluster",
+        "'cluster' does not read --quota",
+    ),
+    ("--rate 5 table4", "'table4' does not read --rate"),
+    (
+        "--checkpoint ck.hrps cluster",
+        "'cluster' does not read --checkpoint",
+    ),
+    ("--overlap cluster", "'cluster' does not read --overlap"),
     // removed surface stays removed
     ("--chunk-width 64 cluster", "unknown flag '--chunk-width'"),
     ("--quantize serve", "unknown flag '--quantize'"),

@@ -46,6 +46,7 @@
 use crate::job::ClusterJob;
 use crate::sim::{Dispatcher, Placement};
 use crate::slots::TreeSlotSet;
+use hrp_gpusim::rng::SplitMix64;
 use hrp_workloads::Suite;
 use serde::{Deserialize, Serialize};
 
@@ -143,7 +144,7 @@ impl BackfillPlanner {
 
     /// Set the walltime-estimate error fraction `err ∈ [0, 1)`: job
     /// `i`'s estimate becomes `solo_time × (1 + err × (2u_i − 1))`
-    /// with `u_i ∈ [0, 1)` hashed from the job id (splitmix64), so
+    /// with `u_i ∈ [0, 1)` hashed from the job id ([`SplitMix64`]), so
     /// estimates deterministically over- and under-run the truth by
     /// up to ±`err`. `0` keeps estimates exact.
     ///
@@ -200,7 +201,8 @@ impl BackfillPlanner {
         if self.walltime_err == 0.0 {
             return truth;
         }
-        truth * (1.0 + self.walltime_err * (2.0 * unit_hash(job.id as u64) - 1.0))
+        let u = SplitMix64::new(job.id as u64).next_f64();
+        truth * (1.0 + self.walltime_err * (2.0 * u - 1.0))
     }
 
     /// Re-ground the estimate bookkeeping against the live pool:
@@ -249,15 +251,6 @@ impl BackfillPlanner {
 pub struct BackfillState {
     /// `(estimated finish, gpus)` bookings of started placements.
     pub releases: Vec<(f64, usize)>,
-}
-
-/// splitmix64 finalizer mapped to `[0, 1)`.
-fn unit_hash(id: u64) -> f64 {
-    let mut z = id.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl Dispatcher for BackfillPlanner {

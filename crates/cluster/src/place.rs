@@ -72,6 +72,7 @@ use hrp_core::experiment::CheckpointError;
 use hrp_core::policies::MpsOnly;
 use hrp_core::rl::{greedy_rollout, DqnSnapshot, Env, EnvFactory, Learner};
 use hrp_core::train::{train_env, PipelineConfig, TrainReport};
+use hrp_gpusim::rng::split_seed;
 use hrp_nn::net::Head;
 use hrp_nn::serialize::{load_agent, save_weights, Reader, Spec, SpecWriter, Writer};
 use hrp_nn::{DqnAgent, DqnConfig};
@@ -594,16 +595,8 @@ impl PlacementConfig {
     }
 }
 
-/// The seed of training trace `i`: the same stream-splitting mix the
-/// pipeline uses for per-episode RNGs, so traces are independent and
-/// reproducible from the base seed alone.
-#[must_use]
-pub fn trace_seed(base: u64, i: usize) -> u64 {
-    base ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)
-}
-
 /// Generate the config's training-trace family: `n_traces` traces of
-/// the configured kind/size, seeds derived via [`trace_seed`].
+/// the configured kind/size, seeds derived via [`split_seed`].
 #[must_use]
 pub fn training_traces(suite: &Suite, cfg: &PlacementConfig) -> Vec<Vec<ClusterJob>> {
     (0..cfg.n_traces.max(1))
@@ -611,7 +604,7 @@ pub fn training_traces(suite: &Suite, cfg: &PlacementConfig) -> Vec<Vec<ClusterJ
             let tc = cfg
                 .trace
                 .clone()
-                .seed(trace_seed(cfg.trace.seed, i))
+                .seed(split_seed(cfg.trace.seed, i))
                 .max_gpus(cfg.gpus_per_node);
             trace::generate(suite, &tc)
         })

@@ -34,6 +34,7 @@
 //!   construction.
 
 use crate::job::ClusterJob;
+use hrp_gpusim::rng::SplitMix64;
 use hrp_workloads::Suite;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -57,7 +58,7 @@ pub enum TraceKind {
 }
 
 /// Seed offset separating *evaluation* traces from the
-/// [`crate::place::trace_seed`] training stream: held-out evaluation
+/// [`hrp_gpusim::rng::split_seed`] training stream: held-out evaluation
 /// (the `repro cluster` trace, the golden placement pin) XORs the base
 /// seed with this before generating, so a trained policy never
 /// evaluates on a trace it trained on (for the seeded kinds; the
@@ -252,27 +253,19 @@ pub fn user_popularity(users: u32, skew: f64) -> Vec<f64> {
 }
 
 /// Tag one job with its tenant: a pure function of `(seed, job.id)`
-/// through a salted splitmix64 draw mapped onto the cumulative
+/// through a salted [`SplitMix64`] draw mapped onto the cumulative
 /// popularity table from [`user_popularity`]. With an empty table the
 /// job keeps `user: 0`.
 pub fn assign_user(seed: u64, popularity: &[f64], job: &mut ClusterJob) {
     if popularity.is_empty() {
         return;
     }
-    let h = splitmix64(seed ^ USER_SALT ^ splitmix64(job.id as u64));
-    // 53 high bits → a uniform draw in [0, total mass).
-    let u = (h >> 11) as f64 / (1u64 << 53) as f64 * popularity[popularity.len() - 1];
+    let key = seed ^ USER_SALT ^ SplitMix64::new(job.id as u64).next_u64();
+    // A uniform draw in [0, total mass).
+    let u = SplitMix64::new(key).next_f64() * popularity[popularity.len() - 1];
     job.user = popularity
         .partition_point(|&c| c <= u)
         .min(popularity.len() - 1) as u32;
-}
-
-/// Splitmix64 — the per-job-id hash behind [`TraceConfig::gang_share`].
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Apply the [`TraceConfig::gang_share`] widening to one job. A pure
@@ -282,11 +275,10 @@ fn widen_to_gang(cfg: &TraceConfig, job: &mut ClusterJob) {
     if cfg.gang_share <= 0.0 || cfg.max_gpus < 2 || job.gpus != 1 {
         return;
     }
-    let h = splitmix64(cfg.seed ^ splitmix64(job.id as u64));
-    // 53 high bits → a uniform draw in [0, 1).
-    let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-    if u < cfg.gang_share {
-        job.gpus = 2 + (splitmix64(h) % (cfg.max_gpus as u64 - 1)) as usize;
+    let key = cfg.seed ^ SplitMix64::new(job.id as u64).next_u64();
+    if SplitMix64::new(key).next_f64() < cfg.gang_share {
+        let h = SplitMix64::new(key).next_u64();
+        job.gpus = 2 + (SplitMix64::new(h).next_u64() % (cfg.max_gpus as u64 - 1)) as usize;
     }
 }
 

@@ -200,14 +200,6 @@ impl<'a> CoScheduleEnv<'a> {
         }
     }
 
-    /// Encode the current state into a fresh vector.
-    #[must_use]
-    pub fn state(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.state_into(&mut out);
-        out
-    }
-
     /// Bitmask of currently valid actions.
     #[must_use]
     pub fn valid_mask(&self) -> u64 {
@@ -595,11 +587,17 @@ mod tests {
         }
     }
 
+    fn state(env: &CoScheduleEnv<'_>) -> Vec<f32> {
+        let mut out = Vec::new();
+        env.state_into(&mut out);
+        out
+    }
+
     #[test]
     fn state_has_expected_shape_and_flags() {
         let (suite, queue, repo, scaler, catalog) = fixture();
         let env = CoScheduleEnv::new(&suite, &queue, &repo, &scaler, &catalog, cfg());
-        let s = env.state();
+        let s = state(&env);
         assert_eq!(s.len(), 6 * JOB_FEATURES);
         // Every job pending: flag set in each block.
         for i in 0..6 {
@@ -619,7 +617,7 @@ mod tests {
         let mut env = CoScheduleEnv::new(&suite, &queue, &repo, &scaler, &catalog, cfg());
         let r = env.step(0); // C = 1 action
         assert!(!r.done);
-        let s = env.state();
+        let s = state(&env);
         let zeroed: usize = (0..6).filter(|i| s[i * JOB_FEATURES + 12] == 0.0).count();
         assert_eq!(zeroed, 1);
         assert_eq!(env.pending_count(), 5);

@@ -25,7 +25,7 @@ pub struct PartitionSolution {
 
 /// Enumerate all subsets of `{0..n}` with `1 ≤ |s| ≤ cmax`, invoking
 /// `f(mask, members)`.
-pub fn for_each_small_subset(n: usize, cmax: usize, mut f: impl FnMut(u32, &[usize])) {
+fn for_each_small_subset(n: usize, cmax: usize, mut f: impl FnMut(u32, &[usize])) {
     assert!(n <= 24, "window too large for subset enumeration");
     let mut members = Vec::with_capacity(cmax);
     // Recursive enumeration picking increasing indices.

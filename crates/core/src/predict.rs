@@ -19,6 +19,7 @@
 //! class-level constants, predictions deviate from the "hardware"
 //! (ground-truth models) — the gap the RL agent learns to absorb.
 
+use crate::problem::permute;
 use hrp_gpusim::arch::GpuArch;
 use hrp_gpusim::engine::{simulate_corun, EngineConfig};
 use hrp_gpusim::perf::solo_rate;
@@ -167,19 +168,6 @@ impl CoRunPredictor {
     #[must_use]
     pub fn predicted_solo_sum(&self, job_ids: &[usize]) -> f64 {
         job_ids.iter().map(|&j| self.apps[j].solo_time).sum()
-    }
-}
-
-/// Heap's-algorithm permutation visitor (small `n`).
-fn permute(xs: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k == xs.len() {
-        visit(xs);
-        return;
-    }
-    for i in k..xs.len() {
-        xs.swap(k, i);
-        permute(xs, k + 1, visit);
-        xs.swap(k, i);
     }
 }
 

@@ -166,8 +166,9 @@ pub fn evaluate_group_best_assignment(
     best.expect("at least one permutation")
 }
 
-/// Heap's-algorithm permutation visitor.
-fn permute(xs: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
+/// Visit every permutation of `xs[k..]` (small `n`: the slot
+/// assignments of one group).
+pub(crate) fn permute(xs: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
     if k == xs.len() {
         visit(xs);
         return;

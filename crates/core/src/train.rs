@@ -60,6 +60,7 @@ use crate::par::resolve_threads;
 use crate::problem::ScheduleDecision;
 use crate::rl::{greedy_rollout, Env, EnvFactory, EnvKind, Learner, SnapshotPolicy};
 use hrp_gpusim::engine::EngineConfig;
+use hrp_gpusim::rng::split_seed;
 use hrp_nn::dqn::ActionScratch;
 use hrp_nn::net::Head;
 use hrp_nn::replay::Transition;
@@ -410,7 +411,7 @@ impl<L: Learner> LearnerState<L> {
 /// Per-episode RNG stream: independent of worker count and of every
 /// other episode.
 fn episode_rng(seed: u64, episode: usize) -> SmallRng {
-    SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(episode as u64 + 1))
+    SmallRng::seed_from_u64(split_seed(seed, episode))
 }
 
 /// Roll one episode against a frozen policy snapshot.

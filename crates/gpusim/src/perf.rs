@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn unscalable_app_insensitive_to_compute_share() {
         // US apps (tiny parallel fraction, small demands) run at nearly
-        // full speed on any slot — the paper's classification criterion.
+        // full speed on any slot — what the paper classifies them by.
         let us = app("us", 0.01, 0.15, 0.05, 0.0);
         let big = compile(PartitionScheme::mps_only(vec![0.9, 0.1]));
         let r_big = corun_rates(&[(&us, 0)], &big);

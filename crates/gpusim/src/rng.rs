@@ -5,6 +5,18 @@
 //! stream, for which SplitMix64 (Steele et al., "Fast Splittable
 //! Pseudorandom Number Generators", OOPSLA'14) is the standard choice.
 
+/// SplitMix64's increment: 2⁶⁴ / φ, rounded to odd.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The seed of stream `i` split off `base` (`base ^ φ·(i + 1)`): the
+/// training pipeline's per-episode RNGs and the placement trainer's
+/// traces, each independent of the others and reproducible from `base`
+/// alone.
+#[must_use]
+pub fn split_seed(base: u64, i: usize) -> u64 {
+    base ^ GOLDEN_GAMMA.wrapping_mul(i as u64 + 1)
+}
+
 /// SplitMix64 pseudo-random number generator.
 ///
 /// Deterministic for a given seed; passes BigCrush when used as a 64-bit
@@ -36,8 +48,9 @@ impl SplitMix64 {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -45,6 +58,7 @@ impl SplitMix64 {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -12,8 +12,7 @@
 //! matrix once instead of once per sample, and a steady-state
 //! forward/backward allocates nothing. [`QNet::predict_batch_into`] is
 //! the same forward without the backward caches, for passes nothing
-//! differentiates. The single-sample `forward`/`predict`/`backward`
-//! entry points are batch-size-1 wrappers over the same code.
+//! differentiates. A single sample is a batch of one.
 
 use crate::layers::{Linear, Relu};
 use crate::opt::Adam;
@@ -352,14 +351,6 @@ impl QNet {
         }
     }
 
-    /// Single-sample forward pass with caching (batch-size-1 wrapper).
-    /// Allocates the returned vector.
-    pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch(x, 1, &mut out);
-        out
-    }
-
     /// The trunk layers, in forward order (fast-path planning).
     pub(crate) fn trunk_layers(&self) -> &[(Linear, Relu)] {
         &self.trunk
@@ -368,11 +359,6 @@ impl QNet {
     /// The head layers (fast-path planning).
     pub(crate) fn head_layers(&self) -> &HeadLayers {
         &self.head
-    }
-
-    /// Single-sample backward pass (batch-size-1 wrapper).
-    pub fn backward(&mut self, dq: &[f32]) {
-        self.backward_batch(dq, 1);
     }
 
     /// Every linear layer, in canonical order: trunk, then the head.
@@ -480,6 +466,13 @@ mod tests {
         QNet::new(4, &[8, 6], 3, head, 42)
     }
 
+    /// One sample through the caching forward (what a backward follows).
+    fn forward(net: &mut QNet, x: &[f32]) -> Vec<f32> {
+        let mut q = Vec::new();
+        net.forward_batch(x, 1, &mut q);
+        q
+    }
+
     fn predict(net: &QNet, x: &[f32]) -> Vec<f32> {
         let mut q = Vec::new();
         net.predict_into(x, &mut PredictScratch::default(), &mut q);
@@ -498,7 +491,7 @@ mod tests {
     fn forward_shapes() {
         for head in [Head::Plain, Head::Dueling] {
             let mut net = tiny(head);
-            let q = net.forward(&[0.1, -0.2, 0.3, 0.4]);
+            let q = forward(&mut net, &[0.1, -0.2, 0.3, 0.4]);
             assert_eq!(q.len(), 3);
             assert_eq!(net.n_actions(), 3);
         }
@@ -509,7 +502,7 @@ mod tests {
         for head in [Head::Plain, Head::Dueling] {
             let mut net = tiny(head);
             let x = [0.5, 0.1, -0.3, 0.9];
-            let a = net.forward(&x);
+            let a = forward(&mut net, &x);
             let b = predict(&net, &x);
             for (u, v) in a.iter().zip(b.iter()) {
                 assert!((u - v).abs() < 1e-6);
@@ -566,8 +559,8 @@ mod tests {
             let g_batched = grads(&batched);
 
             for b in 0..batch {
-                serial.forward(&x[b * 4..(b + 1) * 4]);
-                serial.backward(&dq[b * 3..(b + 1) * 3]);
+                forward(&mut serial, &x[b * 4..(b + 1) * 4]);
+                serial.backward_batch(&dq[b * 3..(b + 1) * 3], 1);
             }
             let g_serial = grads(&serial);
 
@@ -583,7 +576,7 @@ mod tests {
     #[test]
     fn dueling_q_is_v_plus_centered_advantage() {
         let mut net = tiny(Head::Dueling);
-        let q = net.forward(&[1.0, 2.0, 3.0, 4.0]);
+        let q = forward(&mut net, &[1.0, 2.0, 3.0, 4.0]);
         // mean(Q) should equal V because the advantage is mean-centred.
         let mean_q = q.iter().sum::<f32>() / q.len() as f32;
         // Extract V by rebuilding from internals: predict with a
@@ -599,8 +592,8 @@ mod tests {
             let mut net = tiny(head);
             let x = [0.3, -0.1, 0.8, 0.2];
             // L = 0.5 · Σ Q_a², dL/dQ = Q.
-            let q = net.forward(&x);
-            net.backward(&q);
+            let q = forward(&mut net, &x);
+            net.backward_batch(&q, 1);
             let analytic = grads(&net);
 
             let mut params = Vec::new();
@@ -633,7 +626,11 @@ mod tests {
         let mut a = tiny(Head::Dueling);
         let mut b = QNet::new(4, &[8, 6], 3, Head::Dueling, 7);
         let x = [0.2, 0.4, -0.6, 0.8];
-        assert_ne!(a.forward(&x), b.forward(&x), "different seeds differ");
+        assert_ne!(
+            forward(&mut a, &x),
+            forward(&mut b, &x),
+            "different seeds differ"
+        );
         b.copy_weights_from(&a);
         let qa = predict(&a, &x);
         let qb = predict(&b, &x);

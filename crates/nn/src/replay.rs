@@ -5,13 +5,9 @@
 //! transition stores the valid-action bitmask of the successor state; the
 //! double-DQN target maximises only over valid actions.
 //!
-//! Sampling comes in two forms: [`ReplayBuffer::sample`] returns
-//! transition references, while
 //! [`ReplayBuffer::sample_into`] fills a pre-allocated [`MiniBatch`] —
 //! contiguous `B × state_dim` state/next-state matrices ready for the
-//! batched network kernels, with no per-step allocation. Both draw
-//! indices through the same routine, so for an identical RNG state they
-//! select the identical minibatch.
+//! batched network kernels, with no per-step allocation.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -115,7 +111,7 @@ impl ReplayBuffer {
 
     /// Draw one uniform storage slot — the per-shard draw of
     /// [`crate::sharded::ShardedReplay`]; consumes exactly one
-    /// `gen_range` from `rng`, like every draw of [`ReplayBuffer::sample`].
+    /// `gen_range` from `rng`, like every draw of [`ReplayBuffer::sample_into`].
     ///
     /// # Panics
     /// Panics if the buffer is empty.
@@ -130,14 +126,6 @@ impl ReplayBuffer {
     #[must_use]
     pub fn get(&self, idx: usize) -> Option<&Transition> {
         self.storage.get(idx)
-    }
-
-    /// Sample `n` transitions uniformly with replacement.
-    pub fn sample<'a>(&'a self, n: usize, rng: &mut SmallRng) -> Vec<&'a Transition> {
-        assert!(!self.is_empty(), "cannot sample an empty buffer");
-        (0..n)
-            .map(|_| &self.storage[self.sample_index(rng)])
-            .collect()
     }
 
     /// Sample `n` transitions uniformly with replacement into `batch`'s
@@ -173,6 +161,12 @@ impl ReplayBuffer {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// `n` draws through the same index routine as `sample_into`, as
+    /// references: the reference minibatch it must reproduce.
+    fn sample_refs<'a>(buf: &'a ReplayBuffer, n: usize, rng: &mut SmallRng) -> Vec<&'a Transition> {
+        (0..n).map(|_| &buf.storage[buf.sample_slot(rng)]).collect()
+    }
 
     fn t(reward: f32) -> Transition {
         Transition {
@@ -218,8 +212,10 @@ mod tests {
         }
         let mut rng = SmallRng::seed_from_u64(0);
         let mut counts = [0usize; 10];
-        for s in buf.sample(10_000, &mut rng) {
-            counts[s.reward as usize] += 1;
+        let mut mb = MiniBatch::new();
+        buf.sample_into(10_000, &mut rng, &mut mb);
+        for r in mb.rewards {
+            counts[r as usize] += 1;
         }
         for &c in &counts {
             assert!(c > 700 && c < 1300, "count {c} far from uniform");
@@ -241,7 +237,7 @@ mod tests {
         }
         let mut rng_a = SmallRng::seed_from_u64(42);
         let mut rng_b = SmallRng::seed_from_u64(42);
-        let refs = buf.sample(8, &mut rng_a);
+        let refs = sample_refs(&buf, 8, &mut rng_a);
         let mut mb = MiniBatch::new();
         buf.sample_into(8, &mut rng_b, &mut mb);
         assert_eq!(mb.len, 8);
@@ -275,6 +271,6 @@ mod tests {
     fn sampling_empty_panics() {
         let buf = ReplayBuffer::new(4);
         let mut rng = SmallRng::seed_from_u64(0);
-        let _ = buf.sample(1, &mut rng);
+        buf.sample_into(1, &mut rng, &mut MiniBatch::new());
     }
 }

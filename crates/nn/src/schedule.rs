@@ -21,16 +21,6 @@ pub struct EpsilonSchedule {
 }
 
 impl EpsilonSchedule {
-    /// The paper's schedule: 1 → 0.01.
-    #[must_use]
-    pub fn paper(decay_steps: u64) -> Self {
-        Self {
-            start: 1.0,
-            end: 0.01,
-            decay_steps,
-        }
-    }
-
     /// ε after `step` steps.
     #[must_use]
     pub fn value(&self, step: u64) -> f64 {
@@ -46,9 +36,18 @@ impl EpsilonSchedule {
 mod tests {
     use super::*;
 
+    /// The paper's schedule: 1 → 0.01.
+    fn paper(decay_steps: u64) -> EpsilonSchedule {
+        EpsilonSchedule {
+            start: 1.0,
+            end: 0.01,
+            decay_steps,
+        }
+    }
+
     #[test]
     fn starts_high_ends_low() {
-        let s = EpsilonSchedule::paper(1000);
+        let s = paper(1000);
         assert!((s.value(0) - 1.0).abs() < 1e-12);
         assert!((s.value(1000) - 0.01).abs() < 1e-12);
         assert!((s.value(10_000) - 0.01).abs() < 1e-12);
@@ -56,7 +55,7 @@ mod tests {
 
     #[test]
     fn decay_is_monotone() {
-        let s = EpsilonSchedule::paper(100);
+        let s = paper(100);
         let mut prev = f64::INFINITY;
         for step in 0..=120 {
             let v = s.value(step);
@@ -67,7 +66,7 @@ mod tests {
 
     #[test]
     fn zero_decay_steps_is_constant_end() {
-        let s = EpsilonSchedule::paper(0);
+        let s = paper(0);
         assert!((s.value(0) - 0.01).abs() < 1e-12);
     }
 }

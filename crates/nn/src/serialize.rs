@@ -583,13 +583,18 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_outputs() {
-        let mut a = QNet::new(6, &[8], 3, Head::Dueling, 5);
+        let q = |net: &QNet, x: &[f32]| {
+            let mut out = Vec::new();
+            net.predict_into(x, &mut crate::net::PredictScratch::default(), &mut out);
+            out
+        };
+        let a = QNet::new(6, &[8], 3, Head::Dueling, 5);
         let blob = save_weights(&a);
         let mut b = QNet::new(6, &[8], 3, Head::Dueling, 99);
         let x = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
-        assert_ne!(a.forward(&x), b.forward(&x));
+        assert_ne!(q(&a, &x), q(&b, &x));
         load_weights(&mut b, &blob).unwrap();
-        assert_eq!(a.forward(&x), b.forward(&x));
+        assert_eq!(q(&a, &x), q(&b, &x));
     }
 
     #[test]

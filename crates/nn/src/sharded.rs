@@ -161,20 +161,6 @@ impl ShardedReplay {
             batch.next_masks[i] = t.next_mask;
         }
     }
-
-    /// Sample `n` transition references through the same schedule and
-    /// RNG consumption as [`ShardedReplay::sample_into`]: both draw the
-    /// identical minibatch for an identical RNG state.
-    ///
-    /// # Panics
-    /// Panics if the replay is empty.
-    pub fn sample(&mut self, n: usize, rng: &mut SmallRng) -> Vec<&Transition> {
-        let picks: Vec<_> = (0..n).map(|_| self.pick(rng)).collect();
-        picks
-            .into_iter()
-            .map(|(shard, slot)| self.shards[shard].get(slot).expect("picked slot exists"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -261,8 +247,12 @@ mod tests {
         }
         let mut rng_a = SmallRng::seed_from_u64(11);
         let mut rng_b = SmallRng::seed_from_u64(11);
-        let refs = a.sample(8, &mut rng_a);
-        let rewards: Vec<f32> = refs.iter().map(|t| t.reward).collect();
+        // The reference: the schedule's picks, read back one by one.
+        let picks: Vec<_> = (0..8).map(|_| a.pick(&mut rng_a)).collect();
+        let rewards: Vec<f32> = picks
+            .iter()
+            .map(|&(shard, slot)| a.shards[shard].get(slot).expect("picked").reward)
+            .collect();
         let mut mb = MiniBatch::new();
         b.sample_into(8, &mut rng_b, &mut mb);
         assert_eq!(rewards, mb.rewards);

@@ -1,9 +1,10 @@
 //! Steady-state allocation audit of the deployed decision hot path and
 //! of the learning step.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; after
-//! one warm-up pass (which is allowed to size scratch buffers), the
-//! audited region asserts **zero** heap allocations across:
+//! A counting `#[global_allocator]` (`tests/common/alloc.rs`) wraps the
+//! system allocator; after one warm-up pass (which is allowed to size
+//! scratch buffers), the audited region asserts **zero** heap
+//! allocations across:
 //!
 //! * `FastPolicy::infer`/`greedy` (both kernels) — the inference
 //!   fast path itself;
@@ -32,13 +33,11 @@
 //! groups and orders its arrival burst in buffers the service keeps —
 //! so it allocates nothing.
 //!
-//! The counter is **thread-local**: only allocations performed by the
-//! audited code path itself are counted, so background harness
-//! threads (libtest's monitor, stdout capture) cannot flake the
-//! audit.
+//! The counter is thread-local: only allocations performed by the
+//! audited code path itself are counted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+use common::alloc::{count_allocs, RecordingAlloc};
 
 use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
 use hrp::cluster::sim::{Dispatcher, NodeRun};
@@ -53,60 +52,8 @@ use hrp::nn::{DqnAgent, DqnConfig, FastPolicy, Kernel};
 use hrp::serve::{AdmissionConfig, ChannelSource, SchedulerService, ServeConfig, ServiceStep};
 use hrp::workloads::Suite;
 
-thread_local! {
-    // `const` init so reading these inside the allocator can never
-    // itself allocate (no lazy registration path).
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts this thread's allocations (and reallocations) while armed;
-/// delegates to the system allocator either way.
-struct CountingAlloc;
-
-fn bump() {
-    // `try_with` so allocations during thread teardown (after TLS
-    // destruction) pass through uncounted instead of aborting.
-    let _ = ARMED.try_with(|armed| {
-        if armed.get() {
-            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Run `f` with this thread's counter armed and return how many
-/// allocations it performed.
-fn count_allocs(mut f: impl FnMut()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    ARMED.with(|a| a.set(true));
-    f();
-    ARMED.with(|a| a.set(false));
-    ALLOCS.with(Cell::get) - before
-}
+static GLOBAL: RecordingAlloc = RecordingAlloc;
 
 const NODES: usize = 8;
 const STATE_DIM: usize = 2 * NODES + 2;

@@ -22,15 +22,16 @@
 //!   i.e. is never sized by a length or geometry field the bytes
 //!   present cannot back.
 //!
-//! A size-recording `#[global_allocator]` (thread-local, the pattern of
-//! `tests/alloc_free.rs`) takes the last measurement; it also *refuses*
-//! absurd requests while armed, so a decoder that does trust a forged
-//! size aborts this test binary instead of exhausting the machine.
+//! The recording `#[global_allocator]` of `tests/common/alloc.rs` takes
+//! the last measurement; it also *refuses* absurd requests while armed,
+//! so a decoder that does trust a forged size aborts this test binary
+//! instead of exhausting the machine.
+
+mod common;
+use common::alloc::{largest_request, RecordingAlloc};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hrp::cluster::place::{PlacementAgent, PlacementConfig, PlacementExperiment};
@@ -45,73 +46,8 @@ use hrp::serve::{
 };
 use hrp::workloads::Suite;
 
-// ---- the recording allocator --------------------------------------
-
-thread_local! {
-    // `const` init so reading these inside the allocator can never
-    // itself allocate (no lazy registration path).
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Requests above this are refused (null) while armed: far beyond
-/// anything a decode may ask for, far below what would hurt the host.
-const REFUSE_ABOVE: usize = 1 << 30;
-
-/// Records this thread's largest single request while armed; delegates
-/// to the system allocator.
-struct RecordingAlloc;
-
-/// Note a request; `false` means refuse it.
-fn admit(size: usize) -> bool {
-    // `try_with` so allocations during thread teardown (after TLS
-    // destruction) pass through unrecorded instead of aborting.
-    let armed = ARMED.try_with(Cell::get).unwrap_or(false);
-    if armed {
-        let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
-    }
-    !armed || size <= REFUSE_ABOVE
-}
-
-unsafe impl GlobalAlloc for RecordingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if !admit(layout.size()) {
-            return std::ptr::null_mut();
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if !admit(layout.size()) {
-            return std::ptr::null_mut();
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if !admit(new_size) {
-            return std::ptr::null_mut();
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: RecordingAlloc = RecordingAlloc;
-
-/// Run `f` armed; return its result and the largest single allocation
-/// it requested.
-fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    PEAK.with(|p| p.set(0));
-    ARMED.with(|a| a.set(true));
-    let out = f();
-    ARMED.with(|a| a.set(false));
-    (out, PEAK.with(Cell::get))
-}
 
 // ---- one blob per format, at fixed seeds --------------------------
 
@@ -331,7 +267,7 @@ struct Sweep {
 impl Sweep {
     fn run(&mut self, what: &'static str, at: usize, suite: &Suite, decode: Decode, blob: Vec<u8>) {
         let (outcome, peak) =
-            peak_alloc(|| catch_unwind(AssertUnwindSafe(|| decode(suite, blob).is_ok())));
+            largest_request(|| catch_unwind(AssertUnwindSafe(|| decode(suite, blob).is_ok())));
         self.decodes += 1;
         self.peak = self.peak.max(peak);
         match outcome {
@@ -462,7 +398,7 @@ fn assert_forged_agent_is_rejected(key: &str, value: &str, needle: &str) {
         ("HRPP", decode_hrpp as Decode, forged),
         ("HRPP inside HRPS", decode_hrps as Decode, snapshot),
     ] {
-        let (outcome, peak) = peak_alloc(|| decode(&s, blob));
+        let (outcome, peak) = largest_request(|| decode(&s, blob));
         let err = outcome.expect_err(what);
         assert!(err.contains(needle), "{what}: '{err}' lacks '{needle}'");
         assert!(err.contains("HRPP"), "{what}: '{err}' names the format");
@@ -515,7 +451,7 @@ fn forged_experiment_specs_are_typed_errors() {
         ("cmax", "0", "'cmax'"),
         ("env", "sideways", "'env'"),
     ] {
-        let (outcome, peak) = peak_alloc(|| decode_hrpe(&s, tamper_spec(&blob, key, value)));
+        let (outcome, peak) = largest_request(|| decode_hrpe(&s, tamper_spec(&blob, key, value)));
         let err = outcome.expect_err(key);
         assert!(err.contains("HRPE") || err.contains("HRPQ"), "{key}: {err}");
         assert!(err.contains(needle), "{key}: '{err}' lacks {needle}");
@@ -536,7 +472,7 @@ fn retired_hrps_versions_and_keys_are_typed_errors() {
     for version in [2u32, 3, 4] {
         let mut old = hrps_blob(&s, Tier::LeastLoaded);
         old[4..8].copy_from_slice(&version.to_le_bytes());
-        let (outcome, peak) = peak_alloc(|| restore(&s, old.into()).map(drop));
+        let (outcome, peak) = largest_request(|| restore(&s, old.into()).map(drop));
         assert_eq!(
             outcome,
             Err(CheckpointError::BadVersion {
@@ -569,7 +505,7 @@ fn retired_hrps_versions_and_keys_are_typed_errors() {
         (Tier::EasyAdmission, "rejected", "0", "node_advances=8"),
     ] {
         let forged = tamper_spec(&hrps_blob(&s, tier), after, &format!("{kept}\n{retired}"));
-        let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
+        let (outcome, peak) = largest_request(|| decode_hrps(&s, forged));
         let err = outcome.expect_err(retired);
         let key = retired.split('=').next().expect("a key");
         assert!(err.contains("HRPS"), "{retired}: '{err}' names the format");
@@ -680,7 +616,7 @@ fn forged_job_records_are_typed_errors() {
             for (what, at, value, width) in forgeries {
                 let mut forged = blob.clone();
                 forged[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
-                let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
+                let (outcome, peak) = largest_request(|| decode_hrps(&s, forged));
                 let err = outcome.expect_err(what);
                 assert!(err.contains("HRPS"), "{name}, {what}: '{err}'");
                 assert!(
@@ -724,7 +660,7 @@ fn forged_backfill_states_are_typed_errors() {
     for (what, at, bytes) in forgeries {
         let mut forged = blob.clone();
         forged[at..at + bytes.len()].copy_from_slice(bytes);
-        let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
+        let (outcome, peak) = largest_request(|| decode_hrps(&s, forged));
         let err = outcome.map(|ok| ok.len()).expect_err(what);
         assert!(err.contains("HRPS"), "{what}: '{err}'");
         assert!(
@@ -871,7 +807,7 @@ fn forged_admission_ledgers_are_typed_errors() {
     for (what, at, bytes) in forgeries {
         let mut forged = blob.clone();
         forged[at..at + bytes.len()].copy_from_slice(bytes);
-        let (outcome, peak) = peak_alloc(|| drain_hrps(&s, forged));
+        let (outcome, peak) = largest_request(|| drain_hrps(&s, forged));
         let err = outcome.expect_err(what);
         assert!(err.contains("HRPS"), "{what}: '{err}'");
         assert!(
@@ -1023,7 +959,7 @@ fn forged_event_logs_are_typed_errors() {
         (what, forged)
     });
     for (what, forged) in forged.chain([("a finished start due before it starts", backwards)]) {
-        let (outcome, peak) = peak_alloc(|| decode_hrps(&s, forged));
+        let (outcome, peak) = largest_request(|| decode_hrps(&s, forged));
         let err = outcome.map(|ok| ok.len()).expect_err(what);
         assert!(
             err.contains("HRPS") && err.contains("node 0"),

@@ -2,13 +2,12 @@
 //!
 //! The benchmark's `peak_rss_mb` is the outside view of the service's
 //! memory, and it also counts what the harness itself keeps per pass.
-//! This is the inside view: a tracking `#[global_allocator]` (the
-//! thread-local pattern of `tests/alloc_free.rs`) follows the bytes
-//! live on this thread through one pass of each serve workload at its
-//! `--quick` size (and of the overload workload at full size), and the
-//! peak over the pass — service, event logs,
-//! checkpoint blob, restored service, merged timeline — is held to a
-//! budget. The passes are deterministic, so the peak is exact per seed
+//! This is the inside view: the recording `#[global_allocator]` of
+//! `tests/common/alloc.rs` follows the bytes live on this thread through
+//! one pass of each serve workload at its `--quick` size (and of the
+//! overload workload at full size), and the peak over the pass —
+//! service, event logs, checkpoint blob, restored service, merged
+//! timeline — is held to a budget. The passes are deterministic, so the peak is exact per seed
 //! and does not depend on how many passes a harness fits in its window.
 //!
 //! Measured at seed 42 (release and debug builds agree), with the event
@@ -32,8 +31,8 @@
 //! every node log before sorting it), 2 190 536 on 13 141 968 with the
 //! second.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+use common::alloc::{live_bytes, peak_live_heap, RecordingAlloc};
 
 use hrp::cluster::place::{PlacementAgent, PlacementConfig};
 use hrp::cluster::{SelectorKind, TraceConfig, TraceKind};
@@ -44,67 +43,8 @@ use hrp::serve::{
 };
 use hrp::workloads::Suite;
 
-thread_local! {
-    // `const` init so reading these inside the allocator can never
-    // itself allocate (no lazy registration path).
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Follows this thread's live bytes and their high-water mark;
-/// delegates to the system allocator.
-struct TrackingAlloc;
-
-fn grow(bytes: usize) {
-    // `try_with` so allocations during thread teardown (after TLS
-    // destruction) pass through untracked instead of aborting.
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + bytes);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-fn shrink(bytes: usize) {
-    // Saturating: a block may be freed by another thread than its owner.
-    let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(bytes)));
-}
-
-unsafe impl GlobalAlloc for TrackingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // The old block counts until the new one exists.
-        grow(new_size);
-        let moved = System.realloc(ptr, layout, new_size);
-        shrink(layout.size());
-        moved
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: TrackingAlloc = TrackingAlloc;
-
-/// Run `f` and return how far this thread's live heap rose above where
-/// it stood when `f` began.
-fn peak_live_heap<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
-    let out = f();
-    (out, PEAK.with(Cell::get) - base)
-}
+static GLOBAL: RecordingAlloc = RecordingAlloc;
 
 const NODES: usize = 8;
 const GPUS_PER_NODE: usize = 2;
@@ -184,12 +124,13 @@ fn an_overload_pass_stays_within_its_heap_budget() {
 fn a_full_size_overload_pass_finishes_within_a_fifth_of_its_heap() {
     const BUDGET: usize = 15_490_000;
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
-    let mut service = overload(&suite, 200_000.0);
-    service.run_to_close();
-    let held = LIVE.with(Cell::get) - base;
-    let run_peak = PEAK.with(Cell::get) - base;
+    let base = live_bytes();
+    let (service, run_peak) = peak_live_heap(|| {
+        let mut service = overload(&suite, 200_000.0);
+        service.run_to_close();
+        service
+    });
+    let held = live_bytes() - base;
     let (served, rise) = peak_live_heap(|| service.finish());
     let peak = run_peak.max(held + rise);
     assert!(served.stats.decisions > 60_000 && served.stats.rejected > 0);

@@ -113,6 +113,19 @@ fn the_deleted_second_copies_stay_deleted() {
         ("windows", "_scheduled"),
         ("restore_windows", "_scheduled"),
         ("Claim", "UpTo"),
+        // One timing instrument: the micro-bench harness, the allocating
+        // twins only it called, and second copies of the seeding mixes.
+        ("crit", "erion"),
+        ("fn state(&self)", " -> Vec<f32>"),
+        ("fn forward(&mut self, x: &[f32]", ") -> Vec<f32>"),
+        ("fn backward(&mut self, dq", ": &[f32])"),
+        ("EpsilonSchedule::", "paper"),
+        ("fn sample", "<'a>"),
+        ("fn sample(&mut", " self"),
+        ("pub fn for_each", "_small_subset"),
+        ("trace", "_seed"),
+        ("fn split", "mix64("),
+        ("0x9e37_79b9", "_7f4a_7c15u64"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
@@ -172,7 +185,7 @@ fn every_pub_fn_has_a_caller() {
         // The evaluation trace `repro cluster` rows are compared on,
         // which `oracle`'s `backfill/` rows pin.
         "crates/bench/src/cluster.rs::evaluation_trace",
-        // The staggered trace of the module doctest and `cluster_perf`
+        // The staggered trace of the module doctest and the README
         // (`oracle`'s `cluster/` rows generate it as its trace kind).
         "crates/cluster/src/multinode.rs::staggered_trace",
         // `properties.rs`: no compiled partition hands out more compute
