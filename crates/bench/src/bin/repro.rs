@@ -76,13 +76,14 @@
 
 use hrp_bench::eval::{
     ablate_agent, ablate_interference, ablate_reward, evaluation_queues, run_full, FullEvaluation,
+    PolicyEval,
 };
 use hrp_bench::obs::{fig3_mps_sweep, fig4_bandwidth, fig5_variants, FIG5_MIX};
 use hrp_bench::report::{f3, Table};
 use hrp_cluster::trace::TraceKind;
 use hrp_cluster::SelectorKind;
 use hrp_core::actions::{mig_mps_space, mps_only_space, training_search_space};
-use hrp_core::metrics::arithmetic_mean;
+use hrp_core::metrics::{arithmetic_mean, QueueMetrics};
 use hrp_core::rl::EnvKind;
 use hrp_core::train::TrainConfig;
 use hrp_gpusim::mig::valid_gi_combinations;
@@ -272,15 +273,15 @@ const COMMANDS: &[(&str, Run)] = &[
     ("fig4", fig4),
     ("fig5", fig5),
     ("fig8", |suite, opts| {
-        emit_fig8(&run_full(suite, opts.train_cfg()), opts);
+        emit_per_queue(&run_full(suite, opts.train_cfg()), FIG8, opts);
     }),
     ("fig9", fig9),
     ("fig10", fig10),
     ("fig11", |suite, opts| {
-        emit_fig11(&run_full(suite, opts.train_cfg()), opts);
+        emit_per_queue(&run_full(suite, opts.train_cfg()), FIG11, opts);
     }),
     ("fig12", |suite, opts| {
-        emit_fig12(&run_full(suite, opts.train_cfg()), opts);
+        emit_per_queue(&run_full(suite, opts.train_cfg()), FIG12, opts);
     }),
     ("overhead", |suite, opts| {
         emit_overhead(&run_full(suite, opts.train_cfg()), opts);
@@ -458,9 +459,9 @@ fn all_cmd(suite: &Suite, opts: &Options) {
     fig4(suite, opts);
     fig5(suite, opts);
     let full = run_full(suite, opts.train_cfg());
-    emit_fig8(&full, opts);
-    emit_fig11(&full, opts);
-    emit_fig12(&full, opts);
+    for figure in [FIG8, FIG11, FIG12] {
+        emit_per_queue(&full, figure, opts);
+    }
     emit_overhead(&full, opts);
     fig9(suite, opts);
     fig10(suite, opts);
@@ -609,37 +610,29 @@ fn fig5(suite: &Suite, opts: &Options) {
     emit(&t, "fig5_variants", opts);
 }
 
-fn emit_fig8(full: &FullEvaluation, opts: &Options) {
-    let mut header: Vec<String> = vec!["policy".into()];
-    header.extend(full.queues.iter().map(|q| q.label.clone()));
-    header.push("AM".into());
-    let hdr: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(&hdr);
-    for run in &full.runs {
-        let mut row = vec![run.policy.clone()];
-        row.extend(run.metrics.iter().map(|m| f3(m.throughput)));
-        row.push(f3(run.mean_throughput()));
-        t.row(row);
-    }
-    emit(&t, "fig8_throughput", opts);
-}
+/// A per-queue table: the metric of one queue, its mean over the queues
+/// (the paper's `AM`), and the table's name.
+type PerQueue = (
+    fn(&QueueMetrics) -> f64,
+    fn(&PolicyEval) -> f64,
+    &'static str,
+);
 
-fn emit_fig11(full: &FullEvaluation, opts: &Options) {
-    let mut header: Vec<String> = vec!["policy".into()];
-    header.extend(full.queues.iter().map(|q| q.label.clone()));
-    header.push("AM".into());
-    let hdr: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(&hdr);
-    for run in &full.runs {
-        let mut row = vec![run.policy.clone()];
-        row.extend(run.metrics.iter().map(|m| f3(m.avg_slowdown)));
-        row.push(f3(run.mean_slowdown()));
-        t.row(row);
-    }
-    emit(&t, "fig11_slowdown", opts);
-}
+const FIG8: PerQueue = (
+    |m| m.throughput,
+    PolicyEval::mean_throughput,
+    "fig8_throughput",
+);
+const FIG11: PerQueue = (
+    |m| m.avg_slowdown,
+    PolicyEval::mean_slowdown,
+    "fig11_slowdown",
+);
+const FIG12: PerQueue = (|m| m.fairness, PolicyEval::mean_fairness, "fig12_fairness");
 
-fn emit_fig12(full: &FullEvaluation, opts: &Options) {
+/// Figs. 8, 11 and 12: one row per policy, one metric column per queue
+/// and the mean last.
+fn emit_per_queue(full: &FullEvaluation, (metric, mean, name): PerQueue, opts: &Options) {
     let mut header: Vec<String> = vec!["policy".into()];
     header.extend(full.queues.iter().map(|q| q.label.clone()));
     header.push("AM".into());
@@ -647,11 +640,11 @@ fn emit_fig12(full: &FullEvaluation, opts: &Options) {
     let mut t = Table::new(&hdr);
     for run in &full.runs {
         let mut row = vec![run.policy.clone()];
-        row.extend(run.metrics.iter().map(|m| f3(m.fairness)));
-        row.push(f3(run.mean_fairness()));
+        row.extend(run.metrics.iter().map(|m| f3(metric(m))));
+        row.push(f3(mean(run)));
         t.row(row);
     }
-    emit(&t, "fig12_fairness", opts);
+    emit(&t, name, opts);
 }
 
 fn emit_overhead(full: &FullEvaluation, opts: &Options) {

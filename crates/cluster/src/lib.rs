@@ -31,9 +31,9 @@
 //!   makespan bonus), [`place::train_placement`] through the generic
 //!   `hrp-core` pipeline, and `HRPP` checkpoints
 //!   ([`place::PlacementExperiment`]) — and the one constructor of
-//!   node-local dispatchers ([`place::PlacementDispatcher::new`], with
-//!   the evaluation `W`/`Cmax` pair) that training, batch evaluation
-//!   and `hrp-serve` all build their nodes through;
+//!   node-local dispatchers ([`place::dispatcher_for`], with the one
+//!   `W`/`Cmax` pair) that training, batch evaluation and `hrp-serve`
+//!   all build their nodes through;
 //! * [`fair`] — per-user fair share: karma-decayed service accounting,
 //!   in-flight quotas, burst-confined fair ordering
 //!   ([`fair::apply_fair_order`]), and the Jain's-index fairness

@@ -29,7 +29,7 @@
 //!   zero-regret point of the shaping term, but the loads it is
 //!   measured against come from the live simulation, not synthetic
 //!   accumulation.
-//! * **Terminal makespan bonus** `r_f = rf_weight × bound / makespan`,
+//! * **Terminal makespan bonus** `r_f = RF_WEIGHT × bound / makespan`,
 //!   paid on the last placement after the cluster drains: `makespan`
 //!   is the realized [`MultiNodeReport`] makespan and `bound` the
 //!   perfect-balance lower bound (total GPU-seconds over cluster
@@ -43,22 +43,28 @@
 //! through [`ClusterEnv`] produces **identical placements** to
 //! deploying that agent as a [`PolicySelector`] inside the simulator
 //! (asserted in this module's tests and pinned by
-//! `tests/golden_placement.rs`).
+//! `tests/golden_placement.rs`). An episode's nodes are
+//! [`dispatcher_for`]`(SelectorKind::Policy, ..)`, the nodes a policy
+//! service places onto, so an agent is trained through exactly the
+//! windows it is served through.
 //!
 //! # Training and deployment
 //!
 //! [`train_placement`] runs the generic rollout/learner pipeline
 //! ([`train_env`]) over seed-derived traces from the
-//! [`crate::trace`] generator suite — all pipeline guarantees
-//! (worker-count invariance, overlap staleness, sharded replay) carry
-//! over unchanged. The result is a [`PlacementAgent`]:
+//! [`crate::trace`] generator suite, with the worker-count invariance
+//! that pipeline guarantees. A [`PlacementConfig`] holds what callers
+//! vary: the cluster, the training traces, the episode count, the
+//! network widths, the seed and the worker count. Everything else —
+//! the DQN knobs, the reward weight, the rollout round and the node
+//! window — is a constant of this module. The result is a [`PlacementAgent`]:
 //! [`PlacementAgent::selector`] turns it into a drop-in
 //! [`NodeSelector`](crate::NodeSelector), and [`PlacementAgent::save_bytes`] /
 //! [`PlacementExperiment::load_bytes`] checkpoint spec + weights as an
 //! `HRPP` blob on the shared codec ([`hrp_nn::serialize`]), reloading
 //! to bit-identical placements.
 
-use crate::backfill::{BackfillPlanner, BackfillPolicy};
+use crate::backfill::BackfillPlanner;
 use crate::cosched::CoSchedulingDispatcher;
 use crate::job::ClusterJob;
 use crate::multinode::{ClusterDrive, MultiNodeReport, MAX_GPUS_PER_NODE, MAX_NODES};
@@ -83,18 +89,24 @@ use serde::{Deserialize, Serialize};
 /// `hrp-core`'s `HRPE`).
 const MAGIC: &str = "HRPP";
 /// Checkpoint format version.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
-/// Largest node window a checkpoint may claim: a node hands every
-/// window of `node_w` queued jobs to the exhaustive partition search
-/// (`hrp_core::exhaustive::best_partition`, which refuses 0 and whose
-/// cost is exponential in the window), and 16 is the widest window
-/// `repro fig9` sweeps.
-const MAX_NODE_W: usize = 16;
-/// Largest node concurrency cap a checkpoint may claim: the paper's
-/// `Cmax` and the top of `repro fig10`'s sweep (0 leaves the partition
-/// search nothing to cover a window with).
-const MAX_NODE_CMAX: usize = 4;
+/// Discount factor.
+const GAMMA: f32 = 0.98;
+/// Adam learning rate.
+const LR: f32 = 1e-3;
+/// Mini-batch size.
+const BATCH_SIZE: usize = 32;
+/// Target-network sync period (learning steps).
+const TARGET_SYNC_EVERY: u64 = 200;
+/// Replay capacity.
+const BUFFER_CAPACITY: usize = 20_000;
+/// Final ε of the exploration schedule.
+const EPS_END: f64 = 0.02;
+/// Terminal makespan-bonus weight (see the [module docs](self)).
+const RF_WEIGHT: f64 = 0.5;
+/// Episodes rolled out per weight snapshot.
+const ROLLOUT_ROUND: usize = 8;
 
 /// What a drained placement episode yields: the assignment vector plus
 /// the realized simulation report (the makespan the terminal reward was
@@ -118,28 +130,43 @@ pub struct PlacementOutcome {
 /// * **Action** — the node id (`N` actions; the mask drops nodes too
 ///   small for the job, so placement never dead-ends).
 /// * **Decision** — a [`PlacementOutcome`].
-pub struct ClusterEnv<'a, D: Dispatcher + Send> {
+pub struct ClusterEnv<'a> {
     suite: &'a Suite,
     trace: &'a [ClusterJob],
-    make: &'a (dyn Fn(usize) -> D + Sync),
     nodes: usize,
     gpus_per_node: usize,
-    rf_weight: f64,
     /// Reward normaliser: `1 +` mean job solo time.
     norm: f64,
     /// Perfect-balance makespan lower bound (total GPU-seconds over
     /// cluster GPUs).
     bound: f64,
-    drive: ClusterDrive<'a, D>,
+    drive: ClusterDrive<'a, PlacementDispatcher>,
     pos: usize,
     assignment: Vec<usize>,
     report: Option<MultiNodeReport>,
 }
 
-impl<'a, D: Dispatcher + Send> ClusterEnv<'a, D> {
+/// A fresh cluster of `nodes` policy-tier nodes at time 0, reserved for
+/// `trace` and advanced to its first arrival.
+fn episode_drive<'a>(
+    suite: &'a Suite,
+    nodes: usize,
+    gpus_per_node: usize,
+    trace: &[ClusterJob],
+) -> ClusterDrive<'a, PlacementDispatcher> {
+    let mut drive = ClusterDrive::new(suite, nodes, gpus_per_node, |_| {
+        dispatcher_for(SelectorKind::Policy, gpus_per_node, 0.0)
+    });
+    drive.reserve_jobs(trace.len());
+    drive.advance_to(trace[0].arrival);
+    drive
+}
+
+impl<'a> ClusterEnv<'a> {
     /// A placement episode over `nodes` identical nodes of
-    /// `gpus_per_node` GPUs, each running `make_dispatcher(node)`.
-    /// `trace` must be non-empty, sorted by arrival, and fit the nodes.
+    /// `gpus_per_node` GPUs, each running the policy tier's dispatcher
+    /// ([`dispatcher_for`]). `trace` must be non-empty, sorted by
+    /// arrival, and fit the nodes.
     ///
     /// # Panics
     /// Panics if `trace` is empty or unsorted, if `nodes` is outside
@@ -149,8 +176,6 @@ impl<'a, D: Dispatcher + Send> ClusterEnv<'a, D> {
         nodes: usize,
         gpus_per_node: usize,
         trace: &'a [ClusterJob],
-        make_dispatcher: &'a (dyn Fn(usize) -> D + Sync),
-        rf_weight: f64,
     ) -> Self {
         assert!(!trace.is_empty(), "a placement episode needs jobs");
         assert!(
@@ -170,29 +195,18 @@ impl<'a, D: Dispatcher + Send> ClusterEnv<'a, D> {
             .iter()
             .map(|j| j.solo_time(suite) * j.gpus as f64)
             .sum();
-        let mut env = Self {
+        Self {
             suite,
             trace,
-            make: make_dispatcher,
             nodes,
             gpus_per_node,
-            rf_weight,
             norm: 1.0 + total_work / trace.len() as f64,
             bound: gpu_seconds / (nodes * gpus_per_node) as f64,
-            drive: ClusterDrive::new(suite, nodes, gpus_per_node, make_dispatcher),
+            drive: episode_drive(suite, nodes, gpus_per_node, trace),
             pos: 0,
             assignment: Vec::with_capacity(trace.len()),
             report: None,
-        };
-        env.drive.reserve_jobs(trace.len());
-        env.drive.advance_to(env.trace[0].arrival);
-        env
-    }
-
-    /// Number of nodes (= action-space size).
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.nodes
+        }
     }
 
     /// The live load snapshots the next decision is made against.
@@ -202,7 +216,7 @@ impl<'a, D: Dispatcher + Send> ClusterEnv<'a, D> {
     }
 }
 
-impl<D: Dispatcher + Send> Env for ClusterEnv<'_, D> {
+impl Env for ClusterEnv<'_> {
     type Decision = PlacementOutcome;
 
     fn state_dim(&self) -> usize {
@@ -264,7 +278,7 @@ impl<D: Dispatcher + Send> Env for ClusterEnv<'_, D> {
         } else {
             let report = self.drive.finish();
             let makespan = report.aggregate.makespan;
-            let rf = self.rf_weight * self.bound / makespan.max(f64::MIN_POSITIVE);
+            let rf = RF_WEIGHT * self.bound / makespan.max(f64::MIN_POSITIVE);
             self.report = Some(report);
             StepResult {
                 reward: ri + rf,
@@ -276,9 +290,7 @@ impl<D: Dispatcher + Send> Env for ClusterEnv<'_, D> {
     }
 
     fn reset(&mut self) {
-        self.drive = ClusterDrive::new(self.suite, self.nodes, self.gpus_per_node, self.make);
-        self.drive.reserve_jobs(self.trace.len());
-        self.drive.advance_to(self.trace[0].arrival);
+        self.drive = episode_drive(self.suite, self.nodes, self.gpus_per_node, self.trace);
         self.pos = 0;
         self.assignment.clear();
         self.report = None;
@@ -296,10 +308,9 @@ impl<D: Dispatcher + Send> Env for ClusterEnv<'_, D> {
 /// the MPS-only node policy (cheap — no node-level training required).
 pub type NodeDispatcher = CoSchedulingDispatcher<MpsOnly>;
 
-/// A node-local dispatcher: the co-scheduling window dispatcher (what
-/// a placement agent's nodes always run,
-/// [`PlacementConfig::node_dispatcher`]) or the slot-tree backfilling
-/// planner of a backfill selector tier ([`dispatcher_for`]).
+/// A node-local dispatcher: the co-scheduling window dispatcher or the
+/// slot-tree backfilling planner of a backfill selector tier, as
+/// [`dispatcher_for`] builds them.
 pub enum PlacementDispatcher {
     /// Window co-scheduling with the MPS-only node policy.
     CoSched(NodeDispatcher),
@@ -307,59 +318,37 @@ pub enum PlacementDispatcher {
     Backfill(BackfillPlanner),
 }
 
-/// Window size of a node's co-scheduling dispatcher at the evaluation
-/// geometry: the [`PlacementConfig`] default and what
-/// [`dispatcher_for`] hands every selector kind, so `repro cluster`
-/// rows, service runs and default-config agents are digest-comparable.
+/// Window size of every node's co-scheduling dispatcher, so `repro
+/// cluster` rows, service runs, batch oracles and placement training
+/// are digest-comparable.
 pub const NODE_W: usize = 4;
-/// Concurrency cap of a node's co-scheduling dispatcher at the
-/// evaluation geometry (see [`NODE_W`]).
+/// Concurrency cap of every node's co-scheduling dispatcher (see
+/// [`NODE_W`]).
 pub const NODE_CMAX: usize = 4;
 
-impl PlacementDispatcher {
-    /// The one place a node-local dispatcher is constructed: a
-    /// backfilling planner of `backfill` over `walltime_err`-noisy
-    /// estimates on a `gpus_per_node`-GPU node, or — with no backfill
-    /// policy — the co-scheduling dispatcher over windows of `w` at
-    /// concurrency cap `cmax` with the MPS-only node policy.
-    #[must_use]
-    pub fn new(
-        backfill: Option<BackfillPolicy>,
-        gpus_per_node: usize,
-        walltime_err: f64,
-        w: usize,
-        cmax: usize,
-    ) -> Self {
-        match backfill {
-            Some(policy) => Self::Backfill(
-                BackfillPlanner::new(policy, gpus_per_node).with_walltime_err(walltime_err),
-            ),
-            None => Self::CoSched(CoSchedulingDispatcher::new(MpsOnly, w, cmax)),
-        }
-    }
-}
-
-/// The node-local dispatcher a selector kind schedules through, at the
-/// evaluation geometry: backfill tiers get a [`BackfillPlanner`] of
-/// their policy, everything else the co-scheduling window dispatcher
-/// at [`NODE_W`] / [`NODE_CMAX`] — the mapping `repro cluster`, the
-/// heuristic `hrp-serve` tiers and their batch oracles share, which is
-/// what keeps service and batch digests comparable per selector. (A
-/// trained agent names its own nodes:
-/// [`PlacementConfig::node_dispatcher`].)
+/// The one place a node-local dispatcher is constructed: the one a
+/// selector kind schedules through on a `gpus_per_node`-GPU node.
+/// Backfill tiers get a [`BackfillPlanner`] of their policy over
+/// `walltime_err`-noisy estimates; every other kind, the trained policy
+/// included, gets the co-scheduling window dispatcher at [`NODE_W`] /
+/// [`NODE_CMAX`] with the MPS-only node policy. `repro cluster`, every
+/// `hrp-serve` tier, their batch oracles and placement training share
+/// this mapping, which is what keeps service and batch digests
+/// comparable per selector.
 #[must_use]
 pub fn dispatcher_for(
     kind: SelectorKind,
     gpus_per_node: usize,
     walltime_err: f64,
 ) -> PlacementDispatcher {
-    PlacementDispatcher::new(
-        kind.backfill_policy(),
-        gpus_per_node,
-        walltime_err,
-        NODE_W,
-        NODE_CMAX,
-    )
+    match kind.backfill_policy() {
+        Some(policy) => PlacementDispatcher::Backfill(
+            BackfillPlanner::new(policy, gpus_per_node).with_walltime_err(walltime_err),
+        ),
+        None => {
+            PlacementDispatcher::CoSched(CoSchedulingDispatcher::new(MpsOnly, NODE_W, NODE_CMAX))
+        }
+    }
 }
 
 impl Dispatcher for PlacementDispatcher {
@@ -385,70 +374,40 @@ impl Dispatcher for PlacementDispatcher {
 }
 
 /// Stamps out [`ClusterEnv`] episodes over job traces: the
-/// episode-invariant pieces (suite, cluster geometry, dispatcher
-/// constructor, reward weight) behind the [`EnvFactory`] interface, so
-/// [`train_env`] runs placement training with zero pipeline changes.
-pub struct PlacementEnvFactory<'a, D, M>
-where
-    D: Dispatcher + Send,
-    M: Fn(usize) -> D + Sync,
-{
+/// episode-invariant pieces (suite, cluster geometry) behind the
+/// [`EnvFactory`] interface, so [`train_env`] runs placement training
+/// with zero pipeline changes.
+pub struct PlacementEnvFactory<'a> {
     suite: &'a Suite,
     nodes: usize,
     gpus_per_node: usize,
-    make: M,
-    rf_weight: f64,
     steps_hint: usize,
 }
 
-impl<'a, D, M> PlacementEnvFactory<'a, D, M>
-where
-    D: Dispatcher + Send,
-    M: Fn(usize) -> D + Sync,
-{
+impl<'a> PlacementEnvFactory<'a> {
     /// Bundle the episode-invariant state. `steps_hint` is the expected
     /// jobs per trace (scales the ε-decay schedule).
     #[must_use]
-    pub fn new(
-        suite: &'a Suite,
-        nodes: usize,
-        gpus_per_node: usize,
-        make_dispatcher: M,
-        rf_weight: f64,
-        steps_hint: usize,
-    ) -> Self {
+    pub fn new(suite: &'a Suite, nodes: usize, gpus_per_node: usize, steps_hint: usize) -> Self {
         Self {
             suite,
             nodes,
             gpus_per_node,
-            make: make_dispatcher,
-            rf_weight,
             steps_hint,
         }
     }
 }
 
-impl<D, M> EnvFactory for PlacementEnvFactory<'_, D, M>
-where
-    D: Dispatcher + Send,
-    M: Fn(usize) -> D + Sync,
-{
+impl EnvFactory for PlacementEnvFactory<'_> {
     type Ctx = Vec<ClusterJob>;
 
     type Env<'e>
-        = ClusterEnv<'e, D>
+        = ClusterEnv<'e>
     where
         Self: 'e;
 
-    fn make<'e>(&'e self, trace: &'e Vec<ClusterJob>) -> ClusterEnv<'e, D> {
-        ClusterEnv::new(
-            self.suite,
-            self.nodes,
-            self.gpus_per_node,
-            trace,
-            &self.make,
-            self.rf_weight,
-        )
+    fn make<'e>(&'e self, trace: &'e Vec<ClusterJob>) -> ClusterEnv<'e> {
+        ClusterEnv::new(self.suite, self.nodes, self.gpus_per_node, trace)
     }
 
     fn state_dim(&self) -> usize {
@@ -465,18 +424,14 @@ where
 }
 
 /// Placement-training configuration: cluster geometry, the training
-/// trace family, and the DQN/pipeline knobs (mirroring
-/// `hrp-core::train::TrainConfig` where they overlap).
+/// trace family, and the training knobs callers vary (the rest are
+/// constants of this module; see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementConfig {
     /// Simulated nodes (= action-space size).
     pub nodes: usize,
     /// GPUs per node.
     pub gpus_per_node: usize,
-    /// Window size of each node's co-scheduling dispatcher.
-    pub node_w: usize,
-    /// Concurrency cap of each node's co-scheduling dispatcher.
-    pub node_cmax: usize,
     /// The training-trace family; episode `e` replays trace
     /// `e % n_traces`, generated with a seed derived from
     /// `trace.seed` (see [`training_traces`]).
@@ -487,35 +442,11 @@ pub struct PlacementConfig {
     pub episodes: usize,
     /// Hidden-layer widths.
     pub hidden: Vec<usize>,
-    /// Discount factor.
-    pub gamma: f32,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Target-network sync period (learning steps).
-    pub target_sync_every: u64,
-    /// Replay capacity.
-    pub buffer_capacity: usize,
-    /// Double-DQN targets.
-    pub double: bool,
-    /// Dueling head.
-    pub dueling: bool,
-    /// Final ε of the exploration schedule.
-    pub eps_end: f64,
-    /// Terminal makespan-bonus weight (see the [module docs](self)).
-    pub rf_weight: f64,
     /// Master seed (weights, ε draws, per-episode RNG streams).
     pub seed: u64,
     /// Rollout worker threads (execution detail; results identical for
     /// any value).
     pub n_workers: usize,
-    /// Episodes rolled out per weight snapshot.
-    pub rollout_round: usize,
-    /// Double-buffered training rounds.
-    pub overlap: bool,
-    /// Replay shards.
-    pub shards: usize,
 }
 
 impl PlacementConfig {
@@ -526,26 +457,12 @@ impl PlacementConfig {
         Self {
             nodes: 4,
             gpus_per_node: 2,
-            node_w: NODE_W,
-            node_cmax: NODE_CMAX,
             trace: TraceConfig::new(TraceKind::Skewed, 32, 42),
             n_traces: 12,
             episodes: 600,
             hidden: vec![64, 32],
-            gamma: 0.98,
-            lr: 1e-3,
-            batch_size: 32,
-            target_sync_every: 200,
-            buffer_capacity: 20_000,
-            double: true,
-            dueling: true,
-            eps_end: 0.02,
-            rf_weight: 0.5,
             seed: 42,
             n_workers: 0,
-            rollout_round: 8,
-            overlap: false,
-            shards: 1,
         }
     }
 
@@ -569,29 +486,17 @@ impl PlacementConfig {
             state_dim: 2 * self.nodes + 2,
             n_actions: self.nodes,
             hidden: self.hidden.clone(),
-            gamma: self.gamma,
-            lr: self.lr,
-            batch_size: self.batch_size,
-            target_sync_every: self.target_sync_every,
-            buffer_capacity: self.buffer_capacity,
-            shards: self.shards.max(1),
+            gamma: GAMMA,
+            lr: LR,
+            batch_size: BATCH_SIZE,
+            target_sync_every: TARGET_SYNC_EVERY,
+            buffer_capacity: BUFFER_CAPACITY,
+            shards: 1,
             huber_delta: 1.0,
-            double: self.double,
-            head: if self.dueling {
-                Head::Dueling
-            } else {
-                Head::Plain
-            },
+            double: true,
+            head: Head::Dueling,
             seed: self.seed,
         }
-    }
-
-    /// A fresh node-local dispatcher for this config: the window
-    /// co-scheduling dispatcher at [`PlacementConfig::node_w`] /
-    /// [`PlacementConfig::node_cmax`].
-    #[must_use]
-    pub fn node_dispatcher(&self) -> PlacementDispatcher {
-        PlacementDispatcher::new(None, self.gpus_per_node, 0.0, self.node_w, self.node_cmax)
     }
 }
 
@@ -619,24 +524,16 @@ pub fn training_traces(suite: &Suite, cfg: &PlacementConfig) -> Vec<Vec<ClusterJ
 #[must_use]
 pub fn train_placement(suite: &Suite, cfg: PlacementConfig) -> (PlacementAgent, TrainReport) {
     let traces = training_traces(suite, &cfg);
-    let template = cfg.clone();
-    let factory = PlacementEnvFactory::new(
-        suite,
-        cfg.nodes,
-        cfg.gpus_per_node,
-        move |_| template.node_dispatcher(),
-        cfg.rf_weight,
-        cfg.trace.jobs,
-    );
+    let factory = PlacementEnvFactory::new(suite, cfg.nodes, cfg.gpus_per_node, cfg.trace.jobs);
     let agent = DqnAgent::new(cfg.dqn_config());
     let pipeline = PipelineConfig {
         episodes: cfg.episodes,
         seed: cfg.seed,
-        eps_end: cfg.eps_end,
+        eps_end: EPS_END,
         n_workers: cfg.n_workers,
-        rollout_round: cfg.rollout_round,
-        overlap: cfg.overlap,
-        shards: cfg.shards.max(1),
+        rollout_round: ROLLOUT_ROUND,
+        overlap: false,
+        shards: 1,
     };
     let (agent, report) = train_env(&factory, agent, &traces, &pipeline);
     (PlacementAgent { agent, cfg }, report)
@@ -689,15 +586,7 @@ impl PlacementAgent {
     /// configured nodes.
     #[must_use]
     pub fn greedy_placements(&self, suite: &Suite, trace: &[ClusterJob]) -> PlacementOutcome {
-        let make = |_: usize| self.cfg.node_dispatcher();
-        let env = ClusterEnv::new(
-            suite,
-            self.cfg.nodes,
-            self.cfg.gpus_per_node,
-            trace,
-            &make,
-            self.cfg.rf_weight,
-        );
+        let env = ClusterEnv::new(suite, self.cfg.nodes, self.cfg.gpus_per_node, trace);
         greedy_rollout(env, &self.agent)
     }
 
@@ -750,8 +639,6 @@ fn encode_spec(cfg: &PlacementConfig) -> SpecWriter {
     let mut s = SpecWriter::new();
     s.kv("nodes", cfg.nodes);
     s.kv("gpus_per_node", cfg.gpus_per_node);
-    s.kv("node_w", cfg.node_w);
-    s.kv("node_cmax", cfg.node_cmax);
     s.kv("trace.kind", cfg.trace.kind.name());
     s.kv("trace.jobs", cfg.trace.jobs);
     s.kv("trace.seed", cfg.trace.seed);
@@ -763,35 +650,19 @@ fn encode_spec(cfg: &PlacementConfig) -> SpecWriter {
     s.kv("n_traces", cfg.n_traces);
     s.kv("episodes", cfg.episodes);
     s.list("hidden", &cfg.hidden);
-    s.float("gamma", cfg.gamma);
-    s.float("lr", cfg.lr);
-    s.kv("batch_size", cfg.batch_size);
-    s.kv("target_sync_every", cfg.target_sync_every);
-    s.kv("buffer_capacity", cfg.buffer_capacity);
-    s.kv("double", cfg.double);
-    s.kv("dueling", cfg.dueling);
-    s.float("eps_end", cfg.eps_end);
-    s.float("rf_weight", cfg.rf_weight);
     s.kv("seed", cfg.seed);
     s.kv("n_workers", cfg.n_workers);
-    s.kv("rollout_round", cfg.rollout_round);
-    s.kv("overlap", cfg.overlap);
-    s.kv("shards", cfg.shards);
     s
 }
 
 /// Decode the spec: every [`PlacementConfig`] field exactly once, in
 /// any order. The cluster geometry is held to the bounds the simulator
-/// and the `HRPS` snapshot enforce, the node windows to
-/// [`MAX_NODE_W`] / [`MAX_NODE_CMAX`]; the network-shaping values
-/// (`hidden`, `buffer_capacity`, `shards`) are range-checked by
-/// [`load_agent`] against the weights.
+/// and the `HRPS` snapshot enforce; the hidden widths are range-checked
+/// by [`load_agent`] against the weights.
 fn decode_spec(mut spec: Spec<'_>) -> Result<PlacementConfig, CheckpointError> {
     let cfg = PlacementConfig {
         nodes: spec.get_in("nodes", 1..=MAX_NODES)?,
         gpus_per_node: spec.get_in("gpus_per_node", 1..=MAX_GPUS_PER_NODE)?,
-        node_w: spec.get_in("node_w", 1..=MAX_NODE_W)?,
-        node_cmax: spec.get_in("node_cmax", 1..=MAX_NODE_CMAX)?,
         trace: TraceConfig {
             kind: spec.get_with("trace.kind", TraceKind::parse)?,
             jobs: spec.get("trace.jobs")?,
@@ -805,20 +676,8 @@ fn decode_spec(mut spec: Spec<'_>) -> Result<PlacementConfig, CheckpointError> {
         n_traces: spec.get("n_traces")?,
         episodes: spec.get("episodes")?,
         hidden: spec.get_list("hidden")?,
-        gamma: spec.get("gamma")?,
-        lr: spec.get("lr")?,
-        batch_size: spec.get("batch_size")?,
-        target_sync_every: spec.get("target_sync_every")?,
-        buffer_capacity: spec.get("buffer_capacity")?,
-        double: spec.get("double")?,
-        dueling: spec.get("dueling")?,
-        eps_end: spec.get("eps_end")?,
-        rf_weight: spec.get("rf_weight")?,
         seed: spec.get("seed")?,
         n_workers: spec.get("n_workers")?,
-        rollout_round: spec.get("rollout_round")?,
-        overlap: spec.get("overlap")?,
-        shards: spec.get("shards")?,
     };
     spec.finish()?;
     Ok(cfg)
@@ -839,25 +698,20 @@ mod tests {
         trace::generate(suite, &TraceConfig::new(TraceKind::Skewed, jobs, seed))
     }
 
-    fn make_env<'a>(
-        s: &'a Suite,
-        nodes: usize,
-        trace: &'a [ClusterJob],
-        make: &'a (dyn Fn(usize) -> NodeDispatcher + Sync),
-    ) -> ClusterEnv<'a, NodeDispatcher> {
-        ClusterEnv::new(s, nodes, 2, trace, make, 0.5)
+    fn make_env<'a>(s: &'a Suite, nodes: usize, trace: &'a [ClusterJob]) -> ClusterEnv<'a> {
+        ClusterEnv::new(s, nodes, 2, trace)
     }
 
-    fn dispatcher_maker() -> impl Fn(usize) -> NodeDispatcher + Sync {
-        |_| CoSchedulingDispatcher::new(MpsOnly, 4, 4)
+    /// What every policy-tier node runs.
+    fn node() -> PlacementDispatcher {
+        dispatcher_for(SelectorKind::Policy, 2, 0.0)
     }
 
     #[test]
     fn env_contract_holds_over_an_episode() {
         let s = suite();
         let t = skewed_trace(&s, 12, 3);
-        let make = dispatcher_maker();
-        let mut env = make_env(&s, 3, &t, &make);
+        let mut env = make_env(&s, 3, &t);
         assert_eq!(env.state_dim(), 8);
         assert_eq!(env.n_actions(), 3);
         let mut state = Vec::new();
@@ -885,8 +739,7 @@ mod tests {
     fn least_loaded_choices_pay_zero_delay_penalty() {
         let s = suite();
         let t = skewed_trace(&s, 8, 1);
-        let make = dispatcher_maker();
-        let mut env = make_env(&s, 2, &t, &make);
+        let mut env = make_env(&s, 2, &t);
         while !env.done() {
             // Mirror least-loaded per-GPU with low-id ties.
             let best = env
@@ -909,9 +762,8 @@ mod tests {
     fn terminal_bonus_rewards_shorter_makespans() {
         let s = suite();
         let t = skewed_trace(&s, 16, 7);
-        let make = dispatcher_maker();
         let run_all_on = |node: usize| {
-            let mut env = make_env(&s, 2, &t, &make);
+            let mut env = make_env(&s, 2, &t);
             let mut last = 0.0;
             while !env.done() {
                 last = env.step(node).rf;
@@ -919,7 +771,7 @@ mod tests {
             last
         };
         let run_spread = || {
-            let mut env = make_env(&s, 2, &t, &make);
+            let mut env = make_env(&s, 2, &t);
             let mut i = 0;
             let mut last = 0.0;
             while !env.done() {
@@ -940,8 +792,7 @@ mod tests {
     fn reset_restores_the_initial_state_exactly() {
         let s = suite();
         let t = skewed_trace(&s, 10, 5);
-        let make = dispatcher_maker();
-        let mut env = make_env(&s, 3, &t, &make);
+        let mut env = make_env(&s, 3, &t);
         let mut before = Vec::new();
         env.state_into(&mut before);
         while !env.done() {
@@ -958,8 +809,7 @@ mod tests {
     fn single_node_cluster_has_an_action_space_of_one() {
         let s = suite();
         let t = skewed_trace(&s, 6, 2);
-        let make = dispatcher_maker();
-        let mut env = make_env(&s, 1, &t, &make);
+        let mut env = make_env(&s, 1, &t);
         assert_eq!(env.n_actions(), 1);
         assert_eq!(env.state_dim(), 4);
         while !env.done() {
@@ -971,9 +821,7 @@ mod tests {
         assert!(outcome.assignment.iter().all(|&n| n == 0));
         // And it reproduces the least-loaded single-node schedule.
         let mut ll = LeastLoaded;
-        let direct = MultiNodeSim::new(1, 2).run(&s, t.clone(), &mut ll, |_| {
-            CoSchedulingDispatcher::new(MpsOnly, 4, 4)
-        });
+        let direct = MultiNodeSim::new(1, 2).run(&s, t.clone(), &mut ll, |_| node());
         assert_eq!(outcome.report.unwrap(), direct);
     }
 
@@ -986,8 +834,7 @@ mod tests {
         let t: Vec<ClusterJob> = (0..12)
             .map(|i| ClusterJob::new(i, "lavaMD", 0.0, 1, &s))
             .collect();
-        let make = dispatcher_maker();
-        let mut env = make_env(&s, 2, &t, &make);
+        let mut env = make_env(&s, 2, &t);
         let mut saw_saturated = false;
         while !env.done() {
             if env.loads().iter().all(|l| l.free_gpus == 0) {
@@ -1008,8 +855,7 @@ mod tests {
     fn wide_jobs_mask_too_small_nodes() {
         let s = suite();
         let t = vec![ClusterJob::new(0, "lavaMD", 0.0, 2, &s)];
-        let make = dispatcher_maker();
-        let env = make_env(&s, 2, &t, &make);
+        let env = make_env(&s, 2, &t);
         // Both nodes have 2 GPUs, so both fit.
         assert_eq!(env.valid_mask(), 0b11);
     }
@@ -1028,7 +874,7 @@ mod tests {
         let mut sel = agent.selector();
         let direct =
             MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node)
-                .run(&s, t.clone(), &mut sel, |_| cfg.node_dispatcher());
+                .run(&s, t.clone(), &mut sel, |_| node());
         assert_eq!(outcome.report.unwrap(), direct);
     }
 
@@ -1057,18 +903,12 @@ mod tests {
         let agent = PlacementAgent::untrained(cfg.clone());
         let t = skewed_trace(&s, 24, 11);
         let mut fast_sel = agent.selector();
-        let fast = MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node).run(
-            &s,
-            t.clone(),
-            &mut fast_sel,
-            |_| cfg.node_dispatcher(),
-        );
+        let sim = MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node);
+        let fast = sim.run(&s, t.clone(), &mut fast_sel, |_| node());
         let mut ref_sel = PolicySelector::new(Reference {
             net: agent.dqn().online_net().clone(),
         });
-        let reference =
-            MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node)
-                .run(&s, t, &mut ref_sel, |_| cfg.node_dispatcher());
+        let reference = sim.run(&s, t, &mut ref_sel, |_| node());
         assert_eq!(fast, reference);
     }
 
@@ -1085,30 +925,20 @@ mod tests {
             .gang_share(0.5)
             .users(5)
             .user_skew(1.3);
-        cfg.overlap = true;
-        cfg.shards = 4;
-        cfg.lr = 3.3e-4;
-        cfg.rf_weight = 0.125;
         cfg.hidden = vec![48, 24];
-        cfg.node_w = 8;
-        cfg.node_cmax = 3;
+        cfg.n_workers = 3;
         let text = encode_spec(&cfg);
-        assert_eq!(text.as_str().lines().count(), 29, "HRPP v2 writes 29 keys");
+        assert_eq!(text.as_str().lines().count(), 15, "HRPP v3 writes 15 keys");
         assert_eq!(decode_text(text.as_str()).unwrap(), cfg);
-        // Geometry beyond what the simulator and the node windows'
-        // partition search accept is a typed error, a key of the
-        // retired v1 spec is unknown, and the tenant keys are required
-        // like every other key.
+        // Geometry beyond what the simulator accepts is a typed error, a
+        // key of the retired v1 spec is unknown, and the tenant keys are
+        // required like every other key.
         for (from, to) in [
             ("nodes=4", "nodes=0"),
             ("nodes=4", "nodes=65"),
             ("gpus_per_node=2", "gpus_per_node=0"),
             ("gpus_per_node=2", "gpus_per_node=99999"),
-            ("node_w=8", "node_w=0"),
-            ("node_w=8", "node_w=17"),
-            ("node_cmax=3", "node_cmax=0"),
-            ("node_cmax=3", "node_cmax=5"),
-            ("shards=4\n", "shards=4\nbackfill=none\n"),
+            ("n_workers=3\n", "n_workers=3\nbackfill=none\n"),
             ("trace.users=5\n", ""),
         ] {
             assert!(text.as_str().contains(from), "spec has no '{from}'");
@@ -1150,8 +980,10 @@ mod tests {
             Some(CheckpointError::NotACheckpoint { expected: "HRPP" })
         );
         let agent = PlacementAgent::untrained(PlacementConfig::quick());
-        // Version 1 carried the six retired planner / fair-share keys.
-        for found in [1, 99] {
+        // Version 1 carried the six retired planner / fair-share keys,
+        // version 2 the fourteen training and node-window keys that are
+        // now constants.
+        for found in [1, 2, 99] {
             let mut raw = agent.save_bytes().to_vec();
             raw[4] = found;
             assert_eq!(
@@ -1169,8 +1001,7 @@ mod tests {
     fn oversized_jobs_are_rejected_at_construction() {
         let s = suite();
         let t = vec![ClusterJob::new(0, "lavaMD", 0.0, 4, &s)];
-        let make = dispatcher_maker();
-        let _ = make_env(&s, 2, &t, &make);
+        let _ = make_env(&s, 2, &t);
     }
 
     #[test]
@@ -1181,7 +1012,6 @@ mod tests {
             ClusterJob::new(0, "stream", 5.0, 1, &s),
             ClusterJob::new(1, "stream", 0.0, 1, &s),
         ];
-        let make = dispatcher_maker();
-        let _ = make_env(&s, 2, &t, &make);
+        let _ = make_env(&s, 2, &t);
     }
 }

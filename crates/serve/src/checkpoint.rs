@@ -21,7 +21,10 @@
 //! [`BackfillState`]; a co-scheduling node has none), for the policy
 //! selector the agent's embedded `HRPP` blob, and for the admission
 //! tier the fair-share snapshot, the rolling admission digest and the
-//! quota-deferred queue.
+//! quota-deferred queue. Every tier's nodes are
+//! [`dispatcher_for`]`(selector, ..)`, the agent's included, so a node's
+//! dispatcher is rebuilt from the spec's `selector` alone and its record
+//! decoded straight into it.
 //!
 //! Nothing is written that the rest determines. A node's running
 //! placements are its log's open `Start`s, its free GPUs the pool less
@@ -60,7 +63,7 @@ use hrp_cluster::backfill::BackfillState;
 use hrp_cluster::fair::{FairShare, FairShareState};
 use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NODES};
-use hrp_cluster::place::{PlacementDispatcher, PlacementExperiment};
+use hrp_cluster::place::{dispatcher_for, PlacementDispatcher, PlacementExperiment};
 use hrp_cluster::select::{RoundRobin, SelectorKind};
 use hrp_cluster::sim::{Dispatcher, EventKind, EventLog, NodeEvent, NodeRunState, TIME_EPS};
 use hrp_cluster::trace::{TraceConfig, TraceKind};
@@ -230,11 +233,11 @@ pub fn restore(
     let lookahead = has_lookahead
         .then(|| get_job(&mut body, jobs))
         .transpose()?;
-    let mut records = Vec::with_capacity(nodes);
+    let mut parts = Vec::with_capacity(nodes);
     for node in 0..nodes {
-        records.push((
+        parts.push((
             get_node_state(&mut body, node, jobs)?,
-            get_dispatcher_record(&mut body, node, gpus_per_node)?,
+            get_dispatcher(&mut body, node, kind, &cfg)?,
         ));
     }
     let selector = match (kind, rr_cursor) {
@@ -253,12 +256,6 @@ pub fn restore(
     };
     body.finish()?;
 
-    // The agent's blob follows the node records it shapes the
-    // dispatchers of, so those are built last.
-    let parts = records
-        .into_iter()
-        .map(|(state, record)| Ok((state, record.wind(selector.node_dispatcher(&cfg))?)))
-        .collect::<Result<Vec<_>, CheckpointError>>()?;
     let drive = ClusterDrive::from_states(suite, gpus_per_node, parts, last_cycle, sync);
     let stats = ServeStats {
         cycles,
@@ -603,27 +600,24 @@ fn instant(t: f64) -> bool {
     t.is_finite() && t >= 0.0
 }
 
-/// One node's recorded dispatcher bookkeeping, read before the
-/// dispatcher it belongs to can be built (a policy service's nodes are
-/// shaped by the agent, whose blob comes later in the body).
-enum DispatcherRecord {
-    CoSched,
-    Backfill(BackfillState),
-}
-
-/// One dispatcher record. A planner's bookkeeping is held to what the
+/// One node's dispatcher record, decoded straight into a fresh
+/// dispatcher of the `kind` tier on `cfg`'s nodes, wound forward to the
+/// recorded bookkeeping. A planner's bookkeeping is held to what the
 /// planner itself can produce before any `NodeRun` is built: every time
 /// goes into a slot-set claim at the next decision with a free GPU,
 /// which panics on a window that is not finite.
-fn get_dispatcher_record(
+fn get_dispatcher(
     r: &mut Reader<'_>,
     node: usize,
-    gpus_per_node: usize,
-) -> Result<DispatcherRecord, CheckpointError> {
+    kind: SelectorKind,
+    cfg: &ServeConfig,
+) -> Result<PlacementDispatcher, CheckpointError> {
+    let gpus_per_node = cfg.gpus_per_node;
     let width = |gpus: usize| (1..=gpus_per_node).contains(&gpus);
-    match r.u8()? {
-        0 => Ok(DispatcherRecord::CoSched),
-        1 => {
+    let mut dispatcher = dispatcher_for(kind, gpus_per_node, cfg.walltime_err);
+    match (r.u8()?, &mut dispatcher) {
+        (0, PlacementDispatcher::CoSched(_)) => {}
+        (1, PlacementDispatcher::Backfill(planner)) => {
             let state = BackfillState {
                 releases: r.seq(8 + 4, |r| Ok((r.f64()?, r.size()?)))?,
             };
@@ -635,39 +629,17 @@ fn get_dispatcher_record(
                     )
                 })?;
             }
-            Ok(DispatcherRecord::Backfill(state))
+            planner.restore_state(state);
         }
-        tag => Err(CheckpointError::invalid(
-            MAGIC,
-            format!("unknown dispatcher tag {tag}"),
-        )),
-    }
-}
-
-impl DispatcherRecord {
-    /// Wind a fresh dispatcher of the selector's tier forward to the
-    /// recorded bookkeeping.
-    fn wind(
-        self,
-        mut dispatcher: PlacementDispatcher,
-    ) -> Result<PlacementDispatcher, CheckpointError> {
-        match (self, &mut dispatcher) {
-            (Self::CoSched, PlacementDispatcher::CoSched(_)) => {}
-            (Self::Backfill(state), PlacementDispatcher::Backfill(planner)) => {
-                planner.restore_state(state);
-            }
-            (_, built) => {
-                return Err(CheckpointError::invalid(
-                    MAGIC,
-                    format!(
-                        "the dispatcher record does not match the selector's '{}' nodes",
-                        built.name()
-                    ),
-                ))
-            }
+        (tag, built) => {
+            let what = format!(
+                "node {node}: dispatcher tag {tag} does not match the selector's '{}' nodes",
+                built.name()
+            );
+            return Err(CheckpointError::invalid(MAGIC, what));
         }
-        Ok(dispatcher)
     }
+    Ok(dispatcher)
 }
 
 fn put_admission(w: &mut Writer, suite: &Suite, adm: &AdmissionState) {
@@ -753,9 +725,7 @@ mod tests {
     use super::*;
     use crate::service::ServeReport;
     use crate::source::ChannelSource;
-    use hrp_cluster::multinode::MultiNodeSim;
-    use hrp_cluster::place::{dispatcher_for, PlacementAgent, PlacementConfig};
-    use hrp_cluster::trace::generate;
+    use hrp_cluster::place::{PlacementAgent, PlacementConfig};
     use hrp_gpusim::GpuArch;
 
     fn suite() -> Suite {
@@ -882,48 +852,19 @@ mod tests {
         assert_kill_restore_is_exact(svc, 20);
     }
 
-    /// Regression for the train/serve dispatcher skew: a policy service
-    /// schedules through the node dispatchers its agent's own config
-    /// names — the ones the agent was trained through — at
-    /// construction and again at restore. The parent commit served every
-    /// agent through `dispatcher_for(Policy, ..)`, i.e. windows of 4.
+    /// The largest walltime error a service accepts is one `restore`
+    /// accepts too: the parent commit built services outside the bound
+    /// that restore then refused.
     #[test]
-    fn policy_service_runs_the_agents_own_node_dispatchers() {
+    fn kill_restore_round_trip_at_the_largest_walltime_error() {
         let s = suite();
-        let mut cfg = PlacementConfig::quick();
-        cfg.node_w = 2;
-        let agent = || PlacementAgent::untrained(cfg.clone());
-        let trace = TraceConfig::new(TraceKind::Bursty, 200, 7);
-        let sim = MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node);
-        let deployed = sim
-            .run(&s, generate(&s, &trace), &mut agent().selector(), |_| {
-                cfg.node_dispatcher()
-            })
-            .timeline
-            .digest();
-        // The window size is visible in the schedule, so the check below
-        // cannot pass by accident.
-        let through_windows_of_four = sim
-            .run(&s, generate(&s, &trace), &mut agent().selector(), |_| {
-                dispatcher_for(SelectorKind::Policy, cfg.gpus_per_node, 0.0)
-            })
-            .timeline
-            .digest();
-        assert_ne!(deployed, through_windows_of_four);
-
-        let mut svc = SchedulerService::with_agent(
+        let svc = SchedulerService::new(
             &s,
-            ServeConfig::new(cfg.nodes, cfg.gpus_per_node),
-            agent(),
-            TraceSource::new(&s, trace),
+            ServeConfig::new(2, 2).walltime_err(0.999),
+            SelectorKind::LeastLoaded,
+            TraceSource::new(&s, trace_cfg(TraceKind::Bursty, 40, 9)),
         );
-        while svc.consumed() < 100 {
-            let _ = svc.step();
-        }
-        let blob = svc.checkpoint().expect("deterministic source");
-        assert_eq!(drain(svc).report.timeline.digest(), deployed);
-        let resumed = restore(&s, blob).expect("round trip");
-        assert_eq!(drain(resumed).report.timeline.digest(), deployed);
+        assert_kill_restore_is_exact(svc, 20);
     }
 
     #[test]

@@ -31,8 +31,10 @@
 //! Admission state checkpoints alongside everything else, so
 //! kill/restore reproduces the decisions bit-exactly.
 //!
-//! The dispatchers are event-driven: a node needs a cycle only at a job
-//! event. The one instant a service must wake at with no arrival is an
+//! Every node runs the dispatcher [`dispatcher_for`] gives the
+//! selector's kind — a policy service's too, so an agent is served
+//! through the nodes placement training ran it on. The dispatchers are
+//! event-driven: a node needs a cycle only at a job event. The one instant a service must wake at with no arrival is an
 //! estimated release of the admission tier while jobs are parked —
 //! [`SchedulerService::next_wakeup`] — and
 //! [`SchedulerService::wake_cycle`] runs exactly there.
@@ -41,7 +43,7 @@ use crate::source::{ArrivalSource, SourcePoll};
 use hrp_cluster::backfill::BackfillPolicy;
 use hrp_cluster::fair::{self, FairShare};
 use hrp_cluster::job::ClusterJob;
-use hrp_cluster::multinode::{ClusterDrive, MultiNodeReport};
+use hrp_cluster::multinode::{ClusterDrive, MultiNodeReport, MAX_GPUS_PER_NODE};
 pub use hrp_cluster::place::dispatcher_for;
 use hrp_cluster::place::{PlacementAgent, PlacementDispatcher};
 use hrp_cluster::select::{
@@ -148,12 +150,11 @@ impl AdmissionConfig {
 pub struct ServeConfig {
     /// Cluster nodes (1..=64).
     pub nodes: usize,
-    /// GPUs per node.
+    /// GPUs per node (1..=[`MAX_GPUS_PER_NODE`]).
     pub gpus_per_node: usize,
-    /// Walltime-estimate error handed to backfilling planners
-    /// (ignored by the co-scheduling dispatcher kinds, and by a policy
-    /// service: its nodes are the agent's own
-    /// [`node_dispatcher`](hrp_cluster::place::PlacementConfig::node_dispatcher)).
+    /// Walltime-estimate error handed to backfilling planners, in
+    /// `[0, 1)` (ignored by the co-scheduling dispatcher kinds, the
+    /// policy tier among them).
     pub walltime_err: f64,
     /// Admission control + per-user fair share in front of the
     /// selector, or `None` (the default) for the legacy
@@ -244,17 +245,6 @@ impl SelectorState {
                 BackfillPolicy::Conservative => SelectorKind::Conservative,
             },
             Self::Policy(..) => SelectorKind::Policy,
-        }
-    }
-
-    /// A fresh dispatcher for the nodes this tier places onto. A policy
-    /// tier's agent names its own — the nodes it was trained through,
-    /// so served and trained placements meet the same windows; every
-    /// heuristic kind takes [`dispatcher_for`]'s evaluation geometry.
-    pub(crate) fn node_dispatcher(&self, cfg: &ServeConfig) -> PlacementDispatcher {
-        match self {
-            Self::Policy(agent, _) => agent.config().node_dispatcher(),
-            heuristic => dispatcher_for(heuristic.kind(), cfg.gpus_per_node, cfg.walltime_err),
         }
     }
 
@@ -563,21 +553,26 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     ///
     /// # Panics
     /// Panics for [`SelectorKind::Policy`] (use
-    /// [`SchedulerService::with_agent`]) and on geometry the cluster
-    /// rejects (0 or more than 64 nodes).
+    /// [`SchedulerService::with_agent`]), on geometry the cluster
+    /// rejects (0 or more than 64 nodes), and on a `cfg` a checkpoint
+    /// could not restore: `walltime_err` outside `[0, 1)`,
+    /// `gpus_per_node` outside `1..=`[`MAX_GPUS_PER_NODE`], or an
+    /// admission tier with a zero `quota` or a `slo` that is not
+    /// positive. The message names the field.
     #[must_use]
     pub fn new(suite: &'a Suite, cfg: ServeConfig, kind: SelectorKind, source: S) -> Self {
         Self::build(suite, cfg, SelectorState::from_kind(kind), source)
     }
 
     /// A fresh service placing through a trained (or untrained)
-    /// placement agent — the frozen-policy global tier, over the node
-    /// dispatchers the agent's own
-    /// [`PlacementConfig`](hrp_cluster::place::PlacementConfig) names.
+    /// placement agent — the frozen-policy global tier, over the nodes
+    /// [`dispatcher_for`] builds for [`SelectorKind::Policy`], the ones
+    /// placement training runs its episodes on.
     ///
     /// # Panics
     /// Panics if the agent was shaped for another geometry than
-    /// `cfg.nodes` × `cfg.gpus_per_node`.
+    /// `cfg.nodes` × `cfg.gpus_per_node`, and on a `cfg` a checkpoint
+    /// could not restore, as [`SchedulerService::new`] does.
     #[must_use]
     pub fn with_agent(
         suite: &'a Suite,
@@ -589,15 +584,33 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     }
 
     /// # Panics
-    /// Panics if a policy tier's agent was shaped for another geometry
-    /// than `cfg`'s (see [`SchedulerService::with_agent`]).
+    /// Panics on a `cfg` that [`crate::checkpoint::restore`] would
+    /// refuse, naming the field, or if a policy tier's agent was shaped
+    /// for another geometry than `cfg`'s (see
+    /// [`SchedulerService::with_agent`]).
     fn build(suite: &'a Suite, cfg: ServeConfig, selector: SelectorState, source: S) -> Self {
+        let err = cfg.walltime_err;
+        assert!(
+            (0.0..1.0).contains(&err),
+            "walltime_err must lie in [0, 1), got {err}"
+        );
+        let gpus = cfg.gpus_per_node;
+        assert!(
+            (1..=MAX_GPUS_PER_NODE).contains(&gpus),
+            "gpus_per_node must lie in 1..={MAX_GPUS_PER_NODE}, got {gpus}"
+        );
+        if let Some(AdmissionConfig { quota, slo }) = cfg.admission {
+            assert!(
+                quota >= 1,
+                "admission quota must be at least 1, got {quota}"
+            );
+            assert!(slo > 0.0, "admission slo must be positive, got {slo}");
+        }
         if let Some(mismatch) = selector.geometry_mismatch(&cfg) {
             panic!("{mismatch}");
         }
-        let drive = ClusterDrive::new(suite, cfg.nodes, cfg.gpus_per_node, |_| {
-            selector.node_dispatcher(&cfg)
-        });
+        let kind = selector.kind();
+        let drive = ClusterDrive::new(suite, cfg.nodes, gpus, |_| dispatcher_for(kind, gpus, err));
         let admission = cfg.admission.as_ref().map(AdmissionState::new);
         Self {
             suite,
@@ -1129,6 +1142,38 @@ mod tests {
             PlacementAgent::untrained(PlacementConfig::quick()),
             TraceSource::new(&s, TraceConfig::new(TraceKind::Bursty, 8, 1)),
         );
+    }
+
+    /// A config `restore` would refuse is refused when the service is
+    /// built, by a panic naming the field. The parent commit ran such a
+    /// service and wrote checkpoints of it that `restore` refused (or,
+    /// for a backfill tier, panicked inside the planner's builder).
+    #[test]
+    fn configs_a_checkpoint_could_not_restore_are_refused_at_construction() {
+        let s = suite();
+        let base = ServeConfig::new(2, 2);
+        let admission = |quota, slo| base.clone().admission(AdmissionConfig { quota, slo });
+        for (cfg, field) in [
+            (base.clone().walltime_err(1.0), "walltime_err"),
+            (base.clone().walltime_err(-0.1), "walltime_err"),
+            (base.clone().walltime_err(f64::NAN), "walltime_err"),
+            (ServeConfig::new(2, 0), "gpus_per_node"),
+            (ServeConfig::new(2, MAX_GPUS_PER_NODE + 1), "gpus_per_node"),
+            (admission(0, f64::INFINITY), "quota"),
+            (admission(1, 0.0), "slo"),
+            (admission(1, f64::NAN), "slo"),
+        ] {
+            for kind in [SelectorKind::LeastLoaded, SelectorKind::Easy] {
+                let source = TraceSource::new(&s, TraceConfig::new(TraceKind::Bursty, 8, 1));
+                let cfg = cfg.clone();
+                let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    SchedulerService::new(&s, cfg, kind, source)
+                }));
+                let panic = built.err().unwrap_or_else(|| panic!("{field}: built"));
+                let message = panic.downcast_ref::<String>().expect("a formatted message");
+                assert!(message.contains(field), "{field}: '{message}'");
+            }
+        }
     }
 
     #[test]

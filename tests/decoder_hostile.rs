@@ -200,15 +200,19 @@ fn corpus(suite: &Suite) -> Vec<(String, Vec<u8>, Decode)> {
 /// load snapshots and the five counters its node records determine
 /// (1 333 → 1 216, 1 345 → 1 228, 1 410 → 1 295, 1 799 → 1 682; again
 /// the parent's blob with those fields cut and the version word set to
-/// 5, byte for byte).
+/// 5, byte for byte). `HRPP` and the policy-tier `HRPS` were re-captured
+/// once more when `HRPP` v3 made fourteen training and node-window keys
+/// constants (600 → 410 and 1 682 → 1 492 bytes): each new blob is the
+/// parent's with those fourteen spec lines cut and the `HRPP` version
+/// word set to 3, byte for byte.
 const GOLDEN: [(&str, usize, u64); 7] = [
     ("HRPQ", 380, 0x168e_3209_c0ac_404a),
     ("HRPE", 1826, 0xfb19_4aad_5085_9eb3),
-    ("HRPP", 600, 0x7be9_3b15_e7a2_3012),
+    ("HRPP", 410, 0xa56b_e318_6de6_28a5),
     ("HRPS LeastLoaded", 1216, 0xe8a8_c498_5e02_174e),
     ("HRPS RoundRobin", 1228, 0xfa7b_d6b2_a95c_e3f8),
     ("HRPS EasyAdmission", 1295, 0xb120_d487_b086_7da5),
-    ("HRPS Policy", 1682, 0x2667_a42c_aa3a_ba78),
+    ("HRPS Policy", 1492, 0xa9c0_fd8f_e558_ea88),
 ];
 
 #[test]
@@ -409,32 +413,86 @@ fn assert_forged_agent_is_rejected(key: &str, value: &str, needle: &str) {
     }
 }
 
+/// A key `HRPP` v3 retired, smuggled into an agent spec behind its live
+/// `seed` line (whose value is kept), must be refused as unknown — alone
+/// and when the `HRPP` arrives embedded in an `HRPS`.
+fn assert_retired_agent_key_is_rejected(line: &str) {
+    let key = line.split('=').next().expect("a key");
+    let live = format!("{}\n{line}", PlacementConfig::quick().seed);
+    assert_forged_agent_is_rejected("seed", &live, &format!("unknown key '{key}'"));
+}
+
+/// A forged experiment spec must be a typed error naming `needle`.
+fn assert_forged_experiment_is_rejected(key: &str, value: &str, needle: &str) {
+    let s = suite();
+    let forged = tamper_spec(&hrpe_blob(&s), key, value);
+    let (outcome, peak) = largest_request(|| decode_hrpe(&s, forged));
+    let err = outcome.expect_err(key);
+    assert!(err.contains("HRPE") || err.contains("HRPQ"), "{key}: {err}");
+    assert!(err.contains(needle), "{key}: '{err}' lacks {needle}");
+    assert!(peak <= ALLOC_FLOOR, "{key}: asked for {peak} bytes at once");
+}
+
+/// The fourteen training and node-window keys of `HRPP` v2, which v3
+/// holds as constants. (Split, like every retired name, so that a search
+/// for them finds no live use.)
+const RETIRED_AGENT_LINES: [&str; 14] = [
+    concat!("node", "_w=4"),
+    concat!("node", "_cmax=4"),
+    concat!("gam", "ma=0.98"),
+    concat!("l", "r=0.001"),
+    concat!("batch", "_size=32"),
+    concat!("target_sync", "_every=200"),
+    concat!("buffer", "_capacity=20000"),
+    concat!("dou", "ble=true"),
+    concat!("duel", "ing=true"),
+    concat!("eps", "_end=0.02"),
+    concat!("rf", "_weight=0.5"),
+    concat!("rollout", "_round=8"),
+    concat!("over", "lap=false"),
+    concat!("sha", "rds=1"),
+];
+
+#[test]
+fn retired_hrpp_keys_are_typed_errors() {
+    for line in RETIRED_AGENT_LINES {
+        assert_retired_agent_key_is_rejected(line);
+    }
+}
+
 /// Parent commit: `assert!(capacity > 0)` in `ShardedReplay::new`,
-/// reached from `PlacementExperiment::load_bytes`.
+/// reached from `PlacementExperiment::load_bytes`. `HRPP` no longer
+/// carries the key, so a forged one is unknown; `HRPE` still does, and
+/// holds it to at least 1.
 #[test]
 fn forged_zero_buffer_capacity_is_a_typed_error() {
-    assert_forged_agent_is_rejected("buffer_capacity", "0", "buffer_capacity");
+    assert_retired_agent_key_is_rejected(concat!("buffer", "_capacity=0"));
+    assert_forged_experiment_is_rejected("buffer_capacity", "0", "buffer_capacity");
 }
 
 /// Parent commit: a 160 GB allocation inside `QNet::new`, before the
-/// weight section was ever looked at.
+/// weight section was ever looked at. A forged replay shard count is
+/// refused the same way: unknown to `HRPP`, out of range in `HRPE`.
 #[test]
 fn forged_hidden_widths_are_a_typed_error_before_any_network_is_built() {
     assert_forged_agent_is_rejected("hidden", "4000000000,4000000000", "params");
     assert_forged_agent_is_rejected("hidden", "", "hidden");
-    assert_forged_agent_is_rejected("shards", "1000000000", "shards");
+    assert_retired_agent_key_is_rejected(concat!("sha", "rds=1000000000"));
+    assert_forged_experiment_is_rejected("shards", "1000000000", "shards");
 }
 
 /// Parent commit (PR 21): all three loaded. A node then handed its first
 /// window to `hrp_core::exhaustive::best_partition`, which panics on a
 /// window of 0 ("window size 0 out of range"), cannot cover one at a
 /// concurrency cap of 0 ("DP failed to cover mask"), and searches every
-/// queued job at once — exponentially — under a window of 2⁶⁴ − 1.
+/// queued job at once — exponentially — under a window of 2⁶⁴ − 1. An
+/// agent no longer names its node window at all: every node runs the
+/// constant one, and a forged window is an unknown key.
 #[test]
 fn forged_node_windows_are_typed_errors() {
-    assert_forged_agent_is_rejected("node_w", "0", "node_w");
-    assert_forged_agent_is_rejected("node_w", "18446744073709551615", "node_w");
-    assert_forged_agent_is_rejected("node_cmax", "0", "node_cmax");
+    assert_retired_agent_key_is_rejected(concat!("node", "_w=0"));
+    assert_retired_agent_key_is_rejected(concat!("node", "_w=18446744073709551615"));
+    assert_retired_agent_key_is_rejected(concat!("node", "_cmax=0"));
 }
 
 /// The same checks guard `HRPE`, which shares the agent loader. Parent
@@ -442,20 +500,13 @@ fn forged_node_windows_are_typed_errors() {
 /// panicked with no valid action to choose from.
 #[test]
 fn forged_experiment_specs_are_typed_errors() {
-    let s = suite();
-    let blob = hrpe_blob(&s);
     for (key, value, needle) in [
-        ("buffer_capacity", "0", "buffer_capacity"),
         ("hidden", "4000000000,4000000000", "params"),
         ("w", "18446744073709551615", "'w'"),
         ("cmax", "0", "'cmax'"),
         ("env", "sideways", "'env'"),
     ] {
-        let (outcome, peak) = largest_request(|| decode_hrpe(&s, tamper_spec(&blob, key, value)));
-        let err = outcome.expect_err(key);
-        assert!(err.contains("HRPE") || err.contains("HRPQ"), "{key}: {err}");
-        assert!(err.contains(needle), "{key}: '{err}' lacks {needle}");
-        assert!(peak <= ALLOC_FLOOR, "{key}: asked for {peak} bytes at once");
+        assert_forged_experiment_is_rejected(key, value, needle);
     }
 }
 

@@ -19,7 +19,7 @@ mod common;
 use common::test_threads;
 
 use hrp::cluster::multinode::MultiNodeSim;
-use hrp::cluster::place::{train_placement, PlacementConfig};
+use hrp::cluster::place::{dispatcher_for, train_placement, PlacementConfig};
 use hrp::cluster::trace::{generate, TraceConfig, TraceKind, EVAL_SEED_OFFSET};
 use hrp::cluster::{ClusterJob, SelectorKind};
 use hrp::core::train::TrainReport;
@@ -148,7 +148,9 @@ fn trained_policy_beats_round_robin_and_least_loaded_on_the_skewed_trace() {
         };
         MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node)
             .with_threads(threads)
-            .run(&suite, trace.clone(), sel, |_| cfg.node_dispatcher())
+            .run(&suite, trace.clone(), sel, |_| {
+                dispatcher_for(SelectorKind::Policy, cfg.gpus_per_node, 0.0)
+            })
     };
 
     let policy = run(SelectorKind::Policy, 1);

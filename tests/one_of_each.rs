@@ -2,10 +2,10 @@
 //!
 //! A trace kind's RNG draws are written once (`TraceStream`;
 //! `generate` collects it), there is one backfilling dispatcher
-//! (`BackfillPlanner`), and one function body constructs node-local
-//! dispatchers (`PlacementDispatcher::new`, over the one `NODE_W` /
-//! `NODE_CMAX` pair) — training, batch evaluation, `repro` and
-//! `hrp-serve` all go through it — and one representation of an event
+//! (`BackfillPlanner`), and one function constructs node-local
+//! dispatchers (`dispatcher_for`, over the one `NODE_W` / `NODE_CMAX`
+//! pair) — training, batch evaluation, `repro` and every `hrp-serve`
+//! tier, the policy tier included, go through it — and one representation of an event
 //! stream (`sim::EventLog`, read through borrowed `NodeEvent` views). A
 //! second copy of any of them would first show up as one of the
 //! patterns below. And every public function has a caller: one that
@@ -28,7 +28,7 @@ fn node_dispatchers_are_constructed_in_one_function_body() {
             hits.len(),
             1,
             "{constructor} is called at {hits:?}: build node dispatchers through \
-             hrp_cluster::place::{{PlacementDispatcher::new, dispatcher_for}}"
+             hrp_cluster::place::dispatcher_for, the one constructor"
         );
         assert!(hits[0].starts_with("crates/cluster/src/place.rs:"));
     }
@@ -126,6 +126,16 @@ fn the_deleted_second_copies_stay_deleted() {
         ("trace", "_seed"),
         ("fn split", "mix64("),
         ("0x9e37_79b9", "_7f4a_7c15u64"),
+        // The placement tier keeps what callers vary: an agent no longer
+        // shapes its nodes, so the second node constructor, the window
+        // fields and bounds, and restore's two-phase dispatcher decode go.
+        ("fn node", "_dispatcher("),
+        ("MAX_NODE", "_W"),
+        ("MAX_NODE", "_CMAX"),
+        ("Dispatcher", "Record"),
+        ("PlacementDispatcher", "::new"),
+        (".node", "_w"),
+        (".node", "_cmax"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
