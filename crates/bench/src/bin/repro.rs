@@ -513,7 +513,11 @@ fn table5(suite: &Suite, opts: &Options) {
     let mut t = Table::new(&["queue", "category", "ci", "mi", "us", "jobs"]);
     for (i, q) in evaluation_queues(suite, 12, opts.seed).iter().enumerate() {
         let (ci, mi, us) = q.class_counts(suite);
-        let names: Vec<&str> = q.jobs.iter().map(|j| j.name.as_str()).collect();
+        let names: Vec<&str> = q
+            .jobs
+            .iter()
+            .map(|j| suite.by_index(j.bench).app.name.as_str())
+            .collect();
         t.row(vec![
             q.label.clone(),
             format!("{:?}", table_v_category(i)),

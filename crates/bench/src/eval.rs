@@ -145,8 +145,7 @@ pub fn run_full(suite: &Suite, train_cfg: TrainConfig) -> FullEvaluation {
         .iter()
         .map(|q| ScheduleContext::new(suite, q, cmax))
         .collect();
-    let pairs: Vec<(&ScheduleContext<'_>, &JobQueue)> = ctxs.iter().zip(queues.iter()).collect();
-    let default_policy = MigMpsDefault::fit(&pairs);
+    let default_policy = MigMpsDefault::fit(&ctxs);
 
     // Online decision latency: greedy rollouts only (the simulated
     // co-runs inside are the environment, not agent work, but the paper

@@ -35,15 +35,7 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
     fn decide(&self, suite: &Suite, batch: &[&ClusterJob]) -> f64 {
         let queue = JobQueue {
             label: String::new(),
-            jobs: batch
-                .iter()
-                .enumerate()
-                .map(|(id, j)| Job {
-                    id,
-                    name: suite.by_index(j.bench).app.name.clone(),
-                    bench: j.bench,
-                })
-                .collect(),
+            jobs: batch.iter().map(|j| Job { bench: j.bench }).collect(),
         };
         let ctx = ScheduleContext {
             suite,

@@ -26,7 +26,6 @@ use crate::predict::CoRunPredictor;
 use crate::problem::{evaluate_group, ScheduleDecision};
 use crate::reward::{final_reward, intermediate_reward, WindowStats};
 use crate::rl::{Env, EnvFactory};
-use hrp_gpusim::arch::GpuArch;
 use hrp_gpusim::engine::EngineConfig;
 use hrp_gpusim::CompiledPartition;
 use hrp_profile::{FeatureScaler, JobProfile, ProfileRepository};
@@ -84,8 +83,7 @@ pub struct CoScheduleEnv<'a> {
     queue: &'a JobQueue,
     catalog: &'a ActionCatalog,
     cfg: EnvConfig,
-    arch: GpuArch,
-    profiles: Vec<JobProfile>,
+    profiles: Vec<&'a JobProfile>,
     features: Vec<[f64; 12]>,
     classes: Vec<Class>,
     stats: WindowStats,
@@ -106,19 +104,19 @@ impl<'a> CoScheduleEnv<'a> {
     pub fn new(
         suite: &'a Suite,
         queue: &'a JobQueue,
-        repo: &ProfileRepository,
+        repo: &'a ProfileRepository,
         scaler: &FeatureScaler,
         catalog: &'a ActionCatalog,
         cfg: EnvConfig,
     ) -> Self {
         assert!(queue.len() <= cfg.w, "queue larger than the window");
-        let arch = suite.arch().clone();
-        let profiles: Vec<JobProfile> = queue
+        let profiles: Vec<&JobProfile> = queue
             .jobs
             .iter()
             .map(|j| {
-                repo.get(&j.name)
-                    .unwrap_or_else(|| panic!("job '{}' has no profile", j.name))
+                repo.get(j.bench).unwrap_or_else(|| {
+                    panic!("job '{}' has no profile", suite.by_index(j.bench).app.name)
+                })
             })
             .collect();
         let features: Vec<[f64; 12]> = profiles.iter().map(|p| scaler.transform(p)).collect();
@@ -127,7 +125,7 @@ impl<'a> CoScheduleEnv<'a> {
             .iter()
             .map(|j| suite.by_index(j.bench).class)
             .collect();
-        let stats = WindowStats::from_profiles(profiles.iter());
+        let stats = WindowStats::from_profiles(profiles.iter().copied());
         let max_solo = profiles
             .iter()
             .map(|p| p.solo_time)
@@ -135,16 +133,15 @@ impl<'a> CoScheduleEnv<'a> {
         let compiled = catalog
             .schemes()
             .iter()
-            .map(|s| s.compile(&arch).expect("catalog schemes compile"))
+            .map(|s| s.compile(suite.arch()).expect("catalog schemes compile"))
             .collect();
-        let names: Vec<&str> = queue.jobs.iter().map(|j| j.name.as_str()).collect();
-        let predictor = CoRunPredictor::new(&names, &profiles, &arch, cfg.engine.clone());
+        let predictor =
+            CoRunPredictor::new(profiles.iter().copied(), suite.arch(), cfg.engine.clone());
         Self {
             suite,
             queue,
             catalog,
             cfg,
-            arch,
             profiles,
             features,
             classes,
@@ -181,8 +178,8 @@ impl<'a> CoScheduleEnv<'a> {
     pub fn state_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.resize(self.state_dim(), 0.0);
-        for (i, job) in self.queue.jobs.iter().enumerate() {
-            if !self.pending[job.id] {
+        for (i, &pending) in self.pending.iter().enumerate() {
+            if !pending {
                 continue; // scheduled slots stay zero
             }
             let base = i * JOB_FEATURES;
@@ -319,7 +316,7 @@ impl<'a> CoScheduleEnv<'a> {
                     .map(|s| {
                         let slot = &part.slots[s];
                         let mem = part.domains[slot.domain].bandwidth_frac;
-                        intermediate_reward(&self.profiles[j], &self.stats, slot.compute_frac, mem)
+                        intermediate_reward(self.profiles[j], &self.stats, slot.compute_frac, mem)
                     })
                     .collect()
             })
@@ -369,7 +366,6 @@ impl<'a> CoScheduleEnv<'a> {
             &job_ids,
             scheme,
             &assignment,
-            &self.arch,
             &self.cfg.engine,
         );
         let rf = if group.concurrency() > 1 {
@@ -400,7 +396,6 @@ impl<'a> CoScheduleEnv<'a> {
             &job_ids,
             scheme,
             &assignment,
-            &self.arch,
             &self.cfg.engine,
         );
         let rf = if group.concurrency() > 1 {
@@ -550,6 +545,7 @@ impl EnvFactory for CoScheduleEnvFactory<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hrp_gpusim::GpuArch;
     use hrp_profile::Profiler;
 
     fn fixture() -> (
@@ -676,7 +672,7 @@ mod tests {
         // must have the higher Compute(SM)% profile.
         let hi = group.job_ids[1];
         let lo = group.job_ids[0];
-        let sm = |j: usize| repo.get(&queue.jobs[j].name).unwrap().compute_pct();
+        let sm = |j: usize| repo.get(queue.jobs[j].bench).unwrap().compute_pct();
         assert!(
             sm(hi) * env.profiles[hi].solo_time >= sm(lo) * env.profiles[lo].solo_time * 0.5,
             "binding should favour compute-heavy long jobs on big slots"
@@ -716,10 +712,11 @@ mod tests {
         assert!(r.reward > 0.0);
         // And the CI job must be on the 0.8 slot.
         let group = &env.decision().groups[0];
+        let bt_solver_a = suite.index_of("bt_solver_A").unwrap();
         let bt = queue
             .jobs
             .iter()
-            .position(|j| j.name == "bt_solver_A")
+            .position(|j| j.bench == bt_solver_a)
             .unwrap();
         let pos = group.job_ids.iter().position(|&j| j == bt).unwrap();
         assert_eq!(group.assignment[pos], 1, "CI job takes the big share");

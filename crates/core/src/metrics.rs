@@ -88,7 +88,6 @@ mod tests {
     #[test]
     fn time_sharing_metrics_are_unity() {
         let (suite, queue) = fixture();
-        let arch = suite.arch().clone();
         let eng = EngineConfig::default();
         let decision = ScheduleDecision {
             groups: (0..3)
@@ -99,7 +98,6 @@ mod tests {
                         &[j],
                         &PartitionScheme::exclusive(),
                         &[0],
-                        &arch,
                         &eng,
                     )
                 })
@@ -114,7 +112,6 @@ mod tests {
     #[test]
     fn co_running_raises_throughput_and_slowdown() {
         let (suite, queue) = fixture();
-        let arch = suite.arch().clone();
         let eng = EngineConfig::default();
         // Co-run the complementary pair, solo the third.
         let pair = evaluate_group(
@@ -123,7 +120,6 @@ mod tests {
             &[0, 1],
             &PartitionScheme::mps_only(vec![0.7, 0.3]),
             &[0, 1],
-            &arch,
             &eng,
         );
         let solo = evaluate_group(
@@ -132,7 +128,6 @@ mod tests {
             &[2],
             &PartitionScheme::exclusive(),
             &[0],
-            &arch,
             &eng,
         );
         let decision = ScheduleDecision {
@@ -147,7 +142,6 @@ mod tests {
     #[test]
     fn mean_helper_averages() {
         let (suite, queue) = fixture();
-        let arch = suite.arch().clone();
         let eng = EngineConfig::default();
         let d = ScheduleDecision {
             groups: (0..3)
@@ -158,7 +152,6 @@ mod tests {
                         &[j],
                         &PartitionScheme::exclusive(),
                         &[0],
-                        &arch,
                         &eng,
                     )
                 })

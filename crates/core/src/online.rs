@@ -1,10 +1,10 @@
 //! The online phase of the paper's Fig. 7.
 //!
-//! Jobs arrive over time. A job whose binary key has no profile in the
-//! repository is **excluded from co-scheduling**: it runs exclusively on
-//! the whole GPU while its profile is collected and stored. Profiled
-//! jobs accumulate in the window; when `W` of them are waiting, the
-//! scheduler (any [`Policy`]) drains the window.
+//! Jobs arrive over time. A job whose binary (its suite bench) has no
+//! profile in the repository is **excluded from co-scheduling**: it runs
+//! exclusively on the whole GPU while its profile is collected and
+//! stored. Profiled jobs accumulate in the window; when `W` of them are
+//! waiting, the scheduler (any [`Policy`]) drains the window.
 
 use crate::metrics::{evaluate_decision, QueueMetrics};
 use crate::policies::{Policy, ScheduleContext};
@@ -18,8 +18,8 @@ use hrp_workloads::{Job, JobQueue, Suite};
 pub enum OnlineEvent {
     /// A first-seen job ran exclusively to collect its profile.
     ProfilingRun {
-        /// Benchmark name.
-        name: String,
+        /// Suite index of the profiled program.
+        bench: usize,
         /// Exclusive runtime (seconds).
         time: f64,
     },
@@ -62,7 +62,7 @@ impl OnlineReport {
 pub struct OnlineSystem<'a, P: Policy> {
     suite: &'a Suite,
     policy: P,
-    repo: &'a ProfileRepository,
+    repo: &'a mut ProfileRepository,
     profiler: Profiler,
     engine: EngineConfig,
     w: usize,
@@ -81,7 +81,7 @@ impl<'a, P: Policy> OnlineSystem<'a, P> {
     pub fn new(
         suite: &'a Suite,
         policy: P,
-        repo: &'a ProfileRepository,
+        repo: &'a mut ProfileRepository,
         profiler: Profiler,
         w: usize,
         cmax: usize,
@@ -113,22 +113,17 @@ impl<'a, P: Policy> OnlineSystem<'a, P> {
             .unwrap_or_else(|| panic!("unknown benchmark '{name}'"));
         let app = &self.suite.by_index(bench).app;
         self.time_sharing_time += app.solo_time;
-        if !self.repo.contains(name) {
+        if self.repo.get(bench).is_none() {
             // Fig. 7: no profile → run exclusively, collect, store.
-            self.repo.profile_and_store(app, &self.profiler);
+            self.repo.insert(bench, self.profiler.profile(app));
             self.total_time += app.solo_time;
             self.events.push(OnlineEvent::ProfilingRun {
-                name: name.to_owned(),
+                bench,
                 time: app.solo_time,
             });
             return;
         }
-        let id = self.waiting.len();
-        self.waiting.push(Job {
-            id,
-            name: name.to_owned(),
-            bench,
-        });
+        self.waiting.push(Job { bench });
         if self.waiting.len() == self.w {
             self.drain_window();
         }
@@ -184,9 +179,9 @@ mod tests {
     fn unprofiled_jobs_run_exclusively_then_join_windows() {
         let arch = GpuArch::a100();
         let suite = Suite::paper_suite(&arch);
-        let repo = ProfileRepository::new(); // cold start: nothing profiled
+        let mut repo = ProfileRepository::new(); // cold start: nothing profiled
         let profiler = Profiler::new(arch, 0.02, 3);
-        let mut sys = OnlineSystem::new(&suite, MpsOnly, &repo, profiler, 4, 4);
+        let mut sys = OnlineSystem::new(&suite, MpsOnly, &mut repo, profiler, 4, 4);
 
         // First submissions are all cold → profiling runs.
         for name in ["lavaMD", "stream", "kmeans", "pathfinder"] {
@@ -217,8 +212,8 @@ mod tests {
         let arch = GpuArch::a100();
         let suite = Suite::paper_suite(&arch);
         let profiler = Profiler::new(arch, 0.02, 3);
-        let repo = ProfileRepository::for_suite(&suite, &profiler);
-        let mut sys = OnlineSystem::new(&suite, MpsOnly, &repo, profiler, 8, 4);
+        let mut repo = ProfileRepository::for_suite(&suite, &profiler);
+        let mut sys = OnlineSystem::new(&suite, MpsOnly, &mut repo, profiler, 8, 4);
         sys.submit("lavaMD");
         sys.submit("stream");
         let report = sys.finish();

@@ -13,7 +13,6 @@ use crate::predict::CoRunPredictor;
 use crate::problem::{evaluate_group, ScheduleDecision, ScheduledGroup};
 use hrp_gpusim::mps::default_mode_shares;
 use hrp_gpusim::{GiProfile, GiSetup, PartitionScheme};
-use hrp_workloads::JobQueue;
 
 /// Which fixed MIG layout the default policy uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,20 +36,20 @@ impl MigMpsDefault {
         Self { kind }
     }
 
-    /// Pick the layout that maximises mean throughput across `queues`
-    /// (the paper: "the MIG partitioning is selected so that the average
-    /// throughput across Q1–Q12 is maximized").
+    /// Pick the layout that maximises mean throughput across the windows
+    /// of `ctxs` (the paper: "the MIG partitioning is selected so that the
+    /// average throughput across Q1–Q12 is maximized").
     #[must_use]
-    pub fn fit(ctx_queues: &[(&ScheduleContext<'_>, &JobQueue)]) -> Self {
+    pub fn fit(ctxs: &[ScheduleContext<'_>]) -> Self {
         let mut best = (DefaultKind::Private, f64::NEG_INFINITY);
         for kind in [DefaultKind::Shared, DefaultKind::Private] {
             let policy = Self::with_kind(kind);
             let mut mean = 0.0;
-            for (ctx, queue) in ctx_queues {
+            for ctx in ctxs {
                 let d = policy.schedule(ctx);
-                mean += queue.total_solo_time(ctx.suite) / d.total_time();
+                mean += ctx.queue.total_solo_time(ctx.suite) / d.total_time();
             }
-            mean /= ctx_queues.len().max(1) as f64;
+            mean /= ctxs.len().max(1) as f64;
             if mean > best.1 {
                 best = (kind, mean);
             }
@@ -101,7 +100,6 @@ impl MigMpsDefault {
         predictor: &CoRunPredictor,
         members: &[usize],
     ) -> Option<ScheduledGroup> {
-        let arch = ctx.suite.arch().clone();
         let c = members.len();
         let mut best: Option<(f64, Vec<usize>, hrp_gpusim::PartitionScheme)> = None;
         // Bitmask over members: bit set → 3g side.
@@ -111,7 +109,7 @@ impl MigMpsDefault {
             let Some(scheme) = self.scheme(n3, n4) else {
                 continue;
             };
-            let Ok(part) = scheme.compile(&arch) else {
+            let Ok(part) = scheme.compile(ctx.suite.arch()) else {
                 continue;
             };
             // Slots: 3g clients first, then 4g clients (compile order).
@@ -140,7 +138,6 @@ impl MigMpsDefault {
             &job_order,
             &scheme,
             &assignment,
-            &arch,
             &ctx.engine,
         );
         Some(g).filter(ScheduledGroup::beats_time_sharing)
@@ -153,7 +150,6 @@ impl Policy for MigMpsDefault {
     }
 
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
-        let arch = ctx.suite.arch().clone();
         let predictor = window_predictor(ctx);
         let solution = best_partition(ctx.queue.len(), ctx.cmax, |_, members| {
             match members.len() {
@@ -163,7 +159,6 @@ impl Policy for MigMpsDefault {
                     members,
                     &PartitionScheme::exclusive(),
                     &[0],
-                    &arch,
                     &ctx.engine,
                 )),
                 _ => self.best_group(ctx, &predictor, members),
@@ -216,8 +211,8 @@ mod tests {
     fn fit_picks_a_kind_deterministically() {
         let (suite, queue) = small_fixture();
         let ctx = ScheduleContext::new(&suite, &queue, 4);
-        let fitted = MigMpsDefault::fit(&[(&ctx, &queue)]);
-        let again = MigMpsDefault::fit(&[(&ctx, &queue)]);
+        let fitted = MigMpsDefault::fit(std::slice::from_ref(&ctx));
+        let again = MigMpsDefault::fit(std::slice::from_ref(&ctx));
         assert_eq!(fitted.kind(), again.kind());
     }
 

@@ -19,7 +19,6 @@ impl Policy for MigOnly {
     }
 
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
-        let arch = ctx.suite.arch().clone();
         let predictor = window_predictor(ctx);
         let space = compile_schemes(ctx, mig_only_space());
         let solution = best_partition(ctx.queue.len(), 2, |_, members| match members.len() {
@@ -29,7 +28,6 @@ impl Policy for MigOnly {
                 members,
                 &PartitionScheme::exclusive(),
                 &[0],
-                &arch,
                 &ctx.engine,
             )),
             // §IV-A constraint enforced after measurement inside

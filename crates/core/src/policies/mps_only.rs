@@ -21,7 +21,6 @@ impl Policy for MpsOnly {
     }
 
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
-        let arch = ctx.suite.arch().clone();
         let predictor = window_predictor(ctx);
         // Pre-build the per-concurrency split spaces once (singletons are
         // handled separately as exclusive runs).
@@ -42,7 +41,6 @@ impl Policy for MpsOnly {
                     members,
                     &PartitionScheme::exclusive(),
                     &[0],
-                    &arch,
                     &ctx.engine,
                 )),
                 c => select_and_measure(ctx, &predictor, members, &spaces[c]),

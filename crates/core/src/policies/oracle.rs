@@ -8,34 +8,40 @@
 //! bounds what the DQN can achieve *given the binding rule*, separating
 //! "the agent didn't learn" from "the formulation can't express better".
 
-use super::{Policy, ScheduleContext};
+use super::{Policy, ScheduleContext, WINDOW_PROFILE_NOISE, WINDOW_PROFILE_SEED};
 use crate::actions::ActionCatalog;
 use crate::env::{CoScheduleEnv, EnvConfig};
 use crate::problem::ScheduleDecision;
 use hrp_nn::masked_argmax;
 use hrp_profile::{FeatureScaler, ProfileRepository, Profiler};
 
+/// The narrowest window the oracle's env is built with (the paper's
+/// `Cmax`).
+const MIN_WINDOW: usize = 4;
+
 /// The oracle-greedy policy (upper reference for `MigMpsRl`).
 pub struct OracleGreedy {
     repo: ProfileRepository,
     scaler: FeatureScaler,
     catalog: ActionCatalog,
-    cmax_default: usize,
 }
 
 impl OracleGreedy {
-    /// Build for a suite (profiles collected with mild noise, like the
-    /// training pipeline).
+    /// Build for a suite (profiles collected like the window predictors'
+    /// own).
     #[must_use]
     pub fn new(suite: &hrp_workloads::Suite) -> Self {
-        let profiler = Profiler::new(suite.arch().clone(), 0.03, 17);
+        let profiler = Profiler::new(
+            suite.arch().clone(),
+            WINDOW_PROFILE_NOISE,
+            WINDOW_PROFILE_SEED,
+        );
         let repo = ProfileRepository::for_suite(suite, &profiler);
         let scaler = FeatureScaler::fit(&repo);
         Self {
             repo,
             scaler,
             catalog: ActionCatalog::paper_29(),
-            cmax_default: 4,
         }
     }
 }
@@ -47,7 +53,7 @@ impl Policy for OracleGreedy {
 
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
         let cfg = EnvConfig {
-            w: ctx.queue.len().max(self.cmax_default),
+            w: ctx.queue.len().max(MIN_WINDOW),
             cmax: ctx.cmax,
             engine: ctx.engine.clone(),
             ..EnvConfig::paper()

@@ -14,21 +14,10 @@ impl Policy for TimeSharing {
     }
 
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
-        let arch = ctx.suite.arch().clone();
         let scheme = PartitionScheme::exclusive();
         ScheduleDecision {
             groups: (0..ctx.queue.len())
-                .map(|j| {
-                    evaluate_group(
-                        ctx.suite,
-                        ctx.queue,
-                        &[j],
-                        &scheme,
-                        &[0],
-                        &arch,
-                        &ctx.engine,
-                    )
-                })
+                .map(|j| evaluate_group(ctx.suite, ctx.queue, &[j], &scheme, &[0], &ctx.engine))
                 .collect(),
         }
     }

@@ -35,8 +35,7 @@ pub fn window_predictor(ctx: &ScheduleContext<'_>) -> CoRunPredictor {
         .iter()
         .map(|j| profiler.profile(&ctx.suite.by_index(j.bench).app))
         .collect();
-    let names: Vec<&str> = ctx.queue.jobs.iter().map(|j| j.name.as_str()).collect();
-    CoRunPredictor::new(&names, &profiles, ctx.suite.arch(), ctx.engine.clone())
+    CoRunPredictor::new(&profiles, ctx.suite.arch(), ctx.engine.clone())
 }
 
 /// Choose the best scheme for `members` by *predicted* makespan across
@@ -67,7 +66,6 @@ pub fn select_and_measure(
         members,
         &schemes[idx].0,
         &assignment,
-        ctx.suite.arch(),
         &ctx.engine,
     );
     group.beats_time_sharing().then_some(group)

@@ -52,9 +52,10 @@ pub fn classify_profile(profile: &JobProfile) -> Class {
     }
 }
 
-/// Reconstruct an approximate [`AppModel`] from a profile.
+/// Reconstruct an approximate [`AppModel`] from a profile. The model is
+/// unnamed: no prediction reads a name.
 #[must_use]
-pub fn reconstruct_app(name: &str, profile: &JobProfile, arch: &GpuArch) -> AppModel {
+pub fn reconstruct_app(profile: &JobProfile, arch: &GpuArch) -> AppModel {
     let u_hat = (profile.counters.compute_sm_pct / 100.0).clamp(0.05, 1.0);
     let b_hat = (profile.counters.dram_throughput_gbs / arch.peak_bw_gbs).clamp(1e-3, 1.0);
     let class = classify_profile(profile);
@@ -64,7 +65,7 @@ pub fn reconstruct_app(name: &str, profile: &JobProfile, arch: &GpuArch) -> AppM
     // predicted 1-GPC rate is monotonically decreasing in f, so bisect.
     let measured_rate = (profile.solo_time / profile.one_gpc_time.max(1e-9)).clamp(1e-3, 1.0);
     let rate_for = |f: f64| {
-        let probe = AppModel::builder(name)
+        let probe = AppModel::builder("")
             .parallel_fraction(f)
             .compute_demand(u_hat)
             .mem_demand(b_hat)
@@ -89,7 +90,7 @@ pub fn reconstruct_app(name: &str, profile: &JobProfile, arch: &GpuArch) -> AppM
     }
     let f_hat = 0.5 * (lo + hi);
 
-    AppModel::builder(name)
+    AppModel::builder("")
         .parallel_fraction(f_hat)
         .compute_demand(u_hat)
         .mem_demand(b_hat)
@@ -108,27 +109,18 @@ pub struct CoRunPredictor {
 }
 
 impl CoRunPredictor {
-    /// Build from per-job profiles (`names[i]` labels `profiles[i]`).
+    /// Build from per-job profiles (the `i`-th profile is job `i`'s).
     #[must_use]
-    pub fn new(
-        names: &[&str],
-        profiles: &[JobProfile],
+    pub fn new<'p>(
+        profiles: impl IntoIterator<Item = &'p JobProfile>,
         arch: &GpuArch,
         engine: EngineConfig,
     ) -> Self {
-        assert_eq!(names.len(), profiles.len());
-        let apps = names
-            .iter()
-            .zip(profiles.iter())
-            .map(|(n, p)| reconstruct_app(n, p, arch))
+        let apps = profiles
+            .into_iter()
+            .map(|p| reconstruct_app(p, arch))
             .collect();
         Self { apps, engine }
-    }
-
-    /// The reconstructed model of job `i`.
-    #[must_use]
-    pub fn app(&self, i: usize) -> &AppModel {
-        &self.apps[i]
     }
 
     /// Predicted makespan of co-running `job_ids` on `part`
@@ -178,26 +170,21 @@ mod tests {
     use hrp_profile::Profiler;
     use hrp_workloads::Suite;
 
-    fn setup() -> (Suite, Vec<JobProfile>, Vec<String>) {
+    fn setup() -> (Suite, Vec<JobProfile>) {
         let arch = GpuArch::a100();
         let suite = Suite::paper_suite(&arch);
         let profiler = Profiler::new(arch, 0.02, 5);
-        let names: Vec<String> = suite
-            .benchmarks()
-            .iter()
-            .map(|b| b.app.name.clone())
-            .collect();
         let profiles: Vec<JobProfile> = suite
             .benchmarks()
             .iter()
             .map(|b| profiler.profile(&b.app))
             .collect();
-        (suite, profiles, names)
+        (suite, profiles)
     }
 
     #[test]
     fn measured_classification_matches_table_iv() {
-        let (suite, profiles, _) = setup();
+        let (suite, profiles) = setup();
         for (b, p) in suite.benchmarks().iter().zip(profiles.iter()) {
             assert_eq!(
                 classify_profile(p),
@@ -210,10 +197,11 @@ mod tests {
 
     #[test]
     fn reconstruction_recovers_key_parameters() {
-        let (suite, profiles, names) = setup();
+        let (suite, profiles) = setup();
         let arch = suite.arch();
-        for ((b, p), n) in suite.benchmarks().iter().zip(&profiles).zip(&names) {
-            let rec = reconstruct_app(n, p, arch);
+        for (b, p) in suite.benchmarks().iter().zip(&profiles) {
+            let n = &b.app.name;
+            let rec = reconstruct_app(p, arch);
             assert!(
                 (rec.mem_demand - b.app.mem_demand).abs() < 0.08,
                 "{n}: b {} vs {}",
@@ -238,10 +226,9 @@ mod tests {
         // The predictor's ranking of configurations must correlate with
         // the "hardware": check on a complementary pair that prediction
         // and ground truth agree the skewed split beats the inverted one.
-        let (suite, profiles, names) = setup();
+        let (suite, profiles) = setup();
         let arch = suite.arch().clone();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let pred = CoRunPredictor::new(&name_refs, &profiles, &arch, EngineConfig::default());
+        let pred = CoRunPredictor::new(&profiles, &arch, EngineConfig::default());
         let bt = suite.index_of("bt_solver_A").unwrap();
         let sp = suite.index_of("sp_solver_B").unwrap();
 
@@ -265,7 +252,6 @@ mod tests {
             &[0, 1],
             &PartitionScheme::mps_only(vec![0.7, 0.3]),
             &[0, 1],
-            &arch,
             &EngineConfig::default(),
         );
         let rel_err = (m_good - truth.corun_time).abs() / truth.corun_time;
@@ -274,10 +260,9 @@ mod tests {
 
     #[test]
     fn best_assignment_orients_complementary_pairs() {
-        let (suite, profiles, names) = setup();
+        let (suite, profiles) = setup();
         let arch = suite.arch().clone();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let pred = CoRunPredictor::new(&name_refs, &profiles, &arch, EngineConfig::default());
+        let pred = CoRunPredictor::new(&profiles, &arch, EngineConfig::default());
         let bt = suite.index_of("bt_solver_A").unwrap();
         let sp = suite.index_of("sp_solver_B").unwrap();
         let part = PartitionScheme::mps_only(vec![0.3, 0.7])

@@ -1,7 +1,6 @@
 //! The optimization problem of §IV-A: decision types, group evaluation,
 //! and constraint validation.
 
-use hrp_gpusim::arch::GpuArch;
 use hrp_gpusim::engine::{simulate_corun, EngineConfig};
 use hrp_gpusim::{AppModel, PartitionScheme};
 use hrp_workloads::{JobQueue, Suite};
@@ -109,8 +108,8 @@ impl ScheduleDecision {
     }
 }
 
-/// Run one candidate group on the simulator ("the hardware") and record
-/// the outcome.
+/// Run one candidate group on the simulator ("the hardware", the
+/// suite's GPU) and record the outcome.
 ///
 /// # Panics
 /// Panics if the scheme does not compile or the assignment is invalid —
@@ -122,10 +121,9 @@ pub fn evaluate_group(
     job_ids: &[usize],
     scheme: &PartitionScheme,
     assignment: &[usize],
-    arch: &GpuArch,
     engine: &EngineConfig,
 ) -> ScheduledGroup {
-    let part = scheme.compile(arch).expect("scheme must compile");
+    let part = scheme.compile(suite.arch()).expect("scheme must compile");
     let apps: Vec<&AppModel> = job_ids
         .iter()
         .map(|&j| &suite.by_index(queue.jobs[j].bench).app)
@@ -151,14 +149,13 @@ pub fn evaluate_group_best_assignment(
     queue: &JobQueue,
     job_ids: &[usize],
     scheme: &PartitionScheme,
-    arch: &GpuArch,
     engine: &EngineConfig,
 ) -> ScheduledGroup {
     let c = job_ids.len();
     let mut best: Option<ScheduledGroup> = None;
     let mut perm: Vec<usize> = (0..c).collect();
     permute(&mut perm, 0, &mut |assignment| {
-        let g = evaluate_group(suite, queue, job_ids, scheme, assignment, arch, engine);
+        let g = evaluate_group(suite, queue, job_ids, scheme, assignment, engine);
         if best.as_ref().is_none_or(|b| g.corun_time < b.corun_time) {
             best = Some(g);
         }
@@ -184,9 +181,8 @@ pub(crate) fn permute(xs: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[us
 mod tests {
     use super::*;
 
-    fn setup() -> (Suite, JobQueue, GpuArch, EngineConfig) {
-        let arch = GpuArch::a100();
-        let suite = Suite::paper_suite(&arch);
+    fn setup() -> (Suite, JobQueue, EngineConfig) {
+        let suite = Suite::paper_suite(&hrp_gpusim::GpuArch::a100());
         // bt_solver_A (CI, 45 s) and sp_solver_B (MI, 55 s) are a
         // duration-matched complementary pair.
         let queue = JobQueue::from_names(
@@ -194,19 +190,18 @@ mod tests {
             &["bt_solver_A", "sp_solver_B", "kmeans", "pathfinder"],
             &suite,
         );
-        (suite, queue, arch, EngineConfig::default())
+        (suite, queue, EngineConfig::default())
     }
 
     #[test]
     fn evaluate_solo_group_is_solo_time() {
-        let (suite, queue, arch, eng) = setup();
+        let (suite, queue, eng) = setup();
         let g = evaluate_group(
             &suite,
             &queue,
             &[0],
             &PartitionScheme::exclusive(),
             &[0],
-            &arch,
             &eng,
         );
         let bt = suite.get("bt_solver_A").unwrap().app.solo_time;
@@ -217,7 +212,7 @@ mod tests {
 
     #[test]
     fn complementary_pair_beats_time_sharing() {
-        let (suite, queue, arch, eng) = setup();
+        let (suite, queue, eng) = setup();
         // bt_solver_A (CI) on the big share, sp_solver_B (MI) on the
         // small one.
         let g = evaluate_group(
@@ -226,7 +221,6 @@ mod tests {
             &[0, 1],
             &PartitionScheme::mps_only(vec![0.7, 0.3]),
             &[0, 1],
-            &arch,
             &eng,
         );
         assert!(
@@ -239,20 +233,20 @@ mod tests {
 
     #[test]
     fn best_assignment_picks_the_right_orientation() {
-        let (suite, queue, arch, eng) = setup();
+        let (suite, queue, eng) = setup();
         let scheme = PartitionScheme::mps_only(vec![0.2, 0.8]);
-        let best = evaluate_group_best_assignment(&suite, &queue, &[0, 1], &scheme, &arch, &eng);
+        let best = evaluate_group_best_assignment(&suite, &queue, &[0, 1], &scheme, &eng);
         // bt_solver_A (job 0, CI) must land on the 0.8 slot (slot 1).
         let ci_pos = best.job_ids.iter().position(|&j| j == 0).unwrap();
         assert_eq!(best.assignment[ci_pos], 1);
         // And must be at least as good as the wrong orientation.
-        let wrong = evaluate_group(&suite, &queue, &[0, 1], &scheme, &[1, 0], &arch, &eng);
+        let wrong = evaluate_group(&suite, &queue, &[0, 1], &scheme, &[1, 0], &eng);
         assert!(best.corun_time <= wrong.corun_time + 1e-9);
     }
 
     #[test]
     fn validation_catches_all_violations() {
-        let (suite, queue, arch, eng) = setup();
+        let (suite, queue, eng) = setup();
         let solo = |j: usize| {
             evaluate_group(
                 &suite,
@@ -260,7 +254,6 @@ mod tests {
                 &[j],
                 &PartitionScheme::exclusive(),
                 &[0],
-                &arch,
                 &eng,
             )
         };
@@ -289,7 +282,6 @@ mod tests {
             &[0, 1, 2],
             &PartitionScheme::mps_only(vec![0.34, 0.33, 0.33]),
             &[0, 1, 2],
-            &arch,
             &eng,
         );
         let over = ScheduleDecision {
@@ -303,7 +295,7 @@ mod tests {
 
     #[test]
     fn totals_accumulate() {
-        let (suite, queue, arch, eng) = setup();
+        let (suite, queue, eng) = setup();
         let d = ScheduleDecision {
             groups: (0..4)
                 .map(|j| {
@@ -313,7 +305,6 @@ mod tests {
                         &[j],
                         &PartitionScheme::exclusive(),
                         &[0],
-                        &arch,
                         &eng,
                     )
                 })

@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 /// Parameters of one GPU application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppModel {
-    /// Program name (doubles as the profile-repository key).
+    /// Program name (`CounterSet::collect` keys its measurement noise on
+    /// it).
     pub name: String,
     /// Amdahl parallel fraction in `[0, 1)`.
     pub parallel_fraction: f64,

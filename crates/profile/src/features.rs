@@ -25,9 +25,7 @@ impl FeatureScaler {
     /// meaningless, and this only happens on programmer error.
     #[must_use]
     pub fn fit(repo: &ProfileRepository) -> Self {
-        let snapshot = repo.snapshot();
-        assert!(!snapshot.is_empty(), "cannot fit a scaler on no profiles");
-        Self::fit_profiles(snapshot.iter().map(|(_, p)| p))
+        Self::fit_profiles(repo.profiles())
     }
 
     /// Fit over an explicit iterator of profiles.
@@ -81,8 +79,8 @@ mod tests {
     #[test]
     fn transform_lands_in_unit_cube() {
         let (_, repo, scaler) = fitted();
-        for (_, p) in repo.snapshot() {
-            for v in scaler.transform(&p) {
+        for p in repo.profiles() {
+            for v in scaler.transform(p) {
                 assert!((0.0..=1.0).contains(&v), "feature {v} out of range");
             }
         }
@@ -95,8 +93,8 @@ mod tests {
         // (min and max of the fitted data).
         let mut saw_zero = [false; NUM_FEATURES];
         let mut saw_one = [false; NUM_FEATURES];
-        for (_, p) in repo.snapshot() {
-            for (i, v) in scaler.transform(&p).into_iter().enumerate() {
+        for p in repo.profiles() {
+            for (i, v) in scaler.transform(p).into_iter().enumerate() {
                 if v < 1e-9 {
                     saw_zero[i] = true;
                 }
@@ -124,11 +122,11 @@ mod tests {
 
     #[test]
     fn constant_feature_maps_to_half() {
-        let (_, repo, _) = fitted();
-        let one = repo.get("stream").unwrap();
+        let (suite, repo, _) = fitted();
+        let one = repo.get(suite.index_of("stream").unwrap()).unwrap();
         // Fitting on a single profile makes every feature constant.
-        let scaler = FeatureScaler::fit_profiles(std::iter::once(&one));
-        for v in scaler.transform(&one) {
+        let scaler = FeatureScaler::fit_profiles(std::iter::once(one));
+        for v in scaler.transform(one) {
             assert!((v - 0.5).abs() < 1e-12);
         }
     }

@@ -1,21 +1,17 @@
 //! The Job Profiles Repository (paper Fig. 7).
 //!
-//! Profiles are keyed by the job's *binary path plus name* — the paper's
-//! (deliberately simple) matching function. The repository is shared
-//! between the online scheduler and the profiler, so it is guarded by a
-//! `parking_lot::RwLock` (many readers during decision making, rare
-//! writers after a profiling run).
+//! The paper matches a job to its profile by the job's binary path plus
+//! name. In this reproduction a binary is a suite bench index, so the
+//! repository is a table indexed by bench: an empty entry is a program
+//! not profiled yet.
 
 use crate::profiler::{JobProfile, Profiler};
-use hrp_gpusim::AppModel;
 use hrp_workloads::Suite;
-use parking_lot::RwLock;
-use std::collections::HashMap;
 
-/// Concurrent, key-addressed profile store.
+/// Profile store indexed by suite bench.
 #[derive(Debug, Default)]
 pub struct ProfileRepository {
-    map: RwLock<HashMap<String, JobProfile>>,
+    profiles: Vec<Option<JobProfile>>,
 }
 
 impl ProfileRepository {
@@ -30,59 +26,32 @@ impl ProfileRepository {
     /// training).
     #[must_use]
     pub fn for_suite(suite: &Suite, profiler: &Profiler) -> Self {
-        let repo = Self::new();
-        for b in suite.benchmarks() {
-            repo.insert(&b.app.name, profiler.profile(&b.app));
+        Self {
+            profiles: suite
+                .benchmarks()
+                .iter()
+                .map(|b| Some(profiler.profile(&b.app)))
+                .collect(),
         }
-        repo
     }
 
-    /// Look up a profile by key. Clones the stored profile (profiles are
-    /// small, and this keeps the lock short).
+    /// The profile of bench `bench`, if it has been profiled.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<JobProfile> {
-        self.map.read().get(key).cloned()
+    pub fn get(&self, bench: usize) -> Option<&JobProfile> {
+        self.profiles.get(bench)?.as_ref()
     }
 
-    /// Whether a profile exists for the key.
-    #[must_use]
-    pub fn contains(&self, key: &str) -> bool {
-        self.map.read().contains_key(key)
+    /// Store (or replace) the profile of bench `bench`.
+    pub fn insert(&mut self, bench: usize, profile: JobProfile) {
+        if bench >= self.profiles.len() {
+            self.profiles.resize_with(bench + 1, || None);
+        }
+        self.profiles[bench] = Some(profile);
     }
 
-    /// Insert (or replace) a profile.
-    pub fn insert(&self, key: &str, profile: JobProfile) {
-        self.map.write().insert(key.to_owned(), profile);
-    }
-
-    /// Profile an application and store the result (the online path for
-    /// first-seen jobs: run exclusively, collect, store).
-    pub fn profile_and_store(&self, app: &AppModel, profiler: &Profiler) -> JobProfile {
-        let profile = profiler.profile(app);
-        self.insert(&app.name, profile.clone());
-        profile
-    }
-
-    /// Number of stored profiles.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// Whether the repository is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
-    }
-
-    /// Snapshot of all profiles (for fitting feature scalers).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(String, JobProfile)> {
-        self.map
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// Every stored profile, in bench order.
+    pub fn profiles(&self) -> impl Iterator<Item = &JobProfile> {
+        self.profiles.iter().flatten()
     }
 }
 
@@ -98,49 +67,43 @@ mod tests {
     #[test]
     fn suite_repository_has_all_profiles() {
         let suite = Suite::paper_suite(&GpuArch::a100());
-        let repo = ProfileRepository::for_suite(&suite, &profiler());
-        assert_eq!(repo.len(), 27);
-        for b in suite.benchmarks() {
-            assert!(repo.contains(&b.app.name), "{} missing", b.app.name);
+        let profiler = profiler();
+        let repo = ProfileRepository::for_suite(&suite, &profiler);
+        for b in 0..suite.len() {
+            let expected = profiler.profile(&suite.by_index(b).app);
+            assert_eq!(repo.get(b), Some(&expected), "bench {b}");
         }
     }
 
     #[test]
     fn miss_then_profile_then_hit() {
-        let repo = ProfileRepository::new();
-        assert!(repo.is_empty());
-        let app = AppModel::builder("newjob").solo_time(5.0).build();
-        assert!(!repo.contains("newjob"));
-        let p = repo.profile_and_store(&app, &profiler());
-        assert!(repo.contains("newjob"));
-        assert_eq!(repo.get("newjob"), Some(p));
+        let suite = Suite::paper_suite(&GpuArch::a100());
+        let mut repo = ProfileRepository::new();
+        assert_eq!(repo.get(5), None);
+        let p = profiler().profile(&suite.by_index(5).app);
+        repo.insert(5, p.clone());
+        assert_eq!(repo.get(5), Some(&p));
+        assert_eq!(repo.get(4), None);
+        assert_eq!(repo.get(6), None);
     }
 
     #[test]
-    fn concurrent_reads_and_writes() {
+    fn profiles_are_complete_in_bench_order() {
         let suite = Suite::paper_suite(&GpuArch::a100());
-        let repo = ProfileRepository::for_suite(&suite, &profiler());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for b in suite.benchmarks() {
-                        assert!(repo.get(&b.app.name).is_some());
-                    }
-                });
-            }
-            s.spawn(|| {
-                let app = AppModel::builder("hot_insert").build();
-                repo.profile_and_store(&app, &profiler());
-            });
-        });
-        assert_eq!(repo.len(), 28);
+        let profiler = profiler();
+        let repo = ProfileRepository::for_suite(&suite, &profiler);
+        let expected: Vec<JobProfile> = (0..suite.len())
+            .map(|b| profiler.profile(&suite.by_index(b).app))
+            .collect();
+        assert_eq!(expected.len(), 27);
+        assert!(repo.profiles().eq(expected.iter()));
     }
 
     #[test]
-    fn snapshot_is_complete() {
+    fn get_past_the_end_is_none() {
         let suite = Suite::paper_suite(&GpuArch::a100());
         let repo = ProfileRepository::for_suite(&suite, &profiler());
-        let snap = repo.snapshot();
-        assert_eq!(snap.len(), 27);
+        assert_eq!(repo.get(suite.len()), None);
+        assert_eq!(ProfileRepository::new().get(0), None);
     }
 }

@@ -6,16 +6,15 @@ use crate::suite::Suite;
 use hrp_gpusim::rng::SplitMix64;
 use serde::{Deserialize, Serialize};
 
-/// One queued job: an instance of a benchmark program. The same program
-/// may appear several times in a queue (distinct jobs, same profile key —
-/// exactly the situation the paper's binary-path matching handles).
+/// One queued job: an instance of a benchmark program, identified by its
+/// suite index alone. Its name is `suite.by_index(bench).app.name`, and
+/// its id is its position in the queue (`J1` in the paper is job 0). The
+/// same program may appear several times in a queue (distinct jobs, one
+/// profile — exactly the situation the paper's binary-path matching
+/// handles).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Job {
-    /// Position in the queue (0-based; `J1` in the paper is id 0).
-    pub id: usize,
-    /// Benchmark name (profile-repository key).
-    pub name: String,
-    /// Index into the suite.
+    /// Index into the suite (the profile-repository key).
     pub bench: usize,
 }
 
@@ -38,10 +37,7 @@ impl JobQueue {
     pub fn from_names(label: &str, names: &[&str], suite: &Suite) -> Self {
         let jobs = names
             .iter()
-            .enumerate()
-            .map(|(id, name)| Job {
-                id,
-                name: (*name).to_owned(),
+            .map(|name| Job {
                 bench: suite
                     .index_of(name)
                     .unwrap_or_else(|| panic!("unknown benchmark '{name}'")),
@@ -405,21 +401,14 @@ impl QueueGenerator {
         seen_only: bool,
     ) -> JobQueue {
         let mut jobs = Vec::with_capacity(w);
-        for (id, class) in category.composition(w).into_iter().enumerate() {
+        for class in category.composition(w) {
             let pool = suite.class_indices(class, seen_only);
             assert!(!pool.is_empty(), "no programs of class {class}");
             let bench = pool[self.rng.next_below(pool.len() as u64) as usize];
-            jobs.push(Job {
-                id,
-                name: suite.by_index(bench).app.name.clone(),
-                bench,
-            });
+            jobs.push(Job { bench });
         }
-        // Shuffle so class positions are not deterministic, then re-id.
+        // Shuffle so class positions are not deterministic.
         self.rng.shuffle(&mut jobs);
-        for (id, job) in jobs.iter_mut().enumerate() {
-            job.id = id;
-        }
         JobQueue {
             label: label.to_owned(),
             jobs,
@@ -436,13 +425,8 @@ impl QueueGenerator {
         (0..n)
             .map(|qi| loop {
                 let jobs: Vec<Job> = (0..w)
-                    .map(|id| {
-                        let bench = pool[self.rng.next_below(pool.len() as u64) as usize];
-                        Job {
-                            id,
-                            name: suite.by_index(bench).app.name.clone(),
-                            bench,
-                        }
+                    .map(|_| Job {
+                        bench: pool[self.rng.next_below(pool.len() as u64) as usize],
                     })
                     .collect();
                 let queue = JobQueue {

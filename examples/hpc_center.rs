@@ -17,12 +17,12 @@ fn main() {
 
     // The repository starts *empty*: every first submission is a
     // profiling run.
-    let repo = ProfileRepository::new();
+    let mut repo = ProfileRepository::new();
     let profiler = Profiler::new(arch, 0.03, 7);
 
     // Node-local policy: the exhaustive MPS baseline (swap in a trained
     // MigMpsRl for the full pipeline — see the quickstart example).
-    let mut system = OnlineSystem::new(&suite, MpsOnly, &repo, profiler, 6, 4);
+    let mut system = OnlineSystem::new(&suite, MpsOnly, &mut repo, profiler, 6, 4);
 
     // A day's submissions: a mix of repeat offenders and one-offs.
     let trace = [
@@ -60,7 +60,8 @@ fn main() {
     println!("events:");
     for e in &report.events {
         match e {
-            OnlineEvent::ProfilingRun { name, time } => {
+            OnlineEvent::ProfilingRun { bench, time } => {
+                let name = &suite.by_index(*bench).app.name;
                 println!("  profiling run   {name:<14} ({time:.1}s exclusive)");
             }
             OnlineEvent::WindowScheduled { metrics } => {

@@ -70,7 +70,7 @@ fn main() {
         let names: Vec<&str> = g
             .job_ids
             .iter()
-            .map(|&j| queue.jobs[j].name.as_str())
+            .map(|&j| suite.by_index(queue.jobs[j].bench).app.name.as_str())
             .collect();
         println!(
             "  group {}: {{{}}} on {}  (co-run {:.1}s vs solo {:.1}s)",

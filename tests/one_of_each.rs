@@ -136,6 +136,11 @@ fn the_deleted_second_copies_stay_deleted() {
         ("PlacementDispatcher", "::new"),
         (".node", "_w"),
         (".node", "_cmax"),
+        // A window job is its bench index: no name copied out of the
+        // suite per job, and no string-keyed, locked profile store.
+        ("name: suite", ".by_index("),
+        ("profile_and", "_store"),
+        ("HashMap<String,", " JobProfile>"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));

@@ -60,7 +60,7 @@ fn all_five_policies_produce_valid_decisions() {
     let ctx = ScheduleContext::new(&suite, &queue, 4);
     let (trained, _) = train(&suite, TrainConfig::quick());
 
-    let default = MigMpsDefault::fit(&[(&ctx, &queue)]);
+    let default = MigMpsDefault::fit(std::slice::from_ref(&ctx));
     let rl = MigMpsRl::new(trained);
     let policies: Vec<&dyn Policy> = vec![&TimeSharing, &MigOnly, &MpsOnly, &default, &rl];
     let mut names = std::collections::HashSet::new();
@@ -98,9 +98,9 @@ fn online_system_with_trained_policy() {
     let arch = GpuArch::a100();
     let profiler = Profiler::new(arch, 0.03, 11);
     // Online repo starts with the training profiles (warm start).
-    let repo = ProfileRepository::for_suite(&suite, &profiler);
+    let mut repo = ProfileRepository::for_suite(&suite, &profiler);
     let policy = MigMpsRl::new(trained);
-    let mut sys = OnlineSystem::new(&suite, policy, &repo, profiler, 6, 4);
+    let mut sys = OnlineSystem::new(&suite, policy, &mut repo, profiler, 6, 4);
     for name in [
         "lavaMD",
         "stream",
