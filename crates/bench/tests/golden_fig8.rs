@@ -2,16 +2,20 @@
 //! twelve Table V queues (relative to time sharing) and its arithmetic
 //! mean, each pinned within [`BAND`], plus the order of the means.
 //!
-//! Both passes train the RL agent, so both are `#[ignore]`d (a debug
-//! build needs minutes for the quick one); CI runs them in release:
-//! `cargo test --release -p hrp-bench --test golden_fig8 -- --include-ignored`.
+//! Both passes train the RL agent. The root `Cargo.toml` builds the
+//! numeric crates at `opt-level = 3` under `cargo test` too, so both
+//! run in tier-1 (`cargo test -q`), in the no-AVX CI leg as well.
 //!
-//! At quick scale (what `repro --quick fig8` trains, about 2.5 s in
-//! release) the agent trails every co-scheduling heuristic; that is the
-//! short training budget, and the pin records it as it is. At the
-//! paper's scale it passes MIG Only and comes within 0.01 of MPS Only.
+//! The quick pass is what `repro --quick --env hierarchical fig8`
+//! trains: the hierarchical agent, plus the flat agent with the same
+//! settings as its reference (the row `repro --quick fig8` prints).
+//! Both trail every co-scheduling heuristic, and the hierarchical one
+//! falls below time sharing on Q2; that is the short training budget,
+//! and the pins record it as it is. At the paper's scale the flat agent
+//! passes MIG Only and comes within 0.01 of MPS Only.
 
 use hrp_bench::eval::{run_full, FullEvaluation};
+use hrp_core::rl::EnvKind;
 use hrp_core::train::TrainConfig;
 use hrp_gpusim::GpuArch;
 use hrp_workloads::Suite;
@@ -82,11 +86,11 @@ fn check(full: &FullEvaluation, pinned: &[Row]) -> Vec<String> {
 }
 
 #[test]
-#[ignore = "trains an agent: minutes in debug, 2.5 s in release"]
 fn fig8_at_quick_scale_holds_its_pins_and_order() {
     let cfg = TrainConfig {
         hidden: vec![128, 64],
         episodes: 400,
+        env: EnvKind::Hierarchical,
         ..TrainConfig::paper()
     };
     let full = run_full(&Suite::paper_suite(&GpuArch::a100()), cfg);
@@ -98,15 +102,24 @@ fn fig8_at_quick_scale_holds_its_pins_and_order() {
         ],
         1.2292,
     );
+    let hier = (
+        "MIG+MPS w/ RL (hier)",
+        [
+            1.1155, 0.9588, 1.0675, 1.1110, 1.1550, 1.1189, 1.6930, 1.5088, 1.4822, 1.2069, 1.3014,
+            1.1304,
+        ],
+        1.2375,
+    );
     let order = check(
         &full,
-        &[TIME_SHARING, MIG_ONLY, MPS_ONLY, MIG_MPS_DEFAULT, rl],
+        &[TIME_SHARING, MIG_ONLY, MPS_ONLY, MIG_MPS_DEFAULT, rl, hier],
     );
     assert_eq!(
         order,
         [
             "Time Sharing",
             "MIG+MPS w/ RL",
+            "MIG+MPS w/ RL (hier)",
             "MIG Only (C=2)",
             "MPS Only",
             "MIG+MPS Default"
@@ -115,7 +128,6 @@ fn fig8_at_quick_scale_holds_its_pins_and_order() {
 }
 
 #[test]
-#[ignore = "trains at the paper's scale: about 25 s in release"]
 fn fig8_at_paper_scale_holds_its_pins_and_order() {
     let full = run_full(&Suite::paper_suite(&GpuArch::a100()), TrainConfig::paper());
     let rl = (

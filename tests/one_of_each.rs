@@ -10,7 +10,8 @@
 //! second copy of any of them would first show up as one of the
 //! patterns below. And every public function has a caller: one that
 //! nothing but tests names is either on the reasoned list below or
-//! gone.
+//! gone. And there is one test tier: no test but a pin printer is
+//! ignored.
 
 mod scan;
 use scan::{crate_src_dirs, non_test_hits, non_test_lines, rust_sources};
@@ -150,6 +151,36 @@ fn the_deleted_second_copies_stay_deleted() {
             assert!(!text.contains(&name), "{path} mentions {name}");
         }
     }
+}
+
+#[test]
+fn only_pin_printers_are_ignored() {
+    // One test tier: whatever checks something runs under plain `cargo
+    // test`, and only a printer that regenerates a pin table is ignored.
+    // Split in two so that this file does not match itself.
+    let attribute = format!("#[{}", "ignore");
+    let dirs = ["crates", "src", "tests", "examples"].map(str::to_owned);
+    let files = rust_sources(&dirs);
+    assert!(
+        files
+            .iter()
+            .any(|(path, _)| path == "crates/bench/tests/golden_fig8.rs"),
+        "the scan covers the crates' own test directories"
+    );
+    let ignored: Vec<String> = files
+        .iter()
+        .flat_map(|(path, text)| {
+            text.lines()
+                .enumerate()
+                .map(|(i, line)| (i, line.trim_start()))
+                .filter(|(_, line)| line.starts_with(&attribute) && !line.contains("pin printer"))
+                .map(move |(i, line)| format!("{path}:{}: {line}", i + 1))
+        })
+        .collect();
+    assert!(
+        ignored.is_empty(),
+        "only a pin printer may be ignored; tier-1 runs everything else: {ignored:#?}"
+    );
 }
 
 /// The identifiers of a line of code, in order.
