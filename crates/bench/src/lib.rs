@@ -17,6 +17,7 @@
 //! README's "Reproducing the paper" section for flags, including the
 //! `--overlap`/`--shards` training-pipeline knobs).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -65,6 +65,7 @@
 //! assert!(res.makespan < ci.solo_time + mi.solo_time);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1,37 +1,33 @@
 //! The deployed-inference fast path: single-sample Q evaluation with a
-//! pre-planned layer walk, preallocated scratch, and hand-written
-//! AVX2 microkernels — the path `PolicySelector` and the `hrp-serve`
-//! decision cycle run every placement decision through.
+//! pre-planned layer walk, preallocated scratch and one safe panel
+//! kernel — the path `PolicySelector` and the `hrp-serve` decision
+//! cycle run every placement decision through.
 //!
 //! [`FastPolicy`] plans the traversal once at construction: each linear
-//! layer's weights are copied row-major (the scalar walk) **and**
-//! re-packed into 8-row panels stored k-major (the AVX2 walk), biases
-//! padded with zeros to a multiple of 8 rows, the fused linear+ReLU
-//! step and the dueling-head combine inlined into one loop. All
-//! buffers are sized at plan time, so steady-state [`FastPolicy::infer`]
-//! / [`FastPolicy::greedy`] perform **zero heap allocations**.
+//! layer's weights are packed into panels of eight output rows, four
+//! panels to a group and k-major within it, so one step of the walk
+//! reads one `x[k]` and the next 32 weights in order into accumulators
+//! that stay in registers. Biases are padded with zeros to a multiple of
+//! 8 rows; the fused linear+ReLU step and the dueling-head combine are
+//! inlined into one loop. All buffers are sized at plan time, so
+//! steady-state [`FastPolicy::infer`] / [`FastPolicy::greedy`] perform
+//! **zero heap allocations**.
 //!
 //! # Bit-identity contract
 //!
-//! Both kernels reproduce [`QNet::predict_batch_into`] at batch 1
-//! **bit-for-bit**, not merely within tolerance:
+//! The kernel reproduces [`QNet::predict_batch_into`] at batch 1
+//! **bit-for-bit** on every target, by construction:
 //!
-//! * the scalar walk runs the identical bias-first, `k`-ascending
-//!   accumulation as [`crate::tensor::matvec`];
-//! * the AVX2 walk vectorizes across eight *output rows* per vector
-//!   register, so each lane still performs its row's scalar rounding
-//!   sequence — and it deliberately uses separate multiply and add
-//!   instructions (**no FMA**): a fused multiply-add rounds once where
-//!   the reference rounds twice, which would break bit-identity;
-//! * ReLU is `andnot(cmp_lt(acc, 0), acc)`, matching the reference's
-//!   `if v < 0.0 { v = 0.0 }` exactly (a plain `max(acc, 0)` would
-//!   flip `-0.0` to `+0.0`);
-//! * the dueling combine `Q_i = V + A_i − mean(A)` runs scalar, in the
-//!   reference's order, over the unpadded advantage lanes.
-//!
-//! Kernel choice is a runtime decision ([`Kernel::detect`] via
-//! `is_x86_feature_detected!`), so the same binary is correct — and
-//! identical in output — on any host.
+//! * each lane is one output row and runs [`crate::tensor::matvec`]'s
+//!   sequence: start at the bias, then `acc += w[r][k]·x[k]` for `k`
+//!   ascending, the multiply and the add rounded separately (Rust never
+//!   contracts them into a fused multiply-add). The lanes are
+//!   independent, so the vector width the compiler picks only changes
+//!   how many run at once;
+//! * ReLU is the reference's `if v < 0.0 { v = 0.0 }`, which keeps
+//!   −0.0 and NaN (`f32::max(v, 0.0)` would turn NaN into `0.0`);
+//! * the dueling combine `Q_i = V + A_i − mean(A)` runs in the
+//!   reference's order over the unpadded advantage lanes.
 //!
 //! ```
 //! use hrp_nn::infer::FastPolicy;
@@ -52,76 +48,23 @@ use crate::layers::Linear;
 use crate::net::{HeadLayers, QNet};
 use crate::tensor::masked_argmax;
 
-/// Panel width of the packed weight layout: one AVX2 `f32x8` register
-/// of output rows.
+/// Output rows per panel.
 const LANES: usize = 8;
 
-/// Which matvec microkernel a [`FastPolicy`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Portable scalar walk (the reference accumulation order).
-    Scalar,
-    /// Hand-written AVX2 register-tiled panels (x86-64 with AVX2 only).
-    Avx2,
-}
+/// Panels per group: the walk's rows in flight are `GROUP × LANES`.
+const GROUP: usize = 4;
 
-impl Kernel {
-    /// The best kernel the running CPU supports, detected at runtime.
-    #[must_use]
-    pub fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Self::Avx2;
-            }
-        }
-        Self::Scalar
-    }
-
-    /// Whether the running CPU can execute this kernel.
-    #[must_use]
-    pub fn supported(self) -> bool {
-        match self {
-            Self::Scalar => true,
-            Self::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Report/CLI label (`scalar` / `avx2`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::Avx2 => "avx2",
-        }
-    }
-}
-
-/// One planned fused linear(+ReLU) step: the reference row-major
-/// weights for the scalar walk, plus the panel-packed copy for AVX2.
+/// One planned fused linear(+ReLU) step over panel-packed weights.
 #[derive(Debug, Clone)]
 struct PlanLayer {
-    rows: usize,
     cols: usize,
-    /// `rows` rounded up to a multiple of [`LANES`].
+    /// The layer's rows rounded up to a multiple of [`LANES`].
     rows_pad: usize,
-    /// Row-major reference weights (`rows × cols`).
-    w: Vec<f32>,
-    /// Reference bias (`rows`).
-    b: Vec<f32>,
-    /// Panel-packed weights: panel `p` holds output rows
-    /// `8p .. 8p+8` contiguously k-major — `wp[(p·cols + k)·8 + lane]`
-    /// is `w[(8p+lane)·cols + k]`, zero for padded lanes — so each `k`
-    /// step of the AVX2 walk is one 256-bit load plus one broadcast.
+    /// Panel-packed weights: panel `p` is rows `8p .. 8p+8`, and the
+    /// panels go four to a group (the last `n_panels % 4` alone), k-major
+    /// in their group: for the group of `P` panels from panel `first`,
+    /// `wp[8·first·cols + (k·P + p)·8 + lane]` is `w[8·(first+p) + lane][k]`,
+    /// zero for padded rows.
     wp: Vec<f32>,
     /// Zero-padded bias (`rows_pad`).
     bp: Vec<f32>,
@@ -131,22 +74,23 @@ struct PlanLayer {
 impl PlanLayer {
     fn plan(lin: &Linear, relu: bool) -> Self {
         let (rows, cols) = (lin.rows, lin.cols);
-        let rows_pad = rows.div_ceil(LANES) * LANES;
-        let mut wp = vec![0.0f32; rows_pad * cols];
+        let n_panels = rows.div_ceil(LANES);
+        let grouped = n_panels - n_panels % GROUP;
+        let mut wp = vec![0.0f32; n_panels * LANES * cols];
         for r in 0..rows {
             let (panel, lane) = (r / LANES, r % LANES);
+            let width = if panel < grouped { GROUP } else { 1 };
+            let first = panel - panel % width;
+            let base = first * LANES * cols + (panel - first) * LANES + lane;
             for k in 0..cols {
-                wp[(panel * cols + k) * LANES + lane] = lin.w[r * cols + k];
+                wp[base + k * width * LANES] = lin.w[r * cols + k];
             }
         }
-        let mut bp = vec![0.0f32; rows_pad];
+        let mut bp = vec![0.0f32; n_panels * LANES];
         bp[..rows].copy_from_slice(&lin.b);
         Self {
-            rows,
             cols,
-            rows_pad,
-            w: lin.w.clone(),
-            b: lin.b.clone(),
+            rows_pad: n_panels * LANES,
             wp,
             bp,
             relu,
@@ -156,123 +100,52 @@ impl PlanLayer {
     /// Run the fused step: `y[..rows_pad] = act(W·x + b)`, reading
     /// `x[..cols]`. Padded output lanes are bias-0 rows of zero weights
     /// and are never read downstream.
-    fn run(&self, kernel: Kernel, x: &[f32], y: &mut [f32]) {
-        match kernel {
-            Kernel::Scalar => {
-                crate::tensor::matvec(
-                    &self.w,
-                    &self.b,
-                    &x[..self.cols],
-                    &mut y[..self.rows],
-                    self.rows,
-                    self.cols,
-                );
-                if self.relu {
-                    // Exactly `Relu::forward_inference`: zero strictly
-                    // negative lanes, preserve −0.0 and NaN.
-                    for v in &mut y[..self.rows] {
-                        if *v < 0.0 {
-                            *v = 0.0;
-                        }
-                    }
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `Kernel::Avx2` is only constructed when
-                // `supported()` holds (checked in `with_kernel`), and
-                // the slices match the planned shapes.
-                unsafe {
-                    matvec_panels_avx2(
-                        &self.wp,
-                        &self.bp,
-                        &x[..self.cols],
-                        &mut y[..self.rows_pad],
-                        self.rows_pad,
-                        self.cols,
-                        self.relu,
-                    );
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Avx2 => unreachable!("AVX2 kernel on a non-x86-64 host"),
-        }
+    fn run(&self, x: &[f32], y: &mut [f32]) {
+        let x = &x[..self.cols];
+        let (b, _) = self.bp.as_chunks::<LANES>();
+        let (y, _) = y[..self.rows_pad].as_chunks_mut::<LANES>();
+        let grouped = b.len() - b.len() % GROUP;
+        let (w4, w1) = self.wp.split_at(grouped * LANES * self.cols);
+        let ((b4, b1), (y4, y1)) = (b.split_at(grouped), y.split_at_mut(grouped));
+        panels::<GROUP>(w4, b4, x, y4, self.relu);
+        panels::<1>(w1, b1, x, y1, self.relu);
     }
 }
 
-/// Register-tiled panel matvec: eight output rows per vector register,
-/// four panels (32 rows) in flight per sweep of `x` for instruction-
-/// level parallelism. Each lane accumulates `b[r]; += w[r][k]·x[k]` for
-/// `k` ascending with *separate* multiply and add — the exact rounding
-/// sequence of the scalar reference (FMA would fuse the two roundings
-/// into one and break bit-identity).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matvec_panels_avx2(
-    wp: &[f32],
-    bp: &[f32],
+/// `y = act(W·x + b)` over groups of `P` panels, one group at a time:
+/// each lane adds its row's products to its bias in ascending `k`,
+/// exactly as [`crate::tensor::matvec`].
+#[inline(always)]
+fn panels<const P: usize>(
+    w: &[f32],
+    b: &[[f32; LANES]],
     x: &[f32],
-    y: &mut [f32],
-    rows_pad: usize,
-    cols: usize,
+    y: &mut [[f32; LANES]],
     relu: bool,
 ) {
-    use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_andnot_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _CMP_LT_OQ,
-    };
-    debug_assert_eq!(wp.len(), rows_pad * cols);
-    debug_assert_eq!(bp.len(), rows_pad);
-    debug_assert_eq!(x.len(), cols);
-    debug_assert_eq!(y.len(), rows_pad);
-    let n_panels = rows_pad / LANES;
-    let zero = _mm256_setzero_ps();
-    let wptr = wp.as_ptr();
-    let bptr = bp.as_ptr();
-    let yptr = y.as_mut_ptr();
-    let xptr = x.as_ptr();
-    // `if v < 0.0 { v = 0.0 }` as vector ops: the ordered less-than
-    // mask keeps NaN and −0.0 lanes untouched, matching the scalar
-    // ReLU exactly.
-    let relu_exact = |acc: __m256| {
+    let step = P * LANES * x.len();
+    let (b, _) = b.as_chunks::<P>();
+    let (y, _) = y.as_chunks_mut::<P>();
+    for (g, (b, y)) in b.iter().zip(y).enumerate() {
+        let mut acc = *b;
+        let (w, _) = w[g * step..][..step].as_chunks::<LANES>();
+        for (wk, &xk) in w.as_chunks::<P>().0.iter().zip(x) {
+            for p in 0..P {
+                for lane in 0..LANES {
+                    acc[p][lane] += wk[p][lane] * xk;
+                }
+            }
+        }
         if relu {
-            _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(acc, zero), acc)
-        } else {
-            acc
+            // Exactly `Relu::forward_inference`: zero strictly negative
+            // lanes, keep −0.0 and NaN.
+            for v in acc.as_flattened_mut() {
+                if *v < 0.0 {
+                    *v = 0.0;
+                }
+            }
         }
-    };
-    let mut p = 0usize;
-    while p + 4 <= n_panels {
-        let w0 = wptr.add(p * cols * LANES);
-        let w1 = wptr.add((p + 1) * cols * LANES);
-        let w2 = wptr.add((p + 2) * cols * LANES);
-        let w3 = wptr.add((p + 3) * cols * LANES);
-        let mut acc0 = _mm256_loadu_ps(bptr.add(p * LANES));
-        let mut acc1 = _mm256_loadu_ps(bptr.add((p + 1) * LANES));
-        let mut acc2 = _mm256_loadu_ps(bptr.add((p + 2) * LANES));
-        let mut acc3 = _mm256_loadu_ps(bptr.add((p + 3) * LANES));
-        for k in 0..cols {
-            let xk = _mm256_set1_ps(*xptr.add(k));
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(xk, _mm256_loadu_ps(w0.add(k * LANES))));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(xk, _mm256_loadu_ps(w1.add(k * LANES))));
-            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(xk, _mm256_loadu_ps(w2.add(k * LANES))));
-            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(xk, _mm256_loadu_ps(w3.add(k * LANES))));
-        }
-        _mm256_storeu_ps(yptr.add(p * LANES), relu_exact(acc0));
-        _mm256_storeu_ps(yptr.add((p + 1) * LANES), relu_exact(acc1));
-        _mm256_storeu_ps(yptr.add((p + 2) * LANES), relu_exact(acc2));
-        _mm256_storeu_ps(yptr.add((p + 3) * LANES), relu_exact(acc3));
-        p += 4;
-    }
-    while p < n_panels {
-        let wb = wptr.add(p * cols * LANES);
-        let mut acc = _mm256_loadu_ps(bptr.add(p * LANES));
-        for k in 0..cols {
-            let xk = _mm256_set1_ps(*xptr.add(k));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(xk, _mm256_loadu_ps(wb.add(k * LANES))));
-        }
-        _mm256_storeu_ps(yptr.add(p * LANES), relu_exact(acc));
-        p += 1;
+        *y = acc;
     }
 }
 
@@ -283,14 +156,12 @@ enum PlanHead {
 }
 
 /// The planned single-sample inference fast path over a frozen
-/// [`QNet`]: fused layer walk, preallocated scratch, runtime-selected
-/// microkernel. See the [module docs](self) for the bit-identity
-/// contract.
+/// [`QNet`]: fused layer walk over panel-packed weights, preallocated
+/// scratch. See the [module docs](self) for the bit-identity contract.
 #[derive(Debug, Clone)]
 pub struct FastPolicy {
     state_dim: usize,
     n_actions: usize,
-    kernel: Kernel,
     trunk: Vec<PlanLayer>,
     head: PlanHead,
     /// Ping-pong activation buffers, sized for the widest padded layer.
@@ -305,24 +176,9 @@ pub struct FastPolicy {
 }
 
 impl FastPolicy {
-    /// Plan the fast path for `net` with the best detected kernel.
+    /// Plan the fast path for `net`.
     #[must_use]
     pub fn new(net: &QNet) -> Self {
-        Self::with_kernel(net, Kernel::detect())
-    }
-
-    /// Plan the fast path with an explicit kernel (equivalence tests,
-    /// benchmarks).
-    ///
-    /// # Panics
-    /// Panics if the running CPU does not support `kernel`.
-    #[must_use]
-    pub fn with_kernel(net: &QNet, kernel: Kernel) -> Self {
-        assert!(
-            kernel.supported(),
-            "kernel {} not supported on this CPU",
-            kernel.name()
-        );
         let trunk: Vec<PlanLayer> = net
             .trunk_layers()
             .iter()
@@ -338,12 +194,7 @@ impl FastPolicy {
                 a: PlanLayer::plan(a, false),
             },
         };
-        let width = trunk
-            .iter()
-            .map(|l| l.rows_pad)
-            .max()
-            .unwrap_or(0)
-            .max(state_dim);
+        let width = trunk.iter().fold(state_dim, |w, l| w.max(l.rows_pad));
         let (hv_len, qpad_len) = match &head {
             PlanHead::Plain(l) => (0, l.rows_pad),
             PlanHead::Dueling { v, a } => (v.rows_pad, a.rows_pad),
@@ -351,7 +202,6 @@ impl FastPolicy {
         Self {
             state_dim,
             n_actions,
-            kernel,
             trunk,
             head,
             buf_a: vec![0.0; width],
@@ -362,24 +212,6 @@ impl FastPolicy {
         }
     }
 
-    /// The kernel this plan runs.
-    #[must_use]
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// State vector length.
-    #[must_use]
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
-    }
-
-    /// Number of actions (Q outputs).
-    #[must_use]
-    pub fn n_actions(&self) -> usize {
-        self.n_actions
-    }
-
     /// Q-values for one state — bit-identical to
     /// [`QNet::predict_batch_into`] at batch 1, with zero heap allocations.
     ///
@@ -387,21 +219,20 @@ impl FastPolicy {
     /// Panics if `state` has the wrong length.
     pub fn infer(&mut self, state: &[f32]) -> &[f32] {
         assert_eq!(state.len(), self.state_dim, "state length mismatch");
-        let kernel = self.kernel;
         let (cur, next) = (&mut self.buf_a, &mut self.buf_b);
         cur[..state.len()].copy_from_slice(state);
         for layer in &self.trunk {
-            layer.run(kernel, cur, next);
+            layer.run(cur, next);
             std::mem::swap(cur, next);
         }
         match &self.head {
             PlanHead::Plain(l) => {
-                l.run(kernel, cur, &mut self.qpad);
+                l.run(cur, &mut self.qpad);
                 &self.qpad[..self.n_actions]
             }
             PlanHead::Dueling { v, a } => {
-                v.run(kernel, cur, &mut self.hv);
-                a.run(kernel, cur, &mut self.qpad);
+                v.run(cur, &mut self.hv);
+                a.run(cur, &mut self.qpad);
                 let n = self.n_actions;
                 // The reference combine, over the unpadded advantage
                 // lanes only, in the reference's summation order.
@@ -448,8 +279,9 @@ mod tests {
     }
 
     /// Shapes chosen to hit every padding case: rows ≡ 0 mod 8, odd
-    /// rows, single-row (the dueling V head), more than 4 panels (the
-    /// register-tiled loop), and fewer than one panel.
+    /// rows, single-row (the dueling V head), fewer than one panel,
+    /// whole groups of four panels, and groups followed by one to three
+    /// lone panels.
     fn shapes() -> Vec<(usize, Vec<usize>, usize)> {
         vec![
             (4, vec![8, 6], 3),
@@ -457,44 +289,29 @@ mod tests {
             (2, vec![3], 1),
             (18, vec![64, 32], 8),
             (5, vec![40, 24, 16], 12),
+            (9, vec![56], 33),
         ]
     }
 
-    #[test]
-    fn scalar_kernel_is_bit_identical_to_predict() {
-        for (dim, hidden, n_actions) in shapes() {
-            for head in [Head::Plain, Head::Dueling] {
-                let net = QNet::new(dim, &hidden, n_actions, head, 11);
-                let mut fast = FastPolicy::with_kernel(&net, Kernel::Scalar);
-                for (i, s) in random_states(dim, 16, 3).chunks(dim).enumerate() {
-                    let reference = predict(&net, s);
-                    let q = fast.infer(s);
-                    for (a, (f, r)) in q.iter().zip(reference.iter()).enumerate() {
-                        assert_eq!(
-                            f.to_bits(),
-                            r.to_bits(),
-                            "{head:?} dim {dim} state {i} action {a}: {f} vs {r}"
-                        );
-                    }
-                }
-            }
+    /// Bitwise equality, except that any NaN equals any NaN: which
+    /// operand's sign and payload a NaN carries is not fixed.
+    fn assert_same_bits(fast: &[f32], reference: &[f32], what: &str) {
+        assert_eq!(fast.len(), reference.len(), "{what}");
+        for (a, (f, r)) in fast.iter().zip(reference).enumerate() {
+            let same = f.to_bits() == r.to_bits() || (f.is_nan() && r.is_nan());
+            assert!(same, "{what} action {a}: {f} vs {r}");
         }
     }
 
     #[test]
-    fn avx2_kernel_is_bit_identical_to_scalar() {
-        if !Kernel::Avx2.supported() {
-            return;
-        }
+    fn panel_kernel_is_bit_identical_to_predict() {
         for (dim, hidden, n_actions) in shapes() {
             for head in [Head::Plain, Head::Dueling] {
-                let net = QNet::new(dim, &hidden, n_actions, head, 23);
-                let mut scalar = FastPolicy::with_kernel(&net, Kernel::Scalar);
-                let mut avx2 = FastPolicy::with_kernel(&net, Kernel::Avx2);
-                for s in random_states(dim, 16, 9).chunks(dim) {
-                    let qs: Vec<u32> = scalar.infer(s).iter().map(|v| v.to_bits()).collect();
-                    let qa: Vec<u32> = avx2.infer(s).iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(qs, qa, "{head:?} dim {dim}");
+                let net = QNet::new(dim, &hidden, n_actions, head, 11);
+                let mut fast = FastPolicy::new(&net);
+                for (i, s) in random_states(dim, 16, 3).chunks(dim).enumerate() {
+                    let what = format!("{head:?} dim {dim} state {i}");
+                    assert_same_bits(fast.infer(s), &predict(&net, s), &what);
                 }
             }
         }
@@ -528,25 +345,52 @@ mod tests {
     }
 
     #[test]
-    fn detect_never_picks_an_unsupported_kernel() {
-        assert!(Kernel::detect().supported());
-        assert!(Kernel::Scalar.supported());
-        assert_eq!(Kernel::Scalar.name(), "scalar");
-        assert_eq!(Kernel::Avx2.name(), "avx2");
-    }
-
-    #[test]
     fn relu_edge_cases_survive_the_fast_path() {
         // Drive a layer to produce exact zeros and negatives: bias-only
         // inputs through zeroed weights.
         let mut net = QNet::new(4, &[8], 3, Head::Plain, 2);
         let zeros = vec![0.0f32; net.num_params()];
         net.read_params(&zeros);
-        let mut fast = FastPolicy::new(&net);
-        let q = fast.infer(&[0.5, -0.5, 1.0, -1.0]);
-        let reference = predict(&net, &[0.5, -0.5, 1.0, -1.0]);
-        for (f, r) in q.iter().zip(reference.iter()) {
-            assert_eq!(f.to_bits(), r.to_bits());
+        let s = [0.5, -0.5, 1.0, -1.0];
+        assert_same_bits(
+            FastPolicy::new(&net).infer(&s),
+            &predict(&net, &s),
+            "bias only",
+        );
+
+        // Pre-activations of exactly −0.0: −0.0 trunk weights and biases
+        // over a state of positive sign sum to −0.0, which ReLU must
+        // keep; the head's +0.0 weights and −0.0 biases pass the sign on
+        // (a lost sign would come out +0.0).
+        let mut params = vec![-0.0f32; net.num_params()];
+        params[8 * 4 + 8..][..3 * 8].fill(0.0);
+        net.read_params(&params);
+        for s in [[0.5, 0.0, 1.0, 2.0], [1e-40, 0.0, 3.0, 0.0]] {
+            let reference = predict(&net, &s);
+            assert!(reference.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+            assert_same_bits(FastPolicy::new(&net).infer(&s), &reference, "−0.0");
+        }
+
+        // Special values in the state, one at a time and all together,
+        // through every padding shape: infinities turn rows to ±inf or
+        // NaN (inf − inf), and ReLU must keep NaN while zeroing −inf.
+        let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40];
+        assert!(specials[5].is_subnormal());
+        for (dim, hidden, n_actions) in shapes() {
+            for head in [Head::Plain, Head::Dueling] {
+                let net = QNet::new(dim, &hidden, n_actions, head, 5);
+                let mut fast = FastPolicy::new(&net);
+                let mut states = vec![(0..dim).map(|i| specials[i % 6]).collect::<Vec<_>>()];
+                for (at, v) in (0..dim).flat_map(|at| specials.map(|v| (at, v))) {
+                    let mut s = random_states(dim, 1, 17);
+                    s[at] = v;
+                    states.push(s);
+                }
+                for s in &states {
+                    let what = format!("{head:?} dim {dim} state {s:?}");
+                    assert_same_bits(fast.infer(s), &predict(&net, s), &what);
+                }
+            }
         }
     }
 }

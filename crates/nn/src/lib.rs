@@ -30,8 +30,9 @@
 //!   breaking, double-DQN targets, Huber loss, periodic target-network
 //!   sync; one `learn()` call runs the whole minibatch batched;
 //! * [`infer`] — the deployed-inference fast path: [`infer::FastPolicy`]
-//!   pre-plans the layer walk with preallocated scratch and runtime-
-//!   detected AVX2 microkernels, bit-identical to `predict_batch_into`;
+//!   pre-plans the layer walk over panel-packed weights with
+//!   preallocated scratch, and its one safe kernel is bit-identical to
+//!   `predict_batch_into` at batch 1 on every target;
 //! * [`serialize`] — the checkpoint codec: the one bounds-checked
 //!   container, spec and reader behind all four blob formats, and the
 //!   `HRPQ` weight blob itself.
@@ -39,9 +40,11 @@
 //! Everything is deterministic for a fixed seed (`rand::SmallRng`), the
 //! backprop code is validated against numerical gradients in tests, the
 //! batched kernels are pinned bit for bit to a scalar reference
-//! (`tests/kernel_contract.rs`) and the learning step to a golden of
-//! losses and weights (`tests/batch_parallel.rs`).
+//! (`tests/kernel_contract.rs`), the inference kernel to the batch-1
+//! forward (`tests/infer_contract.rs`) and the learning step to a
+//! golden of losses and weights (`tests/batch_parallel.rs`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -57,7 +60,7 @@ pub mod sharded;
 pub mod tensor;
 
 pub use dqn::{ActionScratch, DqnAgent, DqnConfig};
-pub use infer::{FastPolicy, Kernel};
+pub use infer::FastPolicy;
 pub use net::{Head, PredictScratch, QNet};
 pub use opt::Adam;
 pub use replay::{MiniBatch, ReplayBuffer, Transition};

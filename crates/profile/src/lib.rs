@@ -15,6 +15,7 @@
 //!   paper uses scikit-learn for "additional data pre-processing and
 //!   feature engineering"; this is the Rust stand-in).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -37,6 +37,7 @@
 //!
 //! See the [`SchedulerService`] doc-example for the end-to-end loop.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

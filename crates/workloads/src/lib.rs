@@ -17,6 +17,7 @@
 //! mixes of Table V and the random queue generators used for offline
 //! training (§V-A2).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

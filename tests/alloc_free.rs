@@ -6,8 +6,7 @@
 //! scratch buffers), the audited region asserts **zero** heap
 //! allocations across:
 //!
-//! * `FastPolicy::infer`/`greedy` (both kernels) — the inference
-//!   fast path itself;
+//! * `FastPolicy::infer`/`greedy` — the inference fast path itself;
 //! * `PolicySelector::select` — mask + state encoding + greedy, the
 //!   full per-decision path the cluster simulator and serve loop
 //!   drive;
@@ -48,7 +47,7 @@ use hrp::core::NodeSelector;
 use hrp::gpusim::GpuArch;
 use hrp::nn::net::{Head, QNet};
 use hrp::nn::replay::Transition;
-use hrp::nn::{DqnAgent, DqnConfig, FastPolicy, Kernel};
+use hrp::nn::{DqnAgent, DqnConfig, FastPolicy};
 use hrp::serve::{AdmissionConfig, ChannelSource, SchedulerService, ServeConfig, ServiceStep};
 use hrp::workloads::Suite;
 
@@ -84,20 +83,18 @@ fn steady_state_decision_paths_do_not_allocate() {
     let loads = sample_loads();
     let mask = (1u64 << NODES) - 1;
 
-    // FastPolicy (scalar + auto kernel): construction preallocates
-    // everything, so not even a warm-up pass is needed — but give it
-    // one anyway so the audit is about steady state by construction.
-    for kernel in [Kernel::Scalar, Kernel::detect()] {
-        let mut fast = FastPolicy::with_kernel(&net, kernel);
-        let _ = fast.greedy(&state, mask);
-        let n = count_allocs(|| {
-            for _ in 0..REPS {
-                std::hint::black_box(fast.infer(&state));
-                std::hint::black_box(fast.greedy(&state, mask));
-            }
-        });
-        assert_eq!(n, 0, "FastPolicy ({}) allocated {n}x", kernel.name());
-    }
+    // FastPolicy: construction preallocates everything, so not even a
+    // warm-up pass is needed — but give it one anyway so the audit is
+    // about steady state by construction.
+    let mut fast = FastPolicy::new(&net);
+    let _ = fast.greedy(&state, mask);
+    let n = count_allocs(|| {
+        for _ in 0..REPS {
+            std::hint::black_box(fast.infer(&state));
+            std::hint::black_box(fast.greedy(&state, mask));
+        }
+    });
+    assert_eq!(n, 0, "FastPolicy allocated {n}x");
 
     // The full deployed path: PolicySelector::select encodes live
     // loads into its reused scratch and asks the fast path greedily.

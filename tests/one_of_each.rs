@@ -142,6 +142,12 @@ fn the_deleted_second_copies_stay_deleted() {
         ("name: suite", ".by_index("),
         ("profile_and", "_store"),
         ("HashMap<String,", " JobProfile>"),
+        // One inference kernel: the AVX2 fork, the runtime CPU detection
+        // that picked it, and the constructor that took a kernel.
+        ("is_x86_feature", "_detected"),
+        ("target_", "feature"),
+        ("with_", "kernel"),
+        ("matvec_panels", "_avx2"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
