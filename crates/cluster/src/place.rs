@@ -878,40 +878,6 @@ mod tests {
         assert_eq!(outcome.report.unwrap(), direct);
     }
 
-    #[test]
-    fn policy_selector_digest_invariant_to_rng_removal() {
-        // PolicySelector used to seed and thread a SmallRng through its
-        // ε = 0 selections even though it was never consulted; this
-        // pins that the RNG-free fast path makes every decision — and
-        // therefore the merged cluster timeline — identical to the
-        // reference `QNet::predict_batch_into` at batch 1 + lowest-index
-        // argmax.
-        use hrp_core::rl::GreedyPolicy;
-        struct Reference {
-            net: hrp_nn::QNet,
-        }
-        impl GreedyPolicy for Reference {
-            fn greedy(&mut self, state: &[f32], mask: u64) -> usize {
-                let mut q = Vec::new();
-                let scratch = &mut hrp_nn::PredictScratch::default();
-                self.net.predict_batch_into(state, 1, scratch, &mut q);
-                hrp_nn::masked_argmax(&q, |a| mask & (1 << a) != 0).expect("non-empty mask")
-            }
-        }
-        let s = suite();
-        let cfg = PlacementConfig::quick();
-        let agent = PlacementAgent::untrained(cfg.clone());
-        let t = skewed_trace(&s, 24, 11);
-        let mut fast_sel = agent.selector();
-        let sim = MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node);
-        let fast = sim.run(&s, t.clone(), &mut fast_sel, |_| node());
-        let mut ref_sel = PolicySelector::new(Reference {
-            net: agent.dqn().online_net().clone(),
-        });
-        let reference = sim.run(&s, t, &mut ref_sel, |_| node());
-        assert_eq!(fast, reference);
-    }
-
     fn decode_text(text: &str) -> Result<PlacementConfig, CheckpointError> {
         decode_spec(Spec::parse(MAGIC, text)?)
     }

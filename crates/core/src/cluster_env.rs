@@ -116,12 +116,6 @@ pub fn encode_placement_state(loads: &[NodeLoad], gpus: usize, work: f64, out: &
 /// simulated ones, and the policy picks greedily — deterministic, ties
 /// to the lowest node id, with the encode scratch reused so a
 /// steady-state decision performs **zero heap allocations**.
-///
-/// Earlier versions carried a seeded `SmallRng` for the ε-greedy
-/// interface even though ε = 0 never consults it; the dead RNG state
-/// leaked into every clone and checkpoint of the selector. Placement
-/// decisions are unchanged by its removal (the digest-invariance
-/// regression tests in `hrp-cluster` pin this).
 pub struct PolicySelector<P> {
     policy: P,
     scratch: Vec<f32>,

@@ -22,8 +22,9 @@
 //!   [`SnapshotPolicy`] with an explicit per-episode RNG, which is what
 //!   makes rollouts worker-count invariant.
 //!
-//! [`DqnAgent`] implements [`Learner`] (its snapshot is a clone of the
-//! online Q-network), [`crate::env::CoScheduleEnv`] and
+//! [`DqnAgent`] implements [`Learner`] (its snapshot is the online
+//! Q-network planned for single-sample inference),
+//! [`crate::env::CoScheduleEnv`] and
 //! [`crate::hierarchy::HierarchicalEnv`] implement [`Env`], and
 //! [`crate::train::train`] wires the default pair together exactly as
 //! before the redesign — bit-for-bit, as pinned by the golden-report
@@ -203,7 +204,8 @@ pub trait Learner {
     /// interactive use; the pipeline itself acts through snapshots).
     fn select_action(&mut self, state: &[f32], mask: u64, epsilon: f64) -> usize;
 
-    /// Greedy (ε = 0) action — deterministic, for deployment/eval.
+    /// Greedy (ε = 0) action — deterministic (single-state use;
+    /// [`greedy_rollout`] acts through a snapshot).
     fn greedy_action(&self, state: &[f32], mask: u64) -> usize;
 
     /// Store a transition in replay shard `shard`.
@@ -213,14 +215,24 @@ pub trait Learner {
     fn learn(&mut self);
 }
 
-/// A frozen DQN behaviour policy: the online network's weights plus the
-/// action-space size (masks may be narrower than 64 bits), with the
-/// planned inference fast path ([`FastPolicy`]) built once at freeze
-/// time for greedy deployment.
+/// A frozen DQN policy: the online network planned once into the
+/// single-sample inference path ([`FastPolicy`]), plus the scratch its
+/// `&mut self` greedy deployment runs in. Rollout workers share it by
+/// `&self`, each with its own [`ActionScratch`].
 pub struct DqnSnapshot {
-    net: QNet,
-    n_actions: usize,
-    fast: FastPolicy,
+    plan: FastPolicy,
+    scratch: ActionScratch,
+}
+
+impl DqnSnapshot {
+    /// Freeze `net`.
+    #[must_use]
+    pub fn new(net: &QNet) -> Self {
+        Self {
+            plan: FastPolicy::new(net),
+            scratch: ActionScratch::default(),
+        }
+    }
 }
 
 impl SnapshotPolicy for DqnSnapshot {
@@ -237,31 +249,15 @@ impl SnapshotPolicy for DqnSnapshot {
         rng: &mut SmallRng,
         scratch: &mut ActionScratch,
     ) -> usize {
-        epsilon_greedy_action_with(
-            &self.net,
-            state,
-            mask,
-            self.n_actions,
-            epsilon,
-            rng,
-            scratch,
-        )
+        epsilon_greedy_action_with(&self.plan, state, mask, epsilon, rng, scratch)
     }
 }
 
 impl GreedyPolicy for DqnSnapshot {
     fn greedy(&mut self, state: &[f32], mask: u64) -> usize {
-        // The fast path is bit-identical to `QNet::predict_batch_into`, and
-        // `FastPolicy::greedy` breaks ties to the lowest index exactly
-        // like `DqnAgent::greedy_action` — so deployment and greedy
-        // eval rollouts can never diverge.
-        self.fast.greedy(state, mask)
-    }
-}
-
-impl GreedyPolicy for FastPolicy {
-    fn greedy(&mut self, state: &[f32], mask: u64) -> usize {
-        FastPolicy::greedy(self, state, mask)
+        // Ties break to the lowest index, as in
+        // `DqnAgent::greedy_action`, which runs the same kernel.
+        self.plan.greedy(state, mask, &mut self.scratch)
     }
 }
 
@@ -269,11 +265,7 @@ impl Learner for DqnAgent {
     type Snapshot = DqnSnapshot;
 
     fn snapshot(&self) -> DqnSnapshot {
-        DqnSnapshot {
-            net: self.online_net().clone(),
-            n_actions: self.config().n_actions,
-            fast: FastPolicy::new(self.online_net()),
-        }
+        DqnSnapshot::new(self.online_net())
     }
 
     fn select_action(&mut self, state: &[f32], mask: u64, epsilon: f64) -> usize {
@@ -294,12 +286,18 @@ impl Learner for DqnAgent {
 }
 
 /// Greedy (ε = 0) rollout of one episode — the online decision making,
-/// generic over the env/learner pair.
-pub fn greedy_rollout<E: Env, L: Learner + ?Sized>(mut env: E, learner: &L) -> E::Decision {
+/// generic over the env/learner pair. The learner is frozen once, and
+/// every decision runs through its snapshot's [`GreedyPolicy`], the path
+/// a deployed selector takes.
+pub fn greedy_rollout<E: Env, L: Learner + ?Sized>(mut env: E, learner: &L) -> E::Decision
+where
+    L::Snapshot: GreedyPolicy,
+{
+    let mut policy = learner.snapshot();
     let mut state = Vec::new();
     while !env.done() {
         env.state_into(&mut state);
-        let action = learner.greedy_action(&state, env.valid_mask());
+        let action = policy.greedy(&state, env.valid_mask());
         env.step(action);
     }
     env.into_decision()

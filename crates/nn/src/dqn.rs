@@ -9,6 +9,7 @@
 //! steady state it allocates nothing, and `tests/batch_parallel.rs`
 //! pins its losses and weights bit for bit.
 
+use crate::infer::{FastPolicy, InferScratch};
 use crate::net::{Head, PredictScratch, QNet};
 use crate::opt::Adam;
 use crate::replay::{MiniBatch, Transition};
@@ -82,45 +83,39 @@ fn huber(err: f32, delta: f32) -> (f32, f32) {
     }
 }
 
-/// Reusable buffers for [`epsilon_greedy_action_with`]: the Q-value
-/// vector plus the network's inference scratch. After warm-up, action
-/// selection performs zero heap allocations.
-#[derive(Debug, Clone, Default)]
-pub struct ActionScratch {
-    predict: PredictScratch,
-    q: Vec<f32>,
-}
+/// Reusable buffers for [`epsilon_greedy_action_with`]: the planned
+/// policy's inference scratch. After warm-up, action selection performs
+/// zero heap allocations.
+pub type ActionScratch = InferScratch;
 
-/// ε-greedy action from a Q-network: explore uniformly over the
+/// ε-greedy action from a planned Q-network: explore uniformly over the
 /// `mask`'s valid bits with probability `epsilon`, otherwise exploit
 /// with exact-tie breaking drawn from `rng` (not iteration order, which
 /// would bias exploration toward low-numbered actions). The Q-values
-/// land in caller-owned `scratch`, which keeps the hot loop off the
-/// allocator.
+/// come from the one single-sample kernel, [`FastPolicy::infer`], in
+/// caller-owned `scratch`, which keeps the hot loop off the allocator.
 ///
 /// This is the single source of behaviour-policy truth: the agent's own
 /// [`DqnAgent::select_action`] and the rollout workers acting against a
-/// frozen snapshot both call it, so training rollouts and the deployed
-/// agent can never silently diverge.
+/// frozen snapshot's plan both call it, so training rollouts and the
+/// deployed agent can never silently diverge.
 ///
 /// # Panics
 /// Panics if the mask has no valid action.
 pub fn epsilon_greedy_action_with(
-    net: &QNet,
+    policy: &FastPolicy,
     state: &[f32],
     mask: u64,
-    n_actions: usize,
     epsilon: f64,
     rng: &mut SmallRng,
     scratch: &mut ActionScratch,
 ) -> usize {
     assert!(mask != 0, "no valid action");
     if rng.gen_bool(epsilon.clamp(0.0, 1.0)) {
-        masked_uniform(mask, n_actions, rng).expect("mask checked non-empty")
+        masked_uniform(mask, policy.n_actions(), rng).expect("mask checked non-empty")
     } else {
-        net.predict_into(state, &mut scratch.predict, &mut scratch.q);
-        masked_argmax_tiebreak(&scratch.q, |a| mask & (1 << a) != 0, rng)
-            .expect("mask checked non-empty")
+        let q = policy.infer(state, scratch);
+        masked_argmax_tiebreak(q, |a| mask & (1 << a) != 0, rng).expect("mask checked non-empty")
     }
 }
 
@@ -133,9 +128,8 @@ pub struct DqnAgent {
     buffer: ShardedReplay,
     rng: SmallRng,
     learn_steps: u64,
-    /// Reusable action-selection scratch (allocation-free hot loop);
-    /// its inference buffers also serve the bootstrap passes of `learn`.
-    act_scratch: ActionScratch,
+    /// Inference scratch of the bootstrap passes of `learn`.
+    predict: PredictScratch,
     /// Reusable batched-learning scratch.
     minibatch: MiniBatch,
     q_next_online: Vec<f32>,
@@ -176,7 +170,7 @@ impl DqnAgent {
             buffer,
             rng,
             learn_steps: 0,
-            act_scratch: ActionScratch::default(),
+            predict: PredictScratch::default(),
             minibatch: MiniBatch::new(),
             q_next_online: Vec::new(),
             q_next_target: Vec::new(),
@@ -193,37 +187,41 @@ impl DqnAgent {
         &self.cfg
     }
 
-    /// Q-values of the online network for a state (inference).
+    /// Q-values of the online network for a state: the network is
+    /// planned ([`FastPolicy::new`]) on every call.
     #[must_use]
     pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
-        let mut q = Vec::new();
-        self.online
-            .predict_into(state, &mut PredictScratch::default(), &mut q);
-        q
+        let plan = FastPolicy::new(&self.online);
+        plan.infer(state, &mut InferScratch::default()).to_vec()
     }
 
     /// ε-greedy action among the `mask`'s valid bits (see
-    /// [`epsilon_greedy_action_with`]), drawing from the agent RNG stream.
+    /// [`epsilon_greedy_action_with`]), drawing from the agent RNG
+    /// stream. The online network is planned on every call; rollouts
+    /// act through a snapshot's plan instead.
     ///
     /// # Panics
     /// Panics if the mask has no valid action.
     pub fn select_action(&mut self, state: &[f32], mask: u64, epsilon: f64) -> usize {
         epsilon_greedy_action_with(
-            &self.online,
+            &FastPolicy::new(&self.online),
             state,
             mask,
-            self.cfg.n_actions,
             epsilon,
             &mut self.rng,
-            &mut self.act_scratch,
+            &mut ActionScratch::default(),
         )
     }
 
     /// Greedy (ε = 0) action — the online-phase policy. Deterministic:
-    /// ties break to the lowest index.
+    /// ties break to the lowest index. Plans the network per call, like
+    /// [`DqnAgent::q_values`].
+    ///
+    /// # Panics
+    /// Panics if the mask has no valid action.
     #[must_use]
     pub fn greedy_action(&self, state: &[f32], mask: u64) -> usize {
-        masked_argmax(&self.q_values(state), |a| mask & (1 << a) != 0).expect("no valid action")
+        FastPolicy::new(&self.online).greedy(state, mask, &mut InferScratch::default())
     }
 
     /// Store a transition, routing replay shards round-robin.
@@ -259,7 +257,7 @@ impl DqnAgent {
         // per network. Nothing is differentiated through them, so they
         // take the inference forward: same Q-values as `forward_batch`,
         // none of its backward-cache upkeep.
-        let scratch = &mut self.act_scratch.predict;
+        let scratch = &mut self.predict;
         let next_states = &self.minibatch.next_states;
         if self.cfg.double {
             // Double DQN: the online net picks a* for every row at once,

@@ -1,16 +1,13 @@
 //! Layers with exact backpropagation: fully-connected (`Linear`) and
-//! `ReLU`. A `Linear` has one layout per batch size: one sample runs
-//! the plain row-major kernels (`forward` / `backward`), a minibatch
-//! runs batch-minor (`n × batch`, the `_tn` entry points) — the two
-//! agree within float accumulation error. Each layer caches whatever
-//! its backward pass needs in reusable scratch, so the calling
-//! convention is strictly forward then backward and a steady-state
-//! learning step allocates nothing. The `_inference` forwards skip that
-//! upkeep and leave the layer untouched.
+//! `ReLU`. A `Linear` runs every batch size, one sample included, in
+//! batch-minor layout (`n × batch`, the `_tn` entry points). Each layer
+//! caches whatever its backward pass needs in reusable scratch, so the
+//! calling convention is strictly forward then backward and a
+//! steady-state learning step allocates nothing. The `_inference`
+//! forwards skip that upkeep and leave the layer untouched.
 
 use crate::tensor::{
-    matmul_bias_tn, matmul_dw_accumulate, matmul_dx_tn, matvec, matvec_transpose, relu_backward,
-    relu_forward, transpose_into,
+    matmul_bias_tn, matmul_dw_accumulate, matmul_dx_tn, relu_backward, relu_forward, transpose_into,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -112,51 +109,6 @@ impl Linear {
         );
     }
 
-    /// Forward pass for one sample; caches the input for backprop.
-    /// `y` is resized to `rows`.
-    pub fn forward(&mut self, x: &[f32], y: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), self.cols);
-        self.x_cache.clear();
-        self.x_cache.extend_from_slice(x);
-        self.cached_batch = 1;
-        self.forward_inference(x, y);
-    }
-
-    /// Forward pass without caching (inference only, one sample).
-    pub fn forward_inference(&self, x: &[f32], y: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), self.cols);
-        y.resize(self.rows, 0.0);
-        matvec(&self.w, &self.b, x, y, self.rows, self.cols);
-    }
-
-    /// Backward pass for one sample: accumulates `gw`/`gb`, writes the
-    /// input gradient (length `cols`).
-    ///
-    /// # Panics
-    /// Panics (in debug) unless the cached forward was one sample.
-    pub fn backward(&mut self, dy: &[f32], dx: &mut Vec<f32>) {
-        self.backward_no_dx(dy);
-        dx.resize(self.cols, 0.0);
-        matvec_transpose(&self.w, dy, dx, self.rows, self.cols);
-    }
-
-    /// One-sample backward that only accumulates `gw`/`gb` — for the
-    /// network's first layer, whose input gradient (w.r.t. the state)
-    /// nothing consumes.
-    pub fn backward_no_dx(&mut self, dy: &[f32]) {
-        debug_assert_eq!(self.cached_batch, 1, "backward batch mismatch");
-        debug_assert_eq!(dy.len(), self.rows);
-        matmul_dw_accumulate(
-            &mut self.gw,
-            &mut self.gb,
-            dy,
-            &self.x_cache,
-            1,
-            self.rows,
-            self.cols,
-        );
-    }
-
     /// Number of trainable parameters.
     #[must_use]
     pub fn num_params(&self) -> usize {
@@ -210,13 +162,15 @@ mod tests {
         SmallRng::seed_from_u64(1)
     }
 
+    // At batch 1 a batch-minor `cols × 1` input is the sample itself.
+
     #[test]
     fn linear_forward_matches_manual() {
         let mut l = Linear::new(2, 3, &mut rng());
         l.w = vec![1.0, 0.0, -1.0, 2.0, 1.0, 0.5];
         l.b = vec![0.5, -0.5];
         let mut y = Vec::new();
-        l.forward(&[1.0, 2.0, 3.0], &mut y);
+        l.forward_batch_tn(&[1.0, 2.0, 3.0], 1, &mut y);
         assert!((y[0] - (1.0 - 3.0 + 0.5)).abs() < 1e-6);
         assert!((y[1] - (2.0 + 2.0 + 1.5 - 0.5)).abs() < 1e-6);
     }
@@ -228,15 +182,15 @@ mod tests {
         let mut l = Linear::new(3, 4, &mut rng());
         let x: Vec<f32> = vec![0.3, -0.7, 1.2, 0.05];
         let mut y = Vec::new();
-        l.forward(&x, &mut y);
+        l.forward_batch_tn(&x, 1, &mut y);
         let dy = y.clone();
         let mut dx = Vec::new();
-        l.backward(&dy, &mut dx);
+        l.backward_batch_tn(&dy, 1, &mut dx);
 
         let eps = 1e-3f32;
         let loss = |l: &Linear, x: &[f32]| -> f32 {
             let mut y = Vec::new();
-            l.forward_inference(x, &mut y);
+            l.forward_inference_batch_tn(x, 1, &mut y);
             0.5 * y.iter().map(|v| v * v).sum::<f32>()
         };
         // Weight gradients.
@@ -277,11 +231,11 @@ mod tests {
         let mut l = Linear::new(2, 2, &mut rng());
         let mut y = Vec::new();
         let mut dx = Vec::new();
-        l.forward(&[1.0, 1.0], &mut y);
-        l.backward(&[1.0, 1.0], &mut dx);
+        l.forward_batch_tn(&[1.0, 1.0], 1, &mut y);
+        l.backward_batch_tn(&[1.0, 1.0], 1, &mut dx);
         let first = l.gb.clone();
-        l.forward(&[1.0, 1.0], &mut y);
-        l.backward(&[1.0, 1.0], &mut dx);
+        l.forward_batch_tn(&[1.0, 1.0], 1, &mut y);
+        l.backward_batch_tn(&[1.0, 1.0], 1, &mut dx);
         for (a, b) in l.gb.iter().zip(first.iter()) {
             assert!((a - 2.0 * b).abs() < 1e-6);
         }
@@ -290,7 +244,7 @@ mod tests {
     #[test]
     fn batched_forward_backward_equals_per_sample_loop() {
         // One batched step over B samples must produce the same outputs
-        // and the same accumulated gradients as B per-sample steps.
+        // and the same accumulated gradients as B one-sample steps.
         let (batch, rows, cols) = (5, 6, 4);
         let mut batched = Linear::new(rows, cols, &mut rng());
         let mut serial = batched.clone();
@@ -314,17 +268,15 @@ mod tests {
         transpose_into(&yt, &mut y_b, rows, batch);
         transpose_into(&dxt, &mut dx_b, cols, batch);
 
+        // Outputs and input gradients are per-lane sums: bit-equal. The
+        // weight gradients sum over the batch in another grouping.
         let mut y_s = Vec::new();
         let mut dx_s = Vec::new();
         for bi in 0..batch {
-            serial.forward(&x[bi * cols..(bi + 1) * cols], &mut y_s);
-            for (a, e) in y_b[bi * rows..(bi + 1) * rows].iter().zip(y_s.iter()) {
-                assert!((a - e).abs() < 1e-5, "y sample {bi}: {a} vs {e}");
-            }
-            serial.backward(&dy[bi * rows..(bi + 1) * rows], &mut dx_s);
-            for (a, e) in dx_b[bi * cols..(bi + 1) * cols].iter().zip(dx_s.iter()) {
-                assert!((a - e).abs() < 1e-5, "dx sample {bi}");
-            }
+            serial.forward_batch_tn(&x[bi * cols..(bi + 1) * cols], 1, &mut y_s);
+            assert_eq!(y_b[bi * rows..(bi + 1) * rows], y_s, "y sample {bi}");
+            serial.backward_batch_tn(&dy[bi * rows..(bi + 1) * rows], 1, &mut dx_s);
+            assert_eq!(dx_b[bi * cols..(bi + 1) * cols], dx_s, "dx sample {bi}");
         }
         for (a, e) in batched.gw.iter().zip(serial.gw.iter()) {
             assert!((a - e).abs() < 1e-5);

@@ -6,15 +6,14 @@
 //! an A head (Table VI). No ML framework is available in this workspace,
 //! so this crate implements the needed pieces directly:
 //!
-//! * [`tensor`] — dense row-major kernels in per-sample and **batched**
-//!   (`B × n`) form; the batched kernels are register-tiled over
-//!   independent lanes in safe Rust, so they stream each weight matrix
-//!   once per minibatch and give the same bits on every target;
+//! * [`tensor`] — dense **batched** (`B × n`) kernels, register-tiled
+//!   over independent lanes in safe Rust, so they stream each weight
+//!   matrix once per minibatch and give the same bits on every target;
 //! * [`layers`] — fully-connected layer and ReLU with exact batched
 //!   backprop and per-layer reusable scratch;
 //! * [`net`] — the Q-network: MLP trunk + plain or dueling head, with
-//!   `forward_batch` / `predict_batch_into` / `backward_batch` as the primary
-//!   interface (single-sample calls are batch-size-1 wrappers);
+//!   `forward_batch` / `predict_batch_into` / `backward_batch` as its
+//!   one interface at every batch size;
 //! * [`opt`] — Adam (Kingma & Ba) over the flattened parameter vector,
 //!   one fused sweep per step;
 //! * [`replay`] — a ring replay buffer with action masking support and
@@ -29,10 +28,10 @@
 //! * [`dqn`] — the agent: ε-greedy action selection with RNG-stream tie
 //!   breaking, double-DQN targets, Huber loss, periodic target-network
 //!   sync; one `learn()` call runs the whole minibatch batched;
-//! * [`infer`] — the deployed-inference fast path: [`infer::FastPolicy`]
-//!   pre-plans the layer walk over panel-packed weights with
-//!   preallocated scratch, and its one safe kernel is bit-identical to
-//!   `predict_batch_into` at batch 1 on every target;
+//! * [`infer`] — the one single-sample Q evaluation:
+//!   [`infer::FastPolicy`] pre-plans the layer walk over panel-packed
+//!   weights, runs in caller-owned scratch, and its one safe kernel
+//!   gives the same bits on every target;
 //! * [`serialize`] — the checkpoint codec: the one bounds-checked
 //!   container, spec and reader behind all four blob formats, and the
 //!   `HRPQ` weight blob itself.
@@ -40,8 +39,8 @@
 //! Everything is deterministic for a fixed seed (`rand::SmallRng`), the
 //! backprop code is validated against numerical gradients in tests, the
 //! batched kernels are pinned bit for bit to a scalar reference
-//! (`tests/kernel_contract.rs`), the inference kernel to the batch-1
-//! forward (`tests/infer_contract.rs`) and the learning step to a
+//! (`tests/kernel_contract.rs`), the inference kernel to its own scalar
+//! reference (`tests/infer_contract.rs`) and the learning step to a
 //! golden of losses and weights (`tests/batch_parallel.rs`).
 
 #![forbid(unsafe_code)]
@@ -60,7 +59,7 @@ pub mod sharded;
 pub mod tensor;
 
 pub use dqn::{ActionScratch, DqnAgent, DqnConfig};
-pub use infer::FastPolicy;
+pub use infer::{FastPolicy, InferScratch};
 pub use net::{Head, PredictScratch, QNet};
 pub use opt::Adam;
 pub use replay::{MiniBatch, ReplayBuffer, Transition};

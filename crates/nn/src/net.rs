@@ -29,7 +29,7 @@ pub enum Head {
 }
 
 /// Reusable scratch for the dueling head's batched passes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct DuelingScratch {
     vout: Vec<f32>,
     aout: Vec<f32>,
@@ -47,7 +47,6 @@ impl DuelingScratch {
 }
 
 #[allow(clippy::large_enum_variant)] // exactly one head lives per net
-#[derive(Clone)]
 pub(crate) enum HeadLayers {
     Plain(Linear),
     Dueling {
@@ -92,10 +91,10 @@ fn assemble_dueling(vout: &[f32], aout: &[f32], batch: usize, n: usize, out: &mu
     }
 }
 
-/// Reusable buffers for the inference-only forwards
-/// ([`QNet::predict_into`], [`QNet::predict_batch_into`]): after the
-/// first call at a given network shape and batch size, steady-state
-/// inference performs **zero heap allocations**.
+/// Reusable buffers for the inference-only forward
+/// ([`QNet::predict_batch_into`]): after the first call at a given
+/// network shape and batch size, steady-state inference performs **zero
+/// heap allocations**.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     cur: Vec<f32>,
@@ -104,10 +103,7 @@ pub struct PredictScratch {
     aout: Vec<f32>,
 }
 
-/// The Q-network. `Clone` gives an independent full copy (weights plus
-/// scratch) — how the training pipeline freezes per-round policy
-/// snapshots without re-running weight initialisation.
-#[derive(Clone)]
+/// The Q-network.
 pub struct QNet {
     trunk: Vec<(Linear, Relu)>,
     head: HeadLayers,
@@ -163,34 +159,12 @@ impl QNet {
     /// [`QNet::backward_batch`]). `x` is `batch × state_dim`; `out` is
     /// resized to `batch × n_actions`.
     ///
-    /// For `batch > 1` the activations flow in **batch-minor** layout
-    /// end-to-end (one transpose at entry, strided assembly at the
-    /// head) so every trunk GEMM runs its inner loop over independent
-    /// batch lanes; `batch == 1` takes the plain row-major path.
+    /// The activations flow in **batch-minor** layout end-to-end (one
+    /// transpose at entry, strided assembly at the head) so every trunk
+    /// GEMM runs its inner loop over independent batch lanes.
     pub fn forward_batch(&mut self, x: &[f32], batch: usize, out: &mut Vec<f32>) {
         self.cached_batch = batch;
         let n = self.n_actions;
-        if batch == 1 {
-            let (cur, next) = (&mut self.bufs.0, &mut self.bufs.1);
-            cur.clear();
-            cur.extend_from_slice(x);
-            for (lin, relu) in &mut self.trunk {
-                lin.forward(cur, next);
-                relu.forward(next);
-                std::mem::swap(cur, next);
-            }
-            match &mut self.head {
-                HeadLayers::Plain(l) => l.forward(cur, out),
-                HeadLayers::Dueling { v, a, scratch } => {
-                    v.forward(cur, &mut scratch.vout);
-                    a.forward(cur, &mut scratch.aout);
-                    let mean = scratch.aout.iter().sum::<f32>() / n as f32;
-                    out.clear();
-                    out.extend(scratch.aout.iter().map(|ai| scratch.vout[0] + ai - mean));
-                }
-            }
-            return;
-        }
         let state_dim = x.len() / batch;
         let (cur, next) = (&mut self.bufs.0, &mut self.bufs.1);
         crate::tensor::transpose_into(x, cur, batch, state_dim);
@@ -212,15 +186,9 @@ impl QNet {
         }
     }
 
-    /// Single-sample inference into caller-owned scratch and output:
-    /// [`QNet::predict_batch_into`] at batch 1.
-    pub fn predict_into(&self, x: &[f32], scratch: &mut PredictScratch, out: &mut Vec<f32>) {
-        self.predict_batch_into(x, 1, scratch, out);
-    }
-
     /// Batched inference-only forward into caller-owned scratch: no
-    /// cache of the network is touched (usable on `&self` from rollout
-    /// workers sharing a snapshot) and none of the backward pass's
+    /// cache of the network is touched (so it runs on `&self`, as the
+    /// learner's bootstrap passes need) and none of the backward pass's
     /// upkeep — input copies, ReLU masks — is done.
     ///
     /// The Q-values are bit-identical to [`QNet::forward_batch`]'s: the
@@ -236,26 +204,6 @@ impl QNet {
     ) {
         let n = self.n_actions;
         let (cur, next) = (&mut scratch.cur, &mut scratch.next);
-        if batch == 1 {
-            cur.clear();
-            cur.extend_from_slice(x);
-            for (lin, _) in &self.trunk {
-                lin.forward_inference(cur, next);
-                Relu::forward_inference(next);
-                std::mem::swap(cur, next);
-            }
-            match &self.head {
-                HeadLayers::Plain(l) => l.forward_inference(cur, out),
-                HeadLayers::Dueling { v, a, .. } => {
-                    v.forward_inference(cur, &mut scratch.vout);
-                    a.forward_inference(cur, &mut scratch.aout);
-                    let mean = scratch.aout.iter().sum::<f32>() / n as f32;
-                    out.clear();
-                    out.extend(scratch.aout.iter().map(|ai| scratch.vout[0] + ai - mean));
-                }
-            }
-            return;
-        }
         crate::tensor::transpose_into(x, cur, batch, x.len() / batch);
         for (lin, _) in &self.trunk {
             lin.forward_inference_batch_tn(cur, batch, next);
@@ -287,31 +235,8 @@ impl QNet {
         // The head's input gradient lands in `cur`, where the trunk
         // backward picks it up; `next` is free scratch until then.
         let (cur, next) = (&mut self.bufs.0, &mut self.bufs.1);
-        if batch == 1 {
-            match &mut self.head {
-                HeadLayers::Plain(l) => l.backward(dq, cur),
-                HeadLayers::Dueling { v, a, scratch } => {
-                    let sum: f32 = dq.iter().sum();
-                    scratch.da.clear();
-                    scratch.da.extend(dq.iter().map(|d| d - sum / n as f32));
-                    v.backward(&[sum], &mut scratch.dx_v);
-                    a.backward(&scratch.da, &mut scratch.dx_a);
-                    scratch.sum_dx_into(cur);
-                }
-            }
-            for (i, (lin, relu)) in self.trunk.iter_mut().enumerate().rev() {
-                relu.backward(cur);
-                if i == 0 {
-                    lin.backward_no_dx(cur);
-                } else {
-                    lin.backward(cur, next);
-                    std::mem::swap(cur, next);
-                }
-            }
-            return;
-        }
-        // Batch-minor path: head gradients are assembled directly in
-        // `rows × batch` layout, the trunk backward stays in it.
+        // Head gradients are assembled directly in batch-minor
+        // `rows × batch` layout; the trunk backward stays in it.
         match &mut self.head {
             HeadLayers::Plain(l) => {
                 // Q_a = head output directly: dqt = dqᵀ.
@@ -473,9 +398,10 @@ mod tests {
         q
     }
 
+    /// One sample through the cache-free forward.
     fn predict(net: &QNet, x: &[f32]) -> Vec<f32> {
         let mut q = Vec::new();
-        net.predict_into(x, &mut PredictScratch::default(), &mut q);
+        net.predict_batch_into(x, 1, &mut PredictScratch::default(), &mut q);
         q
     }
 
@@ -502,11 +428,7 @@ mod tests {
         for head in [Head::Plain, Head::Dueling] {
             let mut net = tiny(head);
             let x = [0.5, 0.1, -0.3, 0.9];
-            let a = forward(&mut net, &x);
-            let b = predict(&net, &x);
-            for (u, v) in a.iter().zip(b.iter()) {
-                assert!((u - v).abs() < 1e-6);
-            }
+            assert_eq!(forward(&mut net, &x), predict(&net, &x), "{head:?}");
         }
     }
 
@@ -523,18 +445,20 @@ mod tests {
             net.forward_batch(&x, batch, &mut q_batch);
             let mut p_batch = Vec::new();
             net.predict_batch_into(&x, batch, &mut PredictScratch::default(), &mut p_batch);
+            // Every lane runs one fixed operation sequence, so a sample
+            // gets the same bits alone as in a batch.
             for b in 0..batch {
                 let q_one = predict(&net, &x[b * 4..(b + 1) * 4]);
-                for a in 0..3 {
-                    assert!(
-                        (q_batch[b * 3 + a] - q_one[a]).abs() < 1e-6,
-                        "{head:?} forward_batch sample {b} action {a}"
-                    );
-                    assert!(
-                        (p_batch[b * 3 + a] - q_one[a]).abs() < 1e-6,
-                        "{head:?} predict_batch_into sample {b} action {a}"
-                    );
-                }
+                let row = b * 3..(b + 1) * 3;
+                assert_eq!(
+                    q_batch[row.clone()],
+                    q_one,
+                    "{head:?} forward_batch sample {b}"
+                );
+                assert_eq!(
+                    p_batch[row], q_one,
+                    "{head:?} predict_batch_into sample {b}"
+                );
             }
         }
     }

@@ -585,7 +585,7 @@ mod tests {
     fn round_trip_preserves_outputs() {
         let q = |net: &QNet, x: &[f32]| {
             let mut out = Vec::new();
-            net.predict_into(x, &mut crate::net::PredictScratch::default(), &mut out);
+            net.predict_batch_into(x, 1, &mut crate::net::PredictScratch::default(), &mut out);
             out
         };
         let a = QNet::new(6, &[8], 3, Head::Dueling, 5);

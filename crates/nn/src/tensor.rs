@@ -1,20 +1,18 @@
-//! Dense linear-algebra kernels (f32), in per-sample and batched form.
+//! Dense linear-algebra kernels (f32) over batches of any size, one
+//! sample included.
 //!
 //! The Q-network is small (≲ 300k parameters), so simple cache-friendly
-//! loops beat any heavyweight dependency. The per-sample kernels
-//! ([`matvec`], [`matvec_transpose`]) compute one
-//! serial dot product per output — a reduction strict FP cannot
-//! SIMD-vectorize. The batched kernels ([`matmul_bias_tn`],
-//! [`matmul_dx_tn`], [`matmul_dw_accumulate`]) are three views of one
-//! register-tiled routine (`accumulate_tiled`): a tile of a few output
-//! rows × a block of **independent lanes** (batch lanes in batch-minor
-//! layout, see [`transpose_into`]; weight columns for the weight
-//! gradient) keeps its sums in registers over the whole reduction and
-//! shares every operand load among its rows.
+//! loops beat any heavyweight dependency. The kernels
+//! ([`matmul_bias_tn`], [`matmul_dx_tn`], [`matmul_dw_accumulate`]) are
+//! three views of one register-tiled routine (`accumulate_tiled`): a
+//! tile of a few output rows × a block of **independent lanes** (batch
+//! lanes in batch-minor layout, see [`transpose_into`]; weight columns
+//! for the weight gradient) keeps its sums in registers over the whole
+//! reduction and shares every operand load among its rows.
 //!
 //! # Operation order
 //!
-//! The batched kernels are safe Rust without `std::arch`, and a lane
+//! The kernels are safe Rust without `std::arch`, and a lane
 //! never reads another lane's sum. Each output element therefore goes
 //! through one fixed sequence of IEEE operations, whatever tile it
 //! falls in and whatever vector width the compiler picks: from its
@@ -24,52 +22,8 @@
 //! leftover `len % 4` one at a time as `acc += a·x`; never a fused
 //! multiply-add. Trained weights are thus bit-identical on every host
 //! and target-feature set (`tests/kernel_contract.rs` holds the
-//! kernels to a scalar spelling of this sequence). The per-sample
-//! kernels share the term order but not the four-wide grouping, so
-//! they agree with the batched ones within float accumulation error
-//! (~1e-6 relative), not bit for bit.
-
-/// `y = W·x + b` where `W` is `rows × cols` row-major.
-///
-/// # Panics
-/// Panics (in debug) on shape mismatch.
-#[inline]
-pub fn matvec(w: &[f32], b: &[f32], x: &[f32], y: &mut [f32], rows: usize, cols: usize) {
-    debug_assert_eq!(w.len(), rows * cols);
-    debug_assert_eq!(b.len(), rows);
-    debug_assert_eq!(x.len(), cols);
-    debug_assert_eq!(y.len(), rows);
-    for (r, yr) in y.iter_mut().enumerate() {
-        let row = &w[r * cols..(r + 1) * cols];
-        // Bias first, then k ascending — the same per-element term
-        // order as [`matmul_bias_tn`] modulo its four-wide grouping, so
-        // the batch-1 fast path and the batched path agree within float
-        // accumulation error (~1e-6 relative), not bit-for-bit.
-        let mut acc = b[r];
-        for (wi, xi) in row.iter().zip(x.iter()) {
-            acc += wi * xi;
-        }
-        *yr = acc;
-    }
-}
-
-/// `x_grad = Wᵀ·dy` where `W` is `rows × cols` row-major.
-#[inline]
-pub fn matvec_transpose(w: &[f32], dy: &[f32], x_grad: &mut [f32], rows: usize, cols: usize) {
-    debug_assert_eq!(w.len(), rows * cols);
-    debug_assert_eq!(dy.len(), rows);
-    debug_assert_eq!(x_grad.len(), cols);
-    x_grad.fill(0.0);
-    for (r, &d) in dy.iter().enumerate() {
-        if d == 0.0 {
-            continue;
-        }
-        let row = &w[r * cols..(r + 1) * cols];
-        for (g, wi) in x_grad.iter_mut().zip(row.iter()) {
-            *g += wi * d;
-        }
-    }
-}
+//! kernels to a scalar spelling of this sequence), and a sample gets
+//! the same bits alone as inside a minibatch.
 
 /// Source rows `r0..r0 + N` of [`transpose_into`]: `N` contiguous
 /// entries of every `dst` row.
@@ -565,28 +519,6 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn matvec_computes_affine_map() {
-        // W = [[1,2],[3,4],[5,6]], x = [1, -1], b = [10, 20, 30]
-        let w = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let b = [10.0, 20.0, 30.0];
-        let x = [1.0, -1.0];
-        let mut y = [0.0; 3];
-        matvec(&w, &b, &x, &mut y, 3, 2);
-        assert_eq!(y, [9.0, 19.0, 29.0]);
-    }
-
-    #[test]
-    fn transpose_matvec_matches_manual() {
-        let w = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 3×2
-        let dy = [1.0, 0.5, -1.0];
-        let mut dx = [0.0; 2];
-        matvec_transpose(&w, &dy, &mut dx, 3, 2);
-        // col0: 1·1 + 3·0.5 + 5·(-1) = -2.5; col1: 2 + 2 - 6 = -2
-        assert!((dx[0] + 2.5).abs() < 1e-6);
-        assert!((dx[1] + 2.0).abs() < 1e-6);
-    }
-
     /// Rank-1 update `GW += dy ⊗ x`: the per-sample weight gradient
     /// [`matmul_dw_accumulate`] is checked against.
     fn outer_accumulate(gw: &mut [f32], dy: &[f32], x: &[f32], rows: usize, cols: usize) {
@@ -640,51 +572,6 @@ mod tests {
             let mut t = vec![7.0f32; 5];
             transpose_into(&src, &mut t, rows, cols);
             assert_eq!(t, naive, "{rows}×{cols}");
-        }
-    }
-
-    #[test]
-    fn matmul_bias_tn_matches_per_sample_matvec() {
-        let (batch, rows, cols) = (5, 7, 4);
-        let mut rng = SmallRng::seed_from_u64(11);
-        let (w, b, x) = (
-            randn(rows * cols, &mut rng),
-            randn(rows, &mut rng),
-            randn(batch * cols, &mut rng),
-        );
-        let mut xt = Vec::new();
-        transpose_into(&x, &mut xt, batch, cols);
-        let mut yt = Vec::new();
-        matmul_bias_tn(&w, &b, &xt, &mut yt, batch, rows, cols);
-        let mut y = Vec::new();
-        transpose_into(&yt, &mut y, rows, batch);
-        for bi in 0..batch {
-            let mut yb = vec![0.0f32; rows];
-            matvec(&w, &b, &x[bi * cols..(bi + 1) * cols], &mut yb, rows, cols);
-            for (a, e) in y[bi * rows..(bi + 1) * rows].iter().zip(yb.iter()) {
-                assert!((a - e).abs() < 1e-5, "sample {bi}: {a} vs {e}");
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_dx_tn_matches_per_sample_transpose() {
-        let (batch, rows, cols) = (4, 6, 5);
-        let mut rng = SmallRng::seed_from_u64(12);
-        let w = randn(rows * cols, &mut rng);
-        let dy = randn(batch * rows, &mut rng);
-        let mut dyt = Vec::new();
-        transpose_into(&dy, &mut dyt, batch, rows);
-        let mut dxt = Vec::new();
-        matmul_dx_tn(&w, &dyt, &mut dxt, batch, rows, cols);
-        let mut dx = Vec::new();
-        transpose_into(&dxt, &mut dx, cols, batch);
-        for bi in 0..batch {
-            let mut dxb = vec![0.0f32; cols];
-            matvec_transpose(&w, &dy[bi * rows..(bi + 1) * rows], &mut dxb, rows, cols);
-            for (a, e) in dx[bi * cols..(bi + 1) * cols].iter().zip(dxb.iter()) {
-                assert!((a - e).abs() < 1e-6, "sample {bi}: {a} vs {e}");
-            }
         }
     }
 

@@ -6,12 +6,14 @@
 //! scratch buffers), the audited region asserts **zero** heap
 //! allocations across:
 //!
-//! * `FastPolicy::infer`/`greedy` — the inference fast path itself;
+//! * `FastPolicy::infer`/`greedy` — the one single-sample kernel, on
+//!   a shared plan (`&self`) with a reused scratch;
 //! * `PolicySelector::select` — mask + state encoding + greedy, the
 //!   full per-decision path the cluster simulator and serve loop
 //!   drive;
-//! * `DqnAgent::select_action` at ε = 0 and ε = 1 — the training-side
-//!   hot loop after its `ActionScratch` warm-up;
+//! * `DqnSnapshot::select_action_with` at ε = 0 and ε = 1 — the
+//!   training rollout hot loop, after one warm-up call on its reused
+//!   `ActionScratch`;
 //! * `DqnAgent::learn` at the paper's geometry — sampling, both
 //!   bootstrap forwards, forward/backward, the Adam sweep and the
 //!   target sync;
@@ -43,13 +45,16 @@ use hrp::cluster::sim::{Dispatcher, NodeRun};
 use hrp::cluster::slots::TreeSlotSet;
 use hrp::cluster::{ClusterJob, SelectorKind};
 use hrp::core::cluster_env::{NodeLoad, PolicySelector};
-use hrp::core::NodeSelector;
+use hrp::core::rl::DqnSnapshot;
+use hrp::core::{NodeSelector, SnapshotPolicy};
 use hrp::gpusim::GpuArch;
 use hrp::nn::net::{Head, QNet};
 use hrp::nn::replay::Transition;
-use hrp::nn::{DqnAgent, DqnConfig, FastPolicy};
+use hrp::nn::{ActionScratch, DqnAgent, DqnConfig, FastPolicy, InferScratch};
 use hrp::serve::{AdmissionConfig, ChannelSource, SchedulerService, ServeConfig, ServiceStep};
 use hrp::workloads::Suite;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 #[global_allocator]
 static GLOBAL: RecordingAlloc = RecordingAlloc;
@@ -83,22 +88,22 @@ fn steady_state_decision_paths_do_not_allocate() {
     let loads = sample_loads();
     let mask = (1u64 << NODES) - 1;
 
-    // FastPolicy: construction preallocates everything, so not even a
-    // warm-up pass is needed — but give it one anyway so the audit is
-    // about steady state by construction.
-    let mut fast = FastPolicy::new(&net);
-    let _ = fast.greedy(&state, mask);
+    // FastPolicy: the plan is shared (`&self`); the scratch sizes
+    // itself on the warm-up call.
+    let fast = FastPolicy::new(&net);
+    let mut scratch = InferScratch::default();
+    let _ = fast.greedy(&state, mask, &mut scratch);
     let n = count_allocs(|| {
         for _ in 0..REPS {
-            std::hint::black_box(fast.infer(&state));
-            std::hint::black_box(fast.greedy(&state, mask));
+            std::hint::black_box(fast.infer(&state, &mut scratch));
+            std::hint::black_box(fast.greedy(&state, mask, &mut scratch));
         }
     });
     assert_eq!(n, 0, "FastPolicy allocated {n}x");
 
     // The full deployed path: PolicySelector::select encodes live
-    // loads into its reused scratch and asks the fast path greedily.
-    let mut selector = PolicySelector::new(FastPolicy::new(&net));
+    // loads into its reused scratch and asks the snapshot greedily.
+    let mut selector = PolicySelector::new(DqnSnapshot::new(&net));
     let _ = selector.select(1, 50.0, &loads);
     let n = count_allocs(|| {
         for _ in 0..REPS {
@@ -107,21 +112,24 @@ fn steady_state_decision_paths_do_not_allocate() {
     });
     assert_eq!(n, 0, "PolicySelector::select allocated {n}x");
 
-    // Training-side hot loop: ε-greedy through the agent's
-    // ActionScratch — greedy (ε = 0) runs predict_into on reused
-    // buffers, exploration (ε = 1) only draws from the RNG.
-    let mut cfg = DqnConfig::paper(STATE_DIM, NODES);
-    cfg.hidden = vec![64, 32];
-    let mut agent = DqnAgent::new(cfg);
-    let _ = agent.select_action(&state, mask, 0.0);
-    let _ = agent.select_action(&state, mask, 1.0);
+    // The training rollout hot loop: ε-greedy against a frozen
+    // snapshot with one reused ActionScratch — greedy (ε = 0) runs the
+    // plan, exploration (ε = 1) only draws from the RNG.
+    let snapshot = DqnSnapshot::new(&net);
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut scratch = ActionScratch::default();
+    let _ = snapshot.select_action_with(&state, mask, 0.0, &mut rng, &mut scratch);
     for epsilon in [0.0, 1.0] {
         let n = count_allocs(|| {
             for _ in 0..REPS {
-                std::hint::black_box(agent.select_action(&state, mask, epsilon));
+                let a = snapshot.select_action_with(&state, mask, epsilon, &mut rng, &mut scratch);
+                std::hint::black_box(a);
             }
         });
-        assert_eq!(n, 0, "DqnAgent::select_action(ε={epsilon}) allocated {n}x");
+        assert_eq!(
+            n, 0,
+            "DqnSnapshot::select_action_with(ε={epsilon}) allocated {n}x"
+        );
     }
 }
 

@@ -148,6 +148,15 @@ fn the_deleted_second_copies_stay_deleted() {
         ("target_", "feature"),
         ("with_", "kernel"),
         ("matvec_panels", "_avx2"),
+        // One single-sample forward: the row-major batch-1 kernels and
+        // the entry points that ran them.
+        ("fn mat", "vec("),
+        ("matvec", "_transpose"),
+        ("fn predict", "_into("),
+        ("fn backward", "_no_dx("),
+        ("fn forward_inference", "(&self"),
+        ("fn forward(&mut self, x: &[f32]", ", y: &mut Vec<f32>)"),
+        ("fn backward(&mut self, dy", ": &[f32]"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
@@ -247,6 +256,10 @@ fn every_pub_fn_has_a_caller() {
         // frozen benchmark spells its sharded twin, and ROADMAP item 5
         // routes that one through here.
         "crates/nn/src/dqn.rs::remember",
+        // The online network's Q-values the golden `q0` pins read
+        // (`golden_train`, `golden_placement`); greedy rollouts act
+        // through a snapshot instead.
+        "crates/nn/src/dqn.rs::q_values",
         // The noise-free profiler hrp-profile's and hrp-core's unit
         // tests profile their fixtures with.
         "crates/profile/src/profiler.rs::exact",
