@@ -128,8 +128,8 @@ pub fn single_node_baseline(suite: &Suite, jobs: &[ClusterJob]) -> ClusterReport
 /// dispatcher ([`dispatcher_for`], backfill tiers over
 /// `opts.walltime_err`-noisy estimates) — next to a precomputed
 /// single-node `baseline`. `opts.threads` caps the per-epoch node
-/// fan-out (`0` = available parallelism, served by a persistent worker
-/// pool). Results are bit-identical for any value (the determinism
+/// fan-out (`0` = available parallelism; each epoch runs on scoped
+/// threads). Results are bit-identical for any value (the determinism
 /// contract).
 #[must_use]
 pub fn compare_row(

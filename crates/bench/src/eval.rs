@@ -1,15 +1,14 @@
 //! The full §V evaluation: five policies × twelve queues, plus the
 //! window-size / Cmax scaling studies and the ablations.
 //!
-//! Every evaluation fans out over its independent units of work —
-//! queues within a policy run, interference factors within the
-//! ablation — on a [`hrp_core::par::WorkerPool`], capped by an
+//! Every policy run fans out over its queues, each decision independent,
+//! on scoped threads ([`hrp_core::par::for_each_mut`]), capped by an
 //! explicit `threads` argument (`0` = available parallelism) that the
 //! `repro` binary surfaces as `--threads`. Results are collected in
 //! item order, so evaluation output is identical for any thread count.
 
 use hrp_core::metrics::{arithmetic_mean, evaluate_decision, QueueMetrics};
-use hrp_core::par::{resolve_threads, WorkerPool};
+use hrp_core::par::for_each_mut;
 use hrp_core::policies::{
     MigMpsDefault, MigMpsRl, MigOnly, MpsOnly, Policy, ScheduleContext, TimeSharing,
 };
@@ -95,21 +94,19 @@ pub fn eval_policy(
     policy: &(dyn Policy + Sync),
     threads: usize,
 ) -> PolicyEval {
-    // No more workers than queues: a pool spawns every thread it is
-    // asked for, however few items it is handed.
-    let workers = resolve_threads(threads).min(queues.len()).max(1);
-    let metrics: Vec<QueueMetrics> = WorkerPool::new(workers).map(queues.len(), |i| {
+    let mut metrics: Vec<Option<QueueMetrics>> = vec![None; queues.len()];
+    for_each_mut(&mut metrics, threads, |i, out| {
         let queue = &queues[i];
         let ctx = ScheduleContext::new(suite, queue, cmax);
         let decision = policy.schedule(&ctx);
         decision
             .validate(queue, cmax, false)
             .unwrap_or_else(|e| panic!("{}: invalid decision: {e}", policy.name()));
-        evaluate_decision(&queue.label, suite, queue, &decision)
+        *out = Some(evaluate_decision(&queue.label, suite, queue, &decision));
     });
     PolicyEval {
         policy: policy.name().to_owned(),
-        metrics,
+        metrics: metrics.into_iter().flatten().collect(),
     }
 }
 

@@ -17,7 +17,7 @@
 //!   global arrival queue by a pluggable node selector, their event
 //!   streams merged into one deterministic `(time, node, seq)`-ordered
 //!   cluster timeline — bit-identical for any thread count (the epoch
-//!   fan-out runs on a persistent [`hrp_core::par::WorkerPool`]), and
+//!   fan-out runs on scoped threads, [`hrp_core::par::for_each_mut`]), and
 //!   event-for-event identical to [`ClusterSim`] when `N = 1`. The
 //!   stepped [`multinode::ClusterDrive`] core is shared with the RL
 //!   placement environment;
@@ -55,6 +55,7 @@
 //!   ([`hrp_core::cluster_env::PolicySelector`]) behind the
 //!   [`select::NodeSelector`] trait.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

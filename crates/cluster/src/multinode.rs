@@ -14,10 +14,9 @@
 //!
 //! 1. **Advance** — every node simulates concurrently up to the next
 //!    arrival time `t` (nodes are independent between arrivals, so
-//!    this is safe fan-out). With `threads > 1` the fan-out runs on a
-//!    persistent [`hrp_core::par::WorkerPool`] spanning the whole run,
-//!    so bursty traces pay thread creation once instead of once per
-//!    arrival instant;
+//!    this is safe fan-out). With `threads > 1` the nodes are split
+//!    over scoped threads ([`hrp_core::par::for_each_mut`]) for the
+//!    epoch, and the calling thread advances the first share;
 //! 2. **Barrier + select** — with all nodes parked at `t`, their load
 //!    snapshots are taken and the selector assigns the instant's jobs
 //!    one by one, each assignment updating the snapshot it hands the
@@ -63,9 +62,9 @@
 use crate::job::ClusterJob;
 use crate::sim::{ClusterReport, Dispatcher, EventKind, EventLog, NodeRun, NodeStats};
 use hrp_core::cluster_env::{NodeLoad, NodeSelector};
-use hrp_core::par::{resolve_threads, WorkerPool};
+use hrp_core::par::{for_each_mut, resolve_threads};
+use hrp_gpusim::rng::{fnv1a, FNV_OFFSET};
 use hrp_workloads::Suite;
-use std::sync::{LockResult, Mutex};
 
 /// The merged, `(time, node, seq)`-ordered cluster event stream. Two
 /// timelines are equal when they show the same events
@@ -95,47 +94,37 @@ impl ClusterTimeline {
     /// bit-for-bit).
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for b in bytes {
-                *h ^= u64::from(*b);
-                *h = h.wrapping_mul(PRIME);
-            }
-        }
-        fn mix_u64(h: &mut u64, v: u64) {
-            mix(h, &v.to_le_bytes());
-        }
-        let mut h = OFFSET;
+        let word = |h: u64, v: u64| fnv1a(h, &v.to_le_bytes());
+        let mut h = FNV_OFFSET;
         for e in self.events.iter() {
-            mix_u64(&mut h, e.time.to_bits());
-            mix_u64(&mut h, e.node as u64);
-            mix_u64(&mut h, e.seq);
+            h = word(h, e.time.to_bits());
+            h = word(h, e.node as u64);
+            h = word(h, e.seq);
             match e.kind {
                 EventKind::Arrival { job } => {
-                    mix(&mut h, &[0]);
-                    mix_u64(&mut h, job as u64);
+                    h = fnv1a(h, &[0]);
+                    h = word(h, job as u64);
                 }
                 EventKind::Start {
                     job_ids,
                     gpus,
                     duration,
                 } => {
-                    mix(&mut h, &[1]);
-                    mix_u64(&mut h, job_ids.len() as u64);
+                    h = fnv1a(h, &[1]);
+                    h = word(h, job_ids.len() as u64);
                     for id in job_ids {
-                        mix_u64(&mut h, *id as u64);
+                        h = word(h, *id as u64);
                     }
-                    mix_u64(&mut h, gpus as u64);
-                    mix_u64(&mut h, duration.to_bits());
+                    h = word(h, gpus as u64);
+                    h = word(h, duration.to_bits());
                 }
                 EventKind::Finish { job_ids, gpus } => {
-                    mix(&mut h, &[2]);
-                    mix_u64(&mut h, job_ids.len() as u64);
+                    h = fnv1a(h, &[2]);
+                    h = word(h, job_ids.len() as u64);
                     for id in job_ids {
-                        mix_u64(&mut h, *id as u64);
+                        h = word(h, *id as u64);
                     }
-                    mix_u64(&mut h, gpus as u64);
+                    h = word(h, gpus as u64);
                 }
             }
         }
@@ -176,8 +165,8 @@ impl NodeSummary {
 ///
 /// The counters are *logical*: they count synchronized fan-out rounds
 /// and the node-advance work items issued through them, independent of
-/// whether a [`WorkerPool`] executed them, so reports stay comparable
-/// (and `PartialEq`) across serial and pooled execution of the same
+/// how many threads executed them, so reports stay comparable (and
+/// `PartialEq`) across serial and threaded execution of the same
 /// schedule. The batch driver pays one round per arrival instant plus
 /// the final drain; an incremental driver pays one round per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -248,24 +237,17 @@ pub const MAX_GPUS_PER_NODE: usize = 1024;
 /// [`crate::place`] (which drives it action by action, so training
 /// rewards come from exactly the simulation the evaluation runs).
 ///
-/// The cycle per arrival instant `t`:
-///
-/// 1. [`ClusterDrive::advance_to`]`(t)` — every node simulates up to
-///    `t` (on the drive's [`WorkerPool`], if any), then the per-node
-///    [`NodeLoad`] snapshots are refreshed;
-/// 2. one [`ClusterDrive::place`] per job of the instant — each
-///    placement updates the snapshot the next decision sees, so a
-///    burst spreads out instead of dog-piling one node;
-/// 3. after the last instant, [`ClusterDrive::finish`] drains every
-///    node and merges the event streams into the deterministic
-///    `(time, node, seq)`-ordered [`ClusterTimeline`].
+/// The cycle per arrival instant `t` is the epoch of the module docs:
+/// [`ClusterDrive::advance_to`]`(t)`, one [`ClusterDrive::place`] per job
+/// of the instant, and after the last instant [`ClusterDrive::finish`].
 pub struct ClusterDrive<'a, D: Dispatcher + Send> {
     suite: &'a Suite,
     gpus_per_node: usize,
-    /// `None` advances nodes on the calling thread (what the
-    /// placement-training environment and the online service use).
-    pool: Option<&'a WorkerPool>,
-    slots: Vec<Mutex<NodeRun<D>>>,
+    /// Threads an epoch's advance is split over; 1 advances nodes on
+    /// the calling thread (what the placement-training environment and
+    /// the online service use).
+    threads: usize,
+    runs: Vec<NodeRun<D>>,
     loads: Vec<NodeLoad>,
     placed: usize,
     sync: SyncStats,
@@ -286,18 +268,15 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
             "1..={MAX_NODES} nodes, got {nodes}"
         );
         assert!(gpus_per_node >= 1);
-        let slots: Vec<Mutex<NodeRun<D>>> = (0..nodes)
-            .map(|i| Mutex::new(NodeRun::new(i, gpus_per_node, make_dispatcher(i))))
+        let runs: Vec<NodeRun<D>> = (0..nodes)
+            .map(|i| NodeRun::new(i, gpus_per_node, make_dispatcher(i)))
             .collect();
-        let loads = slots
-            .iter()
-            .map(|slot| unpoisoned(slot.lock()).load(suite, 0.0))
-            .collect();
+        let loads = runs.iter().map(|run| run.load(suite, 0.0)).collect();
         Self {
             suite,
             gpus_per_node,
-            pool: None,
-            slots,
+            threads: 1,
+            runs,
             loads,
             placed: 0,
             sync: SyncStats::default(),
@@ -308,16 +287,16 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     /// jobs (spread evenly; skewed routing just grows the hot node's
     /// log as usual).
     pub fn reserve_jobs(&mut self, expected_jobs: usize) {
-        let per_node = expected_jobs / self.slots.len().max(1);
-        for slot in &self.slots {
-            unpoisoned(slot.lock()).reserve_jobs(per_node);
+        let per_node = expected_jobs / self.runs.len().max(1);
+        for run in &mut self.runs {
+            run.reserve_jobs(per_node);
         }
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn nodes(&self) -> usize {
-        self.slots.len()
+        self.runs.len()
     }
 
     /// GPUs per node.
@@ -337,22 +316,20 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
 
     fn advance_nodes(&mut self, horizon: f64) {
         self.sync.sync_rounds += 1;
-        self.sync.node_advances += self.slots.len() as u64;
-        let slots = &self.slots;
+        self.sync.node_advances += self.runs.len() as u64;
+        // At one thread this is the plain loop on the caller.
         let suite = self.suite;
-        let advance = |i: usize| unpoisoned(slots[i].lock()).advance_until(suite, horizon);
-        match self.pool {
-            Some(pool) => pool.for_each(slots.len(), advance),
-            None => (0..slots.len()).for_each(advance),
-        }
+        for_each_mut(&mut self.runs, self.threads, |_, run| {
+            run.advance_until(suite, horizon);
+        });
     }
 
     /// Advance every node to the arrival instant `t` and refresh the
     /// load snapshots — the epoch barrier.
     pub fn advance_to(&mut self, t: f64) {
         self.advance_nodes(t);
-        for (i, slot) in self.slots.iter().enumerate() {
-            self.loads[i] = unpoisoned(slot.lock()).load(self.suite, t);
+        for (load, run) in self.loads.iter_mut().zip(&self.runs) {
+            *load = run.load(self.suite, t);
         }
     }
 
@@ -375,7 +352,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         self.loads[node].outstanding += job.solo_time(self.suite);
         self.loads[node].queued_jobs += 1;
         self.placed += 1;
-        unpoisoned(self.slots[node].lock()).push_arrival(job);
+        self.runs[node].push_arrival(job);
     }
 
     /// Drain every node to the end of time, merge the per-node event
@@ -386,19 +363,17 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     /// Panics if called twice, or if a node's dispatcher strands jobs
     /// (the per-node deadlock check).
     pub fn finish(&mut self) -> MultiNodeReport {
-        assert!(!self.slots.is_empty(), "drive already finished");
+        assert!(!self.runs.is_empty(), "drive already finished");
         self.advance_nodes(f64::INFINITY);
-        let total_jobs = self.placed;
-        let nodes = self.slots.len();
-        let mut stats: Vec<NodeStats> = Vec::with_capacity(nodes);
-        let mut streams: Vec<EventLog> = Vec::with_capacity(nodes);
-        for slot in std::mem::take(&mut self.slots) {
-            let (s, e, _) = unpoisoned(slot.into_inner()).finish();
-            stats.push(s);
-            streams.push(e);
-        }
+        let (stats, streams): (Vec<NodeStats>, Vec<EventLog>) = std::mem::take(&mut self.runs)
+            .into_iter()
+            .map(|run| {
+                let (stats, events, _) = run.finish();
+                (stats, events)
+            })
+            .unzip();
         let events = EventLog::merge(streams);
-        assemble_report(stats, events, self.gpus_per_node, total_jobs, self.sync)
+        assemble_report(stats, events, self.gpus_per_node, self.placed, self.sync)
     }
 
     /// Jobs routed through [`ClusterDrive::place`] so far.
@@ -419,7 +394,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn node_is_quiescent(&self, node: usize) -> bool {
-        let run = unpoisoned(self.slots[node].lock());
+        let run = &self.runs[node];
         run.is_idle() && !run.is_dirty()
     }
 
@@ -433,7 +408,7 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     /// Panics if `node` is out of range.
     pub fn advance_node_to(&mut self, node: usize, t: f64) {
         self.sync.node_advances += 1;
-        let mut run = unpoisoned(self.slots[node].lock());
+        let run = &mut self.runs[node];
         run.advance_until(self.suite, t);
         self.loads[node] = run.load(self.suite, t);
     }
@@ -446,14 +421,14 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         self.sync.sync_rounds += 1;
     }
 
-    /// Run a closure against one node's [`NodeRun`] (checkpointing
-    /// reads node state through this without exposing the lock).
+    /// One node's [`NodeRun`] (checkpointing reads node state through
+    /// this).
     ///
     /// # Panics
     /// Panics if `node` is out of range.
-    pub fn with_node<R>(&self, node: usize, f: impl FnOnce(&NodeRun<D>) -> R) -> R {
-        let run = unpoisoned(self.slots[node].lock());
-        f(&run)
+    #[must_use]
+    pub fn node(&self, node: usize) -> &NodeRun<D> {
+        &self.runs[node]
     }
 
     /// Rebuild a drive mid-run from exported node states (paired with
@@ -486,37 +461,24 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
             parts.len()
         );
         let placed = parts.iter().map(|(state, _)| state.jobs).sum();
-        let slots: Vec<Mutex<NodeRun<D>>> = parts
+        let runs: Vec<NodeRun<D>> = parts
             .into_iter()
             .map(|(state, dispatcher)| {
                 assert_eq!(state.n_gpus, gpus_per_node, "node geometry mismatch");
-                Mutex::new(NodeRun::from_state(state, dispatcher))
+                NodeRun::from_state(state, dispatcher)
             })
             .collect();
-        let loads = slots
-            .iter()
-            .map(|slot| unpoisoned(slot.lock()).load(suite, now))
-            .collect();
+        let loads = runs.iter().map(|run| run.load(suite, now)).collect();
         Self {
             suite,
             gpus_per_node,
-            pool: None,
-            slots,
+            threads: 1,
+            runs,
             loads,
             placed,
             sync,
         }
     }
-}
-
-/// A node's run out of its lock. The lock is poisoned only when a panic
-/// unwound while a node was borrowed — a dispatcher or `NodeRun` assert
-/// mid-advance, which the [`WorkerPool`] re-raises on the caller — and
-/// that panic ends the drive: nothing here catches it, so no later call
-/// meets the poison unless its caller caught the unwind and kept a
-/// drive whose node stopped halfway through an advance.
-fn unpoisoned<T>(lock: LockResult<T>) -> T {
-    lock.expect("a node lock is poisoned only by a panic that ended the drive")
 }
 
 /// Assemble the report around the merged event stream.
@@ -622,11 +584,11 @@ impl MultiNodeSim {
         }
     }
 
-    /// Simulate nodes with up to `threads` worker threads per epoch
-    /// (`0` = available parallelism). The merged timeline is identical
-    /// for any value; only wall-clock changes. Threads come from a
-    /// persistent [`WorkerPool`] spanning the whole run, so bursty
-    /// traces do not pay a spawn/join per arrival instant.
+    /// Simulate nodes with up to `threads` threads per epoch (`0` =
+    /// available parallelism). The merged timeline is identical for any
+    /// value; only wall-clock changes. Each epoch splits the nodes over
+    /// scoped threads ([`for_each_mut`]), spawned for that epoch and
+    /// joined at its barrier.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -680,11 +642,8 @@ impl MultiNodeSim {
             crate::fair::apply_fair_order(suite, &mut jobs);
         }
 
-        let threads = resolve_threads(self.threads).min(self.nodes);
-        let pool = (threads > 1).then(|| WorkerPool::new(threads));
-
         let mut drive = ClusterDrive::new(suite, self.nodes, self.gpus_per_node, make_dispatcher);
-        drive.pool = pool.as_ref();
+        drive.threads = resolve_threads(self.threads);
         drive.reserve_jobs(jobs.len());
 
         for (start, end) in burst_bounds(&jobs) {
@@ -825,9 +784,9 @@ mod tests {
 
     #[test]
     fn counters_are_fanout_invariant() {
-        // SyncStats counts logical rounds, not pool activity: the same
-        // schedule run serially or on a pool reports the same counters
-        // (the whole-report equality the contract suite relies on).
+        // SyncStats counts logical rounds, not threads: the same schedule
+        // run serially or on four threads reports the same counters (the
+        // whole-report equality the contract suite relies on).
         let s = suite();
         let jobs = staggered_trace(&s, 16);
         let run = |sim: MultiNodeSim| {
@@ -835,10 +794,46 @@ mod tests {
             sim.run(&s, jobs.clone(), sel.as_mut(), |_| dispatcher())
         };
         let serial = run(MultiNodeSim::new(4, 2));
-        let pooled = run(MultiNodeSim::new(4, 2).with_threads(4));
-        assert_eq!(serial, pooled);
+        let threaded = run(MultiNodeSim::new(4, 2).with_threads(4));
+        assert_eq!(serial, threaded);
         assert_eq!(serial.sync.sync_rounds, 5, "4 instants + final drain");
         assert_eq!(serial.sync.node_advances, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock: 4 jobs waiting")]
+    fn a_node_panic_on_a_worker_thread_keeps_its_message() {
+        // Two nodes on two threads: node 0 advances on the caller, node 1
+        // on a spawned thread. Every job goes to node 1, whose dispatcher
+        // never places one, so the final drain's deadlock check panics
+        // there, and the caller must see that message, not a generic one.
+        struct Idle;
+        impl Dispatcher for Idle {
+            fn name(&self) -> &'static str {
+                "idle"
+            }
+            fn next_placement(
+                &mut self,
+                _: &Suite,
+                _: &[ClusterJob],
+                _: usize,
+                _: f64,
+            ) -> Option<crate::sim::Placement> {
+                None
+            }
+        }
+        struct LastNode;
+        impl NodeSelector for LastNode {
+            fn name(&self) -> &'static str {
+                "last-node"
+            }
+            fn select(&mut self, _: usize, _: f64, loads: &[NodeLoad]) -> usize {
+                loads.len() - 1
+            }
+        }
+        let s = suite();
+        let sim = MultiNodeSim::new(2, 2).with_threads(2);
+        let _ = sim.run(&s, staggered_trace(&s, 4), &mut LastNode, |_| Idle);
     }
 
     #[test]

@@ -1232,6 +1232,7 @@ mod tests {
     // SAFETY: every call goes unchanged to the system allocator, which
     // keeps `GlobalAlloc`'s contract; counting touches no memory it hands
     // out.
+    #[allow(unsafe_code)]
     unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
             let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));

@@ -38,9 +38,9 @@
 //!   bridge; the placement environment itself lives in
 //!   `hrp-cluster::place`, where it replays episodes through the real
 //!   multi-node simulator);
-//! * [`par`] — the bounded parallelism primitive (the persistent
-//!   [`par::WorkerPool`]) the rollout, evaluation, and multi-node epoch
-//!   fan-outs share;
+//! * [`par`] — [`par::for_each_mut`], the scoped-thread fan-out the
+//!   Fig. 8 evaluation and the multi-node epoch advance share (training's
+//!   rollout workers open their own scope in [`train::train_env`]);
 //! * [`policies`] — the five compared methods of §V-A4: `TimeSharing`,
 //!   `MigOnly (C=2)`, `MpsOnly`, `MigMpsDefault`, and `MigMpsRl`;
 //! * [`exhaustive`] — the set-partition dynamic program used to give the
@@ -51,6 +51,7 @@
 //! * [`online`] — the online phase of Fig. 7: profile-miss handling and
 //!   window-by-window scheduling.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -75,6 +76,10 @@ pub mod train;
 /// above this one describe their formats without a dependency on
 /// `hrp-nn` of their own.
 pub use hrp_nn::serialize as codec;
+
+/// The FNV-1a byte fold of every schedule and admission digest
+/// ([`hrp_gpusim::rng`]), re-exported for the same reason.
+pub use hrp_gpusim::rng::{fnv1a, FNV_OFFSET};
 
 pub use actions::ActionCatalog;
 pub use cluster_env::{NodeLoad, NodeSelector, PolicySelector};

@@ -17,6 +17,19 @@ pub fn split_seed(base: u64, i: usize) -> u64 {
     base ^ GOLDEN_GAMMA.wrapping_mul(i as u64 + 1)
 }
 
+/// The FNV-1a offset basis: the state [`fnv1a`] starts a hash from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the 64-bit FNV-1a state `h` (start from
+/// [`FNV_OFFSET`]): the one byte hash behind key-derived seeds, schedule
+/// digests and the admission digest.
+#[must_use]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// SplitMix64 pseudo-random number generator.
 ///
 /// Deterministic for a given seed; passes BigCrush when used as a 64-bit
@@ -38,13 +51,7 @@ impl SplitMix64 {
     /// iteration order.
     #[must_use]
     pub fn from_key(seed: u64, key: &str) -> Self {
-        // FNV-1a over the key, mixed with the seed.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Self::new(seed ^ h)
+        Self::new(seed ^ fnv1a(FNV_OFFSET, key.as_bytes()))
     }
 
     /// Next raw 64-bit value.

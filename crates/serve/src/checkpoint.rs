@@ -132,10 +132,9 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             put_job(&mut w, self.suite, job);
         }
         for node in 0..self.cfg.nodes {
-            self.drive.with_node(node, |run| {
-                put_node_state(&mut w, self.suite, run.state());
-                put_dispatcher(&mut w, run.dispatcher());
-            });
+            let run = self.drive.node(node);
+            put_node_state(&mut w, self.suite, run.state());
+            put_dispatcher(&mut w, run.dispatcher());
         }
         if let Some(blob) = agent_blob {
             w.blob(&blob);
@@ -1040,16 +1039,14 @@ mod tests {
         );
         // Step until node 0 runs two placements of one GPU each.
         let open_starts = |svc: &SchedulerService<'_, TraceSource<'_>>| {
-            svc.drive.with_node(0, |run| {
-                let log = &run.state().events;
-                let mut bytes = Vec::new();
-                for index in log.open_starts().expect("a node's own log") {
-                    let mut w = Writer::new(MAGIC, VERSION);
-                    put_event(&mut w, log.get(index));
-                    bytes.push(w.finish()[8..].to_vec());
-                }
-                bytes
-            })
+            let log = &svc.drive.node(0).state().events;
+            let mut bytes = Vec::new();
+            for index in log.open_starts().expect("a node's own log") {
+                let mut w = Writer::new(MAGIC, VERSION);
+                put_event(&mut w, log.get(index));
+                bytes.push(w.finish()[8..].to_vec());
+            }
+            bytes
         };
         while open_starts(&svc).len() < 2 {
             assert!(svc.consumed() < 20, "node 0 never ran two placements");

@@ -50,6 +50,7 @@ use hrp_cluster::select::{
     BackfillTier, LeastLoaded, NodeSelector, PolicySelector, RoundRobin, SelectorKind,
 };
 use hrp_core::rl::DqnSnapshot;
+use hrp_core::{fnv1a, FNV_OFFSET};
 use hrp_workloads::Suite;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -457,7 +458,6 @@ pub(crate) struct AdmissionState {
 
 impl AdmissionState {
     pub(crate) fn new(cfg: &AdmissionConfig) -> Self {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         Self {
             share: FairShare::new(cfg.quota),
             slo: cfg.slo,
@@ -469,12 +469,8 @@ impl AdmissionState {
 
     /// Fold one admission decision into the digest.
     fn record(&mut self, job: &ClusterJob, t: f64) {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         for word in [job.id as u64, t.to_bits(), u64::from(job.user)] {
-            for b in word.to_le_bytes() {
-                self.digest ^= u64::from(b);
-                self.digest = self.digest.wrapping_mul(FNV_PRIME);
-            }
+            self.digest = fnv1a(self.digest, &word.to_le_bytes());
         }
     }
 }

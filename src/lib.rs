@@ -63,6 +63,8 @@
 //! println!("throughput vs time sharing: {:.3}", m.throughput);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use hrp_cluster as cluster;
 pub use hrp_core as core;
 pub use hrp_gpusim as gpusim;

@@ -11,7 +11,9 @@
 //! patterns below. And every public function has a caller: one that
 //! nothing but tests names is either on the reasoned list below or
 //! gone. And there is one test tier: no test but a pin printer is
-//! ignored.
+//! ignored. And no library code holds `unsafe`: every crate root forbids
+//! it, but `hrp-cluster`'s, which denies it so that one test allocator
+//! may opt back in.
 
 mod scan;
 use scan::{crate_src_dirs, non_test_hits, non_test_lines, rust_sources};
@@ -157,6 +159,13 @@ fn the_deleted_second_copies_stay_deleted() {
         ("fn forward_inference", "(&self"),
         ("fn forward(&mut self, x: &[f32]", ", y: &mut Vec<f32>)"),
         ("fn backward(&mut self, dy", ": &[f32]"),
+        // One fan-out: the persistent pool, its lifetime-erased closure
+        // and raw result pointer, and the node locks it made necessary.
+        ("Worker", "Pool"),
+        ("Erased", "Fn"),
+        ("Send", "Ptr"),
+        ("unpoi", "soned"),
+        ("mem::trans", "mute"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
@@ -166,6 +175,37 @@ fn the_deleted_second_copies_stay_deleted() {
             assert!(!text.contains(&name), "{path} mentions {name}");
         }
     }
+}
+
+#[test]
+fn no_library_code_holds_unsafe() {
+    // Split so that this file holds none of the attributes.
+    let allow = format!("{}(unsafe_code", "allow");
+    let fixture = format!("#[{allow})]\n    unsafe impl std::alloc::GlobalAlloc for CountingAlloc");
+    let mut dirs = crate_src_dirs();
+    dirs.extend(["src", "tests", "examples"].map(str::to_owned));
+    let (mut roots, mut allowed) = (0, Vec::new());
+    for (path, text) in rust_sources(&dirs) {
+        if path == "src/lib.rs" || path.starts_with("crates/") && path.ends_with("/src/lib.rs") {
+            // hrp-cluster only denies it, so its test allocator can opt in.
+            let cluster = path.starts_with("crates/cluster/");
+            let lint = format!(
+                "#![{}(unsafe_code)]",
+                if cluster { "deny" } else { "forbid" }
+            );
+            assert!(text.contains(&lint), "{path} lacks {lint}");
+            roots += 1;
+        }
+        if text.contains(&allow) {
+            allowed.push((text.matches(&allow).count(), text.contains(&fixture), path));
+        }
+    }
+    assert_eq!(roots, crate_src_dirs().len() + 1, "found every crate root");
+    assert_eq!(
+        allowed,
+        [(1, true, "crates/cluster/src/sim.rs".to_owned())],
+        "unsafe code may be allowed only on sim.rs's test allocator"
+    );
 }
 
 #[test]

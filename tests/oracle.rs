@@ -15,7 +15,7 @@
 //! * The rest are the gates the design answers to: fair share beats
 //!   FCFS on Jain's index, backfilling beats FCFS on makespan (and on
 //!   2-GPU nodes delays no job), a restored door lets nothing through
-//!   early, and the pooled engine matches the serial one at 100 k jobs.
+//!   early, and the threaded engine matches the serial one at 100 k jobs.
 //!
 //! Set `HRP_TEST_THREADS` to pick the width of the wide batch runs
 //! (default 4).
