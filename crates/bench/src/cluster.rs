@@ -127,10 +127,8 @@ pub fn single_node_baseline(suite: &Suite, jobs: &[ClusterJob]) -> ClusterReport
 /// `selector` — a selector of `kind`, which also picks the node-local
 /// dispatcher ([`dispatcher_for`], backfill tiers over
 /// `opts.walltime_err`-noisy estimates) — next to a precomputed
-/// single-node `baseline`. `opts.threads` caps the per-epoch node
-/// fan-out (`0` = available parallelism; each epoch runs on scoped
-/// threads). Results are bit-identical for any value (the determinism
-/// contract).
+/// single-node `baseline`. The nodes advance on the calling thread;
+/// `opts.threads` does not reach this row.
 #[must_use]
 pub fn compare_row(
     suite: &Suite,
@@ -140,7 +138,7 @@ pub fn compare_row(
     opts: ComparisonOptions,
     baseline: ClusterReport,
 ) -> ClusterComparison {
-    let sim = MultiNodeSim::new(opts.nodes, GPUS_PER_NODE).with_threads(opts.threads);
+    let sim = MultiNodeSim::new(opts.nodes, GPUS_PER_NODE);
     let report = sim.run(suite, jobs.to_vec(), selector, |_| {
         dispatcher_for(kind, GPUS_PER_NODE, opts.walltime_err)
     });
@@ -172,8 +170,8 @@ pub struct ComparisonOptions {
     pub seed: u64,
     /// Use the quick training configuration for policy rows.
     pub quick: bool,
-    /// Epoch fan-out / rollout worker cap (`0` = auto; results are
-    /// identical for any value).
+    /// Placement-training rollout workers for policy rows (`0` = auto;
+    /// results are identical for any value).
     pub threads: usize,
     /// Walltime-estimate error fraction (`[0, 1)`) the backfill rows
     /// schedule under; ignored by the non-backfill selectors.
@@ -253,11 +251,7 @@ mod tests {
         let suite = Suite::paper_suite(&GpuArch::a100());
         for kind in [SelectorKind::RoundRobin, SelectorKind::LeastLoaded] {
             let jobs = evaluation_trace(&suite, TraceKind::Staggered, 24, 42);
-            let opts = ComparisonOptions {
-                threads: 0,
-                ..quick_opts(0.0)
-            };
-            let cmp = one_row(&suite, &jobs, kind, opts);
+            let cmp = one_row(&suite, &jobs, kind, quick_opts(0.0));
             assert!(
                 cmp.speedup() > 1.0,
                 "{}: 4 nodes should beat 1 ({} vs {})",

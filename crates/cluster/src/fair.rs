@@ -21,13 +21,13 @@
 //!   burst instant (lightest tenant first), ties keep submission
 //!   order. Reordering is confined to a burst — jobs with bitwise
 //!   equal arrival times — so the determinism contract
-//!   (bit-identical timelines for any thread count, batch or served)
-//!   survives: see ARCHITECTURE.md contract point 9.
+//!   (bit-identical timelines, batch or served, killed and restored or
+//!   not) survives: see ARCHITECTURE.md contract point 9.
 //! * [`apply_fair_order`] — the batch-side hook: walk an
 //!   arrival-sorted job list burst by burst, order each burst by
 //!   karma, charge each tenant as its jobs pass the door. Used by
-//!   [`crate::multinode::MultiNodeSim::with_fair_order`] upstream of
-//!   the fan-out, and the oracle the service's ordering is pinned
+//!   [`crate::multinode::MultiNodeSim::with_fair_order`] before the
+//!   first epoch, and the oracle the service's ordering is pinned
 //!   against.
 //! * [`jain_index`] / [`user_fairness`] — Jain's fairness index and
 //!   per-user slowdown aggregation over a finished cluster timeline,

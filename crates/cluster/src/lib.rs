@@ -13,14 +13,13 @@
 //!   events, every state change recorded in a compact
 //!   [`sim::EventLog`] and read back as [`sim::NodeEvent`] views) and the
 //!   single-node [`ClusterSim`] wrapper;
-//! * [`multinode`] — `N` nodes simulated concurrently, fed from a
-//!   global arrival queue by a pluggable node selector, their event
-//!   streams merged into one deterministic `(time, node, seq)`-ordered
-//!   cluster timeline — bit-identical for any thread count (the epoch
-//!   fan-out runs on scoped threads, [`hrp_core::par::for_each_mut`]), and
-//!   event-for-event identical to [`ClusterSim`] when `N = 1`. The
-//!   stepped [`multinode::ClusterDrive`] core is shared with the RL
-//!   placement environment;
+//! * [`multinode`] — `N` nodes advanced epoch by epoch on the calling
+//!   thread, fed from a global arrival queue by a pluggable node
+//!   selector, their event streams merged into one deterministic
+//!   `(time, node, seq)`-ordered cluster timeline — the same in batch
+//!   and served, and event-for-event identical to [`ClusterSim`] when
+//!   `N = 1`. The stepped [`multinode::ClusterDrive`] core is shared
+//!   with the RL placement environment;
 //! * [`trace`] — the one streaming cluster-trace generator
 //!   ([`trace::TraceStream`]; [`trace::generate`] collects it) over six
 //!   kinds (uniform, bursty, Zipf-skewed popularity, heavy-tail

@@ -12,16 +12,16 @@
 //! the stepped [`ClusterDrive`] core (also driven action-by-action by
 //! the RL placement environment in [`crate::place`]):
 //!
-//! 1. **Advance** — every node simulates concurrently up to the next
-//!    arrival time `t` (nodes are independent between arrivals, so
-//!    this is safe fan-out). With `threads > 1` the nodes are split
-//!    over scoped threads ([`hrp_core::par::for_each_mut`]) for the
-//!    epoch, and the calling thread advances the first share;
+//! 1. **Advance** — every node simulates up to the next arrival time
+//!    `t`, one after another on the calling thread (nodes are
+//!    independent between arrivals, so the order does not matter; an
+//!    epoch holds a few microseconds of node work, less than spawning
+//!    a thread would cost);
 //! 2. **Barrier + select** — with all nodes parked at `t`, their load
 //!    snapshots are taken and the selector assigns the instant's jobs
 //!    one by one, each assignment updating the snapshot it hands the
 //!    next (a burst spreads out instead of dog-piling one node);
-//! 3. after the last arrival, a final fan-out drains every node, and
+//! 3. after the last arrival, a final advance drains every node, and
 //!    the nodes' [`EventLog`]s are merged into the timeline
 //!    ([`EventLog::merge`]: a k-way merge of the node logs that frees
 //!    each node's record chunks as it empties them, the job-id arenas
@@ -32,10 +32,10 @@
 //! Selector decisions depend only on the (deterministic) barrier
 //! snapshots, and every node's event stream carries a per-node sequence
 //! number, so merging the streams under the stable `(time, node, seq)`
-//! key yields **one bit-identical cluster timeline for any thread
-//! count** — the same contract the training pipeline obeys. A
-//! one-node cluster executes the exact event cycle of
-//! [`ClusterSim::run`](crate::sim::ClusterSim::run) and is
+//! key yields **one bit-identical cluster timeline** for the batch
+//! driver and the incremental one (the online service, killed and
+//! restored or not). A one-node cluster executes the exact event cycle
+//! of [`ClusterSim::run`](crate::sim::ClusterSim::run) and is
 //! event-for-event identical to it (both checked on every case of
 //! the oracle harness, `tests/common/harness.rs`; the `cluster/` rows
 //! of `tests/golden_cluster.rs` pin the schedules).
@@ -62,7 +62,6 @@
 use crate::job::ClusterJob;
 use crate::sim::{ClusterReport, Dispatcher, EventKind, EventLog, NodeRun, NodeStats};
 use hrp_core::cluster_env::{NodeLoad, NodeSelector};
-use hrp_core::par::{for_each_mut, resolve_threads};
 use hrp_gpusim::rng::{fnv1a, FNV_OFFSET};
 use hrp_workloads::Suite;
 
@@ -163,17 +162,16 @@ impl NodeSummary {
 
 /// How much synchronization work a multi-node run performed.
 ///
-/// The counters are *logical*: they count synchronized fan-out rounds
-/// and the node-advance work items issued through them, independent of
-/// how many threads executed them, so reports stay comparable (and
-/// `PartialEq`) across serial and threaded execution of the same
-/// schedule. The batch driver pays one round per arrival instant plus
-/// the final drain; an incremental driver pays one round per cycle.
+/// The counters are *logical*: they count epoch barriers and the node
+/// advances issued at them, not wall-clock work, so they are part of a
+/// report's `PartialEq`. The batch driver pays one round per arrival
+/// instant plus the final drain; an incremental driver pays one round
+/// per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SyncStats {
-    /// Synchronized fan-out rounds.
+    /// Epoch barriers (batch) or scheduling cycles (incremental).
     pub sync_rounds: u64,
-    /// Node-advance work items issued across those rounds.
+    /// Node advances issued across those rounds.
     pub node_advances: u64,
 }
 
@@ -240,20 +238,16 @@ pub const MAX_GPUS_PER_NODE: usize = 1024;
 /// The cycle per arrival instant `t` is the epoch of the module docs:
 /// [`ClusterDrive::advance_to`]`(t)`, one [`ClusterDrive::place`] per job
 /// of the instant, and after the last instant [`ClusterDrive::finish`].
-pub struct ClusterDrive<'a, D: Dispatcher + Send> {
+pub struct ClusterDrive<'a, D: Dispatcher> {
     suite: &'a Suite,
     gpus_per_node: usize,
-    /// Threads an epoch's advance is split over; 1 advances nodes on
-    /// the calling thread (what the placement-training environment and
-    /// the online service use).
-    threads: usize,
     runs: Vec<NodeRun<D>>,
     loads: Vec<NodeLoad>,
     placed: usize,
     sync: SyncStats,
 }
 
-impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
+impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
     /// A fresh cluster of `nodes` nodes at time 0, with load snapshots
     /// taken (all idle). `nodes` is capped at 64 (selector masks are
     /// `u64`).
@@ -275,7 +269,6 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         Self {
             suite,
             gpus_per_node,
-            threads: 1,
             runs,
             loads,
             placed: 0,
@@ -317,11 +310,9 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
     fn advance_nodes(&mut self, horizon: f64) {
         self.sync.sync_rounds += 1;
         self.sync.node_advances += self.runs.len() as u64;
-        // At one thread this is the plain loop on the caller.
-        let suite = self.suite;
-        for_each_mut(&mut self.runs, self.threads, |_, run| {
-            run.advance_until(suite, horizon);
-        });
+        for run in &mut self.runs {
+            run.advance_until(self.suite, horizon);
+        }
     }
 
     /// Advance every node to the arrival instant `t` and refresh the
@@ -472,7 +463,6 @@ impl<'a, D: Dispatcher + Send> ClusterDrive<'a, D> {
         Self {
             suite,
             gpus_per_node,
-            threads: 1,
             runs,
             loads,
             placed,
@@ -563,7 +553,6 @@ pub(crate) fn burst_bounds(jobs: &[ClusterJob]) -> Vec<(usize, usize)> {
 pub struct MultiNodeSim {
     nodes: usize,
     gpus_per_node: usize,
-    threads: usize,
     fair_order: bool,
 }
 
@@ -579,27 +568,23 @@ impl MultiNodeSim {
         Self {
             nodes,
             gpus_per_node,
-            threads: 1,
             fair_order: false,
         }
     }
 
-    /// Simulate nodes with up to `threads` threads per epoch (`0` =
-    /// available parallelism). The merged timeline is identical for any
-    /// value; only wall-clock changes. Each epoch splits the nodes over
-    /// scoped threads ([`for_each_mut`]), spawned for that epoch and
-    /// joined at its barrier.
+    /// Does nothing: every node advances on the calling thread. The
+    /// name stays only because the frozen benchmark package calls it;
+    /// ROADMAP item 2f releases it from there and deletes it.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
     /// Per-user fair-share ordering: each same-instant burst is
     /// reordered by tenant karma ([`crate::fair::apply_fair_order`]).
-    /// The reorder happens once on the sorted trace, upstream of the
-    /// fan-out, so timelines stay bit-identical for any thread count.
-    /// A no-op on untagged (`user: 0`) traces.
+    /// The reorder happens once on the sorted trace, before the first
+    /// epoch; the result is the oracle the service's ordering-only
+    /// admission tier is held to. A no-op on untagged (`user: 0`) traces.
     #[must_use]
     pub fn with_fair_order(mut self) -> Self {
         self.fair_order = true;
@@ -622,7 +607,7 @@ impl MultiNodeSim {
         make_dispatcher: F,
     ) -> MultiNodeReport
     where
-        D: Dispatcher + Send,
+        D: Dispatcher,
         F: FnMut(usize) -> D,
     {
         for j in &jobs {
@@ -643,7 +628,6 @@ impl MultiNodeSim {
         }
 
         let mut drive = ClusterDrive::new(suite, self.nodes, self.gpus_per_node, make_dispatcher);
-        drive.threads = resolve_threads(self.threads);
         drive.reserve_jobs(jobs.len());
 
         for (start, end) in burst_bounds(&jobs) {
@@ -708,24 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn timelines_are_thread_count_invariant() {
-        let s = suite();
-        let jobs = staggered_trace(&s, 24);
-        let run = |threads: usize| {
-            let mut sel = LeastLoaded;
-            MultiNodeSim::new(4, 2)
-                .with_threads(threads)
-                .run(&s, jobs.clone(), &mut sel, |_| dispatcher())
-        };
-        let serial = run(1);
-        for threads in [2usize, 4, 0] {
-            let got = run(threads);
-            assert_eq!(got, serial, "threads = {threads}");
-            assert_eq!(got.timeline.digest(), serial.timeline.digest());
-        }
-    }
-
-    #[test]
     fn round_robin_cycles_and_least_loaded_balances() {
         let s = suite();
         let jobs = staggered_trace(&s, 16);
@@ -784,56 +750,14 @@ mod tests {
 
     #[test]
     fn counters_are_fanout_invariant() {
-        // SyncStats counts logical rounds, not threads: the same schedule
-        // run serially or on four threads reports the same counters (the
-        // whole-report equality the contract suite relies on).
+        // SyncStats counts logical rounds: one per arrival instant plus
+        // the final drain, each advancing every node.
         let s = suite();
         let jobs = staggered_trace(&s, 16);
-        let run = |sim: MultiNodeSim| {
-            let mut sel = SelectorKind::LeastLoaded.build();
-            sim.run(&s, jobs.clone(), sel.as_mut(), |_| dispatcher())
-        };
-        let serial = run(MultiNodeSim::new(4, 2));
-        let threaded = run(MultiNodeSim::new(4, 2).with_threads(4));
-        assert_eq!(serial, threaded);
-        assert_eq!(serial.sync.sync_rounds, 5, "4 instants + final drain");
-        assert_eq!(serial.sync.node_advances, 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock: 4 jobs waiting")]
-    fn a_node_panic_on_a_worker_thread_keeps_its_message() {
-        // Two nodes on two threads: node 0 advances on the caller, node 1
-        // on a spawned thread. Every job goes to node 1, whose dispatcher
-        // never places one, so the final drain's deadlock check panics
-        // there, and the caller must see that message, not a generic one.
-        struct Idle;
-        impl Dispatcher for Idle {
-            fn name(&self) -> &'static str {
-                "idle"
-            }
-            fn next_placement(
-                &mut self,
-                _: &Suite,
-                _: &[ClusterJob],
-                _: usize,
-                _: f64,
-            ) -> Option<crate::sim::Placement> {
-                None
-            }
-        }
-        struct LastNode;
-        impl NodeSelector for LastNode {
-            fn name(&self) -> &'static str {
-                "last-node"
-            }
-            fn select(&mut self, _: usize, _: f64, loads: &[NodeLoad]) -> usize {
-                loads.len() - 1
-            }
-        }
-        let s = suite();
-        let sim = MultiNodeSim::new(2, 2).with_threads(2);
-        let _ = sim.run(&s, staggered_trace(&s, 4), &mut LastNode, |_| Idle);
+        let mut sel = SelectorKind::LeastLoaded.build();
+        let report = MultiNodeSim::new(4, 2).run(&s, jobs, sel.as_mut(), |_| dispatcher());
+        assert_eq!(report.sync.sync_rounds, 5, "4 instants + final drain");
+        assert_eq!(report.sync.node_advances, 20);
     }
 
     #[test]

@@ -131,8 +131,8 @@ pub enum EventKind<'a> {
 ///
 /// `(time, node, seq)` is a total order: `seq` increases monotonically
 /// within a node, so merging per-node streams under this key yields one
-/// deterministic cluster timeline regardless of how node simulations
-/// were interleaved across threads.
+/// deterministic cluster timeline regardless of the order the nodes
+/// were advanced in (batch epochs or served cycles).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeEvent<'a> {
     /// Simulation time of the event.

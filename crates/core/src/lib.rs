@@ -38,9 +38,9 @@
 //!   bridge; the placement environment itself lives in
 //!   `hrp-cluster::place`, where it replays episodes through the real
 //!   multi-node simulator);
-//! * [`par`] — [`par::for_each_mut`], the scoped-thread fan-out the
-//!   Fig. 8 evaluation and the multi-node epoch advance share (training's
-//!   rollout workers open their own scope in [`train::train_env`]);
+//! * [`par`] — [`par::for_each_mut`], the scoped-thread fan-out of the
+//!   Fig. 8 evaluation (training's rollout workers open their own scope
+//!   in [`train::train_env`]);
 //! * [`policies`] — the five compared methods of §V-A4: `TimeSharing`,
 //!   `MigOnly (C=2)`, `MpsOnly`, `MigMpsDefault`, and `MigMpsRl`;
 //! * [`exhaustive`] — the set-partition dynamic program used to give the

@@ -1,8 +1,9 @@
 //! Bounded parallelism over a slice of independent items:
 //! [`for_each_mut`], on `std::thread::scope` like `train_env`'s rollout
-//! workers. The multi-node epoch advance and the Fig. 8 evaluation
-//! queues run on it. Each item is updated by one call, whichever thread
-//! makes it, so the result is the serial loop's for any thread count.
+//! workers. The Fig. 8 evaluation fan-out (`hrp-bench`'s `eval_policy`,
+//! one item per queue) runs on it. Each item is updated by one call,
+//! whichever thread makes it, so the result is the serial loop's for
+//! any thread count.
 
 /// Number of worker threads to use when the caller passes `0`
 /// ("auto"): the machine's available parallelism.
@@ -59,7 +60,7 @@ where
         run(0, first);
         // Joined by hand: a panic left to the scope would come back as
         // "a scoped thread panicked", and callers need the original (the
-        // node simulator's deadlock diagnostic, say).
+        // evaluation fan-out's "invalid decision" message, say).
         for handle in handles {
             if let Err(payload) = handle.join() {
                 std::panic::resume_unwind(payload);
@@ -161,6 +162,22 @@ mod tests {
                 assert_eq!(hit, (1, i), "threads = {threads}, item {i}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 refused on a spawned thread")]
+    fn a_panic_on_a_spawned_thread_keeps_its_payload() {
+        // Two threads over four items: the caller takes items 0 and 1, a
+        // spawned thread items 2 and 3. The caller must see the spawned
+        // thread's own message, not the scope's generic one.
+        let caller = std::thread::current().id();
+        let mut items = vec![0u8; 4];
+        for_each_mut(&mut items, 2, |i, _| {
+            if i == 3 {
+                assert_ne!(std::thread::current().id(), caller);
+                panic!("item {i} refused on a spawned thread");
+            }
+        });
     }
 
     #[test]

@@ -54,8 +54,8 @@
 //! assert or a panic at the next dispatch or the next release.
 
 use crate::service::{
-    AdmissionConfig, AdmissionState, LatencyHistogram, SchedulerService, SelectorState,
-    ServeConfig, ServeStats,
+    source_width_mismatch, AdmissionConfig, AdmissionState, LatencyHistogram, SchedulerService,
+    SelectorState, ServeConfig, ServeStats,
 };
 use crate::source::{ArrivalSource, LoadGen, LoadShape, TraceSource};
 use bytes::Bytes;
@@ -222,7 +222,7 @@ pub fn restore(
         SelectorKind::RoundRobin => Some(spec.get("rr_cursor")?),
         _ => None,
     };
-    let source = get_source(suite, &mut spec)?;
+    let source = get_source(suite, gpus_per_node, &mut spec)?;
     spec.finish()?;
 
     let jobs = JobBounds {
@@ -295,9 +295,11 @@ pub fn restore_file<'a>(
 }
 
 /// Rebuild the arrival source from its `source` / `src_*` keys and
-/// replay it to the checkpointed position.
+/// replay it to the checkpointed position. A source whose jobs may be
+/// wider than `gpus_per_node` is refused.
 fn get_source<'a>(
     suite: &'a Suite,
+    gpus_per_node: usize,
     spec: &mut Spec<'_>,
 ) -> Result<Box<dyn ArrivalSource + 'a>, CheckpointError> {
     let consumed: usize = spec.get("src_consumed")?;
@@ -305,6 +307,9 @@ fn get_source<'a>(
     let user_skew = spec.get_in("src_user_skew", POSITIVE_FINITE)?;
     let seed = spec.get("src_seed")?;
     let max_gpus = spec.get_in("src_max_gpus", 1..)?;
+    if let Some(mismatch) = source_width_mismatch(max_gpus, gpus_per_node) {
+        return Err(CheckpointError::invalid(MAGIC, mismatch));
+    }
     match spec.get_str("source")? {
         "trace" => {
             let kind = spec.get_with("src_kind", TraceKind::parse)?;

@@ -32,8 +32,8 @@
 //! the selector: arrivals are ordered by per-tenant karma, deferred
 //! when a tenant exceeds its in-flight quota, and rejected when the
 //! projected slowdown exceeds a per-class SLO. Admission decisions
-//! fold into a digest ([`AdmissionOutcome`]) that is invariant across
-//! thread counts and survives kill/restore.
+//! fold into a digest ([`AdmissionOutcome`]) that survives
+//! kill/restore.
 //!
 //! See the [`SchedulerService`] doc-example for the end-to-end loop.
 

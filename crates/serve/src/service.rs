@@ -275,10 +275,17 @@ impl SelectorState {
     }
 }
 
+/// Why a source that hands out jobs of up to `max_gpus` GPUs cannot
+/// feed `gpus_per_node`-GPU nodes, if it cannot: its first wider job
+/// would panic at placement.
+pub(crate) fn source_width_mismatch(max_gpus: usize, gpus_per_node: usize) -> Option<String> {
+    (max_gpus > gpus_per_node)
+        .then(|| format!("src_max_gpus={max_gpus} is wider than the {gpus_per_node}-GPU nodes"))
+}
+
 /// Logical per-service counters, in the style of
 /// [`SyncStats`](hrp_cluster::multinode::SyncStats): pure functions
-/// of the input stream, never of wall clock or thread count — so tests
-/// can pin them.
+/// of the input stream, never of wall clock — so tests can pin them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Scheduling cycles triggered by arrival bursts.
@@ -552,9 +559,10 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// [`SchedulerService::with_agent`]), on geometry the cluster
     /// rejects (0 or more than 64 nodes), and on a `cfg` a checkpoint
     /// could not restore: `walltime_err` outside `[0, 1)`,
-    /// `gpus_per_node` outside `1..=`[`MAX_GPUS_PER_NODE`], or an
+    /// `gpus_per_node` outside `1..=`[`MAX_GPUS_PER_NODE`], an
     /// admission tier with a zero `quota` or a `slo` that is not
-    /// positive. The message names the field.
+    /// positive, or a source whose jobs may be wider than a node
+    /// (`src_max_gpus`). The message names the field.
     #[must_use]
     pub fn new(suite: &'a Suite, cfg: ServeConfig, kind: SelectorKind, source: S) -> Self {
         Self::build(suite, cfg, SelectorState::from_kind(kind), source)
@@ -580,10 +588,10 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     }
 
     /// # Panics
-    /// Panics on a `cfg` that [`crate::checkpoint::restore`] would
-    /// refuse, naming the field, or if a policy tier's agent was shaped
-    /// for another geometry than `cfg`'s (see
-    /// [`SchedulerService::with_agent`]).
+    /// Panics on a `cfg` or a source bound that
+    /// [`crate::checkpoint::restore`] would refuse, naming the field, or
+    /// if a policy tier's agent was shaped for another geometry than
+    /// `cfg`'s (see [`SchedulerService::with_agent`]).
     fn build(suite: &'a Suite, cfg: ServeConfig, selector: SelectorState, source: S) -> Self {
         let err = cfg.walltime_err;
         assert!(
@@ -603,6 +611,17 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             assert!(slo > 0.0, "admission slo must be positive, got {slo}");
         }
         if let Some(mismatch) = selector.geometry_mismatch(&cfg) {
+            panic!("{mismatch}");
+        }
+        // The source's job-width bound, read from the spec a checkpoint
+        // would record (a live channel has none).
+        let max_gpus = source
+            .checkpoint_spec()
+            .into_iter()
+            .flatten()
+            .find(|(key, _)| *key == "max_gpus")
+            .and_then(|(_, value)| value.parse().ok());
+        if let Some(mismatch) = max_gpus.and_then(|max| source_width_mismatch(max, gpus)) {
             panic!("{mismatch}");
         }
         let kind = selector.kind();
@@ -1137,6 +1156,24 @@ mod tests {
             ServeConfig::new(4, 4),
             PlacementAgent::untrained(PlacementConfig::quick()),
             TraceSource::new(&s, TraceConfig::new(TraceKind::Bursty, 8, 1)),
+        );
+    }
+
+    /// A source `restore` would refuse is refused when the service is
+    /// built. The parent commit built this one, and its first 3-GPU job
+    /// panicked in `ClusterDrive::place`.
+    #[test]
+    #[should_panic(expected = "src_max_gpus=3 is wider than the 2-GPU nodes")]
+    fn a_source_wider_than_its_nodes_is_refused_at_construction() {
+        let s = suite();
+        let trace = TraceConfig::new(TraceKind::Bursty, 8, 1)
+            .max_gpus(3)
+            .gang_share(1.0);
+        let _ = SchedulerService::new(
+            &s,
+            ServeConfig::new(2, 2),
+            SelectorKind::LeastLoaded,
+            TraceSource::new(&s, trace),
         );
     }
 

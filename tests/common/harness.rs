@@ -8,15 +8,12 @@
 //! * the uninterrupted service (`SchedulerService::run_to_close`);
 //! * the service killed at each of the case's [`Cut`]s, checkpointed to
 //!   an `HRPS` blob, restored and drained;
-//! * the batch `MultiNodeSim` at 1 thread, at `HRP_TEST_THREADS` and at
-//!   the machine's width (0), over the admitted trace when the
+//! * the batch `MultiNodeSim`, over the admitted trace when the
 //!   admission tier is on and the offered one otherwise;
-//! * the batch fair-order oracle at the same widths when the admission
-//!   tier only reorders;
+//! * the batch fair-order oracle when the admission tier only reorders;
 //! * the single-node `ClusterSim` when the cluster has one node.
 //!
 //! Every run must show the same events, per-node rows and aggregate,
-//! the widths of a batch engine the same report (sync counters too),
 //! and the served runs the same `ServeStats`, admission digest and
 //! offer. The named checkers then hold for every run, and a pin row
 //! ([`check_pin`]) for every run that measures its keys.
@@ -24,7 +21,6 @@
 //! The properties draw their cases as a [`Draw`]: the whole space, or
 //! the slice of it a property names.
 
-use super::test_threads;
 use hrp::cluster::fair::{job_cost, user_fairness};
 use hrp::cluster::sim::EventKind;
 use hrp::cluster::trace::{generate, TraceKind, TRACE_KINDS};
@@ -190,7 +186,7 @@ impl Run {
 }
 
 /// Every run of one case: the uninterrupted service first (the batch
-/// engine at 1 thread for a batch-only case).
+/// engine for a batch-only case).
 pub struct Outcome {
     /// The jobs offered, at their submission instants.
     pub jobs: Vec<ClusterJob>,
@@ -294,25 +290,14 @@ pub fn run(suite: &Suite, case: &Case) -> Outcome {
         batches.push(("fair-order batch", &jobs, true));
     }
     for (label, input, fair_order) in batches {
-        let batch = |threads: usize| {
-            let mut sim = MultiNodeSim::new(case.nodes, GPUS).with_threads(threads);
-            if fair_order {
-                sim = sim.with_fair_order();
-            }
-            sim.run(suite, input.clone(), case.selector.build().as_mut(), |_| {
-                dispatcher_for(case.selector, GPUS, case.walltime_err)
-            })
-        };
-        let serial = batch(1);
-        for threads in [test_threads(), 0] {
-            let wide = batch(threads);
-            assert!(
-                wide == serial,
-                "{label} at {threads} threads drifted: {case:?}"
-            );
+        let mut sim = MultiNodeSim::new(case.nodes, GPUS);
+        if fair_order {
+            sim = sim.with_fair_order();
         }
-        let how = format!("{label} at 1, {} and 0 threads", test_threads());
-        runs.push(Run::batch(how, serial));
+        let report = sim.run(suite, input.clone(), case.selector.build().as_mut(), |_| {
+            dispatcher_for(case.selector, GPUS, case.walltime_err)
+        });
+        runs.push(Run::batch(label.into(), report));
     }
     if case.nodes == 1 {
         let mut dispatcher = dispatcher_for(case.selector, GPUS, case.walltime_err);

@@ -584,6 +584,27 @@ fn an_embedded_agent_shaped_for_other_nodes_is_a_typed_error() {
     );
 }
 
+/// Parent commit: restore held `src_max_gpus` only to at least 1, so a
+/// source forged wider than its 2-GPU nodes restored, and its first
+/// 3-GPU job panicked in `ClusterDrive::place`. Forged beside a gang
+/// share that makes every job wide, and beside a kind whose draws are
+/// wide on their own.
+#[test]
+fn a_source_wider_than_its_nodes_is_a_typed_error() {
+    let s = suite();
+    let wide = tamper_spec(&hrps_blob(&s, Tier::LeastLoaded), "src_max_gpus", "3");
+    for (key, value) in [("src_gang_share", "1.0"), ("src_kind", "colocate")] {
+        let forged = tamper_spec(&wide, key, value);
+        match restore(&s, forged.into()).map(drop) {
+            Err(CheckpointError::Invalid {
+                format: "HRPS",
+                what,
+            }) => assert!(what.contains("src_max_gpus=3"), "{key}: '{what}'"),
+            other => panic!("src_max_gpus=3, {key}={value}: {other:?}"),
+        }
+    }
+}
+
 /// Offset of the name's length prefix in every job record of an `HRPS`
 /// body. A record is `id u64 | bench u64 | arrival f64 | gpus u32 |
 /// user u32 | name`, and job records are the only place a benchmark

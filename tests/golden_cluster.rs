@@ -1,7 +1,7 @@
 //! The `cluster/*` rows of the oracle's pin table
 //! (`tests/common/pins.rs`): the multi-node engine's schedules, each
-//! held in batch at 1, `HRP_TEST_THREADS` and 0 threads and served,
-//! plus the one-node case that must be the single-node simulator's.
+//! held in batch and served, plus the one-node case that must be the
+//! single-node simulator's.
 
 mod common;
 use common::harness::{self, Case};

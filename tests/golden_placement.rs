@@ -13,15 +13,12 @@
 //! The same run doubles as the acceptance gate: on the held-out skewed
 //! trace the trained policy must beat round-robin and match-or-beat
 //! least-loaded on simulated makespan, bit-identically for any rollout
-//! worker count and simulation thread count.
-
-mod common;
-use common::test_threads;
+//! worker count.
 
 use hrp::cluster::multinode::MultiNodeSim;
 use hrp::cluster::place::{dispatcher_for, train_placement, PlacementConfig};
 use hrp::cluster::trace::{generate, TraceConfig, TraceKind, EVAL_SEED_OFFSET};
-use hrp::cluster::{ClusterJob, SelectorKind};
+use hrp::cluster::{ClusterJob, NodeSelector, SelectorKind};
 use hrp::core::train::TrainReport;
 use hrp::prelude::*;
 
@@ -115,14 +112,13 @@ fn golden_assignment() -> Vec<usize> {
 fn trained_policy_beats_round_robin_and_least_loaded_on_the_skewed_trace() {
     // The acceptance gate behind `repro cluster --selector policy
     // --trace skewed`: ground-truth rewards must actually pay off
-    // against the heuristics, for any worker/thread count.
+    // against the heuristics, for any worker count.
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let threads = test_threads();
 
     let mut cfg = PlacementConfig::quick();
     cfg.n_workers = 1;
     let (agent_serial, report_serial) = train_placement(&suite, cfg.clone());
-    cfg.n_workers = threads;
+    cfg.n_workers = 4;
     let (agent_par, report_par) = train_placement(&suite, cfg.clone());
     assert_eq!(
         report_serial, report_par,
@@ -136,26 +132,20 @@ fn trained_policy_beats_round_robin_and_least_loaded_on_the_skewed_trace() {
     );
 
     let trace = eval_trace(&suite);
-    let run = |kind: SelectorKind, threads: usize| {
-        let mut policy_sel;
-        let mut heur_sel;
-        let sel: &mut dyn hrp::cluster::NodeSelector = if kind.needs_training() {
-            policy_sel = agent_serial.selector();
-            &mut policy_sel
-        } else {
-            heur_sel = kind.build();
-            heur_sel.as_mut()
-        };
-        MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node)
-            .with_threads(threads)
-            .run(&suite, trace.clone(), sel, |_| {
-                dispatcher_for(SelectorKind::Policy, cfg.gpus_per_node, 0.0)
-            })
+    let run = |sel: &mut dyn NodeSelector| {
+        MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node).run(&suite, trace.clone(), sel, |_| {
+            dispatcher_for(SelectorKind::Policy, cfg.gpus_per_node, 0.0)
+        })
     };
 
-    let policy = run(SelectorKind::Policy, 1);
-    let rr = run(SelectorKind::RoundRobin, 1);
-    let ll = run(SelectorKind::LeastLoaded, 1);
+    let policy = run(&mut agent_serial.selector());
+    assert_eq!(
+        policy,
+        run(&mut agent_par.selector()),
+        "the deployment must be worker-count invariant"
+    );
+    let rr = run(SelectorKind::RoundRobin.build().as_mut());
+    let ll = run(SelectorKind::LeastLoaded.build().as_mut());
     assert!(
         policy.aggregate.makespan < rr.aggregate.makespan,
         "policy {} must beat round-robin {}",
@@ -168,15 +158,4 @@ fn trained_policy_beats_round_robin_and_least_loaded_on_the_skewed_trace() {
         policy.aggregate.makespan,
         ll.aggregate.makespan
     );
-
-    // The whole deployment is thread-count invariant too.
-    for kind in [
-        SelectorKind::Policy,
-        SelectorKind::RoundRobin,
-        SelectorKind::LeastLoaded,
-    ] {
-        let serial = run(kind, 1);
-        let wide = run(kind, threads);
-        assert_eq!(serial, wide, "{} deployment drifted", kind.name());
-    }
 }

@@ -1,8 +1,7 @@
 //! The `serve/*` rows of the oracle's pin table
 //! (`tests/common/pins.rs`): the online service's schedules, each held
 //! on every run the harness gives it — uninterrupted, killed and
-//! restored at its cuts, and replayed in batch at 1,
-//! `HRP_TEST_THREADS` and 0 threads.
+//! restored at its cuts, and replayed in batch.
 
 mod common;
 use common::pins;

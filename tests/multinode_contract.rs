@@ -1,7 +1,7 @@
 //! The multi-node engine's determinism contract, as slices of the
 //! oracle's drawn cases (`tests/common/harness.rs`): hand-shaped batch
-//! traces whose runs at 1, `HRP_TEST_THREADS` and 0 threads must be one
-//! report, whose jobs are conserved, and which at one node are the
+//! traces whose merged timeline is the same under every selector's
+//! batch run, whose jobs are conserved, and which at one node are the
 //! single-node simulator's schedule.
 
 mod common;

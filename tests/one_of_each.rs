@@ -175,6 +175,15 @@ fn the_deleted_second_copies_stay_deleted() {
             assert!(!text.contains(&name), "{path} mentions {name}");
         }
     }
+    // One DES thread: the multi-node engine advances its nodes on the
+    // calling thread, so the cluster crate names no fan-out (the Fig. 8
+    // evaluation keeps the one in hrp-core).
+    for (path, text) in rust_sources(&["crates/cluster/src".to_owned()]) {
+        for (head, tail) in [("hrp_core::", "par"), ("for_each", "_mut")] {
+            let name = format!("{head}{tail}");
+            assert!(!text.contains(&name), "{path} mentions {name}");
+        }
+    }
 }
 
 #[test]
@@ -270,6 +279,10 @@ fn every_pub_fn_has_a_caller() {
         // The batch oracle the admission tier is checked against
         // (`oracle`'s harness, hrp-serve's unit tests).
         "crates/cluster/src/multinode.rs::with_fair_order",
+        // Ignores its argument: the nodes advance on the calling thread.
+        // It stays only because the frozen `benchmark/` calls it, until
+        // ROADMAP item 2f releases the name there.
+        "crates/cluster/src/multinode.rs::with_threads",
         // `slots_contract` and `planner_contract` read the profile back
         // point by point; `slots_contract` and `alloc_free` hold its
         // coalescing to a segment count.

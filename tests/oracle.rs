@@ -1,7 +1,7 @@
 //! The scheduler stack's oracle: every case runs every way it can be
-//! run — served, killed and restored, batch at several widths, the
-//! fair-order batch, the single-node simulator — and all of the runs
-//! must agree (see `tests/common/harness.rs`).
+//! run — served, killed and restored, batch, the fair-order batch, the
+//! single-node simulator — and all of the runs must agree (see
+//! `tests/common/harness.rs`).
 //!
 //! * The pin table (`tests/common/pins.rs`) fixes what chosen cases
 //!   produce; this file holds its `backfill` rows and its printer, and
@@ -15,10 +15,7 @@
 //! * The rest are the gates the design answers to: fair share beats
 //!   FCFS on Jain's index, backfilling beats FCFS on makespan (and on
 //!   2-GPU nodes delays no job), a restored door lets nothing through
-//!   early, and the threaded engine matches the serial one at 100 k jobs.
-//!
-//! Set `HRP_TEST_THREADS` to pick the width of the wide batch runs
-//! (default 4).
+//!   early, and the batch engine matches the service at 100 k jobs.
 
 mod common;
 use common::harness::{self, shape_strategy, Case, Cut, Draw, Source, GPUS};
@@ -173,8 +170,8 @@ fn quiet_door_restore_lets_no_parked_job_through() {
 }
 
 /// The at-scale contract: a 100 k-job bursty trace across 8 EASY nodes
-/// at exact estimates runs the same way served and at every width, and
-/// loses no job.
+/// at exact estimates runs the same way served and in batch, and loses
+/// no job.
 #[test]
 fn pooled_engine_matches_serial_at_100k_jobs() {
     let trace = TraceConfig::new(TraceKind::Bursty, 100_000, 42).max_gpus(GPUS);

@@ -1,8 +1,8 @@
 //! The online service's determinism contract, as slices of the oracle's
 //! drawn cases (`tests/common/harness.rs`): generated traces and load
 //! generators served by any selector family, drained, killed and
-//! restored at drawn cuts, and replayed in batch at 1,
-//! `HRP_TEST_THREADS` and 0 threads; with the admission tier on, the
+//! restored at drawn cuts, and replayed in batch; with the admission
+//! tier on, the
 //! quota replay, the fair-order batch and the admission digest too.
 
 mod common;
