@@ -11,8 +11,9 @@
 //! settings as its reference (the row `repro --quick fig8` prints).
 //! Both trail every co-scheduling heuristic, and the hierarchical one
 //! falls below time sharing on Q2; that is the short training budget,
-//! and the pins record it as it is. At the paper's scale the flat agent
-//! passes MIG Only and comes within 0.01 of MPS Only.
+//! and the pins record it as it is. At the paper's scale, at seed 42 —
+//! the only seed pinned — the flat agent's mean passes MIG Only and
+//! comes within 0.01 of MPS Only.
 
 use hrp_bench::eval::{run_full, FullEvaluation};
 use hrp_core::rl::EnvKind;

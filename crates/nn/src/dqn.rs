@@ -505,6 +505,46 @@ mod tests {
     }
 
     #[test]
+    fn adam_moments_never_go_subnormal() {
+        // Six state features; once the ring has turned over, the last
+        // three are always zero, so their first-layer weights see exact
+        // zero gradients from then on and their moments decay.
+        let mut cfg = chain_cfg();
+        cfg.state_dim = 6;
+        cfg.buffer_capacity = 64;
+        let mut agent = DqnAgent::new(cfg);
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut fill = |agent: &mut DqnAgent, live: usize| {
+            for _ in 0..64 {
+                let mut state = [0.0f32; 6];
+                for x in &mut state[..live] {
+                    *x = rng.gen_range(-1.0f32..1.0);
+                }
+                agent.remember(Transition {
+                    state: state.to_vec(),
+                    action: rng.gen_range(0..2usize),
+                    reward: state[0],
+                    next_state: vec![0.0; 6],
+                    done: true,
+                    next_mask: 0,
+                });
+            }
+        };
+        fill(&mut agent, 6);
+        for _ in 0..200 {
+            agent.learn();
+        }
+        fill(&mut agent, 3);
+        for _ in 0..2_800 {
+            agent.learn();
+        }
+        assert_eq!(agent.learn_steps(), 3_000);
+        let (m, v) = agent.adam.moments();
+        let subnormal = m.iter().chain(v).filter(|x| x.is_subnormal()).count();
+        assert_eq!(subnormal, 0, "subnormal Adam moments");
+    }
+
+    #[test]
     fn tie_breaking_uses_agent_rng_stream() {
         // A fresh dueling network with an all-zero state scores every
         // action identically through the value head only when weights

@@ -214,8 +214,8 @@ mod tests {
         let mut counts = [0usize; 10];
         let mut mb = MiniBatch::new();
         buf.sample_into(10_000, &mut rng, &mut mb);
-        for r in mb.rewards {
-            counts[r as usize] += 1;
+        for (i, c) in counts.iter_mut().enumerate() {
+            *c = mb.rewards.iter().filter(|&&r| r == i as f32).count();
         }
         for &c in &counts {
             assert!(c > 700 && c < 1300, "count {c} far from uniform");
