@@ -48,14 +48,13 @@ use crate::sim::{Dispatcher, Placement};
 use crate::slots::TreeSlotSet;
 use hrp_gpusim::rng::SplitMix64;
 use hrp_workloads::Suite;
-use serde::{Deserialize, Serialize};
 
 /// Slack when deciding whether an earliest fit is "now", and whether
 /// an estimated release has already passed.
 const FIT_EPS: f64 = 1e-9;
 
 /// Which backfilling discipline a [`BackfillPlanner`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackfillPolicy {
     /// Strict first-come-first-served: no backfilling at all.
     Fcfs,

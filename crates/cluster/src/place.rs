@@ -71,7 +71,6 @@ use crate::multinode::{ClusterDrive, MultiNodeReport, MAX_GPUS_PER_NODE, MAX_NOD
 use crate::select::SelectorKind;
 use crate::sim::Dispatcher;
 use crate::trace::{self, TraceConfig, TraceKind};
-use bytes::Bytes;
 use hrp_core::cluster_env::{encode_placement_state, placement_fit_mask, NodeLoad, PolicySelector};
 use hrp_core::env::StepResult;
 use hrp_core::experiment::CheckpointError;
@@ -83,7 +82,6 @@ use hrp_nn::net::Head;
 use hrp_nn::serialize::{load_agent, save_weights, Reader, Spec, SpecWriter, Writer};
 use hrp_nn::{DqnAgent, DqnConfig};
 use hrp_workloads::Suite;
-use serde::{Deserialize, Serialize};
 
 /// Magic prefix for placement checkpoints (the cluster-tier sibling of
 /// `hrp-core`'s `HRPE`).
@@ -426,7 +424,7 @@ impl EnvFactory for PlacementEnvFactory<'_> {
 /// Placement-training configuration: cluster geometry, the training
 /// trace family, and the training knobs callers vary (the rest are
 /// constants of this module; see the [module docs](self)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementConfig {
     /// Simulated nodes (= action-space size).
     pub nodes: usize,
@@ -593,7 +591,7 @@ impl PlacementAgent {
     /// Serialise the full checkpoint: spec + online-network weights
     /// (`HRPP`, mirroring `hrp-core`'s `HRPE`).
     #[must_use]
-    pub fn save_bytes(&self) -> Bytes {
+    pub fn save_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new(MAGIC, VERSION);
         w.spec(&encode_spec(&self.cfg));
         w.raw(&save_weights(self.agent.online_net()));
@@ -626,7 +624,7 @@ impl PlacementExperiment {
     /// Returns a [`CheckpointError`] when the blob is not an `HRPP`
     /// checkpoint, has an unsupported version, a malformed or
     /// out-of-range spec, or weights of the wrong shape.
-    pub fn load_bytes(blob: Bytes) -> Result<PlacementAgent, CheckpointError> {
+    pub fn load_bytes(blob: Vec<u8>) -> Result<PlacementAgent, CheckpointError> {
         let mut r = Reader::open(&blob, MAGIC, VERSION)?;
         let cfg = decode_spec(r.spec()?)?;
         let agent = load_agent(MAGIC, cfg.dqn_config(), r.rest())?;
@@ -942,7 +940,7 @@ mod tests {
     #[test]
     fn load_rejects_garbage_and_bad_versions() {
         assert_eq!(
-            PlacementExperiment::load_bytes(Bytes::from_static(b"nope")).err(),
+            PlacementExperiment::load_bytes(b"nope".to_vec()).err(),
             Some(CheckpointError::NotACheckpoint { expected: "HRPP" })
         );
         let agent = PlacementAgent::untrained(PlacementConfig::quick());
@@ -950,10 +948,10 @@ mod tests {
         // version 2 the fourteen training and node-window keys that are
         // now constants.
         for found in [1, 2, 99] {
-            let mut raw = agent.save_bytes().to_vec();
+            let mut raw = agent.save_bytes();
             raw[4] = found;
             assert_eq!(
-                PlacementExperiment::load_bytes(raw.into()).err(),
+                PlacementExperiment::load_bytes(raw).err(),
                 Some(CheckpointError::BadVersion {
                     format: "HRPP",
                     found: u32::from(found)

@@ -38,10 +38,9 @@ use hrp_gpusim::rng::SplitMix64;
 use hrp_workloads::Suite;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which arrival/mix pattern to generate (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Uniform benchmark mix, independent inter-arrival gaps.
     Uniform,
@@ -110,7 +109,7 @@ impl TraceKind {
 
 /// A trace specification: kind, size, seed, and bounds. Pure data — the
 /// same config always generates the same trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Arrival/mix pattern.
     pub kind: TraceKind,

@@ -75,7 +75,6 @@ pub use crate::codec::CheckpointError;
 use crate::codec::{load_agent, save_weights, Reader, Spec, SpecWriter, Writer};
 use crate::rl::EnvKind;
 use crate::train::{dqn_config, env_geometry, TrainConfig, TrainedAgent};
-use bytes::Bytes;
 use hrp_gpusim::engine::EngineConfig;
 use hrp_profile::{FeatureScaler, ProfileRepository, Profiler};
 use hrp_workloads::Suite;
@@ -99,7 +98,7 @@ const MAX_CMAX: usize = 4;
 impl TrainedAgent {
     /// Serialise the full checkpoint: spec + online-network weights.
     #[must_use]
-    pub fn save_bytes(&self) -> Bytes {
+    pub fn save_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new(MAGIC, VERSION);
         w.spec(&encode_spec(self.config()));
         w.raw(&save_weights(self.dqn().online_net()));
@@ -111,7 +110,8 @@ impl TrainedAgent {
     /// # Errors
     /// Surfaces I/O failures.
     pub fn save_file(&self, path: &Path) -> Result<(), CheckpointError> {
-        std::fs::write(path, self.save_bytes()).map_err(|e| CheckpointError::Io(e.to_string()))
+        std::fs::write(path, self.save_bytes())
+            .map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))
     }
 
     /// Rebuild a trained agent from a checkpoint blob: decode the spec,
@@ -124,7 +124,7 @@ impl TrainedAgent {
     /// checkpoint, has an unsupported version, a malformed or
     /// out-of-range spec, or weights whose shape does not match the
     /// spec's network geometry.
-    pub fn load_bytes(blob: Bytes, suite: &Suite) -> Result<Self, CheckpointError> {
+    pub fn load_bytes(blob: Vec<u8>, suite: &Suite) -> Result<Self, CheckpointError> {
         let mut r = Reader::open(&blob, MAGIC, VERSION)?;
         let cfg = decode_spec(r.spec()?)?;
         let catalog = ActionCatalog::paper_29();
@@ -143,8 +143,8 @@ impl TrainedAgent {
     /// I/O failures surface as [`CheckpointError::Io`]; decode failures
     /// as in [`TrainedAgent::load_bytes`].
     pub fn load_file(path: &Path, suite: &Suite) -> Result<Self, CheckpointError> {
-        let raw = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        Self::load_bytes(Bytes::from(raw), suite)
+        let raw = std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))?;
+        Self::load_bytes(raw, suite)
     }
 }
 
@@ -270,17 +270,17 @@ mod tests {
     fn load_rejects_garbage_and_versions() {
         let suite = Suite::paper_suite(&GpuArch::a100());
         assert_eq!(
-            TrainedAgent::load_bytes(Bytes::from_static(b"nope"), &suite).err(),
+            TrainedAgent::load_bytes(b"nope".to_vec(), &suite).err(),
             Some(CheckpointError::NotACheckpoint { expected: "HRPE" })
         );
         let cfg = TrainConfig {
             episodes: 4,
             ..TrainConfig::quick()
         };
-        let mut raw = crate::train::train(&suite, cfg).0.save_bytes().to_vec();
+        let mut raw = crate::train::train(&suite, cfg).0.save_bytes();
         raw[4] = 99;
         assert_eq!(
-            TrainedAgent::load_bytes(raw.into(), &suite).err(),
+            TrainedAgent::load_bytes(raw, &suite).err(),
             Some(CheckpointError::BadVersion {
                 format: "HRPE",
                 found: 99

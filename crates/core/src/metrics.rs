@@ -3,10 +3,9 @@
 
 use crate::problem::ScheduleDecision;
 use hrp_workloads::{JobQueue, Suite};
-use serde::{Deserialize, Serialize};
 
 /// Metrics of one scheduling decision over one queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueMetrics {
     /// Queue label.
     pub label: String,

@@ -4,11 +4,10 @@
 use hrp_gpusim::engine::{simulate_corun, EngineConfig};
 use hrp_gpusim::{AppModel, PartitionScheme};
 use hrp_workloads::{JobQueue, Suite};
-use serde::{Deserialize, Serialize};
 
 /// One co-scheduled group: a job set `JSi` with its resource setup `Ri`
 /// and the measured outcome of running it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledGroup {
     /// Queue job ids in this group.
     pub job_ids: Vec<usize>,
@@ -42,7 +41,7 @@ impl ScheduledGroup {
 }
 
 /// A complete decision: `LJS` + `LR` + measured outcomes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScheduleDecision {
     /// The groups, in execution order.
     pub groups: Vec<ScheduledGroup>,

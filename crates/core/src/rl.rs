@@ -35,10 +35,9 @@ use hrp_nn::dqn::{epsilon_greedy_action_with, ActionScratch};
 use hrp_nn::replay::Transition;
 use hrp_nn::{DqnAgent, FastPolicy, QNet};
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 /// Which environment formulation an experiment trains on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvKind {
     /// The flat 29-action formulation ([`crate::env::CoScheduleEnv`]):
     /// one action picks concurrency and the full partition template.

@@ -69,7 +69,6 @@ use hrp_profile::{FeatureScaler, ProfileRepository, Profiler};
 use hrp_workloads::{JobQueue, QueueGenerator, Suite};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -95,7 +94,7 @@ use std::sync::{mpsc, Arc};
 /// ```
 ///
 /// Checkpointing a trained run: [`crate::experiment`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Window size `W`.
     pub w: usize,

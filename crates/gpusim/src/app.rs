@@ -19,10 +19,8 @@
 //! * **solo time** — full-GPU runtime in seconds; rates are normalized so
 //!   a solo full-GPU run progresses at rate 1.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of one GPU application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppModel {
     /// Program name (`CounterSet::collect` keys its measurement noise on
     /// it).

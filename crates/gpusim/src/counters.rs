@@ -10,10 +10,9 @@
 use crate::app::AppModel;
 use crate::arch::GpuArch;
 use crate::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// The twelve statistics of the paper's Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterSet {
     /// Kernel duration in milliseconds.
     pub duration_ms: f64,

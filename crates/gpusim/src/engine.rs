@@ -16,10 +16,9 @@ use crate::app::AppModel;
 use crate::error::SimError;
 use crate::partition::CompiledPartition;
 use crate::perf::corun_rates;
-use serde::{Deserialize, Serialize};
 
 /// Engine knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// One-off overhead (seconds) added to the group makespan when MIG is
     /// reconfigured for the group (`nvidia-smi mig -cgi …` takes seconds
@@ -43,7 +42,7 @@ impl Default for EngineConfig {
 }
 
 /// Outcome of a co-run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoRunResult {
     /// Per-job completion time measured from group start (same order as
     /// the input `apps`). This is the paper's `CoRunAppTime`.

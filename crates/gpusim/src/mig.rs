@@ -24,11 +24,10 @@
 
 use crate::arch::GpuArch;
 use crate::error::PartitionError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A GPU-Instance profile (A100 naming).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GiProfile {
     /// `1g.5gb` — 1 GPC, 1/8 of memory.
     G1,
@@ -138,7 +137,7 @@ impl fmt::Display for GiProfile {
 }
 
 /// A placed GPU instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GiPlacement {
     /// The profile.
     pub profile: GiProfile,
@@ -147,7 +146,7 @@ pub struct GiPlacement {
 }
 
 /// A concrete MIG configuration: a set of placed, non-overlapping GIs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigConfig {
     /// The placements, sorted by start slice.
     placements: Vec<GiPlacement>,

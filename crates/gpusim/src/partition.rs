@@ -20,11 +20,10 @@ use crate::arch::GpuArch;
 use crate::error::PartitionError;
 use crate::mig::{GiProfile, MigConfig};
 use crate::mps::validate_shares;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A compute instance inside a GPU instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CiSetup {
     /// GPC slices owned by this CI (must be a valid CI profile size and
     /// fit inside the parent GI).
@@ -58,7 +57,7 @@ impl CiSetup {
 }
 
 /// A GPU instance: a MIG profile plus the compute instances on it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GiSetup {
     /// The MIG profile of this GI.
     pub profile: GiProfile,
@@ -87,7 +86,7 @@ impl GiSetup {
 }
 
 /// Declarative description of a hierarchical partitioning of one GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PartitionScheme {
     /// MIG disabled: whole GPU (all 8 GPCs), one shared memory domain,
     /// MPS shares as fractions of the full GPU.
@@ -304,7 +303,7 @@ impl fmt::Display for PartitionScheme {
 }
 
 /// One schedulable lane of a compiled partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slot {
     /// Compute capacity as a fraction of the *whole GPU's* SMs.
     pub compute_frac: f64,
@@ -317,14 +316,14 @@ pub struct Slot {
 }
 
 /// A memory domain: the bandwidth pool shared by the slots inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemDomain {
     /// DRAM bandwidth as a fraction of the whole GPU's peak.
     pub bandwidth_frac: f64,
 }
 
 /// Flattened, validated partition: what the performance model consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPartition {
     /// Schedulable lanes, in declaration order.
     pub slots: Vec<Slot>,

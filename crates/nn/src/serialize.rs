@@ -35,7 +35,6 @@
 
 use crate::dqn::{DqnAgent, DqnConfig};
 use crate::net::QNet;
-use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fmt::{Debug, Display, Write as _};
 use std::ops::RangeBounds;
@@ -241,8 +240,8 @@ impl Writer {
 
     /// The finished blob.
     #[must_use]
-    pub fn finish(self) -> Bytes {
-        Bytes::from(self.0)
+    pub fn finish(self) -> Vec<u8> {
+        self.0
     }
 }
 
@@ -503,7 +502,7 @@ impl<'a> Spec<'a> {
 
 /// Serialise a network's weights: `HRPQ | 1 | seq<f32>`.
 #[must_use]
-pub fn save_weights(net: &QNet) -> Bytes {
+pub fn save_weights(net: &QNet) -> Vec<u8> {
     let mut params = Vec::new();
     net.write_params(&mut params);
     let mut w = Writer::new(MAGIC, VERSION);
@@ -627,7 +626,7 @@ mod tests {
     #[test]
     fn rejects_future_version() {
         let net = QNet::new(4, &[4], 2, Head::Plain, 1);
-        let mut raw = save_weights(&net).to_vec();
+        let mut raw = save_weights(&net);
         raw[4] = 9; // bump version byte
         let mut target = QNet::new(4, &[4], 2, Head::Plain, 2);
         assert_eq!(

@@ -8,10 +8,9 @@
 use crate::profiler::JobProfile;
 use crate::repository::ProfileRepository;
 use hrp_gpusim::counters::NUM_FEATURES;
-use serde::{Deserialize, Serialize};
 
 /// Min–max feature scaler over the 12 Table III counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureScaler {
     mins: [f64; NUM_FEATURES],
     maxs: [f64; NUM_FEATURES],

@@ -5,13 +5,12 @@ use hrp_gpusim::counters::CounterSet;
 use hrp_gpusim::perf::solo_rate;
 use hrp_gpusim::rng::SplitMix64;
 use hrp_gpusim::AppModel;
-use serde::{Deserialize, Serialize};
 
 /// A stored job profile: the measured counters plus the measured solo
 /// runtime (seconds). Everything downstream (state encoding, rewards,
 /// co-run prediction by baselines) uses these *measured* values, never
 /// the model's ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
     /// Table III counters from the profiling run.
     pub counters: CounterSet,

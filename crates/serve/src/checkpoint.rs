@@ -58,7 +58,6 @@ use crate::service::{
     SelectorState, ServeConfig, ServeStats,
 };
 use crate::source::{ArrivalSource, LoadGen, LoadShape, TraceSource};
-use bytes::Bytes;
 use hrp_cluster::backfill::BackfillState;
 use hrp_cluster::fair::{FairShare, FairShareState};
 use hrp_cluster::job::ClusterJob;
@@ -87,7 +86,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// # Errors
     /// [`CheckpointError::Invalid`] if the arrival source cannot be
     /// checkpointed (live channels have no replayable position).
-    pub fn checkpoint(&self) -> Result<Bytes, CheckpointError> {
+    pub fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
         let src_spec = self.source.checkpoint_spec().ok_or_else(|| {
             CheckpointError::invalid(
                 MAGIC,
@@ -151,8 +150,8 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// Checkpoint errors, plus [`CheckpointError::Io`] on write
     /// failure.
     pub fn checkpoint_to(&self, path: &std::path::Path) -> Result<(), CheckpointError> {
-        let blob = self.checkpoint()?;
-        std::fs::write(path, &*blob).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))
+        std::fs::write(path, self.checkpoint()?)
+            .map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))
     }
 }
 
@@ -169,7 +168,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
 /// (naming `HRPP` / `HRPQ` when the embedded agent is at fault).
 pub fn restore(
     suite: &Suite,
-    blob: Bytes,
+    blob: Vec<u8>,
 ) -> Result<SchedulerService<'_, Box<dyn ArrivalSource + '_>>, CheckpointError> {
     let mut body = Reader::open(&blob, MAGIC, VERSION)?;
     let mut spec = body.spec()?;
@@ -240,9 +239,9 @@ pub fn restore(
         ));
     }
     let selector = match (kind, rr_cursor) {
-        (SelectorKind::Policy, _) => SelectorState::from_agent(PlacementExperiment::load_bytes(
-            body.blob()?.to_vec().into(),
-        )?),
+        (SelectorKind::Policy, _) => {
+            SelectorState::from_agent(PlacementExperiment::load_bytes(body.blob()?.to_vec())?)
+        }
         (_, Some(cursor)) => SelectorState::RoundRobin(RoundRobin::with_cursor(cursor)),
         (other, None) => SelectorState::from_kind(other),
     };
@@ -291,7 +290,7 @@ pub fn restore_file<'a>(
     path: &std::path::Path,
 ) -> Result<SchedulerService<'a, Box<dyn ArrivalSource + 'a>>, CheckpointError> {
     let raw = std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))?;
-    restore(suite, Bytes::from(raw))
+    restore(suite, raw)
 }
 
 /// Rebuild the arrival source from its `source` / `src_*` keys and
@@ -780,7 +779,7 @@ mod tests {
     /// prefix, carrying the body over verbatim) — how a forged blob
     /// smuggles an out-of-range value past an otherwise valid
     /// container.
-    fn tamper(blob: &Bytes, key: &str, value: &str) -> Bytes {
+    fn tamper(blob: &[u8], key: &str, value: &str) -> Vec<u8> {
         let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
         let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
         let prefix = format!("{key}=");
@@ -912,7 +911,7 @@ mod tests {
     #[test]
     fn foreign_blobs_are_rejected() {
         let s = suite();
-        let foreign = restore(&s, Bytes::from(b"HRPP----------------".to_vec())).map(drop);
+        let foreign = restore(&s, b"HRPP----------------".to_vec()).map(drop);
         assert_eq!(
             foreign,
             Err(CheckpointError::NotACheckpoint { expected: "HRPS" })
@@ -953,7 +952,7 @@ mod tests {
         }
         let blob = svc.checkpoint().expect("checkpointable");
         for cut in [13usize, blob.len() / 2, blob.len() - 1] {
-            let what = invalid(restore(&s, blob[..cut].to_vec().into()));
+            let what = invalid(restore(&s, blob[..cut].to_vec()));
             assert!(what.contains("truncated"), "clip at {cut}: {what}");
         }
     }
@@ -1066,7 +1065,7 @@ mod tests {
             // `time f64 | seq u64 | tag u8 | gpus u32`: the whole pool.
             let mut raw = blob.to_vec();
             raw[at + 17..at + 21].copy_from_slice(&2u32.to_le_bytes());
-            let what = invalid(restore(&s, raw.into()));
+            let what = invalid(restore(&s, raw));
             assert!(what.contains("node 0"), "names the node: {what}");
         }
     }

@@ -11,7 +11,6 @@
 use hrp_gpusim::arch::GpuArch;
 use hrp_gpusim::perf::solo_rate;
 use hrp_gpusim::AppModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Degradation threshold below which an app counts as UnScalable.
@@ -22,7 +21,7 @@ pub const US_DEGRADATION_THRESHOLD: f64 = 0.10;
 pub const CI_RATIO_THRESHOLD: f64 = 0.80;
 
 /// Application class per the paper's Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Class {
     /// Compute Intensive.
     Ci,

@@ -4,7 +4,6 @@
 use crate::class::Class;
 use crate::suite::Suite;
 use hrp_gpusim::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// One queued job: an instance of a benchmark program, identified by its
 /// suite index alone. Its name is `suite.by_index(bench).app.name`, and
@@ -12,14 +11,14 @@ use serde::{Deserialize, Serialize};
 /// same program may appear several times in a queue (distinct jobs, one
 /// profile — exactly the situation the paper's binary-path matching
 /// handles).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Index into the suite (the profile-repository key).
     pub bench: usize,
 }
 
 /// A job queue (the window `Q = {J1 … JW}` of the paper's §IV-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobQueue {
     /// Human-readable label, e.g. `"Q7"`.
     pub label: String,
@@ -86,7 +85,7 @@ impl JobQueue {
 }
 
 /// Job-mix category of the paper's §V-A2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MixCategory {
     /// 50% CI, rest round-robin.
     CiDominant,

@@ -76,3 +76,24 @@ fn checkpoint_survives_the_filesystem() {
         reloaded.greedy_decision(&suite, &queue, &engine),
     );
 }
+
+#[test]
+fn file_errors_name_the_file() {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let path = std::env::temp_dir().join("hrp_no_such_dir/agent.hrpe");
+    let mut cfg = TrainConfig::quick();
+    cfg.episodes = 2;
+    let (trained, _) = train(&suite, cfg);
+    let errors = [
+        TrainedAgent::load_file(&path, &suite).err(),
+        trained.save_file(&path).err(),
+    ];
+    for err in errors {
+        match err {
+            Some(hrp::core::CheckpointError::Io(msg)) => {
+                assert!(msg.contains(&format!("{path:?}")), "names {path:?}: {msg}");
+            }
+            other => panic!("expected an Io error naming the file, got {other:?}"),
+        }
+    }
+}

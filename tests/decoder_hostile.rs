@@ -63,7 +63,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn hrpq_blob() -> Vec<u8> {
-    save_weights(&QNet::new(6, &[8], 3, Head::Dueling, 5)).to_vec()
+    save_weights(&QNet::new(6, &[8], 3, Head::Dueling, 5))
 }
 
 fn hrpe_blob(suite: &Suite) -> Vec<u8> {
@@ -74,7 +74,7 @@ fn hrpe_blob(suite: &Suite) -> Vec<u8> {
         seed: 7,
         ..TrainConfig::quick()
     };
-    train(suite, cfg).0.save_bytes().to_vec()
+    train(suite, cfg).0.save_bytes()
 }
 
 fn placement_agent() -> PlacementAgent {
@@ -85,7 +85,7 @@ fn placement_agent() -> PlacementAgent {
 }
 
 fn hrpp_blob() -> Vec<u8> {
-    placement_agent().save_bytes().to_vec()
+    placement_agent().save_bytes()
 }
 
 /// Which selector tier a mid-run `HRPS` blob is taken from.
@@ -132,9 +132,7 @@ fn hrps_blob(suite: &Suite, tier: Tier) -> Vec<u8> {
     if matches!(tier, Tier::EasyAdmission) {
         assert!(svc.deferred_jobs() > 0, "the cut must catch parked jobs");
     }
-    svc.checkpoint()
-        .expect("a trace source checkpoints")
-        .to_vec()
+    svc.checkpoint().expect("a trace source checkpoints")
 }
 
 /// Decode a blob and, when it decodes, re-encode what came back. The
@@ -144,22 +142,22 @@ type Decode = fn(&Suite, Vec<u8>) -> Result<Vec<u8>, String>;
 fn decode_hrpq(_: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
     let mut net = QNet::new(6, &[8], 3, Head::Dueling, 99);
     load_weights(&mut net, &blob).map_err(|e| e.to_string())?;
-    Ok(save_weights(&net).to_vec())
+    Ok(save_weights(&net))
 }
 
 fn decode_hrpe(suite: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
-    let agent = TrainedAgent::load_bytes(blob.into(), suite).map_err(|e| e.to_string())?;
-    Ok(agent.save_bytes().to_vec())
+    let agent = TrainedAgent::load_bytes(blob, suite).map_err(|e| e.to_string())?;
+    Ok(agent.save_bytes())
 }
 
 fn decode_hrpp(_: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
-    let agent = PlacementExperiment::load_bytes(blob.into()).map_err(|e| e.to_string())?;
-    Ok(agent.save_bytes().to_vec())
+    let agent = PlacementExperiment::load_bytes(blob).map_err(|e| e.to_string())?;
+    Ok(agent.save_bytes())
 }
 
 fn decode_hrps(suite: &Suite, blob: Vec<u8>) -> Result<Vec<u8>, String> {
-    let service = restore(suite, blob.into()).map_err(|e| e.to_string())?;
-    Ok(service.checkpoint().map_err(|e| e.to_string())?.to_vec())
+    let service = restore(suite, blob).map_err(|e| e.to_string())?;
+    service.checkpoint().map_err(|e| e.to_string())
 }
 
 /// Every swept blob: name, bytes, decoder.
@@ -523,7 +521,7 @@ fn retired_hrps_versions_and_keys_are_typed_errors() {
     for version in [2u32, 3, 4] {
         let mut old = hrps_blob(&s, Tier::LeastLoaded);
         old[4..8].copy_from_slice(&version.to_le_bytes());
-        let (outcome, peak) = largest_request(|| restore(&s, old.into()).map(drop));
+        let (outcome, peak) = largest_request(|| restore(&s, old).map(drop));
         assert_eq!(
             outcome,
             Err(CheckpointError::BadVersion {
@@ -595,7 +593,7 @@ fn a_source_wider_than_its_nodes_is_a_typed_error() {
     let wide = tamper_spec(&hrps_blob(&s, Tier::LeastLoaded), "src_max_gpus", "3");
     for (key, value) in [("src_gang_share", "1.0"), ("src_kind", "colocate")] {
         let forged = tamper_spec(&wide, key, value);
-        match restore(&s, forged.into()).map(drop) {
+        match restore(&s, forged).map(drop) {
             Err(CheckpointError::Invalid {
                 format: "HRPS",
                 what,
@@ -645,9 +643,7 @@ fn one_node_blob(suite: &Suite, mean_gap: f64) -> Vec<u8> {
         }
     }
     svc.settle(now);
-    svc.checkpoint()
-        .expect("a trace source checkpoints")
-        .to_vec()
+    svc.checkpoint().expect("a trace source checkpoints")
 }
 
 /// Parent commit: every one of these decoded, and the restored service
@@ -746,7 +742,7 @@ fn forged_backfill_states_are_typed_errors() {
 /// far a section that decodes must be able to go. Returns the timeline
 /// and admission digests.
 fn drain_hrps(suite: &Suite, blob: Vec<u8>) -> Result<(u64, u64), String> {
-    let mut service = restore(suite, blob.into()).map_err(|e| e.to_string())?;
+    let mut service = restore(suite, blob).map_err(|e| e.to_string())?;
     service.run_to_close();
     let served = service.finish();
     let admission = served.admission.expect("the admission tier is on");
@@ -772,7 +768,7 @@ struct AdmissionAt {
 
 fn admission_at(suite: &Suite, blob: &[u8]) -> AdmissionAt {
     let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
-    let parked = restore(suite, blob.to_vec().into())
+    let parked = restore(suite, blob.to_vec())
         .expect("the untouched blob restores")
         .deferred_jobs();
     // The parked queue ends the blob: the one job record that `parked`
@@ -904,7 +900,7 @@ fn a_parked_job_under_quota_restores_and_goes_through_at_once() {
     let mut lifted = blob.clone();
     lifted[at.parked_user..at.parked_user + 4].copy_from_slice(&7u32.to_le_bytes());
 
-    let mut service = restore(&s, lifted.into()).expect("a consistent ledger");
+    let mut service = restore(&s, lifted).expect("a consistent ledger");
     let parked = service.deferred_jobs();
     service.settle(last_cycle);
     assert_eq!(service.deferred_jobs(), parked - 1, "tenant 7 is through");

@@ -8,10 +8,9 @@
 //! one non-test source line (the constant its module hands the codec),
 //! and the raw little-endian accessors of the `bytes` crate (which
 //! panic on underrun) and the spec's line split may appear nowhere but
-//! the codec module. The vendored `bytes` stand-in no longer has those
-//! accessors at all — its cursor and builder half (`Buf`, `BufMut`,
-//! `BytesMut`, `split_to`) lost its last caller to the codec and was
-//! deleted — and the scan keeps it that way.
+//! the codec module. Blobs are plain `Vec<u8>`, and no crate grows a
+//! cursor or builder (`Buf`, `BufMut`, `BytesMut`, `split_to`) beside
+//! the codec.
 
 mod scan;
 use scan::{crate_src_dirs, non_test_hits, rust_sources};
@@ -62,9 +61,7 @@ fn byte_and_spec_plumbing_lives_in_the_codec_module_alone() {
 
 #[test]
 fn the_bytes_stand_in_stays_an_immutable_buffer() {
-    let mut dirs = crate_src_dirs();
-    dirs.push("vendor/bytes/src".to_owned());
-    for (path, text) in rust_sources(&dirs) {
+    for (path, text) in rust_sources(&crate_src_dirs()) {
         for gone in ["BytesMut", "BufMut", "trait Buf", "bytes::Buf", "split_to("] {
             assert!(
                 !text.contains(gone),

@@ -13,7 +13,8 @@
 //! gone. And there is one test tier: no test but a pin printer is
 //! ignored. And no library code holds `unsafe`: every crate root forbids
 //! it, but `hrp-cluster`'s, which denies it so that one test allocator
-//! may opt back in.
+//! may opt back in. And the build has one stand-in per third-party crate
+//! a line of code uses: `vendor/` holds `proptest` and `rand` only.
 
 mod scan;
 use scan::{crate_src_dirs, non_test_hits, non_test_lines, rust_sources};
@@ -373,4 +374,31 @@ fn an_event_stream_has_one_representation() {
         .0;
     assert!(kinds.contains("job_ids: &'a [usize]"), "ids are borrowed");
     assert!(!kinds.contains("Vec<"), "an event view owns nothing");
+}
+
+#[test]
+fn only_the_used_stand_ins_are_vendored() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut vendored: Vec<_> = std::fs::read_dir(root.join("vendor"))
+        .expect("vendor directory")
+        .map(|entry| entry.expect("readable entry").file_name())
+        .collect();
+    vendored.sort();
+    assert_eq!(
+        vendored,
+        ["proptest", "rand"],
+        "vendor/ holds what code uses"
+    );
+    let crates = crate_src_dirs()
+        .into_iter()
+        .map(|dir| dir.replace("/src", "/Cargo.toml"));
+    for manifest in crates.chain(["Cargo.toml".to_owned()]) {
+        let text = std::fs::read_to_string(root.join(&manifest)).expect("readable manifest");
+        for gone in ["serde", "serde_derive", "parking_lot", "bytes"] {
+            assert!(
+                !text.contains(gone),
+                "{manifest} names {gone}: nothing uses it"
+            );
+        }
+    }
 }
