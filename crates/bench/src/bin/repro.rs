@@ -30,12 +30,10 @@
 //!
 //! `--quick` shrinks the network and episode count for smoke runs; the
 //! defaults reproduce the paper-scale configuration. `--threads N` caps
-//! the worker threads; results are identical for any count. `--overlap`
-//! (double-buffered rounds, one round of policy staleness) and
-//! `--shards N` (sharded replay) change training semantics
-//! deterministically (`ARCHITECTURE.md`); `--env hierarchical` trains the
-//! paper's two-level MIG → MPS formulation and adds a flat-trained
-//! reference row to the evaluation tables.
+//! the worker threads; results are identical for any count.
+//! `--env hierarchical` trains the paper's two-level MIG → MPS
+//! formulation and adds a flat-trained reference row to the evaluation
+//! tables.
 //!
 //! `cluster` simulates `--nodes N` nodes on a `--trace` kind under a
 //! `--selector`: `policy` first trains an RL placement agent on same-kind
@@ -81,7 +79,7 @@ use hrp_bench::eval::{
 };
 use hrp_bench::obs::{fig3_mps_sweep, fig4_bandwidth, fig5_variants, FIG5_MIX};
 use hrp_bench::report::{f3, Table};
-use hrp_cluster::trace::TraceKind;
+use hrp_cluster::trace::{TraceKind, MAX_USERS};
 use hrp_cluster::SelectorKind;
 use hrp_core::actions::{mig_mps_space, mps_only_space, training_search_space};
 use hrp_core::metrics::{arithmetic_mean, QueueMetrics};
@@ -101,10 +99,6 @@ struct Options {
     out: Option<PathBuf>,
     /// Rollout/evaluation worker threads (0 = available parallelism).
     threads: usize,
-    /// Double-buffered (overlapped) training rounds.
-    overlap: bool,
-    /// Replay shards (1 = classic single ring).
-    shards: usize,
     /// Environment formulation the RL agent trains on.
     env: EnvKind,
     /// Simulated nodes for the `cluster` command.
@@ -149,8 +143,6 @@ impl Options {
         let mut cfg = TrainConfig::paper();
         cfg.seed = self.seed;
         cfg.n_workers = self.threads;
-        cfg.overlap = self.overlap;
-        cfg.shards = self.shards;
         cfg.env = self.env;
         if self.quick {
             cfg.hidden = vec![128, 64];
@@ -229,8 +221,6 @@ const FLAGS: &[Flag] = &[
     flag("--seed", "N", seeded, |o, f, raw| o.seed = number(f, raw)),
     flag("--threads", "N", |c| trains(c) || evaluates(c) || c == "cluster",
          |o, f, raw| o.threads = number(f, raw)),
-    flag("--overlap", "", trains, |o, _, _| o.overlap = true),
-    flag("--shards", "N", trains, |o, f, raw| o.shards = checked(f, raw, "at least 1", |n| *n > 0)),
     flag("--env", "flat|hierarchical", trains,
          |o, f, raw| o.env = EnvKind::parse(raw).unwrap_or_else(|_| unknown(f, raw))),
     flag("--nodes", "N", places,
@@ -250,7 +240,10 @@ const FLAGS: &[Flag] = &[
     }),
     flag("--rate", "F", serves, |o, f, raw| o.rate = positive_finite(f, raw)),
     flag("--duration", "F", serves, |o, f, raw| o.duration = positive_finite(f, raw)),
-    flag("--users", "N", places, |o, f, raw| o.users = checked(f, raw, "at least 1", |n| *n > 0)),
+    flag("--users", "N", places, |o, f, raw| {
+        o.users = checked(f, raw, &format!("at least 1 and at most {MAX_USERS}"),
+                          |n| (1..=MAX_USERS).contains(n));
+    }),
     flag("--user-skew", "F", places, |o, f, raw| o.user_skew = Some(positive_finite(f, raw))),
     flag("--quota", "N", serves,
          |o, f, raw| o.quota = Some(checked(f, raw, "at least 1", |n| *n > 0))),
@@ -372,8 +365,6 @@ fn main() {
         seed: 42,
         out: Some(PathBuf::from("results")),
         threads: 0,
-        overlap: false,
-        shards: 1,
         env: EnvKind::Flat,
         nodes: 1,
         selector: SelectorKind::RoundRobin,

@@ -14,8 +14,7 @@
 //!
 //! The `repro` binary stitches these into one subcommand per figure and
 //! table of the paper, emitting TSV tables under `results/` (see the
-//! README's "Reproducing the paper" section for flags, including the
-//! `--overlap`/`--shards` training-pipeline knobs).
+//! README's "Reproducing the paper" section for flags).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

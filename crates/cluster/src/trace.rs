@@ -226,6 +226,12 @@ impl TraceConfig {
 /// that every tenant appears in modest traces.
 pub const DEFAULT_USER_SKEW: f64 = 1.4;
 
+/// Most tenants a trace or load generator may tag arrivals with:
+/// [`user_popularity`] sizes its table from the count, so the count is
+/// bounded wherever it comes from outside (the `--users` flag, an
+/// `HRPS` spec).
+pub const MAX_USERS: u32 = 65_536;
+
 /// Salt decoupling the tenant draw from the [`TraceConfig::gang_share`]
 /// widening hash (both are keyed on `(seed, job.id)`).
 const USER_SALT: u64 = 0x7e9a_1b5c_3d2f_4e61;

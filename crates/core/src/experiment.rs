@@ -183,8 +183,9 @@ fn encode_spec(cfg: &TrainConfig) -> SpecWriter {
 }
 
 /// Decode the spec: every [`TrainConfig`] field exactly once, in any
-/// order. The network-shaping values (`hidden`, `buffer_capacity`,
-/// `shards`) are range-checked by [`load_agent`] against the weights.
+/// order. The network-shaping values (`hidden`, `buffer_capacity`)
+/// are range-checked by [`load_agent`] against the weights; `overlap`
+/// and `shards` must hold the one value [`crate::train::train`] accepts.
 fn decode_spec(mut spec: Spec<'_>) -> Result<TrainConfig, CheckpointError> {
     let cfg = TrainConfig {
         w: spec.get_in("w", 1..=MAX_WINDOW)?,
@@ -211,8 +212,9 @@ fn decode_spec(mut spec: Spec<'_>) -> Result<TrainConfig, CheckpointError> {
         eps_end: spec.get("eps_end")?,
         n_workers: spec.get("n_workers")?,
         rollout_round: spec.get("rollout_round")?,
-        overlap: spec.get("overlap")?,
-        shards: spec.get("shards")?,
+        // Retired knobs: still written, and only their one value read.
+        overlap: spec.get_in("overlap", false..=false)?,
+        shards: spec.get_in("shards", 1..=1)?,
         env: spec.get_with("env", EnvKind::parse)?,
     };
     spec.finish()?;
@@ -232,8 +234,6 @@ mod tests {
     fn spec_round_trips_every_field() {
         let mut cfg = TrainConfig::paper();
         cfg.env = EnvKind::Hierarchical;
-        cfg.overlap = true;
-        cfg.shards = 4;
         cfg.lr = 3.3e-4;
         cfg.profile_noise = 0.123_456_789;
         cfg.engine.mig_reconfig_overhead = 2.5;

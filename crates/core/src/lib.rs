@@ -25,9 +25,8 @@
 //!   reachable decisions as the flat catalog;
 //! * [`mod@train`] — offline training of a dueling double DQN over randomly
 //!   generated job queues, run as a parallel rollout/learner pipeline
-//!   ([`train::train_env`], generic over the env/learner pair) with
-//!   optional double-buffered (overlapped) rounds and sharded
-//!   replay — bit-identical for any worker count (see
+//!   ([`train::train_env`], generic over the env/learner pair) —
+//!   roll out, store, learn, bit-identical for any worker count (see
 //!   `ARCHITECTURE.md`, "Determinism contract");
 //! * [`mod@experiment`] — `HRPE` spec+weights checkpoints of a trained
 //!   agent, which reload to identical greedy decisions;

@@ -207,7 +207,9 @@ pub trait Learner {
     /// [`greedy_rollout`] acts through a snapshot).
     fn greedy_action(&self, state: &[f32], mask: u64) -> usize;
 
-    /// Store a transition in replay shard `shard`.
+    /// Store a transition in the replay ring. The pipeline always
+    /// passes `shard` = 0: the name and the argument stay only because
+    /// the frozen `benchmark/` implements this method (ROADMAP item 2f).
     fn remember_to(&mut self, shard: usize, t: Transition);
 
     /// Take one learning step (a no-op until enough data is stored).

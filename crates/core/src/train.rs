@@ -1,4 +1,4 @@
-//! Offline training (paper Fig. 7, left half) as a **generic parallel
+//! Offline training (paper Fig. 7, left half) as a **parallel
 //! rollout/learner pipeline**.
 //!
 //! The paper trains the dueling double DQN by repeatedly co-running job
@@ -16,41 +16,30 @@
 //! 1. the learner freezes a [`Learner::Snapshot`] of its policy;
 //! 2. up to [`TrainConfig::n_workers`] rollout workers
 //!    (`std::thread::scope`) claim the round's episodes from an atomic
-//!    queue and step factory-made episodes against the frozen
+//!    counter and step factory-made episodes against the frozen
 //!    snapshot, each with an **independent RNG stream seeded from
 //!    `(seed, episode)`**, streaming finished episodes through an mpsc
 //!    channel;
-//! 3. the single learner thread consumes episodes **in episode order**
-//!    (buffering out-of-order arrivals), routes their transitions into
-//!    the replay shard `episode % shards` (see
-//!    [`hrp_nn::ShardedReplay`]), and runs two gradient steps per
-//!    environment step — overlapping with the workers still rolling
-//!    the rest of the round.
+//! 3. the learner, on the calling thread, consumes episodes **in
+//!    episode order** (buffering out-of-order arrivals), stores their
+//!    transitions in the replay ring and runs two gradient steps per
+//!    environment step — while the workers still roll the rest of the
+//!    round.
 //!
-//! With [`TrainConfig::overlap`] **off** (the barrier pipeline), round
-//! `r + 1` only starts after round `r` is fully learned, so workers
-//! always roll against the freshest weights. With overlap **on**
-//! (double-buffered snapshots), round `r + 1` is launched *before* the
-//! learner consumes round `r`: its snapshot reflects learning through
-//! round `r − 1`, hiding the learner's gradient work behind the next
-//! round's rollouts at a **policy staleness of exactly one round** —
-//! measured by [`TrainReport::max_snapshot_lag`] (`0` barrier, `1`
-//! overlapped) and pinned by the staleness tests.
+//! The next round's snapshot is frozen only after this round is fully
+//! learned, so workers always roll against the freshest weights: roll
+//! out, store, learn, as the paper trains.
 //!
 //! Because every episode's rollout depends only on its round's snapshot
-//! (a deterministic function of which rounds were learned at spawn
-//! time) and its own seed, and the learner consumes in a fixed order,
-//! the trained weights are **bit-identical for any worker count** in
-//! both modes: worker parallelism is an execution detail, not a
-//! semantic knob. The `overlap`/`shards` pair *is* semantic (one round
-//! of staleness, stratified sampling) — which is why the barrier
-//! pipeline stays selectable for equivalence testing.
+//! and its own seed, and the learner consumes in a fixed order, the
+//! trained weights are **bit-identical for any worker count**: worker
+//! parallelism is an execution detail, not a semantic knob.
 //!
 //! [`train`] wires the default pair — [`CoScheduleEnv`] (or
 //! [`crate::hierarchy::HierarchicalEnv`] under
 //! [`TrainConfig::env`] = [`EnvKind::Hierarchical`]) with [`DqnAgent`] —
-//! through [`train_env`]; for the flat pair the redesigned pipeline is
-//! bit-for-bit identical to the pre-trait implementation (pinned by
+//! through [`train_env`]; for the flat pair the pipeline is bit-for-bit
+//! identical to the pre-trait implementation (pinned by
 //! `tests/golden_train.rs`).
 
 use crate::actions::ActionCatalog;
@@ -71,22 +60,18 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 
 /// Training configuration.
 ///
-/// [`TrainConfig::paper`] is the paper's Table VI setup with the
-/// conservative pipeline (barrier rounds, single replay ring);
-/// [`TrainConfig::quick`] shrinks it for tests. The scaling knobs
-/// compose freely:
+/// [`TrainConfig::paper`] is the paper's Table VI setup;
+/// [`TrainConfig::quick`] shrinks it for tests:
 ///
 /// ```
 /// use hrp_core::train::TrainConfig;
 ///
 /// let cfg = TrainConfig {
-///     n_workers: 4,  // execution detail: results identical for any value
-///     overlap: true, // semantic: one round of policy staleness
-///     shards: 4,     // semantic: stratified sampling over 4 rings
+///     n_workers: 4, // execution detail: results identical for any value
 ///     ..TrainConfig::paper()
 /// };
 /// assert_eq!(cfg.w, 12);
@@ -136,20 +121,17 @@ pub struct TrainConfig {
     /// wall-clock only — results are identical for any value.
     pub n_workers: usize,
     /// Episodes rolled out against one weight snapshot. Part of the
-    /// training semantics (unlike `n_workers`): it bounds both policy
-    /// staleness and the worker parallelism usable per round.
+    /// training semantics (unlike `n_workers`): it sets how often the
+    /// snapshot is refreshed and the worker parallelism usable per
+    /// round.
     pub rollout_round: usize,
-    /// Overlap training rounds (double-buffered snapshots): roll round
-    /// `r + 1` against the weights learned through round `r − 1` while
-    /// the learner consumes round `r`. Hides learner latency behind
-    /// rollouts at a fixed policy staleness of exactly one round; `false`
-    /// keeps the hard rollout/learn barrier (the PR 1 pipeline).
+    /// Always `false`: the overlapped rounds are retired and [`train`]
+    /// refuses `true`. Kept only because the frozen `benchmark/` names
+    /// it (ROADMAP item 2f).
     pub overlap: bool,
-    /// Replay shards ([`hrp_nn::ShardedReplay`]): transitions are routed
-    /// by episode index and minibatches drawn stratified across shards.
-    /// `1` reproduces the single-ring sampling bit-for-bit; values `> 1`
-    /// change the sampling schedule (semantic, like `overlap`) but stay
-    /// invariant to the worker count.
+    /// Always `1`: the agent keeps one replay ring and [`train`] refuses
+    /// any other value. Kept only because the frozen `benchmark/` names
+    /// it (ROADMAP item 2f).
     pub shards: usize,
     /// Which environment formulation to train on: the flat 29-action
     /// catalog, or the paper's two-level MIG → MPS hierarchy.
@@ -233,9 +215,9 @@ pub struct PipelineConfig {
     pub n_workers: usize,
     /// Episodes rolled out against one snapshot.
     pub rollout_round: usize,
-    /// Double-buffered rounds (one round of policy staleness).
+    /// Always `false`, as [`TrainConfig::overlap`].
     pub overlap: bool,
-    /// Replay shards (episode-index routed).
+    /// Always `1`, as [`TrainConfig::shards`].
     pub shards: usize,
 }
 
@@ -248,7 +230,7 @@ impl From<&TrainConfig> for PipelineConfig {
             n_workers: cfg.n_workers,
             rollout_round: cfg.rollout_round,
             overlap: cfg.overlap,
-            shards: cfg.shards.max(1),
+            shards: cfg.shards,
         }
     }
 }
@@ -343,11 +325,6 @@ pub struct TrainReport {
     pub late_return: f64,
     /// Mean measured throughput gain (r_f) per group in the last 10%.
     pub late_rf: f64,
-    /// Maximum observed policy staleness, in rounds: for each round, how
-    /// many rounds had been *rolled out but not yet learned* when its
-    /// snapshot was frozen. `0` for the barrier pipeline, exactly `1`
-    /// for [`TrainConfig::overlap`] (from the second round on).
-    pub max_snapshot_lag: usize,
 }
 
 /// A completed rollout, queued for the learner.
@@ -357,41 +334,31 @@ struct EpisodeResult {
     rfs: Vec<f64>,
 }
 
-/// An in-flight rollout round: its episode stream plus identity. In
-/// overlap mode one of these is pending while the next round's workers
-/// are already rolling.
-struct InflightRound {
-    rx: mpsc::Receiver<(usize, EpisodeResult)>,
-    start: usize,
-    len: usize,
-}
-
 /// The learner's mutable accumulators. Only the training thread touches
 /// them; rollout workers communicate exclusively through the round
 /// channel, so consumption order — and therefore every weight update —
 /// is a pure function of the episode stream.
 struct LearnerState<L: Learner> {
     learner: L,
-    shards: usize,
     step_count: u64,
     returns: Vec<f64>,
     rf_hist: Vec<(usize, f64)>,
 }
 
 impl<L: Learner> LearnerState<L> {
-    /// Drain one round: consume episodes **in episode order** (buffering
-    /// out-of-order arrivals), route transitions to replay shard
-    /// `episode % shards`, and take two gradient steps per environment
+    /// Drain the round of `len` episodes from `start`: consume episodes
+    /// **in episode order** (buffering out-of-order arrivals), store
+    /// each transition, and take two gradient steps per environment
     /// step.
-    fn consume(&mut self, round: InflightRound) {
+    fn consume(&mut self, rx: mpsc::Receiver<(usize, EpisodeResult)>, start: usize, len: usize) {
         let mut stash: BTreeMap<usize, EpisodeResult> = BTreeMap::new();
-        let mut next_to_learn = round.start;
-        for (ep, result) in round.rx {
+        let mut next_to_learn = start;
+        for (ep, result) in rx {
             stash.insert(ep, result);
             while let Some(result) = stash.remove(&next_to_learn) {
                 for (t, rf) in result.transitions.into_iter().zip(result.rfs) {
                     self.rf_hist.push((next_to_learn, rf));
-                    self.learner.remember_to(next_to_learn % self.shards, t);
+                    self.learner.remember_to(0, t);
                     // Two gradient steps per environment step: co-runs
                     // are expensive to "measure", gradients are cheap.
                     self.learner.learn();
@@ -403,7 +370,7 @@ impl<L: Learner> LearnerState<L> {
             }
         }
         assert!(stash.is_empty(), "rollout worker lost an episode");
-        assert_eq!(next_to_learn, round.start + round.len);
+        assert_eq!(next_to_learn, start + len);
     }
 }
 
@@ -466,13 +433,13 @@ fn rollout_episode<F: EnvFactory, S: SnapshotPolicy>(
 /// from `(cfg.seed, e)`; the ε schedule decays over the first half of
 /// `episodes × factory.episode_steps_hint() / 2` expected steps. All
 /// pipeline guarantees of the [module docs](self) — worker-count
-/// invariance, barrier/overlap staleness bounds, episode-order
-/// learning — hold for any pair.
+/// invariance, episode-order learning — hold for any pair.
 ///
 /// Returns the learner (now trained) plus the [`TrainReport`].
 ///
 /// # Panics
-/// Panics if `ctxs` is empty or a rollout worker panics
+/// Panics if `ctxs` is empty, if `cfg.overlap` is set or `cfg.shards`
+/// is not `1` (both retired), or if a rollout worker panics
 /// (environment invariant violation).
 pub fn train_env<F: EnvFactory, L: Learner>(
     factory: &F,
@@ -481,6 +448,11 @@ pub fn train_env<F: EnvFactory, L: Learner>(
     cfg: &PipelineConfig,
 ) -> (L, TrainReport) {
     assert!(!ctxs.is_empty(), "need at least one training context");
+    assert!(
+        !cfg.overlap && cfg.shards == 1,
+        "overlapped rounds and sharded replay are retired: overlap must be false \
+         and shards 1 (ROADMAP item 2f)"
+    );
     // ε decays over the first ~half of the expected steps, leaving the
     // rest for near-greedy fine-tuning.
     let expected_steps = (cfg.episodes * factory.episode_steps_hint() / 2).max(1) as u64;
@@ -492,51 +464,26 @@ pub fn train_env<F: EnvFactory, L: Learner>(
 
     let round_len_cfg = cfg.rollout_round.max(1);
     let workers = resolve_threads(cfg.n_workers);
-    let shards = cfg.shards.max(1);
     let mut learner = LearnerState {
         learner,
-        shards,
         step_count: 0,
         returns: Vec::with_capacity(cfg.episodes),
         rf_hist: Vec::new(),
     };
-    let mut max_snapshot_lag = 0usize;
 
-    // One scope spans all rounds so that, in overlap mode, the workers
-    // of round r + 1 can already be rolling while round r is consumed.
-    // Snapshots and the episode queue are Arc'd because two rounds'
-    // workers are alive at once.
-    std::thread::scope(|scope| {
-        let mut inflight: Option<InflightRound> = None;
-        let mut spawned_rounds = 0usize;
-        let mut learned_rounds = 0usize;
-        let mut round_start = 0usize;
-        while round_start < cfg.episodes {
-            let round_len = round_len_cfg.min(cfg.episodes - round_start);
-            if !cfg.overlap {
-                // Barrier pipeline: finish learning the previous round
-                // before freezing this round's snapshot.
-                if let Some(prev) = inflight.take() {
-                    learner.consume(prev);
-                    learned_rounds += 1;
-                }
-            }
-
-            // Freeze the snapshot the round's workers act against. In
-            // overlap mode the previous round is still unlearned here,
-            // so the snapshot lags by exactly one round.
-            let snapshot = Arc::new(learner.learner.snapshot());
-            max_snapshot_lag = max_snapshot_lag.max(spawned_rounds - learned_rounds);
-
-            let base_step = learner.step_count;
-            let next_episode = Arc::new(AtomicUsize::new(0));
-            let (tx, rx) = mpsc::channel::<(usize, EpisodeResult)>();
+    let mut round_start = 0usize;
+    while round_start < cfg.episodes {
+        let round_len = round_len_cfg.min(cfg.episodes - round_start);
+        // Freeze the snapshot the round's workers act against: the
+        // weights learned through the previous round.
+        let snapshot = learner.learner.snapshot();
+        let base_step = learner.step_count;
+        let next_episode = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<(usize, EpisodeResult)>();
+        std::thread::scope(|scope| {
             for _ in 0..workers.min(round_len) {
                 let tx = tx.clone();
-                let next_episode = Arc::clone(&next_episode);
-                let snapshot = Arc::clone(&snapshot);
-                let eps = &eps;
-                let seed = cfg.seed;
+                let (snapshot, next_episode, eps) = (&snapshot, &next_episode, &eps);
                 scope.spawn(move || loop {
                     let k = next_episode.fetch_add(1, Ordering::Relaxed);
                     if k >= round_len {
@@ -546,46 +493,26 @@ pub fn train_env<F: EnvFactory, L: Learner>(
                     let result = rollout_episode(
                         factory,
                         &ctxs[ep % ctxs.len()],
-                        &*snapshot,
+                        snapshot,
                         eps,
                         base_step,
-                        episode_rng(seed, ep),
+                        episode_rng(cfg.seed, ep),
                     );
-                    // The learner outlives the workers inside this
-                    // scope, so the send only fails on learner panic.
+                    // The learner drains the channel inside this scope,
+                    // so the send only fails on learner panic.
                     let _ = tx.send((ep, result));
                 });
             }
             drop(tx);
-            let this = InflightRound {
-                rx,
-                start: round_start,
-                len: round_len,
-            };
-            spawned_rounds += 1;
-
-            if cfg.overlap {
-                // Double buffering: learn the previous round while this
-                // round's workers roll against their (one-round-stale)
-                // snapshot.
-                if let Some(prev) = inflight.take() {
-                    learner.consume(prev);
-                    learned_rounds += 1;
-                }
-            }
-            inflight = Some(this);
-            round_start += round_len;
-        }
-        if let Some(last) = inflight.take() {
-            learner.consume(last);
-        }
-    });
+            learner.consume(rx, round_start, round_len);
+        });
+        round_start += round_len;
+    }
     let LearnerState {
         learner,
         step_count,
         returns,
         rf_hist,
-        ..
     } = learner;
 
     let tenth = (cfg.episodes / 10).max(1);
@@ -609,7 +536,6 @@ pub fn train_env<F: EnvFactory, L: Learner>(
         early_return,
         late_return,
         late_rf,
-        max_snapshot_lag,
     };
     (learner, report)
 }
@@ -627,7 +553,7 @@ pub(crate) fn dqn_config(cfg: &TrainConfig, state_dim: usize, n_actions: usize) 
         batch_size: cfg.batch_size,
         target_sync_every: cfg.target_sync_every,
         buffer_capacity: cfg.buffer_capacity,
-        shards: cfg.shards.max(1),
+        shards: cfg.shards,
         huber_delta: 1.0,
         double: cfg.double,
         head: if cfg.dueling {
@@ -656,10 +582,7 @@ pub(crate) fn env_geometry(cfg: &TrainConfig, catalog: &ActionCatalog) -> (usize
 ///
 /// Returns the deployable [`TrainedAgent`] plus a [`TrainReport`] of
 /// learning statistics. For a fixed config the result is bit-identical
-/// on every machine and for every [`TrainConfig::n_workers`] value;
-/// [`TrainConfig::overlap`] and [`TrainConfig::shards`] change the
-/// result (deterministically) because staleness and sampling order are
-/// training semantics.
+/// on every machine and for every [`TrainConfig::n_workers`] value.
 ///
 /// ```no_run
 /// use hrp_core::train::{train, TrainConfig};
@@ -668,17 +591,18 @@ pub(crate) fn env_geometry(cfg: &TrainConfig, catalog: &ActionCatalog) -> (usize
 ///
 /// let suite = Suite::paper_suite(&GpuArch::a100());
 /// let cfg = TrainConfig {
-///     overlap: true,
-///     shards: 4,
+///     n_workers: 4,
 ///     ..TrainConfig::quick()
 /// };
 /// let (trained, report) = train(&suite, cfg);
-/// assert!(report.max_snapshot_lag <= 1);
+/// assert_eq!(report.episodes, 250);
 /// assert!(trained.dqn().learn_steps() > 0);
 /// ```
 ///
 /// # Panics
-/// Panics if a rollout worker panics (environment invariant violation).
+/// Panics if [`TrainConfig::overlap`] is set or [`TrainConfig::shards`]
+/// is not `1` (both retired), or if a rollout worker panics
+/// (environment invariant violation).
 #[must_use]
 pub fn train(suite: &Suite, cfg: TrainConfig) -> (TrainedAgent, TrainReport) {
     let arch = suite.arch().clone();
@@ -792,69 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_training_invariant_to_worker_count() {
-        // The double-buffered pipeline keeps the same guarantee: with
-        // overlap on and sharded replay, weights are still bit-identical
-        // for any worker count.
-        let suite = Suite::paper_suite(&GpuArch::a100());
-        let mut cfg = TrainConfig::quick();
-        cfg.episodes = 16;
-        cfg.rollout_round = 4;
-        cfg.overlap = true;
-        cfg.shards = 4;
-        cfg.n_workers = 1;
-        let (trained_1, r1) = train(&suite, cfg.clone());
-        cfg.n_workers = 4;
-        let (trained_4, r4) = train(&suite, cfg);
-        assert_eq!(r1, r4, "overlap reports must match across worker counts");
-        let probe = vec![0.25f32; trained_1.config().w * JOB_FEATURES];
-        assert_eq!(
-            trained_1.dqn().q_values(&probe),
-            trained_4.dqn().q_values(&probe),
-            "overlap weights must match across worker counts"
-        );
-    }
-
-    #[test]
-    fn single_round_overlap_equals_barrier_exactly() {
-        // With everything in one round there is no previous round to
-        // overlap with, so the two pipelines must coincide bit-for-bit —
-        // the code-path equivalence check between overlap=true and the
-        // PR 1 barrier pipeline.
-        let suite = Suite::paper_suite(&GpuArch::a100());
-        let mut cfg = TrainConfig::quick();
-        cfg.episodes = 8;
-        cfg.rollout_round = 8;
-        cfg.overlap = false;
-        let (trained_b, rb) = train(&suite, cfg.clone());
-        cfg.overlap = true;
-        let (trained_o, ro) = train(&suite, cfg);
-        assert_eq!(rb, ro);
-        let probe = vec![0.25f32; trained_b.config().w * JOB_FEATURES];
-        assert_eq!(
-            trained_b.dqn().q_values(&probe),
-            trained_o.dqn().q_values(&probe)
-        );
-    }
-
-    #[test]
-    fn snapshot_staleness_is_exactly_one_round_under_overlap() {
-        let suite = Suite::paper_suite(&GpuArch::a100());
-        let mut cfg = TrainConfig::quick();
-        cfg.episodes = 24;
-        cfg.rollout_round = 8;
-        cfg.overlap = false;
-        let (_, barrier) = train(&suite, cfg.clone());
-        assert_eq!(barrier.max_snapshot_lag, 0, "barrier must never lag");
-        cfg.overlap = true;
-        let (_, overlapped) = train(&suite, cfg);
-        assert_eq!(
-            overlapped.max_snapshot_lag, 1,
-            "overlap staleness is bounded at exactly one round"
-        );
-    }
-
-    #[test]
     fn hierarchical_training_runs_through_the_same_pipeline() {
         let suite = Suite::paper_suite(&GpuArch::a100());
         let mut cfg = TrainConfig::quick();
@@ -885,14 +746,12 @@ mod tests {
     fn hierarchical_training_invariant_to_worker_count() {
         // The worker-invariance guarantee is a property of the generic
         // pipeline, so it must hold for the second env implementation
-        // too — including under overlap + shards.
+        // too.
         let suite = Suite::paper_suite(&GpuArch::a100());
         let mut cfg = TrainConfig::quick();
         cfg.env = EnvKind::Hierarchical;
         cfg.episodes = 12;
         cfg.rollout_round = 4;
-        cfg.overlap = true;
-        cfg.shards = 2;
         cfg.n_workers = 1;
         let (trained_1, r1) = train(&suite, cfg.clone());
         cfg.n_workers = 4;

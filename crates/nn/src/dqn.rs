@@ -12,8 +12,7 @@
 use crate::infer::{FastPolicy, InferScratch};
 use crate::net::{Head, PredictScratch, QNet};
 use crate::opt::Adam;
-use crate::replay::{MiniBatch, Transition};
-use crate::sharded::ShardedReplay;
+use crate::replay::{MiniBatch, ReplayBuffer, Transition};
 use crate::tensor::{masked_argmax, masked_argmax_batch, masked_argmax_tiebreak, masked_uniform};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,11 +34,11 @@ pub struct DqnConfig {
     pub batch_size: usize,
     /// Sync the target network every this many learning steps.
     pub target_sync_every: u64,
-    /// Replay-buffer capacity: total across all shards, rounded up to a
-    /// multiple of `shards` (see [`ShardedReplay::new`]).
+    /// Replay-buffer capacity.
     pub buffer_capacity: usize,
-    /// Replay shards ([`ShardedReplay`]); `1` = the classic single ring
-    /// with bit-identical sampling.
+    /// Always `1`: the agent keeps one replay ring, and
+    /// [`DqnAgent::new`] refuses any other value. The field stays only
+    /// because the frozen `benchmark/` names it (ROADMAP item 2f).
     pub shards: usize,
     /// Huber loss transition point.
     pub huber_delta: f32,
@@ -125,7 +124,7 @@ pub struct DqnAgent {
     online: QNet,
     target: QNet,
     adam: Adam,
-    buffer: ShardedReplay,
+    buffer: ReplayBuffer,
     rng: SmallRng,
     learn_steps: u64,
     /// Inference scratch of the bootstrap passes of `learn`.
@@ -142,8 +141,15 @@ pub struct DqnAgent {
 
 impl DqnAgent {
     /// Build an agent (target starts as a copy of the online network).
+    ///
+    /// # Panics
+    /// Panics if `cfg.shards` is not `1` or `cfg.buffer_capacity` is 0.
     #[must_use]
     pub fn new(cfg: DqnConfig) -> Self {
+        assert_eq!(
+            cfg.shards, 1,
+            "sharded replay is retired: DqnConfig::shards must be 1 (ROADMAP item 2f)"
+        );
         let online = QNet::new(
             cfg.state_dim,
             &cfg.hidden,
@@ -160,7 +166,7 @@ impl DqnAgent {
         );
         target.copy_weights_from(&online);
         let adam = Adam::new(online.num_params(), cfg.lr);
-        let buffer = ShardedReplay::new(cfg.buffer_capacity, cfg.shards.max(1));
+        let buffer = ReplayBuffer::new(cfg.buffer_capacity);
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5eed);
         Self {
             cfg,
@@ -224,21 +230,23 @@ impl DqnAgent {
         FastPolicy::new(&self.online).greedy(state, mask, &mut InferScratch::default())
     }
 
-    /// Store a transition, routing replay shards round-robin.
+    /// Store a transition in the replay ring.
     pub fn remember(&mut self, t: Transition) {
         debug_assert_eq!(t.state.len(), self.cfg.state_dim);
         self.buffer.push(t);
     }
 
-    /// Store a transition in an explicit replay shard. The training
-    /// pipeline routes by **episode index** (`episode % shards`), so
-    /// shard contents are invariant to the rollout worker count.
+    /// [`DqnAgent::remember`] under the name the frozen `benchmark/`
+    /// calls; the one ring is shard `0` (ROADMAP item 2f).
     ///
     /// # Panics
-    /// Panics if `shard >= config().shards`.
+    /// Panics if `shard` is not `0`.
     pub fn remember_to(&mut self, shard: usize, t: Transition) {
-        debug_assert_eq!(t.state.len(), self.cfg.state_dim);
-        self.buffer.push_to(shard, t);
+        assert_eq!(
+            shard, 0,
+            "sharded replay is retired: the one ring is shard 0 (ROADMAP item 2f)"
+        );
+        self.remember(t);
     }
 
     /// One batched learning step (a mini-batch of SGD on the TD error).
@@ -493,15 +501,6 @@ mod tests {
         let a = run_chain(DqnAgent::new(chain_cfg()), 50);
         let b = run_chain(DqnAgent::new(chain_cfg()), 50);
         assert_eq!(a.q_values(&[1.0, 0.0]), b.q_values(&[1.0, 0.0]));
-    }
-
-    #[test]
-    fn sharded_agent_also_learns_the_chain() {
-        let mut cfg = chain_cfg();
-        cfg.shards = 4;
-        let agent = run_chain(DqnAgent::new(cfg), 300);
-        assert_eq!(agent.greedy_action(&[1.0, 0.0], 0b11), 1);
-        assert_eq!(agent.greedy_action(&[0.0, 1.0], 0b11), 0);
     }
 
     #[test]

@@ -18,10 +18,6 @@
 //!   one fused sweep per step;
 //! * [`replay`] — a ring replay buffer with action masking support and
 //!   contiguous-minibatch sampling ([`replay::MiniBatch`]);
-//! * [`sharded`] — experience replay sharded into independent rings
-//!   ([`sharded::ShardedReplay`]) with stratified, deterministically
-//!   scheduled minibatch sampling; one shard degenerates bit-for-bit to
-//!   the single ring;
 //! * [`schedule`] — the exploration schedule: linear ε decay from 1.0
 //!   to a configured floor (the paper quotes 0.01; training exposes it
 //!   as `TrainConfig::eps_end`), then ε = 0 online;
@@ -56,7 +52,6 @@ pub mod opt;
 pub mod replay;
 pub mod schedule;
 pub mod serialize;
-pub mod sharded;
 pub mod tensor;
 
 pub use dqn::{ActionScratch, DqnAgent, DqnConfig};
@@ -65,5 +60,4 @@ pub use net::{Head, PredictScratch, QNet};
 pub use opt::Adam;
 pub use replay::{MiniBatch, ReplayBuffer, Transition};
 pub use schedule::EpsilonSchedule;
-pub use sharded::ShardedReplay;
 pub use tensor::{masked_argmax, masked_argmax_tiebreak, masked_uniform};

@@ -104,28 +104,9 @@ impl ReplayBuffer {
         self.storage.is_empty()
     }
 
-    /// Draw `n` storage indices uniformly with replacement.
+    /// Draw one storage index uniformly: exactly one `gen_range`.
     fn sample_index(&self, rng: &mut SmallRng) -> usize {
         rng.gen_range(0..self.storage.len())
-    }
-
-    /// Draw one uniform storage slot — the per-shard draw of
-    /// [`crate::sharded::ShardedReplay`]; consumes exactly one
-    /// `gen_range` from `rng`, like every draw of [`ReplayBuffer::sample_into`].
-    ///
-    /// # Panics
-    /// Panics if the buffer is empty.
-    #[must_use]
-    pub fn sample_slot(&self, rng: &mut SmallRng) -> usize {
-        assert!(!self.is_empty(), "cannot sample an empty buffer");
-        self.sample_index(rng)
-    }
-
-    /// The transition at storage slot `idx` (`None` beyond
-    /// [`ReplayBuffer::len`]). Slot order is internal to the ring.
-    #[must_use]
-    pub fn get(&self, idx: usize) -> Option<&Transition> {
-        self.storage.get(idx)
     }
 
     /// Sample `n` transitions uniformly with replacement into `batch`'s
@@ -165,7 +146,9 @@ mod tests {
     /// `n` draws through the same index routine as `sample_into`, as
     /// references: the reference minibatch it must reproduce.
     fn sample_refs<'a>(buf: &'a ReplayBuffer, n: usize, rng: &mut SmallRng) -> Vec<&'a Transition> {
-        (0..n).map(|_| &buf.storage[buf.sample_slot(rng)]).collect()
+        (0..n)
+            .map(|_| &buf.storage[buf.sample_index(rng)])
+            .collect()
     }
 
     fn t(reward: f32) -> Transition {

@@ -6,8 +6,9 @@
 //! (default 0.01) and decays over the first half of the *expected* step
 //! count (`episodes × W / 2`), leaving the rest of training for
 //! near-greedy fine-tuning; ε is evaluated at each episode's **spawn
-//! base step**, so under overlapped rounds the exploration level shares
-//! the policy snapshot's one-round staleness bound.
+//! base step** (the learner's step count when its round's snapshot was
+//! frozen), so every episode of a round explores at the same level
+//! whichever worker rolls it.
 
 /// Linear ε decay from `start` to `end` over `decay_steps` steps.
 #[derive(Debug, Clone, Copy, PartialEq)]

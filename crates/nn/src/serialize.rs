@@ -45,10 +45,6 @@ const MAGIC: &str = "HRPQ";
 /// Weight-blob format version.
 const VERSION: u32 = 1;
 
-/// Most replay shards a checkpointed agent may ask for: each shard
-/// pre-allocates its ring, so the count must not be the blob's to choose.
-pub const MAX_SHARDS: usize = 256;
-
 /// Checkpoint decode / encode / IO errors, shared by all four formats.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
@@ -556,8 +552,8 @@ pub fn load_agent(
     ensure(format, cfg.buffer_capacity >= 1, || {
         "buffer_capacity must be at least 1".into()
     })?;
-    ensure(format, (1..=MAX_SHARDS).contains(&cfg.shards), || {
-        format!("shards {} out of range", cfg.shards)
+    ensure(format, cfg.shards == 1, || {
+        format!("shards {} (an agent has one replay ring)", cfg.shards)
     })?;
     let expected = QNet::param_count(cfg.state_dim, &cfg.hidden, cfg.n_actions, cfg.head)
         .ok_or_else(|| {
@@ -729,8 +725,8 @@ mod tests {
 
     /// Forged agent geometry comes back typed before anything is built
     /// (the parent commit aborted on a 160 GB allocation in `QNet::new`
-    /// for the first case and asserted in `ShardedReplay::new` for the
-    /// second).
+    /// for the first case; a shard count other than 1 is what
+    /// `DqnAgent::new` refuses).
     #[test]
     fn load_agent_checks_geometry_before_building() {
         let cfg = DqnConfig {
@@ -743,7 +739,7 @@ mod tests {
             |c| c.hidden = vec![4_000_000_000, 4_000_000_000],
             |c| c.buffer_capacity = 0,
             |c| c.shards = 0,
-            |c| c.shards = MAX_SHARDS + 1,
+            |c| c.shards = 2,
             |c| c.hidden = vec![],
             |c| c.hidden = vec![8, 0],
             |c| c.hidden = vec![usize::MAX, 2],

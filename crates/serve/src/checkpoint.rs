@@ -42,7 +42,8 @@
 //! fresh latency window.
 //!
 //! Restore trusts nothing: every spec key must be present exactly once
-//! and in range (a forged source position past the trace, a zero
+//! and in range (a forged source position past the trace or past the
+//! arrivals the body holds, a tenant count past [`MAX_USERS`], a zero
 //! quota, a non-finite rate), every job record must name a benchmark
 //! of the suite and fit a node, every node record must satisfy the
 //! preconditions of [`NodeRun::from_state`](hrp_cluster::sim::NodeRun::from_state)
@@ -65,7 +66,7 @@ use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NOD
 use hrp_cluster::place::{dispatcher_for, PlacementDispatcher, PlacementExperiment};
 use hrp_cluster::select::{RoundRobin, SelectorKind};
 use hrp_cluster::sim::{Dispatcher, EventKind, EventLog, NodeEvent, NodeRunState, TIME_EPS};
-use hrp_cluster::trace::{TraceConfig, TraceKind};
+use hrp_cluster::trace::{TraceConfig, TraceKind, MAX_USERS};
 pub use hrp_core::codec::CheckpointError;
 use hrp_core::codec::{ensure, Reader, Spec, SpecWriter, Writer};
 use hrp_workloads::Suite;
@@ -203,7 +204,7 @@ pub fn restore(
         sync_rounds,
         node_advances: nodes_replanned,
     };
-    let (deferred, rejected) = (spec.get("deferred")?, spec.get("rejected")?);
+    let (deferred, rejected): (u64, u64) = (spec.get("deferred")?, spec.get("rejected")?);
     let last_cycle = f64::from_bits(spec.get("last_cycle_bits")?);
     ensure(MAGIC, instant(last_cycle), || {
         format!("last cycle at {last_cycle}")
@@ -221,9 +222,6 @@ pub fn restore(
         SelectorKind::RoundRobin => Some(spec.get("rr_cursor")?),
         _ => None,
     };
-    let source = get_source(suite, gpus_per_node, &mut spec)?;
-    spec.finish()?;
-
     let jobs = JobBounds {
         suite,
         gpus_per_node,
@@ -252,6 +250,14 @@ pub fn restore(
         Some(acfg) => Some(get_admission(&mut body, acfg, jobs)?),
         None => None,
     };
+    // Every arrival the source handed out is on a node, rejected,
+    // parked, or the lookahead.
+    let on_nodes: usize = parts.iter().map(|(state, _)| state.jobs).sum();
+    let parked = admission.as_ref().map_or(0, |adm| adm.deferred.len());
+    let held = on_nodes + parked + usize::from(lookahead.is_some());
+    let accounted = rejected.saturating_add(held as u64);
+    let source = get_source(suite, gpus_per_node, accounted, &mut spec)?;
+    spec.finish()?;
     body.finish()?;
 
     let drive = ClusterDrive::from_states(suite, gpus_per_node, parts, last_cycle, sync);
@@ -295,14 +301,26 @@ pub fn restore_file<'a>(
 
 /// Rebuild the arrival source from its `source` / `src_*` keys and
 /// replay it to the checkpointed position. A source whose jobs may be
-/// wider than `gpus_per_node` is refused.
+/// wider than `gpus_per_node` is refused, and so is a position other
+/// than the `accounted` arrivals the blob's body holds: the replay
+/// costs one draw per position, so the position must not be the spec's
+/// alone to choose.
 fn get_source<'a>(
     suite: &'a Suite,
     gpus_per_node: usize,
+    accounted: u64,
     spec: &mut Spec<'_>,
 ) -> Result<Box<dyn ArrivalSource + 'a>, CheckpointError> {
     let consumed: usize = spec.get("src_consumed")?;
-    let users = spec.get("src_users")?;
+    let replayable = || {
+        ensure(MAGIC, consumed as u64 == accounted, || {
+            format!(
+                "source position {consumed}, but the blob holds {accounted} arrivals \
+                 (on nodes, rejected, parked, lookahead)"
+            )
+        })
+    };
+    let users = spec.get_in("src_users", 0..=MAX_USERS)?;
     let user_skew = spec.get_in("src_user_skew", POSITIVE_FINITE)?;
     let seed = spec.get("src_seed")?;
     let max_gpus = spec.get_in("src_max_gpus", 1..)?;
@@ -316,6 +334,7 @@ fn get_source<'a>(
             ensure(MAGIC, consumed <= jobs, || {
                 format!("source position {consumed} beyond the {jobs}-job trace")
             })?;
+            replayable()?;
             let cfg = TraceConfig::new(kind, jobs, seed)
                 .max_gpus(max_gpus)
                 .mean_gap(spec.get_in("src_mean_gap", POSITIVE_FINITE)?)
@@ -331,6 +350,7 @@ fn get_source<'a>(
             };
             let rate = spec.get_in("src_rate", POSITIVE_FINITE)?;
             let duration = spec.get_in("src_duration", POSITIVE_FINITE)?;
+            replayable()?;
             LoadGen::with_max_gpus(suite, shape, rate, duration, seed, max_gpus)
                 .with_users(users, user_skew)
                 .resume_to(consumed)
@@ -454,6 +474,18 @@ fn get_node_state(
         events: EventLog::default(),
     };
     get_events(r, &mut state)?;
+    // A job routed here is in the log as an arrival or still queued for
+    // one, so the count `restore` accounts arrivals with is backed by
+    // bytes the blob holds.
+    let arrived = state.events.iter();
+    let arrived = arrived.filter(|e| matches!(e.kind, EventKind::Arrival { .. }));
+    let held = arrived.count() + state.arrivals.len();
+    ensure(MAGIC, state.jobs == held, || {
+        format!(
+            "node {node}: {} jobs routed, {held} in its log and queue",
+            state.jobs
+        )
+    })?;
 
     let open = state.events.open_starts().map_err(|index| {
         let what = format!("node {node}: event {index} finishes a placement no event started");
@@ -958,8 +990,9 @@ mod tests {
     }
 
     /// Satellite regression: a structurally valid blob whose source
-    /// position points past the end of the stream must come back as a
-    /// typed error, not an assert panic in the resume path.
+    /// position points past the end of the stream, or past the arrivals
+    /// its body holds, must come back as a typed error — not an assert
+    /// panic in the resume path, and not a replay of every position.
     #[test]
     fn forged_source_positions_error_instead_of_panicking() {
         let s = suite();
@@ -972,8 +1005,18 @@ mod tests {
         let blob = trace_svc.checkpoint().expect("checkpointable");
         let what = invalid(restore(&s, tamper(&blob, "src_consumed", "1000000")));
         assert!(what.contains("beyond"), "names the overrun: {what}");
+        // A trace as long as the position: the parent commit replayed
+        // 10^11 arrivals before it could refuse anything.
+        let long = tamper(&blob, "src_jobs", "100000000000");
+        let started = std::time::Instant::now();
+        let what = invalid(restore(&s, tamper(&long, "src_consumed", "100000000000")));
+        assert!(
+            what.contains("holds 0 arrivals"),
+            "names the shortfall: {what}"
+        );
+        assert!(started.elapsed().as_secs() < 1, "refused without a replay");
 
-        let gen_svc = SchedulerService::new(
+        let mut gen_svc = SchedulerService::new(
             &s,
             ServeConfig::new(2, 2),
             SelectorKind::LeastLoaded,
@@ -981,6 +1024,16 @@ mod tests {
         );
         let blob = gen_svc.checkpoint().expect("checkpointable");
         let what = invalid(restore(&s, tamper(&blob, "src_consumed", "1000000")));
+        assert!(
+            what.contains("holds 0 arrivals"),
+            "names the shortfall: {what}"
+        );
+        // A position the body accounts for, past a forged horizon.
+        while gen_svc.consumed() < 5 {
+            let _ = gen_svc.step();
+        }
+        let blob = gen_svc.checkpoint().expect("checkpointable");
+        let what = invalid(restore(&s, tamper(&blob, "src_duration", "0.001")));
         assert!(what.contains("horizon"), "names the overrun: {what}");
     }
 
@@ -1008,6 +1061,8 @@ mod tests {
             ("src_mean_gap", "NaN"),
             ("src_gang_share", "2.0"),
             ("src_user_skew", "0.0"),
+            // A tenant table of 32 GB (the parent commit aborted on it).
+            ("src_users", "4000000000"),
             // A key the selector does not carry is unknown, as is one
             // the format retired (the chunked engine's counters).
             ("selector", "least-loaded\nrr_cursor=0"),

@@ -20,11 +20,11 @@
 //!   and the Q1–Q12 evaluation queues of Table V.
 //! * [`profile`] — Nsight-Compute-style profiling, the Job Profiles
 //!   Repository, and feature scaling.
-//! * [`nn`] — a from-scratch dueling double DQN (MLP, Adam, single-ring
-//!   and sharded replay, ε-greedy schedule).
+//! * [`nn`] — a from-scratch dueling double DQN (MLP, Adam, a ring
+//!   replay buffer, ε-greedy schedule).
 //! * [`core`] — the paper's contribution: the co-scheduling environment,
-//!   offline training (a parallel rollout/learner pipeline with optional
-//!   overlapped rounds and sharded replay), the five compared policies,
+//!   offline training (roll out, store, learn, with the rollouts of a
+//!   round spread over worker threads), the five compared policies,
 //!   and the metrics.
 //! * [`cluster`] — the §VI cluster-scale extension: multi-node
 //!   simulation with deterministic event-stream merging, one

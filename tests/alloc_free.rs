@@ -137,10 +137,9 @@ fn steady_state_decision_paths_do_not_allocate() {
 fn steady_state_learning_step_does_not_allocate() {
     // The paper's hierarchical geometry: 215 → 512/256/128 → 1 + 17,
     // batch 32. The target sync is brought inside the audited region.
-    for (head, shards) in [(Head::Dueling, 1), (Head::Plain, 4)] {
+    for head in [Head::Dueling, Head::Plain] {
         let mut cfg = DqnConfig::paper(215, 17);
         cfg.head = head;
-        cfg.shards = shards;
         cfg.target_sync_every = 10;
         cfg.buffer_capacity = 256;
         let mut agent = DqnAgent::new(cfg);
@@ -170,10 +169,7 @@ fn steady_state_learning_step_does_not_allocate() {
                 std::hint::black_box(agent.learn());
             }
         });
-        assert_eq!(
-            n, 0,
-            "DqnAgent::learn ({head:?}, {shards} shards) allocated {n}x"
-        );
+        assert_eq!(n, 0, "DqnAgent::learn ({head:?}) allocated {n}x");
         assert_eq!(agent.learn_steps(), 53);
     }
 }

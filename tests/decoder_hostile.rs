@@ -40,6 +40,7 @@ use hrp::core::train::{train, TrainConfig, TrainedAgent};
 use hrp::gpusim::GpuArch;
 use hrp::nn::net::{Head, QNet};
 use hrp::nn::serialize::{load_weights, save_weights};
+use hrp::nn::{DqnAgent, DqnConfig};
 use hrp::serve::{
     restore, AdmissionConfig, CheckpointError, SchedulerService, ServeConfig, ServiceStep,
     TraceSource,
@@ -458,7 +459,7 @@ fn retired_hrpp_keys_are_typed_errors() {
     }
 }
 
-/// Parent commit: `assert!(capacity > 0)` in `ShardedReplay::new`,
+/// Parent commit: `assert!(capacity > 0)` in the replay constructor,
 /// reached from `PlacementExperiment::load_bytes`. `HRPP` no longer
 /// carries the key, so a forged one is unknown; `HRPE` still does, and
 /// holds it to at least 1.
@@ -470,13 +471,46 @@ fn forged_zero_buffer_capacity_is_a_typed_error() {
 
 /// Parent commit: a 160 GB allocation inside `QNet::new`, before the
 /// weight section was ever looked at. A forged replay shard count is
-/// refused the same way: unknown to `HRPP`, out of range in `HRPE`.
+/// refused the same way: unknown to `HRPP`, anything but 1 in `HRPE`.
 #[test]
 fn forged_hidden_widths_are_a_typed_error_before_any_network_is_built() {
     assert_forged_agent_is_rejected("hidden", "4000000000,4000000000", "params");
     assert_forged_agent_is_rejected("hidden", "", "hidden");
     assert_retired_agent_key_is_rejected(concat!("sha", "rds=1000000000"));
     assert_forged_experiment_is_rejected("shards", "1000000000", "shards");
+}
+
+/// The retired training modes stay refused where they could come back
+/// in: an `HRPE` spec holds only the one value of each retired knob,
+/// and neither the agent nor the pipeline builds the others.
+#[test]
+fn retired_training_modes_are_refused() {
+    assert_forged_experiment_is_rejected("overlap", "true", "overlap");
+    assert_forged_experiment_is_rejected("shards", "4", "shards");
+    let refusal = |build: &dyn Fn()| -> String {
+        let payload = catch_unwind(AssertUnwindSafe(build)).expect_err("refused");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default()
+    };
+    let two_rings = refusal(&|| {
+        let _ = DqnAgent::new(DqnConfig {
+            shards: 2,
+            ..DqnConfig::paper(6, 3)
+        });
+    });
+    assert!(two_rings.contains("item 2f"), "{two_rings}");
+    let overlapped = refusal(&|| {
+        let cfg = TrainConfig {
+            episodes: 1,
+            overlap: true,
+            ..TrainConfig::quick()
+        };
+        let _ = train(&suite(), cfg);
+    });
+    assert!(overlapped.contains("item 2f"), "{overlapped}");
 }
 
 /// Parent commit (PR 21): all three loaded. A node then handed its first

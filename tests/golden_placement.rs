@@ -39,7 +39,6 @@ fn golden_report() -> TrainReport {
         early_return: GOLDEN_EARLY,
         late_return: GOLDEN_LATE,
         late_rf: GOLDEN_LATE_RF,
-        max_snapshot_lag: 0,
     }
 }
 

@@ -5,84 +5,48 @@
 //! API redesign. These golden values were captured by running the
 //! pre-redesign implementation (commit 63f2f2a) at this configuration:
 //! `TrainConfig::quick()` with `episodes = 16`, `rollout_round = 4`,
-//! across all four pipeline modes (barrier/overlap × shards 1/4), each
 //! with 1 and 4 rollout workers. Any numerical drift in the rollout,
-//! replay routing, ε schedule, or learner step order shows up here.
+//! replay order, ε schedule, or learner step order shows up here.
 
 use hrp::core::env::JOB_FEATURES;
 use hrp::core::train::TrainReport;
 use hrp::prelude::*;
 
-struct Golden {
-    overlap: bool,
-    shards: usize,
-    report: TrainReport,
-    /// First Q-value of the trained online net on an all-0.25 probe.
-    q0: f32,
+/// Captured from the pre-redesign pipeline (see module docs).
+fn golden_report() -> TrainReport {
+    TrainReport {
+        episodes: 16,
+        total_steps: 39,
+        early_return: -0.437_148_451_203_907_44,
+        late_return: -2.082_799_788_887_250_7,
+        late_rf: -22.737_556_635_681_027,
+    }
 }
 
-/// Captured from the pre-redesign pipeline (see module docs).
-fn golden_runs() -> Vec<Golden> {
-    let barrier = |shards: usize, q0: f32| Golden {
-        overlap: false,
-        shards,
-        report: TrainReport {
-            episodes: 16,
-            total_steps: 39,
-            early_return: -0.437_148_451_203_907_44,
-            late_return: -2.082_799_788_887_250_7,
-            late_rf: -22.737_556_635_681_027,
-            max_snapshot_lag: 0,
-        },
-        q0,
-    };
-    let overlapped = |shards: usize, q0: f32| Golden {
-        overlap: true,
-        shards,
-        report: TrainReport {
-            episodes: 16,
-            total_steps: 36,
-            early_return: -0.437_148_451_203_907_44,
-            late_return: -1.506_309_461_626_049_7,
-            late_rf: -17.130_586_930_942_55,
-            max_snapshot_lag: 1,
-        },
-        q0,
-    };
-    vec![
-        barrier(1, 0.304_315_1),
-        barrier(4, 0.227_827_41),
-        overlapped(1, 0.180_198_43),
-        overlapped(4, 0.238_050_13),
-    ]
-}
+/// First Q-value of the trained online net on an all-0.25 probe.
+const GOLDEN_Q0: f32 = 0.304_315_1;
 
 #[test]
 fn train_env_reproduces_the_pre_redesign_pipeline_bit_for_bit() {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    for golden in golden_runs() {
-        for workers in [1usize, 4] {
-            let mut cfg = TrainConfig::quick();
-            cfg.episodes = 16;
-            cfg.rollout_round = 4;
-            cfg.overlap = golden.overlap;
-            cfg.shards = golden.shards;
-            cfg.n_workers = workers;
-            let (trained, report) = train(&suite, cfg);
-            let mode = format!(
-                "overlap={} shards={} workers={}",
-                golden.overlap, golden.shards, workers
-            );
-            assert_eq!(report, golden.report, "TrainReport drifted ({mode})");
-            let probe = vec![0.25f32; trained.config().w * JOB_FEATURES];
-            let q = trained.dqn().q_values(&probe);
-            assert_eq!(
-                q[0].to_bits(),
-                golden.q0.to_bits(),
-                "trained weights drifted ({mode}): q0 {} vs golden {}",
-                q[0],
-                golden.q0
-            );
-        }
+    for workers in [1usize, 4] {
+        let mut cfg = TrainConfig::quick();
+        cfg.episodes = 16;
+        cfg.rollout_round = 4;
+        cfg.n_workers = workers;
+        let (trained, report) = train(&suite, cfg);
+        assert_eq!(
+            report,
+            golden_report(),
+            "TrainReport drifted (workers={workers})"
+        );
+        let probe = vec![0.25f32; trained.config().w * JOB_FEATURES];
+        let q = trained.dqn().q_values(&probe);
+        assert_eq!(
+            q[0].to_bits(),
+            GOLDEN_Q0.to_bits(),
+            "trained weights drifted (workers={workers}): q0 {} vs golden {GOLDEN_Q0}",
+            q[0]
+        );
     }
 }

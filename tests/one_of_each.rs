@@ -167,6 +167,12 @@ fn the_deleted_second_copies_stay_deleted() {
         ("Send", "Ptr"),
         ("unpoi", "soned"),
         ("mem::trans", "mute"),
+        // One training pipeline, one replay: the overlapped rounds and
+        // the sharded replay that only two retired flags selected.
+        ("Sharded", "Replay"),
+        ("Inflight", "Round"),
+        ("max_snapshot", "_lag"),
+        ("MAX_", "SHARDS"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
@@ -306,10 +312,6 @@ fn every_pub_fn_has_a_caller() {
         // `properties.rs`: no compiled partition hands out more compute
         // than the GPU has.
         "crates/gpusim/src/partition.rs::total_compute",
-        // The single-ring entry `alloc_free` holds allocation-free; the
-        // frozen benchmark spells its sharded twin, and ROADMAP item 5
-        // routes that one through here.
-        "crates/nn/src/dqn.rs::remember",
         // The online network's Q-values the golden `q0` pins read
         // (`golden_train`, `golden_placement`); greedy rollouts act
         // through a snapshot instead.
