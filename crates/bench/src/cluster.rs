@@ -22,7 +22,8 @@
 //! [`hrp_core::cluster_env::PolicySelector`].
 
 use hrp_cluster::multinode::{MultiNodeReport, MultiNodeSim};
-use hrp_cluster::place::{dispatcher_for, train_placement, PlacementAgent, PlacementConfig};
+use hrp_cluster::place::{train_placement, PlacementAgent, PlacementConfig};
+use hrp_cluster::select::dispatcher_for;
 use hrp_cluster::sim::ClusterSim;
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind, EVAL_SEED_OFFSET};
 use hrp_cluster::{ClusterJob, ClusterReport, NodeSelector, SelectorKind};

@@ -64,6 +64,8 @@ const REJECTED: &[(&str, &str)] = &[
     ("--walltime-err -0.25 cluster", "--walltime-err must be in"),
     ("--walltime-err nan cluster", "--walltime-err must be in"),
     ("--selector eazy cluster", "unknown --selector value 'eazy'"),
+    // each selector kind has one spelling
+    ("--selector rr cluster", "unknown --selector value 'rr'"),
     // an output directory under a regular file, refused before the
     // command runs
     (

@@ -65,21 +65,8 @@ pub enum BackfillPolicy {
 }
 
 impl BackfillPolicy {
-    /// Parse a CLI/spec spelling. Accepts `fcfs`, `easy`,
-    /// `conservative`.
-    ///
-    /// # Errors
-    /// Returns the unrecognised input.
-    pub fn parse(input: &str) -> Result<Self, String> {
-        match input {
-            "fcfs" => Ok(Self::Fcfs),
-            "easy" => Ok(Self::Easy),
-            "conservative" => Ok(Self::Conservative),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Canonical spelling (round-trips through [`BackfillPolicy::parse`]).
+    /// The selector-kind spelling of this policy (`fcfs` / `easy` /
+    /// `conservative`).
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -327,18 +314,6 @@ mod tests {
     /// lavaMD@2 = 19 s.
     fn job(s: &Suite, id: usize, name: &str, arrival: f64, gpus: usize) -> ClusterJob {
         ClusterJob::new(id, name, arrival, gpus, s)
-    }
-
-    #[test]
-    fn policies_parse_and_round_trip() {
-        for p in [
-            BackfillPolicy::Fcfs,
-            BackfillPolicy::Easy,
-            BackfillPolicy::Conservative,
-        ] {
-            assert_eq!(BackfillPolicy::parse(p.name()), Ok(p));
-        }
-        assert!(BackfillPolicy::parse("eazy").is_err());
     }
 
     #[test]

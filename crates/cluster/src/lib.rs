@@ -25,14 +25,11 @@
 //!   kinds (uniform, bursty, Zipf-skewed popularity, heavy-tail
 //!   duration, multi-GPU co-location, the staggered demo trace): the
 //!   scenario-diversity axis of the placement evaluation;
-//! * [`place`] — RL-trained node placement: the simulation-backed
+//! * [`place`] — placement learning: the simulation-backed
 //!   [`place::ClusterEnv`] (per-decision queue-delay deltas, terminal
 //!   makespan bonus), [`place::train_placement`] through the generic
 //!   `hrp-core` pipeline, and `HRPP` checkpoints
-//!   ([`place::PlacementExperiment`]) — and the one constructor of
-//!   node-local dispatchers ([`place::dispatcher_for`], with the one
-//!   `W`/`Cmax` pair) that training, batch evaluation and `hrp-serve`
-//!   all build their nodes through;
+//!   ([`place::PlacementExperiment`]);
 //! * [`fair`] — per-user fair share: karma-decayed service accounting,
 //!   in-flight quotas, burst-confined fair ordering
 //!   ([`fair::apply_fair_order`]), and the Jain's-index fairness
@@ -49,10 +46,14 @@
 //!   batched into windows and handed to any node-local
 //!   [`hrp_core::policies::Policy`]; multi-GPU jobs gang-schedule
 //!   exclusively (the paper flags co-locating them as future work);
-//! * [`select`] — the global placement tier: [`select::RoundRobin`],
-//!   [`select::LeastLoaded`], and the RL hook
-//!   ([`hrp_core::cluster_env::PolicySelector`]) behind the
-//!   [`select::NodeSelector`] trait.
+//! * [`select`] — what a [`SelectorKind`] means, for both tiers: the
+//!   global placement tier ([`select::RoundRobin`],
+//!   [`select::LeastLoaded`], [`select::BackfillTier`] and the RL hook
+//!   [`hrp_core::cluster_env::PolicySelector`] behind the
+//!   [`select::NodeSelector`] trait) and the nodes under it — the one
+//!   constructor of node-local dispatchers ([`select::dispatcher_for`],
+//!   with the one `W`/`Cmax` pair) that training, batch evaluation and
+//!   `hrp-serve` all build their nodes through.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

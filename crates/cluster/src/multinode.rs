@@ -41,18 +41,18 @@
 //! of `tests/golden_cluster.rs` pin the schedules).
 //!
 //! ```
-//! use hrp_cluster::multinode::{staggered_trace, MultiNodeSim};
-//! use hrp_cluster::select::SelectorKind;
-//! use hrp_cluster::CoSchedulingDispatcher;
-//! use hrp_core::policies::MpsOnly;
+//! use hrp_cluster::multinode::MultiNodeSim;
+//! use hrp_cluster::select::{dispatcher_for, SelectorKind};
+//! use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
 //! use hrp_gpusim::GpuArch;
 //! use hrp_workloads::Suite;
 //!
 //! let suite = Suite::paper_suite(&GpuArch::a100());
-//! let jobs = staggered_trace(&suite, 12);
-//! let mut selector = SelectorKind::LeastLoaded.build();
+//! let jobs = generate(&suite, &TraceConfig::new(TraceKind::Staggered, 12, 0));
+//! let kind = SelectorKind::LeastLoaded;
+//! let mut selector = kind.build();
 //! let report = MultiNodeSim::new(2, 2).run(&suite, jobs, selector.as_mut(), |_| {
-//!     CoSchedulingDispatcher::new(MpsOnly, 4, 4)
+//!     dispatcher_for(kind, 2, 0.0)
 //! });
 //! assert_eq!(report.completed_jobs(), 12);
 //! assert_eq!(report.per_node.len(), 2);
@@ -290,12 +290,6 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
     #[must_use]
     pub fn nodes(&self) -> usize {
         self.runs.len()
-    }
-
-    /// GPUs per node.
-    #[must_use]
-    pub fn gpus_per_node(&self) -> usize {
-        self.gpus_per_node
     }
 
     /// The current per-node load snapshots (refreshed by
@@ -649,28 +643,23 @@ impl MultiNodeSim {
     }
 }
 
-/// A deterministic demo/benchmark trace: `n` jobs drawn from the suite
-/// with a class-interleaving stride, arriving in bursts of four every
-/// 5 s; every ninth job asks for two GPUs (gang-scheduled exclusively
-/// by the co-scheduling dispatcher).
-#[must_use]
-pub fn staggered_trace(suite: &Suite, n: usize) -> Vec<ClusterJob> {
-    (0..n)
-        .map(|i| crate::trace::staggered_job(suite, i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cosched::CoSchedulingDispatcher;
     use crate::select::{LeastLoaded, RoundRobin, SelectorKind};
     use crate::sim::ClusterSim;
+    use crate::trace::{generate, TraceConfig, TraceKind};
     use hrp_core::policies::MpsOnly;
     use hrp_gpusim::GpuArch;
 
     fn suite() -> Suite {
         Suite::paper_suite(&GpuArch::a100())
+    }
+
+    /// The `n`-job staggered demo trace (seed-independent).
+    fn staggered(suite: &Suite, n: usize) -> Vec<ClusterJob> {
+        generate(suite, &TraceConfig::new(TraceKind::Staggered, n, 0))
     }
 
     fn dispatcher() -> CoSchedulingDispatcher<MpsOnly> {
@@ -680,7 +669,7 @@ mod tests {
     #[test]
     fn one_node_matches_the_single_node_simulator_bit_for_bit() {
         let s = suite();
-        let jobs = staggered_trace(&s, 20);
+        let jobs = staggered(&s, 20);
         let mut rr = RoundRobin::default();
         let multi = MultiNodeSim::new(1, 2).run(&s, jobs.clone(), &mut rr, |_| dispatcher());
         let mut single = dispatcher();
@@ -694,7 +683,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_and_least_loaded_balances() {
         let s = suite();
-        let jobs = staggered_trace(&s, 16);
+        let jobs = staggered(&s, 16);
         let mut rr = RoundRobin::default();
         let a = MultiNodeSim::new(4, 2).run(&s, jobs.clone(), &mut rr, |_| dispatcher());
         assert!(
@@ -711,7 +700,7 @@ mod tests {
     #[test]
     fn more_nodes_shorten_the_makespan() {
         let s = suite();
-        let jobs = staggered_trace(&s, 24);
+        let jobs = staggered(&s, 24);
         let mut one = SelectorKind::LeastLoaded.build();
         let single = MultiNodeSim::new(1, 2).run(&s, jobs.clone(), one.as_mut(), |_| dispatcher());
         let mut four = SelectorKind::LeastLoaded.build();
@@ -727,7 +716,7 @@ mod tests {
     #[test]
     fn digest_tracks_the_event_sequence() {
         let s = suite();
-        let jobs = staggered_trace(&s, 12);
+        let jobs = staggered(&s, 12);
         let mut rr = RoundRobin::default();
         let a = MultiNodeSim::new(2, 2).run(&s, jobs.clone(), &mut rr, |_| dispatcher());
         let mut ll = LeastLoaded;
@@ -753,7 +742,7 @@ mod tests {
         // SyncStats counts logical rounds: one per arrival instant plus
         // the final drain, each advancing every node.
         let s = suite();
-        let jobs = staggered_trace(&s, 16);
+        let jobs = staggered(&s, 16);
         let mut sel = SelectorKind::LeastLoaded.build();
         let report = MultiNodeSim::new(4, 2).run(&s, jobs, sel.as_mut(), |_| dispatcher());
         assert_eq!(report.sync.sync_rounds, 5, "4 instants + final drain");

@@ -1,6 +1,9 @@
 //! RL-trained node placement: an [`Env`]-implementing [`ClusterEnv`]
 //! whose rewards come from the **real multi-node simulation**, plus the
-//! training, deployment, and checkpoint wiring around it.
+//! training, deployment, and `HRPP` checkpoint wiring around it. This
+//! module is placement *learning* only: what a selector kind means for
+//! the nodes under it, the policy kind included, is
+//! [`crate::select`]'s.
 //!
 //! The PR-4 placement environment was a stub: its "load" was synthetic
 //! accumulation (assigned work never drained) and its reward a
@@ -46,7 +49,8 @@
 //! `tests/golden_placement.rs`). An episode's nodes are
 //! [`dispatcher_for`]`(SelectorKind::Policy, ..)`, the nodes a policy
 //! service places onto, so an agent is trained through exactly the
-//! windows it is served through.
+//! windows it is served through; the state is
+//! [`placement_state_dim`]`(N)` floats wide.
 //!
 //! # Training and deployment
 //!
@@ -56,25 +60,24 @@
 //! that pipeline guarantees. A [`PlacementConfig`] holds what callers
 //! vary: the cluster, the training traces, the episode count, the
 //! network widths, the seed and the worker count. Everything else —
-//! the DQN knobs, the reward weight, the rollout round and the node
-//! window — is a constant of this module. The result is a [`PlacementAgent`]:
+//! the DQN knobs, the reward weight and the rollout round — is a
+//! constant of this module, and the node window one of
+//! [`crate::select`]. The result is a [`PlacementAgent`]:
 //! [`PlacementAgent::selector`] turns it into a drop-in
 //! [`NodeSelector`](crate::NodeSelector), and [`PlacementAgent::save_bytes`] /
 //! [`PlacementExperiment::load_bytes`] checkpoint spec + weights as an
 //! `HRPP` blob on the shared codec ([`hrp_nn::serialize`]), reloading
 //! to bit-identical placements.
 
-use crate::backfill::BackfillPlanner;
-use crate::cosched::CoSchedulingDispatcher;
 use crate::job::ClusterJob;
 use crate::multinode::{ClusterDrive, MultiNodeReport, MAX_GPUS_PER_NODE, MAX_NODES};
-use crate::select::SelectorKind;
-use crate::sim::Dispatcher;
+use crate::select::{dispatcher_for, NodeDispatcher, SelectorKind};
 use crate::trace::{self, TraceConfig, TraceKind};
-use hrp_core::cluster_env::{encode_placement_state, placement_fit_mask, NodeLoad, PolicySelector};
+use hrp_core::cluster_env::{
+    encode_placement_state, placement_fit_mask, placement_state_dim, NodeLoad, PolicySelector,
+};
 use hrp_core::env::StepResult;
 use hrp_core::experiment::CheckpointError;
-use hrp_core::policies::MpsOnly;
 use hrp_core::rl::{greedy_rollout, DqnSnapshot, Env, EnvFactory, Learner};
 use hrp_core::train::{train_env, PipelineConfig, TrainReport};
 use hrp_gpusim::rng::split_seed;
@@ -124,7 +127,8 @@ pub struct PlacementOutcome {
 ///
 /// * **State** — [`encode_placement_state`] over the live
 ///   [`ClusterDrive::loads`] snapshots and the arriving job
-///   (`2·N + 2` floats; all-zero job features once drained).
+///   ([`placement_state_dim`] floats; all-zero job features once
+///   drained).
 /// * **Action** — the node id (`N` actions; the mask drops nodes too
 ///   small for the job, so placement never dead-ends).
 /// * **Decision** — a [`PlacementOutcome`].
@@ -138,7 +142,7 @@ pub struct ClusterEnv<'a> {
     /// Perfect-balance makespan lower bound (total GPU-seconds over
     /// cluster GPUs).
     bound: f64,
-    drive: ClusterDrive<'a, PlacementDispatcher>,
+    drive: ClusterDrive<'a, NodeDispatcher>,
     pos: usize,
     assignment: Vec<usize>,
     report: Option<MultiNodeReport>,
@@ -151,7 +155,7 @@ fn episode_drive<'a>(
     nodes: usize,
     gpus_per_node: usize,
     trace: &[ClusterJob],
-) -> ClusterDrive<'a, PlacementDispatcher> {
+) -> ClusterDrive<'a, NodeDispatcher> {
     let mut drive = ClusterDrive::new(suite, nodes, gpus_per_node, |_| {
         dispatcher_for(SelectorKind::Policy, gpus_per_node, 0.0)
     });
@@ -218,7 +222,7 @@ impl Env for ClusterEnv<'_> {
     type Decision = PlacementOutcome;
 
     fn state_dim(&self) -> usize {
-        2 * self.nodes + 2
+        placement_state_dim(self.nodes)
     }
 
     fn n_actions(&self) -> usize {
@@ -302,75 +306,6 @@ impl Env for ClusterEnv<'_> {
     }
 }
 
-/// The co-scheduling node-local dispatcher: window co-scheduling with
-/// the MPS-only node policy (cheap — no node-level training required).
-pub type NodeDispatcher = CoSchedulingDispatcher<MpsOnly>;
-
-/// A node-local dispatcher: the co-scheduling window dispatcher or the
-/// slot-tree backfilling planner of a backfill selector tier, as
-/// [`dispatcher_for`] builds them.
-pub enum PlacementDispatcher {
-    /// Window co-scheduling with the MPS-only node policy.
-    CoSched(NodeDispatcher),
-    /// Slot-tree backfilling ([`crate::backfill`]).
-    Backfill(BackfillPlanner),
-}
-
-/// Window size of every node's co-scheduling dispatcher, so `repro
-/// cluster` rows, service runs, batch oracles and placement training
-/// are digest-comparable.
-pub const NODE_W: usize = 4;
-/// Concurrency cap of every node's co-scheduling dispatcher (see
-/// [`NODE_W`]).
-pub const NODE_CMAX: usize = 4;
-
-/// The one place a node-local dispatcher is constructed: the one a
-/// selector kind schedules through on a `gpus_per_node`-GPU node.
-/// Backfill tiers get a [`BackfillPlanner`] of their policy over
-/// `walltime_err`-noisy estimates; every other kind, the trained policy
-/// included, gets the co-scheduling window dispatcher at [`NODE_W`] /
-/// [`NODE_CMAX`] with the MPS-only node policy. `repro cluster`, every
-/// `hrp-serve` tier, their batch oracles and placement training share
-/// this mapping, which is what keeps service and batch digests
-/// comparable per selector.
-#[must_use]
-pub fn dispatcher_for(
-    kind: SelectorKind,
-    gpus_per_node: usize,
-    walltime_err: f64,
-) -> PlacementDispatcher {
-    match kind.backfill_policy() {
-        Some(policy) => PlacementDispatcher::Backfill(
-            BackfillPlanner::new(policy, gpus_per_node).with_walltime_err(walltime_err),
-        ),
-        None => {
-            PlacementDispatcher::CoSched(CoSchedulingDispatcher::new(MpsOnly, NODE_W, NODE_CMAX))
-        }
-    }
-}
-
-impl Dispatcher for PlacementDispatcher {
-    fn name(&self) -> &'static str {
-        match self {
-            Self::CoSched(d) => d.name(),
-            Self::Backfill(d) => d.name(),
-        }
-    }
-
-    fn next_placement(
-        &mut self,
-        suite: &Suite,
-        waiting: &[ClusterJob],
-        free_gpus: usize,
-        now: f64,
-    ) -> Option<crate::sim::Placement> {
-        match self {
-            Self::CoSched(d) => d.next_placement(suite, waiting, free_gpus, now),
-            Self::Backfill(d) => d.next_placement(suite, waiting, free_gpus, now),
-        }
-    }
-}
-
 /// Stamps out [`ClusterEnv`] episodes over job traces: the
 /// episode-invariant pieces (suite, cluster geometry) behind the
 /// [`EnvFactory`] interface, so [`train_env`] runs placement training
@@ -409,7 +344,7 @@ impl EnvFactory for PlacementEnvFactory<'_> {
     }
 
     fn state_dim(&self) -> usize {
-        2 * self.nodes + 2
+        placement_state_dim(self.nodes)
     }
 
     fn n_actions(&self) -> usize {
@@ -481,7 +416,7 @@ impl PlacementConfig {
     #[must_use]
     pub fn dqn_config(&self) -> DqnConfig {
         DqnConfig {
-            state_dim: 2 * self.nodes + 2,
+            state_dim: placement_state_dim(self.nodes),
             n_actions: self.nodes,
             hidden: self.hidden.clone(),
             gamma: GAMMA,
@@ -517,8 +452,8 @@ pub fn training_traces(suite: &Suite, cfg: &PlacementConfig) -> Vec<Vec<ClusterJ
 /// Train a placement agent end-to-end through the generic
 /// rollout/learner pipeline: episodes replay seed-derived traces
 /// through the simulation-backed [`ClusterEnv`], the learner is a
-/// plain [`DqnAgent`] over the `2·N + 2` placement state. Bit-identical
-/// for any [`PlacementConfig::n_workers`] value.
+/// plain [`DqnAgent`] over the [`placement_state_dim`]-wide placement
+/// state. Bit-identical for any [`PlacementConfig::n_workers`] value.
 #[must_use]
 pub fn train_placement(suite: &Suite, cfg: PlacementConfig) -> (PlacementAgent, TrainReport) {
     let traces = training_traces(suite, &cfg);
@@ -701,7 +636,7 @@ mod tests {
     }
 
     /// What every policy-tier node runs.
-    fn node() -> PlacementDispatcher {
+    fn node() -> NodeDispatcher {
         dispatcher_for(SelectorKind::Policy, 2, 0.0)
     }
 

@@ -1,15 +1,33 @@
-//! Node-placement selection — the global tier *above* the nodes that
-//! the paper's §VI sketches, consulted by
-//! [`crate::multinode::MultiNodeSim`] for every arrival: the
-//! [`NodeSelector`] implementations [`RoundRobin`], [`LeastLoaded`],
-//! and (via the trait re-exported from `hrp-core`) anything else,
-//! including [`hrp_core::cluster_env::PolicySelector`] wrapping a
-//! trained RL snapshot. [`SelectorKind`] is the CLI-facing closed set;
-//! its backfill tiers name the node-*local* regime of §VI's light-load
-//! comparator ("FCFS with backfilling without co-scheduling",
-//! [`crate::backfill`]) rather than a different global tier.
+//! What a [`SelectorKind`] means, for both tiers of the paper's §VI
+//! sketch.
+//!
+//! * **The global tier** places each arrival on a node, consulted by
+//!   [`crate::multinode::MultiNodeSim`] and `hrp-serve` for every
+//!   arrival: the [`NodeSelector`] implementations [`RoundRobin`],
+//!   [`LeastLoaded`], [`BackfillTier`] and (via the trait re-exported
+//!   from `hrp-core`) [`hrp_core::cluster_env::PolicySelector`] wrapping
+//!   a trained RL snapshot. [`SelectorKind::build`] builds the heuristic
+//!   ones.
+//! * **The node tier** is what each node runs under that kind:
+//!   [`dispatcher_for`] is the one constructor of node-local
+//!   dispatchers ([`NodeDispatcher`]), over the one [`NODE_W`] /
+//!   [`NODE_CMAX`] window pair. The backfill kinds name the node-*local*
+//!   regime of §VI's light-load comparator ("FCFS with backfilling
+//!   without co-scheduling", [`crate::backfill`]); every other kind, the
+//!   trained policy included, co-schedules.
+//!
+//! `repro cluster`, every `hrp-serve` tier, their batch oracles and
+//! placement training ([`crate::place`]) all read a kind through this
+//! module, which is what keeps service and batch digests comparable per
+//! selector.
 
+use crate::backfill::{BackfillPlanner, BackfillPolicy};
+use crate::cosched::CoSchedulingDispatcher;
+use crate::job::ClusterJob;
+use crate::sim::{Dispatcher, Placement};
 pub use hrp_core::cluster_env::{NodeLoad, NodeSelector, PolicySelector};
+use hrp_core::policies::MpsOnly;
+use hrp_workloads::Suite;
 
 /// Cyclic placement: job `k` goes to node `k mod N`, ignoring load.
 #[derive(Debug, Clone, Default)]
@@ -24,18 +42,12 @@ impl RoundRobin {
         Self::default()
     }
 
-    /// A selector resuming at an explicit cursor (live checkpoint
-    /// restore: the cursor is the only state the round-robin tier
-    /// carries).
+    /// A selector that has already made `cursor` selections (live
+    /// checkpoint restore: the cursor is the only state the round-robin
+    /// tier carries).
     #[must_use]
     pub fn with_cursor(cursor: usize) -> Self {
         Self { next: cursor }
-    }
-
-    /// The cursor the next [`NodeSelector::select`] call will use.
-    #[must_use]
-    pub fn cursor(&self) -> usize {
-        self.next
     }
 }
 
@@ -84,13 +96,13 @@ pub enum SelectorKind {
     /// `place::train_placement` and deploy `PlacementAgent::selector`.
     Policy,
     /// Least-loaded placement over strict-FCFS backfilling planners
-    /// ([`crate::backfill::BackfillPolicy::Fcfs`] per node).
+    /// ([`BackfillPolicy::Fcfs`] per node).
     Fcfs,
     /// Least-loaded placement over EASY-backfilling planners
-    /// ([`crate::backfill::BackfillPolicy::Easy`] per node).
+    /// ([`BackfillPolicy::Easy`] per node).
     Easy,
     /// Least-loaded placement over conservative-backfilling planners
-    /// ([`crate::backfill::BackfillPolicy::Conservative`] per node).
+    /// ([`BackfillPolicy::Conservative`] per node).
     Conservative,
 }
 
@@ -100,13 +112,13 @@ pub enum SelectorKind {
 /// global tier.
 #[derive(Debug, Clone, Copy)]
 pub struct BackfillTier {
-    policy: crate::backfill::BackfillPolicy,
+    policy: BackfillPolicy,
 }
 
 impl BackfillTier {
     /// Least-loaded placement for nodes running `policy` planners.
     #[must_use]
-    pub fn new(policy: crate::backfill::BackfillPolicy) -> Self {
+    pub fn new(policy: BackfillPolicy) -> Self {
         Self { policy }
     }
 }
@@ -122,16 +134,17 @@ impl NodeSelector for BackfillTier {
 }
 
 impl SelectorKind {
-    /// Parse a CLI-style name (`round-robin` / `least-loaded` /
+    /// Parse a CLI-style name: exactly the strings
+    /// [`SelectorKind::name`] returns (`round-robin` / `least-loaded` /
     /// `policy` / `fcfs` / `easy` / `conservative`).
     ///
     /// # Errors
     /// Returns the unrecognised input.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "round-robin" | "rr" => Ok(Self::RoundRobin),
-            "least-loaded" | "ll" => Ok(Self::LeastLoaded),
-            "policy" | "rl" => Ok(Self::Policy),
+            "round-robin" => Ok(Self::RoundRobin),
+            "least-loaded" => Ok(Self::LeastLoaded),
+            "policy" => Ok(Self::Policy),
             "fcfs" => Ok(Self::Fcfs),
             "easy" => Ok(Self::Easy),
             "conservative" => Ok(Self::Conservative),
@@ -163,11 +176,11 @@ impl SelectorKind {
     /// if it is one of the backfill tiers. `None` for the kinds whose
     /// nodes run the co-scheduling dispatcher.
     #[must_use]
-    pub fn backfill_policy(self) -> Option<crate::backfill::BackfillPolicy> {
+    pub fn backfill_policy(self) -> Option<BackfillPolicy> {
         match self {
-            Self::Fcfs => Some(crate::backfill::BackfillPolicy::Fcfs),
-            Self::Easy => Some(crate::backfill::BackfillPolicy::Easy),
-            Self::Conservative => Some(crate::backfill::BackfillPolicy::Conservative),
+            Self::Fcfs => Some(BackfillPolicy::Fcfs),
+            Self::Easy => Some(BackfillPolicy::Easy),
+            Self::Conservative => Some(BackfillPolicy::Conservative),
             _ => None,
         }
     }
@@ -190,6 +203,67 @@ impl SelectorKind {
             Self::Fcfs | Self::Easy | Self::Conservative => Box::new(BackfillTier::new(
                 self.backfill_policy().expect("backfill tier"),
             )),
+        }
+    }
+}
+
+/// Window size of every node's co-scheduling dispatcher, so `repro
+/// cluster` rows, service runs, batch oracles and placement training
+/// are digest-comparable.
+pub const NODE_W: usize = 4;
+/// Concurrency cap of every node's co-scheduling dispatcher (see
+/// [`NODE_W`]).
+pub const NODE_CMAX: usize = 4;
+
+/// A node-local dispatcher: the co-scheduling window dispatcher or the
+/// slot-tree backfilling planner of a backfill selector tier, as
+/// [`dispatcher_for`] builds them.
+pub enum NodeDispatcher {
+    /// Window co-scheduling with the MPS-only node policy (cheap — no
+    /// node-level training required).
+    CoSched(CoSchedulingDispatcher<MpsOnly>),
+    /// Slot-tree backfilling ([`crate::backfill`]).
+    Backfill(BackfillPlanner),
+}
+
+/// The one place a node-local dispatcher is constructed: the one a
+/// selector kind schedules through on a `gpus_per_node`-GPU node.
+/// Backfill tiers get a [`BackfillPlanner`] of their policy over
+/// `walltime_err`-noisy estimates; every other kind, the trained policy
+/// included, gets the co-scheduling window dispatcher at [`NODE_W`] /
+/// [`NODE_CMAX`] with the MPS-only node policy.
+#[must_use]
+pub fn dispatcher_for(
+    kind: SelectorKind,
+    gpus_per_node: usize,
+    walltime_err: f64,
+) -> NodeDispatcher {
+    match kind.backfill_policy() {
+        Some(policy) => NodeDispatcher::Backfill(
+            BackfillPlanner::new(policy, gpus_per_node).with_walltime_err(walltime_err),
+        ),
+        None => NodeDispatcher::CoSched(CoSchedulingDispatcher::new(MpsOnly, NODE_W, NODE_CMAX)),
+    }
+}
+
+impl Dispatcher for NodeDispatcher {
+    fn name(&self) -> &'static str {
+        match self {
+            Self::CoSched(d) => d.name(),
+            Self::Backfill(d) => d.name(),
+        }
+    }
+
+    fn next_placement(
+        &mut self,
+        suite: &Suite,
+        waiting: &[ClusterJob],
+        free_gpus: usize,
+        now: f64,
+    ) -> Option<Placement> {
+        match self {
+            Self::CoSched(d) => d.next_placement(suite, waiting, free_gpus, now),
+            Self::Backfill(d) => d.next_placement(suite, waiting, free_gpus, now),
         }
     }
 }
@@ -236,18 +310,15 @@ mod tests {
             SelectorKind::parse("round-robin"),
             Ok(SelectorKind::RoundRobin)
         );
-        assert_eq!(SelectorKind::parse("rr"), Ok(SelectorKind::RoundRobin));
         assert_eq!(
             SelectorKind::parse("least-loaded"),
             Ok(SelectorKind::LeastLoaded)
         );
-        assert_eq!(SelectorKind::parse("ll"), Ok(SelectorKind::LeastLoaded));
         assert_eq!(SelectorKind::parse("policy"), Ok(SelectorKind::Policy));
-        assert_eq!(SelectorKind::parse("rl"), Ok(SelectorKind::Policy));
-        assert_eq!(
-            SelectorKind::parse("least-busy"),
-            Err("least-busy".to_owned())
-        );
+        // Each kind has one spelling.
+        for other in ["rr", "ll", "rl", "least-busy"] {
+            assert_eq!(SelectorKind::parse(other), Err(other.to_owned()));
+        }
         for kind in [
             SelectorKind::RoundRobin,
             SelectorKind::LeastLoaded,
@@ -274,7 +345,6 @@ mod tests {
 
     #[test]
     fn backfill_tiers_place_like_least_loaded() {
-        use crate::backfill::BackfillPolicy;
         assert_eq!(
             SelectorKind::Easy.backfill_policy(),
             Some(BackfillPolicy::Easy)

@@ -557,12 +557,6 @@ impl<D: Dispatcher> NodeRun<D> {
         Self::from_state(state, dispatcher)
     }
 
-    /// The node's current clock.
-    #[must_use]
-    pub fn clock(&self) -> f64 {
-        self.state.clock
-    }
-
     /// Queue a future arrival. Arrivals must be pushed in non-decreasing
     /// time order and must not lie in the node's simulated past.
     ///

@@ -74,12 +74,6 @@ impl TreeSlotSet {
         self.segs.push((f64::NEG_INFINITY, self.total));
     }
 
-    /// The cluster-wide GPU count the capacity can never exceed.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
     /// Number of capacity segments currently held (a coalescing
     /// diagnostic: adjacent segments never share a capacity).
     #[must_use]

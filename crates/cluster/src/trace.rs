@@ -29,8 +29,9 @@
 //! * [`TraceKind::Colocate`] — a multi-GPU mix: a configurable share
 //!   of jobs requests 2..=`max_gpus` GPUs and gang-schedules
 //!   exclusively on its node, interleaved with single-GPU fillers.
-//! * [`TraceKind::Staggered`] — the legacy deterministic demo trace
-//!   ([`crate::multinode::staggered_trace`]); ignores the seed by
+//! * [`TraceKind::Staggered`] — the deterministic demo trace: a
+//!   class-interleaving stride through the suite, bursts of four every
+//!   5 s, every ninth job asking for two GPUs; ignores the seed by
 //!   construction.
 
 use crate::job::ClusterJob;
@@ -76,8 +77,9 @@ pub const TRACE_KINDS: [TraceKind; 6] = [
 ];
 
 impl TraceKind {
-    /// Parse a CLI-style name (`uniform`, `bursty`, `skewed`,
-    /// `heavy-tail`, `colocate`, `staggered`).
+    /// Parse a CLI-style name: exactly the strings [`TraceKind::name`]
+    /// returns (`uniform`, `bursty`, `skewed`, `heavy-tail`, `colocate`,
+    /// `staggered`).
     ///
     /// # Errors
     /// Returns the unrecognised input.
@@ -85,9 +87,9 @@ impl TraceKind {
         match s {
             "uniform" => Ok(Self::Uniform),
             "bursty" => Ok(Self::Bursty),
-            "skewed" | "zipf" => Ok(Self::Skewed),
-            "heavy-tail" | "heavytail" => Ok(Self::HeavyTail),
-            "colocate" | "co-locate" => Ok(Self::Colocate),
+            "skewed" => Ok(Self::Skewed),
+            "heavy-tail" => Ok(Self::HeavyTail),
+            "colocate" => Ok(Self::Colocate),
             "staggered" => Ok(Self::Staggered),
             other => Err(other.to_owned()),
         }
@@ -318,16 +320,6 @@ fn job_at(id: usize, bench: usize, arrival: f64, gpus: usize) -> ClusterJob {
     }
 }
 
-/// Job `i` of the deterministic demo trace — the per-index body behind
-/// both [`crate::multinode::staggered_trace`] and
-/// [`TraceKind::Staggered`]: a class-interleaving stride through the
-/// suite, bursts of four every 5 s, every ninth job asking for two
-/// GPUs.
-pub(crate) fn staggered_job(suite: &Suite, i: usize) -> ClusterJob {
-    let gpus = if i % 9 == 8 { 2 } else { 1 };
-    job_at(i, (i * 7) % suite.len(), (i / 4) as f64 * 5.0, gpus)
-}
-
 /// Benchmark indices ranked by descending solo time: Zipf rank 0 (the
 /// most popular kind) is the longest-running job, which is what turns
 /// popularity skew into work skew.
@@ -545,9 +537,9 @@ impl Iterator for TraceStream<'_> {
                 job
             }
             StreamState::Staggered => {
-                let mut job = staggered_job(suite, i);
-                job.gpus = job.gpus.min(cfg.max_gpus);
-                job
+                let gpus = if i % 9 == 8 { 2 } else { 1 };
+                let arrival = (i / 4) as f64 * 5.0;
+                job_at(i, (i * 7) % suite.len(), arrival, gpus.min(cfg.max_gpus))
             }
         };
         widen_to_gang(cfg, &mut job);
@@ -807,26 +799,6 @@ mod tests {
     }
 
     #[test]
-    fn staggered_kind_matches_the_legacy_trace() {
-        use crate::multinode::staggered_trace;
-        let s = suite();
-        // The kind (uncapped: no job asks for more than 2 GPUs) and the
-        // legacy function share one per-index body; both must land on
-        // the digests captured from `staggered_trace` on the parent.
-        for jobs in PIN_JOBS {
-            let streamed = pinned_trace(&s, TraceKind::Staggered, jobs, 0.0, 0);
-            assert_eq!(staggered_trace(&s, jobs), streamed);
-        }
-        assert!(staggered_trace(&s, 0).is_empty());
-        // The GPU bound still applies.
-        let capped = generate(
-            &s,
-            &TraceConfig::new(TraceKind::Staggered, 24, 42).max_gpus(1),
-        );
-        assert!(capped.iter().all(|j| j.gpus == 1));
-    }
-
-    #[test]
     fn user_tagging_skews_tenants_without_touching_the_trace() {
         let s = suite();
         for kind in [TraceKind::Bursty, TraceKind::Skewed] {
@@ -874,8 +846,9 @@ mod tests {
         for kind in TRACE_KINDS {
             assert_eq!(TraceKind::parse(kind.name()), Ok(kind));
         }
-        assert_eq!(TraceKind::parse("zipf"), Ok(TraceKind::Skewed));
-        assert_eq!(TraceKind::parse("heavytail"), Ok(TraceKind::HeavyTail));
+        for alias in ["zipf", "heavytail", "co-locate"] {
+            assert_eq!(TraceKind::parse(alias), Err(alias.to_owned()));
+        }
         assert_eq!(TraceKind::parse("random"), Err("random".to_owned()));
     }
 

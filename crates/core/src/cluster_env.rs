@@ -92,9 +92,17 @@ pub fn placement_fit_mask(loads: &[NodeLoad], gpus: usize) -> u64 {
         .fold(0u64, |m, (i, _)| m | (1 << i))
 }
 
+/// The width of a placement state over `nodes` nodes: two floats per
+/// node and two for the arriving job (see [`encode_placement_state`]).
+#[must_use]
+pub fn placement_state_dim(nodes: usize) -> usize {
+    2 * (nodes + 1)
+}
+
 /// Encode a placement decision state: for every node, its normalised
 /// outstanding work and free-GPU share, then the arriving job's GPU
-/// share and normalised work. The layout (`2·N + 2` floats) is shared
+/// share and normalised work. The layout
+/// ([`placement_state_dim`] floats) is shared
 /// between the placement environment's `state_into` and
 /// [`PolicySelector`], so a policy trained on simulated episodes sees
 /// live loads in the same coordinates.

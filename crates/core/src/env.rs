@@ -430,12 +430,6 @@ impl<'a> CoScheduleEnv<'a> {
         self.decision
     }
 
-    /// The decision accumulated so far.
-    #[must_use]
-    pub fn decision(&self) -> &ScheduleDecision {
-        &self.decision
-    }
-
     /// The environment configuration.
     #[must_use]
     pub fn config(&self) -> &EnvConfig {
@@ -667,7 +661,7 @@ mod tests {
             })
             .unwrap();
         let r = env.step(a37);
-        let group = &env.decision().groups[0];
+        let group = &env.decision.groups[0];
         // The group contains two jobs; the one on slot 1 (0.8 compute)
         // must have the higher Compute(SM)% profile.
         let hi = group.job_ids[1];
@@ -711,7 +705,7 @@ mod tests {
         assert!(r.rf > 0.0, "co-run should beat time sharing: rf = {}", r.rf);
         assert!(r.reward > 0.0);
         // And the CI job must be on the 0.8 slot.
-        let group = &env.decision().groups[0];
+        let group = &env.decision.groups[0];
         let bt_solver_a = suite.index_of("bt_solver_A").unwrap();
         let bt = queue
             .jobs

@@ -135,12 +135,6 @@ impl HierarchicalCatalog {
         self.groups.len()
     }
 
-    /// Size of the largest group (the MPS-level action budget).
-    #[must_use]
-    pub fn max_variants(&self) -> usize {
-        self.max_variants
-    }
-
     /// Total hierarchical action-space size:
     /// `n_groups + max_variants` (MIG actions first, then MPS slots).
     #[must_use]
@@ -224,18 +218,6 @@ impl<'a> HierarchicalEnv<'a> {
             hcat,
             chosen_group: None,
         }
-    }
-
-    /// The factored catalog driving the two levels.
-    #[must_use]
-    pub fn catalog(&self) -> &HierarchicalCatalog {
-        self.hcat
-    }
-
-    /// The flat environment underneath (state encoding, masks).
-    #[must_use]
-    pub fn flat(&self) -> &CoScheduleEnv<'a> {
-        &self.inner
     }
 }
 
@@ -422,7 +404,7 @@ mod tests {
     fn paper_catalog_factors_into_ten_groups() {
         let hcat = HierarchicalCatalog::from_catalog(&ActionCatalog::paper_29());
         assert_eq!(hcat.n_groups(), 10);
-        assert_eq!(hcat.max_variants(), 7);
+        assert_eq!(hcat.max_variants, 7);
         assert_eq!(hcat.n_actions(), 17);
         // Membership partitions the 29 actions.
         let total: usize = hcat.groups().iter().map(|g| g.members.len()).sum();

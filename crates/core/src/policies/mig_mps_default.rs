@@ -57,12 +57,6 @@ impl MigMpsDefault {
         Self::with_kind(best.0)
     }
 
-    /// The selected layout.
-    #[must_use]
-    pub fn kind(&self) -> DefaultKind {
-        self.kind
-    }
-
     /// Build the fixed scheme for `n3` jobs on the 3g side and `n4` on
     /// the 4g side (default MPS = equal shares), or `None` for shapes the
     /// fixed layout cannot host.
@@ -213,7 +207,7 @@ mod tests {
         let ctx = ScheduleContext::new(&suite, &queue, 4);
         let fitted = MigMpsDefault::fit(std::slice::from_ref(&ctx));
         let again = MigMpsDefault::fit(std::slice::from_ref(&ctx));
-        assert_eq!(fitted.kind(), again.kind());
+        assert_eq!(fitted.kind, again.kind);
     }
 
     #[test]

@@ -19,12 +19,6 @@ impl MigMpsRl {
         Self { trained }
     }
 
-    /// Access the trained agent (weights, scaler, catalog).
-    #[must_use]
-    pub fn trained(&self) -> &TrainedAgent {
-        &self.trained
-    }
-
     /// Unwrap the trained agent.
     #[must_use]
     pub fn into_inner(self) -> TrainedAgent {

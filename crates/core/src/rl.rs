@@ -50,14 +50,15 @@ pub enum EnvKind {
 }
 
 impl EnvKind {
-    /// Parse a CLI-style name (`flat` / `hierarchical`).
+    /// Parse a CLI-style name: exactly the strings [`EnvKind::name`]
+    /// returns (`flat` / `hierarchical`).
     ///
     /// # Errors
     /// Returns the unrecognised input.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "flat" => Ok(Self::Flat),
-            "hierarchical" | "hier" => Ok(Self::Hierarchical),
+            "hierarchical" => Ok(Self::Hierarchical),
             other => Err(other.to_owned()),
         }
     }
@@ -345,7 +346,7 @@ mod tests {
     fn env_kind_parses_and_round_trips() {
         assert_eq!(EnvKind::parse("flat"), Ok(EnvKind::Flat));
         assert_eq!(EnvKind::parse("hierarchical"), Ok(EnvKind::Hierarchical));
-        assert_eq!(EnvKind::parse("hier"), Ok(EnvKind::Hierarchical));
+        assert_eq!(EnvKind::parse("hier"), Err("hier".to_owned()));
         assert!(EnvKind::parse("heirarchical").is_err());
         for kind in [EnvKind::Flat, EnvKind::Hierarchical] {
             assert_eq!(EnvKind::parse(kind.name()), Ok(kind));

@@ -9,9 +9,10 @@
 //! codec's.
 //!
 //! The spec carries everything reconstructible from plain text: the
-//! service geometry, selector kind (plus the round-robin
-//! cursor), the source family with its parameters and stream
-//! position, the admission knobs, the logical counters, and the
+//! service geometry, selector kind (plus, for round-robin, the cursor
+//! `rr_cursor`, which equals the decision count and is checked against
+//! the node logs on restore), the source family with its parameters and
+//! stream position, the admission knobs, the logical counters, and the
 //! last-cycle instant as raw bits. The body carries what must survive
 //! *verbatim*: the service's one-job lookahead, every node's in-flight
 //! [`NodeRunState`] (waiting queue, recorded events, clocks — f64s as
@@ -63,8 +64,8 @@ use hrp_cluster::backfill::BackfillState;
 use hrp_cluster::fair::{FairShare, FairShareState};
 use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NODES};
-use hrp_cluster::place::{dispatcher_for, PlacementDispatcher, PlacementExperiment};
-use hrp_cluster::select::{RoundRobin, SelectorKind};
+use hrp_cluster::place::{PlacementAgent, PlacementExperiment};
+use hrp_cluster::select::{dispatcher_for, NodeDispatcher, RoundRobin, SelectorKind};
 use hrp_cluster::sim::{Dispatcher, EventKind, EventLog, NodeEvent, NodeRunState, TIME_EPS};
 use hrp_cluster::trace::{TraceConfig, TraceKind, MAX_USERS};
 pub use hrp_core::codec::CheckpointError;
@@ -94,18 +95,16 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
                 format!("source '{}' has no replayable position", self.source.name()),
             )
         })?;
-        let agent_blob = match &self.selector {
-            SelectorState::Policy(agent, _) => Some(agent.save_bytes()),
-            _ => None,
-        };
+        let agent_blob = self.selector.agent.as_ref().map(PlacementAgent::save_bytes);
 
         let mut spec = SpecWriter::new();
         spec.kv("nodes", self.cfg.nodes);
         spec.kv("gpus_per_node", self.cfg.gpus_per_node);
         spec.float("walltime_err", self.cfg.walltime_err);
-        spec.kv("selector", self.selector.kind().name());
-        if let SelectorState::RoundRobin(rr) = &self.selector {
-            spec.kv("rr_cursor", rr.cursor());
+        spec.kv("selector", self.selector.kind.name());
+        if self.selector.kind == SelectorKind::RoundRobin {
+            // Every decision makes one `select` call.
+            spec.kv("rr_cursor", self.stats.decisions);
         }
         spec.kv("source", self.source.name());
         spec.kv("src_consumed", self.source.consumed());
@@ -218,10 +217,6 @@ pub fn restore(
             u8::from(has_agent)
         )
     })?;
-    let rr_cursor = match kind {
-        SelectorKind::RoundRobin => Some(spec.get("rr_cursor")?),
-        _ => None,
-    };
     let jobs = JobBounds {
         suite,
         gpus_per_node,
@@ -236,12 +231,21 @@ pub fn restore(
             get_dispatcher(&mut body, node, kind, &cfg)?,
         ));
     }
-    let selector = match (kind, rr_cursor) {
-        (SelectorKind::Policy, _) => {
+    let on_nodes: usize = parts.iter().map(|(state, _)| state.jobs).sum();
+    let selector = match kind {
+        SelectorKind::Policy => {
             SelectorState::from_agent(PlacementExperiment::load_bytes(body.blob()?.to_vec())?)
         }
-        (_, Some(cursor)) => SelectorState::RoundRobin(RoundRobin::with_cursor(cursor)),
-        (other, None) => SelectorState::from_kind(other),
+        SelectorKind::RoundRobin => {
+            // The cursor is the decision count, so it holds nothing the
+            // node logs do not.
+            let cursor: u64 = spec.get("rr_cursor")?;
+            ensure(MAGIC, cursor == on_nodes as u64, || {
+                format!("rr_cursor={cursor}, but the node logs hold {on_nodes} decisions")
+            })?;
+            SelectorState::heuristic(kind, Box::new(RoundRobin::with_cursor(on_nodes)))
+        }
+        other => SelectorState::heuristic(other, other.build()),
     };
     if let Some(mismatch) = selector.geometry_mismatch(&cfg) {
         return Err(CheckpointError::invalid(MAGIC, mismatch));
@@ -252,7 +256,6 @@ pub fn restore(
     };
     // Every arrival the source handed out is on a node, rejected,
     // parked, or the lookahead.
-    let on_nodes: usize = parts.iter().map(|(state, _)| state.jobs).sum();
     let parked = admission.as_ref().map_or(0, |adm| adm.deferred.len());
     let held = on_nodes + parked + usize::from(lookahead.is_some());
     let accounted = rejected.saturating_add(held as u64);
@@ -616,10 +619,10 @@ fn get_events(r: &mut Reader<'_>, state: &mut NodeRunState) -> Result<(), Checkp
     Ok(())
 }
 
-fn put_dispatcher(w: &mut Writer, dispatcher: &PlacementDispatcher) {
+fn put_dispatcher(w: &mut Writer, dispatcher: &NodeDispatcher) {
     match dispatcher {
-        PlacementDispatcher::CoSched(_) => w.u8(0),
-        PlacementDispatcher::Backfill(planner) => {
+        NodeDispatcher::CoSched(_) => w.u8(0),
+        NodeDispatcher::Backfill(planner) => {
             let state = planner.export_state();
             w.u8(1);
             w.seq(state.releases.iter(), |w, (finish, gpus)| {
@@ -646,13 +649,13 @@ fn get_dispatcher(
     node: usize,
     kind: SelectorKind,
     cfg: &ServeConfig,
-) -> Result<PlacementDispatcher, CheckpointError> {
+) -> Result<NodeDispatcher, CheckpointError> {
     let gpus_per_node = cfg.gpus_per_node;
     let width = |gpus: usize| (1..=gpus_per_node).contains(&gpus);
     let mut dispatcher = dispatcher_for(kind, gpus_per_node, cfg.walltime_err);
     match (r.u8()?, &mut dispatcher) {
-        (0, PlacementDispatcher::CoSched(_)) => {}
-        (1, PlacementDispatcher::Backfill(planner)) => {
+        (0, NodeDispatcher::CoSched(_)) => {}
+        (1, NodeDispatcher::Backfill(planner)) => {
             let state = BackfillState {
                 releases: r.seq(8 + 4, |r| Ok((r.f64()?, r.size()?)))?,
             };
@@ -1079,6 +1082,27 @@ mod tests {
         ] {
             let what = invalid(restore(&s, tamper(&blob, key, value)));
             assert!(!what.is_empty(), "forged {key}={value}");
+        }
+
+        // A round-robin cursor is the decision count the node logs hold.
+        let mut rr = SchedulerService::new(
+            &s,
+            ServeConfig::new(2, 2),
+            SelectorKind::RoundRobin,
+            TraceSource::new(&s, trace_cfg(TraceKind::Uniform, 20, 3)),
+        );
+        while rr.consumed() < 10 {
+            let _ = rr.step();
+        }
+        let decisions = rr.stats().decisions;
+        assert!(decisions > 0, "the cut comes after some decisions");
+        let blob = rr.checkpoint().expect("checkpointable");
+        for cursor in [0, decisions - 1, decisions + 1, decisions + 2] {
+            let what = invalid(restore(&s, tamper(&blob, "rr_cursor", &cursor.to_string())));
+            assert!(
+                what.contains("rr_cursor"),
+                "forged rr_cursor={cursor}: {what}"
+            );
         }
     }
 

@@ -31,25 +31,25 @@
 //! Admission state checkpoints alongside everything else, so
 //! kill/restore reproduces the decisions bit-exactly.
 //!
-//! Every node runs the dispatcher [`dispatcher_for`] gives the
-//! selector's kind — a policy service's too, so an agent is served
-//! through the nodes placement training ran it on. The dispatchers are
-//! event-driven: a node needs a cycle only at a job event. The one instant a service must wake at with no arrival is an
+//! The service keeps the [`SelectorKind`] it was built with and reads
+//! everything else off it: every node runs the dispatcher
+//! [`dispatcher_for`] gives that kind — a policy service's too, so an
+//! agent is served through the nodes placement training ran it on — and
+//! every decision makes one call of the selector
+//! [`SelectorKind::build`] (or the agent) gave it. The dispatchers are
+//! event-driven: a node needs a cycle only at a job event. The one
+//! instant a service must wake at with no arrival is an
 //! estimated release of the admission tier while jobs are parked —
 //! [`SchedulerService::next_wakeup`] — and
 //! [`SchedulerService::wake_cycle`] runs exactly there.
 
 use crate::source::{ArrivalSource, SourcePoll};
-use hrp_cluster::backfill::BackfillPolicy;
 use hrp_cluster::fair::{self, FairShare};
 use hrp_cluster::job::ClusterJob;
 use hrp_cluster::multinode::{ClusterDrive, MultiNodeReport, MAX_GPUS_PER_NODE};
-pub use hrp_cluster::place::dispatcher_for;
-use hrp_cluster::place::{PlacementAgent, PlacementDispatcher};
-use hrp_cluster::select::{
-    BackfillTier, LeastLoaded, NodeSelector, PolicySelector, RoundRobin, SelectorKind,
-};
-use hrp_core::rl::DqnSnapshot;
+use hrp_cluster::place::PlacementAgent;
+pub use hrp_cluster::select::dispatcher_for;
+use hrp_cluster::select::{NodeDispatcher, NodeSelector, SelectorKind};
 use hrp_core::{fnv1a, FNV_OFFSET};
 use hrp_workloads::Suite;
 use std::collections::VecDeque;
@@ -195,57 +195,32 @@ impl ServeConfig {
     }
 }
 
-/// The concrete selector state the service owns — the checkpointable
-/// closed set of [`SelectorKind`]s plus the trained-policy tier.
-pub(crate) enum SelectorState {
-    /// Cyclic placement (cursor is checkpointed).
-    RoundRobin(RoundRobin),
-    /// Greedy least-outstanding-work placement (stateless).
-    LeastLoaded(LeastLoaded),
-    /// Least-loaded placement labeled by the backfill policy its nodes
-    /// run ([`BackfillTier`]; stateless).
-    Backfill(BackfillPolicy),
-    /// A frozen RL policy: the agent (checkpointed as an embedded
-    /// `HRPP` blob) plus the greedy selector wrapping its snapshot.
-    Policy(Box<PlacementAgent>, Box<PolicySelector<DqnSnapshot>>),
+/// The selector the service owns: its kind, which also names the
+/// nodes' dispatchers ([`dispatcher_for`]) and the `HRPS` `selector`
+/// key, the selector every decision calls once, and for the policy tier
+/// the agent behind it (checkpointed as an embedded `HRPP` blob).
+pub(crate) struct SelectorState {
+    pub(crate) kind: SelectorKind,
+    selector: Box<dyn NodeSelector>,
+    pub(crate) agent: Option<PlacementAgent>,
 }
 
 impl SelectorState {
-    /// The state of a heuristic kind.
-    ///
-    /// # Panics
-    /// Panics for [`SelectorKind::Policy`], which needs an agent
-    /// ([`SelectorState::from_agent`]).
-    pub(crate) fn from_kind(kind: SelectorKind) -> Self {
-        match kind {
-            SelectorKind::RoundRobin => Self::RoundRobin(RoundRobin::new()),
-            SelectorKind::LeastLoaded => Self::LeastLoaded(LeastLoaded),
-            SelectorKind::Policy => panic!(
-                "SelectorKind::Policy needs a trained agent; \
-                 build the service via SchedulerService::with_agent"
-            ),
-            // The three backfill kinds are the ones with a policy.
-            SelectorKind::Fcfs | SelectorKind::Easy | SelectorKind::Conservative => {
-                Self::Backfill(kind.backfill_policy().expect("tier"))
-            }
+    /// A heuristic kind placing through `selector`.
+    pub(crate) fn heuristic(kind: SelectorKind, selector: Box<dyn NodeSelector>) -> Self {
+        Self {
+            kind,
+            selector,
+            agent: None,
         }
     }
 
+    /// The policy tier: the greedy selector wrapping `agent`'s snapshot.
     pub(crate) fn from_agent(agent: PlacementAgent) -> Self {
-        let selector = agent.selector();
-        Self::Policy(Box::new(agent), Box::new(selector))
-    }
-
-    pub(crate) fn kind(&self) -> SelectorKind {
-        match self {
-            Self::RoundRobin(_) => SelectorKind::RoundRobin,
-            Self::LeastLoaded(_) => SelectorKind::LeastLoaded,
-            Self::Backfill(policy) => match policy {
-                BackfillPolicy::Fcfs => SelectorKind::Fcfs,
-                BackfillPolicy::Easy => SelectorKind::Easy,
-                BackfillPolicy::Conservative => SelectorKind::Conservative,
-            },
-            Self::Policy(..) => SelectorKind::Policy,
+        Self {
+            kind: SelectorKind::Policy,
+            selector: Box::new(agent.selector()),
+            agent: Some(agent),
         }
     }
 
@@ -253,25 +228,13 @@ impl SelectorState {
     /// it cannot: a policy agent is shaped by the cluster it was
     /// trained for (one action per node, planners sized to its nodes).
     pub(crate) fn geometry_mismatch(&self, cfg: &ServeConfig) -> Option<String> {
-        let Self::Policy(agent, _) = self else {
-            return None;
-        };
-        let trained = agent.config();
+        let trained = self.agent.as_ref()?.config();
         (trained.nodes != cfg.nodes || trained.gpus_per_node != cfg.gpus_per_node).then(|| {
             format!(
                 "agent places over {} nodes x {} GPUs, service has {} x {}",
                 trained.nodes, trained.gpus_per_node, cfg.nodes, cfg.gpus_per_node
             )
         })
-    }
-
-    fn select(&mut self, gpus: usize, work: f64, loads: &[hrp_cluster::select::NodeLoad]) -> usize {
-        match self {
-            Self::RoundRobin(s) => s.select(gpus, work, loads),
-            Self::LeastLoaded(s) => s.select(gpus, work, loads),
-            Self::Backfill(policy) => BackfillTier::new(*policy).select(gpus, work, loads),
-            Self::Policy(_, s) => s.select(gpus, work, loads),
-        }
     }
 }
 
@@ -527,7 +490,7 @@ impl AdmissionState {
 pub struct SchedulerService<'a, S: ArrivalSource> {
     pub(crate) suite: &'a Suite,
     pub(crate) cfg: ServeConfig,
-    pub(crate) drive: ClusterDrive<'a, PlacementDispatcher>,
+    pub(crate) drive: ClusterDrive<'a, NodeDispatcher>,
     pub(crate) selector: SelectorState,
     pub(crate) source: S,
     /// The first arrival of the *next* burst, pulled while grouping
@@ -565,7 +528,17 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// (`src_max_gpus`). The message names the field.
     #[must_use]
     pub fn new(suite: &'a Suite, cfg: ServeConfig, kind: SelectorKind, source: S) -> Self {
-        Self::build(suite, cfg, SelectorState::from_kind(kind), source)
+        assert!(
+            !kind.needs_training(),
+            "SelectorKind::Policy needs a trained agent; \
+             build the service via SchedulerService::with_agent"
+        );
+        Self::build(
+            suite,
+            cfg,
+            SelectorState::heuristic(kind, kind.build()),
+            source,
+        )
     }
 
     /// A fresh service placing through a trained (or untrained)
@@ -624,7 +597,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         if let Some(mismatch) = max_gpus.and_then(|max| source_width_mismatch(max, gpus)) {
             panic!("{mismatch}");
         }
-        let kind = selector.kind();
+        let kind = selector.kind;
         let drive = ClusterDrive::new(suite, cfg.nodes, gpus, |_| dispatcher_for(kind, gpus, err));
         let admission = cfg.admission.as_ref().map(AdmissionState::new);
         Self {
@@ -652,7 +625,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// The selector kind placements run through.
     #[must_use]
     pub fn selector_kind(&self) -> SelectorKind {
-        self.selector.kind()
+        self.selector.kind
     }
 
     /// Counters so far.
@@ -756,11 +729,16 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         self.last_cycle = t;
     }
 
-    /// Route one admitted job through the selector onto a node.
+    /// Route one admitted job through the selector onto a node: the one
+    /// `select` call of a decision, so a round-robin cursor is always
+    /// the decision count.
     fn place_job(&mut self, job: ClusterJob) {
         let work = job.solo_time(self.suite);
         let started = Instant::now();
-        let node = self.selector.select(job.gpus, work, self.drive.loads());
+        let node = self
+            .selector
+            .selector
+            .select(job.gpus, work, self.drive.loads());
         self.latencies.record(started.elapsed());
         self.stats.decisions += 1;
         self.drive.place(node, job);
@@ -1218,7 +1196,7 @@ mod tests {
         ] {
             assert!(matches!(
                 dispatcher_for(kind, 2, 0.0),
-                PlacementDispatcher::CoSched(_)
+                NodeDispatcher::CoSched(_)
             ));
         }
         for kind in [
@@ -1227,11 +1205,11 @@ mod tests {
             SelectorKind::Conservative,
         ] {
             match dispatcher_for(kind, 2, 0.25) {
-                PlacementDispatcher::Backfill(p) => {
+                NodeDispatcher::Backfill(p) => {
                     assert_eq!(p.policy(), kind.backfill_policy().unwrap());
                     assert!((p.walltime_err() - 0.25).abs() < 1e-12);
                 }
-                PlacementDispatcher::CoSched(_) => panic!("{} must backfill", kind.name()),
+                NodeDispatcher::CoSched(_) => panic!("{} must backfill", kind.name()),
             }
         }
     }

@@ -112,6 +112,24 @@ fn steady_state_decision_paths_do_not_allocate() {
     });
     assert_eq!(n, 0, "PolicySelector::select allocated {n}x");
 
+    // The heuristic tiers, boxed as `SelectorKind::build` hands them to
+    // a service: one `select` call per decision, through the box.
+    for kind in [
+        SelectorKind::RoundRobin,
+        SelectorKind::LeastLoaded,
+        SelectorKind::Fcfs,
+        SelectorKind::Easy,
+        SelectorKind::Conservative,
+    ] {
+        let mut selector = kind.build();
+        let n = count_allocs(|| {
+            for _ in 0..REPS {
+                std::hint::black_box(selector.select(1, 50.0, &loads));
+            }
+        });
+        assert_eq!(n, 0, "{} select allocated {n}x", kind.name());
+    }
+
     // The training rollout hot loop: ε-greedy against a frozen
     // snapshot with one reused ActionScratch — greedy (ε = 0) runs the
     // plan, exploration (ε = 1) only draws from the RNG.

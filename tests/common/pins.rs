@@ -116,7 +116,7 @@ pub fn case(name: &str) -> Case {
                 ..served(trace, 4, selector(tier), 48)
             }
         }
-        // The 24-job demo trace of `multinode::staggered_trace`.
+        // The 24-job staggered demo trace (the kind ignores its seed).
         ["cluster", "staggered", tier] => served(trace(Staggered, 24, 0), 4, selector(tier), 12),
         ["cluster", "skewed-5000"] => Case::new(Source::Trace(trace(Skewed, 5000, 42)), 8, Easy),
         _ => panic!("no case is named '{name}'"),

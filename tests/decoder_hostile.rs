@@ -36,6 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hrp::cluster::place::{PlacementAgent, PlacementConfig, PlacementExperiment};
 use hrp::cluster::{SelectorKind, TraceConfig, TraceKind};
+use hrp::core::rl::EnvKind;
 use hrp::core::train::{train, TrainConfig, TrainedAgent};
 use hrp::gpusim::GpuArch;
 use hrp::nn::net::{Head, QNet};
@@ -540,6 +541,52 @@ fn forged_experiment_specs_are_typed_errors() {
     ] {
         assert_forged_experiment_is_rejected(key, value, needle);
     }
+}
+
+/// Each name has one spelling, and a decoder accepts exactly the one its
+/// writer emits. Parent commit: `selector=rr` restored a round-robin
+/// service, `env=hier` loaded a hierarchical agent and
+/// `trace.kind=zipf` a skewed-trace one, and each re-encoded to other
+/// bytes than it was read from.
+#[test]
+fn spellings_no_writer_emits_are_typed_errors() {
+    let s = suite();
+    let forged = tamper_spec(&hrps_blob(&s, Tier::RoundRobin), "selector", "rr");
+    let (outcome, peak) = largest_request(|| restore(&s, forged).map(drop));
+    let err = outcome.expect_err("selector=rr");
+    assert!(
+        matches!(err, CheckpointError::Invalid { format: "HRPS", .. }),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("'selector'"), "{err}");
+    assert!(
+        peak <= ALLOC_FLOOR,
+        "selector=rr: asked for {peak} bytes at once"
+    );
+
+    let cfg = TrainConfig {
+        env: EnvKind::Hierarchical,
+        w: 3,
+        hidden: vec![4],
+        episodes: 4,
+        seed: 7,
+        ..TrainConfig::quick()
+    };
+    let hierarchical = train(&s, cfg).0.save_bytes();
+    let forged = tamper_spec(&hierarchical, "env", "hier");
+    let (outcome, peak) = largest_request(|| TrainedAgent::load_bytes(forged, &s).map(drop));
+    let err = outcome.expect_err("env=hier");
+    assert!(
+        matches!(err, CheckpointError::Invalid { format: "HRPE", .. }),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("'env'"), "{err}");
+    assert!(
+        peak <= ALLOC_FLOOR,
+        "env=hier: asked for {peak} bytes at once"
+    );
+
+    assert_forged_agent_is_rejected("trace.kind", "zipf", "'trace.kind'");
 }
 
 /// `HRPS` v3 retired two spec keys, v4 the node fields its event log

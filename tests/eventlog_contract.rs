@@ -11,7 +11,7 @@
 //! each), and the log an `HRPS` round trip decodes are all equal.
 
 use hrp::cluster::multinode::{ClusterTimeline, MultiNodeSim};
-use hrp::cluster::place::dispatcher_for;
+use hrp::cluster::select::dispatcher_for;
 use hrp::cluster::sim::{ClusterSim, EventKind, EventLog, NodeEvent};
 use hrp::cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp::cluster::SelectorKind;

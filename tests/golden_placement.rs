@@ -16,7 +16,8 @@
 //! worker count.
 
 use hrp::cluster::multinode::MultiNodeSim;
-use hrp::cluster::place::{dispatcher_for, train_placement, PlacementConfig};
+use hrp::cluster::place::{train_placement, PlacementConfig};
+use hrp::cluster::select::dispatcher_for;
 use hrp::cluster::trace::{generate, TraceConfig, TraceKind, EVAL_SEED_OFFSET};
 use hrp::cluster::{ClusterJob, NodeSelector, SelectorKind};
 use hrp::core::train::TrainReport;

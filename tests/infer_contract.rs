@@ -16,7 +16,7 @@
 //!   out narrow nodes.
 
 use hrp::core::cluster_env::{
-    encode_placement_state, placement_fit_mask, NodeLoad, PolicySelector,
+    encode_placement_state, placement_fit_mask, placement_state_dim, NodeLoad, PolicySelector,
 };
 use hrp::core::rl::DqnSnapshot;
 use hrp::core::NodeSelector;
@@ -248,7 +248,7 @@ proptest! {
             .collect();
         let work = 20.0 + f64::from(gen().abs()) * 200.0;
 
-        let dim = 2 * nodes + 2;
+        let dim = placement_state_dim(nodes);
         let hidden = [16, 8];
         let net = QNet::new(dim, &hidden, nodes, Head::Dueling, net_seed);
         let mut selector = PolicySelector::new(DqnSnapshot::new(&net));

@@ -3,9 +3,10 @@
 //! A trace kind's RNG draws are written once (`TraceStream`;
 //! `generate` collects it), there is one backfilling dispatcher
 //! (`BackfillPlanner`), and one function constructs node-local
-//! dispatchers (`dispatcher_for`, over the one `NODE_W` / `NODE_CMAX`
-//! pair) — training, batch evaluation, `repro` and every `hrp-serve`
-//! tier, the policy tier included, go through it — and one representation of an event
+//! dispatchers (`select::dispatcher_for`, over the one `NODE_W` /
+//! `NODE_CMAX` pair, beside `SelectorKind`) — training, batch
+//! evaluation, `repro` and every `hrp-serve` tier, the policy tier
+//! included, go through it — and one representation of an event
 //! stream (`sim::EventLog`, read through borrowed `NodeEvent` views). A
 //! second copy of any of them would first show up as one of the
 //! patterns below. And every public function has a caller: one that
@@ -32,9 +33,9 @@ fn node_dispatchers_are_constructed_in_one_function_body() {
             hits.len(),
             1,
             "{constructor} is called at {hits:?}: build node dispatchers through \
-             hrp_cluster::place::dispatcher_for, the one constructor"
+             hrp_cluster::select::dispatcher_for, the one constructor"
         );
-        assert!(hits[0].starts_with("crates/cluster/src/place.rs:"));
+        assert!(hits[0].starts_with("crates/cluster/src/select.rs:"));
     }
 }
 
@@ -137,7 +138,7 @@ fn the_deleted_second_copies_stay_deleted() {
         ("MAX_NODE", "_W"),
         ("MAX_NODE", "_CMAX"),
         ("Dispatcher", "Record"),
-        ("PlacementDispatcher", "::new"),
+        ("Placement", "Dispatcher"),
         (".node", "_w"),
         (".node", "_cmax"),
         // A window job is its bench index: no name copied out of the
@@ -173,6 +174,11 @@ fn the_deleted_second_copies_stay_deleted() {
         ("Inflight", "Round"),
         ("max_snapshot", "_lag"),
         ("MAX_", "SHARDS"),
+        // One meaning per selector kind: the demo trace is a trace kind,
+        // and the round-robin cursor is the decision count.
+        ("staggered", "_trace"),
+        ("staggered", "_job"),
+        ("rr.", "cursor()"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
@@ -254,10 +260,31 @@ fn only_pin_printers_are_ignored() {
     );
 }
 
+/// Whether `c` can be part of an identifier.
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
 /// The identifiers of a line of code, in order.
 fn identifiers(line: &str) -> impl Iterator<Item = &str> {
-    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+    line.split(|c: char| !is_ident(c))
         .filter(|word| !word.is_empty())
+}
+
+/// The identifiers a line calls or names by path, in order: `f(` (so
+/// also `.f(`), `f::<` or `::f`. A field read or a local that shares a
+/// function's name is not a call of it.
+fn called(line: &str) -> impl Iterator<Item = &str> {
+    line.char_indices()
+        .filter(move |&(at, c)| is_ident(c) && !line[..at].ends_with(is_ident))
+        .filter_map(move |(start, _)| {
+            let end = line[start..]
+                .find(|c| !is_ident(c))
+                .map_or(line.len(), |len| start + len);
+            let (before, after) = (&line[..start], &line[end..]);
+            let call = after.starts_with('(') || after.starts_with("::<");
+            (call || before.ends_with("::")).then(|| &line[start..end])
+        })
 }
 
 /// The names of the functions a line declares after each `keyword`
@@ -268,18 +295,18 @@ fn declared<'a>(line: &'a str, keyword: &'a str) -> impl Iterator<Item = &'a str
         .filter_map(|rest| identifiers(rest).next())
 }
 
-/// A public function stays only if something other than tests names it:
-/// every `pub fn` under `crates/*/src` is named on a non-test,
-/// non-comment line other than a declaration of that name, somewhere
-/// under `crates/*/src`, `src/` or `examples/` — or is listed here with
-/// the reason it stays. The list is exact: an entry that gains a caller
-/// must leave it.
+/// A public function stays only if something other than tests calls it:
+/// every `pub fn` under `crates/*/src` is called (`f(`, `.f(`, `f::<`)
+/// or named by path (`::f`) on a non-test, non-comment line other than a
+/// declaration of that name, somewhere under `crates/*/src`, `src/` or
+/// `examples/` — or is listed here with the reason it stays. The list is
+/// exact: an entry that gains a caller must leave it.
 ///
 /// The scan goes by name, so it under-reports: a function that shares
-/// its name with a field, a local, another type's method or a word in a
-/// string literal counts as called (`SchedulerService::with_agent`, which
-/// only the frozen benchmark and tests construct through, is named in a
-/// panic message). What it does report is certain.
+/// its name with another type's called method, or with a call in a
+/// string literal, counts as called (`SchedulerService::with_agent`,
+/// which only the frozen benchmark and tests construct through, is named
+/// by path in a panic message). What it does report is certain.
 #[test]
 fn every_pub_fn_has_a_caller() {
     let uncalled_on_purpose = [
@@ -306,9 +333,6 @@ fn every_pub_fn_has_a_caller() {
         // The evaluation trace `repro cluster` rows are compared on,
         // which `oracle`'s `backfill/` rows pin.
         "crates/bench/src/cluster.rs::evaluation_trace",
-        // The staggered trace of the module doctest and the README
-        // (`oracle`'s `cluster/` rows generate it as its trace kind).
-        "crates/cluster/src/multinode.rs::staggered_trace",
         // `properties.rs`: no compiled partition hands out more compute
         // than the GPU has.
         "crates/gpusim/src/partition.rs::total_compute",
@@ -323,6 +347,29 @@ fn every_pub_fn_has_a_caller() {
         // `tests/checkpoint.rs` and the README round-trip through it.
         "crates/core/src/experiment.rs::load_file",
         "crates/core/src/experiment.rs::save_file",
+        // hrp-serve's unit test reads back the policy a planner that
+        // `dispatcher_for` built runs.
+        "crates/cluster/src/backfill.rs::policy",
+        // The inverse of `claim`: `slots_contract` checks the profile
+        // against a naive one through both, and `alloc_free` books
+        // releases onto a slot set (the planner refills its profile by
+        // claims alone).
+        "crates/cluster/src/slots.rs::release",
+        // `env_contract` walks the factored catalog of a hierarchical
+        // factory, group by group, against the flat catalog.
+        "crates/core/src/hierarchy.rs::catalog",
+        "crates/core/src/hierarchy.rs::groups",
+        // mig.rs's unit tests read back the placements a profile list
+        // compiles to.
+        "crates/gpusim/src/mig.rs::placements",
+        // The learner's step counter: the frozen benchmark reports it
+        // (`nn.dqn.learn_steps`), `alloc_free` and `checkpoint` check it.
+        "crates/nn/src/dqn.rs::learn_steps",
+        // opt.rs's unit tests hold Adam's bias-correction step count.
+        "crates/nn/src/opt.rs::steps",
+        // A live service's counters mid-run (`alloc_free` reads them
+        // between cycles; a finished run reports them in `ServeReport`).
+        "crates/serve/src/service.rs::stats",
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["src", "examples"].map(str::to_owned));
@@ -332,13 +379,13 @@ fn every_pub_fn_has_a_caller() {
     for (path, text) in &files {
         for (_, line) in non_test_lines(text) {
             let here: Vec<&str> = declared(line, "fn ").collect();
-            named.extend(identifiers(line).filter(|word| !here.contains(word)));
+            named.extend(called(line).filter(|word| !here.contains(word)));
             if path.starts_with("crates/") {
                 public.extend(declared(line, "pub fn ").map(|name| (path.as_str(), name)));
             }
         }
     }
-    assert!(public.len() > 450, "found the public functions");
+    assert!(public.len() > 400, "found the public functions");
     let uncalled: BTreeSet<String> = public
         .iter()
         .filter(|(_, name)| !named.contains(name))
