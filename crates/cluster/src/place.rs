@@ -572,14 +572,9 @@ fn encode_spec(cfg: &PlacementConfig) -> SpecWriter {
     let mut s = SpecWriter::new();
     s.kv("nodes", cfg.nodes);
     s.kv("gpus_per_node", cfg.gpus_per_node);
-    s.kv("trace.kind", cfg.trace.kind.name());
-    s.kv("trace.jobs", cfg.trace.jobs);
-    s.kv("trace.seed", cfg.trace.seed);
-    s.kv("trace.max_gpus", cfg.trace.max_gpus);
-    s.float("trace.mean_gap", cfg.trace.mean_gap);
-    s.float("trace.gang_share", cfg.trace.gang_share);
-    s.kv("trace.users", cfg.trace.users);
-    s.float("trace.user_skew", cfg.trace.user_skew);
+    for (key, value) in cfg.trace.spec_pairs() {
+        s.kv(&format!("trace.{key}"), value);
+    }
     s.kv("n_traces", cfg.n_traces);
     s.kv("episodes", cfg.episodes);
     s.list("hidden", &cfg.hidden);
@@ -596,16 +591,7 @@ fn decode_spec(mut spec: Spec<'_>) -> Result<PlacementConfig, CheckpointError> {
     let cfg = PlacementConfig {
         nodes: spec.get_in("nodes", 1..=MAX_NODES)?,
         gpus_per_node: spec.get_in("gpus_per_node", 1..=MAX_GPUS_PER_NODE)?,
-        trace: TraceConfig {
-            kind: spec.get_with("trace.kind", TraceKind::parse)?,
-            jobs: spec.get("trace.jobs")?,
-            seed: spec.get("trace.seed")?,
-            max_gpus: spec.get("trace.max_gpus")?,
-            mean_gap: spec.get("trace.mean_gap")?,
-            gang_share: spec.get("trace.gang_share")?,
-            users: spec.get("trace.users")?,
-            user_skew: spec.get("trace.user_skew")?,
-        },
+        trace: TraceConfig::from_spec(&mut spec, "trace.")?,
         n_traces: spec.get("n_traces")?,
         episodes: spec.get("episodes")?,
         hidden: spec.get_list("hidden")?,

@@ -36,6 +36,7 @@
 
 use crate::job::ClusterJob;
 use hrp_gpusim::rng::SplitMix64;
+use hrp_nn::serialize::{CheckpointError, Spec, POSITIVE_FINITE};
 use hrp_workloads::Suite;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -220,6 +221,46 @@ impl TraceConfig {
         );
         self.user_skew = skew;
         self
+    }
+
+    /// The eight fields as unprefixed `key=value` spec pairs, floats in
+    /// their shortest round-trip form: what the `HRPP` agent spec writes
+    /// under `trace.` and the `HRPS` trace source under `src_`.
+    /// [`TraceConfig::from_spec`] reads them back.
+    #[must_use]
+    pub fn spec_pairs(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("kind", self.kind.name().to_owned()),
+            ("jobs", self.jobs.to_string()),
+            ("seed", self.seed.to_string()),
+            ("max_gpus", self.max_gpus.to_string()),
+            ("mean_gap", format!("{:?}", self.mean_gap)),
+            ("gang_share", format!("{:?}", self.gang_share)),
+            ("users", self.users.to_string()),
+            ("user_skew", format!("{:?}", self.user_skew)),
+        ]
+    }
+
+    /// Read the [`TraceConfig::spec_pairs`] written under `prefix`, each
+    /// held to what the builder methods assert: at least one job and one
+    /// GPU, a positive finite mean gap and user skew, a gang share in
+    /// `0..=1` and at most [`MAX_USERS`] tenants.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Invalid`] (in the spec's format) on a missing
+    /// key or a value out of range.
+    pub fn from_spec(spec: &mut Spec<'_>, prefix: &str) -> Result<Self, CheckpointError> {
+        let key = |field: &str| format!("{prefix}{field}");
+        Ok(Self {
+            kind: spec.get_with(&key("kind"), TraceKind::parse)?,
+            jobs: spec.get_in(&key("jobs"), 1..)?,
+            seed: spec.get(&key("seed"))?,
+            max_gpus: spec.get_in(&key("max_gpus"), 1..)?,
+            mean_gap: spec.get_in(&key("mean_gap"), POSITIVE_FINITE)?,
+            gang_share: spec.get_in(&key("gang_share"), 0.0..=1.0)?,
+            users: spec.get_in(&key("users"), 0..=MAX_USERS)?,
+            user_skew: spec.get_in(&key("user_skew"), POSITIVE_FINITE)?,
+        })
     }
 }
 

@@ -24,7 +24,7 @@
 //!   (physical) action followed by an MPS-level (logical) action, same
 //!   reachable decisions as the flat catalog;
 //! * [`mod@train`] — offline training of a dueling double DQN over randomly
-//!   generated job queues, run as a parallel rollout/learner pipeline
+//!   generated job queues, run as a round-based rollout/learner pipeline
 //!   ([`train::train_env`], generic over the env/learner pair) —
 //!   roll out, store, learn, bit-identical for any worker count (see
 //!   `ARCHITECTURE.md`, "Determinism contract");
@@ -37,9 +37,9 @@
 //!   bridge; the placement environment itself lives in
 //!   `hrp-cluster::place`, where it replays episodes through the real
 //!   multi-node simulator);
-//! * [`par`] — [`par::for_each_mut`], the scoped-thread fan-out of the
-//!   Fig. 8 evaluation (training's rollout workers open their own scope
-//!   in [`train::train_env`]);
+//! * [`par`] — [`par::for_each_mut`], the one scoped-thread fan-out:
+//!   training's rollout rounds ([`train::train_env`]) and the Fig. 8
+//!   evaluation run on it;
 //! * [`policies`] — the five compared methods of §V-A4: `TimeSharing`,
 //!   `MigOnly (C=2)`, `MpsOnly`, `MigMpsDefault`, and `MigMpsRl`;
 //! * [`exhaustive`] — the set-partition dynamic program used to give the

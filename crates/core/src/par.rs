@@ -1,14 +1,14 @@
 //! Bounded parallelism over a slice of independent items:
-//! [`for_each_mut`], on `std::thread::scope` like `train_env`'s rollout
-//! workers. The Fig. 8 evaluation fan-out (`hrp-bench`'s `eval_policy`,
-//! one item per queue) runs on it. Each item is updated by one call,
-//! whichever thread makes it, so the result is the serial loop's for
-//! any thread count.
+//! [`for_each_mut`], on `std::thread::scope`, the workspace's one
+//! thread fan-out. It has two callers: training's rollout rounds
+//! ([`crate::train::train_env`], one item per episode of a round) and
+//! the Fig. 8 evaluation (`hrp-bench`'s `eval_policy`, one item per
+//! queue). Each item is updated by one call, whichever thread makes it,
+//! so the result is the serial loop's for any thread count.
 
 /// Number of worker threads to use when the caller passes `0`
 /// ("auto"): the machine's available parallelism.
-#[must_use]
-pub fn resolve_threads(requested: usize) -> usize {
+fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }

@@ -1,4 +1,4 @@
-//! Offline training (paper Fig. 7, left half) as a **parallel
+//! Offline training (paper Fig. 7, left half) as a **round-based
 //! rollout/learner pipeline**.
 //!
 //! The paper trains the dueling double DQN by repeatedly co-running job
@@ -11,41 +11,36 @@
 //! The pipeline is written against the [`crate::rl`] traits —
 //! [`train_env`] takes any [`EnvFactory`] × [`Learner`] pair — and
 //! proceeds in fixed-size **rounds** of [`TrainConfig::rollout_round`]
-//! episodes:
+//! episodes, each in three steps:
 //!
 //! 1. the learner freezes a [`Learner::Snapshot`] of its policy;
-//! 2. up to [`TrainConfig::n_workers`] rollout workers
-//!    (`std::thread::scope`) claim the round's episodes from an atomic
-//!    counter and step factory-made episodes against the frozen
-//!    snapshot, each with an **independent RNG stream seeded from
-//!    `(seed, episode)`**, streaming finished episodes through an mpsc
-//!    channel;
-//! 3. the learner, on the calling thread, consumes episodes **in
-//!    episode order** (buffering out-of-order arrivals), stores their
-//!    transitions in the replay ring and runs two gradient steps per
-//!    environment step — while the workers still roll the rest of the
-//!    round.
+//! 2. [`par::for_each_mut`] fills one slot per episode of the round, on
+//!    up to [`TrainConfig::n_workers`] threads: each slot steps a
+//!    factory-made episode against the frozen snapshot, with an
+//!    **independent RNG stream seeded from `(seed, episode)`**;
+//! 3. the learner, on the calling thread, takes the slots **in episode
+//!    order**, stores their transitions in the replay ring and runs two
+//!    gradient steps per environment step.
 //!
 //! The next round's snapshot is frozen only after this round is fully
-//! learned, so workers always roll against the freshest weights: roll
-//! out, store, learn, as the paper trains.
+//! learned, so every rollout acts on the freshest weights: roll out,
+//! store, learn, as the paper trains.
 //!
 //! Because every episode's rollout depends only on its round's snapshot
-//! and its own seed, and the learner consumes in a fixed order, the
-//! trained weights are **bit-identical for any worker count**: worker
-//! parallelism is an execution detail, not a semantic knob.
+//! and its own seed, and the learner takes the slots in a fixed order,
+//! the trained weights are **bit-identical for any worker count**
+//! (pinned by `tests/golden_train.rs`): worker parallelism is an
+//! execution detail, not a semantic knob.
 //!
 //! [`train`] wires the default pair — [`CoScheduleEnv`] (or
 //! [`crate::hierarchy::HierarchicalEnv`] under
 //! [`TrainConfig::env`] = [`EnvKind::Hierarchical`]) with [`DqnAgent`] —
-//! through [`train_env`]; for the flat pair the pipeline is bit-for-bit
-//! identical to the pre-trait implementation (pinned by
-//! `tests/golden_train.rs`).
+//! through [`train_env`].
 
 use crate::actions::ActionCatalog;
 use crate::env::{CoScheduleEnv, CoScheduleEnvFactory, EnvConfig, JOB_FEATURES};
 use crate::hierarchy::{HierarchicalCatalog, HierarchicalEnv, HierarchicalEnvFactory};
-use crate::par::resolve_threads;
+use crate::par;
 use crate::problem::ScheduleDecision;
 use crate::rl::{greedy_rollout, Env, EnvFactory, EnvKind, Learner, SnapshotPolicy};
 use hrp_gpusim::engine::EngineConfig;
@@ -58,9 +53,6 @@ use hrp_profile::{FeatureScaler, ProfileRepository, Profiler};
 use hrp_workloads::{JobQueue, QueueGenerator, Suite};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Training configuration.
 ///
@@ -327,51 +319,12 @@ pub struct TrainReport {
     pub late_rf: f64,
 }
 
-/// A completed rollout, queued for the learner.
+/// A completed rollout: one slot of a round, learned in episode order.
+#[derive(Default)]
 struct EpisodeResult {
     transitions: Vec<Transition>,
     ep_return: f64,
     rfs: Vec<f64>,
-}
-
-/// The learner's mutable accumulators. Only the training thread touches
-/// them; rollout workers communicate exclusively through the round
-/// channel, so consumption order — and therefore every weight update —
-/// is a pure function of the episode stream.
-struct LearnerState<L: Learner> {
-    learner: L,
-    step_count: u64,
-    returns: Vec<f64>,
-    rf_hist: Vec<(usize, f64)>,
-}
-
-impl<L: Learner> LearnerState<L> {
-    /// Drain the round of `len` episodes from `start`: consume episodes
-    /// **in episode order** (buffering out-of-order arrivals), store
-    /// each transition, and take two gradient steps per environment
-    /// step.
-    fn consume(&mut self, rx: mpsc::Receiver<(usize, EpisodeResult)>, start: usize, len: usize) {
-        let mut stash: BTreeMap<usize, EpisodeResult> = BTreeMap::new();
-        let mut next_to_learn = start;
-        for (ep, result) in rx {
-            stash.insert(ep, result);
-            while let Some(result) = stash.remove(&next_to_learn) {
-                for (t, rf) in result.transitions.into_iter().zip(result.rfs) {
-                    self.rf_hist.push((next_to_learn, rf));
-                    self.learner.remember_to(0, t);
-                    // Two gradient steps per environment step: co-runs
-                    // are expensive to "measure", gradients are cheap.
-                    self.learner.learn();
-                    self.learner.learn();
-                    self.step_count += 1;
-                }
-                self.returns.push(result.ep_return);
-                next_to_learn += 1;
-            }
-        }
-        assert!(stash.is_empty(), "rollout worker lost an episode");
-        assert_eq!(next_to_learn, start + len);
-    }
 }
 
 /// Per-episode RNG stream: independent of worker count and of every
@@ -438,12 +391,14 @@ fn rollout_episode<F: EnvFactory, S: SnapshotPolicy>(
 /// Returns the learner (now trained) plus the [`TrainReport`].
 ///
 /// # Panics
-/// Panics if `ctxs` is empty, if `cfg.overlap` is set or `cfg.shards`
-/// is not `1` (both retired), or if a rollout worker panics
-/// (environment invariant violation).
+/// Panics if `ctxs` is empty, or if `cfg.overlap` is set or
+/// `cfg.shards` is not `1` (both retired). If a rollout panics (an
+/// environment invariant violation, such as a queue larger than the
+/// window), `train_env` re-raises the environment's own panic, with its
+/// payload: the round's first in episode order, for any worker count.
 pub fn train_env<F: EnvFactory, L: Learner>(
     factory: &F,
-    learner: L,
+    mut learner: L,
     ctxs: &[F::Ctx],
     cfg: &PipelineConfig,
 ) -> (L, TrainReport) {
@@ -462,58 +417,41 @@ pub fn train_env<F: EnvFactory, L: Learner>(
         decay_steps: expected_steps / 2,
     };
 
-    let round_len_cfg = cfg.rollout_round.max(1);
-    let workers = resolve_threads(cfg.n_workers);
-    let mut learner = LearnerState {
-        learner,
-        step_count: 0,
-        returns: Vec::with_capacity(cfg.episodes),
-        rf_hist: Vec::new(),
-    };
-
-    let mut round_start = 0usize;
-    while round_start < cfg.episodes {
-        let round_len = round_len_cfg.min(cfg.episodes - round_start);
-        // Freeze the snapshot the round's workers act against: the
-        // weights learned through the previous round.
-        let snapshot = learner.learner.snapshot();
-        let base_step = learner.step_count;
-        let next_episode = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, EpisodeResult)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(round_len) {
-                let tx = tx.clone();
-                let (snapshot, next_episode, eps) = (&snapshot, &next_episode, &eps);
-                scope.spawn(move || loop {
-                    let k = next_episode.fetch_add(1, Ordering::Relaxed);
-                    if k >= round_len {
-                        break;
-                    }
-                    let ep = round_start + k;
-                    let result = rollout_episode(
-                        factory,
-                        &ctxs[ep % ctxs.len()],
-                        snapshot,
-                        eps,
-                        base_step,
-                        episode_rng(cfg.seed, ep),
-                    );
-                    // The learner drains the channel inside this scope,
-                    // so the send only fails on learner panic.
-                    let _ = tx.send((ep, result));
-                });
-            }
-            drop(tx);
-            learner.consume(rx, round_start, round_len);
+    let round_len = cfg.rollout_round.max(1);
+    let mut step_count = 0u64;
+    let mut returns = Vec::with_capacity(cfg.episodes);
+    let mut rf_hist = Vec::new();
+    let mut round: Vec<EpisodeResult> = Vec::with_capacity(round_len);
+    for round_start in (0..cfg.episodes).step_by(round_len) {
+        // Freeze the snapshot the round rolls against: the weights
+        // learned through the previous round.
+        let snapshot = learner.snapshot();
+        let base_step = step_count;
+        round.resize_with(round_len.min(cfg.episodes - round_start), Default::default);
+        par::for_each_mut(&mut round, cfg.n_workers, |k, slot| {
+            let ep = round_start + k;
+            *slot = rollout_episode(
+                factory,
+                &ctxs[ep % ctxs.len()],
+                &snapshot,
+                &eps,
+                base_step,
+                episode_rng(cfg.seed, ep),
+            );
         });
-        round_start += round_len;
+        for (ep, result) in (round_start..).zip(round.drain(..)) {
+            for (t, rf) in result.transitions.into_iter().zip(result.rfs) {
+                rf_hist.push((ep, rf));
+                learner.remember_to(0, t);
+                // Two gradient steps per environment step: co-runs are
+                // expensive to "measure", gradients are cheap.
+                learner.learn();
+                learner.learn();
+                step_count += 1;
+            }
+            returns.push(result.ep_return);
+        }
     }
-    let LearnerState {
-        learner,
-        step_count,
-        returns,
-        rf_hist,
-    } = learner;
 
     let tenth = (cfg.episodes / 10).max(1);
     let early_return = returns.iter().take(tenth).sum::<f64>() / tenth as f64;
@@ -601,8 +539,8 @@ pub(crate) fn env_geometry(cfg: &TrainConfig, catalog: &ActionCatalog) -> (usize
 ///
 /// # Panics
 /// Panics if [`TrainConfig::overlap`] is set or [`TrainConfig::shards`]
-/// is not `1` (both retired), or if a rollout worker panics
-/// (environment invariant violation).
+/// is not `1` (both retired), and with the environment's own message if
+/// a rollout panics (see [`train_env`]).
 #[must_use]
 pub fn train(suite: &Suite, cfg: TrainConfig) -> (TrainedAgent, TrainReport) {
     let arch = suite.arch().clone();
@@ -713,6 +651,44 @@ mod tests {
             trained_4.dqn().q_values(&probe),
             "weights must match across worker counts"
         );
+    }
+
+    #[test]
+    fn a_panicking_rollout_re_raises_the_env_panic() {
+        // A queue of W + 3 jobs trips the env's own window check inside
+        // a rollout. The caller gets that panic, at any worker count.
+        let suite = Suite::paper_suite(&GpuArch::a100());
+        let cfg = TrainConfig {
+            episodes: 4,
+            ..TrainConfig::quick()
+        };
+        let profiler = Profiler::new(suite.arch().clone(), cfg.profile_noise, cfg.seed);
+        let repo = ProfileRepository::for_suite(&suite, &profiler);
+        let scaler = FeatureScaler::fit(&repo);
+        let catalog = ActionCatalog::paper_29();
+        let queues = QueueGenerator::new(cfg.seed).training_queues(&suite, 2, cfg.w + 3);
+        let factory = CoScheduleEnvFactory::new(&suite, &repo, &scaler, &catalog, cfg.env_config());
+        let (state_dim, n_actions) = env_geometry(&cfg, &catalog);
+        for n_workers in [1, 2] {
+            let pipeline = PipelineConfig {
+                n_workers,
+                ..PipelineConfig::from(&cfg)
+            };
+            let agent = DqnAgent::new(dqn_config(&cfg, state_dim, n_actions));
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drop(train_env(&factory, agent, &queues, &pipeline));
+            }))
+            .expect_err("an oversized queue must panic");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(
+                message,
+                Some("queue larger than the window"),
+                "n_workers = {n_workers}"
+            );
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ use crate::dqn::{DqnAgent, DqnConfig};
 use crate::net::QNet;
 use std::collections::BTreeMap;
 use std::fmt::{Debug, Display, Write as _};
+use std::ops::Bound::{self, Excluded};
 use std::ops::RangeBounds;
 use std::str::FromStr;
 
@@ -110,6 +111,10 @@ pub fn ensure(
         Err(CheckpointError::invalid(format, what()))
     }
 }
+
+/// Range of a spec float that must be positive and finite (for
+/// [`Spec::get_in`]).
+pub const POSITIVE_FINITE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Excluded(f64::INFINITY));
 
 // ---- writing ------------------------------------------------------
 

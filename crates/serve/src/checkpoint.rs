@@ -67,9 +67,9 @@ use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_GPUS_PER_NODE, MAX_NOD
 use hrp_cluster::place::{PlacementAgent, PlacementExperiment};
 use hrp_cluster::select::{dispatcher_for, NodeDispatcher, RoundRobin, SelectorKind};
 use hrp_cluster::sim::{Dispatcher, EventKind, EventLog, NodeEvent, NodeRunState, TIME_EPS};
-use hrp_cluster::trace::{TraceConfig, TraceKind, MAX_USERS};
+use hrp_cluster::trace::{TraceConfig, MAX_USERS};
 pub use hrp_core::codec::CheckpointError;
-use hrp_core::codec::{ensure, Reader, Spec, SpecWriter, Writer};
+use hrp_core::codec::{ensure, Reader, Spec, SpecWriter, Writer, POSITIVE_FINITE};
 use hrp_workloads::Suite;
 use std::collections::BTreeMap;
 use std::ops::Bound::{self, Excluded, Unbounded};
@@ -79,8 +79,6 @@ const VERSION: u32 = 5;
 
 /// Range of a spec float that must be positive (infinity allowed).
 const POSITIVE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Unbounded);
-/// Range of a spec float that must be positive and finite.
-const POSITIVE_FINITE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Excluded(f64::INFINITY));
 
 impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// Serialize the full in-flight service state as an `HRPS` blob.
@@ -323,27 +321,21 @@ fn get_source<'a>(
             )
         })
     };
-    let users = spec.get_in("src_users", 0..=MAX_USERS)?;
-    let user_skew = spec.get_in("src_user_skew", POSITIVE_FINITE)?;
-    let seed = spec.get("src_seed")?;
-    let max_gpus = spec.get_in("src_max_gpus", 1..)?;
-    if let Some(mismatch) = source_width_mismatch(max_gpus, gpus_per_node) {
-        return Err(CheckpointError::invalid(MAGIC, mismatch));
-    }
+    let fits = |max_gpus| match source_width_mismatch(max_gpus, gpus_per_node) {
+        Some(mismatch) => Err(CheckpointError::invalid(MAGIC, mismatch)),
+        None => Ok(()),
+    };
     match spec.get_str("source")? {
         "trace" => {
-            let kind = spec.get_with("src_kind", TraceKind::parse)?;
-            let jobs = spec.get_in("src_jobs", 1..)?;
-            ensure(MAGIC, consumed <= jobs, || {
-                format!("source position {consumed} beyond the {jobs}-job trace")
+            let cfg = TraceConfig::from_spec(spec, "src_")?;
+            fits(cfg.max_gpus)?;
+            ensure(MAGIC, consumed <= cfg.jobs, || {
+                format!(
+                    "source position {consumed} beyond the {}-job trace",
+                    cfg.jobs
+                )
             })?;
             replayable()?;
-            let cfg = TraceConfig::new(kind, jobs, seed)
-                .max_gpus(max_gpus)
-                .mean_gap(spec.get_in("src_mean_gap", POSITIVE_FINITE)?)
-                .gang_share(spec.get_in("src_gang_share", 0.0..=1.0)?)
-                .users(users)
-                .user_skew(user_skew);
             Ok(Box::new(TraceSource::resume(suite, cfg, consumed)))
         }
         shape @ ("poisson" | "bursty") => {
@@ -351,6 +343,11 @@ fn get_source<'a>(
                 "poisson" => LoadShape::Poisson,
                 _ => LoadShape::Bursty,
             };
+            let users = spec.get_in("src_users", 0..=MAX_USERS)?;
+            let user_skew = spec.get_in("src_user_skew", POSITIVE_FINITE)?;
+            let seed = spec.get("src_seed")?;
+            let max_gpus = spec.get_in("src_max_gpus", 1..)?;
+            fits(max_gpus)?;
             let rate = spec.get_in("src_rate", POSITIVE_FINITE)?;
             let duration = spec.get_in("src_duration", POSITIVE_FINITE)?;
             replayable()?;
@@ -764,6 +761,7 @@ mod tests {
     use crate::service::ServeReport;
     use crate::source::ChannelSource;
     use hrp_cluster::place::{PlacementAgent, PlacementConfig};
+    use hrp_cluster::trace::TraceKind;
     use hrp_gpusim::GpuArch;
 
     fn suite() -> Suite {

@@ -156,16 +156,7 @@ impl ArrivalSource for TraceSource<'_> {
     }
 
     fn checkpoint_spec(&self) -> Option<Vec<(&'static str, String)>> {
-        Some(vec![
-            ("kind", self.cfg.kind.name().to_owned()),
-            ("jobs", self.cfg.jobs.to_string()),
-            ("seed", self.cfg.seed.to_string()),
-            ("max_gpus", self.cfg.max_gpus.to_string()),
-            ("mean_gap", format!("{:?}", self.cfg.mean_gap)),
-            ("gang_share", format!("{:?}", self.cfg.gang_share)),
-            ("users", self.cfg.users.to_string()),
-            ("user_skew", format!("{:?}", self.cfg.user_skew)),
-        ])
+        Some(self.cfg.spec_pairs())
     }
 }
 

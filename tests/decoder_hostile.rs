@@ -528,6 +528,22 @@ fn forged_node_windows_are_typed_errors() {
     assert_retired_agent_key_is_rejected(concat!("node", "_cmax=0"));
 }
 
+/// An agent's training-trace spec is read by the same codec, with the
+/// same bounds, as an `HRPS` trace source's. Parent commit: `HRPP` read
+/// its trace keys with no bounds, so all four loaded, though an `HRPS`
+/// trace source refused each.
+#[test]
+fn forged_agent_traces_are_typed_errors() {
+    for (key, value) in [
+        ("trace.jobs", "0"),
+        ("trace.mean_gap", "NaN"),
+        ("trace.gang_share", "2.0"),
+        ("trace.users", "4000000000"),
+    ] {
+        assert_forged_agent_is_rejected(key, value, &format!("'{key}'"));
+    }
+}
+
 /// The same checks guard `HRPE`, which shares the agent loader. Parent
 /// commit (PR 21): `cmax=0` loaded, and the first greedy decision
 /// panicked with no valid action to choose from.

@@ -5,8 +5,10 @@
 //! API redesign. These golden values were captured by running the
 //! pre-redesign implementation (commit 63f2f2a) at this configuration:
 //! `TrainConfig::quick()` with `episodes = 16`, `rollout_round = 4`,
-//! with 1 and 4 rollout workers. Any numerical drift in the rollout,
-//! replay order, ε schedule, or learner step order shows up here.
+//! with 1 and 4 rollout workers. The test also runs 3 workers, a count
+//! that does not divide the 4-episode round (the fan-out splits it 2/2).
+//! Any numerical drift in the rollout, replay order, ε schedule, or
+//! learner step order shows up here.
 
 use hrp::core::env::JOB_FEATURES;
 use hrp::core::train::TrainReport;
@@ -29,7 +31,7 @@ const GOLDEN_Q0: f32 = 0.304_315_1;
 #[test]
 fn train_env_reproduces_the_pre_redesign_pipeline_bit_for_bit() {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    for workers in [1usize, 4] {
+    for workers in [1usize, 3, 4] {
         let mut cfg = TrainConfig::quick();
         cfg.episodes = 16;
         cfg.rollout_round = 4;

@@ -11,11 +11,13 @@
 //! second copy of any of them would first show up as one of the
 //! patterns below. And every public function has a caller: one that
 //! nothing but tests names is either on the reasoned list below or
-//! gone. And there is one test tier: no test but a pin printer is
-//! ignored. And no library code holds `unsafe`: every crate root forbids
-//! it, but `hrp-cluster`'s, which denies it so that one test allocator
-//! may opt back in. And the build has one stand-in per third-party crate
-//! a line of code uses: `vendor/` holds `proptest` and `rand` only.
+//! gone. And there is one thread fan-out: outside tests, only
+//! `hrp_core::par` starts threads. And there is one test tier: no test
+//! but a pin printer is ignored. And no library code holds `unsafe`:
+//! every crate root forbids it, but `hrp-cluster`'s, which denies it so
+//! that one test allocator may opt back in. And the build has one
+//! stand-in per third-party crate a line of code uses: `vendor/` holds
+//! `proptest` and `rand` only.
 
 mod scan;
 use scan::{crate_src_dirs, non_test_hits, non_test_lines, rust_sources};
@@ -179,6 +181,10 @@ fn the_deleted_second_copies_stay_deleted() {
         ("staggered", "_trace"),
         ("staggered", "_job"),
         ("rr.", "cursor()"),
+        // One fan-out: training's rounds run on `par::for_each_mut`, not
+        // on a private pool that reordered episodes as they arrived.
+        ("Learner", "State"),
+        ("next_to", "_learn"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
@@ -197,6 +203,29 @@ fn the_deleted_second_copies_stay_deleted() {
             assert!(!text.contains(&name), "{path} mentions {name}");
         }
     }
+}
+
+#[test]
+fn threads_start_only_in_the_one_fan_out() {
+    // Outside test code, only `par::for_each_mut` starts threads: a
+    // second fan-out would first show up as one of these calls.
+    let mut dirs = crate_src_dirs();
+    dirs.push("src".to_owned());
+    let files = rust_sources(&dirs);
+    let hits: Vec<String> = ["thread::scope", "thread::spawn", "scope.spawn"]
+        .iter()
+        .flat_map(|call| {
+            files
+                .iter()
+                .flat_map(move |(path, text)| non_test_hits(path, text, call))
+        })
+        .collect();
+    assert!(!hits.is_empty(), "found the fan-out");
+    assert!(
+        hits.iter()
+            .all(|hit| hit.starts_with("crates/core/src/par.rs:")),
+        "threads start at {hits:?}: fan out through hrp_core::par::for_each_mut"
+    );
 }
 
 #[test]
