@@ -265,6 +265,7 @@ impl Dispatcher for BackfillPlanner {
         self.refill_profile(now);
         let (depth, backfill) = self.policy.depth_and_backfill();
         for (k, job) in waiting.iter().enumerate() {
+            let gpus = usize::from(job.gpus);
             if k >= depth {
                 if !backfill {
                     // Strict order: once a protected job is held back,
@@ -272,28 +273,28 @@ impl Dispatcher for BackfillPlanner {
                     // would fit right now.
                     break;
                 }
-                if job.gpus > free_gpus {
+                if gpus > free_gpus {
                     // Cannot start and reserves nothing: where it would
                     // fit is of no consequence.
                     continue;
                 }
             }
             let est = self.walltime_estimate(suite, job);
-            let start = self.profile.earliest_fit(now, job.gpus, est);
-            if start <= now + FIT_EPS && job.gpus <= free_gpus {
+            let start = self.profile.earliest_fit(now, gpus, est);
+            if start <= now + FIT_EPS && gpus <= free_gpus {
                 // Starts immediately: record the *estimated* release
                 // and hand the simulator the *true* duration.
-                self.releases.push((now + est, job.gpus));
+                self.releases.push((now + est, gpus));
                 return Some(Placement {
                     job_ids: vec![job.id],
-                    gpus: job.gpus,
+                    gpus,
                     duration: job.solo_time(suite),
                 });
             }
             if k < depth {
                 // Protected job: reserve its window so nothing
                 // considered after it can delay it.
-                self.profile.claim(start, start + est, job.gpus);
+                self.profile.claim(start, start + est, gpus);
             }
         }
         None

@@ -35,7 +35,12 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
     fn decide(&self, suite: &Suite, batch: &[&ClusterJob]) -> f64 {
         let queue = JobQueue {
             label: String::new(),
-            jobs: batch.iter().map(|j| Job { bench: j.bench }).collect(),
+            jobs: batch
+                .iter()
+                .map(|j| Job {
+                    bench: usize::from(j.bench),
+                })
+                .collect(),
         };
         let ctx = ScheduleContext {
             suite,
@@ -63,10 +68,13 @@ impl<P: Policy> Dispatcher for CoSchedulingDispatcher<P> {
             return None;
         }
         // Multi-GPU head jobs run exclusively as soon as they fit.
-        if let Some(job) = waiting.iter().find(|j| j.gpus > 1 && j.gpus <= free_gpus) {
+        if let Some(job) = waiting
+            .iter()
+            .find(|j| j.gpus > 1 && usize::from(j.gpus) <= free_gpus)
+        {
             return Some(Placement {
                 job_ids: vec![job.id],
-                gpus: job.gpus,
+                gpus: usize::from(job.gpus),
                 duration: job.solo_time(suite),
             });
         }

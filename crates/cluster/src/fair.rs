@@ -239,7 +239,12 @@ impl FairShare {
             inflight: state
                 .inflight
                 .iter()
-                .map(|&(u, c)| (u, c as usize))
+                .map(|&(u, c)| {
+                    (
+                        u,
+                        usize::try_from(c).expect("an in-flight count fits a usize"),
+                    )
+                })
                 .collect(),
             releases: state
                 .releases
@@ -255,7 +260,7 @@ impl FairShare {
 /// (solo time × GPUs — wider or longer jobs burn more karma).
 #[must_use]
 pub fn job_cost(suite: &Suite, job: &ClusterJob) -> f64 {
-    job.solo_time(suite) * job.gpus as f64
+    job.solo_time(suite) * f64::from(job.gpus)
 }
 
 /// Batch-side fair-share ordering: walk an arrival-sorted job list

@@ -58,6 +58,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 
 pub mod backfill;
 pub mod cosched;

@@ -328,7 +328,7 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
     pub fn place(&mut self, node: usize, job: ClusterJob) {
         assert!(node < self.nodes(), "node {node} of {}", self.nodes());
         assert!(
-            job.gpus <= self.gpus_per_node,
+            usize::from(job.gpus) <= self.gpus_per_node,
             "job {} needs {} GPUs but nodes have {}",
             job.id,
             job.gpus,
@@ -606,7 +606,7 @@ impl MultiNodeSim {
     {
         for j in &jobs {
             assert!(
-                j.gpus <= self.gpus_per_node,
+                usize::from(j.gpus) <= self.gpus_per_node,
                 "job {} needs {} GPUs but nodes have {}",
                 j.id,
                 j.gpus,
@@ -630,7 +630,7 @@ impl MultiNodeSim {
             drive.advance_to(jobs[start].arrival);
             for job in &jobs[start..end] {
                 let work = job.solo_time(suite);
-                let node = selector.select(job.gpus, work, drive.loads());
+                let node = selector.select(usize::from(job.gpus), work, drive.loads());
                 assert!(
                     node < self.nodes,
                     "selector picked node {node} of {}",

@@ -186,7 +186,7 @@ impl<'a> ClusterEnv<'a> {
         );
         for j in trace {
             assert!(
-                j.gpus >= 1 && j.gpus <= gpus_per_node,
+                j.gpus >= 1 && usize::from(j.gpus) <= gpus_per_node,
                 "job {} needs {} GPUs but nodes have {gpus_per_node}",
                 j.id,
                 j.gpus
@@ -195,7 +195,7 @@ impl<'a> ClusterEnv<'a> {
         let total_work: f64 = trace.iter().map(|j| j.solo_time(suite)).sum();
         let gpu_seconds: f64 = trace
             .iter()
-            .map(|j| j.solo_time(suite) * j.gpus as f64)
+            .map(|j| j.solo_time(suite) * f64::from(j.gpus))
             .sum();
         Self {
             suite,
@@ -237,7 +237,7 @@ impl Env for ClusterEnv<'_> {
         let (gpus, work) = self
             .trace
             .get(self.pos)
-            .map_or((0, 0.0), |j| (j.gpus, j.solo_time(self.suite)));
+            .map_or((0, 0.0), |j| (usize::from(j.gpus), j.solo_time(self.suite)));
         encode_placement_state(self.drive.loads(), gpus, work, out);
     }
 
@@ -245,7 +245,7 @@ impl Env for ClusterEnv<'_> {
         if self.done() {
             return 0;
         }
-        placement_fit_mask(self.drive.loads(), self.trace[self.pos].gpus)
+        placement_fit_mask(self.drive.loads(), usize::from(self.trace[self.pos].gpus))
     }
 
     fn step(&mut self, action: usize) -> StepResult {
@@ -259,7 +259,7 @@ impl Env for ClusterEnv<'_> {
         let loads = self.drive.loads();
         let best = loads
             .iter()
-            .filter(|l| l.total_gpus >= job.gpus)
+            .filter(|l| l.total_gpus >= usize::from(job.gpus))
             .map(NodeLoad::per_gpu_outstanding)
             .fold(f64::INFINITY, f64::min);
         let ri = (best - loads[action].per_gpu_outstanding()) / self.norm;

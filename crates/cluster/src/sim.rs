@@ -310,8 +310,7 @@ impl EventLog {
             seq: u64::from(record.seq),
             kind: match record.tag {
                 Tag::Arrival => EventKind::Arrival {
-                    // Stored from a `usize`.
-                    job: record.word as usize,
+                    job: usize::try_from(record.word).expect("stored from a usize"),
                 },
                 Tag::Start => EventKind::Start {
                     job_ids: self.ids_at(record.ids()),
@@ -397,8 +396,7 @@ impl EventLog {
         let mut heads = BinaryHeap::with_capacity(logs.len());
         for mut log in logs {
             log.sort();
-            // Within the total checked above.
-            let base = merged.ids.len() as u32;
+            let base = u32::try_from(merged.ids.len()).expect("within the total checked above");
             merged.ids.extend_from_slice(&log.ids);
             log.chunks.truncate(log.len.div_ceil(CHUNK));
             let mut records = log.chunks.into_iter().flatten();
@@ -660,11 +658,10 @@ impl<D: Dispatcher> NodeRun<D> {
             s.waiting.retain(|j| !ids.contains(&j.id));
             s.free -= p.gpus;
             s.busy_gpu_seconds += p.duration * p.gpus as f64;
-            // `p.gpus <= free <= n_gpus`, which fits. The arena holds
-            // no more ids than the log has arrivals, which `record`
-            // bounds, so only a placement of more than 65 535 jobs
-            // fails here.
-            let gpus = p.gpus as u16;
+            // The arena holds no more ids than the log has arrivals,
+            // which `record` bounds, so only a placement of more than
+            // 65 535 jobs fails `intern`.
+            let gpus = u16::try_from(p.gpus).expect("p.gpus <= free <= n_gpus, which fits");
             let ids = s
                 .events
                 .intern(ids)
@@ -885,6 +882,9 @@ impl NodeRunState {
     /// hold.
     fn record(&mut self, time: f64, tag: Tag, word: u64, ids: IdRange, gpus: u16) {
         let seq = u32::try_from(self.events.len()).expect("a node logs at most 2^32 events");
+        // Checked when the `NodeRun` was built.
+        #[allow(clippy::cast_possible_truncation)]
+        let node = self.node as u16;
         self.events.push_record(Record {
             time,
             word,
@@ -892,8 +892,7 @@ impl NodeRunState {
             at: ids.at,
             n: ids.n,
             gpus,
-            // Checked when the `NodeRun` was built.
-            node: self.node as u16,
+            node,
             tag,
         });
     }
@@ -1005,10 +1004,10 @@ mod tests {
             free_gpus: usize,
             _now: f64,
         ) -> Option<Placement> {
-            let job = waiting.iter().find(|j| j.gpus <= free_gpus)?;
+            let job = waiting.iter().find(|j| usize::from(j.gpus) <= free_gpus)?;
             Some(Placement {
                 job_ids: vec![job.id],
-                gpus: job.gpus,
+                gpus: usize::from(job.gpus),
                 duration: job.solo_time(suite),
             })
         }

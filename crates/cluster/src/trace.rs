@@ -35,6 +35,7 @@
 //!   construction.
 
 use crate::job::ClusterJob;
+use crate::multinode::MAX_GPUS_PER_NODE;
 use hrp_gpusim::rng::SplitMix64;
 use hrp_nn::serialize::{CheckpointError, Spec, POSITIVE_FINITE};
 use hrp_workloads::Suite;
@@ -121,7 +122,8 @@ pub struct TraceConfig {
     /// Generator seed.
     pub seed: u64,
     /// Upper bound on any job's GPU request (the cluster's
-    /// GPUs-per-node; every emitted job fits on one node).
+    /// GPUs-per-node, in `1..=`[`MAX_GPUS_PER_NODE`]; every emitted job
+    /// fits on one node).
     pub max_gpus: usize,
     /// Mean inter-arrival gap in seconds (per job; burst kinds spend
     /// the whole burst's budget on the gap after it).
@@ -163,8 +165,12 @@ impl TraceConfig {
     }
 
     /// Builder: override the per-job GPU bound.
+    ///
+    /// # Panics
+    /// Panics unless `max_gpus` is in `1..=`[`MAX_GPUS_PER_NODE`].
     #[must_use]
     pub fn max_gpus(mut self, max_gpus: usize) -> Self {
+        assert_max_gpus(max_gpus);
         self.max_gpus = max_gpus;
         self
     }
@@ -242,9 +248,10 @@ impl TraceConfig {
     }
 
     /// Read the [`TraceConfig::spec_pairs`] written under `prefix`, each
-    /// held to what the builder methods assert: at least one job and one
-    /// GPU, a positive finite mean gap and user skew, a gang share in
-    /// `0..=1` and at most [`MAX_USERS`] tenants.
+    /// held to what the builder methods assert: at least one job,
+    /// `1..=`[`MAX_GPUS_PER_NODE`] GPUs, a positive finite mean gap and
+    /// user skew, a gang share in `0..=1` and at most [`MAX_USERS`]
+    /// tenants.
     ///
     /// # Errors
     /// [`CheckpointError::Invalid`] (in the spec's format) on a missing
@@ -255,13 +262,22 @@ impl TraceConfig {
             kind: spec.get_with(&key("kind"), TraceKind::parse)?,
             jobs: spec.get_in(&key("jobs"), 1..)?,
             seed: spec.get(&key("seed"))?,
-            max_gpus: spec.get_in(&key("max_gpus"), 1..)?,
+            max_gpus: spec.get_in(&key("max_gpus"), 1..=MAX_GPUS_PER_NODE)?,
             mean_gap: spec.get_in(&key("mean_gap"), POSITIVE_FINITE)?,
             gang_share: spec.get_in(&key("gang_share"), 0.0..=1.0)?,
             users: spec.get_in(&key("users"), 0..=MAX_USERS)?,
             user_skew: spec.get_in(&key("user_skew"), POSITIVE_FINITE)?,
         })
     }
+}
+
+/// The per-job GPU bound a trace is held to: a job's GPU count is a
+/// `u16`, and no node is wider than [`MAX_GPUS_PER_NODE`].
+fn assert_max_gpus(max_gpus: usize) {
+    assert!(
+        (1..=MAX_GPUS_PER_NODE).contains(&max_gpus),
+        "max_gpus must lie in 1..={MAX_GPUS_PER_NODE}, got {max_gpus}"
+    );
 }
 
 /// Default Zipf exponent for tenant popularity: skewed enough that the
@@ -311,9 +327,10 @@ pub fn assign_user(seed: u64, popularity: &[f64], job: &mut ClusterJob) {
     let key = seed ^ USER_SALT ^ SplitMix64::new(job.id as u64).next_u64();
     // A uniform draw in [0, total mass).
     let u = SplitMix64::new(key).next_f64() * popularity[popularity.len() - 1];
-    job.user = popularity
+    let rank = popularity
         .partition_point(|&c| c <= u)
-        .min(popularity.len() - 1) as u32;
+        .min(popularity.len() - 1);
+    job.user = u32::try_from(rank).expect("at most MAX_USERS tenants");
 }
 
 /// Apply the [`TraceConfig::gang_share`] widening to one job. A pure
@@ -326,7 +343,8 @@ fn widen_to_gang(cfg: &TraceConfig, job: &mut ClusterJob) {
     let key = cfg.seed ^ SplitMix64::new(job.id as u64).next_u64();
     if SplitMix64::new(key).next_f64() < cfg.gang_share {
         let h = SplitMix64::new(key).next_u64();
-        job.gpus = 2 + (SplitMix64::new(h).next_u64() % (cfg.max_gpus as u64 - 1)) as usize;
+        let extra = SplitMix64::new(h).next_u64() % (cfg.max_gpus as u64 - 1);
+        job.gpus = 2 + u16::try_from(extra).expect("max_gpus is at most MAX_GPUS_PER_NODE");
     }
 }
 
@@ -336,8 +354,9 @@ fn widen_to_gang(cfg: &TraceConfig, job: &mut ClusterJob) {
 /// `1..=cfg.max_gpus` GPUs.
 ///
 /// # Panics
-/// Panics if `cfg.jobs` is 0, `cfg.max_gpus` is 0, or `cfg.mean_gap`
-/// is not a positive finite number.
+/// Panics if `cfg.jobs` is 0, `cfg.max_gpus` is outside
+/// `1..=`[`MAX_GPUS_PER_NODE`], or `cfg.mean_gap` is not a positive
+/// finite number.
 #[must_use]
 pub fn generate(suite: &Suite, cfg: &TraceConfig) -> Vec<ClusterJob> {
     stream(suite, cfg).collect()
@@ -346,19 +365,6 @@ pub fn generate(suite: &Suite, cfg: &TraceConfig) -> Vec<ClusterJob> {
 /// Uniform inter-arrival gap in `[0, 2 × mean_gap)`.
 fn uniform_gap(cfg: &TraceConfig, rng: &mut SmallRng) -> f64 {
     rng.gen_range(0.0..2.0 * cfg.mean_gap)
-}
-
-fn job_at(id: usize, bench: usize, arrival: f64, gpus: usize) -> ClusterJob {
-    // The bench index is already resolved; `ClusterJob::new`'s
-    // name-to-index lookup is O(|suite|) string compares per job,
-    // which is real money at a million jobs.
-    ClusterJob {
-        id,
-        bench,
-        arrival,
-        gpus,
-        user: 0,
-    }
 }
 
 /// Benchmark indices ranked by descending solo time: Zipf rank 0 (the
@@ -429,12 +435,13 @@ pub struct TraceStream<'a> {
 /// materialising it (see [`TraceStream`]).
 ///
 /// # Panics
-/// Panics if `cfg.jobs` is 0, `cfg.max_gpus` is 0, or `cfg.mean_gap`
-/// is not a positive finite number.
+/// Panics if `cfg.jobs` is 0, `cfg.max_gpus` is outside
+/// `1..=`[`MAX_GPUS_PER_NODE`], or `cfg.mean_gap` is not a positive
+/// finite number.
 #[must_use]
 pub fn stream<'a>(suite: &'a Suite, cfg: &TraceConfig) -> TraceStream<'a> {
     assert!(cfg.jobs >= 1, "a trace needs at least one job");
-    assert!(cfg.max_gpus >= 1, "max_gpus must be at least 1");
+    assert_max_gpus(cfg.max_gpus);
     assert!(
         cfg.mean_gap.is_finite() && cfg.mean_gap > 0.0,
         "mean_gap must be positive and finite, got {}",
@@ -497,7 +504,7 @@ impl Iterator for TraceStream<'_> {
         let mut job = match &mut self.state {
             StreamState::Uniform => {
                 let bench = rng.gen_range(0..suite.len());
-                let job = job_at(i, bench, self.t, 1);
+                let job = ClusterJob::indexed(i, bench, self.t, 1);
                 self.t += uniform_gap(cfg, rng);
                 job
             }
@@ -510,7 +517,7 @@ impl Iterator for TraceStream<'_> {
                     *burst_left = *burst_size;
                 }
                 let bench = rng.gen_range(0..suite.len());
-                let job = job_at(i, bench, self.t, 1);
+                let job = ClusterJob::indexed(i, bench, self.t, 1);
                 *burst_left -= 1;
                 if *burst_left == 0 {
                     // The burst's whole arrival budget lands on the gap
@@ -534,7 +541,7 @@ impl Iterator for TraceStream<'_> {
                     *clump_left = *clump_size;
                 }
                 let bench = ranks[zipf_rank(cumulative, rng)];
-                let job = job_at(i, bench, self.t, 1);
+                let job = ClusterJob::indexed(i, bench, self.t, 1);
                 *clump_left -= 1;
                 if *clump_left == 0 {
                     self.t += *clump_size as f64 * cfg.mean_gap * rng.gen_range(0.5..1.5);
@@ -559,7 +566,7 @@ impl Iterator for TraceStream<'_> {
                     (Some(&(_, i)), None) | (None, Some(&(_, i))) => i,
                     (None, None) => unreachable!("suite is non-empty"),
                 };
-                let job = job_at(i, bench, self.t, 1);
+                let job = ClusterJob::indexed(i, bench, self.t, 1);
                 self.t += uniform_gap(cfg, rng);
                 job
             }
@@ -571,16 +578,16 @@ impl Iterator for TraceStream<'_> {
                 // stream position — and therefore the rest of the
                 // trace — does not depend on max_gpus.
                 let wide = rng.gen_bool(0.35);
-                let width = rng.gen_range(2u32..5).min(cfg.max_gpus as u32) as usize;
+                let width = (rng.gen_range(2u32..5) as usize).min(cfg.max_gpus);
                 let gpus = if wide { width.max(1) } else { 1 };
-                let job = job_at(i, bench, self.t, gpus);
+                let job = ClusterJob::indexed(i, bench, self.t, gpus);
                 self.t += uniform_gap(cfg, rng);
                 job
             }
             StreamState::Staggered => {
                 let gpus = if i % 9 == 8 { 2 } else { 1 };
                 let arrival = (i / 4) as f64 * 5.0;
-                job_at(i, (i * 7) % suite.len(), arrival, gpus.min(cfg.max_gpus))
+                ClusterJob::indexed(i, (i * 7) % suite.len(), arrival, gpus.min(cfg.max_gpus))
             }
         };
         widen_to_gang(cfg, &mut job);
@@ -612,9 +619,9 @@ mod tests {
         for j in jobs {
             for word in [
                 j.id as u64,
-                j.bench as u64,
+                u64::from(j.bench),
                 j.arrival.to_bits(),
-                j.gpus as u64,
+                u64::from(j.gpus),
                 u64::from(j.user),
             ] {
                 for b in word.to_le_bytes() {
@@ -762,7 +769,7 @@ mod tests {
         let trace = generate(&s, &TraceConfig::new(TraceKind::Skewed, 200, 5));
         let mut counts = vec![0usize; s.len()];
         for j in &trace {
-            counts[j.bench] += 1;
+            counts[usize::from(j.bench)] += 1;
         }
         let mut sorted = counts.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));

@@ -346,7 +346,7 @@ fn get_source<'a>(
             let users = spec.get_in("src_users", 0..=MAX_USERS)?;
             let user_skew = spec.get_in("src_user_skew", POSITIVE_FINITE)?;
             let seed = spec.get("src_seed")?;
-            let max_gpus = spec.get_in("src_max_gpus", 1..)?;
+            let max_gpus = spec.get_in("src_max_gpus", 1..=MAX_GPUS_PER_NODE)?;
             fits(max_gpus)?;
             let rate = spec.get_in("src_rate", POSITIVE_FINITE)?;
             let duration = spec.get_in("src_duration", POSITIVE_FINITE)?;
@@ -378,11 +378,11 @@ const JOB_MIN: usize = 8 + 8 + 8 + 4 + 4 + 4;
 /// for that index, which pins the blob to the suite it was taken over.
 fn put_job(w: &mut Writer, suite: &Suite, job: &ClusterJob) {
     w.usize(job.id);
-    w.usize(job.bench);
+    w.usize(usize::from(job.bench));
     w.f64(job.arrival);
-    w.size(job.gpus);
+    w.size(usize::from(job.gpus));
     w.u32(job.user);
-    w.str(&suite.by_index(job.bench).app.name);
+    w.str(&suite.by_index(usize::from(job.bench)).app.name);
 }
 
 /// What a decoded job record is held to.
@@ -395,35 +395,32 @@ struct JobBounds<'a> {
 /// One job record, checked before anything can dispatch it: a bench
 /// index past the suite (or naming another suite's benchmark) would
 /// panic in the first `solo_time`, a job wider than its node in the
-/// dispatcher.
+/// dispatcher. Both are checked as the decoded `usize`s, before they
+/// narrow to the job's `u16`s (a narrowed 65 539 would read as bench
+/// 3); once checked, both fit.
 fn get_job(r: &mut Reader<'_>, bounds: JobBounds<'_>) -> Result<ClusterJob, CheckpointError> {
-    let job = ClusterJob {
-        id: r.usize()?,
-        bench: r.usize()?,
-        arrival: r.f64()?,
-        gpus: r.size()?,
-        user: r.u32()?,
-    };
+    let id = r.usize()?;
+    let bench = r.usize()?;
+    let arrival = r.f64()?;
+    let gpus = r.size()?;
+    let user = r.u32()?;
     let name = r.str()?;
     let known = bounds.suite.len();
-    ensure(MAGIC, job.bench < known, || {
-        format!(
-            "job {}: bench index {} past the {known}-benchmark suite",
-            job.id, job.bench
-        )
+    ensure(MAGIC, bench < known, || {
+        format!("job {id}: bench index {bench} past the {known}-benchmark suite")
     })?;
-    let expected = &bounds.suite.by_index(job.bench).app.name;
+    let expected = &bounds.suite.by_index(bench).app.name;
     ensure(MAGIC, name == expected, || {
-        format!(
-            "job {}: bench {} is '{expected}' in this suite, the record says '{name}'",
-            job.id, job.bench
-        )
+        format!("job {id}: bench {bench} is '{expected}' in this suite, the record says '{name}'")
     })?;
     let width = bounds.gpus_per_node;
-    ensure(MAGIC, (1..=width).contains(&job.gpus), || {
-        format!("job {}: {} GPUs on {width}-GPU nodes", job.id, job.gpus)
+    ensure(MAGIC, (1..=width).contains(&gpus), || {
+        format!("job {id}: {gpus} GPUs on {width}-GPU nodes")
     })?;
-    Ok(job)
+    Ok(ClusterJob {
+        user,
+        ..ClusterJob::indexed(id, bench, arrival, gpus)
+    })
 }
 
 fn put_ids(w: &mut Writer, ids: &[usize]) {

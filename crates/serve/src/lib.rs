@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 
 pub mod checkpoint;
 pub mod service;

@@ -314,6 +314,8 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
+    // `ns >> shift` keeps at most `SUB_BITS + 1` bits, which fit.
+    #[allow(clippy::cast_possible_truncation)]
     fn bucket(ns: u64) -> usize {
         let shift = (u64::BITS - ns.leading_zeros()).saturating_sub(SUB_BITS + 1);
         ((shift as usize) << SUB_BITS) + (ns >> shift) as usize
@@ -351,7 +353,7 @@ impl LatencyHistogram {
             us(Self::upper(bucket.expect("a rank of at most n")).min(self.max_ns))
         };
         LatencySummary {
-            samples: n as usize,
+            samples: usize::try_from(n).expect("one sample per decision, counted in a usize"),
             p50_us: at_rank(n.div_ceil(2)),
             p99_us: at_rank((99 * n).div_ceil(100)),
             max_us: us(self.max_ns),
@@ -738,7 +740,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         let node = self
             .selector
             .selector
-            .select(job.gpus, work, self.drive.loads());
+            .select(usize::from(job.gpus), work, self.drive.loads());
         self.latencies.record(started.elapsed());
         self.stats.decisions += 1;
         self.drive.place(node, job);
@@ -830,7 +832,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             .loads()
             .iter()
             .map(|l| {
-                if l.free_gpus >= job.gpus && l.queued_jobs == 0 {
+                if l.free_gpus >= usize::from(job.gpus) && l.queued_jobs == 0 {
                     0.0
                 } else {
                     l.outstanding / l.total_gpus as f64
@@ -1079,13 +1081,13 @@ mod tests {
         assert!(out.stats.rejected > 0, "a tight SLO must reject overload");
         let adm = out.admission.expect("admission tier was on");
         assert_eq!(
-            adm.effective.len() + out.stats.rejected as usize,
+            adm.effective.len() as u64 + out.stats.rejected,
             60,
             "admitted + rejected covers the trace"
         );
         assert_eq!(
-            out.stats.decisions as usize,
-            adm.effective.len(),
+            out.stats.decisions,
+            adm.effective.len() as u64,
             "only admitted jobs reach the selector"
         );
     }

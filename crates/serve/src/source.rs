@@ -23,6 +23,7 @@
 //! replaying that many draws, which restores the RNG cursor exactly.
 
 use hrp_cluster::job::ClusterJob;
+use hrp_cluster::multinode::MAX_GPUS_PER_NODE;
 use hrp_cluster::trace::{
     assign_user, stream, user_popularity, TraceConfig, TraceStream, DEFAULT_USER_SKEW,
 };
@@ -274,7 +275,7 @@ impl<'a> LoadGen<'a> {
     ///
     /// # Panics
     /// Panics unless `rate` and `duration` are positive and finite
-    /// and `max_gpus >= 1`.
+    /// and `max_gpus` is in `1..=`[`MAX_GPUS_PER_NODE`].
     #[must_use]
     pub fn new(suite: &'a Suite, shape: LoadShape, rate: f64, duration: f64, seed: u64) -> Self {
         Self::with_max_gpus(suite, shape, rate, duration, seed, 2)
@@ -301,7 +302,10 @@ impl<'a> LoadGen<'a> {
             duration.is_finite() && duration > 0.0,
             "duration must be positive and finite, got {duration}"
         );
-        assert!(max_gpus >= 1, "max_gpus must be at least 1");
+        assert!(
+            (1..=MAX_GPUS_PER_NODE).contains(&max_gpus),
+            "max_gpus must lie in 1..={MAX_GPUS_PER_NODE}, got {max_gpus}"
+        );
         Self {
             suite,
             shape,
@@ -372,13 +376,7 @@ impl<'a> LoadGen<'a> {
         } else {
             1
         };
-        let mut job = ClusterJob {
-            id: self.next_id,
-            bench,
-            arrival: self.t,
-            gpus,
-            user: 0,
-        };
+        let mut job = ClusterJob::indexed(self.next_id, bench, self.t, gpus);
         assign_user(self.seed, &self.popularity, &mut job);
         self.next_id += 1;
         self.consumed += 1;

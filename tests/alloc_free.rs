@@ -195,13 +195,7 @@ fn steady_state_learning_step_does_not_allocate() {
 #[test]
 fn backfill_decisions_allocate_their_placement_only() {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let job = |id: usize, gpus: usize| ClusterJob {
-        id,
-        bench: id % suite.len(),
-        arrival: 0.0,
-        gpus,
-        user: 0,
-    };
+    let job = |id: usize, gpus: usize| ClusterJob::indexed(id, id % suite.len(), 0.0, gpus);
     // A 16-job queue behind a wide head, and one of narrow jobs only.
     let wide_head: Vec<ClusterJob> = (0..16).map(|id| job(id, 2 - usize::from(id > 0))).collect();
     let narrow: Vec<ClusterJob> = (0..16).map(|id| job(id, 1)).collect();
@@ -268,13 +262,7 @@ fn a_node_advance_over_a_reserved_log_allocates_its_placements_only() {
     let mut node = NodeRun::new(0, 2, planner);
     node.reserve_jobs(JOBS);
     for id in 0..JOBS {
-        node.push_arrival(ClusterJob {
-            id,
-            bench: id % suite.len(),
-            arrival: 0.0,
-            gpus: 1,
-            user: 0,
-        });
+        node.push_arrival(ClusterJob::indexed(id, id % suite.len(), 0.0, 1));
     }
     // Warm-up: the whole queue is absorbed (sizing the waiting list) and
     // the first two jobs start (sizing the running set, the dispatch

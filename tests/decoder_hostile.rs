@@ -530,8 +530,10 @@ fn forged_node_windows_are_typed_errors() {
 
 /// An agent's training-trace spec is read by the same codec, with the
 /// same bounds, as an `HRPS` trace source's. Parent commit: `HRPP` read
-/// its trace keys with no bounds, so all four loaded, though an `HRPS`
-/// trace source refused each.
+/// its trace keys with no bounds, so the first four loaded, though an
+/// `HRPS` trace source refused each. A GPU bound past
+/// `MAX_GPUS_PER_NODE` loaded even after that: jobs hold their GPU
+/// count in a `u16`, and no node is wider than 1 024 GPUs.
 #[test]
 fn forged_agent_traces_are_typed_errors() {
     for (key, value) in [
@@ -539,6 +541,7 @@ fn forged_agent_traces_are_typed_errors() {
         ("trace.mean_gap", "NaN"),
         ("trace.gang_share", "2.0"),
         ("trace.users", "4000000000"),
+        ("trace.max_gpus", "1025"),
     ] {
         assert_forged_agent_is_rejected(key, value, &format!("'{key}'"));
     }
@@ -746,6 +749,10 @@ fn one_node_blob(suite: &Suite, mean_gap: f64) -> Vec<u8> {
 /// Parent commit: every one of these decoded, and the restored service
 /// panicked at its next dispatch — `Suite::by_index` past the end, a
 /// co-run looked up under the wrong benchmark, a job no node can host.
+/// A job holds its bench index and GPU count as `u16`s, so a decoder
+/// that narrowed before it checked would read a bench 2¹⁶ past the
+/// record's own (65 539 on a record naming bench 3) as that bench, and
+/// 65 537 GPUs as one: both must stay errors.
 /// Forged in every job record of every snapshot: the lookahead, each
 /// node's pending arrivals (the mid-run corpus), its waiting queue (the
 /// backlogged service), and the admission tier's deferred queue (the
@@ -766,7 +773,7 @@ fn forged_job_records_are_typed_errors() {
             let gpus_at = name_at - 8;
             let bench = u64::from_le_bytes(blob[bench_at..bench_at + 8].try_into().unwrap());
             // (what, offset, little-endian value, field width)
-            let forgeries: [(&str, usize, u64, usize); 5] = [
+            let forgeries: [(&str, usize, u64, usize); 7] = [
                 ("bench past the suite", bench_at, s.len() as u64, 8),
                 ("bench = u64::MAX", bench_at, u64::MAX, 8),
                 (
@@ -775,8 +782,10 @@ fn forged_job_records_are_typed_errors() {
                     (bench + 1) % s.len() as u64,
                     8,
                 ),
+                ("bench 2^16 past its name", bench_at, bench + 65_536, 8),
                 ("zero GPUs", gpus_at, 0, 4),
                 ("wider than a node", gpus_at, 3, 4),
+                ("65 537 GPUs", gpus_at, 65_537, 4),
             ];
             for (what, at, value, width) in forgeries {
                 let mut forged = blob.clone();

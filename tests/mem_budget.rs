@@ -12,15 +12,21 @@
 //!
 //! Measured at seed 42 (release and debug builds agree), with the event
 //! log as 40-byte records in one growing vector sorted into the merged
-//! timeline beside a vector of every decision's latency, and as 32-byte
+//! timeline beside a vector of every decision's latency, then as 32-byte
 //! records in fixed chunks merged k ways beside a fixed latency
-//! histogram:
+//! histogram, and then with that log and 24-byte jobs (a `u16` bench
+//! index and GPU count) in place of 40-byte ones — in every trace,
+//! queue, lookahead and admission log:
 //!
-//! | pass                                | 40 B, sorted | 32 B, k-way |
-//! |-------------------------------------|--------------|-------------|
-//! | 2 000-job policy pass, kill/restore | 519 492      | 393 527     |
-//! | 4 000 s overload pass               | 657 840      | 564 032     |
-//! | 200 000 s overload pass             | 26 225 824   | 15 332 504  |
+//! | pass                                | 40 B, sorted | 32 B, k-way | 24 B job   |
+//! |-------------------------------------|--------------|-------------|------------|
+//! | 2 000-job policy pass, kill/restore | 519 492      | 393 527     | 370 567    |
+//! | 4 000 s overload pass               | 657 840      | 564 032     | 528 961    |
+//! | 200 000 s overload pass             | 26 225 824   | 15 332 504  | 12 112 697 |
+//!
+//! The 200 000 s pass keeps about 70 000 admitted jobs in its admission
+//! log, 16 bytes fewer each with the narrow job. The policy pass read
+//! 391 623 just before the job narrowed.
 //!
 //! The policy pass read 437 827 in the second layout while the agent's
 //! inference plan kept a row-major copy of each layer's weights beside
@@ -35,7 +41,7 @@
 //! what `SchedulerService::finish` adds on top of what the run holds:
 //! 8 371 472 bytes on 17 854 352 with the first layout (the merge copied
 //! every node log before sorting it), 2 190 536 on 13 141 968 with the
-//! second.
+//! second, 1 076 904 on 11 035 793 with the 24-byte job.
 
 mod common;
 use common::alloc::{live_bytes, peak_live_heap, RecordingAlloc};
@@ -68,7 +74,7 @@ fn drain<S: ArrivalSource>(mut service: SchedulerService<'_, S>) -> ServeReport 
 #[test]
 fn a_policy_pass_with_kill_restore_stays_within_its_heap_budget() {
     const JOBS: usize = 2_000;
-    const BUDGET: usize = 397_500;
+    const BUDGET: usize = 374_500;
     let suite = Suite::paper_suite(&GpuArch::a100());
     let mut agent_cfg = PlacementConfig::default_cfg();
     agent_cfg.nodes = NODES;
@@ -111,7 +117,7 @@ fn overload(suite: &Suite, duration: f64) -> SchedulerService<'_, LoadGen<'_>> {
 /// `serve_backfill_overload` at `--quick` size: 4 000 s.
 #[test]
 fn an_overload_pass_stays_within_its_heap_budget() {
-    const BUDGET: usize = 570_000;
+    const BUDGET: usize = 534_500;
     let suite = Suite::paper_suite(&GpuArch::a100());
     let (served, peak) = peak_live_heap(|| drain(overload(&suite, 4_000.0)));
     assert!(served.stats.rejected > 0 && served.stats.deferred > 0);
@@ -128,7 +134,7 @@ fn an_overload_pass_stays_within_its_heap_budget() {
 /// holds when `finish` begins: the timeline is never held twice.
 #[test]
 fn a_full_size_overload_pass_finishes_within_a_fifth_of_its_heap() {
-    const BUDGET: usize = 15_490_000;
+    const BUDGET: usize = 12_240_000;
     let suite = Suite::paper_suite(&GpuArch::a100());
     let base = live_bytes();
     let (service, run_peak) = peak_live_heap(|| {

@@ -131,18 +131,19 @@ impl NaivePlanner {
             if k >= depth && !backfill {
                 break;
             }
+            let gpus = usize::from(job.gpus);
             let est = self.estimate(suite, job);
-            let start = profile.earliest_fit(now, job.gpus, est);
-            if start <= now + FIT_EPS && job.gpus <= free_gpus {
-                self.releases.push((now + est, job.gpus));
+            let start = profile.earliest_fit(now, gpus, est);
+            if start <= now + FIT_EPS && gpus <= free_gpus {
+                self.releases.push((now + est, gpus));
                 return Some(Placement {
                     job_ids: vec![job.id],
-                    gpus: job.gpus,
+                    gpus,
                     duration: job.solo_time(suite),
                 });
             }
             if k < depth {
-                profile.claims.push((start, start + est, job.gpus));
+                profile.claims.push((start, start + est, gpus));
             }
         }
         None
@@ -188,13 +189,7 @@ proptest! {
         let submitted: Vec<ClusterJob> = queue
             .iter()
             .enumerate()
-            .map(|(id, &(pick, gpus))| ClusterJob {
-                id,
-                bench: pick % s.len(),
-                arrival: 0.0,
-                gpus: gpus.min(n_gpus),
-                user: 0,
-            })
+            .map(|(id, &(pick, gpus))| ClusterJob::indexed(id, pick % s.len(), 0.0, gpus.min(n_gpus)))
             .collect();
 
         for policy in POLICIES {

@@ -56,7 +56,7 @@ proptest! {
             "arrivals must be non-decreasing"
         );
         prop_assert!(
-            a.iter().all(|j| j.gpus >= 1 && j.gpus <= max_gpus),
+            a.iter().all(|j| j.gpus >= 1 && usize::from(j.gpus) <= max_gpus),
             "every job respects the GPU bound"
         );
         prop_assert!(
