@@ -122,6 +122,9 @@ pub fn epsilon_greedy_action_with(
 pub struct DqnAgent {
     cfg: DqnConfig,
     online: QNet,
+    /// The bootstrap network: weights and biases only
+    /// (`QNet::weights_only`), synced from `online` every
+    /// `target_sync_every` learning steps.
     target: QNet,
     adam: Adam,
     buffer: ReplayBuffer,
@@ -157,14 +160,7 @@ impl DqnAgent {
             cfg.head,
             cfg.seed,
         );
-        let mut target = QNet::new(
-            cfg.state_dim,
-            &cfg.hidden,
-            cfg.n_actions,
-            cfg.head,
-            cfg.seed.wrapping_add(1),
-        );
-        target.copy_weights_from(&online);
+        let target = online.weights_only();
         let adam = Adam::new(online.num_params(), cfg.lr);
         let buffer = ReplayBuffer::new(cfg.buffer_capacity);
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5eed);

@@ -57,6 +57,23 @@ impl Linear {
         }
     }
 
+    /// A copy of the weights and biases alone, for a layer that only
+    /// ever runs [`Linear::forward_inference_batch_tn`]: its gradient
+    /// buffers and caches stay empty, so it must not be trained.
+    pub(crate) fn weights_only(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            w: self.w.clone(),
+            b: self.b.clone(),
+            gw: Vec::new(),
+            gb: Vec::new(),
+            x_cache: Vec::new(),
+            cached_batch: 0,
+            dy_bm: Vec::new(),
+        }
+    }
+
     /// Batched forward pass in batch-minor layout: `xt` is
     /// `cols × batch`, `yt` becomes `rows × batch`. Caches the input
     /// (batch-major, for the weight-gradient kernel) for backprop.

@@ -149,6 +149,33 @@ impl QNet {
         }
     }
 
+    /// An inference-only copy of this network: the same weights and
+    /// biases, and no gradient buffers or caches. It runs
+    /// [`QNet::predict_batch_into`], [`QNet::copy_weights_from`] and
+    /// [`QNet::read_params`], and must never be trained — the learner's
+    /// target network.
+    pub(crate) fn weights_only(&self) -> Self {
+        let head = match &self.head {
+            HeadLayers::Plain(l) => HeadLayers::Plain(l.weights_only()),
+            HeadLayers::Dueling { v, a, .. } => HeadLayers::Dueling {
+                v: v.weights_only(),
+                a: a.weights_only(),
+                scratch: DuelingScratch::default(),
+            },
+        };
+        Self {
+            trunk: self
+                .trunk
+                .iter()
+                .map(|(l, _)| (l.weights_only(), Relu::new()))
+                .collect(),
+            head,
+            n_actions: self.n_actions,
+            bufs: (Vec::new(), Vec::new()),
+            cached_batch: 0,
+        }
+    }
+
     /// Number of actions (Q outputs).
     #[must_use]
     pub fn n_actions(&self) -> usize {

@@ -5,12 +5,17 @@
 //! transition stores the valid-action bitmask of the successor state; the
 //! double-DQN target maximises only over valid actions.
 //!
-//! [`ReplayBuffer::sample_into`] fills a pre-allocated [`MiniBatch`] —
-//! contiguous `B × state_dim` state/next-state matrices ready for the
-//! batched network kernels, with no per-step allocation.
+//! The ring stores each state once: a rollout's successor state is its
+//! next step's state, so consecutive transitions share that row, and
+//! the rows live in chunks rather than one heap block per state (see
+//! [`ReplayBuffer`]). [`ReplayBuffer::sample_into`] fills a
+//! pre-allocated [`MiniBatch`] — contiguous `B × state_dim`
+//! state/next-state matrices ready for the batched network kernels,
+//! with no per-step allocation.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// One transition `(s, a, r, s', done)` plus the successor's action mask.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,61 +67,192 @@ impl MiniBatch {
     }
 }
 
-/// Fixed-capacity ring buffer of transitions.
+/// Rows per chunk of the state store: at the paper's 204–215-wide
+/// states a chunk is about 105 KiB.
+const CHUNK_ROWS: usize = 128;
+
+/// A stored transition without its states: those are rows `row` (s) and
+/// `row + 1` (s′) of the ring's [`Rows`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    row: usize,
+    action: usize,
+    reward: f32,
+    done: bool,
+    next_mask: u64,
+}
+
+/// The states the live transitions refer to, one row each, numbered in
+/// push order from 0 and laid out in chunks of [`CHUNK_ROWS`] rows.
+/// Rows are appended at the back and released from the front a whole
+/// chunk at a time; a released chunk is kept and refilled, so a ring
+/// that has reached its working size allocates nothing.
+#[derive(Debug, Default)]
+struct Rows {
+    /// Row width, fixed by the first push.
+    dim: usize,
+    /// `chunks[k]` holds rows `(first_chunk + k) * CHUNK_ROWS ..`.
+    chunks: VecDeque<Box<[f32]>>,
+    first_chunk: usize,
+    /// Released chunks, waiting to be refilled.
+    spare: Vec<Box<[f32]>>,
+    /// Number of the next row appended.
+    next: usize,
+}
+
+impl Rows {
+    fn row(&self, id: usize) -> &[f32] {
+        let at = id % CHUNK_ROWS * self.dim;
+        &self.chunks[id / CHUNK_ROWS - self.first_chunk][at..at + self.dim]
+    }
+
+    /// The newest row, if any.
+    fn last(&self) -> Option<&[f32]> {
+        self.next.checked_sub(1).map(|id| self.row(id))
+    }
+
+    /// Append `state` as the next row; returns its number.
+    fn append(&mut self, state: &[f32]) -> usize {
+        let id = self.next;
+        if id.is_multiple_of(CHUNK_ROWS) {
+            let dim = self.dim;
+            let chunk = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| vec![0.0; CHUNK_ROWS * dim].into_boxed_slice());
+            self.chunks.push_back(chunk);
+        }
+        let at = id % CHUNK_ROWS * self.dim;
+        let chunk = self.chunks.back_mut().expect("row's chunk just ensured");
+        chunk[at..at + self.dim].copy_from_slice(state);
+        self.next += 1;
+        id
+    }
+
+    /// Release every chunk that holds only rows below `oldest`.
+    fn release_below(&mut self, oldest: usize) {
+        while (self.first_chunk + 1) * CHUNK_ROWS <= oldest {
+            let chunk = self.chunks.pop_front().expect("row `oldest` is stored");
+            self.spare.push(chunk);
+            self.first_chunk += 1;
+        }
+    }
+}
+
+/// Whether two states are equal bit for bit (so `-0.0` differs from
+/// `0.0`, and a NaN equals only its own bits).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Fixed-capacity FIFO ring of transitions that stores each state once.
+///
+/// A rollout's successor state is the next step's state, so a
+/// transition whose `state` is bit-equal to the previous push's
+/// `next_state` shares that row; the `next_state` of every push is a
+/// new row. A live transition's two states are therefore always
+/// consecutive rows, and the rows of the live transitions run in push
+/// order from the oldest one's `state` to the newest one's `next_state`.
+///
+/// Slot `i` holds the latest push `p` with `p % capacity == i`, exactly
+/// where a plain `Vec<Transition>` ring that overwrites its oldest
+/// entry keeps it, and [`ReplayBuffer::sample_into`] draws one
+/// `gen_range` over the slots per sample: the minibatches are those of
+/// that plain ring, bit for bit. Storage grows with what is pushed,
+/// never with `capacity`.
 #[derive(Debug)]
 pub struct ReplayBuffer {
-    storage: Vec<Transition>,
+    slots: Vec<Slot>,
+    rows: Rows,
     capacity: usize,
+    /// The oldest slot once the ring is full (the next one overwritten).
     head: usize,
 }
 
 impl ReplayBuffer {
-    /// New buffer holding at most `capacity` transitions.
+    /// New buffer holding at most `capacity` transitions. Allocates
+    /// nothing until the first push.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is 0.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         Self {
-            storage: Vec::with_capacity(capacity.min(4096)),
+            slots: Vec::new(),
+            rows: Rows::default(),
             capacity,
             head: 0,
         }
     }
 
-    /// Append a transition, evicting the oldest beyond capacity.
+    /// Append a transition, evicting the oldest beyond capacity. The
+    /// first push fixes the state width.
+    ///
+    /// # Panics
+    /// Panics if `t.state` or `t.next_state` is not as wide as the
+    /// states already stored (for the first push: if the two differ).
     pub fn push(&mut self, t: Transition) {
-        if self.storage.len() < self.capacity {
-            self.storage.push(t);
+        let dim = if self.rows.next == 0 {
+            t.state.len()
         } else {
-            self.storage[self.head] = t;
+            self.rows.dim
+        };
+        assert_eq!(
+            t.state.len(),
+            dim,
+            "transition state has width {}, the ring's states have width {dim}",
+            t.state.len()
+        );
+        assert_eq!(
+            t.next_state.len(),
+            dim,
+            "transition next_state has width {}, the ring's states have width {dim}",
+            t.next_state.len()
+        );
+        self.rows.dim = dim;
+        let row = match self.rows.last() {
+            Some(last) if same_bits(last, &t.state) => self.rows.next - 1,
+            _ => self.rows.append(&t.state),
+        };
+        self.rows.append(&t.next_state);
+        let slot = Slot {
+            row,
+            action: t.action,
+            reward: t.reward,
+            done: t.done,
+            next_mask: t.next_mask,
+        };
+        if self.slots.len() < self.capacity {
+            self.slots.push(slot);
+        } else {
+            self.slots[self.head] = slot;
             self.head = (self.head + 1) % self.capacity;
         }
+        // The oldest transition holds the oldest row anyone still needs.
+        self.rows.release_below(self.slots[self.head].row);
     }
 
     /// Number of stored transitions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.storage.len()
+        self.slots.len()
     }
 
     /// Whether the buffer is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.storage.is_empty()
-    }
-
-    /// Draw one storage index uniformly: exactly one `gen_range`.
-    fn sample_index(&self, rng: &mut SmallRng) -> usize {
-        rng.gen_range(0..self.storage.len())
+        self.slots.is_empty()
     }
 
     /// Sample `n` transitions uniformly with replacement into `batch`'s
     /// pre-allocated contiguous matrices.
     ///
     /// # Panics
-    /// Panics if the buffer is empty or stored states disagree in width.
+    /// Panics if the buffer is empty.
     pub fn sample_into(&self, n: usize, rng: &mut SmallRng, batch: &mut MiniBatch) {
         assert!(!self.is_empty(), "cannot sample an empty buffer");
-        let dim = self.storage[0].state.len();
+        let dim = self.rows.dim;
         batch.len = n;
         batch.state_dim = dim;
         batch.states.resize(n * dim, 0.0);
@@ -126,10 +262,9 @@ impl ReplayBuffer {
         batch.dones.resize(n, false);
         batch.next_masks.resize(n, 0);
         for i in 0..n {
-            let t = &self.storage[self.sample_index(rng)];
-            assert_eq!(t.state.len(), dim, "inconsistent state width");
-            batch.states[i * dim..(i + 1) * dim].copy_from_slice(&t.state);
-            batch.next_states[i * dim..(i + 1) * dim].copy_from_slice(&t.next_state);
+            let t = &self.slots[rng.gen_range(0..self.slots.len())];
+            batch.states[i * dim..(i + 1) * dim].copy_from_slice(self.rows.row(t.row));
+            batch.next_states[i * dim..(i + 1) * dim].copy_from_slice(self.rows.row(t.row + 1));
             batch.actions[i] = t.action;
             batch.rewards[i] = t.reward;
             batch.dones[i] = t.done;
@@ -141,14 +276,59 @@ impl ReplayBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
-    /// `n` draws through the same index routine as `sample_into`, as
-    /// references: the reference minibatch it must reproduce.
-    fn sample_refs<'a>(buf: &'a ReplayBuffer, n: usize, rng: &mut SmallRng) -> Vec<&'a Transition> {
-        (0..n)
-            .map(|_| &buf.storage[buf.sample_index(rng)])
-            .collect()
+    /// The ring as it was before it stored states once: whole
+    /// transitions in a `Vec`, the oldest overwritten in place. The
+    /// reference [`ReplayBuffer`] must reproduce bit for bit.
+    struct NaiveRing {
+        storage: Vec<Transition>,
+        capacity: usize,
+        head: usize,
+    }
+
+    impl NaiveRing {
+        fn new(capacity: usize) -> Self {
+            Self {
+                storage: Vec::new(),
+                capacity,
+                head: 0,
+            }
+        }
+
+        fn push(&mut self, t: Transition) {
+            if self.storage.len() < self.capacity {
+                self.storage.push(t);
+            } else {
+                self.storage[self.head] = t;
+                self.head = (self.head + 1) % self.capacity;
+            }
+        }
+
+        fn sample_into(&self, n: usize, rng: &mut SmallRng, batch: &mut MiniBatch) {
+            let dim = self.storage[0].state.len();
+            batch.len = n;
+            batch.state_dim = dim;
+            batch.states.clear();
+            batch.next_states.clear();
+            batch.actions.clear();
+            batch.rewards.clear();
+            batch.dones.clear();
+            batch.next_masks.clear();
+            for _ in 0..n {
+                let t = &self.storage[rng.gen_range(0..self.storage.len())];
+                batch.states.extend_from_slice(&t.state);
+                batch.next_states.extend_from_slice(&t.next_state);
+                batch.actions.push(t.action);
+                batch.rewards.push(t.reward);
+                batch.dones.push(t.done);
+                batch.next_masks.push(t.next_mask);
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     fn t(reward: f32) -> Transition {
@@ -160,6 +340,59 @@ mod tests {
             done: false,
             next_mask: u64::MAX,
         }
+    }
+
+    /// Pushes as a rollout makes them: episodes of 1–9 chained steps,
+    /// each ending in a terminal, and every so often a step whose state
+    /// is not the previous successor — a fresh draw, or the successor
+    /// with one `0.0` turned into `-0.0`, which only bits tell apart.
+    /// States carry NaN, infinities and signed zeros.
+    fn rollout_pushes(dim: usize, n: usize, seed: u64) -> Vec<Transition> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40];
+        let draw = |rng: &mut SmallRng| -> Vec<f32> {
+            (0..dim)
+                .map(|_| {
+                    if rng.gen_range(0..8) == 0 {
+                        specials[rng.gen_range(0..specials.len())]
+                    } else {
+                        rng.gen_range(-1.0f32..1.0)
+                    }
+                })
+                .collect()
+        };
+        let mut out = Vec::with_capacity(n);
+        let mut state = draw(&mut rng);
+        let mut left = 0;
+        while out.len() < n {
+            if left == 0 {
+                left = rng.gen_range(1..10);
+            }
+            left -= 1;
+            let mut next_state = draw(&mut rng);
+            if rng.gen_range(0..4) == 0 {
+                next_state[0] = 0.0;
+            }
+            let done = left == 0;
+            out.push(Transition {
+                state: state.clone(),
+                action: rng.gen_range(0..29usize),
+                reward: rng.gen_range(-2.0f32..2.0),
+                next_state: next_state.clone(),
+                done,
+                next_mask: rng.next_u64(),
+            });
+            state = match rng.gen_range(0..6) {
+                _ if done => draw(&mut rng),
+                0 => draw(&mut rng),
+                1 if next_state[0].to_bits() == 0 => {
+                    next_state[0] = -0.0;
+                    next_state
+                }
+                _ => next_state,
+            };
+        }
+        out
     }
 
     #[test]
@@ -178,12 +411,18 @@ mod tests {
             buf.push(t(i as f32));
         }
         assert_eq!(buf.len(), 3);
-        let rewards: Vec<f32> = buf.storage.iter().map(|x| x.reward).collect();
-        // 0 and 1 evicted; 2, 3, 4 present (order internal).
-        assert!(!rewards.contains(&0.0));
-        assert!(!rewards.contains(&1.0));
+        let mut mb = MiniBatch::new();
+        buf.sample_into(300, &mut SmallRng::seed_from_u64(9), &mut mb);
+        // 0 and 1 evicted; 2, 3, 4 present, each with its own states.
+        for r in [0.0, 1.0] {
+            assert!(!mb.rewards.contains(&r));
+        }
         for r in [2.0, 3.0, 4.0] {
-            assert!(rewards.contains(&r));
+            assert!(mb.rewards.contains(&r));
+        }
+        for i in 0..mb.len {
+            assert_eq!(mb.states[i], mb.rewards[i]);
+            assert_eq!(mb.next_states[i], mb.rewards[i] + 1.0);
         }
     }
 
@@ -206,33 +445,99 @@ mod tests {
     }
 
     #[test]
-    fn sample_into_matches_sample_for_same_rng_state() {
+    fn sample_into_matches_the_naive_ring() {
+        // Capacities below, at and well above a chunk, with enough
+        // pushes to wrap each ring many times.
+        for (capacity, dim, pushes) in [(1, 3, 40), (7, 1, 600), (50, 5, 1_500), (300, 2, 2_500)] {
+            let mut ring = ReplayBuffer::new(capacity);
+            let mut naive = NaiveRing::new(capacity);
+            let mut rng_ring = SmallRng::seed_from_u64(capacity as u64);
+            let mut rng_naive = rng_ring.clone();
+            let (mut got, mut want) = (MiniBatch::new(), MiniBatch::new());
+            for (k, tr) in rollout_pushes(dim, pushes, 17).into_iter().enumerate() {
+                naive.push(tr.clone());
+                ring.push(tr);
+                assert_eq!(ring.len(), naive.storage.len());
+                let n = 1 + k % 9;
+                ring.sample_into(n, &mut rng_ring, &mut got);
+                naive.sample_into(n, &mut rng_naive, &mut want);
+                let at = format!("capacity {capacity}, push {k}");
+                assert_eq!((got.len, got.state_dim), (want.len, want.state_dim), "{at}");
+                assert_eq!(bits(&got.states), bits(&want.states), "{at}");
+                assert_eq!(bits(&got.next_states), bits(&want.next_states), "{at}");
+                assert_eq!(got.actions, want.actions, "{at}");
+                assert_eq!(bits(&got.rewards), bits(&want.rewards), "{at}");
+                assert_eq!(got.dones, want.dones, "{at}");
+                assert_eq!(got.next_masks, want.next_masks, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_chained_state_is_stored_once() {
         let mut buf = ReplayBuffer::new(16);
-        for i in 0..16 {
+        let s = |x: f32| vec![x, 0.0];
+        for x in 0..5 {
+            let x = x as f32;
             buf.push(Transition {
-                state: vec![i as f32, -(i as f32)],
-                action: i % 3,
-                reward: i as f32 * 0.5,
-                next_state: vec![i as f32 + 1.0, 0.0],
-                done: i % 4 == 0,
-                next_mask: 1 << (i % 5),
+                state: s(x),
+                next_state: s(x + 1.0),
+                ..t(x)
             });
         }
-        let mut rng_a = SmallRng::seed_from_u64(42);
-        let mut rng_b = SmallRng::seed_from_u64(42);
-        let refs = sample_refs(&buf, 8, &mut rng_a);
-        let mut mb = MiniBatch::new();
-        buf.sample_into(8, &mut rng_b, &mut mb);
-        assert_eq!(mb.len, 8);
-        assert_eq!(mb.state_dim, 2);
-        for (i, r) in refs.iter().enumerate() {
-            assert_eq!(&mb.states[i * 2..(i + 1) * 2], &r.state[..]);
-            assert_eq!(&mb.next_states[i * 2..(i + 1) * 2], &r.next_state[..]);
-            assert_eq!(mb.actions[i], r.action);
-            assert_eq!(mb.rewards[i], r.reward);
-            assert_eq!(mb.dones[i], r.done);
-            assert_eq!(mb.next_masks[i], r.next_mask);
+        assert_eq!(buf.rows.next, 6, "five chained steps hold six states");
+        // `-0.0` is not the stored `0.0`: the state gets its own row.
+        buf.push(Transition {
+            state: vec![5.0, -0.0],
+            next_state: s(6.0),
+            ..t(5.0)
+        });
+        assert_eq!(buf.rows.next, 8);
+    }
+
+    #[test]
+    fn a_full_ring_releases_the_rows_it_no_longer_needs() {
+        let mut buf = ReplayBuffer::new(10);
+        for tr in rollout_pushes(4, 20 * CHUNK_ROWS, 3) {
+            buf.push(tr);
         }
+        // Ten transitions and the push being stored span at most 22
+        // rows, so at most two chunks ever exist: 2 560 rows passed
+        // through them.
+        let (live, spare) = (buf.rows.chunks.len(), buf.rows.spare.len());
+        assert!(live + spare <= 2, "{live} chunks and {spare} spare");
+    }
+
+    #[test]
+    #[should_panic(expected = "state has width 3, the ring's states have width 2")]
+    fn a_state_of_the_wrong_width_is_refused_at_push() {
+        let mut buf = ReplayBuffer::new(4);
+        buf.push(Transition {
+            state: vec![0.0; 2],
+            next_state: vec![0.0; 2],
+            ..t(0.0)
+        });
+        buf.push(Transition {
+            state: vec![0.0; 3],
+            next_state: vec![0.0; 2],
+            ..t(1.0)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "next_state has width 1, the ring's states have width 2")]
+    fn a_next_state_of_the_wrong_width_is_refused_at_push() {
+        let mut buf = ReplayBuffer::new(4);
+        buf.push(Transition {
+            state: vec![0.0; 2],
+            next_state: vec![0.0; 2],
+            ..t(0.0)
+        });
+        buf.push(Transition {
+            state: vec![0.0; 2],
+            next_state: vec![0.0; 1],
+            ..t(1.0)
+        });
     }
 
     #[test]

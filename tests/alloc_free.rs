@@ -17,6 +17,8 @@
 //! * `DqnAgent::learn` at the paper's geometry — sampling, both
 //!   bootstrap forwards, forward/backward, the Adam sweep and the
 //!   target sync;
+//! * `DqnAgent::remember` into a full replay ring — the chunks of
+//!   state rows it releases are the ones it refills;
 //! * `TreeSlotSet` — the slot set every backfilling decision plans
 //!   through: claims, clamped claims, releases and fits on a set that
 //!   has reached its working size.
@@ -190,6 +192,48 @@ fn steady_state_learning_step_does_not_allocate() {
         assert_eq!(n, 0, "DqnAgent::learn ({head:?}) allocated {n}x");
         assert_eq!(agent.learn_steps(), 53);
     }
+}
+
+#[test]
+fn remembering_into_a_full_ring_does_not_allocate() {
+    // Chained seven-step episodes at the paper's hierarchical width,
+    // into a ring that has wrapped four times. The audited transitions
+    // are built before the count starts; only storing them is audited.
+    const DIM: usize = 215;
+    const CAPACITY: usize = 300;
+    let mut cfg = DqnConfig::paper(DIM, 17);
+    cfg.buffer_capacity = CAPACITY;
+    let mut agent = DqnAgent::new(cfg);
+    let state = |at: usize| -> Vec<f32> {
+        (0..DIM)
+            .map(|j| ((at * 31 + j * 7) % 23) as f32 * 0.04 - 0.4)
+            .collect()
+    };
+    let episodes = |first: usize, pushes: usize| -> Vec<Transition> {
+        (first..first + pushes)
+            .map(|i| {
+                let at = i / 7 * 100 + i % 7;
+                Transition {
+                    state: state(at),
+                    action: i % 17,
+                    reward: (i % 5) as f32 * 0.25 - 0.5,
+                    next_state: state(at + 1),
+                    done: i % 7 == 6,
+                    next_mask: (1 << 17) - 1,
+                }
+            })
+            .collect()
+    };
+    for t in episodes(0, 4 * CAPACITY) {
+        agent.remember(t);
+    }
+    let audited = episodes(4 * CAPACITY, 2 * CAPACITY);
+    let n = count_allocs(|| {
+        for t in audited {
+            agent.remember(t);
+        }
+    });
+    assert_eq!(n, 0, "DqnAgent::remember into a full ring allocated {n}x");
 }
 
 #[test]

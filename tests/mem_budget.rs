@@ -1,4 +1,5 @@
-//! Peak live heap of one served pass, in bytes.
+//! Peak live heap of one served pass, and of a short training run, in
+//! bytes.
 //!
 //! The benchmark's `peak_rss_mb` is the outside view of the service's
 //! memory, and it also counts what the harness itself keeps per pass.
@@ -34,8 +35,27 @@
 //! held a clone of the `QNet` (weights, gradients and caches) beside its
 //! plan; the snapshot now holds the plan alone.
 //!
+//! Training is held the same way: one short hierarchical run
+//! (`TrainConfig::quick()` geometry, 16 episodes, one worker; 74
+//! environment steps). Beside it, the same recipe at
+//! `TrainConfig::paper()` geometry from a release run (146 steps; not a
+//! test). "Held" is what the run leaves live: the trained agent and its
+//! profile repository.
+//!
+//! | training run, 16 episodes | before    | weights-only target, state-once ring |
+//! |---------------------------|-----------|--------------------------------------|
+//! | quick geometry, held      | 790 624   | 424 016                              |
+//! | quick geometry, peak      | 847 489   | 521 945                              |
+//! | paper geometry, held      | 8 077 208 | 6 538 328                            |
+//! | paper geometry, peak      | 9 221 571 | 7 747 939                            |
+//!
+//! Before, the target net carried gradient buffers it never used, the
+//! replay ring stored every state twice, in two heap blocks per
+//! transition, and it reserved room for 4 096 transitions up front.
+//!
 //! A budget sits about 1 % above its measurement: a change that grows
-//! what a decision leaves behind fails here before any benchmark runs.
+//! what a decision or a learner leaves behind fails here before any
+//! benchmark runs.
 //!
 //! The full-size overload pass (about 1.5 s in a debug build) also pins
 //! what `SchedulerService::finish` adds on top of what the run holds:
@@ -48,6 +68,8 @@ use common::alloc::{live_bytes, peak_live_heap, RecordingAlloc};
 
 use hrp::cluster::place::{PlacementAgent, PlacementConfig};
 use hrp::cluster::{SelectorKind, TraceConfig, TraceKind};
+use hrp::core::train::{train, TrainConfig};
+use hrp::core::EnvKind;
 use hrp::gpusim::GpuArch;
 use hrp::serve::{
     restore, AdmissionConfig, ArrivalSource, LoadGen, LoadShape, SchedulerService, ServeConfig,
@@ -151,6 +173,33 @@ fn a_full_size_overload_pass_finishes_within_a_fifth_of_its_heap() {
          peak live heap {peak} bytes"
     );
     assert!(rise <= held / 5, "finish adds {rise} bytes to {held}");
+    assert!(
+        peak <= BUDGET,
+        "peak live heap {peak} bytes, budget {BUDGET}"
+    );
+}
+
+/// `train_hier` in miniature: hierarchical training at
+/// `TrainConfig::quick()` geometry for 16 episodes on one worker, so
+/// every byte is this thread's. The peak covers the profile repository,
+/// the agent (online net, gradients, Adam moments, target net, replay
+/// ring) and the rollouts of a round.
+#[test]
+fn a_short_hierarchical_training_run_stays_within_its_heap_budget() {
+    const BUDGET: usize = 527_200;
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let cfg = TrainConfig {
+        env: EnvKind::Hierarchical,
+        episodes: 16,
+        n_workers: 1,
+        ..TrainConfig::quick()
+    };
+    let base = live_bytes();
+    let ((trained, report), peak) = peak_live_heap(|| train(&suite, cfg));
+    let held = live_bytes() - base;
+    assert_eq!(report.episodes, 16);
+    assert!(trained.dqn().learn_steps() > 0);
+    println!("hierarchical training: {held} bytes held after, peak live heap {peak} bytes");
     assert!(
         peak <= BUDGET,
         "peak live heap {peak} bytes, budget {BUDGET}"
