@@ -185,7 +185,9 @@ fn encode_spec(cfg: &TrainConfig) -> SpecWriter {
 /// Decode the spec: every [`TrainConfig`] field exactly once, in any
 /// order. The network-shaping values (`hidden`, `buffer_capacity`)
 /// are range-checked by [`load_agent`] against the weights; `overlap`
-/// and `shards` must hold the one value [`crate::train::train`] accepts.
+/// and `shards` must hold the one value [`crate::train::train`] accepts,
+/// and `batch_size` and `target_sync_every` must be at least 1, as
+/// `DqnAgent::new` requires.
 fn decode_spec(mut spec: Spec<'_>) -> Result<TrainConfig, CheckpointError> {
     let cfg = TrainConfig {
         w: spec.get_in("w", 1..=MAX_WINDOW)?,
@@ -196,8 +198,8 @@ fn decode_spec(mut spec: Spec<'_>) -> Result<TrainConfig, CheckpointError> {
         hidden: spec.get_list("hidden")?,
         gamma: spec.get("gamma")?,
         lr: spec.get("lr")?,
-        batch_size: spec.get("batch_size")?,
-        target_sync_every: spec.get("target_sync_every")?,
+        batch_size: spec.get_in("batch_size", 1..)?,
+        target_sync_every: spec.get_in("target_sync_every", 1..)?,
         buffer_capacity: spec.get("buffer_capacity")?,
         double: spec.get("double")?,
         dueling: spec.get("dueling")?,

@@ -5,12 +5,14 @@
 //! A learning step runs the **whole minibatch as batched ops**: one
 //! contiguous sample ([`MiniBatch`]), one cache-free batched forward
 //! over the online and target networks for the double-DQN targets, one
-//! batched forward/backward for the TD error, one fused Adam sweep. In
-//! steady state it allocates nothing, and `tests/batch_parallel.rs`
-//! pins its losses and weights bit for bit.
+//! batched forward for the TD error and one batched backward that hands
+//! each layer's gradient, a block at a time, straight to Adam, which
+//! updates those weights at once — no gradient buffer. In steady state
+//! it allocates nothing, and `tests/batch_parallel.rs` pins its losses
+//! and weights bit for bit.
 
 use crate::infer::{FastPolicy, InferScratch};
-use crate::net::{Head, PredictScratch, QNet};
+use crate::net::{Head, LearnScratch, QNet};
 use crate::opt::Adam;
 use crate::replay::{MiniBatch, ReplayBuffer, Transition};
 use crate::tensor::{masked_argmax, masked_argmax_batch, masked_argmax_tiebreak, masked_uniform};
@@ -122,16 +124,16 @@ pub fn epsilon_greedy_action_with(
 pub struct DqnAgent {
     cfg: DqnConfig,
     online: QNet,
-    /// The bootstrap network: weights and biases only
-    /// (`QNet::weights_only`), synced from `online` every
-    /// `target_sync_every` learning steps.
+    /// The bootstrap network: a copy of `online`'s weights and biases,
+    /// synced every `target_sync_every` learning steps.
     target: QNet,
     adam: Adam,
     buffer: ReplayBuffer,
     rng: SmallRng,
     learn_steps: u64,
-    /// Inference scratch of the bootstrap passes of `learn`.
-    predict: PredictScratch,
+    /// What `learn`'s forward keeps for its backward, and the buffers
+    /// its bootstrap passes run in.
+    scratch: LearnScratch,
     /// Reusable batched-learning scratch.
     minibatch: MiniBatch,
     q_next_online: Vec<f32>,
@@ -146,12 +148,21 @@ impl DqnAgent {
     /// Build an agent (target starts as a copy of the online network).
     ///
     /// # Panics
-    /// Panics if `cfg.shards` is not `1` or `cfg.buffer_capacity` is 0.
+    /// Panics if `cfg.shards` is not `1`, or `cfg.buffer_capacity`,
+    /// `cfg.batch_size` or `cfg.target_sync_every` is 0.
     #[must_use]
     pub fn new(cfg: DqnConfig) -> Self {
         assert_eq!(
             cfg.shards, 1,
             "sharded replay is retired: DqnConfig::shards must be 1 (ROADMAP item 2f)"
+        );
+        assert!(
+            cfg.batch_size >= 1,
+            "DqnConfig::batch_size must be at least 1"
+        );
+        assert!(
+            cfg.target_sync_every >= 1,
+            "DqnConfig::target_sync_every must be at least 1"
         );
         let online = QNet::new(
             cfg.state_dim,
@@ -160,7 +171,7 @@ impl DqnAgent {
             cfg.head,
             cfg.seed,
         );
-        let target = online.weights_only();
+        let target = online.clone();
         let adam = Adam::new(online.num_params(), cfg.lr);
         let buffer = ReplayBuffer::new(cfg.buffer_capacity);
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5eed);
@@ -172,7 +183,7 @@ impl DqnAgent {
             buffer,
             rng,
             learn_steps: 0,
-            predict: PredictScratch::default(),
+            scratch: LearnScratch::default(),
             minibatch: MiniBatch::new(),
             q_next_online: Vec::new(),
             q_next_target: Vec::new(),
@@ -260,8 +271,9 @@ impl DqnAgent {
         // Bootstrap Q-values for the successor states, one batched pass
         // per network. Nothing is differentiated through them, so they
         // take the inference forward: same Q-values as `forward_batch`,
-        // none of its backward-cache upkeep.
-        let scratch = &mut self.predict;
+        // none of its backward-cache upkeep. They run in the buffers the
+        // forward below takes over.
+        let scratch = &mut self.scratch.pass;
         let next_states = &self.minibatch.next_states;
         if self.cfg.double {
             // Double DQN: the online net picks a* for every row at once,
@@ -297,11 +309,12 @@ impl DqnAgent {
             self.targets[i] = y;
         }
 
-        // One batched forward/backward over the whole minibatch. The
-        // online gradients are zero here: they start so, and every
-        // optimiser sweep leaves them cleared.
+        // One batched forward/backward over the whole minibatch; the
+        // backward updates each block of weights as its gradient is
+        // computed, in one Adam step.
+        let states = &self.minibatch.states;
         self.online
-            .forward_batch(&self.minibatch.states, b, &mut self.q_pred);
+            .forward_batch(states, b, &mut self.scratch, &mut self.q_pred);
         self.dq.clear();
         self.dq.resize(b * n, 0.0);
         let inv_n = 1.0 / b as f32;
@@ -313,8 +326,13 @@ impl DqnAgent {
             total_loss += loss;
             self.dq[i * n + a] = dloss * inv_n;
         }
-        self.online.backward_batch(&self.dq, b);
-        self.online.adam_step(&mut self.adam);
+        self.online.backward_batch(
+            states,
+            &self.dq,
+            b,
+            &mut self.scratch,
+            &mut self.adam.begin_step(),
+        );
 
         self.learn_steps += 1;
         if self.learn_steps.is_multiple_of(self.cfg.target_sync_every) {
@@ -448,6 +466,24 @@ mod tests {
             assert_eq!(agent.select_action(&[1.0, 0.0], 0b01, 1.0), 0);
         }
         assert_eq!(agent.greedy_action(&[1.0, 0.0], 0b01), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "DqnConfig::batch_size must be at least 1")]
+    fn a_zero_batch_is_refused() {
+        let _ = DqnAgent::new(DqnConfig {
+            batch_size: 0,
+            ..chain_cfg()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "DqnConfig::target_sync_every must be at least 1")]
+    fn a_zero_sync_period_is_refused() {
+        let _ = DqnAgent::new(DqnConfig {
+            target_sync_every: 0,
+            ..chain_cfg()
+        });
     }
 
     #[test]

@@ -198,13 +198,13 @@ impl FastPolicy {
         let trunk: Vec<PlanLayer> = net
             .trunk_layers()
             .iter()
-            .map(|(lin, _)| PlanLayer::plan(lin, true))
+            .map(|lin| PlanLayer::plan(lin, true))
             .collect();
         assert!(!trunk.is_empty(), "QNet guarantees a non-empty trunk");
         let state_dim = trunk[0].cols;
         let head = match net.head_layers() {
             HeadLayers::Plain(l) => PlanHead::Plain(PlanLayer::plan(l, false)),
-            HeadLayers::Dueling { v, a, .. } => PlanHead::Dueling {
+            HeadLayers::Dueling { v, a } => PlanHead::Dueling {
                 v: PlanLayer::plan(v, false),
                 a: PlanLayer::plan(a, false),
             },

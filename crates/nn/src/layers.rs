@@ -1,18 +1,22 @@
 //! Layers with exact backpropagation: fully-connected (`Linear`) and
 //! `ReLU`. A `Linear` runs every batch size, one sample included, in
-//! batch-minor layout (`n × batch`, the `_tn` entry points). Each layer
-//! caches whatever its backward pass needs in reusable scratch, so the
-//! calling convention is strictly forward then backward and a
-//! steady-state learning step allocates nothing. The `_inference`
-//! forwards skip that upkeep and leave the layer untouched.
+//! batch-minor layout (`n × batch`, the `_tn` entry points), and holds
+//! its weights and biases only: what a backward pass needs from the
+//! forward (the layer's input, the ReLU masks) lives in the network's
+//! [`crate::net::LearnScratch`], and its backward pass hands each block
+//! of gradient straight to a [`GradSink`] — the optimiser, which
+//! updates the layer on the spot — so no layer keeps a gradient.
 
-use crate::tensor::{
-    matmul_bias_tn, matmul_dw_accumulate, matmul_dx_tn, relu_backward, relu_forward, transpose_into,
-};
+use crate::opt::GradSink;
+use crate::tensor::{matmul_bias_tn, matmul_dw_tn, matmul_dx_tn, relu_backward, relu_forward};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// A fully-connected layer `Y = X·Wᵀ + b` with gradient accumulation.
+/// Floats in one block of a layer's weight gradient: the block is
+/// computed into one small scratch and handed to the sink at once.
+const DW_BLOCK: usize = 4096;
+
+/// A fully-connected layer `Y = X·Wᵀ + b`.
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Output dimension.
@@ -23,17 +27,6 @@ pub struct Linear {
     pub w: Vec<f32>,
     /// Bias, length `rows`.
     pub b: Vec<f32>,
-    /// Accumulated weight gradient.
-    pub gw: Vec<f32>,
-    /// Accumulated bias gradient.
-    pub gb: Vec<f32>,
-    /// Cached forward input (`batch × cols`), reused across steps.
-    x_cache: Vec<f32>,
-    /// Batch size of the cached input.
-    cached_batch: usize,
-    /// Layout-conversion scratch, reused across steps so a learning
-    /// step allocates nothing.
-    dy_bm: Vec<f32>,
 }
 
 impl Linear {
@@ -49,81 +42,65 @@ impl Linear {
             cols,
             w,
             b: vec![0.0; rows],
-            gw: vec![0.0; rows * cols],
-            gb: vec![0.0; rows],
-            x_cache: Vec::new(),
-            cached_batch: 0,
-            dy_bm: Vec::new(),
-        }
-    }
-
-    /// A copy of the weights and biases alone, for a layer that only
-    /// ever runs [`Linear::forward_inference_batch_tn`]: its gradient
-    /// buffers and caches stay empty, so it must not be trained.
-    pub(crate) fn weights_only(&self) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            w: self.w.clone(),
-            b: self.b.clone(),
-            gw: Vec::new(),
-            gb: Vec::new(),
-            x_cache: Vec::new(),
-            cached_batch: 0,
-            dy_bm: Vec::new(),
         }
     }
 
     /// Batched forward pass in batch-minor layout: `xt` is
-    /// `cols × batch`, `yt` becomes `rows × batch`. Caches the input
-    /// (batch-major, for the weight-gradient kernel) for backprop.
+    /// `cols × batch`, `yt` becomes `rows × batch`.
     ///
     /// The batch-minor entry points let a multi-layer network keep its
     /// activations in one layout end-to-end — a layer's `yt` is the
     /// next layer's `xt` — paying layout-conversion cost only at the
     /// network boundary.
-    pub fn forward_batch_tn(&mut self, xt: &[f32], batch: usize, yt: &mut Vec<f32>) {
-        debug_assert_eq!(xt.len(), batch * self.cols);
-        transpose_into(xt, &mut self.x_cache, self.cols, batch);
-        self.cached_batch = batch;
-        matmul_bias_tn(&self.w, &self.b, xt, yt, batch, self.rows, self.cols);
-    }
-
-    /// Batch-minor forward without caching (inference only).
-    pub fn forward_inference_batch_tn(&self, xt: &[f32], batch: usize, yt: &mut Vec<f32>) {
+    pub fn forward_batch_tn(&self, xt: &[f32], batch: usize, yt: &mut Vec<f32>) {
         debug_assert_eq!(xt.len(), batch * self.cols);
         matmul_bias_tn(&self.w, &self.b, xt, yt, batch, self.rows, self.cols);
     }
 
-    /// Batch-minor backward pass: `dyt` is `rows × batch`, `dxt`
-    /// becomes `cols × batch`; accumulates `gw`/`gb` over the batch.
-    ///
-    /// # Panics
-    /// Panics (in debug) if `batch` differs from the cached forward's.
-    pub fn backward_batch_tn(&mut self, dyt: &[f32], batch: usize, dxt: &mut Vec<f32>) {
-        self.accumulate_grads_tn(dyt, batch);
+    /// Batch-minor input gradient: `dyt` is the output gradient
+    /// (`rows × batch`), `dxt` becomes `cols × batch`. A backward pass
+    /// takes it before [`Linear::backward_params_tn`] updates the
+    /// weights it reads.
+    pub fn backward_input_tn(&self, dyt: &[f32], batch: usize, dxt: &mut Vec<f32>) {
         matmul_dx_tn(&self.w, dyt, dxt, batch, self.rows, self.cols);
     }
 
-    /// Batch-minor backward that only accumulates `gw`/`gb` (for the
-    /// network's first layer, whose input gradient nothing consumes).
-    pub fn backward_batch_tn_no_dx(&mut self, dyt: &[f32], batch: usize) {
-        self.accumulate_grads_tn(dyt, batch);
-    }
-
-    fn accumulate_grads_tn(&mut self, dyt: &[f32], batch: usize) {
-        debug_assert_eq!(batch, self.cached_batch, "backward batch mismatch");
-        debug_assert_eq!(dyt.len(), batch * self.rows);
-        transpose_into(dyt, &mut self.dy_bm, self.rows, batch);
-        matmul_dw_accumulate(
-            &mut self.gw,
-            &mut self.gb,
-            &self.dy_bm,
-            &self.x_cache,
-            batch,
-            self.rows,
-            self.cols,
-        );
+    /// Batch-minor weight and bias gradients, handed to `sink` — which
+    /// may update the layer — a block of output rows at a time: `dyt`
+    /// is the output gradient (`rows × batch`) and `x` the input the
+    /// forward saw, batch-major (`batch × cols`).
+    ///
+    /// A block is whole 4-row tiles, as many as fit in `DW_BLOCK`
+    /// (4 096) floats, computed into `block` and handed over once it is
+    /// complete. `at` is the layer's offset in the flat parameter
+    /// vector (weights, then biases). Each parameter is handed over
+    /// exactly once.
+    pub fn backward_params_tn(
+        &mut self,
+        x: &[f32],
+        dyt: &[f32],
+        batch: usize,
+        at: usize,
+        block: &mut Vec<f32>,
+        sink: &mut impl GradSink,
+    ) {
+        let (rows, cols) = (self.rows, self.cols);
+        debug_assert_eq!(x.len(), batch * cols);
+        debug_assert_eq!(dyt.len(), rows * batch);
+        let bias_at = at + rows * cols;
+        let block_rows = (DW_BLOCK / cols.max(1) / 4).max(1) * 4;
+        let mut r0 = 0;
+        while r0 < rows {
+            let n = block_rows.min(rows - r0);
+            block.clear();
+            block.resize(n * (cols + 1), 0.0);
+            let (gw, gb) = block.split_at_mut(n * cols);
+            let dy = &dyt[r0 * batch..(r0 + n) * batch];
+            matmul_dw_tn(gw, gb, dy, x, batch, n, cols);
+            sink.take(at + r0 * cols, &mut self.w[r0 * cols..(r0 + n) * cols], gw);
+            sink.take(bias_at + r0, &mut self.b[r0..r0 + n], gb);
+            r0 += n;
+        }
     }
 
     /// Number of trainable parameters.
@@ -173,6 +150,8 @@ impl Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opt::GradSum;
+    use crate::tensor::transpose_into;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -192,6 +171,18 @@ mod tests {
         assert!((y[1] - (2.0 + 2.0 + 1.5 - 0.5)).abs() < 1e-6);
     }
 
+    /// The gradient a backward pass hands its sink, read through the
+    /// test recorder (which leaves the weights alone): `(dx, [gw, gb])`
+    /// for batch-major `x` and batch-minor `dyt`, the input gradient
+    /// batch-minor.
+    fn gradients(l: &mut Linear, x: &[f32], dyt: &[f32], batch: usize) -> (Vec<f32>, Vec<f32>) {
+        let mut sum = GradSum(vec![0.0; l.num_params()]);
+        let (mut dxt, mut block) = (Vec::new(), Vec::new());
+        l.backward_input_tn(dyt, batch, &mut dxt);
+        l.backward_params_tn(x, dyt, batch, 0, &mut block, &mut sum);
+        (dxt, sum.0)
+    }
+
     #[test]
     fn linear_gradients_match_numerical() {
         // Check dL/dW, dL/db and dL/dx against central differences for
@@ -200,14 +191,13 @@ mod tests {
         let x: Vec<f32> = vec![0.3, -0.7, 1.2, 0.05];
         let mut y = Vec::new();
         l.forward_batch_tn(&x, 1, &mut y);
-        let dy = y.clone();
-        let mut dx = Vec::new();
-        l.backward_batch_tn(&dy, 1, &mut dx);
+        let (dx, g) = gradients(&mut l, &x, &y, 1);
+        let (gw, gb) = g.split_at(12);
 
         let eps = 1e-3f32;
         let loss = |l: &Linear, x: &[f32]| -> f32 {
             let mut y = Vec::new();
-            l.forward_inference_batch_tn(x, 1, &mut y);
+            l.forward_batch_tn(x, 1, &mut y);
             0.5 * y.iter().map(|v| v * v).sum::<f32>()
         };
         // Weight gradients.
@@ -218,19 +208,19 @@ mod tests {
             lm.w[idx] -= eps;
             let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * eps);
             assert!(
-                (num - l.gw[idx]).abs() < 2e-2 * num.abs().max(1.0),
+                (num - gw[idx]).abs() < 2e-2 * num.abs().max(1.0),
                 "gw[{idx}]: num {num} vs analytic {}",
-                l.gw[idx]
+                gw[idx]
             );
         }
         // Bias gradient.
-        for idx in 0..3 {
+        for (idx, g) in gb.iter().enumerate() {
             let mut lp = l.clone();
             lp.b[idx] += eps;
             let mut lm = l.clone();
             lm.b[idx] -= eps;
             let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * eps);
-            assert!((num - l.gb[idx]).abs() < 2e-2 * num.abs().max(1.0));
+            assert!((num - g).abs() < 2e-2 * num.abs().max(1.0));
         }
         // Input gradient.
         for idx in 0..4 {
@@ -245,23 +235,28 @@ mod tests {
 
     #[test]
     fn gradients_accumulate_across_calls() {
-        let mut l = Linear::new(2, 2, &mut rng());
-        let mut y = Vec::new();
-        let mut dx = Vec::new();
-        l.forward_batch_tn(&[1.0, 1.0], 1, &mut y);
-        l.backward_batch_tn(&[1.0, 1.0], 1, &mut dx);
-        let first = l.gb.clone();
-        l.forward_batch_tn(&[1.0, 1.0], 1, &mut y);
-        l.backward_batch_tn(&[1.0, 1.0], 1, &mut dx);
-        for (a, b) in l.gb.iter().zip(first.iter()) {
-            assert!((a - 2.0 * b).abs() < 1e-6);
+        // A sink sees every parameter once per pass, in blocks that
+        // tile the layer: two passes into one recorder give twice one
+        // pass's gradient, for a layer of several blocks (4 rows of
+        // 1 024 inputs each) and a ragged last one.
+        let (rows, cols) = (11, DW_BLOCK / 4);
+        let mut l = Linear::new(rows, cols, &mut rng());
+        let x = vec![1.0; cols];
+        let dy = vec![1.0; rows];
+        let (_, once) = gradients(&mut l, &x, &dy, 1);
+        assert!(once.iter().all(|&g| g == 1.0), "{once:?}");
+        let mut sum = GradSum(vec![0.0; l.num_params()]);
+        let mut block = Vec::new();
+        for _ in 0..2 {
+            l.backward_params_tn(&x, &dy, 1, 0, &mut block, &mut sum);
         }
+        assert!(sum.0.iter().all(|&g| g == 2.0), "{:?}", sum.0);
     }
 
     #[test]
     fn batched_forward_backward_equals_per_sample_loop() {
         // One batched step over B samples must produce the same outputs
-        // and the same accumulated gradients as B one-sample steps.
+        // and the same summed gradients as B one-sample steps.
         let (batch, rows, cols) = (5, 6, 4);
         let mut batched = Linear::new(rows, cols, &mut rng());
         let mut serial = batched.clone();
@@ -274,13 +269,14 @@ mod tests {
             .collect();
 
         // The batched side runs batch-minor, the layout `QNet` hands a
-        // minibatch over in: transpose in, transpose out.
+        // minibatch over in: transpose in, transpose out. The weight
+        // gradient reads the input batch-major, as the network caches it.
         let (mut xt, mut dyt) = (Vec::new(), Vec::new());
         transpose_into(&x, &mut xt, batch, cols);
         transpose_into(&dy, &mut dyt, batch, rows);
-        let (mut yt, mut dxt) = (Vec::new(), Vec::new());
+        let mut yt = Vec::new();
         batched.forward_batch_tn(&xt, batch, &mut yt);
-        batched.backward_batch_tn(&dyt, batch, &mut dxt);
+        let (dxt, g_batched) = gradients(&mut batched, &x, &dyt, batch);
         let (mut y_b, mut dx_b) = (Vec::new(), Vec::new());
         transpose_into(&yt, &mut y_b, rows, batch);
         transpose_into(&dxt, &mut dx_b, cols, batch);
@@ -288,17 +284,18 @@ mod tests {
         // Outputs and input gradients are per-lane sums: bit-equal. The
         // weight gradients sum over the batch in another grouping.
         let mut y_s = Vec::new();
-        let mut dx_s = Vec::new();
+        let mut g_serial = vec![0.0f32; serial.num_params()];
         for bi in 0..batch {
-            serial.forward_batch_tn(&x[bi * cols..(bi + 1) * cols], 1, &mut y_s);
+            let xb = &x[bi * cols..(bi + 1) * cols];
+            serial.forward_batch_tn(xb, 1, &mut y_s);
             assert_eq!(y_b[bi * rows..(bi + 1) * rows], y_s, "y sample {bi}");
-            serial.backward_batch_tn(&dy[bi * rows..(bi + 1) * rows], 1, &mut dx_s);
+            let (dx_s, g) = gradients(&mut serial, xb, &dy[bi * rows..(bi + 1) * rows], 1);
             assert_eq!(dx_b[bi * cols..(bi + 1) * cols], dx_s, "dx sample {bi}");
+            for (s, g) in g_serial.iter_mut().zip(g) {
+                *s += g;
+            }
         }
-        for (a, e) in batched.gw.iter().zip(serial.gw.iter()) {
-            assert!((a - e).abs() < 1e-5);
-        }
-        for (a, e) in batched.gb.iter().zip(serial.gb.iter()) {
+        for (a, e) in g_batched.iter().zip(&g_serial) {
             assert!((a - e).abs() < 1e-5);
         }
     }

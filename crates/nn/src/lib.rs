@@ -9,13 +9,15 @@
 //! * [`tensor`] — dense **batched** (`B × n`) kernels, register-tiled
 //!   over independent lanes in safe Rust, so they stream each weight
 //!   matrix once per minibatch and give the same bits on every target;
-//! * [`layers`] — fully-connected layer and ReLU with exact batched
-//!   backprop and per-layer reusable scratch;
+//! * [`layers`] — fully-connected layer (weights and biases only) and
+//!   ReLU with exact batched backprop;
 //! * [`net`] — the Q-network: MLP trunk + plain or dueling head, with
 //!   `forward_batch` / `predict_batch_into` / `backward_batch` as its
-//!   one interface at every batch size;
+//!   one interface at every batch size; the backward pass keeps no
+//!   gradient, it hands each block of one to the optimiser;
 //! * [`opt`] — Adam (Kingma & Ba) over the flattened parameter vector,
-//!   one fused sweep per step;
+//!   one step per learning step that updates each block of parameters
+//!   as the backward pass hands over its gradient;
 //! * [`replay`] — a ring replay buffer with action masking support and
 //!   contiguous-minibatch sampling ([`replay::MiniBatch`]);
 //! * [`schedule`] — the exploration schedule: linear ε decay from 1.0

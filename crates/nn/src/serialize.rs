@@ -560,6 +560,12 @@ pub fn load_agent(
     ensure(format, cfg.shards == 1, || {
         format!("shards {} (an agent has one replay ring)", cfg.shards)
     })?;
+    ensure(format, cfg.batch_size >= 1, || {
+        "batch_size must be at least 1".into()
+    })?;
+    ensure(format, cfg.target_sync_every >= 1, || {
+        "target_sync_every must be at least 1".into()
+    })?;
     let expected = QNet::param_count(cfg.state_dim, &cfg.hidden, cfg.n_actions, cfg.head)
         .ok_or_else(|| {
             CheckpointError::invalid(format, format!("impossible hidden widths {:?}", cfg.hidden))
@@ -730,8 +736,8 @@ mod tests {
 
     /// Forged agent geometry comes back typed before anything is built
     /// (the parent commit aborted on a 160 GB allocation in `QNet::new`
-    /// for the first case; a shard count other than 1 is what
-    /// `DqnAgent::new` refuses).
+    /// for the first case; a shard count other than 1, a zero batch and
+    /// a zero sync period are what `DqnAgent::new` refuses).
     #[test]
     fn load_agent_checks_geometry_before_building() {
         let cfg = DqnConfig {
@@ -740,9 +746,11 @@ mod tests {
         };
         let weights = save_weights(DqnAgent::new(cfg.clone()).online_net());
         assert!(load_agent("TEST", cfg.clone(), &weights).is_ok());
-        let forgeries: [fn(&mut DqnConfig); 8] = [
+        let forgeries: [fn(&mut DqnConfig); 10] = [
             |c| c.hidden = vec![4_000_000_000, 4_000_000_000],
             |c| c.buffer_capacity = 0,
+            |c| c.batch_size = 0,
+            |c| c.target_sync_every = 0,
             |c| c.shards = 0,
             |c| c.shards = 2,
             |c| c.hidden = vec![],

@@ -3,7 +3,7 @@
 //!
 //! The Q-network is small (≲ 300k parameters), so simple cache-friendly
 //! loops beat any heavyweight dependency. The kernels
-//! ([`matmul_bias_tn`], [`matmul_dx_tn`], [`matmul_dw_accumulate`]) are
+//! ([`matmul_bias_tn`], [`matmul_dx_tn`], [`matmul_dw_tn`]) are
 //! three views of one register-tiled routine (`accumulate_tiled`): a
 //! tile of a few output rows × a block of **independent lanes** (batch
 //! lanes in batch-minor layout, see [`transpose_into`]; weight columns
@@ -83,8 +83,6 @@ const TILE_LANES: usize = 16;
 /// wider tile amortises more; its sixteen 256-bit accumulators want the
 /// 32 registers of AVX-512VL and spill (correctly) without them.
 const DW_TILE_LANES: usize = 32;
-/// Lanes per tile when the whole width is narrower than the kernel's tile.
-const EDGE_LANES: usize = 4;
 
 /// The `N` entries of `row` that start at `at`, as an array.
 #[inline(always)]
@@ -279,7 +277,9 @@ fn accumulate_blocks<C: Coefs, const L: usize, const SKIP_ZERO: bool>(
 /// The body is [`TILE_ROWS`]` × LANES` tiles. Leftover rows run through
 /// the same tile one row at a time, a ragged last lane block through the
 /// same tile slid back to end at `width`, and a `width` below `LANES`
-/// through the same tile at [`EDGE_LANES`] lanes or one.
+/// through the same tile at the widest of 16, 8, 4 or 1 lanes that fits
+/// (an 18-wide input layer's weight gradient runs 16-lane tiles, not
+/// 4-lane ones).
 fn accumulate_tiled<C: Coefs, const LANES: usize, const SKIP_ZERO: bool>(
     out: &mut [f32],
     out_rows: usize,
@@ -290,8 +290,12 @@ fn accumulate_tiled<C: Coefs, const LANES: usize, const SKIP_ZERO: bool>(
     assert_eq!(out.len(), out_rows * width);
     if width >= LANES {
         accumulate_blocks::<C, LANES, SKIP_ZERO>(out, out_rows, coefs, x, width);
-    } else if width >= EDGE_LANES {
-        accumulate_blocks::<C, EDGE_LANES, SKIP_ZERO>(out, out_rows, coefs, x, width);
+    } else if width >= 16 {
+        accumulate_blocks::<C, 16, SKIP_ZERO>(out, out_rows, coefs, x, width);
+    } else if width >= 8 {
+        accumulate_blocks::<C, 8, SKIP_ZERO>(out, out_rows, coefs, x, width);
+    } else if width >= 4 {
+        accumulate_blocks::<C, 4, SKIP_ZERO>(out, out_rows, coefs, x, width);
     } else {
         accumulate_blocks::<C, 1, SKIP_ZERO>(out, out_rows, coefs, x, width);
     }
@@ -348,7 +352,11 @@ pub fn matmul_dx_tn(
 }
 
 /// Batched weight-gradient update `GW += dYᵀ·X`, `Gb += Σ_b dY_b`:
-/// `dy` is `batch × rows`, `x` is `batch × cols`.
+/// `dyt` is the batch-minor output gradient (`rows × batch`), as the
+/// backward pass holds it, and `x` the batch-major input
+/// (`batch × cols`). Any stretch of a layer's rows is a `rows × batch`
+/// gradient of its own, so the backward pass runs this a block of rows
+/// at a time.
 ///
 /// Per `GW` element: the `batch` products in the module's
 /// [operation order](self#operation-order), except that a group of
@@ -357,10 +365,10 @@ pub fn matmul_dx_tn(
 /// Per `Gb` element: `gb += ((d0 + d1) + d2) + d3` per group of four
 /// samples, then the leftover samples one at a time.
 #[inline]
-pub fn matmul_dw_accumulate(
+pub fn matmul_dw_tn(
     gw: &mut [f32],
     gb: &mut [f32],
-    dy: &[f32],
+    dyt: &[f32],
     x: &[f32],
     batch: usize,
     rows: usize,
@@ -368,19 +376,20 @@ pub fn matmul_dw_accumulate(
 ) {
     debug_assert_eq!(gw.len(), rows * cols);
     debug_assert_eq!(gb.len(), rows);
-    debug_assert_eq!(dy.len(), batch * rows);
+    debug_assert_eq!(dyt.len(), rows * batch);
     debug_assert_eq!(x.len(), batch * cols);
-    accumulate_tiled::<_, DW_TILE_LANES, true>(gw, rows, ColMajor { a: dy, rows }, x, cols);
-    let quads = dy.chunks_exact(4 * rows);
-    let tail = quads.remainder();
-    for d4 in quads {
-        let [d0, d1, d2, d3] = quarters(d4);
-        for ((((g, d0), d1), d2), d3) in gb.iter_mut().zip(d0).zip(d1).zip(d2).zip(d3) {
-            *g += d0 + d1 + d2 + d3;
+    let dy = RowMajor {
+        a: dyt,
+        depth: batch,
+    };
+    accumulate_tiled::<_, DW_TILE_LANES, true>(gw, rows, dy, x, cols);
+    for (g, d) in gb.iter_mut().zip(dyt.chunks_exact(batch)) {
+        let quads = d.chunks_exact(4);
+        let tail = quads.remainder();
+        for d4 in quads {
+            *g += d4[0] + d4[1] + d4[2] + d4[3];
         }
-    }
-    for d in tail.chunks_exact(rows) {
-        for (g, d) in gb.iter_mut().zip(d) {
+        for d in tail {
             *g += d;
         }
     }
@@ -520,7 +529,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// Rank-1 update `GW += dy ⊗ x`: the per-sample weight gradient
-    /// [`matmul_dw_accumulate`] is checked against.
+    /// [`matmul_dw_tn`] is checked against.
     fn outer_accumulate(gw: &mut [f32], dy: &[f32], x: &[f32], rows: usize, cols: usize) {
         assert_eq!((gw.len(), dy.len(), x.len()), (rows * cols, rows, cols));
         for (r, &d) in dy.iter().enumerate() {
@@ -581,9 +590,19 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(13);
         let dy = randn(batch * rows, &mut rng);
         let x = randn(batch * cols, &mut rng);
+        let mut dyt = Vec::new();
+        transpose_into(&dy, &mut dyt, batch, rows);
         let mut gw_batched = vec![0.5f32; rows * cols];
         let mut gb_batched = vec![0.25f32; rows];
-        matmul_dw_accumulate(&mut gw_batched, &mut gb_batched, &dy, &x, batch, rows, cols);
+        matmul_dw_tn(
+            &mut gw_batched,
+            &mut gb_batched,
+            &dyt,
+            &x,
+            batch,
+            rows,
+            cols,
+        );
         let mut gw_serial = vec![0.5f32; rows * cols];
         let mut gb_serial = vec![0.25f32; rows];
         for bi in 0..batch {

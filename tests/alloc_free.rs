@@ -14,9 +14,9 @@
 //! * `DqnSnapshot::select_action_with` at ε = 0 and ε = 1 — the
 //!   training rollout hot loop, after one warm-up call on its reused
 //!   `ActionScratch`;
-//! * `DqnAgent::learn` at the paper's geometry — sampling, both
-//!   bootstrap forwards, forward/backward, the Adam sweep and the
-//!   target sync;
+//! * `DqnAgent::learn` at the paper's and the placement agent's
+//!   geometry — sampling, both bootstrap forwards, the forward, the
+//!   backward with its per-block Adam updates, and the target sync;
 //! * `DqnAgent::remember` into a full replay ring — the chunks of
 //!   state rows it releases are the ones it refills;
 //! * `TreeSlotSet` — the slot set every backfilling decision plans
@@ -153,45 +153,61 @@ fn steady_state_decision_paths_do_not_allocate() {
     }
 }
 
+/// Fill an agent of `cfg`'s geometry with 96 transitions, let three
+/// learning steps size every scratch buffer (the ping-pong pairs trade
+/// places, so each side must have seen the widest layer once), then
+/// audit 50 more, with a target sync every 10 inside the audit.
+fn assert_learning_does_not_allocate(mut cfg: DqnConfig, what: &str) {
+    cfg.target_sync_every = 10;
+    cfg.buffer_capacity = 256;
+    let (dim, n) = (cfg.state_dim, cfg.n_actions);
+    let mut agent = DqnAgent::new(cfg);
+    for i in 0..96usize {
+        let state = |salt: usize| -> Vec<f32> {
+            (0..dim)
+                .map(|j| ((i * 31 + j * 7 + salt) % 23) as f32 * 0.04 - 0.4)
+                .collect()
+        };
+        agent.remember(Transition {
+            state: state(0),
+            action: i % n,
+            reward: (i % 5) as f32 * 0.25 - 0.5,
+            next_state: state(11),
+            done: i % 7 == 0,
+            next_mask: (1 << n) - 1 - (i % 3) as u64,
+        });
+    }
+    for _ in 0..3 {
+        agent.learn().expect("buffer holds a batch");
+    }
+    let allocs = count_allocs(|| {
+        for _ in 0..50 {
+            std::hint::black_box(agent.learn());
+        }
+    });
+    assert_eq!(allocs, 0, "DqnAgent::learn ({what}) allocated {allocs}x");
+    assert_eq!(agent.learn_steps(), 53);
+}
+
 #[test]
 fn steady_state_learning_step_does_not_allocate() {
     // The paper's hierarchical geometry: 215 → 512/256/128 → 1 + 17,
-    // batch 32. The target sync is brought inside the audited region.
+    // batch 32.
     for head in [Head::Dueling, Head::Plain] {
         let mut cfg = DqnConfig::paper(215, 17);
         cfg.head = head;
-        cfg.target_sync_every = 10;
-        cfg.buffer_capacity = 256;
-        let mut agent = DqnAgent::new(cfg);
-        for i in 0..96usize {
-            let state = |salt: usize| -> Vec<f32> {
-                (0..215)
-                    .map(|j| ((i * 31 + j * 7 + salt) % 23) as f32 * 0.04 - 0.4)
-                    .collect()
-            };
-            agent.remember(Transition {
-                state: state(0),
-                action: i % 17,
-                reward: (i % 5) as f32 * 0.25 - 0.5,
-                next_state: state(11),
-                done: i % 7 == 0,
-                next_mask: (1 << 17) - 1 - (i % 3) as u64,
-            });
-        }
-        // The first steps size every scratch buffer (the ping-pong
-        // pairs trade places, so each side must have seen the widest
-        // layer once).
-        for _ in 0..3 {
-            agent.learn().expect("buffer holds a batch");
-        }
-        let n = count_allocs(|| {
-            for _ in 0..50 {
-                std::hint::black_box(agent.learn());
-            }
-        });
-        assert_eq!(n, 0, "DqnAgent::learn ({head:?}) allocated {n}x");
-        assert_eq!(agent.learn_steps(), 53);
+        assert_learning_does_not_allocate(cfg, &format!("{head:?}"));
     }
+}
+
+#[test]
+fn a_placement_learning_step_does_not_allocate() {
+    // The placement agent's geometry: 18 → 64/32 → 1 + 8, dueling,
+    // batch 32. Its 18-wide first layer runs the 16-lane
+    // weight-gradient tiles, and each layer's gradient is one block.
+    let mut cfg = DqnConfig::paper(STATE_DIM, 8);
+    cfg.hidden = vec![64, 32];
+    assert_learning_does_not_allocate(cfg, "placement");
 }
 
 #[test]

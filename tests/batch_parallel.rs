@@ -13,7 +13,7 @@
 //!    a fixed seed.
 
 use hrp::core::metrics::evaluate_decision;
-use hrp::nn::net::{Head, PredictScratch, QNet};
+use hrp::nn::net::{Head, LearnScratch, PredictScratch, QNet};
 use hrp::nn::replay::Transition;
 use hrp::nn::{DqnAgent, DqnConfig};
 use hrp::prelude::*;
@@ -31,14 +31,14 @@ fn lcg_stream(seed: u64) -> impl FnMut() -> f32 {
 #[test]
 fn forward_batch_equals_per_sample_forward_property() {
     for head in [Head::Plain, Head::Dueling] {
-        let mut net = QNet::new(10, &[24, 12], 5, head, 99);
+        let net = QNet::new(10, &[24, 12], 5, head, 99);
         let mut gen = lcg_stream(7);
         // 16 random "cases": random batch sizes and state contents.
         for case in 0..16 {
             let batch = 1 + case % 7;
             let x: Vec<f32> = (0..batch * 10).map(|_| gen()).collect();
             let mut q_batch = Vec::new();
-            net.forward_batch(&x, batch, &mut q_batch);
+            net.forward_batch(&x, batch, &mut LearnScratch::default(), &mut q_batch);
             let (mut scratch, mut q_one) = (PredictScratch::default(), Vec::new());
             for b in 0..batch {
                 net.predict_batch_into(&x[b * 10..(b + 1) * 10], 1, &mut scratch, &mut q_one);

@@ -481,6 +481,17 @@ fn forged_hidden_widths_are_a_typed_error_before_any_network_is_built() {
     assert_forged_experiment_is_rejected("shards", "1000000000", "shards");
 }
 
+/// Parent commit: both loaded. The first `learn` with a zero batch
+/// then panicked dividing by zero inside `predict_batch_into`, and a
+/// zero sync period never synced the target (`is_multiple_of(0)` is
+/// false for every step ≥ 1). `HRPE` holds both to at least 1, and
+/// `load_agent` and `DqnAgent::new` refuse them too.
+#[test]
+fn forged_zero_batch_and_sync_period_are_typed_errors() {
+    assert_forged_experiment_is_rejected("batch_size", "0", "'batch_size'");
+    assert_forged_experiment_is_rejected("target_sync_every", "0", "'target_sync_every'");
+}
+
 /// The retired training modes stay refused where they could come back
 /// in: an `HRPE` spec holds only the one value of each retired knob,
 /// and neither the agent nor the pipeline builds the others.

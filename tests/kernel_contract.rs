@@ -1,6 +1,6 @@
 //! Bit-level contract of the batched training kernels
-//! (`hrp_nn::tensor::{matmul_bias_tn, matmul_dx_tn,
-//! matmul_dw_accumulate}`) and of the cache-free forward built on them.
+//! (`hrp_nn::tensor::{matmul_bias_tn, matmul_dx_tn, matmul_dw_tn}`) and
+//! of the cache-free forward built on them.
 //!
 //! Each kernel must equal, bit for bit, a naive scalar loop that spells
 //! out the documented operation sequence of one output element — its
@@ -12,8 +12,8 @@
 //! reads another lane's sum, the same holds under any target-feature
 //! set; CI runs this file at `target-cpu=x86-64` as well as natively.
 
-use hrp::nn::net::{Head, PredictScratch, QNet};
-use hrp::nn::tensor::{matmul_bias_tn, matmul_dw_accumulate, matmul_dx_tn};
+use hrp::nn::net::{Head, LearnScratch, PredictScratch, QNet};
+use hrp::nn::tensor::{matmul_bias_tn, matmul_dw_tn, matmul_dx_tn};
 use proptest::prelude::*;
 
 /// SplitMix64, so that a case is a pure function of its seed.
@@ -137,24 +137,46 @@ fn check_kernels(batch: usize, rows: usize, cols: usize, seed: u64, special: boo
         }
     }
 
-    // The weight gradient takes both operands batch-major and adds to
-    // what is already there (`-0.0` included: a skipped group must leave
-    // it `-0.0`).
-    let (dy, x) = (transposed(&dyt, rows, batch), transposed(&xt, cols, batch));
+    check_weight_gradient(
+        &mut gen,
+        &dyt,
+        &transposed(&xt, cols, batch),
+        batch,
+        rows,
+        cols,
+        special,
+    );
+}
+
+/// The weight-gradient kernel against the reference: it reads the
+/// output gradient batch-minor (`dyt`, `rows × batch`, as the backward
+/// pass holds it) and the input batch-major (`x`, `batch × cols`), and
+/// adds to what is already there (`-0.0` included: a skipped group
+/// must leave it `-0.0`).
+fn check_weight_gradient(
+    gen: &mut Gen,
+    dyt: &[f32],
+    x: &[f32],
+    batch: usize,
+    rows: usize,
+    cols: usize,
+    special: bool,
+) {
+    let at = |ctx: &str, i: usize, l: usize| format!("{ctx} [{i}][{l}] at {batch}×{rows}×{cols}");
     let gw0 = gen.values(rows * cols, 4, special);
     let gb0 = gen.values(rows, 4, special);
     let (mut gw, mut gb) = (gw0.clone(), gb0.clone());
-    matmul_dw_accumulate(&mut gw, &mut gb, &dy, &x, batch, rows, cols);
+    matmul_dw_tn(&mut gw, &mut gb, dyt, x, batch, rows, cols);
     for r in 0..rows {
         for c in 0..cols {
             let terms: Vec<_> = (0..batch)
-                .map(|l| (dy[l * rows + r], x[l * cols + c]))
+                .map(|l| (dyt[r * batch + l], x[l * cols + c]))
                 .collect();
             let want = reference_sum(gw0[r * cols + c], &terms, true);
             assert_eq!(bits(gw[r * cols + c]), bits(want), "{}", at("gw", r, c));
         }
         // The bias gradient is the same grouped sum of `dy · 1`.
-        let ones: Vec<_> = (0..batch).map(|l| (dy[l * rows + r], 1.0)).collect();
+        let ones: Vec<_> = (0..batch).map(|l| (dyt[r * batch + l], 1.0)).collect();
         let want = reference_sum(gb0[r], &ones, false);
         assert_eq!(bits(gb[r]), bits(want), "{}", at("gb", r, 0));
     }
@@ -184,10 +206,10 @@ proptest! {
         seed in 0u64..u64::MAX / 2,
     ) {
         let head = if dueling == 1 { Head::Dueling } else { Head::Plain };
-        let mut net = QNet::new(dim, &hidden, n_actions, head, seed);
+        let net = QNet::new(dim, &hidden, n_actions, head, seed);
         let x = Gen(seed).values(batch * dim, 2, false);
         let (mut cached, mut free) = (Vec::new(), Vec::new());
-        net.forward_batch(&x, batch, &mut cached);
+        net.forward_batch(&x, batch, &mut LearnScratch::default(), &mut cached);
         net.predict_batch_into(&x, batch, &mut PredictScratch::default(), &mut free);
         prop_assert_eq!(cached.len(), batch * n_actions);
         let (cached, free): (Vec<_>, Vec<_>) =
@@ -211,6 +233,28 @@ fn every_ragged_tile_combination_matches_the_reference() {
                     seed += 1;
                     check_kernels(batch, rows, cols, seed, seed % 2 == 0);
                 }
+            }
+        }
+    }
+}
+
+/// The weight gradient at every input width from 1 to 40, so through
+/// each of its lane blocks (32, 16, 8, 4 and 1 lanes) and every
+/// slid-back ragged block between them, over row counts on both sides
+/// of a multiple of four and batch sizes with and without a leftover
+/// group, with special values in every other case.
+#[test]
+fn the_weight_gradient_is_bit_equal_at_every_width() {
+    let mut seed = 1 << 20;
+    for cols in 1..=40 {
+        for rows in [1, 3, 4, 5, 8, 13] {
+            for batch in [1, 4, 7, 32, 37] {
+                seed += 1;
+                let mut gen = Gen(seed);
+                let special = seed % 2 == 0;
+                let dyt = gen.values(rows * batch, 9, special);
+                let x = gen.values(batch * cols, 2, special);
+                check_weight_gradient(&mut gen, &dyt, &x, batch, rows, cols, special);
             }
         }
     }

@@ -185,6 +185,16 @@ fn the_deleted_second_copies_stay_deleted() {
         // on a private pool that reordered episodes as they arrived.
         ("Learner", "State"),
         ("next_to", "_learn"),
+        // No gradient buffer: a layer's gradient lives one block at a
+        // time and Adam takes it as it is computed, so no second copy of
+        // the parameters, no per-layer input copies or transposes, and
+        // no separate optimiser sweep.
+        ("pub g", "w: Vec<f32>"),
+        ("x", "_cache"),
+        ("dy", "_bm"),
+        ("matmul_dw", "_accumulate"),
+        ("adam", "_step("),
+        ("weights", "_only("),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
