@@ -14,8 +14,12 @@
 //! and the pins record it as it is. At the paper's scale, at seed 42 —
 //! the only seed pinned — the flat agent's mean passes MIG Only and
 //! comes within 0.01 of MPS Only.
+//!
+//! The oracle-greedy reference (`repro oracle`) needs no training; its
+//! Table V row is pinned on its own.
 
-use hrp_bench::eval::{run_full, FullEvaluation};
+use hrp_bench::eval::{eval_policy, evaluation_queues, run_full, FullEvaluation, PolicyEval};
+use hrp_core::policies::OracleGreedy;
 use hrp_core::rl::EnvKind;
 use hrp_core::train::TrainConfig;
 use hrp_gpusim::GpuArch;
@@ -56,30 +60,36 @@ const MIG_MPS_DEFAULT: Row = (
     1.4653,
 );
 
-/// Hold `full` to `pinned`, row by row in legend order, and return the
-/// policies from the lowest mean to the highest.
-fn check(full: &FullEvaluation, pinned: &[Row]) -> Vec<String> {
-    let labels: Vec<&str> = full.queues.iter().map(|q| q.label.as_str()).collect();
+/// Hold one policy's run over the Table V queues to its pinned row.
+fn check_row(run: &PolicyEval, (policy, queues, mean): &Row) {
+    let labels: Vec<&str> = run.metrics.iter().map(|m| m.label.as_str()).collect();
     assert_eq!(
         labels,
         ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11", "Q12"]
     );
+    assert_eq!(run.policy, *policy);
+    for ((label, got), want) in labels.iter().zip(&run.metrics).zip(queues) {
+        let got = got.throughput;
+        assert!(
+            (got - want).abs() <= BAND,
+            "{policy} {label}: {got}, pinned {want}"
+        );
+    }
+    let got = run.mean_throughput();
+    assert!(
+        (got - mean).abs() <= BAND,
+        "{policy} AM: {got}, pinned {mean}"
+    );
+}
+
+/// Hold `full` to `pinned`, row by row in legend order, and return the
+/// policies from the lowest mean to the highest.
+fn check(full: &FullEvaluation, pinned: &[Row]) -> Vec<String> {
     let names: Vec<&str> = full.runs.iter().map(|run| run.policy.as_str()).collect();
     let want: Vec<&str> = pinned.iter().map(|row| row.0).collect();
     assert_eq!(names, want);
-    for (run, (policy, queues, mean)) in full.runs.iter().zip(pinned) {
-        for ((label, got), want) in labels.iter().zip(&run.metrics).zip(queues) {
-            let got = got.throughput;
-            assert!(
-                (got - want).abs() <= BAND,
-                "{policy} {label}: {got}, pinned {want}"
-            );
-        }
-        let got = run.mean_throughput();
-        assert!(
-            (got - mean).abs() <= BAND,
-            "{policy} AM: {got}, pinned {mean}"
-        );
+    for (run, row) in full.runs.iter().zip(pinned) {
+        check_row(run, row);
     }
     let mut order: Vec<_> = full.runs.iter().collect();
     order.sort_by(|a, b| a.mean_throughput().total_cmp(&b.mean_throughput()));
@@ -152,5 +162,23 @@ fn fig8_at_paper_scale_holds_its_pins_and_order() {
             "MPS Only",
             "MIG+MPS Default"
         ]
+    );
+}
+
+#[test]
+fn oracle_greedy_holds_its_table_v_pins() {
+    let suite = Suite::paper_suite(&GpuArch::a100());
+    let queues = evaluation_queues(&suite, 12, 42);
+    let run = eval_policy(&suite, &queues, 4, &OracleGreedy::new(&suite), 0);
+    check_row(
+        &run,
+        &(
+            "Oracle Greedy",
+            [
+                1.2351, 1.2864, 1.2907, 1.3624, 1.5080, 1.4493, 1.7662, 1.6360, 1.7318, 1.4881,
+                1.4669, 1.3322,
+            ],
+            1.4628,
+        ),
     );
 }
