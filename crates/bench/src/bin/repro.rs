@@ -715,11 +715,11 @@ fn emit_pairs(name: &str, what: &str, rows: &[(String, f64)], opts: &Options) {
 }
 
 fn oracle_cmd(suite: &Suite, opts: &Options) {
-    use hrp_bench::eval::eval_policy;
+    use hrp_bench::eval::{eval_policy, evaluation_repository};
     use hrp_core::policies::OracleGreedy;
     let queues = evaluation_queues(suite, 12, opts.seed);
-    let oracle = OracleGreedy::new(suite);
-    let run = eval_policy(suite, &queues, 4, &oracle, opts.threads);
+    let repo = evaluation_repository(suite);
+    let run = eval_policy(suite, &repo, &queues, 4, &OracleGreedy, opts.threads);
     let mut t = Table::new(&["queue", "throughput"]);
     for m in &run.metrics {
         t.row(vec![m.label.clone(), f3(m.throughput)]);

@@ -10,10 +10,12 @@
 use hrp_core::metrics::{arithmetic_mean, evaluate_decision, QueueMetrics};
 use hrp_core::par::for_each_mut;
 use hrp_core::policies::{
-    MigMpsDefault, MigMpsRl, MigOnly, MpsOnly, Policy, ScheduleContext, TimeSharing,
+    window_profiler, MigMpsDefault, MigMpsRl, MigOnly, MpsOnly, Policy, ScheduleContext,
+    TimeSharing,
 };
 use hrp_core::rl::EnvKind;
 use hrp_core::train::{train, TrainConfig, TrainedAgent};
+use hrp_core::ProfileRepository;
 use hrp_workloads::{queue::table_v_queues, JobQueue, MixCategory, QueueGenerator, Suite};
 use std::time::Instant;
 
@@ -83,12 +85,20 @@ pub fn evaluation_queues(suite: &Suite, w: usize, seed: u64) -> Vec<JobQueue> {
     queues
 }
 
+/// The repository an evaluation's policies read their window profiles
+/// from: every bench of `suite`, profiled once by [`window_profiler`].
+#[must_use]
+pub fn evaluation_repository(suite: &Suite) -> ProfileRepository {
+    ProfileRepository::for_suite(suite, &window_profiler(suite.arch().clone()))
+}
+
 /// Evaluate one policy over all queues (queues in parallel — each
-/// decision is independent). `threads` caps the worker count
-/// (`0` = available parallelism).
+/// decision is independent), reading profiles from `repo`. `threads`
+/// caps the worker count (`0` = available parallelism).
 #[must_use]
 pub fn eval_policy(
     suite: &Suite,
+    repo: &ProfileRepository,
     queues: &[JobQueue],
     cmax: usize,
     policy: &(dyn Policy + Sync),
@@ -97,7 +107,7 @@ pub fn eval_policy(
     let mut metrics: Vec<Option<QueueMetrics>> = vec![None; queues.len()];
     for_each_mut(&mut metrics, threads, |i, out| {
         let queue = &queues[i];
-        let ctx = ScheduleContext::new(suite, queue, cmax);
+        let ctx = ScheduleContext::new(suite, queue, repo, cmax);
         let decision = policy.schedule(&ctx);
         decision
             .validate(queue, cmax, false)
@@ -123,6 +133,7 @@ pub fn run_full(suite: &Suite, train_cfg: TrainConfig) -> FullEvaluation {
     let cmax = train_cfg.cmax;
     let threads = train_cfg.n_workers;
     let queues = evaluation_queues(suite, w, train_cfg.seed);
+    let repo = evaluation_repository(suite);
 
     let t0 = Instant::now();
     let (trained, _report) = train(suite, train_cfg.clone());
@@ -140,7 +151,7 @@ pub fn run_full(suite: &Suite, train_cfg: TrainConfig) -> FullEvaluation {
     // picks the MIG partitioning maximising their average throughput).
     let ctxs: Vec<ScheduleContext<'_>> = queues
         .iter()
-        .map(|q| ScheduleContext::new(suite, q, cmax))
+        .map(|q| ScheduleContext::new(suite, q, &repo, cmax))
         .collect();
     let default_policy = MigMpsDefault::fit(&ctxs);
 
@@ -162,7 +173,7 @@ pub fn run_full(suite: &Suite, train_cfg: TrainConfig) -> FullEvaluation {
     policies.push(&rl_policy);
     let runs: Vec<PolicyEval> = policies
         .iter()
-        .map(|p| eval_policy(suite, &queues, cmax, *p, threads))
+        .map(|p| eval_policy(suite, &repo, &queues, cmax, *p, threads))
         .collect();
 
     FullEvaluation {
@@ -186,6 +197,7 @@ pub fn ablate_reward(suite: &Suite, base: TrainConfig) -> Vec<(String, f64)> {
         ("r_f only", 0.0, base.rf_weight),
     ];
     let queues = evaluation_queues(suite, base.w, base.seed);
+    let repo = evaluation_repository(suite);
     variants
         .iter()
         .map(|(name, ri, rf)| {
@@ -194,7 +206,7 @@ pub fn ablate_reward(suite: &Suite, base: TrainConfig) -> Vec<(String, f64)> {
             cfg.rf_weight = *rf;
             let (trained, _) = train(suite, cfg);
             let policy = MigMpsRl::new(trained);
-            let run = eval_policy(suite, &queues, base.cmax, &policy, base.n_workers);
+            let run = eval_policy(suite, &repo, &queues, base.cmax, &policy, base.n_workers);
             ((*name).to_owned(), run.mean_throughput())
         })
         .collect()
@@ -211,6 +223,7 @@ pub fn ablate_agent(suite: &Suite, base: TrainConfig) -> Vec<(String, f64)> {
         ("plain DQN", false, false),
     ];
     let queues = evaluation_queues(suite, base.w, base.seed);
+    let repo = evaluation_repository(suite);
     variants
         .iter()
         .map(|(name, dueling, double)| {
@@ -219,7 +232,7 @@ pub fn ablate_agent(suite: &Suite, base: TrainConfig) -> Vec<(String, f64)> {
             cfg.double = *double;
             let (trained, _) = train(suite, cfg);
             let policy = MigMpsRl::new(trained);
-            let run = eval_policy(suite, &queues, base.cmax, &policy, base.n_workers);
+            let run = eval_policy(suite, &repo, &queues, base.cmax, &policy, base.n_workers);
             ((*name).to_owned(), run.mean_throughput())
         })
         .collect()
@@ -244,12 +257,14 @@ pub fn ablate_interference(
     [1.0, 0.5, 0.0]
         .into_iter()
         .map(|factor| {
+            // Profile the counterfactual suite itself: its apps are the
+            // ones the windows run.
             let scaled = suite.with_interference_scaled(factor);
+            let repo = evaluation_repository(&scaled);
             let queues = evaluation_queues(&scaled, w, seed);
-            let mps = eval_policy(&scaled, &queues, cmax, &MpsOnly, threads).mean_throughput();
-            let mig =
-                eval_policy(&scaled, &queues, 2.min(cmax), &MigOnly, threads).mean_throughput();
-            (factor, mps, mig)
+            let mps = eval_policy(&scaled, &repo, &queues, cmax, &MpsOnly, threads);
+            let mig = eval_policy(&scaled, &repo, &queues, 2.min(cmax), &MigOnly, threads);
+            (factor, mps.mean_throughput(), mig.mean_throughput())
         })
         .collect()
 }

@@ -18,7 +18,9 @@
 //! The oracle-greedy reference (`repro oracle`) needs no training; its
 //! Table V row is pinned on its own.
 
-use hrp_bench::eval::{eval_policy, evaluation_queues, run_full, FullEvaluation, PolicyEval};
+use hrp_bench::eval::{
+    eval_policy, evaluation_queues, evaluation_repository, run_full, FullEvaluation, PolicyEval,
+};
 use hrp_core::policies::OracleGreedy;
 use hrp_core::rl::EnvKind;
 use hrp_core::train::TrainConfig;
@@ -169,7 +171,8 @@ fn fig8_at_paper_scale_holds_its_pins_and_order() {
 fn oracle_greedy_holds_its_table_v_pins() {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let queues = evaluation_queues(&suite, 12, 42);
-    let run = eval_policy(&suite, &queues, 4, &OracleGreedy::new(&suite), 0);
+    let repo = evaluation_repository(&suite);
+    let run = eval_policy(&suite, &repo, &queues, 4, &OracleGreedy, 0);
     check_row(
         &run,
         &(

@@ -6,8 +6,8 @@
 
 use crate::job::ClusterJob;
 use crate::sim::{Dispatcher, Placement};
-use hrp_core::policies::{Policy, ScheduleContext};
-use hrp_gpusim::engine::EngineConfig;
+use hrp_core::policies::{window_profiler, Policy, ScheduleContext};
+use hrp_core::ProfileRepository;
 use hrp_workloads::{Job, JobQueue, Suite};
 
 /// Dispatcher wrapping a node-local co-scheduling policy.
@@ -15,23 +15,18 @@ pub struct CoSchedulingDispatcher<P: Policy> {
     policy: P,
     w: usize,
     cmax: usize,
-    engine: EngineConfig,
 }
 
 impl<P: Policy> CoSchedulingDispatcher<P> {
     /// New dispatcher with window size `w` and concurrency cap `cmax`.
     #[must_use]
     pub fn new(policy: P, w: usize, cmax: usize) -> Self {
-        Self {
-            policy,
-            w,
-            cmax,
-            engine: EngineConfig::default(),
-        }
+        Self { policy, w, cmax }
     }
 
     /// Ask the policy for one window decision. No [`Policy`] reads the
-    /// queue label, so windows go unlabelled.
+    /// queue label, so windows go unlabelled. The window's distinct
+    /// benches are profiled into a repository of its own.
     fn decide(&self, suite: &Suite, batch: &[&ClusterJob]) -> f64 {
         let queue = JobQueue {
             label: String::new(),
@@ -42,12 +37,14 @@ impl<P: Policy> CoSchedulingDispatcher<P> {
                 })
                 .collect(),
         };
-        let ctx = ScheduleContext {
-            suite,
-            queue: &queue,
-            cmax: self.cmax,
-            engine: self.engine.clone(),
-        };
+        let profiler = window_profiler(suite.arch().clone());
+        let mut repo = ProfileRepository::new();
+        for job in &queue.jobs {
+            if repo.get(job.bench).is_none() {
+                repo.insert(job.bench, profiler.profile(&suite.by_index(job.bench).app));
+            }
+        }
+        let ctx = ScheduleContext::new(suite, &queue, &repo, self.cmax);
         self.policy.schedule(&ctx).total_time()
     }
 }

@@ -80,6 +80,10 @@ pub use hrp_nn::serialize as codec;
 /// ([`hrp_gpusim::rng`]), re-exported for the same reason.
 pub use hrp_gpusim::rng::{fnv1a, FNV_OFFSET};
 
+/// The Job Profiles Repository every [`ScheduleContext`] borrows
+/// ([`hrp_profile`]), re-exported for the same reason.
+pub use hrp_profile::ProfileRepository;
+
 pub use actions::ActionCatalog;
 pub use cluster_env::{NodeLoad, NodeSelector, PolicySelector};
 pub use env::{CoScheduleEnv, CoScheduleEnvFactory, EnvConfig};

@@ -4,11 +4,11 @@
 //! profile in the repository is **excluded from co-scheduling**: it runs
 //! exclusively on the whole GPU while its profile is collected and
 //! stored. Profiled jobs accumulate in the window; when `W` of them are
-//! waiting, the scheduler (any [`Policy`]) drains the window.
+//! waiting, the scheduler (any [`Policy`]) drains the window, reading
+//! the members' profiles from that same repository.
 
 use crate::metrics::{evaluate_decision, QueueMetrics};
 use crate::policies::{Policy, ScheduleContext};
-use hrp_gpusim::engine::EngineConfig;
 use hrp_profile::{ProfileRepository, Profiler};
 use hrp_workloads::{Job, JobQueue, Suite};
 
@@ -64,7 +64,6 @@ pub struct OnlineSystem<'a, P: Policy> {
     policy: P,
     repo: &'a mut ProfileRepository,
     profiler: Profiler,
-    engine: EngineConfig,
     w: usize,
     cmax: usize,
     waiting: Vec<Job>,
@@ -91,7 +90,6 @@ impl<'a, P: Policy> OnlineSystem<'a, P> {
             policy,
             repo,
             profiler,
-            engine: EngineConfig::default(),
             w,
             cmax,
             waiting: Vec::new(),
@@ -142,12 +140,7 @@ impl<'a, P: Policy> OnlineSystem<'a, P> {
             label: format!("W{}", self.windows),
             jobs: std::mem::take(&mut self.waiting),
         };
-        let ctx = ScheduleContext {
-            suite: self.suite,
-            queue: &queue,
-            cmax: self.cmax,
-            engine: self.engine.clone(),
-        };
+        let ctx = ScheduleContext::new(self.suite, &queue, self.repo, self.cmax);
         let decision = self.policy.schedule(&ctx);
         decision
             .validate(&queue, self.cmax, false)
@@ -219,5 +212,31 @@ mod tests {
         let report = sys.finish();
         assert_eq!(report.profiling_runs(), 0);
         assert_eq!(report.events.len(), 1);
+    }
+
+    #[test]
+    fn windows_read_the_profiles_first_seen_runs_stored() {
+        let arch = GpuArch::a100();
+        let suite = Suite::paper_suite(&arch);
+        let names = ["lavaMD", "stream", "kmeans", "pathfinder"];
+        let mut repo = ProfileRepository::new();
+        let mut sys = OnlineSystem::new(
+            &suite,
+            MpsOnly,
+            &mut repo,
+            Profiler::new(arch, 0.02, 3),
+            4,
+            4,
+        );
+        for name in names.iter().chain(&names) {
+            sys.submit(name);
+        }
+        let report = sys.finish();
+        let OnlineEvent::WindowScheduled { metrics } = &report.events[4] else {
+            panic!("the second wave fills a window");
+        };
+        let queue = JobQueue::from_names("W1", &names, &suite);
+        let decision = MpsOnly.schedule(&ScheduleContext::new(&suite, &queue, &repo, 4));
+        assert_eq!(*metrics, evaluate_decision("W1", &suite, &queue, &decision));
     }
 }

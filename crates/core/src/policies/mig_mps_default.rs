@@ -173,8 +173,8 @@ mod tests {
 
     #[test]
     fn default_policy_beats_time_sharing() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         for kind in [DefaultKind::Shared, DefaultKind::Private] {
             let d = MigMpsDefault::with_kind(kind).schedule(&ctx);
             d.validate(&queue, 4, true).unwrap();
@@ -191,8 +191,8 @@ mod tests {
 
     #[test]
     fn groups_use_the_fixed_layout() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let d = MigMpsDefault::with_kind(DefaultKind::Private).schedule(&ctx);
         for g in &d.groups {
             if g.concurrency() > 1 {
@@ -203,8 +203,8 @@ mod tests {
 
     #[test]
     fn fit_picks_a_kind_deterministically() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let fitted = MigMpsDefault::fit(std::slice::from_ref(&ctx));
         let again = MigMpsDefault::fit(std::slice::from_ref(&ctx));
         assert_eq!(fitted.kind, again.kind);

@@ -49,8 +49,8 @@ mod tests {
 
     #[test]
     fn mig_only_beats_time_sharing() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let d = MigOnly.schedule(&ctx);
         d.validate(&queue, 2, true).unwrap();
         let m = evaluate_decision("MIG", &suite, &queue, &d);
@@ -65,8 +65,8 @@ mod tests {
 
     #[test]
     fn concurrency_never_exceeds_two() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let d = MigOnly.schedule(&ctx);
         for g in &d.groups {
             assert!(g.concurrency() <= 2);

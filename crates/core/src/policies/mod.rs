@@ -28,13 +28,11 @@ pub use mps_only::MpsOnly;
 pub use oracle::OracleGreedy;
 pub use rl::MigMpsRl;
 pub use time_sharing::TimeSharing;
-pub use window_predictor::{
-    compile_schemes, select_and_measure, window_predictor, WINDOW_PROFILE_NOISE,
-    WINDOW_PROFILE_SEED,
-};
+pub use window_predictor::window_profiler;
 
 use crate::problem::ScheduleDecision;
 use hrp_gpusim::engine::EngineConfig;
+use hrp_profile::ProfileRepository;
 use hrp_workloads::{JobQueue, Suite};
 
 /// Everything a policy needs to schedule one window.
@@ -44,6 +42,10 @@ pub struct ScheduleContext<'a> {
     pub suite: &'a Suite,
     /// The job window.
     pub queue: &'a JobQueue,
+    /// The Job Profiles Repository (paper Fig. 7): the one place a
+    /// policy reads a window member's profile from. It must hold every
+    /// member's bench.
+    pub repo: &'a ProfileRepository,
     /// Concurrency cap `Cmax`.
     pub cmax: usize,
     /// Engine overheads.
@@ -53,10 +55,16 @@ pub struct ScheduleContext<'a> {
 impl<'a> ScheduleContext<'a> {
     /// Context with default engine overheads.
     #[must_use]
-    pub fn new(suite: &'a Suite, queue: &'a JobQueue, cmax: usize) -> Self {
+    pub fn new(
+        suite: &'a Suite,
+        queue: &'a JobQueue,
+        repo: &'a ProfileRepository,
+        cmax: usize,
+    ) -> Self {
         Self {
             suite,
             queue,
+            repo,
             cmax,
             engine: EngineConfig::default(),
         }
@@ -78,10 +86,12 @@ pub(crate) mod test_util {
     use hrp_gpusim::GpuArch;
 
     /// A small queue with one job of each class plus a complementary
-    /// CI/MI pair — enough structure for every policy to show gains.
-    pub fn small_fixture() -> (Suite, JobQueue) {
+    /// CI/MI pair — enough structure for every policy to show gains —
+    /// and the suite's repository of window profiles.
+    pub fn small_fixture() -> (Suite, JobQueue, ProfileRepository) {
         let arch = GpuArch::a100();
         let suite = Suite::paper_suite(&arch);
+        let repo = ProfileRepository::for_suite(&suite, &window_profiler(arch));
         let queue = JobQueue::from_names(
             "small",
             &[
@@ -94,6 +104,6 @@ pub(crate) mod test_util {
             ],
             &suite,
         );
-        (suite, queue)
+        (suite, queue, repo)
     }
 }

@@ -61,8 +61,8 @@ mod tests {
 
     #[test]
     fn mps_only_beats_time_sharing_and_respects_cmax() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let d = MpsOnly.schedule(&ctx);
         d.validate(&queue, 4, true).unwrap();
         let m = evaluate_decision("MPS", &suite, &queue, &d);
@@ -77,8 +77,8 @@ mod tests {
     fn higher_concurrency_helps_on_unscalable_jobs() {
         // Compared to MIG-only (C=2), MPS-only with Cmax=4 can pack the
         // undemanding US jobs four at a time.
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let mps = evaluate_decision("MPS", &suite, &queue, &MpsOnly.schedule(&ctx));
         let mig = evaluate_decision("MIG", &suite, &queue, &MigOnly.schedule(&ctx));
         assert!(
@@ -91,8 +91,8 @@ mod tests {
 
     #[test]
     fn cmax_two_limits_groups() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 2);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 2);
         let d = MpsOnly.schedule(&ctx);
         d.validate(&queue, 2, true).unwrap();
     }

@@ -8,43 +8,22 @@
 //! bounds what the DQN can achieve *given the binding rule*, separating
 //! "the agent didn't learn" from "the formulation can't express better".
 
-use super::{Policy, ScheduleContext, WINDOW_PROFILE_NOISE, WINDOW_PROFILE_SEED};
+use super::{Policy, ScheduleContext};
 use crate::actions::ActionCatalog;
 use crate::env::{CoScheduleEnv, EnvConfig};
 use crate::problem::ScheduleDecision;
 use hrp_nn::masked_argmax;
-use hrp_profile::{FeatureScaler, ProfileRepository, Profiler};
+use hrp_profile::FeatureScaler;
 
 /// The narrowest window the oracle's env is built with (the paper's
 /// `Cmax`).
 const MIN_WINDOW: usize = 4;
 
-/// The oracle-greedy policy (upper reference for `MigMpsRl`).
-pub struct OracleGreedy {
-    repo: ProfileRepository,
-    scaler: FeatureScaler,
-    catalog: ActionCatalog,
-}
-
-impl OracleGreedy {
-    /// Build for a suite (profiles collected like the window predictors'
-    /// own).
-    #[must_use]
-    pub fn new(suite: &hrp_workloads::Suite) -> Self {
-        let profiler = Profiler::new(
-            suite.arch().clone(),
-            WINDOW_PROFILE_NOISE,
-            WINDOW_PROFILE_SEED,
-        );
-        let repo = ProfileRepository::for_suite(suite, &profiler);
-        let scaler = FeatureScaler::fit(&repo);
-        Self {
-            repo,
-            scaler,
-            catalog: ActionCatalog::paper_29(),
-        }
-    }
-}
+/// The oracle-greedy policy (upper reference for `MigMpsRl`). It runs
+/// its env over the context's repository, with features scaled by that
+/// repository's own statistics.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OracleGreedy;
 
 impl Policy for OracleGreedy {
     fn name(&self) -> &'static str {
@@ -58,20 +37,15 @@ impl Policy for OracleGreedy {
             engine: ctx.engine.clone(),
             ..EnvConfig::paper()
         };
-        let mut env = CoScheduleEnv::new(
-            ctx.suite,
-            ctx.queue,
-            &self.repo,
-            &self.scaler,
-            &self.catalog,
-            cfg,
-        );
+        let catalog = ActionCatalog::paper_29();
+        let scaler = FeatureScaler::fit(ctx.repo);
+        let mut env = CoScheduleEnv::new(ctx.suite, ctx.queue, ctx.repo, &scaler, &catalog, cfg);
         while !env.done() {
             let mask = env.valid_mask();
             // Choose the action saving the most time over solo execution
             // of the same bound jobs — the same masked-argmax helper the
             // DQN uses for Q-values, applied to measured savings.
-            let saved: Vec<f64> = (0..self.catalog.len())
+            let saved: Vec<f64> = (0..catalog.len())
                 .map(|a| {
                     if mask & (1 << a) == 0 {
                         return f64::NEG_INFINITY;
@@ -97,10 +71,9 @@ mod tests {
 
     #[test]
     fn oracle_beats_time_sharing_comfortably() {
-        let (suite, queue) = small_fixture();
-        let oracle = OracleGreedy::new(&suite);
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
-        let d = oracle.schedule(&ctx);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
+        let d = OracleGreedy.schedule(&ctx);
         d.validate(&queue, 4, false).unwrap();
         let m = evaluate_decision("oracle", &suite, &queue, &d);
         let ts = evaluate_decision("ts", &suite, &queue, &TimeSharing.schedule(&ctx));

@@ -52,10 +52,10 @@ mod tests {
 
     #[test]
     fn rl_policy_schedules_and_beats_time_sharing() {
-        let (suite, queue) = small_fixture();
+        let (suite, queue, repo) = small_fixture();
         let (trained, _) = train(&suite, TrainConfig::quick());
         let policy = MigMpsRl::new(trained);
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let d = policy.schedule(&ctx);
         d.validate(&queue, 4, false).unwrap();
         let m = evaluate_decision("RL", &suite, &queue, &d);

@@ -31,8 +31,8 @@ mod tests {
 
     #[test]
     fn time_sharing_is_the_unit_baseline() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let d = TimeSharing.schedule(&ctx);
         d.validate(&queue, 4, true).unwrap();
         let m = evaluate_decision("TS", &suite, &queue, &d);

@@ -4,38 +4,38 @@
 //! group on hardware (the paper's own search-space bound is ~10⁵ co-runs
 //! per window); like any deployable scheduler they must choose job sets
 //! from profile-based predictions and only run the chosen schedule. This
-//! helper builds the [`CoRunPredictor`] a policy needs for one window,
-//! using the same profiling pipeline as training (fixed seed, mild
-//! measurement noise).
+//! helper builds the [`CoRunPredictor`] a policy needs for one window
+//! from the profiles the context's repository holds.
 
 use super::ScheduleContext;
 use crate::predict::CoRunPredictor;
 use crate::problem::{evaluate_group, ScheduledGroup};
-use hrp_gpusim::{CompiledPartition, PartitionScheme};
-use hrp_profile::{JobProfile, Profiler};
+use hrp_gpusim::{CompiledPartition, GpuArch, PartitionScheme};
+use hrp_profile::Profiler;
 
-/// Profiling seed used by all window predictors (keeps baseline runs
-/// deterministic and comparable with the RL pipeline).
-pub const WINDOW_PROFILE_SEED: u64 = 17;
-
-/// Measurement-noise level for window predictors.
-pub const WINDOW_PROFILE_NOISE: f64 = 0.03;
-
-/// Build the predictor for a window.
+/// The profiler whose solo runs fill an evaluation's repository: a fixed
+/// seed and mild measurement noise, so baseline runs are deterministic
+/// and comparable with the RL pipeline.
 #[must_use]
-pub fn window_predictor(ctx: &ScheduleContext<'_>) -> CoRunPredictor {
-    let profiler = Profiler::new(
-        ctx.suite.arch().clone(),
-        WINDOW_PROFILE_NOISE,
-        WINDOW_PROFILE_SEED,
-    );
-    let profiles: Vec<JobProfile> = ctx
-        .queue
-        .jobs
-        .iter()
-        .map(|j| profiler.profile(&ctx.suite.by_index(j.bench).app))
-        .collect();
-    CoRunPredictor::new(&profiles, ctx.suite.arch(), ctx.engine.clone())
+pub fn window_profiler(arch: GpuArch) -> Profiler {
+    Profiler::new(arch, 0.03, 17)
+}
+
+/// Build the predictor for a window from `ctx.repo`, in queue order.
+///
+/// # Panics
+/// Panics, naming the job, if the repository lacks a member's profile.
+#[must_use]
+pub(super) fn window_predictor(ctx: &ScheduleContext<'_>) -> CoRunPredictor {
+    let profiles = ctx.queue.jobs.iter().map(|j| {
+        ctx.repo.get(j.bench).unwrap_or_else(|| {
+            panic!(
+                "job '{}' has no profile",
+                ctx.suite.by_index(j.bench).app.name
+            )
+        })
+    });
+    CoRunPredictor::new(profiles, ctx.suite.arch(), ctx.engine.clone())
 }
 
 /// Choose the best scheme for `members` by *predicted* makespan across
@@ -43,7 +43,7 @@ pub fn window_predictor(ctx: &ScheduleContext<'_>) -> CoRunPredictor {
 /// actually happens). Returns `None` when the measured run violates the
 /// time-sharing constraint of §IV-A.
 #[must_use]
-pub fn select_and_measure(
+pub(super) fn select_and_measure(
     ctx: &ScheduleContext<'_>,
     predictor: &CoRunPredictor,
     members: &[usize],
@@ -73,7 +73,7 @@ pub fn select_and_measure(
 
 /// Compile a scheme list once (schemes paired with compiled partitions).
 #[must_use]
-pub fn compile_schemes(
+pub(super) fn compile_schemes(
     ctx: &ScheduleContext<'_>,
     schemes: Vec<PartitionScheme>,
 ) -> Vec<(PartitionScheme, CompiledPartition)> {
@@ -91,11 +91,12 @@ mod tests {
     use super::super::test_util::small_fixture;
     use super::*;
     use crate::actions::mps_only_space;
+    use hrp_profile::ProfileRepository;
 
     #[test]
     fn predictor_selection_yields_feasible_groups() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let predictor = window_predictor(&ctx);
         let schemes = compile_schemes(&ctx, mps_only_space(2));
         // bt_solver_A (4) + lud_A (5): a complementary CI/MI pair.
@@ -107,13 +108,25 @@ mod tests {
 
     #[test]
     fn hopeless_groups_are_rejected_after_measurement() {
-        let (suite, queue) = small_fixture();
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let (suite, queue, repo) = small_fixture();
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         let predictor = window_predictor(&ctx);
         let schemes = compile_schemes(&ctx, mps_only_space(2));
         // lavaMD (0) + bt_solver_A (4): two CI hogs — measured co-run
         // should violate the constraint under the crowd model.
         let group = select_and_measure(&ctx, &predictor, &[0, 4], &schemes);
         assert!(group.is_none(), "CI+CI pair should be infeasible");
+    }
+
+    #[test]
+    #[should_panic(expected = "job 'pathfinder' has no profile")]
+    fn a_member_missing_from_the_repository_panics_naming_the_job() {
+        let (suite, queue, full) = small_fixture();
+        let pathfinder = suite.index_of("pathfinder").expect("in the suite");
+        let mut repo = ProfileRepository::new();
+        for job in queue.jobs.iter().filter(|j| j.bench != pathfinder) {
+            repo.insert(job.bench, full.get(job.bench).expect("full").clone());
+        }
+        let _ = window_predictor(&ScheduleContext::new(&suite, &queue, &repo, 4));
     }
 }

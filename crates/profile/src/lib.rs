@@ -8,9 +8,9 @@
 //!
 //! * [`profiler::Profiler`] — "runs" an application solo and collects a
 //!   noisy [`hrp_gpusim::CounterSet`] (the DQN never sees ground truth);
-//! * [`repository::ProfileRepository`] — the profiles, in a table
-//!   indexed by suite bench (a bench index is this reproduction's
-//!   binary path, so indexing is the paper's matching function);
+//! * [`repository::ProfileRepository`] — the profiles, keyed by suite
+//!   bench (a bench index is this reproduction's binary path, so the
+//!   key lookup is the paper's matching function);
 //! * [`features::FeatureScaler`] — min–max feature normalization (the
 //!   paper uses scikit-learn for "additional data pre-processing and
 //!   feature engineering"; this is the Rust stand-in).

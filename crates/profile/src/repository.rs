@@ -2,16 +2,19 @@
 //!
 //! The paper matches a job to its profile by the job's binary path plus
 //! name. In this reproduction a binary is a suite bench index, so the
-//! repository is a table indexed by bench: an empty entry is a program
-//! not profiled yet.
+//! repository is a list of `(bench, profile)` entries sorted by bench: a
+//! bench without an entry is a program not profiled yet. It holds only
+//! what was profiled, so the repository of one window is as small as
+//! the window.
 
 use crate::profiler::{JobProfile, Profiler};
 use hrp_workloads::Suite;
 
-/// Profile store indexed by suite bench.
+/// Profile store keyed by suite bench.
 #[derive(Debug, Default)]
 pub struct ProfileRepository {
-    profiles: Vec<Option<JobProfile>>,
+    /// Sorted by bench, one entry per bench.
+    profiles: Vec<(usize, JobProfile)>,
 }
 
 impl ProfileRepository {
@@ -30,7 +33,8 @@ impl ProfileRepository {
             profiles: suite
                 .benchmarks()
                 .iter()
-                .map(|b| Some(profiler.profile(&b.app)))
+                .enumerate()
+                .map(|(bench, b)| (bench, profiler.profile(&b.app)))
                 .collect(),
         }
     }
@@ -38,20 +42,21 @@ impl ProfileRepository {
     /// The profile of bench `bench`, if it has been profiled.
     #[must_use]
     pub fn get(&self, bench: usize) -> Option<&JobProfile> {
-        self.profiles.get(bench)?.as_ref()
+        let at = self.profiles.binary_search_by_key(&bench, |(b, _)| *b);
+        at.ok().map(|at| &self.profiles[at].1)
     }
 
     /// Store (or replace) the profile of bench `bench`.
     pub fn insert(&mut self, bench: usize, profile: JobProfile) {
-        if bench >= self.profiles.len() {
-            self.profiles.resize_with(bench + 1, || None);
+        match self.profiles.binary_search_by_key(&bench, |(b, _)| *b) {
+            Ok(at) => self.profiles[at].1 = profile,
+            Err(at) => self.profiles.insert(at, (bench, profile)),
         }
-        self.profiles[bench] = Some(profile);
     }
 
     /// Every stored profile, in bench order.
     pub fn profiles(&self) -> impl Iterator<Item = &JobProfile> {
-        self.profiles.iter().flatten()
+        self.profiles.iter().map(|(_, p)| p)
     }
 }
 

@@ -61,8 +61,11 @@ fn main() {
         ],
         &suite,
     );
+    //    Every policy reads the window's profiles from the Job Profiles
+    //    Repository (Fig. 7); the baselines below predict from them.
+    let repo = ProfileRepository::for_suite(&suite, &window_profiler(arch.clone()));
     let policy = MigMpsRl::new(trained);
-    let ctx = ScheduleContext::new(&suite, &queue, 4);
+    let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
     let decision = policy.schedule(&ctx);
 
     println!("\ndecision for '{}':", queue.label);

@@ -54,10 +54,12 @@
 //! let (trained, report) = train(&suite, TrainConfig::quick());
 //! println!("trained for {} steps", report.total_steps);
 //!
-//! // Online: schedule an unseen job window.
+//! // Online: schedule an unseen job window. Every policy reads the
+//! // window's profiles from the Job Profiles Repository.
 //! let queues = hrp::workloads::queue::table_v_queues(&suite);
+//! let repo = ProfileRepository::for_suite(&suite, &window_profiler(GpuArch::a100()));
 //! let policy = MigMpsRl::new(trained);
-//! let ctx = ScheduleContext::new(&suite, &queues[0], 4);
+//! let ctx = ScheduleContext::new(&suite, &queues[0], &repo, 4);
 //! let decision = policy.schedule(&ctx);
 //! let m = evaluate_decision("Q1", &suite, &queues[0], &decision);
 //! println!("throughput vs time sharing: {:.3}", m.throughput);
@@ -77,7 +79,8 @@ pub use hrp_workloads as workloads;
 pub mod prelude {
     pub use hrp_core::metrics::evaluate_decision;
     pub use hrp_core::policies::{
-        MigMpsDefault, MigMpsRl, MigOnly, MpsOnly, Policy, ScheduleContext, TimeSharing,
+        window_profiler, MigMpsDefault, MigMpsRl, MigOnly, MpsOnly, Policy, ScheduleContext,
+        TimeSharing,
     };
     pub use hrp_core::rl::EnvKind;
     pub use hrp_core::train::{train, TrainConfig, TrainedAgent};

@@ -17,7 +17,9 @@
 //! every crate root forbids it, but `hrp-cluster`'s, which denies it so
 //! that one test allocator may opt back in. And the build has one
 //! stand-in per third-party crate a line of code uses: `vendor/` holds
-//! `proptest` and `rand` only.
+//! `proptest` and `rand` only. And a policy reads profiles from one
+//! place, its context's repository: under the policies and the cluster
+//! tier, only `window_profiler` constructs a `Profiler`.
 
 mod scan;
 use scan::{crate_src_dirs, non_test_hits, non_test_lines, rust_sources};
@@ -435,6 +437,32 @@ fn every_pub_fn_has_a_caller() {
         uncalled, expected,
         "public functions no non-test code names (left) differ from the reasoned list (right)"
     );
+}
+
+#[test]
+fn policies_read_profiles_only_from_the_repository() {
+    // A policy reads a window's profiles from `ScheduleContext::repo`; the
+    // one profiler it may name is the constructor of the evaluation's.
+    let new = format!("{}::new(", "Profiler");
+    let mut builders = 0;
+    let dirs = ["crates/core/src/policies", "crates/cluster/src"].map(str::to_owned);
+    for (path, text) in rust_sources(&dirs) {
+        let mut rest = text.as_str();
+        if path == "crates/core/src/policies/window_predictor.rs" {
+            let (head, tail) = text
+                .split_once("pub fn window_profiler(")
+                .expect("window_profiler is declared beside the predictor");
+            let (body, after) = tail.split_once("\n}\n").expect("a closed body");
+            builders += body.matches(&new).count();
+            assert!(!head.contains(&new), "{path} builds a profiler");
+            rest = after;
+        }
+        assert!(
+            !rest.contains(&new),
+            "{path} builds a profiler: read profiles from the context's repository"
+        );
+    }
+    assert_eq!(builders, 1, "window_profiler builds the one profiler");
 }
 
 #[test]

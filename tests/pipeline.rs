@@ -8,9 +8,15 @@ fn suite() -> Suite {
     Suite::paper_suite(&GpuArch::a100())
 }
 
+/// Every bench of `suite`, profiled as an evaluation profiles them.
+fn repo(suite: &Suite) -> ProfileRepository {
+    ProfileRepository::for_suite(suite, &window_profiler(GpuArch::a100()))
+}
+
 #[test]
 fn full_pipeline_beats_time_sharing() {
     let suite = suite();
+    let repo = repo(&suite);
     let (trained, report) = train(&suite, TrainConfig::quick());
     assert!(report.total_steps > 0);
 
@@ -28,7 +34,7 @@ fn full_pipeline_beats_time_sharing() {
         &suite,
     );
     let policy = MigMpsRl::new(trained);
-    let ctx = ScheduleContext::new(&suite, &queue, 4);
+    let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
     let decision = policy.schedule(&ctx);
     decision.validate(&queue, 4, false).unwrap();
 
@@ -45,6 +51,7 @@ fn full_pipeline_beats_time_sharing() {
 #[test]
 fn all_five_policies_produce_valid_decisions() {
     let suite = suite();
+    let repo = repo(&suite);
     let queue = JobQueue::from_names(
         "five",
         &[
@@ -57,7 +64,7 @@ fn all_five_policies_produce_valid_decisions() {
         ],
         &suite,
     );
-    let ctx = ScheduleContext::new(&suite, &queue, 4);
+    let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
     let (trained, _) = train(&suite, TrainConfig::quick());
 
     let default = MigMpsDefault::fit(std::slice::from_ref(&ctx));
@@ -79,10 +86,11 @@ fn all_five_policies_produce_valid_decisions() {
 fn exhaustive_baselines_respect_time_sharing_constraint() {
     // §IV-A constraint 1: every multi-job group must beat time sharing.
     let suite = suite();
+    let repo = repo(&suite);
     let mut gen = QueueGenerator::new(9);
     for cat in MixCategory::ALL {
         let queue = gen.category_queue(&suite, "c", 8, cat, false);
-        let ctx = ScheduleContext::new(&suite, &queue, 4);
+        let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
         for policy in [&MigOnly as &dyn Policy, &MpsOnly] {
             let d = policy.schedule(&ctx);
             d.validate(&queue, 4, true)
@@ -129,8 +137,9 @@ fn online_system_with_trained_policy() {
 #[test]
 fn metrics_are_internally_consistent() {
     let suite = suite();
+    let repo = repo(&suite);
     let queue = JobQueue::from_names("cons", &["lud_A", "gaussian", "kmeans"], &suite);
-    let ctx = ScheduleContext::new(&suite, &queue, 4);
+    let ctx = ScheduleContext::new(&suite, &queue, &repo, 4);
     let d = MpsOnly.schedule(&ctx);
     let m = evaluate_decision("m", &suite, &queue, &d);
     // throughput must equal total_solo / total_time by definition.
