@@ -111,4 +111,21 @@ mod tests {
         assert_eq!(repo.get(suite.len()), None);
         assert_eq!(ProfileRepository::new().get(0), None);
     }
+
+    #[test]
+    fn inserts_in_any_order_read_back_in_bench_order() {
+        let suite = Suite::paper_suite(&GpuArch::a100());
+        let profiler = profiler();
+        let profile = |b: usize| profiler.profile(&suite.by_index(b).app);
+        let mut repo = ProfileRepository::new();
+        for b in [9, 2, 26, 2, 0] {
+            repo.insert(b, profile(b));
+        }
+        // A second insert replaces the entry in place.
+        repo.insert(9, profile(3));
+        assert_eq!(repo.get(9), Some(&profile(3)));
+        assert_eq!(repo.get(1), None);
+        let want: Vec<JobProfile> = [0, 2, 3, 26].map(profile).into();
+        assert!(repo.profiles().eq(want.iter()));
+    }
 }
