@@ -41,10 +41,12 @@
 //! `conservative` run the slot-tree backfilling planner beside strict
 //! FCFS and the other backfill policy, against walltime estimates off by
 //! up to ±`--walltime-err` of the truth (the simulated runtimes never
-//! change). With `--nodes 1` it reproduces the single-node simulator
-//! bit-for-bit. `--threads` sets only the placement-training workers of
-//! a `policy` run (the nodes advance on one thread), and the timeline
-//! and trained policy are identical for any count.
+//! change). With `--nodes 1` a round-robin or least-loaded row is the
+//! single-node baseline run itself: the baseline is a one-node cluster,
+//! so the two rows agree bit-for-bit. `--threads` sets only the
+//! placement-training workers of a `policy` run (the nodes advance on
+//! one thread), and the timeline and trained policy are identical for
+//! any count.
 //!
 //! `serve` runs the online scheduler service once, on `--nodes` nodes of
 //! two GPUs under a heuristic `--selector`, and reports one `serve_run`

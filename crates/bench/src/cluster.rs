@@ -2,16 +2,15 @@
 //!
 //! One deterministic trace (any [`TraceKind`] from the generator
 //! suite) is run through an `N`-node [`MultiNodeSim`] under one or
-//! more placement selectors, and through the original single-node
-//! [`ClusterSim`] as the baseline every placement policy is compared
-//! against. Each node runs the dispatcher its row's selector kind
+//! more placement selectors, and through a one-node [`MultiNodeSim`]
+//! as the baseline every placement policy is compared against. Each
+//! node runs the dispatcher its row's selector kind
 //! schedules through ([`dispatcher_for`]: the co-scheduling dispatcher
 //! with the evaluation defaults — `W = 4` windows, `Cmax = 4`, the
 //! MPS-only node policy, no node-level training required — or, for the
 //! backfill tiers, a slot-tree planner of that policy). With
-//! `nodes = 1` the multi-node path reproduces the baseline bit-for-bit
-//! (see the single-node runs of `tests/golden_cluster.rs` and
-//! `tests/multinode_contract.rs`).
+//! `nodes = 1` a least-loaded or round-robin row *is* the baseline run,
+//! so it matches it bit-for-bit.
 //!
 //! The trained-policy row ([`SelectorKind::Policy`]) trains a
 //! placement agent through `hrp_cluster::place::train_placement` on
@@ -23,8 +22,7 @@
 
 use hrp_cluster::multinode::{MultiNodeReport, MultiNodeSim};
 use hrp_cluster::place::{train_placement, PlacementAgent, PlacementConfig};
-use hrp_cluster::select::dispatcher_for;
-use hrp_cluster::sim::ClusterSim;
+use hrp_cluster::select::{dispatcher_for, RoundRobin};
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind, EVAL_SEED_OFFSET};
 use hrp_cluster::{ClusterJob, ClusterReport, NodeSelector, SelectorKind};
 use hrp_core::train::TrainReport;
@@ -99,7 +97,7 @@ pub struct ClusterComparison {
     pub selector: String,
     /// The multi-node run.
     pub report: MultiNodeReport,
-    /// The same trace through the single-node simulator.
+    /// The same trace on one node.
     pub baseline: ClusterReport,
 }
 
@@ -120,8 +118,13 @@ impl ClusterComparison {
 #[must_use]
 pub fn single_node_baseline(suite: &Suite, jobs: &[ClusterJob]) -> ClusterReport {
     // Always the co-scheduling dispatcher, whatever the rows run.
-    let mut base = dispatcher_for(SelectorKind::LeastLoaded, GPUS_PER_NODE, 0.0);
-    ClusterSim::new(GPUS_PER_NODE).run(suite, jobs.to_vec(), &mut base)
+    let report = MultiNodeSim::new(1, GPUS_PER_NODE).run(
+        suite,
+        jobs.to_vec(),
+        &mut RoundRobin::new(),
+        |_| dispatcher_for(SelectorKind::LeastLoaded, GPUS_PER_NODE, 0.0),
+    );
+    report.aggregate
 }
 
 /// One comparison row: `jobs` on `opts.nodes` nodes placed by

@@ -160,7 +160,7 @@ pub fn run_full(suite: &Suite, train_cfg: TrainConfig) -> FullEvaluation {
     // measures end-to-end decision overhead the same way).
     let t1 = Instant::now();
     for q in &queues {
-        let _ = trained.greedy_decision(suite, q, &hrp_gpusim::engine::EngineConfig::default());
+        let _ = trained.greedy_decision(suite, q);
     }
     let online_decision_ms = t1.elapsed().as_secs_f64() * 1e3 / queues.len() as f64;
 

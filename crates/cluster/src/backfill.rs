@@ -304,7 +304,8 @@ impl Dispatcher for BackfillPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::ClusterSim;
+    use crate::multinode::MultiNodeSim;
+    use crate::select::RoundRobin;
     use hrp_gpusim::GpuArch;
 
     fn suite() -> Suite {
@@ -347,8 +348,11 @@ mod tests {
             job(&s, 1, "stream", 0.0, 1),
             job(&s, 2, "kmeans", 0.0, 1),
         ];
-        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 2);
-        let report = ClusterSim::new(2).run(&s, jobs, &mut d);
+        let report = MultiNodeSim::new(1, 2)
+            .run(&s, jobs, &mut RoundRobin::new(), |_| {
+                BackfillPlanner::new(BackfillPolicy::Easy, 2)
+            })
+            .aggregate;
         assert_eq!(report.placements, 3);
         assert!(report.makespan >= 38.0, "{}", report.makespan);
     }
@@ -363,8 +367,11 @@ mod tests {
             job(&s, 1, "bt_solver_A", 0.1, 2), // needs both
             job(&s, 2, "stream", 0.2, 1),      // 10 s, can backfill
         ];
-        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 2);
-        let report = ClusterSim::new(2).run(&s, jobs, &mut d);
+        let report = MultiNodeSim::new(1, 2)
+            .run(&s, jobs, &mut RoundRobin::new(), |_| {
+                BackfillPlanner::new(BackfillPolicy::Easy, 2)
+            })
+            .aggregate;
         // With backfilling, stream runs inside lavaMD's window:
         // makespan = 38 + 22.5 = 60.5. Without it: 38 + 22.5 + 10 later.
         assert!(
@@ -380,7 +387,11 @@ mod tests {
         let s = suite();
         let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 4);
         assert_eq!(d.next_placement(&s, &[], 4, 0.0), None);
-        let report = ClusterSim::new(4).run(&s, Vec::new(), &mut d);
+        let report = MultiNodeSim::new(1, 4)
+            .run(&s, Vec::new(), &mut RoundRobin::new(), |_| {
+                BackfillPlanner::new(BackfillPolicy::Easy, 4)
+            })
+            .aggregate;
         assert_eq!(report.placements, 0);
         assert_eq!(report.makespan, 0.0);
     }
@@ -395,8 +406,11 @@ mod tests {
             job(&s, 1, "kmeans", 3.0, 1),     // 16 s
             job(&s, 2, "pathfinder", 3.0, 1), // 14 s
         ];
-        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 1);
-        let report = ClusterSim::new(1).run(&s, jobs, &mut d);
+        let report = MultiNodeSim::new(1, 1)
+            .run(&s, jobs, &mut RoundRobin::new(), |_| {
+                BackfillPlanner::new(BackfillPolicy::Easy, 1)
+            })
+            .aggregate;
         assert_eq!(report.placements, 3);
         assert!((report.makespan - 43.0).abs() < 1e-9, "{}", report.makespan);
         assert!((report.avg_wait - 12.0).abs() < 1e-9, "{}", report.avg_wait);
@@ -406,8 +420,11 @@ mod tests {
     fn wide_job_eventually_runs() {
         let s = suite();
         let jobs = vec![job(&s, 0, "stream", 0.0, 1), job(&s, 1, "lavaMD", 0.0, 4)];
-        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 4);
-        let report = ClusterSim::new(4).run(&s, jobs, &mut d);
+        let report = MultiNodeSim::new(1, 4)
+            .run(&s, jobs, &mut RoundRobin::new(), |_| {
+                BackfillPlanner::new(BackfillPolicy::Easy, 4)
+            })
+            .aggregate;
         assert_eq!(report.placements, 2);
         // lavaMD (4-GPU, 9.5 s) waits for stream (10 s) → ≈ 19.5 s.
         assert!((report.makespan - 19.5).abs() < 1e-6, "{}", report.makespan);
@@ -425,8 +442,11 @@ mod tests {
             job(&s, 2, "stream", 1.0, 1),
         ];
         let run = |policy| {
-            let mut d = BackfillPlanner::new(policy, 2);
-            ClusterSim::new(2).run(&s, jobs.clone(), &mut d)
+            MultiNodeSim::new(1, 2)
+                .run(&s, jobs.clone(), &mut RoundRobin::new(), |_| {
+                    BackfillPlanner::new(policy, 2)
+                })
+                .aggregate
         };
         let fcfs = run(BackfillPolicy::Fcfs);
         let easy = run(BackfillPolicy::Easy);
@@ -449,8 +469,11 @@ mod tests {
             job(&s, 1, "lavaMD", 1.0, 2),
             job(&s, 2, "stream", 7.0, 1),
         ];
-        let mut d = BackfillPlanner::new(BackfillPolicy::Easy, 2);
-        let report = ClusterSim::new(2).run(&s, jobs, &mut d);
+        let report = MultiNodeSim::new(1, 2)
+            .run(&s, jobs, &mut RoundRobin::new(), |_| {
+                BackfillPlanner::new(BackfillPolicy::Easy, 2)
+            })
+            .aggregate;
         // stream waits for the gang: kmeans [0,16), lavaMD [16,35),
         // stream [35,45).
         assert!((report.makespan - 45.0).abs() < 1e-9, "{}", report.makespan);
@@ -474,8 +497,11 @@ mod tests {
             })
             .collect();
         for policy in [BackfillPolicy::Easy, BackfillPolicy::Conservative] {
-            let mut d = BackfillPlanner::new(policy, 2).with_walltime_err(0.9);
-            let report = ClusterSim::new(2).run(&s, jobs.clone(), &mut d);
+            let report = MultiNodeSim::new(1, 2)
+                .run(&s, jobs.clone(), &mut RoundRobin::new(), |_| {
+                    BackfillPlanner::new(policy, 2).with_walltime_err(0.9)
+                })
+                .aggregate;
             assert!(report.makespan.is_finite() && report.placements == 12);
         }
     }

@@ -96,7 +96,8 @@ impl<P: Policy> Dispatcher for CoSchedulingDispatcher<P> {
 mod tests {
     use super::*;
     use crate::backfill::{BackfillPlanner, BackfillPolicy};
-    use crate::sim::ClusterSim;
+    use crate::multinode::MultiNodeSim;
+    use crate::select::RoundRobin;
     use hrp_core::policies::MpsOnly;
     use hrp_gpusim::GpuArch;
 
@@ -126,11 +127,14 @@ mod tests {
     #[test]
     fn cosched_beats_fcfs_on_crowded_queue() {
         let s = suite();
-        let sim = ClusterSim::new(2);
-        let mut backfill = BackfillPlanner::new(BackfillPolicy::Easy, 2);
-        let fcfs = sim.run(&s, crowded_trace(&s), &mut backfill);
-        let mut co = CoSchedulingDispatcher::new(MpsOnly, 4, 4);
-        let cos = sim.run(&s, crowded_trace(&s), &mut co);
+        let sim = MultiNodeSim::new(1, 2);
+        let fcfs = sim.run(&s, crowded_trace(&s), &mut RoundRobin::new(), |_| {
+            BackfillPlanner::new(BackfillPolicy::Easy, 2)
+        });
+        let cos = sim.run(&s, crowded_trace(&s), &mut RoundRobin::new(), |_| {
+            CoSchedulingDispatcher::new(MpsOnly, 4, 4)
+        });
+        let (fcfs, cos) = (fcfs.aggregate, cos.aggregate);
         assert!(
             cos.makespan < fcfs.makespan,
             "co-scheduling {} should beat FCFS {}",
@@ -148,8 +152,11 @@ mod tests {
             ClusterJob::new(0, "lavaMD", 0.0, 2, &s),
             ClusterJob::new(1, "stream", 0.0, 1, &s),
         ];
-        let mut co = CoSchedulingDispatcher::new(MpsOnly, 4, 4);
-        let report = ClusterSim::new(2).run(&s, jobs, &mut co);
+        let report = MultiNodeSim::new(1, 2)
+            .run(&s, jobs, &mut RoundRobin::new(), |_| {
+                CoSchedulingDispatcher::new(MpsOnly, 4, 4)
+            })
+            .aggregate;
         assert_eq!(report.placements, 2);
     }
 
@@ -160,16 +167,22 @@ mod tests {
             ClusterJob::new(0, "stream", 0.0, 1, &s),
             ClusterJob::new(1, "kmeans", 0.0, 1, &s),
         ];
-        let mut co = CoSchedulingDispatcher::new(MpsOnly, 12, 4);
-        let report = ClusterSim::new(1).run(&s, jobs, &mut co);
+        let report = MultiNodeSim::new(1, 1)
+            .run(&s, jobs, &mut RoundRobin::new(), |_| {
+                CoSchedulingDispatcher::new(MpsOnly, 12, 4)
+            })
+            .aggregate;
         assert_eq!(report.placements, 1, "two jobs in one partial window");
     }
 
     #[test]
     fn empty_queue_drains_without_windows() {
         let s = suite();
-        let mut co = CoSchedulingDispatcher::new(MpsOnly, 4, 4);
-        let report = ClusterSim::new(2).run(&s, Vec::new(), &mut co);
+        let report = MultiNodeSim::new(1, 2)
+            .run(&s, Vec::new(), &mut RoundRobin::new(), |_| {
+                CoSchedulingDispatcher::new(MpsOnly, 4, 4)
+            })
+            .aggregate;
         assert_eq!(report.placements, 0);
         assert_eq!(report.makespan, 0.0);
     }

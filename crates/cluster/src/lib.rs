@@ -11,15 +11,14 @@
 //! * [`sim`] — the event-driven per-node simulator: the reusable
 //!   [`sim::NodeRun`] event loop (GPUs as resources, job completions as
 //!   events, every state change recorded in a compact
-//!   [`sim::EventLog`] and read back as [`sim::NodeEvent`] views) and the
-//!   single-node [`ClusterSim`] wrapper;
-//! * [`multinode`] — `N` nodes advanced epoch by epoch on the calling
-//!   thread, fed from a global arrival queue by a pluggable node
-//!   selector, their event streams merged into one deterministic
-//!   `(time, node, seq)`-ordered cluster timeline — the same in batch
-//!   and served, and event-for-event identical to [`ClusterSim`] when
-//!   `N = 1`. The stepped [`multinode::ClusterDrive`] core is shared
-//!   with the RL placement environment;
+//!   [`sim::EventLog`] and read back as [`sim::NodeEvent`] views);
+//! * [`multinode`] — the one cluster driver: `N` nodes advanced epoch
+//!   by epoch on the calling thread, fed from a global arrival queue by
+//!   a pluggable node selector, their event streams merged into one
+//!   deterministic `(time, node, seq)`-ordered cluster timeline — the
+//!   same in batch and served. A one-node [`MultiNodeSim`] *is* the
+//!   single-node simulator. The stepped [`multinode::ClusterDrive`]
+//!   core is shared with the RL placement environment;
 //! * [`trace`] — the one streaming cluster-trace generator
 //!   ([`trace::TraceStream`]; [`trace::generate`] collects it) over six
 //!   kinds (uniform, bursty, Zipf-skewed popularity, heavy-tail
@@ -80,6 +79,6 @@ pub use place::{
     train_placement, ClusterEnv, PlacementAgent, PlacementConfig, PlacementExperiment,
 };
 pub use select::{BackfillTier, NodeSelector, SelectorKind};
-pub use sim::{ClusterReport, ClusterSim, EventLog, NodeEvent};
+pub use sim::{ClusterReport, EventLog, NodeEvent};
 pub use slots::TreeSlotSet;
 pub use trace::{TraceConfig, TraceKind};

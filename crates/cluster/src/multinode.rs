@@ -34,11 +34,11 @@
 //! number, so merging the streams under the stable `(time, node, seq)`
 //! key yields **one bit-identical cluster timeline** for the batch
 //! driver and the incremental one (the online service, killed and
-//! restored or not). A one-node cluster executes the exact event cycle
-//! of [`ClusterSim::run`](crate::sim::ClusterSim::run) and is
-//! event-for-event identical to it (both checked on every case of
-//! the oracle harness, `tests/common/harness.rs`; the `cluster/` rows
-//! of `tests/golden_cluster.rs` pin the schedules).
+//! restored or not), checked on every case of the oracle harness
+//! (`tests/common/harness.rs`; the `cluster/` rows of
+//! `tests/golden_cluster.rs` pin the schedules). There is no separate
+//! single-node simulator: a one-node cluster (`MultiNodeSim::new(1, g)`)
+//! is the single-node path.
 //!
 //! ```
 //! use hrp_cluster::multinode::MultiNodeSim;
@@ -181,9 +181,7 @@ pub struct SyncStats {
 pub struct MultiNodeReport {
     /// One summary per node, indexed by node id.
     pub per_node: Vec<NodeSummary>,
-    /// Cluster-level aggregate (for one node, bit-identical to the
-    /// single-node [`ClusterSim::run`](crate::sim::ClusterSim::run)
-    /// report on the same trace).
+    /// Cluster-level aggregate.
     pub aggregate: ClusterReport,
     /// The merged `(time, node, seq)`-ordered event stream.
     pub timeline: ClusterTimeline,
@@ -352,10 +350,7 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
         self.advance_nodes(f64::INFINITY);
         let (stats, streams): (Vec<NodeStats>, Vec<EventLog>) = std::mem::take(&mut self.runs)
             .into_iter()
-            .map(|run| {
-                let (stats, events, _) = run.finish();
-                (stats, events)
-            })
+            .map(NodeRun::finish)
             .unzip();
         let events = EventLog::merge(streams);
         assemble_report(stats, events, self.gpus_per_node, self.placed, self.sync)
@@ -613,9 +608,9 @@ impl MultiNodeSim {
                 self.gpus_per_node
             );
         }
-        // Stable by arrival: simultaneous submissions keep their order,
-        // exactly like the single-node simulator. Fair-share ordering
-        // then reorders *within* each same-instant burst only.
+        // Stable by arrival: simultaneous submissions keep their order.
+        // Fair-share ordering then reorders *within* each same-instant
+        // burst only.
         jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         if self.fair_order {
             crate::fair::apply_fair_order(suite, &mut jobs);
@@ -648,7 +643,6 @@ mod tests {
     use super::*;
     use crate::cosched::CoSchedulingDispatcher;
     use crate::select::{LeastLoaded, RoundRobin, SelectorKind};
-    use crate::sim::ClusterSim;
     use crate::trace::{generate, TraceConfig, TraceKind};
     use hrp_core::policies::MpsOnly;
     use hrp_gpusim::GpuArch;
@@ -664,20 +658,6 @@ mod tests {
 
     fn dispatcher() -> CoSchedulingDispatcher<MpsOnly> {
         CoSchedulingDispatcher::new(MpsOnly, 4, 4)
-    }
-
-    #[test]
-    fn one_node_matches_the_single_node_simulator_bit_for_bit() {
-        let s = suite();
-        let jobs = staggered(&s, 20);
-        let mut rr = RoundRobin::default();
-        let multi = MultiNodeSim::new(1, 2).run(&s, jobs.clone(), &mut rr, |_| dispatcher());
-        let mut single = dispatcher();
-        let (base, base_events) = ClusterSim::new(2).run_traced(&s, jobs, &mut single);
-        assert_eq!(multi.aggregate, base);
-        assert_eq!(multi.timeline.events, base_events);
-        assert_eq!(multi.per_node.len(), 1);
-        assert_eq!(multi.per_node[0].jobs, 20);
     }
 
     #[test]

@@ -11,14 +11,11 @@
 //! waiting queue, and dispatcher, advanced event by event up to a
 //! horizon. Every state change is recorded in the node's [`EventLog`]
 //! with a per-node sequence number, so a run leaves behind a totally
-//! ordered event stream. [`ClusterSim`] (the original single-node-pool
-//! simulator) is now a thin wrapper: preload every arrival, advance to
-//! the end of time. The multi-node simulator
-//! ([`crate::multinode::MultiNodeSim`]) instead drives many `NodeRun`s
-//! epoch by epoch, injecting arrivals between horizons — the two paths
-//! execute the *same* absorb → dispatch → advance → release cycle, which
-//! is what makes a one-node cluster event-for-event identical to
-//! [`ClusterSim::run`].
+//! ordered event stream. The cluster simulator
+//! ([`crate::multinode::MultiNodeSim`]) drives one `NodeRun` per node
+//! epoch by epoch, injecting arrivals between horizons; there is no
+//! second driver for a single node: a one-node cluster *is* the
+//! single-node simulator.
 //!
 //! # The event log
 //!
@@ -509,14 +506,13 @@ struct Running {
 /// One node's resumable event loop: a clock, `n_gpus` GPUs, a waiting
 /// queue, a dispatcher, and the event stream produced so far.
 ///
-/// The loop body is the exact cycle the original single-node simulator
-/// ran — absorb due arrivals, let the dispatcher start work, advance to
-/// the next event, release finished placements — except that it stops
-/// at a `horizon` so a multi-node driver can inject the next epoch's
-/// arrivals. A dispatch falling exactly *on* the horizon is deferred to
-/// the next [`NodeRun::advance_until`] call: co-timed arrivals must be
-/// on the queue before the dispatcher sees the freed GPUs, exactly as
-/// if all events lived in one merged queue.
+/// The loop body is one cycle — absorb due arrivals, let the
+/// dispatcher start work, advance to the next event, release finished
+/// placements — that stops at a `horizon` so the cluster driver can
+/// inject the next epoch's arrivals. A dispatch falling exactly *on*
+/// the horizon is deferred to the next [`NodeRun::advance_until`] call:
+/// co-timed arrivals must be on the queue before the dispatcher sees
+/// the freed GPUs, exactly as if all events lived in one merged queue.
 #[derive(Debug)]
 pub struct NodeRun<D: Dispatcher> {
     dispatcher: D,
@@ -746,9 +742,9 @@ impl<D: Dispatcher> NodeRun<D> {
     }
 
     /// Finish the run: per-node counters plus the recorded event
-    /// stream (and the dispatcher, for callers that want its state).
+    /// stream.
     #[must_use]
-    pub fn finish(self) -> (NodeStats, EventLog, D) {
+    pub fn finish(self) -> (NodeStats, EventLog) {
         let s = self.state;
         (
             NodeStats {
@@ -761,7 +757,6 @@ impl<D: Dispatcher> NodeRun<D> {
                 wait_sum: s.wait_sum,
             },
             s.events,
-            self.dispatcher,
         )
     }
 
@@ -898,95 +893,11 @@ impl NodeRunState {
     }
 }
 
-/// Delegating shim so `&mut dyn Dispatcher` drives a [`NodeRun`].
-struct DynDispatcher<'a>(&'a mut dyn Dispatcher);
-
-impl Dispatcher for DynDispatcher<'_> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn next_placement(
-        &mut self,
-        suite: &Suite,
-        waiting: &[ClusterJob],
-        free_gpus: usize,
-        now: f64,
-    ) -> Option<Placement> {
-        self.0.next_placement(suite, waiting, free_gpus, now)
-    }
-}
-
-/// The simulator: runs a job trace through a dispatcher on `n_gpus`.
-#[derive(Debug)]
-pub struct ClusterSim {
-    n_gpus: usize,
-}
-
-impl ClusterSim {
-    /// A cluster with `n_gpus` identical GPUs.
-    #[must_use]
-    pub fn new(n_gpus: usize) -> Self {
-        assert!(n_gpus >= 1);
-        Self { n_gpus }
-    }
-
-    /// Run the trace to completion.
-    ///
-    /// # Panics
-    /// Panics if the dispatcher returns inconsistent placements (unknown
-    /// job ids or more GPUs than free).
-    pub fn run(
-        &self,
-        suite: &Suite,
-        jobs: Vec<ClusterJob>,
-        dispatcher: &mut dyn Dispatcher,
-    ) -> ClusterReport {
-        self.run_traced(suite, jobs, dispatcher).0
-    }
-
-    /// Like [`ClusterSim::run`], also returning the event stream (all
-    /// events carry node id 0).
-    ///
-    /// # Panics
-    /// Same conditions as [`ClusterSim::run`].
-    pub fn run_traced(
-        &self,
-        suite: &Suite,
-        mut jobs: Vec<ClusterJob>,
-        dispatcher: &mut dyn Dispatcher,
-    ) -> (ClusterReport, EventLog) {
-        jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-        let total_jobs = jobs.len();
-        let mut node = NodeRun::new(0, self.n_gpus, DynDispatcher(dispatcher));
-        node.reserve_jobs(total_jobs);
-        for job in jobs {
-            node.push_arrival(job);
-        }
-        node.advance_until(suite, f64::INFINITY);
-        let (stats, events, _) = node.finish();
-        let makespan = stats.makespan;
-        let report = ClusterReport {
-            makespan,
-            avg_wait: if total_jobs > 0 {
-                stats.wait_sum / total_jobs as f64
-            } else {
-                0.0
-            },
-            utilization: if makespan > 0.0 {
-                stats.busy_gpu_seconds / (makespan * self.n_gpus as f64)
-            } else {
-                0.0
-            },
-            placements: stats.placements,
-        };
-        (report, events)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multinode::MultiNodeSim;
+    use crate::select::RoundRobin;
     use hrp_gpusim::GpuArch;
 
     /// Trivial dispatcher: one waiting job per free GPU, exclusively.
@@ -1024,7 +935,8 @@ mod tests {
             ClusterJob::new(0, "stream", 0.0, 1, &s),
             ClusterJob::new(1, "stream", 0.0, 1, &s),
         ];
-        let report = ClusterSim::new(1).run(&s, jobs, &mut OneByOne);
+        let report = MultiNodeSim::new(1, 1).run(&s, jobs, &mut RoundRobin::new(), |_| OneByOne);
+        let report = report.aggregate;
         assert!((report.makespan - 20.0).abs() < 1e-9);
         assert!((report.avg_wait - 5.0).abs() < 1e-9, "{}", report.avg_wait);
         assert!((report.utilization - 1.0).abs() < 1e-9);
@@ -1037,9 +949,9 @@ mod tests {
             ClusterJob::new(0, "stream", 0.0, 1, &s),
             ClusterJob::new(1, "stream", 0.0, 1, &s),
         ];
-        let report = ClusterSim::new(2).run(&s, jobs, &mut OneByOne);
-        assert!((report.makespan - 10.0).abs() < 1e-9);
-        assert!(report.avg_wait.abs() < 1e-9);
+        let report = MultiNodeSim::new(1, 2).run(&s, jobs, &mut RoundRobin::new(), |_| OneByOne);
+        assert!((report.aggregate.makespan - 10.0).abs() < 1e-9);
+        assert!(report.aggregate.avg_wait.abs() < 1e-9);
     }
 
     #[test]
@@ -1048,27 +960,28 @@ mod tests {
         let jobs = vec![
             ClusterJob::new(0, "stream", 100.0, 1, &s), // arrives late
         ];
-        let report = ClusterSim::new(1).run(&s, jobs, &mut OneByOne);
-        assert!((report.makespan - 110.0).abs() < 1e-9);
+        let report = MultiNodeSim::new(1, 1).run(&s, jobs, &mut RoundRobin::new(), |_| OneByOne);
+        assert!((report.aggregate.makespan - 110.0).abs() < 1e-9);
         // Utilization counts idle waiting time.
-        assert!(report.utilization < 0.2);
+        assert!(report.aggregate.utilization < 0.2);
     }
 
     #[test]
     fn multi_gpu_job_takes_gang() {
         let s = suite();
         let jobs = vec![ClusterJob::new(0, "lavaMD", 0.0, 2, &s)];
-        let report = ClusterSim::new(2).run(&s, jobs, &mut OneByOne);
-        assert!((report.makespan - 19.0).abs() < 1e-9);
-        assert!((report.utilization - 1.0).abs() < 1e-9);
+        let report = MultiNodeSim::new(1, 2).run(&s, jobs, &mut RoundRobin::new(), |_| OneByOne);
+        assert!((report.aggregate.makespan - 19.0).abs() < 1e-9);
+        assert!((report.aggregate.utilization - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_trace_drains_to_a_zeroed_report() {
         let s = suite();
-        let (report, events) = ClusterSim::new(2).run_traced(&s, Vec::new(), &mut OneByOne);
+        let report =
+            MultiNodeSim::new(1, 2).run(&s, Vec::new(), &mut RoundRobin::new(), |_| OneByOne);
         assert_eq!(
-            report,
+            report.aggregate,
             ClusterReport {
                 makespan: 0.0,
                 avg_wait: 0.0,
@@ -1076,7 +989,7 @@ mod tests {
                 placements: 0,
             }
         );
-        assert!(events.is_empty());
+        assert!(report.timeline.is_empty());
     }
 
     #[test]
@@ -1089,8 +1002,9 @@ mod tests {
             .enumerate()
             .map(|(i, n)| ClusterJob::new(i, n, 5.0, 1, &s))
             .collect();
-        let (report, events) = ClusterSim::new(1).run_traced(&s, jobs, &mut OneByOne);
-        assert_eq!(report.placements, 4);
+        let report = MultiNodeSim::new(1, 1).run(&s, jobs, &mut RoundRobin::new(), |_| OneByOne);
+        assert_eq!(report.aggregate.placements, 4);
+        let events = &report.timeline.events;
         let started: Vec<usize> = events
             .iter()
             .filter_map(|e| match &e.kind {
@@ -1110,16 +1024,13 @@ mod tests {
     #[test]
     fn traced_run_reports_exactly_what_run_reports() {
         let s = suite();
-        let jobs = |arr: f64| {
-            vec![
-                ClusterJob::new(0, "stream", arr, 1, &s),
-                ClusterJob::new(1, "lavaMD", arr + 2.0, 1, &s),
-                ClusterJob::new(2, "kmeans", arr + 2.0, 1, &s),
-            ]
-        };
-        let plain = ClusterSim::new(2).run(&s, jobs(1.0), &mut OneByOne);
-        let (traced, events) = ClusterSim::new(2).run_traced(&s, jobs(1.0), &mut OneByOne);
-        assert_eq!(plain, traced);
+        let jobs = vec![
+            ClusterJob::new(0, "stream", 1.0, 1, &s),
+            ClusterJob::new(1, "lavaMD", 3.0, 1, &s),
+            ClusterJob::new(2, "kmeans", 3.0, 1, &s),
+        ];
+        let report = MultiNodeSim::new(1, 2).run(&s, jobs, &mut RoundRobin::new(), |_| OneByOne);
+        let events = &report.timeline.events;
         // 3 arrivals + 3 starts + 3 finishes, seq strictly increasing.
         assert_eq!(events.len(), 9);
         assert!(events
@@ -1127,6 +1038,15 @@ mod tests {
             .zip(events.iter().skip(1))
             .all(|(a, b)| a.seq < b.seq));
         assert!(events.iter().all(|e| e.node == 0));
+        // The report is what the log shows: one start per placement,
+        // and the makespan is the last finish.
+        let starts = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Start { .. }))
+            .count();
+        assert_eq!(starts, report.aggregate.placements);
+        let last = events.iter().map(|e| e.time).fold(0.0, f64::max);
+        assert_eq!(last.to_bits(), report.aggregate.makespan.to_bits());
     }
 
     #[test]
@@ -1135,9 +1055,11 @@ mod tests {
         let s = suite();
         // A 4-GPU job on a 2-GPU pool can never start; OneByOne skips
         // it, and the drain must flag the stranded queue rather than
-        // spin or exit silently.
-        let jobs = vec![ClusterJob::new(0, "lavaMD", 0.0, 4, &s)];
-        let _ = ClusterSim::new(2).run(&s, jobs, &mut OneByOne);
+        // spin or exit silently. (The cluster driver refuses such a job
+        // before any node runs, so the node loop is driven directly.)
+        let mut node = NodeRun::new(0, 2, OneByOne);
+        node.push_arrival(ClusterJob::new(0, "lavaMD", 0.0, 4, &s));
+        node.advance_until(&s, f64::INFINITY);
     }
 
     #[test]
@@ -1160,7 +1082,7 @@ mod tests {
         assert_eq!(load.queued_jobs, 1);
         node.push_arrival(ClusterJob::new(2, "pathfinder", 10.0, 1, &s));
         node.advance_until(&s, f64::INFINITY);
-        let (stats, events, _) = node.finish();
+        let (stats, events) = node.finish();
         assert_eq!(stats.completed, 3);
         // kmeans (id 1, waiting since 5) starts before pathfinder.
         let starts: Vec<usize> = events

@@ -63,10 +63,9 @@
 //!     label: "probe".into(),
 //!     jobs: queues[0].jobs[..6].to_vec(),
 //! };
-//! let engine = hrp_gpusim::EngineConfig::default();
 //! assert_eq!(
-//!     trained.greedy_decision(&suite, &queue, &engine),
-//!     reloaded.greedy_decision(&suite, &queue, &engine),
+//!     trained.greedy_decision(&suite, &queue),
+//!     reloaded.greedy_decision(&suite, &queue),
 //! );
 //! ```
 

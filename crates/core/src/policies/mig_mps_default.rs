@@ -12,7 +12,7 @@ use crate::exhaustive::best_partition;
 use crate::predict::CoRunPredictor;
 use crate::problem::{evaluate_group, ScheduleDecision, ScheduledGroup};
 use hrp_gpusim::mps::default_mode_shares;
-use hrp_gpusim::{GiProfile, GiSetup, PartitionScheme};
+use hrp_gpusim::{EngineConfig, GiProfile, GiSetup, PartitionScheme};
 
 /// Which fixed MIG layout the default policy uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +132,7 @@ impl MigMpsDefault {
             &job_order,
             &scheme,
             &assignment,
-            &ctx.engine,
+            &EngineConfig::default(),
         );
         Some(g).filter(ScheduledGroup::beats_time_sharing)
     }
@@ -153,7 +153,7 @@ impl Policy for MigMpsDefault {
                     members,
                     &PartitionScheme::exclusive(),
                     &[0],
-                    &ctx.engine,
+                    &EngineConfig::default(),
                 )),
                 _ => self.best_group(ctx, &predictor, members),
             }

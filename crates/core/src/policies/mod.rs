@@ -31,7 +31,6 @@ pub use time_sharing::TimeSharing;
 pub use window_predictor::window_profiler;
 
 use crate::problem::ScheduleDecision;
-use hrp_gpusim::engine::EngineConfig;
 use hrp_profile::ProfileRepository;
 use hrp_workloads::{JobQueue, Suite};
 
@@ -48,12 +47,10 @@ pub struct ScheduleContext<'a> {
     pub repo: &'a ProfileRepository,
     /// Concurrency cap `Cmax`.
     pub cmax: usize,
-    /// Engine overheads.
-    pub engine: EngineConfig,
 }
 
 impl<'a> ScheduleContext<'a> {
-    /// Context with default engine overheads.
+    /// Context for one window.
     #[must_use]
     pub fn new(
         suite: &'a Suite,
@@ -66,7 +63,6 @@ impl<'a> ScheduleContext<'a> {
             queue,
             repo,
             cmax,
-            engine: EngineConfig::default(),
         }
     }
 }

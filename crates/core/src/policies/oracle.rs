@@ -34,7 +34,6 @@ impl Policy for OracleGreedy {
         let cfg = EnvConfig {
             w: ctx.queue.len().max(MIN_WINDOW),
             cmax: ctx.cmax,
-            engine: ctx.engine.clone(),
             ..EnvConfig::paper()
         };
         let catalog = ActionCatalog::paper_29();

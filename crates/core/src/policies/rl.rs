@@ -37,8 +37,7 @@ impl Policy for MigMpsRl {
     }
 
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
-        self.trained
-            .greedy_decision(ctx.suite, ctx.queue, &ctx.engine)
+        self.trained.greedy_decision(ctx.suite, ctx.queue)
     }
 }
 

@@ -10,7 +10,7 @@
 use super::ScheduleContext;
 use crate::predict::CoRunPredictor;
 use crate::problem::{evaluate_group, ScheduledGroup};
-use hrp_gpusim::{CompiledPartition, GpuArch, PartitionScheme};
+use hrp_gpusim::{CompiledPartition, EngineConfig, GpuArch, PartitionScheme};
 use hrp_profile::Profiler;
 
 /// The profiler whose solo runs fill an evaluation's repository: a fixed
@@ -35,7 +35,7 @@ pub(super) fn window_predictor(ctx: &ScheduleContext<'_>) -> CoRunPredictor {
             )
         })
     });
-    CoRunPredictor::new(profiles, ctx.suite.arch(), ctx.engine.clone())
+    CoRunPredictor::new(profiles, ctx.suite.arch(), EngineConfig::default())
 }
 
 /// Choose the best scheme for `members` by *predicted* makespan across
@@ -66,7 +66,7 @@ pub(super) fn select_and_measure(
         members,
         &schemes[idx].0,
         &assignment,
-        &ctx.engine,
+        &EngineConfig::default(),
     );
     group.beats_time_sharing().then_some(group)
 }

@@ -260,27 +260,21 @@ impl TrainedAgent {
 
     /// Greedy (ε = 0) rollout over a queue — the online decision
     /// making, through whichever environment formulation
-    /// ([`TrainConfig::env`]) the agent was trained on.
+    /// ([`TrainConfig::env`]) the agent was trained on, under the engine
+    /// overheads it was trained with ([`TrainConfig::engine`]).
     ///
     /// # Panics
     /// Panics if the queue exceeds the training window size or contains
     /// unprofiled jobs.
     #[must_use]
-    pub fn greedy_decision(
-        &self,
-        suite: &Suite,
-        queue: &JobQueue,
-        engine: &EngineConfig,
-    ) -> ScheduleDecision {
-        let mut env_cfg = self.cfg.env_config();
-        env_cfg.engine = engine.clone();
+    pub fn greedy_decision(&self, suite: &Suite, queue: &JobQueue) -> ScheduleDecision {
         let flat = CoScheduleEnv::new(
             suite,
             queue,
             &self.repo,
             &self.scaler,
             &self.catalog,
-            env_cfg,
+            self.cfg.env_config(),
         );
         match self.cfg.env {
             EnvKind::Flat => greedy_rollout(flat, &self.agent),
@@ -615,9 +609,8 @@ mod tests {
             hrp_workloads::MixCategory::Balanced,
             false,
         );
-        let engine = EngineConfig::default();
-        let d1 = trained.greedy_decision(&suite, &queue, &engine);
-        let d2 = trained.greedy_decision(&suite, &queue, &engine);
+        let d1 = trained.greedy_decision(&suite, &queue);
+        let d2 = trained.greedy_decision(&suite, &queue);
         assert_eq!(d1, d2, "greedy rollout must be deterministic");
         d1.validate(&queue, 4, false).unwrap();
     }
@@ -711,9 +704,8 @@ mod tests {
         // valid and deterministic.
         let mut gen = QueueGenerator::new(5);
         let queue = gen.category_queue(&suite, "h", 6, hrp_workloads::MixCategory::Balanced, false);
-        let engine = EngineConfig::default();
-        let d1 = trained.greedy_decision(&suite, &queue, &engine);
-        let d2 = trained.greedy_decision(&suite, &queue, &engine);
+        let d1 = trained.greedy_decision(&suite, &queue);
+        let d2 = trained.greedy_decision(&suite, &queue);
         assert_eq!(d1, d2);
         d1.validate(&queue, 4, false).unwrap();
     }

@@ -13,7 +13,6 @@
 //! which is `CoRunTime(JS, R)`.
 
 use crate::app::AppModel;
-use crate::error::SimError;
 use crate::partition::CompiledPartition;
 use crate::perf::corun_rates;
 
@@ -54,36 +53,39 @@ pub struct CoRunResult {
     pub completion_order: Vec<usize>,
 }
 
-/// Validate a slot assignment.
-fn check_assignment(
-    apps: &[&AppModel],
-    assignment: &[usize],
-    part: &CompiledPartition,
-) -> Result<(), SimError> {
-    if apps.len() != assignment.len() {
-        return Err(SimError::AssignmentMismatch {
-            apps: apps.len(),
-            assignments: assignment.len(),
-        });
-    }
+/// Check a slot assignment.
+///
+/// # Panics
+/// Panics, naming the condition, if `apps` and `assignment` differ in
+/// length, a slot is out of range, or two apps share a slot.
+fn check_assignment(apps: &[&AppModel], assignment: &[usize], part: &CompiledPartition) {
+    assert_eq!(
+        apps.len(),
+        assignment.len(),
+        "co-run length mismatch: {} applications but {} slot assignments",
+        apps.len(),
+        assignment.len()
+    );
     let mut used = vec![false; part.slots.len()];
     for &s in assignment {
-        if s >= part.slots.len() {
-            return Err(SimError::BadSlot(s));
-        }
-        if used[s] {
-            return Err(SimError::SlotCollision(s));
-        }
+        assert!(
+            s < part.slots.len(),
+            "co-run slot {s} out of range ({} slots)",
+            part.slots.len()
+        );
+        assert!(
+            !used[s],
+            "co-run slot collision: two applications on slot {s}"
+        );
         used[s] = true;
     }
-    Ok(())
 }
 
 /// Simulate co-running `apps` (app `k` on `part.slots[assignment[k]]`).
 ///
 /// # Panics
-/// Panics on invalid assignments; use [`try_simulate_corun`] for the
-/// fallible variant.
+/// Panics on an invalid assignment: a length mismatch between `apps`
+/// and `assignment`, a slot out of range, or a slot collision.
 #[must_use]
 pub fn simulate_corun(
     apps: &[&AppModel],
@@ -91,26 +93,16 @@ pub fn simulate_corun(
     part: &CompiledPartition,
     cfg: &EngineConfig,
 ) -> CoRunResult {
-    try_simulate_corun(apps, assignment, part, cfg).expect("invalid co-run setup")
-}
-
-/// Fallible variant of [`simulate_corun`].
-pub fn try_simulate_corun(
-    apps: &[&AppModel],
-    assignment: &[usize],
-    part: &CompiledPartition,
-    cfg: &EngineConfig,
-) -> Result<CoRunResult, SimError> {
-    check_assignment(apps, assignment, part)?;
+    check_assignment(apps, assignment, part);
     let n = apps.len();
     let mut finish = vec![0.0f64; n];
     let mut order = Vec::with_capacity(n);
     if n == 0 {
-        return Ok(CoRunResult {
+        return CoRunResult {
             finish_times: finish,
             makespan: 0.0,
             completion_order: order,
-        });
+        };
     }
 
     // Remaining work in seconds-of-solo-execution.
@@ -164,11 +156,11 @@ pub fn try_simulate_corun(
         alive = next_alive;
     }
 
-    Ok(CoRunResult {
+    CoRunResult {
         finish_times: finish,
         makespan: clock + overhead,
         completion_order: order,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -284,23 +276,35 @@ mod tests {
         assert!((with_hier.makespan - base_hier.makespan - 2.5).abs() < 1e-9);
     }
 
+    /// The message `simulate_corun` panics with on `apps`/`slots`.
+    fn corun_panic(apps: &[&AppModel], slots: &[usize]) -> String {
+        let part = compile(PartitionScheme::mps_only(vec![0.5, 0.5]));
+        let err = std::panic::catch_unwind(|| {
+            simulate_corun(apps, slots, &part, &EngineConfig::default())
+        })
+        .expect_err("an invalid assignment must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
     fn invalid_assignments_rejected() {
         let a = app("a", 0.9, 0.8, 0.3, 0.1, 10.0);
-        let part = compile(PartitionScheme::mps_only(vec![0.5, 0.5]));
-        let cfg = EngineConfig::default();
-        assert!(matches!(
-            try_simulate_corun(&[&a], &[0, 1], &part, &cfg),
-            Err(SimError::AssignmentMismatch { .. })
-        ));
-        assert!(matches!(
-            try_simulate_corun(&[&a], &[5], &part, &cfg),
-            Err(SimError::BadSlot(5))
-        ));
-        assert!(matches!(
-            try_simulate_corun(&[&a, &a], &[1, 1], &part, &cfg),
-            Err(SimError::SlotCollision(1))
-        ));
+        for (apps, slots, message) in [
+            (
+                &[&a][..],
+                &[0, 1][..],
+                "co-run length mismatch: 1 applications but 2 slot assignments",
+            ),
+            (&[&a][..], &[5][..], "co-run slot 5 out of range (2 slots)"),
+            (
+                &[&a, &a][..],
+                &[1, 1][..],
+                "co-run slot collision: two applications on slot 1",
+            ),
+        ] {
+            let got = corun_panic(apps, slots);
+            assert!(got.contains(message), "{got:?} does not name {message:?}");
+        }
     }
 
     #[test]

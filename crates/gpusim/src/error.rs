@@ -109,45 +109,6 @@ impl From<PartitionError> for ParseError {
     }
 }
 
-/// Top-level simulator error.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimError {
-    /// Invalid partition.
-    Partition(PartitionError),
-    /// A co-run was launched with mismatched apps/slot-assignment lengths.
-    AssignmentMismatch {
-        /// Number of applications supplied.
-        apps: usize,
-        /// Number of slot assignments supplied.
-        assignments: usize,
-    },
-    /// A slot index was out of range.
-    BadSlot(usize),
-    /// Two applications were assigned to the same slot.
-    SlotCollision(usize),
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Partition(e) => write!(f, "partition error: {e}"),
-            Self::AssignmentMismatch { apps, assignments } => {
-                write!(f, "{apps} applications but {assignments} slot assignments")
-            }
-            Self::BadSlot(i) => write!(f, "slot index {i} out of range"),
-            Self::SlotCollision(i) => write!(f, "two applications assigned to slot {i}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-impl From<PartitionError> for SimError {
-    fn from(e: PartitionError) -> Self {
-        Self::Partition(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,20 +129,11 @@ mod tests {
         };
         assert!(p.to_string().contains("'x'"));
         assert!(p.to_string().contains("digit"));
-
-        let s = SimError::AssignmentMismatch {
-            apps: 2,
-            assignments: 3,
-        };
-        assert!(s.to_string().contains('2'));
     }
 
     #[test]
     fn conversions_wrap() {
-        let pe = PartitionError::NoSlots;
-        let se: SimError = pe.clone().into();
-        assert_eq!(se, SimError::Partition(PartitionError::NoSlots));
-        let xe: ParseError = pe.into();
+        let xe: ParseError = PartitionError::NoSlots.into();
         assert!(matches!(xe, ParseError::Invalid(_)));
     }
 }

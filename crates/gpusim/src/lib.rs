@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::arch::GpuArch;
     pub use crate::counters::CounterSet;
     pub use crate::engine::{simulate_corun, CoRunResult, EngineConfig};
-    pub use crate::error::{PartitionError, SimError};
+    pub use crate::error::PartitionError;
     pub use crate::mig::{GiProfile, MigConfig};
     pub use crate::partition::{
         CiSetup, CompiledPartition, GiSetup, MemDomain, PartitionScheme, Slot,

@@ -124,7 +124,9 @@ fn assemble(gis: Vec<RawGi>) -> Result<PartitionScheme, ParseError> {
         if gi.cis.is_empty() {
             return Err(ParseError::Invalid(crate::error::PartitionError::EmptyGi));
         }
-        let total: u32 = gi.cis.iter().map(|c| c.slices).sum();
+        // Each CI holds at most 8 slices, but a GI may list any number
+        // of CIs: the sum saturates rather than wraps.
+        let total = gi.cis.iter().fold(0u32, |t, c| t.saturating_add(c.slices));
         let profile = infer_profile(gi.mem, total)?;
         out.push(GiSetup {
             profile,
@@ -297,9 +299,11 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A CI fraction `k / 8` as `k` slices, `1 ≤ k ≤ 8`. A fraction above
+/// 1 is refused before the cast, which would saturate it.
 fn frac_to_slices(frac: f64) -> Result<u32, ParseError> {
     let slices = frac * 8.0;
-    if (slices - slices.round()).abs() > 1e-6 || slices < 0.5 {
+    if (slices - slices.round()).abs() > 1e-6 || slices < 0.5 || frac > 1.0 {
         return Err(ParseError::NonSliceFraction(frac));
     }
     Ok(slices.round() as u32)
@@ -410,6 +414,20 @@ mod tests {
         assert!(
             parse_scheme("[{0.875}+{0.125},0.5m]").is_err(),
             "CI overflow"
+        );
+    }
+
+    #[test]
+    fn a_ci_fraction_above_one_is_refused() {
+        // Cast to slices, each fraction would saturate at `u32::MAX`,
+        // and the two would overflow the GI's slice sum.
+        assert_eq!(
+            parse_scheme("[{99999999999}+{99999999999},1m]"),
+            Err(ParseError::NonSliceFraction(99_999_999_999.0))
+        );
+        assert_eq!(
+            parse_scheme("[{1.125},1m]"),
+            Err(ParseError::NonSliceFraction(1.125))
         );
     }
 

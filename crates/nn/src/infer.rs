@@ -144,8 +144,8 @@ fn panels<const P: usize>(
             }
         }
         if relu {
-            // Exactly `Relu::forward_inference`: zero strictly negative
-            // lanes, keep −0.0 and NaN.
+            // Exactly the inference ReLU of `QNet::predict_batch_into`:
+            // zero strictly negative lanes, keep −0.0 and NaN.
             for v in acc.as_flattened_mut() {
                 if *v < 0.0 {
                     *v = 0.0;

@@ -8,7 +8,7 @@
 //! updates the layer on the spot — so no layer keeps a gradient.
 
 use crate::opt::GradSink;
-use crate::tensor::{matmul_bias_tn, matmul_dw_tn, matmul_dx_tn, relu_backward, relu_forward};
+use crate::tensor::{matmul_bias_tn, matmul_dw_tn, matmul_dx_tn};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -110,48 +110,11 @@ impl Linear {
     }
 }
 
-/// ReLU activation with a cached pass-through mask.
-///
-/// All entry points are length-agnostic: a `batch × n` matrix is masked
-/// lane-by-lane exactly like `batch` separate vectors.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    mask: Vec<bool>,
-}
-
-impl Relu {
-    /// New (stateless until the first forward).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// In-place forward; records which lanes were positive.
-    pub fn forward(&mut self, x: &mut [f32]) {
-        self.mask.resize(x.len(), false);
-        relu_forward(x, &mut self.mask);
-    }
-
-    /// In-place forward without caching (inference only).
-    pub fn forward_inference(x: &mut [f32]) {
-        for v in x.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-    }
-
-    /// In-place backward using the cached mask.
-    pub fn backward(&self, dy: &mut [f32]) {
-        relu_backward(dy, &self.mask);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::opt::GradSum;
-    use crate::tensor::transpose_into;
+    use crate::tensor::{relu_backward, relu_forward, transpose_into};
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -302,12 +265,11 @@ mod tests {
 
     #[test]
     fn relu_masks_negative_lanes() {
-        let mut r = Relu::new();
         let mut x = vec![1.0, -2.0, 0.0, 3.0];
-        r.forward(&mut x);
+        relu_forward(&mut x);
         assert_eq!(x, vec![1.0, 0.0, 0.0, 3.0]);
-        let mut dy = vec![10.0, 10.0, 10.0, 10.0];
-        r.backward(&mut dy);
+        let mut dy = vec![10.0; 4];
+        relu_backward(&mut dy, &x);
         assert_eq!(dy, vec![10.0, 0.0, 0.0, 10.0]);
     }
 

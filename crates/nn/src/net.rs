@@ -21,9 +21,9 @@
 //! step, which updates those parameters at once — after the layer's
 //! input gradient has been taken from its weights as they stood.
 
-use crate::layers::{Linear, Relu};
+use crate::layers::Linear;
 use crate::opt::GradSink;
-use crate::tensor::transpose_into;
+use crate::tensor::{relu_backward, relu_forward, transpose_into};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -77,6 +77,16 @@ fn assemble_dueling(vout: &[f32], aout: &[f32], batch: usize, n: usize, out: &mu
     }
 }
 
+/// The inference ReLU, in place: zero strictly negative lanes, keep
+/// `-0.0` and NaN ([`relu_forward`] makes both `+0.0`).
+fn relu_inference(x: &mut [f32]) {
+    for v in x {
+        if *v < 0.0 {
+            *v = 0.0;
+        }
+    }
+}
+
 /// Reusable buffers for the inference-only forward
 /// ([`QNet::predict_batch_into`]): after the first call at a given
 /// network shape and batch size, steady-state inference performs **zero
@@ -105,10 +115,9 @@ pub struct LearnScratch {
     /// may use them.
     pub(crate) pass: PredictScratch,
     /// `outputs[k]`: trunk layer `k`'s activation, batch-major — the
-    /// input the next layer's (or the head's) weight gradient reads.
+    /// input the next layer's (or the head's) weight gradient reads, and
+    /// (transposed back) which lanes the ReLU backward passes.
     outputs: Vec<Vec<f32>>,
-    /// The trunk's ReLU masks.
-    relus: Vec<Relu>,
     /// One block of a layer's gradient ([`Linear::backward_params_tn`]).
     block: Vec<f32>,
     /// Batch size of the cached forward pass.
@@ -181,18 +190,16 @@ impl QNet {
         let LearnScratch {
             pass,
             outputs,
-            relus,
             batch: cached_batch,
             ..
         } = scratch;
         *cached_batch = batch;
         outputs.resize_with(self.trunk.len(), Vec::new);
-        relus.resize_with(self.trunk.len(), Relu::new);
         let (cur, next) = (&mut pass.cur, &mut pass.next);
         transpose_into(x, cur, batch, x.len() / batch);
-        for ((lin, relu), output) in self.trunk.iter().zip(relus).zip(outputs) {
+        for (lin, output) in self.trunk.iter().zip(outputs) {
             lin.forward_batch_tn(cur, batch, next);
-            relu.forward(next);
+            relu_forward(next);
             transpose_into(next, output, lin.rows, batch);
             std::mem::swap(cur, next);
         }
@@ -211,7 +218,7 @@ impl QNet {
 
     /// Batched inference-only forward into caller-owned scratch: no
     /// backward cache is kept and none of the backward pass's upkeep —
-    /// input copies, ReLU masks — is done.
+    /// the batch-major copies of the activations — is done.
     ///
     /// The Q-values are bit-identical to [`QNet::forward_batch`]'s: the
     /// kernels and their order are the same, and the inference ReLU
@@ -229,7 +236,7 @@ impl QNet {
         transpose_into(x, cur, batch, x.len() / batch);
         for lin in &self.trunk {
             lin.forward_batch_tn(cur, batch, next);
-            Relu::forward_inference(next);
+            relu_inference(next);
             std::mem::swap(cur, next);
         }
         match &self.head {
@@ -271,7 +278,6 @@ impl QNet {
         let LearnScratch {
             pass,
             outputs,
-            relus,
             block,
             ..
         } = scratch;
@@ -322,8 +328,11 @@ impl QNet {
                 v.backward_params_tn(head_x, dv, batch, at, block, sink);
             }
         }
-        for (i, (lin, relu)) in self.trunk.iter_mut().zip(relus.iter()).enumerate().rev() {
-            relu.backward(cur);
+        for (i, lin) in self.trunk.iter_mut().enumerate().rev() {
+            // Which lanes the ReLU passed: the kept output, batch-minor
+            // in `next`, which is free until the input gradient below.
+            transpose_into(&outputs[i], next, batch, lin.rows);
+            relu_backward(cur, next);
             at -= lin.num_params();
             if i == 0 {
                 // The first layer reads the states themselves, and its
@@ -662,9 +671,7 @@ mod tests {
         }
 
         fn step(&mut self, net: &mut QNet, x: &[f32], batch: usize, dq: &[f32]) {
-            use crate::tensor::{
-                matmul_bias_tn, matmul_dw_tn, matmul_dx_tn, relu_backward, relu_forward,
-            };
+            use crate::tensor::{matmul_bias_tn, matmul_dw_tn, matmul_dx_tn};
             let n = net.n_actions;
             // Forward, keeping each layer's input (batch-minor) and the
             // trunk's ReLU masks.
@@ -675,8 +682,12 @@ mod tests {
                 let mut y = Vec::new();
                 let xt = inputs.last().expect("the states");
                 matmul_bias_tn(&lin.w, &lin.b, xt, &mut y, batch, lin.rows, lin.cols);
-                let mut mask = vec![false; y.len()];
-                relu_forward(&mut y, &mut mask);
+                let mask: Vec<bool> = y.iter().map(|&v| v > 0.0).collect();
+                for (v, &m) in y.iter_mut().zip(&mask) {
+                    if !m {
+                        *v = 0.0;
+                    }
+                }
                 masks.push(mask);
                 inputs.push(y);
             }
@@ -718,7 +729,11 @@ mod tests {
             }
             let mut grads = vec![Vec::new(); net.trunk.len()];
             for (i, lin) in net.trunk.iter().enumerate().rev() {
-                relu_backward(&mut dx, &masks[i]);
+                for (d, &m) in dx.iter_mut().zip(&masks[i]) {
+                    if !m {
+                        *d = 0.0;
+                    }
+                }
                 grads[i] = full_grad(lin, &inputs[i], &dx);
                 let mut below = Vec::new();
                 matmul_dx_tn(&lin.w, &dx, &mut below, batch, lin.rows, lin.cols);

@@ -395,26 +395,24 @@ pub fn matmul_dw_tn(
     }
 }
 
-/// In-place batched ReLU; `mask[i]` records whether lane `i` passed.
+/// In-place batched ReLU of a learning step: a lane is kept iff it is
+/// `> 0.0`, so `-0.0` and NaN become `+0.0`, and a kept output is `> 0.0`
+/// exactly where its input was.
 #[inline]
-pub fn relu_forward(x: &mut [f32], mask: &mut [bool]) {
-    debug_assert_eq!(x.len(), mask.len());
-    for (v, m) in x.iter_mut().zip(mask.iter_mut()) {
-        *m = *v > 0.0;
-        if !*m {
-            *v = 0.0;
-        }
+pub fn relu_forward(x: &mut [f32]) {
+    for v in x {
+        *v = if *v > 0.0 { *v } else { 0.0 };
     }
 }
 
-/// In-place batched ReLU backward using the recorded mask.
+/// In-place ReLU backward: `dy[i]` is zeroed wherever the forward's
+/// output `y[i]` is not `> 0.0` — exactly the lanes [`relu_forward`]
+/// zeroed.
 #[inline]
-pub fn relu_backward(dy: &mut [f32], mask: &[bool]) {
-    debug_assert_eq!(dy.len(), mask.len());
-    for (d, &m) in dy.iter_mut().zip(mask.iter()) {
-        if !m {
-            *d = 0.0;
-        }
+pub fn relu_backward(dy: &mut [f32], y: &[f32]) {
+    debug_assert_eq!(dy.len(), y.len());
+    for (d, &v) in dy.iter_mut().zip(y) {
+        *d = if v > 0.0 { *d } else { 0.0 };
     }
 }
 
@@ -629,13 +627,18 @@ mod tests {
     #[test]
     fn relu_kernels_mask_and_gate() {
         let mut x = vec![1.0, -2.0, 0.0, 3.0];
-        let mut mask = vec![false; 4];
-        relu_forward(&mut x, &mut mask);
+        relu_forward(&mut x);
         assert_eq!(x, vec![1.0, 0.0, 0.0, 3.0]);
-        assert_eq!(mask, vec![true, false, false, true]);
         let mut dy = vec![10.0; 4];
-        relu_backward(&mut dy, &mask);
+        relu_backward(&mut dy, &x);
         assert_eq!(dy, vec![10.0, 0.0, 0.0, 10.0]);
+        // -0.0 and NaN become +0.0, and stop their gradient.
+        let mut x = [-0.0, f32::NAN, f32::MIN_POSITIVE];
+        relu_forward(&mut x);
+        assert_eq!(x.map(f32::to_bits), [0, 0, f32::MIN_POSITIVE.to_bits()]);
+        let mut dy = vec![10.0; 3];
+        relu_backward(&mut dy, &x);
+        assert_eq!(dy, vec![0.0, 0.0, 10.0]);
     }
 
     #[test]

@@ -332,7 +332,7 @@ fn a_node_advance_over_a_reserved_log_allocates_its_placements_only() {
     assert_eq!((started, node.state().events.len()), (2, JOBS + 2));
 
     let n = count_allocs(|| node.advance_until(&suite, f64::INFINITY));
-    let (stats, events, _) = node.finish();
+    let (stats, events) = node.finish();
     assert_eq!((stats.completed, events.len()), (JOBS, 3 * JOBS));
     assert_eq!(
         n,

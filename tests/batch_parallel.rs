@@ -224,11 +224,7 @@ fn worker_count_does_not_change_eval_throughput() {
         let (trained, _) = train(&suite, cfg.clone());
         let mut gen = QueueGenerator::new(77);
         let queue = gen.category_queue(&suite, "det", cfg.w, MixCategory::Balanced, false);
-        let decision = trained.greedy_decision(
-            &suite,
-            &queue,
-            &hrp::gpusim::engine::EngineConfig::default(),
-        );
+        let decision = trained.greedy_decision(&suite, &queue);
         let m = evaluate_decision("det", &suite, &queue, &decision);
         throughputs.push(m.throughput);
     }

@@ -33,10 +33,9 @@ fn assert_identical_greedy_decisions(kind: EnvKind) {
     let reloaded = TrainedAgent::load_bytes(trained.save_bytes(), &suite).unwrap();
     assert_eq!(reloaded.config(), trained.config(), "spec round-trips");
 
-    let engine = hrp::gpusim::EngineConfig::default();
     for queue in evaluation_queues(&suite) {
-        let original = trained.greedy_decision(&suite, &queue, &engine);
-        let restored = reloaded.greedy_decision(&suite, &queue, &engine);
+        let original = trained.greedy_decision(&suite, &queue);
+        let restored = reloaded.greedy_decision(&suite, &queue);
         assert_eq!(
             original, restored,
             "{:?} agent diverged after reload on {}",
@@ -69,11 +68,10 @@ fn checkpoint_survives_the_filesystem() {
     let reloaded = TrainedAgent::load_file(&path, &suite).unwrap();
     std::fs::remove_file(&path).ok();
 
-    let engine = hrp::gpusim::EngineConfig::default();
     let queue = evaluation_queues(&suite).remove(0);
     assert_eq!(
-        trained.greedy_decision(&suite, &queue, &engine),
-        reloaded.greedy_decision(&suite, &queue, &engine),
+        trained.greedy_decision(&suite, &queue),
+        reloaded.greedy_decision(&suite, &queue),
     );
 }
 

@@ -10,8 +10,10 @@
 //!   an `HRPS` blob, restored and drained;
 //! * the batch `MultiNodeSim`, over the admitted trace when the
 //!   admission tier is on and the offered one otherwise;
-//! * the batch fair-order oracle when the admission tier only reorders;
-//! * the single-node `ClusterSim` when the cluster has one node.
+//! * the batch fair-order oracle when the admission tier only reorders.
+//!
+//! A one-node case needs no further run: a one-node `MultiNodeSim` is
+//! the single-node simulator.
 //!
 //! Every run must show the same events, per-node rows and aggregate,
 //! and the served runs the same `ServeStats`, admission digest and
@@ -25,8 +27,8 @@ use hrp::cluster::fair::{job_cost, user_fairness};
 use hrp::cluster::sim::EventKind;
 use hrp::cluster::trace::{generate, TraceKind, TRACE_KINDS};
 use hrp::cluster::{
-    ClusterJob, ClusterReport, ClusterSim, ClusterTimeline, FairShare, MultiNodeReport,
-    MultiNodeSim, NodeSummary, SelectorKind, TraceConfig,
+    ClusterJob, ClusterReport, ClusterTimeline, FairShare, MultiNodeReport, MultiNodeSim,
+    NodeSummary, SelectorKind, TraceConfig,
 };
 use hrp::prelude::*;
 use hrp::serve::{
@@ -167,8 +169,7 @@ pub struct Run {
     pub how: String,
     pub timeline: ClusterTimeline,
     pub aggregate: ClusterReport,
-    /// `None` for `ClusterSim`, which reports no rows.
-    pub per_node: Option<Vec<NodeSummary>>,
+    pub per_node: Vec<NodeSummary>,
     pub served: Option<Served>,
 }
 
@@ -179,7 +180,7 @@ impl Run {
             how,
             timeline: report.timeline,
             aggregate: report.aggregate,
-            per_node: Some(report.per_node),
+            per_node: report.per_node,
             served: None,
         }
     }
@@ -299,21 +300,6 @@ pub fn run(suite: &Suite, case: &Case) -> Outcome {
         });
         runs.push(Run::batch(label.into(), report));
     }
-    if case.nodes == 1 {
-        let mut dispatcher = dispatcher_for(case.selector, GPUS, case.walltime_err);
-        let sim = ClusterSim::new(GPUS);
-        let (aggregate, events) = sim.run_traced(suite, admitted.clone(), &mut dispatcher);
-        let timeline = ClusterTimeline { events };
-        let how = "ClusterSim".into();
-        runs.push(Run {
-            how,
-            timeline,
-            aggregate,
-            per_node: None,
-            served: None,
-        });
-    }
-
     let first = &runs[0];
     for run in &runs {
         let ctx = format!("{} (vs {}): {case:?}", run.how, first.how);
@@ -322,9 +308,7 @@ pub fn run(suite: &Suite, case: &Case) -> Outcome {
         assert_eq!(run.aggregate, first.aggregate, "{ctx}");
         let bits = |r: &ClusterReport| [r.makespan, r.avg_wait, r.utilization].map(f64::to_bits);
         assert_eq!(bits(&run.aggregate), bits(&first.aggregate), "{ctx}");
-        if let (Some(rows), Some(first_rows)) = (&run.per_node, &first.per_node) {
-            assert_eq!(rows, first_rows, "{ctx}");
-        }
+        assert_eq!(run.per_node, first.per_node, "{ctx}");
         if let (Some(served), Some(first_served)) = (&run.served, &first.served) {
             assert_eq!(served, first_served, "{ctx}");
             cycle_accounting(served, case.nodes, admitted.len(), &ctx);
@@ -518,15 +502,14 @@ pub fn conservation(run: &Run, admitted: usize, ctx: &str) {
     if let Some((id, counts)) = seen.iter().find(|(_, counts)| **counts != [1, 1, 1]) {
         panic!("job {id} arrives, starts and finishes {counts:?} times, {ctx}");
     }
-    if let Some(rows) = &run.per_node {
-        assert_eq!(
-            rows.iter().map(|n| n.jobs).sum::<usize>(),
-            admitted,
-            "{ctx}"
-        );
-        let placements = rows.iter().map(|n| n.placements).sum::<usize>();
-        assert_eq!(placements, run.aggregate.placements, "{ctx}");
-    }
+    let rows = &run.per_node;
+    assert_eq!(
+        rows.iter().map(|n| n.jobs).sum::<usize>(),
+        admitted,
+        "{ctx}"
+    );
+    let placements = rows.iter().map(|n| n.placements).sum::<usize>();
+    assert_eq!(placements, run.aggregate.placements, "{ctx}");
 }
 
 /// No job starts before it arrives: estimate error perturbs planning,
@@ -659,12 +642,7 @@ fn measure(suite: &Suite, outcome: &Outcome, run: &Run, key: &str) -> Option<Str
         "utilization" => bits(run.aggregate.utilization),
         "placements" => run.aggregate.placements.to_string(),
         "node_jobs" => {
-            let jobs: Vec<String> = run
-                .per_node
-                .as_ref()?
-                .iter()
-                .map(|n| n.jobs.to_string())
-                .collect();
+            let jobs: Vec<String> = run.per_node.iter().map(|n| n.jobs.to_string()).collect();
             jobs.join(",")
         }
         "jain" => bits(outcome.jain(suite, run)),

@@ -1,7 +1,7 @@
 //! The `cluster/*` rows of the oracle's pin table
 //! (`tests/common/pins.rs`): the multi-node engine's schedules, each
-//! held in batch and served, plus the one-node case that must be the
-//! single-node simulator's.
+//! held in batch and served, plus the one-node case behind
+//! `repro --nodes 1`.
 
 mod common;
 use common::harness::{self, Case};
@@ -32,8 +32,8 @@ fn large_skewed_trace_matches_the_golden_pin_in_both_engines() {
 }
 
 /// The acceptance case behind `repro --nodes 1`: at one node the
-/// staggered schedule is the single-node simulator's, event for event
-/// and bit for bit.
+/// staggered schedule is the same, event for event and bit for bit,
+/// served, killed and restored, and in batch.
 #[test]
 fn one_node_round_robin_reproduces_the_single_node_schedule() {
     let one_node = Case {
@@ -41,5 +41,6 @@ fn one_node_round_robin_reproduces_the_single_node_schedule() {
         ..pins::case("cluster/staggered/round-robin")
     };
     let outcome = harness::run(&suite(), &one_node);
-    assert!(outcome.runs.iter().any(|run| run.how == "ClusterSim"));
+    assert!(outcome.runs.iter().any(|run| run.how == "batch"));
+    assert!(outcome.runs.iter().any(|run| run.how.ends_with("restored")));
 }

@@ -1,8 +1,7 @@
 //! The multi-node engine's determinism contract, as slices of the
 //! oracle's drawn cases (`tests/common/harness.rs`): hand-shaped batch
 //! traces whose merged timeline is the same under every selector's
-//! batch run, whose jobs are conserved, and which at one node are the
-//! single-node simulator's schedule.
+//! batch run, whose jobs are conserved, and which hold at one node too.
 
 mod common;
 use common::harness::{Draw, Origin};
@@ -35,7 +34,7 @@ proptest! {
     ) {
         let selector = placement(least_loaded);
         let outcome = Draw { origin: Origin::Shape, nodes: 1, selector, ..draw }.run();
-        prop_assert!(outcome.runs.iter().any(|run| run.how == "ClusterSim"));
+        prop_assert!(outcome.runs.iter().all(|run| run.per_node.len() == 1));
     }
 
     #[test]

@@ -197,6 +197,17 @@ fn the_deleted_second_copies_stay_deleted() {
         ("matmul_dw", "_accumulate"),
         ("adam", "_step("),
         ("weights", "_only("),
+        // One cluster driver: a one-node `MultiNodeSim` is the
+        // single-node simulator, so no second driver or its `dyn` shim.
+        ("Cluster", "Sim"),
+        ("Dyn", "Dispatcher"),
+        // One door into the co-run engine, and it panics: no fallible
+        // twin and no error type only it returned.
+        ("try_simulate", "_corun"),
+        ("Sim", "Error"),
+        // No ReLU layer type or masks: the backward reads which lanes
+        // passed from the kept activations.
+        ("Re", "lu"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));

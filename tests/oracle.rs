@@ -1,6 +1,6 @@
 //! The scheduler stack's oracle: every case runs every way it can be
-//! run — served, killed and restored, batch, the fair-order batch, the
-//! single-node simulator — and all of the runs must agree (see
+//! run — served, killed and restored, batch, the fair-order batch —
+//! and all of the runs must agree (see
 //! `tests/common/harness.rs`).
 //!
 //! * The pin table (`tests/common/pins.rs`) fixes what chosen cases
@@ -22,8 +22,10 @@ use common::harness::{self, shape_strategy, Case, Cut, Draw, Source, GPUS};
 use common::pins;
 
 use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
-use hrp::cluster::sim::{ClusterSim, EventKind};
+use hrp::cluster::select::RoundRobin;
+use hrp::cluster::sim::EventKind;
 use hrp::cluster::trace::{TraceConfig, TraceKind};
+use hrp::cluster::MultiNodeSim;
 use hrp::cluster::SelectorKind;
 use hrp::prelude::*;
 use hrp::serve::{AdmissionConfig, ServiceStep};
@@ -71,10 +73,11 @@ proptest! {
         let s = suite();
         let jobs = Source::Shape(shape).jobs(&s);
         let starts = |policy: BackfillPolicy| -> Vec<f64> {
-            let mut planner = BackfillPlanner::new(policy, GPUS);
-            let (_, events) = ClusterSim::new(GPUS).run_traced(&s, jobs.clone(), &mut planner);
+            let report = MultiNodeSim::new(1, GPUS).run(&s, jobs.clone(), &mut RoundRobin::new(), |_| {
+                BackfillPlanner::new(policy, GPUS)
+            });
             let mut starts = vec![f64::NAN; jobs.len()];
-            for e in events.iter() {
+            for e in report.timeline.events.iter() {
                 if let EventKind::Start { job_ids, .. } = e.kind {
                     for &id in job_ids {
                         starts[id] = e.time;
