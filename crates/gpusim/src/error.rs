@@ -74,6 +74,8 @@ pub enum ParseError {
     /// A compute fraction does not correspond to a whole number of GPC
     /// slices (MIG fractions must be k/8).
     NonSliceFraction(f64),
+    /// A compute fraction above 1: more than the whole GPU.
+    FractionAboveWhole(f64),
     /// Input ended before the expression was complete.
     TruncatedInput,
     /// The parsed structure failed semantic validation.
@@ -95,6 +97,7 @@ impl fmt::Display for ParseError {
             Self::NonSliceFraction(x) => {
                 write!(f, "fraction {x} is not a whole number of GPC slices (k/8)")
             }
+            Self::FractionAboveWhole(x) => write!(f, "fraction {x} is more than the whole GPU"),
             Self::TruncatedInput => write!(f, "input ended mid-expression"),
             Self::Invalid(e) => write!(f, "parsed partition invalid: {e}"),
         }

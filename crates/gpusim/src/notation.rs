@@ -302,8 +302,11 @@ impl<'a> Parser<'a> {
 /// A CI fraction `k / 8` as `k` slices, `1 ≤ k ≤ 8`. A fraction above
 /// 1 is refused before the cast, which would saturate it.
 fn frac_to_slices(frac: f64) -> Result<u32, ParseError> {
+    if frac > 1.0 {
+        return Err(ParseError::FractionAboveWhole(frac));
+    }
     let slices = frac * 8.0;
-    if (slices - slices.round()).abs() > 1e-6 || slices < 0.5 || frac > 1.0 {
+    if (slices - slices.round()).abs() > 1e-6 || slices < 0.5 {
         return Err(ParseError::NonSliceFraction(frac));
     }
     Ok(slices.round() as u32)
@@ -423,11 +426,16 @@ mod tests {
         // and the two would overflow the GI's slice sum.
         assert_eq!(
             parse_scheme("[{99999999999}+{99999999999},1m]"),
-            Err(ParseError::NonSliceFraction(99_999_999_999.0))
+            Err(ParseError::FractionAboveWhole(99_999_999_999.0))
         );
+        // Nine slices: a whole number, but more than the GPU has.
         assert_eq!(
             parse_scheme("[{1.125},1m]"),
-            Err(ParseError::NonSliceFraction(1.125))
+            Err(ParseError::FractionAboveWhole(1.125))
+        );
+        assert_eq!(
+            ParseError::FractionAboveWhole(1.125).to_string(),
+            "fraction 1.125 is more than the whole GPU"
         );
     }
 

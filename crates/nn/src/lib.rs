@@ -18,8 +18,9 @@
 //! * [`opt`] — Adam (Kingma & Ba) over the flattened parameter vector,
 //!   one step per learning step that updates each block of parameters
 //!   as the backward pass hands over its gradient;
-//! * [`replay`] — a ring replay buffer with action masking support and
-//!   contiguous-minibatch sampling ([`replay::MiniBatch`]);
+//! * [`replay`] — a ring replay buffer with action masking support,
+//!   contiguous-minibatch sampling ([`replay::MiniBatch`]) and the
+//!   learner's target Q-row cached beside each state;
 //! * [`schedule`] — the exploration schedule: linear ε decay from 1.0
 //!   to a configured floor (the paper quotes 0.01; training exposes it
 //!   as `TrainConfig::eps_end`), then ε = 0 online;

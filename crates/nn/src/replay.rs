@@ -9,9 +9,14 @@
 //! next step's state, so consecutive transitions share that row, and
 //! the rows live in chunks rather than one heap block per state (see
 //! [`ReplayBuffer`]). [`ReplayBuffer::sample_into`] fills a
-//! pre-allocated [`MiniBatch`] — contiguous `B × state_dim`
-//! state/next-state matrices ready for the batched network kernels,
-//! with no per-step allocation.
+//! pre-allocated [`MiniBatch`] — a contiguous `B × state_dim` state
+//! matrix ready for the batched network kernels and each successor's
+//! row number — with no per-step allocation.
+//!
+//! Beside each state the ring keeps the learner's target Q-row for it
+//! and the target epoch that computed it, so a successor state is run
+//! through the target network once per target sync, not once per
+//! sample ([`crate::dqn`]).
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -35,16 +40,16 @@ pub struct Transition {
     pub next_mask: u64,
 }
 
-/// A sampled minibatch in contiguous batched layout: `states` and
-/// `next_states` are `len × state_dim` row-major matrices, the scalar
-/// fields are one entry per sample. All buffers are reused across
+/// A sampled minibatch in contiguous batched layout: `states` is a
+/// `len × state_dim` row-major matrix, the other fields are one entry
+/// per sample. All buffers are reused across
 /// [`ReplayBuffer::sample_into`] calls.
 #[derive(Debug, Clone, Default)]
 pub struct MiniBatch {
     /// Sampled states, `len × state_dim`.
     pub states: Vec<f32>,
-    /// Sampled successor states, `len × state_dim`.
-    pub next_states: Vec<f32>,
+    /// The ring row that holds each sample's successor state.
+    pub next_rows: Vec<usize>,
     /// Action taken per sample.
     pub actions: Vec<usize>,
     /// Reward per sample.
@@ -82,6 +87,16 @@ struct Slot {
     next_mask: u64,
 }
 
+/// [`CHUNK_ROWS`] rows of [`Rows`]: each row's state, and beside it
+/// the target Q-row cached for that state with the target epoch that
+/// computed it (`0`: none).
+#[derive(Debug)]
+struct Chunk {
+    states: Box<[f32]>,
+    targets: Box<[f32]>,
+    epochs: Box<[u64]>,
+}
+
 /// The states the live transitions refer to, one row each, numbered in
 /// push order from 0 and laid out in chunks of [`CHUNK_ROWS`] rows.
 /// Rows are appended at the back and released from the front a whole
@@ -91,19 +106,29 @@ struct Slot {
 struct Rows {
     /// Row width, fixed by the first push.
     dim: usize,
+    /// Width of a cached target Q-row.
+    q_width: usize,
     /// `chunks[k]` holds rows `(first_chunk + k) * CHUNK_ROWS ..`.
-    chunks: VecDeque<Box<[f32]>>,
+    chunks: VecDeque<Chunk>,
     first_chunk: usize,
     /// Released chunks, waiting to be refilled.
-    spare: Vec<Box<[f32]>>,
+    spare: Vec<Chunk>,
     /// Number of the next row appended.
     next: usize,
 }
 
 impl Rows {
+    /// Row `id`'s chunk and its place in it.
+    fn locate(&self, id: usize) -> (&Chunk, usize) {
+        (
+            &self.chunks[id / CHUNK_ROWS - self.first_chunk],
+            id % CHUNK_ROWS,
+        )
+    }
+
     fn row(&self, id: usize) -> &[f32] {
-        let at = id % CHUNK_ROWS * self.dim;
-        &self.chunks[id / CHUNK_ROWS - self.first_chunk][at..at + self.dim]
+        let (chunk, at) = self.locate(id);
+        &chunk.states[at * self.dim..(at + 1) * self.dim]
     }
 
     /// The newest row, if any.
@@ -111,20 +136,25 @@ impl Rows {
         self.next.checked_sub(1).map(|id| self.row(id))
     }
 
-    /// Append `state` as the next row; returns its number.
+    /// Append `state` as the next row, with no target Q-row cached;
+    /// returns its number.
     fn append(&mut self, state: &[f32]) -> usize {
         let id = self.next;
         if id.is_multiple_of(CHUNK_ROWS) {
-            let dim = self.dim;
-            let chunk = self
-                .spare
-                .pop()
-                .unwrap_or_else(|| vec![0.0; CHUNK_ROWS * dim].into_boxed_slice());
+            let (dim, q_width) = (self.dim, self.q_width);
+            let chunk = self.spare.pop().unwrap_or_else(|| Chunk {
+                states: vec![0.0; CHUNK_ROWS * dim].into_boxed_slice(),
+                targets: vec![0.0; CHUNK_ROWS * q_width].into_boxed_slice(),
+                epochs: vec![0; CHUNK_ROWS].into_boxed_slice(),
+            });
             self.chunks.push_back(chunk);
         }
-        let at = id % CHUNK_ROWS * self.dim;
+        let at = id % CHUNK_ROWS;
         let chunk = self.chunks.back_mut().expect("row's chunk just ensured");
-        chunk[at..at + self.dim].copy_from_slice(state);
+        chunk.states[at * self.dim..(at + 1) * self.dim].copy_from_slice(state);
+        // A refilled chunk still holds its last rows' stamps, and one of
+        // them may equal the current epoch.
+        chunk.epochs[at] = 0;
         self.next += 1;
         id
     }
@@ -170,17 +200,21 @@ pub struct ReplayBuffer {
 }
 
 impl ReplayBuffer {
-    /// New buffer holding at most `capacity` transitions. Allocates
+    /// New buffer holding at most `capacity` transitions, with room for
+    /// a target Q-row of `q_width` values beside each state. Allocates
     /// nothing until the first push.
     ///
     /// # Panics
     /// Panics if `capacity` is 0.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, q_width: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         Self {
             slots: Vec::new(),
-            rows: Rows::default(),
+            rows: Rows {
+                q_width,
+                ..Rows::default()
+            },
             capacity,
             head: 0,
         }
@@ -246,7 +280,8 @@ impl ReplayBuffer {
     }
 
     /// Sample `n` transitions uniformly with replacement into `batch`'s
-    /// pre-allocated contiguous matrices.
+    /// pre-allocated buffers. A successor state is not copied: `batch`
+    /// names its row, which stays live until the next push.
     ///
     /// # Panics
     /// Panics if the buffer is empty.
@@ -256,7 +291,7 @@ impl ReplayBuffer {
         batch.len = n;
         batch.state_dim = dim;
         batch.states.resize(n * dim, 0.0);
-        batch.next_states.resize(n * dim, 0.0);
+        batch.next_rows.resize(n, 0);
         batch.actions.resize(n, 0);
         batch.rewards.resize(n, 0.0);
         batch.dones.resize(n, false);
@@ -264,12 +299,34 @@ impl ReplayBuffer {
         for i in 0..n {
             let t = &self.slots[rng.gen_range(0..self.slots.len())];
             batch.states[i * dim..(i + 1) * dim].copy_from_slice(self.rows.row(t.row));
-            batch.next_states[i * dim..(i + 1) * dim].copy_from_slice(self.rows.row(t.row + 1));
+            batch.next_rows[i] = t.row + 1;
             batch.actions[i] = t.action;
             batch.rewards[i] = t.reward;
             batch.dones[i] = t.done;
             batch.next_masks[i] = t.next_mask;
         }
+    }
+
+    /// The state in live row `row`.
+    pub(crate) fn state(&self, row: usize) -> &[f32] {
+        self.rows.row(row)
+    }
+
+    /// The target Q-row cached for live row `row`, if target epoch
+    /// `epoch` computed it.
+    pub(crate) fn cached_target(&self, row: usize, epoch: u64) -> Option<&[f32]> {
+        let (chunk, at) = self.rows.locate(row);
+        let w = self.rows.q_width;
+        (chunk.epochs[at] == epoch).then(|| &chunk.targets[at * w..(at + 1) * w])
+    }
+
+    /// Cache `q`, target epoch `epoch`'s Q-row for live row `row`.
+    pub(crate) fn cache_target(&mut self, row: usize, epoch: u64, q: &[f32]) {
+        let w = self.rows.q_width;
+        let chunk = &mut self.rows.chunks[row / CHUNK_ROWS - self.rows.first_chunk];
+        let at = row % CHUNK_ROWS;
+        chunk.targets[at * w..(at + 1) * w].copy_from_slice(q);
+        chunk.epochs[at] = epoch;
     }
 }
 
@@ -305,12 +362,19 @@ mod tests {
             }
         }
 
-        fn sample_into(&self, n: usize, rng: &mut SmallRng, batch: &mut MiniBatch) {
+        /// A minibatch, and its successor states as a `n × dim` matrix.
+        fn sample_into(
+            &self,
+            n: usize,
+            rng: &mut SmallRng,
+            batch: &mut MiniBatch,
+            next_states: &mut Vec<f32>,
+        ) {
             let dim = self.storage[0].state.len();
             batch.len = n;
             batch.state_dim = dim;
             batch.states.clear();
-            batch.next_states.clear();
+            next_states.clear();
             batch.actions.clear();
             batch.rewards.clear();
             batch.dones.clear();
@@ -318,7 +382,7 @@ mod tests {
             for _ in 0..n {
                 let t = &self.storage[rng.gen_range(0..self.storage.len())];
                 batch.states.extend_from_slice(&t.state);
-                batch.next_states.extend_from_slice(&t.next_state);
+                next_states.extend_from_slice(&t.next_state);
                 batch.actions.push(t.action);
                 batch.rewards.push(t.reward);
                 batch.dones.push(t.done);
@@ -397,7 +461,7 @@ mod tests {
 
     #[test]
     fn push_and_len() {
-        let mut buf = ReplayBuffer::new(3);
+        let mut buf = ReplayBuffer::new(3, 0);
         assert!(buf.is_empty());
         buf.push(t(1.0));
         buf.push(t(2.0));
@@ -406,7 +470,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest() {
-        let mut buf = ReplayBuffer::new(3);
+        let mut buf = ReplayBuffer::new(3, 0);
         for i in 0..5 {
             buf.push(t(i as f32));
         }
@@ -422,13 +486,13 @@ mod tests {
         }
         for i in 0..mb.len {
             assert_eq!(mb.states[i], mb.rewards[i]);
-            assert_eq!(mb.next_states[i], mb.rewards[i] + 1.0);
+            assert_eq!(buf.state(mb.next_rows[i]), [mb.rewards[i] + 1.0]);
         }
     }
 
     #[test]
     fn sampling_is_uniformish() {
-        let mut buf = ReplayBuffer::new(10);
+        let mut buf = ReplayBuffer::new(10, 0);
         for i in 0..10 {
             buf.push(t(i as f32));
         }
@@ -449,22 +513,28 @@ mod tests {
         // Capacities below, at and well above a chunk, with enough
         // pushes to wrap each ring many times.
         for (capacity, dim, pushes) in [(1, 3, 40), (7, 1, 600), (50, 5, 1_500), (300, 2, 2_500)] {
-            let mut ring = ReplayBuffer::new(capacity);
+            let mut ring = ReplayBuffer::new(capacity, 0);
             let mut naive = NaiveRing::new(capacity);
             let mut rng_ring = SmallRng::seed_from_u64(capacity as u64);
             let mut rng_naive = rng_ring.clone();
             let (mut got, mut want) = (MiniBatch::new(), MiniBatch::new());
+            let mut want_next = Vec::new();
             for (k, tr) in rollout_pushes(dim, pushes, 17).into_iter().enumerate() {
                 naive.push(tr.clone());
                 ring.push(tr);
                 assert_eq!(ring.len(), naive.storage.len());
                 let n = 1 + k % 9;
                 ring.sample_into(n, &mut rng_ring, &mut got);
-                naive.sample_into(n, &mut rng_naive, &mut want);
+                naive.sample_into(n, &mut rng_naive, &mut want, &mut want_next);
+                let got_next: Vec<f32> = got
+                    .next_rows
+                    .iter()
+                    .flat_map(|&row| ring.state(row).iter().copied())
+                    .collect();
                 let at = format!("capacity {capacity}, push {k}");
                 assert_eq!((got.len, got.state_dim), (want.len, want.state_dim), "{at}");
                 assert_eq!(bits(&got.states), bits(&want.states), "{at}");
-                assert_eq!(bits(&got.next_states), bits(&want.next_states), "{at}");
+                assert_eq!(bits(&got_next), bits(&want_next), "{at}");
                 assert_eq!(got.actions, want.actions, "{at}");
                 assert_eq!(bits(&got.rewards), bits(&want.rewards), "{at}");
                 assert_eq!(got.dones, want.dones, "{at}");
@@ -475,7 +545,7 @@ mod tests {
 
     #[test]
     fn a_chained_state_is_stored_once() {
-        let mut buf = ReplayBuffer::new(16);
+        let mut buf = ReplayBuffer::new(16, 0);
         let s = |x: f32| vec![x, 0.0];
         for x in 0..5 {
             let x = x as f32;
@@ -497,7 +567,7 @@ mod tests {
 
     #[test]
     fn a_full_ring_releases_the_rows_it_no_longer_needs() {
-        let mut buf = ReplayBuffer::new(10);
+        let mut buf = ReplayBuffer::new(10, 0);
         for tr in rollout_pushes(4, 20 * CHUNK_ROWS, 3) {
             buf.push(tr);
         }
@@ -509,9 +579,29 @@ mod tests {
     }
 
     #[test]
+    fn a_refilled_chunk_serves_no_target_row_of_its_old_rows() {
+        // Two-row transitions into a ring of ten, so a chunk is released
+        // and refilled every 64 pushes.
+        let mut buf = ReplayBuffer::new(10, 3);
+        let pushes = rollout_pushes(2, 20 * CHUNK_ROWS, 5);
+        let epoch = 7;
+        for (k, tr) in pushes.into_iter().enumerate() {
+            buf.push(tr);
+            let newest = buf.rows.next - 1;
+            // Rows appended since the last cache carry no target row.
+            assert_eq!(buf.cached_target(newest, epoch), None, "push {k}");
+            let q = [k as f32, 1.0, -1.0];
+            buf.cache_target(newest, epoch, &q);
+            assert_eq!(buf.cached_target(newest, epoch), Some(&q[..]));
+            assert_eq!(buf.cached_target(newest, epoch + 1), None);
+        }
+        assert!(buf.rows.spare.len() + buf.rows.chunks.len() <= 2);
+    }
+
+    #[test]
     #[should_panic(expected = "state has width 3, the ring's states have width 2")]
     fn a_state_of_the_wrong_width_is_refused_at_push() {
-        let mut buf = ReplayBuffer::new(4);
+        let mut buf = ReplayBuffer::new(4, 0);
         buf.push(Transition {
             state: vec![0.0; 2],
             next_state: vec![0.0; 2],
@@ -527,7 +617,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "next_state has width 1, the ring's states have width 2")]
     fn a_next_state_of_the_wrong_width_is_refused_at_push() {
-        let mut buf = ReplayBuffer::new(4);
+        let mut buf = ReplayBuffer::new(4, 0);
         buf.push(Transition {
             state: vec![0.0; 2],
             next_state: vec![0.0; 2],
@@ -542,7 +632,7 @@ mod tests {
 
     #[test]
     fn sample_into_reuses_buffers() {
-        let mut buf = ReplayBuffer::new(4);
+        let mut buf = ReplayBuffer::new(4, 0);
         for i in 0..4 {
             buf.push(t(i as f32));
         }
@@ -557,7 +647,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot sample")]
     fn sampling_empty_panics() {
-        let buf = ReplayBuffer::new(4);
+        let buf = ReplayBuffer::new(4, 0);
         let mut rng = SmallRng::seed_from_u64(0);
         buf.sample_into(1, &mut rng, &mut MiniBatch::new());
     }

@@ -501,25 +501,6 @@ pub fn masked_argmax_tiebreak<T: PartialOrd + Copy, R: rand::Rng>(
     best.map(|(i, _)| i)
 }
 
-/// Row-wise masked argmax over a `batch × n` matrix: `out[b]` is the
-/// argmax of row `b` among `masks[b]`'s set bits (ties → lowest index),
-/// or `None` when the row's mask is empty.
-pub fn masked_argmax_batch(
-    values: &[f32],
-    batch: usize,
-    n: usize,
-    masks: &[u64],
-    out: &mut Vec<Option<usize>>,
-) {
-    debug_assert_eq!(values.len(), batch * n);
-    debug_assert_eq!(masks.len(), batch);
-    out.clear();
-    out.extend(
-        (0..batch)
-            .map(|b| masked_argmax(&values[b * n..(b + 1) * n], |a| masks[b] & (1 << a) != 0)),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,17 +634,6 @@ mod tests {
     fn masked_argmax_tie_breaks_low() {
         let v = [2.0, 2.0, 1.0];
         assert_eq!(masked_argmax(&v, |_| true), Some(0));
-    }
-
-    #[test]
-    fn masked_argmax_batch_per_row_masks() {
-        let v = [1.0, 5.0, 3.0, 9.0, 2.0, 0.0];
-        let masks = [0b111u64, 0b110, 0b000];
-        let mut out = Vec::new();
-        masked_argmax_batch(&v[..6], 2, 3, &masks[..2], &mut out);
-        // Row 0: free argmax → 5.0 at index 1. Row 1 masks out index 0
-        // (the 9.0), leaving 2.0 at index 1.
-        assert_eq!(out, vec![Some(1), Some(1)]);
     }
 
     #[test]

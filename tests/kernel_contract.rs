@@ -218,6 +218,80 @@ proptest! {
     }
 }
 
+/// The lanes `DqnAgent::learn` runs a bootstrap block of `rows` rows at.
+fn block_lanes(rows: usize) -> usize {
+    match rows {
+        1 => 1,
+        2..=8 => 8,
+        _ => 16,
+    }
+}
+
+/// A row's Q-values do not depend on which rows share its batch, which
+/// the learning step's bootstrap passes rely on: they gather only the
+/// rows they need from the replay ring and run them in blocks of 16,
+/// a shorter last block padded with copies of its first row. At every
+/// batch width, through ±0.0, subnormals, ±inf and NaN, a gathered
+/// subset of the rows (with repeats) gives those rows' bits of the
+/// full-batch pass — in one pass of its own and in padded blocks.
+#[test]
+fn a_row_gets_the_same_bits_whatever_rows_share_its_batch() {
+    let (dim, n) = (13, 7);
+    for head in [Head::Dueling, Head::Plain] {
+        let net = QNet::new(dim, &[37, 18], n, head, 5);
+        let mut scratch = PredictScratch::default();
+        for width in 1..=40 {
+            let mut gen = Gen(width as u64);
+            let x = gen.values(width * dim, 2, true);
+            let mut full = Vec::new();
+            net.predict_batch_into(&x, width, &mut scratch, &mut full);
+            let want = |row: usize| {
+                full[row * n..(row + 1) * n]
+                    .iter()
+                    .map(|&q| bits(q))
+                    .collect::<Vec<_>>()
+            };
+            // About two rows in three, in a strided order, some twice.
+            let subset: Vec<usize> = (0..width)
+                .flat_map(|row| match gen.next() % 6 {
+                    0 | 1 => vec![],
+                    2 => vec![row, row],
+                    _ => vec![row],
+                })
+                .map(|row| (row * 7 + width) % width)
+                .collect();
+            let gather = |rows: &[usize]| -> Vec<f32> {
+                rows.iter()
+                    .flat_map(|&row| x[row * dim..(row + 1) * dim].iter().copied())
+                    .collect()
+            };
+            let mut got = Vec::new();
+            if !subset.is_empty() {
+                net.predict_batch_into(&gather(&subset), subset.len(), &mut scratch, &mut got);
+                for (k, &row) in subset.iter().enumerate() {
+                    let got: Vec<_> = got[k * n..(k + 1) * n].iter().map(|&q| bits(q)).collect();
+                    assert_eq!(got, want(row), "{head:?}, width {width}, subset row {k}");
+                }
+            }
+            for block in subset.chunks(16) {
+                let lanes = block_lanes(block.len());
+                let padded: Vec<usize> = (0..lanes)
+                    .map(|l| *block.get(l).unwrap_or(&block[0]))
+                    .collect();
+                net.predict_batch_into(&gather(&padded), lanes, &mut scratch, &mut got);
+                for (k, &row) in block.iter().enumerate() {
+                    let got: Vec<_> = got[k * n..(k + 1) * n].iter().map(|&q| bits(q)).collect();
+                    assert_eq!(
+                        got,
+                        want(row),
+                        "{head:?}, width {width}, {lanes}-lane block row {k}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Every way a shape can be ragged against the tiles: each dimension in
 /// turn sweeps 1..=70 (every width below, at and between multiples of
 /// the lane blocks; every leftover row count; every leftover reduction
