@@ -8,7 +8,6 @@
 
 use hrp_core::actions::{mig_mps_space, mps_only_space};
 use hrp_core::problem::{evaluate_group, evaluate_group_best_assignment};
-use hrp_gpusim::engine::EngineConfig;
 use hrp_gpusim::PartitionScheme;
 use hrp_workloads::{JobQueue, Suite};
 
@@ -35,7 +34,6 @@ pub fn fig3_mps_sweep(suite: &Suite) -> Vec<SplitSweep> {
         ("hotspot3D", "lud_A"),
         ("kmeans", "dwt2d"),
     ];
-    let eng = EngineConfig::default();
     mixes
         .iter()
         .map(|(a, b)| {
@@ -46,7 +44,7 @@ pub fn fig3_mps_sweep(suite: &Suite) -> Vec<SplitSweep> {
             for i in 1..=9 {
                 let share = f64::from(i) / 10.0;
                 let scheme = PartitionScheme::mps_only(vec![share, 1.0 - share]);
-                let g = evaluate_group(suite, &queue, &[0, 1], &scheme, &[0, 1], &eng);
+                let g = evaluate_group(suite, &queue, &[0, 1], &scheme, &[0, 1]);
                 let tp = solo / g.corun_time;
                 if tp > best.1 {
                     best = (share, tp);
@@ -86,7 +84,6 @@ pub fn fig4_bandwidth(suite: &Suite) -> Vec<BandwidthComparison> {
     // after its partner leaves (MIG partitions are static), which masks
     // the interference effect this figure isolates.
     let mixes: [(&str, &str); 2] = [("lud_C", "sp_solver_B"), ("lud_B", "sp_solver_A")];
-    let eng = EngineConfig::default();
     let mut out = Vec::new();
     for (a, b) in mixes {
         let queue = JobQueue::from_names("fig4", &[a, b], suite);
@@ -99,7 +96,6 @@ pub fn fig4_bandwidth(suite: &Suite) -> Vec<BandwidthComparison> {
                 &[0, 1],
                 &PartitionScheme::mig_shared_3_4(),
                 &assignment,
-                &eng,
             );
             let private = evaluate_group(
                 suite,
@@ -107,7 +103,6 @@ pub fn fig4_bandwidth(suite: &Suite) -> Vec<BandwidthComparison> {
                 &[0, 1],
                 &PartitionScheme::mig_private_3_4(),
                 &assignment,
-                &eng,
             );
             out.push(BandwidthComparison {
                 mix: format!("{a} + {b}"),
@@ -142,7 +137,6 @@ pub const FIG5_MIX: [&str; 4] = ["bt_solver_A", "sp_solver_B", "qs_Coral_P1", "q
 /// under the best hierarchical MIG+MPS setup.
 #[must_use]
 pub fn fig5_variants(suite: &Suite) -> Vec<VariantComparison> {
-    let eng = EngineConfig::default();
     let queue = JobQueue::from_names("fig5", &FIG5_MIX, suite);
     let solo = queue.total_solo_time(suite);
 
@@ -154,9 +148,9 @@ pub fn fig5_variants(suite: &Suite) -> Vec<VariantComparison> {
         let mut best = (f64::INFINITY, String::new());
         for (p1, p2) in &pairings {
             for s1 in schemes {
-                let g1 = evaluate_group_best_assignment(suite, &queue, p1, s1, &eng);
+                let g1 = evaluate_group_best_assignment(suite, &queue, p1, s1);
                 for s2 in schemes {
-                    let g2 = evaluate_group_best_assignment(suite, &queue, p2, s2, &eng);
+                    let g2 = evaluate_group_best_assignment(suite, &queue, p2, s2);
                     let total = g1.corun_time + g2.corun_time;
                     if total < best.0 {
                         best = (total, format!("{s1} | {s2}"));
@@ -192,7 +186,7 @@ pub fn fig5_variants(suite: &Suite) -> Vec<VariantComparison> {
     // Option 4: full hierarchy, all four at once.
     let mut best = (f64::INFINITY, String::new());
     for scheme in mig_mps_space(4).iter().filter(|s| s.uses_mig()) {
-        let g = evaluate_group_best_assignment(suite, &queue, &[0, 1, 2, 3], scheme, &eng);
+        let g = evaluate_group_best_assignment(suite, &queue, &[0, 1, 2, 3], scheme);
         if g.corun_time < best.0 {
             best = (g.corun_time, scheme.to_string());
         }

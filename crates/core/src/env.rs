@@ -46,7 +46,8 @@ pub struct EnvConfig {
     pub ri_weight: f64,
     /// Weight of the final (throughput) reward in the step reward.
     pub rf_weight: f64,
-    /// Engine overheads used when "running" groups.
+    /// Inert: the co-run engine takes no configuration. Kept only
+    /// because the frozen `benchmark/` names it (ROADMAP item 2f).
     pub engine: EngineConfig,
 }
 
@@ -59,7 +60,7 @@ impl EnvConfig {
             cmax: 4,
             ri_weight: 0.05,
             rf_weight: 0.05,
-            engine: EngineConfig::default(),
+            engine: EngineConfig,
         }
     }
 }
@@ -135,8 +136,7 @@ impl<'a> CoScheduleEnv<'a> {
             .iter()
             .map(|s| s.compile(suite.arch()).expect("catalog schemes compile"))
             .collect();
-        let predictor =
-            CoRunPredictor::new(profiles.iter().copied(), suite.arch(), cfg.engine.clone());
+        let predictor = CoRunPredictor::new(profiles.iter().copied(), suite.arch());
         Self {
             suite,
             queue,
@@ -360,14 +360,7 @@ impl<'a> CoScheduleEnv<'a> {
         let part = &self.compiled[action];
         let (job_ids, assignment, _) = self.bind_jobs(part);
         let scheme = self.catalog.scheme(action);
-        let group = evaluate_group(
-            self.suite,
-            self.queue,
-            &job_ids,
-            scheme,
-            &assignment,
-            &self.cfg.engine,
-        );
+        let group = evaluate_group(self.suite, self.queue, &job_ids, scheme, &assignment);
         let rf = if group.concurrency() > 1 {
             final_reward(group.solo_time, group.corun_time)
         } else {
@@ -390,14 +383,7 @@ impl<'a> CoScheduleEnv<'a> {
         let part = &self.compiled[action];
         let (job_ids, assignment, ri_sum) = self.bind_jobs(part);
         let scheme = self.catalog.scheme(action);
-        let group = evaluate_group(
-            self.suite,
-            self.queue,
-            &job_ids,
-            scheme,
-            &assignment,
-            &self.cfg.engine,
-        );
+        let group = evaluate_group(self.suite, self.queue, &job_ids, scheme, &assignment);
         let rf = if group.concurrency() > 1 {
             final_reward(group.solo_time, group.corun_time)
         } else {

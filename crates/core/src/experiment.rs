@@ -33,9 +33,10 @@
 //! An `HRPE` blob on the shared checkpoint codec
 //! ([`hrp_nn::serialize`], re-exported as [`crate::codec`]): the
 //! container header, a `key=value` spec with one line per
-//! [`TrainConfig`] field (floats printed shortest-round-trip, so
-//! decoding is exact), then the `HRPQ` weight blob of the online
-//! network. ARCHITECTURE.md tabulates all four formats.
+//! [`TrainConfig`] field a run can vary (floats printed
+//! shortest-round-trip, so decoding is exact; the inert `engine`,
+//! `overlap` and `shards` have no line), then the `HRPQ` weight blob of
+//! the online network. ARCHITECTURE.md tabulates all four formats.
 //!
 //! ## Save → load quickstart
 //!
@@ -74,15 +75,15 @@ pub use crate::codec::CheckpointError;
 use crate::codec::{load_agent, save_weights, Reader, Spec, SpecWriter, Writer};
 use crate::rl::EnvKind;
 use crate::train::{dqn_config, env_geometry, TrainConfig, TrainedAgent};
-use hrp_gpusim::engine::EngineConfig;
 use hrp_profile::{FeatureScaler, ProfileRepository, Profiler};
 use hrp_workloads::Suite;
+use std::ops::Bound::Excluded;
 use std::path::Path;
 
 /// Magic prefix for experiment checkpoints.
 const MAGIC: &str = "HRPE";
 /// Checkpoint format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Largest window a checkpoint may claim (the paper's `W` is 12): it
 /// sizes the state vector, so it must be bounded before the geometry
@@ -166,27 +167,23 @@ fn encode_spec(cfg: &TrainConfig) -> SpecWriter {
     s.float("profile_noise", cfg.profile_noise);
     s.float("ri_weight", cfg.ri_weight);
     s.float("rf_weight", cfg.rf_weight);
-    s.float(
-        "engine.mig_reconfig_overhead",
-        cfg.engine.mig_reconfig_overhead,
-    );
-    s.float("engine.mps_setup_overhead", cfg.engine.mps_setup_overhead);
-    s.float("engine.max_sim_time", cfg.engine.max_sim_time);
     s.float("eps_end", cfg.eps_end);
     s.kv("n_workers", cfg.n_workers);
     s.kv("rollout_round", cfg.rollout_round);
-    s.kv("overlap", cfg.overlap);
-    s.kv("shards", cfg.shards);
     s.kv("env", cfg.env.name());
     s
 }
 
-/// Decode the spec: every [`TrainConfig`] field exactly once, in any
+/// Decode the spec: every [`TrainConfig`] key exactly once, in any
 /// order. The network-shaping values (`hidden`, `buffer_capacity`)
-/// are range-checked by [`load_agent`] against the weights; `overlap`
-/// and `shards` must hold the one value [`crate::train::train`] accepts,
-/// and `batch_size` and `target_sync_every` must be at least 1, as
-/// `DqnAgent::new` requires.
+/// are range-checked by [`load_agent`] against the weights;
+/// `batch_size` and `target_sync_every` must be at least 1, as
+/// `DqnAgent::new` requires; the discount, the final ε and the
+/// relative profile noise lie in [0, 1] (past 1 a noise factor
+/// `1 + level·u` can go negative, and is clamped rather than measured),
+/// the learning rate is positive and the reward weights non-negative,
+/// all finite. The inert fields (`engine`, `overlap`, `shards`) have no
+/// key: each takes the one value [`crate::train::train`] accepts.
 fn decode_spec(mut spec: Spec<'_>) -> Result<TrainConfig, CheckpointError> {
     let cfg = TrainConfig {
         w: spec.get_in("w", 1..=MAX_WINDOW)?,
@@ -195,27 +192,22 @@ fn decode_spec(mut spec: Spec<'_>) -> Result<TrainConfig, CheckpointError> {
         n_queues: spec.get("n_queues")?,
         seed: spec.get("seed")?,
         hidden: spec.get_list("hidden")?,
-        gamma: spec.get("gamma")?,
-        lr: spec.get("lr")?,
+        gamma: spec.get_in("gamma", 0.0..=1.0)?,
+        lr: spec.get_in("lr", (Excluded(0.0), Excluded(f32::INFINITY)))?,
         batch_size: spec.get_in("batch_size", 1..)?,
         target_sync_every: spec.get_in("target_sync_every", 1..)?,
         buffer_capacity: spec.get("buffer_capacity")?,
         double: spec.get("double")?,
         dueling: spec.get("dueling")?,
-        profile_noise: spec.get("profile_noise")?,
-        ri_weight: spec.get("ri_weight")?,
-        rf_weight: spec.get("rf_weight")?,
-        engine: EngineConfig {
-            mig_reconfig_overhead: spec.get("engine.mig_reconfig_overhead")?,
-            mps_setup_overhead: spec.get("engine.mps_setup_overhead")?,
-            max_sim_time: spec.get("engine.max_sim_time")?,
-        },
-        eps_end: spec.get("eps_end")?,
+        profile_noise: spec.get_in("profile_noise", 0.0..=1.0)?,
+        ri_weight: spec.get_in("ri_weight", 0.0..f64::INFINITY)?,
+        rf_weight: spec.get_in("rf_weight", 0.0..f64::INFINITY)?,
+        engine: Default::default(),
+        eps_end: spec.get_in("eps_end", 0.0..=1.0)?,
         n_workers: spec.get("n_workers")?,
         rollout_round: spec.get("rollout_round")?,
-        // Retired knobs: still written, and only their one value read.
-        overlap: spec.get_in("overlap", false..=false)?,
-        shards: spec.get_in("shards", 1..=1)?,
+        overlap: false,
+        shards: 1,
         env: spec.get_with("env", EnvKind::parse)?,
     };
     spec.finish()?;
@@ -237,7 +229,6 @@ mod tests {
         cfg.env = EnvKind::Hierarchical;
         cfg.lr = 3.3e-4;
         cfg.profile_noise = 0.123_456_789;
-        cfg.engine.mig_reconfig_overhead = 2.5;
         cfg.hidden = vec![96, 48, 24];
         let decoded = decode_text(encode_spec(&cfg).as_str()).unwrap();
         assert_eq!(decoded, cfg);

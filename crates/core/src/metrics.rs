@@ -73,7 +73,6 @@ pub fn arithmetic_mean(metrics: &[QueueMetrics], f: impl Fn(&QueueMetrics) -> f6
 mod tests {
     use super::*;
     use crate::problem::evaluate_group;
-    use hrp_gpusim::engine::EngineConfig;
     use hrp_gpusim::{GpuArch, PartitionScheme};
 
     fn fixture() -> (Suite, JobQueue) {
@@ -87,19 +86,9 @@ mod tests {
     #[test]
     fn time_sharing_metrics_are_unity() {
         let (suite, queue) = fixture();
-        let eng = EngineConfig::default();
         let decision = ScheduleDecision {
             groups: (0..3)
-                .map(|j| {
-                    evaluate_group(
-                        &suite,
-                        &queue,
-                        &[j],
-                        &PartitionScheme::exclusive(),
-                        &[0],
-                        &eng,
-                    )
-                })
+                .map(|j| evaluate_group(&suite, &queue, &[j], &PartitionScheme::exclusive(), &[0]))
                 .collect(),
         };
         let m = evaluate_decision("TS", &suite, &queue, &decision);
@@ -111,7 +100,6 @@ mod tests {
     #[test]
     fn co_running_raises_throughput_and_slowdown() {
         let (suite, queue) = fixture();
-        let eng = EngineConfig::default();
         // Co-run the complementary pair, solo the third.
         let pair = evaluate_group(
             &suite,
@@ -119,16 +107,8 @@ mod tests {
             &[0, 1],
             &PartitionScheme::mps_only(vec![0.7, 0.3]),
             &[0, 1],
-            &eng,
         );
-        let solo = evaluate_group(
-            &suite,
-            &queue,
-            &[2],
-            &PartitionScheme::exclusive(),
-            &[0],
-            &eng,
-        );
+        let solo = evaluate_group(&suite, &queue, &[2], &PartitionScheme::exclusive(), &[0]);
         let decision = ScheduleDecision {
             groups: vec![pair, solo],
         };
@@ -141,19 +121,9 @@ mod tests {
     #[test]
     fn mean_helper_averages() {
         let (suite, queue) = fixture();
-        let eng = EngineConfig::default();
         let d = ScheduleDecision {
             groups: (0..3)
-                .map(|j| {
-                    evaluate_group(
-                        &suite,
-                        &queue,
-                        &[j],
-                        &PartitionScheme::exclusive(),
-                        &[0],
-                        &eng,
-                    )
-                })
+                .map(|j| evaluate_group(&suite, &queue, &[j], &PartitionScheme::exclusive(), &[0]))
                 .collect(),
         };
         let m1 = evaluate_decision("A", &suite, &queue, &d);

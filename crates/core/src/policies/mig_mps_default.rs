@@ -12,7 +12,7 @@ use crate::exhaustive::best_partition;
 use crate::predict::CoRunPredictor;
 use crate::problem::{evaluate_group, ScheduleDecision, ScheduledGroup};
 use hrp_gpusim::mps::default_mode_shares;
-use hrp_gpusim::{EngineConfig, GiProfile, GiSetup, PartitionScheme};
+use hrp_gpusim::{GiProfile, GiSetup, PartitionScheme};
 
 /// Which fixed MIG layout the default policy uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,14 +126,7 @@ impl MigMpsDefault {
         }
         let (_, job_order, scheme) = best?;
         let assignment: Vec<usize> = (0..c).collect();
-        let g = evaluate_group(
-            ctx.suite,
-            ctx.queue,
-            &job_order,
-            &scheme,
-            &assignment,
-            &EngineConfig::default(),
-        );
+        let g = evaluate_group(ctx.suite, ctx.queue, &job_order, &scheme, &assignment);
         Some(g).filter(ScheduledGroup::beats_time_sharing)
     }
 }
@@ -153,7 +146,6 @@ impl Policy for MigMpsDefault {
                     members,
                     &PartitionScheme::exclusive(),
                     &[0],
-                    &EngineConfig::default(),
                 )),
                 _ => self.best_group(ctx, &predictor, members),
             }

@@ -7,7 +7,7 @@ use super::{Policy, ScheduleContext};
 use crate::actions::mig_only_space;
 use crate::exhaustive::best_partition;
 use crate::problem::{evaluate_group, ScheduleDecision};
-use hrp_gpusim::{EngineConfig, PartitionScheme};
+use hrp_gpusim::PartitionScheme;
 
 /// The MIG-only baseline with concurrency fixed at 2.
 #[derive(Debug, Clone, Copy, Default)]
@@ -28,7 +28,6 @@ impl Policy for MigOnly {
                 members,
                 &PartitionScheme::exclusive(),
                 &[0],
-                &EngineConfig::default(),
             )),
             // §IV-A constraint enforced after measurement inside
             // select_and_measure: a pair must beat time sharing.

@@ -9,7 +9,7 @@ use super::{Policy, ScheduleContext};
 use crate::actions::mps_only_space;
 use crate::exhaustive::best_partition;
 use crate::problem::{evaluate_group, ScheduleDecision};
-use hrp_gpusim::{CompiledPartition, EngineConfig, PartitionScheme};
+use hrp_gpusim::{CompiledPartition, PartitionScheme};
 
 /// The MPS-only baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,7 +41,6 @@ impl Policy for MpsOnly {
                     members,
                     &PartitionScheme::exclusive(),
                     &[0],
-                    &EngineConfig::default(),
                 )),
                 c => select_and_measure(ctx, &predictor, members, &spaces[c]),
             }

@@ -2,7 +2,7 @@
 
 use super::{Policy, ScheduleContext};
 use crate::problem::{evaluate_group, ScheduleDecision};
-use hrp_gpusim::{EngineConfig, PartitionScheme};
+use hrp_gpusim::PartitionScheme;
 
 /// Time-sharing scheduling (the paper's normalisation baseline).
 #[derive(Debug, Clone, Copy, Default)]
@@ -15,10 +15,9 @@ impl Policy for TimeSharing {
 
     fn schedule(&self, ctx: &ScheduleContext<'_>) -> ScheduleDecision {
         let scheme = PartitionScheme::exclusive();
-        let engine = EngineConfig::default();
         ScheduleDecision {
             groups: (0..ctx.queue.len())
-                .map(|j| evaluate_group(ctx.suite, ctx.queue, &[j], &scheme, &[0], &engine))
+                .map(|j| evaluate_group(ctx.suite, ctx.queue, &[j], &scheme, &[0]))
                 .collect(),
         }
     }

@@ -10,7 +10,7 @@
 use super::ScheduleContext;
 use crate::predict::CoRunPredictor;
 use crate::problem::{evaluate_group, ScheduledGroup};
-use hrp_gpusim::{CompiledPartition, EngineConfig, GpuArch, PartitionScheme};
+use hrp_gpusim::{CompiledPartition, GpuArch, PartitionScheme};
 use hrp_profile::Profiler;
 
 /// The profiler whose solo runs fill an evaluation's repository: a fixed
@@ -35,7 +35,7 @@ pub(super) fn window_predictor(ctx: &ScheduleContext<'_>) -> CoRunPredictor {
             )
         })
     });
-    CoRunPredictor::new(profiles, ctx.suite.arch(), EngineConfig::default())
+    CoRunPredictor::new(profiles, ctx.suite.arch())
 }
 
 /// Choose the best scheme for `members` by *predicted* makespan across
@@ -60,14 +60,7 @@ pub(super) fn select_and_measure(
         }
     }
     let (_, idx, assignment) = best?;
-    let group = evaluate_group(
-        ctx.suite,
-        ctx.queue,
-        members,
-        &schemes[idx].0,
-        &assignment,
-        &EngineConfig::default(),
-    );
+    let group = evaluate_group(ctx.suite, ctx.queue, members, &schemes[idx].0, &assignment);
     group.beats_time_sharing().then_some(group)
 }
 

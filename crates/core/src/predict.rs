@@ -21,7 +21,7 @@
 
 use crate::problem::permute;
 use hrp_gpusim::arch::GpuArch;
-use hrp_gpusim::engine::{simulate_corun, EngineConfig};
+use hrp_gpusim::engine::simulate_corun;
 use hrp_gpusim::perf::solo_rate;
 use hrp_gpusim::{AppModel, CompiledPartition};
 use hrp_profile::JobProfile;
@@ -105,22 +105,17 @@ pub fn reconstruct_app(profile: &JobProfile, arch: &GpuArch) -> AppModel {
 #[derive(Debug, Clone)]
 pub struct CoRunPredictor {
     apps: Vec<AppModel>,
-    engine: EngineConfig,
 }
 
 impl CoRunPredictor {
     /// Build from per-job profiles (the `i`-th profile is job `i`'s).
     #[must_use]
-    pub fn new<'p>(
-        profiles: impl IntoIterator<Item = &'p JobProfile>,
-        arch: &GpuArch,
-        engine: EngineConfig,
-    ) -> Self {
+    pub fn new<'p>(profiles: impl IntoIterator<Item = &'p JobProfile>, arch: &GpuArch) -> Self {
         let apps = profiles
             .into_iter()
             .map(|p| reconstruct_app(p, arch))
             .collect();
-        Self { apps, engine }
+        Self { apps }
     }
 
     /// Predicted makespan of co-running `job_ids` on `part`
@@ -133,7 +128,7 @@ impl CoRunPredictor {
         assignment: &[usize],
     ) -> f64 {
         let apps: Vec<&AppModel> = job_ids.iter().map(|&j| &self.apps[j]).collect();
-        simulate_corun(&apps, assignment, part, &self.engine).makespan
+        simulate_corun(&apps, assignment, part).makespan
     }
 
     /// Predicted makespan under the best slot assignment; returns
@@ -228,7 +223,7 @@ mod tests {
         // and ground truth agree the skewed split beats the inverted one.
         let (suite, profiles) = setup();
         let arch = suite.arch().clone();
-        let pred = CoRunPredictor::new(&profiles, &arch, EngineConfig::default());
+        let pred = CoRunPredictor::new(&profiles, &arch);
         let bt = suite.index_of("bt_solver_A").unwrap();
         let sp = suite.index_of("sp_solver_B").unwrap();
 
@@ -252,7 +247,6 @@ mod tests {
             &[0, 1],
             &PartitionScheme::mps_only(vec![0.7, 0.3]),
             &[0, 1],
-            &EngineConfig::default(),
         );
         let rel_err = (m_good - truth.corun_time).abs() / truth.corun_time;
         assert!(rel_err < 0.25, "prediction off by {rel_err}");
@@ -262,7 +256,7 @@ mod tests {
     fn best_assignment_orients_complementary_pairs() {
         let (suite, profiles) = setup();
         let arch = suite.arch().clone();
-        let pred = CoRunPredictor::new(&profiles, &arch, EngineConfig::default());
+        let pred = CoRunPredictor::new(&profiles, &arch);
         let bt = suite.index_of("bt_solver_A").unwrap();
         let sp = suite.index_of("sp_solver_B").unwrap();
         let part = PartitionScheme::mps_only(vec![0.3, 0.7])

@@ -1,7 +1,7 @@
 //! The optimization problem of §IV-A: decision types, group evaluation,
 //! and constraint validation.
 
-use hrp_gpusim::engine::{simulate_corun, EngineConfig};
+use hrp_gpusim::engine::simulate_corun;
 use hrp_gpusim::{AppModel, PartitionScheme};
 use hrp_workloads::{JobQueue, Suite};
 
@@ -120,14 +120,13 @@ pub fn evaluate_group(
     job_ids: &[usize],
     scheme: &PartitionScheme,
     assignment: &[usize],
-    engine: &EngineConfig,
 ) -> ScheduledGroup {
     let part = scheme.compile(suite.arch()).expect("scheme must compile");
     let apps: Vec<&AppModel> = job_ids
         .iter()
         .map(|&j| &suite.by_index(queue.jobs[j].bench).app)
         .collect();
-    let result = simulate_corun(&apps, assignment, &part, engine);
+    let result = simulate_corun(&apps, assignment, &part);
     let solo_time = apps.iter().map(|a| a.solo_time).sum();
     ScheduledGroup {
         job_ids: job_ids.to_vec(),
@@ -148,13 +147,12 @@ pub fn evaluate_group_best_assignment(
     queue: &JobQueue,
     job_ids: &[usize],
     scheme: &PartitionScheme,
-    engine: &EngineConfig,
 ) -> ScheduledGroup {
     let c = job_ids.len();
     let mut best: Option<ScheduledGroup> = None;
     let mut perm: Vec<usize> = (0..c).collect();
     permute(&mut perm, 0, &mut |assignment| {
-        let g = evaluate_group(suite, queue, job_ids, scheme, assignment, engine);
+        let g = evaluate_group(suite, queue, job_ids, scheme, assignment);
         if best.as_ref().is_none_or(|b| g.corun_time < b.corun_time) {
             best = Some(g);
         }
@@ -180,7 +178,7 @@ pub(crate) fn permute(xs: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[us
 mod tests {
     use super::*;
 
-    fn setup() -> (Suite, JobQueue, EngineConfig) {
+    fn setup() -> (Suite, JobQueue) {
         let suite = Suite::paper_suite(&hrp_gpusim::GpuArch::a100());
         // bt_solver_A (CI, 45 s) and sp_solver_B (MI, 55 s) are a
         // duration-matched complementary pair.
@@ -189,20 +187,13 @@ mod tests {
             &["bt_solver_A", "sp_solver_B", "kmeans", "pathfinder"],
             &suite,
         );
-        (suite, queue, EngineConfig::default())
+        (suite, queue)
     }
 
     #[test]
     fn evaluate_solo_group_is_solo_time() {
-        let (suite, queue, eng) = setup();
-        let g = evaluate_group(
-            &suite,
-            &queue,
-            &[0],
-            &PartitionScheme::exclusive(),
-            &[0],
-            &eng,
-        );
+        let (suite, queue) = setup();
+        let g = evaluate_group(&suite, &queue, &[0], &PartitionScheme::exclusive(), &[0]);
         let bt = suite.get("bt_solver_A").unwrap().app.solo_time;
         assert!((g.corun_time - bt).abs() < 1e-6);
         assert!((g.solo_time - bt).abs() < 1e-9);
@@ -211,7 +202,7 @@ mod tests {
 
     #[test]
     fn complementary_pair_beats_time_sharing() {
-        let (suite, queue, eng) = setup();
+        let (suite, queue) = setup();
         // bt_solver_A (CI) on the big share, sp_solver_B (MI) on the
         // small one.
         let g = evaluate_group(
@@ -220,7 +211,6 @@ mod tests {
             &[0, 1],
             &PartitionScheme::mps_only(vec![0.7, 0.3]),
             &[0, 1],
-            &eng,
         );
         assert!(
             g.beats_time_sharing(),
@@ -232,30 +222,22 @@ mod tests {
 
     #[test]
     fn best_assignment_picks_the_right_orientation() {
-        let (suite, queue, eng) = setup();
+        let (suite, queue) = setup();
         let scheme = PartitionScheme::mps_only(vec![0.2, 0.8]);
-        let best = evaluate_group_best_assignment(&suite, &queue, &[0, 1], &scheme, &eng);
+        let best = evaluate_group_best_assignment(&suite, &queue, &[0, 1], &scheme);
         // bt_solver_A (job 0, CI) must land on the 0.8 slot (slot 1).
         let ci_pos = best.job_ids.iter().position(|&j| j == 0).unwrap();
         assert_eq!(best.assignment[ci_pos], 1);
         // And must be at least as good as the wrong orientation.
-        let wrong = evaluate_group(&suite, &queue, &[0, 1], &scheme, &[1, 0], &eng);
+        let wrong = evaluate_group(&suite, &queue, &[0, 1], &scheme, &[1, 0]);
         assert!(best.corun_time <= wrong.corun_time + 1e-9);
     }
 
     #[test]
     fn validation_catches_all_violations() {
-        let (suite, queue, eng) = setup();
-        let solo = |j: usize| {
-            evaluate_group(
-                &suite,
-                &queue,
-                &[j],
-                &PartitionScheme::exclusive(),
-                &[0],
-                &eng,
-            )
-        };
+        let (suite, queue) = setup();
+        let solo =
+            |j: usize| evaluate_group(&suite, &queue, &[j], &PartitionScheme::exclusive(), &[0]);
         // Complete, valid decision.
         let full = ScheduleDecision {
             groups: (0..4).map(solo).collect(),
@@ -281,7 +263,6 @@ mod tests {
             &[0, 1, 2],
             &PartitionScheme::mps_only(vec![0.34, 0.33, 0.33]),
             &[0, 1, 2],
-            &eng,
         );
         let over = ScheduleDecision {
             groups: vec![big, solo(3)],
@@ -294,19 +275,10 @@ mod tests {
 
     #[test]
     fn totals_accumulate() {
-        let (suite, queue, eng) = setup();
+        let (suite, queue) = setup();
         let d = ScheduleDecision {
             groups: (0..4)
-                .map(|j| {
-                    evaluate_group(
-                        &suite,
-                        &queue,
-                        &[j],
-                        &PartitionScheme::exclusive(),
-                        &[0],
-                        &eng,
-                    )
-                })
+                .map(|j| evaluate_group(&suite, &queue, &[j], &PartitionScheme::exclusive(), &[0]))
                 .collect(),
         };
         assert!((d.total_time() - queue.total_solo_time(&suite)).abs() < 1e-6);

@@ -105,7 +105,8 @@ pub struct TrainConfig {
     pub ri_weight: f64,
     /// Final-reward weight.
     pub rf_weight: f64,
-    /// Engine overheads during training runs.
+    /// Inert: the co-run engine takes no configuration. Kept only
+    /// because the frozen `benchmark/` names it (ROADMAP item 2f).
     pub engine: EngineConfig,
     /// Final ε of the exploration schedule (paper: 0.01).
     pub eps_end: f64,
@@ -157,7 +158,7 @@ impl TrainConfig {
             // regardless of this weight.)
             ri_weight: 0.05,
             rf_weight: 0.05,
-            engine: EngineConfig::default(),
+            engine: EngineConfig,
             eps_end: 0.01,
             n_workers: 0,
             rollout_round: 8,
@@ -260,8 +261,7 @@ impl TrainedAgent {
 
     /// Greedy (ε = 0) rollout over a queue — the online decision
     /// making, through whichever environment formulation
-    /// ([`TrainConfig::env`]) the agent was trained on, under the engine
-    /// overheads it was trained with ([`TrainConfig::engine`]).
+    /// ([`TrainConfig::env`]) the agent was trained on.
     ///
     /// # Panics
     /// Panics if the queue exceeds the training window size or contains

@@ -10,35 +10,25 @@
 //!
 //! The result records each job's **span** (co-run start → its own finish),
 //! which is the paper's `CoRunAppTime(J)`, and the group **makespan**,
-//! which is `CoRunTime(JS, R)`.
+//! which is `CoRunTime(JS, R)`. No MIG-reconfiguration or MPS start-up
+//! time is charged: the makespan is the last finish.
 
 use crate::app::AppModel;
 use crate::partition::CompiledPartition;
 use crate::perf::corun_rates;
 
-/// Engine knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineConfig {
-    /// One-off overhead (seconds) added to the group makespan when MIG is
-    /// reconfigured for the group (`nvidia-smi mig -cgi …` takes seconds
-    /// on real hardware and needs an idle GPU).
-    pub mig_reconfig_overhead: f64,
-    /// One-off overhead (seconds) for starting the MPS control daemon.
-    pub mps_setup_overhead: f64,
-    /// Numerical guard: jobs whose remaining work would take longer than
-    /// this are reported as stuck (prevents infinite loops on zero rates).
-    pub max_sim_time: f64,
-}
+/// The co-run engine's configuration, which has nothing left to set:
+/// the model charges no MIG-reconfiguration or MPS start-up time, and
+/// its stuck-job horizon is a constant. It stays a (fieldless) type
+/// only because the frozen `benchmark/` copies `TrainConfig::engine`
+/// into `EnvConfig::engine` (ROADMAP item 2f).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EngineConfig;
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            mig_reconfig_overhead: 0.0,
-            mps_setup_overhead: 0.0,
-            max_sim_time: 1e9,
-        }
-    }
-}
+/// Numerical guard: jobs whose remaining work would take longer than
+/// this are reported as stuck at it (prevents infinite loops on zero
+/// rates).
+const MAX_SIM_TIME: f64 = 1e9;
 
 /// Outcome of a co-run.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,11 +36,8 @@ pub struct CoRunResult {
     /// Per-job completion time measured from group start (same order as
     /// the input `apps`). This is the paper's `CoRunAppTime`.
     pub finish_times: Vec<f64>,
-    /// Time until the last job finishes (the paper's `CoRunTime`),
-    /// including configured overheads.
+    /// Time until the last job finishes (the paper's `CoRunTime`).
     pub makespan: f64,
-    /// Completion order (indices into `apps`).
-    pub completion_order: Vec<usize>,
 }
 
 /// Check a slot assignment.
@@ -91,17 +78,14 @@ pub fn simulate_corun(
     apps: &[&AppModel],
     assignment: &[usize],
     part: &CompiledPartition,
-    cfg: &EngineConfig,
 ) -> CoRunResult {
     check_assignment(apps, assignment, part);
     let n = apps.len();
     let mut finish = vec![0.0f64; n];
-    let mut order = Vec::with_capacity(n);
     if n == 0 {
         return CoRunResult {
             finish_times: finish,
             makespan: 0.0,
-            completion_order: order,
         };
     }
 
@@ -109,16 +93,6 @@ pub fn simulate_corun(
     let mut remaining: Vec<f64> = apps.iter().map(|a| a.solo_time).collect();
     let mut alive: Vec<usize> = (0..n).collect();
     let mut clock = 0.0f64;
-
-    let overhead = if part.mig_enabled {
-        cfg.mig_reconfig_overhead
-    } else {
-        0.0
-    } + if part.mps_active {
-        cfg.mps_setup_overhead
-    } else {
-        0.0
-    };
 
     while !alive.is_empty() {
         let occupants: Vec<(&AppModel, usize)> =
@@ -131,13 +105,12 @@ pub fn simulate_corun(
             let r = rates[j].max(1e-12);
             dt = dt.min(remaining[k] / r);
         }
-        if clock + dt > cfg.max_sim_time {
+        if clock + dt > MAX_SIM_TIME {
             // Defensive: report everything unfinished at the horizon.
             for &k in &alive {
-                finish[k] = cfg.max_sim_time;
-                order.push(k);
+                finish[k] = MAX_SIM_TIME;
             }
-            clock = cfg.max_sim_time;
+            clock = MAX_SIM_TIME;
             break;
         }
 
@@ -148,7 +121,6 @@ pub fn simulate_corun(
             remaining[k] -= dt * r;
             if remaining[k] <= 1e-9 * apps[k].solo_time.max(1.0) {
                 finish[k] = clock;
-                order.push(k);
             } else {
                 next_alive.push(k);
             }
@@ -158,8 +130,7 @@ pub fn simulate_corun(
 
     CoRunResult {
         finish_times: finish,
-        makespan: clock + overhead,
-        completion_order: order,
+        makespan: clock,
     }
 }
 
@@ -188,15 +159,15 @@ mod tests {
     fn solo_run_takes_solo_time() {
         let a = app("a", 0.95, 0.8, 0.5, 0.1, 12.0);
         let part = compile(PartitionScheme::exclusive());
-        let r = simulate_corun(&[&a], &[0], &part, &EngineConfig::default());
+        let r = simulate_corun(&[&a], &[0], &part);
         assert!((r.makespan - 12.0).abs() < 1e-6);
-        assert_eq!(r.completion_order, vec![0]);
+        assert_eq!(r.finish_times, vec![r.makespan]);
     }
 
     #[test]
     fn empty_corun_is_zero() {
         let part = compile(PartitionScheme::exclusive());
-        let r = simulate_corun(&[], &[], &part, &EngineConfig::default());
+        let r = simulate_corun(&[], &[], &part);
         assert_eq!(r.makespan, 0.0);
         assert!(r.finish_times.is_empty());
     }
@@ -206,7 +177,7 @@ mod tests {
         let a = app("a", 0.9, 0.8, 0.3, 0.1, 10.0);
         let b = app("b", 0.9, 0.8, 0.3, 0.1, 10.0);
         let part = compile(PartitionScheme::mps_only(vec![0.5, 0.5]));
-        let r = simulate_corun(&[&a, &b], &[0, 1], &part, &EngineConfig::default());
+        let r = simulate_corun(&[&a, &b], &[0, 1], &part);
         assert!((r.finish_times[0] - r.finish_times[1]).abs() < 1e-6);
         // Co-run must be faster than time sharing for this benign pair...
         assert!(r.makespan < 20.0);
@@ -223,8 +194,8 @@ mod tests {
         let short = app("short", 0.95, 0.3, 0.9, 0.1, 2.0);
         let long = app("long", 0.95, 0.3, 0.9, 0.1, 20.0);
         let part = compile(PartitionScheme::mps_only(vec![0.5, 0.5]));
-        let r = simulate_corun(&[&short, &long], &[0, 1], &part, &EngineConfig::default());
-        assert_eq!(r.completion_order[0], 0);
+        let r = simulate_corun(&[&short, &long], &[0, 1], &part);
+        assert!(r.finish_times[0] < r.finish_times[1]);
         // Naive: constant throttled rate for the whole run.
         let occupants = [(&short, 0usize), (&long, 1usize)];
         let both = crate::perf::corun_rates(&occupants, &part);
@@ -236,53 +207,31 @@ mod tests {
         );
     }
 
+    /// The finish times record the completion order: run as `c`, `a`,
+    /// `b`, the three finish `a` first, then `b`, then `c`.
     #[test]
     fn completion_order_is_recorded() {
         let a = app("a", 0.9, 0.6, 0.2, 0.0, 5.0);
         let b = app("b", 0.9, 0.6, 0.2, 0.0, 10.0);
         let c = app("c", 0.9, 0.6, 0.2, 0.0, 15.0);
         let part = compile(PartitionScheme::mps_only(vec![0.34, 0.33, 0.33]));
-        let r = simulate_corun(&[&c, &a, &b], &[0, 1, 2], &part, &EngineConfig::default());
-        assert_eq!(r.completion_order, vec![1, 2, 0]);
+        let r = simulate_corun(&[&c, &a, &b], &[0, 1, 2], &part);
         assert!(r.finish_times[1] < r.finish_times[2]);
         assert!(r.finish_times[2] < r.finish_times[0]);
     }
 
+    /// The engine has nothing to configure; a knob added back to
+    /// `EngineConfig` fails here.
     #[test]
-    fn overheads_are_charged() {
-        let a = app("a", 0.9, 0.8, 0.3, 0.1, 10.0);
-        let b = app("b", 0.9, 0.8, 0.3, 0.1, 10.0);
-        let cfg = EngineConfig {
-            mig_reconfig_overhead: 2.0,
-            mps_setup_overhead: 0.5,
-            max_sim_time: 1e9,
-        };
-        let mig = compile(PartitionScheme::mig_private_3_4());
-        let with_mig = simulate_corun(&[&a, &b], &[0, 1], &mig, &cfg);
-        let mps = compile(PartitionScheme::mps_only(vec![0.5, 0.5]));
-        let with_mps = simulate_corun(&[&a, &b], &[0, 1], &mps, &cfg);
-        let nocfg = EngineConfig::default();
-        let base_mig = simulate_corun(&[&a, &b], &[0, 1], &mig, &nocfg);
-        let base_mps = simulate_corun(&[&a, &b], &[0, 1], &mps, &nocfg);
-        // Pure MIG partition: no MPS daemon, only the reconfig cost.
-        assert!((with_mig.makespan - base_mig.makespan - 2.0).abs() < 1e-9);
-        // MPS-only split: only the daemon start-up cost.
-        assert!((with_mps.makespan - base_mps.makespan - 0.5).abs() < 1e-9);
-        // Hierarchical MIG+MPS pays both.
-        let hier = compile(PartitionScheme::hierarchical_3_4(vec![0.5, 0.5], vec![]));
-        let c = app("c", 0.9, 0.8, 0.3, 0.1, 10.0);
-        let with_hier = simulate_corun(&[&a, &b, &c], &[0, 1, 2], &hier, &cfg);
-        let base_hier = simulate_corun(&[&a, &b, &c], &[0, 1, 2], &hier, &nocfg);
-        assert!((with_hier.makespan - base_hier.makespan - 2.5).abs() < 1e-9);
+    fn the_engine_config_is_empty() {
+        assert_eq!(std::mem::size_of::<EngineConfig>(), 0);
     }
 
     /// The message `simulate_corun` panics with on `apps`/`slots`.
     fn corun_panic(apps: &[&AppModel], slots: &[usize]) -> String {
         let part = compile(PartitionScheme::mps_only(vec![0.5, 0.5]));
-        let err = std::panic::catch_unwind(|| {
-            simulate_corun(apps, slots, &part, &EngineConfig::default())
-        })
-        .expect_err("an invalid assignment must panic");
+        let err = std::panic::catch_unwind(|| simulate_corun(apps, slots, &part))
+            .expect_err("an invalid assignment must panic");
         err.downcast_ref::<String>().cloned().unwrap_or_default()
     }
 
@@ -312,7 +261,7 @@ mod tests {
         let ci = app("ci", 0.97, 0.9, 0.15, 0.05, 10.0);
         let mi = app("mi", 0.95, 0.25, 0.95, 0.25, 10.0);
         let part = compile(PartitionScheme::mps_only(vec![0.8, 0.2]));
-        let r = simulate_corun(&[&ci, &mi], &[0, 1], &part, &EngineConfig::default());
+        let r = simulate_corun(&[&ci, &mi], &[0, 1], &part);
         // Sum of the solo times over the co-run makespan.
         let tp = (10.0 + 10.0) / r.makespan;
         assert!(tp > 1.2, "complementary mix should beat time sharing: {tp}");
@@ -331,8 +280,8 @@ mod tests {
             vec![0.3, 0.7],
         ));
         let refs: Vec<&AppModel> = apps.iter().collect();
-        let r = simulate_corun(&refs, &[0, 1, 2, 3], &part, &EngineConfig::default());
-        assert_eq!(r.completion_order.len(), 4);
+        let r = simulate_corun(&refs, &[0, 1, 2, 3], &part);
+        assert_eq!(r.finish_times.len(), 4);
         assert!(r.makespan > 0.0);
         for &t in &r.finish_times {
             assert!(t > 0.0 && t <= r.makespan + 1e-9);

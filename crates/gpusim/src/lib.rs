@@ -38,7 +38,9 @@
 //! * [`app`] — the application kernel model (parallel fraction, memory
 //!   demand, interference sensitivity, solo runtime).
 //! * [`perf`] — the instantaneous co-run rate model.
-//! * [`engine`] — the discrete-event co-run simulator.
+//! * [`engine`] — the discrete-event co-run simulator. It takes no
+//!   configuration and charges no MIG-reconfiguration or MPS start-up
+//!   time.
 //! * [`counters`] — synthesis of the Nsight-Compute-style hardware
 //!   counters of the paper's Table III.
 //! * [`rng`] — a tiny deterministic SplitMix64 generator (keeps this crate
@@ -59,7 +61,7 @@
 //! // ...co-run under a 70/30 MPS split of the whole GPU.
 //! let scheme = PartitionScheme::mps_only(vec![0.7, 0.3]);
 //! let part = scheme.compile(&GpuArch::a100()).unwrap();
-//! let res = simulate_corun(&[&ci, &mi], &[0, 1], &part, &EngineConfig::default());
+//! let res = simulate_corun(&[&ci, &mi], &[0, 1], &part);
 //!
 //! // Co-running beats time sharing for this complementary mix.
 //! assert!(res.makespan < ci.solo_time + mi.solo_time);

@@ -222,7 +222,6 @@ impl PartitionScheme {
                     slots,
                     domains,
                     mig_enabled: false,
-                    mps_active: shares.len() > 1,
                 })
             }
             Self::Mig { gis } => {
@@ -281,15 +280,10 @@ impl PartitionScheme {
                 if slots.is_empty() {
                     return Err(PartitionError::NoSlots);
                 }
-                let mps_active = gis
-                    .iter()
-                    .flat_map(|g| g.cis.iter())
-                    .any(|c| c.mps_shares.len() > 1);
                 Ok(CompiledPartition {
                     slots,
                     domains,
                     mig_enabled: true,
-                    mps_active,
                 })
             }
         }
@@ -331,9 +325,6 @@ pub struct CompiledPartition {
     pub domains: Vec<MemDomain>,
     /// Whether MIG is enabled (one GPC disabled).
     pub mig_enabled: bool,
-    /// Whether any compute instance (or the whole GPU) is subdivided by
-    /// MPS — i.e. the MPS control daemon must run.
-    pub mps_active: bool,
 }
 
 impl CompiledPartition {

@@ -204,10 +204,13 @@ fn corpus(suite: &Suite) -> Vec<(String, Vec<u8>, Decode)> {
 /// once more when `HRPP` v3 made fourteen training and node-window keys
 /// constants (600 → 410 and 1 682 → 1 492 bytes): each new blob is the
 /// parent's with those fourteen spec lines cut and the `HRPP` version
-/// word set to 3, byte for byte.
+/// word set to 3, byte for byte. `HRPE` was re-captured once, when v2
+/// dropped the co-run engine's three keys and the `overlap` / `shards`
+/// lines (1 826 → 1 707 bytes): the new blob is the parent's with those
+/// five spec lines cut and the version word set to 2, byte for byte.
 const GOLDEN: [(&str, usize, u64); 7] = [
     ("HRPQ", 380, 0x168e_3209_c0ac_404a),
-    ("HRPE", 1826, 0xfb19_4aad_5085_9eb3),
+    ("HRPE", 1707, 0xc7fd_8473_55a1_b769),
     ("HRPP", 410, 0xa56b_e318_6de6_28a5),
     ("HRPS LeastLoaded", 1216, 0xe8a8_c498_5e02_174e),
     ("HRPS RoundRobin", 1228, 0xfa7b_d6b2_a95c_e3f8),
@@ -433,6 +436,14 @@ fn assert_forged_experiment_is_rejected(key: &str, value: &str, needle: &str) {
     assert!(peak <= ALLOC_FLOOR, "{key}: asked for {peak} bytes at once");
 }
 
+/// A key `HRPE` v2 retired, smuggled into an experiment spec behind its
+/// live `seed` line (whose value is kept), must be refused as unknown.
+fn assert_retired_experiment_key_is_rejected(line: &str) {
+    let key = line.split('=').next().expect("a key");
+    let live = format!("7\n{line}");
+    assert_forged_experiment_is_rejected("seed", &live, &format!("unknown key '{key}'"));
+}
+
 /// The fourteen training and node-window keys of `HRPP` v2, which v3
 /// holds as constants. (Split, like every retired name, so that a search
 /// for them finds no live use.)
@@ -472,13 +483,13 @@ fn forged_zero_buffer_capacity_is_a_typed_error() {
 
 /// Parent commit: a 160 GB allocation inside `QNet::new`, before the
 /// weight section was ever looked at. A forged replay shard count is
-/// refused the same way: unknown to `HRPP`, anything but 1 in `HRPE`.
+/// refused the same way: neither `HRPP` nor `HRPE` knows the key.
 #[test]
 fn forged_hidden_widths_are_a_typed_error_before_any_network_is_built() {
     assert_forged_agent_is_rejected("hidden", "4000000000,4000000000", "params");
     assert_forged_agent_is_rejected("hidden", "", "hidden");
     assert_retired_agent_key_is_rejected(concat!("sha", "rds=1000000000"));
-    assert_forged_experiment_is_rejected("shards", "1000000000", "shards");
+    assert_retired_experiment_key_is_rejected(concat!("sha", "rds=1000000000"));
 }
 
 /// Parent commit: both loaded. The first `learn` with a zero batch
@@ -493,12 +504,12 @@ fn forged_zero_batch_and_sync_period_are_typed_errors() {
 }
 
 /// The retired training modes stay refused where they could come back
-/// in: an `HRPE` spec holds only the one value of each retired knob,
-/// and neither the agent nor the pipeline builds the others.
+/// in: an `HRPE` spec has no key for either retired knob, and neither
+/// the agent nor the pipeline builds their other values.
 #[test]
 fn retired_training_modes_are_refused() {
-    assert_forged_experiment_is_rejected("overlap", "true", "overlap");
-    assert_forged_experiment_is_rejected("shards", "4", "shards");
+    assert_retired_experiment_key_is_rejected(concat!("over", "lap=true"));
+    assert_retired_experiment_key_is_rejected(concat!("sha", "rds=4"));
     let refusal = |build: &dyn Fn()| -> String {
         let payload = catch_unwind(AssertUnwindSafe(build)).expect_err("refused");
         payload
@@ -560,7 +571,11 @@ fn forged_agent_traces_are_typed_errors() {
 
 /// The same checks guard `HRPE`, which shares the agent loader. Parent
 /// commit (PR 21): `cmax=0` loaded, and the first greedy decision
-/// panicked with no valid action to choose from.
+/// panicked with no valid action to choose from. Until `HRPE` v2 every
+/// training float loaded unchecked: `gamma=-9.5` named a negative
+/// discount, and `profile_noise=-3.0` or `9e99` rebuilt the profiles a
+/// loaded agent decides from with a noise factor `1 + level·u` that
+/// goes negative and is clamped.
 #[test]
 fn forged_experiment_specs_are_typed_errors() {
     for (key, value, needle) in [
@@ -568,8 +583,53 @@ fn forged_experiment_specs_are_typed_errors() {
         ("w", "18446744073709551615", "'w'"),
         ("cmax", "0", "'cmax'"),
         ("env", "sideways", "'env'"),
+        ("gamma", "-9.5", "'gamma'"),
+        ("gamma", "1.5", "'gamma'"),
+        ("gamma", "NaN", "'gamma'"),
+        ("lr", "0", "'lr'"),
+        ("lr", "-0.001", "'lr'"),
+        ("lr", "1e39", "'lr'"),
+        ("profile_noise", "-3.0", "'profile_noise'"),
+        ("profile_noise", "9e99", "'profile_noise'"),
+        ("profile_noise", "NaN", "'profile_noise'"),
+        ("ri_weight", "-0.05", "'ri_weight'"),
+        ("ri_weight", "inf", "'ri_weight'"),
+        ("rf_weight", "-1", "'rf_weight'"),
+        ("rf_weight", "NaN", "'rf_weight'"),
+        ("eps_end", "-0.01", "'eps_end'"),
+        ("eps_end", "2", "'eps_end'"),
     ] {
         assert_forged_experiment_is_rejected(key, value, needle);
+    }
+}
+
+/// `HRPE` v2 dropped the co-run engine's three keys and the retired
+/// `overlap` / `shards` knobs. A v1 blob is a version error, and a
+/// forged line for any of those keys is refused as unknown. Parent
+/// commit: `engine.max_sim_time=0` loaded, and the agent's first
+/// greedy decision panicked ("co-run time must be positive").
+#[test]
+fn retired_hrpe_version_and_keys_are_typed_errors() {
+    let s = suite();
+    let mut old = hrpe_blob(&s);
+    old[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let (outcome, peak) = largest_request(|| TrainedAgent::load_bytes(old, &s).map(drop));
+    assert_eq!(
+        outcome,
+        Err(CheckpointError::BadVersion {
+            format: "HRPE",
+            found: 1
+        })
+    );
+    assert!(peak <= ALLOC_FLOOR, "v1: asked for {peak} bytes at once");
+    for line in [
+        concat!("engine.max", "_sim_time=0"),
+        concat!("engine.mig", "_reconfig_overhead=2.5"),
+        concat!("engine.mps", "_setup_overhead=0.5"),
+        concat!("over", "lap=true"),
+        concat!("sha", "rds=4"),
+    ] {
+        assert_retired_experiment_key_is_rejected(line);
     }
 }
 

@@ -4,7 +4,7 @@
 use hrp::gpusim::mps::validate_shares;
 use hrp::gpusim::notation::{format_scheme, parse_scheme};
 use hrp::gpusim::perf::{corun_rates, solo_rate};
-use hrp::gpusim::{simulate_corun, EngineConfig};
+use hrp::gpusim::simulate_corun;
 use hrp::prelude::*;
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
             .unwrap();
         let refs: Vec<&AppModel> = apps.iter().collect();
         let assignment: Vec<usize> = (0..n).collect();
-        let res = simulate_corun(&refs, &assignment, &part, &EngineConfig::default());
+        let res = simulate_corun(&refs, &assignment, &part);
         // Lower bound: every job needs at least solo_time (rates ≤ 1).
         let max_solo = apps.iter().map(|a| a.solo_time).fold(0.0, f64::max);
         prop_assert!(res.makespan >= max_solo - 1e-6);
@@ -101,10 +101,13 @@ proptest! {
                 comp * 1e-3
             }).fold(f64::INFINITY, f64::min).max(1e-3);
         prop_assert!(min_rate_bound);
-        // Finish times are sorted consistently with the completion order.
-        for w in res.completion_order.windows(2) {
-            prop_assert!(res.finish_times[w[0]] <= res.finish_times[w[1]] + 1e-9);
+        // Every job finishes by the makespan, and the last one to finish
+        // sets it.
+        for &t in &res.finish_times {
+            prop_assert!(t <= res.makespan);
         }
+        let last = res.finish_times.iter().copied().fold(f64::MIN, f64::max);
+        prop_assert_eq!(last, res.makespan);
     }
 
     #[test]
