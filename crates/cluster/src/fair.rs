@@ -52,8 +52,12 @@ use std::collections::BTreeMap;
 /// measured forgave at this rate, and `HRPS` does not record it.
 pub const KARMA_HALF_LIFE: f64 = 300.0;
 
-/// Serializable snapshot of a [`FairShare`] — what `HRPS` checkpoints
-/// carry so kill/restore reproduces admission decisions bit-exactly.
+/// Snapshot of a [`FairShare`], so kill/restore reproduces admission
+/// decisions bit-exactly. It holds no in-flight counts: a tenant's is
+/// the number of its pending releases. `HRPS` writes the karma entries
+/// and the releases; the serving tier advances the ledger at every
+/// cycle and admits one job per placement, so a restore takes the clock
+/// from the last cycle and the sequence from the decision count.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FairShareState {
     /// Clock of the last `advance_to`.
@@ -62,8 +66,6 @@ pub struct FairShareState {
     pub seq: u64,
     /// Per-user karma entries: `(user, value, stamp)`.
     pub karma: Vec<(u32, f64, f64)>,
-    /// Per-user in-flight counts: `(user, count)`.
-    pub inflight: Vec<(u32, u64)>,
     /// Pending releases: `(time_bits, seq, user)`.
     pub releases: Vec<(u64, u64, u32)>,
 }
@@ -215,7 +217,6 @@ impl FairShare {
             now: self.now,
             seq: self.seq,
             karma: self.karma.iter().map(|(&u, &(v, s))| (u, v, s)).collect(),
-            inflight: self.inflight.iter().map(|(&u, &c)| (u, c as u64)).collect(),
             releases: self
                 .releases
                 .iter()
@@ -224,28 +225,24 @@ impl FairShare {
         }
     }
 
-    /// Rebuild from an exported state, enforcing `quota`.
+    /// Rebuild from an exported state, enforcing `quota`. Each
+    /// tenant's in-flight count is its number of pending releases.
     ///
     /// # Panics
     /// Panics if `quota` is 0.
     #[must_use]
     pub fn from_state(quota: usize, state: &FairShareState) -> Self {
         assert!(quota >= 1, "quota must be at least 1");
+        let mut inflight = BTreeMap::new();
+        for &(_, _, user) in &state.releases {
+            *inflight.entry(user).or_insert(0) += 1;
+        }
         Self {
             quota,
             now: state.now,
             seq: state.seq,
             karma: state.karma.iter().map(|&(u, v, s)| (u, (v, s))).collect(),
-            inflight: state
-                .inflight
-                .iter()
-                .map(|&(u, c)| {
-                    (
-                        u,
-                        usize::try_from(c).expect("an in-flight count fits a usize"),
-                    )
-                })
-                .collect(),
+            inflight,
             releases: state
                 .releases
                 .iter()

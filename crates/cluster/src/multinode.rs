@@ -417,7 +417,8 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
     /// bit-identically to the drive the states were captured from.
     ///
     /// The rest is worked out from the states. Every routed job arrived
-    /// on one node, so the routing count is the sum of the nodes' jobs.
+    /// on one node, so the routing count is the sum of the nodes'
+    /// [jobs](crate::sim::NodeRunState::jobs).
     /// The load snapshots are taken again at `now`: a node advanced
     /// there gets the snapshot that advance took plus the solo times of
     /// the jobs placed on it since, summed in the same order, and a node
@@ -440,7 +441,7 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
             "1..={MAX_NODES} nodes, got {}",
             parts.len()
         );
-        let placed = parts.iter().map(|(state, _)| state.jobs).sum();
+        let placed = parts.iter().map(|(state, _)| state.jobs()).sum();
         let runs: Vec<NodeRun<D>> = parts
             .into_iter()
             .map(|(state, dispatcher)| {

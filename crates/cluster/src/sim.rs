@@ -540,11 +540,7 @@ impl<D: Dispatcher> NodeRun<D> {
             free: n_gpus,
             arrivals: VecDeque::new(),
             waiting: Vec::new(),
-            busy_gpu_seconds: 0.0,
             wait_sum: 0.0,
-            placements: 0,
-            jobs: 0,
-            completed: 0,
             dirty: true,
             events: EventLog::default(),
         };
@@ -570,7 +566,6 @@ impl<D: Dispatcher> NodeRun<D> {
                 .is_none_or(|b| b.arrival <= job.arrival + TIME_EPS),
             "arrivals must be pushed in time order"
         );
-        s.jobs += 1;
         s.arrivals.push_back(job);
     }
 
@@ -653,7 +648,6 @@ impl<D: Dispatcher> NodeRun<D> {
             }
             s.waiting.retain(|j| !ids.contains(&j.id));
             s.free -= p.gpus;
-            s.busy_gpu_seconds += p.duration * p.gpus as f64;
             // The arena holds no more ids than the log has arrivals,
             // which `record` bounds, so only a placement of more than
             // 65 535 jobs fails `intern`.
@@ -667,7 +661,6 @@ impl<D: Dispatcher> NodeRun<D> {
                 gpus,
                 ids,
             });
-            s.placements += 1;
             s.record(s.clock, Tag::Start, p.duration.to_bits(), ids, gpus);
         }
     }
@@ -680,7 +673,6 @@ impl<D: Dispatcher> NodeRun<D> {
             let due = r.finish <= s.clock + TIME_EPS;
             if due {
                 s.free += usize::from(r.gpus);
-                s.completed += usize::from(r.ids.n);
                 s.record(r.finish, Tag::Finish, 0, r.ids, r.gpus);
                 s.dirty = true;
             }
@@ -742,22 +734,33 @@ impl<D: Dispatcher> NodeRun<D> {
     }
 
     /// Finish the run: per-node counters plus the recorded event
-    /// stream.
+    /// stream. The counters are read off the log: a `Start` is one
+    /// placement of `duration × gpus` GPU-seconds (summed in log order,
+    /// which is start order), a `Finish` completes its jobs, and a job
+    /// is an `Arrival` or still queued for one.
     #[must_use]
     pub fn finish(self) -> (NodeStats, EventLog) {
         let s = self.state;
-        (
-            NodeStats {
-                node: s.node,
-                jobs: s.jobs,
-                completed: s.completed,
-                placements: s.placements,
-                makespan: s.clock,
-                busy_gpu_seconds: s.busy_gpu_seconds,
-                wait_sum: s.wait_sum,
-            },
-            s.events,
-        )
+        let mut stats = NodeStats {
+            node: s.node,
+            jobs: s.arrivals.len(),
+            completed: 0,
+            placements: 0,
+            makespan: s.clock,
+            busy_gpu_seconds: 0.0,
+            wait_sum: s.wait_sum,
+        };
+        for record in s.events.records() {
+            match record.tag {
+                Tag::Arrival => stats.jobs += 1,
+                Tag::Start => {
+                    stats.placements += 1;
+                    stats.busy_gpu_seconds += f64::from_bits(record.word) * f64::from(record.gpus);
+                }
+                Tag::Finish => stats.completed += usize::from(record.n),
+            }
+        }
+        (stats, s.events)
     }
 
     /// `true` when the node holds no work at all: nothing running,
@@ -837,7 +840,10 @@ impl<D: Dispatcher> NodeRun<D> {
 /// field that influences the event stream is here — including the
 /// already-recorded events, so a merged timeline digest survives a
 /// kill/restore cycle bit-exactly, and through them the running
-/// placements.
+/// placements. What the events determine is not kept beside them: the
+/// node's placements, completions and GPU-seconds are counted from the
+/// log when the run [finishes](NodeRun::finish), and its jobs are
+/// [`NodeRunState::jobs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeRunState {
     /// Node id.
@@ -852,16 +858,9 @@ pub struct NodeRunState {
     pub arrivals: VecDeque<ClusterJob>,
     /// Absorbed jobs awaiting dispatch.
     pub waiting: Vec<ClusterJob>,
-    /// `Σ duration × gpus` over placements so far.
-    pub busy_gpu_seconds: f64,
-    /// `Σ (start − arrival)` over placed jobs so far.
+    /// `Σ (start − arrival)` over placed jobs so far (kept: the log
+    /// would give it only by looking up each started job's arrival).
     pub wait_sum: f64,
-    /// Placements executed so far.
-    pub placements: usize,
-    /// Jobs that arrived on this node so far.
-    pub jobs: usize,
-    /// Jobs whose placements finished so far.
-    pub completed: usize,
     /// Whether the dispatcher must be consulted at the next advance.
     pub dirty: bool,
     /// Events recorded so far.
@@ -869,6 +868,15 @@ pub struct NodeRunState {
 }
 
 impl NodeRunState {
+    /// Jobs routed to this node so far: its log's `Arrival`s plus the
+    /// arrivals still queued.
+    #[must_use]
+    pub fn jobs(&self) -> usize {
+        let arrived = self.events.records();
+        let arrived = arrived.filter(|record| matches!(record.tag, Tag::Arrival));
+        arrived.count() + self.arrivals.len()
+    }
+
     /// Record one event of this node, numbered by its place in the
     /// node's log.
     ///

@@ -208,7 +208,8 @@ impl TraceConfig {
     }
 
     /// Builder: tag jobs with Zipf-skewed tenant ids in `0..users`
-    /// (see the field docs; `0` disables tagging).
+    /// (see the field docs; `0` disables tagging). A trace of more than
+    /// [`MAX_USERS`] tenants panics when it is generated.
     #[must_use]
     pub fn users(mut self, users: u32) -> Self {
         self.users = users;
@@ -286,9 +287,9 @@ fn assert_max_gpus(max_gpus: usize) {
 pub const DEFAULT_USER_SKEW: f64 = 1.4;
 
 /// Most tenants a trace or load generator may tag arrivals with:
-/// [`user_popularity`] sizes its table from the count, so the count is
-/// bounded wherever it comes from outside (the `--users` flag, an
-/// `HRPS` spec).
+/// [`user_popularity`] sizes its table from the count and panics past
+/// this bound, which the `--users` flag and an `HRPS` spec check first,
+/// as errors.
 pub const MAX_USERS: u32 = 65_536;
 
 /// Salt decoupling the tenant draw from the [`TraceConfig::gang_share`]
@@ -298,8 +299,17 @@ const USER_SALT: u64 = 0x7e9a_1b5c_3d2f_4e61;
 /// Cumulative Zipf(`skew`) popularity table over `users` tenants —
 /// the sampling table behind [`assign_user`]. Empty when `users < 2`
 /// (tagging disabled / single tenant).
+///
+/// # Panics
+/// Panics if `users` exceeds [`MAX_USERS`] (the table holds one entry
+/// per tenant), or unless `skew` is positive and finite (with
+/// `users ≥ 2`).
 #[must_use]
 pub fn user_popularity(users: u32, skew: f64) -> Vec<f64> {
+    assert!(
+        users <= MAX_USERS,
+        "at most {MAX_USERS} tenants, got {users}"
+    );
     if users < 2 {
         return Vec::new();
     }
@@ -881,6 +891,15 @@ mod tests {
         let s = suite();
         let jobs = generate(&s, &TraceConfig::new(TraceKind::Uniform, 50, 3).users(1));
         assert!(jobs.iter().all(|j| j.user == 0));
+    }
+
+    /// Every tenant count reaches the one table builder, so this bound
+    /// holds for a trace's `users` and a load generator's alike.
+    #[test]
+    #[should_panic(expected = "at most 65536 tenants, got 65537")]
+    fn more_tenants_than_the_bound_are_rejected() {
+        let cfg = TraceConfig::new(TraceKind::Uniform, 10, 1).users(MAX_USERS + 1);
+        let _ = generate(&suite(), &cfg);
     }
 
     #[test]

@@ -332,7 +332,8 @@ impl<'a> LoadGen<'a> {
     /// every arrival instant are bit-identical to an untagged run.
     ///
     /// # Panics
-    /// Panics unless `skew` is positive and finite (with `users ≥ 2`).
+    /// Panics if `users` exceeds [`hrp_cluster::trace::MAX_USERS`], or
+    /// unless `skew` is positive and finite (with `users ≥ 2`).
     #[must_use]
     pub fn with_users(mut self, users: u32, skew: f64) -> Self {
         self.users = users;

@@ -207,15 +207,23 @@ fn corpus(suite: &Suite) -> Vec<(String, Vec<u8>, Decode)> {
 /// word set to 3, byte for byte. `HRPE` was re-captured once, when v2
 /// dropped the co-run engine's three keys and the `overlap` / `shards`
 /// lines (1 826 → 1 707 bytes): the new blob is the parent's with those
-/// five spec lines cut and the version word set to 2, byte for byte.
+/// five spec lines cut and the version word set to 2, byte for byte. And
+/// the four `HRPS` pins once more when `HRPS` v6 stopped writing the four
+/// node counters its event log determines, the `has_agent` and
+/// `rr_cursor` spec lines its selector and decision count determine, and
+/// the fair-share clock, sequence and in-flight list its last cycle,
+/// decision count and releases determine (1 216 → 1 140, 1 228 → 1 139,
+/// 1 295 → 1 175, 1 492 → 1 416; each new blob is the parent's with those
+/// fields and lines cut, the spec length fixed and the version word set
+/// to 6, byte for byte).
 const GOLDEN: [(&str, usize, u64); 7] = [
     ("HRPQ", 380, 0x168e_3209_c0ac_404a),
     ("HRPE", 1707, 0xc7fd_8473_55a1_b769),
     ("HRPP", 410, 0xa56b_e318_6de6_28a5),
-    ("HRPS LeastLoaded", 1216, 0xe8a8_c498_5e02_174e),
-    ("HRPS RoundRobin", 1228, 0xfa7b_d6b2_a95c_e3f8),
-    ("HRPS EasyAdmission", 1295, 0xb120_d487_b086_7da5),
-    ("HRPS Policy", 1492, 0xa9c0_fd8f_e558_ea88),
+    ("HRPS LeastLoaded", 1140, 0x6a9e_826b_115a_8cfb),
+    ("HRPS RoundRobin", 1139, 0x8ee5_2fc5_03d4_b7b0),
+    ("HRPS EasyAdmission", 1175, 0x9a78_c1d4_6182_a166),
+    ("HRPS Policy", 1416, 0xb9a1_c5a1_fd2b_1a9d),
 ];
 
 #[test]
@@ -680,16 +688,18 @@ fn spellings_no_writer_emits_are_typed_errors() {
 }
 
 /// `HRPS` v3 retired two spec keys, v4 the node fields its event log
-/// already holds, and v5 the load snapshots and the counters its node
-/// records determine. A v2, v3 or v4 blob is a version error, not a
-/// guess at what its extra lines or fields meant, and a spec that still
+/// already holds, v5 the load snapshots and the counters its node
+/// records determine, and v6 the node counters, the round-robin cursor,
+/// the agent flag and the ledger entries the rest of the blob
+/// determines. A v2, v3, v4 or v5 blob is a version error, not a guess
+/// at what its extra lines or fields meant, and a spec that still
 /// carries a retired key is refused like any other key the format does
 /// not have. (The names of options retired outright are split so that a
 /// search for them finds no live use.)
 #[test]
 fn retired_hrps_versions_and_keys_are_typed_errors() {
     let s = suite();
-    for version in [2u32, 3, 4] {
+    for version in [2u32, 3, 4, 5] {
         let mut old = hrps_blob(&s, Tier::LeastLoaded);
         old[4..8].copy_from_slice(&version.to_le_bytes());
         let (outcome, peak) = largest_request(|| restore(&s, old).map(drop));
@@ -723,6 +733,9 @@ fn retired_hrps_versions_and_keys_are_typed_errors() {
         (Tier::RoundRobin, "rejected", "0", "placed=10"),
         (Tier::RoundRobin, "rejected", "0", "sync_rounds=4"),
         (Tier::EasyAdmission, "rejected", "0", "node_advances=8"),
+        (Tier::RoundRobin, "selector", "round-robin", "rr_cursor=10"),
+        (Tier::LeastLoaded, "has_lookahead", "1", "has_agent=0"),
+        (Tier::Policy, "has_lookahead", "1", "has_agent=1"),
     ] {
         let forged = tamper_spec(&hrps_blob(&s, tier), after, &format!("{kept}\n{retired}"));
         let (outcome, peak) = largest_request(|| decode_hrps(&s, forged));
@@ -926,123 +939,84 @@ fn drain_hrps(suite: &Suite, blob: Vec<u8>) -> Result<(u64, u64), String> {
     Ok((served.report.timeline.digest(), admission.digest))
 }
 
-/// Where the admission section that ends the `EasyAdmission` blob keeps
-/// its fields: `now f64 | seq u64 | n (user u32, karma f64, stamp f64)*
-/// | n (user u32, in-flight u64)* | n (release bits u64, seq u64, user
-/// u32)* | digest u64 | n job*`. At quota 1 every in-flight count is 1,
-/// so the in-flight and release lists are equally long.
+/// Where the admission section that ends the `EasyAdmission` blob,
+/// straight after the node records, keeps its fields: `n (user u32,
+/// karma f64, stamp f64)* | n (release bits u64, seq u64, user u32)* |
+/// digest u64 | n job*`. At quota 1 a parked job's tenant has exactly
+/// one release pending.
 struct AdmissionAt {
-    now: usize,
     /// First karma entry.
     karma: usize,
-    /// In-flight entry of the first parked job's tenant.
-    inflight: usize,
-    /// Release entry of the same tenant.
+    /// Release entry of the first parked job's tenant.
     release: usize,
     /// `user` field of the first parked job.
     parked_user: usize,
 }
 
-fn admission_at(suite: &Suite, blob: &[u8]) -> AdmissionAt {
+/// The last cycle's instant, which `HRPS` writes as the spec's
+/// `last_cycle_bits` and which is the fair-share ledger's clock too.
+fn last_cycle(blob: &[u8]) -> f64 {
+    let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
+    let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
+    let bits = spec
+        .lines()
+        .find_map(|line| line.strip_prefix("last_cycle_bits="))
+        .expect("the spec has a last cycle");
+    f64::from_bits(bits.parse().expect("the bits are a u64"))
+}
+
+fn admission_at(blob: &[u8]) -> AdmissionAt {
     let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
-    let parked = restore(suite, blob.to_vec())
-        .expect("the untouched blob restores")
-        .deferred_jobs();
-    // The parked queue ends the blob: the one job record that `parked`
-    // records on lead to exactly the last byte.
-    let after = |record: usize| {
-        let name = blob.get(record + 32..record + 36)?;
-        Some(record + 36 + u32::from_le_bytes(name.try_into().unwrap()) as usize)
-    };
-    let first_parked = job_records(suite, blob)
-        .into_iter()
-        .map(|name_at| name_at - 32)
-        .find(|&record| {
-            u32_at(record - 4) == parked
-                && (0..parked).try_fold(record, |at, _| after(at)) == Some(blob.len())
-        })
-        .expect("the parked queue ends the blob");
-    let tenant = u32_at(first_parked + 28);
-    let releases_end = first_parked - 4 - 8;
-    let (in_flight, releases, inflight) = (1..=3usize)
-        .find_map(|n| {
-            let releases = releases_end - 20 * n;
-            let inflight = releases.checked_sub(4 + 12 * n)?;
-            (u32_at(releases - 4) == n && u32_at(inflight - 4) == n)
-                .then_some((n, releases, inflight))
-        })
-        .expect("1..=3 tenants are in flight at the cut");
-    let entry_of = |first: usize, stride: usize, user_at: usize| {
-        (0..in_flight)
-            .map(|k| first + stride * k)
-            .find(|at| u32_at(at + user_at) == tenant)
-            .expect("a parked job's tenant is in flight")
-    };
-    let tenants = (1..=3usize)
-        .find(|n| u32_at(inflight - 4 - 20 * n - 4) == *n)
-        .expect("1..=3 tenants carry karma");
-    let karma = inflight - 4 - 20 * tenants;
+    let karma = node_records(blob).1 + 4;
+    let releases = karma + 20 * u32_at(karma - 4) + 4;
+    let in_flight = u32_at(releases - 4);
+    let parked = releases + 20 * in_flight + 8 + 4;
+    let job = |at: usize| at + 32 + 4 + u32_at(at + 32);
+    let parked_end = (0..u32_at(parked - 4)).fold(parked, |at, _| job(at));
+    assert!(u32_at(parked - 4) > 0, "the cut must catch parked jobs");
+    assert_eq!(parked_end, blob.len(), "the parked queue ends the blob");
+    let parked_user = parked + 28;
+    let release = (0..in_flight)
+        .map(|k| releases + 20 * k)
+        .find(|&at| u32_at(at + 16) == u32_at(parked_user))
+        .expect("a parked job's tenant is in flight");
     AdmissionAt {
-        now: karma - 4 - 16,
         karma,
-        inflight: entry_of(inflight, 12, 0),
-        release: entry_of(releases, 20, 16),
-        parked_user: first_parked + 28,
+        release,
+        parked_user,
     }
 }
 
 /// Parent commit: `get_admission` handed whatever decoded to
-/// `FairShare::from_state`. A release whose tenant has no in-flight
-/// entry restored and then died in `advance_to` ("release for a user
-/// with no in-flight jobs") at the first cycle past it; an in-flight
-/// count with no release behind it pinned its tenant at quota for good
-/// and ended in `run_to_close`'s "deferred jobs imply a pending release
-/// wake-up"; a clock at NaN or `+inf` failed the first cycle's "moved
-/// backwards" assert; a release at `+inf` became the last wake-up. The
-/// rest restored and drained — from ledgers no service can reach, two of
-/// them with a tenant above its quota.
+/// `FairShare::from_state`. A release at `+inf` became the last wake-up;
+/// a karma stamp after the ledger's clock decayed to `inf` at the next
+/// charge, so the restored service wrote checkpoints restore refuses;
+/// the rest restored and drained — from ledgers no service can reach.
+/// (The ledger's clock is the last cycle's, held to an instant with the
+/// spec, and a tenant's in-flight count is its number of releases, so
+/// neither has bytes of its own to forge.)
 #[test]
 fn forged_admission_ledgers_are_typed_errors() {
     let s = suite();
     let blob = hrps_blob(&s, Tier::EasyAdmission);
-    let at = admission_at(&s, &blob);
+    let at = admission_at(&blob);
     let f64_at = |at: usize| f64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
-    assert!(f64_at(at.now) > 0.0 && f64_at(at.release) > f64_at(at.now));
-    assert_eq!(blob[at.inflight + 4..at.inflight + 12], 1u64.to_le_bytes());
+    let now = last_cycle(&blob);
+    assert!(now > 0.0 && f64_at(at.release) > now);
 
     let (inf, nan) = (f64::INFINITY.to_le_bytes(), f64::NAN.to_le_bytes());
     let past = (-1.0f64).to_le_bytes();
-    let forgeries: [(&str, usize, &[u8]); 15] = [
-        (
-            "release for a tenant not in flight",
-            at.release + 16,
-            &[7, 0, 0, 0],
-        ),
-        (
-            "two in flight behind one release",
-            at.inflight + 4,
-            &2u64.to_le_bytes(),
-        ),
-        (
-            "none in flight behind one release",
-            at.inflight + 4,
-            &[0; 8],
-        ),
-        ("more in flight than a usize", at.inflight + 4, &[0xff; 8]),
-        (
-            "in flight for a tenant without a release",
-            at.inflight,
-            &[7, 0, 0, 0],
-        ),
-        ("clock at NaN", at.now, &nan),
-        ("clock at +inf", at.now, &inf),
-        ("clock before time zero", at.now, &past),
+    let later = (now + 1e6).to_le_bytes();
+    let forgeries: [(&str, usize, &[u8]); 10] = [
         ("release at +inf", at.release, &inf),
         ("release at NaN", at.release, &nan),
         ("release before time zero", at.release, &past),
         ("karma of NaN", at.karma + 4, &nan),
         ("karma of +inf", at.karma + 4, &inf),
+        ("karma of -1", at.karma + 4, &past),
         ("karma stamped at NaN", at.karma + 12, &nan),
+        ("karma stamped before time zero", at.karma + 12, &past),
+        ("karma stamped after the clock", at.karma + 12, &later),
         (
             "karma stamped at -inf",
             at.karma + 12,
@@ -1072,8 +1046,8 @@ fn forged_admission_ledgers_are_typed_errors() {
 fn a_parked_job_under_quota_restores_and_goes_through_at_once() {
     let s = suite();
     let blob = hrps_blob(&s, Tier::EasyAdmission);
-    let at = admission_at(&s, &blob);
-    let last_cycle = f64::from_le_bytes(blob[at.now..at.now + 8].try_into().unwrap());
+    let at = admission_at(&blob);
+    let last_cycle = last_cycle(&blob);
     let mut lifted = blob.clone();
     lifted[at.parked_user..at.parked_user + 4].copy_from_slice(&7u32.to_le_bytes());
 
@@ -1093,38 +1067,48 @@ fn a_parked_job_under_quota_restores_and_goes_through_at_once() {
     );
 }
 
-/// Where node 0's record keeps its event log in an `HRPS` body:
-/// `[lookahead job] | clock f64 | busy f64 | wait f64 | placements u64 |
-/// jobs u64 | completed u64 | dirty u8 | n job* | n job* | n event*`, an
-/// event being `time f64 | seq u64 | tag u8` and then `job u64` (0,
-/// arrival), `gpus u32 | duration f64 | n id u64*` (1, start) or `gpus
-/// u32 | n id u64*` (2, finish). Returns `(offset of the event's time,
-/// tag)` of every event.
-fn node_log_at(blob: &[u8]) -> Vec<(usize, u8)> {
+/// The node records of an `HRPS` body: `[lookahead job] | node*`, a node
+/// being `clock f64 | wait f64 | dirty u8 | n job* | n job* | n event* |
+/// dispatcher`, an event `time f64 | seq u64 | tag u8` and then `job u64`
+/// (0, arrival), `gpus u32 | duration f64 | n id u64*` (1, start) or
+/// `gpus u32 | n id u64*` (2, finish), and a dispatcher `0` or `1 | n
+/// (finish f64, gpus u32)*`. Returns `(offset of the event's time, tag)`
+/// of every event of every node, and the offset just past the last node.
+fn node_records(blob: &[u8]) -> (Vec<Vec<(usize, u8)>>, usize) {
     let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
     let spec_len = u32_at(8);
     let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
+    let value = |key: &str| spec.lines().find_map(|line| line.strip_prefix(key));
     let job = |at: usize| at + 32 + 4 + u32_at(at + 32);
     let jobs = |at: usize| (0..u32_at(at)).fold(at + 4, |at, _| job(at));
     let ids = |at: usize| at + 4 + 8 * u32_at(at);
     let mut at = 12 + spec_len;
-    if spec.lines().any(|line| line == "has_lookahead=1") {
+    if value("has_lookahead=") == Some("1") {
         at = job(at);
     }
-    at = jobs(jobs(at + 8 * 6 + 1));
-    let mut events = Vec::new();
-    let count = u32_at(at);
-    at += 4;
-    for _ in 0..count {
-        let tag = blob[at + 16];
-        events.push((at, tag));
-        at = match tag {
-            0 => at + 17 + 8,
-            1 => ids(at + 17 + 4 + 8),
-            _ => ids(at + 17 + 4),
+    let nodes: usize = value("nodes=").expect("a node count").parse().unwrap();
+    let mut logs = Vec::new();
+    for _ in 0..nodes {
+        at = jobs(jobs(at + 8 * 2 + 1));
+        let mut events = Vec::new();
+        let count = u32_at(at);
+        at += 4;
+        for _ in 0..count {
+            let tag = blob[at + 16];
+            events.push((at, tag));
+            at = match tag {
+                0 => at + 17 + 8,
+                1 => ids(at + 17 + 4 + 8),
+                _ => ids(at + 17 + 4),
+            };
+        }
+        logs.push(events);
+        at = match blob[at] {
+            0 => at + 1,
+            _ => at + 1 + 4 + 12 * u32_at(at + 1),
         };
     }
-    events
+    (logs, at)
 }
 
 /// Parent commit: every one of these restored (1 460 bytes re-encoded),
@@ -1140,7 +1124,7 @@ fn node_log_at(blob: &[u8]) -> Vec<(usize, u8)> {
 fn forged_event_logs_are_typed_errors() {
     let s = suite();
     let blob = one_node_blob(&s, 6.0);
-    let events = node_log_at(&blob);
+    let events = node_records(&blob).0.swap_remove(0);
     let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
     let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
     let f64_at = |at: usize| f64::from_bits(u64_at(at));
