@@ -268,19 +268,13 @@ pub fn job_cost(suite: &Suite, job: &ClusterJob) -> f64 {
 /// the ordering is the identity.
 pub fn apply_fair_order(suite: &Suite, jobs: &mut [ClusterJob]) {
     let mut fair = FairShare::new(usize::MAX);
-    let mut start = 0;
-    while start < jobs.len() {
+    for (start, end) in crate::multinode::burst_bounds(jobs) {
         let t = jobs[start].arrival;
-        let mut end = start + 1;
-        while end < jobs.len() && jobs[end].arrival.total_cmp(&t).is_eq() {
-            end += 1;
-        }
         fair.advance_to(t);
         fair.order_burst(t, &mut jobs[start..end]);
         for job in &jobs[start..end] {
             fair.charge(job.user, job_cost(suite, job), t);
         }
-        start = end;
     }
 }
 

@@ -10,19 +10,24 @@
 //!
 //! The global trace is processed arrival-instant by arrival-instant by
 //! the stepped [`ClusterDrive`] core (also driven action-by-action by
-//! the RL placement environment in [`crate::place`]):
+//! the RL placement environment in [`crate::place`], and cycle by cycle
+//! by the online service in `hrp-serve`):
 //!
-//! 1. **Advance** — every node simulates up to the next arrival time
-//!    `t`, one after another on the calling thread (nodes are
-//!    independent between arrivals, so the order does not matter; an
-//!    epoch holds a few microseconds of node work, less than spawning
-//!    a thread would cost);
-//! 2. **Barrier + select** — with all nodes parked at `t`, their load
-//!    snapshots are taken and the selector assigns the instant's jobs
-//!    one by one, each assignment updating the snapshot it hands the
-//!    next (a burst spreads out instead of dog-piling one node);
-//! 3. after the last arrival, a final advance drains every node, and
-//!    the nodes' [`EventLog`]s are merged into the timeline
+//! 1. **Advance** — every node with work simulates up to the next
+//!    arrival time `t`, one after another on the calling thread (nodes
+//!    are independent between arrivals, so the order does not matter;
+//!    an epoch holds a few microseconds of node work, less than
+//!    spawning a thread would cost). A *quiescent* node — nothing
+//!    running, waiting or queued, and no pending dispatch — is skipped:
+//!    advancing it would change nothing, and its load snapshot does not
+//!    depend on the instant;
+//! 2. **Barrier + select** — with every node parked at `t` or
+//!    quiescent, the moved nodes' load snapshots are retaken and the
+//!    selector assigns the instant's jobs one by one, each assignment
+//!    updating the snapshot it hands the next (a burst spreads out
+//!    instead of dog-piling one node);
+//! 3. after the last arrival, a final advance drains every node with
+//!    work, and the nodes' [`EventLog`]s are merged into the timeline
 //!    ([`EventLog::merge`]: a k-way merge of the node logs that frees
 //!    each node's record chunks as it empties them, the job-id arenas
 //!    concatenated and the ranges rebased).
@@ -162,16 +167,19 @@ impl NodeSummary {
 
 /// How much synchronization work a multi-node run performed.
 ///
-/// The counters are *logical*: they count epoch barriers and the node
-/// advances issued at them, not wall-clock work, so they are part of a
-/// report's `PartialEq`. The batch driver pays one round per arrival
-/// instant plus the final drain; an incremental driver pays one round
-/// per cycle.
+/// The counters are *logical*: they count [`ClusterDrive::advance_to`]
+/// calls and the nodes each one moved, not wall-clock work, so they are
+/// part of a report's `PartialEq`. A batch run pays one round per
+/// arrival instant, the online service one per cycle (arrival or wake),
+/// and both one for the final drain; a round moves only the nodes that
+/// are not quiescent. A service whose cycles fall exactly on the batch
+/// epochs therefore counts what the batch run counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SyncStats {
-    /// Epoch barriers (batch) or scheduling cycles (incremental).
+    /// Epoch barriers (batch) or scheduling cycles (service), plus the
+    /// final drain.
     pub sync_rounds: u64,
-    /// Node advances issued across those rounds.
+    /// Nodes those rounds advanced (quiescent nodes are skipped).
     pub node_advances: u64,
 }
 
@@ -185,9 +193,10 @@ pub struct MultiNodeReport {
     pub aggregate: ClusterReport,
     /// The merged `(time, node, seq)`-ordered event stream.
     pub timeline: ClusterTimeline,
-    /// Synchronization-work counters (they differ between the batch
-    /// driver and an incremental one; everything else in the report is
-    /// driver-invariant, bit for bit).
+    /// Synchronization-work counters (they differ between a batch run
+    /// and a service that cycles at other instants, such as admission
+    /// wake-ups; everything else in the report is the same however the
+    /// drive was stepped, bit for bit).
     pub sync: SyncStats,
 }
 
@@ -299,19 +308,23 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
         &self.loads
     }
 
-    fn advance_nodes(&mut self, horizon: f64) {
-        self.sync.sync_rounds += 1;
-        self.sync.node_advances += self.runs.len() as u64;
-        for run in &mut self.runs {
-            run.advance_until(self.suite, horizon);
-        }
-    }
-
-    /// Advance every node to the arrival instant `t` and refresh the
-    /// load snapshots — the epoch barrier.
+    /// Advance every node that is not quiescent to the arrival instant
+    /// `t` and refresh its load snapshot — the epoch barrier. Counts one
+    /// sync round, and one node advance per node moved.
+    ///
+    /// A quiescent node (nothing running, waiting or queued, and no
+    /// pending dispatch) is skipped: advancing it to any horizon is a
+    /// no-op, and its [`NodeLoad`] does not depend on the instant
+    /// (outstanding exactly `0.0`). A fresh node starts dirty, so the
+    /// first advance moves every node.
     pub fn advance_to(&mut self, t: f64) {
-        self.advance_nodes(t);
-        for (load, run) in self.loads.iter_mut().zip(&self.runs) {
+        self.sync.sync_rounds += 1;
+        for (run, load) in self.runs.iter_mut().zip(&mut self.loads) {
+            if run.is_idle() && !run.is_dirty() {
+                continue;
+            }
+            self.sync.node_advances += 1;
+            run.advance_until(self.suite, t);
             *load = run.load(self.suite, t);
         }
     }
@@ -347,7 +360,7 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
     /// (the per-node deadlock check).
     pub fn finish(&mut self) -> MultiNodeReport {
         assert!(!self.runs.is_empty(), "drive already finished");
-        self.advance_nodes(f64::INFINITY);
+        self.advance_to(f64::INFINITY);
         let (stats, streams): (Vec<NodeStats>, Vec<EventLog>) = std::mem::take(&mut self.runs)
             .into_iter()
             .map(NodeRun::finish)
@@ -362,43 +375,11 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
         self.placed
     }
 
-    /// `true` when `node` is *quiescent*: nothing running, waiting, or
-    /// queued, and no pending dispatch.
-    /// Advancing a quiescent node to any horizon is a no-op and its
-    /// [`NodeLoad`] is time-invariant (outstanding exactly `0.0`), so
-    /// an incremental driver may skip it without perturbing the
-    /// timeline or the selector inputs — the dirty-set contract the
-    /// online service (`hrp-serve`) builds on.
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range.
+    /// The synchronization work so far: the rounds and node advances
+    /// of every [`ClusterDrive::advance_to`].
     #[must_use]
-    pub fn node_is_quiescent(&self, node: usize) -> bool {
-        let run = &self.runs[node];
-        run.is_idle() && !run.is_dirty()
-    }
-
-    /// Advance a *single* node to `t` and refresh its load snapshot —
-    /// the incremental counterpart of [`ClusterDrive::advance_to`],
-    /// used by dirty-set drivers that re-plan only non-quiescent
-    /// nodes. Counts one node-advance; the per-cycle round counter is
-    /// bumped separately via [`ClusterDrive::note_round`].
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range.
-    pub fn advance_node_to(&mut self, node: usize, t: f64) {
-        self.sync.node_advances += 1;
-        let run = &mut self.runs[node];
-        run.advance_until(self.suite, t);
-        self.loads[node] = run.load(self.suite, t);
-    }
-
-    /// Count one incremental scheduling cycle as a synchronization
-    /// round, so [`SyncStats::sync_rounds`] stays comparable between
-    /// the batch barrier driver (one round per epoch) and an
-    /// incremental driver (one round per cycle).
-    pub fn note_round(&mut self) {
-        self.sync.sync_rounds += 1;
+    pub fn sync(&self) -> SyncStats {
+        self.sync
     }
 
     /// One node's [`NodeRun`] (checkpointing reads node state through
@@ -413,7 +394,8 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
 
     /// Rebuild a drive mid-run from exported node states (paired with
     /// dispatchers restored to the matching point), the instant `now`
-    /// of the last advance, and the sync counters. Resumes
+    /// of the last [`ClusterDrive::advance_to`], and the
+    /// [sync counters](ClusterDrive::sync) so far. Resumes
     /// bit-identically to the drive the states were captured from.
     ///
     /// The rest is worked out from the states. Every routed job arrived
@@ -422,8 +404,8 @@ impl<'a, D: Dispatcher> ClusterDrive<'a, D> {
     /// The load snapshots are taken again at `now`: a node advanced
     /// there gets the snapshot that advance took plus the solo times of
     /// the jobs placed on it since, summed in the same order, and a node
-    /// skipped since its last advance is quiescent, so its snapshot does
-    /// not depend on the instant.
+    /// the last advance skipped is quiescent, so its snapshot does not
+    /// depend on the instant.
     ///
     /// # Panics
     /// Panics on inconsistent geometry (no nodes, more than 64, or a
@@ -520,9 +502,9 @@ fn assemble_report(
     }
 }
 
-/// Group a sorted trace into `(instant, burst)` pairs of co-timed
-/// arrivals (the epoch structure both the simulator and the placement
-/// environment walk).
+/// Group a sorted trace into `[start, end)` bursts of bitwise-equal
+/// arrivals: the epochs [`MultiNodeSim::run`] walks, and the bursts
+/// [`crate::fair::apply_fair_order`] reorders.
 pub(crate) fn burst_bounds(jobs: &[ClusterJob]) -> Vec<(usize, usize)> {
     let mut bounds = Vec::new();
     let mut start = 0;
@@ -621,8 +603,9 @@ impl MultiNodeSim {
         drive.reserve_jobs(jobs.len());
 
         for (start, end) in burst_bounds(&jobs) {
-            // Epoch: advance every node to this arrival instant, then
-            // place the instant's jobs against the barrier snapshots.
+            // Epoch: advance every node with work to this arrival
+            // instant, then place the instant's jobs against the
+            // barrier snapshots.
             drive.advance_to(jobs[start].arrival);
             for job in &jobs[start..end] {
                 let work = job.solo_time(suite);
@@ -719,15 +702,26 @@ mod tests {
     }
 
     #[test]
-    fn counters_are_fanout_invariant() {
-        // SyncStats counts logical rounds: one per arrival instant plus
-        // the final drain, each advancing every node.
+    fn a_round_per_instant_advances_only_the_nodes_with_work() {
+        // One round per arrival instant plus the final drain; a round
+        // advances the nodes that are not quiescent. On the staggered
+        // trace every node has work at every round.
         let s = suite();
-        let jobs = staggered(&s, 16);
         let mut sel = SelectorKind::LeastLoaded.build();
-        let report = MultiNodeSim::new(4, 2).run(&s, jobs, sel.as_mut(), |_| dispatcher());
-        assert_eq!(report.sync.sync_rounds, 5, "4 instants + final drain");
-        assert_eq!(report.sync.node_advances, 20);
+        let busy =
+            MultiNodeSim::new(4, 2).run(&s, staggered(&s, 16), sel.as_mut(), |_| dispatcher());
+        assert_eq!(busy.sync.sync_rounds, 5, "4 instants + final drain");
+        assert_eq!(busy.sync.node_advances, 20);
+        // A thin trace drains nodes between bursts: 8 instants + drain
+        // visit 36 nodes, and 7 of those visits find the node quiescent.
+        let cfg = TraceConfig::new(TraceKind::Bursty, 24, 7)
+            .gang_share(0.25)
+            .mean_gap(40.0);
+        let mut sel = SelectorKind::LeastLoaded.build();
+        let thin =
+            MultiNodeSim::new(4, 2).run(&s, generate(&s, &cfg), sel.as_mut(), |_| dispatcher());
+        assert_eq!(thin.sync.sync_rounds, 9, "8 instants + final drain");
+        assert_eq!(thin.sync.node_advances, 29);
     }
 
     #[test]

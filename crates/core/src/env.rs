@@ -23,7 +23,7 @@
 
 use crate::actions::ActionCatalog;
 use crate::predict::CoRunPredictor;
-use crate::problem::{evaluate_group, ScheduleDecision};
+use crate::problem::{evaluate_group, ScheduleDecision, ScheduledGroup};
 use crate::reward::{final_reward, intermediate_reward, WindowStats};
 use crate::rl::{Env, EnvFactory};
 use hrp_gpusim::engine::EngineConfig;
@@ -343,6 +343,29 @@ impl<'a> CoScheduleEnv<'a> {
         (job_ids, assignment, ri_sum)
     }
 
+    /// Bind `action`'s jobs and run the group on the simulator: the
+    /// bound job ids, the group, its final reward r_f (0 for a solo
+    /// group) and the sum of the jobs' intermediate rewards r_i.
+    ///
+    /// # Panics
+    /// Panics if the action is invalid for the current mask.
+    fn launch(&self, action: usize) -> (Vec<usize>, ScheduledGroup, f64, f64) {
+        assert!(
+            self.valid_mask() & (1 << action) != 0,
+            "action {action} invalid with {} pending",
+            self.pending_count()
+        );
+        let (job_ids, assignment, ri_sum) = self.bind_jobs(&self.compiled[action]);
+        let scheme = self.catalog.scheme(action);
+        let group = evaluate_group(self.suite, self.queue, &job_ids, scheme, &assignment);
+        let rf = if group.concurrency() > 1 {
+            final_reward(group.solo_time, group.corun_time)
+        } else {
+            0.0
+        };
+        (job_ids, group, rf, ri_sum)
+    }
+
     /// Evaluate an action **without taking it**: returns the group's
     /// measured `(rf, corun_time, solo_time)` under the current binding.
     /// Used by the oracle-greedy reference policy and for debugging; the
@@ -352,20 +375,7 @@ impl<'a> CoScheduleEnv<'a> {
     /// Panics if the action is invalid for the current mask.
     #[must_use]
     pub fn peek_action(&self, action: usize) -> (f64, f64, f64) {
-        assert!(
-            self.valid_mask() & (1 << action) != 0,
-            "action {action} invalid with {} pending",
-            self.pending_count()
-        );
-        let part = &self.compiled[action];
-        let (job_ids, assignment, _) = self.bind_jobs(part);
-        let scheme = self.catalog.scheme(action);
-        let group = evaluate_group(self.suite, self.queue, &job_ids, scheme, &assignment);
-        let rf = if group.concurrency() > 1 {
-            final_reward(group.solo_time, group.corun_time)
-        } else {
-            0.0
-        };
+        let (_, group, rf, _) = self.launch(action);
         (rf, group.corun_time, group.solo_time)
     }
 
@@ -375,20 +385,7 @@ impl<'a> CoScheduleEnv<'a> {
     /// # Panics
     /// Panics if the action is invalid for the current mask.
     pub fn step(&mut self, action: usize) -> StepResult {
-        assert!(
-            self.valid_mask() & (1 << action) != 0,
-            "action {action} invalid with {} pending",
-            self.pending_count()
-        );
-        let part = &self.compiled[action];
-        let (job_ids, assignment, ri_sum) = self.bind_jobs(part);
-        let scheme = self.catalog.scheme(action);
-        let group = evaluate_group(self.suite, self.queue, &job_ids, scheme, &assignment);
-        let rf = if group.concurrency() > 1 {
-            final_reward(group.solo_time, group.corun_time)
-        } else {
-            0.0
-        };
+        let (job_ids, group, rf, ri_sum) = self.launch(action);
         let ri_mean = ri_sum / job_ids.len() as f64;
         for &j in &job_ids {
             self.pending[j] = false;

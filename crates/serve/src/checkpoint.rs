@@ -36,9 +36,9 @@
 //! fair-share ledger's sequence (each admission places one job). The
 //! ledger's clock is the last cycle's instant, which every cycle
 //! advances it to, and a tenant's in-flight count the number of its
-//! pending releases. The sync rounds are the cycles, arrival and wake;
-//! the node advances are the re-plans, and the skips are the node
-//! visits of those rounds less the re-plans.
+//! pending releases. The drive's sync rounds are the cycles, arrival
+//! and wake, and its node advances the re-plans; the service reads its
+//! decisions, re-plans and skips off the drive.
 //!
 //! Deterministic sources checkpoint as spec + position: a rebuilt
 //! source replays `consumed` draws to restore its RNG cursor exactly.
@@ -50,7 +50,8 @@
 //! Restore trusts nothing: every spec key must be present exactly once
 //! and in range (a forged source position past the trace or past the
 //! arrivals the body holds, a tenant count past [`MAX_USERS`], a zero
-//! quota, a non-finite rate), every job record must name a benchmark
+//! quota, a non-finite rate, rejections without a finite SLO or
+//! deferrals without a quota), every job record must name a benchmark
 //! of the suite and fit a node, every node record must satisfy the
 //! preconditions of [`NodeRun::from_state`](hrp_cluster::sim::NodeRun::from_state)
 //! and [`ClusterDrive::from_states`] *before* they are called — down to
@@ -63,8 +64,8 @@
 //! a panic at the next dispatch or the next release.
 
 use crate::service::{
-    source_width_mismatch, AdmissionConfig, AdmissionState, LatencyHistogram, SchedulerService,
-    SelectorState, ServeConfig, ServeStats,
+    source_width_mismatch, AdmissionConfig, AdmissionState, Counts, LatencyHistogram,
+    SchedulerService, SelectorState, ServeConfig,
 };
 use crate::source::{ArrivalSource, LoadGen, LoadShape, TraceSource};
 use hrp_cluster::backfill::BackfillState;
@@ -111,11 +112,12 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         for (k, v) in src_spec {
             spec.kv(&format!("src_{k}"), v);
         }
-        spec.kv("cycles", self.stats.cycles);
-        spec.kv("wake_cycles", self.stats.wake_cycles);
-        spec.kv("nodes_replanned", self.stats.nodes_replanned);
-        spec.kv("deferred", self.stats.deferred);
-        spec.kv("rejected", self.stats.rejected);
+        let stats = self.stats();
+        spec.kv("cycles", stats.cycles);
+        spec.kv("wake_cycles", stats.wake_cycles);
+        spec.kv("nodes_replanned", stats.nodes_replanned);
+        spec.kv("deferred", stats.deferred);
+        spec.kv("rejected", stats.rejected);
         spec.kv("last_cycle_bits", self.last_cycle.to_bits());
         spec.kv("has_lookahead", u8::from(self.lookahead.is_some()));
         spec.kv("admission", u8::from(self.cfg.admission.is_some()));
@@ -189,10 +191,8 @@ pub fn restore(
     // Every cycle, arrival or wake, is one sync round that re-plans or
     // skips each node, and every re-plan is one node advance.
     let rounds = cycles.checked_add(wake_cycles);
-    let skipped = rounds
-        .and_then(|rounds| rounds.checked_mul(nodes as u64))
-        .and_then(|visits| visits.checked_sub(nodes_replanned));
-    let (Some(sync_rounds), Some(nodes_skipped)) = (rounds, skipped) else {
+    let visits = rounds.and_then(|rounds| rounds.checked_mul(nodes as u64));
+    let (Some(sync_rounds), true) = (rounds, visits.is_some_and(|v| nodes_replanned <= v)) else {
         let what = format!(
             "{nodes_replanned} re-plans in {cycles} + {wake_cycles} cycles of {nodes} nodes"
         );
@@ -203,6 +203,18 @@ pub fn restore(
         node_advances: nodes_replanned,
     };
     let (deferred, rejected): (u64, u64) = (spec.get("deferred")?, spec.get("rejected")?);
+    // Only a finite SLO rejects, and only a finite quota defers.
+    let tier = cfg.admission.as_ref();
+    ensure(
+        MAGIC,
+        rejected == 0 || tier.is_some_and(|a| a.slo.is_finite()),
+        || format!("rejected={rejected}, but no admission tier with a finite SLO"),
+    )?;
+    ensure(
+        MAGIC,
+        deferred == 0 || tier.is_some_and(|a| a.quota < usize::MAX),
+        || format!("deferred={deferred}, but no admission tier with a quota"),
+    )?;
     let last_cycle = f64::from_bits(spec.get("last_cycle_bits")?);
     ensure(MAGIC, instant(last_cycle), || {
         format!("last cycle at {last_cycle}")
@@ -260,12 +272,9 @@ pub fn restore(
     spec.finish()?;
     body.finish()?;
 
-    let stats = ServeStats {
+    let counts = Counts {
         cycles,
         wake_cycles,
-        decisions: decisions as u64,
-        nodes_replanned,
-        nodes_skipped,
         deferred,
         rejected,
     };
@@ -277,7 +286,7 @@ pub fn restore(
         source,
         lookahead,
         last_cycle,
-        stats,
+        counts,
         latencies: LatencyHistogram::default(),
         burst: Vec::new(),
         admission,

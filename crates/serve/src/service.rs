@@ -4,14 +4,15 @@
 //! event-driven ingest loop: each [`SchedulerService::step`] pulls
 //! one arrival burst from the [`ArrivalSource`], runs one
 //! *incremental scheduling cycle* at that instant, and routes every
-//! job of the burst through the selector. A cycle re-plans only the
-//! nodes whose slot profile can still change — quiescent nodes (idle,
-//! no pending dispatch) are skipped entirely — yet the
-//! produced [`ClusterTimeline`](hrp_cluster::multinode::ClusterTimeline) is
+//! job of the burst through the selector. A cycle is one
+//! [`ClusterDrive::advance_to`], which re-plans only the nodes whose
+//! slot profile can still change — quiescent nodes (idle, no pending
+//! dispatch) are skipped entirely, as they are at every batch epoch —
+//! and the produced [`ClusterTimeline`](hrp_cluster::multinode::ClusterTimeline) is
 //! bit-identical to a batch [`MultiNodeSim`](hrp_cluster::multinode::MultiNodeSim)
 //! replay of the same finite trace: skipping a quiescent node is a
 //! provable no-op (its state cannot change and its load snapshot is
-//! time-invariant), so the batch engines survive as the oracle.
+//! time-invariant), so the batch engine survives as the oracle.
 //!
 //! With [`ServeConfig::admission`] set, an admission-control +
 //! fair-share tier sits in front of the selector: each arrival is
@@ -247,8 +248,10 @@ pub(crate) fn source_width_mismatch(max_gpus: usize, gpus_per_node: usize) -> Op
 }
 
 /// Logical per-service counters, in the style of
-/// [`SyncStats`](hrp_cluster::multinode::SyncStats): pure functions
-/// of the input stream, never of wall clock — so tests can pin them.
+/// [`SyncStats`](hrp_cluster::multinode::SyncStats): pure functions of the input stream, never of wall
+/// clock — so tests can pin them. The service counts the cycles and the
+/// admission outcomes; [`SchedulerService::stats`] reads the rest off
+/// the drive, before its final drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Scheduling cycles triggered by arrival bursts.
@@ -256,11 +259,13 @@ pub struct ServeStats {
     /// Idle cycles with no arrival to place ([`SchedulerService::settle`] /
     /// [`SchedulerService::wake_cycle`]).
     pub wake_cycles: u64,
-    /// Placement decisions made (one per ingested job).
+    /// Placement decisions made: the jobs the drive routed.
     pub decisions: u64,
-    /// Node re-plans: a node advanced + load-refreshed during a cycle.
+    /// Node re-plans: the drive's node advances, one per node a cycle
+    /// moved and load-refreshed.
     pub nodes_replanned: u64,
-    /// Nodes skipped as quiescent by the dirty set.
+    /// Nodes the cycles skipped as quiescent: their node visits less
+    /// the re-plans.
     pub nodes_skipped: u64,
     /// Arrivals parked by the admission tier because their tenant was
     /// at its in-flight quota (counted once per job, not per retry).
@@ -268,6 +273,16 @@ pub struct ServeStats {
     /// Arrivals rejected because their projected slowdown exceeded
     /// the admission SLO.
     pub rejected: u64,
+}
+
+/// The [`ServeStats`] the drive does not count: the cycles and the
+/// admission tier's outcomes. Checkpointed as spec keys.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Counts {
+    pub(crate) cycles: u64,
+    pub(crate) wake_cycles: u64,
+    pub(crate) deferred: u64,
+    pub(crate) rejected: u64,
 }
 
 /// Decision-latency summary over one service run (microseconds).
@@ -500,7 +515,8 @@ pub struct SchedulerService<'a, S: ArrivalSource> {
     pub(crate) lookahead: Option<ClusterJob>,
     /// Instant of the last cycle — arrivals must not move backwards.
     pub(crate) last_cycle: f64,
-    pub(crate) stats: ServeStats,
+    /// What only the service counts (see [`SchedulerService::stats`]).
+    pub(crate) counts: Counts,
     /// Decision latencies (not checkpointed: a restored service starts
     /// an empty histogram).
     pub(crate) latencies: LatencyHistogram,
@@ -610,7 +626,7 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             source,
             lookahead: None,
             last_cycle: 0.0,
-            stats: ServeStats::default(),
+            counts: Counts::default(),
             latencies: LatencyHistogram::default(),
             burst: Vec::new(),
             admission,
@@ -630,10 +646,21 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         self.selector.kind
     }
 
-    /// Counters so far.
+    /// Counters so far. Every cycle, arrival or wake, is one
+    /// [`ClusterDrive::advance_to`] round, so the decisions, re-plans and
+    /// skips are read off the drive.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        self.stats
+        let sync = self.drive.sync();
+        ServeStats {
+            cycles: self.counts.cycles,
+            wake_cycles: self.counts.wake_cycles,
+            decisions: self.drive.placed() as u64,
+            nodes_replanned: sync.node_advances,
+            nodes_skipped: sync.sync_rounds * self.cfg.nodes as u64 - sync.node_advances,
+            deferred: self.counts.deferred,
+            rejected: self.counts.rejected,
+        }
     }
 
     /// Jobs the source has handed out so far.
@@ -706,8 +733,8 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// nodes, run the admission tier (if on), then route every
     /// admitted job of the burst, which is left empty.
     fn cycle(&mut self, t: f64, burst: &mut Vec<ClusterJob>) {
-        self.stats.cycles += 1;
-        self.advance_cluster(t);
+        self.counts.cycles += 1;
+        self.drive.advance_to(t);
         // The tier is lent out for the cycle so that its decisions and
         // the placements they make can borrow the service side by side.
         if let Some(mut adm) = self.admission.take() {
@@ -742,7 +769,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             .selector
             .select(usize::from(job.gpus), work, self.drive.loads());
         self.latencies.record(started.elapsed());
-        self.stats.decisions += 1;
         self.drive.place(node, job);
     }
 
@@ -806,12 +832,12 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         if adm.slo.is_finite() {
             let wait = self.projected_wait(&job);
             if (wait + work) / work > adm.slo {
-                self.stats.rejected += 1;
+                self.counts.rejected += 1;
                 return;
             }
         }
         if adm.share.over_quota(job.user) {
-            self.stats.deferred += 1;
+            self.counts.deferred += 1;
             adm.deferred.push_back(job);
             return;
         }
@@ -841,21 +867,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Advance the dirty set to `t` and refresh the touched load
-    /// snapshots. A quiescent node is skipped: its state cannot change
-    /// and its load snapshot is time-invariant.
-    fn advance_cluster(&mut self, t: f64) {
-        self.drive.note_round();
-        for node in 0..self.cfg.nodes {
-            if self.drive.node_is_quiescent(node) {
-                self.stats.nodes_skipped += 1;
-            } else {
-                self.drive.advance_node_to(node, t);
-                self.stats.nodes_replanned += 1;
-            }
-        }
-    }
-
     /// An empty cycle at instant `t`: advance the dirty set with no
     /// arrivals to place. This is how idle time passes for a live
     /// service — deferred dispatches run, due releases open the door,
@@ -872,8 +883,8 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             "settle at {t} before cycle {}",
             self.last_cycle
         );
-        self.stats.wake_cycles += 1;
-        self.advance_cluster(t);
+        self.counts.wake_cycles += 1;
+        self.drive.advance_to(t);
         if let Some(mut adm) = self.admission.take() {
             self.revisit_deferred(&mut adm, t);
             self.admission = Some(adm);
@@ -938,10 +949,11 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             0,
             "finish with deferred jobs still parked; run_to_close first"
         );
+        let stats = self.stats();
         let report = self.drive.finish();
         ServeReport {
             report,
-            stats: self.stats,
+            stats,
             latency: self.latencies.summary(),
             admission: self.admission.map(|mut a| {
                 // The report outlives the service: keep no growth slack.

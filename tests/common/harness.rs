@@ -24,6 +24,7 @@
 //! the slice of it a property names.
 
 use hrp::cluster::fair::{job_cost, user_fairness};
+use hrp::cluster::multinode::SyncStats;
 use hrp::cluster::sim::EventKind;
 use hrp::cluster::trace::{generate, TraceKind, TRACE_KINDS};
 use hrp::cluster::{
@@ -170,6 +171,7 @@ pub struct Run {
     pub timeline: ClusterTimeline,
     pub aggregate: ClusterReport,
     pub per_node: Vec<NodeSummary>,
+    pub sync: SyncStats,
     pub served: Option<Served>,
 }
 
@@ -181,6 +183,7 @@ impl Run {
             timeline: report.timeline,
             aggregate: report.aggregate,
             per_node: report.per_node,
+            sync: report.sync,
             served: None,
         }
     }
@@ -301,6 +304,7 @@ pub fn run(suite: &Suite, case: &Case) -> Outcome {
         runs.push(Run::batch(label.into(), report));
     }
     let first = &runs[0];
+    let batch = runs.iter().find(|run| run.served.is_none());
     for run in &runs {
         let ctx = format!("{} (vs {}): {case:?}", run.how, first.how);
         assert!(run.timeline == first.timeline, "events differ, {ctx}");
@@ -312,6 +316,15 @@ pub fn run(suite: &Suite, case: &Case) -> Outcome {
         if let (Some(served), Some(first_served)) = (&run.served, &first.served) {
             assert_eq!(served, first_served, "{ctx}");
             cycle_accounting(served, case.nodes, admitted.len(), &ctx);
+            // Every admitted job was placed at a cycle, so a service with
+            // no wake-ups and no cycle that placed nothing (a burst all
+            // rejected or parked) cycled at the batch epochs, and the one
+            // advance rule moved the same nodes.
+            let batch = batch.expect("a batch run");
+            let s = served.stats;
+            if s.wake_cycles == 0 && s.cycles + 1 == batch.sync.sync_rounds {
+                assert_eq!(run.sync, batch.sync, "sync vs {}, {ctx}", batch.how);
+            }
         }
         conservation(run, admitted.len(), &ctx);
         no_start_before_arrival(run, &ctx);

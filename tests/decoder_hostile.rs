@@ -787,6 +787,56 @@ fn a_source_wider_than_its_nodes_is_a_typed_error() {
     }
 }
 
+/// Parent commit: `rejected` and the source position were spec values
+/// checked only against each other, so the least-loaded blob forged to
+/// 10^7 rejections, with the position and trace length to match,
+/// restored `Ok` after replaying 10^7 draws. Only a finite SLO rejects
+/// and only a quota defers, so a count no tier of the blob could have
+/// produced is refused before the source is replayed.
+#[test]
+fn admission_counts_no_tier_could_produce_are_typed_errors() {
+    let s = suite();
+    let plain = hrps_blob(&s, Tier::LeastLoaded);
+    let admission = hrps_blob(&s, Tier::EasyAdmission);
+    let replayed = [
+        ("src_consumed", "10000011"),
+        ("src_jobs", "10000021"),
+        ("rejected", "10000000"),
+    ]
+    .iter()
+    .fold(plain.clone(), |blob, (key, value)| {
+        tamper_spec(&blob, key, value)
+    });
+    let unlimited = "18446744073709551615";
+    for (name, forged, key) in [
+        ("no tier, 10^7 rejections", replayed, "rejected"),
+        ("no tier", tamper_spec(&plain, "deferred", "1"), "deferred"),
+        (
+            "no SLO",
+            tamper_spec(&tamper_spec(&admission, "adm_slo", "inf"), "rejected", "1"),
+            "rejected",
+        ),
+        (
+            "no quota",
+            tamper_spec(&admission, "adm_quota", unlimited),
+            "deferred",
+        ),
+    ] {
+        let started = std::time::Instant::now();
+        match restore(&s, forged).map(drop) {
+            Err(CheckpointError::Invalid {
+                format: "HRPS",
+                what,
+            }) => assert!(what.contains(&format!("{key}=")), "{name}: '{what}'"),
+            other => panic!("{name}: {other:?}"),
+        }
+        assert!(
+            started.elapsed().as_secs() < 1,
+            "{name}: refused without a replay"
+        );
+    }
+}
+
 /// Offset of the name's length prefix in every job record of an `HRPS`
 /// body. A record is `id u64 | bench u64 | arrival f64 | gpus u32 |
 /// user u32 | name`, and job records are the only place a benchmark

@@ -208,6 +208,11 @@ fn the_deleted_second_copies_stay_deleted() {
         // No ReLU layer type or masks: the backward reads which lanes
         // passed from the kept activations.
         ("Re", "lu"),
+        // One way to advance the cluster: the batch run, the placement
+        // env and the service all move their nodes through
+        // `ClusterDrive::advance_to`, which skips quiescent ones.
+        ("advance_node", "_to"),
+        ("note", "_round"),
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["tests", "examples", "src"].map(str::to_owned));
@@ -419,9 +424,6 @@ fn every_pub_fn_has_a_caller() {
         "crates/nn/src/dqn.rs::learn_steps",
         // opt.rs's unit tests hold Adam's bias-correction step count.
         "crates/nn/src/opt.rs::steps",
-        // A live service's counters mid-run (`alloc_free` reads them
-        // between cycles; a finished run reports them in `ServeReport`).
-        "crates/serve/src/service.rs::stats",
     ];
     let mut dirs = crate_src_dirs();
     dirs.extend(["src", "examples"].map(str::to_owned));
